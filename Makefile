@@ -2,9 +2,9 @@
 # long tests hide behind -short here; `make soak` runs them in full.
 GO ?= go
 
-.PHONY: tier1 build vet test race race-core bench-scale bench-telemetry bench-json trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
+.PHONY: tier1 build vet test race race-core bench bench-smoke bench-scale bench-telemetry bench-json trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
 
-tier1: build vet race race-core fleet-smoke metrics-smoke lifetime-smoke soak-short
+tier1: build vet race race-core fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,19 @@ race:
 # table and its checkpoint serialization).
 race-core:
 	$(GO) test -race ./internal/sim ./internal/ftl ./internal/host ./internal/recovery ./internal/telemetry ./internal/server ./internal/fleet ./internal/cache ./internal/nand ./internal/core ./internal/lifetime
+
+# The repository's benchmark (bench/README.md): six workloads, both
+# clocks, per-layer decomposition; results land in bench/out/. Compare
+# two result sets with `go run ./bench -compare old.json new.json`.
+bench:
+	$(GO) run ./bench
+
+# One workload at a fifth of the usual length: keeps the harness
+# building and its correctness checks (digest equality across
+# repetitions, zero failed operations) running in tier 1. The numbers of
+# a run this short mean nothing.
+bench-smoke:
+	$(GO) run ./bench -workload mixed-fresh -seconds 1
 
 # Multi-die scaling gate: fails if a 2x4 backend delivers less than
 # 1.5x the single-die Mixed IOPS (or if same-seed replay diverges).

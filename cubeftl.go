@@ -165,6 +165,7 @@ type SSD struct {
 	opts        Options
 	ctrlCfg     ftl.ControllerConfig
 	outstanding int
+	onIODone    func() // completion of a facade I/O issued without a callback
 
 	// ager applies lifetime fast-forwards (lazily built by Age so
 	// devices that never age pay nothing and replay bit-identically).
@@ -243,6 +244,7 @@ func New(opts Options) (*SSD, error) {
 		opts:        opts,
 		ctrlCfg:     ctrlCfg,
 	}
+	s.onIODone = func() { s.outstanding-- }
 	if opts.Recovery {
 		s.mgr = recovery.Attach(s.ctrl, recovery.NewSystemArea(), recovery.Options{
 			CkptIntervalNs: sim.Time(opts.CkptInterval),
@@ -266,7 +268,7 @@ func newPolicy(opts Options, dev *ssd.Device) (ftl.Policy, *core.CubeFTL, error)
 		return ftl.NewVertPolicy(), nil, nil
 	case FTLIsp:
 		return ftl.NewIspPolicy(func(chip, block int) int {
-			return dev.Chip(chip).NAND.PECycles(block)
+			return dev.Die(chip).NAND.PECycles(block)
 		}), nil, nil
 	case FTLCube, FTLCubeMinus:
 		var cube *core.CubeFTL
@@ -288,7 +290,7 @@ func newPolicy(opts Options, dev *ssd.Device) (ftl.Policy, *core.CubeFTL, error)
 		// stay bit-identical — but once Age fast-forwards individual
 		// blocks across bucket boundaries the key moves with the block.
 		cube.SetAgeBucketFn(func(chip, block int) int {
-			return core.AgeBucketFor(dev.Chip(chip).NAND.EffectiveRetentionMonths(block))
+			return core.AgeBucketFor(dev.Die(chip).NAND.EffectiveRetentionMonths(block))
 		})
 		return cube, cube, nil
 	}
@@ -332,19 +334,25 @@ func (s *SSD) Write(lpn int64, done func()) error {
 	if lpn < 0 || lpn >= int64(s.ctrl.LogicalPages()) {
 		return fmt.Errorf("%w: %d", ErrBadLPN, lpn)
 	}
-	if done == nil {
-		done = func() {}
-	}
-	inner := done
 	s.outstanding++
-	err := s.ctrl.Write(ftl.LPN(lpn), func() {
-		s.outstanding--
-		inner()
-	})
+	err := s.ctrl.Write(ftl.LPN(lpn), nil, s.completion(done))
 	if err != nil {
 		s.outstanding--
 	}
 	return err
+}
+
+// completion wraps a caller's optional callback with the facade's
+// outstanding-I/O accounting. Without a callback it is the accounting
+// step alone, bound once per device.
+func (s *SSD) completion(done func()) func() {
+	if done == nil {
+		return s.onIODone
+	}
+	return func() {
+		s.outstanding--
+		done()
+	}
 }
 
 // Degraded reports whether the whole device has dropped to read-only
@@ -365,15 +373,8 @@ func (s *SSD) Read(lpn int64, done func()) error {
 	if lpn < 0 || lpn >= int64(s.ctrl.LogicalPages()) {
 		return fmt.Errorf("%w: %d", ErrBadLPN, lpn)
 	}
-	if done == nil {
-		done = func() {}
-	}
-	inner := done
 	s.outstanding++
-	s.ctrl.Read(ftl.LPN(lpn), func() {
-		s.outstanding--
-		inner()
-	})
+	s.ctrl.Read(ftl.LPN(lpn), nil, s.completion(done))
 	return nil
 }
 

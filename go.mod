@@ -1,3 +1,5 @@
 module cubeftl
 
 go 1.22
+
+toolchain go1.24.0

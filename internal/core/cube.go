@@ -296,7 +296,7 @@ func (f *CubeFTL) ObserveProgram(chip, block, layer, _ int, params nand.ProgramP
 		// Leader program: derive the follower plan from what was
 		// monitored (§4.1.1, §4.1.2).
 		f.stats.LeaderPrograms++
-		o := &layerObs{valid: true, windows: res.Windows, lastBER: res.MeasuredBER}
+		o := &layerObs{valid: true, windows: append([]process.LoopWindow(nil), res.Windows[:]...), lastBER: res.MeasuredBER}
 		sm := vth.SpareMargin(res.BerEP1, f.cfg.RefBerEP1)
 		total := vth.SMToMarginMV(sm)
 		if total < vth.DeltaVISPPmV {

@@ -40,7 +40,7 @@ func TestLeaderThenFollowerParams(t *testing.T) {
 		t.Fatalf("leader params not default: %+v", p)
 	}
 	// Feed a leader observation through a real chip program.
-	ch := dev.Chip(0).NAND
+	ch := dev.Die(0).NAND
 	res, err := ch.ProgramWL(nand.Address{Block: 3, Layer: 2, WL: 0}, nil, p)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestLeaderThenFollowerParams(t *testing.T) {
 func TestSafetyCheckRejectsDisturbedFollower(t *testing.T) {
 	_, dev := testDevice(3)
 	f := New(dev.Geometry())
-	ch := dev.Chip(0).NAND
+	ch := dev.Die(0).NAND
 	lead, err := ch.ProgramWL(nand.Address{Block: 1, Layer: 4, WL: 0}, nil, nand.ProgramParams{})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestSafetyCheckDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SafetyCheck = false
 	f := NewCubeFTL(dev.Geometry(), cfg)
-	ch := dev.Chip(0).NAND
+	ch := dev.Die(0).NAND
 	lead, _ := ch.ProgramWL(nand.Address{Block: 1, Layer: 4, WL: 0}, nil, nand.ProgramParams{})
 	f.ObserveProgram(0, 1, 4, 0, nand.ProgramParams{}, lead)
 	bad := lead
@@ -261,7 +261,7 @@ func TestCubeFTLMeanTPROGReduction(t *testing.T) {
 		c := ftl.NewController(dev, pol, cfg)
 		src := rng.New(9)
 		for i := 0; i < 600; i++ {
-			c.Write(ftl.LPN(src.Intn(300)), func() {})
+			c.Write(ftl.LPN(src.Intn(300)), nil, func() {})
 		}
 		eng.Run()
 		if !c.Drained() {

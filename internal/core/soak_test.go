@@ -44,9 +44,9 @@ func TestCubeConsistencySoak(t *testing.T) {
 					case 0:
 						c.Trim(lpn, done)
 					case 1, 2, 3:
-						c.Read(lpn, done)
+						c.Read(lpn, nil, done)
 					default:
-						c.Write(lpn, done)
+						c.Write(lpn, nil, done)
 					}
 				}
 			}

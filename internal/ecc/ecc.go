@@ -82,12 +82,14 @@ type Result struct {
 }
 
 // Decode samples the decode outcome of reading a page of pageBytes at
-// effective bit error rate ber.
+// effective bit error rate ber. Every codeword of the page sees the same
+// ber, so the binomial is set up once per page, not once per codeword.
 func (e *Engine) Decode(ber float64, pageBytes int) Result {
 	n := CodewordsPerPage(pageBytes)
 	res := Result{Correctable: true}
+	errDist := rng.NewBinomial(CodewordBits, ber)
 	for i := 0; i < n; i++ {
-		errs := e.src.Binomial(CodewordBits, ber)
+		errs := errDist.Draw(e.src)
 		res.TotalErrors += errs
 		if errs > res.MaxErrors {
 			res.MaxErrors = errs

@@ -145,3 +145,24 @@ func TestQuickDecodeRanges(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkDecode times one page decode at a fresh-device BER (a short
+// inversion walk per codeword) and at an aged one (a walk of about
+// sixteen terms, shared across the page's codewords).
+func BenchmarkDecode(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		ber  float64
+	}{{"ber1e-4", 1e-4}, {"ber2e-3", 2e-3}, {"ber8e-3-normal", 8e-3}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := NewEngine(rng.New(1))
+			var r Result
+			for i := 0; i < b.N; i++ {
+				r = e.Decode(bc.ber, 16*1024)
+			}
+			decodeSink = r
+		})
+	}
+}
+
+var decodeSink Result

@@ -114,7 +114,7 @@ func RunWorkload(kind PolicyKind, prof workload.Profile, opts SSDOpts) RunOutcom
 	out := RunCustom(func(dev *ssd.Device) ftl.Policy {
 		if kind == PolicyIsp {
 			return ftl.NewIspPolicy(func(chip, block int) int {
-				return dev.Chip(chip).NAND.PECycles(block)
+				return dev.Die(chip).NAND.PECycles(block)
 			})
 		}
 		return makePolicy(kind, dev.Geometry())

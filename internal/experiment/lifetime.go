@@ -83,7 +83,7 @@ func newAgedDevice(opts SSDOpts, combo LifetimeCombo) *agedDevice {
 	// Retry offsets follow each block's own retention clock: aging moves
 	// blocks between age buckets at different times.
 	cube.SetAgeBucketFn(func(chip, block int) int {
-		return core.AgeBucketFor(dev.Chip(chip).NAND.EffectiveRetentionMonths(block))
+		return core.AgeBucketFor(dev.Die(chip).NAND.EffectiveRetentionMonths(block))
 	})
 
 	ctrlCfg := ftl.DefaultControllerConfig()

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"cubeftl/internal/cache"
+	"cubeftl/internal/host"
 	"cubeftl/internal/rng"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/workload"
@@ -260,6 +261,10 @@ type shardReq struct {
 	op     workload.Op
 	lpn    int64 // source page number; folded into the tenant extent at replay
 	pages  int
+
+	// done is the request's host completion, built when the request first
+	// misses the cache and reused by every resubmission from the backlog.
+	done func(host.Completion)
 }
 
 // buildShardSpecs derives each shard's device personality from the

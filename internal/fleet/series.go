@@ -120,8 +120,8 @@ func (sm *shardSampler) observe(write bool, latNs int64) {
 func (sm *shardSampler) take(at sim.Time) {
 	r := sm.r
 	var backlog int
-	for _, q := range r.backlog {
-		backlog += len(q)
+	for i := range r.backlog {
+		backlog += r.backlog[i].Len()
 	}
 	cs := r.cache.Stats()
 	st := r.ctrl.Stats()

@@ -8,6 +8,7 @@ import (
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
 	"cubeftl/internal/metrics"
+	"cubeftl/internal/pool"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
 	"cubeftl/internal/workload"
@@ -45,7 +46,7 @@ type shardRunner struct {
 	writeLat *metrics.Hist
 	sampler  *shardSampler // nil when Config.SampleIntervalNs == 0
 
-	backlog   [][]shardReq // per queue: requests bounced by admission control
+	backlog   []pool.Ring[shardReq] // per queue: requests bounced by admission control
 	completed int64
 	total     int64
 	reads     int64
@@ -55,6 +56,7 @@ type shardRunner struct {
 	flushRejects    int64 // flush writes refused by a degraded device
 	flushInflight   int64
 	queueFullDefers int64
+	onFlushed       func() // a cache flush write was acknowledged (bound once)
 }
 
 // runShard builds one complete device stack and replays the shard's
@@ -117,9 +119,10 @@ func runShard(cfg Config, spec *shardSpec) (ShardResult, error) {
 		cache:    hc,
 		readLat:  metrics.NewHist(0),
 		writeLat: metrics.NewHist(0),
-		backlog:  make([][]shardReq, cfg.QueuesPerShard),
+		backlog:  make([]pool.Ring[shardReq], cfg.QueuesPerShard),
 		total:    int64(len(spec.reqs)),
 	}
+	r.onFlushed = func() { r.flushInflight-- }
 	if cfg.SampleIntervalNs > 0 {
 		r.sampler = newShardSampler(r, cfg.Live)
 		eng.SetProbe(sim.Time(cfg.SampleIntervalNs), func(at sim.Time) { r.sampler.take(at) })
@@ -223,13 +226,29 @@ func (r *shardRunner) issue(qid int, req shardReq) {
 }
 
 // submit sends a cache-miss request to the shard's host front end;
-// admission-control rejections park it at the backlog tail.
+// admission-control rejections park it at the backlog tail. The
+// request's completion is built here, once, and rides along in the
+// request through every resubmission.
 func (r *shardRunner) submit(qid int, req shardReq) {
+	req.done = func(c host.Completion) {
+		if req.op == workload.Read {
+			r.readLat.Add(c.LatencyNs)
+			r.sampler.observe(false, c.LatencyNs)
+			for _, lpn := range r.cache.FillRead(req.lpn, req.pages) {
+				r.deviceFlush(lpn)
+			}
+		} else {
+			r.writeLat.Add(c.LatencyNs)
+			r.sampler.observe(true, c.LatencyNs)
+		}
+		r.finish(req.op)
+		r.drainBacklog(qid)
+	}
 	if !r.trySubmit(qid, req) {
 		// Queue full: open-loop arrivals outran the device; the request
 		// waits in the backlog and retries on the next completion.
 		r.queueFullDefers++
-		r.backlog[qid] = append(r.backlog[qid], req)
+		r.backlog[qid].Push(req)
 	}
 }
 
@@ -240,36 +259,19 @@ func (r *shardRunner) trySubmit(qid int, req shardReq) bool {
 	if req.op == workload.Write {
 		op = host.Write
 	}
-	err := r.h.Submit(qid, host.Command{
-		Op:    op,
-		LPN:   req.lpn,
-		Pages: req.pages,
-		Done: func(c host.Completion) {
-			if req.op == workload.Read {
-				r.readLat.Add(c.LatencyNs)
-				r.sampler.observe(false, c.LatencyNs)
-				for _, lpn := range r.cache.FillRead(req.lpn, req.pages) {
-					r.deviceFlush(lpn)
-				}
-			} else {
-				r.writeLat.Add(c.LatencyNs)
-				r.sampler.observe(true, c.LatencyNs)
-			}
-			r.finish(req.op)
-			r.drainBacklog(qid)
-		},
-	})
+	err := r.h.Submit(qid, host.Command{Op: op, LPN: req.lpn, Pages: req.pages, Done: req.done})
 	return err == nil
 }
 
 // drainBacklog resubmits parked requests in FIFO order while the queue
 // accepts them.
 func (r *shardRunner) drainBacklog(qid int) {
-	for len(r.backlog[qid]) > 0 {
-		if !r.trySubmit(qid, r.backlog[qid][0]) {
+	q := &r.backlog[qid]
+	for q.Len() > 0 {
+		if !r.trySubmit(qid, q.Peek()) {
 			return // still full; the next completion retries
 		}
-		r.backlog[qid] = r.backlog[qid][1:]
+		q.Pop()
 	}
 }
 
@@ -287,7 +289,7 @@ func (r *shardRunner) finish(op workload.Op) {
 // that contends for the device but belongs to no tenant.
 func (r *shardRunner) deviceFlush(lpn int64) {
 	r.flushInflight++
-	err := r.ctrl.Write(ftl.LPN(lpn), func() { r.flushInflight-- })
+	err := r.ctrl.Write(ftl.LPN(lpn), nil, r.onFlushed)
 	if err != nil {
 		// Degraded device: the dirty page is lost, which is the real
 		// failure contract of a volatile write-back cache.

@@ -1,6 +1,10 @@
 package ftl
 
-import "fmt"
+import (
+	"fmt"
+
+	"cubeftl/internal/pool"
+)
 
 // WriteBuffer models the controller's DRAM write buffer. Host writes are
 // acknowledged on admission; entries occupy a slot until their word-line
@@ -10,8 +14,9 @@ import "fmt"
 type WriteBuffer struct {
 	capacity int
 	entries  map[LPN]*bufEntry
-	queue    []LPN // admission-ordered entries awaiting flush
+	queue    pool.Ring[LPN] // admission-ordered entries awaiting flush
 	occupied int
+	spare    pool.FreeList[bufEntry] // settled entries awaiting reuse
 
 	requeueEvents int64 // pages bounced back by failed/fenced programs
 }
@@ -54,7 +59,7 @@ func (b *WriteBuffer) Contains(lpn LPN) bool {
 }
 
 // Flushable returns how many entries are queued and not in flight.
-func (b *WriteBuffer) Flushable() int { return len(b.queue) }
+func (b *WriteBuffer) Flushable() int { return b.queue.Len() }
 
 // Put admits a host write carrying its global write stamp (monotonic
 // across the device; see Controller). An overwrite of a buffered page
@@ -71,8 +76,13 @@ func (b *WriteBuffer) Put(lpn LPN, stamp uint64) bool {
 	if b.occupied >= b.capacity {
 		return false
 	}
-	b.entries[lpn] = &bufEntry{lpn: lpn, stamp: stamp}
-	b.queue = append(b.queue, lpn)
+	e := b.spare.Get()
+	if e == nil {
+		e = new(bufEntry)
+	}
+	*e = bufEntry{lpn: lpn, stamp: stamp}
+	b.entries[lpn] = e
+	b.queue.Push(lpn)
 	b.occupied++
 	return true
 }
@@ -92,29 +102,26 @@ type FlushHandle struct {
 }
 
 // TakeFlushGroup removes up to max queued entries for one word-line
-// program, marking them in flight.
-func (b *WriteBuffer) TakeFlushGroup(max int) []FlushHandle {
-	n := max
-	if n > len(b.queue) {
-		n = len(b.queue)
-	}
-	out := make([]FlushHandle, 0, n)
-	for i := 0; i < n; i++ {
-		lpn := b.queue[i]
+// program, marking them in flight. The handles are appended to dst[:0]
+// (the caller's per-program buffer; nil allocates one).
+func (b *WriteBuffer) TakeFlushGroup(dst []FlushHandle, max int) []FlushHandle {
+	out := dst[:0]
+	for i := 0; i < max && b.queue.Len() > 0; i++ {
+		lpn := b.queue.Pop()
 		e := b.entries[lpn]
 		e.inflight = true
 		out = append(out, FlushHandle{LPN: lpn, Stamp: e.stamp, Requeues: e.requeues})
 	}
-	b.queue = b.queue[n:]
 	return out
 }
 
 // Requeue returns in-flight entries to the head of the flush queue with
 // their slots intact — the reprogram path after a failed safety check.
 func (b *WriteBuffer) Requeue(hs []FlushHandle) {
-	head := make([]LPN, 0, len(hs))
-	for _, h := range hs {
-		e, ok := b.entries[h.LPN]
+	// Pushed to the front last to first, so the group keeps its order
+	// ahead of everything already queued.
+	for i := len(hs) - 1; i >= 0; i-- {
+		e, ok := b.entries[hs[i].LPN]
 		if !ok || !e.inflight {
 			continue
 		}
@@ -122,9 +129,8 @@ func (b *WriteBuffer) Requeue(hs []FlushHandle) {
 		e.requeue = false
 		e.requeues++
 		b.requeueEvents++
-		head = append(head, h.LPN)
+		b.queue.PushFront(hs[i].LPN)
 	}
-	b.queue = append(head, b.queue...)
 }
 
 // RequeueEvents returns how many page-level requeues the buffer has
@@ -144,10 +150,11 @@ func (b *WriteBuffer) Settle(h FlushHandle) (current bool) {
 	if e.requeue {
 		e.inflight = false
 		e.requeue = false
-		b.queue = append(b.queue, h.LPN)
+		b.queue.Push(h.LPN)
 		return current
 	}
 	delete(b.entries, h.LPN)
+	b.spare.Put(e)
 	b.occupied--
 	return current
 }

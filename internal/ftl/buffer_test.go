@@ -30,7 +30,7 @@ func TestBufferFlushSettle(t *testing.T) {
 	for lpn := LPN(0); lpn < 5; lpn++ {
 		b.Put(lpn, uint64(lpn)+1)
 	}
-	g := b.TakeFlushGroup(3)
+	g := b.TakeFlushGroup(nil, 3)
 	if len(g) != 3 || g[0].LPN != 0 || g[2].LPN != 2 {
 		t.Fatalf("group = %+v", g)
 	}
@@ -53,7 +53,7 @@ func TestBufferFlushSettle(t *testing.T) {
 func TestBufferOverwriteInFlight(t *testing.T) {
 	b := mustBuffer(t, 8)
 	b.Put(7, 1)
-	g := b.TakeFlushGroup(3)
+	g := b.TakeFlushGroup(nil, 3)
 	if len(g) != 1 {
 		t.Fatalf("group = %+v", g)
 	}
@@ -70,7 +70,7 @@ func TestBufferOverwriteInFlight(t *testing.T) {
 		t.Errorf("entry not requeued: occupied=%d flushable=%d", b.Occupied(), b.Flushable())
 	}
 	// Second flush carries the new data.
-	g2 := b.TakeFlushGroup(3)
+	g2 := b.TakeFlushGroup(nil, 3)
 	if !b.Settle(g2[0]) {
 		t.Error("fresh flush reported stale")
 	}
@@ -84,13 +84,13 @@ func TestBufferRequeue(t *testing.T) {
 	for lpn := LPN(0); lpn < 4; lpn++ {
 		b.Put(lpn, uint64(lpn)+1)
 	}
-	g := b.TakeFlushGroup(3)
+	g := b.TakeFlushGroup(nil, 3)
 	b.Requeue(g)
 	if b.Flushable() != 4 {
 		t.Fatalf("flushable = %d after requeue", b.Flushable())
 	}
 	// Requeued entries flush first, in their original order.
-	g2 := b.TakeFlushGroup(3)
+	g2 := b.TakeFlushGroup(nil, 3)
 	if g2[0].LPN != 0 || g2[1].LPN != 1 || g2[2].LPN != 2 {
 		t.Errorf("requeued order = %+v", g2)
 	}

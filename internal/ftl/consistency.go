@@ -54,7 +54,7 @@ func (c *Controller) CheckConsistency() error {
 		}
 		chip, block, layer, wl, _ := geo.DecodePPN(ppn)
 		addr := nand.Address{Block: block, Layer: layer, WL: wl}
-		if !c.dev.Chip(chip).NAND.IsProgrammed(addr) {
+		if !c.dev.Die(chip).NAND.IsProgrammed(addr) {
 			return fmt.Errorf("ftl: LPN %d maps to unprogrammed %v on chip %d", lpn, addr, chip)
 		}
 	}
@@ -113,7 +113,7 @@ func (c *Controller) CheckConsistency() error {
 		for _, cur := range c.actives[chip] {
 			for l := 0; l < geo.Layers; l++ {
 				for w := 0; w < geo.WLsPerLayer; w++ {
-					onChip := c.dev.Chip(chip).NAND.IsProgrammed(nand.Address{Block: cur.Block, Layer: l, WL: w})
+					onChip := c.dev.Die(chip).NAND.IsProgrammed(nand.Address{Block: cur.Block, Layer: l, WL: w})
 					if cur.IsFree(l, w) == onChip {
 						return fmt.Errorf("ftl: cursor/chip disagree on chip %d block %d layer %d wl %d",
 							chip, cur.Block, l, w)

@@ -11,7 +11,7 @@ import (
 func TestTrim(t *testing.T) {
 	eng, c := testController(t, NewPagePolicy())
 	for lpn := LPN(0); lpn < 12; lpn++ {
-		c.Write(lpn, func() {})
+		c.Write(lpn, nil, func() {})
 	}
 	eng.Run()
 	done := false
@@ -32,7 +32,7 @@ func TestTrim(t *testing.T) {
 	c.Trim(LPN(c.LogicalPages()), nil)
 	eng.Run()
 	// A read of a trimmed page behaves like an unmapped read.
-	c.Read(5, func() {})
+	c.Read(5, nil, func() {})
 	eng.Run()
 	if c.Stats().UnmappedReads != 1 {
 		t.Errorf("unmapped reads = %d", c.Stats().UnmappedReads)
@@ -45,7 +45,7 @@ func TestTrim(t *testing.T) {
 func TestConsistencyAfterCleanRun(t *testing.T) {
 	eng, c := testController(t, NewPagePolicy())
 	for lpn := LPN(0); lpn < 60; lpn++ {
-		c.Write(lpn%30, func() {})
+		c.Write(lpn%30, nil, func() {})
 	}
 	eng.Run()
 	if err := c.CheckConsistency(); err != nil {
@@ -79,9 +79,9 @@ func TestConsistencySoak(t *testing.T) {
 					case 0:
 						c.Trim(lpn, done)
 					case 1, 2:
-						c.Read(lpn, done)
+						c.Read(lpn, nil, done)
 					default:
-						c.Write(lpn, done)
+						c.Write(lpn, nil, done)
 					}
 				}
 			}
@@ -102,7 +102,7 @@ func TestConsistencySoak(t *testing.T) {
 
 func TestConsistencyRejectsUndrained(t *testing.T) {
 	eng, c := testController(t, NewPagePolicy())
-	c.Write(1, func() {})
+	c.Write(1, nil, func() {})
 	_ = eng // intentionally not run: buffer still holds the write
 	if err := c.CheckConsistency(); err == nil {
 		t.Fatal("consistency check passed on a non-drained controller")
@@ -121,7 +121,7 @@ func TestWearLeveling(t *testing.T) {
 		src := rng.New(5)
 		hot := 128 // pages, far below capacity: a pathological hot set
 		for i := 0; i < hot*500; i++ {
-			c.Write(LPN(src.Intn(hot)), func() {})
+			c.Write(LPN(src.Intn(hot)), nil, func() {})
 			if i%512 == 511 {
 				eng.Run()
 			}
@@ -151,7 +151,7 @@ func TestReadReclaim(t *testing.T) {
 	// Enough writes that LPN 0's block retires from the write point
 	// (reclaim never touches active blocks).
 	for lpn := LPN(0); lpn < 200; lpn++ {
-		c.Write(lpn, func() {})
+		c.Write(lpn, nil, func() {})
 	}
 	eng.Run()
 	before := c.Mapper().Lookup(0)
@@ -160,7 +160,7 @@ func TestReadReclaim(t *testing.T) {
 	total := nand.ReadDisturbBudget * 11 / 10
 	for i := 0; i < total; i += 2000 {
 		for j := 0; j < 2000; j++ {
-			c.Read(0, func() {})
+			c.Read(0, nil, func() {})
 		}
 		eng.Run()
 	}
@@ -183,13 +183,13 @@ func TestReadReclaimDisabled(t *testing.T) {
 	cfg.DisableReadReclaim = true
 	c := NewController(dev, NewPagePolicy(), cfg)
 	for lpn := LPN(0); lpn < 6; lpn++ {
-		c.Write(lpn, func() {})
+		c.Write(lpn, nil, func() {})
 	}
 	eng.Run()
 	total := nand.ReadDisturbBudget * 11 / 10
 	for i := 0; i < total; i += 2000 {
 		for j := 0; j < 2000; j++ {
-			c.Read(0, func() {})
+			c.Read(0, nil, func() {})
 		}
 		eng.Run()
 	}

@@ -1,12 +1,12 @@
 package ftl
 
 import (
-	"errors"
 	"fmt"
 
 	"cubeftl/internal/lifetime"
 	"cubeftl/internal/metrics"
 	"cubeftl/internal/nand"
+	"cubeftl/internal/pool"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
 	"cubeftl/internal/telemetry"
@@ -242,9 +242,16 @@ type Controller struct {
 	dieDegraded []bool
 	degraded    bool // device-wide read-only: every die has degraded
 
-	pendingWrites []pendingWrite // host writes waiting for buffer space
-	flushChip     int            // round-robin cursor
+	pendingWrites pool.Ring[pendingWrite] // host writes waiting for buffer space
+	flushChip     int                     // round-robin cursor
 	timerArmed    bool
+	onFlushTimer  func() // flushTimerFired, bound on first use
+
+	// Free lists of datapath op records (ops.go).
+	hostReads  pool.FreeList[hostRead]
+	hostWrites pool.FreeList[hostWrite]
+	flushOps   pool.FreeList[flushOp]
+	relocOps   pool.FreeList[relocOp]
 
 	// Crash-consistency state (see internal/recovery). writeStamp is the
 	// last global write stamp issued (monotonic across host writes and
@@ -352,7 +359,7 @@ func NewController(dev *ssd.Device, pol Policy, cfg ControllerConfig) *Controlle
 		// Boot-time factory bad-block scan: factory-marked blocks never
 		// enter the free pool.
 		c.retired[chip] = make(map[int]bool)
-		for _, b := range dev.Chip(chip).NAND.FactoryBadBlocks() {
+		for _, b := range dev.Die(chip).NAND.FactoryBadBlocks() {
 			c.retired[chip][b] = true
 			c.stats.FactoryBadBlocks++
 		}
@@ -542,7 +549,7 @@ func (c *Controller) takeFreeBlock(chip int) (*BlockCursor, bool) {
 	}
 	idx := len(pool) - 1
 	if c.cfg.WearAware {
-		nand := c.dev.Chip(chip).NAND
+		nand := c.dev.Die(chip).NAND
 		best := nand.PECycles(pool[idx])
 		for i, b := range pool[:idx] {
 			if pe := nand.PECycles(b); pe < best {
@@ -566,7 +573,7 @@ func (c *Controller) takeFreeBlock(chip int) (*BlockCursor, bool) {
 func (c *Controller) WearSpread() (min, max int) {
 	min = int(^uint(0) >> 1)
 	for chip := 0; chip < c.geo.Chips; chip++ {
-		n := c.dev.Chip(chip).NAND
+		n := c.dev.Die(chip).NAND
 		for b := 0; b < c.geo.BlocksPerChip; b++ {
 			pe := n.PECycles(b)
 			if pe < min {
@@ -580,49 +587,22 @@ func (c *Controller) WearSpread() (min, max int) {
 	return min, max
 }
 
-// readFaultRetries is how many times a transient read fault is
-// re-issued before the read escalates to a host-visible error.
-const readFaultRetries = 2
-
-// readWithRetry issues a flash read, transparently re-issuing it after
-// transient read faults before reporting the final outcome. pp (may be
-// nil) accumulates the read's latency attribution across re-issues.
-func (c *Controller) readWithRetry(chip int, addr nand.Address, params nand.ReadParams, attempt int, pp *telemetry.PageProbe, done func(res nand.ReadResult, err error)) {
-	c.dev.ReadProbed(chip, addr, params, pp, func(res nand.ReadResult, err error) {
-		if err != nil && errors.Is(err, nand.ErrReadFault) {
-			c.stats.ReadFaults++
-			if attempt < readFaultRetries {
-				c.readWithRetry(chip, addr, params, attempt+1, pp, done)
-				return
-			}
-		} else if err == nil && attempt > 0 {
-			c.stats.FaultRecoveries++
-		}
-		done(res, err)
-	})
-}
-
-// Read serves a host page read; done runs at completion in simulated time.
-func (c *Controller) Read(lpn LPN, done func()) { c.ReadTraced(lpn, nil, done) }
-
-// ReadTraced is Read with a latency-attribution probe (nil disables;
-// behavior and timing are identical either way). Buffer hits and
-// unmapped reads charge the buffer stage; mapped reads charge plane
-// wait, sense, retries, and channel stages at the device.
-func (c *Controller) ReadTraced(lpn LPN, pp *telemetry.PageProbe, done func()) {
+// Read serves a host page read; done runs at completion in simulated
+// time. pp, when non-nil, is a latency-attribution probe (behavior and
+// timing are identical either way): buffer hits and unmapped reads
+// charge the buffer stage; mapped reads charge plane wait, sense,
+// retries, and channel stages at the device.
+func (c *Controller) Read(lpn LPN, pp *telemetry.PageProbe, done func()) {
 	c.stats.HostReads++
-	start := c.eng.Now()
-	finish := func() {
-		c.stats.ReadLat.Add(c.eng.Now() - start)
-		done()
-	}
+	r := c.getHostRead()
+	r.start, r.done = c.eng.Now(), done
 	if c.buf.Contains(lpn) {
 		c.stats.BufferHits++
 		if pp != nil {
 			pp.Buffered = true
 			pp.BufferNs += c.cfg.BufferReadNs
 		}
-		c.eng.After(c.cfg.BufferReadNs, finish)
+		c.eng.After(c.cfg.BufferReadNs, r.onFinish)
 		return
 	}
 	ppn := c.mapper.Lookup(lpn)
@@ -632,26 +612,15 @@ func (c *Controller) ReadTraced(lpn LPN, pp *telemetry.PageProbe, done func()) {
 			pp.Buffered = true
 			pp.BufferNs += c.cfg.BufferReadNs
 		}
-		c.eng.After(c.cfg.BufferReadNs, finish)
+		c.eng.After(c.cfg.BufferReadNs, r.onFinish)
 		return
 	}
 	chip, block, layer, wl, page := c.geo.DecodePPN(ppn)
-	params := nand.ReadParams{StartOffset: c.pol.ReadStartOffset(chip, block, layer), Mode: c.cfg.RetryMode}
-	addr := nand.Address{Block: block, Layer: layer, WL: wl, Page: page}
-	c.readWithRetry(chip, addr, params, 0, pp, func(res nand.ReadResult, err error) {
-		c.stats.ReadRetries += int64(res.Retries)
-		if err != nil {
-			// The retry ladder (and any transient-fault re-issues) is
-			// exhausted: a counted, host-visible uncorrectable error.
-			c.stats.Uncorrectable++
-		} else {
-			c.checkReadPayload(lpn, res.Data)
-		}
-		c.pol.ObserveRead(chip, block, layer, res, err)
-		c.maybeReclaim(chip, block)
-		c.maybeScrub(chip)
-		finish()
-	})
+	r.lpn, r.pp, r.attempt = lpn, pp, 0
+	r.chip, r.block, r.layer = chip, block, layer
+	r.params = nand.ReadParams{StartOffset: c.pol.ReadStartOffset(chip, block, layer), Mode: c.cfg.RetryMode}
+	r.addr = nand.Address{Block: block, Layer: layer, WL: wl, Page: page}
+	c.dev.Read(chip, r.addr, r.params, pp, r.onFlash)
 }
 
 // maybeReclaim starts a read-disturb reclaim of a block whose read
@@ -661,7 +630,7 @@ func (c *Controller) maybeReclaim(chip, block int) {
 	if c.cfg.DisableReadReclaim || c.gcActive[chip] || c.isActive(chip, block) || c.retired[chip][block] {
 		return
 	}
-	if c.dev.Chip(chip).NAND.BlockReads(block) < nand.ReadDisturbBudget {
+	if c.dev.Die(chip).NAND.BlockReads(block) < nand.ReadDisturbBudget {
 		return
 	}
 	if len(c.freeBlocks[chip]) <= 1 {
@@ -687,7 +656,7 @@ func (c *Controller) inFreePool(chip, block int) bool {
 // and the scrubber would loop forever) and its predicted worst-layer
 // BER on the E<->P1 boundary.
 func (c *Controller) refreshDue(chip, block int) bool {
-	n := c.dev.Chip(chip).NAND
+	n := c.dev.Die(chip).NAND
 	return c.cfg.RefreshPolicy.NeedsRefresh(n.BlockPredictedBER(block), n.RetentionMonths(block))
 }
 
@@ -789,7 +758,7 @@ func (c *Controller) maybeWearLevel(chip int) {
 	if c.lastWLGC[chip] == c.stats.GCCount {
 		return
 	}
-	n := c.dev.Chip(chip).NAND
+	n := c.dev.Die(chip).NAND
 	minPE, maxPE, victim := int(^uint(0)>>1), -1, -1
 	for b := 0; b < c.geo.BlocksPerChip; b++ {
 		if c.retired[chip][b] {
@@ -857,7 +826,7 @@ func (c *Controller) WAF() lifetime.WAF {
 		GCPages:      c.stats.GCPages,
 		RefreshPages: c.stats.RefreshPages,
 		WLPages:      c.stats.WLPages,
-		PageBytes:    int64(c.dev.Chip(0).NAND.Config().PageBytes),
+		PageBytes:    int64(c.dev.Die(0).NAND.Config().PageBytes),
 	}
 }
 
@@ -866,15 +835,12 @@ func (c *Controller) WAF() lifetime.WAF {
 // buffer delays the acknowledgment. A write is rejected synchronously
 // (done never runs) with ErrBadLPN outside the logical capacity or
 // ErrDegraded once the device has dropped to read-only mode.
-func (c *Controller) Write(lpn LPN, done func()) error {
-	return c.WriteTraced(lpn, nil, done)
-}
-
-// WriteTraced is Write with a latency-attribution probe (nil disables).
-// An immediately admitted write charges the buffer stage; one held by
-// backpressure charges the admission wait. The program that later
-// flushes the page is background work, outside the host-visible span.
-func (c *Controller) WriteTraced(lpn LPN, pp *telemetry.PageProbe, done func()) error {
+//
+// pp, when non-nil, is a latency-attribution probe: an immediately
+// admitted write charges the buffer stage; one held by backpressure
+// charges the admission wait. The program that later flushes the page
+// is background work, outside the host-visible span.
+func (c *Controller) Write(lpn LPN, pp *telemetry.PageProbe, done func()) error {
 	if lpn < 0 || int(lpn) >= c.mapper.LogicalPages() {
 		return fmt.Errorf("%w: %d (capacity %d)", ErrBadLPN, lpn, c.mapper.LogicalPages())
 	}
@@ -883,11 +849,8 @@ func (c *Controller) WriteTraced(lpn LPN, pp *telemetry.PageProbe, done func()) 
 		return ErrDegraded
 	}
 	c.stats.HostWrites++
-	start := c.eng.Now()
-	ack := func() {
-		c.stats.WriteLat.Add(c.eng.Now() - start)
-		done()
-	}
+	w := c.getHostWrite()
+	w.start, w.done = c.eng.Now(), done
 	stamp := c.writeStamp + 1
 	if c.buf.Put(lpn, stamp) {
 		c.writeStamp = stamp
@@ -898,28 +861,28 @@ func (c *Controller) WriteTraced(lpn LPN, pp *telemetry.PageProbe, done func()) 
 		if c.cfg.DurableAcks && c.rec != nil {
 			// Hold the ack until the journal record of this write's
 			// mapping is durable (released by the recovery manager).
-			c.deferAck(lpn, stamp, ack)
+			c.deferAck(lpn, stamp, w.onAck)
 		} else {
-			c.eng.After(c.cfg.BufferReadNs, ack) // DMA into buffer
+			c.eng.After(c.cfg.BufferReadNs, w.onAck) // DMA into buffer
 		}
 		c.maybeFlush()
 		return nil
 	}
-	c.pendingWrites = append(c.pendingWrites, pendingWrite{lpn: lpn, done: ack, pp: pp, enqueuedNs: start})
+	c.pendingWrites.Push(pendingWrite{lpn: lpn, done: w.onAck, pp: pp, enqueuedNs: w.start})
 	c.maybeFlush()
 	return nil
 }
 
 // admitPending moves waiting host writes into freed buffer slots.
 func (c *Controller) admitPending() {
-	for len(c.pendingWrites) > 0 {
-		pw := c.pendingWrites[0]
+	for c.pendingWrites.Len() > 0 {
+		pw := c.pendingWrites.Peek()
 		stamp := c.writeStamp + 1
 		if !c.buf.Put(pw.lpn, stamp) {
 			return
 		}
 		c.writeStamp = stamp
-		c.pendingWrites = c.pendingWrites[1:]
+		c.pendingWrites.Pop()
 		if pw.pp != nil {
 			pw.pp.Buffered = true
 			pw.pp.AdmitWaitNs += c.eng.Now() - pw.enqueuedNs
@@ -943,7 +906,7 @@ func (c *Controller) maybeFlush() {
 		if !ok {
 			return
 		}
-		c.flushTo(chip, c.buf.TakeFlushGroup(vth.PagesPerWL))
+		c.flushTo(chip, c.takeFlushGroup())
 	}
 	if c.buf.Flushable() > 0 {
 		c.armFlushTimer()
@@ -987,22 +950,27 @@ func (c *Controller) armFlushTimer() {
 		return
 	}
 	c.timerArmed = true
-	c.eng.After(c.cfg.FlushTimeoutNs, func() {
-		c.timerArmed = false
-		if c.degraded || c.buf.Flushable() == 0 {
-			return
-		}
-		if chip, ok := c.pickChip(); ok {
-			group := c.buf.TakeFlushGroup(vth.PagesPerWL)
-			c.stats.Padded += int64(vth.PagesPerWL - len(group))
-			c.flushTo(chip, group)
-		} else {
-			// No chip can take the flush right now. Re-arm unless the
-			// device as a whole has lost the ability to make progress.
-			c.checkDegraded()
-			c.armFlushTimer()
-		}
-	})
+	if c.onFlushTimer == nil {
+		c.onFlushTimer = c.flushTimerFired
+	}
+	c.eng.After(c.cfg.FlushTimeoutNs, c.onFlushTimer)
+}
+
+func (c *Controller) flushTimerFired() {
+	c.timerArmed = false
+	if c.degraded || c.buf.Flushable() == 0 {
+		return
+	}
+	if chip, ok := c.pickChip(); ok {
+		f := c.takeFlushGroup()
+		c.stats.Padded += int64(vth.PagesPerWL - len(f.group))
+		c.flushTo(chip, f)
+	} else {
+		// No chip can take the flush right now. Re-arm unless the
+		// device as a whole has lost the ability to make progress.
+		c.checkDegraded()
+		c.armFlushTimer()
+	}
 }
 
 // allocateWL asks the policy for a word line, rotating full active
@@ -1036,89 +1004,34 @@ func (c *Controller) allocateWL(chip int) (cursor *BlockCursor, layer, wl int, e
 	return nil, 0, 0, fmt.Errorf("%w: %s on chip %d", ErrAllocFailed, c.pol.Name(), chip)
 }
 
-// flushTo programs one word line on the chip from buffered pages.
-func (c *Controller) flushTo(chip int, group []FlushHandle) {
+// takeFlushGroup claims the next word line's worth of buffered pages on
+// a fresh flush record.
+func (c *Controller) takeFlushGroup() *flushOp {
+	f := c.getFlush()
+	f.group = c.buf.TakeFlushGroup(f.groupBuf[:0], vth.PagesPerWL)
+	return f
+}
+
+// flushTo programs one word line on the chip from the record's group of
+// buffered pages.
+func (c *Controller) flushTo(chip int, f *flushOp) {
 	cursor, layer, wl, err := c.allocateWL(chip)
 	if err != nil {
 		// The die cannot place the group: return the data to the
 		// buffer for another die (or a later retry) and reassess.
 		c.requeueInstant(chip, "requeue_alloc_fail", c.reqAlloc)
-		c.buf.Requeue(group)
+		c.buf.Requeue(f.group)
+		f.release()
 		c.checkDieDegraded(chip)
 		return
 	}
 	cursor.Take(layer, wl)
-	block := cursor.Block
-	params := c.pol.ProgramParams(chip, block, layer, wl)
-	addr := nand.Address{Block: block, Layer: layer, WL: wl}
+	f.chip, f.cursor, f.block, f.layer, f.wl = chip, cursor, cursor.Block, layer, wl
+	f.params = c.pol.ProgramParams(chip, f.block, layer, wl)
+	addr := nand.Address{Block: f.block, Layer: layer, WL: wl}
 	c.inflight[chip]++
-	issueAt := c.eng.Now()
-	c.dev.ProgramOOB(chip, addr, c.hostPages(group), c.flushOOB(group, cursor.Seq), params, func(res nand.ProgramResult, err error) {
-		c.inflight[chip]--
-		if errors.Is(err, ssd.ErrDieFenced) {
-			// The die degraded while this program waited for its grant:
-			// nothing reached the media. Return the data to the buffer so
-			// surviving dies can absorb it (or, device-wide, so the
-			// rejection is accounted instead of silently lost).
-			c.stats.FencedPrograms++
-			c.requeueInstant(chip, "requeue_fenced", c.reqFenced)
-			c.buf.Requeue(group)
-			c.maybeFlush()
-			return
-		}
-		if err != nil {
-			// Program-status failure: the data is still safe in the
-			// buffer. Re-issue it at the next allocation and retire the
-			// failed block.
-			c.stats.ProgramFailures++
-			c.requeueInstant(chip, "requeue_program_fail", c.reqFail)
-			c.buf.Requeue(group)
-			c.retireActive(chip, cursor)
-			c.stats.FaultRecoveries++
-			c.checkGC(chip)
-			c.maybeFlush()
-			return
-		}
-		c.stats.Programs++
-		c.stats.ProgramNs += res.LatencyNs
-		// Host-caused write amplification: the word line programs whole,
-		// padding included.
-		c.stats.HostPages += int64(vth.PagesPerWL)
-		if c.hub != nil {
-			c.progHists[chip].Add(res.LatencyNs)
-			if c.hub.Tracing() {
-				c.hub.Event(telemetry.PidFTL, chip, "flush", issueAt, c.eng.Now()-issueAt,
-					map[string]int64{"pages": int64(len(group)), "block": int64(block)})
-			}
-		}
-
-		verdict := c.pol.ObserveProgram(chip, block, layer, wl, params, res)
-		if verdict == VerdictReprogram {
-			// §4.1.4: the word line is suspect — leave it unmapped
-			// (its pages are garbage) and rewrite the same data at the
-			// next allocation with fresh monitoring.
-			c.stats.Reprograms++
-			c.requeueInstant(chip, "requeue_reprogram", c.reqReprog)
-			c.buf.Requeue(group)
-		} else {
-			wlIdx := layer*c.geo.WLsPerLayer + wl
-			for i, h := range group {
-				if c.buf.Settle(h) {
-					ppn := c.geo.EncodePPN(chip, block, wlIdx, i)
-					c.mapper.Map(h.LPN, ppn)
-					c.stamps[h.LPN] = h.Stamp
-					c.recordMapping(h.LPN, h.Stamp)
-					if c.rec != nil {
-						c.rec.NoteMapped(h.LPN, ppn, h.Stamp)
-					}
-				}
-			}
-			c.admitPending()
-		}
-		c.retireIfFull(chip, cursor)
-		c.checkGC(chip)
-		c.maybeFlush()
-	})
+	f.issueAt = c.eng.Now()
+	c.dev.Program(chip, addr, c.hostPages(f.group), f.flushOOB(cursor.Seq), f.params, f.onProgram)
 }
 
 func (c *Controller) retireIfFull(chip int, cursor *BlockCursor) {
@@ -1169,7 +1082,7 @@ func (c *Controller) retireBlock(chip, block int) {
 	c.retired[chip][block] = true
 	c.stats.RetiredBlocks++
 	c.emitRetireEvent(chip, block)
-	c.dev.Chip(chip).NAND.MarkBadBlock(block)
+	c.dev.Die(chip).NAND.MarkBadBlock(block)
 	if c.rec != nil {
 		c.rec.NoteRetired(chip, block)
 	}
@@ -1279,14 +1192,14 @@ func (c *Controller) checkDeviceDegraded() {
 		c.markDieDegraded(die)
 	}
 	c.degraded = true
-	for _, pw := range c.pendingWrites {
+	for c.pendingWrites.Len() > 0 {
+		pw := c.pendingWrites.Pop()
 		c.stats.WriteRejects++
 		if pw.pp != nil {
 			pw.pp.AdmitWaitNs += c.eng.Now() - pw.enqueuedNs
 		}
 		pw.done()
 	}
-	c.pendingWrites = nil
 	// Held durable acks can never be released by journal flushes now
 	// (their data will never program): complete them so the host's
 	// closed loop terminates. They are NOT recorded as durable.
@@ -1358,11 +1271,12 @@ func (c *Controller) pickVictim(chip int) (int, bool) {
 
 // relocate moves the victim's live pages in word-line-sized batches,
 // then erases it. Each batch is read page by page and programmed into
-// an active block in one shot.
+// an active block in one shot (see relocOp).
 func (c *Controller) relocate(chip, victim int, lpns []LPN) {
 	// Collect the next batch of still-live victim pages.
-	var batch []LPN
-	for len(batch) < vth.PagesPerWL && len(lpns) > 0 {
+	var batch [vth.PagesPerWL]LPN
+	n := 0
+	for n < vth.PagesPerWL && len(lpns) > 0 {
 		cand := lpns[0]
 		lpns = lpns[1:]
 		ppn := c.mapper.Lookup(cand)
@@ -1373,146 +1287,17 @@ func (c *Controller) relocate(chip, victim int, lpns []LPN) {
 		if vc != chip || vb != victim {
 			continue
 		}
-		batch = append(batch, cand)
+		batch[n] = cand
+		n++
 	}
-	if len(batch) == 0 {
+	if n == 0 {
 		c.finishGC(chip, victim)
 		return
 	}
-	c.gcReadBatch(chip, victim, batch, make([][]byte, len(batch)), 0, lpns)
-}
-
-// gcReadBatch reads the batch's pages sequentially (capturing their
-// payloads in data-integrity mode), then programs them.
-func (c *Controller) gcReadBatch(chip, victim int, batch []LPN, data [][]byte, i int, rest []LPN) {
-	if i >= len(batch) {
-		c.gcWrite(chip, victim, batch, data, rest)
-		return
-	}
-	ppn := c.mapper.Lookup(batch[i])
-	if ppn == ssd.UnmappedPPN {
-		// Overwritten mid-batch; the write-back liveness check will
-		// skip it too.
-		c.gcReadBatch(chip, victim, batch, data, i+1, rest)
-		return
-	}
-	_, _, layer, wl, page := c.geo.DecodePPN(ppn)
-	params := nand.ReadParams{StartOffset: c.pol.ReadStartOffset(chip, victim, layer), Mode: c.cfg.RetryMode}
-	addr := nand.Address{Block: victim, Layer: layer, WL: wl, Page: page}
-	c.readWithRetry(chip, addr, params, 0, nil, func(res nand.ReadResult, err error) {
-		c.stats.ReadRetries += int64(res.Retries)
-		c.pol.ObserveRead(chip, victim, layer, res, err)
-		if err != nil {
-			c.stats.Uncorrectable++
-		}
-		data[i] = res.Data
-		c.gcReadBatch(chip, victim, batch, data, i+1, rest)
-	})
-}
-
-// gcPages assembles the relocated payloads for one word-line program.
-func (c *Controller) gcPages(data [][]byte) [][]byte {
-	if c.verify == nil {
-		return nil
-	}
-	pages := make([][]byte, vth.PagesPerWL)
-	for i := range pages {
-		if i < len(data) && data[i] != nil {
-			pages[i] = data[i]
-		} else {
-			pages[i] = MakePageTag(UnmappedLPN, 0)
-		}
-	}
-	return pages
-}
-
-// gcWrite programs one word line of relocated pages.
-func (c *Controller) gcWrite(chip, victim int, batch []LPN, data [][]byte, rest []LPN) {
-	cursor, layer, wl, err := c.allocateWL(chip)
-	if err != nil {
-		// The die cannot accept relocations anymore. The batch's pages
-		// are still live and readable at the victim — nothing is lost —
-		// but this collection cycle cannot finish.
-		c.setGCActive(chip, false)
-		c.checkDieDegraded(chip)
-		return
-	}
-	cursor.Take(layer, wl)
-	block := cursor.Block
-	params := c.pol.ProgramParams(chip, block, layer, wl)
-	addr := nand.Address{Block: block, Layer: layer, WL: wl}
-	issueAt := c.eng.Now()
-	c.dev.ProgramOOB(chip, addr, c.gcPages(data), c.gcOOB(batch, cursor.Seq), params, func(res nand.ProgramResult, err error) {
-		if errors.Is(err, ssd.ErrDieFenced) {
-			// Defensive: a fence cannot normally race an active GC cycle
-			// (gcActive blocks degrading the die), but if it ever does the
-			// victim's copies are still intact — just end the cycle.
-			c.stats.FencedPrograms++
-			c.setGCActive(chip, false)
-			return
-		}
-		if err != nil {
-			// GC program failed: retire the destination and retry the
-			// same batch on a fresh word line (the source copies are
-			// still intact on the victim).
-			c.stats.ProgramFailures++
-			c.retireActive(chip, cursor)
-			c.stats.FaultRecoveries++
-			c.gcWrite(chip, victim, batch, data, rest)
-			return
-		}
-		c.stats.Programs++
-		c.stats.ProgramNs += res.LatencyNs
-		// Relocation write amplification, attributed to the cycle's cause.
-		switch c.relocCause[chip] {
-		case causeRefresh:
-			c.stats.RefreshPages += int64(vth.PagesPerWL)
-		case causeWL:
-			c.stats.WLPages += int64(vth.PagesPerWL)
-		default:
-			c.stats.GCPages += int64(vth.PagesPerWL)
-		}
-		if c.hub != nil {
-			c.progHists[chip].Add(res.LatencyNs)
-			if c.hub.Tracing() {
-				c.hub.Event(telemetry.PidFTL, chip, "gc_write", issueAt, c.eng.Now()-issueAt,
-					map[string]int64{"pages": int64(len(batch)), "victim": int64(victim)})
-			}
-		}
-		verdict := c.pol.ObserveProgram(chip, block, layer, wl, params, res)
-		if verdict == VerdictReprogram {
-			c.stats.Reprograms++
-			c.requeueInstant(chip, "requeue_reprogram", c.reqReprog)
-			c.retireIfFull(chip, cursor)
-			// Retry the same batch on the next word line.
-			c.gcWrite(chip, victim, batch, data, rest)
-			return
-		}
-		wlIdx := layer*c.geo.WLsPerLayer + wl
-		moved := 0
-		for i, l := range batch {
-			// Re-check liveness: the host may have overwritten it while
-			// the program was in flight.
-			ppn := c.mapper.Lookup(l)
-			if ppn != ssd.UnmappedPPN {
-				vc, vb, _, _, _ := c.geo.DecodePPN(ppn)
-				if vc == chip && vb == victim {
-					dst := c.geo.EncodePPN(chip, block, wlIdx, i)
-					c.mapper.Map(l, dst)
-					moved++
-					if c.rec != nil {
-						// The relocated copy keeps its data's stamp; the
-						// destination block's younger sequence breaks the tie
-						// against the source copy on recovery.
-						c.rec.NoteMapped(l, dst, c.stamps[l])
-					}
-				}
-			}
-		}
-		c.stats.GCPageMoves += int64(moved)
-		c.retireIfFull(chip, cursor)
-		c.relocate(chip, victim, rest)
-	})
+	g := c.getReloc()
+	g.chip, g.victim, g.rest = chip, victim, lpns
+	g.batch, g.n, g.i = batch, n, 0
+	g.readNext()
 }
 
 // finishGC closes a relocation cycle: a normal victim is erased and
@@ -1613,7 +1398,7 @@ func (c *Controller) gcFinished(chip int) {
 // to quiesce before measuring. A degraded device is considered drained
 // once nothing is in flight — its buffered pages can never flush.
 func (c *Controller) Drained() bool {
-	if len(c.pendingWrites) > 0 || (!c.degraded && c.buf.Occupied() > 0) {
+	if c.pendingWrites.Len() > 0 || (!c.degraded && c.buf.Occupied() > 0) {
 		return false
 	}
 	if c.pendingAckCount > 0 && !c.degraded {
@@ -1715,32 +1500,4 @@ func (c *Controller) GCActiveAny() bool {
 		}
 	}
 	return false
-}
-
-// flushOOB builds the spare-area records for a host flush group,
-// padding the word line's unused slots.
-func (c *Controller) flushOOB(group []FlushHandle, blockSeq uint64) [][]byte {
-	oob := make([][]byte, vth.PagesPerWL)
-	for i := range oob {
-		if i < len(group) {
-			oob[i] = EncodeOOB(group[i].LPN, group[i].Stamp, blockSeq)
-		} else {
-			oob[i] = EncodeOOB(UnmappedLPN, 0, blockSeq)
-		}
-	}
-	return oob
-}
-
-// gcOOB builds the spare-area records for a GC relocation word line:
-// each copy keeps its data's original write stamp.
-func (c *Controller) gcOOB(batch []LPN, blockSeq uint64) [][]byte {
-	oob := make([][]byte, vth.PagesPerWL)
-	for i := range oob {
-		if i < len(batch) {
-			oob[i] = EncodeOOB(batch[i], c.stamps[batch[i]], blockSeq)
-		} else {
-			oob[i] = EncodeOOB(UnmappedLPN, 0, blockSeq)
-		}
-	}
-	return oob
 }

@@ -35,7 +35,7 @@ func TestControllerWriteReadRoundTrip(t *testing.T) {
 	eng, c := testController(t, NewPagePolicy())
 	writesDone, readsDone := 0, 0
 	for lpn := LPN(0); lpn < 12; lpn++ {
-		c.Write(lpn, func() { writesDone++ })
+		c.Write(lpn, nil, func() { writesDone++ })
 	}
 	eng.Run()
 	if writesDone != 12 {
@@ -51,7 +51,7 @@ func TestControllerWriteReadRoundTrip(t *testing.T) {
 		}
 	}
 	for lpn := LPN(0); lpn < 12; lpn++ {
-		c.Read(lpn, func() { readsDone++ })
+		c.Read(lpn, nil, func() { readsDone++ })
 	}
 	eng.Run()
 	if readsDone != 12 {
@@ -69,7 +69,7 @@ func TestControllerWriteReadRoundTrip(t *testing.T) {
 func TestControllerUnmappedRead(t *testing.T) {
 	eng, c := testController(t, NewPagePolicy())
 	done := false
-	c.Read(999, func() { done = true })
+	c.Read(999, nil, func() { done = true })
 	eng.Run()
 	if !done {
 		t.Fatal("unmapped read never completed")
@@ -81,9 +81,9 @@ func TestControllerUnmappedRead(t *testing.T) {
 
 func TestControllerBufferHit(t *testing.T) {
 	eng, c := testController(t, NewPagePolicy())
-	c.Write(5, func() {})
+	c.Write(5, nil, func() {})
 	// Read immediately — the page is still buffered.
-	c.Read(5, func() {})
+	c.Read(5, nil, func() {})
 	eng.Run()
 	if c.Stats().BufferHits != 1 {
 		t.Errorf("buffer hits = %d", c.Stats().BufferHits)
@@ -94,7 +94,7 @@ func TestControllerOverwriteInvalidatesOldPage(t *testing.T) {
 	eng, c := testController(t, NewPagePolicy())
 	for round := 0; round < 3; round++ {
 		for lpn := LPN(0); lpn < 12; lpn++ {
-			c.Write(lpn, func() {})
+			c.Write(lpn, nil, func() {})
 		}
 		eng.Run()
 	}
@@ -127,7 +127,7 @@ func TestControllerGarbageCollection(t *testing.T) {
 			writes--
 			outstanding++
 			lpn := LPN(src.Intn(n))
-			c.Write(lpn, func() {
+			c.Write(lpn, nil, func() {
 				outstanding--
 				done++
 				issue()
@@ -171,7 +171,7 @@ func TestControllerBackpressure(t *testing.T) {
 	// Slam 200 distinct writes at once into a 32-page buffer.
 	done := 0
 	for lpn := LPN(0); lpn < 200; lpn++ {
-		c.Write(lpn, func() { done++ })
+		c.Write(lpn, nil, func() { done++ })
 	}
 	eng.Run()
 	if done != 200 {
@@ -190,7 +190,7 @@ func TestVertFTLFasterMeanTPROGThanPage(t *testing.T) {
 		cfg.WriteBufferPages = 32
 		c := NewController(dev, pol, cfg)
 		for lpn := LPN(0); lpn < 300; lpn++ {
-			c.Write(lpn%120, func() {})
+			c.Write(lpn%120, nil, func() {})
 		}
 		eng.Run()
 		return c.Stats().MeanTPROGNs()
@@ -208,7 +208,7 @@ func TestVertFTLFasterMeanTPROGThanPage(t *testing.T) {
 
 func TestPartialFlushTimeout(t *testing.T) {
 	eng, c := testController(t, NewPagePolicy())
-	c.Write(3, func() {}) // a single page: less than a word line
+	c.Write(3, nil, func() {}) // a single page: less than a word line
 	eng.Run()
 	if c.Mapper().Lookup(3) == ssd.UnmappedPPN {
 		t.Fatal("trickle write never flushed")
@@ -232,7 +232,7 @@ func TestFlushTimeoutTrickleWrites(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		lpn := LPN(round)
 		start := eng.Now()
-		c.Write(lpn, func() {})
+		c.Write(lpn, nil, func() {})
 		eng.Run()
 		if c.Mapper().Lookup(lpn) == ssd.UnmappedPPN {
 			t.Fatalf("round %d: trickle write never flushed", round)
@@ -265,7 +265,7 @@ func TestReadDisturbReclaimToggle(t *testing.T) {
 		// set (active blocks are exempt from reclaim).
 		perBlock := dev.Geometry().PagesPerBlock()
 		for lpn := LPN(0); lpn < LPN(5*perBlock); lpn++ {
-			c.Write(lpn, func() {})
+			c.Write(lpn, nil, func() {})
 		}
 		eng.Run()
 		// Hammer LPN 0 past the disturb budget.
@@ -276,7 +276,7 @@ func TestReadDisturbReclaimToggle(t *testing.T) {
 			for outstanding < 32 && issued < total {
 				issued++
 				outstanding++
-				c.Read(0, func() { outstanding--; pump() })
+				c.Read(0, nil, func() { outstanding--; pump() })
 			}
 		}
 		pump()
@@ -293,7 +293,7 @@ func TestReadDisturbReclaimToggle(t *testing.T) {
 	}
 	// The reclaimed block was erased: its read counter restarted.
 	chip, block, _, _, _ := c.Device().Geometry().DecodePPN(c.Mapper().Lookup(0))
-	if reads := c.Device().Chip(chip).NAND.BlockReads(block); reads >= nand.ReadDisturbBudget {
+	if reads := c.Device().Die(chip).NAND.BlockReads(block); reads >= nand.ReadDisturbBudget {
 		t.Errorf("LPN 0's block still has %d reads after reclaim", reads)
 	}
 

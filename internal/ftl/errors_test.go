@@ -13,14 +13,14 @@ import (
 func TestTypedErrorsRoundTrip(t *testing.T) {
 	_, c := testController(t, NewPagePolicy())
 
-	err := c.Write(LPN(c.LogicalPages()), func() {})
+	err := c.Write(LPN(c.LogicalPages()), nil, func() {})
 	if !errors.Is(err, ErrBadLPN) {
 		t.Errorf("out-of-range write: got %v, want ErrBadLPN", err)
 	}
 	if err == ErrBadLPN {
 		t.Error("ErrBadLPN returned bare: wrap must add LPN/capacity context")
 	}
-	if err := c.Write(LPN(-1), func() {}); !errors.Is(err, ErrBadLPN) {
+	if err := c.Write(LPN(-1), nil, func() {}); !errors.Is(err, ErrBadLPN) {
 		t.Errorf("negative LPN: got %v, want ErrBadLPN", err)
 	}
 

@@ -41,7 +41,7 @@ func TestProgramFailureRecovery(t *testing.T) {
 
 	done := 0
 	for lpn := LPN(0); lpn < 12; lpn++ {
-		if err := c.Write(lpn, func() { done++ }); err != nil {
+		if err := c.Write(lpn, nil, func() { done++ }); err != nil {
 			t.Fatalf("Write(%d): %v", lpn, err)
 		}
 	}
@@ -67,7 +67,7 @@ func TestProgramFailureRecovery(t *testing.T) {
 		if c.Mapper().Lookup(lpn) == ssd.UnmappedPPN {
 			t.Fatalf("LPN %d lost after program failure", lpn)
 		}
-		c.Read(lpn, func() {})
+		c.Read(lpn, nil, func() {})
 	}
 	eng.Run()
 	if st.DataMismatches != 0 {
@@ -100,7 +100,7 @@ func TestGCEraseFailureRetiresBlock(t *testing.T) {
 		for outstanding < 12 && ops > 0 {
 			ops--
 			outstanding++
-			err := c.Write(LPN(src.Intn(n)), func() { outstanding--; issue() })
+			err := c.Write(LPN(src.Intn(n)), nil, func() { outstanding--; issue() })
 			if err != nil {
 				// The 50% erase-failure rate may exhaust the device
 				// mid-test; stop issuing and audit what remains.
@@ -153,7 +153,7 @@ func TestDegradedModeReadOnly(t *testing.T) {
 		for outstanding < 8 && degradedErr == nil && issued < 500_000 {
 			issued++
 			outstanding++
-			err := c.Write(LPN(src.Intn(n)), func() { outstanding--; issue() })
+			err := c.Write(LPN(src.Intn(n)), nil, func() { outstanding--; issue() })
 			if err != nil {
 				outstanding--
 				degradedErr = err
@@ -181,7 +181,7 @@ func TestDegradedModeReadOnly(t *testing.T) {
 	// The degraded device still serves reads and trims.
 	reads := 0
 	for lpn := LPN(0); lpn < 8; lpn++ {
-		c.Read(lpn, func() { reads++ })
+		c.Read(lpn, nil, func() { reads++ })
 	}
 	c.Trim(0, nil)
 	eng.Run()
@@ -203,7 +203,7 @@ func TestFactoryBadBlocksExcluded(t *testing.T) {
 
 	want := int64(0)
 	for chip := 0; chip < 2; chip++ {
-		for _, b := range dev.Chip(chip).NAND.FactoryBadBlocks() {
+		for _, b := range dev.Die(chip).NAND.FactoryBadBlocks() {
 			want++
 			if !c.IsRetired(chip, b) {
 				t.Errorf("factory bad block %d on chip %d not retired", b, chip)
@@ -217,7 +217,7 @@ func TestFactoryBadBlocksExcluded(t *testing.T) {
 		t.Errorf("FactoryBadBlocks = %d, want %d", got, want)
 	}
 	for lpn := LPN(0); lpn < 300; lpn++ {
-		c.Write(lpn, func() {})
+		c.Write(lpn, nil, func() {})
 	}
 	eng.Run()
 	if err := c.CheckConsistency(); err != nil {
@@ -259,9 +259,9 @@ func TestChaosSoak(t *testing.T) {
 			case 0:
 				c.Trim(lpn, done)
 			case 1, 2, 3:
-				c.Read(lpn, done)
+				c.Read(lpn, nil, done)
 			default:
-				if err := c.Write(lpn, done); err != nil {
+				if err := c.Write(lpn, nil, done); err != nil {
 					t.Fatalf("host write failed mid-soak: %v", err)
 				}
 			}
@@ -300,7 +300,7 @@ func TestChaosSoak(t *testing.T) {
 	// Full read-back sweep: every mapped page must verify.
 	for lpn := LPN(0); lpn < LPN(n); lpn++ {
 		if c.Mapper().Lookup(lpn) != ssd.UnmappedPPN {
-			c.Read(lpn, func() {})
+			c.Read(lpn, nil, func() {})
 		}
 	}
 	eng.Run()
@@ -328,7 +328,7 @@ func TestDegradedFenceFailsQueuedPrograms(t *testing.T) {
 	// (inflight cap) and queues behind it on the channel resource.
 	const pages = 2 * vth.PagesPerWL
 	for lpn := LPN(0); lpn < pages; lpn++ {
-		if err := c.Write(lpn, func() {}); err != nil {
+		if err := c.Write(lpn, nil, func() {}); err != nil {
 			t.Fatalf("Write(%d): %v", lpn, err)
 		}
 	}
@@ -377,14 +377,14 @@ func TestDegradedFenceFailsQueuedPrograms(t *testing.T) {
 	}
 	// The device keeps writing on the survivor, and data verifies.
 	for lpn := LPN(0); lpn < pages; lpn++ {
-		if err := c.Write(lpn, func() {}); err != nil {
+		if err := c.Write(lpn, nil, func() {}); err != nil {
 			t.Fatalf("post-fence Write(%d): %v", lpn, err)
 		}
 	}
 	eng.Run()
 	eng.RunWhile(func() bool { return !c.Drained() })
 	for lpn := LPN(0); lpn < pages; lpn++ {
-		c.Read(lpn, func() {})
+		c.Read(lpn, nil, func() {})
 	}
 	eng.Run()
 	if st.DataMismatches != 0 {
@@ -435,9 +435,9 @@ func TestChaosSoakDieKill(t *testing.T) {
 			case 0:
 				c.Trim(lpn, done)
 			case 1, 2, 3:
-				c.Read(lpn, done)
+				c.Read(lpn, nil, done)
 			default:
-				if err := c.Write(lpn, done); err != nil {
+				if err := c.Write(lpn, nil, done); err != nil {
 					t.Fatalf("host write failed with one dead die: %v", err)
 				}
 			}
@@ -490,7 +490,7 @@ func TestChaosSoakDieKill(t *testing.T) {
 	// The device is still writable after the die died.
 	wrote := 0
 	for lpn := LPN(0); lpn < 32; lpn++ {
-		if err := c.Write(lpn, func() { wrote++ }); err != nil {
+		if err := c.Write(lpn, nil, func() { wrote++ }); err != nil {
 			t.Fatalf("post-kill write: %v", err)
 		}
 	}

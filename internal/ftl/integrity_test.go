@@ -38,11 +38,11 @@ func TestPageTagRoundTrip(t *testing.T) {
 func TestIntegrityBasicReadBack(t *testing.T) {
 	eng, c := verifyingController(3)
 	for lpn := LPN(0); lpn < 40; lpn++ {
-		c.Write(lpn, func() {})
+		c.Write(lpn, nil, func() {})
 	}
 	eng.Run()
 	for lpn := LPN(0); lpn < 40; lpn++ {
-		c.Read(lpn, func() {})
+		c.Read(lpn, nil, func() {})
 	}
 	eng.Run()
 	if c.Stats().DataMismatches != 0 {
@@ -74,9 +74,9 @@ func TestIntegritySoakThroughGC(t *testing.T) {
 			case 0:
 				c.Trim(lpn, done)
 			case 1, 2, 3, 4:
-				c.Read(lpn, done)
+				c.Read(lpn, nil, done)
 			default:
-				c.Write(lpn, done)
+				c.Write(lpn, nil, done)
 			}
 		}
 	}
@@ -108,7 +108,7 @@ func TestIntegritySoakThroughGC(t *testing.T) {
 func TestIntegrityDetectsCorruption(t *testing.T) {
 	eng, c := verifyingController(5)
 	for lpn := LPN(0); lpn < 6; lpn++ {
-		c.Write(lpn, func() {})
+		c.Write(lpn, nil, func() {})
 	}
 	eng.Run()
 	// Cross-wire LPN 0 to LPN 1's physical page.
@@ -116,7 +116,7 @@ func TestIntegrityDetectsCorruption(t *testing.T) {
 	c.Mapper().Invalidate(0)
 	c.Mapper().Invalidate(1)
 	c.Mapper().Map(0, wrong)
-	c.Read(0, func() {})
+	c.Read(0, nil, func() {})
 	eng.Run()
 	if c.Stats().DataMismatches != 1 {
 		t.Fatalf("mismatches = %d, want 1", c.Stats().DataMismatches)

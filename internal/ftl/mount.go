@@ -145,7 +145,7 @@ func NewControllerWithState(dev *ssd.Device, pol Policy, cfg ControllerConfig, m
 	c.blockSeq = ms.LastBlockSeq
 
 	for chip := 0; chip < nChips; chip++ {
-		chipNAND := dev.Chip(chip).NAND
+		chipNAND := dev.Die(chip).NAND
 		c.retired[chip] = make(map[int]bool)
 		for _, b := range ms.Retired[chip] {
 			c.retired[chip][b] = true

@@ -29,12 +29,17 @@ var oobMagic = [4]byte{'C', 'F', 'O', '1'}
 // EncodeOOB builds the spare-area record for one page program.
 func EncodeOOB(lpn LPN, stamp, blockSeq uint64) []byte {
 	b := make([]byte, OOBBytes)
+	putOOB(b, lpn, stamp, blockSeq)
+	return b
+}
+
+// putOOB encodes the record into b, which must hold OOBBytes.
+func putOOB(b []byte, lpn LPN, stamp, blockSeq uint64) {
 	copy(b[0:4], oobMagic[:])
 	binary.LittleEndian.PutUint64(b[4:12], uint64(lpn))
 	binary.LittleEndian.PutUint64(b[12:20], stamp)
 	binary.LittleEndian.PutUint64(b[20:28], blockSeq)
 	binary.LittleEndian.PutUint32(b[28:32], crc32.ChecksumIEEE(b[:28]))
-	return b
 }
 
 // DecodeOOB parses a spare-area record. ok is false for a nil, short,

@@ -43,8 +43,8 @@ func TestFencedRequeueSingleCompletionTelemetry(t *testing.T) {
 		lpn := lpn
 		pp := &telemetry.PageProbe{Die: -1}
 		probes[lpn] = pp
-		if err := c.WriteTraced(lpn, pp, func() { completions[lpn]++ }); err != nil {
-			t.Fatalf("WriteTraced(%d): %v", lpn, err)
+		if err := c.Write(lpn, pp, func() { completions[lpn]++ }); err != nil {
+			t.Fatalf("Write(%d): %v", lpn, err)
 		}
 	}
 	eng.After(1000, func() { c.markDieDegraded(1) })
@@ -123,7 +123,7 @@ func TestTelemetryPassiveOnFencePath(t *testing.T) {
 		}
 		const pages = 2 * vth.PagesPerWL
 		for lpn := LPN(0); lpn < pages; lpn++ {
-			if err := c.Write(lpn, func() {}); err != nil {
+			if err := c.Write(lpn, nil, func() {}); err != nil {
 				t.Fatalf("Write(%d): %v", lpn, err)
 			}
 		}

@@ -24,6 +24,7 @@ import (
 
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/metrics"
+	"cubeftl/internal/pool"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/telemetry"
 )
@@ -163,7 +164,10 @@ type sqe struct {
 }
 
 type queue struct {
-	cfg       QueueConfig
+	cfg QueueConfig
+	// fullErr is the queue's ErrQueueFull refusal, built once: closed-loop
+	// drivers use the refusal as flow control on every completion.
+	fullErr   error
 	sq        []sqe // waiting commands; sq[head:] is the live window
 	head      int
 	occupancy int // waiting + dispatched, bounded by cfg.Depth
@@ -221,6 +225,8 @@ type Host struct {
 	dieAffinity bool
 	scratch     []QueueState // reused eligible-set buffer
 	affinity    []QueueState // reused die-affinity subset buffer
+
+	cmds pool.FreeList[cmdRec] // released per-command records
 }
 
 // New wires a host front end over the controller. The controller's
@@ -261,7 +267,10 @@ func New(ctrl *ftl.Controller, cfg Config) (*Host, error) {
 			qc.BurstIOs = qc.Depth
 		}
 		sumDepth += qc.Depth
-		q := &queue{cfg: qc}
+		q := &queue{
+			cfg:     qc,
+			fullErr: fmt.Errorf("%w: %s (depth %d)", ErrQueueFull, qc.Tenant, qc.Depth),
+		}
 		if qc.RateIOPS > 0 {
 			q.burst = float64(qc.BurstIOs)
 			q.tokens = q.burst // start full: an idle tenant may burst
@@ -370,7 +379,7 @@ func (h *Host) Submit(qid int, cmd Command) error {
 	q, st := h.queues[qid], h.stats[qid]
 	if q.occupancy >= q.cfg.Depth {
 		st.QueueFulls++
-		return fmt.Errorf("%w: %s (depth %d)", ErrQueueFull, q.cfg.Tenant, q.cfg.Depth)
+		return q.fullErr
 	}
 	now := h.eng.Now()
 	if st.Submitted == 0 {
@@ -506,6 +515,48 @@ func (h *Host) grant(idx int, now sim.Time) {
 	h.issue(idx, e)
 }
 
+// cmdRec tracks one dispatched command until its last page completes.
+// Records are pooled per host; onPage is bound once, when the record is
+// first built, so issuing a command allocates nothing.
+type cmdRec struct {
+	h    *Host
+	live bool
+
+	qid       int
+	e         sqe
+	remaining int // pages not yet completed
+	rejected  int // pages the controller refused synchronously
+	// Of a traced multi-page command, the page completing last is the
+	// critical path; its probe supplies the span's device-side stages.
+	lastPP *telemetry.PageProbe
+
+	onPage func()
+}
+
+func (h *Host) getCmd() *cmdRec {
+	c := h.cmds.Get()
+	if c == nil {
+		c = &cmdRec{h: h}
+		c.onPage = c.pageDone
+	}
+	c.live = true
+	return c
+}
+
+// pageDone retires one page; the last one completes the command.
+func (c *cmdRec) pageDone() {
+	pool.CheckLive(c.live, "host command record")
+	c.remaining--
+	if c.remaining > 0 {
+		return
+	}
+	h, qid, e, rejected, pp := c.h, c.qid, c.e, c.rejected, c.lastPP
+	c.live = false
+	c.e, c.lastPP = sqe{}, nil
+	h.cmds.Put(c)
+	h.complete(qid, e, rejected, pp)
+}
+
 // issue drives one command's pages through the controller.
 func (h *Host) issue(qid int, e sqe) {
 	st := h.stats[qid]
@@ -513,34 +564,31 @@ func (h *Host) issue(qid int, e sqe) {
 	if pages < 1 {
 		pages = 1
 	}
-	remaining, rejected := pages, 0
-	// Of a traced multi-page command, the page completing last is the
-	// critical path; its probe supplies the span's device-side stages.
-	var lastPP *telemetry.PageProbe
-	finish := func(pp *telemetry.PageProbe) {
-		remaining--
-		if pp != nil {
-			lastPP = pp
-		}
-		if remaining == 0 {
-			h.complete(qid, e, rejected, lastPP)
-		}
-	}
+	c := h.getCmd()
+	c.qid, c.e, c.remaining, c.rejected = qid, e, pages, 0
 	for p := 0; p < pages; p++ {
 		lpn := ftl.LPN(e.cmd.LPN + int64(p))
 		var pp *telemetry.PageProbe
+		done := c.onPage
 		if e.sp != nil {
-			pp = &telemetry.PageProbe{Die: -1}
+			// Sampled span: this page carries a probe, and its completion
+			// records it as the latest to finish.
+			probe := &telemetry.PageProbe{Die: -1}
+			pp = probe
+			done = func() {
+				c.lastPP = probe
+				c.pageDone()
+			}
 		}
-		pageDone := func() { finish(pp) }
 		if e.cmd.Op == Read {
-			h.ctrl.ReadTraced(lpn, pp, pageDone)
-		} else if err := h.ctrl.WriteTraced(lpn, pp, pageDone); err != nil {
+			h.ctrl.Read(lpn, pp, done)
+		} else if err := h.ctrl.Write(lpn, pp, done); err != nil {
 			// Degraded (or out-of-range) page: counted and completed
-			// immediately, like a media-error status in the CQE.
-			rejected++
+			// immediately, like a media-error status in the CQE. When it
+			// is the command's last page this releases c.
+			c.rejected++
 			st.RejectedPages++
-			pageDone()
+			done()
 		}
 	}
 }

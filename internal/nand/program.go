@@ -66,7 +66,7 @@ type ProgramResult struct {
 	// program state (P1..P7), as monitored during this program. For any
 	// other word line on the same h-layer these are virtually identical
 	// — the horizontal process similarity.
-	Windows []process.LoopWindow
+	Windows [vth.ProgramStates]process.LoopWindow
 
 	// BerEP1 is the measured E<->P1 error rate after programming (the
 	// health indicator behind the S_M margin computation).
@@ -119,9 +119,19 @@ func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams
 		if len(oob) != vth.PagesPerWL {
 			return res, fmt.Errorf("nand: ProgramWLOOB of %v needs %d OOB slices, got %d", a, vth.PagesPerWL, len(oob))
 		}
+		// One backing array for the word line's spare area; each record
+		// is capped at its own length so appends cannot cross into the
+		// next.
+		total := 0
+		for _, b := range oob {
+			total += len(b)
+		}
+		spare := make([]byte, 0, total)
 		st.oob = make([][]byte, vth.PagesPerWL)
 		for i, b := range oob {
-			st.oob[i] = append([]byte(nil), b...)
+			off := len(spare)
+			spare = append(spare, b...)
+			st.oob[i] = spare[off:len(spare):len(spare)]
 		}
 	}
 
@@ -167,7 +177,7 @@ func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams
 	}
 	effMaxLoop = scaleLoop(effMaxLoop)
 
-	eff := make([]process.LoopWindow, len(windows))
+	var eff [vth.ProgramStates]process.LoopWindow
 	loops := 1
 	for i, w := range windows {
 		lo := scaleLoop(w.MinLoop) - startLoops + disturbShift

@@ -324,7 +324,7 @@ type LoopWindow struct {
 // 63 verifies: ~700 us with the vth timing constants). High-severity
 // layers shift one loop slower; heavy wear shifts one loop faster
 // (charge-trap buildup makes worn cells program faster).
-func (m *Model) LoopWindows(block, layer int, a Aging) []LoopWindow {
+func (m *Model) LoopWindows(block, layer int, a Aging) [vth.ProgramStates]LoopWindow {
 	s := m.effSeverity(block, layer)
 	shift := 0
 	if s > 0.7 {
@@ -333,7 +333,7 @@ func (m *Model) LoopWindows(block, layer int, a Aging) []LoopWindow {
 	if float64(a.PE)/EnduranceLimit > 0.75 {
 		shift--
 	}
-	ws := make([]LoopWindow, vth.ProgramStates)
+	var ws [vth.ProgramStates]LoopWindow
 	for i := 1; i <= vth.ProgramStates; i++ {
 		lo := i + 1 + shift
 		hi := 2*i + 1 + shift

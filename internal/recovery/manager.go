@@ -351,7 +351,7 @@ func (m *Manager) PowerCut() {
 	}
 	dev := m.ctrl.Device()
 	for _, op := range dev.InflightMediaOps() {
-		chipNAND := dev.Chip(op.Die).NAND
+		chipNAND := dev.Die(op.Die).NAND
 		switch op.Kind {
 		case ssd.MediaProgram:
 			chipNAND.CutWordLine(op.Addr)

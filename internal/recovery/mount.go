@@ -244,7 +244,7 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 		if seq, done := scanned[key]; done {
 			return seq
 		}
-		chipNAND := dev.Chip(chip).NAND
+		chipNAND := dev.Die(chip).NAND
 		c, maxSeq, wls := scanBlockOOB(chipNAND, geo, chip, block)
 		cands = append(cands, c...)
 		rpt.OOBPagesScanned += len(c)
@@ -271,7 +271,7 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 		// record never became durable left media evidence at the first
 		// word line (every program order starts at layer 0, WL 0).
 		for chip := 0; chip < geo.Chips; chip++ {
-			chipNAND := dev.Chip(chip).NAND
+			chipNAND := dev.Die(chip).NAND
 			stillFree := st.free[chip][:0]
 			for _, b := range st.free[chip] {
 				rpt.BlocksProbed++
@@ -308,7 +308,7 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 		// Full scan: classify every block from media alone.
 		rpt.CheckpointAgeNs = 0
 		for chip := 0; chip < geo.Chips; chip++ {
-			chipNAND := dev.Chip(chip).NAND
+			chipNAND := dev.Die(chip).NAND
 			type openBlock struct {
 				block int
 				seq   uint64
@@ -388,7 +388,7 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 
 	// Media bad-block marks are the persistent truth: force-retire.
 	for chip := 0; chip < geo.Chips; chip++ {
-		chipNAND := dev.Chip(chip).NAND
+		chipNAND := dev.Die(chip).NAND
 		for b := 0; b < geo.BlocksPerChip; b++ {
 			if chipNAND.IsBadBlock(b) && !st.retired[chip][b] {
 				st.retired[chip][b] = true
@@ -437,7 +437,7 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 }
 
 func blockFull(dev *ssd.Device, geo ssd.Geometry, chip, block int) bool {
-	chipNAND := dev.Chip(chip).NAND
+	chipNAND := dev.Die(chip).NAND
 	for l := 0; l < geo.Layers; l++ {
 		for w := 0; w < geo.WLsPerLayer; w++ {
 			if !chipNAND.IsProgrammed(nand.Address{Block: block, Layer: l, WL: w}) {

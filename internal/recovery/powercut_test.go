@@ -294,7 +294,7 @@ func TestPowerCutMidScrub(t *testing.T) {
 				for outstanding < 16 && ops > 0 {
 					ops--
 					outstanding++
-					if err := ctrl2.Write(ftl.LPN(src.Intn(n)), func() { outstanding--; issue() }); err != nil {
+					if err := ctrl2.Write(ftl.LPN(src.Intn(n)), nil, func() { outstanding--; issue() }); err != nil {
 						t.Fatalf("post-mount write: %v", err)
 					}
 				}
@@ -331,7 +331,7 @@ func TestBadBlockSurvivesPowerCycle(t *testing.T) {
 
 	done := 0
 	for lpn := ftl.LPN(0); lpn < 24; lpn++ {
-		if err := ctrl.Write(lpn, func() { done++ }); err != nil {
+		if err := ctrl.Write(lpn, nil, func() { done++ }); err != nil {
 			t.Fatalf("Write(%d): %v", lpn, err)
 		}
 	}
@@ -379,7 +379,7 @@ func TestDegradedDieSurvivesPowerCycle(t *testing.T) {
 		for outstanding < 16 && ops > 0 {
 			ops--
 			outstanding++
-			if err := ctrl.Write(ftl.LPN(src.Intn(n)), func() { outstanding--; issue() }); err != nil {
+			if err := ctrl.Write(ftl.LPN(src.Intn(n)), nil, func() { outstanding--; issue() }); err != nil {
 				t.Fatalf("write with one dead die: %v", err)
 			}
 		}
@@ -409,7 +409,7 @@ func TestDegradedDieSurvivesPowerCycle(t *testing.T) {
 	geo := ctrl2.Device().Geometry()
 	written := []ftl.LPN{1, 2, 3, 4, 5, 6, 7, 8}
 	for _, lpn := range written {
-		if err := ctrl2.Write(lpn, func() {}); err != nil {
+		if err := ctrl2.Write(lpn, nil, func() {}); err != nil {
 			t.Fatalf("post-mount write: %v", err)
 		}
 	}

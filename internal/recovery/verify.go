@@ -77,7 +77,7 @@ func Verify(ctrl *ftl.Controller, led *Ledger) error {
 		}
 		chip, block, layer, wl, page := geo.DecodePPN(ppn)
 		a := nand.Address{Block: block, Layer: layer, WL: wl, Page: page}
-		chipNAND := ctrl.Device().Chip(chip).NAND
+		chipNAND := ctrl.Device().Die(chip).NAND
 		oobLPN, oobStamp, _, ok := ftl.DecodeOOB(chipNAND.OOB(a))
 		if !ok {
 			return fmt.Errorf("recovery: LPN %d maps to chip %d %v with no valid OOB", lpn, chip, a)

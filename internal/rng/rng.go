@@ -129,46 +129,135 @@ func (s *Source) Exponential(mean float64) float64 {
 // to [0, n]) is used for large n to keep the simulator fast when sampling
 // bit-error counts over millions of cells.
 func (s *Source) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
+	var b Binomial
+	b.init(n, p)
+	return b.Draw(s)
+}
+
+// Binomial is a binomial(n, p) distribution with its per-(n, p)
+// constants worked out once, for callers that draw from the same
+// distribution repeatedly (the ECC model draws one count per codeword of
+// a page, all at the page's bit error rate). Draw returns exactly the
+// values Source.Binomial(n, p) would and consumes exactly the same
+// randomness.
+type Binomial struct {
+	n    int
+	p    float64
+	kind binomialKind
+
+	// Inversion: the odds p/(1-p) of the CDF recurrence, and the CDF
+	// itself as far as any draw has walked it. The recurrence does not
+	// depend on the uniform variate, so later draws reuse the prefix
+	// earlier ones computed: cdf[k] = P(X <= k) for k < walked, and term
+	// is P(X = walked-1).
+	odds   float64
+	cdf    [binomialMemo]float64
+	walked int
+	term   float64
+	// Normal approximation.
+	mean, sd float64
+}
+
+const (
+	// binomialDirectMax is the largest n sampled as n Bernoulli trials.
+	binomialDirectMax = 64
+	// binomialMemo bounds the memoised CDF prefix. Inversion is used
+	// below a mean of 32, so draws beyond 64 are vanishingly rare; they
+	// continue the recurrence without storing it. Inversion only sees
+	// n > binomialDirectMax, so a walk inside the memo never reaches n.
+	binomialMemo = binomialDirectMax
+)
+
+type binomialKind uint8
+
+const (
+	binomialZero   binomialKind = iota // n <= 0 or p <= 0: always 0
+	binomialAll                        // p >= 1: always n
+	binomialDirect                     // n <= binomialDirectMax: n Bernoulli trials
+	binomialInvert                     // n·p < 32: inversion of the CDF
+	binomialNormal                     // normal approximation
+)
+
+// NewBinomial prepares a binomial(n, p) distribution.
+func NewBinomial(n int, p float64) (b Binomial) {
+	b.init(n, p)
+	return b
+}
+
+func (b *Binomial) init(n int, p float64) {
+	b.n, b.p = n, p
+	switch {
+	case n <= 0 || p <= 0:
+		b.kind = binomialZero
+	case p >= 1:
+		b.kind = binomialAll
+	case n <= binomialDirectMax:
+		b.kind = binomialDirect
+	case float64(n)*p < 32:
+		b.kind = binomialInvert
+		b.odds = p / (1 - p)
+		b.term = math.Pow(1-p, float64(n)) // P(X = 0)
+		b.cdf[0] = b.term
+		b.walked = 1
+	default:
+		b.kind = binomialNormal
+		b.mean = float64(n) * p
+		b.sd = math.Sqrt(b.mean * (1 - p))
 	}
-	if p >= 1 {
-		return n
-	}
-	mean := float64(n) * p
-	if n <= 64 {
-		// Direct simulation.
+}
+
+// Draw samples the distribution from s.
+func (b *Binomial) Draw(s *Source) int {
+	switch b.kind {
+	case binomialAll:
+		return b.n
+	case binomialDirect:
 		k := 0
-		for i := 0; i < n; i++ {
-			if s.Float64() < p {
+		for i := 0; i < b.n; i++ {
+			if s.Float64() < b.p {
 				k++
 			}
 		}
 		return k
-	}
-	if mean < 32 {
-		// Poisson-style inversion on the binomial CDF.
-		q := math.Pow(1-p, float64(n))
-		u := s.Float64()
-		k := 0
-		cdf := q
-		for u > cdf && k < n {
-			k++
-			q *= (float64(n-k+1) / float64(k)) * (p / (1 - p))
-			cdf += q
+	case binomialInvert:
+		return b.invert(s.Float64())
+	case binomialNormal:
+		// Normal approximation with continuity correction.
+		v := math.Round(s.Gaussian(b.mean, b.sd))
+		if v < 0 {
+			v = 0
 		}
-		return k
+		if v > float64(b.n) {
+			v = float64(b.n)
+		}
+		return int(v)
 	}
-	// Normal approximation with continuity correction.
-	sd := math.Sqrt(mean * (1 - p))
-	v := math.Round(s.Gaussian(mean, sd))
-	if v < 0 {
-		v = 0
+	return 0
+}
+
+// invert is Poisson-style inversion on the binomial CDF: the smallest k
+// with u <= P(X <= k), walking (and extending) the memoised prefix.
+func (b *Binomial) invert(u float64) int {
+	for k := 0; k < binomialMemo; k++ {
+		if k == b.walked {
+			b.term *= (float64(b.n-k+1) / float64(k)) * b.odds
+			b.cdf[k] = b.cdf[k-1] + b.term
+			b.walked++
+		}
+		if !(u > b.cdf[k]) {
+			return k
+		}
 	}
-	if v > float64(n) {
-		v = float64(n)
+	// u exceeds the whole memoised prefix: continue the recurrence
+	// without storing it.
+	k := binomialMemo - 1
+	q, cdf := b.term, b.cdf[k]
+	for u > cdf && k < b.n {
+		k++
+		q *= (float64(b.n-k+1) / float64(k)) * b.odds
+		cdf += q
 	}
-	return int(v)
+	return k
 }
 
 // Perm returns a random permutation of [0, n).

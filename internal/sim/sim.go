@@ -7,9 +7,10 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sync/atomic"
+
+	"cubeftl/internal/pool"
 )
 
 // Time is simulated time in nanoseconds since the start of the run.
@@ -29,29 +30,79 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (at, seq). seq is unique, so the order is
+// total and any correct priority queue pops the same sequence.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// calendar is a 4-ary min-heap of inline events: no interface boxing,
+// half the depth of a binary heap, and children that share a cache
+// line. Vacated slots are zeroed so a fired callback (and whatever it
+// captured) is not pinned by the backing array.
+type calendar []event
+
+const heapArity = 4
+
+func (h *calendar) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !ev.before(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = ev
+}
+
+func (h *calendar) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = event{}
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		first := i*heapArity + 1
+		if first >= n {
+			break
+		}
+		min := first
+		end := first + heapArity
+		if end > n {
+			end = n
+		}
+		for c := first + 1; c < end; c++ {
+			if s[c].before(&s[min]) {
+				min = c
+			}
+		}
+		if !s[min].before(&last) {
+			break
+		}
+		s[i] = s[min]
+		i = min
+	}
+	s[i] = last
+	return top
 }
 
 // Engine is a discrete-event simulator.
 type Engine struct {
 	now    Time
-	events eventHeap
+	events calendar
 	seq    uint64
 	fired  uint64
 
@@ -93,7 +144,7 @@ func (e *Engine) Schedule(at Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", at, e.now))
 	}
 	e.seq++
-	heap.Push(&e.events, event{at: at, seq: e.seq, fn: fn})
+	e.events.push(event{at: at, seq: e.seq, fn: fn})
 }
 
 // After runs fn d nanoseconds from now. Negative d is treated as zero.
@@ -136,7 +187,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(event)
+	ev := e.events.pop()
 	e.now = ev.at
 	if e.probeFn != nil {
 		e.fireProbe()
@@ -197,7 +248,7 @@ type Resource struct {
 	eng      *Engine
 	name     string
 	busy     bool
-	waiters  []func()
+	waiters  pool.Ring[func()]
 	busyFrom Time
 	busyTot  Time
 	grants   uint64
@@ -220,7 +271,7 @@ func (r *Resource) Acquire(grant func()) {
 		grant()
 		return
 	}
-	r.waiters = append(r.waiters, grant)
+	r.waiters.Push(grant)
 }
 
 func (r *Resource) take() {
@@ -237,9 +288,8 @@ func (r *Resource) Release() {
 	}
 	r.busy = false
 	r.busyTot += r.eng.Now() - r.busyFrom
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
+	if r.waiters.Len() > 0 {
+		next := r.waiters.Pop()
 		r.take()
 		next()
 	}
@@ -263,7 +313,7 @@ func (r *Resource) Hold(d Time, then func()) {
 func (r *Resource) Busy() bool { return r.busy }
 
 // QueueLen returns the number of waiters.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // Grants returns how many times the resource has been granted.
 func (r *Resource) Grants() uint64 { return r.grants }

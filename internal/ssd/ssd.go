@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"cubeftl/internal/nand"
+	"cubeftl/internal/pool"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/telemetry"
 	"cubeftl/internal/vth"
@@ -130,9 +131,6 @@ type DieHandle struct {
 	fenced bool
 }
 
-// ChipHandle is the pre-topology name for DieHandle.
-type ChipHandle = DieHandle
-
 // resFor returns the plane resource serving a block.
 func (ch *DieHandle) resFor(block int) *sim.Resource {
 	return ch.planes[block%len(ch.planes)]
@@ -164,6 +162,13 @@ type Device struct {
 	// cut time to corrupt exactly the in-flight operations.
 	inflight map[int64]MediaOp
 	opSeq    int64
+
+	// Free lists of op records (ops.go). One record carries one
+	// in-flight operation from issue to completion; records are reused
+	// so a steady-state operation allocates nothing.
+	readOps    pool.FreeList[readOp]
+	programOps pool.FreeList[programOp]
+	eraseOps   pool.FreeList[eraseOp]
 }
 
 // New builds a device on the given engine.
@@ -222,17 +227,11 @@ func (d *Device) Config() Config { return d.cfg }
 // Array returns the underlying NAND topology.
 func (d *Device) Array() *nand.Array { return d.array }
 
-// Chips returns the total die count (pre-topology name; see Dies).
-func (d *Device) Chips() int { return len(d.dies) }
-
 // Dies returns the total die count.
 func (d *Device) Dies() int { return len(d.dies) }
 
 // Channels returns the channel count.
 func (d *Device) Channels() int { return len(d.channels) }
-
-// Chip returns a die handle (pre-topology name; see Die).
-func (d *Device) Chip(i int) *DieHandle { return d.dies[i] }
 
 // Die returns a die handle.
 func (d *Device) Die(i int) *DieHandle { return d.dies[i] }
@@ -293,163 +292,6 @@ func (d *Device) SetChipFaults(die int, cfg nand.FaultConfig) {
 // its tracer when tracing is enabled. A nil hub detaches.
 func (d *Device) SetTelemetry(hub *telemetry.Hub) { d.hub = hub }
 
-// Read performs a timed page read: the die is held for the sense (and
-// any retries), then the channel for the data transfer. done receives
-// the NAND result; on an uncorrectable page err is non-nil and the
-// latency in res still reflects the time spent. Reads work on fenced
-// (read-only) dies.
-func (d *Device) Read(die int, a nand.Address, p nand.ReadParams, done func(res nand.ReadResult, err error)) {
-	d.ReadProbed(die, a, p, nil, done)
-}
-
-// ReadProbed is Read with a latency-attribution probe. When pp is
-// non-nil it accumulates where the read's time went: plane wait, the
-// first-attempt sense, retry senses, channel wait, and transfer. A
-// read re-issued after a transient fault charges the whole repeat sense
-// to the retry component. The event sequence is identical with and
-// without a probe.
-func (d *Device) ReadProbed(die int, a nand.Address, p nand.ReadParams, pp *telemetry.PageProbe, done func(res nand.ReadResult, err error)) {
-	dh := d.dies[die]
-	plane := dh.resFor(a.Block)
-	reqAt := d.eng.Now()
-	plane.Acquire(func() {
-		senseAt := d.eng.Now()
-		res, err := dh.NAND.ReadPage(a, p)
-		if pp != nil {
-			pp.Die = die
-			pp.PlaneWaitNs += senseAt - reqAt
-			pp.Retries += res.Retries
-			if pp.NANDNs == 0 {
-				pp.NANDNs = res.LatencyNs - res.RetryNs
-				pp.RetryNs += res.RetryNs
-			} else {
-				// A transient-fault re-issue: the whole repeat sense is
-				// recovery time, not first-attempt service.
-				pp.RetryNs += res.LatencyNs
-			}
-		}
-		d.eng.After(res.LatencyNs, func() {
-			plane.Release()
-			if d.hub.TraceOp() {
-				var args map[string]int64
-				if res.Retries > 0 {
-					args = map[string]int64{"retries": int64(res.Retries)}
-				}
-				d.hub.Event(telemetry.PidNAND, die, "tREAD", senseAt, res.LatencyNs, args)
-			}
-			if err != nil {
-				done(res, err)
-				return
-			}
-			xferReq := d.eng.Now()
-			dh.channel.Acquire(func() {
-				if pp != nil {
-					pp.BusWaitNs += d.eng.Now() - xferReq
-					pp.BusXferNs += vth.TXferPageNs
-				}
-				d.eng.After(vth.TXferPageNs, func() {
-					dh.channel.Release()
-					done(res, nil)
-				})
-			})
-		})
-	})
-}
-
-// Program performs a timed one-shot word-line program: the channel is
-// held for the three page transfers, then the die for the ISPP
-// operation. With SuspendOps the die is held one ISPP loop at a time,
-// so queued reads interleave between loops (program suspend-resume).
-// A fenced die completes the program with ErrDieFenced at grant time —
-// before any NAND state mutates — so grants queued behind the fence
-// transition cannot write a read-only die.
-func (d *Device) Program(die int, a nand.Address, pages [][]byte, p nand.ProgramParams, done func(res nand.ProgramResult, err error)) {
-	d.ProgramOOB(die, a, pages, nil, p, done)
-}
-
-// ProgramOOB is Program with per-page out-of-band metadata stored in
-// the word line's spare area (see nand.Chip.ProgramWLOOB).
-func (d *Device) ProgramOOB(die int, a nand.Address, pages, oob [][]byte, p nand.ProgramParams, done func(res nand.ProgramResult, err error)) {
-	dh := d.dies[die]
-	if dh.fenced {
-		// Fast-fail before burning channel time on the transfers.
-		d.eng.After(0, func() { done(nand.ProgramResult{}, ErrDieFenced) })
-		return
-	}
-	plane := dh.resFor(a.Block)
-	dh.channel.Hold(int64(vth.PagesPerWL)*vth.TXferPageNs, func() {
-		plane.Acquire(func() {
-			if dh.fenced {
-				// The fence went up while this program waited for its
-				// grant: refuse it before touching NAND state.
-				plane.Release()
-				done(nand.ProgramResult{}, ErrDieFenced)
-				return
-			}
-			res, err := dh.NAND.ProgramWLOOB(a, pages, oob, p)
-			if res.LatencyNs > 0 && d.hub.TraceOp() {
-				d.hub.Event(telemetry.PidNAND, die, "tPROG", d.eng.Now(), res.LatencyNs,
-					map[string]int64{"block": int64(a.Block), "loops": int64(res.Loops)})
-			}
-			if err != nil {
-				// A program-status failure is only discovered after the
-				// full ISPP sequence: charge its time before completing.
-				// Validation rejections (bad address, bad block) carry no
-				// latency and complete immediately.
-				d.eng.After(res.LatencyNs, func() {
-					plane.Release()
-					done(res, err)
-				})
-				return
-			}
-			// The NAND mutation is committed but the ISPP latency window
-			// is still open: a power cut before the completion callback
-			// leaves this word line partially programmed.
-			id := d.trackOp(MediaOp{Kind: MediaProgram, Die: die, Addr: a})
-			segments := 1
-			if d.cfg.SuspendOps && res.Loops > 1 {
-				segments = res.Loops
-			}
-			d.holdSegmentedAcquired(plane, res.LatencyNs, segments, func() {
-				d.untrackOp(id)
-				done(res, nil)
-			})
-		})
-	})
-}
-
-// Erase performs a timed block erase. With SuspendOps the ~3.5 ms
-// operation is suspendable at eight points.
-func (d *Device) Erase(die, block int, done func(res nand.EraseResult, err error)) {
-	dh := d.dies[die]
-	plane := dh.resFor(block)
-	plane.Acquire(func() {
-		res, err := dh.NAND.EraseBlock(block)
-		if res.LatencyNs > 0 && d.hub.TraceOp() {
-			d.hub.Event(telemetry.PidNAND, die, "tERASE", d.eng.Now(), res.LatencyNs,
-				map[string]int64{"block": int64(block)})
-		}
-		if err != nil {
-			// Erase failures spend the full erase time before the status
-			// check reports them; validation rejections are instant.
-			d.eng.After(res.LatencyNs, func() {
-				plane.Release()
-				done(res, err)
-			})
-			return
-		}
-		id := d.trackOp(MediaOp{Kind: MediaErase, Die: die, Block: block})
-		segments := 1
-		if d.cfg.SuspendOps {
-			segments = 8
-		}
-		d.holdSegmentedAcquired(plane, res.LatencyNs, segments, func() {
-			d.untrackOp(id)
-			done(res, nil)
-		})
-	})
-}
-
 // MediaOpKind distinguishes in-flight media mutations.
 type MediaOpKind int
 
@@ -490,42 +332,6 @@ func (d *Device) InflightMediaOps() []MediaOp {
 		ops[i] = d.inflight[id]
 	}
 	return ops
-}
-
-// holdSegmentedAcquired occupies an already-acquired die for total
-// nanoseconds in the given number of segments, releasing and
-// re-acquiring between segments so queued operations (reads, in
-// particular) can interleave — the suspend-resume point. The NAND state
-// mutation has already happened at acquisition, preserving FIFO
-// ordering of operations against the die.
-func (d *Device) holdSegmentedAcquired(res *sim.Resource, total int64, segments int, then func()) {
-	if segments <= 1 {
-		d.eng.After(total, func() {
-			res.Release()
-			then()
-		})
-		return
-	}
-	seg := total / int64(segments)
-	rem := total - seg*int64(segments-1) // last segment absorbs rounding
-	i := 0
-	var step func()
-	step = func() {
-		i++
-		dur := seg
-		if i == segments {
-			dur = rem
-		}
-		d.eng.After(dur, func() {
-			res.Release()
-			if i >= segments {
-				then()
-				return
-			}
-			res.Acquire(func() { step() })
-		})
-	}
-	step()
 }
 
 // BusUtilization reports the mean utilization across channels.

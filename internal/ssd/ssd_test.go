@@ -54,8 +54,8 @@ func TestGeometryCounts(t *testing.T) {
 func TestChipsHaveDistinctProcess(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, smallConfig())
-	a := d.Chip(0).NAND.Model().BER(0, 10, 0, process.AgingFresh)
-	b := d.Chip(1).NAND.Model().BER(0, 10, 0, process.AgingFresh)
+	a := d.Die(0).NAND.Model().BER(0, 10, 0, process.AgingFresh)
+	b := d.Die(1).NAND.Model().BER(0, 10, 0, process.AgingFresh)
 	if a == b {
 		t.Error("chips share identical process randomness")
 	}
@@ -66,12 +66,12 @@ func TestProgramThenReadTiming(t *testing.T) {
 	d := New(eng, smallConfig())
 	a := nand.Address{Block: 0, Layer: 5}
 	var progDone, readDone sim.Time
-	d.Program(0, a, nil, nand.ProgramParams{}, func(res nand.ProgramResult, err error) {
+	d.Program(0, a, nil, nil, nand.ProgramParams{}, func(res nand.ProgramResult, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		progDone = eng.Now()
-		d.Read(0, a, nand.ReadParams{}, func(res nand.ReadResult, err error) {
+		d.Read(0, a, nand.ReadParams{}, nil, func(res nand.ReadResult, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestBusSharedChipsParallelOps(t *testing.T) {
 	d := New(eng, cfg)
 	var done []sim.Time
 	for chip := 0; chip < 2; chip++ {
-		d.Program(chip, nand.Address{Block: 0, Layer: 5}, nil, nand.ProgramParams{},
+		d.Program(chip, nand.Address{Block: 0, Layer: 5}, nil, nil, nand.ProgramParams{},
 			func(res nand.ProgramResult, err error) {
 				if err != nil {
 					t.Fatal(err)
@@ -126,7 +126,7 @@ func TestSameChipOpsSerialize(t *testing.T) {
 	var done []sim.Time
 	for wl := 0; wl < 2; wl++ {
 		a := nand.Address{Block: 0, Layer: 3, WL: wl}
-		d.Program(0, a, nil, nand.ProgramParams{}, func(res nand.ProgramResult, err error) {
+		d.Program(0, a, nil, nil, nand.ProgramParams{}, func(res nand.ProgramResult, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,8 +159,8 @@ func TestPreAge(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, smallConfig())
 	d.PreAge(2000, 12)
-	for chip := 0; chip < d.Chips(); chip++ {
-		ag := d.Chip(chip).NAND.Aging(5)
+	for chip := 0; chip < d.Dies(); chip++ {
+		ag := d.Die(chip).NAND.Aging(5)
 		if ag.PE != 2000 || ag.RetentionMonths != 12 {
 			t.Fatalf("chip %d aging = %+v", chip, ag)
 		}
@@ -170,7 +170,7 @@ func TestPreAge(t *testing.T) {
 func TestUtilizationReporting(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, smallConfig())
-	d.Program(0, nand.Address{Block: 0, Layer: 1}, nil, nand.ProgramParams{}, func(nand.ProgramResult, error) {})
+	d.Program(0, nand.Address{Block: 0, Layer: 1}, nil, nil, nand.ProgramParams{}, func(nand.ProgramResult, error) {})
 	eng.Run()
 	if d.ChipUtilization() <= 0 {
 		t.Error("chip utilization not accounted")
@@ -189,7 +189,7 @@ func TestSuspendOpsLetsReadsInterleave(t *testing.T) {
 		// Program a WL first so there is something to read.
 		a := nand.Address{Block: 0, Layer: 5}
 		progDone := false
-		d.Program(0, a, nil, nand.ProgramParams{}, func(res nand.ProgramResult, err error) {
+		d.Program(0, a, nil, nil, nand.ProgramParams{}, func(res nand.ProgramResult, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,11 +200,11 @@ func TestSuspendOpsLetsReadsInterleave(t *testing.T) {
 			t.Fatal("setup program never finished")
 		}
 		// Start a second long program, then a read right behind it.
-		d.Program(0, nand.Address{Block: 0, Layer: 6}, nil, nand.ProgramParams{}, func(nand.ProgramResult, error) {})
+		d.Program(0, nand.Address{Block: 0, Layer: 6}, nil, nil, nand.ProgramParams{}, func(nand.ProgramResult, error) {})
 		var readLat sim.Time
 		start := eng.Now()
 		eng.After(70_000, func() { // read arrives mid-program
-			d.Read(0, a, nand.ReadParams{}, func(res nand.ReadResult, err error) {
+			d.Read(0, a, nand.ReadParams{}, nil, func(res nand.ReadResult, err error) {
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -238,7 +238,7 @@ func TestSuspendOpsConservesProgramTime(t *testing.T) {
 		cfg := smallConfig()
 		cfg.SuspendOps = suspend
 		d := New(eng, cfg)
-		d.Program(0, nand.Address{Block: 1, Layer: 9}, nil, nand.ProgramParams{},
+		d.Program(0, nand.Address{Block: 1, Layer: 9}, nil, nil, nand.ProgramParams{},
 			func(res nand.ProgramResult, err error) {
 				if err != nil {
 					t.Fatal(err)
@@ -264,7 +264,7 @@ func TestMultiPlaneParallelism(t *testing.T) {
 		// Two programs to adjacent blocks: different planes when
 		// planes >= 2, same plane otherwise.
 		for b := 0; b < 2; b++ {
-			d.Program(0, nand.Address{Block: b, Layer: 5}, nil, nand.ProgramParams{},
+			d.Program(0, nand.Address{Block: b, Layer: 5}, nil, nil, nand.ProgramParams{},
 				func(res nand.ProgramResult, err error) {
 					if err != nil {
 						t.Fatal(err)
@@ -301,7 +301,7 @@ func TestMultiPlaneSamePlaneStillSerializes(t *testing.T) {
 	var done []sim.Time
 	// Blocks 0 and 2 share plane 0.
 	for _, b := range []int{0, 2} {
-		d.Program(0, nand.Address{Block: b, Layer: 3}, nil, nand.ProgramParams{},
+		d.Program(0, nand.Address{Block: b, Layer: 3}, nil, nil, nand.ProgramParams{},
 			func(res nand.ProgramResult, err error) {
 				if err != nil {
 					t.Fatal(err)

@@ -125,9 +125,30 @@ type tenantDriver struct {
 	eng       *sim.Engine
 	issued    int
 	completed int
-	pending   *Request // generated but not yet admitted (queue full / gate)
+	// held is a request generated but not yet admitted (queue full): the
+	// generator's state has advanced, so it must not be regenerated.
+	held      Request
+	holding   bool
 	gateUntil sim.Time // stream-wide pause (burst boundaries)
 	gateArmed bool
+
+	// Bound once: the completion callback every command carries, and the
+	// gate-reopen event.
+	onDone func(host.Completion)
+	onGate func()
+}
+
+func newTenantDriver(h *host.Host, qid int, gen Generator, requests int, eng *sim.Engine) *tenantDriver {
+	d := &tenantDriver{h: h, qid: qid, gen: gen, requests: requests, eng: eng}
+	d.onDone = func(host.Completion) {
+		d.completed++
+		d.pump()
+	}
+	d.onGate = func() {
+		d.gateArmed = false
+		d.pump()
+	}
+	return d
 }
 
 func (d *tenantDriver) done() bool { return d.completed >= d.requests }
@@ -138,42 +159,26 @@ func (d *tenantDriver) pump() {
 		// gate opens.
 		if !d.gateArmed {
 			d.gateArmed = true
-			d.eng.Schedule(d.gateUntil, func() {
-				d.gateArmed = false
-				d.pump()
-			})
+			d.eng.Schedule(d.gateUntil, d.onGate)
 		}
 		return
 	}
 	for d.issued < d.requests {
-		var r Request
-		if d.pending != nil {
-			r = *d.pending
-		} else {
+		r := d.held
+		if !d.holding {
 			r = d.gen.Next()
 		}
 		op := host.Read
 		if r.Op == Write {
 			op = host.Write
 		}
-		err := d.h.Submit(d.qid, host.Command{
-			Op:    op,
-			LPN:   r.LPN,
-			Pages: r.Pages,
-			Done: func(host.Completion) {
-				d.completed++
-				d.pump()
-			},
-		})
+		err := d.h.Submit(d.qid, host.Command{Op: op, LPN: r.LPN, Pages: r.Pages, Done: d.onDone})
 		if err != nil {
 			// Queue full: hold the request and retry on a completion.
-			// (Generator state advanced, so the request must not be
-			// regenerated.)
-			pr := r
-			d.pending = &pr
+			d.held, d.holding = r, true
 			return
 		}
-		d.pending = nil
+		d.holding = false
 		d.issued++
 		if r.ThinkNs > 0 {
 			// A burst ended: gate the whole stream.
@@ -217,7 +222,7 @@ func RunTenants(ctrl *ftl.Controller, specs []TenantSpec, cfg MultiRunConfig) (M
 		if n <= 0 {
 			n = DefaultRunConfig().Requests
 		}
-		drivers[i] = &tenantDriver{h: h, qid: i, gen: s.Gen, requests: n, eng: eng}
+		drivers[i] = newTenantDriver(h, i, s.Gen, n, eng)
 	}
 	for _, d := range drivers {
 		d.pump()
@@ -304,14 +309,15 @@ func Prefill(ctrl *ftl.Controller, n int64) int64 {
 	outstanding := 0
 	stopped := false
 	var pump func()
+	acked := func() {
+		completed++
+		outstanding--
+		pump()
+	}
 	pump = func() {
 		for !stopped && outstanding < qd && issued < n {
 			lpn := ftl.LPN(issued)
-			err := ctrl.Write(lpn, func() {
-				completed++
-				outstanding--
-				pump()
-			})
+			err := ctrl.Write(lpn, nil, acked)
 			if err != nil {
 				// A degraded (or mis-sized) device cannot be prefilled
 				// further: stop issuing instead of spinning through the
