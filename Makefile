@@ -35,12 +35,15 @@ race-core:
 bench:
 	$(GO) run ./bench
 
-# One workload at a fifth of the usual length: keeps the harness
-# building and its correctness checks (digest equality across
-# repetitions, zero failed operations) running in tier 1. The numbers of
-# a run this short mean nothing.
+# Two workloads at a fifth of the usual length: keeps the harness
+# building and its correctness checks running in tier 1 — digest
+# equality across repetitions and zero failed operations on the
+# simulated one; on the served one the audit that every acked write
+# Stats as mapped, then Restart() with verification. The numbers of a
+# run this short mean nothing.
 bench-smoke:
 	$(GO) run ./bench -workload mixed-fresh -seconds 1
+	$(GO) run ./bench -workload served-loopback -seconds 1
 
 # Multi-die scaling gate: fails if a 2x4 backend delivers less than
 # 1.5x the single-die Mixed IOPS (or if same-seed replay diverges).

@@ -13,6 +13,7 @@ import (
 
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
+	"cubeftl/internal/pool"
 	"cubeftl/internal/ssd"
 )
 
@@ -65,8 +66,45 @@ type TenantSnapshot struct {
 // come from the goroutine that owns the simulation. A FrontEnd does not
 // survive Remount — attach a fresh one after recovery.
 type FrontEnd struct {
-	s *SSD
-	h *host.Host
+	s    *SSD
+	h    *host.Host
+	cmds pool.FreeList[feCmd]
+}
+
+// feCmd carries one command's completion callback across the host
+// layer: a pooled record whose host-side callback is bound once, in
+// place of a closure per command.
+type feCmd struct {
+	f    *FrontEnd
+	live bool
+	done func(IOCompletion)
+
+	onDone func(host.Completion)
+}
+
+func (f *FrontEnd) getCmd(done func(IOCompletion)) *feCmd {
+	a := f.cmds.Get()
+	if a == nil {
+		a = &feCmd{f: f}
+		a.onDone = a.complete
+	}
+	a.live, a.done = true, done
+	return a
+}
+
+func (a *feCmd) release() func(IOCompletion) {
+	done := a.done
+	a.live, a.done = false, nil
+	a.f.cmds.Put(a)
+	return done
+}
+
+func (a *feCmd) complete(c host.Completion) {
+	pool.CheckLive(a.live, "front-end command")
+	a.release()(IOCompletion{
+		Latency:       time.Duration(c.LatencyNs),
+		RejectedPages: c.RejectedPages,
+	})
 }
 
 // AttachFrontEnd builds a persistent multi-queue front end over the
@@ -121,16 +159,15 @@ func (f *FrontEnd) Submit(queue int, write bool, lpn int64, pages int, done func
 	if write {
 		op = host.Write
 	}
-	var cb func(host.Completion)
-	if done != nil {
-		cb = func(c host.Completion) {
-			done(IOCompletion{
-				Latency:       time.Duration(c.LatencyNs),
-				RejectedPages: c.RejectedPages,
-			})
-		}
+	if done == nil {
+		return f.h.Submit(queue, host.Command{Op: op, LPN: lpn, Pages: pages})
 	}
-	return f.h.Submit(queue, host.Command{Op: op, LPN: lpn, Pages: pages, Done: cb})
+	a := f.getCmd(done)
+	err := f.h.Submit(queue, host.Command{Op: op, LPN: lpn, Pages: pages, Done: a.onDone})
+	if err != nil {
+		a.release()
+	}
+	return err
 }
 
 // Outstanding returns commands submitted but not yet completed.

@@ -148,6 +148,8 @@ type CubeFTL struct {
 	// nil keeps the device-wide ageBucket.
 	ageFn func(chip, block int) int
 
+	stateKeys []int64 // AppendState's sorted-key scratch
+
 	stats CubeStats
 }
 

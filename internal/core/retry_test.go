@@ -135,7 +135,7 @@ func TestRetryStateRoundTrip(t *testing.T) {
 	f.SetAgeBucket(4)
 	f.ObserveRead(0, 5, 2, nand.ReadResult{OffsetUsed: 3}, nil)
 	f.ObserveRead(1, 8, 6, nand.ReadResult{OffsetUsed: 5}, nil)
-	blob := f.SaveState()
+	blob := f.AppendState(nil)
 
 	g := retryPolicy(t, 5)
 	g.SetAgeBucket(4)
@@ -150,7 +150,7 @@ func TestRetryStateRoundTrip(t *testing.T) {
 	}
 	// readSeq must survive too, or restored entries would decay against
 	// a reset clock; byte-identical re-serialization proves it.
-	if !bytes.Equal(blob, g.SaveState()) {
+	if !bytes.Equal(blob, g.AppendState(nil)) {
 		t.Error("restored state re-serializes differently (readSeq or entries lost)")
 	}
 

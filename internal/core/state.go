@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cubeftl/internal/process"
 	"cubeftl/internal/vth"
@@ -14,7 +14,7 @@ import (
 // and the cached optimal read offsets are exactly the online-learned
 // state the paper argues cannot be rebuilt offline: losing them across
 // a power cycle forces every open block back to full-verify programs
-// and read-retry searches until the tables are relearned. SaveState /
+// and read-retry searches until the tables are relearned. AppendState /
 // RestoreState implement ftl.PolicyStateSaver so the recovery
 // subsystem's checkpoints carry them across simulated power loss.
 //
@@ -27,18 +27,16 @@ import (
 // the magic bumps instead of branching on both layouts.
 var policyStateMagic = [4]byte{'C', 'P', 'S', '2'}
 
-// SaveState implements ftl.PolicyStateSaver.
-func (f *CubeFTL) SaveState() []byte {
-	var b []byte
-	b = append(b, policyStateMagic[:]...)
+// AppendState implements ftl.PolicyStateSaver: the encoding is appended
+// to dst, so a checkpoint streams it into the image it is writing. The
+// sorted key list lives in a scratch slice the policy keeps, and is
+// sorted without reflection; a steady-state call allocates nothing.
+func (f *CubeFTL) AppendState(dst []byte) []byte {
+	b := append(dst, policyStateMagic[:]...)
 
-	opmKeys := make([]int64, 0, len(f.opm))
-	for k := range f.opm {
-		opmKeys = append(opmKeys, k)
-	}
-	sort.Slice(opmKeys, func(i, j int) bool { return opmKeys[i] < opmKeys[j] })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(opmKeys)))
-	for _, k := range opmKeys {
+	keys := sortedKeys(f.stateKeys, f.opm)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
+	for _, k := range keys {
 		obs := f.opm[k]
 		b = binary.LittleEndian.AppendUint64(b, uint64(k))
 		if obs.valid {
@@ -59,31 +57,35 @@ func (f *CubeFTL) SaveState() []byte {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(obs.lastBER))
 	}
 
-	ortKeys := make([]int64, 0, len(f.ort))
-	for k := range f.ort {
-		ortKeys = append(ortKeys, k)
-	}
-	sort.Slice(ortKeys, func(i, j int) bool { return ortKeys[i] < ortKeys[j] })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ortKeys)))
-	for _, k := range ortKeys {
+	keys = sortedKeys(keys, f.ort)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
+	for _, k := range keys {
 		b = binary.LittleEndian.AppendUint64(b, uint64(k))
 		b = append(b, byte(f.ort[k]))
 	}
 
-	retryKeys := make([]int64, 0, len(f.retry))
-	for k := range f.retry {
-		retryKeys = append(retryKeys, k)
-	}
-	sort.Slice(retryKeys, func(i, j int) bool { return retryKeys[i] < retryKeys[j] })
+	keys = sortedKeys(keys, f.retry)
 	b = binary.LittleEndian.AppendUint64(b, f.readSeq)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(retryKeys)))
-	for _, k := range retryKeys {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
+	for _, k := range keys {
 		e := f.retry[k]
 		b = binary.LittleEndian.AppendUint64(b, uint64(k))
 		b = append(b, byte(e.offset))
 		b = binary.LittleEndian.AppendUint64(b, e.seq)
 	}
+	f.stateKeys = keys
 	return b
+}
+
+// sortedKeys returns m's keys in ascending order, built in scratch's
+// backing array.
+func sortedKeys[V any](scratch []int64, m map[int64]V) []int64 {
+	keys := scratch[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // RestoreState implements ftl.PolicyStateSaver. It replaces the OPM and

@@ -263,10 +263,11 @@ type Controller struct {
 	blockSeq   uint64
 	stamps     []uint64
 
-	// DurableAcks bookkeeping: acks held until the journal record of
-	// the write's mapping is durable.
-	pendingAcks     map[LPN][]stampAck
-	pendingAckCount int
+	// DurableAcks bookkeeping: host writes whose acks are held until the
+	// journal record of their mapping is durable, chained through
+	// hostWrite.next in admission order — ascending stamp.
+	heldAcks, heldAcksTail *hostWrite
+	pendingAckCount        int
 
 	// gcWindows records every completed [start, end) interval during
 	// which a chip ran GC/evacuation — the power-cut sweep uses it to
@@ -297,14 +298,9 @@ const (
 	causeWL
 )
 
-type stampAck struct {
-	stamp uint64
-	ack   func()
-}
-
 type pendingWrite struct {
-	lpn  LPN
-	done func()
+	lpn LPN
+	w   *hostWrite
 
 	// Telemetry: admission-wait attribution for the write's span.
 	pp         *telemetry.PageProbe
@@ -334,7 +330,6 @@ func NewController(dev *ssd.Device, pol Policy, cfg ControllerConfig) *Controlle
 	c.stats.ReadLat = metrics.NewHist(0)
 	c.stats.WriteLat = metrics.NewHist(0)
 	c.stamps = make([]uint64, logical)
-	c.pendingAcks = make(map[LPN][]stampAck)
 	if cfg.VerifyData {
 		c.verify = newVerifyState(logical)
 	}
@@ -861,14 +856,14 @@ func (c *Controller) Write(lpn LPN, pp *telemetry.PageProbe, done func()) error 
 		if c.cfg.DurableAcks && c.rec != nil {
 			// Hold the ack until the journal record of this write's
 			// mapping is durable (released by the recovery manager).
-			c.deferAck(lpn, stamp, w.onAck)
+			c.deferAck(w, lpn, stamp)
 		} else {
 			c.eng.After(c.cfg.BufferReadNs, w.onAck) // DMA into buffer
 		}
 		c.maybeFlush()
 		return nil
 	}
-	c.pendingWrites.Push(pendingWrite{lpn: lpn, done: w.onAck, pp: pp, enqueuedNs: w.start})
+	c.pendingWrites.Push(pendingWrite{lpn: lpn, w: w, pp: pp, enqueuedNs: w.start})
 	c.maybeFlush()
 	return nil
 }
@@ -888,9 +883,9 @@ func (c *Controller) admitPending() {
 			pw.pp.AdmitWaitNs += c.eng.Now() - pw.enqueuedNs
 		}
 		if c.cfg.DurableAcks && c.rec != nil {
-			c.deferAck(pw.lpn, stamp, pw.done)
+			c.deferAck(pw.w, pw.lpn, stamp)
 		} else {
-			pw.done()
+			pw.w.ack()
 		}
 	}
 }
@@ -1198,22 +1193,15 @@ func (c *Controller) checkDeviceDegraded() {
 		if pw.pp != nil {
 			pw.pp.AdmitWaitNs += c.eng.Now() - pw.enqueuedNs
 		}
-		pw.done()
+		pw.w.ack()
 	}
 	// Held durable acks can never be released by journal flushes now
 	// (their data will never program): complete them so the host's
 	// closed loop terminates. They are NOT recorded as durable.
-	var run []func()
-	for _, list := range c.pendingAcks {
-		for _, sa := range list {
-			run = append(run, sa.ack)
-		}
-	}
-	c.pendingAcks = make(map[LPN][]stampAck)
+	held := c.heldAcks
+	c.heldAcks, c.heldAcksTail = nil, nil
 	c.pendingAckCount = 0
-	for _, f := range run {
-		f()
-	}
+	runAcks(held)
 }
 
 // checkDegraded sweeps every die (used when no single die can be
@@ -1429,9 +1417,17 @@ func (c *Controller) StampOf(lpn LPN) uint64 { return c.stamps[lpn] }
 // journal durability (DurableAcks mode).
 func (c *Controller) PendingAckCount() int { return c.pendingAckCount }
 
-// deferAck holds a host write ack until ReleaseDurableAcks covers it.
-func (c *Controller) deferAck(lpn LPN, stamp uint64, ack func()) {
-	c.pendingAcks[lpn] = append(c.pendingAcks[lpn], stampAck{stamp: stamp, ack: ack})
+// deferAck holds w's ack until ReleaseDurableAcks covers (lpn, stamp).
+// Stamps are issued in admission order, so appending keeps the chain
+// sorted by stamp.
+func (c *Controller) deferAck(w *hostWrite, lpn LPN, stamp uint64) {
+	w.lpn, w.stamp = lpn, stamp
+	if c.heldAcksTail == nil {
+		c.heldAcks = w
+	} else {
+		c.heldAcksTail.next = w
+	}
+	c.heldAcksTail = w
 	c.pendingAckCount++
 }
 
@@ -1439,30 +1435,41 @@ func (c *Controller) deferAck(lpn LPN, stamp uint64, ack func()) {
 // <= stamp — called by the recovery manager when the journal record
 // mapping that stamp becomes durable. Older coalesced acks are covered
 // by the newer durable data (host write order is preserved per LPN).
+// The chain is sorted by stamp and mappings become durable in roughly
+// the order their writes were admitted, so the walk ends within the
+// few writes still held from before this one.
 func (c *Controller) ReleaseDurableAcks(lpn LPN, stamp uint64) {
-	list := c.pendingAcks[lpn]
-	if len(list) == 0 {
-		return
-	}
-	var run []func()
-	kept := list[:0]
-	for _, sa := range list {
-		if sa.stamp <= stamp {
-			run = append(run, sa.ack)
-		} else {
-			kept = append(kept, sa)
+	var released, prev *hostWrite
+	tail := &released
+	for link := &c.heldAcks; *link != nil && (*link).stamp <= stamp; {
+		w := *link
+		if w.lpn != lpn {
+			prev, link = w, &w.next
+			continue
 		}
+		// Unlink w from the held chain, append it to the released one.
+		*link = w.next
+		if c.heldAcksTail == w {
+			c.heldAcksTail = prev
+		}
+		w.next = nil
+		*tail, tail = w, &w.next
+		c.pendingAckCount--
 	}
-	if len(kept) == 0 {
-		delete(c.pendingAcks, lpn)
-	} else {
-		c.pendingAcks[lpn] = kept
-	}
-	c.pendingAckCount -= len(run)
 	// Acks may reenter the controller (the host issues its next
-	// command synchronously): run them only after the map is settled.
-	for _, f := range run {
-		f()
+	// command synchronously): run them only after the chain is settled.
+	runAcks(released)
+}
+
+// runAcks acknowledges a detached chain of host writes, oldest first.
+// An ack releases its record, which a reentrant Write may take and chain
+// again, so the link is read before the ack runs.
+func runAcks(w *hostWrite) {
+	for w != nil {
+		next := w.next
+		w.next = nil
+		w.ack()
+		w = next
 	}
 }
 

@@ -46,6 +46,15 @@ func NewMapper(geo ssd.Geometry, logicalPages int) *Mapper {
 // LogicalPages returns the exported capacity in pages.
 func (m *Mapper) LogicalPages() int { return len(m.forward) }
 
+// Mapped returns how many logical pages currently hold a mapping.
+func (m *Mapper) Mapped() int {
+	n := 0
+	for _, v := range m.valid {
+		n += v
+	}
+	return n
+}
+
 // Lookup returns the physical page holding lpn, or UnmappedPPN.
 func (m *Mapper) Lookup(lpn LPN) ssd.PPN {
 	if lpn < 0 || int(lpn) >= len(m.forward) {

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cubeftl/internal/metrics"
@@ -87,6 +88,41 @@ func (c *Controller) StateSnapshot() MountState {
 	return ms
 }
 
+// The accessors below expose the same durable state piece by piece, so
+// the checkpoint writer can encode it straight into a slot's buffer
+// without materialising a MountState (the mapping itself is walked
+// through Mapper().Lookup and StampOf).
+
+// StampCounters returns the last write stamp and the last block
+// sequence number issued.
+func (c *Controller) StampCounters() (lastStamp, lastBlockSeq uint64) {
+	return c.writeStamp, c.blockSeq
+}
+
+// FreeBlocks returns a chip's erased-block pool in pool order. The
+// slice is the controller's own: read it before the engine runs again
+// and do not modify it.
+func (c *Controller) FreeBlocks(chip int) []int { return c.freeBlocks[chip] }
+
+// AppendActives appends a chip's open write points to dst.
+func (c *Controller) AppendActives(dst []ActiveRecord, chip int) []ActiveRecord {
+	for _, cur := range c.actives[chip] {
+		dst = append(dst, ActiveRecord{Block: cur.Block, Seq: cur.Seq})
+	}
+	return dst
+}
+
+// AppendRetired appends a chip's retired blocks (factory and grown) to
+// dst in ascending order.
+func (c *Controller) AppendRetired(dst []int, chip int) []int {
+	start := len(dst)
+	for b := range c.retired[chip] {
+		dst = append(dst, b)
+	}
+	slices.Sort(dst[start:])
+	return dst
+}
+
 // NewControllerWithState rebuilds a controller over a device whose
 // media survived a power cut — the mount path. The mapping, pools,
 // retired set, degraded dies, and stamp counters come from ms (the
@@ -117,7 +153,6 @@ func NewControllerWithState(dev *ssd.Device, pol Policy, cfg ControllerConfig, m
 	c.stats.ReadLat = metrics.NewHist(0)
 	c.stats.WriteLat = metrics.NewHist(0)
 	c.stamps = make([]uint64, logical)
-	c.pendingAcks = make(map[LPN][]stampAck)
 	if cfg.VerifyData {
 		c.verify = newVerifyState(logical)
 	}

@@ -112,6 +112,12 @@ type hostWrite struct {
 	start sim.Time
 	done  func()
 
+	// A held durable ack (see deferAck): the page and stamp the ack
+	// waits on, and the next held write.
+	lpn   LPN
+	stamp uint64
+	next  *hostWrite
+
 	onAck func()
 }
 

@@ -51,9 +51,9 @@ type RecoveryHook interface {
 // cannot be rebuilt offline. Policies without it restart cold after a
 // power cycle and relearn online.
 type PolicyStateSaver interface {
-	// SaveState serializes the learned state deterministically (same
-	// state, same bytes).
-	SaveState() []byte
-	// RestoreState rebuilds the learned state from SaveState output.
+	// AppendState appends the learned state's serialization to dst and
+	// returns the extended slice. Deterministic: same state, same bytes.
+	AppendState(dst []byte) []byte
+	// RestoreState rebuilds the learned state from AppendState output.
 	RestoreState(data []byte) error
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/sim"
@@ -29,12 +30,20 @@ type SystemArea struct {
 // ckptSlot is one checkpoint location. A slot is invalidated before
 // its rewrite begins and revalidated only when the write completes, so
 // a cut mid-write tears at most one slot.
+//
+// The slot owns data's backing array for the life of the system area:
+// a checkpoint is encoded straight into the buffer of the slot it
+// overwrites, so the steady state allocates nothing. The bytes may be
+// rewritten only while valid is false — nothing reads an invalid slot
+// (mount, StateBytes and CheckpointBytes all go through newestSlot) —
+// and nothing outside this package ever holds the slice itself:
+// StateBytes copies, and the mount side decodes into fresh structures.
 type ckptSlot struct {
 	valid  bool
 	stamp  uint64   // monotonic checkpoint generation
 	cutoff uint64   // absolute journal offset the snapshot covers
 	at     sim.Time // capture time (reporting only)
-	data   []byte   // encoded MountState + policy state
+	data   []byte   // checkpoint image (see appendCheckpoint)
 }
 
 // NewSystemArea returns an empty system area (factory-fresh device).
@@ -80,7 +89,7 @@ func (s *SystemArea) truncate(off uint64) {
 	if off > s.durableEnd() {
 		off = s.durableEnd()
 	}
-	s.journal = append([]byte(nil), s.journal[off-s.base:]...)
+	s.journal = s.journal[:copy(s.journal, s.journal[off-s.base:])]
 	s.base = off
 }
 
@@ -106,47 +115,112 @@ func (s *SystemArea) StateBytes() []byte {
 	return nil
 }
 
-// Checkpoint image encoding: magic | MountState | policy-state bytes |
-// CRC-32 over everything before it. Deterministic for identical state.
+// Checkpoint image encoding: magic | durable controller state (the
+// fields of ftl.MountState) | policy-state bytes | CRC-32 over
+// everything before it. Deterministic for identical state.
 var ckptMagic = [4]byte{'C', 'C', 'K', 'P'}
 
-func encodeCheckpoint(ms ftl.MountState, policy []byte) []byte {
-	var b []byte
-	b = append(b, ckptMagic[:]...)
-	b = binary.LittleEndian.AppendUint64(b, ms.LastStamp)
-	b = binary.LittleEndian.AppendUint64(b, ms.LastBlockSeq)
-	nChips := len(ms.Free)
-	b = binary.LittleEndian.AppendUint32(b, uint32(nChips))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ms.Mappings)))
-	for _, m := range ms.Mappings {
-		b = binary.LittleEndian.AppendUint64(b, uint64(m.LPN))
-		b = binary.LittleEndian.AppendUint64(b, uint64(int64(m.PPN)))
-		b = binary.LittleEndian.AppendUint64(b, m.Stamp)
-	}
-	for chip := 0; chip < nChips; chip++ {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(ms.Free[chip])))
-		for _, blk := range ms.Free[chip] {
-			b = binary.LittleEndian.AppendUint32(b, uint32(blk))
-		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(ms.Actives[chip])))
-		for _, ar := range ms.Actives[chip] {
-			b = binary.LittleEndian.AppendUint32(b, uint32(ar.Block))
-			b = binary.LittleEndian.AppendUint64(b, ar.Seq)
-		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(ms.Retired[chip])))
-		for _, blk := range ms.Retired[chip] {
-			b = binary.LittleEndian.AppendUint32(b, uint32(blk))
-		}
-		if ms.DegradedDies[chip] {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(policy)))
-	b = append(b, policy...)
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+// mappingBytes is one encoded L2P entry: lpn u64, ppn u64, stamp u64.
+const mappingBytes = 24
+
+// ckptEncoder streams a controller's durable state into a checkpoint
+// image. It never materialises an ftl.MountState: it walks the mapper,
+// the stamps and the block pools and appends as it goes. The scratch
+// slices are the only state, kept so a steady-state checkpoint allocates
+// nothing.
+type ckptEncoder struct {
+	actives []ftl.ActiveRecord
+	retired []int
 }
+
+// appendCheckpoint appends ctrl's checkpoint image to dst. The bytes are
+// exactly those the reference encoder (tests) produces from
+// ctrl.StateSnapshot() and the policy's state: the image length sets the
+// modeled checkpoint latency, so it may not drift.
+func (e *ckptEncoder) appendCheckpoint(dst []byte, ctrl *ftl.Controller) []byte {
+	le := binary.LittleEndian
+	start := len(dst)
+	dst = append(dst, ckptMagic[:]...)
+	lastStamp, lastBlockSeq := ctrl.StampCounters()
+	dst = le.AppendUint64(dst, lastStamp)
+	dst = le.AppendUint64(dst, lastBlockSeq)
+	nChips := ctrl.Device().Geometry().Chips
+	dst = le.AppendUint32(dst, uint32(nChips))
+
+	// The mapper counts its live pages per block, so the mapping section
+	// is sized before the walk and written by index. The image's CRC is
+	// folded in behind the writes, a chunk at a time while the chunk is
+	// still in cache: a second pass over the finished image would read
+	// all of it back from memory.
+	mapper := ctrl.Mapper()
+	nMap := mapper.Mapped()
+	dst = le.AppendUint32(dst, uint32(nMap))
+	dst = slices.Grow(dst, nMap*mappingBytes)
+	recs := dst[len(dst) : len(dst)+nMap*mappingBytes]
+	dst = dst[:len(dst)+len(recs)]
+	off, summed := 0, 0
+	crc := crc32.Update(0, crc32.IEEETable, dst[start:len(dst)-len(recs)])
+	for lpn, n := ftl.LPN(0), ftl.LPN(mapper.LogicalPages()); lpn < n; lpn++ {
+		ppn := mapper.Lookup(lpn)
+		if ppn == ssd.UnmappedPPN {
+			continue
+		}
+		if off == len(recs) {
+			panic("recovery: forward map holds more pages than the mapper counts")
+		}
+		rec := recs[off : off+mappingBytes]
+		le.PutUint64(rec[0:], uint64(lpn))
+		le.PutUint64(rec[8:], uint64(int64(ppn)))
+		le.PutUint64(rec[16:], ctrl.StampOf(lpn))
+		off += mappingBytes
+		if off-summed >= crcChunk {
+			crc = crc32.Update(crc, crc32.IEEETable, recs[summed:off])
+			summed = off
+		}
+	}
+	if off != len(recs) {
+		panic("recovery: forward map holds fewer pages than the mapper counts")
+	}
+	crc = crc32.Update(crc, crc32.IEEETable, recs[summed:])
+	poolsAt := len(dst) // everything from here on is summed at the end
+
+	for chip := 0; chip < nChips; chip++ {
+		free := ctrl.FreeBlocks(chip)
+		dst = le.AppendUint32(dst, uint32(len(free)))
+		for _, blk := range free {
+			dst = le.AppendUint32(dst, uint32(blk))
+		}
+		e.actives = ctrl.AppendActives(e.actives[:0], chip)
+		dst = le.AppendUint32(dst, uint32(len(e.actives)))
+		for _, ar := range e.actives {
+			dst = le.AppendUint32(dst, uint32(ar.Block))
+			dst = le.AppendUint64(dst, ar.Seq)
+		}
+		e.retired = ctrl.AppendRetired(e.retired[:0], chip)
+		dst = le.AppendUint32(dst, uint32(len(e.retired)))
+		for _, blk := range e.retired {
+			dst = le.AppendUint32(dst, uint32(blk))
+		}
+		if ctrl.DieDegraded(chip) {
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
+		}
+	}
+
+	// The policy appends its own state; its length is patched in after.
+	lenAt := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	if ps, ok := ctrl.Policy().(ftl.PolicyStateSaver); ok {
+		dst = ps.AppendState(dst)
+	}
+	le.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
+	return le.AppendUint32(dst, crc32.Update(crc, crc32.IEEETable, dst[poolsAt:]))
+}
+
+// crcChunk is how many bytes of mapping records appendCheckpoint writes
+// between CRC updates.
+const crcChunk = 32 << 10
 
 func decodeCheckpoint(b []byte) (ms ftl.MountState, policy []byte, err error) {
 	if len(b) < 4+4 {
@@ -166,6 +240,9 @@ func decodeCheckpoint(b []byte) (ms ftl.MountState, policy []byte, err error) {
 	ms.LastBlockSeq = r.u64()
 	nChips := int(r.u32())
 	nMap := int(r.u32())
+	if nMap <= len(r.b)/mappingBytes { // else truncated: the loop below reports it
+		ms.Mappings = make([]ftl.MappingRecord, 0, nMap)
+	}
 	for i := 0; i < nMap && r.err == nil; i++ {
 		ms.Mappings = append(ms.Mappings, ftl.MappingRecord{
 			LPN:   ftl.LPN(r.u64()),

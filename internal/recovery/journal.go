@@ -47,46 +47,59 @@ type Record struct {
 // either a short frame or a CRC mismatch, and replay stops there.
 const frameOverhead = 2 + 1 + 4
 
-func appendFrame(dst []byte, typ byte, payload []byte) []byte {
+// Records are encoded in place at the end of the staging buffer:
+// beginFrame appends the header, the caller appends the payload, and
+// endFrame appends the CRC over both.
+func beginFrame(dst []byte, typ byte, payloadLen int) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(payloadLen))
+	return append(dst, typ)
+}
+
+// endFrame closes the frame that began at dst[start].
+func endFrame(dst []byte, start int) []byte {
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+func appendBlockOpened(dst []byte, chip, block int, seq uint64) []byte {
 	start := len(dst)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(payload)))
-	dst = append(dst, typ)
-	dst = append(dst, payload...)
-	crc := crc32.ChecksumIEEE(dst[start : start+3+len(payload)])
-	return binary.LittleEndian.AppendUint32(dst, crc)
+	dst = beginFrame(dst, recBlockOpened, 16)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(chip))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(block))
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	return endFrame(dst, start)
 }
 
-func encodeBlockOpened(chip, block int, seq uint64) []byte {
-	p := make([]byte, 0, 16)
-	p = binary.LittleEndian.AppendUint32(p, uint32(chip))
-	p = binary.LittleEndian.AppendUint32(p, uint32(block))
-	p = binary.LittleEndian.AppendUint64(p, seq)
-	return appendFrame(nil, recBlockOpened, p)
+func appendMapped(dst []byte, lpn ftl.LPN, ppn ssd.PPN, stamp uint64) []byte {
+	start := len(dst)
+	dst = beginFrame(dst, recMapped, 24)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(lpn))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(ppn)))
+	dst = binary.LittleEndian.AppendUint64(dst, stamp)
+	return endFrame(dst, start)
 }
 
-func encodeMapped(lpn ftl.LPN, ppn ssd.PPN, stamp uint64) []byte {
-	p := make([]byte, 0, 24)
-	p = binary.LittleEndian.AppendUint64(p, uint64(lpn))
-	p = binary.LittleEndian.AppendUint64(p, uint64(int64(ppn)))
-	p = binary.LittleEndian.AppendUint64(p, stamp)
-	return appendFrame(nil, recMapped, p)
+func appendTrim(dst []byte, lpn ftl.LPN) []byte {
+	start := len(dst)
+	dst = beginFrame(dst, recTrim, 8)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(lpn))
+	return endFrame(dst, start)
 }
 
-func encodeTrim(lpn ftl.LPN) []byte {
-	p := binary.LittleEndian.AppendUint64(nil, uint64(lpn))
-	return appendFrame(nil, recTrim, p)
+// appendChipBlock encodes the two records that name a block: recErased
+// and recRetired.
+func appendChipBlock(dst []byte, typ byte, chip, block int) []byte {
+	start := len(dst)
+	dst = beginFrame(dst, typ, 8)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(chip))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(block))
+	return endFrame(dst, start)
 }
 
-func encodeChipBlock(typ byte, chip, block int) []byte {
-	p := make([]byte, 0, 8)
-	p = binary.LittleEndian.AppendUint32(p, uint32(chip))
-	p = binary.LittleEndian.AppendUint32(p, uint32(block))
-	return appendFrame(nil, typ, p)
-}
-
-func encodeDieDegraded(die int) []byte {
-	p := binary.LittleEndian.AppendUint32(nil, uint32(die))
-	return appendFrame(nil, recDieDegraded, p)
+func appendDieDegraded(dst []byte, die int) []byte {
+	start := len(dst)
+	dst = beginFrame(dst, recDieDegraded, 4)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(die))
+	return endFrame(dst, start)
 }
 
 // decodeJournal walks the journal buffer and returns every validly

@@ -2,6 +2,8 @@ package recovery
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"cubeftl/internal/ftl"
@@ -9,12 +11,12 @@ import (
 
 func sampleRecords() [][]byte {
 	return [][]byte{
-		encodeBlockOpened(1, 7, 42),
-		encodeMapped(9, 1234, 55),
-		encodeTrim(3),
-		encodeChipBlock(recErased, 0, 5),
-		encodeChipBlock(recRetired, 2, 11),
-		encodeDieDegraded(3),
+		appendBlockOpened(nil, 1, 7, 42),
+		appendMapped(nil, 9, 1234, 55),
+		appendTrim(nil, 3),
+		appendChipBlock(nil, recErased, 0, 5),
+		appendChipBlock(nil, recRetired, 2, 11),
+		appendDieDegraded(nil, 3),
 	}
 }
 
@@ -57,7 +59,7 @@ func TestJournalTornTailDetected(t *testing.T) {
 	}
 	full := len(buf)
 	// Chop at every possible byte boundary inside the last record.
-	last := len(encodeDieDegraded(3))
+	last := len(appendDieDegraded(nil, 3))
 	for cut := full - last + 1; cut < full; cut++ {
 		recs, _, torn := decodeJournal(buf[:cut])
 		if !torn {
@@ -75,7 +77,7 @@ func TestJournalCorruptionDetected(t *testing.T) {
 	for _, r := range sampleRecords() {
 		buf = append(buf, r...)
 	}
-	second := len(encodeBlockOpened(1, 7, 42))
+	second := len(appendBlockOpened(nil, 1, 7, 42))
 	mid := second + 5 // inside the Mapped record
 	buf[mid] ^= 0xFF
 	recs, _, torn := decodeJournal(buf)
@@ -158,5 +160,13 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	}
 	if _, _, err := decodeCheckpoint(img); err != nil {
 		t.Fatalf("pristine checkpoint rejected: %v", err)
+	}
+	// A mapping count the image cannot back, under a CRC that matches:
+	// an error, not a 4-billion-entry allocation.
+	bad := append([]byte(nil), img[:len(img)-4]...)
+	binary.LittleEndian.PutUint32(bad[4+8+8+4:], 0xFFFFFFFF)
+	bad = binary.LittleEndian.AppendUint32(bad, crc32.ChecksumIEEE(bad))
+	if _, _, err := decodeCheckpoint(bad); err == nil {
+		t.Error("checkpoint with an impossible mapping count decoded without error")
 	}
 }

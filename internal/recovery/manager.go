@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"cubeftl/internal/ftl"
+	"cubeftl/internal/pool"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
 )
@@ -56,26 +57,70 @@ type Manager struct {
 
 	// Journal staging. Absolute offsets: [0, sys.durableEnd) is
 	// durable, then len(inflight) bytes mid-flush, then len(ram) bytes
-	// still in RAM; appended is one past the last RAM byte.
+	// still in RAM; appended is one past the last RAM byte. Records are
+	// encoded in place at the end of ram; a flush swaps the two buffers,
+	// so the staging path allocates only while a buffer is still growing
+	// toward the largest batch seen.
 	ram      []byte
-	inflight []byte
+	inflight []byte // empty unless flushing
 	flushing bool
 	appended uint64
 
-	waiters []waiter
+	// waiters is FIFO in off: every waiter waits on the value appended
+	// had when it was queued, and appended only grows.
+	waiters pool.Ring[waiter]
 
+	// The checkpoint being written (ckptBusy): where it goes and what it
+	// covers, installed by finishCheckpoint.
 	ckptBusy    bool
-	ckptWindows [][2]sim.Time
+	ckpt        pendingCkpt
+	enc         ckptEncoder
+	ckptWindows [][2]sim.Time // the first ckptWindowsKept only
+
+	// Engine callbacks, bound once.
+	onFlushDone, onCkptTimer, onCkptDone func()
 
 	dead bool
 }
 
-// waiter runs fn once the journal is durable through absolute offset
-// off (by flush or by a checkpoint whose cutoff covers it).
+// waiter is one deferred transition, run once the journal is durable
+// through absolute offset off (by flush or by a checkpoint whose cutoff
+// covers it).
 type waiter struct {
-	off uint64
-	fn  func()
+	off  uint64
+	kind waiterKind
+
+	lpn     ftl.LPN // waitMapped, waitTrim
+	stamp   uint64  // waitMapped
+	proceed func()  // waitProceed
 }
+
+type waiterKind uint8
+
+const (
+	// waitMapped: the write (lpn, stamp) is committed — the ledger
+	// learns it and the host acks held for it release.
+	waitMapped waiterKind = iota
+	// waitTrim: the trim of lpn is committed.
+	waitTrim
+	// waitProceed: run proceed (an erase or a re-pool held back by the
+	// controller).
+	waitProceed
+)
+
+// pendingCkpt describes a checkpoint between the start of its write and
+// its install.
+type pendingCkpt struct {
+	slot   int
+	stamp  uint64
+	cutoff uint64
+	start  sim.Time
+}
+
+// ckptWindowsKept bounds CkptWindows: the power-cut tests aim at the
+// first few checkpoint writes of a run, and a long-lived server writes
+// one every 20 ms of device clock for as long as it is up.
+const ckptWindowsKept = 16
 
 // Attach wires a Manager to a controller: installs it as the
 // controller's RecoveryHook, writes an immediate checkpoint of the
@@ -94,7 +139,9 @@ func Attach(ctrl *ftl.Controller, sys *SystemArea, opts Options) *Manager {
 		ledger:       opts.Ledger,
 		ckptInterval: interval,
 		appended:     sys.durableEnd(),
+		ckptWindows:  make([][2]sim.Time, 0, ckptWindowsKept),
 	}
+	m.onFlushDone, m.onCkptTimer, m.onCkptDone = m.finishFlush, m.ckptTimerFired, m.finishCheckpoint
 	ctrl.SetRecovery(m)
 	m.checkpoint(true)
 	m.armCkptTimer()
@@ -107,8 +154,9 @@ func (m *Manager) Ledger() *Ledger { return m.ledger }
 // System returns the manager's system area.
 func (m *Manager) System() *SystemArea { return m.sys }
 
-// CkptWindows returns the [start, durable) interval of every completed
-// checkpoint write — used by tests to aim power cuts mid-checkpoint.
+// CkptWindows returns the [start, durable) interval of the first
+// completed checkpoint writes (at most ckptWindowsKept) — used by tests
+// to aim power cuts mid-checkpoint.
 func (m *Manager) CkptWindows() [][2]sim.Time {
 	return append([][2]sim.Time(nil), m.ckptWindows...)
 }
@@ -138,12 +186,10 @@ func (m *Manager) durablePoint() uint64 {
 	return d
 }
 
-func (m *Manager) append(rec []byte) {
-	if m.dead {
-		return
-	}
-	m.ram = append(m.ram, rec...)
-	m.appended += uint64(len(rec))
+// staged accounts for a record just encoded at the end of ram and makes
+// sure a flush is on its way.
+func (m *Manager) staged() {
+	m.appended = m.sys.durableEnd() + uint64(len(m.inflight)+len(m.ram))
 	m.kickFlush()
 }
 
@@ -152,9 +198,8 @@ func (m *Manager) kickFlush() {
 		return
 	}
 	m.flushing = true
-	m.inflight = m.ram
-	m.ram = nil
-	m.eng.After(JournalFlushNs, m.finishFlush)
+	m.ram, m.inflight = m.inflight[:0], m.ram
+	m.eng.After(JournalFlushNs, m.onFlushDone)
 }
 
 func (m *Manager) finishFlush() {
@@ -162,41 +207,54 @@ func (m *Manager) finishFlush() {
 		return
 	}
 	m.sys.journal = append(m.sys.journal, m.inflight...)
-	m.inflight = nil
+	m.inflight = m.inflight[:0]
 	m.flushing = false
 	m.release()
 	m.kickFlush()
 }
 
-// waitDurable runs fn once the journal is durable through off. The
-// callback may append new records or re-enter waitDurable; the waiter
-// list is settled before any callback runs.
-func (m *Manager) waitDurable(off uint64, fn func()) {
+// wait defers w until everything appended so far is durable, or runs it
+// at once if it already is. What w does may append new records or wait
+// again.
+func (m *Manager) wait(w waiter) {
 	if m.dead {
 		return
 	}
-	if off <= m.durablePoint() {
-		fn()
+	w.off = m.appended
+	if w.off <= m.durablePoint() {
+		m.run(w)
 		return
 	}
-	m.waiters = append(m.waiters, waiter{off: off, fn: fn})
+	m.waiters.Push(w)
 	m.kickFlush()
 }
 
+func (m *Manager) run(w waiter) {
+	switch w.kind {
+	case waitMapped:
+		if m.ledger != nil {
+			m.ledger.Record(w.lpn, w.stamp)
+		}
+		m.ctrl.ReleaseDurableAcks(w.lpn, w.stamp)
+	case waitTrim:
+		if m.ledger != nil {
+			m.ledger.RecordTrim(w.lpn)
+		}
+	case waitProceed:
+		w.proceed()
+	}
+}
+
+// release runs every waiter the durable point now covers, oldest first.
+// The queue is settled before any of them runs: the due waiters are a
+// prefix (offsets are FIFO), each is popped before it runs, and whatever
+// a running waiter queues lies past the durable point — otherwise wait
+// would have run it on the spot — so it joins behind the prefix and is
+// left for a later release.
 func (m *Manager) release() {
 	d := m.durablePoint()
-	var run []func()
-	rest := m.waiters[:0]
-	for _, w := range m.waiters {
-		if w.off <= d {
-			run = append(run, w.fn)
-		} else {
-			rest = append(rest, w)
-		}
-	}
-	m.waiters = rest
-	for _, fn := range run {
-		fn()
+	for m.waiters.Len() > 0 && m.waiters.Peek().off <= d {
+		m.run(m.waiters.Pop())
 	}
 }
 
@@ -204,47 +262,58 @@ func (m *Manager) release() {
 
 // NoteBlockOpened implements ftl.RecoveryHook.
 func (m *Manager) NoteBlockOpened(chip, block int, seq uint64) {
-	m.append(encodeBlockOpened(chip, block, seq))
+	if m.dead {
+		return
+	}
+	m.ram = appendBlockOpened(m.ram, chip, block, seq)
+	m.staged()
 }
 
 // NoteMapped implements ftl.RecoveryHook. Once the record is durable
 // the write is committed: the ledger learns it and any deferred host
 // acks for it release.
 func (m *Manager) NoteMapped(lpn ftl.LPN, ppn ssd.PPN, stamp uint64) {
-	m.append(encodeMapped(lpn, ppn, stamp))
-	m.waitDurable(m.appended, func() {
-		if m.ledger != nil {
-			m.ledger.Record(lpn, stamp)
-		}
-		m.ctrl.ReleaseDurableAcks(lpn, stamp)
-	})
+	if m.dead {
+		return
+	}
+	m.ram = appendMapped(m.ram, lpn, ppn, stamp)
+	m.staged()
+	m.wait(waiter{kind: waitMapped, lpn: lpn, stamp: stamp})
 }
 
 // NoteTrim implements ftl.RecoveryHook.
 func (m *Manager) NoteTrim(lpn ftl.LPN) {
-	m.append(encodeTrim(lpn))
-	m.waitDurable(m.appended, func() {
-		if m.ledger != nil {
-			m.ledger.RecordTrim(lpn)
-		}
-	})
+	if m.dead {
+		return
+	}
+	m.ram = appendTrim(m.ram, lpn)
+	m.staged()
+	m.wait(waiter{kind: waitTrim, lpn: lpn})
 }
 
 // NoteRetired implements ftl.RecoveryHook.
 func (m *Manager) NoteRetired(chip, block int) {
-	m.append(encodeChipBlock(recRetired, chip, block))
+	if m.dead {
+		return
+	}
+	m.ram = appendChipBlock(m.ram, recRetired, chip, block)
+	m.staged()
 }
 
 // NoteDieDegraded implements ftl.RecoveryHook.
 func (m *Manager) NoteDieDegraded(die int) {
-	m.append(encodeDieDegraded(die))
+	if m.dead {
+		return
+	}
+	m.ram = appendDieDegraded(m.ram, die)
+	m.staged()
 }
 
 // BarrierErase implements ftl.RecoveryHook: the erase may only start
 // once every record appended so far — in particular the Mapped records
 // relocating the victim's live pages — is durable.
 func (m *Manager) BarrierErase(chip, block int, proceed func()) {
-	m.waitDurable(m.appended, proceed)
+	m.wait(waiter{kind: waitProceed, proceed: proceed})
 }
 
 // NoteErased implements ftl.RecoveryHook: the block returns to the
@@ -252,8 +321,12 @@ func (m *Manager) BarrierErase(chip, block int, proceed func()) {
 // never see the block reused while the journal still shows its old
 // contents live.
 func (m *Manager) NoteErased(chip, block int, proceed func()) {
-	m.append(encodeChipBlock(recErased, chip, block))
-	m.waitDurable(m.appended, proceed)
+	if m.dead {
+		return
+	}
+	m.ram = appendChipBlock(m.ram, recErased, chip, block)
+	m.staged()
+	m.wait(waiter{kind: waitProceed, proceed: proceed})
 }
 
 // --- checkpoints ---
@@ -262,61 +335,66 @@ func (m *Manager) armCkptTimer() {
 	if m.dead || m.ckptInterval <= 0 {
 		return
 	}
-	m.eng.After(m.ckptInterval, func() {
-		m.checkpoint(false)
-		if m.ckptInterval <= 0 || m.dead {
-			return
-		}
-		if !m.ckptBusy { // checkpoint was skipped; rearm here
-			m.armCkptTimer()
-		}
-	})
+	m.eng.After(m.ckptInterval, m.onCkptTimer)
 }
 
-// checkpoint captures the controller state and writes it to the older
-// slot. The slot is invalidated the moment the write begins — a power
-// cut mid-write tears this slot and recovery falls back to the other
-// one. sync installs immediately (attach-time checkpoint); otherwise
-// the install lands after the modeled write latency.
+func (m *Manager) ckptTimerFired() {
+	m.checkpoint(false)
+	if m.ckptInterval <= 0 || m.dead {
+		return
+	}
+	if !m.ckptBusy { // checkpoint was skipped; rearm here
+		m.armCkptTimer()
+	}
+}
+
+// checkpoint writes the controller's state to the older slot, encoding
+// it straight into that slot's buffer. The slot is invalidated the
+// moment the write begins — which is what makes its bytes free to
+// overwrite — so a power cut mid-write tears this slot and recovery
+// falls back to the other one. sync installs immediately (attach-time
+// checkpoint); otherwise the install lands after the modeled write
+// latency.
 func (m *Manager) checkpoint(sync bool) {
 	if m.dead || m.ckptBusy {
 		return
 	}
-	start := m.eng.Now()
-	ms := m.ctrl.StateSnapshot()
-	var pol []byte
-	if ps, ok := m.ctrl.Policy().(ftl.PolicyStateSaver); ok {
-		pol = ps.SaveState()
-	}
-	data := encodeCheckpoint(ms, pol)
-	cutoff := m.appended
 	stamp := uint64(1)
 	for i := range m.sys.slots {
 		if m.sys.slots[i].stamp >= stamp {
 			stamp = m.sys.slots[i].stamp + 1
 		}
 	}
-	slot := m.sys.oldestSlot()
-	m.sys.slots[slot].valid = false
-	install := func() {
-		m.sys.slots[slot] = ckptSlot{valid: true, stamp: stamp, cutoff: cutoff, at: start, data: data}
-		m.sys.truncate(cutoff)
-		m.ckptBusy = false
-		m.ckptWindows = append(m.ckptWindows, [2]sim.Time{start, m.eng.Now()})
-		m.release()
-	}
+	m.ckpt = pendingCkpt{slot: m.sys.oldestSlot(), stamp: stamp, cutoff: m.appended, start: m.eng.Now()}
+	sl := &m.sys.slots[m.ckpt.slot]
+	sl.valid = false
+	sl.data = m.enc.appendCheckpoint(sl.data[:0], m.ctrl)
 	if sync {
-		install()
+		m.install()
 		return
 	}
 	m.ckptBusy = true
-	m.eng.After(CkptBaseNs+CkptNsPerByte*sim.Time(len(data)), func() {
-		if m.dead {
-			return
-		}
-		install()
-		m.armCkptTimer()
-	})
+	m.eng.After(CkptBaseNs+CkptNsPerByte*sim.Time(len(sl.data)), m.onCkptDone)
+}
+
+// install makes the checkpoint just written the newest valid one.
+func (m *Manager) install() {
+	sl := &m.sys.slots[m.ckpt.slot]
+	sl.valid, sl.stamp, sl.cutoff, sl.at = true, m.ckpt.stamp, m.ckpt.cutoff, m.ckpt.start
+	m.sys.truncate(m.ckpt.cutoff)
+	m.ckptBusy = false
+	if len(m.ckptWindows) < ckptWindowsKept {
+		m.ckptWindows = append(m.ckptWindows, [2]sim.Time{m.ckpt.start, m.eng.Now()})
+	}
+	m.release()
+}
+
+func (m *Manager) finishCheckpoint() {
+	if m.dead {
+		return
+	}
+	m.install()
+	m.armCkptTimer()
 }
 
 // CheckpointNow forces a checkpoint write (asynchronous; durable after

@@ -108,6 +108,9 @@ func removeActive(s []ftl.ActiveRecord, block int) []ftl.ActiveRecord {
 func (st *mountState) seed(ms ftl.MountState) {
 	st.maxStamp = ms.LastStamp
 	st.maxBlockSeq = ms.LastBlockSeq
+	// Sized up front: growing a map to a whole L2P by doubling leaves
+	// as much garbage again as the map itself.
+	st.mappings = make(map[ftl.LPN]mapEntry, len(ms.Mappings))
 	for _, m := range ms.Mappings {
 		st.mappings[m.LPN] = mapEntry{ppn: m.PPN, stamp: m.Stamp}
 	}
@@ -464,6 +467,7 @@ func (st *mountState) finalize() ftl.MountState {
 		lpns = append(lpns, int64(lpn))
 	}
 	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
+	ms.Mappings = make([]ftl.MappingRecord, 0, len(lpns))
 	for _, l := range lpns {
 		e := st.mappings[ftl.LPN(l)]
 		ms.Mappings = append(ms.Mappings, ftl.MappingRecord{LPN: ftl.LPN(l), PPN: e.ppn, Stamp: e.stamp})

@@ -1,0 +1,61 @@
+package recovery
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+
+	"cubeftl/internal/ftl"
+)
+
+// encodeCheckpoint is the reference checkpoint encoder: it serialises a
+// materialised ftl.MountState plus the policy's state bytes into a fresh
+// buffer. The manager no longer uses it — a checkpoint is streamed from
+// the live controller into its slot's buffer (ckptEncoder) — and it
+// survives as the oracle that pins the streamed image byte for byte.
+func encodeCheckpoint(ms ftl.MountState, policy []byte) []byte {
+	var b []byte
+	b = append(b, ckptMagic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, ms.LastStamp)
+	b = binary.LittleEndian.AppendUint64(b, ms.LastBlockSeq)
+	nChips := len(ms.Free)
+	b = binary.LittleEndian.AppendUint32(b, uint32(nChips))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ms.Mappings)))
+	for _, m := range ms.Mappings {
+		b = binary.LittleEndian.AppendUint64(b, uint64(m.LPN))
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(m.PPN)))
+		b = binary.LittleEndian.AppendUint64(b, m.Stamp)
+	}
+	for chip := 0; chip < nChips; chip++ {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(ms.Free[chip])))
+		for _, blk := range ms.Free[chip] {
+			b = binary.LittleEndian.AppendUint32(b, uint32(blk))
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(ms.Actives[chip])))
+		for _, ar := range ms.Actives[chip] {
+			b = binary.LittleEndian.AppendUint32(b, uint32(ar.Block))
+			b = binary.LittleEndian.AppendUint64(b, ar.Seq)
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(ms.Retired[chip])))
+		for _, blk := range ms.Retired[chip] {
+			b = binary.LittleEndian.AppendUint32(b, uint32(blk))
+		}
+		if ms.DegradedDies[chip] {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(policy)))
+	b = append(b, policy...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// referenceImage is the checkpoint image the reference encoder produces
+// for ctrl's current state.
+func referenceImage(ctrl *ftl.Controller) []byte {
+	var pol []byte
+	if ps, ok := ctrl.Policy().(ftl.PolicyStateSaver); ok {
+		pol = ps.AppendState(nil)
+	}
+	return encodeCheckpoint(ctrl.StateSnapshot(), pol)
+}

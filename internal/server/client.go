@@ -90,6 +90,8 @@ type Client struct {
 
 	nc net.Conn
 	br *bufio.Reader
+	// Request and reply frame buffers, kept across calls.
+	wbuf, rbuf []byte
 
 	// id is the server-assigned session ID; reused on reconnect so the
 	// server reattaches the dedup window.
@@ -146,17 +148,17 @@ func (c *Client) connect() error {
 	}
 	c.nc = nc
 	c.br = bufio.NewReader(nc)
-	frame, err := AppendHello(nil, Hello{ClientID: c.id, Tenant: c.cfg.Tenant})
+	c.wbuf, err = AppendHello(c.wbuf[:0], Hello{ClientID: c.id, Tenant: c.cfg.Tenant})
 	if err != nil {
 		c.dropConn()
 		return err
 	}
-	if _, err := nc.Write(frame); err != nil {
+	if _, err := nc.Write(c.wbuf); err != nil {
 		c.dropConn()
 		return err
 	}
 	nc.SetReadDeadline(time.Now().Add(c.cfg.CallTimeout))
-	typ, body, err := ReadFrame(c.br, nil)
+	typ, body, err := c.readFrame()
 	if err != nil {
 		c.dropConn()
 		return err
@@ -193,6 +195,17 @@ func (c *Client) connect() error {
 		c.cfg.Logf("client %d: session resumed (tenant %s)", c.id, c.cfg.Tenant)
 	}
 	return nil
+}
+
+// readFrame reads the next frame into the client's reply buffer; the
+// body is valid until the next call.
+func (c *Client) readFrame() (typ byte, body []byte, err error) {
+	frame, err := readFrame(c.br, c.rbuf)
+	if err != nil {
+		return 0, nil, err
+	}
+	c.rbuf = frame[:0]
+	return frame[0], frame[1:], nil
 }
 
 func (c *Client) dropConn() {
@@ -291,11 +304,12 @@ func (c *Client) call(op uint8, lpn int64, pages int) (Result, error) {
 // attempt sends req and waits for its reply on the current connection.
 func (c *Client) attempt(req IORequest) (IOReply, error) {
 	c.nc.SetReadDeadline(time.Now().Add(c.cfg.CallTimeout))
-	if _, err := c.nc.Write(AppendIO(nil, req)); err != nil {
+	c.wbuf = AppendIO(c.wbuf[:0], req)
+	if _, err := c.nc.Write(c.wbuf); err != nil {
 		return IOReply{}, err
 	}
 	for {
-		typ, body, err := ReadFrame(c.br, nil)
+		typ, body, err := c.readFrame()
 		if err != nil {
 			return IOReply{}, err
 		}

@@ -235,25 +235,46 @@ var ErrMalformed = errors.New("server: malformed frame")
 // ReadFrame reads one frame, returning its type and body. buf is
 // reused when large enough.
 func ReadFrame(r io.Reader, buf []byte) (typ byte, body []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	frame, err := readFrame(r, buf)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	return frame[0], frame[1:], nil
+}
+
+// frameBufBytes is the buffer readFrame starts a reader off with: room
+// for every frame of the protocol but a Hello with a long tenant name.
+const frameBufBytes = 64
+
+// readFrame reads one frame into buf's backing array, growing it only
+// when the frame does not fit, and returns the frame whole: type byte,
+// then body. A reader that passes frame[:0] back in keeps one buffer
+// for the life of its stream (a body alone is a byte short of it). The
+// length prefix is read into the same buffer, so nothing escapes per
+// call.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 0, frameBufBytes)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
 	if n < 1 {
-		return 0, nil, ErrMalformed
+		return nil, ErrMalformed
 	}
 	if n > MaxFrame {
-		return 0, nil, ErrFrameTooLarge
+		return nil, ErrFrameTooLarge
 	}
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return buf[0], buf[1:], nil
+	return buf, nil
 }
 
 // ParseHello decodes a MsgHello body.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"cubeftl"
+	"cubeftl/internal/pool"
 	"cubeftl/internal/telemetry"
 )
 
@@ -142,39 +144,147 @@ type request struct {
 }
 
 // conn is one client connection. The reader goroutine parses frames
-// into requests; the writer goroutine drains out. sess and closed are
-// owned by the core goroutine.
+// into requests; the writer goroutine drains out. Everything below
+// "Core-owned" belongs to the core goroutine.
 type conn struct {
-	nc  net.Conn
+	nc net.Conn
+	// out carries reply batches to the writer: every frame the core
+	// produced for this connection since the last flush, in one buffer,
+	// written with one write. Its capacity is how many unwritten batches
+	// a client may fall behind by before it is shed as a slow consumer.
 	out chan []byte
+	// spare hands written buffers back to the core: one in the core's
+	// hands and one in the writer's is the steady state.
+	spare chan []byte
 
 	// Core-owned.
 	sess   *session
 	closed bool
+	pend   []byte // reply frames staged since the last flush
 }
 
-// trySend enqueues a frame for the writer, dropping the connection
-// instead of blocking if the client stops draining. Core-only.
-func (s *Server) trySend(c *conn, frame []byte) {
-	if c.closed {
+// stage returns c's staged-reply buffer for one more frame to be
+// appended (the caller stores the result back in c.pend), queueing the
+// connection for the next flush. Core-only.
+func (s *Server) stage(c *conn) []byte {
+	if len(c.pend) == 0 {
+		s.dirty = append(s.dirty, c)
+	}
+	return c.pend
+}
+
+func (s *Server) replyIO(c *conn, r IOReply) {
+	if !c.closed {
+		c.pend = AppendIOReply(s.stage(c), r)
+	}
+}
+
+func (s *Server) replyHello(c *conn, a HelloAck) {
+	if !c.closed {
+		c.pend = AppendHelloAck(s.stage(c), a)
+	}
+}
+
+// flushReplies hands every connection's staged replies to its writer:
+// one buffer, so one write, per connection. Core-only.
+func (s *Server) flushReplies() {
+	for i, c := range s.dirty {
+		s.flushConn(c)
+		s.dirty[i] = nil
+	}
+	s.dirty = s.dirty[:0]
+}
+
+// flushConn enqueues c's staged replies for the writer, dropping the
+// connection instead of blocking if the client stops draining.
+func (s *Server) flushConn(c *conn) {
+	if c.closed || len(c.pend) == 0 {
 		return
 	}
 	select {
-	case c.out <- frame:
+	case c.out <- c.pend:
+		select {
+		case b := <-c.spare:
+			c.pend = b[:0]
+		default:
+			c.pend = nil
+		}
 	default:
 		s.closeConn(c) // slow consumer: shed it rather than stall the core
 	}
 }
 
-// closeConn tears a connection down. Core-only; idempotent.
+// closeConn tears a connection down, handing the writer whatever is
+// still staged (a GoingDown notice) if it has room. Core-only;
+// idempotent.
 func (s *Server) closeConn(c *conn) {
 	if c.closed {
 		return
 	}
 	c.closed = true
 	delete(s.conns, c)
+	if len(c.pend) > 0 {
+		select {
+		case c.out <- c.pend:
+		default:
+		}
+		c.pend = nil
+	}
 	close(c.out)
 	c.nc.Close()
+}
+
+// ioReq is one read or write between handleIO and its completion: what
+// the reply needs, pooled, with the completion handed to the front end
+// bound once.
+type ioReq struct {
+	s    *Server
+	live bool
+
+	c     *conn
+	sess  *session
+	seq   uint64
+	queue int
+	write bool
+
+	onDone func(cubeftl.IOCompletion)
+}
+
+func (s *Server) getIOReq() *ioReq {
+	q := s.ioReqs.Get()
+	if q == nil {
+		q = &ioReq{s: s}
+		q.onDone = q.done
+	}
+	q.live = true
+	return q
+}
+
+func (q *ioReq) release() {
+	q.live = false
+	q.c, q.sess = nil, nil
+	q.s.ioReqs.Put(q)
+}
+
+// done stages the reply for a completed command. Under Options.Recovery
+// a write completes only once its mapping record is durable — the ack a
+// client may trust across power loss.
+func (q *ioReq) done(ic cubeftl.IOCompletion) {
+	pool.CheckLive(q.live, "server io request")
+	s, c, sess, seq, queue, write := q.s, q.c, q.sess, q.seq, q.queue, q.write
+	q.release()
+	if write && ic.RejectedPages > 0 {
+		// Device-wide read-only degrade: the write did not land.
+		s.stats.Rejects++
+		s.replyIO(c, IOReply{Seq: seq, Status: StatusFailedPrecondition, LatencyNs: int64(ic.Latency)})
+		return
+	}
+	if write {
+		sess.ack(seq)
+	}
+	s.slo.observe(queue, write, int64(ic.Latency))
+	s.obsObserve(queue, write, int64(ic.Latency))
+	s.replyIO(c, IOReply{Seq: seq, Status: StatusOK, LatencyNs: int64(ic.Latency)})
 }
 
 // Server is the live-traffic block service. One core goroutine owns
@@ -203,6 +313,8 @@ type Server struct {
 	up         bool
 	draining   bool
 	stats      Stats
+	dirty      []*conn // connections with staged replies
+	ioReqs     pool.FreeList[ioReq]
 
 	// Observability plane (obs.go). events is always non-nil; obsSrv
 	// and obsWin only when Config.MetricsAddr is set.
@@ -311,7 +423,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		c := &conn{nc: nc, out: make(chan []byte, 256)}
+		c := &conn{nc: nc, out: make(chan []byte, 256), spare: make(chan []byte, 2)}
 		s.wg.Add(2)
 		go s.readLoop(c)
 		go s.writeLoop(c)
@@ -321,14 +433,18 @@ func (s *Server) acceptLoop() {
 func (s *Server) readLoop(c *conn) {
 	defer s.wg.Done()
 	s.enqueue(request{kind: kindConnect, c: c})
+	// One buffered reader (a frame is one read, not a header read and a
+	// body read) and one frame buffer for the life of the connection.
+	br := bufio.NewReader(c.nc)
 	var buf []byte
 	for {
-		typ, body, err := ReadFrame(c.nc, buf)
+		frame, err := readFrame(br, buf)
 		if err != nil {
 			break
 		}
-		buf = body[:0]
-		switch typ {
+		buf = frame[:0]
+		body := frame[1:]
+		switch frame[0] {
 		case MsgHello:
 			h, err := ParseHello(body)
 			if err != nil {
@@ -363,13 +479,17 @@ func (s *Server) enqueue(r request) {
 
 func (s *Server) writeLoop(c *conn) {
 	defer s.wg.Done()
-	for frame := range c.out {
-		if _, err := c.nc.Write(frame); err != nil {
+	for batch := range c.out {
+		if _, err := c.nc.Write(batch); err != nil {
 			c.nc.Close()
 			// Keep draining so the core's sends never block.
 			for range c.out {
 			}
 			return
+		}
+		select {
+		case c.spare <- batch:
+		default: // the core has spares enough
 		}
 	}
 }
@@ -379,6 +499,7 @@ func (s *Server) writeLoop(c *conn) {
 // device until all submitted I/O completes.
 func (s *Server) coreLoop() {
 	defer s.wg.Done()
+	var window *time.Timer // the batch window: armed once per batch
 	for {
 		select {
 		case <-s.quit:
@@ -391,16 +512,22 @@ func (s *Server) coreLoop() {
 			// requests land in the same simulated instant, then absorb
 			// everything queued before pumping.
 			if w := s.batchWindow(); w > 0 {
-				timer := time.NewTimer(w)
-			window:
+				// The loop below leaves only when the timer has fired and
+				// its channel is drained, so Reset is safe.
+				if window == nil {
+					window = time.NewTimer(w)
+				} else {
+					window.Reset(w)
+				}
+			coalesce:
 				for {
 					select {
 					case r := <-s.reqCh:
 						s.handle(r)
 					case fn := <-s.ctlCh:
 						fn()
-					case <-timer.C:
-						break window
+					case <-window.C:
+						break coalesce
 					}
 				}
 			}
@@ -416,12 +543,14 @@ func (s *Server) coreLoop() {
 				}
 			}
 			s.pump()
+			s.flushReplies()
 		}
 	}
 }
 
-// pump advances the simulation, then lets the SLO controller act.
-// While more traffic is already waiting in reqCh it drains only down
+// pump advances the simulation, then lets the SLO controller act. The
+// replies of the commands that complete are staged per connection; the
+// caller flushes them once the pump is over. While more traffic is already waiting in reqCh it drains only down
 // to a backlog target — keeping tenants contending for grants instead
 // of letting every batch start from an idle device — and quiesces
 // fully once the wire goes quiet (clients are all blocked on replies).
@@ -484,17 +613,20 @@ func (s *Server) handle(r request) {
 	case kindIO:
 		s.handleIO(r.c, r.io)
 	}
+	// What a request is answered with on the spot (a stat, a duplicate
+	// ack, a refusal) goes out now, not after the batch window.
+	s.flushReplies()
 }
 
 func (s *Server) handleHello(c *conn, h Hello) {
 	qid, ok := s.queueOf[h.Tenant]
 	if !ok {
-		s.trySend(c, AppendHelloAck(nil, HelloAck{Status: StatusInvalidArgument}))
+		s.replyHello(c, HelloAck{Status: StatusInvalidArgument})
 		return
 	}
 	if !s.up {
 		s.stats.Unavailables++
-		s.trySend(c, AppendHelloAck(nil, HelloAck{Status: StatusUnavailable}))
+		s.replyHello(c, HelloAck{Status: StatusUnavailable})
 		return
 	}
 	id := h.ClientID
@@ -515,12 +647,12 @@ func (s *Server) handleHello(c *conn, h Hello) {
 	// follows the client's current Hello.
 	sess.tenant, sess.queue = h.Tenant, qid
 	c.sess = sess
-	s.trySend(c, AppendHelloAck(nil, HelloAck{
+	s.replyHello(c, HelloAck{
 		Status:        StatusOK,
 		ClientID:      id,
 		CapacityPages: int64(s.dev.LogicalPages()),
 		Queue:         uint32(qid),
-	}))
+	})
 }
 
 func (s *Server) handleIO(c *conn, r IORequest) {
@@ -532,7 +664,7 @@ func (s *Server) handleIO(c *conn, r IORequest) {
 	sess.prune(r.AckFloor)
 	if !s.up {
 		s.stats.Unavailables++
-		s.trySend(c, AppendIOReply(nil, IOReply{Seq: r.Seq, Status: StatusUnavailable}))
+		s.replyIO(c, IOReply{Seq: r.Seq, Status: StatusUnavailable})
 		return
 	}
 	pages := int(r.Pages)
@@ -547,7 +679,7 @@ func (s *Server) handleIO(c *conn, r IORequest) {
 		if mapped {
 			rep.Flags |= FlagMapped
 		}
-		s.trySend(c, AppendIOReply(nil, rep))
+		s.replyIO(c, rep)
 
 	case OpWrite:
 		if sess.isAcked(r.Seq) {
@@ -556,42 +688,26 @@ func (s *Server) handleIO(c *conn, r IORequest) {
 			// the ack reached the client). Ack again without touching
 			// the device.
 			s.stats.Duplicates++
-			s.trySend(c, AppendIOReply(nil, IOReply{Seq: r.Seq, Status: StatusOK, Flags: FlagDuplicate}))
+			s.replyIO(c, IOReply{Seq: r.Seq, Status: StatusOK, Flags: FlagDuplicate})
 			return
 		}
 		s.stats.Writes++
-		seq, queue := r.Seq, sess.queue
-		err := s.fe.Submit(queue, true, r.LPN, pages, func(ic cubeftl.IOCompletion) {
-			if ic.RejectedPages > 0 {
-				// Device-wide read-only degrade: the write did not land.
-				s.stats.Rejects++
-				s.trySend(c, AppendIOReply(nil, IOReply{
-					Seq: seq, Status: StatusFailedPrecondition, LatencyNs: int64(ic.Latency)}))
-				return
-			}
-			// Under Options.Recovery this callback fires only once the
-			// write's mapping record is durable — the ack a client may
-			// trust across power loss.
-			sess.ack(seq)
-			s.slo.observe(queue, true, int64(ic.Latency))
-			s.obsObserve(queue, true, int64(ic.Latency))
-			s.trySend(c, AppendIOReply(nil, IOReply{Seq: seq, Status: StatusOK, LatencyNs: int64(ic.Latency)}))
-		})
-		if err != nil {
-			s.replyErr(c, r.Seq, err)
-		}
+		s.submit(c, sess, r, pages, true)
 
 	case OpRead:
 		s.stats.Reads++
-		seq, queue := r.Seq, sess.queue
-		err := s.fe.Submit(queue, false, r.LPN, pages, func(ic cubeftl.IOCompletion) {
-			s.slo.observe(queue, false, int64(ic.Latency))
-			s.obsObserve(queue, false, int64(ic.Latency))
-			s.trySend(c, AppendIOReply(nil, IOReply{Seq: seq, Status: StatusOK, LatencyNs: int64(ic.Latency)}))
-		})
-		if err != nil {
-			s.replyErr(c, r.Seq, err)
-		}
+		s.submit(c, sess, r, pages, false)
+	}
+}
+
+// submit queues one read or write at the front end; its reply is staged
+// by ioReq.done when the command completes, or here if it is refused.
+func (s *Server) submit(c *conn, sess *session, r IORequest, pages int, write bool) {
+	q := s.getIOReq()
+	q.c, q.sess, q.seq, q.queue, q.write = c, sess, r.Seq, sess.queue, write
+	if err := s.fe.Submit(sess.queue, write, r.LPN, pages, q.onDone); err != nil {
+		q.release()
+		s.replyErr(c, r.Seq, err)
 	}
 }
 
@@ -601,15 +717,16 @@ func (s *Server) replyErr(c *conn, seq uint64, err error) {
 		st = StatusInternal
 	}
 	s.stats.Rejects++
-	s.trySend(c, AppendIOReply(nil, IOReply{Seq: seq, Status: st}))
+	s.replyIO(c, IOReply{Seq: seq, Status: st})
 }
 
 // dropConns notifies and closes every connection. Core-only.
 func (s *Server) dropConns(reason uint8) {
 	for c := range s.conns {
-		s.trySend(c, AppendGoingDown(nil, reason))
+		c.pend = AppendGoingDown(s.stage(c), reason)
 		s.closeConn(c)
 	}
+	s.flushReplies()
 }
 
 // --- chaos / admin (all run on the core goroutine via do) ---
