@@ -1,0 +1,101 @@
+package experiment
+
+import (
+	"fmt"
+	"testing"
+
+	"cubeftl/internal/workload"
+)
+
+// Fixed-seed pins of the experiment drivers, in the style of the root
+// TestSimulatedNumbersPinned: the values were captured at commit
+// 6302764 (the parent of the internal/stack builder) and a change to
+// how a device stack is constructed must reproduce them to the last
+// digit. When a PR changes the model on purpose, re-capture them and
+// say so.
+
+func pinOpts() SSDOpts {
+	o := DefaultSSDOpts()
+	o.BlocksPerChip = 16
+	o.Requests = 10000
+	o.Seed = 5
+	return o
+}
+
+func pinOutcome(o RunOutcome) string {
+	return fmt.Sprintf("iops=%v rp99=%d wp99=%d tprog=%v retries=%d gc=%d",
+		o.IOPS(), o.Result.ReadLat.Percentile(99), o.Result.WriteLat.Percentile(99),
+		o.MeanTPROGNs, o.ReadRetries, o.GCCount)
+}
+
+func checkPin(t *testing.T, got, want string) {
+	t.Helper()
+	if got != want {
+		t.Errorf("simulated results moved\n got: %s\nwant: %s", got, want)
+	}
+}
+
+func TestRunWorkloadPinned(t *testing.T) {
+	for _, p := range []struct {
+		kind PolicyKind
+		want string
+	}{
+		{PolicyPage, "iops=34048.464584489564 rp99=1721000 wp99=1742000 tprog=708805.67599527 retries=0 gc=8"},
+		{PolicyVert, "iops=35280.175751723524 rp99=1661100 wp99=1721800 tprog=675701.8905080741 retries=0 gc=8"},
+		{PolicyIsp, "iops=41908.14488986749 rp99=1478900 wp99=1354700 tprog=528102.5266482432 retries=0 gc=8"},
+		{PolicyCube, "iops=34975.050547691804 rp99=1758000 wp99=1604500 tprog=568322.206943967 retries=0 gc=8"},
+		{PolicyCubeMinus, "iops=34716.038427877254 rp99=1746700 wp99=1608700 tprog=568026.7076502732 retries=0 gc=8"},
+	} {
+		t.Run(string(p.kind), func(t *testing.T) {
+			checkPin(t, pinOutcome(RunWorkload(p.kind, workload.Mixed, pinOpts())), p.want)
+		})
+	}
+	t.Run("cubeFTL-aged-ort-pr-ar", func(t *testing.T) {
+		o := pinOpts()
+		o.PE, o.RetentionMonths, o.RetryMode = 2000, 12, "ort-pr-ar"
+		checkPin(t, pinOutcome(RunWorkload(PolicyCube, workload.Rocks, o)),
+			"iops=15633.21476582148 rp99=4806900 wp99=3178700 tprog=585143.9232409382 retries=17013 gc=8")
+	})
+}
+
+func TestAblationAndFaultRowsPinned(t *testing.T) {
+	a := AblationMuThreshold(pinOpts())
+	checkPin(t, fmt.Sprintf("mu_TH=%s iops=%v wp90=%v", a.Values[2], a.IOPS[2], a.Extra["write P90 (ms)"][2]),
+		"mu_TH=0.90 iops=53498.39371072884 wp90=0.8388")
+	s := AblationSafetyCheck(pinOpts())
+	checkPin(t, fmt.Sprintf("safety=%s iops=%v retries/read=%v reprograms=%v", s.Values[0], s.IOPS[0],
+		s.Extra["retries/read"][0], s.Extra["reprograms"][0]),
+		"safety=on iops=46496.51113428704 retries/read=0.9624263652284668 reprograms=17")
+	f := ExtFaultTolerance(pinOpts())
+	for i, want := range map[int]string{
+		2: "pfail 1e-03 / efail 1e-04 iops=38143.640558743304 wp99=1942400 retired=20 failures=3 recovered=3 degraded=false",
+		3: "pfail 5e-03 / efail 5e-04 iops=319315.3878085385 wp99=0 retired=83 failures=0 recovered=0 degraded=true",
+	} {
+		checkPin(t, fmt.Sprintf("%s iops=%v wp99=%d retired=%d failures=%d recovered=%d degraded=%v", f.Labels[i],
+			f.IOPS[i], f.WriteP99[i], f.Retired[i], f.Failures[i], f.Recovered[i], f.Degraded[i]), want)
+	}
+}
+
+func TestExtQoSTraceHashesPinned(t *testing.T) {
+	h := ExtQoS(pinOpts()).TraceHashes
+	checkPin(t, fmt.Sprintf("rr=%d wrr=%d prio=%d", h["rr"], h["wrr 8:1"], h["prio+guard"]),
+		"rr=8792001384959906249 wrr=7625576488868960553 prio=18322986866094623783")
+}
+
+// The device has 24 blocks per chip, not fewer: at the capture commit a
+// refresh+WL device of 16 blocks or less never drains its first age
+// jump (the hang CHANGES.md records under ISSUE 13), so there is no
+// number to pin there.
+func TestExtLifetimePinned(t *testing.T) {
+	o := pinOpts()
+	o.BlocksPerChip, o.Requests, o.RetryMode = 24, 1500, "ort-pr"
+	r := ExtLifetime(o)
+	c := r.comboIndex("+refresh+WL")
+	point := func(a int) string {
+		return fmt.Sprintf("age=%v iops=%v rp99=%d waf=%v refresh=%d wl=%d grown=%d spread=%d uncorr=%d",
+			r.AgesMonths[a], r.IOPS[c][a], r.ReadP99[c][a], r.WAFFactor[c][a], r.RefreshPages[c][a],
+			r.WLPages[c][a], r.GrownBad[c][a], r.WearSpread[c][a], r.Uncorrectable[c][a])
+	}
+	checkPin(t, point(0), "age=0 iops=20186.849478775544 rp99=2552100 waf=1 refresh=0 wl=0 grown=0 spread=0 uncorr=0")
+	checkPin(t, point(len(r.AgesMonths)-1), "age=36 iops=21214.126911392836 rp99=2505900 waf=29.128275862068964 refresh=60027 wl=0 grown=11 spread=1835 uncorr=0")
+}

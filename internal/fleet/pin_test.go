@@ -1,0 +1,50 @@
+package fleet
+
+import (
+	"fmt"
+	"hash/fnv"
+	"os"
+	"testing"
+
+	"cubeftl/internal/cache"
+	"cubeftl/internal/workload"
+)
+
+// TestFleetReplayPinned pins the whole deterministic fleet report (and
+// the chained grant hash) of the checked-in MSR fixture on pre-aged,
+// capacity-jittered cube shards. Captured at commit 6302764, the parent
+// of the internal/stack builder: a change to how a shard's device stack
+// is constructed must reproduce it to the byte.
+func TestFleetReplayPinned(t *testing.T) {
+	f, err := os.Open("../workload/testdata/msr_sample.csv")
+	if err != nil {
+		t.Fatalf("open fixture: %v", err)
+	}
+	defer f.Close()
+	tr, err := workload.ParseTimedTrace("msr_sample", f, workload.TraceOptions{TimeCompression: 20})
+	if err != nil {
+		t.Fatalf("parse fixture: %v", err)
+	}
+	for _, p := range []struct {
+		policy, want string
+	}{
+		{"cube", "report=5b4822e484b316f2 trace=4400229985772315657"},
+		{"vertFTL", "report=9d58fc090a5048d6 trace=4400229985772315657"},
+	} {
+		res, err := Run(Config{
+			Shards: 4, Tenants: 256, Seed: 3, Policy: p.policy,
+			BlocksPerChip: 10, Channels: 1, DiesPerChannel: 2, QueuesPerShard: 4,
+			CapacityJitter: 0.2, PE: 1000, RetentionMonths: 3, AgeJitter: 0.2,
+			PrefillPages: 4096, Repeat: 8,
+			Cache: cache.Config{SizePages: 256, Policy: cache.Policy2Q, Mode: cache.WriteBack},
+		}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write([]byte(res.Report()))
+		if got := fmt.Sprintf("report=%016x trace=%d", h.Sum64(), res.TraceHash); got != p.want {
+			t.Errorf("%s: fleet replay moved\n got: %s\nwant: %s\n%s", p.policy, got, p.want, res.Report())
+		}
+	}
+}

@@ -1,0 +1,79 @@
+package cubeftl
+
+import (
+	"fmt"
+	"testing"
+	"time"
+)
+
+// Pins of the facade paths simpin_test.go does not reach, captured at
+// commit 6302764 (the parent of the internal/stack builder): the
+// remount path, which rebuilds the policy from the options, and the
+// FTL flavours and device settings simPins never names. A change to how
+// the device stack is constructed must reproduce them to the last
+// digit.
+
+func pinState(dev *SSD, st RunStats) string {
+	return fmt.Sprintf("%+v | %+v | %+v | now=%d fired=%d",
+		st, dev.Cube(), dev.WAF(), dev.eng.Now(), dev.eng.Fired())
+}
+
+func TestRemountSequencePinned(t *testing.T) {
+	dev, err := New(Options{
+		FTL: FTLCube, Channels: 2, DiesPerChannel: 2, BlocksPerChip: 16, Seed: 9,
+		PECycles: 1500, RetryMode: "ort-pr", VerifyData: true, WearLevel: true,
+		ProgramFailRate: 2e-4, FactoryBadRate: 0.02,
+		Recovery: true, CkptInterval: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Prefill(int64(dev.LogicalPages() / 2))
+	if _, err := dev.RunWorkloadUntil("Mixed", 4000, 32, dev.Now()+8*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.PowerCut(); err != nil {
+		t.Fatal(err)
+	}
+	rpt, err := dev.Remount(true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dev.RunWorkload("Mixed", 3000, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "{MountTime:17.865076ms UsedCheckpoint:true CheckpointAge:1.343042ms JournalRecords:25 JournalTorn:true BlocksProbed:31 DiscoveredBlocks:0 OOBPagesScanned:2430 MappingsRecovered:16173 RollForwardWins:0 EvacuationsQueued:0 Verified:true} | {Requests:3000 Elapsed:177.1545ms IOPS:16934.370845787154 ReadP50:568.9µs ReadP90:1.0018ms ReadP99:1.4978ms WriteP50:1.3078ms WriteP90:1.815ms WriteP99:2.5369ms MeanTPROG:596.096µs ReadRetries:0 GCRuns:0 Reprograms:0 BufferHits:66 DataMismatches:0 ProgramFailures:1 EraseFailures:0 ReadFaults:0 RetiredBlocks:1 FaultRecoveries:1 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:7816181708754184893} | {LeaderPrograms:239 FollowerPrograms:606 SafetyRejects:0 ORTHits:0 ORTMisses:999 ORTBytes:6144 RetryHits:1045 RetryStale:0 RetryMisses:999 RetryEntries:795} | {HostBytes:41091072 GCBytes:442368 RefreshBytes:0 WLBytes:0 Factor:1.0107655502392345 Refreshes:0 WearLevels:0} | now=195019576 fired=7856"
+	if got := fmt.Sprintf("%+v | %s", rpt, pinState(dev, st)); got != want {
+		t.Errorf("simulated results moved\n got: %s\nwant: %s", got, want)
+	}
+}
+
+func TestFacadeFlavoursPinned(t *testing.T) {
+	for _, p := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{FTL: FTLIsp, PECycles: 1000, RetentionMonths: 1},
+			"{Requests:6000 Elapsed:218.498ms IOPS:27460.205585405816 ReadP50:977µs ReadP90:1.5149ms ReadP99:2.0532ms WriteP50:984µs WriteP90:1.5969ms WriteP99:2.018ms MeanTPROG:620.37µs ReadRetries:1531 GCRuns:0 Reprograms:0 BufferHits:720 DataMismatches:0 ProgramFailures:0 EraseFailures:0 ReadFaults:0 RetiredBlocks:0 FaultRecoveries:0 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:15335932232359286613} | {LeaderPrograms:0 FollowerPrograms:0 SafetyRejects:0 ORTHits:0 ORTMisses:0 ORTBytes:0 RetryHits:0 RetryStale:0 RetryMisses:0 RetryEntries:0} | {HostBytes:78299136 GCBytes:19808256 RefreshBytes:0 WLBytes:0 Factor:1.2529817953546767 Refreshes:0 WearLevels:0} | now=1694043900 fired=73182"},
+		{Options{FTL: FTLCubeMinus, RetryMode: "baseline", SuspendOps: true, PlanesPerChip: 2},
+			"{Requests:6000 Elapsed:230.151249ms IOPS:26069.812899429453 ReadP50:184.23µs ReadP90:349.297µs ReadP99:708.564µs WriteP50:2.088474ms WriteP90:2.730354ms WriteP99:3.24839ms MeanTPROG:599.353µs ReadRetries:0 GCRuns:8 Reprograms:0 BufferHits:689 DataMismatches:0 ProgramFailures:0 EraseFailures:0 ReadFaults:0 RetiredBlocks:0 FaultRecoveries:0 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:15335932232359286613} | {LeaderPrograms:5400 FollowerPrograms:15753 SafetyRejects:0 ORTHits:0 ORTMisses:0 ORTBytes:12288 RetryHits:0 RetryStale:0 RetryMisses:0 RetryEntries:0} | {HostBytes:78004224 GCBytes:51462144 RefreshBytes:0 WLBytes:0 Factor:1.6597353497164462 Refreshes:0 WearLevels:0} | now=1676292324 fired=342638"},
+		{Options{FTL: FTLVert, WearAware: true, WriteBufferPages: 96, EraseFailRate: 1e-3, ReadFaultRate: 1e-3},
+			"{Requests:6000 Elapsed:229.4461ms IOPS:26149.93238063319 ReadP50:969.1µs ReadP90:1.48ms ReadP99:1.8636ms WriteP50:1.0382ms WriteP90:1.6138ms WriteP99:2.0327ms MeanTPROG:675.937µs ReadRetries:0 GCRuns:0 Reprograms:0 BufferHits:456 DataMismatches:0 ProgramFailures:0 EraseFailures:0 ReadFaults:6 RetiredBlocks:0 FaultRecoveries:6 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:15335932232359286613} | {LeaderPrograms:0 FollowerPrograms:0 SafetyRejects:0 ORTHits:0 ORTMisses:0 ORTBytes:0 RetryHits:0 RetryStale:0 RetryMisses:0 RetryEntries:0} | {HostBytes:80953344 GCBytes:20447232 RefreshBytes:0 WLBytes:0 Factor:1.2525804493017607 Refreshes:0 WearLevels:0} | now=1820643500 fired=73666"},
+	} {
+		p.opts.BlocksPerChip, p.opts.Seed = 16, 4
+		dev, err := New(p.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.Prefill(int64(0.8 * float64(dev.LogicalPages())))
+		dev.ResetStats()
+		st, err := dev.RunWorkload("Mixed", 6000, 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pinState(dev, st); got != p.want {
+			t.Errorf("%s: simulated results moved\n got: %s\nwant: %s", p.opts.FTL, got, p.want)
+		}
+	}
+}
