@@ -2,9 +2,9 @@
 # long tests hide behind -short here; `make soak` runs them in full.
 GO ?= go
 
-.PHONY: tier1 build vet test race race-core bench bench-smoke bench-scale bench-telemetry bench-json trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
+.PHONY: tier1 build vet test race race-core bench bench-smoke bench-scale bench-telemetry one-stack trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
 
-tier1: build vet race race-core fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
+tier1: build vet one-stack race race-core fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
 
 build:
 	$(GO) build ./...
@@ -56,11 +56,24 @@ bench-scale:
 bench-telemetry:
 	$(GO) test -run xxx -bench 'BenchmarkMixedTelemetry' -benchtime 5x -count 3 .
 
-# Machine-readable benchmark snapshot: runs the scale and telemetry
-# scenarios and writes BENCH_core.json (IOPS, p50/p99, wall time, seed,
-# git rev) so the perf trajectory is tracked across commits.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_core.json
+# One way to build a device stack, and no dead packages: fails if a
+# non-test .go file outside internal/stack (and the packages that define
+# them) calls ssd.New( or ftl.NewController(, or if a package under
+# internal/ is imported by no other package (test imports count, a
+# package's own tests do not).
+one-stack:
+	@bad=$$(grep -rn --include='*.go' -e 'ssd\.New(' -e 'ftl\.NewController(' . \
+		| grep -v -e '_test\.go:' -e '^\./internal/stack/' -e '^\./internal/ssd/' -e '^\./internal/ftl/'); \
+	if [ -n "$$bad" ]; then \
+		echo "one-stack: only internal/stack builds a device stack:"; echo "$$bad"; exit 1; \
+	fi
+	@$(GO) list -test -deps -f '{{.ImportPath}}{{range .Imports}}|{{.}}{{end}}' ./... | awk -F'|' ' \
+		{ p = $$1; sub(/ \[.*/, "", p); sub(/(_test|\.test)$$/, "", p); \
+		  if (p ~ /\/internal\//) pkgs[p] = 1; \
+		  for (i = 2; i <= NF; i++) { d = $$i; sub(/ \[.*/, "", d); if (d != p) used[d] = 1 } } \
+		END { for (p in pkgs) if (!(p in used)) { print "one-stack: " p " is imported by no other package"; bad = 1 } \
+		      exit bad }'
+	@echo "one-stack: PASS"
 
 # Fleet smoke, tier-1 sized (a few seconds): the checked-in MSR fixture
 # replayed across 8 shards and 1024 tenants behind write-back caches.

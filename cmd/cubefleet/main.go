@@ -39,7 +39,7 @@ func main() {
 	tenants := flag.Int("tenants", 1024, "logical tenants across the fleet")
 	placement := flag.String("placement", "hash", "tenant placement: hash, range, capacity")
 	seed := flag.Uint64("seed", 1, "fleet seed (device personalities, placement)")
-	ftlName := flag.String("ftl", "cube", "per-shard FTL: cube, page, vert")
+	ftlName := flag.String("ftl", "cube", "per-shard FTL: page, vert, isp, cube, cube-")
 	blocks := flag.Int("blocks", 16, "blocks per chip on each shard")
 	channels := flag.Int("channels", 0, "channels per shard (0 = device default)")
 	dies := flag.Int("dies", 0, "dies per channel (0 = device default)")

@@ -29,7 +29,7 @@ import (
 )
 
 func main() {
-	ftlName := flag.String("ftl", cubeftl.FTLCube, "FTL flavor: page, vert, cube, cube-")
+	ftlName := flag.String("ftl", cubeftl.FTLCube, "FTL flavor: page, vert, isp, cube, cube-")
 	wl := flag.String("workload", "OLTP", "workload: "+strings.Join(cubeftl.Workloads(), ", "))
 	requests := flag.Int("requests", 20000, "host requests to complete")
 	qd := flag.Int("qd", 24, "host queue depth")

@@ -34,6 +34,7 @@ import (
 	"cubeftl/internal/recovery"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
+	"cubeftl/internal/stack"
 	"cubeftl/internal/telemetry"
 	"cubeftl/internal/vth"
 	"cubeftl/internal/workload"
@@ -59,12 +60,6 @@ type Options struct {
 	BlocksPerChip  int // default 64 (paper's chips have 428)
 	PlanesPerChip  int // default 1 (the paper's model); 2+ overlaps ops within a die
 	Seed           uint64
-
-	// Buses/ChipsPerBus are the pre-topology names for
-	// Channels/DiesPerChannel; they apply only when the new fields are
-	// zero. Deprecated: set Channels and DiesPerChannel.
-	Buses       int
-	ChipsPerBus int
 
 	// DieAffinity makes the multi-queue host front end prefer fetching
 	// commands whose target die is idle (reads to busy dies wait while
@@ -148,102 +143,57 @@ func DefaultOptions() Options {
 // FTLs. It is not safe for concurrent use: the simulation is a single
 // deterministic event loop.
 type SSD struct {
+	// st is the built device stack; eng, dev and ctrl are shorthands
+	// into it, replaced together by Remount (see adopt).
+	st          *stack.Stack
 	eng         *sim.Engine
 	dev         *ssd.Device
 	ctrl        *ftl.Controller
-	cube        *core.CubeFTL // non-nil for cube flavors
 	dieAffinity bool
 	hub         *telemetry.Hub     // nil until EnableTelemetry
 	sampler     *telemetry.Sampler // nil until StartStats
 
-	// Crash-consistency state (Options.Recovery). opts and ctrlCfg are
-	// retained so Remount can rebuild the volatile half of the device;
-	// outstanding counts facade-issued host ops not yet completed (Run's
-	// stop condition — the manager's checkpoint timer keeps the event
-	// queue non-empty forever, so Run cannot wait for queue drain).
-	mgr         *recovery.Manager
-	opts        Options
-	ctrlCfg     ftl.ControllerConfig
-	outstanding int
-	onIODone    func() // completion of a facade I/O issued without a callback
-
-	// ager applies lifetime fast-forwards (lazily built by Age so
-	// devices that never age pay nothing and replay bit-identically).
-	ager *lifetime.Ager
+	// Crash-consistency state (Options.Recovery). outstanding counts
+	// facade-issued host ops not yet completed (Run's stop condition —
+	// the manager's checkpoint timer keeps the event queue non-empty
+	// forever, so Run cannot wait for queue drain).
+	mgr          *recovery.Manager
+	ckptInterval time.Duration
+	outstanding  int
+	onIODone     func() // completion of a facade I/O issued without a callback
 }
 
 // New builds a simulated SSD.
 func New(opts Options) (*SSD, error) {
-	if opts.Channels <= 0 {
-		opts.Channels = opts.Buses // deprecated alias
-	}
-	if opts.Channels <= 0 {
-		opts.Channels = 2
-	}
-	if opts.DiesPerChannel <= 0 {
-		opts.DiesPerChannel = opts.ChipsPerBus // deprecated alias
-	}
-	if opts.DiesPerChannel <= 0 {
-		opts.DiesPerChannel = 4
-	}
-	if opts.BlocksPerChip <= 0 {
-		opts.BlocksPerChip = 64
-	}
-	if opts.FTL == "" {
-		opts.FTL = FTLCube
-	}
-	rs, err := core.RetrySetupFor(opts.RetryMode)
+	st, err := stack.Build(stack.Spec{
+		FTL:             opts.FTL,
+		Channels:        opts.Channels,
+		DiesPerChannel:  opts.DiesPerChannel,
+		BlocksPerChip:   opts.BlocksPerChip,
+		PlanesPerChip:   opts.PlanesPerChip,
+		Seed:            opts.Seed,
+		BufferPages:     opts.WriteBufferPages,
+		PECycles:        opts.PECycles,
+		RetentionMonths: opts.RetentionMonths,
+		SuspendOps:      opts.SuspendOps,
+		WearAware:       opts.WearAware,
+		Refresh:         opts.Refresh,
+		WearLevel:       opts.WearLevel,
+		VerifyData:      opts.VerifyData,
+		DurableAcks:     opts.Recovery,
+		Faults: nand.FaultConfig{
+			ProgramFailRate: opts.ProgramFailRate,
+			EraseFailRate:   opts.EraseFailRate,
+			ReadFaultRate:   opts.ReadFaultRate,
+			FactoryBadRate:  opts.FactoryBadRate,
+		},
+		RetryMode: opts.RetryMode,
+	})
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine()
-	devCfg := ssd.DefaultConfig()
-	devCfg.Channels = opts.Channels
-	devCfg.DiesPerChannel = opts.DiesPerChannel
-	devCfg.Chip.Process.BlocksPerChip = opts.BlocksPerChip
-	devCfg.Seed = opts.Seed
-	devCfg.SuspendOps = opts.SuspendOps
-	devCfg.PlanesPerChip = opts.PlanesPerChip
-	devCfg.Chip.StoreData = opts.VerifyData
-	devCfg.Chip.DecodeLatencyNs = rs.DecodeNs
-	dev := ssd.New(eng, devCfg)
-	faults := nand.FaultConfig{
-		ProgramFailRate: opts.ProgramFailRate,
-		EraseFailRate:   opts.EraseFailRate,
-		ReadFaultRate:   opts.ReadFaultRate,
-		FactoryBadRate:  opts.FactoryBadRate,
-	}
-	if faults.Enabled() {
-		dev.SetFaults(faults)
-	}
-	if opts.PECycles > 0 || opts.RetentionMonths > 0 {
-		dev.PreAge(opts.PECycles, opts.RetentionMonths)
-		dev.SetReadJitterProb(0.5)
-	}
-
-	pol, cube, err := newPolicy(opts, dev)
-	if err != nil {
-		return nil, err
-	}
-	ctrlCfg := ftl.DefaultControllerConfig()
-	if opts.WriteBufferPages > 0 {
-		ctrlCfg.WriteBufferPages = opts.WriteBufferPages
-	}
-	ctrlCfg.WearAware = opts.WearAware || opts.WearLevel
-	ctrlCfg.Refresh = opts.Refresh
-	ctrlCfg.WearLevel = opts.WearLevel
-	ctrlCfg.VerifyData = opts.VerifyData
-	ctrlCfg.DurableAcks = opts.Recovery
-	ctrlCfg.RetryMode = rs.Mode
-	s := &SSD{
-		eng:         eng,
-		dev:         dev,
-		ctrl:        ftl.NewController(dev, pol, ctrlCfg),
-		cube:        cube,
-		dieAffinity: opts.DieAffinity,
-		opts:        opts,
-		ctrlCfg:     ctrlCfg,
-	}
+	s := &SSD{dieAffinity: opts.DieAffinity, ckptInterval: opts.CkptInterval}
+	s.adopt(st)
 	s.onIODone = func() { s.outstanding-- }
 	if opts.Recovery {
 		s.mgr = recovery.Attach(s.ctrl, recovery.NewSystemArea(), recovery.Options{
@@ -254,47 +204,11 @@ func New(opts Options) (*SSD, error) {
 	return s, nil
 }
 
-// newPolicy builds the FTL policy named by opts.FTL against dev (cube
-// is non-nil for the cube flavors), applying the retry-mode setup and
-// age bucket the options imply. Shared by New and Remount: a recovery
-// mount needs a fresh policy instance whose learned state is then
-// restored from the checkpoint — including the retry table, whose
-// configuration must therefore be rebuilt identically here.
-func newPolicy(opts Options, dev *ssd.Device) (ftl.Policy, *core.CubeFTL, error) {
-	switch opts.FTL {
-	case FTLPage:
-		return ftl.NewPagePolicy(), nil, nil
-	case FTLVert:
-		return ftl.NewVertPolicy(), nil, nil
-	case FTLIsp:
-		return ftl.NewIspPolicy(func(chip, block int) int {
-			return dev.Die(chip).NAND.PECycles(block)
-		}), nil, nil
-	case FTLCube, FTLCubeMinus:
-		var cube *core.CubeFTL
-		if opts.FTL == FTLCubeMinus {
-			cube = core.NewMinus(dev.Geometry())
-		} else {
-			cube = core.New(dev.Geometry())
-		}
-		rs, err := core.RetrySetupFor(opts.RetryMode)
-		if err != nil {
-			return nil, nil, err
-		}
-		cube.ApplyRetrySetup(rs)
-		cube.SetAgeBucket(core.AgeBucketFor(opts.RetentionMonths))
-		// Key the retry table by each block's own retention age rather
-		// than the device-wide bucket. On a fresh or uniformly pre-aged
-		// device EffectiveRetentionMonths equals the device-wide setting,
-		// so this resolves to the same bucket as SetAgeBucket — replays
-		// stay bit-identical — but once Age fast-forwards individual
-		// blocks across bucket boundaries the key moves with the block.
-		cube.SetAgeBucketFn(func(chip, block int) int {
-			return core.AgeBucketFor(dev.Die(chip).NAND.EffectiveRetentionMonths(block))
-		})
-		return cube, cube, nil
-	}
-	return nil, nil, fmt.Errorf("cubeftl: unknown FTL %q", opts.FTL)
+// adopt makes st the device's stack (at build, and again after a
+// recovery mount replaced the volatile half).
+func (s *SSD) adopt(st *stack.Stack) {
+	st.HostBusy = func() bool { return s.outstanding > 0 }
+	s.st, s.eng, s.dev, s.ctrl = st, st.Eng, st.Dev, st.Ctrl
 }
 
 // Channels returns the device's channel (bus) count.
@@ -455,6 +369,12 @@ func (s *SSD) RunWorkload(name string, requests, queueDepth int) (RunStats, erro
 	}
 	gen := workload.NewStream(prof, s.ctrl.LogicalPages(), s.dev.Config().Seed+0xABCD)
 	res := workload.Run(s.ctrl, gen, workload.RunConfig{Requests: requests, QueueDepth: queueDepth})
+	return s.runStats(res), nil
+}
+
+// runStats assembles a run's RunStats from what the host side measured
+// and the controller's counters for the same window.
+func (s *SSD) runStats(res workload.Result) RunStats {
 	st := s.ctrl.Stats()
 	return RunStats{
 		Requests:       res.Requests,
@@ -482,7 +402,7 @@ func (s *SSD) RunWorkload(name string, requests, queueDepth int) (RunStats, erro
 		DegradedDies:    st.DegradedDies,
 		FencedPrograms:  st.FencedPrograms,
 		TraceHash:       res.TraceHash,
-	}, nil
+	}
 }
 
 // Arbitration policy names accepted by RunTenants.
@@ -653,21 +573,22 @@ type CubeStats struct {
 
 // Cube returns the PS-aware counters (meaningful for cube flavors).
 func (s *SSD) Cube() CubeStats {
-	if s.cube == nil {
+	cube := s.st.Cube // nil unless the FTL is a cube flavor
+	if cube == nil {
 		return CubeStats{}
 	}
-	cs := s.cube.CubeStats()
+	cs := cube.CubeStats()
 	return CubeStats{
 		LeaderPrograms:   cs.LeaderPrograms,
 		FollowerPrograms: cs.FollowerPrograms,
 		SafetyRejects:    cs.SafetyRejects,
 		ORTHits:          cs.ORTHits,
 		ORTMisses:        cs.ORTMisses,
-		ORTBytes:         s.cube.ORTBytes(),
+		ORTBytes:         cube.ORTBytes(),
 		RetryHits:        cs.RetryHits,
 		RetryStale:       cs.RetryStale,
 		RetryMisses:      cs.RetryMisses,
-		RetryEntries:     int64(s.cube.RetryEntries()),
+		RetryEntries:     int64(cube.RetryEntries()),
 	}
 }
 

@@ -5,7 +5,6 @@ package cubeftl
 // caching. Wraps internal/workload's trace parsers and internal/fleet.
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -75,25 +74,7 @@ func (s *SSD) ReplayTrace(name string, r io.Reader, opt TraceReplayOptions) (Run
 		depth = 32
 	}
 	res := workload.Run(s.ctrl, tr.ToTrace(true), workload.RunConfig{Requests: tr.Len(), QueueDepth: depth})
-	st := s.ctrl.Stats()
-	return RunStats{
-		Requests:       res.Requests,
-		Elapsed:        time.Duration(res.ElapsedNs),
-		IOPS:           res.IOPS(),
-		ReadP50:        time.Duration(res.ReadLat.Percentile(50)),
-		ReadP90:        time.Duration(res.ReadLat.Percentile(90)),
-		ReadP99:        time.Duration(res.ReadLat.Percentile(99)),
-		WriteP50:       time.Duration(res.WriteLat.Percentile(50)),
-		WriteP90:       time.Duration(res.WriteLat.Percentile(90)),
-		WriteP99:       time.Duration(res.WriteLat.Percentile(99)),
-		MeanTPROG:      time.Duration(st.MeanTPROGNs()),
-		ReadRetries:    st.ReadRetries,
-		GCRuns:         st.GCCount,
-		Reprograms:     st.Reprograms,
-		BufferHits:     st.BufferHits,
-		DataMismatches: st.DataMismatches,
-		TraceHash:      res.TraceHash,
-	}, nil
+	return s.runStats(res), nil
 }
 
 // Placement policy names accepted by FleetOptions.Placement.
@@ -117,7 +98,7 @@ type FleetOptions struct {
 	Placement string // PlacementHash (default) | PlacementRange | PlacementCapacity
 	Seed      uint64 // roots per-shard device seeds and placement (default 1)
 
-	FTL            string // FTLCube (default) | FTLPage | FTLVert
+	FTL            string // any Options.FTL name; FTLCube by default
 	BlocksPerChip  int    // per-shard device scale (default 16)
 	Channels       int    // 0 = device default (2)
 	DiesPerChannel int    // 0 = device default (4)
@@ -235,20 +216,12 @@ func (o FleetOptions) toConfig() (fleet.Config, error) {
 	if err != nil {
 		return fleet.Config{}, err
 	}
-	ftlName := o.FTL
-	switch ftlName {
-	case "", FTLCube:
-		ftlName = "cube"
-	case FTLPage, FTLVert:
-	default:
-		return fleet.Config{}, fmt.Errorf("cubeftl: fleet supports FTL page|vert|cube, not %q", o.FTL)
-	}
 	return fleet.Config{
 		Shards:          o.Shards,
 		Tenants:         o.Tenants,
 		Placement:       o.Placement,
 		Seed:            o.Seed,
-		Policy:          ftlName,
+		Policy:          o.FTL,
 		BlocksPerChip:   o.BlocksPerChip,
 		Channels:        o.Channels,
 		DiesPerChannel:  o.DiesPerChannel,

@@ -109,7 +109,7 @@ func TestRunFleetFacadeErrors(t *testing.T) {
 	if _, err := RunFleet(FleetOptions{CacheMode: "sideways"}, "msr", openFixture(t), topt); err == nil {
 		t.Error("bad cache mode accepted")
 	}
-	if _, err := RunFleet(FleetOptions{FTL: FTLCubeMinus}, "msr", openFixture(t), topt); err == nil {
-		t.Error("unsupported fleet FTL accepted")
+	if _, err := RunFleet(FleetOptions{FTL: "btree"}, "msr", openFixture(t), topt); err == nil {
+		t.Error("unknown fleet FTL accepted")
 	}
 }

@@ -5,7 +5,7 @@ import (
 
 	"cubeftl/internal/core"
 	"cubeftl/internal/ftl"
-	"cubeftl/internal/ssd"
+	"cubeftl/internal/stack"
 	"cubeftl/internal/workload"
 )
 
@@ -40,12 +40,14 @@ func (r *AblationResult) Table() *Table {
 	return t
 }
 
-func cubeWith(mutate func(*core.Config)) func(*ssd.Device) ftl.Policy {
-	return func(dev *ssd.Device) ftl.Policy {
-		cfg := core.DefaultConfig()
-		mutate(&cfg)
-		return core.NewCubeFTL(dev.Geometry(), cfg)
-	}
+// cubeWith builds the evaluation device under a cubeFTL whose
+// configuration the ablation mutated.
+func cubeWith(opts SSDOpts, mutate func(*core.Config)) *stack.Stack {
+	cfg := core.DefaultConfig()
+	mutate(&cfg)
+	s := opts.spec(PolicyCube)
+	s.Cube = &cfg
+	return mustBuild(s)
 }
 
 // AblationMuThreshold sweeps the WAM's mu_TH on the bursty OLTP
@@ -58,8 +60,7 @@ func AblationMuThreshold(opts SSDOpts) *AblationResult {
 		Extra: map[string][]float64{"write P90 (ms)": nil},
 	}
 	for _, th := range []float64{0.5, 0.7, 0.9, 0.95, 1.0} {
-		out := RunCustom(cubeWith(func(c *core.Config) { c.MuThreshold = th }),
-			workload.OLTP, opts, nil)
+		out := RunCustom(cubeWith(opts, func(c *core.Config) { c.MuThreshold = th }), workload.OLTP, opts)
 		r.Values = append(r.Values, f2(th))
 		r.IOPS = append(r.IOPS, out.IOPS())
 		r.Extra["write P90 (ms)"] = append(r.Extra["write P90 (ms)"],
@@ -78,8 +79,7 @@ func AblationActiveBlocks(opts SSDOpts) *AblationResult {
 		Extra: map[string][]float64{"mean tPROG (us)": nil},
 	}
 	for _, n := range []int{1, 2, 4} {
-		out := RunCustom(cubeWith(func(c *core.Config) { c.ActiveBlocks = n }),
-			workload.OLTP, opts, nil)
+		out := RunCustom(cubeWith(opts, func(c *core.Config) { c.ActiveBlocks = n }), workload.OLTP, opts)
 		r.Values = append(r.Values, d(n))
 		r.IOPS = append(r.IOPS, out.IOPS())
 		r.Extra["mean tPROG (us)"] = append(r.Extra["mean tPROG (us)"], out.MeanTPROGNs/1e3)
@@ -97,10 +97,10 @@ func AblationProgramOrder(opts SSDOpts) *AblationResult {
 		Extra: map[string][]float64{"mean tPROG (us)": nil},
 	}
 	for _, o := range []ftl.Order{ftl.OrderHorizontalFirst, ftl.OrderVerticalFirst, ftl.OrderMixed} {
-		out := RunCustom(cubeWith(func(c *core.Config) {
+		out := RunCustom(cubeWith(opts, func(c *core.Config) {
 			c.UseWAM = false
 			c.Order = o
-		}), workload.Rocks, opts, nil)
+		}), workload.Rocks, opts)
 		r.Values = append(r.Values, o.String())
 		r.IOPS = append(r.IOPS, out.IOPS())
 		r.Extra["mean tPROG (us)"] = append(r.Extra["mean tPROG (us)"], out.MeanTPROGNs/1e3)
@@ -127,8 +127,7 @@ func AblationORTGranularity(opts SSDOpts) *AblationResult {
 		name string
 		g    core.ORTGranularity
 	}{{"per-h-layer", core.ORTPerLayer}, {"per-block", core.ORTPerBlock}, {"per-chip", core.ORTPerChip}} {
-		out := RunCustom(cubeWith(func(c *core.Config) { c.ORT = g.g }),
-			workload.Proxy, opts, nil)
+		out := RunCustom(cubeWith(opts, func(c *core.Config) { c.ORT = g.g }), workload.Proxy, opts)
 		r.Values = append(r.Values, g.name)
 		r.IOPS = append(r.IOPS, out.IOPS())
 		perRead := 0.0
@@ -152,8 +151,9 @@ func AblationSafetyCheck(opts SSDOpts) *AblationResult {
 		Extra: map[string][]float64{"retries/read": nil, "reprograms": nil, "uncorrectable": nil},
 	}
 	for _, on := range []bool{true, false} {
-		out := RunCustom(cubeWith(func(c *core.Config) { c.SafetyCheck = on }),
-			workload.Mongo, opts, func(dev *ssd.Device) { dev.SetDisturbProb(disturbProb) })
+		stk := cubeWith(opts, func(c *core.Config) { c.SafetyCheck = on })
+		stk.Dev.SetDisturbProb(disturbProb)
+		out := RunCustom(stk, workload.Mongo, opts)
 		label := "off"
 		if on {
 			label = "on"

@@ -3,11 +3,8 @@ package experiment
 import (
 	"fmt"
 
-	"cubeftl/internal/core"
-	"cubeftl/internal/ftl"
 	"cubeftl/internal/metrics"
-	"cubeftl/internal/sim"
-	"cubeftl/internal/ssd"
+	"cubeftl/internal/stack"
 	"cubeftl/internal/workload"
 )
 
@@ -27,19 +24,6 @@ const (
 
 // EvalPolicies is Fig 17's lineup; Fig 18 adds cubeFTL-.
 var EvalPolicies = []PolicyKind{PolicyPage, PolicyVert, PolicyCube}
-
-func makePolicy(kind PolicyKind, geo ssd.Geometry) ftl.Policy {
-	switch kind {
-	case PolicyVert:
-		return ftl.NewVertPolicy()
-	case PolicyCube:
-		return core.New(geo)
-	case PolicyCubeMinus:
-		return core.NewMinus(geo)
-	default:
-		return ftl.NewPagePolicy()
-	}
-}
 
 // SSDOpts shapes an SSD evaluation run. The evaluation uses a scaled-
 // down device (fewer blocks per chip) for tractable runtimes, the same
@@ -108,60 +92,44 @@ type RunOutcome struct {
 // IOPS is the outcome's throughput.
 func (o RunOutcome) IOPS() float64 { return o.Result.IOPS() }
 
+// spec maps the evaluation options onto the device stack they describe,
+// running the given FTL.
+func (o SSDOpts) spec(kind PolicyKind) stack.Spec {
+	return stack.Spec{
+		FTL:             string(kind),
+		Channels:        o.Channels,
+		DiesPerChannel:  o.DiesPerChannel,
+		BlocksPerChip:   o.BlocksPerChip,
+		PlanesPerChip:   o.PlanesPerChip,
+		Seed:            o.Seed,
+		BufferPages:     o.BufferPages,
+		PECycles:        o.PE,
+		RetentionMonths: o.RetentionMonths,
+		SuspendOps:      o.SuspendOps,
+		RetryMode:       o.RetryMode,
+	}
+}
+
+// mustBuild builds a stack from a spec the experiment drivers wrote
+// themselves: they hard-code the FTL and retry-mode names.
+func mustBuild(s stack.Spec) *stack.Stack {
+	st, err := stack.Build(s)
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
 // RunWorkload builds a fresh SSD, pre-ages it, prefils the workload's
 // footprint, then measures the workload under the policy.
 func RunWorkload(kind PolicyKind, prof workload.Profile, opts SSDOpts) RunOutcome {
-	out := RunCustom(func(dev *ssd.Device) ftl.Policy {
-		if kind == PolicyIsp {
-			return ftl.NewIspPolicy(func(chip, block int) int {
-				return dev.Die(chip).NAND.PECycles(block)
-			})
-		}
-		return makePolicy(kind, dev.Geometry())
-	}, prof, opts, nil)
-	out.Policy = kind
-	return out
+	return RunCustom(mustBuild(opts.spec(kind)), prof, opts)
 }
 
-// RunCustom is RunWorkload with an arbitrary policy factory and an
-// optional device tweak applied before the run (used by the ablation
-// and related-work studies).
-func RunCustom(factory func(*ssd.Device) ftl.Policy, prof workload.Profile, opts SSDOpts, tweak func(*ssd.Device)) RunOutcome {
-	rs, err := core.RetrySetupFor(opts.RetryMode)
-	if err != nil {
-		panic(err) // experiment drivers hard-code the mode names
-	}
-	eng := sim.NewEngine()
-	devCfg := ssd.DefaultConfig()
-	devCfg.Chip.Process.BlocksPerChip = opts.BlocksPerChip
-	devCfg.Seed = opts.Seed
-	devCfg.SuspendOps = opts.SuspendOps
-	devCfg.PlanesPerChip = opts.PlanesPerChip
-	devCfg.Chip.DecodeLatencyNs = rs.DecodeNs
-	if opts.Channels > 0 {
-		devCfg.Channels = opts.Channels
-	}
-	if opts.DiesPerChannel > 0 {
-		devCfg.DiesPerChannel = opts.DiesPerChannel
-	}
-	dev := ssd.New(eng, devCfg)
-	if opts.PE > 0 || opts.RetentionMonths > 0 {
-		dev.PreAge(opts.PE, opts.RetentionMonths)
-		dev.SetReadJitterProb(0.5) // aged devices see environmental drift
-	}
-	if tweak != nil {
-		tweak(dev)
-	}
-	ctrlCfg := ftl.DefaultControllerConfig()
-	ctrlCfg.WriteBufferPages = opts.BufferPages
-	ctrlCfg.RetryMode = rs.Mode
-	pol := factory(dev)
-	if cube, ok := pol.(*core.CubeFTL); ok {
-		cube.ApplyRetrySetup(rs)
-		cube.SetAgeBucket(core.AgeBucketFor(opts.RetentionMonths))
-	}
-	ctrl := ftl.NewController(dev, pol, ctrlCfg)
-
+// RunCustom is RunWorkload on a stack the caller built (the ablation
+// and fault studies' mutated cube, fault rates or disturbance).
+func RunCustom(stk *stack.Stack, prof workload.Profile, opts SSDOpts) RunOutcome {
+	ctrl := stk.Ctrl
 	gen := workload.NewStream(prof, ctrl.LogicalPages(), opts.Seed+0xABCD)
 	workload.Prefill(ctrl, gen.Footprint())
 	ctrl.ResetStats()
@@ -170,6 +138,7 @@ func RunCustom(factory func(*ssd.Device) ftl.Policy, prof workload.Profile, opts
 	st := ctrl.Stats()
 	return RunOutcome{
 		Workload:      prof.Name,
+		Policy:        PolicyKind(stk.Spec.FTL),
 		Result:        res,
 		MeanTPROGNs:   st.MeanTPROGNs(),
 		ReadRetries:   st.ReadRetries,

@@ -3,9 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"cubeftl/internal/ftl"
 	"cubeftl/internal/nand"
-	"cubeftl/internal/ssd"
 	"cubeftl/internal/workload"
 )
 
@@ -30,17 +28,9 @@ type ExtFaultResult struct {
 func ExtFaultTolerance(opts SSDOpts) *ExtFaultResult {
 	res := &ExtFaultResult{}
 	for _, rate := range []float64{0, 1e-4, 1e-3, 5e-3} {
-		faults := nand.FaultConfig{
-			ProgramFailRate: rate,
-			EraseFailRate:   rate / 10,
-		}
-		out := RunCustom(func(dev *ssd.Device) ftl.Policy {
-			return makePolicy(PolicyCube, dev.Geometry())
-		}, workload.OLTP, opts, func(dev *ssd.Device) {
-			if faults.Enabled() {
-				dev.SetFaults(faults)
-			}
-		})
+		spec := opts.spec(PolicyCube)
+		spec.Faults = nand.FaultConfig{ProgramFailRate: rate, EraseFailRate: rate / 10}
+		out := RunCustom(mustBuild(spec), workload.OLTP, opts)
 		res.Labels = append(res.Labels, fmt.Sprintf("pfail %.0e / efail %.0e", rate, rate/10))
 		res.IOPS = append(res.IOPS, out.IOPS())
 		res.WriteP99 = append(res.WriteP99, out.Result.WriteLat.Percentile(99))

@@ -3,11 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"cubeftl/internal/core"
-	"cubeftl/internal/ftl"
-	"cubeftl/internal/lifetime"
-	"cubeftl/internal/sim"
-	"cubeftl/internal/ssd"
+	"cubeftl/internal/stack"
 	"cubeftl/internal/workload"
 )
 
@@ -53,97 +49,26 @@ type ExtLifetimeResult struct {
 	Uncorrectable [][]int64 // uncorrectable reads in the window
 }
 
-// agedDevice is one combo's long-lived device: the controller survives
-// across age points so translation state, wear, and bad blocks carry
-// forward the way a real device's do.
-type agedDevice struct {
-	eng  *sim.Engine
-	dev  *ssd.Device
-	ctrl *ftl.Controller
-	cube *core.CubeFTL
-	ager *lifetime.Ager
-
-	refresh bool
+// newAgedDevice builds one combo's long-lived device: the stack
+// survives across age points so translation state, wear, and bad blocks
+// carry forward the way a real device's do.
+func newAgedDevice(opts SSDOpts, combo LifetimeCombo) *stack.Stack {
+	s := opts.spec(PolicyCube)
+	s.Refresh, s.WearLevel = combo.Refresh, combo.WearLevel
+	return mustBuild(s)
 }
 
-func newAgedDevice(opts SSDOpts, combo LifetimeCombo) *agedDevice {
-	rs, err := core.RetrySetupFor(opts.RetryMode)
-	if err != nil {
-		panic(err) // experiment drivers hard-code the mode names
-	}
-	eng := sim.NewEngine()
-	devCfg := ssd.DefaultConfig()
-	devCfg.Chip.Process.BlocksPerChip = opts.BlocksPerChip
-	devCfg.Seed = opts.Seed
-	devCfg.Chip.DecodeLatencyNs = rs.DecodeNs
-	dev := ssd.New(eng, devCfg)
-
-	cube := core.New(dev.Geometry())
-	cube.ApplyRetrySetup(rs)
-	// Retry offsets follow each block's own retention clock: aging moves
-	// blocks between age buckets at different times.
-	cube.SetAgeBucketFn(func(chip, block int) int {
-		return core.AgeBucketFor(dev.Die(chip).NAND.EffectiveRetentionMonths(block))
-	})
-
-	ctrlCfg := ftl.DefaultControllerConfig()
-	ctrlCfg.WriteBufferPages = opts.BufferPages
-	ctrlCfg.RetryMode = rs.Mode
-	ctrlCfg.Refresh = combo.Refresh
-	ctrlCfg.WearLevel = combo.WearLevel
-	ctrlCfg.WearAware = ctrlCfg.WearAware || combo.WearLevel
-	ctrl := ftl.NewController(dev, cube, ctrlCfg)
-
-	return &agedDevice{
-		eng:     eng,
-		dev:     dev,
-		ctrl:    ctrl,
-		cube:    cube,
-		ager:    lifetime.NewAger(lifetime.Config{Seed: opts.Seed}),
-		refresh: combo.Refresh,
-	}
+// prefillRocks seeds the device with the workload's footprint so there
+// is data at rest for retention aging to act on.
+func prefillRocks(d *stack.Stack, opts SSDOpts) {
+	gen := workload.NewStream(workload.Rocks, d.Ctrl.LogicalPages(), opts.Seed+0xABCD)
+	workload.Prefill(d.Ctrl, gen.Footprint())
 }
 
-// drain runs the engine until background relocations (grown-bad
-// evacuations, refresh, wear leveling) settle.
-func (d *agedDevice) drain() {
-	d.eng.RunWhile(func() bool { return !d.ctrl.Drained() || d.ctrl.GCActiveAny() })
-}
-
-// age fast-forwards the device and, when refresh is on, scrubs it back
-// to health: sweeps repeat because refresh churn retires open write
-// points that a single pass must skip.
-func (d *agedDevice) age(months float64) lifetime.Report {
-	rep := d.ager.FastForward(d.dev.Array(), months, core.AgeBucketFor, lifetime.Hooks{
-		GrowBad: d.ctrl.GrowBadBlock,
-		BucketJump: func(die, block, _, _ int) {
-			d.cube.InvalidateBlockRetry(die, block)
-		},
-	})
-	d.dev.SetReadJitterProb(0.5) // aged devices see environmental drift
-	d.drain()
-	if d.refresh {
-		for i := 0; i < 8; i++ {
-			if d.ctrl.ScrubSweep() == 0 {
-				break
-			}
-			d.drain()
-		}
-	}
-	return rep
-}
-
-// prefill seeds the device with the workload's footprint so there is
-// data at rest for retention aging to act on.
-func (d *agedDevice) prefill(opts SSDOpts) {
-	gen := workload.NewStream(workload.Rocks, d.ctrl.LogicalPages(), opts.Seed+0xABCD)
-	workload.Prefill(d.ctrl, gen.Footprint())
-}
-
-// measure runs the workload and returns the host-visible result.
-func (d *agedDevice) measure(opts SSDOpts) workload.Result {
-	gen := workload.NewStream(workload.Rocks, d.ctrl.LogicalPages(), opts.Seed+0xABCD)
-	return workload.Run(d.ctrl, gen, workload.RunConfig{
+// measureRocks runs the workload and returns the host-visible result.
+func measureRocks(d *stack.Stack, opts SSDOpts) workload.Result {
+	gen := workload.NewStream(workload.Rocks, d.Ctrl.LogicalPages(), opts.Seed+0xABCD)
+	return workload.Run(d.Ctrl, gen, workload.RunConfig{
 		Requests: opts.Requests, QueueDepth: opts.QueueDepth,
 	})
 }
@@ -155,22 +80,22 @@ func ExtLifetime(opts SSDOpts) *ExtLifetimeResult {
 	for _, combo := range LifetimeCombos {
 		res.Combos = append(res.Combos, combo.Label)
 		d := newAgedDevice(opts, combo)
-		d.prefill(opts)
+		prefillRocks(d, opts)
 
 		var iops, wafs []float64
 		var p99s, refresh, wl, uncorr []int64
 		var grown, spread []int
 		prev := 0.0
 		for _, age := range res.AgesMonths {
-			d.ctrl.ResetStats()
+			d.Ctrl.ResetStats()
 			if age > prev {
-				d.age(age - prev)
+				d.Age(age - prev)
 				prev = age
 			}
-			r := d.measure(opts)
-			st := d.ctrl.Stats()
-			waf := d.ctrl.WAF()
-			lo, hi := d.ctrl.WearSpread()
+			r := measureRocks(d, opts)
+			st := d.Ctrl.Stats()
+			waf := d.Ctrl.WAF()
+			lo, hi := d.Ctrl.WearSpread()
 
 			iops = append(iops, r.IOPS())
 			p99s = append(p99s, r.ReadLat.Percentile(99))

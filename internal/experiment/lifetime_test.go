@@ -17,23 +17,23 @@ func TestLifetimeSmoke(t *testing.T) {
 	opts := smokeOpts()
 	d := newAgedDevice(opts, LifetimeCombo{Label: "+refresh+WL", Refresh: true, WearLevel: true})
 
-	d.prefill(opts)
+	prefillRocks(d, opts)
 
-	d.ctrl.ResetStats()
-	fresh := d.measure(opts)
+	d.Ctrl.ResetStats()
+	fresh := measureRocks(d, opts)
 	freshP99 := fresh.ReadLat.Percentile(99)
 	if freshP99 <= 0 {
 		t.Fatalf("fresh read p99 = %d", freshP99)
 	}
 
-	d.ctrl.ResetStats()
-	rep := d.age(36)
+	d.Ctrl.ResetStats()
+	rep, _ := d.Age(36)
 	if rep.PEAdded == 0 {
 		t.Fatal("fast-forward added no wear")
 	}
-	aged := d.measure(opts)
+	aged := measureRocks(d, opts)
 	agedP99 := aged.ReadLat.Percentile(99)
-	st := d.ctrl.Stats()
+	st := d.Ctrl.Stats()
 
 	if agedP99 > 2*freshP99 {
 		t.Errorf("aged read p99 %.3fms > 2x fresh %.3fms",
@@ -55,12 +55,12 @@ func TestLifetimeDeterministic(t *testing.T) {
 	opts.Requests = 2000
 	run := func() (int64, int64, float64, int) {
 		d := newAgedDevice(opts, LifetimeCombos[0])
-		d.prefill(opts)
-		d.age(24)
-		d.ctrl.ResetStats()
-		r := d.measure(opts)
-		lo, hi := d.ctrl.WearSpread()
-		return r.ReadLat.Percentile(99), d.ctrl.Stats().ReadRetries, d.ctrl.WAF().Factor(), hi - lo
+		prefillRocks(d, opts)
+		d.Age(24)
+		d.Ctrl.ResetStats()
+		r := measureRocks(d, opts)
+		lo, hi := d.Ctrl.WearSpread()
+		return r.ReadLat.Percentile(99), d.Ctrl.Stats().ReadRetries, d.Ctrl.WAF().Factor(), hi - lo
 	}
 	p99a, retA, wafA, sprA := run()
 	p99b, retB, wafB, sprB := run()

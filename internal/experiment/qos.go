@@ -3,10 +3,8 @@ package experiment
 import (
 	"fmt"
 
-	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
 	"cubeftl/internal/sim"
-	"cubeftl/internal/ssd"
 	"cubeftl/internal/workload"
 )
 
@@ -60,14 +58,7 @@ func ExtQoS(opts SSDOpts) *QoSResult {
 		{"wrr 8:1", host.NewWeightedRoundRobin(), 8, 0},
 		{"prio+guard", host.NewStrictPriority(qosGuardNs), 1, 5},
 	} {
-		eng := sim.NewEngine()
-		devCfg := ssd.DefaultConfig()
-		devCfg.Chip.Process.BlocksPerChip = opts.BlocksPerChip
-		devCfg.Seed = opts.Seed
-		dev := ssd.New(eng, devCfg)
-		ctrlCfg := ftl.DefaultControllerConfig()
-		ctrlCfg.WriteBufferPages = opts.BufferPages
-		ctrl := ftl.NewController(dev, ftl.NewPagePolicy(), ctrlCfg)
+		ctrl := mustBuild(opts.spec(PolicyPage)).Ctrl
 		workload.Prefill(ctrl, int64(ctrl.LogicalPages())*6/10)
 		ctrl.ResetStats()
 

@@ -58,8 +58,8 @@ type Config struct {
 	// jitter, capacity jitter, and hash placement (default 1).
 	Seed uint64
 
-	// Policy is the FTL flavor on every shard: "cube" (default),
-	// "page", or "vert".
+	// Policy is the FTL flavor on every shard: any name stack.Spec.FTL
+	// accepts ("cube" is the default).
 	Policy string
 	// BlocksPerChip scales each device down for tractable runtimes
 	// (default 16, the same knob the single-device evaluation uses).

@@ -4,28 +4,14 @@ import (
 	"fmt"
 
 	"cubeftl/internal/cache"
-	"cubeftl/internal/core"
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
 	"cubeftl/internal/metrics"
 	"cubeftl/internal/pool"
 	"cubeftl/internal/sim"
-	"cubeftl/internal/ssd"
+	"cubeftl/internal/stack"
 	"cubeftl/internal/workload"
 )
-
-// policyByName maps a flavor name to an FTL policy instance.
-func policyByName(name string, geo ssd.Geometry) (ftl.Policy, error) {
-	switch name {
-	case "", "cube", "cubeFTL":
-		return core.New(geo), nil
-	case "page", "pageFTL":
-		return ftl.NewPagePolicy(), nil
-	case "vert", "vertFTL":
-		return ftl.NewVertPolicy(), nil
-	}
-	return nil, fmt.Errorf("%w: %q (want cube|page|vert)", ErrBadPolicy, name)
-}
 
 // shardRunner replays one shard's requests on its private engine. It
 // interposes the host cache in front of the multi-queue interface:
@@ -62,28 +48,17 @@ type shardRunner struct {
 // runShard builds one complete device stack and replays the shard's
 // request slice to completion.
 func runShard(cfg Config, spec *shardSpec) (ShardResult, error) {
-	eng := sim.NewEngine()
-	devCfg := ssd.DefaultConfig()
-	devCfg.Seed = spec.seed
-	devCfg.Chip.Process.BlocksPerChip = spec.blocksPerChip
-	if cfg.Channels > 0 {
-		devCfg.Channels = cfg.Channels
-	}
-	if cfg.DiesPerChannel > 0 {
-		devCfg.DiesPerChannel = cfg.DiesPerChannel
-	}
-	dev := ssd.New(eng, devCfg)
-	if spec.pe > 0 || cfg.RetentionMonths > 0 {
-		dev.PreAge(spec.pe, cfg.RetentionMonths)
-		dev.SetReadJitterProb(0.5)
-	}
-	pol, err := policyByName(cfg.Policy, dev.Geometry())
+	stk, err := stack.Build(stack.Spec{
+		FTL: cfg.Policy, Channels: cfg.Channels, DiesPerChannel: cfg.DiesPerChannel,
+		BlocksPerChip: spec.blocksPerChip, Seed: spec.seed, BufferPages: cfg.BufferPages,
+		PECycles: spec.pe, RetentionMonths: cfg.RetentionMonths,
+	})
 	if err != nil {
-		return ShardResult{}, err
+		// The spec names no retry mode, so the FTL name is all Build
+		// can reject.
+		return ShardResult{}, fmt.Errorf("%w: %v", ErrBadPolicy, err)
 	}
-	ctrlCfg := ftl.DefaultControllerConfig()
-	ctrlCfg.WriteBufferPages = cfg.BufferPages
-	ctrl := ftl.NewController(dev, pol, ctrlCfg)
+	eng, ctrl := stk.Eng, stk.Ctrl
 
 	queues := make([]host.QueueConfig, cfg.QueuesPerShard)
 	for q := range queues {

@@ -307,17 +307,18 @@ type pendingWrite struct {
 	enqueuedNs sim.Time
 }
 
-// NewController wires a controller over the device with the policy.
-func NewController(dev *ssd.Device, pol Policy, cfg ControllerConfig) *Controller {
+// newController is the one place a Controller and its per-chip state
+// are allocated: fresh boot (NewController) and recovery mount
+// (NewControllerWithState) both start here and differ only in where the
+// pools, write points and mapping come from.
+func newController(dev *ssd.Device, pol Policy, cfg ControllerConfig) *Controller {
 	if cfg.WriteBufferPages <= 0 {
-		cfg = DefaultControllerConfig()
+		cfg.WriteBufferPages = DefaultControllerConfig().WriteBufferPages
 	}
 	geo := dev.Geometry()
 	logical := int(float64(geo.PhysPages()) * (1 - cfg.OverProvision))
-	buf, err := NewWriteBuffer(cfg.WriteBufferPages)
-	if err != nil { // unreachable after the default substitution above
-		buf, _ = NewWriteBuffer(DefaultControllerConfig().WriteBufferPages)
-	}
+	buf, _ := NewWriteBuffer(cfg.WriteBufferPages) // cannot fail: the capacity is positive
+	nChips := geo.Chips
 	c := &Controller{
 		eng:    dev.Engine(),
 		dev:    dev,
@@ -326,55 +327,63 @@ func NewController(dev *ssd.Device, pol Policy, cfg ControllerConfig) *Controlle
 		geo:    geo,
 		mapper: NewMapper(geo, logical),
 		buf:    buf,
+		stamps: make([]uint64, logical),
+		stats:  Stats{ReadLat: metrics.NewHist(0), WriteLat: metrics.NewHist(0)},
+
+		freeBlocks:     make([][]int, nChips),
+		actives:        make([][]*BlockCursor, nChips),
+		inflight:       make([]int, nChips),
+		gcActive:       make([]bool, nChips),
+		retired:        make([]map[int]bool, nChips),
+		pendingRetire:  make([][]int, nChips),
+		dieDegraded:    make([]bool, nChips),
+		gcStart:        make([]sim.Time, nChips),
+		relocCause:     make([]relocCause, nChips),
+		patrolCredit:   make([]int, nChips),
+		patrolCursor:   make([]int, nChips),
+		pendingRefresh: make([][]int, nChips),
+		lastWLGC:       make([]int64, nChips),
 	}
-	c.stats.ReadLat = metrics.NewHist(0)
-	c.stats.WriteLat = metrics.NewHist(0)
-	c.stamps = make([]uint64, logical)
 	if cfg.VerifyData {
 		c.verify = newVerifyState(logical)
 	}
-	nChips := geo.Chips
-	c.freeBlocks = make([][]int, nChips)
-	c.actives = make([][]*BlockCursor, nChips)
-	c.inflight = make([]int, nChips)
-	c.gcActive = make([]bool, nChips)
-	c.retired = make([]map[int]bool, nChips)
-	c.pendingRetire = make([][]int, nChips)
-	c.dieDegraded = make([]bool, nChips)
-	c.gcStart = make([]sim.Time, nChips)
-	c.relocCause = make([]relocCause, nChips)
-	c.patrolCredit = make([]int, nChips)
-	c.patrolCursor = make([]int, nChips)
-	c.pendingRefresh = make([][]int, nChips)
-	c.lastWLGC = make([]int64, nChips)
-	for i := range c.lastWLGC {
-		c.lastWLGC[i] = -1
-	}
-	for chip := 0; chip < nChips; chip++ {
+	for chip := range c.retired {
+		c.lastWLGC[chip] = -1
 		// Boot-time factory bad-block scan: factory-marked blocks never
-		// enter the free pool.
+		// enter a free pool.
 		c.retired[chip] = make(map[int]bool)
 		for _, b := range dev.Die(chip).NAND.FactoryBadBlocks() {
 			c.retired[chip][b] = true
 			c.stats.FactoryBadBlocks++
 		}
-		c.freeBlocks[chip] = make([]int, 0, geo.BlocksPerChip)
-		for b := geo.BlocksPerChip - 1; b >= 0; b-- {
+	}
+	return c
+}
+
+// armWritePoints tops a chip's open write points up to the policy's
+// count from its free pool. A pathologically bad chip runs with fewer.
+func (c *Controller) armWritePoints(chip int) {
+	want := max(c.pol.ActiveBlocksPerChip(), 1)
+	for len(c.actives[chip]) < want {
+		cur, ok := c.takeFreeBlock(chip)
+		if !ok {
+			return
+		}
+		c.actives[chip] = append(c.actives[chip], cur)
+	}
+}
+
+// NewController wires a controller over the device with the policy.
+func NewController(dev *ssd.Device, pol Policy, cfg ControllerConfig) *Controller {
+	c := newController(dev, pol, cfg)
+	for chip := range c.freeBlocks {
+		c.freeBlocks[chip] = make([]int, 0, c.geo.BlocksPerChip)
+		for b := c.geo.BlocksPerChip - 1; b >= 0; b-- {
 			if !c.retired[chip][b] {
 				c.freeBlocks[chip] = append(c.freeBlocks[chip], b)
 			}
 		}
-		n := pol.ActiveBlocksPerChip()
-		if n < 1 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			cur, ok := c.takeFreeBlock(chip)
-			if !ok {
-				break // pathologically bad chip: it runs with fewer write points
-			}
-			c.actives[chip] = append(c.actives[chip], cur)
-		}
+		c.armWritePoints(chip)
 	}
 	return c
 }

@@ -305,3 +305,27 @@ func TestReadDisturbReclaimToggle(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A zero WriteBufferPages takes the default capacity and nothing else:
+// the constructors used to replace the whole config with the defaults,
+// silently dropping the caller's retry mode, durable acks and lifetime
+// switches. Both init paths share newController, so both are checked.
+func TestControllerKeepsConfigWhenBufferDefaults(t *testing.T) {
+	cfg := DefaultControllerConfig()
+	cfg.WriteBufferPages, cfg.DurableAcks, cfg.RetryMode = 0, true, nand.RetryPipelined
+	_, dev := testDevice(7)
+	fresh := NewController(dev, NewPagePolicy(), cfg)
+	_, dev2 := testDevice(7)
+	mounted, err := NewControllerWithState(dev2, NewPagePolicy(), cfg, fresh.StateSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Controller{"fresh": fresh, "mounted": mounted} {
+		if !c.cfg.DurableAcks || c.cfg.RetryMode != nand.RetryPipelined {
+			t.Errorf("%s: config dropped: DurableAcks=%v RetryMode=%v", name, c.cfg.DurableAcks, c.cfg.RetryMode)
+		}
+		if got, want := c.buf.Capacity(), DefaultControllerConfig().WriteBufferPages; got != want {
+			t.Errorf("%s: write buffer holds %d pages, want the default %d", name, got, want)
+		}
+	}
+}

@@ -5,9 +5,7 @@ import (
 	"slices"
 	"sort"
 
-	"cubeftl/internal/metrics"
 	"cubeftl/internal/nand"
-	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
 )
 
@@ -132,66 +130,21 @@ func (c *Controller) AppendRetired(dst []int, chip int) []int {
 // live pages are queued for evacuation (run the engine until
 // GCActiveAny reports false to let those finish).
 func NewControllerWithState(dev *ssd.Device, pol Policy, cfg ControllerConfig, ms MountState) (*Controller, error) {
-	if cfg.WriteBufferPages <= 0 {
-		cfg = DefaultControllerConfig()
-	}
-	geo := dev.Geometry()
-	logical := int(float64(geo.PhysPages()) * (1 - cfg.OverProvision))
-	buf, err := NewWriteBuffer(cfg.WriteBufferPages)
-	if err != nil {
-		buf, _ = NewWriteBuffer(DefaultControllerConfig().WriteBufferPages)
-	}
-	c := &Controller{
-		eng:    dev.Engine(),
-		dev:    dev,
-		pol:    pol,
-		cfg:    cfg,
-		geo:    geo,
-		mapper: NewMapper(geo, logical),
-		buf:    buf,
-	}
-	c.stats.ReadLat = metrics.NewHist(0)
-	c.stats.WriteLat = metrics.NewHist(0)
-	c.stamps = make([]uint64, logical)
-	if cfg.VerifyData {
-		c.verify = newVerifyState(logical)
-	}
+	c := newController(dev, pol, cfg)
+	geo := c.geo
 	nChips := geo.Chips
 	if len(ms.Free) != nChips || len(ms.Actives) != nChips || len(ms.Retired) != nChips {
 		return nil, fmt.Errorf("ftl: mount state covers %d chips, device has %d", len(ms.Free), nChips)
-	}
-	c.freeBlocks = make([][]int, nChips)
-	c.actives = make([][]*BlockCursor, nChips)
-	c.inflight = make([]int, nChips)
-	c.gcActive = make([]bool, nChips)
-	c.retired = make([]map[int]bool, nChips)
-	c.pendingRetire = make([][]int, nChips)
-	c.dieDegraded = make([]bool, nChips)
-	c.gcStart = make([]sim.Time, nChips)
-	c.relocCause = make([]relocCause, nChips)
-	c.patrolCredit = make([]int, nChips)
-	c.patrolCursor = make([]int, nChips)
-	c.pendingRefresh = make([][]int, nChips)
-	c.lastWLGC = make([]int64, nChips)
-	for i := range c.lastWLGC {
-		c.lastWLGC[i] = -1
 	}
 	c.writeStamp = ms.LastStamp
 	c.blockSeq = ms.LastBlockSeq
 
 	for chip := 0; chip < nChips; chip++ {
 		chipNAND := dev.Die(chip).NAND
-		c.retired[chip] = make(map[int]bool)
 		for _, b := range ms.Retired[chip] {
 			c.retired[chip][b] = true
 		}
-		factory := 0
-		for _, b := range chipNAND.FactoryBadBlocks() {
-			c.retired[chip][b] = true
-			factory++
-		}
-		c.stats.FactoryBadBlocks += int64(factory)
-		c.stats.RetiredBlocks += int64(len(c.retired[chip]) - factory)
+		c.stats.RetiredBlocks += int64(len(c.retired[chip]))
 		c.freeBlocks[chip] = append([]int(nil), ms.Free[chip]...)
 		for _, ar := range ms.Actives[chip] {
 			programmed := make([]bool, geo.Layers*geo.WLsPerLayer)
@@ -207,10 +160,11 @@ func NewControllerWithState(dev *ssd.Device, pol Policy, cfg ControllerConfig, m
 			c.actives[chip] = append(c.actives[chip], cur)
 		}
 	}
+	c.stats.RetiredBlocks -= c.stats.FactoryBadBlocks // grown ones only
 
 	// Install the recovered mapping.
 	for _, m := range ms.Mappings {
-		if m.LPN < 0 || int(m.LPN) >= logical {
+		if m.LPN < 0 || int(m.LPN) >= c.LogicalPages() {
 			return nil, fmt.Errorf("ftl: mount state maps out-of-range LPN %d", m.LPN)
 		}
 		c.mapper.Map(m.LPN, m.PPN)
@@ -232,30 +186,14 @@ func NewControllerWithState(dev *ssd.Device, pol Policy, cfg ControllerConfig, m
 		}
 		c.actives[die] = nil
 	}
-	allDegraded := true
-	for die := 0; die < nChips; die++ {
-		if !c.dieDegraded[die] {
-			allDegraded = false
-		}
-	}
-	c.degraded = allDegraded
+	c.degraded = int(c.stats.DegradedDies) == nChips
 
 	// Re-arm write points and restart any interrupted evacuations.
-	want := pol.ActiveBlocksPerChip()
-	if want < 1 {
-		want = 1
-	}
 	for chip := 0; chip < nChips; chip++ {
 		if c.dieDegraded[chip] {
 			continue
 		}
-		for len(c.actives[chip]) < want {
-			cur, ok := c.takeFreeBlock(chip)
-			if !ok {
-				break
-			}
-			c.actives[chip] = append(c.actives[chip], cur)
-		}
+		c.armWritePoints(chip)
 		for _, b := range ms.Retired[chip] {
 			if c.mapper.ValidCount(chip, b) > 0 {
 				c.evacuate(chip, b)

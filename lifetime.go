@@ -11,7 +11,6 @@ package cubeftl
 import (
 	"time"
 
-	"cubeftl/internal/core"
 	"cubeftl/internal/lifetime"
 )
 
@@ -43,61 +42,22 @@ func (s *SSD) Age(d time.Duration) AgeReport {
 
 // AgeMonths is Age with the device's native retention unit.
 func (s *SSD) AgeMonths(months float64) AgeReport {
-	if s.ager == nil {
-		s.ager = lifetime.NewAger(lifetime.Config{Seed: s.opts.Seed})
+	rep, scrubbed := s.st.Age(months)
+	if s.mgr != nil {
+		// Persist the post-age mapping state so a power cut right after
+		// aging remounts without replaying the whole refresh burst.
+		s.mgr.CheckpointNow()
+		s.st.DrainRelocations()
 	}
-	hooks := lifetime.Hooks{GrowBad: s.ctrl.GrowBadBlock}
-	if s.cube != nil {
-		hooks.BucketJump = func(die, block, _, _ int) {
-			s.cube.InvalidateBlockRetry(die, block)
-		}
-	}
-	rep := s.ager.FastForward(s.dev.Array(), months, core.AgeBucketFor, hooks)
-	// Aged cells see environmental drift on reads, same as PreAge.
-	s.dev.SetReadJitterProb(0.5)
-	out := AgeReport{
+	return AgeReport{
 		Months:         rep.Months,
 		PEAdded:        rep.PEAdded,
 		BadBlocksGrown: rep.BadBlocksGrown,
 		BucketJumps:    rep.BucketJumps,
 		MinPE:          rep.MinPE,
 		MaxPE:          rep.MaxPE,
+		ScrubQueued:    scrubbed,
 	}
-	s.drainRelocations() // settle grown-bad evacuations first
-	if s.ctrlCfg.Refresh {
-		// Sweep until clean. A block serving as an open write point is
-		// excluded from a sweep (an active cursor cannot relocate), but
-		// refresh churn fills and retires open blocks, so data written
-		// before the age jump can surface as refreshable only on a later
-		// pass. The loop is bounded: every pass rewrites what it queues,
-		// and rewritten data is fresh.
-		for i := 0; i < 8; i++ {
-			q := s.ctrl.ScrubSweep()
-			if q == 0 {
-				break
-			}
-			out.ScrubQueued += q
-			s.drainRelocations()
-		}
-	}
-	if s.mgr != nil {
-		// Persist the post-age mapping state so a power cut right after
-		// aging remounts without replaying the whole refresh burst.
-		s.mgr.CheckpointNow()
-		s.drainRelocations()
-	}
-	return out
-}
-
-// drainRelocations runs the engine until host I/O, buffered writes, and
-// background relocations (GC, refresh, wear leveling) all settle.
-// Run's drain condition does not cover relocations: they are usually
-// absorbed into host-I/O windows, but an Age-triggered scrub sweep runs
-// with no host traffic outstanding.
-func (s *SSD) drainRelocations() {
-	s.eng.RunWhile(func() bool {
-		return s.outstanding > 0 || !s.ctrl.Drained() || s.ctrl.GCActiveAny()
-	})
 }
 
 // WAFStats is the per-cause write-amplification ledger: how many bytes

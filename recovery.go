@@ -104,11 +104,11 @@ func (s *SSD) Remount(verify, fullScan bool) (MountReport, error) {
 	// The NAND array is the durable medium: data, OOB, wear, grown bad
 	// blocks, and fault-injection streams all live there and carry over.
 	dev := ssd.NewWithArray(eng, s.dev.Config(), s.dev.Array())
-	pol, cube, err := newPolicy(s.opts, dev)
+	pol, cube, err := s.st.Spec.Policy(dev)
 	if err != nil {
 		return MountReport{}, err
 	}
-	ctrl, rpt, err := recovery.Mount(dev, pol, s.ctrlCfg, s.mgr.System(), recovery.MountOptions{
+	ctrl, rpt, err := recovery.Mount(dev, pol, s.st.CtrlCfg, s.mgr.System(), recovery.MountOptions{
 		ForceFullScan: fullScan,
 	})
 	if err != nil {
@@ -133,11 +133,13 @@ func (s *SSD) Remount(verify, fullScan bool) (MountReport, error) {
 		}
 		out.Verified = true
 	}
-	s.eng, s.dev, s.ctrl, s.cube = eng, dev, ctrl, cube
+	st := *s.st // same spec, controller config and ager: wear lives in the array
+	st.Eng, st.Dev, st.Ctrl, st.Cube = eng, dev, ctrl, cube
+	s.adopt(&st)
 	s.hub, s.sampler = nil, nil
 	s.outstanding = 0
 	s.mgr = recovery.Attach(ctrl, s.mgr.System(), recovery.Options{
-		CkptIntervalNs: sim.Time(s.opts.CkptInterval),
+		CkptIntervalNs: sim.Time(s.ckptInterval),
 		Ledger:         s.mgr.Ledger(),
 	})
 	return out, nil
@@ -170,32 +172,7 @@ func (s *SSD) RunWorkloadUntil(name string, requests, queueDepth int, deadline t
 		return RunStats{}, err
 	}
 	t := mr.Tenants[0]
-	st := s.ctrl.Stats()
-	return RunStats{
-		Requests:       t.Requests,
-		Elapsed:        time.Duration(t.ElapsedNs),
-		IOPS:           t.IOPS(),
-		ReadP50:        time.Duration(t.ReadLat.Percentile(50)),
-		ReadP90:        time.Duration(t.ReadLat.Percentile(90)),
-		ReadP99:        time.Duration(t.ReadLat.Percentile(99)),
-		WriteP50:       time.Duration(t.WriteLat.Percentile(50)),
-		WriteP90:       time.Duration(t.WriteLat.Percentile(90)),
-		WriteP99:       time.Duration(t.WriteLat.Percentile(99)),
-		MeanTPROG:      time.Duration(st.MeanTPROGNs()),
-		ReadRetries:    st.ReadRetries,
-		GCRuns:         st.GCCount,
-		Reprograms:     st.Reprograms,
-		BufferHits:     st.BufferHits,
-		DataMismatches: st.DataMismatches,
-
-		ProgramFailures: st.ProgramFailures,
-		EraseFailures:   st.EraseFailures,
-		ReadFaults:      st.ReadFaults,
-		RetiredBlocks:   st.RetiredBlocks,
-		FaultRecoveries: st.FaultRecoveries,
-		WriteRejects:    st.WriteRejects,
-		DegradedDies:    st.DegradedDies,
-		FencedPrograms:  st.FencedPrograms,
-		TraceHash:       mr.TraceHash,
-	}, nil
+	return s.runStats(workload.Result{
+		Requests: t.Requests, ElapsedNs: t.ElapsedNs, ReadLat: t.ReadLat, WriteLat: t.WriteLat, TraceHash: mr.TraceHash,
+	}), nil
 }

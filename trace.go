@@ -3,7 +3,6 @@ package cubeftl
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"cubeftl/internal/workload"
 )
@@ -32,22 +31,5 @@ func (s *SSD) RunTrace(r io.Reader, name string, requests, queueDepth int) (RunS
 			max-1, s.ctrl.LogicalPages())
 	}
 	res := workload.Run(s.ctrl, tr, workload.RunConfig{Requests: requests, QueueDepth: queueDepth})
-	st := s.ctrl.Stats()
-	return RunStats{
-		Requests:       res.Requests,
-		Elapsed:        time.Duration(res.ElapsedNs),
-		IOPS:           res.IOPS(),
-		ReadP50:        time.Duration(res.ReadLat.Percentile(50)),
-		ReadP90:        time.Duration(res.ReadLat.Percentile(90)),
-		ReadP99:        time.Duration(res.ReadLat.Percentile(99)),
-		WriteP50:       time.Duration(res.WriteLat.Percentile(50)),
-		WriteP90:       time.Duration(res.WriteLat.Percentile(90)),
-		WriteP99:       time.Duration(res.WriteLat.Percentile(99)),
-		MeanTPROG:      time.Duration(st.MeanTPROGNs()),
-		ReadRetries:    st.ReadRetries,
-		GCRuns:         st.GCCount,
-		Reprograms:     st.Reprograms,
-		BufferHits:     st.BufferHits,
-		DataMismatches: st.DataMismatches,
-	}, nil
+	return s.runStats(res), nil
 }
