@@ -77,12 +77,20 @@ one-stack:
 
 # Fleet smoke, tier-1 sized (a few seconds): the checked-in MSR fixture
 # replayed across 8 shards and 1024 tenants behind write-back caches.
-# The report on stdout is byte-stable for a fixed seed; diffing two runs
-# is the quickest fleet-determinism check outside the test suite.
+# The report on stdout is byte-stable for a fixed seed, however the
+# shard goroutines are scheduled: the target runs it on one processor
+# and on all of them and fails unless the two reports are identical —
+# the quickest fleet-determinism check outside the test suite.
+FLEET_SMOKE = -trace internal/workload/testdata/msr_sample.csv \
+	-shards 8 -tenants 1024 -blocks 8 -channels 1 -dies 2 \
+	-cache-pages 1024 -cache-policy 2q -cache-mode back -compress 20
 fleet-smoke:
-	$(GO) run ./cmd/cubefleet -trace internal/workload/testdata/msr_sample.csv \
-		-shards 8 -tenants 1024 -blocks 8 -channels 1 -dies 2 \
-		-cache-pages 1024 -cache-policy 2q -cache-mode back -compress 20
+	@set -e; \
+	serial=$$(GOMAXPROCS=1 $(GO) run ./cmd/cubefleet $(FLEET_SMOKE)); \
+	parallel=$$($(GO) run ./cmd/cubefleet $(FLEET_SMOKE)); \
+	echo "$$parallel"; \
+	[ "$$serial" = "$$parallel" ] || { echo "fleet-smoke: report differs between GOMAXPROCS=1 and default:"; echo "$$serial"; exit 1; }; \
+	echo "fleet-smoke: PASS (two reports byte-identical)"
 
 # Fleet demo at deployment-flavored scale: capacity-aware placement over
 # process-varied shards (±25% capacity jitter), 2048 tenants, the trace

@@ -21,7 +21,7 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Mode selects the write discipline.
@@ -117,28 +117,16 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// policy is a replacement strategy over resident page numbers. The
-// Cache guarantees insert is never called for a resident page and
-// touch/remove only for resident ones.
-type policy interface {
-	name() string
-	// touch records an access to a resident page.
-	touch(lpn int64)
-	// insert makes a page resident.
-	insert(lpn int64)
-	// victim selects and removes the page to evict.
-	victim() (int64, bool)
-	// len returns the resident page count.
-	len() int
-}
-
 // Cache is a host-side DRAM page cache. A nil *Cache is a valid,
 // disabled cache: every lookup misses and no write is absorbed.
 type Cache struct {
 	cfg   Config
 	pol   policy
-	dirty map[int64]bool // resident page -> dirty flag
+	s     *slab // the policy's nodes: residency and dirty flags live here
 	stats Stats
+
+	slots []int32 // Lookup: the slots of the pages found so far
+	flush []int64 // FillRead / Write: the dirty evictions handed to the caller
 }
 
 // New builds a cache, or returns (nil, nil) when cfg disables it
@@ -150,17 +138,19 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.SizePages <= 0 {
 		return nil, nil
 	}
-	var pol policy
+	c := &Cache{cfg: cfg}
 	switch cfg.Policy {
 	case "", PolicyLRU:
-		cfg.Policy = PolicyLRU
-		pol = newLRU()
+		c.cfg.Policy = PolicyLRU
+		l := newLRU(cfg.SizePages)
+		c.pol, c.s = l, l.s
 	case Policy2Q:
-		pol = newTwoQ(cfg.SizePages)
+		q := newTwoQ(cfg.SizePages)
+		c.pol, c.s = q, q.s
 	default:
 		return nil, fmt.Errorf("%w: %q (want %s|%s)", ErrBadPolicy, cfg.Policy, PolicyLRU, Policy2Q)
 	}
-	return &Cache{cfg: cfg, pol: pol, dirty: make(map[int64]bool)}, nil
+	return c, nil
 }
 
 // Enabled reports whether the cache exists.
@@ -206,21 +196,21 @@ func (c *Cache) Lookup(lpn int64, pages int) bool {
 	if c == nil {
 		return false
 	}
-	resident := 0
+	c.slots = c.slots[:0]
 	for p := int64(0); p < int64(pages); p++ {
-		if _, ok := c.dirty[lpn+p]; ok {
-			resident++
+		if slot, ok := c.s.index[lpn+p]; ok {
+			c.slots = append(c.slots, slot)
 		}
 	}
-	if resident == pages {
-		for p := int64(0); p < int64(pages); p++ {
-			c.pol.touch(lpn + p)
+	if len(c.slots) == pages {
+		for _, slot := range c.slots {
+			c.pol.touch(slot)
 		}
 		c.stats.Hits++
 		return true
 	}
 	c.stats.Misses++
-	if resident > 0 {
+	if len(c.slots) > 0 {
 		c.stats.PartialHits++
 	}
 	return false
@@ -229,21 +219,22 @@ func (c *Cache) Lookup(lpn int64, pages int) bool {
 // FillRead inserts the pages of a completed device read. Pages already
 // resident (a partial hit) keep their state and are only touched. It
 // returns the dirty pages evicted to make room, in eviction order — the
-// caller must write them to the device (flush accounting).
+// caller must write them to the device (flush accounting). The slice is
+// the cache's own: it is valid until the next FillRead or Write.
 func (c *Cache) FillRead(lpn int64, pages int) []int64 {
 	if c == nil {
 		return nil
 	}
-	var flush []int64
+	c.flush = c.flush[:0]
 	for p := int64(0); p < int64(pages); p++ {
 		page := lpn + p
-		if _, ok := c.dirty[page]; ok {
-			c.pol.touch(page)
+		if slot, ok := c.s.index[page]; ok {
+			c.pol.touch(slot)
 			continue
 		}
-		flush = c.insertPage(page, false, flush)
+		c.insertPage(page, false)
 	}
-	return flush
+	return c.flush
 }
 
 // Write applies a write of pages consecutive pages starting at lpn.
@@ -252,49 +243,48 @@ func (c *Cache) FillRead(lpn int64, pages int) []int64 {
 // NOT send it to the device. When absorbed is false (write-through) the
 // caller sends the write to the device as usual; resident copies have
 // been refreshed in place. Either way the returned dirty evictions must
-// be flushed to the device by the caller.
+// be flushed to the device by the caller; like FillRead's, the slice is
+// valid until the next FillRead or Write.
 func (c *Cache) Write(lpn int64, pages int) (absorbed bool, flush []int64) {
 	if c == nil {
 		return false, nil
 	}
+	c.flush = c.flush[:0]
 	back := c.cfg.Mode == WriteBack
 	for p := int64(0); p < int64(pages); p++ {
 		page := lpn + p
-		if _, ok := c.dirty[page]; ok {
+		if slot, ok := c.s.index[page]; ok {
 			c.stats.WriteHits++
-			c.pol.touch(page)
-			c.dirty[page] = back // write-through refresh leaves the page clean
+			c.pol.touch(slot)
+			c.s.nodes[slot].dirty = back // write-through refresh leaves the page clean
 			continue
 		}
 		if back {
 			c.stats.WriteAllocs++
-			flush = c.insertPage(page, true, flush)
+			c.insertPage(page, true)
 		}
 		// Write-through does not allocate on write misses: streaming
 		// writes must not wash the read working set out of the cache.
 	}
-	return back, flush
+	return back, c.flush
 }
 
-// insertPage makes page resident (dirty or clean), evicting as needed,
-// appending forced dirty flushes to flush.
-func (c *Cache) insertPage(page int64, dirty bool, flush []int64) []int64 {
+// insertPage makes page resident (dirty or clean), evicting as needed
+// and noting forced dirty flushes in c.flush.
+func (c *Cache) insertPage(page int64, dirty bool) {
 	c.stats.Inserts++
-	c.pol.insert(page)
-	c.dirty[page] = dirty
+	c.s.nodes[c.pol.insert(page)].dirty = dirty
 	for c.pol.len() > c.cfg.SizePages {
-		victim, ok := c.pol.victim()
+		victim, wasDirty, ok := c.pol.victim()
 		if !ok {
 			break // cannot happen: len > 0
 		}
 		c.stats.Evictions++
-		if c.dirty[victim] {
+		if wasDirty {
 			c.stats.DirtyEvictions++
-			flush = append(flush, victim)
+			c.flush = append(c.flush, victim)
 		}
-		delete(c.dirty, victim)
 	}
-	return flush
 }
 
 // Invalidate drops a page (e.g. after a trim); dirty data is discarded.
@@ -302,39 +292,28 @@ func (c *Cache) Invalidate(lpn int64) {
 	if c == nil {
 		return
 	}
-	if _, ok := c.dirty[lpn]; !ok {
-		return
+	if slot, ok := c.s.index[lpn]; ok {
+		c.pol.remove(slot)
 	}
-	// Policies have no random remove; rotate victims until the target
-	// surfaces is wasteful, so policies expose remove via type switch.
-	switch p := c.pol.(type) {
-	case *lru:
-		p.remove(lpn)
-	case *twoQ:
-		p.remove(lpn)
-	}
-	delete(c.dirty, lpn)
 }
 
 // FlushAll returns every dirty page in ascending LPN order and marks
 // them clean. The caller writes them to the device — this is the drain
 // path, so a run's final state does not depend on what happened to be
-// resident. The deterministic ordering matters: dirty state lives in a
-// map, and map iteration order must never leak into the simulation.
+// resident. The order is sorted, not slab order, so that it does not
+// depend on which slots the pages happened to land in.
 func (c *Cache) FlushAll() []int64 {
 	if c == nil {
 		return nil
 	}
 	var out []int64
-	for page, d := range c.dirty {
-		if d {
-			out = append(out, page)
+	for i := range c.s.nodes {
+		if n := &c.s.nodes[i]; n.dirty {
+			n.dirty = false
+			out = append(out, n.lpn)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	for _, page := range out {
-		c.dirty[page] = false
-	}
+	slices.Sort(out)
 	c.stats.FlushedPages += int64(len(out))
 	return out
 }

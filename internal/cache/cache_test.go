@@ -2,8 +2,11 @@ package cache
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"cubeftl/internal/rng"
 )
 
 func mustNew(t *testing.T, cfg Config) *Cache {
@@ -276,6 +279,86 @@ func TestCapacityNeverExceeded(t *testing.T) {
 			if c.Len() > 16 {
 				t.Fatalf("%s: resident %d > capacity 16", pol, c.Len())
 			}
+		}
+	}
+}
+
+// TestSlabMatchesReference drives the slab cache and the container/list
+// reference (reference_test.go) with the same 100 k seeded steps and
+// requires every return value, Len and Stats to agree after each one:
+// hit, miss, eviction and flush order are what fleet's pinned reports
+// rest on. Small capacities keep eviction, ghost promotion and ghost
+// trimming constant; the address range is a few times the capacity so
+// hits stay common too.
+func TestSlabMatchesReference(t *testing.T) {
+	for _, pol := range []string{PolicyLRU, Policy2Q} {
+		for _, mode := range []Mode{WriteThrough, WriteBack} {
+			for _, size := range []int{1, 3, 64} {
+				cfg := Config{SizePages: size, Policy: pol, Mode: mode}
+				c := mustNew(t, cfg)
+				ref, err := newRefCache(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := rng.New(uint64(size)*31 + uint64(mode))
+				span := int64(size)*4 + 8
+				for step := 0; step < 100_000; step++ {
+					lpn, pages := int64(src.Intn(int(span))), 1+src.Intn(4)
+					var got, want any
+					switch k := src.Intn(100); {
+					case k < 40:
+						got, want = c.Lookup(lpn, pages), ref.Lookup(lpn, pages)
+					case k < 65:
+						got, want = fmt.Sprint(c.FillRead(lpn, pages)), fmt.Sprint(ref.FillRead(lpn, pages))
+					case k < 93:
+						ga, gf := c.Write(lpn, pages)
+						wa, wf := ref.Write(lpn, pages)
+						got, want = fmt.Sprint(ga, gf), fmt.Sprint(wa, wf)
+					case k < 99:
+						c.Invalidate(lpn)
+						ref.Invalidate(lpn)
+					default:
+						got, want = fmt.Sprint(c.FlushAll()), fmt.Sprint(ref.FlushAll())
+					}
+					if got != want || c.Len() != ref.Len() || c.Stats() != ref.Stats() {
+						t.Fatalf("%s/%s/%d: step %d (lpn %d, %d pages): got %v, reference %v; Len %d vs %d; Stats %+v vs %+v",
+							pol, mode, size, step, lpn, pages, got, want, c.Len(), ref.Len(), c.Stats(), ref.Stats())
+					}
+				}
+				if got, want := fmt.Sprint(c.FlushAll()), fmt.Sprint(ref.FlushAll()); got != want {
+					t.Fatalf("%s/%s/%d: final flush %s, reference %s", pol, mode, size, got, want)
+				}
+			}
+		}
+	}
+}
+
+// A warmed cache allocates nothing: every page it will ever know about
+// has its node already, and evictions are handed out in a slice the
+// cache keeps.
+func TestCacheAllocs(t *testing.T) {
+	for _, pol := range []string{PolicyLRU, Policy2Q} {
+		c := mustNew(t, Config{SizePages: 256, Policy: pol, Mode: WriteBack})
+		src := rng.New(9)
+		step := func() {
+			lpn, pages := int64(src.Intn(2048)), 1+src.Intn(3)
+			if src.Intn(2) == 0 {
+				if !c.Lookup(lpn, pages) {
+					c.FillRead(lpn, pages)
+				}
+			} else {
+				c.Write(lpn, pages)
+			}
+		}
+		for i := 0; i < 20_000; i++ {
+			step()
+		}
+		before := c.Stats()
+		if n := testing.AllocsPerRun(20_000, step); n != 0 {
+			t.Errorf("%s: %v allocations per request on a warmed cache, want 0", pol, n)
+		}
+		if d := c.Stats(); d.Hits == before.Hits || d.DirtyEvictions == before.DirtyEvictions || d.Misses == before.Misses {
+			t.Errorf("%s: the measured window missed a path: %+v -> %+v", pol, before, d)
 		}
 	}
 }

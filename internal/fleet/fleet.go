@@ -13,7 +13,7 @@
 //
 // Determinism across the fleet follows from three invariants: tenant
 // placement is a pure function of (policy, seed, capacities); each
-// shard's replay depends only on its own request slice and seed; and
+// shard's replay depends only on its own request stream and seed; and
 // aggregation merges shard results in fixed shard order after every
 // goroutine has finished. A fixed seed therefore yields a byte-stable
 // fleet report regardless of goroutine scheduling — wall-clock timing
@@ -23,11 +23,11 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"cubeftl/internal/cache"
-	"cubeftl/internal/host"
 	"cubeftl/internal/rng"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/workload"
@@ -196,25 +196,9 @@ func Run(cfg Config, trace *workload.TimedTrace) (*Result, error) {
 		return nil, fmt.Errorf("%w: %d tenants cannot cover %d shards", ErrBadConfig, cfg.Tenants, cfg.Shards)
 	}
 
-	root := rng.New(cfg.Seed)
-	specs := buildShardSpecs(cfg, root)
-
-	weights := make([]int64, cfg.Shards)
-	for i, sp := range specs {
-		weights[i] = int64(sp.blocksPerChip)
-	}
-	place, err := NewPlacement(cfg.Placement, cfg.Shards, cfg.Tenants, weights, cfg.Seed)
+	specs, place, err := planShards(cfg, trace)
 	if err != nil {
 		return nil, err
-	}
-
-	assignRequests(cfg, trace, place, specs)
-	total := 0
-	for _, sp := range specs {
-		total += len(sp.reqs)
-	}
-	if total == 0 {
-		return nil, ErrNoTrace
 	}
 
 	// One goroutine per shard; results land in shard-indexed slots so
@@ -243,28 +227,67 @@ func Run(cfg Config, trace *workload.TimedTrace) (*Result, error) {
 	return res, nil
 }
 
+// planShards fixes, before any goroutine starts, each shard's device
+// personality and which of the trace's records it replays.
+func planShards(cfg Config, trace *workload.TimedTrace) ([]*shardSpec, Placement, error) {
+	specs := buildShardSpecs(cfg, rng.New(cfg.Seed))
+	weights := make([]int64, cfg.Shards)
+	for i, sp := range specs {
+		weights[i] = int64(sp.blocksPerChip)
+	}
+	place, err := NewPlacement(cfg.Placement, cfg.Shards, cfg.Tenants, weights, cfg.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := assignRequests(cfg, trace, place, specs); err != nil {
+		return nil, nil, err
+	}
+	return specs, place, nil
+}
+
 // shardSpec is everything a shard goroutine needs, fixed before any
-// goroutine starts.
+// goroutine starts. Its requests are not materialised: refs names the
+// shard's records of one pass over the trace, and request i of the
+// replay is record refs[i%len(refs)] of pass i/len(refs) — memory is
+// O(trace) whatever Repeat is.
 type shardSpec struct {
 	id            int
 	seed          uint64 // device seed, derived from the fleet seed
 	blocksPerChip int    // after capacity jitter
 	pe            int    // after age jitter
 	tenants       int    // tenants placed on this shard
-	reqs          []shardReq
+
+	trace  *workload.TimedTrace // shared by every shard, read-only
+	stride sim.Time             // pass p starts p*stride after the first
+	refs   []traceRef           // this shard's records, in trace order
+	n      int                  // requests to replay: whole passes over refs, then a prefix
+}
+
+// traceRef is one trace record as a shard sees it.
+type traceRef struct {
+	rec  int32 // index into trace.Reqs
+	slot int32 // tenant slot within the shard (0..tenants-1)
 }
 
 // shardReq is one replayed request in shard-local terms.
 type shardReq struct {
-	at     sim.Time
 	tenant int // slot index within the shard (0..tenants-1)
 	op     workload.Op
 	lpn    int64 // source page number; folded into the tenant extent at replay
 	pages  int
+}
 
-	// done is the request's host completion, built when the request first
-	// misses the cache and reused by every resubmission from the backlog.
-	done func(host.Completion)
+// at returns the arrival time of request i, relative to replay start.
+func (sp *shardSpec) at(i int) sim.Time {
+	pass, j := i/len(sp.refs), i%len(sp.refs)
+	return sim.Time(pass)*sp.stride + sp.trace.Reqs[sp.refs[j].rec].AtNs
+}
+
+// req returns request i of the shard's replay.
+func (sp *shardSpec) req(i int) shardReq {
+	ref := sp.refs[i%len(sp.refs)]
+	r := &sp.trace.Reqs[ref.rec]
+	return shardReq{tenant: int(ref.slot), op: r.Op, lpn: r.LPN, pages: r.Pages}
 }
 
 // buildShardSpecs derives each shard's device personality from the
@@ -300,48 +323,65 @@ func buildShardSpecs(cfg Config, root *rng.Source) []*shardSpec {
 	return specs
 }
 
-// assignRequests expands the trace (repeat passes), synthesizes tenant
-// identities from source streams and extents, and partitions the
-// requests across shards in arrival order.
-func assignRequests(cfg Config, trace *workload.TimedTrace, place Placement, specs []*shardSpec) {
+// assignRequests synthesizes tenant identities from source streams and
+// extents and partitions the trace's records across shards, in one pass
+// over the trace: each shard is left the list of its records and the
+// number of requests the repeat passes (bounded by MaxRequests, which
+// counts fleet-wide in arrival order) make of them. Arrivals must be
+// non-decreasing, also from one pass into the next, because a shard
+// replays them as a stream; the parser guarantees it, a hand-built
+// trace may not.
+func assignRequests(cfg Config, trace *workload.TimedTrace, place Placement, specs []*shardSpec) error {
+	n := trace.Len()
+	if n > math.MaxInt32 {
+		return fmt.Errorf("%w: trace of %d records", ErrBadConfig, n)
+	}
+	// Repeat passes continue the arrival process with the trace's mean
+	// inter-arrival gap between the last and first record.
+	stride := trace.SpanNs + 1
+	if n > 1 {
+		stride += stride / sim.Time(n)
+	}
+	total := cfg.Repeat * n
+	if cfg.MaxRequests > 0 && cfg.MaxRequests < total {
+		total = cfg.MaxRequests
+	}
+	whole, rem := total/n, total%n
+
 	// Tenant slots are allocated per shard in first-appearance order of
 	// the global tenant id, so a shard's tenant count is known before
 	// its device is built.
-	slot := make(map[int]int, cfg.Tenants)
-
-	span := trace.SpanNs + 1
-	passGap := sim.Time(0)
-	if trace.Len() > 1 {
-		// Repeat passes continue the arrival process with the trace's
-		// mean inter-arrival gap between the last and first record.
-		passGap = span / sim.Time(trace.Len())
-	}
-	emitted := 0
-	for pass := 0; pass < cfg.Repeat; pass++ {
-		base := sim.Time(pass) * (span + passGap)
-		for _, r := range trace.Reqs {
-			if cfg.MaxRequests > 0 && emitted >= cfg.MaxRequests {
-				return
-			}
-			tenant := tenantOf(cfg, r)
-			sh := place.Shard(tenant)
-			key := tenant
-			sl, ok := slot[key]
-			if !ok {
-				sl = specs[sh].tenants
-				specs[sh].tenants++
-				slot[key] = sl
-			}
-			specs[sh].reqs = append(specs[sh].reqs, shardReq{
-				at:     base + r.AtNs,
-				tenant: sl,
-				op:     r.Op,
-				lpn:    r.LPN,
-				pages:  r.Pages,
-			})
-			emitted++
+	slot := make(map[int]int32, cfg.Tenants)
+	prev := sim.Time(0)
+	for i := range trace.Reqs[:min(n, total)] {
+		r := &trace.Reqs[i]
+		if r.AtNs < prev {
+			return fmt.Errorf("fleet: trace record %d arrives at %d ns, before its predecessor at %d ns: %w",
+				i, r.AtNs, prev, workload.ErrTraceOutOfOrder)
+		}
+		prev = r.AtNs
+		tenant := tenantOf(cfg, *r)
+		sp := specs[place.Shard(tenant)]
+		sl, ok := slot[tenant]
+		if !ok {
+			sl = int32(sp.tenants)
+			sp.tenants++
+			slot[tenant] = sl
+		}
+		sp.refs = append(sp.refs, traceRef{rec: int32(i), slot: sl})
+		if i < rem {
+			sp.n++ // the partial last pass reaches this record
 		}
 	}
+	if total > n && trace.Reqs[0].AtNs+stride < prev {
+		return fmt.Errorf("fleet: trace record %d arrives at %d ns, past the %d ns span that places the next pass: %w",
+			n-1, prev, trace.SpanNs, workload.ErrTraceOutOfOrder)
+	}
+	for _, sp := range specs {
+		sp.trace, sp.stride = trace, stride
+		sp.n += whole * len(sp.refs)
+	}
+	return nil
 }
 
 // tenantOf synthesizes a logical tenant from a trace record: requests

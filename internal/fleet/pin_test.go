@@ -3,28 +3,28 @@ package fleet
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
 	"testing"
 
 	"cubeftl/internal/cache"
-	"cubeftl/internal/workload"
+	"cubeftl/internal/pool"
 )
 
 // TestFleetReplayPinned pins the whole deterministic fleet report (and
 // the chained grant hash) of the checked-in MSR fixture on pre-aged,
 // capacity-jittered cube shards. Captured at commit 6302764, the parent
 // of the internal/stack builder: a change to how a shard's device stack
-// is constructed must reproduce it to the byte.
+// is constructed must reproduce it to the byte. The second round runs
+// with one spare record per free list, so that what is pinned does not
+// rest on miss records (or the device's op records) being reused.
 func TestFleetReplayPinned(t *testing.T) {
-	f, err := os.Open("../workload/testdata/msr_sample.csv")
-	if err != nil {
-		t.Fatalf("open fixture: %v", err)
-	}
-	defer f.Close()
-	tr, err := workload.ParseTimedTrace("msr_sample", f, workload.TraceOptions{TimeCompression: 20})
-	if err != nil {
-		t.Fatalf("parse fixture: %v", err)
-	}
+	replayPinned(t)
+	defer pool.LimitFreeListsForTest(1)()
+	replayPinned(t)
+}
+
+func replayPinned(t *testing.T) {
+	t.Helper()
+	tr := msrFixture(t)
 	for _, p := range []struct {
 		policy, want string
 	}{

@@ -32,7 +32,11 @@ type shardRunner struct {
 	writeLat *metrics.Hist
 	sampler  *shardSampler // nil when Config.SampleIntervalNs == 0
 
-	backlog   []pool.Ring[shardReq] // per queue: requests bounced by admission control
+	span int64    // logical pages per tenant extent
+	t0   sim.Time // replay start; prefill may have advanced the clock
+
+	misses    pool.FreeList[missRec]
+	backlog   []pool.Ring[*missRec] // per queue: misses bounced by admission control
 	completed int64
 	total     int64
 	reads     int64
@@ -42,11 +46,40 @@ type shardRunner struct {
 	flushRejects    int64 // flush writes refused by a degraded device
 	flushInflight   int64
 	queueFullDefers int64
-	onFlushed       func() // a cache flush write was acknowledged (bound once)
+
+	// Bound once: a cache flush write was acknowledged; a cache hit's
+	// DRAM latency has elapsed.
+	onFlushed  func()
+	onReadHit  func()
+	onWriteHit func()
+}
+
+// missRec is one cache miss on its way through the host queue: what
+// its completion needs to know, pooled so that the completion callback
+// is bound once per record rather than built per request.
+type missRec struct {
+	r     *shardRunner
+	qid   int
+	op    workload.Op
+	lpn   int64
+	pages int
+	live  bool
+
+	onDone func(host.Completion) // m.done, bound at creation
+}
+
+func (r *shardRunner) getMiss() *missRec {
+	m := r.misses.Get()
+	if m == nil {
+		m = &missRec{r: r}
+		m.onDone = m.done
+	}
+	m.live = true
+	return m
 }
 
 // runShard builds one complete device stack and replays the shard's
-// request slice to completion.
+// requests to completion.
 func runShard(cfg Config, spec *shardSpec) (ShardResult, error) {
 	stk, err := stack.Build(stack.Spec{
 		FTL: cfg.Policy, Channels: cfg.Channels, DiesPerChannel: cfg.DiesPerChannel,
@@ -94,10 +127,12 @@ func runShard(cfg Config, spec *shardSpec) (ShardResult, error) {
 		cache:    hc,
 		readLat:  metrics.NewHist(0),
 		writeLat: metrics.NewHist(0),
-		backlog:  make([]pool.Ring[shardReq], cfg.QueuesPerShard),
-		total:    int64(len(spec.reqs)),
+		backlog:  make([]pool.Ring[*missRec], cfg.QueuesPerShard),
+		total:    int64(spec.n),
 	}
 	r.onFlushed = func() { r.flushInflight-- }
+	r.onReadHit = func() { r.finish(workload.Read) }
+	r.onWriteHit = func() { r.finish(workload.Write) }
 	if cfg.SampleIntervalNs > 0 {
 		r.sampler = newShardSampler(r, cfg.Live)
 		eng.SetProbe(sim.Time(cfg.SampleIntervalNs), func(at sim.Time) { r.sampler.take(at) })
@@ -140,8 +175,8 @@ func runShard(cfg Config, spec *shardSpec) (ShardResult, error) {
 	return res, nil
 }
 
-// replay schedules every request at its arrival time and runs the
-// engine until all of them (and all cache flush traffic) complete.
+// replay feeds the shard's requests to the engine as an arrival stream
+// and runs it until all of them (and all cache flush traffic) complete.
 func (r *shardRunner) replay(logical int64) {
 	// Tenant extents: each tenant slot owns a contiguous slice of the
 	// shard's logical space; source LPNs fold into the slice preserving
@@ -150,28 +185,31 @@ func (r *shardRunner) replay(logical int64) {
 	if tenants < 1 {
 		tenants = 1
 	}
-	span := logical / tenants
-	if span < 1 {
-		span = 1
+	r.span = logical / tenants
+	if r.span < 1 {
+		r.span = 1
 	}
-	t0 := r.eng.Now() // prefill may have advanced the clock
-	for i := range r.spec.reqs {
-		req := r.spec.reqs[i]
-		if int64(req.pages) > span {
-			req.pages = int(span)
-		}
-		base := int64(req.tenant) * span
-		fold := span - int64(req.pages) + 1
-		req.lpn = base + req.lpn%fold
-		qid := req.tenant % r.cfg.QueuesPerShard
-		r.eng.Schedule(t0+req.at, func() { r.issue(qid, req) })
-	}
+	r.t0 = r.eng.Now()
+	r.eng.Feed(r.spec.n, r.arrivalAt, r.arrive)
 	r.eng.RunWhile(func() bool { return r.completed < r.total || r.flushInflight > 0 })
 	for _, lpn := range r.cache.FlushAll() {
 		r.deviceFlush(lpn)
 	}
 	r.eng.RunWhile(func() bool { return r.flushInflight > 0 })
 	r.eng.RunWhile(func() bool { return !r.ctrl.Drained() })
+}
+
+func (r *shardRunner) arrivalAt(i int) sim.Time { return r.t0 + r.spec.at(i) }
+
+// arrive folds request i into its tenant's extent and issues it.
+func (r *shardRunner) arrive(i int) {
+	req := r.spec.req(i)
+	if int64(req.pages) > r.span {
+		req.pages = int(r.span)
+	}
+	fold := r.span - int64(req.pages) + 1
+	req.lpn = int64(req.tenant)*r.span + req.lpn%fold
+	r.issue(req.tenant%r.cfg.QueuesPerShard, req)
 }
 
 // issue runs one request through the cache and, on a miss, the host
@@ -182,7 +220,7 @@ func (r *shardRunner) issue(qid int, req shardReq) {
 		if r.cache.Lookup(req.lpn, req.pages) {
 			r.readLat.Add(r.cfg.CacheHitNs)
 			r.sampler.observe(false, r.cfg.CacheHitNs)
-			r.eng.After(r.cfg.CacheHitNs, func() { r.finish(workload.Read) })
+			r.eng.After(r.cfg.CacheHitNs, r.onReadHit)
 			return
 		}
 	} else {
@@ -193,60 +231,66 @@ func (r *shardRunner) issue(qid int, req shardReq) {
 		if absorbed {
 			r.writeLat.Add(r.cfg.CacheHitNs)
 			r.sampler.observe(true, r.cfg.CacheHitNs)
-			r.eng.After(r.cfg.CacheHitNs, func() { r.finish(workload.Write) })
+			r.eng.After(r.cfg.CacheHitNs, r.onWriteHit)
 			return
 		}
 	}
-	r.submit(qid, req)
-}
-
-// submit sends a cache-miss request to the shard's host front end;
-// admission-control rejections park it at the backlog tail. The
-// request's completion is built here, once, and rides along in the
-// request through every resubmission.
-func (r *shardRunner) submit(qid int, req shardReq) {
-	req.done = func(c host.Completion) {
-		if req.op == workload.Read {
-			r.readLat.Add(c.LatencyNs)
-			r.sampler.observe(false, c.LatencyNs)
-			for _, lpn := range r.cache.FillRead(req.lpn, req.pages) {
-				r.deviceFlush(lpn)
-			}
-		} else {
-			r.writeLat.Add(c.LatencyNs)
-			r.sampler.observe(true, c.LatencyNs)
-		}
-		r.finish(req.op)
-		r.drainBacklog(qid)
-	}
-	if !r.trySubmit(qid, req) {
-		// Queue full: open-loop arrivals outran the device; the request
-		// waits in the backlog and retries on the next completion.
+	// A cache miss goes to the shard's host front end. Queue full means
+	// open-loop arrivals outran the device: the miss waits in the
+	// backlog and retries on the next completion.
+	m := r.getMiss()
+	m.qid, m.op, m.lpn, m.pages = qid, req.op, req.lpn, req.pages
+	if !r.trySubmit(m) {
 		r.queueFullDefers++
-		r.backlog[qid].Push(req)
+		r.backlog[qid].Push(m)
 	}
 }
 
-// trySubmit offers one request to the host queue, reporting whether it
+// done is the miss's host completion: latency accounting, the read
+// fill, and a retry of whatever the queue had bounced.
+func (m *missRec) done(c host.Completion) {
+	pool.CheckLive(m.live, "fleet miss record")
+	r := m.r
+	if m.op == workload.Read {
+		r.readLat.Add(c.LatencyNs)
+		r.sampler.observe(false, c.LatencyNs)
+		for _, lpn := range r.cache.FillRead(m.lpn, m.pages) {
+			r.deviceFlush(lpn)
+		}
+	} else {
+		r.writeLat.Add(c.LatencyNs)
+		r.sampler.observe(true, c.LatencyNs)
+	}
+	r.finish(m.op)
+	r.drainBacklog(m.qid)
+	m.live = false
+	r.misses.Put(m)
+}
+
+// trySubmit offers one miss to its host queue, reporting whether it
 // was admitted.
-func (r *shardRunner) trySubmit(qid int, req shardReq) bool {
+func (r *shardRunner) trySubmit(m *missRec) bool {
+	pool.CheckLive(m.live, "fleet miss record")
 	op := host.Read
-	if req.op == workload.Write {
+	if m.op == workload.Write {
 		op = host.Write
 	}
-	err := r.h.Submit(qid, host.Command{Op: op, LPN: req.lpn, Pages: req.pages, Done: req.done})
+	err := r.h.Submit(m.qid, host.Command{Op: op, LPN: m.lpn, Pages: m.pages, Done: m.onDone})
 	return err == nil
 }
 
-// drainBacklog resubmits parked requests in FIFO order while the queue
-// accepts them.
+// drainBacklog resubmits parked misses in FIFO order while the queue
+// accepts them. A miss leaves the ring before it is offered: a degraded
+// device completes a rejected write inside Submit, and that completion
+// drains the backlog again.
 func (r *shardRunner) drainBacklog(qid int) {
 	q := &r.backlog[qid]
 	for q.Len() > 0 {
-		if !r.trySubmit(qid, q.Peek()) {
-			return // still full; the next completion retries
+		m := q.Pop()
+		if !r.trySubmit(m) {
+			q.PushFront(m) // still full; the next completion retries
+			return
 		}
-		q.Pop()
 	}
 }
 

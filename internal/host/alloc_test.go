@@ -105,6 +105,24 @@ func TestHostPageReadAllocs(t *testing.T) {
 	}
 }
 
+// A token-bucket stall adds nothing: the wake-up that ends it is bound
+// once per queue. Burst 1 at a rate far below the device's makes every
+// read after the first wait out a refill.
+func TestThrottledReadAllocs(t *testing.T) {
+	h, mapped := warmedHost(t, Config{Queues: []QueueConfig{{Tenant: "t", Depth: 8, RateIOPS: 1000, BurstIOs: 1}}})
+	read := pageRead(h, rng.New(5), mapped)
+	for i := 0; i < 2000; i++ {
+		read()
+	}
+	before := h.Stats(0).Throttles
+	if n := testing.AllocsPerRun(4000, read); n != 0 {
+		t.Fatalf("throttled host page read allocates %v per read, want 0", n)
+	}
+	if got := h.Stats(0).Throttles - before; got != 4001 { // AllocsPerRun makes one warm-up call
+		t.Fatalf("%d of 4001 reads were throttled", got)
+	}
+}
+
 func BenchmarkHostPageRead(b *testing.B) {
 	h, mapped := warmedHost(b, oneQueue())
 	read := pageRead(h, rng.New(5), mapped)

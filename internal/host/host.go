@@ -177,6 +177,7 @@ type queue struct {
 	burst      float64
 	lastRefill sim.Time
 	wakeArmed  bool
+	onWake     func() // the armed wake-up firing (bound once)
 }
 
 func (q *queue) pendingLen() int { return len(q.sq) - q.head }
@@ -274,6 +275,11 @@ func New(ctrl *ftl.Controller, cfg Config) (*Host, error) {
 		if qc.RateIOPS > 0 {
 			q.burst = float64(qc.BurstIOs)
 			q.tokens = q.burst // start full: an idle tenant may burst
+		}
+		// Every queue gets its wake-up: a rate can be set while running.
+		q.onWake = func() {
+			q.wakeArmed = false
+			h.pump()
 		}
 		h.queues = append(h.queues, q)
 		h.stats = append(h.stats, &TenantStats{
@@ -637,10 +643,7 @@ func (h *Host) armWake(qid int, now sim.Time) {
 	}
 	q.wakeArmed = true
 	h.stats[qid].Throttles++
-	h.eng.After(wait, func() {
-		q.wakeArmed = false
-		h.pump()
-	})
+	h.eng.After(wait, q.onWake)
 }
 
 // TenantSamples implements telemetry.TenantSource: a point-in-time

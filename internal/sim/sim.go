@@ -106,6 +106,15 @@ type Engine struct {
 	seq    uint64
 	fired  uint64
 
+	// Arrival stream (Feed): n pre-sequenced arrivals that are ordered
+	// against the calendar as events (feedAt(i), feedSeq+i) but are never
+	// materialised as events. feedI == feedN when no stream is active.
+	feedN, feedI int
+	feedSeq      uint64 // sequence number of arrival 0
+	feedNext     Time   // feedAt(feedI), valid while feedI < feedN
+	feedAt       func(i int) Time
+	feedFire     func(i int)
+
 	// Clock-crossing probe (telemetry sampling). The probe is NOT an
 	// event: it fires as a side effect of the clock advancing past each
 	// interval boundary, before the event at the new time runs. It
@@ -134,8 +143,9 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending returns the number of scheduled, not-yet-fired events,
+// arrivals of an unfinished Feed included.
+func (e *Engine) Pending() int { return len(e.events) + e.feedN - e.feedI }
 
 // Schedule runs fn at absolute time at. Scheduling in the past panics:
 // it always indicates a modeling bug.
@@ -153,6 +163,80 @@ func (e *Engine) After(d Time, fn func()) {
 		d = 0
 	}
 	e.Schedule(e.now+d, fn)
+}
+
+// Feed registers n arrivals exactly as if fire(i) had been Scheduled at
+// at(i) for i = 0 … n-1, now and in index order, without putting n
+// events on the calendar: it reserves the sequence numbers those calls
+// would have taken, and Step fires arrival i when (at(i), its reserved
+// number) orders before the calendar's top. Every arrival and every
+// event scheduled afterwards therefore has the (time, sequence) pair
+// up-front scheduling would have given it, so the fired order — ties
+// against events already on the calendar included — is the same. at is
+// called once per arrival, in index order, and must be non-decreasing
+// and not before Now; a violation, or a Feed while an earlier one is
+// unfinished, panics like scheduling in the past does.
+func (e *Engine) Feed(n int, at func(i int) Time, fire func(i int)) {
+	if e.feedI < e.feedN {
+		panic(fmt.Sprintf("sim: Feed with %d arrivals of the previous one unfired", e.feedN-e.feedI))
+	}
+	if n <= 0 {
+		return
+	}
+	e.feedN, e.feedI = n, 0
+	e.feedSeq = e.seq + 1
+	e.seq += uint64(n)
+	e.feedAt, e.feedFire = at, fire
+	e.feedNext = e.now
+	e.loadArrival()
+}
+
+// loadArrival reads the time of arrival feedI, which must not precede
+// the previous arrival (or, for the first, the clock).
+func (e *Engine) loadArrival() {
+	at := e.feedAt(e.feedI)
+	if at < e.feedNext {
+		panic(fmt.Sprintf("sim: arrival %d at %d before %d", e.feedI, at, e.feedNext))
+	}
+	e.feedNext = at
+}
+
+// arrivalDue reports whether the next arrival orders before the
+// calendar's top. Only called while a Feed is unfinished.
+func (e *Engine) arrivalDue() bool {
+	if len(e.events) == 0 {
+		return true
+	}
+	next := event{at: e.feedNext, seq: e.feedSeq + uint64(e.feedI)}
+	return next.before(&e.events[0])
+}
+
+// stepArrival fires the next arrival in place of a calendar event.
+func (e *Engine) stepArrival() {
+	i, fire := e.feedI, e.feedFire
+	e.now = e.feedNext
+	e.feedI++
+	if e.feedI < e.feedN {
+		e.loadArrival()
+	} else {
+		e.feedAt, e.feedFire = nil, nil
+	}
+	if e.probeFn != nil {
+		e.fireProbe()
+	}
+	e.fired++
+	fire(i)
+}
+
+// nextAt returns the time of whatever Step would fire next.
+func (e *Engine) nextAt() (Time, bool) {
+	if e.feedI < e.feedN && e.arrivalDue() {
+		return e.feedNext, true
+	}
+	if len(e.events) == 0 {
+		return 0, false
+	}
+	return e.events[0].at, true
 }
 
 // SetProbe installs fn to run once per every interval of simulated time
@@ -184,6 +268,10 @@ func (e *Engine) fireProbe() {
 // Step fires the next event, advancing the clock. It reports whether an
 // event was available.
 func (e *Engine) Step() bool {
+	if e.feedI < e.feedN && e.arrivalDue() {
+		e.stepArrival()
+		return true
+	}
 	if len(e.events) == 0 {
 		return false
 	}
@@ -206,7 +294,11 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps <= deadline, then sets the clock
 // to the deadline (if it has not already passed it).
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.events) > 0 && e.events[0].at <= deadline {
+	for {
+		at, ok := e.nextAt()
+		if !ok || at > deadline {
+			break
+		}
 		if e.interrupted.Load() {
 			return
 		}
