@@ -10,7 +10,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 )
 
 // Summary accumulates online mean/min/max/variance (Welford's algorithm).
@@ -84,40 +84,37 @@ func (s *Summary) Variance() float64 {
 // Stddev returns the sample standard deviation.
 func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
 
-// Hist is a latency histogram over int64 nanosecond samples. It keeps
-// exact samples up to a cap and then switches to logarithmic bucketing,
-// giving exact percentiles for experiment-sized runs while bounding
-// memory on very long ones.
+// Hist is a latency histogram over int64 nanosecond samples: an exact
+// Summary (count, mean, min, max) beside fixed log-linear buckets — 64
+// octaves of 32 buckets, so a bucket is at most 2^-5 of its lower edge
+// wide. Add is O(1), memory is bounded whatever the run length, and
+// Merge is bucket-wise addition, hence exact and order-independent.
+// Percentiles are read off the buckets: the lower edge of the bucket
+// holding the nearest rank, at most 3.1 % below the sample it stands
+// for (and exact below 64 ns).
+//
+// A row of 32 buckets is allocated the first time a sample lands in its
+// octave: a histogram of a few hundred samples spread over ten octaves
+// (one tenant of a fleet) costs 3 KB instead of 16, and a warmed one
+// allocates nothing.
 type Hist struct {
-	samples  []int64
-	capacity int
-	// samples[:sortedLen] is known sorted; Adds append past it. A
-	// percentile query sorts only the unsorted tail and merges it in,
-	// so a periodic sampler interleaving Adds with quantile reads pays
-	// O(new + n) per tick instead of re-sorting the whole history.
-	sortedLen int
-
-	// Bucketed mode (after overflow).
-	bucketed bool
-	buckets  []int64 // count per log bucket
-	sum      Summary
+	sum  Summary
+	rows [numRows]*histRow
 }
 
 const (
-	defaultCap = 1 << 20
 	// log bucketing: 64 major buckets (powers of two) × 32 minor.
-	minorBits  = 5
-	numBuckets = 64 << minorBits
+	minorBits = 5
+	numRows   = 64
 )
 
-// NewHist returns a histogram that keeps up to cap exact samples before
-// degrading to logarithmic buckets. cap <= 0 selects a large default.
-func NewHist(capacity int) *Hist {
-	if capacity <= 0 {
-		capacity = defaultCap
-	}
-	return &Hist{capacity: capacity}
-}
+// histRow is one octave's bucket counts.
+type histRow [1 << minorBits]int64
+
+// NewHist returns an empty histogram. The argument is unused: it sized
+// the exact-sample mode this type no longer has, and stays only because
+// bench/ (a frozen path) calls NewHist(0).
+func NewHist(_ int) *Hist { return &Hist{} }
 
 // Add records one sample. Negative samples are clamped to zero.
 func (h *Hist) Add(v int64) {
@@ -125,25 +122,25 @@ func (h *Hist) Add(v int64) {
 		v = 0
 	}
 	h.sum.Add(float64(v))
-	if h.bucketed {
-		h.buckets[bucketOf(v)]++
-		return
+	i := bucketOf(v)
+	row := h.rows[i>>minorBits]
+	if row == nil {
+		row = new(histRow)
+		h.rows[i>>minorBits] = row
 	}
-	h.samples = append(h.samples, v)
-	if len(h.samples) >= h.capacity {
-		h.spill()
-	}
+	row[i&(1<<minorBits-1)]++
 }
 
-// spill converts exact samples into bucket counts.
-func (h *Hist) spill() {
-	h.bucketed = true
-	h.buckets = make([]int64, numBuckets)
-	for _, v := range h.samples {
-		h.buckets[bucketOf(v)]++
+// Reset empties the histogram, keeping its rows for reuse: a windowed
+// user (one histogram per scrape or SLO interval) resets instead of
+// building a fresh one.
+func (h *Hist) Reset() {
+	h.sum = Summary{}
+	for _, row := range h.rows {
+		if row != nil {
+			*row = histRow{}
+		}
 	}
-	h.samples = nil
-	h.sortedLen = 0
 }
 
 // bucketOf maps a non-negative value to a log bucket index.
@@ -151,9 +148,9 @@ func bucketOf(v int64) int {
 	if v < (1 << minorBits) {
 		return int(v)
 	}
-	exp := 63 - leadingZeros(uint64(v))
+	exp := bits.Len64(uint64(v)) - 1
 	minor := (v >> (uint(exp) - minorBits)) & ((1 << minorBits) - 1)
-	return int(exp-minorBits+1)<<minorBits + int(minor)
+	return (exp-minorBits+1)<<minorBits + int(minor)
 }
 
 // bucketValue returns a representative value for a bucket index
@@ -167,42 +164,24 @@ func bucketValue(i int) int64 {
 	return (1 << uint(major)) | int64(minor)<<(uint(major)-minorBits)
 }
 
-func leadingZeros(v uint64) int {
-	n := 0
-	for ; v&(1<<63) == 0 && n < 64; n++ {
-		v <<= 1
-	}
-	return n
-}
-
-// Merge folds o's samples into h without modifying o, as if every
-// sample recorded in o had been Added to h. Used to build cross-tenant
-// aggregate distributions from per-tenant histograms. If either side
-// has spilled to log buckets the merged histogram is bucketed too (and
-// percentiles carry bucket resolution); two exact histograms stay exact
-// unless the combined count crosses h's capacity.
+// Merge folds o's samples into h without modifying o, exactly as if
+// every sample recorded in o had been Added to h. Used to build
+// cross-tenant aggregate distributions from per-tenant histograms.
 func (h *Hist) Merge(o *Hist) {
 	if o == nil || o.sum.N() == 0 {
 		return
 	}
-	switch {
-	case !h.bucketed && !o.bucketed:
-		h.samples = append(h.samples, o.samples...)
-		if len(h.samples) >= h.capacity {
-			h.spill()
+	for r, from := range o.rows {
+		if from == nil {
+			continue
 		}
-	case !h.bucketed && o.bucketed:
-		h.spill()
-		for i, c := range o.buckets {
-			h.buckets[i] += c
+		to := h.rows[r]
+		if to == nil {
+			to = new(histRow)
+			h.rows[r] = to
 		}
-	case h.bucketed && !o.bucketed:
-		for _, v := range o.samples {
-			h.buckets[bucketOf(v)]++
-		}
-	default:
-		for i, c := range o.buckets {
-			h.buckets[i] += c
+		for i, c := range from {
+			to[i] += c
 		}
 	}
 	h.sum.Merge(o.sum)
@@ -220,9 +199,9 @@ func (h *Hist) Max() int64 { return int64(h.sum.Max()) }
 // Min returns the smallest sample.
 func (h *Hist) Min() int64 { return int64(h.sum.Min()) }
 
-// Percentile returns the p-th percentile (0 < p <= 100). With exact
-// samples it uses the nearest-rank method; in bucketed mode it returns
-// the lower edge of the bucket containing the rank.
+// Percentile returns the p-th percentile (0 < p <= 100) by the
+// nearest-rank method at bucket resolution: the lower edge of the
+// bucket containing the rank.
 func (h *Hist) Percentile(p float64) int64 {
 	n := h.sum.N()
 	if n == 0 {
@@ -241,52 +220,27 @@ func (h *Hist) Percentile(p float64) int64 {
 	if rank > n {
 		rank = n // float rounding near p=100 must not overshoot the count
 	}
-	if h.bucketed {
-		var cum, last int64
-		for i, c := range h.buckets {
+	var cum, last int64
+	for r, row := range h.rows {
+		if row == nil {
+			continue
+		}
+		for i, c := range row {
 			if c == 0 {
 				continue
 			}
 			cum += c
-			last = bucketValue(i)
+			last = bucketValue(r<<minorBits | i)
 			if cum >= rank {
 				return last
 			}
 		}
-		// Unreachable once cum spans every sample, but never answer with
-		// sum.Max(): it can exceed the last occupied bucket's edge, and a
-		// bucketed histogram must not report finer (or larger) values
-		// than its bucket resolution holds.
-		return last
 	}
-	h.ensureSorted()
-	return h.samples[rank-1]
-}
-
-// ensureSorted restores the full-slice sorted invariant by sorting the
-// tail appended since the last query and merging it into the sorted
-// prefix (classic back-to-front merge, O(tail) extra space).
-func (h *Hist) ensureSorted() {
-	if h.sortedLen == len(h.samples) {
-		return
-	}
-	tail := h.samples[h.sortedLen:]
-	slices.Sort(tail)
-	if h.sortedLen > 0 {
-		tmp := slices.Clone(tail)
-		i, j, k := h.sortedLen-1, len(tmp)-1, len(h.samples)-1
-		for j >= 0 {
-			if i >= 0 && h.samples[i] > tmp[j] {
-				h.samples[k] = h.samples[i]
-				i--
-			} else {
-				h.samples[k] = tmp[j]
-				j--
-			}
-			k--
-		}
-	}
-	h.sortedLen = len(h.samples)
+	// Unreachable once cum spans every sample, but never answer with
+	// sum.Max(): it can exceed the last occupied bucket's edge, and the
+	// histogram must not report finer (or larger) values than its bucket
+	// resolution holds.
+	return last
 }
 
 // CDFPoint is one point of a cumulative distribution.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -104,13 +105,13 @@ func TestHistMergeDisjointExact(t *testing.T) {
 	for _, c := range []struct {
 		p    float64
 		want int64
-	}{{50, 50}, {90, 90}, {99, 99}} {
+	}{{50, 50}, {90, 90}, {99, edge(99)}} {
 		if got := a.Percentile(c.p); got != c.want {
 			t.Errorf("P%v = %d, want %d", c.p, got, c.want)
 		}
 	}
 	// b must be untouched.
-	if b.N() != 50 || b.Percentile(100) != 100 || b.Min() != 51 {
+	if b.N() != 50 || b.Percentile(100) != 100 || b.Min() != 51 || b.Max() != 100 {
 		t.Error("merge modified its argument")
 	}
 }
@@ -149,37 +150,37 @@ func TestHistMergeOverlapping(t *testing.T) {
 }
 
 func TestHistMergeBucketedCombinations(t *testing.T) {
-	// exact+bucketed, bucketed+exact, bucketed+bucketed: counts must add
-	// up and percentiles stay within one log-bucket of the exact union.
-	fill := func(h *Hist, seed uint64, n int) {
+	// Whatever the sizes of the two sides, counts add up and the merged
+	// percentiles are the bucket edges of the exact union's.
+	fill := func(h *Hist, all *[]int64, seed uint64, n int) {
 		src := rng.New(seed)
 		for i := 0; i < n; i++ {
-			h.Add(int64(src.Exponential(80000)))
+			v := int64(src.Exponential(80000))
+			h.Add(v)
+			*all = append(*all, v)
 		}
 	}
 	for _, tc := range []struct {
-		name       string
-		capA, capB int
+		name   string
+		nA, nB int
 	}{
-		{"exact+bucketed", 1 << 21, 64},
-		{"bucketed+exact", 64, 1 << 21},
-		{"bucketed+bucketed", 64, 64},
-		{"exact-overflowing", 3000, 1 << 21},
+		{"large+small", 2000, 64},
+		{"small+large", 64, 2000},
+		{"small+small", 64, 64},
+		{"large+large", 3000, 2000},
 	} {
-		a, b := NewHist(tc.capA), NewHist(tc.capB)
-		exact := NewHist(1 << 21)
-		fill(a, 1, 2000)
-		fill(b, 2, 2000)
-		fill(exact, 1, 2000)
-		fill(exact, 2, 2000)
+		a, b := NewHist(0), NewHist(0)
+		var union []int64
+		fill(a, &union, 1, tc.nA)
+		fill(b, &union, 2, tc.nB)
 		a.Merge(b)
-		if a.N() != 4000 {
+		if a.N() != int64(tc.nA+tc.nB) {
 			t.Fatalf("%s: N = %d", tc.name, a.N())
 		}
+		slices.Sort(union)
 		for _, p := range []float64{50, 90, 99} {
-			e, g := float64(exact.Percentile(p)), float64(a.Percentile(p))
-			if rel := math.Abs(e-g) / e; rel > 0.04 {
-				t.Errorf("%s: P%v = %v, exact %v (rel err %.3f)", tc.name, p, g, e, rel)
+			if got, want := a.Percentile(p), edge(nearestRank(union, p)); got != want {
+				t.Errorf("%s: P%v = %v, want %v", tc.name, p, got, want)
 			}
 		}
 	}
@@ -193,7 +194,7 @@ func TestHistExactPercentiles(t *testing.T) {
 	cases := []struct {
 		p    float64
 		want int64
-	}{{50, 50}, {90, 90}, {99, 99}, {100, 100}, {1, 1}}
+	}{{50, 50}, {90, 90}, {99, edge(99)}, {100, 100}, {1, 1}}
 	for _, c := range cases {
 		if got := h.Percentile(c.p); got != c.want {
 			t.Errorf("P%v = %d, want %d", c.p, got, c.want)
@@ -226,28 +227,26 @@ func TestHistNegativeClamped(t *testing.T) {
 }
 
 func TestHistBucketedAccuracy(t *testing.T) {
-	// Force spill with a small cap and check bucketed percentiles stay
-	// within one log-bucket (~3%) of exact.
-	exact := NewHist(1 << 21)
-	bucketed := NewHist(64)
+	// Percentiles stay within one log-bucket (~3%) of the exact ones, and
+	// never above them.
+	var exact []int64
+	h := NewHist(0)
 	src := rng.New(42)
 	for i := 0; i < 50000; i++ {
 		v := int64(src.Exponential(80000)) // ~80us mean latencies
-		exact.Add(v)
-		bucketed.Add(v)
+		exact = append(exact, v)
+		h.Add(v)
 	}
+	slices.Sort(exact)
 	for _, p := range []float64{50, 90, 99} {
-		e := float64(exact.Percentile(p))
-		b := float64(bucketed.Percentile(p))
-		if e == 0 {
-			continue
-		}
-		if rel := math.Abs(e-b) / e; rel > 0.04 {
-			t.Errorf("P%v: exact %v bucketed %v (rel err %.3f)", p, e, b, rel)
+		e := float64(nearestRank(exact, p))
+		b := float64(h.Percentile(p))
+		if b > e || (e-b)/e > 1.0/(1<<minorBits) {
+			t.Errorf("P%v: exact %v bucketed %v", p, e, b)
 		}
 	}
-	if exact.N() != bucketed.N() {
-		t.Errorf("N mismatch: %d vs %d", exact.N(), bucketed.N())
+	if h.N() != int64(len(exact)) {
+		t.Errorf("N mismatch: %d vs %d", h.N(), len(exact))
 	}
 }
 
@@ -290,7 +289,7 @@ func TestCDF(t *testing.T) {
 	if len(pts) != 3 {
 		t.Fatalf("len = %d", len(pts))
 	}
-	if pts[0].Value != 100 || pts[1].Value != 500 || pts[2].Value != 900 {
+	if pts[0].Value != 100 || pts[1].Value != edge(500) || pts[2].Value != edge(900) {
 		t.Errorf("CDF values = %+v", pts)
 	}
 	if pts[1].Frac != 0.5 {
@@ -333,68 +332,169 @@ func TestQuickPercentileMonotone(t *testing.T) {
 }
 
 func TestBucketedPercentileClampedToLastOccupiedBucket(t *testing.T) {
-	// Regression: in bucketed mode the rank-exhaustion fallback used to
-	// answer with sum.Max(), which can sit far outside the last occupied
-	// bucket's lower edge (the histogram's actual resolution). Desync
-	// the summary count from the bucket mass the way that bug surfaced
-	// and check the answer is clamped to the last occupied edge.
-	h := NewHist(4)
+	// Regression: the rank-exhaustion fallback used to answer with
+	// sum.Max(), which can sit far outside the last occupied bucket's
+	// lower edge (the histogram's actual resolution). Desync the summary
+	// count from the bucket mass the way that bug surfaced and check the
+	// answer is clamped to the last occupied edge.
+	h := NewHist(0)
 	for _, v := range []int64{100, 2_000, 1_234_567, 1_234_567} {
-		h.Add(v) // crosses capacity: spills to buckets
-	}
-	if !h.bucketed {
-		t.Fatal("histogram did not spill")
+		h.Add(v)
 	}
 	h.sum.Add(5_000_000) // summary-only mass: rank can exceed bucket mass
-	edge := bucketValue(bucketOf(1_234_567))
-	if got := h.Percentile(100); got != edge {
-		t.Fatalf("P100 = %d, want last occupied bucket edge %d", got, edge)
-	}
-	if got := h.Percentile(100); got >= 5_000_000 {
-		t.Fatalf("P100 = %d escaped the bucket range (sum.Max leak)", got)
+	if got := h.Percentile(100); got != edge(1_234_567) {
+		t.Fatalf("P100 = %d, want last occupied bucket edge %d", got, edge(1_234_567))
 	}
 }
 
 func TestMergePercentileStaysOnBucketEdges(t *testing.T) {
-	// exact->bucketed and bucketed->exact merges: once the result is
-	// bucketed, every percentile (P100 included) must land on the lower
-	// edge of an occupied bucket, never above it.
+	// Every percentile of a merge (P100 included) lands on the lower edge
+	// of an occupied bucket, never above it.
 	vals := []int64{3, 70, 900, 44_000, 1_234_567}
-	build := func(capacity int, vs ...int64) *Hist {
-		h := NewHist(capacity)
-		for _, v := range vs {
+	a, b := NewHist(0), NewHist(0)
+	for _, v := range vals {
+		a.Add(v)
+		b.Add(v)
+	}
+	a.Merge(b)
+	if a.N() != int64(2*len(vals)) {
+		t.Fatalf("N = %d", a.N())
+	}
+	prev := int64(-1)
+	for p := float64(1); p <= 100; p++ {
+		v := a.Percentile(p)
+		if v < prev {
+			t.Fatalf("P%v = %d < P%v = %d (not monotone)", p, v, p-1, prev)
+		}
+		if !slices.ContainsFunc(vals, func(x int64) bool { return edge(x) == v }) {
+			t.Fatalf("P%v = %d is not the edge of an occupied bucket", p, v)
+		}
+		prev = v
+	}
+	if got := a.Percentile(100); got != edge(1_234_567) {
+		t.Fatalf("P100 = %d, want %d", got, edge(1_234_567))
+	}
+}
+
+// The oracle the exact-sample mode of Hist used to be: a sorted slice
+// read by nearest rank.
+func nearestRank(sorted []int64, p float64) int64 {
+	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
+}
+
+// edge is the value a histogram reports for a sample: the lower edge of
+// its bucket.
+func edge(v int64) int64 { return bucketValue(bucketOf(v)) }
+
+// sameHist reports whether two histograms hold the same bucket counts
+// and the same exact count, min and max (an untouched row equals a
+// zeroed one). The running mean is compared to rounding: a merge and a
+// sequence of Adds reach it by different float paths.
+func sameHist(a, b *Hist) bool {
+	for r := range a.rows {
+		var ra, rb histRow
+		if a.rows[r] != nil {
+			ra = *a.rows[r]
+		}
+		if b.rows[r] != nil {
+			rb = *b.rows[r]
+		}
+		if ra != rb {
+			return false
+		}
+	}
+	return a.N() == b.N() && a.Min() == b.Min() && a.Max() == b.Max() &&
+		math.Abs(a.Mean()-b.Mean()) <= 1e-9*math.Abs(b.Mean())
+}
+
+// randomSamples draws n latencies spread over many octaves.
+func randomSamples(src *rng.Source, n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(src.Exponential(1)*float64(int64(1)<<uint(src.Intn(34)))) + int64(src.Intn(3))
+	}
+	return out
+}
+
+func TestHistMatchesSortedSlice(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		src := rng.New(seed)
+		samples := randomSamples(src, 1+src.Intn(3000))
+		h := NewHist(0)
+		for _, v := range samples {
 			h.Add(v)
 		}
-		return h
+		slices.Sort(samples)
+		ps := append([]float64{0.001, 0.1, 99.99, 100}, StandardPercentiles...)
+		for _, p := range ps {
+			if got, want := h.Percentile(p), edge(nearestRank(samples, p)); got != want {
+				t.Fatalf("seed %d, %d samples: P%v = %d, want %d", seed, len(samples), p, got, want)
+			}
+		}
+		if h.Min() != samples[0] || h.Max() != samples[len(samples)-1] {
+			t.Fatalf("seed %d: Min/Max = %d/%d, want %d/%d", seed, h.Min(), h.Max(), samples[0], samples[len(samples)-1])
+		}
 	}
-	for _, tc := range []struct {
-		name string
-		a, b *Hist
-	}{
-		{"bucketed<-exact", build(2, vals...), build(1<<20, vals...)},
-		{"exact-spilling<-bucketed", build(8, vals...), build(2, vals...)},
-	} {
-		tc.a.Merge(tc.b)
-		if !tc.a.bucketed {
-			t.Fatalf("%s: merge result not bucketed", tc.name)
+}
+
+func TestHistMergeIsAddingEverySample(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		src := rng.New(seed)
+		as, bs := randomSamples(src, src.Intn(800)), randomSamples(src, src.Intn(800))
+		a, b, ab, ba, all := NewHist(0), NewHist(0), NewHist(0), NewHist(0), NewHist(0)
+		for _, v := range as {
+			a.Add(v)
+			all.Add(v)
 		}
-		if tc.a.N() != int64(2*len(vals)) {
-			t.Fatalf("%s: N = %d", tc.name, tc.a.N())
+		for _, v := range bs {
+			b.Add(v)
+			all.Add(v)
 		}
-		top := bucketValue(bucketOf(1_234_567))
-		prev := int64(-1)
-		for p := float64(1); p <= 100; p++ {
-			v := tc.a.Percentile(p)
-			if v < prev {
-				t.Fatalf("%s: P%v = %d < P%v = %d (not monotone)", tc.name, p, v, p-1, prev)
-			}
-			if v > top {
-				t.Fatalf("%s: P%v = %d above last occupied edge %d", tc.name, p, v, top)
-			}
-			prev = v
+		ab.Merge(a)
+		ab.Merge(b)
+		ba.Merge(b)
+		ba.Merge(a)
+		if !sameHist(ab, all) {
+			t.Fatalf("seed %d: a+b differs from adding every sample", seed)
 		}
-		if got := tc.a.Percentile(100); got != top {
-			t.Fatalf("%s: P100 = %d, want %d", tc.name, got, top)
+		if !sameHist(ab, ba) {
+			t.Fatalf("seed %d: merge is not commutative", seed)
 		}
+	}
+}
+
+func TestHistResetEqualsNew(t *testing.T) {
+	src := rng.New(5)
+	h := NewHist(0)
+	for _, v := range randomSamples(src, 500) {
+		h.Add(v)
+	}
+	h.Reset()
+	if !sameHist(h, NewHist(0)) || h.Percentile(99) != 0 || h.String() != "hist{empty}" {
+		t.Fatal("a reset histogram differs from a new one")
+	}
+	second := randomSamples(src, 500)
+	fresh := NewHist(0)
+	for _, v := range second {
+		h.Add(v)
+		fresh.Add(v)
+	}
+	if !sameHist(h, fresh) {
+		t.Fatal("a reset histogram does not fill like a new one")
+	}
+}
+
+func TestHistWarmAddAllocs(t *testing.T) {
+	src := rng.New(9)
+	samples := randomSamples(src, 2000)
+	h := NewHist(0)
+	for _, v := range samples {
+		h.Add(v)
+	}
+	h.Reset() // keeps the rows
+	i := 0
+	if n := testing.AllocsPerRun(len(samples), func() { h.Add(samples[i%len(samples)]); i++ }); n != 0 {
+		t.Errorf("Add to a warmed histogram: %.2f allocations, want 0", n)
 	}
 }
