@@ -70,27 +70,43 @@ var (
 	ErrWornOut       = errors.New("nand: block beyond rated endurance")
 )
 
-// wlState tracks one programmed word line.
+// wlState tracks one programmed word line. It is 48 bytes: a chip holds
+// one per word line in one array, and the load of programmed is the
+// first thing every page read does.
 type wlState struct {
-	programmed   bool
 	paramPenalty float64 // BER multiplier from aggressive program parameters
-	disturbed    bool    // environmental disturbance hit this program
 	pages        [][]byte
 
-	// oob holds the per-page out-of-band (spare area) metadata written
-	// alongside the payload. Unlike pages it is kept even when the chip
-	// does not store data: the recovery subsystem reconstructs the L2P
-	// mapping from it after a power cut.
-	oob [][]byte
+	// The word line's per-page out-of-band (spare area) records live
+	// back to back in the block's spare arena from oobOff on, oobLen[i]
+	// bytes for page i; hasOOB says whether there are any. Unlike pages
+	// they are kept even when the chip does not store data: the recovery
+	// subsystem reconstructs the L2P mapping from them after a power cut.
+	oobOff uint32
+	oobLen [vth.PagesPerWL]uint16
+	hasOOB bool
+
+	programmed bool
+	disturbed  bool // environmental disturbance hit this program
 	// partial marks a word line whose program was interrupted by a
 	// power cut: the cells hold an indeterminate charge pattern, any
 	// read fails ECC, and the OOB is unreadable.
 	partial bool
 }
 
+// maxOOBRecord is the longest spare-area record one page can carry
+// (wlState.oobLen is 16 bits; a real 16 KB page has 1-2 KB of spare).
+const maxOOBRecord = 1<<16 - 1
+
 type blockState struct {
-	pe     int
-	wls    []wlState
+	pe  int
+	wls []wlState
+	// spare is the block's spare arena: the OOB records of its word
+	// lines, appended in program order. It is created by the block's
+	// first OOB program, sized for every word line to carry records of
+	// that first word line's total length (the FTL's are uniform, so it
+	// never grows), and truncated — not freed — by an erase.
+	spare  []byte
 	erased bool
 	// bad marks a block unusable (factory mark or grown failure);
 	// program and erase operations against it fail with ErrBadBlock.

@@ -35,9 +35,7 @@ func (c *Chip) CutErase(block int) error {
 		return fmt.Errorf("%w: block %d", ErrBadAddress, block)
 	}
 	blk := &c.blocks[block]
-	for i := range blk.wls {
-		blk.wls[i] = wlState{}
-	}
+	blk.clearWLs()
 	blk.erased = false
 	blk.reads = 0
 	return nil
@@ -50,14 +48,16 @@ func (c *Chip) OOB(a Address) []byte {
 	if c.checkAddr(a) != nil {
 		return nil
 	}
-	st := &c.blocks[a.Block].wls[c.wlIndex(a)]
-	if !st.programmed || st.partial || st.oob == nil {
+	blk := &c.blocks[a.Block]
+	st := &blk.wls[c.wlIndex(a)]
+	if !st.programmed || st.partial || !st.hasOOB {
 		return nil
 	}
-	if a.Page < 0 || a.Page >= len(st.oob) {
-		return nil
+	off := int(st.oobOff)
+	for _, n := range st.oobLen[:a.Page] {
+		off += int(n)
 	}
-	return append([]byte(nil), st.oob[a.Page]...)
+	return append([]byte(nil), blk.spare[off:off+int(st.oobLen[a.Page])]...)
 }
 
 // IsPartial reports whether a word line holds a power-cut partial

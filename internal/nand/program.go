@@ -119,19 +119,10 @@ func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams
 		if len(oob) != vth.PagesPerWL {
 			return res, fmt.Errorf("nand: ProgramWLOOB of %v needs %d OOB slices, got %d", a, vth.PagesPerWL, len(oob))
 		}
-		// One backing array for the word line's spare area; each record
-		// is capped at its own length so appends cannot cross into the
-		// next.
-		total := 0
 		for _, b := range oob {
-			total += len(b)
-		}
-		spare := make([]byte, 0, total)
-		st.oob = make([][]byte, vth.PagesPerWL)
-		for i, b := range oob {
-			off := len(spare)
-			spare = append(spare, b...)
-			st.oob[i] = spare[off:len(spare):len(spare)]
+			if len(b) > maxOOBRecord {
+				return res, fmt.Errorf("nand: ProgramWLOOB of %v: %d-byte OOB record exceeds the %d-byte spare area", a, len(b), maxOOBRecord)
+			}
 		}
 	}
 
@@ -235,8 +226,9 @@ func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams
 	if c.programFault(a) {
 		st.programmed = true
 		st.paramPenalty = 1e9 // garbage: unreadable at any offset
+		// The spare area is as indeterminate as the payload: the word
+		// line gets no OOB, and its neighbours' records stay where they are.
 		st.pages = nil
-		st.oob = nil // the spare area is as indeterminate as the payload
 		c.stats.ProgramFails++
 		res.LatencyNs = latency
 		return res, fmt.Errorf("%w: %v", ErrProgramFail, a)
@@ -252,6 +244,9 @@ func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams
 	}
 	st.programmed = true
 	st.paramPenalty = paramPenalty
+	if oob != nil {
+		blk.storeOOB(st, oob)
+	}
 
 	// Post-program measurements (Get-Features). Measurement noise is
 	// small and multiplicative.
@@ -277,6 +272,32 @@ func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams
 	c.stats.Verifies += int64(verifies)
 	c.stats.VerifiesSkipped += int64(skipped)
 	return res, nil
+}
+
+// storeOOB copies a word line's spare-area records into the block's
+// arena (the caller reuses its buffers once the program returns) and
+// points st at them.
+func (blk *blockState) storeOOB(st *wlState, oob [][]byte) {
+	if blk.spare == nil {
+		total := 0
+		for _, b := range oob {
+			total += len(b)
+		}
+		blk.spare = make([]byte, 0, len(blk.wls)*total)
+	}
+	st.hasOOB = true
+	st.oobOff = uint32(len(blk.spare))
+	for i, b := range oob {
+		blk.spare = append(blk.spare, b...) // grows only if records are not uniform
+		st.oobLen[i] = uint16(len(b))
+	}
+}
+
+// clearWLs returns every word line to the erased state and empties the
+// spare arena, keeping its memory for the block's next life.
+func (blk *blockState) clearWLs() {
+	clear(blk.wls)
+	blk.spare = blk.spare[:0]
 }
 
 // EraseResult reports one block erase.
@@ -309,9 +330,7 @@ func (c *Chip) EraseBlock(block int) (EraseResult, error) {
 	blk.erased = true
 	blk.reads = 0     // erase heals accumulated read disturb
 	blk.retMonths = 0 // new data: the retention clock restarts
-	for i := range blk.wls {
-		blk.wls[i] = wlState{}
-	}
+	blk.clearWLs()
 	c.stats.Erases++
 	return EraseResult{LatencyNs: vth.TEraseNs, PECycles: blk.pe}, nil
 }
