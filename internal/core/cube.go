@@ -26,6 +26,7 @@ package core
 import (
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/nand"
+	"cubeftl/internal/pool"
 	"cubeftl/internal/process"
 	"cubeftl/internal/ssd"
 	"cubeftl/internal/vth"
@@ -104,10 +105,14 @@ func MinusConfig() Config {
 	return c
 }
 
-// layerObs is the OPM's monitoring record for one open h-layer.
+// layerObs is the OPM's monitoring record for one open h-layer. present
+// says a record exists at all; valid, that followers may use it — the
+// safety check invalidates a record without removing it, and the two
+// states checkpoint differently.
 type layerObs struct {
+	present bool
 	valid   bool
-	windows []process.LoopWindow
+	windows [vth.ProgramStates]process.LoopWindow
 	skip    [vth.ProgramStates]int
 	startMV int
 	finalMV int
@@ -135,12 +140,28 @@ type CubeFTL struct {
 	cfg Config
 	geo ssd.Geometry
 
-	opm map[int64]*layerObs // keyed by (chip, block, layer)
-	ort map[int64]int8      // cached optimal read offsets
+	// The three learned tables are flat and indexed by the key they were
+	// always keyed by, opmKey = (chip*BlocksPerChip + block)*Layers +
+	// layer, so a lookup is an index and walking a table front to back
+	// visits its entries in ascending key order (what a checkpoint
+	// writes; see state.go).
 
-	// retry is the decaying age-aware offset cache layered over ort,
-	// keyed by opmKey*RetryAgeBuckets + ageBucket (see retry.go).
-	retry     map[int64]retryEntry
+	// opm holds one row of per-h-layer records per open block, by
+	// chip*BlocksPerChip + block; nil where the block has none. Rows are
+	// taken from opmFree on a block's first leader and go back when the
+	// block retires, so there are about chips x write points of them.
+	opm     []*opmRow
+	opmFree pool.FreeList[opmRow]
+
+	// ort is the cached optimal read offset per opmKey, ortAbsent where
+	// nothing is cached. The coarse granularities use the key of their
+	// block's (or chip's) first h-layer: a subset of the same table.
+	ort []int8
+
+	// retry is the decaying age-aware offset cache layered over ort
+	// (see retry.go): per block, one row of age buckets per h-layer.
+	retry     []retryBlock
+	retryLive int    // live entries across the whole table
 	readSeq   uint64 // monotonic ObserveRead counter driving decay
 	ageBucket int    // active retention-age bucket for retry lookups
 	// ageFn, when set, resolves the retention-age bucket per block
@@ -148,10 +169,17 @@ type CubeFTL struct {
 	// nil keeps the device-wide ageBucket.
 	ageFn func(chip, block int) int
 
-	stateKeys []int64 // AppendState's sorted-key scratch
-
 	stats CubeStats
 }
+
+// opmRow is one open block's OPM records, one per h-layer.
+type opmRow struct {
+	obs []layerObs
+}
+
+// ortAbsent marks an ORT slot that caches nothing (offset levels are
+// never negative).
+const ortAbsent int8 = -1
 
 // CubeStats counts PS-aware decisions for reporting.
 type CubeStats struct {
@@ -178,12 +206,21 @@ func NewCubeFTL(geo ssd.Geometry, cfg Config) *CubeFTL {
 	if cfg.RetryDecayReads == 0 {
 		cfg.RetryDecayReads = DefaultRetryDecayReads
 	}
-	return &CubeFTL{
+	blocks := geo.Chips * geo.BlocksPerChip
+	f := &CubeFTL{
 		cfg:   cfg,
 		geo:   geo,
-		opm:   make(map[int64]*layerObs),
-		ort:   make(map[int64]int8),
-		retry: make(map[int64]retryEntry),
+		opm:   make([]*opmRow, blocks),
+		ort:   make([]int8, blocks*geo.Layers),
+		retry: make([]retryBlock, blocks),
+	}
+	fillAbsent(f.ort)
+	return f
+}
+
+func fillAbsent(ort []int8) {
+	for i := range ort {
+		ort[i] = ortAbsent
 	}
 }
 
@@ -210,16 +247,22 @@ func (f *CubeFTL) CubeStats() CubeStats { return f.stats }
 // ActiveBlocksPerChip implements ftl.Policy.
 func (f *CubeFTL) ActiveBlocksPerChip() int { return f.cfg.ActiveBlocks }
 
-func (f *CubeFTL) opmKey(chip, block, layer int) int64 {
-	return (int64(chip)*int64(f.geo.BlocksPerChip)+int64(block))*int64(f.geo.Layers) + int64(layer)
+// blockIndex numbers the device's blocks chip-major: the index of the
+// per-block tables.
+func (f *CubeFTL) blockIndex(chip, block int) int {
+	return chip*f.geo.BlocksPerChip + block
 }
 
-func (f *CubeFTL) ortKey(chip, block, layer int) int64 {
+func (f *CubeFTL) opmKey(chip, block, layer int) int {
+	return f.blockIndex(chip, block)*f.geo.Layers + layer
+}
+
+func (f *CubeFTL) ortKey(chip, block, layer int) int {
 	switch f.cfg.ORT {
 	case ORTPerBlock:
 		return f.opmKey(chip, block, 0)
 	case ORTPerChip:
-		return int64(chip) * int64(f.geo.BlocksPerChip) * int64(f.geo.Layers)
+		return f.opmKey(chip, 0, 0)
 	default:
 		return f.opmKey(chip, block, layer)
 	}
@@ -278,10 +321,11 @@ func findFollower(actives []*ftl.BlockCursor) (idx, layer, wl int, ok bool) {
 // word lines (no measurement exists yet for the h-layer), tightened
 // parameters for followers (§5.1).
 func (f *CubeFTL) ProgramParams(chip, block, layer, _ int) nand.ProgramParams {
-	obs := f.opm[f.opmKey(chip, block, layer)]
-	if obs == nil || !obs.valid {
+	row := f.opm[f.blockIndex(chip, block)]
+	if row == nil || !row.obs[layer].valid {
 		return nand.ProgramParams{}
 	}
+	obs := &row.obs[layer]
 	var p nand.ProgramParams
 	p.SkipVFY = obs.skip
 	p.StartMarginMV = obs.startMV
@@ -292,13 +336,18 @@ func (f *CubeFTL) ProgramParams(chip, block, layer, _ int) nand.ProgramParams {
 // ObserveProgram implements ftl.Policy: leader monitoring, follower
 // bookkeeping, and the safety check.
 func (f *CubeFTL) ObserveProgram(chip, block, layer, _ int, params nand.ProgramParams, res nand.ProgramResult) ftl.ProgramVerdict {
-	key := f.opmKey(chip, block, layer)
-	obs := f.opm[key]
-	if obs == nil || !obs.valid {
+	bi := f.blockIndex(chip, block)
+	row := f.opm[bi]
+	if row == nil || !row.obs[layer].valid {
 		// Leader program: derive the follower plan from what was
 		// monitored (§4.1.1, §4.1.2).
 		f.stats.LeaderPrograms++
-		o := &layerObs{valid: true, windows: append([]process.LoopWindow(nil), res.Windows[:]...), lastBER: res.MeasuredBER}
+		if row == nil {
+			row = f.takeOPMRow()
+			f.opm[bi] = row
+		}
+		o := &row.obs[layer]
+		*o = layerObs{present: true, valid: true, windows: res.Windows, lastBER: res.MeasuredBER}
 		sm := vth.SpareMargin(res.BerEP1, f.cfg.RefBerEP1)
 		total := vth.SMToMarginMV(sm)
 		if total < vth.DeltaVISPPmV {
@@ -313,7 +362,6 @@ func (f *CubeFTL) ObserveProgram(chip, block, layer, _ int, params nand.ProgramP
 				o.skip[i] = skip
 			}
 		}
-		f.opm[key] = o
 		if f.cfg.SafetyCheck && res.Suspect {
 			// Even a leader can be hit by a disturbance; its
 			// measurements must not seed followers.
@@ -326,6 +374,7 @@ func (f *CubeFTL) ObserveProgram(chip, block, layer, _ int, params nand.ProgramP
 
 	// Follower program: normalize the measurement by the penalty the
 	// parameters it actually ran with are expected to cause.
+	obs := &row.obs[layer]
 	f.stats.FollowerPrograms++
 	normBER := res.MeasuredBER / expectedPenalty(params)
 	if f.cfg.SafetyCheck && obs.lastBER > 0 && normBER > f.cfg.SafetyRatio*obs.lastBER {
@@ -348,19 +397,19 @@ func (f *CubeFTL) ReadStartOffset(chip, block, layer int) int {
 		return 0
 	}
 	if f.cfg.RetryTable {
-		key := f.retryKey(chip, block, layer)
-		if e, ok := f.retry[key]; ok {
+		rb := &f.retry[f.blockIndex(chip, block)]
+		if e := rb.entry(layer, f.bucketOf(chip, block)); e != nil && e.present {
 			if f.readSeq-e.seq <= f.cfg.RetryDecayReads {
 				f.stats.RetryHits++
 				return int(e.offset)
 			}
-			delete(f.retry, key)
+			f.dropRetry(rb, e)
 			f.stats.RetryStale++
 		} else {
 			f.stats.RetryMisses++
 		}
 	}
-	if v, ok := f.ort[f.ortKey(chip, block, layer)]; ok {
+	if v := f.ort[f.ortKey(chip, block, layer)]; v != ortAbsent {
 		f.stats.ORTHits++
 		return int(v)
 	}
@@ -379,25 +428,43 @@ func (f *CubeFTL) ObserveRead(chip, block, layer int, res nand.ReadResult, err e
 	key := f.ortKey(chip, block, layer)
 	if f.cfg.RetryTable {
 		f.readSeq++
-		rkey := f.retryKey(chip, block, layer)
+		rb := &f.retry[f.blockIndex(chip, block)]
+		bkt := f.bucketOf(chip, block)
 		if err != nil {
-			delete(f.retry, rkey)
+			if e := rb.entry(layer, bkt); e != nil && e.present {
+				f.dropRetry(rb, e)
+			}
 		} else {
-			f.retry[rkey] = retryEntry{offset: int8(res.OffsetUsed), seq: f.readSeq}
+			f.setRetry(rb, layer, bkt, retryEntry{present: true, offset: int8(res.OffsetUsed), seq: f.readSeq})
 		}
 	}
 	if err != nil {
-		delete(f.ort, key)
+		f.ort[key] = ortAbsent
 		return
 	}
 	f.ort[key] = int8(res.OffsetUsed)
 }
 
+// takeOPMRow returns an empty OPM row for a block's first leader.
+func (f *CubeFTL) takeOPMRow() *opmRow {
+	if row := f.opmFree.Get(); row != nil {
+		return row
+	}
+	return &opmRow{obs: make([]layerObs, f.geo.Layers)}
+}
+
 // BlockRetired implements ftl.Policy: follower parameters are kept only
 // while the block is an open write point (§5.1).
 func (f *CubeFTL) BlockRetired(chip, block int) {
-	for l := 0; l < f.geo.Layers; l++ {
-		delete(f.opm, f.opmKey(chip, block, l))
+	f.retireOPMRow(f.blockIndex(chip, block))
+}
+
+// retireOPMRow empties a block's OPM row, if it has one, and releases it.
+func (f *CubeFTL) retireOPMRow(bi int) {
+	if row := f.opm[bi]; row != nil {
+		clear(row.obs)
+		f.opmFree.Put(row)
+		f.opm[bi] = nil
 	}
 }
 
@@ -405,22 +472,7 @@ func (f *CubeFTL) BlockRetired(chip, block int) {
 // offsets describe data that no longer exists.
 func (f *CubeFTL) BlockErased(chip, block int) {
 	f.BlockRetired(chip, block)
-	if len(f.retry) > 0 {
-		// The retry table is always per h-layer; drop the block's
-		// entries across every age bucket.
-		for l := 0; l < f.geo.Layers; l++ {
-			base := f.opmKey(chip, block, l) * RetryAgeBuckets
-			for bkt := int64(0); bkt < RetryAgeBuckets; bkt++ {
-				delete(f.retry, base+bkt)
-			}
-		}
-	}
-	if f.cfg.ORT != ORTPerLayer {
-		return // coarse entries aggregate many blocks; keep them
-	}
-	for l := 0; l < f.geo.Layers; l++ {
-		delete(f.ort, f.ortKey(chip, block, l))
-	}
+	f.InvalidateBlockRetry(chip, block)
 }
 
 // ORTBytes returns the ORT's memory footprint in bytes at the paper's

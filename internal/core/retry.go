@@ -46,15 +46,61 @@ const DefaultRetryDecayReads = 4096
 
 // retryEntry is one cached (offset, freshness) pair.
 type retryEntry struct {
-	offset int8
-	seq    uint64 // readSeq at the last confirmation, for decay
+	seq     uint64 // readSeq at the last confirmation, for decay
+	offset  int8
+	present bool
 }
 
-// retryKey extends the per-h-layer key with the block's retention-age
-// bucket. Unlike the ORT the retry table always keys per h-layer — the
-// whole point is tracking drift at full granularity.
-func (f *CubeFTL) retryKey(chip, block, layer int) int64 {
-	return f.opmKey(chip, block, layer)*RetryAgeBuckets + int64(f.bucketOf(chip, block))
+// retryBlock is one block's slice of the retry table: a row of age
+// buckets per h-layer, so entry (layer, bucket) has the key
+// opmKey*RetryAgeBuckets + bucket. Unlike the ORT the table always keys
+// per h-layer — the whole point is tracking drift at full granularity.
+// The rows are made when the block caches its first offset (4.6 KB for
+// 48 h-layers) and kept from then on; a device that never turns the
+// table on, or a block never read, pays for none.
+type retryBlock struct {
+	rows []retryRow
+	live int // present entries in rows
+}
+
+type retryRow [RetryAgeBuckets]retryEntry
+
+// entry returns the slot for (layer, bucket), or nil while the block
+// has no rows.
+func (rb *retryBlock) entry(layer, bucket int) *retryEntry {
+	if rb.rows == nil {
+		return nil
+	}
+	return &rb.rows[layer][bucket]
+}
+
+// setRetry stores e in the block's (layer, bucket) slot.
+func (f *CubeFTL) setRetry(rb *retryBlock, layer, bucket int, e retryEntry) {
+	if rb.rows == nil {
+		rb.rows = make([]retryRow, f.geo.Layers)
+	}
+	slot := &rb.rows[layer][bucket]
+	if !slot.present {
+		rb.live++
+		f.retryLive++
+	}
+	*slot = e
+}
+
+// clearRetryBlock drops every entry of rb, keeping its rows.
+func (f *CubeFTL) clearRetryBlock(rb *retryBlock) {
+	if rb.live > 0 {
+		clear(rb.rows)
+		f.retryLive -= rb.live
+		rb.live = 0
+	}
+}
+
+// dropRetry removes a present entry of rb.
+func (f *CubeFTL) dropRetry(rb *retryBlock, e *retryEntry) {
+	*e = retryEntry{}
+	rb.live--
+	f.retryLive--
 }
 
 // bucketOf resolves a block's retention-age bucket: the per-block
@@ -103,22 +149,19 @@ func (f *CubeFTL) AgeBucket() int { return f.ageBucket }
 // its per-layer ORT entries. Called when an aging fast-forward jumps
 // the block across a bucket boundary — the cached offsets describe a
 // drift state the block no longer is in.
+//
+// It is also the table half of an erase: a coarse-grained ORT entry
+// aggregates many blocks and is kept.
 func (f *CubeFTL) InvalidateBlockRetry(chip, block int) {
-	for l := 0; l < f.geo.Layers; l++ {
-		base := f.opmKey(chip, block, l) * RetryAgeBuckets
-		for bkt := int64(0); bkt < RetryAgeBuckets; bkt++ {
-			delete(f.retry, base+bkt)
-		}
-	}
+	f.clearRetryBlock(&f.retry[f.blockIndex(chip, block)])
 	if f.cfg.ORT == ORTPerLayer {
-		for l := 0; l < f.geo.Layers; l++ {
-			delete(f.ort, f.ortKey(chip, block, l))
-		}
+		base := f.opmKey(chip, block, 0)
+		fillAbsent(f.ort[base : base+f.geo.Layers])
 	}
 }
 
 // RetryEntries returns the number of live retry-table entries.
-func (f *CubeFTL) RetryEntries() int { return len(f.retry) }
+func (f *CubeFTL) RetryEntries() int { return f.retryLive }
 
 // RetrySetup bundles everything one -retry-mode choice configures: the
 // chip-level scheduling model and decode latency, and the policy-level
