@@ -2,12 +2,17 @@
 # long tests hide behind -short here; `make soak` runs them in full.
 GO ?= go
 
-.PHONY: tier1 build vet test race race-core bench bench-smoke bench-scale bench-telemetry one-stack trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
+.PHONY: tier1 build fmt vet test race race-core bench bench-smoke bench-scale bench-telemetry one-stack trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
 
-tier1: build vet one-stack race race-core fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
+tier1: build fmt vet one-stack race race-core fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
 
 build:
 	$(GO) build ./...
+
+# Every .go file is gofmt-clean: prints the offenders and fails.
+fmt:
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then echo "fmt: gofmt -l reports:"; echo "$$bad"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -150,7 +150,8 @@ func (sm *shardSampler) take(at sim.Time) {
 		WafWLBytes:      waf.WLBytes(),
 		EraseSpread:     wearHi - wearLo,
 	}
-	sm.winRead, sm.winWrite = metrics.NewHist(0), metrics.NewHist(0)
+	sm.winRead.Reset()
+	sm.winWrite.Reset()
 	sm.samples = append(sm.samples, s)
 	sm.live.publish(&sm.samples[len(sm.samples)-1])
 }

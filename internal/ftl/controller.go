@@ -402,18 +402,22 @@ func (c *Controller) Device() *ssd.Device { return c.dev }
 // and degraded-die accounting survives the reset — those blocks and
 // dies are still gone.
 func (c *Controller) ResetStats() {
-	retired, factory, dies := c.stats.RetiredBlocks, c.stats.FactoryBadBlocks, c.stats.DegradedDies
+	// The histograms are emptied in place: Stats() hands out a pointer to
+	// the live struct and the telemetry registry resolves them on every
+	// snapshot, so nobody is left holding a histogram of the old window.
+	old := c.stats
+	old.ReadLat.Reset()
+	old.WriteLat.Reset()
 	c.stats = Stats{
-		ReadLat:          metrics.NewHist(0),
-		WriteLat:         metrics.NewHist(0),
-		RetiredBlocks:    retired,
-		FactoryBadBlocks: factory,
-		DegradedDies:     dies,
+		ReadLat:          old.ReadLat,
+		WriteLat:         old.WriteLat,
+		RetiredBlocks:    old.RetiredBlocks,
+		FactoryBadBlocks: old.FactoryBadBlocks,
+		DegradedDies:     old.DegradedDies,
 	}
-	// Per-die program histograms are measurement state too: a registry
-	// that resolves them through closures sees the fresh ones.
-	for i := range c.progHists {
-		c.progHists[i] = metrics.NewHist(0)
+	// Per-die program histograms are measurement state too.
+	for _, h := range c.progHists {
+		h.Reset()
 	}
 }
 
@@ -455,8 +459,8 @@ func (c *Controller) SetTelemetry(hub *telemetry.Hub) {
 			return 0
 		})
 	}
-	// Host-latency histograms resolve through closures because
-	// ResetStats replaces the Hist values.
+	// The registry takes a getter; ResetStats empties these histograms
+	// in place, so the getters always return the same two.
 	reg.RegisterHist("ftl/read_ns", func() *metrics.Hist { return c.stats.ReadLat })
 	reg.RegisterHist("ftl/write_ns", func() *metrics.Hist { return c.stats.WriteLat })
 	c.reqFenced = reg.MustCounter("ftl/requeue/fenced")

@@ -125,7 +125,7 @@ func (m *Mapper) ClearBlock(chip, block int) {
 func (m *Mapper) LivePages(chip, block int) []LPN {
 	perBlock := m.geo.PagesPerBlock()
 	base := ssd.PPN((chip*m.geo.BlocksPerChip + block) * perBlock)
-	var out []LPN
+	out := make([]LPN, 0, m.ValidCount(chip, block))
 	for i := 0; i < perBlock; i++ {
 		if l := m.reverse[base+ssd.PPN(i)]; l != UnmappedLPN {
 			out = append(out, l)

@@ -122,6 +122,10 @@ type blockState struct {
 	// lifetime fast-forward advances it; an erase resets it, which is
 	// exactly why a refresh relocation restores read margins.
 	retMonths float64
+	// terms caches the transcendental terms of the block's aging state
+	// for the read path (process.ReadTerms); ReadPage revalidates it
+	// against the block's current wear and retention on every read.
+	terms process.ReadTerms
 }
 
 // Chip is one simulated 3D NAND die. Not safe for concurrent use; the
@@ -347,13 +351,18 @@ func (c *Chip) IsProgrammed(a Address) bool {
 // line at the optimal read offset, including any penalty from the
 // parameters it was programmed with and accumulated read disturb.
 func (c *Chip) StoredBER(a Address) float64 {
-	st := &c.blocks[a.Block].wls[c.wlIndex(a)]
+	blk := &c.blocks[a.Block]
+	return storedBER(c.model.BER(a.Block, a.Layer, a.WL, c.aging(a.Block)), &blk.wls[c.wlIndex(a)], blk)
+}
+
+// storedBER applies a word line's program-parameter penalty and its
+// block's accumulated read disturb to the word line's model BER.
+func storedBER(modelBER float64, st *wlState, blk *blockState) float64 {
 	pen := st.paramPenalty
 	if pen == 0 {
 		pen = 1
 	}
-	return c.model.BER(a.Block, a.Layer, a.WL, c.aging(a.Block)) * pen *
-		readDisturbPenalty(c.blocks[a.Block].reads)
+	return modelBER * pen * readDisturbPenalty(blk.reads)
 }
 
 // ReadDisturbBudget is the per-block read count at which disturb has

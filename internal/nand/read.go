@@ -110,12 +110,13 @@ func (c *Chip) ReadPage(a Address, params ReadParams) (ReadResult, error) {
 	if err := c.checkAddr(a); err != nil {
 		return res, err
 	}
-	st := &c.blocks[a.Block].wls[c.wlIndex(a)]
+	blk := &c.blocks[a.Block]
+	st := &blk.wls[c.wlIndex(a)]
 	if !st.programmed {
 		return res, fmt.Errorf("%w: %v", ErrNotProgrammed, a)
 	}
 
-	c.blocks[a.Block].reads++
+	blk.reads++
 
 	start := clampOffset(params.StartOffset)
 	setupNs := int64(vth.TWriteSetupNs)
@@ -135,7 +136,8 @@ func (c *Chip) ReadPage(a Address, params ReadParams) (ReadResult, error) {
 		res.LatencyNs = setupNs + vth.TReadNs
 		return res, fmt.Errorf("%w: %v", ErrReadFault, a)
 	}
-	optimal := c.model.OptimalOffset(a.Block, a.Layer, c.aging(a.Block))
+	blk.terms.Update(c.aging(a.Block))
+	optimal := c.model.OptimalOffsetAt(a.Block, a.Layer, &blk.terms)
 	if c.readJitterProb > 0 && optimal > 0 && c.src.Bool(c.readJitterProb) {
 		// Momentary environmental shift of the optimum (§4.2): only
 		// meaningful once the layer has drifted at all. Mostly one
@@ -156,7 +158,7 @@ func (c *Chip) ReadPage(a Address, params ReadParams) (ReadResult, error) {
 			}
 		}
 	}
-	baseBER := c.StoredBER(a)
+	baseBER := storedBER(c.model.BERAt(a.Block, a.Layer, a.WL, &blk.terms), st, blk)
 
 	maxAttempts := params.MaxRetries + 1
 	if params.MaxRetries <= 0 {

@@ -209,8 +209,12 @@ func retention(months float64) float64 {
 	if months <= 0 {
 		return 0
 	}
-	return math.Log(1+months) / math.Log(13)
+	return math.Log(1+months) / ln13
 }
+
+// ln13 is the divisor of retention: math.Log is not constant-folded, so
+// the expression paid for it on every call.
+var ln13 = math.Log(13)
 
 // effSeverity is the per-block effective severity of a layer.
 func (m *Model) effSeverity(block, layer int) float64 {
@@ -233,14 +237,13 @@ const (
 	retGrowthSeverity = 0.75
 )
 
-// agingFactor returns the multiplicative BER growth under aging a for
-// effective severity s.
-func agingFactor(s float64, a Aging) float64 {
-	pe := float64(a.PE) / EnduranceLimit
+// agingFactor returns the multiplicative BER growth for effective
+// severity s at peCycles of wear and retention stress r = retention(months).
+func agingFactor(s float64, peCycles int, r float64) float64 {
+	pe := float64(peCycles) / EnduranceLimit
 	if pe < 0 {
 		pe = 0
 	}
-	r := retention(a.RetentionMonths)
 	peF := 1 + (peGrowthBase+peGrowthSeverity*s)*pe
 	retF := 1 + (retGrowthBase+retGrowthSeverity*s)*r
 	return peF * retF
@@ -251,13 +254,59 @@ func agingFactor(s float64, a Aging) float64 {
 // reference voltages. Word lines on the same h-layer differ only by the
 // RTN-scale wlFactor — the horizontal intra-layer similarity.
 func (m *Model) BER(block, layer, wl int, a Aging) float64 {
+	return m.ber(block, layer, wl, a.PE, retention(a.RetentionMonths))
+}
+
+func (m *Model) ber(block, layer, wl, peCycles int, r float64) float64 {
 	s := m.effSeverity(block, layer)
 	ber := m.cfg.BaseBER *
 		m.layerEff(block, layer) *
 		m.blockFactor[block] *
-		agingFactor(s, a) *
+		agingFactor(s, peCycles, r) *
 		m.wlFactor[(block*m.cfg.Layers+layer)*m.cfg.WLsPerLayer+wl]
 	return ber
+}
+
+// ReadTerms holds the terms of BER and OptimalOffset that depend on an
+// aging state and on nothing else — one logarithm and two powers. A
+// page read needs both functions of the same block's aging, and a
+// block's aging changes only when it is erased or the device is aged,
+// so the chip keeps one ReadTerms per block and reads stop recomputing
+// them. The terms are the operands of the expressions in BER and
+// OptimalOffset, which keep their association: the *At variants return
+// the same bits.
+type ReadTerms struct {
+	aging         Aging
+	r             float64 // retention(aging.RetentionMonths)
+	pePow, retPow float64 // the drift terms of OptimalOffset
+	set           bool
+}
+
+// Update makes t hold the terms of a, recomputing them unless it
+// already does (exact equality of wear and retention).
+func (t *ReadTerms) Update(a Aging) {
+	if t.set && t.aging == a {
+		return
+	}
+	r := retention(a.RetentionMonths)
+	*t = ReadTerms{
+		aging:  a,
+		r:      r,
+		pePow:  math.Pow(float64(a.PE)/EnduranceLimit, driftPEExp),
+		retPow: math.Pow(r, driftRetExp),
+		set:    true,
+	}
+}
+
+// BERAt is BER under the aging state t was last updated with.
+func (m *Model) BERAt(block, layer, wl int, t *ReadTerms) float64 {
+	return m.ber(block, layer, wl, t.aging.PE, t.r)
+}
+
+// OptimalOffsetAt is OptimalOffset under the aging state t was last
+// updated with.
+func (m *Model) OptimalOffsetAt(block, layer int, t *ReadTerms) int {
+	return m.optimalOffset(block, layer, float64(t.aging.PE)/EnduranceLimit, t.r, t.pePow, t.retPow)
 }
 
 // BerEP1 returns the E<->P1 health-indicator error rate of the leading
@@ -371,10 +420,17 @@ func (m *Model) OptimalOffset(block, layer int, a Aging) int {
 	if pe <= 0 && r <= 0 {
 		return 0
 	}
+	return m.optimalOffset(block, layer, pe, r, math.Pow(pe, driftPEExp), math.Pow(r, driftRetExp))
+}
+
+func (m *Model) optimalOffset(block, layer int, pe, r, pePow, retPow float64) int {
+	if pe <= 0 && r <= 0 {
+		return 0
+	}
 	s := m.effSeverity(block, layer)
 	drift := driftScale *
-		math.Pow(pe, driftPEExp) *
-		math.Pow(r, driftRetExp) *
+		pePow *
+		retPow *
 		(0.55 + 0.45*s) *
 		m.driftFactor[block*m.cfg.Layers+layer]
 	o := int(math.Round(drift))

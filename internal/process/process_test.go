@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"cubeftl/internal/ecc"
+	"cubeftl/internal/rng"
 	"cubeftl/internal/vth"
 )
 
@@ -291,5 +292,36 @@ func TestRetentionCurve(t *testing.T) {
 	}
 	if retention(6) <= retention(1) {
 		t.Error("retention not monotone")
+	}
+}
+
+// The read path's cached terms are the operands of BER and
+// OptimalOffset, not approximations of them: same bits, whatever aging
+// state the cache held before.
+func TestReadTermsBitIdentical(t *testing.T) {
+	m := NewModel(DefaultConfig())
+	src := rng.New(11)
+	var terms ReadTerms
+	for i := 0; i < 20000; i++ {
+		a := Aging{PE: src.Intn(3000), RetentionMonths: 24 * src.Float64()}
+		switch src.Intn(5) {
+		case 0:
+			a.RetentionMonths = 0
+		case 1:
+			a.PE = 0
+		case 2:
+			a = Aging{}
+		}
+		block, layer, wl := src.Intn(m.Config().BlocksPerChip), src.Intn(m.Config().Layers), src.Intn(m.Config().WLsPerLayer)
+		terms.Update(a)
+		if got, want := m.BERAt(block, layer, wl, &terms), m.BER(block, layer, wl, a); got != want {
+			t.Fatalf("BERAt(%v) = %v, BER = %v", a, got, want)
+		}
+		if got, want := m.OptimalOffsetAt(block, layer, &terms), m.OptimalOffset(block, layer, a); got != want {
+			t.Fatalf("OptimalOffsetAt(%v) = %d, OptimalOffset = %d", a, got, want)
+		}
+	}
+	if retention(12) != math.Log(13)/math.Log(13) || retention(5) != math.Log(6)/math.Log(13) {
+		t.Error("retention moved with the hoisted divisor")
 	}
 }

@@ -236,7 +236,8 @@ func (s *Server) collectFamilies() []telemetry.PromFamily {
 		writeP50.Samples = append(writeP50.Samples, telemetry.PromSample{Labels: l, Value: float64(w.write.Percentile(50))})
 		writeP99.Samples = append(writeP99.Samples, telemetry.PromSample{Labels: l, Value: float64(w.write.Percentile(99))})
 		windowIOs.Samples = append(windowIOs.Samples, telemetry.PromSample{Labels: l, Value: float64(w.read.N() + w.write.N())})
-		w.read, w.write = metrics.NewHist(0), metrics.NewHist(0)
+		w.read.Reset()
+		w.write.Reset()
 		w.since = s.dev.Now()
 	}
 	for _, f := range []*telemetry.PromFamily{

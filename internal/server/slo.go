@@ -168,7 +168,7 @@ func (sc *sloController) maybeDecide(now time.Duration) {
 	sc.nextAt = now + sc.cfg.Interval
 	sc.decide(now)
 	for _, t := range sc.tenants {
-		t.winRead = metrics.NewHist(0)
+		t.winRead.Reset()
 		t.winIOs = 0
 		t.winStart = now
 	}

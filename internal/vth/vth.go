@@ -68,11 +68,21 @@ func OffsetPenalty(d int) float64 {
 	if d < 0 {
 		d = -d
 	}
-	if d == 0 {
-		return 1
+	if d < len(offsetPenalties) {
+		return offsetPenalties[d]
 	}
 	return math.Pow(OffsetPenaltyBase, float64(d))
 }
+
+// offsetPenalties tabulates OffsetPenalty over the distances two offset
+// levels can be apart: every attempt of every retry ladder asks for one.
+var offsetPenalties = func() (t [MaxReadOffsetLevel + 1]float64) {
+	t[0] = 1
+	for d := 1; d < len(t); d++ {
+		t[d] = math.Pow(OffsetPenaltyBase, float64(d))
+	}
+	return t
+}()
 
 // OffsetTolerance returns the largest offset distance that still reads
 // correctably, given the ratio eccLimitBER/actualBER (>= 1 when the page

@@ -190,3 +190,15 @@ func TestBerEP1(t *testing.T) {
 		t.Error("BerEP1 scaling wrong")
 	}
 }
+
+func TestOffsetPenaltyTableIsPow(t *testing.T) {
+	for d := -2 * MaxReadOffsetLevel; d <= 2*MaxReadOffsetLevel; d++ {
+		want := 1.0
+		if d != 0 {
+			want = math.Pow(OffsetPenaltyBase, math.Abs(float64(d)))
+		}
+		if got := OffsetPenalty(d); got != want {
+			t.Errorf("OffsetPenalty(%d) = %v, want %v", d, got, want)
+		}
+	}
+}
