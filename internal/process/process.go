@@ -274,18 +274,18 @@ func (m *Model) ber(block, layer, wl, peCycles int, r float64) float64 {
 // so the chip keeps one ReadTerms per block and reads stop recomputing
 // them. The terms are the operands of the expressions in BER and
 // OptimalOffset, which keep their association: the *At variants return
-// the same bits.
+// the same bits. The zero value holds the terms of the zero Aging (all
+// three are 0 there).
 type ReadTerms struct {
 	aging         Aging
 	r             float64 // retention(aging.RetentionMonths)
 	pePow, retPow float64 // the drift terms of OptimalOffset
-	set           bool
 }
 
 // Update makes t hold the terms of a, recomputing them unless it
 // already does (exact equality of wear and retention).
 func (t *ReadTerms) Update(a Aging) {
-	if t.set && t.aging == a {
+	if t.aging == a {
 		return
 	}
 	r := retention(a.RetentionMonths)
@@ -294,19 +294,12 @@ func (t *ReadTerms) Update(a Aging) {
 		r:      r,
 		pePow:  math.Pow(float64(a.PE)/EnduranceLimit, driftPEExp),
 		retPow: math.Pow(r, driftRetExp),
-		set:    true,
 	}
 }
 
 // BERAt is BER under the aging state t was last updated with.
 func (m *Model) BERAt(block, layer, wl int, t *ReadTerms) float64 {
 	return m.ber(block, layer, wl, t.aging.PE, t.r)
-}
-
-// OptimalOffsetAt is OptimalOffset under the aging state t was last
-// updated with.
-func (m *Model) OptimalOffsetAt(block, layer int, t *ReadTerms) int {
-	return m.optimalOffset(block, layer, float64(t.aging.PE)/EnduranceLimit, t.r, t.pePow, t.retPow)
 }
 
 // BerEP1 returns the E<->P1 health-indicator error rate of the leading
@@ -415,22 +408,21 @@ const (
 // minimizes the raw BER for the given h-layer under aging a. Reading at
 // a different level multiplies BER by vth.OffsetPenalty(distance).
 func (m *Model) OptimalOffset(block, layer int, a Aging) int {
-	pe := float64(a.PE) / EnduranceLimit
-	r := retention(a.RetentionMonths)
-	if pe <= 0 && r <= 0 {
-		return 0
-	}
-	return m.optimalOffset(block, layer, pe, r, math.Pow(pe, driftPEExp), math.Pow(r, driftRetExp))
+	var t ReadTerms
+	t.Update(a)
+	return m.OptimalOffsetAt(block, layer, &t)
 }
 
-func (m *Model) optimalOffset(block, layer int, pe, r, pePow, retPow float64) int {
-	if pe <= 0 && r <= 0 {
+// OptimalOffsetAt is OptimalOffset under the aging state t was last
+// updated with.
+func (m *Model) OptimalOffsetAt(block, layer int, t *ReadTerms) int {
+	if t.aging.PE <= 0 && t.r <= 0 {
 		return 0
 	}
 	s := m.effSeverity(block, layer)
 	drift := driftScale *
-		pePow *
-		retPow *
+		t.pePow *
+		t.retPow *
 		(0.55 + 0.45*s) *
 		m.driftFactor[block*m.cfg.Layers+layer]
 	o := int(math.Round(drift))

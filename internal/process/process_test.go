@@ -295,6 +295,42 @@ func TestRetentionCurve(t *testing.T) {
 	}
 }
 
+// The expressions the read path's cached terms came out of, as they
+// were written before the cache (math.Log(13) and both math.Pow calls
+// evaluated per call): the oracle for ReadTerms.
+func refOptimalOffset(m *Model, block, layer int, a Aging) int {
+	pe := float64(a.PE) / EnduranceLimit
+	r := 0.0
+	if a.RetentionMonths > 0 {
+		r = math.Log(1+a.RetentionMonths) / math.Log(13)
+	}
+	if pe <= 0 && r <= 0 {
+		return 0
+	}
+	drift := driftScale *
+		math.Pow(pe, driftPEExp) *
+		math.Pow(r, driftRetExp) *
+		(0.55 + 0.45*m.effSeverity(block, layer)) *
+		m.driftFactor[block*m.cfg.Layers+layer]
+	return min(max(int(math.Round(drift)), 0), vth.MaxReadOffsetLevel)
+}
+
+func refBER(m *Model, block, layer, wl int, a Aging) float64 {
+	pe := max(float64(a.PE)/EnduranceLimit, 0)
+	r := 0.0
+	if a.RetentionMonths > 0 {
+		r = math.Log(1+a.RetentionMonths) / math.Log(13)
+	}
+	s := m.effSeverity(block, layer)
+	peF := 1 + (peGrowthBase+peGrowthSeverity*s)*pe
+	retF := 1 + (retGrowthBase+retGrowthSeverity*s)*r
+	return m.cfg.BaseBER *
+		m.layerEff(block, layer) *
+		m.blockFactor[block] *
+		(peF * retF) *
+		m.wlFactor[(block*m.cfg.Layers+layer)*m.cfg.WLsPerLayer+wl]
+}
+
 // The read path's cached terms are the operands of BER and
 // OptimalOffset, not approximations of them: same bits, whatever aging
 // state the cache held before.
@@ -314,14 +350,13 @@ func TestReadTermsBitIdentical(t *testing.T) {
 		}
 		block, layer, wl := src.Intn(m.Config().BlocksPerChip), src.Intn(m.Config().Layers), src.Intn(m.Config().WLsPerLayer)
 		terms.Update(a)
-		if got, want := m.BERAt(block, layer, wl, &terms), m.BER(block, layer, wl, a); got != want {
-			t.Fatalf("BERAt(%v) = %v, BER = %v", a, got, want)
+		want := refBER(m, block, layer, wl, a)
+		if got := m.BERAt(block, layer, wl, &terms); got != want || m.BER(block, layer, wl, a) != want {
+			t.Fatalf("BERAt(%v) = %v, BER = %v, reference %v", a, got, m.BER(block, layer, wl, a), want)
 		}
-		if got, want := m.OptimalOffsetAt(block, layer, &terms), m.OptimalOffset(block, layer, a); got != want {
-			t.Fatalf("OptimalOffsetAt(%v) = %d, OptimalOffset = %d", a, got, want)
+		wantOff := refOptimalOffset(m, block, layer, a)
+		if got := m.OptimalOffsetAt(block, layer, &terms); got != wantOff || m.OptimalOffset(block, layer, a) != wantOff {
+			t.Fatalf("OptimalOffsetAt(%v) = %d, OptimalOffset = %d, reference %d", a, got, m.OptimalOffset(block, layer, a), wantOff)
 		}
-	}
-	if retention(12) != math.Log(13)/math.Log(13) || retention(5) != math.Log(6)/math.Log(13) {
-		t.Error("retention moved with the hoisted divisor")
 	}
 }
