@@ -2,9 +2,9 @@
 # long tests hide behind -short here; `make soak` runs them in full.
 GO ?= go
 
-.PHONY: tier1 build fmt vet test race race-core bench bench-smoke bench-scale bench-telemetry one-stack trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
+.PHONY: tier1 build fmt vet test race race-core fuzz-smoke bench bench-smoke bench-scale bench-telemetry one-stack trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
 
-tier1: build fmt vet one-stack race race-core fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
+tier1: build fmt vet one-stack race race-core fuzz-smoke fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,12 @@ race:
 # table and its checkpoint serialization).
 race-core:
 	$(GO) test -race ./internal/sim ./internal/ftl ./internal/host ./internal/recovery ./internal/telemetry ./internal/server ./internal/fleet ./internal/cache ./internal/nand ./internal/core ./internal/lifetime
+
+# Ten seconds of native fuzzing per target (one so far): ecc.Decode
+# against its per-codeword reference on any bit pattern as a BER. A
+# failing input is written under the package's testdata/fuzz/.
+fuzz-smoke:
+	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s
 
 # The repository's benchmark (bench/README.md): six workloads, both
 # clocks, per-layer decomposition; results land in bench/out/. Compare

@@ -5,9 +5,11 @@
 // voltages" (§2.3) — so the model is a correction-capability threshold:
 // a 16 KB page is split into fixed-size codewords, each codeword
 // tolerates up to CorrectableBits errors, and a page read fails if any
-// codeword exceeds the budget. Error counts are sampled binomially from
-// the word line's effective BER, which makes the pass/fail boundary
-// appropriately soft near the capability limit.
+// codeword exceeds the budget. Only the page's worst codeword decides
+// that, so its error count is what is sampled: the largest of one
+// binomial draw per codeword at the word line's effective BER, which
+// makes the pass/fail boundary appropriately soft near the capability
+// limit.
 package ecc
 
 import (
@@ -67,6 +69,9 @@ func Margin(ber float64) float64 {
 // give each simulated controller its own Engine.
 type Engine struct {
 	src *rng.Source
+	// errs is the per-codeword error-count distribution of the page being
+	// decoded, re-prepared in place for every page.
+	errs rng.Binomial
 }
 
 // NewEngine returns an engine drawing from the given source.
@@ -75,30 +80,19 @@ func NewEngine(src *rng.Source) *Engine { return &Engine{src: src} }
 // Result reports one decode attempt.
 type Result struct {
 	Correctable bool
-	// MaxErrors is the largest per-codeword error count observed.
+	// MaxErrors is the largest per-codeword error count of the page.
 	MaxErrors int
-	// TotalErrors is the page-wide sampled error count.
-	TotalErrors int
 }
 
 // Decode samples the decode outcome of reading a page of pageBytes at
 // effective bit error rate ber. Every codeword of the page sees the same
-// ber, so the binomial is set up once per page, not once per codeword.
+// ber and only the worst one matters, so the page costs one binomial
+// set-up and one inversion; the source still advances by one variate per
+// codeword (rng.Binomial.DrawMax).
 func (e *Engine) Decode(ber float64, pageBytes int) Result {
-	n := CodewordsPerPage(pageBytes)
-	res := Result{Correctable: true}
-	errDist := rng.NewBinomial(CodewordBits, ber)
-	for i := 0; i < n; i++ {
-		errs := errDist.Draw(e.src)
-		res.TotalErrors += errs
-		if errs > res.MaxErrors {
-			res.MaxErrors = errs
-		}
-		if errs > CorrectableBits {
-			res.Correctable = false
-		}
-	}
-	return res
+	e.errs.Reset(CodewordBits, ber)
+	worst := e.errs.DrawMax(e.src, CodewordsPerPage(pageBytes))
+	return Result{Correctable: worst <= CorrectableBits, MaxErrors: worst}
 }
 
 // FailProb returns the analytic probability that a page read at

@@ -66,14 +66,29 @@ func TestDecodeBoundaryIsSoft(t *testing.T) {
 	}
 }
 
+// MaxErrors is the worst codeword of the page: one codeword's count
+// averages n·p, and the largest of sixteen sits well above it.
 func TestDecodeErrorAccounting(t *testing.T) {
 	e := NewEngine(rng.New(4))
-	res := e.Decode(1e-3, 16384)
-	if res.TotalErrors < res.MaxErrors {
-		t.Errorf("TotalErrors %d < MaxErrors %d", res.TotalErrors, res.MaxErrors)
+	const ber, trials = 1e-3, 2000
+	mean := func(pageBytes int) float64 {
+		sum := 0
+		for i := 0; i < trials; i++ {
+			res := e.Decode(ber, pageBytes)
+			if !res.Correctable {
+				t.Fatalf("page at BER %g failed to decode: %+v", ber, res)
+			}
+			sum += res.MaxErrors
+		}
+		return float64(sum) / trials
 	}
-	if res.MaxErrors == 0 || res.TotalErrors == 0 {
-		t.Errorf("expected some sampled errors at BER 1e-3: %+v", res)
+	one, sixteen := mean(CodewordBytes), mean(16*CodewordBytes)
+	if want := ber * CodewordBits; math.Abs(one-want) > 0.3 {
+		t.Errorf("mean errors of a one-codeword page = %.2f, want ~%.2f", one, want)
+	}
+	// E[max of 16] is about mean + 1.77 sd = 13.2 here.
+	if sixteen < one+3 || sixteen > one+8 {
+		t.Errorf("mean worst codeword of 16 = %.2f against %.2f for one", sixteen, one)
 	}
 }
 
@@ -127,7 +142,7 @@ func TestQuickDecodeRanges(t *testing.T) {
 		ber := float64(berRaw) / 65535 * 0.05
 		pageBytes := (int(pagesRaw)%16 + 1) * 1024
 		res := e.Decode(ber, pageBytes)
-		if res.MaxErrors < 0 || res.TotalErrors < 0 {
+		if res.MaxErrors < 0 {
 			return false
 		}
 		if res.MaxErrors > CodewordBits {
@@ -146,14 +161,30 @@ func TestQuickDecodeRanges(t *testing.T) {
 	}
 }
 
-// BenchmarkDecode times one page decode at a fresh-device BER (a short
-// inversion walk per codeword) and at an aged one (a walk of about
-// sixteen terms, shared across the page's codewords).
+// A decode re-prepares the engine's own binomial in place, whatever kind
+// the page before left in it.
+func TestDecodeAllocs(t *testing.T) {
+	e := NewEngine(rng.New(7))
+	bers := []float64{0, 1e-4, 2e-3, LimitBER, 1}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		decodeSink = e.Decode(bers[i%len(bers)], 16*CodewordBytes)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Decode allocates %v objects per page, want 0", allocs)
+	}
+}
+
+// BenchmarkDecode times one page decode — sixteen variates, one
+// inversion — at a fresh-device BER (a walk of a few terms), at aged ones
+// (twenty to fifty terms) and past the switch to the normal
+// approximation.
 func BenchmarkDecode(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		ber  float64
-	}{{"ber1e-4", 1e-4}, {"ber2e-3", 2e-3}, {"ber8e-3-normal", 8e-3}} {
+	}{{"ber1e-4", 1e-4}, {"ber2e-4", 2e-4}, {"ber2e-3", 2e-3}, {"ber3.5e-3", 3.5e-3}, {"ber8e-3-normal", 8e-3}} {
 		b.Run(bc.name, func(b *testing.B) {
 			e := NewEngine(rng.New(1))
 			var r Result

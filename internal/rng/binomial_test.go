@@ -76,7 +76,8 @@ func TestPreparedBinomialMatchesReference(t *testing.T) {
 	for _, c := range cases {
 		seed := pick.Uint64()
 		ref, got, one := New(seed), New(seed), New(seed)
-		dist := NewBinomial(c.n, c.p)
+		var dist Binomial
+		dist.Reset(c.n, c.p)
 		for draw := 0; draw < 16; draw++ {
 			want := binomialReference(ref, c.n, c.p)
 			if v := dist.Draw(got); v != want {
@@ -116,7 +117,8 @@ func TestBinomialInversionMemo(t *testing.T) {
 		n int
 		p float64
 	}{{8192, 1e-4}, {8192, 2e-3}, {8192, 31.9 / 8192}, {65, 0.4}, {131072, 1e-4}, {100000, 3e-4}} {
-		dist := NewBinomial(c.n, c.p)
+		var dist Binomial
+		dist.Reset(c.n, c.p)
 		if dist.kind != binomialInvert {
 			t.Fatalf("n=%d p=%g is not an inversion case", c.n, c.p)
 		}
@@ -139,5 +141,120 @@ func TestBinomialInversionMemo(t *testing.T) {
 		if c.n > 1000 && c.p*float64(c.n) > 20 && !pastMemo {
 			t.Fatalf("n=%d p=%g: no variate walked past the memo", c.n, c.p)
 		}
+	}
+}
+
+// stateBefore returns the Source state from which the next Uint64 is
+// out: SplitMix64's output function is a bijection, undone step by step.
+func stateBefore(out uint64) uint64 {
+	inverse := func(c uint64) uint64 { // of an odd c modulo 2^64, by Newton's iteration
+		inv := c
+		for i := 0; i < 6; i++ {
+			inv *= 2 - c*inv
+		}
+		return inv
+	}
+	z := out ^ out>>31 ^ out>>62
+	z *= inverse(0x94d049bb133111eb)
+	z = z ^ z>>27 ^ z>>54
+	z *= inverse(0xbf58476d1ce4e5b9)
+	z = z ^ z>>30 ^ z>>60
+	return z - 0x9e3779b97f4a7c15
+}
+
+// DrawMax must return the largest of count Draws and leave the source
+// where they would — for every kind, from a source with and without a
+// cached Gaussian, after a Reset from another kind (the memo then holds
+// stale entries past walked), and for a variate so close to 1 that the
+// inversion runs off the end of the memo.
+func TestDrawMaxIsMaxOfDraws(t *testing.T) {
+	maxOfDraws := func(b *Binomial, s *Source, count int) int {
+		most := 0
+		for i := 0; i < count; i++ {
+			if k := b.Draw(s); k > most {
+				most = k
+			}
+		}
+		return most
+	}
+	cases := []struct {
+		n    int
+		p    float64
+		kind binomialKind
+	}{
+		{0, 0.5, binomialZero}, {8192, 0, binomialZero}, {8192, -1, binomialZero},
+		{8192, 1, binomialAll}, {7, 1.5, binomialAll},
+		{1, 0.5, binomialDirect}, {64, 0.3, binomialDirect},
+		{65, 0.3, binomialInvert}, {8192, 1e-6, binomialInvert}, {8192, 2e-4, binomialInvert},
+		{8192, 2e-3, binomialInvert}, {8192, math.Nextafter(32.0/8192, 0), binomialInvert},
+		{8192, 32.0 / 8192, binomialNormal}, {8192, 72.0 / 8192, binomialNormal},
+		{8192, 0.02, binomialNormal}, {8192, 0.999, binomialNormal}, {131072, 1e-4, binomialInvert},
+	}
+	pick := New(7)
+	var got, want Binomial // reused across cases, as ecc.Engine reuses its own
+	for _, c := range cases {
+		for _, count := range []int{-1, 0, 1, 2, 3, 16, 17} {
+			for trial := 0; trial < 50; trial++ {
+				seed := pick.Uint64()
+				a, b := New(seed), New(seed)
+				if trial%2 == 1 { // leave the second variate of a Gaussian pair cached
+					a.NormFloat64()
+					b.NormFloat64()
+				}
+				got.Reset(c.n, c.p)
+				want.Reset(c.n, c.p)
+				if got.kind != c.kind {
+					t.Fatalf("n=%d p=%g: kind %d, want %d", c.n, c.p, got.kind, c.kind)
+				}
+				g, w := got.DrawMax(a, count), maxOfDraws(&want, b, count)
+				if g != w || *a != *b {
+					t.Fatalf("n=%d p=%g count=%d seed=%#x: DrawMax %d, max of draws %d, sources equal %v",
+						c.n, c.p, count, seed, g, w, *a == *b)
+				}
+			}
+		}
+	}
+
+	// One variate of the sixteen is the largest a Source can produce: the
+	// walk leaves the memo, in DrawMax as in the Draw that receives it.
+	const gamma = 0x9e3779b97f4a7c15
+	for _, c := range []struct {
+		n int
+		p float64
+	}{{8192, 31.9 / 8192}, {100000, 3e-4}} {
+		for at := uint64(0); at < 16; at++ {
+			state := stateBefore(math.MaxUint64) - at*gamma
+			a, b := &Source{state: state}, &Source{state: state}
+			got.Reset(c.n, c.p)
+			want.Reset(c.n, c.p)
+			g, w := got.DrawMax(a, 16), maxOfDraws(&want, b, 16)
+			if g != w || *a != *b {
+				t.Fatalf("n=%d p=%g top variate at %d: DrawMax %d, max of draws %d", c.n, c.p, at, g, w)
+			}
+			if g < binomialMemo {
+				t.Fatalf("n=%d p=%g top variate at %d: draw %d stayed inside the memo", c.n, c.p, at, g)
+			}
+		}
+	}
+}
+
+// A NaN p takes the normal kind (every comparison with it is false) and
+// used to come out as int(NaN), which the language leaves to the
+// platform; it is 0 now, from Draw and DrawMax alike.
+func TestBinomialNaN(t *testing.T) {
+	var b Binomial
+	b.Reset(8192, math.NaN())
+	s, ref := New(5), New(5)
+	if k := b.Draw(s); k != 0 {
+		t.Errorf("Draw with NaN p = %d, want 0", k)
+	}
+	if k := b.DrawMax(s, 16); k != 0 {
+		t.Errorf("DrawMax with NaN p = %d, want 0", k)
+	}
+	for i := 0; i < 17; i++ {
+		ref.NormFloat64()
+	}
+	if *s != *ref {
+		t.Error("NaN p did not consume one Gaussian per draw")
 	}
 }

@@ -68,9 +68,10 @@ func (s *Source) Uint64n(n uint64) uint64 {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (s *Source) Float64() float64 {
-	return float64(s.next()>>11) / (1 << 53)
-}
+func (s *Source) Float64() float64 { return unitFloat(s.next() >> 11) }
+
+// unitFloat maps 53 random bits to [0, 1), exactly.
+func unitFloat(bits53 uint64) float64 { return float64(bits53) / (1 << 53) }
 
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
@@ -130,16 +131,17 @@ func (s *Source) Exponential(mean float64) float64 {
 // bit-error counts over millions of cells.
 func (s *Source) Binomial(n int, p float64) int {
 	var b Binomial
-	b.init(n, p)
+	b.Reset(n, p)
 	return b.Draw(s)
 }
 
 // Binomial is a binomial(n, p) distribution with its per-(n, p)
 // constants worked out once, for callers that draw from the same
-// distribution repeatedly (the ECC model draws one count per codeword of
-// a page, all at the page's bit error rate). Draw returns exactly the
+// distribution repeatedly (the ECC model samples the worst of a page's
+// codewords, all at the page's bit error rate). Draw returns exactly the
 // values Source.Binomial(n, p) would and consumes exactly the same
-// randomness.
+// randomness. A Binomial is over half a kilobyte (the CDF memo): keep one
+// and Reset it rather than passing copies around.
 type Binomial struct {
 	n    int
 	p    float64
@@ -149,7 +151,7 @@ type Binomial struct {
 	// itself as far as any draw has walked it. The recurrence does not
 	// depend on the uniform variate, so later draws reuse the prefix
 	// earlier ones computed: cdf[k] = P(X <= k) for k < walked, and term
-	// is P(X = walked-1).
+	// is P(X = walked-1). Entries at and past walked are stale.
 	odds   float64
 	cdf    [binomialMemo]float64
 	walked int
@@ -178,13 +180,10 @@ const (
 	binomialNormal                     // normal approximation
 )
 
-// NewBinomial prepares a binomial(n, p) distribution.
-func NewBinomial(n int, p float64) (b Binomial) {
-	b.init(n, p)
-	return b
-}
-
-func (b *Binomial) init(n int, p float64) {
+// Reset prepares b for binomial(n, p) in place; the zero Binomial always
+// draws 0. Only the fields the new kind reads are written: walked bounds
+// the valid part of the memo, so the rest of it is left as it is.
+func (b *Binomial) Reset(n int, p float64) {
 	b.n, b.p = n, p
 	switch {
 	case n <= 0 || p <= 0:
@@ -222,17 +221,60 @@ func (b *Binomial) Draw(s *Source) int {
 	case binomialInvert:
 		return b.invert(s.Float64())
 	case binomialNormal:
-		// Normal approximation with continuity correction.
-		v := math.Round(s.Gaussian(b.mean, b.sd))
-		if v < 0 {
-			v = 0
-		}
-		if v > float64(b.n) {
-			v = float64(b.n)
-		}
-		return int(v)
+		return b.round(s.NormFloat64())
 	}
 	return 0
+}
+
+// DrawMax returns the largest of count draws (0 when count <= 0) and
+// leaves s exactly where count calls of Draw would. Both samplers used
+// for large n are nondecreasing in their variate — invert is "smallest k
+// with u <= cdf[k]" over partial sums of non-negative terms, memo and
+// tail alike; round is a rounding and a clamp of mean + sd·g with
+// sd >= 0 — so the largest draw is the one the largest variate gives:
+// DrawMax takes the same count variates in the same order (the cached
+// second Gaussian of a pair included), keeps the largest and inverts or
+// rounds once.
+func (b *Binomial) DrawMax(s *Source, count int) int {
+	switch b.kind {
+	case binomialInvert:
+		// Float64 is increasing in the 53 bits it keeps: compare those.
+		top := uint64(0)
+		for i := 0; i < count; i++ {
+			if v := s.next() >> 11; v > top {
+				top = v
+			}
+		}
+		return b.invert(unitFloat(top))
+	case binomialNormal:
+		g := math.Inf(-1)
+		for i := 0; i < count; i++ {
+			if v := s.NormFloat64(); v > g {
+				g = v
+			}
+		}
+		return b.round(g)
+	}
+	most := 0
+	for i := 0; i < count; i++ {
+		if k := b.Draw(s); k > most {
+			most = k
+		}
+	}
+	return most
+}
+
+// round is the normal approximation with continuity correction for the
+// standard normal variate g, clamped to [0, n]. A NaN (p was NaN) is 0.
+func (b *Binomial) round(g float64) int {
+	v := math.Round(b.mean + b.sd*g)
+	if !(v > 0) {
+		return 0
+	}
+	if v > float64(b.n) {
+		return b.n
+	}
+	return int(v)
 }
 
 // invert is Poisson-style inversion on the binomial CDF: the smallest k

@@ -308,6 +308,50 @@ func TestZipfPanics(t *testing.T) {
 	}
 }
 
+// zipfNextReference is Zipf.Next as it stood before the rank-1 threshold
+// was hoisted into NewZipf: the constant is recomputed on every call.
+func zipfNextReference(z *Zipf) uint64 {
+	u := z.src.Float64()
+	uz := u * z.zetan
+	if uz < 1 {
+		return 0
+	}
+	if uz < 1+math.Pow(0.5, z.theta) {
+		return 1
+	}
+	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	if v >= z.n {
+		v = z.n - 1
+	}
+	return v
+}
+
+func TestZipfMatchesReference(t *testing.T) {
+	for _, theta := range []float64{0.8, 0.9, 0.99} {
+		for _, n := range []uint64{2, 1000, 1 << 20} {
+			got, ref := NewZipf(New(41), n, theta), NewZipf(New(41), n, theta)
+			ranks := [3]int{}
+			for i := 0; i < 100000; i++ {
+				g, w := got.Next(), zipfNextReference(ref)
+				if g != w {
+					t.Fatalf("theta=%v n=%d sample %d: Next %d, reference %d", theta, n, i, g, w)
+				}
+				if g < 2 {
+					ranks[g]++
+				} else {
+					ranks[2]++
+				}
+			}
+			if *got.src != *ref.src {
+				t.Fatalf("theta=%v n=%d: source state diverged from the reference", theta, n)
+			}
+			if ranks[0] == 0 || ranks[1] == 0 || (n > 2 && ranks[2] == 0) {
+				t.Fatalf("theta=%v n=%d: a branch of Next was never taken: %v", theta, n, ranks)
+			}
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {

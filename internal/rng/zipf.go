@@ -17,6 +17,9 @@ type Zipf struct {
 
 	alpha, zetan, eta float64
 	zeta2             float64
+	// rank1 is 1 + 0.5^theta: u·zetan below it (and not below 1) is
+	// item 1.
+	rank1 float64
 }
 
 // NewZipf returns a Zipf generator over [0, n). theta must be in (0, 1);
@@ -31,6 +34,7 @@ func NewZipf(src *Source, n uint64, theta float64) *Zipf {
 	z := &Zipf{src: src, n: n, theta: theta}
 	z.zeta2 = zetaStatic(2, theta)
 	z.zetan = zetaStatic(n, theta)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	return z
@@ -55,7 +59,7 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
