@@ -34,11 +34,16 @@ race:
 race-core:
 	$(GO) test -race ./internal/sim ./internal/ftl ./internal/host ./internal/recovery ./internal/telemetry ./internal/server ./internal/fleet ./internal/cache ./internal/nand ./internal/core ./internal/lifetime
 
-# Ten seconds of native fuzzing per target (one so far): ecc.Decode
-# against its per-codeword reference on any bit pattern as a BER. A
-# failing input is written under the package's testdata/fuzz/.
+# Ten seconds of native fuzzing per target: ecc.Decode against its
+# per-codeword reference on any bit pattern as a BER; the connection
+# reader's loop (readFrame, ParseHello, ParseIO) on any byte stream; the
+# checkpoint decoder on any bytes, raw and with a valid CRC (an error, or
+# a state that re-encodes to the same image). A failing input is written
+# under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
+	$(GO) test ./internal/recovery -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s
 
 # The repository's benchmark (bench/README.md): six workloads, both
 # clocks, per-layer decomposition; results land in bench/out/. Compare
@@ -135,7 +140,8 @@ metrics-smoke:
 		sleep 0.1; \
 	done; \
 	out=$$(curl -fsS http://127.0.0.1:$(METRICS_PORT)/metrics); \
-	for fam in 'cube_server_up 1' 'cube_tenant_read_p99_ns{tenant="lat"}' \
+	for fam in 'cube_server_up 1' 'cube_server_window_all_in_total' \
+		'cube_server_window_timeouts_total' 'cube_tenant_read_p99_ns{tenant="lat"}' \
 		'cube_tenant_weight{tenant="lat"}' 'cube_slo_enabled 1' \
 		'cube_cube_retry_hits' 'cube_cube_ort_hits' \
 		'cube_ftl_die_0_degraded' 'cube_events_total' \

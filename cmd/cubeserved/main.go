@@ -59,6 +59,16 @@ func main() {
 			tenants = append(tenants, td)
 			return nil
 		})
+	flag.Usage = func() {
+		w := flag.CommandLine.Output()
+		fmt.Fprintf(w, "Usage of %s:\n", os.Args[0])
+		fmt.Fprintln(w, "  Serves a simulated SSD as a TCP block service. Requests are coalesced the way")
+		fmt.Fprintf(w, "  NVMe doorbells are: after one arrives the core waits at most %v of wall clock\n", server.DefaultBatchWindow)
+		fmt.Fprintln(w, "  for more to join the batch before it advances the device; the wait ends early once")
+		fmt.Fprintln(w, "  every session has a command in flight. /metrics reports both outcomes")
+		fmt.Fprintln(w, "  (cube_server_window_all_in_total, cube_server_window_timeouts_total).")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	if len(tenants) == 0 {

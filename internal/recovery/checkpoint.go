@@ -120,8 +120,19 @@ func (s *SystemArea) StateBytes() []byte {
 // everything before it. Deterministic for identical state.
 var ckptMagic = [4]byte{'C', 'C', 'K', 'P'}
 
-// mappingBytes is one encoded L2P entry: lpn u64, ppn u64, stamp u64.
-const mappingBytes = 24
+// An image opens with a fixed header — magic, LastStamp u64,
+// LastBlockSeq u64, chip count u32, mapping count u32 — followed by the
+// L2P entries in LPN order, mappingBytes each: lpn u64, ppn u64, stamp
+// u64.
+const (
+	ckptHeaderBytes = 4 + 8 + 8 + 4 + 4
+	mappingBytes    = 24
+)
+
+// ckptMappings returns the mapping count an image's header records.
+func ckptMappings(img []byte) int {
+	return int(binary.LittleEndian.Uint32(img[ckptHeaderBytes-4:]))
+}
 
 // ckptEncoder streams a controller's durable state into a checkpoint
 // image. It never materialises an ftl.MountState: it walks the mapper,
@@ -133,29 +144,48 @@ type ckptEncoder struct {
 	retired []int
 }
 
+// appendHeader appends the image header for ctrl's counters and nMap
+// mapping records.
+func appendHeader(dst []byte, ctrl *ftl.Controller, nMap int) []byte {
+	le := binary.LittleEndian
+	dst = append(dst, ckptMagic[:]...)
+	lastStamp, lastBlockSeq := ctrl.StampCounters()
+	dst = le.AppendUint64(dst, lastStamp)
+	dst = le.AppendUint64(dst, lastBlockSeq)
+	dst = le.AppendUint32(dst, uint32(ctrl.Device().Geometry().Chips))
+	return le.AppendUint32(dst, uint32(nMap))
+}
+
+// putMapping encodes lpn's current mapping into rec.
+func putMapping(rec []byte, ctrl *ftl.Controller, lpn ftl.LPN, ppn ssd.PPN) {
+	le := binary.LittleEndian
+	le.PutUint64(rec[0:], uint64(lpn))
+	le.PutUint64(rec[8:], uint64(int64(ppn)))
+	le.PutUint64(rec[16:], ctrl.StampOf(lpn))
+}
+
 // appendCheckpoint appends ctrl's checkpoint image to dst. The bytes are
 // exactly those the reference encoder (tests) produces from
 // ctrl.StateSnapshot() and the policy's state: the image length sets the
 // modeled checkpoint latency, so it may not drift.
 func (e *ckptEncoder) appendCheckpoint(dst []byte, ctrl *ftl.Controller) []byte {
-	le := binary.LittleEndian
 	start := len(dst)
-	dst = append(dst, ckptMagic[:]...)
-	lastStamp, lastBlockSeq := ctrl.StampCounters()
-	dst = le.AppendUint64(dst, lastStamp)
-	dst = le.AppendUint64(dst, lastBlockSeq)
-	nChips := ctrl.Device().Geometry().Chips
-	dst = le.AppendUint32(dst, uint32(nChips))
 
 	// The mapper counts its live pages per block, so the mapping section
-	// is sized before the walk and written by index. The image's CRC is
-	// folded in behind the writes, a chunk at a time while the chunk is
-	// still in cache: a second pass over the finished image would read
-	// all of it back from memory.
+	// is sized before the walk and written by index. A buffer that has to
+	// grow for it grows a sixteenth further: the pools and the policy's
+	// state come to a few percent of the records on a device worth
+	// pre-sizing for (65 KB behind 2.4 MB on the served one), and appended
+	// to a buffer sized for the records alone they would move the whole
+	// image once more. The image's CRC is folded in behind the writes, a
+	// chunk at a time while the chunk is still in cache: a second pass
+	// over the finished image would read all of it back from memory.
 	mapper := ctrl.Mapper()
 	nMap := mapper.Mapped()
-	dst = le.AppendUint32(dst, uint32(nMap))
-	dst = slices.Grow(dst, nMap*mappingBytes)
+	if need := ckptHeaderBytes + nMap*mappingBytes; cap(dst)-len(dst) < need {
+		dst = slices.Grow(dst, need+need/16)
+	}
+	dst = appendHeader(dst, ctrl, nMap)
 	recs := dst[len(dst) : len(dst)+nMap*mappingBytes]
 	dst = dst[:len(dst)+len(recs)]
 	off, summed := 0, 0
@@ -168,10 +198,7 @@ func (e *ckptEncoder) appendCheckpoint(dst []byte, ctrl *ftl.Controller) []byte 
 		if off == len(recs) {
 			panic("recovery: forward map holds more pages than the mapper counts")
 		}
-		rec := recs[off : off+mappingBytes]
-		le.PutUint64(rec[0:], uint64(lpn))
-		le.PutUint64(rec[8:], uint64(int64(ppn)))
-		le.PutUint64(rec[16:], ctrl.StampOf(lpn))
+		putMapping(recs[off:off+mappingBytes], ctrl, lpn, ppn)
 		off += mappingBytes
 		if off-summed >= crcChunk {
 			crc = crc32.Update(crc, crc32.IEEETable, recs[summed:off])
@@ -182,9 +209,48 @@ func (e *ckptEncoder) appendCheckpoint(dst []byte, ctrl *ftl.Controller) []byte 
 		panic("recovery: forward map holds fewer pages than the mapper counts")
 	}
 	crc = crc32.Update(crc, crc32.IEEETable, recs[summed:])
-	poolsAt := len(dst) // everything from here on is summed at the end
+	return e.appendTail(dst, ctrl, crc, len(dst))
+}
 
-	for chip := 0; chip < nChips; chip++ {
+// patchCheckpoint brings img, the image this encoder last left in the
+// buffer, up to ctrl's state by rewriting what can have changed: the
+// header's counters, the records of the pages in dirty, everything behind
+// the records. The caller vouches that the set of mapped pages is still
+// the one img lists and that dirty names every page mapped anew since img
+// was encoded, repeats and all; the result is then appendCheckpoint's,
+// byte for byte, without the walk over the logical space.
+func (e *ckptEncoder) patchCheckpoint(img []byte, ctrl *ftl.Controller, dirty []ftl.LPN) []byte {
+	nMap := ckptMappings(img)
+	appendHeader(img[:0], ctrl, nMap)
+	body := img[:ckptHeaderBytes+nMap*mappingBytes]
+	recs := body[ckptHeaderBytes:]
+	mapper := ctrl.Mapper()
+	for _, lpn := range dirty {
+		// The records are sorted by LPN: find the first at or above lpn.
+		lo, hi := 0, nMap
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if ftl.LPN(binary.LittleEndian.Uint64(recs[mid*mappingBytes:])) < lpn {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		ppn := mapper.Lookup(lpn)
+		if lo == nMap || ftl.LPN(binary.LittleEndian.Uint64(recs[lo*mappingBytes:])) != lpn || ppn == ssd.UnmappedPPN {
+			panic("recovery: patched checkpoint's mapped set differs from the image's")
+		}
+		putMapping(recs[lo*mappingBytes:], ctrl, lpn, ppn)
+	}
+	return e.appendTail(body, ctrl, crc32.Update(0, crc32.IEEETable, body), len(body))
+}
+
+// appendTail appends what follows the mapping records — the block pools
+// per chip, the policy's state, the CRC — to an image whose bytes before
+// from sum to crc.
+func (e *ckptEncoder) appendTail(dst []byte, ctrl *ftl.Controller, crc uint32, from int) []byte {
+	le := binary.LittleEndian
+	for chip, nChips := 0, ctrl.Device().Geometry().Chips; chip < nChips; chip++ {
 		free := ctrl.FreeBlocks(chip)
 		dst = le.AppendUint32(dst, uint32(len(free)))
 		for _, blk := range free {
@@ -215,8 +281,12 @@ func (e *ckptEncoder) appendCheckpoint(dst []byte, ctrl *ftl.Controller) []byte 
 		dst = ps.AppendState(dst)
 	}
 	le.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
-	return le.AppendUint32(dst, crc32.Update(crc, crc32.IEEETable, dst[poolsAt:]))
+	return le.AppendUint32(dst, crc32.Update(crc, crc32.IEEETable, dst[from:]))
 }
+
+// chipPoolsMinBytes is a chip's share of an image with all three of its
+// block lists empty: three counts and the degraded byte.
+const chipPoolsMinBytes = 4 + 4 + 4 + 1
 
 // crcChunk is how many bytes of mapping records appendCheckpoint writes
 // between CRC updates.
@@ -244,11 +314,19 @@ func decodeCheckpoint(b []byte) (ms ftl.MountState, policy []byte, err error) {
 		ms.Mappings = make([]ftl.MappingRecord, 0, nMap)
 	}
 	for i := 0; i < nMap && r.err == nil; i++ {
-		ms.Mappings = append(ms.Mappings, ftl.MappingRecord{
-			LPN:   ftl.LPN(r.u64()),
-			PPN:   ssd.PPN(int64(r.u64())),
-			Stamp: r.u64(),
-		})
+		lpn, ppn, stamp := ftl.LPN(r.u64()), int64(r.u64()), r.u64()
+		if int64(ssd.PPN(ppn)) != ppn {
+			return ftl.MountState{}, nil, fmt.Errorf("recovery: checkpoint maps LPN %d to PPN %d, out of range", lpn, ppn)
+		}
+		ms.Mappings = append(ms.Mappings, ftl.MappingRecord{LPN: lpn, PPN: ssd.PPN(ppn), Stamp: stamp})
+	}
+	if r.err != nil {
+		return ftl.MountState{}, nil, r.err
+	}
+	// A chip's pools take 13 bytes at their emptiest; a count the rest of
+	// the image cannot hold is damage, not a reason to allocate for it.
+	if nChips > len(r.b)/chipPoolsMinBytes {
+		return ftl.MountState{}, nil, fmt.Errorf("recovery: checkpoint lists %d chips in %d bytes", nChips, len(r.b))
 	}
 	ms.Free = make([][]int, nChips)
 	ms.Actives = make([][]ftl.ActiveRecord, nChips)
@@ -267,11 +345,14 @@ func decodeCheckpoint(b []byte) (ms ftl.MountState, policy []byte, err error) {
 		for n := int(r.u32()); n > 0 && r.err == nil; n-- {
 			ms.Retired[chip] = append(ms.Retired[chip], int(r.u32()))
 		}
-		ms.DegradedDies[chip] = r.u8() == 1
+		d := r.u8()
+		if d > 1 {
+			return ftl.MountState{}, nil, fmt.Errorf("recovery: checkpoint marks chip %d degraded with byte %d", chip, d)
+		}
+		ms.DegradedDies[chip] = d == 1
 	}
 	if n := int(r.u32()); n > 0 && r.err == nil {
-		policy = make([]byte, n)
-		r.bytes(policy)
+		policy = append([]byte(nil), r.take(n)...)
 	}
 	if r.err != nil {
 		return ftl.MountState{}, nil, r.err

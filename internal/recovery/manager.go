@@ -75,6 +75,8 @@ type Manager struct {
 	ckptBusy    bool
 	ckpt        pendingCkpt
 	enc         ckptEncoder
+	slotLogs    [2]slotLog    // by slot
+	ckptPatched int           // checkpoints written by patchCheckpoint
 	ckptWindows [][2]sim.Time // the first ckptWindowsKept only
 
 	// Engine callbacks, bound once.
@@ -108,6 +110,38 @@ const (
 	waitProceed
 )
 
+// slotLog is what this manager knows about the image it last encoded
+// into one slot's buffer. While patchable holds, no page has left the
+// mapped set since that encode and dirty holds every page mapped since,
+// overwrites and relocations alike. The mapped set can then only have
+// grown, which Mapper.Mapped() gives away; if it has not, the image's
+// records are the right ones except at the pages in dirty, and the next
+// checkpoint into the slot rewrites those in place instead of walking
+// the logical space. The zero value (a fresh manager: the slot's bytes
+// are some earlier life's) is not patchable.
+type slotLog struct {
+	patchable bool
+	dirty     []ftl.LPN // at most dirtyLogCap, repeats kept
+}
+
+// note logs a page mapped anew; a full log gives the slot up.
+func (lg *slotLog) note(lpn ftl.LPN) {
+	switch {
+	case !lg.patchable:
+	case len(lg.dirty) == dirtyLogCap:
+		lg.patchable = false
+	default:
+		lg.dirty = append(lg.dirty, lpn)
+	}
+}
+
+// dirtyLogCap bounds a slot's dirty log. A slot is rewritten every other
+// checkpoint, so at the default cadence the log sees 40 ms of device
+// clock; past a few thousand pages the binary searches cost what the
+// walk does. A log that fills up gives the slot back to the full encode,
+// as it must when checkpoints are off and nothing ever empties it.
+const dirtyLogCap = 4096
+
 // pendingCkpt describes a checkpoint between the start of its write and
 // its install.
 type pendingCkpt struct {
@@ -140,6 +174,9 @@ func Attach(ctrl *ftl.Controller, sys *SystemArea, opts Options) *Manager {
 		ckptInterval: interval,
 		appended:     sys.durableEnd(),
 		ckptWindows:  make([][2]sim.Time, 0, ckptWindowsKept),
+	}
+	for i := range m.slotLogs {
+		m.slotLogs[i].dirty = make([]ftl.LPN, 0, dirtyLogCap)
 	}
 	m.onFlushDone, m.onCkptTimer, m.onCkptDone = m.finishFlush, m.ckptTimerFired, m.finishCheckpoint
 	ctrl.SetRecovery(m)
@@ -278,6 +315,8 @@ func (m *Manager) NoteMapped(lpn ftl.LPN, ppn ssd.PPN, stamp uint64) {
 	}
 	m.ram = appendMapped(m.ram, lpn, ppn, stamp)
 	m.staged()
+	m.slotLogs[0].note(lpn)
+	m.slotLogs[1].note(lpn)
 	m.wait(waiter{kind: waitMapped, lpn: lpn, stamp: stamp})
 }
 
@@ -288,6 +327,9 @@ func (m *Manager) NoteTrim(lpn ftl.LPN) {
 	}
 	m.ram = appendTrim(m.ram, lpn)
 	m.staged()
+	// A page left the mapped set; one mapped for the first time would
+	// bring the count back to the images'.
+	m.slotLogs[0].patchable, m.slotLogs[1].patchable = false, false
 	m.wait(waiter{kind: waitTrim, lpn: lpn})
 }
 
@@ -352,9 +394,11 @@ func (m *Manager) ckptTimerFired() {
 // it straight into that slot's buffer. The slot is invalidated the
 // moment the write begins — which is what makes its bytes free to
 // overwrite — so a power cut mid-write tears this slot and recovery
-// falls back to the other one. sync installs immediately (attach-time
-// checkpoint); otherwise the install lands after the modeled write
-// latency.
+// falls back to the other one. When the buffer holds this manager's own
+// last image of the same mapped pages, only what changed since is
+// rewritten (patchCheckpoint); the bytes are the full encode's either
+// way. sync installs immediately (attach-time checkpoint); otherwise the
+// install lands after the modeled write latency.
 func (m *Manager) checkpoint(sync bool) {
 	if m.dead || m.ckptBusy {
 		return
@@ -368,7 +412,14 @@ func (m *Manager) checkpoint(sync bool) {
 	m.ckpt = pendingCkpt{slot: m.sys.oldestSlot(), stamp: stamp, cutoff: m.appended, start: m.eng.Now()}
 	sl := &m.sys.slots[m.ckpt.slot]
 	sl.valid = false
-	sl.data = m.enc.appendCheckpoint(sl.data[:0], m.ctrl)
+	lg := &m.slotLogs[m.ckpt.slot]
+	if lg.patchable && ckptMappings(sl.data) == m.ctrl.Mapper().Mapped() {
+		sl.data = m.enc.patchCheckpoint(sl.data, m.ctrl, lg.dirty)
+		m.ckptPatched++
+	} else {
+		sl.data = m.enc.appendCheckpoint(sl.data[:0], m.ctrl)
+	}
+	lg.patchable, lg.dirty = true, lg.dirty[:0]
 	if sync {
 		m.install()
 		return

@@ -12,6 +12,7 @@ import (
 	"cubeftl/internal/rng"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
+	"cubeftl/internal/workload"
 )
 
 // checkStreamedImage pins the streaming encoder against the reference
@@ -397,5 +398,338 @@ func TestCkptWindowsBounded(t *testing.T) {
 		if w[i] != first[i] {
 			t.Fatalf("window %d changed from %v to %v: the kept windows are not the first ones", i, first[i], w[i])
 		}
+	}
+}
+
+// patchRig is a part-filled device under a manager, stepped one event at
+// a time so that every checkpoint — patched in place or encoded in full —
+// is held against the reference encoder at the instant it is written,
+// before the controller moves on.
+type patchRig struct {
+	t     *testing.T
+	ctrl  *ftl.Controller
+	mgr   *Manager
+	src   *rng.Source
+	stamp uint64 // of the last checkpoint compared
+	ckpts int    // checkpoints compared, the attach-time one included
+	full  int    // how many of them were full encodes
+}
+
+// newPatchRig prefills the lower 40 % of the logical space; write
+// overwrites the lower 30 %, so the pages in between stay mapped and
+// untouched and the upper 60 % stays unmapped.
+func newPatchRig(t *testing.T, seed uint64, interval sim.Time) *patchRig {
+	t.Helper()
+	dev := ssd.New(sim.NewEngine(), cutSSDConfig(seed))
+	ctrl := ftl.NewController(dev, core.New(dev.Geometry()), cutCtrlConfig())
+	workload.Prefill(ctrl, int64(ctrl.LogicalPages()*4/10))
+	r := &patchRig{t: t, ctrl: ctrl, src: rng.New(seed)}
+	r.mgr = Attach(ctrl, NewSystemArea(), Options{CkptIntervalNs: interval})
+	r.observe()
+	return r
+}
+
+// observe compares the image of a checkpoint begun since the last call.
+func (r *patchRig) observe() {
+	r.t.Helper()
+	m := r.mgr
+	if m.ckpt.stamp == r.stamp {
+		return
+	}
+	r.stamp = m.ckpt.stamp
+	r.ckpts++
+	r.full = r.ckpts - m.ckptPatched
+	if got, want := m.sys.slots[m.ckpt.slot].data, referenceImage(r.ctrl); !bytes.Equal(got, want) {
+		r.t.Fatalf("checkpoint %d (stamp %d, %d patched so far): slot image differs from the reference encoder's (%d vs %d bytes)",
+			r.ckpts, r.stamp, m.ckptPatched, len(got), len(want))
+	}
+}
+
+func (r *patchRig) step() {
+	r.t.Helper()
+	if !r.ctrl.Engine().Step() {
+		r.t.Fatal("engine ran dry")
+	}
+	r.observe()
+}
+
+// checkpointNow forces a checkpoint, compares it and runs it durable.
+func (r *patchRig) checkpointNow() {
+	r.t.Helper()
+	r.mgr.CheckpointNow()
+	r.observe()
+	for !r.mgr.Quiesced() {
+		r.step()
+	}
+}
+
+// write overwrites ops random pages of the lower 30 % at queue depth 16
+// and runs until they are all acknowledged.
+func (r *patchRig) write(ops int) { r.t.Helper(); r.writeUntil(ops, func() bool { return false }) }
+
+// writeUntil is write, cut short the moment stop holds.
+func (r *patchRig) writeUntil(ops int, stop func() bool) {
+	r.t.Helper()
+	n := r.ctrl.LogicalPages() * 3 / 10
+	outstanding := 0
+	var issue func()
+	issue = func() {
+		for outstanding < 16 && ops > 0 {
+			ops--
+			outstanding++
+			if err := r.ctrl.Write(ftl.LPN(r.src.Intn(n)), nil, func() { outstanding--; issue() }); err != nil {
+				r.t.Fatalf("write: %v", err)
+			}
+		}
+	}
+	issue()
+	for (outstanding > 0 || !r.ctrl.Drained()) && !stop() {
+		r.step()
+	}
+}
+
+// writeThrough keeps overwriting until n more checkpoints have begun.
+func (r *patchRig) writeThrough(n int) {
+	r.t.Helper()
+	for until := r.ckpts + n; r.ckpts < until; {
+		r.write(16)
+	}
+}
+
+// A patched checkpoint is the full encode's image, byte for byte, across
+// everything that reaches a slot between two of its writes: overwrites,
+// GC relocation, a retired block's evacuation, the pools and the policy
+// state moving under it. What changes the set of mapped pages — a trim, a
+// first write — sends each slot through one full encode and back.
+func TestPatchedCheckpointMatchesReference(t *testing.T) {
+	r := newPatchRig(t, 11, 2*sim.Millisecond)
+	ctrl, mgr := r.ctrl, r.mgr
+
+	// Overwrites with GC running. Only the attach-time checkpoint and the
+	// first one into the other slot walk the logical space.
+	r.write(6000)
+	if ctrl.Stats().GCCount == 0 {
+		t.Fatal("overwrite phase never collected")
+	}
+	if r.ckpts < 50 || r.full != 2 {
+		t.Fatalf("overwrite phase: %d checkpoints, %d of them full encodes; want at least 50 and exactly 2", r.ckpts, r.full)
+	}
+	if mgr.slotLogs[0].patchable != true || mgr.slotLogs[1].patchable != true {
+		t.Fatal("steady overwrites left a slot unpatchable")
+	}
+
+	// A trim of a page no write touches: both images list it, so each slot
+	// takes one full encode, and only one.
+	full := r.full
+	trimmed := ftl.LPN(ctrl.LogicalPages() * 35 / 100)
+	if ctrl.Mapper().Lookup(trimmed) == ssd.UnmappedPPN {
+		t.Fatal("page picked for the trim is not mapped")
+	}
+	ctrl.Trim(trimmed, nil)
+	r.writeThrough(6)
+	if got := r.full - full; got != 2 {
+		t.Fatalf("after a trim: %d full encodes in 6 checkpoints, want 2 (one per slot)", got)
+	}
+
+	// The first write to an unmapped page: once it has landed, both images
+	// are a record short.
+	full = r.full
+	fresh := ftl.LPN(ctrl.LogicalPages() / 2)
+	if ctrl.Mapper().Lookup(fresh) != ssd.UnmappedPPN {
+		t.Fatal("page picked for the first write is already mapped")
+	}
+	landed := false
+	if err := ctrl.Write(fresh, nil, func() { landed = true }); err != nil {
+		t.Fatal(err)
+	}
+	for !landed {
+		r.write(16)
+	}
+	r.writeThrough(6)
+	if got := r.full - full; got != 2 {
+		t.Fatalf("after a first write: %d full encodes, want 2 (one per slot)", got)
+	}
+
+	// Program failures on one die: blocks retire and their live pages are
+	// evacuated — remapped, all of them through NoteMapped. Retired lists
+	// and free pools move in the tail; the mapped set does not.
+	full, retired := r.full, ctrl.Stats().RetiredBlocks
+	ctrl.Device().SetChipFaults(1, nand.FaultConfig{ProgramFailRate: 0.05})
+	for i := 0; i < 100 && ctrl.Stats().RetiredBlocks < retired+2; i++ {
+		r.write(64)
+	}
+	ctrl.Device().SetChipFaults(1, nand.FaultConfig{})
+	if ctrl.Stats().RetiredBlocks < retired+2 {
+		t.Fatal("fault phase retired fewer than two blocks")
+	}
+	r.writeThrough(4)
+	if r.full != full {
+		t.Errorf("block retirement cost %d full encodes, want none", r.full-full)
+	}
+	if err := ctrl.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d checkpoints compared, %d patched, %d full", r.ckpts, mgr.ckptPatched, r.full)
+}
+
+// A slot's dirty log is bounded: with periodic checkpoints off nothing
+// empties it, so it fills, hands the slot back to the full encode and
+// stops growing.
+func TestDirtyLogOverflowFallsBackToFullEncode(t *testing.T) {
+	r := newPatchRig(t, 23, -1)
+	mgr := r.mgr
+	r.checkpointNow() // the other slot: both are patchable now
+	r.write(64)
+	r.checkpointNow()
+	if mgr.ckptPatched != 1 {
+		t.Fatalf("set-up: %d patched checkpoints, want 1", mgr.ckptPatched)
+	}
+
+	r.write(dirtyLogCap + dirtyLogCap/4)
+	for i, lg := range mgr.slotLogs {
+		if lg.patchable || len(lg.dirty) > dirtyLogCap || cap(lg.dirty) != dirtyLogCap {
+			t.Fatalf("slot %d after %d mapped pages: patchable=%v, log %d of cap %d; want an overflowed log of cap %d",
+				i, dirtyLogCap+dirtyLogCap/4, lg.patchable, len(lg.dirty), cap(lg.dirty), dirtyLogCap)
+		}
+	}
+	r.checkpointNow()
+	r.checkpointNow()
+	if mgr.ckptPatched != 1 {
+		t.Fatalf("overflowed slots were patched (%d patched checkpoints, want still 1)", mgr.ckptPatched)
+	}
+	r.write(64)
+	r.checkpointNow()
+	if mgr.ckptPatched != 2 {
+		t.Errorf("slot not patchable again after its full encode (%d patched checkpoints, want 2)", mgr.ckptPatched)
+	}
+}
+
+// A trim and a first write between two encodes of a slot leave the
+// mapper's count where the image has it with a different set of pages
+// behind it: the trim alone must send the slot to the full encode.
+func TestTrimAndFirstWriteKeepTheCountNotTheSet(t *testing.T) {
+	r := newPatchRig(t, 31, -1)
+	ctrl, mgr := r.ctrl, r.mgr
+	r.checkpointNow()
+	r.write(64)
+	r.checkpointNow()
+	r.checkpointNow()
+	if mgr.ckptPatched != 2 {
+		t.Fatalf("set-up: %d patched checkpoints, want 2", mgr.ckptPatched)
+	}
+
+	mapped := ctrl.Mapper().Mapped()
+	ctrl.Trim(ftl.LPN(ctrl.LogicalPages()*35/100), nil)
+	landed := false
+	if err := ctrl.Write(ftl.LPN(ctrl.LogicalPages()/2), nil, func() { landed = true }); err != nil {
+		t.Fatal(err)
+	}
+	for !landed || !ctrl.Drained() {
+		r.step()
+	}
+	if ctrl.Mapper().Mapped() != mapped {
+		t.Fatalf("mapper counts %d pages, want the %d of before the trim and the write", ctrl.Mapper().Mapped(), mapped)
+	}
+	r.checkpointNow()
+	r.checkpointNow()
+	if mgr.ckptPatched != 2 {
+		t.Fatalf("a slot whose image lists a trimmed page was patched (%d patched checkpoints, want still 2)", mgr.ckptPatched)
+	}
+	r.write(64)
+	r.checkpointNow()
+	if mgr.ckptPatched != 3 {
+		t.Errorf("%d patched checkpoints after the full encodes, want 3", mgr.ckptPatched)
+	}
+}
+
+// A power cut in the middle of a patch leaves the slot invalid with its
+// buffer half a generation ahead; what the next manager knows about either
+// buffer is nothing, so its first write to each is a full encode.
+func TestPowerCutMidPatchThenFullEncodes(t *testing.T) {
+	r := newPatchRig(t, 42, 2*sim.Millisecond)
+	mgr, sys := r.mgr, r.mgr.System()
+	r.write(600)
+	full := r.full
+	r.writeUntil(1<<20, func() bool { return mgr.ckptBusy && r.full == full && mgr.ckptPatched > 3 })
+	if !mgr.ckptBusy {
+		t.Fatal("never stopped inside the write of a patched checkpoint")
+	}
+	torn := mgr.ckpt.slot
+	mgr.PowerCut()
+	if sys.slots[torn].valid || !sys.slots[1-torn].valid {
+		t.Fatalf("slot validity after the cut: torn=%v other=%v, want false/true", sys.slots[torn].valid, sys.slots[1-torn].valid)
+	}
+
+	ctrl2, rpt := remountFrom(t, 42, r.ctrl.Device().Array(), sys, false)
+	if !rpt.UsedCheckpoint {
+		t.Fatal("mount ignored the surviving checkpoint")
+	}
+	r2 := &patchRig{t: t, ctrl: ctrl2, src: rng.New(7)}
+	r2.mgr = Attach(ctrl2, sys, Options{CkptIntervalNs: -1})
+	r2.observe() // into the torn slot
+	r2.write(32)
+	r2.checkpointNow() // into the slot the mount came up from
+	if r2.mgr.ckptPatched != 0 {
+		t.Fatalf("remounted manager patched a buffer it never encoded (%d patched of %d)", r2.mgr.ckptPatched, r2.ckpts)
+	}
+	r2.write(32)
+	r2.checkpointNow()
+	r2.checkpointNow()
+	if r2.mgr.ckptPatched != 2 {
+		t.Errorf("%d patched checkpoints once both slots were encoded, want 2", r2.mgr.ckptPatched)
+	}
+}
+
+// The steady state of a served device: a checkpoint that patches a
+// handful of records allocates nothing, in the encoder or around it.
+func TestPatchedCheckpointAllocs(t *testing.T) {
+	r := newPatchRig(t, 5, -1)
+	r.checkpointNow()
+	r.write(200)
+	r.checkpointNow()
+	r.checkpointNow()
+
+	dirty := make([]ftl.LPN, 0, 64)
+	for lpn := ftl.LPN(0); len(dirty) < cap(dirty); lpn += 3 {
+		dirty = append(dirty, lpn)
+	}
+	var enc ckptEncoder
+	img := enc.appendCheckpoint(nil, r.ctrl)
+	if n := testing.AllocsPerRun(20, func() { img = enc.patchCheckpoint(img, r.ctrl, dirty) }); n != 0 {
+		t.Errorf("patching %d records: %.1f allocations, want 0", len(dirty), n)
+	}
+	if !bytes.Equal(img, referenceImage(r.ctrl)) {
+		t.Error("image patched twenty times over differs from the reference encoder's")
+	}
+
+	patched := r.mgr.ckptPatched
+	eng := r.ctrl.Engine()
+	if n := testing.AllocsPerRun(10, func() {
+		r.mgr.CheckpointNow()
+		eng.RunWhile(func() bool { return !r.mgr.Quiesced() })
+	}); n != 0 {
+		t.Errorf("patched checkpoint through the manager: %.1f allocations, want 0", n)
+	}
+	if r.mgr.ckptPatched != patched+11 {
+		t.Errorf("%d of 11 measured checkpoints were patched", r.mgr.ckptPatched-patched)
+	}
+}
+
+// The first full encode into an empty buffer sizes it once, tail and all
+// (on a device whose records outweigh its pools, as any real one's do):
+// had the tail's appends outgrown a buffer sized for the records, the
+// image would have moved into one at least a quarter larger.
+func TestFirstEncodeSizesSlotOnce(t *testing.T) {
+	cfg := cutSSDConfig(3)
+	cfg.Chip.Process.Layers = 48
+	dev := ssd.New(sim.NewEngine(), cfg)
+	ctrl := ftl.NewController(dev, core.New(dev.Geometry()), cutCtrlConfig())
+	workload.Prefill(ctrl, int64(ctrl.LogicalPages()/2))
+	var enc ckptEncoder
+	img := enc.appendCheckpoint(nil, ctrl)
+	records := ckptHeaderBytes + ckptMappings(img)*mappingBytes
+	if len(img) <= records || cap(img) >= records+records/8 {
+		t.Errorf("image of %d bytes (%d of them header and records) sits in a buffer of %d: want one sized once, a sixteenth over the records",
+			len(img), records, cap(img))
 	}
 }

@@ -186,6 +186,10 @@ func (s *Server) collectFamilies() []telemetry.PromFamily {
 		one("cube_server_unavailables_total", "counter", "replies refused while down", float64(st.Unavailables)),
 		one("cube_server_power_cuts_total", "counter", "power cuts injected", float64(st.PowerCuts)),
 		one("cube_server_recoveries_total", "counter", "successful recoveries", float64(st.Recoveries)),
+		one("cube_server_batches_total", "counter", "pumps of the device with commands outstanding", float64(st.Batches)),
+		one("cube_server_batched_requests_total", "counter", "commands submitted into those pumps", float64(st.BatchedRequests)),
+		one("cube_server_window_all_in_total", "counter", "batch windows skipped or left early: every session had a command in flight", float64(st.WindowAllIn)),
+		one("cube_server_window_timeouts_total", "counter", "batch windows waited out with a session still silent", float64(st.WindowTimeouts)),
 		one("cube_slo_enabled", "gauge", "SLO controller active", b2f(s.cfg.SLO.Enabled)),
 		one("cube_slo_breaches_total", "counter", "intervals a protected tenant missed its target", float64(s.slo.Breaches)),
 		one("cube_slo_tightenings_total", "counter", "knob turns tightening QoS", float64(s.slo.Tightenings)),

@@ -57,6 +57,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cube_server_up 1",
 		"cube_server_reads_total 24",
 		"cube_server_writes_total 24",
+		"cube_server_batched_requests_total 48",
+		"# TYPE cube_server_batches_total counter",
+		"# TYPE cube_server_window_all_in_total counter",
+		"cube_server_window_timeouts_total 0",
 		`cube_tenant_read_p99_ns{tenant="lat"}`,
 		`cube_tenant_weight{tenant="lat"} 4`,
 		`cube_tenant_slo_target_ns{tenant="lat"} 2000000`,
@@ -132,6 +136,7 @@ func TestHealthTransitionsAcrossPowerCut(t *testing.T) {
 	if err := srv.PowerCut(); err != nil {
 		t.Fatal(err)
 	}
+	checkIdle(t, srv, "power cut")
 	if code, _ := scrape(t, addr, "/healthz"); code != 200 {
 		t.Errorf("healthz while down: %d (process alive, should stay 200)", code)
 	}
@@ -149,6 +154,7 @@ func TestHealthTransitionsAcrossPowerCut(t *testing.T) {
 	if !rpt.Verified {
 		t.Fatal("recovery not verified")
 	}
+	checkIdle(t, srv, "recovered")
 	if code, _ := scrape(t, addr, "/readyz"); code != 200 {
 		t.Errorf("readyz after recover: %d", code)
 	}
@@ -183,6 +189,7 @@ func TestEventLogCapturesChaosOps(t *testing.T) {
 	if _, err := srv.Restart(); err != nil {
 		t.Fatal(err)
 	}
+	checkIdle(t, srv, "die killed, restarted")
 	evs := srv.Events()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)

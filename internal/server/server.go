@@ -43,12 +43,14 @@ type Config struct {
 	DispatchWidth int
 	// SLO configures the online latency controller.
 	SLO SLOConfig
-	// BatchWindow is how long (wall clock) the core waits after a
+	// BatchWindow is how long (wall clock) the core waits at most after a
 	// request arrives for more to join the batch before advancing the
 	// simulation — NVMe-style doorbell coalescing. Requests that arrive
 	// within one window contend in simulated time the way concurrently
-	// submitted commands contend in a real device. 0 selects 200µs;
-	// negative disables coalescing.
+	// submitted commands contend in a real device. The wait ends early
+	// once every session has a command in flight: nobody is left who
+	// could join. 0 selects DefaultBatchWindow; negative disables
+	// coalescing.
 	BatchWindow time.Duration
 	// PrefillPages sequentially writes this many logical pages before
 	// serving so traffic lands on a steady-state device.
@@ -83,6 +85,15 @@ type Stats struct {
 	Unavailables int64 // replies refused because the device was down
 	PowerCuts    int64
 	Recoveries   int64
+
+	// Coalescing: BatchedRequests commands shared Batches pumps of the
+	// device. A batch window ends one of two ways — every session had a
+	// command in flight (or the window was never opened because they
+	// already had), or the timer ran out with a session still silent.
+	Batches         int64
+	BatchedRequests int64
+	WindowAllIn     int64
+	WindowTimeouts  int64
 }
 
 // session is one client's server-side state: its tenant queue binding
@@ -158,10 +169,16 @@ type conn struct {
 	spare chan []byte
 
 	// Core-owned.
-	sess   *session
-	closed bool
-	pend   []byte // reply frames staged since the last flush
+	sess     *session
+	closed   bool
+	inflight int    // commands submitted to the front end, not yet completed
+	pend     []byte // reply frames staged since the last flush
 }
+
+// idle reports whether the batch window is worth holding open for c: an
+// open connection with a session and no command in flight is one whose
+// client may still send. Server.idle counts them.
+func (c *conn) idle() bool { return !c.closed && c.sess != nil && c.inflight == 0 }
 
 // stage returns c's staged-reply buffer for one more frame to be
 // appended (the caller stores the result back in c.pend), queueing the
@@ -221,6 +238,9 @@ func (s *Server) closeConn(c *conn) {
 	if c.closed {
 		return
 	}
+	if c.idle() {
+		s.idle--
+	}
 	c.closed = true
 	delete(s.conns, c)
 	if len(c.pend) > 0 {
@@ -273,6 +293,9 @@ func (q *ioReq) done(ic cubeftl.IOCompletion) {
 	pool.CheckLive(q.live, "server io request")
 	s, c, sess, seq, queue, write := q.s, q.c, q.sess, q.seq, q.queue, q.write
 	q.release()
+	if c.inflight--; c.idle() {
+		s.idle++
+	}
 	if write && ic.RejectedPages > 0 {
 		// Device-wide read-only degrade: the write did not land.
 		s.stats.Rejects++
@@ -314,7 +337,11 @@ type Server struct {
 	draining   bool
 	stats      Stats
 	dirty      []*conn // connections with staged replies
-	ioReqs     pool.FreeList[ioReq]
+	// idle counts the connections in conns for which conn.idle holds: the
+	// clients that could still add a command to the batch being gathered.
+	idle   int
+	window *time.Timer // the batch window: armed at most once per batch
+	ioReqs pool.FreeList[ioReq]
 
 	// Observability plane (obs.go). events is always non-nil; obsSrv
 	// and obsWin only when Config.MetricsAddr is set.
@@ -499,7 +526,6 @@ func (s *Server) writeLoop(c *conn) {
 // device until all submitted I/O completes.
 func (s *Server) coreLoop() {
 	defer s.wg.Done()
-	var window *time.Timer // the batch window: armed once per batch
 	for {
 		select {
 		case <-s.quit:
@@ -508,29 +534,7 @@ func (s *Server) coreLoop() {
 			fn()
 		case r := <-s.reqCh:
 			s.handle(r)
-			// Coalesce: wait out the batch window so concurrent clients'
-			// requests land in the same simulated instant, then absorb
-			// everything queued before pumping.
-			if w := s.batchWindow(); w > 0 {
-				// The loop below leaves only when the timer has fired and
-				// its channel is drained, so Reset is safe.
-				if window == nil {
-					window = time.NewTimer(w)
-				} else {
-					window.Reset(w)
-				}
-			coalesce:
-				for {
-					select {
-					case r := <-s.reqCh:
-						s.handle(r)
-					case fn := <-s.ctlCh:
-						fn()
-					case <-window.C:
-						break coalesce
-					}
-				}
-			}
+			s.gather()
 		drain:
 			for {
 				select {
@@ -548,6 +552,48 @@ func (s *Server) coreLoop() {
 	}
 }
 
+// gather holds open the batch a request has just started, so that
+// concurrent clients' requests land in the same simulated instant. The
+// batch window is an upper bound on that wait, worth sitting out only
+// while some session could still send: with none idle the window is not
+// opened, and it is left the moment the last one's command is in.
+func (s *Server) gather() {
+	w := s.batchWindow()
+	if w <= 0 {
+		return
+	}
+	if s.idle > 0 {
+		// Every way out of the loop below leaves the timer stopped or
+		// fired with its channel empty, so Reset is safe.
+		if s.window == nil {
+			s.window = time.NewTimer(w)
+		} else {
+			s.window.Reset(w)
+		}
+		for s.idle > 0 {
+			select {
+			case r := <-s.reqCh:
+				s.handle(r)
+			case fn := <-s.ctlCh:
+				fn()
+			case <-s.window.C:
+				s.stats.WindowTimeouts++
+				return
+			}
+		}
+		if !s.window.Stop() {
+			// Fired while the last request was being handled. The receive
+			// must not block: from go 1.23 on a stopped timer's channel
+			// stays empty.
+			select {
+			case <-s.window.C:
+			default:
+			}
+		}
+	}
+	s.stats.WindowAllIn++
+}
+
 // pump advances the simulation, then lets the SLO controller act. The
 // replies of the commands that complete are staged per connection; the
 // caller flushes them once the pump is over. While more traffic is already waiting in reqCh it drains only down
@@ -559,6 +605,7 @@ func (s *Server) pump() {
 		return
 	}
 	if s.fe.Outstanding() > 0 {
+		s.stats.Batches++
 		if len(s.reqCh) > 0 {
 			s.fe.PumpTo(s.backlogTarget())
 		} else {
@@ -568,13 +615,16 @@ func (s *Server) pump() {
 	s.slo.maybeDecide(s.dev.Now())
 }
 
+// DefaultBatchWindow is the coalescing window Config.BatchWindow 0 selects.
+const DefaultBatchWindow = 200 * time.Microsecond
+
 // batchWindow resolves the configured coalescing window.
 func (s *Server) batchWindow() time.Duration {
 	switch {
 	case s.cfg.BatchWindow < 0:
 		return 0
 	case s.cfg.BatchWindow == 0:
-		return 200 * time.Microsecond
+		return DefaultBatchWindow
 	}
 	return s.cfg.BatchWindow
 }
@@ -646,7 +696,10 @@ func (s *Server) handleHello(c *conn, h Hello) {
 	// A resumed session keeps its dedup window; the tenant binding
 	// follows the client's current Hello.
 	sess.tenant, sess.queue = h.Tenant, qid
-	c.sess = sess
+	was := c.idle()
+	if c.sess = sess; !was && c.idle() {
+		s.idle++
+	}
 	s.replyHello(c, HelloAck{
 		Status:        StatusOK,
 		ClientID:      id,
@@ -708,7 +761,13 @@ func (s *Server) submit(c *conn, sess *session, r IORequest, pages int, write bo
 	if err := s.fe.Submit(sess.queue, write, r.LPN, pages, q.onDone); err != nil {
 		q.release()
 		s.replyErr(c, r.Seq, err)
+		return
 	}
+	s.stats.BatchedRequests++
+	if c.idle() {
+		s.idle--
+	}
+	c.inflight++
 }
 
 func (s *Server) replyErr(c *conn, seq uint64, err error) {

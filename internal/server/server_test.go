@@ -105,10 +105,12 @@ func TestAckedWritesSurvivePowerCutThroughServer(t *testing.T) {
 		}
 		acked = append(acked, lpn)
 	}
+	checkIdle(t, srv, "before the cut")
 
 	if err := srv.PowerCut(); err != nil {
 		t.Fatal(err)
 	}
+	checkIdle(t, srv, "power cut")
 
 	// A write issued while the device is down blocks in the client's
 	// retry loop and completes after recovery — the client never sees
@@ -119,16 +121,19 @@ func TestAckedWritesSurvivePowerCutThroughServer(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
+	checkIdle(t, srv, "client retrying against a dead device")
 	rpt, err := srv.Recover()
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
+	checkIdle(t, srv, "recovered")
 	if !rpt.Verified {
 		t.Fatal("recovery skipped verification")
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("write across outage: %v", err)
 	}
+	checkIdle(t, srv, "write across the outage")
 
 	for _, lpn := range acked {
 		mapped, err := cl.Stat(lpn)
@@ -149,6 +154,7 @@ func TestAckedWritesSurvivePowerCutThroughServer(t *testing.T) {
 	if st.Sessions != 1 {
 		t.Fatalf("reconnect created a new session: %d sessions", st.Sessions)
 	}
+	checkIdle(t, srv, "after the audit")
 }
 
 // TestDuplicateWriteAckSuppression drives the raw protocol so the
@@ -279,6 +285,9 @@ func TestChaosConcurrentClients(t *testing.T) {
 	logical := int64(srv.Device().LogicalPages())
 	region := logical / nClients
 
+	// The batch window's idle count is recounted between requests for as
+	// long as there is traffic, and after every step below.
+	stopWatch := watchIdle(t, srv)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < nClients; i++ {
@@ -321,9 +330,11 @@ func TestChaosConcurrentClients(t *testing.T) {
 	}
 
 	time.Sleep(200 * time.Millisecond)
+	checkIdle(t, srv, "under traffic")
 	if _, err := srv.Restart(); err != nil {
 		t.Fatalf("mid-traffic restart: %v", err)
 	}
+	checkIdle(t, srv, "mid-traffic restart")
 	time.Sleep(200 * time.Millisecond)
 	close(stop)
 
@@ -334,6 +345,10 @@ func TestChaosConcurrentClients(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("stuck clients: workers did not finish")
 	}
+	if looks := stopWatch(); looks < 50 {
+		t.Errorf("idle count checked %d times in 400 ms of traffic", looks)
+	}
+	checkIdle(t, srv, "workers gone")
 
 	// Final cut + recovery, then the acked-write audit.
 	rpt, err := srv.Restart()
@@ -343,6 +358,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 	if !rpt.Verified {
 		t.Fatal("final recovery skipped verification")
 	}
+	checkIdle(t, srv, "final restart")
 	audit := testClient(t, srv, "lat")
 	defer audit.Close()
 	for i, st := range states {
