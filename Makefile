@@ -2,9 +2,9 @@
 # long tests hide behind -short here; `make soak` runs them in full.
 GO ?= go
 
-.PHONY: tier1 build fmt vet test race race-core fuzz-smoke bench bench-smoke bench-scale bench-telemetry one-stack trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
+.PHONY: tier1 build fmt vet test race race-core fuzz-smoke bench bench-smoke bench-scale bench-telemetry one-stack one-relocator trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
 
-tier1: build fmt vet one-stack race race-core fuzz-smoke fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
+tier1: build fmt vet one-stack one-relocator race race-core fuzz-smoke fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,24 @@ one-stack:
 		END { for (p in pkgs) if (!(p in used)) { print "one-stack: " p " is imported by no other package"; bad = 1 } \
 		      exit bad }'
 	@echo "one-stack: PASS"
+
+# One relocator, one block-role table, files split by concern: fails if a
+# non-test file in internal/ftl other than relocator.go opens a
+# relocation cycle (assigns a cycle's active flag) or calls the batch
+# loop's entry (relocate, readNext) — every cause goes through
+# startReloc; if map[int]bool is back in the package's non-test files
+# (block membership is the role table's); or if one of them is longer
+# than 600 lines.
+FTL_SRC = $(filter-out %_test.go,$(wildcard internal/ftl/*.go))
+one-relocator:
+	@bad=$$(grep -nE '(cycle|cy)\.active *(,[^=]*)?= *[^=]|\.relocate\(|\.readNext\(' $(filter-out %/relocator.go,$(FTL_SRC)); \
+		grep -n 'map\[int\]bool' $(FTL_SRC)); \
+	if [ -n "$$bad" ]; then \
+		echo "one-relocator: cycles open and step in internal/ftl/relocator.go only, block sets are roles:"; echo "$$bad"; exit 1; \
+	fi
+	@long=$$(wc -l $(FTL_SRC) | awk '$$2 != "total" && $$1 > 600 { print $$2 ": " $$1 " lines" }'); \
+	if [ -n "$$long" ]; then echo "one-relocator: over 600 lines, split by concern:"; echo "$$long"; exit 1; fi
+	@echo "one-relocator: PASS"
 
 # Fleet smoke, tier-1 sized (a few seconds): the checked-in MSR fixture
 # replayed across 8 shards and 1024 tenants behind write-back caches.

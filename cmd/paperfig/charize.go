@@ -1,47 +1,37 @@
-// Command charize performs raw process-characterization sweeps on a
-// simulated 3D TLC chip, the way the paper's §3 study swept real chips
-// on a test board: it dumps per-layer/per-WL retention-error samples,
-// deltaV/deltaH metrics, loop windows, and optimal read offsets over a
-// grid of P/E cycles and retention times, as CSV for further analysis.
-//
-// Usage:
-//
-//	charize -seed 3 -blocks 16 > sweep.csv
 package main
 
 import (
 	"encoding/csv"
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strconv"
 
 	"cubeftl/internal/nand"
 	"cubeftl/internal/process"
 )
 
-func main() {
-	seed := flag.Uint64("seed", 1, "chip seed")
-	blocks := flag.Int("blocks", 8, "blocks to sweep")
-	flag.Parse()
+// charizeID is the one figure id that is not a table: a raw
+// process-characterization sweep of a simulated 3D TLC chip, the way the
+// paper's §3 study swept real chips on a test board. It dumps
+// per-layer/per-WL retention-error samples, deltaV/deltaH metrics, loop
+// windows and optimal read offsets over a grid of P/E cycles and
+// retention times, as CSV for further analysis.
+const charizeID = "charize-csv"
 
+func charizeCSV(out io.Writer, seed uint64, blocks int) error {
 	cfg := nand.DefaultConfig()
-	cfg.Process.Seed = *seed
+	cfg.Process.Seed = seed
 	chip := nand.New(cfg)
 	m := chip.Model()
 
-	w := csv.NewWriter(os.Stdout)
-	defer w.Flush()
-	header := []string{
+	w := csv.NewWriter(out)
+	if err := w.Write([]string{
 		"block", "layer", "wl", "pe", "retention_months",
 		"ber", "n_ret_sample", "delta_h", "delta_v",
 		"loop_min_p7", "loop_max_p7", "optimal_offset",
+	}); err != nil {
+		return err
 	}
-	if err := w.Write(header); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
 	agings := []process.Aging{
 		{PE: 0, RetentionMonths: 0},
 		{PE: 500, RetentionMonths: 1},
@@ -49,7 +39,7 @@ func main() {
 		{PE: 2000, RetentionMonths: 1},
 		{PE: 2000, RetentionMonths: 12},
 	}
-	for b := 0; b < *blocks && b < m.Config().BlocksPerChip; b++ {
+	for b := 0; b < blocks && b < m.Config().BlocksPerChip; b++ {
 		for l := 0; l < m.Config().Layers; l++ {
 			for _, a := range agings {
 				ws := m.LoopWindows(b, l, a)
@@ -60,20 +50,20 @@ func main() {
 				for wl := 0; wl < m.Config().WLsPerLayer; wl++ {
 					ber := m.BER(b, l, wl, a)
 					sample := chip.SampleRetentionErrors(nand.Address{Block: b, Layer: l, WL: wl}, a)
-					rec := []string{
+					if err := w.Write([]string{
 						strconv.Itoa(b), strconv.Itoa(l), strconv.Itoa(wl),
 						strconv.Itoa(a.PE), fmt.Sprintf("%g", a.RetentionMonths),
 						fmt.Sprintf("%.6e", ber), strconv.Itoa(sample),
 						fmt.Sprintf("%.4f", dh), fmt.Sprintf("%.4f", dv),
 						strconv.Itoa(p7.MinLoop), strconv.Itoa(p7.MaxLoop),
 						strconv.Itoa(opt),
-					}
-					if err := w.Write(rec); err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(1)
+					}); err != nil {
+						return err
 					}
 				}
 			}
 		}
 	}
+	w.Flush()
+	return w.Error()
 }

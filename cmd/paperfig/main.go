@@ -8,6 +8,7 @@
 //	paperfig [-seed N] all          # every figure, paper order
 //	paperfig [-seed N] fig17a fig18 # specific figures
 //	paperfig -list                  # available figure ids
+//	paperfig -seed 3 -blocks 16 charize-csv > sweep.csv
 package main
 
 import (
@@ -24,14 +25,15 @@ func main() {
 	seed := flag.Uint64("seed", 1, "root random seed (runs are deterministic per seed)")
 	list := flag.Bool("list", false, "list available figure ids and exit")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
+	blocks := flag.Int("blocks", 8, "blocks swept by "+charizeID)
+	ids := append(cubeftl.FigureIDs(), charizeID) // "all" is the tables: the CSV sweep only by name
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: paperfig [-seed N] all|<figure-id>...\navailable: %s\n",
-			strings.Join(cubeftl.FigureIDs(), " "))
+		fmt.Fprintf(os.Stderr, "usage: paperfig [-seed N] all|<figure-id>...\navailable: %s\n", strings.Join(ids, " "))
 	}
 	flag.Parse()
 
 	if *list {
-		fmt.Println(strings.Join(cubeftl.FigureIDs(), "\n"))
+		fmt.Println(strings.Join(ids, "\n"))
 		return
 	}
 	args := flag.Args()
@@ -45,16 +47,19 @@ func main() {
 	for _, id := range args {
 		start := time.Now()
 		var err error
-		if *asJSON {
+		switch {
+		case id == charizeID:
+			err = charizeCSV(os.Stdout, *seed, *blocks)
+		case *asJSON:
 			err = cubeftl.ReproduceFigureJSON(id, *seed, os.Stdout)
-		} else {
+		default:
 			err = cubeftl.ReproduceFigure(id, *seed, os.Stdout)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if !*asJSON {
+		if !*asJSON && id != charizeID {
 			fmt.Printf("  [%s regenerated in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 		}
 	}

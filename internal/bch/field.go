@@ -64,9 +64,6 @@ func NewField(m int) (*Field, error) {
 	return f, nil
 }
 
-// M returns the extension degree.
-func (f *Field) M() int { return f.m }
-
 // N returns 2^m - 1.
 func (f *Field) N() int { return f.n }
 

@@ -156,14 +156,6 @@ func New(cfg Config) (*Cache, error) {
 // Enabled reports whether the cache exists.
 func (c *Cache) Enabled() bool { return c != nil }
 
-// PolicyName returns the active replacement policy ("" when disabled).
-func (c *Cache) PolicyName() string {
-	if c == nil {
-		return ""
-	}
-	return c.pol.name()
-}
-
 // Mode returns the write discipline (WriteThrough when disabled).
 func (c *Cache) Mode() Mode {
 	if c == nil {

@@ -4,7 +4,6 @@ package cache
 // guarantees insert is never called for a resident page and touch /
 // remove only for slots of resident ones.
 type policy interface {
-	name() string
 	// touch records an access to a resident page.
 	touch(slot int32)
 	// insert makes a page resident and returns its slot.
@@ -30,8 +29,6 @@ type lru struct {
 func newLRU(capacity int) *lru {
 	return &lru{s: newSlab(capacity+1, 0), order: emptyQueue()}
 }
-
-func (l *lru) name() string { return PolicyLRU }
 
 func (l *lru) touch(slot int32) { l.s.moveToFront(&l.order, slot) }
 
@@ -101,8 +98,6 @@ func newTwoQ(capacity int) *twoQ {
 		ghosts:  make(map[int64]int32, kout),
 	}
 }
-
-func (q *twoQ) name() string { return Policy2Q }
 
 func (q *twoQ) touch(slot int32) {
 	if q.s.nodes[slot].queue == onAm {

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"slices"
 
 	"cubeftl/internal/nand"
 	"cubeftl/internal/ssd"
@@ -31,10 +32,12 @@ func (c *Controller) Trim(lpn LPN, done func()) {
 //   - forward/reverse map agreement (Lookup(Owner(p)) == p),
 //   - per-block valid counts match the reverse map,
 //   - every live physical page is programmed on its chip,
+//   - every block's role agrees with free-list membership, the open
+//     cursors and the retired set,
 //   - no free-pool block holds live pages,
 //   - active cursors agree with chip programmed state,
-//   - retired blocks are neither in the free pool nor active, and (once
-//     all evacuations have finished) hold no live pages.
+//   - retired blocks (once all evacuations have finished) hold no live
+//     pages.
 //
 // Tests and long soak runs call it after every phase; it is the fsck of
 // the simulated FTL.
@@ -78,31 +81,34 @@ func (c *Controller) CheckConsistency() error {
 				return fmt.Errorf("ftl: chip %d block %d valid count %d, reverse map has %d", chip, b, v, live)
 			}
 		}
-		// Free-pool blocks must hold nothing live.
-		for _, b := range c.freeBlocks[chip] {
+		// The role table, the free list and the write points say the same
+		// thing: as many blocks in each role as the list holds, and every
+		// member in that role (so no block is listed twice, and a retired
+		// block is in neither).
+		d := &c.dies[chip]
+		var inRole [roleRetired + 1]int
+		for _, r := range c.chipRoles(chip) {
+			inRole[r]++
+		}
+		if inRole[roleFree] != len(d.free) || inRole[roleOpen] != len(d.actives) {
+			return fmt.Errorf("ftl: chip %d has %d free and %d open blocks by role, %d in the free list and %d write points",
+				chip, inRole[roleFree], inRole[roleOpen], len(d.free), len(d.actives))
+		}
+		for _, b := range d.free {
+			if r := c.role(chip, b); r != roleFree {
+				return fmt.Errorf("ftl: block %d in chip %d's free list has role %d", b, chip, r)
+			}
+			// Free-pool blocks must hold nothing live.
 			if v := c.mapper.ValidCount(chip, b); v != 0 {
 				return fmt.Errorf("ftl: free block %d on chip %d has %d live pages", b, chip, v)
 			}
 		}
-		// Retired blocks never re-enter circulation.
-		for _, b := range c.freeBlocks[chip] {
-			if c.retired[chip][b] {
-				return fmt.Errorf("ftl: retired block %d on chip %d is in the free pool", b, chip)
-			}
-		}
-		evacuating := make(map[int]bool, len(c.pendingRetire[chip]))
-		for _, b := range c.pendingRetire[chip] {
-			evacuating[b] = true
-		}
-		for b := range c.retired[chip] {
-			if c.isActive(chip, b) {
-				return fmt.Errorf("ftl: retired block %d on chip %d is an active write point", b, chip)
-			}
-			if c.degraded || c.dieDegraded[chip] || c.gcActive[chip] || evacuating[b] {
-				// Evacuation in flight, or abandoned for good: a fenced
-				// (read-only) die can never program the relocation
-				// targets, so its retired blocks keep serving their live
-				// pages in place.
+		// Retired blocks are emptied, unless the evacuation is in flight or
+		// queued, or abandoned for good: a fenced (read-only) die can never
+		// program the relocation targets, so its retired blocks keep
+		// serving their live pages in place.
+		for b, r := range c.chipRoles(chip) {
+			if r != roleRetired || c.degraded || d.degraded || d.cycle.active || slices.Contains(d.pendingRetire, b) {
 				continue
 			}
 			if v := c.mapper.ValidCount(chip, b); v != 0 {
@@ -110,7 +116,10 @@ func (c *Controller) CheckConsistency() error {
 			}
 		}
 		// Active cursors must agree with the chip.
-		for _, cur := range c.actives[chip] {
+		for _, cur := range d.actives {
+			if r := c.role(chip, cur.Block); r != roleOpen {
+				return fmt.Errorf("ftl: write point %d on chip %d has role %d", cur.Block, chip, r)
+			}
 			for l := 0; l < geo.Layers; l++ {
 				for w := 0; w < geo.WLsPerLayer; w++ {
 					onChip := c.dev.Die(chip).NAND.IsProgrammed(nand.Address{Block: cur.Block, Layer: l, WL: w})

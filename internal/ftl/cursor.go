@@ -73,37 +73,6 @@ func NewBlockCursor(chip, block, layers, wlsPerLayer int) *BlockCursor {
 	}
 }
 
-// RestoreBlockCursor rebuilds a cursor over a partially-programmed
-// block from its media-derived word-line occupancy — the mount path
-// re-arming a write point recovered after a power cut. programmed is
-// indexed layer*wlsPerLayer+wl and copied.
-func RestoreBlockCursor(chip, block, layers, wlsPerLayer int, seq uint64, programmed []bool) *BlockCursor {
-	if len(programmed) != layers*wlsPerLayer {
-		panic(fmt.Sprintf("ftl: RestoreBlockCursor bitmap has %d word lines, want %d",
-			len(programmed), layers*wlsPerLayer))
-	}
-	c := &BlockCursor{
-		Chip:        chip,
-		Block:       block,
-		Seq:         seq,
-		layers:      layers,
-		wlsPerLayer: wlsPerLayer,
-		programmed:  append([]bool(nil), programmed...),
-	}
-	for _, p := range programmed {
-		if p {
-			c.used++
-		}
-	}
-	return c
-}
-
-// Layers returns the block's h-layer count.
-func (c *BlockCursor) Layers() int { return c.layers }
-
-// WLsPerLayer returns word lines per h-layer.
-func (c *BlockCursor) WLsPerLayer() int { return c.wlsPerLayer }
-
 // IsFree reports whether a word line is still erased.
 func (c *BlockCursor) IsFree(layer, wl int) bool {
 	return !c.programmed[layer*c.wlsPerLayer+wl]

@@ -1,0 +1,369 @@
+package ftl
+
+import (
+	"fmt"
+	"slices"
+
+	"cubeftl/internal/nand"
+	"cubeftl/internal/ssd"
+	"cubeftl/internal/telemetry"
+	"cubeftl/internal/vth"
+)
+
+// Read serves a host page read; done runs at completion in simulated
+// time. pp, when non-nil, is a latency-attribution probe (behavior and
+// timing are identical either way): buffer hits and unmapped reads
+// charge the buffer stage; mapped reads charge plane wait, sense,
+// retries, and channel stages at the device.
+func (c *Controller) Read(lpn LPN, pp *telemetry.PageProbe, done func()) {
+	c.stats.HostReads++
+	r := c.getHostRead()
+	r.start, r.done = c.eng.Now(), done
+	ppn := ssd.UnmappedPPN
+	if c.buf.Contains(lpn) {
+		c.stats.BufferHits++
+	} else if ppn = c.mapper.Lookup(lpn); ppn == ssd.UnmappedPPN {
+		c.stats.UnmappedReads++
+	}
+	if ppn == ssd.UnmappedPPN {
+		if pp != nil {
+			pp.Buffered = true
+			pp.BufferNs += c.cfg.BufferReadNs
+		}
+		c.eng.After(c.cfg.BufferReadNs, r.onFinish)
+		return
+	}
+	chip, block, layer, wl, page := c.geo.DecodePPN(ppn)
+	r.lpn, r.pp, r.chip, r.attempt = lpn, pp, chip, 0
+	r.params = nand.ReadParams{StartOffset: c.pol.ReadStartOffset(chip, block, layer), Mode: c.cfg.RetryMode}
+	r.addr = nand.Address{Block: block, Layer: layer, WL: wl, Page: page}
+	c.dev.Read(chip, r.addr, r.params, pp, r.onFlash)
+}
+
+// Write serves a host page write; done runs when the write is
+// acknowledged (admitted to the buffer). Backpressure from a full
+// buffer delays the acknowledgment. A write is rejected synchronously
+// (done never runs) with ErrBadLPN outside the logical capacity or
+// ErrDegraded once the device has dropped to read-only mode.
+//
+// pp, when non-nil, is a latency-attribution probe: an immediately
+// admitted write charges the buffer stage; one held by backpressure
+// charges the admission wait. The program that later flushes the page
+// is background work, outside the host-visible span.
+func (c *Controller) Write(lpn LPN, pp *telemetry.PageProbe, done func()) error {
+	if lpn < 0 || int(lpn) >= c.mapper.LogicalPages() {
+		return fmt.Errorf("%w: %d (capacity %d)", ErrBadLPN, lpn, c.mapper.LogicalPages())
+	}
+	if c.degraded {
+		c.stats.WriteRejects++
+		return ErrDegraded
+	}
+	c.stats.HostWrites++
+	w := c.getHostWrite()
+	w.lpn, w.start, w.done = lpn, c.eng.Now(), done
+	if c.admit(w) {
+		if pp != nil {
+			pp.Buffered = true
+			pp.BufferNs += c.cfg.BufferReadNs
+		}
+		if c.cfg.DurableAcks && c.rec != nil {
+			// Hold the ack until the journal record of this write's
+			// mapping is durable (released by the recovery manager).
+			c.deferAck(w)
+		} else {
+			c.eng.After(c.cfg.BufferReadNs, w.onAck) // DMA into buffer
+		}
+	} else {
+		w.pp = pp
+		c.pendingWrites.Push(w)
+	}
+	c.maybeFlush()
+	return nil
+}
+
+// admit puts w's page into the buffer under the next write stamp, or
+// reports that the buffer has no room for it.
+func (c *Controller) admit(w *hostWrite) bool {
+	if !c.buf.Put(w.lpn, c.writeStamp+1) {
+		return false
+	}
+	c.writeStamp++
+	w.stamp = c.writeStamp
+	return true
+}
+
+// admitPending moves waiting host writes into freed buffer slots.
+func (c *Controller) admitPending() {
+	for c.pendingWrites.Len() > 0 && c.admit(c.pendingWrites.Peek()) {
+		w := c.pendingWrites.Pop()
+		if w.pp != nil {
+			w.pp.Buffered = true
+			w.pp.AdmitWaitNs += c.eng.Now() - w.start
+		}
+		if c.cfg.DurableAcks && c.rec != nil {
+			c.deferAck(w)
+		} else {
+			w.ack()
+		}
+	}
+}
+
+// maybeFlush issues word-line programs while buffered pages and chip
+// slots are available.
+func (c *Controller) maybeFlush() {
+	if c.degraded {
+		return
+	}
+	for c.buf.Flushable() >= vth.PagesPerWL {
+		chip, ok := c.pickChip()
+		if !ok {
+			return
+		}
+		c.flushTo(chip, c.takeFlushGroup())
+	}
+	if c.buf.Flushable() > 0 {
+		c.armFlushTimer()
+	}
+}
+
+// pickChip round-robins over dies with an open program slot, dispatching
+// to idle dies first so a flush burst spreads across the array before
+// any die queues a second operation. Degraded dies and dies whose
+// free-block pool is critically low are skipped for host flushes so
+// in-progress garbage collection always has blocks to write into.
+func (c *Controller) pickChip() (int, bool) {
+	// One scan: the first eligible die with nothing queued or running on
+	// its planes wins; failing that, the first eligible one.
+	n, busy := c.geo.Chips, -1
+	for i := 0; i < n; i++ {
+		die := (c.flushChip + i) % n
+		d := &c.dies[die]
+		if d.degraded || d.inflight >= c.cfg.MaxInflightProgramsPerChip || len(d.free) <= 1 {
+			continue
+		}
+		if !c.dev.Die(die).Busy() {
+			c.flushChip = (die + 1) % n
+			return die, true
+		}
+		if busy < 0 {
+			busy = die
+		}
+	}
+	if busy < 0 {
+		return 0, false
+	}
+	c.flushChip = (busy + 1) % n
+	return busy, true
+}
+
+// armFlushTimer schedules a partial flush so trickle writes complete.
+func (c *Controller) armFlushTimer() {
+	if c.timerArmed || c.degraded {
+		return
+	}
+	c.timerArmed = true
+	c.eng.After(c.cfg.FlushTimeoutNs, c.onFlushTimer)
+}
+
+func (c *Controller) flushTimerFired() {
+	c.timerArmed = false
+	if c.degraded || c.buf.Flushable() == 0 {
+		return
+	}
+	if chip, ok := c.pickChip(); ok {
+		f := c.takeFlushGroup()
+		c.stats.Padded += int64(vth.PagesPerWL - len(f.group))
+		c.flushTo(chip, f)
+	} else {
+		// No chip can take the flush right now. Re-arm unless the
+		// device as a whole has lost the ability to make progress.
+		c.checkDegraded()
+		c.armFlushTimer()
+	}
+}
+
+// takeFlushGroup claims the next word line's worth of buffered pages on
+// a fresh flush record.
+func (c *Controller) takeFlushGroup() *flushOp {
+	f := c.getFlush()
+	f.group = c.buf.TakeFlushGroup(f.groupBuf[:0], vth.PagesPerWL)
+	return f
+}
+
+// flushTo programs one word line on the chip from the record's group of
+// buffered pages.
+func (c *Controller) flushTo(chip int, f *flushOp) {
+	cursor, layer, wl, err := c.allocateWL(chip)
+	if err != nil {
+		// The die cannot place the group: return the data to the
+		// buffer for another die (or a later retry) and reassess.
+		c.requeueInstant(chip, "requeue_alloc_fail", c.reqAlloc)
+		c.buf.Requeue(f.group)
+		f.release()
+		c.checkDieDegraded(chip)
+		return
+	}
+	cursor.Take(layer, wl)
+	f.chip, f.cursor, f.block, f.layer, f.wl = chip, cursor, cursor.Block, layer, wl
+	f.params = c.pol.ProgramParams(chip, f.block, layer, wl)
+	addr := nand.Address{Block: f.block, Layer: layer, WL: wl}
+	c.dies[chip].inflight++
+	f.issueAt = c.eng.Now()
+	c.dev.Program(chip, addr, c.hostPages(f.group), f.flushOOB(cursor.Seq), f.params, f.onProgram)
+}
+
+// allocateWL asks the policy for a word line, rotating full active
+// blocks out for fresh ones as needed. It fails with ErrOutOfSpace when
+// the chip's free pool cannot back another write point, or with
+// ErrAllocFailed if the policy cannot place a word line on non-full
+// actives (a policy bug, surfaced instead of crashed on).
+func (c *Controller) allocateWL(chip int) (cursor *BlockCursor, layer, wl int, err error) {
+	d := &c.dies[chip]
+	for attempt := 0; attempt < 2; attempt++ {
+		if len(d.actives) == 0 {
+			return nil, 0, 0, fmt.Errorf("%w: chip %d", ErrOutOfSpace, chip)
+		}
+		idx, l, w, ok := c.pol.SelectWL(chip, d.actives, c.buf.Utilization())
+		if ok {
+			return d.actives[idx], l, w, nil
+		}
+		// Every active block is full: replace them all and retry.
+		for i := len(d.actives) - 1; i >= 0; i-- {
+			if d.actives[i].Full() {
+				c.replaceWritePoint(chip, i)
+			}
+		}
+	}
+	return nil, 0, 0, fmt.Errorf("%w: %s on chip %d", ErrAllocFailed, c.pol.Name(), chip)
+}
+
+// pushFree appends an erased block to its die's free list.
+func (c *Controller) pushFree(chip, block int) {
+	c.dies[chip].free = append(c.dies[chip].free, block)
+	c.setRole(chip, block, roleFree)
+}
+
+// takeFreeBlock opens an erased block from the die's pool as a write
+// point, or reports ok=false when the pool is exhausted.
+func (c *Controller) takeFreeBlock(chip int) (*BlockCursor, bool) {
+	d := &c.dies[chip]
+	if len(d.free) == 0 {
+		return nil, false
+	}
+	idx := len(d.free) - 1
+	if c.cfg.WearAware {
+		nand := c.dev.Die(chip).NAND
+		best := nand.PECycles(d.free[idx])
+		for i, b := range d.free[:idx] {
+			if pe := nand.PECycles(b); pe < best {
+				best, idx = pe, i
+			}
+		}
+	}
+	b := d.free[idx]
+	d.free = slices.Delete(d.free, idx, idx+1)
+	c.setRole(chip, b, roleOpen)
+	// Not recycled: in-flight programs keep the pointer after the block closes.
+	cur := NewBlockCursor(chip, b, c.geo.Layers, c.geo.WLsPerLayer)
+	c.blockSeq++
+	cur.Seq = c.blockSeq
+	if c.rec != nil {
+		c.rec.NoteBlockOpened(chip, b, cur.Seq)
+	}
+	return cur, true
+}
+
+// armWritePoints tops a chip's open write points up to the policy's
+// count from its free pool. A pathologically bad chip runs with fewer.
+func (c *Controller) armWritePoints(chip int) {
+	d := &c.dies[chip]
+	for want := max(c.pol.ActiveBlocksPerChip(), 1); len(d.actives) < want; {
+		cur, ok := c.takeFreeBlock(chip)
+		if !ok {
+			return
+		}
+		d.actives = append(d.actives, cur)
+	}
+}
+
+// replaceWritePoint closes the die's i-th write point — full, or failed
+// — and opens a fresh block in its slot. With the free pool empty the
+// slot goes instead and the die runs with one write point fewer, which
+// is what it reports.
+func (c *Controller) replaceWritePoint(chip, i int) (backfilled bool) {
+	d := &c.dies[chip]
+	old := d.actives[i].Block
+	c.pol.BlockRetired(chip, old)
+	c.setRole(chip, old, roleData)
+	if fresh, ok := c.takeFreeBlock(chip); ok {
+		d.actives[i] = fresh
+		return true
+	}
+	d.actives = slices.Delete(d.actives, i, i+1)
+	return false
+}
+
+// retireIfFull replaces a write point whose block just filled.
+func (c *Controller) retireIfFull(chip int, cursor *BlockCursor) {
+	if !cursor.Full() {
+		return
+	}
+	if i := slices.Index(c.dies[chip].actives, cursor); i >= 0 && !c.replaceWritePoint(chip, i) {
+		c.checkDieDegraded(chip)
+	}
+}
+
+// deferAck holds w's ack until ReleaseDurableAcks covers its page and
+// stamp. Stamps are issued in admission order, so appending keeps the
+// chain sorted by stamp.
+func (c *Controller) deferAck(w *hostWrite) {
+	if c.heldAcksTail == nil {
+		c.heldAcks = w
+	} else {
+		c.heldAcksTail.next = w
+	}
+	c.heldAcksTail = w
+	c.pendingAckCount++
+}
+
+// ReleaseDurableAcks completes every held ack for lpn whose stamp is
+// <= stamp — called by the recovery manager when the journal record
+// mapping that stamp becomes durable. Older coalesced acks are covered
+// by the newer durable data (host write order is preserved per LPN).
+// The chain is sorted by stamp and mappings become durable in roughly
+// the order their writes were admitted, so the walk ends within the
+// few writes still held from before this one.
+func (c *Controller) ReleaseDurableAcks(lpn LPN, stamp uint64) {
+	var released, prev *hostWrite
+	tail := &released
+	for link := &c.heldAcks; *link != nil && (*link).stamp <= stamp; {
+		w := *link
+		if w.lpn != lpn {
+			prev, link = w, &w.next
+			continue
+		}
+		// Unlink w from the held chain, append it to the released one.
+		*link = w.next
+		if c.heldAcksTail == w {
+			c.heldAcksTail = prev
+		}
+		w.next = nil
+		*tail, tail = w, &w.next
+		c.pendingAckCount--
+	}
+	// Acks may reenter the controller (the host issues its next
+	// command synchronously): run them only after the chain is settled.
+	runAcks(released)
+}
+
+// runAcks acknowledges a detached chain of host writes, oldest first.
+// An ack releases its record, which a reentrant Write may take and chain
+// again, so the link is read before the ack runs.
+func runAcks(w *hostWrite) {
+	for w != nil {
+		next := w.next
+		w.next = nil
+		w.ack()
+		w = next
+	}
+}

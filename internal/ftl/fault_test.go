@@ -332,13 +332,13 @@ func TestDegradedFenceFailsQueuedPrograms(t *testing.T) {
 			t.Fatalf("Write(%d): %v", lpn, err)
 		}
 	}
-	if c.inflight[0] != 1 || c.inflight[1] != 1 {
-		t.Fatalf("inflight = %v, want one program per die", c.inflight)
+	if c.dies[0].inflight != 1 || c.dies[1].inflight != 1 {
+		t.Fatalf("inflight = %v, want one program per die", []int{c.dies[0].inflight, c.dies[1].inflight})
 	}
 	// Flip die 1 to degraded while its program is still waiting for a
 	// grant (die 0's transfers hold the channel until 60us).
 	eng.After(1000, func() {
-		if c.inflight[1] != 1 {
+		if c.dies[1].inflight != 1 {
 			t.Error("die 1 program completed before the fence flipped")
 		}
 		c.markDieDegraded(1)

@@ -39,21 +39,10 @@ func ParsePageTag(b []byte) (lpn LPN, stamp uint64, ok bool) {
 	return LPN(binary.LittleEndian.Uint64(b[0:8])), binary.LittleEndian.Uint64(b[8:16]), true
 }
 
-// verifyState tracks what every live logical page should contain.
-type verifyState struct {
-	// expectedStamp[lpn] is the write stamp of the currently mapped
-	// copy, recorded when the mapping was installed.
-	expectedStamp []uint64
-}
-
-func newVerifyState(logicalPages int) *verifyState {
-	return &verifyState{expectedStamp: make([]uint64, logicalPages)}
-}
-
 // hostPages builds the payloads for a flush group, padding the word
 // line's unused page slots.
 func (c *Controller) hostPages(group []FlushHandle) [][]byte {
-	if c.verify == nil {
+	if c.expectedStamp == nil {
 		return nil
 	}
 	pages := make([][]byte, vth.PagesPerWL)
@@ -67,24 +56,24 @@ func (c *Controller) hostPages(group []FlushHandle) [][]byte {
 	return pages
 }
 
-// recordMapping notes the write stamp now live for an LPN.
+// recordMapping notes the write stamp now live for an LPN: expectedStamp
+// is what every live logical page should contain, recorded when its
+// mapping was installed.
 func (c *Controller) recordMapping(lpn LPN, stamp uint64) {
-	if c.verify != nil {
-		c.verify.expectedStamp[lpn] = stamp
+	if c.expectedStamp != nil {
+		c.expectedStamp[lpn] = stamp
 	}
 }
 
 // checkReadPayload validates a flash read's payload against the
-// expected tag. It returns false (and counts a mismatch) when the
-// device returned content that does not belong to the logical page.
-func (c *Controller) checkReadPayload(lpn LPN, data []byte) bool {
-	if c.verify == nil || data == nil {
-		return true
+// expected tag and counts a mismatch when the device returned content
+// that does not belong to the logical page.
+func (c *Controller) checkReadPayload(lpn LPN, data []byte) {
+	if c.expectedStamp == nil || data == nil {
+		return
 	}
 	gotLPN, gotStamp, ok := ParsePageTag(data)
-	if !ok || gotLPN != lpn || gotStamp != c.verify.expectedStamp[lpn] {
+	if !ok || gotLPN != lpn || gotStamp != c.expectedStamp[lpn] {
 		c.stats.DataMismatches++
-		return false
 	}
-	return true
 }

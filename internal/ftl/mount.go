@@ -3,7 +3,6 @@ package ftl
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"cubeftl/internal/nand"
 	"cubeftl/internal/ssd"
@@ -64,7 +63,7 @@ func (c *Controller) StateSnapshot() MountState {
 		Free:         make([][]int, c.geo.Chips),
 		Actives:      make([][]ActiveRecord, c.geo.Chips),
 		Retired:      make([][]int, c.geo.Chips),
-		DegradedDies: append([]bool(nil), c.dieDegraded...),
+		DegradedDies: make([]bool, c.geo.Chips),
 	}
 	for lpn := LPN(0); lpn < LPN(c.mapper.LogicalPages()); lpn++ {
 		ppn := c.mapper.Lookup(lpn)
@@ -74,14 +73,10 @@ func (c *Controller) StateSnapshot() MountState {
 		ms.Mappings = append(ms.Mappings, MappingRecord{LPN: lpn, PPN: ppn, Stamp: c.stamps[lpn]})
 	}
 	for chip := 0; chip < c.geo.Chips; chip++ {
-		ms.Free[chip] = append([]int(nil), c.freeBlocks[chip]...)
-		for _, cur := range c.actives[chip] {
-			ms.Actives[chip] = append(ms.Actives[chip], ActiveRecord{Block: cur.Block, Seq: cur.Seq})
-		}
-		for b := range c.retired[chip] {
-			ms.Retired[chip] = append(ms.Retired[chip], b)
-		}
-		sort.Ints(ms.Retired[chip])
+		ms.Free[chip] = append([]int(nil), c.dies[chip].free...)
+		ms.Actives[chip] = c.AppendActives(nil, chip)
+		ms.Retired[chip] = c.AppendRetired(nil, chip)
+		ms.DegradedDies[chip] = c.dies[chip].degraded
 	}
 	return ms
 }
@@ -100,11 +95,11 @@ func (c *Controller) StampCounters() (lastStamp, lastBlockSeq uint64) {
 // FreeBlocks returns a chip's erased-block pool in pool order. The
 // slice is the controller's own: read it before the engine runs again
 // and do not modify it.
-func (c *Controller) FreeBlocks(chip int) []int { return c.freeBlocks[chip] }
+func (c *Controller) FreeBlocks(chip int) []int { return c.dies[chip].free }
 
 // AppendActives appends a chip's open write points to dst.
 func (c *Controller) AppendActives(dst []ActiveRecord, chip int) []ActiveRecord {
-	for _, cur := range c.actives[chip] {
+	for _, cur := range c.dies[chip].actives {
 		dst = append(dst, ActiveRecord{Block: cur.Block, Seq: cur.Seq})
 	}
 	return dst
@@ -113,11 +108,11 @@ func (c *Controller) AppendActives(dst []ActiveRecord, chip int) []ActiveRecord 
 // AppendRetired appends a chip's retired blocks (factory and grown) to
 // dst in ascending order.
 func (c *Controller) AppendRetired(dst []int, chip int) []int {
-	start := len(dst)
-	for b := range c.retired[chip] {
-		dst = append(dst, b)
+	for b, r := range c.chipRoles(chip) {
+		if r == roleRetired {
+			dst = append(dst, b)
+		}
 	}
-	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -139,28 +134,39 @@ func NewControllerWithState(dev *ssd.Device, pol Policy, cfg ControllerConfig, m
 	c.writeStamp = ms.LastStamp
 	c.blockSeq = ms.LastBlockSeq
 
+	outside := func(b int) bool { return b < 0 || b >= geo.BlocksPerChip }
 	for chip := 0; chip < nChips; chip++ {
+		if slices.ContainsFunc(ms.Free[chip], outside) || slices.ContainsFunc(ms.Retired[chip], outside) ||
+			slices.ContainsFunc(ms.Actives[chip], func(a ActiveRecord) bool { return outside(a.Block) }) {
+			return nil, fmt.Errorf("ftl: mount state names a block outside chip %d's %d", chip, geo.BlocksPerChip)
+		}
 		chipNAND := dev.Die(chip).NAND
 		for _, b := range ms.Retired[chip] {
-			c.retired[chip][b] = true
+			if c.role(chip, b) != roleRetired { // grown, not a factory mark
+				c.setRole(chip, b, roleRetired)
+				c.stats.RetiredBlocks++
+			}
 		}
-		c.stats.RetiredBlocks += int64(len(c.retired[chip]))
-		c.freeBlocks[chip] = append([]int(nil), ms.Free[chip]...)
+		for _, b := range ms.Free[chip] {
+			c.pushFree(chip, b)
+		}
 		for _, ar := range ms.Actives[chip] {
-			programmed := make([]bool, geo.Layers*geo.WLsPerLayer)
+			cur := NewBlockCursor(chip, ar.Block, geo.Layers, geo.WLsPerLayer)
+			cur.Seq = ar.Seq
 			for l := 0; l < geo.Layers; l++ {
 				for w := 0; w < geo.WLsPerLayer; w++ {
-					programmed[l*geo.WLsPerLayer+w] = chipNAND.IsProgrammed(nand.Address{Block: ar.Block, Layer: l, WL: w})
+					if chipNAND.IsProgrammed(nand.Address{Block: ar.Block, Layer: l, WL: w}) {
+						cur.Take(l, w)
+					}
 				}
 			}
-			cur := RestoreBlockCursor(chip, ar.Block, geo.Layers, geo.WLsPerLayer, ar.Seq, programmed)
 			if cur.Full() {
 				continue // filled right before the cut: a dirty block now
 			}
-			c.actives[chip] = append(c.actives[chip], cur)
+			c.dies[chip].actives = append(c.dies[chip].actives, cur)
+			c.setRole(chip, ar.Block, roleOpen)
 		}
 	}
-	c.stats.RetiredBlocks -= c.stats.FactoryBadBlocks // grown ones only
 
 	// Install the recovered mapping.
 	for _, m := range ms.Mappings {
@@ -173,24 +179,18 @@ func NewControllerWithState(dev *ssd.Device, pol Policy, cfg ControllerConfig, m
 	}
 
 	// Restore degraded dies: fence them again and leave their write
-	// points abandoned, exactly as when they first degraded.
+	// points abandoned, exactly as when they first degraded (no hub or
+	// recovery hook is attached yet, so nobody hears of it twice).
 	for die, deg := range ms.DegradedDies {
-		if !deg {
-			continue
+		if deg {
+			c.markDieDegraded(die)
 		}
-		c.dieDegraded[die] = true
-		c.stats.DegradedDies++
-		c.dev.FenceDiePrograms(die)
-		for _, cur := range c.actives[die] {
-			c.pol.BlockRetired(die, cur.Block)
-		}
-		c.actives[die] = nil
 	}
 	c.degraded = int(c.stats.DegradedDies) == nChips
 
 	// Re-arm write points and restart any interrupted evacuations.
 	for chip := 0; chip < nChips; chip++ {
-		if c.dieDegraded[chip] {
+		if c.dies[chip].degraded {
 			continue
 		}
 		c.armWritePoints(chip)

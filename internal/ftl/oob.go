@@ -26,13 +26,6 @@ const OOBBytes = 32
 
 var oobMagic = [4]byte{'C', 'F', 'O', '1'}
 
-// EncodeOOB builds the spare-area record for one page program.
-func EncodeOOB(lpn LPN, stamp, blockSeq uint64) []byte {
-	b := make([]byte, OOBBytes)
-	putOOB(b, lpn, stamp, blockSeq)
-	return b
-}
-
 // putOOB encodes the record into b, which must hold OOBBytes.
 func putOOB(b []byte, lpn LPN, stamp, blockSeq uint64) {
 	copy(b[0:4], oobMagic[:])

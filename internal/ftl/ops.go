@@ -24,18 +24,37 @@ import (
 // re-issued before the read escalates to a host-visible error.
 const readFaultRetries = 2
 
-// retryReadFault does the accounting for one flash read outcome and
-// reports whether the read must be re-issued (a transient read fault
-// with attempts left). attempt counts the re-issues so far.
-func (c *Controller) retryReadFault(err error, attempt int) bool {
+// readOutcome does the accounting a host read and a relocation read
+// share and reports whether the read must be re-issued (a transient
+// fault with attempts left; attempt counts the re-issues so far).
+// Otherwise an error is a counted, host-visible uncorrectable one.
+func (c *Controller) readOutcome(chip, block, layer int, res nand.ReadResult, err error, attempt int) (reissue bool) {
 	if err != nil && errors.Is(err, nand.ErrReadFault) {
 		c.stats.ReadFaults++
-		return attempt < readFaultRetries
-	}
-	if err == nil && attempt > 0 {
+		if attempt < readFaultRetries {
+			return true
+		}
+	} else if err == nil && attempt > 0 {
 		c.stats.FaultRecoveries++
 	}
+	c.stats.ReadRetries += int64(res.Retries)
+	if err != nil {
+		c.stats.Uncorrectable++
+	}
+	c.pol.ObserveRead(chip, block, layer, res, err)
 	return false
+}
+
+// programmed does the accounting every successful word-line program
+// shares: mean tPROG, the whole word line (padding included) on its
+// cause's column of the WAF ledger, the die's latency histogram.
+func (c *Controller) programmed(chip int, latencyNs int64, wafPages *int64) {
+	c.stats.Programs++
+	c.stats.ProgramNs += latencyNs
+	*wafPages += int64(vth.PagesPerWL)
+	if c.hub != nil {
+		c.dies[chip].progHist.Add(latencyNs)
+	}
 }
 
 // hostRead is one host page read.
@@ -50,10 +69,10 @@ type hostRead struct {
 
 	// Mapped reads: the flash location, and how often a transient fault
 	// made the controller re-issue the read.
-	chip, block, layer int
-	addr               nand.Address
-	params             nand.ReadParams
-	attempt            int
+	chip    int
+	addr    nand.Address
+	params  nand.ReadParams
+	attempt int
 
 	onFinish func()
 	onFlash  func(res nand.ReadResult, err error)
@@ -73,21 +92,15 @@ func (c *Controller) getHostRead() *hostRead {
 func (r *hostRead) flashDone(res nand.ReadResult, err error) {
 	pool.CheckLive(r.live, "ftl host read")
 	c := r.c
-	if c.retryReadFault(err, r.attempt) {
+	if c.readOutcome(r.chip, r.addr.Block, r.addr.Layer, res, err, r.attempt) {
 		r.attempt++
 		c.dev.Read(r.chip, r.addr, r.params, r.pp, r.onFlash)
 		return
 	}
-	c.stats.ReadRetries += int64(res.Retries)
-	if err != nil {
-		// The retry ladder (and any transient-fault re-issues) is
-		// exhausted: a counted, host-visible uncorrectable error.
-		c.stats.Uncorrectable++
-	} else {
+	if err == nil {
 		c.checkReadPayload(r.lpn, res.Data)
 	}
-	c.pol.ObserveRead(r.chip, r.block, r.layer, res, err)
-	c.maybeReclaim(r.chip, r.block)
+	c.maybeReclaim(r.chip, r.addr.Block)
 	c.maybeScrub(r.chip)
 	r.finish()
 }
@@ -109,12 +122,13 @@ type hostWrite struct {
 	c    *Controller
 	live bool
 
+	lpn   LPN
 	start sim.Time
 	done  func()
+	pp    *telemetry.PageProbe // while the write waits for buffer space
 
-	// A held durable ack (see deferAck): the page and stamp the ack
-	// waits on, and the next held write.
-	lpn   LPN
+	// The stamp the page was admitted under and, for a held durable ack
+	// (see deferAck), the next held write.
 	stamp uint64
 	next  *hostWrite
 
@@ -136,7 +150,7 @@ func (w *hostWrite) ack() {
 	c, done := w.c, w.done
 	c.stats.WriteLat.Add(c.eng.Now() - w.start)
 	w.live = false
-	w.done = nil
+	w.done, w.pp = nil, nil
 	c.hostWrites.Put(w)
 	done()
 }
@@ -209,7 +223,7 @@ func (f *flushOp) flushOOB(blockSeq uint64) [][]byte {
 func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 	pool.CheckLive(f.live, "ftl flush op")
 	c, chip, cursor, group := f.c, f.chip, f.cursor, f.group
-	c.inflight[chip]--
+	c.dies[chip].inflight--
 	if errors.Is(err, ssd.ErrDieFenced) {
 		// The die degraded while this program waited for its grant:
 		// nothing reached the media. Return the data to the buffer so
@@ -236,24 +250,14 @@ func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 		c.maybeFlush()
 		return
 	}
-	c.stats.Programs++
-	c.stats.ProgramNs += res.LatencyNs
-	// Host-caused write amplification: the word line programs whole,
-	// padding included.
-	c.stats.HostPages += int64(vth.PagesPerWL)
-	if c.hub != nil {
-		c.progHists[chip].Add(res.LatencyNs)
-		if c.hub.Tracing() {
-			c.hub.Event(telemetry.PidFTL, chip, "flush", f.issueAt, c.eng.Now()-f.issueAt,
-				map[string]int64{"pages": int64(len(group)), "block": int64(f.block)})
-		}
+	c.programmed(chip, res.LatencyNs, &c.stats.HostPages)
+	if c.hub.Tracing() {
+		c.hub.Event(telemetry.PidFTL, chip, "flush", f.issueAt, c.eng.Now()-f.issueAt,
+			map[string]int64{"pages": int64(len(group)), "block": int64(f.block)})
 	}
-
-	verdict := c.pol.ObserveProgram(chip, f.block, f.layer, f.wl, f.params, res)
-	if verdict == VerdictReprogram {
-		// §4.1.4: the word line is suspect — leave it unmapped (its
-		// pages are garbage) and rewrite the same data at the next
-		// allocation with fresh monitoring.
+	if c.pol.ObserveProgram(chip, f.block, f.layer, f.wl, f.params, res) == VerdictReprogram {
+		// §4.1.4: the word line is suspect — leave it unmapped (its pages
+		// are garbage) and rewrite the data at the next allocation.
 		c.stats.Reprograms++
 		c.requeueInstant(chip, "requeue_reprogram", c.reqReprog)
 		c.buf.Requeue(group)
@@ -277,217 +281,4 @@ func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 	c.retireIfFull(chip, cursor)
 	c.checkGC(chip)
 	c.maybeFlush()
-}
-
-// relocOp moves one word line's worth of a victim block's live pages:
-// it reads them one by one, then programs them into an active block.
-// Relocation cycles (GC, reclaim, evacuation, refresh, wear leveling)
-// are chains of these batches.
-type relocOp struct {
-	c    *Controller
-	live bool
-
-	chip, victim int
-	rest         []LPN // victim pages still to visit after this batch
-	n            int   // pages in this batch
-	batch        [vth.PagesPerWL]LPN
-	data         [vth.PagesPerWL][]byte // payloads read (VerifyData mode)
-
-	// The read in progress.
-	i         int
-	readLayer int
-	addr      nand.Address
-	params    nand.ReadParams
-	attempt   int
-
-	// The program in progress.
-	cursor           *BlockCursor
-	block, layer, wl int
-	progParams       nand.ProgramParams
-	issueAt          sim.Time
-	oob              wlOOB
-
-	onRead    func(res nand.ReadResult, err error)
-	onProgram func(res nand.ProgramResult, err error)
-}
-
-func (c *Controller) getReloc() *relocOp {
-	g := c.relocOps.Get()
-	if g == nil {
-		g = &relocOp{c: c}
-		g.onRead, g.onProgram = g.readDone, g.programDone
-	}
-	g.live = true
-	return g
-}
-
-func (g *relocOp) release() {
-	g.live = false
-	g.rest, g.cursor = nil, nil
-	g.data = [vth.PagesPerWL][]byte{}
-	g.c.relocOps.Put(g)
-}
-
-// readNext reads the batch's pages sequentially from page g.i on
-// (capturing their payloads in data-integrity mode), then programs
-// them.
-func (g *relocOp) readNext() {
-	c := g.c
-	for ; g.i < g.n; g.i++ {
-		ppn := c.mapper.Lookup(g.batch[g.i])
-		if ppn == ssd.UnmappedPPN {
-			// Overwritten mid-batch; the write-back liveness check will
-			// skip it too.
-			continue
-		}
-		_, _, layer, wl, page := c.geo.DecodePPN(ppn)
-		g.readLayer = layer
-		g.params = nand.ReadParams{StartOffset: c.pol.ReadStartOffset(g.chip, g.victim, layer), Mode: c.cfg.RetryMode}
-		g.addr = nand.Address{Block: g.victim, Layer: layer, WL: wl, Page: page}
-		g.attempt = 0
-		c.dev.Read(g.chip, g.addr, g.params, nil, g.onRead)
-		return
-	}
-	g.write()
-}
-
-func (g *relocOp) readDone(res nand.ReadResult, err error) {
-	pool.CheckLive(g.live, "ftl relocation batch")
-	c := g.c
-	if c.retryReadFault(err, g.attempt) {
-		g.attempt++
-		c.dev.Read(g.chip, g.addr, g.params, nil, g.onRead)
-		return
-	}
-	c.stats.ReadRetries += int64(res.Retries)
-	c.pol.ObserveRead(g.chip, g.victim, g.readLayer, res, err)
-	if err != nil {
-		c.stats.Uncorrectable++
-	}
-	g.data[g.i] = res.Data
-	g.i++
-	g.readNext()
-}
-
-// gcPages assembles the relocated payloads for one word-line program.
-func (g *relocOp) gcPages() [][]byte {
-	if g.c.verify == nil {
-		return nil
-	}
-	pages := make([][]byte, vth.PagesPerWL)
-	for i := range pages {
-		if i < g.n && g.data[i] != nil {
-			pages[i] = g.data[i]
-		} else {
-			pages[i] = MakePageTag(UnmappedLPN, 0)
-		}
-	}
-	return pages
-}
-
-// gcOOB builds the spare-area records for the batch's word line: each
-// copy keeps its data's original write stamp.
-func (g *relocOp) gcOOB(blockSeq uint64) [][]byte {
-	for i, l := range g.batch[:g.n] {
-		g.oob.put(i, l, g.c.stamps[l], blockSeq)
-	}
-	return g.oob.padded(g.n, blockSeq)
-}
-
-// write programs one word line of relocated pages.
-func (g *relocOp) write() {
-	c, chip := g.c, g.chip
-	cursor, layer, wl, err := c.allocateWL(chip)
-	if err != nil {
-		// The die cannot accept relocations anymore. The batch's pages
-		// are still live and readable at the victim — nothing is lost —
-		// but this collection cycle cannot finish.
-		g.release()
-		c.setGCActive(chip, false)
-		c.checkDieDegraded(chip)
-		return
-	}
-	cursor.Take(layer, wl)
-	g.cursor, g.block, g.layer, g.wl = cursor, cursor.Block, layer, wl
-	g.progParams = c.pol.ProgramParams(chip, g.block, layer, wl)
-	addr := nand.Address{Block: g.block, Layer: layer, WL: wl}
-	g.issueAt = c.eng.Now()
-	c.dev.Program(chip, addr, g.gcPages(), g.gcOOB(cursor.Seq), g.progParams, g.onProgram)
-}
-
-func (g *relocOp) programDone(res nand.ProgramResult, err error) {
-	pool.CheckLive(g.live, "ftl relocation batch")
-	c, chip, victim, cursor := g.c, g.chip, g.victim, g.cursor
-	if errors.Is(err, ssd.ErrDieFenced) {
-		// Defensive: a fence cannot normally race an active GC cycle
-		// (gcActive blocks degrading the die), but if it ever does the
-		// victim's copies are still intact — just end the cycle.
-		c.stats.FencedPrograms++
-		g.release()
-		c.setGCActive(chip, false)
-		return
-	}
-	if err != nil {
-		// GC program failed: retire the destination and retry the same
-		// batch on a fresh word line (the source copies are still
-		// intact on the victim).
-		c.stats.ProgramFailures++
-		c.retireActive(chip, cursor)
-		c.stats.FaultRecoveries++
-		g.write()
-		return
-	}
-	c.stats.Programs++
-	c.stats.ProgramNs += res.LatencyNs
-	// Relocation write amplification, attributed to the cycle's cause.
-	switch c.relocCause[chip] {
-	case causeRefresh:
-		c.stats.RefreshPages += int64(vth.PagesPerWL)
-	case causeWL:
-		c.stats.WLPages += int64(vth.PagesPerWL)
-	default:
-		c.stats.GCPages += int64(vth.PagesPerWL)
-	}
-	if c.hub != nil {
-		c.progHists[chip].Add(res.LatencyNs)
-		if c.hub.Tracing() {
-			c.hub.Event(telemetry.PidFTL, chip, "gc_write", g.issueAt, c.eng.Now()-g.issueAt,
-				map[string]int64{"pages": int64(g.n), "victim": int64(victim)})
-		}
-	}
-	verdict := c.pol.ObserveProgram(chip, g.block, g.layer, g.wl, g.progParams, res)
-	if verdict == VerdictReprogram {
-		c.stats.Reprograms++
-		c.requeueInstant(chip, "requeue_reprogram", c.reqReprog)
-		c.retireIfFull(chip, cursor)
-		// Retry the same batch on the next word line.
-		g.write()
-		return
-	}
-	wlIdx := g.layer*c.geo.WLsPerLayer + g.wl
-	moved := 0
-	for i, l := range g.batch[:g.n] {
-		// Re-check liveness: the host may have overwritten it while the
-		// program was in flight.
-		ppn := c.mapper.Lookup(l)
-		if ppn != ssd.UnmappedPPN {
-			vc, vb, _, _, _ := c.geo.DecodePPN(ppn)
-			if vc == chip && vb == victim {
-				dst := c.geo.EncodePPN(chip, g.block, wlIdx, i)
-				c.mapper.Map(l, dst)
-				moved++
-				if c.rec != nil {
-					// The relocated copy keeps its data's stamp; the
-					// destination block's younger sequence breaks the tie
-					// against the source copy on recovery.
-					c.rec.NoteMapped(l, dst, c.stamps[l])
-				}
-			}
-		}
-	}
-	c.stats.GCPageMoves += int64(moved)
-	c.retireIfFull(chip, cursor)
-	rest := g.rest
-	g.release()
-	c.relocate(chip, victim, rest)
 }

@@ -67,6 +67,17 @@ type basePolicy struct{}
 
 func (basePolicy) ActiveBlocksPerChip() int { return 1 }
 
+// SelectWL fills the write points in the conventional horizontal-first
+// order.
+func (basePolicy) SelectWL(_ int, actives []*BlockCursor, _ float64) (int, int, int, bool) {
+	for i, c := range actives {
+		if l, w, ok := c.NextInOrder(OrderHorizontalFirst); ok {
+			return i, l, w, true
+		}
+	}
+	return 0, 0, 0, false
+}
+
 func (basePolicy) ObserveProgram(_, _, _, _ int, _ nand.ProgramParams, _ nand.ProgramResult) ProgramVerdict {
 	return VerdictOK
 }
@@ -88,16 +99,6 @@ func NewPagePolicy() *PagePolicy { return &PagePolicy{} }
 // Name implements Policy.
 func (*PagePolicy) Name() string { return "pageFTL" }
 
-// SelectWL implements Policy using the conventional horizontal-first order.
-func (*PagePolicy) SelectWL(_ int, actives []*BlockCursor, _ float64) (int, int, int, bool) {
-	for i, c := range actives {
-		if l, w, ok := c.NextInOrder(OrderHorizontalFirst); ok {
-			return i, l, w, true
-		}
-	}
-	return 0, 0, 0, false
-}
-
 // ProgramParams implements Policy: always the chip defaults.
 func (*PagePolicy) ProgramParams(int, int, int, int) nand.ProgramParams {
 	return nand.ProgramParams{}
@@ -118,16 +119,6 @@ func NewVertPolicy() *VertPolicy { return &VertPolicy{} }
 // Name implements Policy.
 func (*VertPolicy) Name() string { return "vertFTL" }
 
-// SelectWL implements Policy using the conventional horizontal-first order.
-func (*VertPolicy) SelectWL(_ int, actives []*BlockCursor, _ float64) (int, int, int, bool) {
-	for i, c := range actives {
-		if l, w, ok := c.NextInOrder(OrderHorizontalFirst); ok {
-			return i, l, w, true
-		}
-	}
-	return 0, 0, 0, false
-}
-
 // ProgramParams implements Policy: the static worst-case-safe V_Final trim.
 func (*VertPolicy) ProgramParams(int, int, int, int) nand.ProgramParams {
 	return nand.ProgramParams{FinalMarginMV: vth.VertFTLFinalMV}
@@ -136,6 +127,7 @@ func (*VertPolicy) ProgramParams(int, int, int, int) nand.ProgramParams {
 var (
 	_ Policy = (*PagePolicy)(nil)
 	_ Policy = (*VertPolicy)(nil)
+	_ Policy = (*IspPolicy)(nil)
 )
 
 // IspPolicy is ispFTL, modeled on Pan et al. [31] (§7 related work):
@@ -160,16 +152,6 @@ func NewIspPolicy(peLookup func(chip, block int) int) *IspPolicy {
 // Name implements Policy.
 func (*IspPolicy) Name() string { return "ispFTL" }
 
-// SelectWL implements Policy using the conventional horizontal-first order.
-func (*IspPolicy) SelectWL(_ int, actives []*BlockCursor, _ float64) (int, int, int, bool) {
-	for i, c := range actives {
-		if l, w, ok := c.NextInOrder(OrderHorizontalFirst); ok {
-			return i, l, w, true
-		}
-	}
-	return 0, 0, 0, false
-}
-
 // ISPPStepForPE is ispFTL's wear-keyed step schedule: +40% step on a
 // fresh block, linearly decaying to the default at rated endurance,
 // quantized to 20 mV. The +40% cap is the largest step whose widened
@@ -193,5 +175,3 @@ func (p *IspPolicy) ProgramParams(chip, block, _, _ int) nand.ProgramParams {
 	}
 	return nand.ProgramParams{ISPPStepMV: ISPPStepForPE(pe)}
 }
-
-var _ Policy = (*IspPolicy)(nil)

@@ -67,14 +67,14 @@ func TestFencedRequeueSingleCompletionTelemetry(t *testing.T) {
 	// fenced attempt.
 	var histN int64
 	for die := 0; die < 2; die++ {
-		h := c.progHists[die]
+		h := c.dies[die].progHist
 		histN += h.N()
 	}
 	if histN != st.Programs {
 		t.Errorf("prog hist samples = %d, Stats().Programs = %d (requeue double-counted?)",
 			histN, st.Programs)
 	}
-	if n := c.progHists[1].N(); n != 0 {
+	if n := c.dies[1].progHist.N(); n != 0 {
 		t.Errorf("fenced die recorded %d program samples", n)
 	}
 	// The requeue surfaced in the registry and as page-level buffer

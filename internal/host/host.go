@@ -308,9 +308,6 @@ func (h *Host) Controller() *ftl.Controller { return h.ctrl }
 // Stats returns queue q's live tenant accounting (updated in place).
 func (h *Host) Stats(q int) *TenantStats { return h.stats[q] }
 
-// StatsAll returns every queue's accounting in queue order.
-func (h *Host) StatsAll() []*TenantStats { return h.stats }
-
 // Grants returns the total arbitration grants issued.
 func (h *Host) Grants() int64 { return h.gt.Grants() }
 

@@ -316,19 +316,6 @@ func (s EraseSnapshot) DieQuantile(die int, q float64) int {
 	return quantile(sorted, q)
 }
 
-// Quantile returns the q-quantile over every die's erase counts.
-func (s EraseSnapshot) Quantile(q float64) int {
-	var all []int
-	for _, die := range s.Dies {
-		all = append(all, die...)
-	}
-	if len(all) == 0 {
-		return 0
-	}
-	sort.Ints(all)
-	return quantile(all, q)
-}
-
 // Spread returns max-min over every good block of every die.
 func (s EraseSnapshot) Spread() int {
 	min, max, any := 0, 0, false

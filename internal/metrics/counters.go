@@ -38,19 +38,6 @@ func (c *CounterSet) Inc(name string, delta int64) {
 // Get returns a counter's value (zero if absent).
 func (c *CounterSet) Get(name string) int64 { return c.values[name] }
 
-// Names returns the counter names in insertion order.
-func (c *CounterSet) Names() []string { return append([]string(nil), c.names...) }
-
-// NonZero reports whether any counter is non-zero.
-func (c *CounterSet) NonZero() bool {
-	for _, v := range c.values {
-		if v != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders "name=value" pairs in insertion order.
 func (c *CounterSet) String() string {
 	var b strings.Builder

@@ -93,9 +93,6 @@ func (s *SystemArea) truncate(off uint64) {
 	s.base = off
 }
 
-// JournalBytes returns the durable journal length (telemetry/tests).
-func (s *SystemArea) JournalBytes() int { return len(s.journal) }
-
 // CheckpointBytes returns the newest valid checkpoint's size, or 0.
 func (s *SystemArea) CheckpointBytes() int {
 	if i := s.newestSlot(); i >= 0 {

@@ -41,9 +41,6 @@ func (s *Source) next() uint64 {
 // Uint64 returns a uniformly distributed 64-bit value.
 func (s *Source) Uint64() uint64 { return s.next() }
 
-// Int63 returns a non-negative int64.
-func (s *Source) Int63() int64 { return int64(s.next() >> 1) }
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
@@ -311,14 +308,6 @@ func (s *Source) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle randomizes the order of n elements using the provided swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // fnv1a64 hashes a label to derive child seeds.

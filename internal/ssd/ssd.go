@@ -136,12 +136,6 @@ func (ch *DieHandle) resFor(block int) *sim.Resource {
 	return ch.planes[block%len(ch.planes)]
 }
 
-// Channel returns the die's channel (bus) resource.
-func (ch *DieHandle) Channel() *sim.Resource { return ch.channel }
-
-// Fenced reports whether the die rejects programs at grant time.
-func (ch *DieHandle) Fenced() bool { return ch.fenced }
-
 // Device is the assembled SSD back end.
 type Device struct {
 	eng      *sim.Engine

@@ -128,13 +128,6 @@ func (r *Registry) CounterValue(name string) int64 {
 	return 0
 }
 
-// Names returns every registered name in insertion order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.names...)
-}
-
 // HistStat is a snapshot of one histogram's headline statistics.
 type HistStat struct {
 	N    int64   `json:"n"`

@@ -62,7 +62,6 @@ type Sampler struct {
 	interval sim.Time
 	w        *bufio.Writer
 	err      error
-	lines    int64
 }
 
 // StartSampler begins emitting a JSONL snapshot every interval of
@@ -101,12 +100,8 @@ func (s *Sampler) writeSample(at sim.Time) error {
 	if err := s.w.WriteByte('\n'); err != nil {
 		return err
 	}
-	s.lines++
 	return nil
 }
-
-// Lines returns the number of snapshots written so far.
-func (s *Sampler) Lines() int64 { return s.lines }
 
 // Close emits a final snapshot at the current simulated time (so short
 // runs always produce at least one line) and flushes the sink.
