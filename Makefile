@@ -72,16 +72,28 @@ bench-scale:
 bench-telemetry:
 	$(GO) test -run xxx -bench 'BenchmarkMixedTelemetry' -benchtime 5x -count 3 .
 
-# One way to build a device stack, and no dead packages: fails if a
-# non-test .go file outside internal/stack (and the packages that define
-# them) calls ssd.New( or ftl.NewController(, or if a package under
-# internal/ is imported by no other package (test imports count, a
-# package's own tests do not).
+# One way to build a device stack, one place its life is assembled, one
+# declaration per device flag, and no dead packages. Fails if a non-test
+# .go file outside internal/stack (and the packages that define them)
+# calls ssd.New(, ssd.NewWithArray(, ftl.NewController(, recovery.Attach(
+# or recovery.Mount(; if a device flag of internal/stack's table is
+# declared anywhere else (binaries bind them with Spec.BindFlags;
+# paperfig's -blocks is the width of the characterization sweep, not a
+# device's, and bench/ is the frozen harness, whose -seed also feeds its
+# load generator); or if a package under internal/ is imported by no
+# other package (test imports count, a package's own tests do not).
+DEVICE_FLAGS = ftl|channels|dies|blocks|seed|dieaware|pe|retention|retry-mode|refresh|wearlevel|pfail|efail|rfault|badblocks|recovery|ckpt-interval
 one-stack:
-	@bad=$$(grep -rn --include='*.go' -e 'ssd\.New(' -e 'ftl\.NewController(' . \
-		| grep -v -e '_test\.go:' -e '^\./internal/stack/' -e '^\./internal/ssd/' -e '^\./internal/ftl/'); \
+	@bad=$$(grep -rn --include='*.go' -e 'ssd\.New(' -e 'ssd\.NewWithArray(' -e 'ftl\.NewController(' \
+			-e 'recovery\.Attach(' -e 'recovery\.Mount(' . \
+		| grep -v -e '_test\.go:' -e '^\./internal/stack/' -e '^\./internal/ssd/' -e '^\./internal/ftl/' -e '^\./internal/recovery/'); \
 	if [ -n "$$bad" ]; then \
-		echo "one-stack: only internal/stack builds a device stack:"; echo "$$bad"; exit 1; \
+		echo "one-stack: only internal/stack builds, mounts and attaches a device stack:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE --include='*.go' '(flag|fs)\.[A-Za-z0-9]+\((&[A-Za-z0-9_.]+, *)?"($(DEVICE_FLAGS))"' . \
+		| grep -v -e '_test\.go:' -e '^\./internal/stack/' -e '^\./bench/' -e '^\./cmd/paperfig/main\.go:.*"blocks", 8, "blocks swept by'); \
+	if [ -n "$$bad" ]; then \
+		echo "one-stack: device flags are declared in internal/stack/flags.go only (bind them with Spec.BindFlags):"; echo "$$bad"; exit 1; \
 	fi
 	@$(GO) list -test -deps -f '{{.ImportPath}}{{range .Imports}}|{{.}}{{end}}' ./... | awk -F'|' ' \
 		{ p = $$1; sub(/ \[.*/, "", p); sub(/(_test|\.test)$$/, "", p); \

@@ -133,7 +133,7 @@ func BenchmarkFig17bIOPSMidAge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchOpts()
 		o.Seed = uint64(i + 1)
-		o.PE, o.RetentionMonths = 2000, 1
+		o.PECycles, o.RetentionMonths = 2000, 1
 		reportFig17(b, experiment.Fig17(o))
 	}
 }
@@ -144,7 +144,7 @@ func BenchmarkFig17cIOPSEndOfLife(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchOpts()
 		o.Seed = uint64(i + 1)
-		o.PE, o.RetentionMonths = 2000, 12
+		o.PECycles, o.RetentionMonths = 2000, 12
 		reportFig17(b, experiment.Fig17(o))
 	}
 }

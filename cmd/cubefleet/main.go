@@ -23,95 +23,124 @@ import (
 	"time"
 
 	"cubeftl"
+	"cubeftl/internal/cache"
 	"cubeftl/internal/obs"
 )
 
+// config is everything cubefleet's command line sets.
+type config struct {
+	tracePath string
+	trace     cubeftl.TraceReplayOptions
+	single    bool
+	// dev is one shard's device as -ftl -blocks -channels -dies -seed -pe
+	// -retention describe it: what -single builds, and what the fleet
+	// derives every shard from.
+	dev         cubeftl.Options
+	fleet       cubeftl.FleetOptions
+	cacheMode   string
+	statsOut    string
+	statsIvl    time.Duration
+	metricsAddr string
+	profile     obs.ProfileConfig
+}
+
+// bind declares cubefleet's flags on fs.
+func (c *config) bind(fs *flag.FlagSet) {
+	fs.StringVar(&c.tracePath, "trace", "", "block trace file to replay (required)")
+	fs.StringVar(&c.trace.Format, "format", "auto", "trace format: auto, msr, fiu")
+	fs.Float64Var(&c.trace.TimeCompression, "compress", 1, "time compression factor (10 = replay in 1/10 of trace time)")
+	fs.BoolVar(&c.trace.Tolerant, "tolerant", false, "skip malformed records instead of failing")
+	fs.IntVar(&c.trace.MaxRequests, "max-requests", 0, "cap ingested requests (0 = whole trace)")
+
+	fs.BoolVar(&c.single, "single", false, "replay on one device closed-loop instead of a fleet")
+
+	c.dev = cubeftl.Options{FTL: cubeftl.FTLCube, BlocksPerChip: 16, Seed: 1}
+	c.dev.BindFlags(fs, "ftl", "blocks", "channels", "dies", "seed", "pe", "retention")
+
+	f := &c.fleet
+	fs.IntVar(&f.Shards, "shards", 4, "independent simulated SSDs")
+	fs.IntVar(&f.Tenants, "tenants", 1024, "logical tenants across the fleet")
+	fs.StringVar(&f.Placement, "placement", "hash", "tenant placement: hash, range, capacity")
+	fs.Float64Var(&f.CapacityJitter, "capacity-jitter", 0, "per-shard capacity variation fraction (pairs with -placement capacity)")
+	fs.Float64Var(&f.AgeJitter, "age-jitter", 0, "per-shard P/E variation fraction")
+
+	fs.IntVar(&f.QueuesPerShard, "queues", 8, "host queue pairs per shard")
+	fs.IntVar(&f.QueueDepth, "qd", 32, "per-queue depth")
+
+	fs.IntVar(&f.Cache.SizePages, "cache-pages", 0, "per-shard host DRAM cache size in 16 KiB pages (0 = off)")
+	fs.StringVar(&f.Cache.Policy, "cache-policy", "lru", "cache replacement: lru, 2q")
+	fs.StringVar(&c.cacheMode, "cache-mode", "through", "cache write discipline: through, back")
+	fs.Int64Var(&f.PrefillPages, "prefill", 0, "sequentially map the first N pages of each shard before replay")
+	fs.IntVar(&f.Repeat, "repeat", 1, "replay the trace N times back to back")
+	fs.IntVar(&f.MaxRequests, "fleet-max-requests", 0, "cap total fleet requests after repeat expansion (0 = all)")
+
+	fs.StringVar(&c.statsOut, "stats-out", "", "write the merged fleet time series (one JSON object per interval) to this file")
+	fs.DurationVar(&c.statsIvl, "stats-interval", time.Millisecond, "simulated time between fleet series samples")
+	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve live /metrics for the run on this address (e.g. 127.0.0.1:9090)")
+	c.profile.RegisterFlags(fs)
+}
+
+// finish resolves what the parsed flags imply: the typed cache mode,
+// the device half of the fleet's configuration (fleet.Config spells it
+// flat), and the one queue depth both replays share.
+func (c *config) finish() error {
+	if err := c.dev.Validate(); err != nil {
+		return err
+	}
+	mode, err := cache.ParseMode(c.cacheMode)
+	if err != nil {
+		return err
+	}
+	f, d := &c.fleet, c.dev
+	f.Cache.Mode = mode
+	f.Policy, f.Seed, f.PE, f.RetentionMonths = d.FTL, d.Seed, d.PECycles, d.RetentionMonths
+	f.BlocksPerChip, f.Channels, f.DiesPerChannel = d.BlocksPerChip, d.Channels, d.DiesPerChannel
+	c.trace.QueueDepth = f.QueueDepth
+	if c.statsOut != "" || c.metricsAddr != "" { // no sink requested: no sampling
+		f.SampleIntervalNs = int64(c.statsIvl)
+	}
+	return nil
+}
+
 func main() {
-	tracePath := flag.String("trace", "", "block trace file to replay (required)")
-	format := flag.String("format", "auto", "trace format: auto, msr, fiu")
-	compress := flag.Float64("compress", 1, "time compression factor (10 = replay in 1/10 of trace time)")
-	tolerant := flag.Bool("tolerant", false, "skip malformed records instead of failing")
-	maxReq := flag.Int("max-requests", 0, "cap ingested requests (0 = whole trace)")
-
-	single := flag.Bool("single", false, "replay on one device closed-loop instead of a fleet")
-
-	shards := flag.Int("shards", 4, "independent simulated SSDs")
-	tenants := flag.Int("tenants", 1024, "logical tenants across the fleet")
-	placement := flag.String("placement", "hash", "tenant placement: hash, range, capacity")
-	seed := flag.Uint64("seed", 1, "fleet seed (device personalities, placement)")
-	ftlName := flag.String("ftl", "cube", "per-shard FTL: page, vert, isp, cube, cube-")
-	blocks := flag.Int("blocks", 16, "blocks per chip on each shard")
-	channels := flag.Int("channels", 0, "channels per shard (0 = device default)")
-	dies := flag.Int("dies", 0, "dies per channel (0 = device default)")
-	capJitter := flag.Float64("capacity-jitter", 0, "per-shard capacity variation fraction (pairs with -placement capacity)")
-	pe := flag.Int("pe", 0, "pre-aged P/E cycles per shard")
-	retention := flag.Float64("retention", 0, "retention age in months")
-	ageJitter := flag.Float64("age-jitter", 0, "per-shard P/E variation fraction")
-
-	queues := flag.Int("queues", 8, "host queue pairs per shard")
-	qd := flag.Int("qd", 32, "per-queue depth")
-
-	cachePages := flag.Int("cache-pages", 0, "per-shard host DRAM cache size in 16 KiB pages (0 = off)")
-	cachePolicy := flag.String("cache-policy", "lru", "cache replacement: lru, 2q")
-	cacheMode := flag.String("cache-mode", "through", "cache write discipline: through, back")
-	prefill := flag.Int64("prefill", 0, "sequentially map the first N pages of each shard before replay")
-	repeat := flag.Int("repeat", 1, "replay the trace N times back to back")
-	fleetMax := flag.Int("fleet-max-requests", 0, "cap total fleet requests after repeat expansion (0 = all)")
-
-	statsOut := flag.String("stats-out", "", "write the merged fleet time series (one JSON object per interval) to this file")
-	statsIvl := flag.Duration("stats-interval", time.Millisecond, "simulated time between fleet series samples")
-	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics for the run on this address (e.g. 127.0.0.1:9090)")
-	var profile obs.ProfileConfig
-	profile.RegisterFlags(flag.CommandLine)
+	var c config
+	c.bind(flag.CommandLine)
 	flag.Parse()
 
-	if *tracePath == "" {
+	if c.tracePath == "" {
 		fmt.Fprintln(os.Stderr, "cubefleet: -trace is required (e.g. internal/workload/testdata/msr_sample.csv)")
 		flag.Usage()
 		os.Exit(2)
 	}
-	f, err := os.Open(*tracePath)
+	if err := c.finish(); err != nil {
+		fatal(err)
+	}
+	f, err := os.Open(c.tracePath)
 	if err != nil {
 		fatal(err)
 	}
 	defer f.Close()
 
-	if err := profile.Start(); err != nil {
+	if err := c.profile.Start(); err != nil {
 		fatal(err)
 	}
 	defer func() {
-		if err := profile.Stop(); err != nil {
+		if err := c.profile.Stop(); err != nil {
 			fmt.Fprintln(os.Stderr, "cubefleet: profiling:", err)
 		}
 	}()
 
-	topt := cubeftl.TraceReplayOptions{
-		Format:          *format,
-		TimeCompression: *compress,
-		Tolerant:        *tolerant,
-		MaxRequests:     *maxReq,
-		QueueDepth:      *qd,
-	}
-
-	if *single {
-		ssd, err := cubeftl.New(cubeftl.Options{
-			FTL:             *ftlName,
-			BlocksPerChip:   *blocks,
-			Channels:        *channels,
-			DiesPerChannel:  *dies,
-			Seed:            *seed,
-			PECycles:        *pe,
-			RetentionMonths: *retention,
-		})
+	if c.single {
+		ssd, err := cubeftl.New(c.dev)
 		if err != nil {
 			fatal(err)
 		}
-		if *prefill > 0 {
-			ssd.Prefill(*prefill)
+		if c.fleet.PrefillPages > 0 {
+			ssd.Prefill(c.fleet.PrefillPages)
 			ssd.ResetStats()
 		}
 		start := time.Now()
-		st, err := ssd.ReplayTrace(*tracePath, f, topt)
+		st, err := ssd.ReplayTrace(c.tracePath, f, c.trace)
 		if err != nil {
 			fatal(err)
 		}
@@ -125,65 +154,33 @@ func main() {
 		return
 	}
 
-	var statsW *os.File
-	if *statsOut != "" {
-		statsW, err = os.Create(*statsOut)
+	if c.statsOut != "" {
+		statsW, err := os.Create(c.statsOut)
 		if err != nil {
 			fatal(err)
 		}
 		defer statsW.Close()
+		c.fleet.StatsOut = statsW
 	}
-	var fleetObs *cubeftl.FleetObs
-	if *metricsAddr != "" {
-		fleetObs, err = cubeftl.StartFleetObs(*metricsAddr, *shards)
+	if c.metricsAddr != "" {
+		c.fleet.Obs, err = cubeftl.StartFleetObs(c.metricsAddr, c.fleet.Shards)
 		if err != nil {
 			fatal(err)
 		}
-		defer fleetObs.Close()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", fleetObs.Addr())
+		defer c.fleet.Obs.Close()
+		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", c.fleet.Obs.Addr())
 	}
-
-	fopts := cubeftl.FleetOptions{
-		Shards:          *shards,
-		Tenants:         *tenants,
-		Placement:       *placement,
-		Seed:            *seed,
-		FTL:             *ftlName,
-		BlocksPerChip:   *blocks,
-		Channels:        *channels,
-		DiesPerChannel:  *dies,
-		CapacityJitter:  *capJitter,
-		PE:              *pe,
-		RetentionMonths: *retention,
-		AgeJitter:       *ageJitter,
-		QueuesPerShard:  *queues,
-		QueueDepth:      *qd,
-		CachePages:      *cachePages,
-		CachePolicy:     *cachePolicy,
-		CacheMode:       *cacheMode,
-		PrefillPages:    *prefill,
-		Repeat:          *repeat,
-		MaxRequests:     *fleetMax,
-		SampleInterval:  *statsIvl,
-		Obs:             fleetObs,
-	}
-	if statsW != nil {
-		fopts.StatsOut = statsW
-	}
-	if *statsOut == "" && *metricsAddr == "" {
-		fopts.SampleInterval = 0 // no sink requested: skip sampling
-	}
-	st, err := cubeftl.RunFleet(fopts, *tracePath, f, topt)
+	st, err := cubeftl.RunFleet(c.fleet, c.tracePath, f, c.trace)
 	if err != nil {
 		fatal(err)
 	}
 	// The deterministic report goes to stdout; wall clock — the one
 	// number the host scheduler owns — goes to stderr.
-	fmt.Print(st.Report)
-	if st.SeriesSamples > 0 && *statsOut != "" {
-		fmt.Fprintf(os.Stderr, "series: wrote %d samples to %s\n", st.SeriesSamples, *statsOut)
+	fmt.Print(st.Report())
+	if len(st.Series) > 0 && c.statsOut != "" {
+		fmt.Fprintf(os.Stderr, "series: wrote %d samples to %s\n", len(st.Series), c.statsOut)
 	}
-	fmt.Fprintf(os.Stderr, "wall: %v\n", st.Wall)
+	fmt.Fprintf(os.Stderr, "wall: %v\n", time.Duration(st.WallNs))
 }
 
 func fatal(err error) {

@@ -14,7 +14,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -28,37 +27,43 @@ import (
 	"cubeftl/internal/server"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", "127.0.0.1:7443", "listen address")
-		ftlKind  = flag.String("ftl", cubeftl.FTLCube, "FTL policy: page|vert|isp|cube|cube-")
-		channels = flag.Int("channels", 4, "flash channels")
-		dies     = flag.Int("dies", 2, "dies per channel")
-		blocks   = flag.Int("blocks", 64, "blocks per chip")
-		seed     = flag.Uint64("seed", 1, "device RNG seed")
-		recovery = flag.Bool("recovery", true, "enable crash consistency (durable acks, checkpoints, remount)")
-		prefill  = flag.Int64("prefill", 0, "sequentially prefill this many logical pages before serving")
-		arb      = flag.String("arb", cubeftl.ArbWRR, "queue arbiter: rr|wrr|prio")
-		width    = flag.Int("width", 0, "dispatch width across queues (0 = sum of depths)")
-		slo      = flag.Bool("slo", false, "enable the online SLO controller")
-		sloIvl   = flag.Duration("slo-interval", 2*time.Millisecond, "simulated time between SLO decisions")
+// config is everything cubeserved's command line sets.
+type config struct {
+	addr      string
+	srv       server.Config
+	eventsOut string
+	profile   obs.ProfileConfig
+}
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz on this address (e.g. 127.0.0.1:9090)")
-		eventsOut   = flag.String("events-out", "", "append the structured JSONL event log (SLO decisions, chaos ops, recovery verdicts) to this file")
-		spanSample  = flag.Int("span-sample", 0, "trace 1 in N device operations (0 = default 16; 1 = every op)")
-	)
-	var profile obs.ProfileConfig
-	profile.RegisterFlags(flag.CommandLine)
-	var tenants []server.TenantDef
-	flag.Func("tenant", "tenant spec: name[,weight=N][,depth=N][,prio=N][,rate=IOPS][,slo=DUR] (repeatable)",
+// bind declares cubeserved's flags on fs.
+func (c *config) bind(fs *flag.FlagSet) {
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:7443", "listen address")
+	c.srv.Device = cubeftl.Options{FTL: cubeftl.FTLCube, Channels: 4, DiesPerChannel: 2, BlocksPerChip: 64, Seed: 1, Recovery: true}
+	c.srv.Device.BindFlags(fs, "ftl", "channels", "dies", "blocks", "seed", "recovery")
+	fs.Int64Var(&c.srv.PrefillPages, "prefill", 0, "sequentially prefill this many logical pages before serving")
+	fs.StringVar(&c.srv.Arbiter, "arb", cubeftl.ArbWRR, "queue arbiter: rr|wrr|prio")
+	fs.IntVar(&c.srv.DispatchWidth, "width", 0, "dispatch width across queues (0 = sum of depths)")
+	fs.BoolVar(&c.srv.SLO.Enabled, "slo", false, "enable the online SLO controller")
+	fs.DurationVar(&c.srv.SLO.Interval, "slo-interval", 2*time.Millisecond, "simulated time between SLO decisions")
+
+	fs.StringVar(&c.srv.MetricsAddr, "metrics-addr", "", "serve /metrics, /healthz, /readyz on this address (e.g. 127.0.0.1:9090)")
+	fs.StringVar(&c.eventsOut, "events-out", "", "append the structured JSONL event log (SLO decisions, chaos ops, recovery verdicts) to this file")
+	fs.IntVar(&c.srv.SpanSample, "span-sample", 0, "trace 1 in N device operations (0 = default 16; 1 = every op)")
+	c.profile.RegisterFlags(fs)
+	fs.Func("tenant", "tenant spec: name[,weight=N][,depth=N][,prio=N][,rate=IOPS][,slo=DUR] (repeatable)",
 		func(spec string) error {
 			td, err := parseTenant(spec)
 			if err != nil {
 				return err
 			}
-			tenants = append(tenants, td)
+			c.srv.Tenants = append(c.srv.Tenants, td)
 			return nil
 		})
+}
+
+func main() {
+	var c config
+	c.bind(flag.CommandLine)
 	flag.Usage = func() {
 		w := flag.CommandLine.Output()
 		fmt.Fprintf(w, "Usage of %s:\n", os.Args[0])
@@ -71,58 +76,36 @@ func main() {
 	}
 	flag.Parse()
 
-	if len(tenants) == 0 {
-		tenants = []server.TenantDef{
+	if len(c.srv.Tenants) == 0 {
+		c.srv.Tenants = []server.TenantDef{
 			{Name: "lat", Weight: 8, SLOReadP99: 2 * time.Millisecond},
 			{Name: "bulk", Weight: 1},
 		}
 	}
 
 	logger := log.New(os.Stderr, "", log.Ltime|log.Lmicroseconds)
-	if err := profile.Start(); err != nil {
+	c.srv.Logf = logger.Printf
+	if err := c.profile.Start(); err != nil {
 		logger.Fatalf("cubeserved: %v", err)
 	}
 	defer func() {
-		if err := profile.Stop(); err != nil {
+		if err := c.profile.Stop(); err != nil {
 			logger.Printf("cubeserved: profiling: %v", err)
 		}
 	}()
-	var eventsFile *os.File
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
+	if c.eventsOut != "" {
+		f, err := os.Create(c.eventsOut)
 		if err != nil {
 			logger.Fatalf("cubeserved: %v", err)
 		}
-		eventsFile = f
-		defer eventsFile.Close()
+		defer f.Close()
+		c.srv.EventsOut = f
 	}
-	var eventsW io.Writer
-	if eventsFile != nil {
-		eventsW = eventsFile
-	}
-	srv, err := server.New(server.Config{
-		Device: cubeftl.Options{
-			FTL:            *ftlKind,
-			Channels:       *channels,
-			DiesPerChannel: *dies,
-			BlocksPerChip:  *blocks,
-			Seed:           *seed,
-			Recovery:       *recovery,
-		},
-		Tenants:       tenants,
-		Arbiter:       *arb,
-		DispatchWidth: *width,
-		SLO:           server.SLOConfig{Enabled: *slo, Interval: *sloIvl},
-		PrefillPages:  *prefill,
-		Logf:          logger.Printf,
-		MetricsAddr:   *metricsAddr,
-		EventsOut:     eventsW,
-		SpanSample:    *spanSample,
-	})
+	srv, err := server.New(c.srv)
 	if err != nil {
 		logger.Fatalf("cubeserved: %v", err)
 	}
-	if err := srv.Start(*addr); err != nil {
+	if err := srv.Start(c.addr); err != nil {
 		logger.Fatalf("cubeserved: %v", err)
 	}
 

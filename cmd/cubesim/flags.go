@@ -2,39 +2,13 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
 
 	"cubeftl"
 )
-
-// validateTopology rejects non-positive -channels / -dies values with
-// an error naming the offending flag.
-func validateTopology(channels, dies int) error {
-	if channels <= 0 {
-		return fmt.Errorf("cubesim: -channels must be positive, got %d", channels)
-	}
-	if dies <= 0 {
-		return fmt.Errorf("cubesim: -dies must be positive, got %d", dies)
-	}
-	return nil
-}
-
-// validateRetryMode rejects unknown -retry-mode values with an error
-// naming the flag and the accepted set (empty selects the default).
-func validateRetryMode(mode string) error {
-	if mode == "" {
-		return nil
-	}
-	for _, m := range cubeftl.RetryModes() {
-		if mode == m {
-			return nil
-		}
-	}
-	return fmt.Errorf("cubesim: -retry-mode: unknown mode %q (want one of %s)",
-		mode, strings.Join(cubeftl.RetryModes(), ", "))
-}
 
 // powercutMode is how -powercut picks the cut instant.
 type powercutMode int
@@ -101,8 +75,8 @@ func parseAge(spec string) (float64, error) {
 		}
 		months = d.Hours() / 730
 	}
-	if months <= 0 {
-		return 0, fmt.Errorf("cubesim: -age must be positive, got %q", spec)
+	if !(months > 0 && months <= math.MaxFloat64) { // NaN and +Inf fail too
+		return 0, fmt.Errorf("cubesim: -age must be positive and finite, got %q", spec)
 	}
 	return months, nil
 }

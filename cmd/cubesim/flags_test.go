@@ -1,47 +1,126 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 	"time"
+
+	"cubeftl"
 )
 
+// parse runs a command line through cubesim's own flag declarations.
+func parse(t *testing.T, args ...string) (config, error) {
+	t.Helper()
+	var c config
+	fs := flag.NewFlagSet("cubesim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c.bind(fs)
+	return c, fs.Parse(args)
+}
+
+// The device rule every binary shares (stack.Spec.Validate, which
+// cubeftl.New runs): zero is the documented default, a negative count,
+// a month count that is negative or not finite, or a rate outside
+// [0, 1] is an error naming the flag.
 func TestValidateTopology(t *testing.T) {
-	if err := validateTopology(2, 4); err != nil {
-		t.Fatalf("valid topology rejected: %v", err)
-	}
 	for _, tc := range []struct {
-		channels, dies int
-		wantFlag       string
+		args     string
+		wantFlag string // "" = accepted
 	}{
-		{0, 4, "-channels"},
-		{-1, 4, "-channels"},
-		{2, 0, "-dies"},
-		{2, -3, "-dies"},
+		{"-channels 2 -dies 4", ""},
+		{"-channels 0 -dies 0 -blocks 0", ""}, // zero = device default, as in cubefleet
+		{"-channels -1", "-channels"},
+		{"-dies -3", "-dies"},
+		{"-blocks -5", "-blocks"}, // silently became 64
+		{"-pe -1", "-pe"},
+		{"-retention 12", ""},
+		{"-retention NaN", "-retention"},
+		{"-retention -1", "-retention"},
+		{"-retention +Inf", "-retention"},
+		{"-pfail 1 -efail 0 -rfault 0.5 -badblocks 0.02", ""},
+		{"-pfail 7", "-pfail"},
+		{"-efail -0.1", "-efail"},
+		{"-rfault NaN", "-rfault"},
+		{"-badblocks 1.5", "-badblocks"},
 	} {
-		err := validateTopology(tc.channels, tc.dies)
-		if err == nil {
-			t.Fatalf("topology %dx%d accepted", tc.channels, tc.dies)
+		c, err := parse(t, strings.Fields(tc.args)...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.args, err)
 		}
-		if !strings.Contains(err.Error(), tc.wantFlag) {
-			t.Errorf("topology %dx%d error %q does not name %s",
-				tc.channels, tc.dies, err, tc.wantFlag)
+		err = c.dev.Validate()
+		switch {
+		case tc.wantFlag == "" && err != nil:
+			t.Errorf("%s rejected: %v", tc.args, err)
+		case tc.wantFlag != "" && err == nil:
+			t.Errorf("%s accepted", tc.args)
+		case tc.wantFlag != "" && !strings.Contains(err.Error(), tc.wantFlag+" "):
+			t.Errorf("%s: error %q does not name %s", tc.args, err, tc.wantFlag)
 		}
 	}
 }
 
 func TestValidateRetryMode(t *testing.T) {
 	for _, ok := range []string{"", "baseline", "ort", "ort-pr", "ort-pr-ar"} {
-		if err := validateRetryMode(ok); err != nil {
+		if err := (&cubeftl.Options{RetryMode: ok}).Validate(); err != nil {
 			t.Errorf("mode %q rejected: %v", ok, err)
 		}
 	}
-	err := validateRetryMode("turbo")
+	err := (&cubeftl.Options{RetryMode: "turbo"}).Validate()
 	if err == nil {
 		t.Fatal("mode \"turbo\" accepted")
 	}
 	if !strings.Contains(err.Error(), "-retry-mode") || !strings.Contains(err.Error(), "ort-pr-ar") {
 		t.Errorf("error %q does not name the flag and the accepted modes", err)
+	}
+}
+
+// The command lines the Makefile and the README use, and the empty one,
+// describe the device the binary built for them before its flags were
+// bound from the shared table.
+func TestDeviceFromCommandLine(t *testing.T) {
+	base := cubeftl.Options{FTL: "cube", Channels: 2, DiesPerChannel: 4, BlocksPerChip: 32, Seed: 1}
+	with := func(f func(*cubeftl.Options)) cubeftl.Options { o := base; f(&o); return o }
+	for _, tc := range []struct {
+		args string
+		want cubeftl.Options
+	}{
+		{"", base},
+		{"-ftl cube -workload OLTP -requests 20000", base},
+		{"-ftl page -workload Rocks -pe 2000 -retention 12",
+			with(func(o *cubeftl.Options) { o.FTL, o.PECycles, o.RetentionMonths = "page", 2000, 12 })},
+		{"-workload Mixed -channels 4 -dies 4",
+			with(func(o *cubeftl.Options) { o.Channels, o.DiesPerChannel = 4, 4 })},
+		{"-queues hot=YCSB-C,bulk=Bulk -arb wrr -weights 8,1 -rate 0,4000 -width 6", base},
+		{"-workload Mixed -trace-out trace.json -stats-out stats.jsonl -breakdown", base},
+		{"-workload Mixed -requests 8000 -qd 16 -killdie 3 -trace-out trace.json -stats-out stats.jsonl -breakdown", base}, // make trace-demo
+		{"-blocks 16 -dies 2 -seed 42 -dieaware -retry-mode ort-pr-ar -refresh -wearlevel -pfail 0.001 -efail 0.01 -rfault 0.002 -badblocks 0.02 -ckpt-interval -1ms",
+			cubeftl.Options{FTL: "cube", Channels: 2, DiesPerChannel: 2, BlocksPerChip: 16, Seed: 42, DieAffinity: true,
+				RetryMode: "ort-pr-ar", Refresh: true, WearLevel: true, ProgramFailRate: 0.001, EraseFailRate: 0.01,
+				ReadFaultRate: 0.002, FactoryBadRate: 0.02, CkptInterval: -time.Millisecond}},
+	} {
+		c, err := parse(t, strings.Fields(tc.args)...)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if c.dev != tc.want {
+			t.Errorf("%q built\n %+v, want\n %+v", tc.args, c.dev, tc.want)
+		}
+	}
+}
+
+// cubesim accepts exactly the flags its -h listed before the device
+// flags moved into the shared table.
+func TestFlagNames(t *testing.T) {
+	const want = "age arb badblocks blocks breakdown channels ckpt-interval cpuprofile dieaware dies efail ftl killdie memprofile pe pfail powercut pprof-addr prefill prios qd queues rate record refresh requests retention retry-mode rfault seed stats-interval stats-out trace trace-out verify-mount waf-out wearlevel weights width workload"
+	var c config
+	fs := flag.NewFlagSet("cubesim", flag.ContinueOnError)
+	c.bind(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // sorted by name
+	if g := strings.Join(got, " "); g != want {
+		t.Errorf("flag set changed:\n got %s\nwant %s", g, want)
 	}
 }
 
@@ -153,7 +232,7 @@ func TestParseAge(t *testing.T) {
 			t.Errorf("parseAge(%q) = %v, want %v", tc.spec, got, tc.want)
 		}
 	}
-	for _, bad := range []string{"soon", "3", "-1y", "0mo", "xy", "-5ms"} {
+	for _, bad := range []string{"soon", "3", "-1y", "0mo", "xy", "-5ms", "Infy", "NaNy", "infmo", "nanmo"} {
 		if _, err := parseAge(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		} else if !strings.Contains(err.Error(), "-age") {

@@ -25,129 +25,120 @@ import (
 	"time"
 
 	"cubeftl"
+	"cubeftl/internal/obs"
 	"cubeftl/internal/rng"
 )
 
+// config is everything cubesim's command line sets.
+type config struct {
+	dev cubeftl.Options // the device flags; Recovery follows -powercut
+
+	wl           string
+	requests, qd int
+	prefill      bool
+	tracePath    string
+	record       string
+	age, wafOut  string
+	powercut     string
+	verifyMount  bool
+
+	// Observability and chaos (telemetry.go).
+	traceOut, statsOut string
+	statsInterval      time.Duration
+	breakdown          bool
+	killDie            int
+	profile            obs.ProfileConfig
+	statsFile          *os.File // the open -stats-out sink
+
+	// Multi-tenant mode (-queues).
+	queues, arb          string
+	weights, rate, prios string
+	width                int
+}
+
+// bind declares cubesim's flags on fs.
+func (c *config) bind(fs *flag.FlagSet) {
+	c.dev = cubeftl.Options{FTL: cubeftl.FTLCube, Channels: 2, DiesPerChannel: 4, BlocksPerChip: 32, Seed: 1}
+	c.dev.BindFlags(fs, "ftl", "channels", "dies", "dieaware", "blocks", "seed", "pe", "retention", "retry-mode",
+		"pfail", "efail", "rfault", "badblocks", "refresh", "wearlevel", "ckpt-interval")
+	fs.StringVar(&c.wl, "workload", "OLTP", "workload: "+strings.Join(cubeftl.Workloads(), ", "))
+	fs.IntVar(&c.requests, "requests", 20000, "host requests to complete")
+	fs.IntVar(&c.qd, "qd", 24, "host queue depth")
+	fs.BoolVar(&c.prefill, "prefill", true, "prefill the workload footprint before measuring")
+	fs.StringVar(&c.tracePath, "trace", "", "replay a recorded trace file instead of a synthetic workload")
+	fs.StringVar(&c.record, "record", "", "record the workload to a trace file and exit")
+	fs.StringVar(&c.queues, "queues", "", "multi-tenant mode: comma-separated tenant streams, each 'workload' or 'name=workload' (e.g. 'db=OLTP,web=Web')")
+	fs.StringVar(&c.arb, "arb", "rr", "queue arbitration: rr, wrr, prio")
+	fs.StringVar(&c.weights, "weights", "", "per-tenant WRR weights, comma-separated (e.g. '8,1')")
+	fs.StringVar(&c.rate, "rate", "", "per-tenant IOPS caps, comma-separated; 0 = unlimited (e.g. '0,20000')")
+	fs.StringVar(&c.prios, "prios", "", "per-tenant strict-priority classes, comma-separated; higher = more urgent")
+	fs.IntVar(&c.width, "width", 32, "device dispatch width shared by all tenant queues (multi-tenant mode)")
+	fs.StringVar(&c.age, "age", "", "lifetime fast-forward applied after prefill: years ('3y'), months ('18mo'), or a duration; deterministically ages wear, retention, and bad blocks from -seed")
+	fs.StringVar(&c.wafOut, "waf-out", "", "write the per-cause write-amplification ledger and erase-count quantiles to this JSON file after the run")
+	fs.StringVar(&c.powercut, "powercut", "", "crash test: cut power mid-run at a simulated duration into the run (e.g. 5ms) or at a seed-derived 'random' point, then recover by remounting")
+	fs.BoolVar(&c.verifyMount, "verify-mount", true, "after a -powercut remount, run the full-device consistency verifier (zero lost acked writes)")
+	fs.StringVar(&c.traceOut, "trace-out", "", "write a Chrome trace_event JSON file of the run (open in Perfetto)")
+	fs.StringVar(&c.statsOut, "stats-out", "", "write periodic JSONL telemetry snapshots to this file")
+	fs.DurationVar(&c.statsInterval, "stats-interval", time.Millisecond, "simulated time between -stats-out snapshots")
+	fs.BoolVar(&c.breakdown, "breakdown", false, "print per-stage latency attribution after the run")
+	fs.IntVar(&c.killDie, "killdie", -1, "chaos: make one die fail every program and erase (degrades it mid-run)")
+	c.profile.RegisterFlags(fs)
+}
+
 func main() {
-	ftlName := flag.String("ftl", cubeftl.FTLCube, "FTL flavor: page, vert, isp, cube, cube-")
-	wl := flag.String("workload", "OLTP", "workload: "+strings.Join(cubeftl.Workloads(), ", "))
-	requests := flag.Int("requests", 20000, "host requests to complete")
-	qd := flag.Int("qd", 24, "host queue depth")
-	channels := flag.Int("channels", 2, "independent NAND channels (data buses)")
-	dies := flag.Int("dies", 4, "NAND dies behind each channel")
-	dieaware := flag.Bool("dieaware", false, "die-aware dispatch: prefer queue heads targeting idle dies (multi-tenant mode)")
-	blocks := flag.Int("blocks", 32, "blocks per chip (428 = paper's full chip)")
-	seed := flag.Uint64("seed", 1, "random seed")
-	pe := flag.Int("pe", 0, "pre-aged P/E cycles (paper: 0 or 2000)")
-	retention := flag.Float64("retention", 0, "pinned retention age in months (paper: 0, 1 or 12)")
-	retryMode := flag.String("retry-mode", "", "read-retry stack: baseline (no offset caches), ort (default; the paper's flow), ort-pr (pipelined sense/decode + retry table), ort-pr-ar (ort-pr + adaptive sense termination)")
-	prefill := flag.Bool("prefill", true, "prefill the workload footprint before measuring")
-	tracePath := flag.String("trace", "", "replay a recorded trace file instead of a synthetic workload")
-	pfail := flag.Float64("pfail", 0, "program-status failure rate per word-line program")
-	efail := flag.Float64("efail", 0, "erase failure rate per block erase (grows bad blocks)")
-	rfault := flag.Float64("rfault", 0, "transient read fault rate per page read")
-	badblocks := flag.Float64("badblocks", 0, "fraction of blocks factory-marked bad at boot")
-	record := flag.String("record", "", "record the workload to a trace file and exit")
-	queues := flag.String("queues", "", "multi-tenant mode: comma-separated tenant streams, each 'workload' or 'name=workload' (e.g. 'db=OLTP,web=Web')")
-	arb := flag.String("arb", "rr", "queue arbitration: rr, wrr, prio")
-	weights := flag.String("weights", "", "per-tenant WRR weights, comma-separated (e.g. '8,1')")
-	rate := flag.String("rate", "", "per-tenant IOPS caps, comma-separated; 0 = unlimited (e.g. '0,20000')")
-	prios := flag.String("prios", "", "per-tenant strict-priority classes, comma-separated; higher = more urgent")
-	width := flag.Int("width", 32, "device dispatch width shared by all tenant queues (multi-tenant mode)")
-	ageSpec := flag.String("age", "", "lifetime fast-forward applied after prefill: years ('3y'), months ('18mo'), or a duration; deterministically ages wear, retention, and bad blocks from -seed")
-	refresh := flag.Bool("refresh", false, "retention-aware background scrubber: rewrite blocks before the ECC cliff, yielding to host traffic")
-	wearlevel := flag.Bool("wearlevel", false, "cross-block static wear leveling (implies wear-aware allocation)")
-	wafOut := flag.String("waf-out", "", "write the per-cause write-amplification ledger and erase-count quantiles to this JSON file after the run")
-	powercut := flag.String("powercut", "", "crash test: cut power mid-run at a simulated duration into the run (e.g. 5ms) or at a seed-derived 'random' point, then recover by remounting")
-	ckptInterval := flag.Duration("ckpt-interval", 0, "recovery checkpoint cadence in simulated time (0 = 20ms default, negative disables periodic checkpoints; effective with -powercut)")
-	verifyMount := flag.Bool("verify-mount", true, "after a -powercut remount, run the full-device consistency verifier (zero lost acked writes)")
-	obs := obsConfig{}
-	flag.StringVar(&obs.traceOut, "trace-out", "", "write a Chrome trace_event JSON file of the run (open in Perfetto)")
-	flag.StringVar(&obs.statsOut, "stats-out", "", "write periodic JSONL telemetry snapshots to this file")
-	flag.DurationVar(&obs.statsInterval, "stats-interval", time.Millisecond, "simulated time between -stats-out snapshots")
-	flag.BoolVar(&obs.breakdown, "breakdown", false, "print per-stage latency attribution after the run")
-	flag.IntVar(&obs.killDie, "killdie", -1, "chaos: make one die fail every program and erase (degrades it mid-run)")
-	obs.profile.RegisterFlags(flag.CommandLine)
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole program: parse, build the device, bring it to the
+// measured state (prefill, age jump), run one of the three measured
+// modes, and report. Every failure returns through here, so the
+// deferred closers run on every path.
+func run() error {
+	var c config
+	c.bind(flag.CommandLine)
 	flag.Parse()
 
-	if err := validateTopology(*channels, *dies); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := validateRetryMode(*retryMode); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	ageMonths, err := parseAge(*ageSpec)
+	ageMonths, err := parseAge(c.age)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	pc, err := parsePowercut(*powercut)
+	pc, err := parsePowercut(c.powercut)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	if err := validateRecoveryFlags(pc, *queues, *tracePath, *record); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err := validateRecoveryFlags(pc, c.queues, c.tracePath, c.record); err != nil {
+		return err
 	}
-	if err := obs.startProfiling(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	c.dev.Recovery = pc.mode != pcOff
+	if err := c.profile.Start(); err != nil {
+		return err
 	}
 	defer func() {
-		if err := obs.stopProfiling(); err != nil {
+		if err := c.profile.Stop(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	}()
-	opts := cubeftl.Options{
-		FTL:             *ftlName,
-		Channels:        *channels,
-		DiesPerChannel:  *dies,
-		DieAffinity:     *dieaware,
-		BlocksPerChip:   *blocks,
-		Seed:            *seed,
-		PECycles:        *pe,
-		RetentionMonths: *retention,
-		RetryMode:       *retryMode,
-		Refresh:         *refresh,
-		WearLevel:       *wearlevel,
-		ProgramFailRate: *pfail,
-		EraseFailRate:   *efail,
-		ReadFaultRate:   *rfault,
-		FactoryBadRate:  *badblocks,
-		Recovery:        pc.mode != pcOff,
-		CkptInterval:    *ckptInterval,
-	}
-	dev, err := cubeftl.New(opts)
+	dev, err := cubeftl.New(c.dev)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	watchSignals(dev)
-	if *record != "" {
-		f, err := os.Create(*record)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := cubeftl.RecordTrace(f, *wl, dev.LogicalPages(), *requests, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("recorded %d %s requests to %s\n", *requests, *wl, *record)
-		return
+	if c.record != "" {
+		return record(dev, &c)
 	}
 	fmt.Printf("device: %s, %.1f GiB logical, %dch x %ddie, seed %d, aging {P/E %d, %v months}\n",
-		dev.FTLName(), float64(dev.CapacityBytes())/(1<<30), *channels, *dies, *seed, *pe, *retention)
+		dev.FTLName(), float64(dev.CapacityBytes())/(1<<30), dev.Channels(), dev.DiesPerChannel(),
+		c.dev.Seed, c.dev.PECycles, c.dev.RetentionMonths)
 
-	if *prefill {
-		n := int64(dev.LogicalPages()) * 6 / 10
-		fmt.Printf("prefilling %d pages...\n", n)
-		if written := dev.Prefill(n); written < n {
-			fmt.Printf("prefill stopped early: %d/%d pages (device degraded)\n", written, n)
+	var prefilled int64
+	if c.prefill {
+		prefilled = int64(dev.LogicalPages()) * 6 / 10
+		fmt.Printf("prefilling %d pages...\n", prefilled)
+		if written := dev.Prefill(prefilled); written < prefilled {
+			fmt.Printf("prefill stopped early: %d/%d pages (device degraded)\n", written, prefilled)
 		}
 		dev.ResetStats()
 	}
@@ -161,69 +152,63 @@ func main() {
 		dev.ResetStats()
 	}
 
-	lifetimeOn := *refresh || *wearlevel || ageMonths > 0
-
 	if pc.mode != pcOff {
 		// Crash test: telemetry and the hub do not survive a remount, so
 		// the power-cut path runs without the observability layer.
-		var prefillPages int64
-		if *prefill {
-			prefillPages = int64(dev.LogicalPages()) * 6 / 10
-		}
-		if err := runPowerCut(dev, opts, *wl, *requests, *qd, prefillPages, pc, *verifyMount, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := reportWAF(dev, *wafOut, lifetimeOn); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if err := obs.startTelemetry(dev); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	if *queues != "" {
-		if err := runMultiTenant(dev, *queues, *arb, *weights, *rate, *prios, *width, *requests, *qd); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := reportWAF(dev, *wafOut, lifetimeOn); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		settle(dev)
-		if err := obs.finishTelemetry(dev); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var st cubeftl.RunStats
-	label := *wl
-	if *tracePath != "" {
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		st, err = dev.RunTrace(f, *tracePath, *requests, *qd)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		label = *tracePath
+		err = runPowerCut(dev, &c, prefilled, pc)
 	} else {
-		st, err = dev.RunWorkload(*wl, *requests, *qd)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := c.startTelemetry(dev); err != nil {
+			return err
 		}
+		defer c.closeStats()
+		if c.queues != "" {
+			err = runMultiTenant(dev, &c)
+		} else {
+			err = runSingle(dev, &c)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	if err := reportWAF(dev, c.wafOut, c.dev.Refresh || c.dev.WearLevel || ageMonths > 0); err != nil {
+		return err
+	}
+	settle(dev)
+	return c.finishTelemetry(dev)
+}
+
+// record writes the workload to the -record trace file.
+func record(dev *cubeftl.SSD, c *config) error {
+	f, err := os.Create(c.record)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := cubeftl.RecordTrace(f, c.wl, dev.LogicalPages(), c.requests, c.dev.Seed); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("recorded %d %s requests to %s\n", c.requests, c.wl, c.record)
+	return nil
+}
+
+// runSingle drives one stream — the named workload, or the -trace file —
+// and prints the run's measurements.
+func runSingle(dev *cubeftl.SSD, c *config) error {
+	label, runIt := c.wl, func() (cubeftl.RunStats, error) { return dev.RunWorkload(c.wl, c.requests, c.qd) }
+	if c.tracePath != "" {
+		f, err := os.Open(c.tracePath)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		label, runIt = c.tracePath, func() (cubeftl.RunStats, error) { return dev.RunTrace(f, c.tracePath, c.requests, c.qd) }
+	}
+	st, err := runIt()
+	if err != nil {
+		return err
 	}
 	fmt.Printf("\n%s on %s: %d requests in %v simulated\n", label, dev.FTLName(), st.Requests, st.Elapsed)
 	fmt.Printf("  IOPS        %.0f\n", st.IOPS)
@@ -247,15 +232,7 @@ func main() {
 				cs.RetryHits, cs.RetryMisses, cs.RetryStale, cs.RetryEntries)
 		}
 	}
-	if err := reportWAF(dev, *wafOut, lifetimeOn); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	settle(dev)
-	if err := obs.finishTelemetry(dev); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return nil
 }
 
 // reportWAF prints the per-cause write-amplification ledger when the
@@ -317,10 +294,10 @@ func settle(dev *cubeftl.SSD) {
 // recovery. "random" mode first measures the full run on an identical
 // probe device (same options and seed, so bit-identical timing) and
 // cuts at a seed-derived point within it.
-func runPowerCut(dev *cubeftl.SSD, opts cubeftl.Options, wl string, requests, qd int, prefillPages int64, pc powercutSpec, verify bool, seed uint64) error {
+func runPowerCut(dev *cubeftl.SSD, c *config, prefillPages int64, pc powercutSpec) error {
 	offset := pc.at
 	if pc.mode == pcRandom {
-		probe, err := cubeftl.New(opts)
+		probe, err := cubeftl.New(c.dev)
 		if err != nil {
 			return err
 		}
@@ -328,18 +305,18 @@ func runPowerCut(dev *cubeftl.SSD, opts cubeftl.Options, wl string, requests, qd
 			probe.Prefill(prefillPages)
 			probe.ResetStats()
 		}
-		full, err := probe.RunWorkload(wl, requests, qd)
+		full, err := probe.RunWorkload(c.wl, c.requests, c.qd)
 		if err != nil {
 			return err
 		}
 		// Uniform in [5%, 95%] of the measured run: never so early that
 		// nothing happened, never after the workload finished.
-		pct := 5 + rng.New(seed^0x51EE9).Intn(91)
+		pct := 5 + rng.New(c.dev.Seed^0x51EE9).Intn(91)
 		offset = full.Elapsed * time.Duration(pct) / 100
 		fmt.Printf("powercut: random cut %v into a %v run (%d%%)\n", offset, full.Elapsed, pct)
 	}
 	cut := dev.Now() + offset
-	st, err := dev.RunWorkloadUntil(wl, requests, qd, cut)
+	st, err := dev.RunWorkloadUntil(c.wl, c.requests, c.qd, cut)
 	if err != nil {
 		return err
 	}
@@ -348,8 +325,8 @@ func runPowerCut(dev *cubeftl.SSD, opts cubeftl.Options, wl string, requests, qd
 		return err
 	}
 	fmt.Printf("\nPOWER CUT at %v: %d/%d requests completed, %d logical pages durably acked\n",
-		time.Duration(cut), st.Requests, requests, acked)
-	rpt, err := dev.Remount(verify, false)
+		time.Duration(cut), st.Requests, c.requests, acked)
+	rpt, err := dev.Remount(c.verifyMount, false)
 	if err != nil {
 		return err
 	}
@@ -363,7 +340,7 @@ func runPowerCut(dev *cubeftl.SSD, opts cubeftl.Options, wl string, requests, qd
 		rpt.BlocksProbed, rpt.DiscoveredBlocks, rpt.OOBPagesScanned)
 	fmt.Printf("  %d mappings recovered (%d by OOB roll-forward), %d evacuations\n",
 		rpt.MappingsRecovered, rpt.RollForwardWins, rpt.EvacuationsQueued)
-	if verify {
+	if c.verifyMount {
 		fmt.Println("  verification PASSED: consistent L2P/OOB, zero lost acked writes")
 	}
 	return nil
@@ -371,20 +348,20 @@ func runPowerCut(dev *cubeftl.SSD, opts cubeftl.Options, wl string, requests, qd
 
 // runMultiTenant drives the comma-separated tenant streams through the
 // multi-queue host interface and prints per-tenant QoS accounting.
-func runMultiTenant(dev *cubeftl.SSD, queues, arb, weights, rate, prios string, width, requests, qd int) error {
-	tenants, err := parseTenants(queues, requests, qd)
+func runMultiTenant(dev *cubeftl.SSD, c *config) error {
+	tenants, err := parseTenants(c.queues, c.requests, c.qd)
 	if err != nil {
 		return err
 	}
-	ws, err := splitList("-weights", weights, len(tenants))
+	ws, err := splitList("-weights", c.weights, len(tenants))
 	if err != nil {
 		return err
 	}
-	rs, err := splitList("-rate", rate, len(tenants))
+	rs, err := splitList("-rate", c.rate, len(tenants))
 	if err != nil {
 		return err
 	}
-	ps, err := splitList("-prios", prios, len(tenants))
+	ps, err := splitList("-prios", c.prios, len(tenants))
 	if err != nil {
 		return err
 	}
@@ -393,12 +370,12 @@ func runMultiTenant(dev *cubeftl.SSD, queues, arb, weights, rate, prios string, 
 		tenants[i].RateIOPS = rs[i]
 		tenants[i].Priority = int(ps[i])
 	}
-	st, err := dev.RunTenants(tenants, arb, width)
+	st, err := dev.RunTenants(tenants, c.arb, c.width)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\n%d tenants, %s arbitration, dispatch width %d: %v simulated, %d grants (trace %016x)\n",
-		len(st.Tenants), arb, width, st.Elapsed, st.Grants, st.TraceHash)
+		len(st.Tenants), c.arb, c.width, st.Elapsed, st.Grants, st.TraceHash)
 	fmt.Printf("%-10s %10s %12s %12s %12s %12s %8s %9s %9s\n",
 		"tenant", "IOPS", "read p50", "read p99", "read p99.9", "write p99", "grants", "qfulls", "throttles")
 	for _, t := range st.Tenants {

@@ -1,52 +1,25 @@
 // Observability wiring for cubesim: Chrome trace export, periodic JSONL
-// telemetry snapshots, per-stage latency attribution, and Go profiling
-// hooks (-cpuprofile/-memprofile/-pprof-addr).
+// telemetry snapshots and per-stage latency attribution.
 package main
 
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"cubeftl"
-	"cubeftl/internal/obs"
 )
-
-// obsConfig collects the observability and profiling flag values.
-type obsConfig struct {
-	traceOut      string
-	statsOut      string
-	statsInterval time.Duration
-	breakdown     bool
-	killDie       int
-	profile       obs.ProfileConfig
-
-	statsFile *os.File
-}
-
-// telemetryWanted reports whether any telemetry sink was requested.
-func (o *obsConfig) telemetryWanted() bool {
-	return o.traceOut != "" || o.statsOut != "" || o.breakdown
-}
-
-// startProfiling begins CPU profiling and the pprof HTTP listener.
-// Call stopProfiling at exit.
-func (o *obsConfig) startProfiling() error { return o.profile.Start() }
-
-// stopProfiling flushes the CPU profile and writes the heap profile.
-func (o *obsConfig) stopProfiling() error { return o.profile.Stop() }
 
 // startTelemetry enables the telemetry layer on dev per the flags (after
 // prefill/ResetStats so measurements cover only the measured run) and
 // opens the stats sink. Call finishTelemetry after the run.
-func (o *obsConfig) startTelemetry(dev *cubeftl.SSD) error {
+func (o *config) startTelemetry(dev *cubeftl.SSD) error {
 	if o.killDie >= 0 {
 		if err := dev.KillDie(o.killDie); err != nil {
 			return err
 		}
 		fmt.Printf("chaos: die %d set to fail all programs and erases\n", o.killDie)
 	}
-	if !o.telemetryWanted() {
+	if o.traceOut == "" && o.statsOut == "" && !o.breakdown {
 		return nil
 	}
 	dev.EnableTelemetry(cubeftl.TelemetryConfig{Trace: o.traceOut != ""})
@@ -64,9 +37,21 @@ func (o *obsConfig) startTelemetry(dev *cubeftl.SSD) error {
 	return nil
 }
 
+// closeStats releases the stats sink on the paths that leave before
+// finishTelemetry has.
+func (o *config) closeStats() {
+	if o.statsFile != nil {
+		o.statsFile.Close()
+	}
+}
+
 // finishTelemetry drains the telemetry sinks: final stats snapshot,
-// Chrome trace file, and the stage-attribution table.
-func (o *obsConfig) finishTelemetry(dev *cubeftl.SSD) error {
+// Chrome trace file, and the stage-attribution table. Nothing to drain
+// when the layer was never started (the power-cut path).
+func (o *config) finishTelemetry(dev *cubeftl.SSD) error {
+	if !dev.TelemetryEnabled() {
+		return nil
+	}
 	if o.statsFile != nil {
 		if err := dev.CloseStats(); err != nil {
 			return err

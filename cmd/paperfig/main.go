@@ -22,7 +22,8 @@ import (
 )
 
 func main() {
-	seed := flag.Uint64("seed", 1, "root random seed (runs are deterministic per seed)")
+	dev := cubeftl.Options{Seed: 1} // the root seed of every figure's device
+	dev.BindFlags(flag.CommandLine, "seed")
 	list := flag.Bool("list", false, "list available figure ids and exit")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	blocks := flag.Int("blocks", 8, "blocks swept by "+charizeID)
@@ -49,11 +50,11 @@ func main() {
 		var err error
 		switch {
 		case id == charizeID:
-			err = charizeCSV(os.Stdout, *seed, *blocks)
+			err = charizeCSV(os.Stdout, dev.Seed, *blocks)
 		case *asJSON:
-			err = cubeftl.ReproduceFigureJSON(id, *seed, os.Stdout)
+			err = cubeftl.ReproduceFigureJSON(id, dev.Seed, os.Stdout)
 		default:
-			err = cubeftl.ReproduceFigure(id, *seed, os.Stdout)
+			err = cubeftl.ReproduceFigure(id, dev.Seed, os.Stdout)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

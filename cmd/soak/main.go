@@ -49,9 +49,9 @@ const (
 type config struct {
 	dur       time.Duration
 	clients   int
-	cuts      int // power cuts (with remount) spread over the run
-	killDie   int // dies to kill (-1 = none)
-	seed      int64
+	cuts      int             // power cuts (with remount) spread over the run
+	killDie   int             // dies to kill (-1 = none)
+	dev       cubeftl.Options // the served device; -seed also roots the harness's RNG streams
 	sloTarget time.Duration
 	ab        bool
 	slo       bool
@@ -64,7 +64,21 @@ func main() {
 	flag.IntVar(&cfg.clients, "clients", 6, "concurrent clients (>= 4; first half lat, rest bulk)")
 	flag.IntVar(&cfg.cuts, "cuts", 2, "random power cuts (each followed by recovery) per leg")
 	flag.IntVar(&cfg.killDie, "killdie", 1, "die to kill mid-run (-1 = none)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "harness RNG seed")
+	cfg.dev = cubeftl.Options{
+		FTL:            cubeftl.FTLCube,
+		Channels:       4,
+		DiesPerChannel: 2,
+		BlocksPerChip:  64,
+		Seed:           1,
+		Recovery:       true,
+		// Always-on fault chaos: transient read faults plus real
+		// program/erase failures the FTL must absorb by retiring
+		// blocks and re-issuing data.
+		ProgramFailRate: 0.0005,
+		EraseFailRate:   0.0005,
+		ReadFaultRate:   0.002,
+	}
+	cfg.dev.BindFlags(flag.CommandLine, "seed")
 	flag.DurationVar(&cfg.sloTarget, "slo-target", 2*time.Millisecond, "lat tenant read-p99 objective")
 	flag.BoolVar(&cfg.ab, "ab", false, "run twice (static weights, then SLO controller) and compare")
 	flag.BoolVar(&cfg.slo, "slo", true, "enable the SLO controller (single-leg mode)")
@@ -171,20 +185,7 @@ func runLeg(cfg config, slo bool) *legResult {
 	}
 
 	srv, err := server.New(server.Config{
-		Device: cubeftl.Options{
-			FTL:            cubeftl.FTLCube,
-			Channels:       4,
-			DiesPerChannel: 2,
-			BlocksPerChip:  64,
-			Seed:           uint64(cfg.seed),
-			Recovery:       true,
-			// Always-on fault chaos: transient read faults plus real
-			// program/erase failures the FTL must absorb by retiring
-			// blocks and re-issuing data.
-			ProgramFailRate: 0.0005,
-			EraseFailRate:   0.0005,
-			ReadFaultRate:   0.002,
-		},
+		Device: cfg.dev,
 		Tenants: []server.TenantDef{
 			{Name: tenantLat, Weight: 4, SLOReadP99: cfg.sloTarget},
 			{Name: tenantBulk, Weight: 1},
@@ -228,7 +229,7 @@ func runLeg(cfg config, slo bool) *legResult {
 			id:       i,
 			tenant:   tenant,
 			region:   [2]int64{int64(i) * regionSz, int64(i+1) * regionSz},
-			rng:      rand.New(rand.NewSource(cfg.seed + int64(i)*7919)),
+			rng:      rand.New(rand.NewSource(int64(cfg.dev.Seed) + int64(i)*7919)),
 			acked:    make(map[int64]bool),
 			readLat:  metrics.NewHist(0),
 			writeLat: metrics.NewHist(0),

@@ -26,12 +26,10 @@ import (
 	"io"
 	"time"
 
-	"cubeftl/internal/core"
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
 	"cubeftl/internal/lifetime"
 	"cubeftl/internal/nand"
-	"cubeftl/internal/recovery"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
 	"cubeftl/internal/stack"
@@ -49,83 +47,12 @@ const (
 	FTLCubeMinus = "cube-" // cubeFTL with the WAM disabled (§6.3)
 )
 
-// Options configures a simulated SSD. The zero value selects the
-// paper's configuration scaled to a small device; call DefaultOptions
-// for the full 32 GB evaluation target.
-type Options struct {
-	FTL string // one of FTLPage, FTLVert, FTLCube, FTLCubeMinus
-
-	Channels       int // independent data buses; default 2
-	DiesPerChannel int // NAND dies behind each channel; default 4
-	BlocksPerChip  int // default 64 (paper's chips have 428)
-	PlanesPerChip  int // default 1 (the paper's model); 2+ overlaps ops within a die
-	Seed           uint64
-
-	// DieAffinity makes the multi-queue host front end prefer fetching
-	// commands whose target die is idle (reads to busy dies wait while
-	// reads to idle dies dispatch), increasing array-level overlap.
-	DieAffinity bool
-
-	WriteBufferPages int // default 192
-
-	// Pre-aging (paper §6.2): wear and pinned retention for all reads.
-	PECycles        int
-	RetentionMonths float64
-
-	// SuspendOps enables program/erase suspend-resume so reads
-	// interleave with long chip operations (§8 extension).
-	SuspendOps bool
-	// WearAware spreads P/E cycles by allocating the least-worn erased
-	// block (static wear leveling).
-	WearAware bool
-	// Refresh enables the retention-aware background scrubber: blocks
-	// whose retention age or predicted E<->P1 error rate crosses the
-	// refresh policy's thresholds are rewritten before the ECC cliff.
-	// The patrol is funded by host reads so it yields to tenant traffic.
-	Refresh bool
-	// WearLevel enables cross-block static wear leveling: after a GC
-	// cycle completes, cold data is moved off the die's least-worn block
-	// when the erase-count spread exceeds the wear policy's threshold.
-	// Implies WearAware allocation.
-	WearLevel bool
-	// VerifyData turns on the end-to-end integrity oracle: tagged
-	// payloads flow through flush, GC, and read-back verification, and
-	// RunStats.DataMismatches reports violations (always zero for a
-	// correct FTL). Costs memory; intended for testing.
-	VerifyData bool
-
-	// Fault injection (deterministic, seed-derived; see internal/nand).
-	// All rates are per-operation probabilities; zero disables the
-	// mechanism. The FTL absorbs injected faults by retiring blocks and
-	// re-issuing data — see RunStats' fault counters.
-	ProgramFailRate float64 // program-status failure per word-line program
-	EraseFailRate   float64 // erase failure per block erase (grows a bad block)
-	ReadFaultRate   float64 // transient fault per page read (re-issued)
-	FactoryBadRate  float64 // fraction of blocks factory-marked bad at boot
-
-	// RetryMode selects the read-retry optimization stack (DESIGN.md
-	// §15): "baseline" (no read-offset caches, serialized retries),
-	// "ort" (the paper's per-h-layer offset cache — the default, and
-	// bit-identical to pre-pipeline traces at the same seed), "ort-pr"
-	// (ORT + pipelined sense/decode + the decaying age-aware retry
-	// table), or "ort-pr-ar" (ort-pr + adaptive early sense
-	// termination). Empty selects "ort".
-	RetryMode string
-
-	// Recovery enables the crash-consistency subsystem (DESIGN.md §12):
-	// a checkpointed and journaled system area, durable-ack semantics
-	// (host write acknowledgments wait for the write's mapping record
-	// to be durable), and the PowerCut/Remount cycle.
-	Recovery bool
-	// CkptInterval is the periodic checkpoint cadence in simulated time
-	// (0 selects the 20ms default; negative disables periodic
-	// checkpoints). Meaningful only with Recovery.
-	CkptInterval time.Duration
-}
-
-// RetryModes lists the accepted Options.RetryMode values in increasing
-// optimization order.
-func RetryModes() []string { return append([]string(nil), core.RetryModeNames...) }
+// Options configures a simulated SSD: it is the device description
+// every layer shares (stack.Spec), so what the binaries parse from
+// their flags, what New builds and what Remount rebuilds are one value.
+// The zero value selects the paper's configuration scaled to a small
+// device; call DefaultOptions for the full 32 GB evaluation target.
+type Options = stack.Spec
 
 // DefaultOptions returns the paper's full evaluation device (2 buses x
 // 4 chips x 428 blocks ~= 31.5 GB) running cubeFTL.
@@ -145,71 +72,37 @@ func DefaultOptions() Options {
 type SSD struct {
 	// st is the built device stack; eng, dev and ctrl are shorthands
 	// into it, replaced together by Remount (see adopt).
-	st          *stack.Stack
-	eng         *sim.Engine
-	dev         *ssd.Device
-	ctrl        *ftl.Controller
-	dieAffinity bool
-	hub         *telemetry.Hub     // nil until EnableTelemetry
-	sampler     *telemetry.Sampler // nil until StartStats
+	st      *stack.Stack
+	eng     *sim.Engine
+	dev     *ssd.Device
+	ctrl    *ftl.Controller
+	hub     *telemetry.Hub     // nil until EnableTelemetry
+	sampler *telemetry.Sampler // nil until StartStats
 
-	// Crash-consistency state (Options.Recovery). outstanding counts
-	// facade-issued host ops not yet completed (Run's stop condition —
-	// the manager's checkpoint timer keeps the event queue non-empty
-	// forever, so Run cannot wait for queue drain).
-	mgr          *recovery.Manager
-	ckptInterval time.Duration
-	outstanding  int
-	onIODone     func() // completion of a facade I/O issued without a callback
+	// outstanding counts facade-issued host ops not yet completed (Run's
+	// stop condition under Options.Recovery — the manager's checkpoint
+	// timer keeps the event queue non-empty forever, so Run cannot wait
+	// for queue drain).
+	outstanding int
+	onIODone    func() // completion of a facade I/O issued without a callback
 }
 
 // New builds a simulated SSD.
 func New(opts Options) (*SSD, error) {
-	st, err := stack.Build(stack.Spec{
-		FTL:             opts.FTL,
-		Channels:        opts.Channels,
-		DiesPerChannel:  opts.DiesPerChannel,
-		BlocksPerChip:   opts.BlocksPerChip,
-		PlanesPerChip:   opts.PlanesPerChip,
-		Seed:            opts.Seed,
-		BufferPages:     opts.WriteBufferPages,
-		PECycles:        opts.PECycles,
-		RetentionMonths: opts.RetentionMonths,
-		SuspendOps:      opts.SuspendOps,
-		WearAware:       opts.WearAware,
-		Refresh:         opts.Refresh,
-		WearLevel:       opts.WearLevel,
-		VerifyData:      opts.VerifyData,
-		DurableAcks:     opts.Recovery,
-		Faults: nand.FaultConfig{
-			ProgramFailRate: opts.ProgramFailRate,
-			EraseFailRate:   opts.EraseFailRate,
-			ReadFaultRate:   opts.ReadFaultRate,
-			FactoryBadRate:  opts.FactoryBadRate,
-		},
-		RetryMode: opts.RetryMode,
-	})
+	st, err := stack.Build(opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &SSD{dieAffinity: opts.DieAffinity, ckptInterval: opts.CkptInterval}
-	s.adopt(st)
+	s := &SSD{st: st}
+	st.HostBusy = func() bool { return s.outstanding > 0 }
 	s.onIODone = func() { s.outstanding-- }
-	if opts.Recovery {
-		s.mgr = recovery.Attach(s.ctrl, recovery.NewSystemArea(), recovery.Options{
-			CkptIntervalNs: sim.Time(opts.CkptInterval),
-			Ledger:         recovery.NewLedger(),
-		})
-	}
+	s.adopt()
 	return s, nil
 }
 
-// adopt makes st the device's stack (at build, and again after a
-// recovery mount replaced the volatile half).
-func (s *SSD) adopt(st *stack.Stack) {
-	st.HostBusy = func() bool { return s.outstanding > 0 }
-	s.st, s.eng, s.dev, s.ctrl = st, st.Eng, st.Dev, st.Ctrl
-}
+// adopt re-reads the shorthands from the stack (at build, and again
+// after a recovery mount replaced its volatile half).
+func (s *SSD) adopt() { s.eng, s.dev, s.ctrl = s.st.Eng, s.st.Dev, s.st.Ctrl }
 
 // Channels returns the device's channel (bus) count.
 func (s *SSD) Channels() int { return s.dev.Channels() }
@@ -243,8 +136,12 @@ var ErrDegraded = ftl.ErrDegraded
 // Write enqueues a host page write; done (optional) runs in simulated
 // time when the write is acknowledged. Call Run to advance the
 // simulation. A degraded (read-only) device rejects writes with
-// ErrDegraded.
+// ErrDegraded, a powered-off one (PowerCut, until Remount) all I/O with
+// ErrPowerLost.
 func (s *SSD) Write(lpn int64, done func()) error {
+	if err := s.st.Up(); err != nil {
+		return err
+	}
 	if lpn < 0 || lpn >= int64(s.ctrl.LogicalPages()) {
 		return fmt.Errorf("%w: %d", ErrBadLPN, lpn)
 	}
@@ -284,6 +181,9 @@ func (s *SSD) DegradedDieCount() int { return s.ctrl.DegradedDieCount() }
 // Read enqueues a host page read; done (optional) runs in simulated
 // time when data is returned.
 func (s *SSD) Read(lpn int64, done func()) error {
+	if err := s.st.Up(); err != nil {
+		return err
+	}
 	if lpn < 0 || lpn >= int64(s.ctrl.LogicalPages()) {
 		return fmt.Errorf("%w: %d", ErrBadLPN, lpn)
 	}
@@ -294,7 +194,10 @@ func (s *SSD) Read(lpn int64, done func()) error {
 
 // Run advances the simulation until all queued host I/O has completed.
 func (s *SSD) Run() {
-	if s.mgr != nil {
+	if s.st.Up() != nil {
+		return // the cut engine's queue is what the power cut destroyed
+	}
+	if s.st.Mgr != nil {
 		// The recovery manager's checkpoint timer keeps the event queue
 		// populated forever, so run by condition, not by queue drain.
 		s.eng.RunWhile(func() bool { return s.outstanding > 0 || !s.ctrl.Drained() })
@@ -307,8 +210,12 @@ func (s *SSD) Run() {
 // Prefill sequentially writes logical pages [0, n) so subsequent reads
 // hit mapped flash and the device reaches steady state. It returns the
 // pages actually written: fewer than n if the device degraded to
-// read-only (or n exceeded the logical capacity) mid-prefill.
+// read-only (or n exceeded the logical capacity) mid-prefill, none on a
+// device without power.
 func (s *SSD) Prefill(n int64) int64 {
+	if s.st.Up() != nil {
+		return 0
+	}
 	return workload.Prefill(s.ctrl, n)
 }
 
@@ -363,13 +270,15 @@ type RunStats struct {
 // RunWorkload drives one of the named workloads (see Workloads) against
 // the SSD for the given number of requests at the given queue depth.
 func (s *SSD) RunWorkload(name string, requests, queueDepth int) (RunStats, error) {
-	prof, ok := workload.ByName(name)
-	if !ok {
-		return RunStats{}, fmt.Errorf("cubeftl: unknown workload %q (have %v)", name, Workloads())
+	return s.RunWorkloadUntil(name, requests, queueDepth, 0)
+}
+
+// run drives gen closed-loop against the device, if it has power.
+func (s *SSD) run(gen workload.Generator, cfg workload.RunConfig) (RunStats, error) {
+	if err := s.st.Up(); err != nil {
+		return RunStats{}, err
 	}
-	gen := workload.NewStream(prof, s.ctrl.LogicalPages(), s.dev.Config().Seed+0xABCD)
-	res := workload.Run(s.ctrl, gen, workload.RunConfig{Requests: requests, QueueDepth: queueDepth})
-	return s.runStats(res), nil
+	return s.runStats(workload.Run(s.ctrl, gen, cfg)), nil
 }
 
 // runStats assembles a run's RunStats from what the host side measured
@@ -477,6 +386,9 @@ type MultiTenantStats struct {
 // contended resource QoS divides; 0 defaults to the sum of queue
 // depths.
 func (s *SSD) RunTenants(tenants []TenantConfig, arb string, dispatchWidth int) (MultiTenantStats, error) {
+	if err := s.st.Up(); err != nil {
+		return MultiTenantStats{}, err
+	}
 	if len(tenants) == 0 {
 		return MultiTenantStats{}, fmt.Errorf("cubeftl: no tenants")
 	}
@@ -507,7 +419,7 @@ func (s *SSD) RunTenants(tenants []TenantConfig, arb string, dispatchWidth int) 
 			Gen:      workload.NewStream(prof, s.ctrl.LogicalPages(), seed),
 			Requests: requests,
 			Queue: host.QueueConfig{
-				Tenant:   name,
+				Name:     name,
 				Depth:    depth,
 				Weight:   tc.Weight,
 				Priority: tc.Priority,
@@ -518,7 +430,7 @@ func (s *SSD) RunTenants(tenants []TenantConfig, arb string, dispatchWidth int) 
 	mr, err := workload.RunTenants(s.ctrl, specs, workload.MultiRunConfig{
 		Arbiter:       arbiter,
 		DispatchWidth: dispatchWidth,
-		DieAffinity:   s.dieAffinity,
+		DieAffinity:   s.st.Spec.DieAffinity,
 	})
 	if err != nil {
 		return MultiTenantStats{}, err

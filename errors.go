@@ -14,6 +14,7 @@ import (
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
 	"cubeftl/internal/ssd"
+	"cubeftl/internal/stack"
 )
 
 // Aliases of the internal typed errors. Each is the same error value
@@ -33,6 +34,11 @@ var (
 	// degraded to read-only. The FTL requeues such writes to healthy
 	// dies, so a client seeing this transiently should retry.
 	ErrDieFenced = ssd.ErrDieFenced
+
+	// ErrPowerLost reports host I/O offered to a device between PowerCut
+	// and Remount. Nothing was queued; the request is for whoever
+	// remounts the device to re-issue, not for a retry loop.
+	ErrPowerLost = stack.ErrPowerLost
 )
 
 // Retryable classifies err as transient: the same request can succeed
@@ -46,10 +52,11 @@ func Retryable(err error) bool {
 
 // Terminal classifies err as permanent for the issuing client: retrying
 // the identical request cannot succeed (out-of-range LPN, nonexistent
-// queue, a device-wide read-only degrade, configuration errors). False
-// for unknown errors.
+// queue, a device-wide read-only degrade, a powered-off device,
+// configuration errors). False for unknown errors.
 func Terminal(err error) bool {
 	return errors.Is(err, ftl.ErrBadLPN) || errors.Is(err, ErrBadLPN) ||
 		errors.Is(err, host.ErrBadQueue) || errors.Is(err, ftl.ErrDegraded) ||
-		errors.Is(err, host.ErrUnknownArbiter) || errors.Is(err, host.ErrNoQueues)
+		errors.Is(err, host.ErrUnknownArbiter) || errors.Is(err, host.ErrNoQueues) ||
+		errors.Is(err, ErrPowerLost)
 }

@@ -23,7 +23,7 @@ func FigureIDs() []string {
 func evalOpts(seed uint64, pe int, retention float64) experiment.SSDOpts {
 	o := experiment.DefaultSSDOpts()
 	o.Seed = seed
-	o.PE, o.RetentionMonths = pe, retention
+	o.PECycles, o.RetentionMonths = pe, retention
 	return o
 }
 

@@ -73,8 +73,7 @@ func (s *SSD) ReplayTrace(name string, r io.Reader, opt TraceReplayOptions) (Run
 	if depth <= 0 {
 		depth = 32
 	}
-	res := workload.Run(s.ctrl, tr.ToTrace(true), workload.RunConfig{Requests: tr.Len(), QueueDepth: depth})
-	return s.runStats(res), nil
+	return s.run(tr.ToTrace(true), workload.RunConfig{Requests: tr.Len(), QueueDepth: depth})
 }
 
 // Placement policy names accepted by FleetOptions.Placement.
@@ -84,102 +83,40 @@ const (
 	PlacementCapacity = fleet.PlaceCapacity
 )
 
-// Cache replacement policy names accepted by FleetOptions.CachePolicy.
+// Cache replacement policies and write disciplines accepted by
+// FleetOptions.Cache (Policy, Mode).
 const (
-	CacheLRU = cache.PolicyLRU
-	Cache2Q  = cache.Policy2Q
+	CacheLRU          = cache.PolicyLRU
+	Cache2Q           = cache.Policy2Q
+	CacheWriteThrough = cache.WriteThrough // the default
+	CacheWriteBack    = cache.WriteBack
 )
 
-// FleetOptions configures a sharded fleet run. The zero value selects
+// FleetOptions configures a sharded fleet run: the fleet's own
+// configuration (see fleet.Config for every field; Policy takes any
+// Options.FTL name, Cache.SizePages > 0 enables each shard's host-side
+// DRAM cache) plus where its time series goes. The zero value selects
 // 4 shards x 1024 tenants of cubeFTL devices with caching disabled.
 type FleetOptions struct {
-	Shards    int    // independent simulated SSDs (default 4)
-	Tenants   int    // logical tenants across the fleet (default 1024)
-	Placement string // PlacementHash (default) | PlacementRange | PlacementCapacity
-	Seed      uint64 // roots per-shard device seeds and placement (default 1)
-
-	FTL            string // any Options.FTL name; FTLCube by default
-	BlocksPerChip  int    // per-shard device scale (default 16)
-	Channels       int    // 0 = device default (2)
-	DiesPerChannel int    // 0 = device default (4)
-
-	// CapacityJitter / AgeJitter vary each shard's blocks-per-chip /
-	// P/E count by up to the given fraction (seed-derived).
-	CapacityJitter  float64
-	PE              int
-	RetentionMonths float64
-	AgeJitter       float64
-
-	QueuesPerShard int // host queue pairs per shard (default 8)
-	QueueDepth     int // per-queue depth (default 32)
-
-	// CachePages enables each shard's host-side DRAM cache (per-shard
-	// capacity in 16 KB pages; 0 disables).
-	CachePages  int
-	CachePolicy string // CacheLRU (default) | Cache2Q
-	CacheMode   string // "through" (default) | "back"
-	// CacheHitLatency is the DRAM service time charged to cache hits
-	// (default 2 us).
-	CacheHitLatency time.Duration
-
-	// PrefillPages sequentially maps the first N pages of every shard
-	// before replay (0 = none).
-	PrefillPages int64
-	// Repeat replays the trace N times back to back (default 1);
-	// MaxRequests bounds the fleet-wide request count (0 = all).
-	Repeat      int
-	MaxRequests int
-
-	// SampleInterval enables per-shard sim-clock sampling; the shard
-	// streams merge into a deterministic fleet time series written to
-	// StatsOut as JSONL. Defaults to 1ms when a sink is attached but no
-	// interval given; 0 with no sink disables sampling.
-	SampleInterval time.Duration
+	fleet.Config
 	// StatsOut receives the merged fleet series, one JSON object per
-	// sampling interval (nil = discard the series).
+	// SampleIntervalNs of simulated time (nil = discard the series). The
+	// interval defaults to 1ms when a sink — this or Obs — is attached
+	// and none is given; 0 with no sink disables sampling.
 	StatsOut io.Writer
 	// Obs attaches a live /metrics endpoint (StartFleetObs) that serves
 	// each shard's latest sample while the run is in flight.
 	Obs *FleetObs
 }
 
-// FleetShardStats is one shard's summary of a fleet run.
-type FleetShardStats struct {
-	Shard     int
-	Tenants   int
-	Requests  int64
-	HitRate   float64
-	GCRuns    int64
-	TraceHash uint64
-	Degraded  bool
-}
-
-// FleetStats summarizes a fleet run. Report is the deterministic
-// byte-stable rendering (fixed seed + trace => identical bytes); Wall
-// is the measured host wall-clock time and is excluded from Report.
-type FleetStats struct {
-	Report   string
-	Requests int64
-	Reads    int64
-	Writes   int64
-
-	HitRate     float64
-	FlushWrites int64
-
-	ReadP50, ReadP99   time.Duration
-	WriteP50, WriteP99 time.Duration
-
-	SimElapsed time.Duration
-	Wall       time.Duration
-	// TraceHash chains every shard's arbitration hash in shard order.
-	TraceHash uint64
-
-	// SeriesSamples is the number of merged fleet time-series rows
-	// collected (0 unless SampleInterval/StatsOut/Obs enabled sampling).
-	SeriesSamples int
-
-	Shards []FleetShardStats
-}
+// FleetStats is a fleet run's result (fleet.Result): Report() is the
+// deterministic byte-stable rendering (fixed seed + trace => identical
+// bytes); WallNs, the measured host wall-clock time, is excluded from
+// it. ReadLat / WriteLat merge every shard's latency distribution,
+// TraceHash chains every shard's arbitration hash in shard order, Series
+// holds the merged time series (empty unless sampling was on) and Shards
+// the per-shard summaries.
+type FleetStats = fleet.Result
 
 // FleetObs is a live observability endpoint for a fleet run: while the
 // shards replay, /metrics serves each shard's most recent sim-clock
@@ -211,51 +148,15 @@ func (o *FleetObs) Addr() string { return o.srv.Addr() }
 // Close shuts the endpoint down.
 func (o *FleetObs) Close() error { return o.srv.Close() }
 
-func (o FleetOptions) toConfig() (fleet.Config, error) {
-	mode, err := cache.ParseMode(o.CacheMode)
-	if err != nil {
-		return fleet.Config{}, err
-	}
-	return fleet.Config{
-		Shards:          o.Shards,
-		Tenants:         o.Tenants,
-		Placement:       o.Placement,
-		Seed:            o.Seed,
-		Policy:          o.FTL,
-		BlocksPerChip:   o.BlocksPerChip,
-		Channels:        o.Channels,
-		DiesPerChannel:  o.DiesPerChannel,
-		CapacityJitter:  o.CapacityJitter,
-		PE:              o.PE,
-		RetentionMonths: o.RetentionMonths,
-		AgeJitter:       o.AgeJitter,
-		QueuesPerShard:  o.QueuesPerShard,
-		QueueDepth:      o.QueueDepth,
-		Cache: cache.Config{
-			SizePages: o.CachePages,
-			Policy:    o.CachePolicy,
-			Mode:      mode,
-		},
-		CacheHitNs:   int64(o.CacheHitLatency),
-		PrefillPages: o.PrefillPages,
-		Repeat:       o.Repeat,
-		MaxRequests:  o.MaxRequests,
-	}, nil
-}
-
 // RunFleet parses a block trace from r and replays it across a fleet
 // of opts.Shards simulated SSDs (each on its own goroutine), mapping
 // synthesized tenants onto shards by the configured placement policy.
-func RunFleet(opts FleetOptions, traceName string, r io.Reader, topt TraceReplayOptions) (FleetStats, error) {
+func RunFleet(opts FleetOptions, traceName string, r io.Reader, topt TraceReplayOptions) (*FleetStats, error) {
 	tr, err := topt.parse(traceName, r)
 	if err != nil {
-		return FleetStats{}, err
+		return nil, err
 	}
-	cfg, err := opts.toConfig()
-	if err != nil {
-		return FleetStats{}, err
-	}
-	cfg.SampleIntervalNs = int64(opts.SampleInterval)
+	cfg := opts.Config
 	if cfg.SampleIntervalNs <= 0 && (opts.StatsOut != nil || opts.Obs != nil) {
 		cfg.SampleIntervalNs = int64(time.Millisecond)
 	}
@@ -263,40 +164,8 @@ func RunFleet(opts FleetOptions, traceName string, r io.Reader, topt TraceReplay
 		cfg.Live = opts.Obs.live
 	}
 	res, err := fleet.Run(cfg, tr)
-	if err != nil {
-		return FleetStats{}, err
+	if err == nil && opts.StatsOut != nil {
+		err = res.SeriesJSONL(opts.StatsOut)
 	}
-	out := FleetStats{
-		Report:      res.Report(),
-		Requests:    res.Requests,
-		Reads:       res.Reads,
-		Writes:      res.Writes,
-		HitRate:     res.HitRate(),
-		FlushWrites: res.FlushWrites,
-		ReadP50:     time.Duration(res.ReadLat.Percentile(50)),
-		ReadP99:     time.Duration(res.ReadLat.Percentile(99)),
-		WriteP50:    time.Duration(res.WriteLat.Percentile(50)),
-		WriteP99:    time.Duration(res.WriteLat.Percentile(99)),
-		SimElapsed:  time.Duration(res.SimElapsedNs),
-		Wall:        time.Duration(res.WallNs),
-		TraceHash:   res.TraceHash,
-	}
-	out.SeriesSamples = len(res.Series)
-	if opts.StatsOut != nil {
-		if err := res.SeriesJSONL(opts.StatsOut); err != nil {
-			return FleetStats{}, err
-		}
-	}
-	for _, s := range res.Shards {
-		out.Shards = append(out.Shards, FleetShardStats{
-			Shard:     s.Shard,
-			Tenants:   s.Tenants,
-			Requests:  s.Requests,
-			HitRate:   s.CacheStats.HitRate(),
-			GCRuns:    s.GCCount,
-			TraceHash: s.TraceHash,
-			Degraded:  s.Degraded,
-		})
-	}
-	return out, nil
+	return res, err
 }

@@ -13,34 +13,20 @@ import (
 
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
-	"cubeftl/internal/pool"
 	"cubeftl/internal/ssd"
 )
 
-// QueueSpec describes one tenant queue pair of a persistent front end.
-type QueueSpec struct {
-	// Name labels the tenant (defaults to "q<index>").
-	Name string
-	// Depth bounds outstanding commands; submissions beyond it fail
-	// with ErrQueueFull (default 32).
-	Depth int
-	// Weight is the WRR share (>= 1; "wrr" arbiter).
-	Weight int
-	// Priority is the strict-priority class ("prio" arbiter).
-	Priority int
-	// RateIOPS token-bucket rate limits the tenant; 0 = unlimited.
-	RateIOPS float64
-}
+// QueueSpec describes one tenant queue pair of a persistent front end:
+// Name (default "q<index>"), Depth (default 32; submissions beyond it
+// fail with ErrQueueFull), Weight ("wrr"), Priority ("prio"), RateIOPS
+// (0 = unlimited) and the token bucket's BurstIOs.
+type QueueSpec = host.QueueConfig
 
-// IOCompletion reports one finished front-end command.
-type IOCompletion struct {
-	// Latency is the host-visible latency: submission-queue wait plus
-	// device service, in simulated time.
-	Latency time.Duration
-	// RejectedPages counts pages a degraded (read-only) device refused;
-	// they complete immediately without touching media.
-	RejectedPages int
-}
+// IOCompletion reports one finished front-end command: LatencyNs is the
+// host-visible latency (submission-queue wait plus device service, in
+// simulated time), RejectedPages counts pages a degraded (read-only)
+// device refused — they complete immediately without touching media.
+type IOCompletion = host.Completion
 
 // TenantSnapshot is a point-in-time view of one tenant queue, for SLO
 // controllers and operator dashboards. Percentiles are cumulative over
@@ -66,45 +52,8 @@ type TenantSnapshot struct {
 // come from the goroutine that owns the simulation. A FrontEnd does not
 // survive Remount — attach a fresh one after recovery.
 type FrontEnd struct {
-	s    *SSD
-	h    *host.Host
-	cmds pool.FreeList[feCmd]
-}
-
-// feCmd carries one command's completion callback across the host
-// layer: a pooled record whose host-side callback is bound once, in
-// place of a closure per command.
-type feCmd struct {
-	f    *FrontEnd
-	live bool
-	done func(IOCompletion)
-
-	onDone func(host.Completion)
-}
-
-func (f *FrontEnd) getCmd(done func(IOCompletion)) *feCmd {
-	a := f.cmds.Get()
-	if a == nil {
-		a = &feCmd{f: f}
-		a.onDone = a.complete
-	}
-	a.live, a.done = true, done
-	return a
-}
-
-func (a *feCmd) release() func(IOCompletion) {
-	done := a.done
-	a.live, a.done = false, nil
-	a.f.cmds.Put(a)
-	return done
-}
-
-func (a *feCmd) complete(c host.Completion) {
-	pool.CheckLive(a.live, "front-end command")
-	a.release()(IOCompletion{
-		Latency:       time.Duration(c.LatencyNs),
-		RejectedPages: c.RejectedPages,
-	})
+	s *SSD
+	h *host.Host
 }
 
 // AttachFrontEnd builds a persistent multi-queue front end over the
@@ -112,28 +61,15 @@ func (a *feCmd) complete(c host.Completion) {
 // ArbWRR, ArbPrio). dispatchWidth bounds commands concurrently
 // outstanding at the device across all queues (0 = sum of depths).
 func (s *SSD) AttachFrontEnd(queues []QueueSpec, arb string, dispatchWidth int) (*FrontEnd, error) {
-	if len(queues) == 0 {
-		return nil, host.ErrNoQueues
-	}
 	arbiter, err := host.NewArbiter(arb, int64(DefaultStarvationGuard))
 	if err != nil {
 		return nil, err
 	}
-	qcs := make([]host.QueueConfig, len(queues))
-	for i, q := range queues {
-		qcs[i] = host.QueueConfig{
-			Tenant:   q.Name,
-			Depth:    q.Depth,
-			Weight:   q.Weight,
-			Priority: q.Priority,
-			RateIOPS: q.RateIOPS,
-		}
-	}
 	h, err := host.New(s.ctrl, host.Config{
-		Queues:        qcs,
+		Queues:        queues,
 		Arb:           arbiter,
 		DispatchWidth: dispatchWidth,
-		DieAffinity:   s.dieAffinity,
+		DieAffinity:   s.st.Spec.DieAffinity,
 	})
 	if err != nil {
 		return nil, err
@@ -146,9 +82,12 @@ func (s *SSD) AttachFrontEnd(queues []QueueSpec, arb string, dispatchWidth int) 
 // runs in simulated time when the command completes — under
 // Options.Recovery a write completes only once its mapping record is
 // durable, so done doubles as the durable-ack signal. Errors are
-// synchronous admission failures: ErrQueueFull (retryable), ErrBadQueue
-// or ErrBadLPN (terminal).
+// synchronous admission failures: ErrQueueFull (retryable), ErrBadQueue,
+// ErrBadLPN or ErrPowerLost (terminal).
 func (f *FrontEnd) Submit(queue int, write bool, lpn int64, pages int, done func(IOCompletion)) error {
+	if err := f.s.st.Up(); err != nil {
+		return err
+	}
 	if pages < 1 {
 		pages = 1
 	}
@@ -159,15 +98,7 @@ func (f *FrontEnd) Submit(queue int, write bool, lpn int64, pages int, done func
 	if write {
 		op = host.Write
 	}
-	if done == nil {
-		return f.h.Submit(queue, host.Command{Op: op, LPN: lpn, Pages: pages})
-	}
-	a := f.getCmd(done)
-	err := f.h.Submit(queue, host.Command{Op: op, LPN: lpn, Pages: pages, Done: a.onDone})
-	if err != nil {
-		a.release()
-	}
-	return err
+	return f.h.Submit(queue, host.Command{Op: op, LPN: lpn, Pages: pages, Done: done})
 }
 
 // Outstanding returns commands submitted but not yet completed.
@@ -176,12 +107,20 @@ func (f *FrontEnd) Outstanding() int { return f.h.Outstanding() }
 // Pump advances the simulation until every submitted command has
 // completed and the controller has quiesced, delivering completions
 // along the way. A live server calls this after each submission batch.
-func (f *FrontEnd) Pump() { f.h.Drain() }
+func (f *FrontEnd) Pump() {
+	if f.s.st.Up() == nil {
+		f.h.Drain()
+	}
+}
 
 // PumpTo advances the simulation only until at most target commands
 // remain outstanding, preserving a standing backlog so tenants contend
 // for grants. Call Pump (full drain) once traffic stops arriving.
-func (f *FrontEnd) PumpTo(target int) { f.h.DrainTo(target) }
+func (f *FrontEnd) PumpTo(target int) {
+	if f.s.st.Up() == nil {
+		f.h.DrainTo(target)
+	}
+}
 
 // SetWeight changes a tenant's WRR weight online (clamped to >= 1).
 func (f *FrontEnd) SetWeight(queue, weight int) error { return f.h.SetWeight(queue, weight) }
@@ -245,10 +184,13 @@ func (s *SSD) Interrupted() bool { return s.eng.Interrupted() }
 // knowing the next Mount starts from a zero-age checkpoint. Front-end
 // commands are not drained here; call FrontEnd.Pump first.
 func (s *SSD) Quiesce() {
+	if s.st.Up() != nil {
+		return // nothing left to make durable; Remount starts a new engine
+	}
 	s.eng.ClearInterrupt()
 	s.eng.RunWhile(func() bool { return s.outstanding > 0 || !s.ctrl.Drained() })
-	if s.mgr != nil {
-		s.mgr.CheckpointNow()
-		s.eng.RunWhile(func() bool { return !s.mgr.Quiesced() })
+	if mgr := s.st.Mgr; mgr != nil {
+		mgr.CheckpointNow()
+		s.eng.RunWhile(func() bool { return !mgr.Quiesced() })
 	}
 }

@@ -45,9 +45,8 @@ func (r *AblationResult) Table() *Table {
 func cubeWith(opts SSDOpts, mutate func(*core.Config)) *stack.Stack {
 	cfg := core.DefaultConfig()
 	mutate(&cfg)
-	s := opts.spec(PolicyCube)
-	s.Cube = &cfg
-	return mustBuild(s)
+	opts.Cube = &cfg
+	return mustBuild(opts.Spec, PolicyCube)
 }
 
 // AblationMuThreshold sweeps the WAM's mu_TH on the bursty OLTP
@@ -117,7 +116,7 @@ func AblationProgramOrder(opts SSDOpts) *AblationResult {
 // re-read-heavy access (the Fig 14 sweep) and once tolerances shrink
 // below the inter-layer drift spread.
 func AblationORTGranularity(opts SSDOpts) *AblationResult {
-	opts.PE, opts.RetentionMonths = 2000, 1
+	opts.PECycles, opts.RetentionMonths = 2000, 1
 	r := &AblationResult{
 		Title: "Ablation: ORT granularity at mid-life (Proxy)",
 		Knob:  "granularity",
@@ -143,7 +142,7 @@ func AblationORTGranularity(opts SSDOpts) *AblationResult {
 // surges) and compares the §4.1.4 safety check on and off: without it,
 // disturbed word lines keep degraded data and reads pay for it.
 func AblationSafetyCheck(opts SSDOpts) *AblationResult {
-	opts.PE, opts.RetentionMonths = 2000, 6
+	opts.PECycles, opts.RetentionMonths = 2000, 6
 	const disturbProb = 0.02
 	r := &AblationResult{
 		Title: "Ablation: safety check under 2% program disturbance (Mongo, aged)",

@@ -25,47 +25,23 @@ const (
 // EvalPolicies is Fig 17's lineup; Fig 18 adds cubeFTL-.
 var EvalPolicies = []PolicyKind{PolicyPage, PolicyVert, PolicyCube}
 
-// SSDOpts shapes an SSD evaluation run. The evaluation uses a scaled-
-// down device (fewer blocks per chip) for tractable runtimes, the same
-// way the paper capped its platform at 32 GB "for fast evaluation".
+// SSDOpts shapes an SSD evaluation run: the device (its FTL is the
+// policy under test, set per run) and the measured stream. The
+// evaluation uses a scaled-down device (fewer blocks per chip) for
+// tractable runtimes, the same way the paper capped its platform at
+// 32 GB "for fast evaluation".
 type SSDOpts struct {
-	BlocksPerChip int
-	BufferPages   int
-	Requests      int
-	QueueDepth    int
-	Seed          uint64
-
-	// Aging state (paper §6.2): pre-cycled P/E count and pinned
-	// retention age for all reads.
-	PE              int
-	RetentionMonths float64
-
-	// SuspendOps enables program/erase suspend-resume on the chips
-	// (the §8 deterministic-latency extension).
-	SuspendOps bool
-	// PlanesPerChip splits each die into independent planes (0/1 = the
-	// paper's single-plane model).
-	PlanesPerChip int
-
-	// Channels × DiesPerChannel sets the backend topology (0 keeps the
-	// device default). Used by the ext-parallel scaling study.
-	Channels       int
-	DiesPerChannel int
-
-	// RetryMode selects the read-retry optimization stack ("baseline",
-	// "ort", "ort-pr", "ort-pr-ar"; empty = "ort" — the historical
-	// default flow). See core.RetrySetupFor.
-	RetryMode string
+	stack.Spec
+	Requests   int
+	QueueDepth int
 }
 
 // DefaultSSDOpts returns the evaluation defaults (fresh state).
 func DefaultSSDOpts() SSDOpts {
 	return SSDOpts{
-		BlocksPerChip: 32,
-		BufferPages:   256,
-		Requests:      12000,
-		QueueDepth:    24,
-		Seed:          1,
+		Spec:       stack.Spec{BlocksPerChip: 32, WriteBufferPages: 256, Seed: 1},
+		Requests:   12000,
+		QueueDepth: 24,
 	}
 }
 
@@ -92,27 +68,11 @@ type RunOutcome struct {
 // IOPS is the outcome's throughput.
 func (o RunOutcome) IOPS() float64 { return o.Result.IOPS() }
 
-// spec maps the evaluation options onto the device stack they describe,
-// running the given FTL.
-func (o SSDOpts) spec(kind PolicyKind) stack.Spec {
-	return stack.Spec{
-		FTL:             string(kind),
-		Channels:        o.Channels,
-		DiesPerChannel:  o.DiesPerChannel,
-		BlocksPerChip:   o.BlocksPerChip,
-		PlanesPerChip:   o.PlanesPerChip,
-		Seed:            o.Seed,
-		BufferPages:     o.BufferPages,
-		PECycles:        o.PE,
-		RetentionMonths: o.RetentionMonths,
-		SuspendOps:      o.SuspendOps,
-		RetryMode:       o.RetryMode,
-	}
-}
-
-// mustBuild builds a stack from a spec the experiment drivers wrote
-// themselves: they hard-code the FTL and retry-mode names.
-func mustBuild(s stack.Spec) *stack.Stack {
+// mustBuild builds the device running the given FTL, from a spec the
+// experiment drivers wrote themselves: they hard-code the FTL and
+// retry-mode names.
+func mustBuild(s stack.Spec, kind PolicyKind) *stack.Stack {
+	s.FTL = string(kind)
 	st, err := stack.Build(s)
 	if err != nil {
 		panic(err)
@@ -123,7 +83,7 @@ func mustBuild(s stack.Spec) *stack.Stack {
 // RunWorkload builds a fresh SSD, pre-ages it, prefils the workload's
 // footprint, then measures the workload under the policy.
 func RunWorkload(kind PolicyKind, prof workload.Profile, opts SSDOpts) RunOutcome {
-	return RunCustom(mustBuild(opts.spec(kind)), prof, opts)
+	return RunCustom(mustBuild(opts.Spec, kind), prof, opts)
 }
 
 // RunCustom is RunWorkload on a stack the caller built (the ablation
@@ -208,8 +168,8 @@ func Fig17(opts SSDOpts) *Fig17Result {
 // Table renders Fig 17's bars (IOPS normalized over pageFTL).
 func (r *Fig17Result) Table() *Table {
 	label := "fresh (0K P/E, no retention)"
-	if r.Opts.PE > 0 {
-		label = fmt.Sprintf("%dK P/E + %.0f-month retention", r.Opts.PE/1000, r.Opts.RetentionMonths)
+	if r.Opts.PECycles > 0 {
+		label = fmt.Sprintf("%dK P/E + %.0f-month retention", r.Opts.PECycles/1000, r.Opts.RetentionMonths)
 	}
 	t := &Table{
 		Title: "Fig 17: normalized IOPS, " + label,

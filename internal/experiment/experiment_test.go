@@ -224,7 +224,7 @@ func TestFig17AgedGainsGrow(t *testing.T) {
 	}
 	fresh := Fig17(smallOpts())
 	aged := smallOpts()
-	aged.PE, aged.RetentionMonths = 2000, 12
+	aged.PECycles, aged.RetentionMonths = 2000, 12
 	eol := Fig17(aged)
 	fg, _ := fresh.MaxGain(2)
 	eg, _ := eol.MaxGain(2)

@@ -29,7 +29,7 @@ type ExtTailResult struct {
 // suspend removes the write-blocking tail; together the read latency
 // approaches deterministic.
 func ExtTailLatency(opts SSDOpts) *ExtTailResult {
-	opts.PE, opts.RetentionMonths = 2000, 12
+	opts.PECycles, opts.RetentionMonths = 2000, 12
 	res := &ExtTailResult{}
 	for _, cfg := range []struct {
 		name    string

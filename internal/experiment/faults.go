@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"cubeftl/internal/nand"
 	"cubeftl/internal/workload"
 )
 
@@ -28,9 +27,9 @@ type ExtFaultResult struct {
 func ExtFaultTolerance(opts SSDOpts) *ExtFaultResult {
 	res := &ExtFaultResult{}
 	for _, rate := range []float64{0, 1e-4, 1e-3, 5e-3} {
-		spec := opts.spec(PolicyCube)
-		spec.Faults = nand.FaultConfig{ProgramFailRate: rate, EraseFailRate: rate / 10}
-		out := RunCustom(mustBuild(spec), workload.OLTP, opts)
+		spec := opts.Spec
+		spec.ProgramFailRate, spec.EraseFailRate = rate, rate/10
+		out := RunCustom(mustBuild(spec, PolicyCube), workload.OLTP, opts)
 		res.Labels = append(res.Labels, fmt.Sprintf("pfail %.0e / efail %.0e", rate, rate/10))
 		res.IOPS = append(res.IOPS, out.IOPS())
 		res.WriteP99 = append(res.WriteP99, out.Result.WriteLat.Percentile(99))

@@ -53,9 +53,8 @@ type ExtLifetimeResult struct {
 // survives across age points so translation state, wear, and bad blocks
 // carry forward the way a real device's do.
 func newAgedDevice(opts SSDOpts, combo LifetimeCombo) *stack.Stack {
-	s := opts.spec(PolicyCube)
-	s.Refresh, s.WearLevel = combo.Refresh, combo.WearLevel
-	return mustBuild(s)
+	opts.Refresh, opts.WearLevel = combo.Refresh, combo.WearLevel
+	return mustBuild(opts.Spec, PolicyCube)
 }
 
 // prefillRocks seeds the device with the workload's footprint so there

@@ -27,7 +27,7 @@ func TestLifetimeSmoke(t *testing.T) {
 	}
 
 	d.Ctrl.ResetStats()
-	rep, _ := d.Age(36)
+	rep := d.Age(36)
 	if rep.PEAdded == 0 {
 		t.Fatal("fast-forward added no wear")
 	}

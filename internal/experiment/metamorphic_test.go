@@ -55,7 +55,7 @@ func TestMetamorphicAgingNeverHelps(t *testing.T) {
 		fresh := smallOpts()
 		fresh.Requests = 2500
 		aged := fresh
-		aged.PE, aged.RetentionMonths = 2000, 12
+		aged.PECycles, aged.RetentionMonths = 2000, 12
 		f := RunWorkload(kind, workload.Proxy, fresh).IOPS()
 		a := RunWorkload(kind, workload.Proxy, aged).IOPS()
 		if a > f {

@@ -55,7 +55,7 @@ func TestRunWorkloadPinned(t *testing.T) {
 	}
 	t.Run("cubeFTL-aged-ort-pr-ar", func(t *testing.T) {
 		o := pinOpts()
-		o.PE, o.RetentionMonths, o.RetryMode = 2000, 12, "ort-pr-ar"
+		o.PECycles, o.RetentionMonths, o.RetryMode = 2000, 12, "ort-pr-ar"
 		checkPin(t, pinOutcome(RunWorkload(PolicyCube, workload.Rocks, o)),
 			"iops=15633.21476582148 rp99=4718592 wp99=3145728 tprog=585143.9232409382 retries=17013 gc=8")
 	})

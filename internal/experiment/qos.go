@@ -58,7 +58,7 @@ func ExtQoS(opts SSDOpts) *QoSResult {
 		{"wrr 8:1", host.NewWeightedRoundRobin(), 8, 0},
 		{"prio+guard", host.NewStrictPriority(qosGuardNs), 1, 5},
 	} {
-		ctrl := mustBuild(opts.spec(PolicyPage)).Ctrl
+		ctrl := mustBuild(opts.Spec, PolicyPage).Ctrl
 		workload.Prefill(ctrl, int64(ctrl.LogicalPages())*6/10)
 		ctrl.ResetStats()
 
@@ -67,12 +67,12 @@ func ExtQoS(opts SSDOpts) *QoSResult {
 			{
 				Gen:      workload.NewStream(workload.YCSBC, pages, opts.Seed+0xABCD),
 				Requests: opts.Requests / 2,
-				Queue:    host.QueueConfig{Tenant: "reader", Depth: 4, Weight: cfg.weight, Priority: cfg.prio},
+				Queue:    host.QueueConfig{Name: "reader", Depth: 4, Weight: cfg.weight, Priority: cfg.prio},
 			},
 			{
 				Gen:      workload.NewStream(workload.Bulk, pages, opts.Seed+0xBCDE),
 				Requests: opts.Requests,
-				Queue:    host.QueueConfig{Tenant: "writer", Depth: 32, Weight: 1, Priority: 0},
+				Queue:    host.QueueConfig{Name: "writer", Depth: 32, Weight: 1, Priority: 0},
 			},
 		}
 		mr, err := workload.RunTenants(ctrl, specs, workload.MultiRunConfig{

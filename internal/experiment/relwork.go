@@ -40,7 +40,7 @@ func RelWork(opts SSDOpts) *RelWorkResult {
 	}
 	for _, st := range states {
 		o := opts
-		o.PE, o.RetentionMonths = st.pe, st.ret
+		o.PECycles, o.RetentionMonths = st.pe, st.ret
 		var iops, tprog, rpr []float64
 		for _, kind := range res.Policies {
 			out := RunWorkload(kind, workload.OLTP, o)

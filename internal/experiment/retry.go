@@ -39,7 +39,7 @@ func ExtRetryPipeline(opts SSDOpts) *ExtRetryResult {
 		var p50s, p99s, retries []int64
 		for _, mode := range ExtRetryModes {
 			o := opts
-			o.PE, o.RetentionMonths = 2000, regime.months
+			o.PECycles, o.RetentionMonths = 2000, regime.months
 			o.RetryMode = mode
 			out := RunWorkload(PolicyCube, workload.Rocks, o)
 			p50s = append(p50s, out.Result.ReadLat.Percentile(50))

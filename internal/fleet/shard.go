@@ -83,12 +83,12 @@ func (r *shardRunner) getMiss() *missRec {
 func runShard(cfg Config, spec *shardSpec) (ShardResult, error) {
 	stk, err := stack.Build(stack.Spec{
 		FTL: cfg.Policy, Channels: cfg.Channels, DiesPerChannel: cfg.DiesPerChannel,
-		BlocksPerChip: spec.blocksPerChip, Seed: spec.seed, BufferPages: cfg.BufferPages,
+		BlocksPerChip: spec.blocksPerChip, Seed: spec.seed, WriteBufferPages: cfg.BufferPages,
 		PECycles: spec.pe, RetentionMonths: cfg.RetentionMonths,
 	})
 	if err != nil {
-		// The spec names no retry mode, so the FTL name is all Build
-		// can reject.
+		// cfg.withDefaults and planShards left every count positive and
+		// no retry mode: the FTL name is all Build can still reject.
 		return ShardResult{}, fmt.Errorf("%w: %v", ErrBadPolicy, err)
 	}
 	eng, ctrl := stk.Eng, stk.Ctrl
@@ -96,8 +96,8 @@ func runShard(cfg Config, spec *shardSpec) (ShardResult, error) {
 	queues := make([]host.QueueConfig, cfg.QueuesPerShard)
 	for q := range queues {
 		queues[q] = host.QueueConfig{
-			Tenant: fmt.Sprintf("s%dq%d", spec.id, q),
-			Depth:  cfg.QueueDepth,
+			Name:  fmt.Sprintf("s%dq%d", spec.id, q),
+			Depth: cfg.QueueDepth,
 		}
 	}
 	h, err := host.New(ctrl, host.Config{Queues: queues})

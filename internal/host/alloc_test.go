@@ -33,13 +33,13 @@ func warmedHost(tb testing.TB, cfg Config) (h *Host, mapped int) {
 }
 
 func oneQueue() Config {
-	return Config{Queues: []QueueConfig{{Tenant: "t", Depth: 8}}}
+	return Config{Queues: []QueueConfig{{Name: "t", Depth: 8}}}
 }
 
 // fullQueue returns a host whose only queue is at depth: every further
 // Submit is refused.
 func fullQueue(tb testing.TB) *Host {
-	h, _ := warmedHost(tb, Config{Queues: []QueueConfig{{Tenant: "t", Depth: 4}}, DispatchWidth: 1})
+	h, _ := warmedHost(tb, Config{Queues: []QueueConfig{{Name: "t", Depth: 4}}, DispatchWidth: 1})
 	for i := 0; i < 4; i++ {
 		if err := h.Submit(0, Command{Op: Read, LPN: int64(i)}); err != nil {
 			tb.Fatal(err)
@@ -109,7 +109,7 @@ func TestHostPageReadAllocs(t *testing.T) {
 // once per queue. Burst 1 at a rate far below the device's makes every
 // read after the first wait out a refill.
 func TestThrottledReadAllocs(t *testing.T) {
-	h, mapped := warmedHost(t, Config{Queues: []QueueConfig{{Tenant: "t", Depth: 8, RateIOPS: 1000, BurstIOs: 1}}})
+	h, mapped := warmedHost(t, Config{Queues: []QueueConfig{{Name: "t", Depth: 8, RateIOPS: 1000, BurstIOs: 1}}})
 	read := pageRead(h, rng.New(5), mapped)
 	for i := 0; i < 2000; i++ {
 		read()

@@ -15,7 +15,7 @@ func TestTypedErrorsRoundTrip(t *testing.T) {
 		t.Errorf("empty config: got %v, want ErrNoQueues", err)
 	}
 
-	h, err := New(ctrl, Config{Queues: []QueueConfig{{Tenant: "t", Depth: 1}}})
+	h, err := New(ctrl, Config{Queues: []QueueConfig{{Name: "t", Depth: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

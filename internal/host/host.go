@@ -82,8 +82,8 @@ type Completion struct {
 
 // QueueConfig describes one submission/completion queue pair.
 type QueueConfig struct {
-	// Tenant names the queue's owner (defaults to "q<index>").
-	Tenant string
+	// Name labels the tenant that owns the queue (defaults to "q<index>").
+	Name string
 	// Depth bounds the queue occupancy — commands submitted but not yet
 	// completed. Submissions beyond it fail with ErrQueueFull.
 	// Defaults to 32.
@@ -255,8 +255,8 @@ func New(ctrl *ftl.Controller, cfg Config) (*Host, error) {
 	}
 	sumDepth := 0
 	for i, qc := range cfg.Queues {
-		if qc.Tenant == "" {
-			qc.Tenant = fmt.Sprintf("q%d", i)
+		if qc.Name == "" {
+			qc.Name = fmt.Sprintf("q%d", i)
 		}
 		if qc.Depth <= 0 {
 			qc.Depth = 32
@@ -270,7 +270,7 @@ func New(ctrl *ftl.Controller, cfg Config) (*Host, error) {
 		sumDepth += qc.Depth
 		q := &queue{
 			cfg:     qc,
-			fullErr: fmt.Errorf("%w: %s (depth %d)", ErrQueueFull, qc.Tenant, qc.Depth),
+			fullErr: fmt.Errorf("%w: %s (depth %d)", ErrQueueFull, qc.Name, qc.Depth),
 		}
 		if qc.RateIOPS > 0 {
 			q.burst = float64(qc.BurstIOs)
@@ -283,7 +283,7 @@ func New(ctrl *ftl.Controller, cfg Config) (*Host, error) {
 		}
 		h.queues = append(h.queues, q)
 		h.stats = append(h.stats, &TenantStats{
-			Tenant:   qc.Tenant,
+			Tenant:   qc.Name,
 			Queue:    i,
 			ReadLat:  metrics.NewHist(0),
 			WriteLat: metrics.NewHist(0),
@@ -396,7 +396,7 @@ func (h *Host) Submit(qid int, cmd Command) error {
 		if pages < 1 {
 			pages = 1
 		}
-		e.sp = h.hub.BeginSpan(q.cfg.Tenant, qid, cmd.Op.String(), cmd.LPN, pages)
+		e.sp = h.hub.BeginSpan(q.cfg.Name, qid, cmd.Op.String(), cmd.LPN, pages)
 	}
 	q.push(e)
 	h.pump()
@@ -650,7 +650,7 @@ func (h *Host) TenantSamples() []telemetry.TenantSample {
 	for i, q := range h.queues {
 		st := h.stats[i]
 		out[i] = telemetry.TenantSample{
-			Name:      q.cfg.Tenant,
+			Name:      q.cfg.Name,
 			Completed: st.Completed,
 			IOPS:      st.IOPS(),
 			ReadP99:   st.ReadLat.Percentile(99),

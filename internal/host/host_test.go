@@ -127,7 +127,7 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := New(ctrl, Config{}); !errors.Is(err, ErrNoQueues) {
 		t.Fatalf("empty config: %v", err)
 	}
-	h, err := New(ctrl, Config{Queues: []QueueConfig{{Tenant: "t", Depth: 2}}})
+	h, err := New(ctrl, Config{Queues: []QueueConfig{{Name: "t", Depth: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	ctrl := newTestController(2)
 	// Depth 4, but only 1 device slot: submissions 5+ must bounce.
 	h, err := New(ctrl, Config{
-		Queues:        []QueueConfig{{Tenant: "t", Depth: 4}},
+		Queues:        []QueueConfig{{Name: "t", Depth: 4}},
 		DispatchWidth: 1,
 	})
 	if err != nil {
@@ -174,7 +174,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 
 func TestCompletionAccounting(t *testing.T) {
 	ctrl := newTestController(3)
-	h, _ := New(ctrl, Config{Queues: []QueueConfig{{Tenant: "t", Depth: 8}}})
+	h, _ := New(ctrl, Config{Queues: []QueueConfig{{Name: "t", Depth: 8}}})
 	var comps []Completion
 	for i := 0; i < 4; i++ {
 		op := Read
@@ -213,7 +213,7 @@ func TestTokenBucketRateLimit(t *testing.T) {
 	ctrl := newTestController(4)
 	// 10k IOPS cap, burst 1: steady state one fetch per 100 us.
 	h, _ := New(ctrl, Config{
-		Queues: []QueueConfig{{Tenant: "t", Depth: 4, RateIOPS: 10000, BurstIOs: 1}},
+		Queues: []QueueConfig{{Name: "t", Depth: 4, RateIOPS: 10000, BurstIOs: 1}},
 	})
 	eng := ctrl.Engine()
 	issued, completed := 0, 0
@@ -248,7 +248,7 @@ func TestTokenBucketRateLimit(t *testing.T) {
 
 func TestUnlimitedQueueNotThrottled(t *testing.T) {
 	ctrl := newTestController(5)
-	h, _ := New(ctrl, Config{Queues: []QueueConfig{{Tenant: "t", Depth: 8}}})
+	h, _ := New(ctrl, Config{Queues: []QueueConfig{{Name: "t", Depth: 8}}})
 	for i := 0; i < 8; i++ {
 		if err := h.Submit(0, Command{Op: Read, LPN: int64(i)}); err != nil {
 			t.Fatal(err)
@@ -264,8 +264,8 @@ func TestGrantTrace(t *testing.T) {
 	ctrl := newTestController(6)
 	h, _ := New(ctrl, Config{
 		Queues: []QueueConfig{
-			{Tenant: "a", Depth: 4},
-			{Tenant: "b", Depth: 4},
+			{Name: "a", Depth: 4},
+			{Name: "b", Depth: 4},
 		},
 		DispatchWidth: 1,
 		TraceCap:      16,
@@ -294,8 +294,8 @@ func TestHostDeterministicReplay(t *testing.T) {
 		ctrl := newTestController(7)
 		h, _ := New(ctrl, Config{
 			Queues: []QueueConfig{
-				{Tenant: "a", Depth: 8, Weight: 3},
-				{Tenant: "b", Depth: 8, Weight: 1, RateIOPS: 50000},
+				{Name: "a", Depth: 8, Weight: 3},
+				{Name: "b", Depth: 8, Weight: 1, RateIOPS: 50000},
 			},
 			Arb:           NewWeightedRoundRobin(),
 			DispatchWidth: 4,
@@ -339,8 +339,8 @@ func TestOnlineWeightAndRateChanges(t *testing.T) {
 	ctrl := newTestController(11)
 	h, err := New(ctrl, Config{
 		Queues: []QueueConfig{
-			{Tenant: "a", Depth: 8, Weight: 1},
-			{Tenant: "b", Depth: 8, Weight: 1},
+			{Name: "a", Depth: 8, Weight: 1},
+			{Name: "b", Depth: 8, Weight: 1},
 		},
 		Arb:           NewWeightedRoundRobin(),
 		DispatchWidth: 1,

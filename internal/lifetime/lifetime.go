@@ -94,6 +94,10 @@ type Report struct {
 	BadBlocksGrown int   // grown (and accepted) bad blocks
 	BucketJumps    int   // blocks that crossed a retention-age bucket
 	MinPE, MaxPE   int   // post-aging wear extremes over good blocks
+	// ScrubQueued counts blocks the post-age patrol sweeps queued for
+	// refresh. FastForward leaves it zero; stack.Age, which runs the
+	// sweeps, fills it in (zero unless the controller refreshes).
+	ScrubQueued int
 }
 
 func (r Report) String() string {

@@ -52,7 +52,7 @@ func launch(t *testing.T, seed uint64, requests int, deadline sim.Time) (*ftl.Co
 	specs := []workload.TenantSpec{{
 		Gen:      workload.NewStream(workload.Mixed, ctrl.LogicalPages(), seed+0x9E37),
 		Requests: requests,
-		Queue:    host.QueueConfig{Tenant: "mixed", Depth: 32},
+		Queue:    host.QueueConfig{Name: "mixed", Depth: 32},
 	}}
 	if _, err := workload.RunTenants(ctrl, specs, workload.MultiRunConfig{DeadlineNs: deadline}); err != nil {
 		t.Fatalf("RunTenants: %v", err)
@@ -237,7 +237,7 @@ func launchScrub(t *testing.T, seed uint64, requests int, deadline sim.Time) (*f
 	specs := []workload.TenantSpec{{
 		Gen:      workload.NewStream(workload.Mixed, ctrl.LogicalPages(), seed+0x9E37),
 		Requests: requests,
-		Queue:    host.QueueConfig{Tenant: "mixed", Depth: 32},
+		Queue:    host.QueueConfig{Name: "mixed", Depth: 32},
 	}}
 	if _, err := workload.RunTenants(ctrl, specs, workload.MultiRunConfig{DeadlineNs: deadline}); err != nil {
 		t.Fatalf("RunTenants: %v", err)

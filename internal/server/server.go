@@ -299,15 +299,15 @@ func (q *ioReq) done(ic cubeftl.IOCompletion) {
 	if write && ic.RejectedPages > 0 {
 		// Device-wide read-only degrade: the write did not land.
 		s.stats.Rejects++
-		s.replyIO(c, IOReply{Seq: seq, Status: StatusFailedPrecondition, LatencyNs: int64(ic.Latency)})
+		s.replyIO(c, IOReply{Seq: seq, Status: StatusFailedPrecondition, LatencyNs: ic.LatencyNs})
 		return
 	}
 	if write {
 		sess.ack(seq)
 	}
-	s.slo.observe(queue, write, int64(ic.Latency))
-	s.obsObserve(queue, write, int64(ic.Latency))
-	s.replyIO(c, IOReply{Seq: seq, Status: StatusOK, LatencyNs: int64(ic.Latency)})
+	s.slo.observe(queue, write, ic.LatencyNs)
+	s.obsObserve(queue, write, ic.LatencyNs)
+	s.replyIO(c, IOReply{Seq: seq, Status: StatusOK, LatencyNs: ic.LatencyNs})
 }
 
 // Server is the live-traffic block service. One core goroutine owns

@@ -1,27 +1,36 @@
-// Package stack is the one place a simulated device stack is put
-// together: engine, NAND array, pre-aging and fault injection, FTL
-// policy, read-retry set-up and controller. The facade, the experiment
-// drivers and the fleet shards each describe the device they want as a
-// Spec and call Build; nothing else calls ssd.New or ftl.NewController
-// or maps an FTL name to a policy (`make one-stack` checks it). The
-// order of Build's steps is part of the pinned RNG stream — see
-// DESIGN.md "How a stack is built".
+// Package stack is the one place a simulated device's whole life is
+// put together: engine, NAND array, pre-aging and fault injection, FTL
+// policy, read-retry set-up, controller and recovery manager at Build;
+// power cut, recovery mount and the age jump afterwards. The facade, the
+// experiment drivers, the fleet shards and the binaries each describe
+// the device they want as a Spec — the binaries by binding its flags
+// (flags.go) — and call Build; nothing else calls ssd.New,
+// ftl.NewController, recovery.Attach or recovery.Mount, or maps an FTL
+// name to a policy (`make one-stack` checks it). The order of the steps
+// is part of the pinned RNG stream — see DESIGN.md "How a stack is
+// built".
 package stack
 
 import (
+	"errors"
 	"fmt"
+	"time"
 
 	"cubeftl/internal/core"
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/lifetime"
 	"cubeftl/internal/nand"
+	"cubeftl/internal/recovery"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
 )
 
-// Spec describes a device stack. The zero value is cubeFTL on a fresh
-// 2x4 device of 64 blocks per chip with the default write buffer and
-// the "ort" read-retry flow.
+// Spec describes a simulated SSD (the facade exports it as
+// cubeftl.Options). The zero value is cubeFTL on a fresh 2x4 device of
+// 64 blocks per chip with the default write buffer and the "ort"
+// read-retry flow. In every count and rate, zero selects the default;
+// Validate rejects negative counts, non-finite or negative months and
+// rates outside [0, 1].
 type Spec struct {
 	// FTL names the policy: page, vert, isp, cube or cube- (the
 	// evaluation's spellings pageFTL ... cubeFTL- are accepted too;
@@ -31,30 +40,85 @@ type Spec struct {
 	// ablation studies' mutated cubeFTL).
 	Cube *core.Config
 
-	Channels       int // default 2
-	DiesPerChannel int // default 4
-	BlocksPerChip  int // default 64
-	PlanesPerChip  int // 0/1 = the paper's single-plane die
+	Channels       int // independent data buses; default 2
+	DiesPerChannel int // NAND dies behind each channel; default 4
+	BlocksPerChip  int // default 64 (paper's chips have 428)
+	PlanesPerChip  int // default 1 (the paper's model); 2+ overlaps ops within a die
 	Seed           uint64
-	BufferPages    int // write buffer; default ftl.DefaultControllerConfig's
+
+	// DieAffinity makes the multi-queue host front end prefer fetching
+	// commands whose target die is idle (reads to busy dies wait while
+	// reads to idle dies dispatch), increasing array-level overlap.
+	DieAffinity bool
+
+	WriteBufferPages int // default ftl.DefaultControllerConfig's (192)
 
 	// Pre-aging (paper §6.2): wear on every block and a pinned retention
 	// age for all reads.
 	PECycles        int
 	RetentionMonths float64
 
-	SuspendOps  bool
-	WearAware   bool
-	Refresh     bool
-	WearLevel   bool // implies WearAware
-	VerifyData  bool
-	DurableAcks bool
+	// SuspendOps enables program/erase suspend-resume so reads
+	// interleave with long chip operations (§8 extension).
+	SuspendOps bool
+	// WearAware spreads P/E cycles by allocating the least-worn erased
+	// block (static wear leveling).
+	WearAware bool
+	// Refresh enables the retention-aware background scrubber: blocks
+	// whose retention age or predicted E<->P1 error rate crosses the
+	// refresh policy's thresholds are rewritten before the ECC cliff.
+	// The patrol is funded by host reads so it yields to tenant traffic.
+	Refresh bool
+	// WearLevel enables cross-block static wear leveling: after a GC
+	// cycle completes, cold data is moved off the die's least-worn block
+	// when the erase-count spread exceeds the wear policy's threshold.
+	// Implies WearAware allocation.
+	WearLevel bool
+	// VerifyData turns on the end-to-end integrity oracle: tagged
+	// payloads flow through flush, GC, and read-back verification, and
+	// the controller's DataMismatches counter reports violations (always
+	// zero for a correct FTL). Costs memory; intended for testing.
+	VerifyData bool
 
-	Faults    nand.FaultConfig
-	RetryMode string // core.RetryModeNames; empty = "ort"
+	// Fault injection (deterministic, seed-derived; see internal/nand).
+	// All rates are per-operation probabilities; zero disables the
+	// mechanism. The FTL absorbs injected faults by retiring blocks and
+	// re-issuing data.
+	ProgramFailRate float64 // program-status failure per word-line program
+	EraseFailRate   float64 // erase failure per block erase (grows a bad block)
+	ReadFaultRate   float64 // transient fault per page read (re-issued)
+	FactoryBadRate  float64 // fraction of blocks factory-marked bad at boot
+
+	// RetryMode selects the read-retry optimization stack (DESIGN.md
+	// §15): "baseline" (no read-offset caches, serialized retries),
+	// "ort" (the paper's per-h-layer offset cache — the default, and
+	// bit-identical to pre-pipeline traces at the same seed), "ort-pr"
+	// (ORT + pipelined sense/decode + the decaying age-aware retry
+	// table), or "ort-pr-ar" (ort-pr + adaptive early sense
+	// termination). Empty selects "ort".
+	RetryMode string
+
+	// Recovery enables the crash-consistency subsystem (DESIGN.md §12):
+	// a checkpointed and journaled system area, durable-ack semantics
+	// (host write acknowledgments wait for the write's mapping record
+	// to be durable), and the PowerCut/Remount cycle.
+	Recovery bool
+	// CkptInterval is the periodic checkpoint cadence in simulated time
+	// (0 selects the 20ms default; negative disables periodic
+	// checkpoints). Meaningful only with Recovery.
+	CkptInterval time.Duration
 }
 
-// Stack is a built device stack.
+var (
+	// ErrRecoveryOff reports a power-cycle call on a stack built without
+	// Spec.Recovery.
+	ErrRecoveryOff = errors.New("cubeftl: recovery not enabled (set Options.Recovery)")
+	// ErrPowerLost reports host I/O offered between PowerCut and Remount.
+	ErrPowerLost = errors.New("cubeftl: power lost (Remount first)")
+)
+
+// Stack is a built device stack. Remount replaces Eng, Dev, Ctrl, Cube
+// and Mgr in place: holders of a *Stack re-read them afterwards.
 type Stack struct {
 	Spec    Spec
 	Eng     *sim.Engine
@@ -62,20 +126,22 @@ type Stack struct {
 	Ctrl    *ftl.Controller
 	Cube    *core.CubeFTL // nil unless the policy is a cube flavour
 	CtrlCfg ftl.ControllerConfig
+	Mgr     *recovery.Manager // nil unless Spec.Recovery
 
 	// HostBusy, when set, reports host I/O the stack's owner issued and
 	// still waits on; DrainRelocations runs until it is false too.
 	HostBusy func() bool
 
 	ager *lifetime.Ager
+	down bool // between PowerCut and Remount
 }
 
 // Build constructs the stack a spec describes.
 func Build(s Spec) (*Stack, error) {
-	rs, err := core.RetrySetupFor(s.RetryMode)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	rs, _ := core.RetrySetupFor(s.RetryMode) // Validate accepted the name
 	devCfg := ssd.DefaultConfig()
 	if s.Channels > 0 {
 		devCfg.Channels = s.Channels
@@ -94,8 +160,14 @@ func Build(s Spec) (*Stack, error) {
 	devCfg.Chip.DecodeLatencyNs = rs.DecodeNs
 	eng := sim.NewEngine()
 	dev := ssd.New(eng, devCfg)
-	if s.Faults.Enabled() {
-		dev.SetFaults(s.Faults)
+	faults := nand.FaultConfig{
+		ProgramFailRate: s.ProgramFailRate,
+		EraseFailRate:   s.EraseFailRate,
+		ReadFaultRate:   s.ReadFaultRate,
+		FactoryBadRate:  s.FactoryBadRate,
+	}
+	if faults.Enabled() {
+		dev.SetFaults(faults)
 	}
 	if s.PECycles > 0 || s.RetentionMonths > 0 {
 		dev.PreAge(s.PECycles, s.RetentionMonths)
@@ -106,16 +178,16 @@ func Build(s Spec) (*Stack, error) {
 		return nil, err
 	}
 	cfg := ftl.DefaultControllerConfig()
-	if s.BufferPages > 0 {
-		cfg.WriteBufferPages = s.BufferPages
+	if s.WriteBufferPages > 0 {
+		cfg.WriteBufferPages = s.WriteBufferPages
 	}
 	cfg.WearAware = s.WearAware || s.WearLevel
 	cfg.Refresh = s.Refresh
 	cfg.WearLevel = s.WearLevel
 	cfg.VerifyData = s.VerifyData
-	cfg.DurableAcks = s.DurableAcks
+	cfg.DurableAcks = s.Recovery
 	cfg.RetryMode = rs.Mode
-	return &Stack{
+	st := &Stack{
 		Spec:    s,
 		Eng:     eng,
 		Dev:     dev,
@@ -123,12 +195,16 @@ func Build(s Spec) (*Stack, error) {
 		Cube:    cube,
 		CtrlCfg: cfg,
 		ager:    lifetime.NewAger(lifetime.Config{Seed: s.Seed}),
-	}, nil
+	}
+	if s.Recovery {
+		st.attach(recovery.NewSystemArea(), recovery.NewLedger())
+	}
+	return st, nil
 }
 
 // Policy builds the spec's FTL policy against dev (cube is non-nil for
 // the cube flavours) with the retry-mode set-up and age buckets the
-// spec implies. Build uses it, and so does a recovery mount: it needs a
+// spec implies. Build uses it, and so does Remount: a mount needs a
 // fresh policy instance, configured identically, whose learned state —
 // retry table included — is then restored from the checkpoint.
 func (s Spec) Policy(dev *ssd.Device) (ftl.Policy, *core.CubeFTL, error) {
@@ -169,12 +245,79 @@ func (s Spec) Policy(dev *ssd.Device) (ftl.Policy, *core.CubeFTL, error) {
 	return cube, cube, nil
 }
 
+// attach starts a recovery manager over the current controller: at
+// Build on an empty system area and ledger, after a mount on the ones
+// that survived. It writes the genesis (or post-mount) checkpoint.
+func (st *Stack) attach(sys *recovery.SystemArea, ledger *recovery.Ledger) {
+	st.Mgr = recovery.Attach(st.Ctrl, sys, recovery.Options{
+		CkptIntervalNs: sim.Time(st.Spec.CkptInterval),
+		Ledger:         ledger,
+	})
+}
+
+// Up returns ErrPowerLost between PowerCut and Remount and nil
+// otherwise: the one check every host entry point makes, because the
+// cut controller and engine still exist and would go on programming the
+// array that survived them.
+func (st *Stack) Up() error {
+	if st.down {
+		return ErrPowerLost
+	}
+	return nil
+}
+
+// PowerCut kills the device at the current simulated instant (what
+// survives is recovery.Manager.PowerCut's to say). Up fails until
+// Remount.
+func (st *Stack) PowerCut() error {
+	if st.Mgr == nil {
+		return ErrRecoveryOff
+	}
+	st.Mgr.PowerCut()
+	st.down = true
+	return nil
+}
+
+// Remount rebuilds the volatile half of the stack from the durable one:
+// a fresh engine and device over the surviving NAND array, a fresh
+// policy, and a controller recovery.Mount restores (fullScan: from OOB
+// metadata alone). verify then runs recovery.Verify against the ledger
+// of acknowledged writes; a failed mount or audit leaves the stack as it
+// was.
+func (st *Stack) Remount(verify, fullScan bool) (recovery.MountReport, error) {
+	if st.Mgr == nil {
+		return recovery.MountReport{}, ErrRecoveryOff
+	}
+	eng := sim.NewEngine()
+	// The NAND array is the durable medium: data, OOB, wear, grown bad
+	// blocks, and fault-injection streams all live there and carry over.
+	dev := ssd.NewWithArray(eng, st.Dev.Config(), st.Dev.Array())
+	pol, cube, err := st.Spec.Policy(dev)
+	if err != nil {
+		return recovery.MountReport{}, err
+	}
+	sys, ledger := st.Mgr.System(), st.Mgr.Ledger()
+	ctrl, rpt, err := recovery.Mount(dev, pol, st.CtrlCfg, sys, recovery.MountOptions{ForceFullScan: fullScan})
+	if err != nil {
+		return rpt, fmt.Errorf("cubeftl: recovery mount: %w", err)
+	}
+	if verify {
+		if err := recovery.Verify(ctrl, ledger); err != nil {
+			return rpt, fmt.Errorf("cubeftl: post-mount verification: %w", err)
+		}
+	}
+	// Same spec, controller config and ager: wear lives in the array.
+	st.Eng, st.Dev, st.Ctrl, st.Cube, st.down = eng, dev, ctrl, cube, false
+	st.attach(sys, ledger)
+	return rpt, nil
+}
+
 // Age fast-forwards the device by months of shelf and service life
 // (per-block wear, retention clocks, grown bad blocks, retry-table
-// invalidation on age-bucket jumps) and settles what that triggers. It
-// returns the ager's report and the number of blocks the post-age
-// scrub sweeps queued for refresh (zero unless Spec.Refresh).
-func (st *Stack) Age(months float64) (lifetime.Report, int) {
+// invalidation on age-bucket jumps) and settles what that triggers,
+// ending — with Spec.Recovery — on a requested checkpoint. It returns
+// the ager's report with ScrubQueued filled in.
+func (st *Stack) Age(months float64) lifetime.Report {
 	hooks := lifetime.Hooks{GrowBad: st.Ctrl.GrowBadBlock}
 	if st.Cube != nil {
 		hooks.BucketJump = func(die, block, _, _ int) { st.Cube.InvalidateBlockRetry(die, block) }
@@ -189,16 +332,21 @@ func (st *Stack) Age(months float64) (lifetime.Report, int) {
 	// can surface as refreshable only on a later pass. The loop is
 	// bounded: every pass rewrites what it queues, and rewritten data is
 	// fresh.
-	scrubbed := 0
 	for i := 0; i < 8; i++ {
 		q := st.Ctrl.ScrubSweep()
 		if q == 0 {
 			break
 		}
-		scrubbed += q
+		rep.ScrubQueued += q
 		st.DrainRelocations()
 	}
-	return rep, scrubbed
+	if st.Mgr != nil {
+		// Persist the post-age mapping state so a power cut right after
+		// aging remounts without replaying the whole refresh burst.
+		st.Mgr.CheckpointNow()
+		st.DrainRelocations()
+	}
+	return rep
 }
 
 // DrainRelocations runs the engine until host I/O, buffered writes and

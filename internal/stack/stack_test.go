@@ -1,10 +1,16 @@
 package stack
 
 import (
+	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"cubeftl/internal/core"
+	"cubeftl/internal/host"
 	"cubeftl/internal/nand"
+	"cubeftl/internal/sim"
+	"cubeftl/internal/workload"
 )
 
 // The one name table accepts every spelling the facade, the evaluation
@@ -41,7 +47,7 @@ func TestPolicyNames(t *testing.T) {
 func TestBuildWiring(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.ActiveBlocks = 3
-	st, err := Build(Spec{Cube: &cfg, RetryMode: "ort-pr-ar", RetentionMonths: 12, WearLevel: true, DurableAcks: true})
+	st, err := Build(Spec{Cube: &cfg, RetryMode: "ort-pr-ar", RetentionMonths: 12, WearLevel: true, Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,5 +71,95 @@ func TestBuildWiring(t *testing.T) {
 	_, again, err := st.Spec.Policy(st.Dev)
 	if err != nil || again.Config() != st.Cube.Config() || again.AgeBucket() != st.Cube.AgeBucket() {
 		t.Errorf("Spec.Policy rebuilt %+v (err %v), want %+v", again.Config(), err, st.Cube.Config())
+	}
+}
+
+// A device's whole life on a bare Stack — no facade in sight — lands on
+// the numbers the facade's TestRemountSequencePinned pins for the same
+// spec and steps: attach at Build, run to a mid-flight instant, power
+// cut, verified remount, a measured run, then an age jump that ends on
+// a durable checkpoint.
+func TestLifecycleOnBareStack(t *testing.T) {
+	st, err := Build(Spec{
+		FTL: "cube", Channels: 2, DiesPerChannel: 2, BlocksPerChip: 16, Seed: 9,
+		PECycles: 1500, RetryMode: "ort-pr", VerifyData: true, WearLevel: true,
+		ProgramFailRate: 2e-4, FactoryBadRate: 0.02,
+		Recovery: true, CkptInterval: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Mgr == nil || !st.CtrlCfg.DurableAcks {
+		t.Fatal("Spec.Recovery did not attach a manager with durable acks")
+	}
+	mixed := func() workload.Generator {
+		prof, _ := workload.ByName("Mixed")
+		return workload.NewStream(prof, st.Ctrl.LogicalPages(), st.Spec.Seed+0xABCD)
+	}
+	workload.Prefill(st.Ctrl, int64(st.Ctrl.LogicalPages()/2))
+	if _, err := workload.RunTenants(st.Ctrl, []workload.TenantSpec{{
+		Gen: mixed(), Requests: 4000, Queue: host.QueueConfig{Name: "Mixed", Depth: 32},
+	}}, workload.MultiRunConfig{DispatchWidth: 32, DeadlineNs: st.Eng.Now() + 8*sim.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Up(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PowerCut(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Up(); !errors.Is(err, ErrPowerLost) {
+		t.Fatalf("Up after PowerCut: %v, want ErrPowerLost", err)
+	}
+	cutEng, cutCtrl := st.Eng, st.Ctrl
+	rpt, err := st.Remount(true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Up() != nil || st.Eng == cutEng || st.Ctrl == cutCtrl || st.Mgr == nil || st.Cube == nil {
+		t.Fatal("Remount did not replace the volatile half of the stack")
+	}
+	res := workload.Run(st.Ctrl, mixed(), workload.RunConfig{Requests: 3000, QueueDepth: 16})
+	cs, waf := st.Cube.CubeStats(), st.Ctrl.WAF()
+	got := fmt.Sprintf("mount=%d ckpt=%v age=%d journal=%d torn=%v probed=%d oob=%d mappings=%d | reqs=%d elapsed=%d hash=%d | leaders=%d followers=%d | host=%d gc=%d | now=%d fired=%d",
+		rpt.MountNs, rpt.UsedCheckpoint, rpt.CheckpointAgeNs, rpt.JournalRecords, rpt.JournalTorn, rpt.BlocksProbed, rpt.OOBPagesScanned, rpt.MappingsRecovered,
+		res.Requests, res.ElapsedNs, res.TraceHash, cs.LeaderPrograms, cs.FollowerPrograms, waf.HostBytes(), waf.GCBytes(), st.Eng.Now(), st.Eng.Fired())
+	const want = "mount=17865076 ckpt=true age=1343042 journal=25 torn=true probed=31 oob=2430 mappings=16173 | reqs=3000 elapsed=177154500 hash=7816181708754184893 | leaders=239 followers=606 | host=41091072 gc=442368 | now=195019576 fired=7856"
+	if got != want {
+		t.Errorf("the bare stack left the facade's pin\n got: %s\nwant: %s", got, want)
+	}
+
+	// The age jump requests its checkpoint through the remounted
+	// stack's manager, and the aged device survives the next cut: wear,
+	// retention clocks and grown bad blocks live in the array.
+	rep := st.Age(12)
+	if rep.PEAdded == 0 {
+		t.Errorf("Age(12) aged nothing: %+v", rep)
+	}
+	if err := st.PowerCut(); err != nil {
+		t.Fatal(err)
+	}
+	if rpt, err = st.Remount(true, false); err != nil || !rpt.UsedCheckpoint {
+		t.Fatalf("remount of the aged device: %+v, %v", rpt, err)
+	}
+	if lo, hi := st.Dev.Array().Die(0).PECycles(0), 1500+int(rep.PEAdded); lo <= 1500 || lo > hi {
+		t.Errorf("block 0 remounted at %d P/E cycles, want the aged count in (1500, %d]", lo, hi)
+	}
+}
+
+// A stack without Spec.Recovery has no power cycle.
+func TestPowerCycleNeedsRecovery(t *testing.T) {
+	st, err := Build(Spec{BlocksPerChip: 8, Channels: 1, DiesPerChannel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PowerCut(); !errors.Is(err, ErrRecoveryOff) {
+		t.Errorf("PowerCut: %v, want ErrRecoveryOff", err)
+	}
+	if _, err := st.Remount(true, false); !errors.Is(err, ErrRecoveryOff) {
+		t.Errorf("Remount: %v, want ErrRecoveryOff", err)
+	}
+	if st.Up() != nil {
+		t.Error("a refused PowerCut took the stack down")
 	}
 }

@@ -15,6 +15,9 @@ type RunConfig struct {
 	Requests int
 	// QueueDepth is the number of outstanding host requests.
 	QueueDepth int
+	// DeadlineNs, when positive, stops the run at that absolute sim time
+	// without draining (see MultiRunConfig.DeadlineNs).
+	DeadlineNs sim.Time
 }
 
 // DefaultRunConfig returns a moderate closed-loop setup.
@@ -198,8 +201,8 @@ func RunTenants(ctrl *ftl.Controller, specs []TenantSpec, cfg MultiRunConfig) (M
 	qcs := make([]host.QueueConfig, len(specs))
 	for i, s := range specs {
 		qc := s.Queue
-		if qc.Tenant == "" {
-			qc.Tenant = s.Gen.Name()
+		if qc.Name == "" {
+			qc.Name = s.Gen.Name()
 		}
 		qcs[i] = qc
 	}
@@ -273,14 +276,17 @@ func RunTenants(ctrl *ftl.Controller, specs []TenantSpec, cfg MultiRunConfig) (M
 // both the admission bound and the device dispatch window, which
 // reproduces the classic single-stream closed loop.
 func Run(ctrl *ftl.Controller, gen Generator, cfg RunConfig) Result {
-	if cfg.Requests <= 0 || cfg.QueueDepth <= 0 {
-		cfg = DefaultRunConfig()
+	if cfg.Requests <= 0 {
+		cfg.Requests = DefaultRunConfig().Requests
+	}
+	if cfg.QueueDepth <= 0 {
+		cfg.QueueDepth = DefaultRunConfig().QueueDepth
 	}
 	mr, err := RunTenants(ctrl, []TenantSpec{{
 		Gen:      gen,
 		Requests: cfg.Requests,
-		Queue:    host.QueueConfig{Tenant: gen.Name(), Depth: cfg.QueueDepth},
-	}}, MultiRunConfig{DispatchWidth: cfg.QueueDepth})
+		Queue:    host.QueueConfig{Name: gen.Name(), Depth: cfg.QueueDepth},
+	}}, MultiRunConfig{DispatchWidth: cfg.QueueDepth, DeadlineNs: cfg.DeadlineNs})
 	if err != nil {
 		// Unreachable: the wrapper always passes one well-formed queue.
 		panic(err)

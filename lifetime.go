@@ -14,17 +14,13 @@ import (
 	"cubeftl/internal/lifetime"
 )
 
-// AgeReport summarizes one aging fast-forward.
-type AgeReport struct {
-	Months         float64 // simulated months applied in this hop
-	PEAdded        int64   // P/E cycles added across all blocks
-	BadBlocksGrown int     // grown bad blocks accepted by the controller
-	BucketJumps    int     // blocks that crossed a retry-table age bucket
-	MinPE, MaxPE   int     // post-aging wear extremes over good blocks
-	// ScrubQueued counts blocks the post-age patrol sweep queued for
-	// refresh (zero unless Options.Refresh).
-	ScrubQueued int
-}
+// AgeReport summarizes one aging fast-forward: Months applied in this
+// hop, PEAdded across all blocks, BadBlocksGrown the controller accepted,
+// BucketJumps across retry-table age buckets, MinPE/MaxPE post-aging
+// wear extremes over good blocks, and ScrubQueued, the blocks the
+// post-age patrol sweeps queued for refresh (zero unless
+// Options.Refresh).
+type AgeReport = lifetime.Report
 
 // Age fast-forwards the device by a wall-clock duration of simulated
 // shelf/service life: per-block P/E wear accumulates at the lifetime
@@ -40,24 +36,13 @@ func (s *SSD) Age(d time.Duration) AgeReport {
 	return s.AgeMonths(lifetime.DurationMonths(d))
 }
 
-// AgeMonths is Age with the device's native retention unit.
+// AgeMonths is Age with the device's native retention unit. A device
+// without power does not age: the zero report.
 func (s *SSD) AgeMonths(months float64) AgeReport {
-	rep, scrubbed := s.st.Age(months)
-	if s.mgr != nil {
-		// Persist the post-age mapping state so a power cut right after
-		// aging remounts without replaying the whole refresh burst.
-		s.mgr.CheckpointNow()
-		s.st.DrainRelocations()
+	if s.st.Up() != nil {
+		return AgeReport{}
 	}
-	return AgeReport{
-		Months:         rep.Months,
-		PEAdded:        rep.PEAdded,
-		BadBlocksGrown: rep.BadBlocksGrown,
-		BucketJumps:    rep.BucketJumps,
-		MinPE:          rep.MinPE,
-		MaxPE:          rep.MaxPE,
-		ScrubQueued:    scrubbed,
-	}
+	return s.st.Age(months)
 }
 
 // WAFStats is the per-cause write-amplification ledger: how many bytes

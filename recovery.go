@@ -7,57 +7,49 @@ package cubeftl
 // and Remount rebuilds the device from the durable state alone.
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"cubeftl/internal/host"
-	"cubeftl/internal/recovery"
 	"cubeftl/internal/sim"
-	"cubeftl/internal/ssd"
+	"cubeftl/internal/stack"
 	"cubeftl/internal/workload"
 )
 
 // ErrRecoveryOff reports a recovery API called on an SSD built without
 // Options.Recovery.
-var ErrRecoveryOff = errors.New("cubeftl: recovery not enabled (set Options.Recovery)")
+var ErrRecoveryOff = stack.ErrRecoveryOff
 
 // RecoveryEnabled reports whether the SSD runs the crash-consistency
 // subsystem.
-func (s *SSD) RecoveryEnabled() bool { return s.mgr != nil }
+func (s *SSD) RecoveryEnabled() bool { return s.st.Mgr != nil }
 
 // CheckpointNow requests an immediate checkpoint (it still takes
 // simulated time to write; a power cut during the write leaves the
 // previous checkpoint slot intact).
 func (s *SSD) CheckpointNow() error {
-	if s.mgr == nil {
+	if s.st.Mgr == nil {
 		return ErrRecoveryOff
 	}
-	s.mgr.CheckpointNow()
+	s.st.Mgr.CheckpointNow()
 	return nil
 }
 
 // AckedWrites returns how many distinct logical pages currently hold a
 // durably-acknowledged write — the set Remount's verifier audits.
 func (s *SSD) AckedWrites() int {
-	if s.mgr == nil || s.mgr.Ledger() == nil {
+	if s.st.Mgr == nil {
 		return 0
 	}
-	return s.mgr.Ledger().Writes()
+	return s.st.Mgr.Ledger().Writes()
 }
 
 // PowerCut kills the device at the current simulated instant: buffered
 // writes that never reached flash are dropped, in-flight word-line
 // programs are torn mid-ISPP, an in-flight erase leaves the block
 // half-erased, and only a prefix of the un-flushed journal reaches the
-// system area. The SSD rejects further I/O until Remount.
-func (s *SSD) PowerCut() error {
-	if s.mgr == nil {
-		return ErrRecoveryOff
-	}
-	s.mgr.PowerCut()
-	return nil
-}
+// system area. Until Remount every host entry point fails with
+// ErrPowerLost (those that return no error do nothing).
+func (s *SSD) PowerCut() error { return s.st.PowerCut() }
 
 // MountReport summarizes one recovery mount (facade view of the
 // internal report; see DESIGN.md §12 for the mount state machine).
@@ -97,23 +89,7 @@ type MountReport struct {
 // fails the remount if any check trips. Telemetry does not survive a
 // remount; re-enable it afterwards if needed.
 func (s *SSD) Remount(verify, fullScan bool) (MountReport, error) {
-	if s.mgr == nil {
-		return MountReport{}, ErrRecoveryOff
-	}
-	eng := sim.NewEngine()
-	// The NAND array is the durable medium: data, OOB, wear, grown bad
-	// blocks, and fault-injection streams all live there and carry over.
-	dev := ssd.NewWithArray(eng, s.dev.Config(), s.dev.Array())
-	pol, cube, err := s.st.Spec.Policy(dev)
-	if err != nil {
-		return MountReport{}, err
-	}
-	ctrl, rpt, err := recovery.Mount(dev, pol, s.st.CtrlCfg, s.mgr.System(), recovery.MountOptions{
-		ForceFullScan: fullScan,
-	})
-	if err != nil {
-		return MountReport{}, fmt.Errorf("cubeftl: recovery mount: %w", err)
-	}
+	rpt, err := s.st.Remount(verify, fullScan)
 	out := MountReport{
 		MountTime:         time.Duration(rpt.MountNs),
 		UsedCheckpoint:    rpt.UsedCheckpoint,
@@ -126,53 +102,28 @@ func (s *SSD) Remount(verify, fullScan bool) (MountReport, error) {
 		MappingsRecovered: rpt.MappingsRecovered,
 		RollForwardWins:   rpt.RollForwardWins,
 		EvacuationsQueued: rpt.EvacuationsQueued,
+		Verified:          verify && err == nil,
 	}
-	if verify {
-		if err := recovery.Verify(ctrl, s.mgr.Ledger()); err != nil {
-			return out, fmt.Errorf("cubeftl: post-mount verification: %w", err)
-		}
-		out.Verified = true
+	if err != nil {
+		return out, err
 	}
-	st := *s.st // same spec, controller config and ager: wear lives in the array
-	st.Eng, st.Dev, st.Ctrl, st.Cube = eng, dev, ctrl, cube
-	s.adopt(&st)
+	s.adopt()
 	s.hub, s.sampler = nil, nil
 	s.outstanding = 0
-	s.mgr = recovery.Attach(ctrl, s.mgr.System(), recovery.Options{
-		CkptIntervalNs: sim.Time(s.ckptInterval),
-		Ledger:         s.mgr.Ledger(),
-	})
 	return out, nil
 }
 
-// RunWorkloadUntil drives the named workload like RunWorkload but halts
-// the simulation at the given absolute simulated time without draining:
-// buffered writes, in-flight programs, and possibly active GC are left
-// mid-flight. This is the setup for PowerCut — run to the cut instant,
-// cut, then Remount. The returned stats cover the requests that
-// completed before the deadline.
+// RunWorkloadUntil drives the named workload like RunWorkload but, given
+// a positive deadline, halts the simulation at that absolute simulated
+// time without draining: buffered writes, in-flight programs, and
+// possibly active GC are left mid-flight. This is the setup for
+// PowerCut — run to the cut instant, cut, then Remount. The returned
+// stats cover the requests that completed before the deadline.
 func (s *SSD) RunWorkloadUntil(name string, requests, queueDepth int, deadline time.Duration) (RunStats, error) {
 	prof, ok := workload.ByName(name)
 	if !ok {
 		return RunStats{}, fmt.Errorf("cubeftl: unknown workload %q (have %v)", name, Workloads())
 	}
-	if requests <= 0 {
-		requests = workload.DefaultRunConfig().Requests
-	}
-	if queueDepth <= 0 {
-		queueDepth = workload.DefaultRunConfig().QueueDepth
-	}
 	gen := workload.NewStream(prof, s.ctrl.LogicalPages(), s.dev.Config().Seed+0xABCD)
-	mr, err := workload.RunTenants(s.ctrl, []workload.TenantSpec{{
-		Gen:      gen,
-		Requests: requests,
-		Queue:    host.QueueConfig{Tenant: gen.Name(), Depth: queueDepth},
-	}}, workload.MultiRunConfig{DispatchWidth: queueDepth, DeadlineNs: sim.Time(deadline)})
-	if err != nil {
-		return RunStats{}, err
-	}
-	t := mr.Tenants[0]
-	return s.runStats(workload.Result{
-		Requests: t.Requests, ElapsedNs: t.ElapsedNs, ReadLat: t.ReadLat, WriteLat: t.WriteLat, TraceHash: mr.TraceHash,
-	}), nil
+	return s.run(gen, workload.RunConfig{Requests: requests, QueueDepth: queueDepth, DeadlineNs: sim.Time(deadline)})
 }

@@ -44,7 +44,7 @@ func durableWrites(s *SSD, lpn *int64, n int) {
 
 func TestCheckpointAllocs(t *testing.T) {
 	s := servedDevice(t)
-	before := s.mgr.System().CheckpointBytes()
+	before := s.st.Mgr.System().CheckpointBytes()
 	if before < 100_000*24 {
 		t.Fatalf("checkpoint image is %d bytes: the device does not hold 100 000 mappings", before)
 	}
@@ -76,7 +76,7 @@ func TestDurableWriteAllocs(t *testing.T) {
 func BenchmarkCheckpointQuiesce(b *testing.B) {
 	s := servedDevice(b)
 	b.ReportAllocs()
-	b.SetBytes(int64(s.mgr.System().CheckpointBytes()))
+	b.SetBytes(int64(s.st.Mgr.System().CheckpointBytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Quiesce()

@@ -2,6 +2,7 @@ package cubeftl
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -111,3 +112,76 @@ func TestFacadeRecoveryDeterministic(t *testing.T) {
 		t.Fatalf("mount reports differ:\n%+v\n%+v", a, b)
 	}
 }
+
+// A device without power takes no host I/O: every entry point refuses
+// with ErrPowerLost, nothing reaches the array that survived the cut,
+// and what was offered in between is not there after the remount. (The
+// cut controller and engine still exist; before the stack knew it was
+// down, Write queued onto them and Run programmed the page, which
+// roll-forward then recovered.)
+func TestPowerCutRefusesHostIO(t *testing.T) {
+	s, err := New(recoveryOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Prefill(1000)
+	fe, err := s.AttachFrontEnd([]QueueSpec{{Name: "q"}}, ArbRR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PowerCut(); err != nil {
+		t.Fatal(err)
+	}
+	programs := s.dev.Array().Stats().Programs
+
+	const lpn = 5000 // never written before the cut
+	acked := false
+	for name, err := range map[string]error{
+		"Write":            s.Write(lpn, func() { acked = true }),
+		"Read":             s.Read(0, nil),
+		"FrontEnd.Submit":  fe.Submit(0, true, lpn, 1, nil),
+		"RunWorkload":      second(s.RunWorkload("Mixed", 100, 8)),
+		"RunWorkloadUntil": second(s.RunWorkloadUntil("Mixed", 100, 8, s.Now()+time.Millisecond)),
+		"RunTenants":       second(s.RunTenants([]TenantConfig{{Workload: "Mixed", Requests: 100}}, ArbRR, 0)),
+		"RunTrace":         second(s.RunTrace(strings.NewReader("w 5000 1\n"), "t", 1, 1)),
+		"ReplayTrace":      second(s.ReplayTrace("msr", openFixture(t), TraceReplayOptions{})),
+	} {
+		if !errors.Is(err, ErrPowerLost) {
+			t.Errorf("%s on a cut device: got %v, want ErrPowerLost", name, err)
+		}
+	}
+	if !Terminal(ErrPowerLost) || Retryable(ErrPowerLost) {
+		t.Error("ErrPowerLost must classify as terminal, not retryable")
+	}
+	if n := s.Prefill(10); n != 0 {
+		t.Errorf("Prefill wrote %d pages on a cut device", n)
+	}
+	if rep := s.AgeMonths(12); rep != (AgeReport{}) {
+		t.Errorf("AgeMonths aged a cut device: %+v", rep)
+	}
+	s.Run()
+	fe.Pump()
+	s.Quiesce()
+	if acked {
+		t.Error("a write offered after the cut was acknowledged")
+	}
+	if got := s.dev.Array().Stats().Programs; got != programs {
+		t.Errorf("flash programmed between cut and remount: %d -> %d word lines", programs, got)
+	}
+
+	if _, err := s.Remount(true, false); err != nil {
+		t.Fatal(err)
+	}
+	if mapped, err := s.IsMapped(lpn); err != nil || mapped {
+		t.Errorf("LPN %d after remount: mapped=%v err=%v, want unmapped", lpn, mapped, err)
+	}
+	if err := s.Write(lpn, nil); err != nil {
+		t.Errorf("write after remount: %v", err)
+	}
+	s.Run()
+	if mapped, _ := s.IsMapped(lpn); !mapped {
+		t.Error("the remounted device did not take the write")
+	}
+}
+
+func second[T any](_ T, err error) error { return err }

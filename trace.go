@@ -30,6 +30,5 @@ func (s *SSD) RunTrace(r io.Reader, name string, requests, queueDepth int) (RunS
 		return RunStats{}, fmt.Errorf("cubeftl: trace touches LPN %d beyond the device's %d pages",
 			max-1, s.ctrl.LogicalPages())
 	}
-	res := workload.Run(s.ctrl, tr, workload.RunConfig{Requests: requests, QueueDepth: queueDepth})
-	return s.runStats(res), nil
+	return s.run(tr, workload.RunConfig{Requests: requests, QueueDepth: queueDepth})
 }
