@@ -2,9 +2,9 @@
 # long tests hide behind -short here; `make soak` runs them in full.
 GO ?= go
 
-.PHONY: tier1 build fmt vet test race race-core fuzz-smoke bench bench-smoke bench-scale bench-telemetry one-stack one-relocator trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
+.PHONY: tier1 build fmt vet test race race-core fuzz-smoke bench bench-smoke bench-scale bench-telemetry one-stack one-relocator one-ledger trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
 
-tier1: build fmt vet one-stack one-relocator race race-core fuzz-smoke fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
+tier1: build fmt vet one-stack one-relocator one-ledger race race-core fuzz-smoke fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
 
 build:
 	$(GO) build ./...
@@ -38,12 +38,15 @@ race-core:
 # per-codeword reference on any bit pattern as a BER; the connection
 # reader's loop (readFrame, ParseHello, ParseIO) on any byte stream; the
 # checkpoint decoder on any bytes, raw and with a valid CRC (an error, or
-# a state that re-encodes to the same image). A failing input is written
-# under the package's testdata/fuzz/.
+# a state that re-encodes to the same image); the cube policy's
+# RestoreState on any bytes (an error that leaves AppendState's output
+# unchanged, or a state that re-encodes to the same bytes). A failing
+# input is written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/recovery -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRestoreState -fuzztime 10s
 
 # The repository's benchmark (bench/README.md): six workloads, both
 # clocks, per-layer decomposition; results land in bench/out/. Compare
@@ -120,6 +123,31 @@ one-relocator:
 	@long=$$(wc -l $(FTL_SRC) | awk '$$2 != "total" && $$1 > 600 { print $$2 ": " $$1 " lines" }'); \
 	if [ -n "$$long" ]; then echo "one-relocator: over 600 lines, split by concern:"; echo "$$long"; exit 1; fi
 	@echo "one-relocator: PASS"
+
+# One ledger: a number is declared once, beside the field it is counted
+# in (a `metric:"name kind help"` tag, metrics.Walk), and every view
+# walks the struct. Fails if an exposition name (a string literal
+# starting "cube_", "ftl/", "nand/", "faults/" or "cube/") appears in
+# more than one non-test .go file of the library (the root package and
+# internal/) — a second file spelling a name is a copy of the
+# declaration; the scrapers (bench/, cmd/soak's audit, examples/) look a
+# name up in what was served and have to spell it — or if one of the
+# copying helpers is back: metrics.CounterSet, Stats.FaultCounters, a
+# map[string]*int64 of metric names.
+one-ledger:
+	@bad=$$(grep -rnoE --include='*.go' --exclude='*_test.go' \
+			'"(cube_|ftl/|nand/|faults/|cube/)[A-Za-z0-9_/%]+' *.go internal \
+		| awk -F: '{ if (!seen[$$3 SUBSEP $$1]++) { files[$$3]++; where[$$3] = where[$$3] " " $$1 ":" $$2 } } \
+			END { for (n in files) if (files[n] > 1) print n "\" in" where[n] }'); \
+	if [ -n "$$bad" ]; then \
+		echo "one-ledger: an exposition name is spelled in one file, where its field is declared:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+			-e 'CounterSet' -e 'FaultCounters' -e 'map\[string\]\*int64' .); \
+	if [ -n "$$bad" ]; then \
+		echo "one-ledger: counters are read by walking their struct (metrics.Walk), not copied into a named set:"; echo "$$bad"; exit 1; \
+	fi
+	@echo "one-ledger: PASS"
 
 # Fleet smoke, tier-1 sized (a few seconds): the checked-in MSR fixture
 # replayed across 8 shards and 1024 tenants behind write-back caches.
@@ -202,7 +230,7 @@ soak:
 
 # Regenerate every paper figure/extension table.
 figures:
-	$(GO) run ./cmd/paperfig
+	$(GO) run ./cmd/paperfig all
 
 # Multi-tenant QoS demo: RR vs WRR vs WRR + rate cap.
 demo:

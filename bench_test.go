@@ -240,7 +240,7 @@ func BenchmarkAblationORTGranularity(b *testing.B) {
 		o := benchOpts()
 		o.Seed = uint64(i + 1)
 		r := experiment.AblationORTGranularity(o)
-		b.ReportMetric(r.Extra["retries/read"][0], "perlayer-retries")
+		b.ReportMetric(r.Series("retries/read")[0], "perlayer-retries")
 	}
 }
 
@@ -249,7 +249,7 @@ func BenchmarkAblationSafetyCheck(b *testing.B) {
 		o := benchOpts()
 		o.Seed = uint64(i + 1)
 		r := experiment.AblationSafetyCheck(o)
-		b.ReportMetric(r.Extra["reprograms"][0], "reprograms-on")
+		b.ReportMetric(r.Series("reprograms")[0], "reprograms-on")
 	}
 }
 
@@ -261,8 +261,8 @@ func BenchmarkWorkloadThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := experiment.RunWorkload(experiment.PolicyCube, workload.Mongo, o)
-		if out.Result.Requests != int64(o.Requests) {
-			b.Fatalf("incomplete run: %d", out.Result.Requests)
+		if out.Result.Completed != int64(o.Requests) {
+			b.Fatalf("incomplete run: %d", out.Result.Completed)
 		}
 	}
 }

@@ -26,15 +26,14 @@ import (
 	"io"
 	"time"
 
+	"cubeftl/internal/core"
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
-	"cubeftl/internal/lifetime"
 	"cubeftl/internal/nand"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
 	"cubeftl/internal/stack"
 	"cubeftl/internal/telemetry"
-	"cubeftl/internal/vth"
 	"cubeftl/internal/workload"
 )
 
@@ -286,7 +285,7 @@ func (s *SSD) run(gen workload.Generator, cfg workload.RunConfig) (RunStats, err
 func (s *SSD) runStats(res workload.Result) RunStats {
 	st := s.ctrl.Stats()
 	return RunStats{
-		Requests:       res.Requests,
+		Requests:       res.Completed,
 		Elapsed:        time.Duration(res.ElapsedNs),
 		IOPS:           res.IOPS(),
 		ReadP50:        time.Duration(res.ReadLat.Percentile(50)),
@@ -442,8 +441,8 @@ func (s *SSD) RunTenants(tenants []TenantConfig, arb string, dispatchWidth int) 
 	}
 	for _, tr := range mr.Tenants {
 		out.Tenants = append(out.Tenants, TenantRunStats{
-			Name:        tr.Name,
-			Requests:    tr.Requests,
+			Name:        tr.Tenant,
+			Requests:    tr.Completed,
 			Elapsed:     time.Duration(tr.ElapsedNs),
 			IOPS:        tr.IOPS(),
 			ReadP50:     time.Duration(tr.ReadLat.Percentile(50)),
@@ -454,7 +453,7 @@ func (s *SSD) RunTenants(tenants []TenantConfig, arb string, dispatchWidth int) 
 			WriteP999:   time.Duration(tr.WriteLat.Percentile(99.9)),
 			QueueFulls:  tr.QueueFulls,
 			Throttles:   tr.Throttles,
-			Rejects:     tr.Rejects,
+			Rejects:     tr.RejectedPages,
 			Grants:      tr.Grants,
 			MaxHeadWait: time.Duration(tr.MaxHeadWaitNs),
 		})
@@ -465,44 +464,12 @@ func (s *SSD) RunTenants(tenants []TenantConfig, arb string, dispatchWidth int) 
 	return out, nil
 }
 
-// CubeStats reports the PS-aware decision counters when the SSD runs a
-// cube flavor (zero value otherwise).
-type CubeStats struct {
-	LeaderPrograms   int64
-	FollowerPrograms int64
-	SafetyRejects    int64
-	ORTHits          int64
-	ORTMisses        int64
-	ORTBytes         int64
-
-	// Retry-table counters (DESIGN.md §15; zero unless the retry table
-	// is enabled via Options.RetryMode "ort-pr"/"ort-pr-ar").
-	RetryHits    int64 // fresh retry-table entries served
-	RetryStale   int64 // entries expired by decay on lookup
-	RetryMisses  int64 // lookups that fell through to the ORT
-	RetryEntries int64 // live entries right now
-}
+// CubeStats reports the PS-aware decision counters and table sizes
+// when the SSD runs a cube flavor (zero value otherwise).
+type CubeStats = core.CubeStats
 
 // Cube returns the PS-aware counters (meaningful for cube flavors).
-func (s *SSD) Cube() CubeStats {
-	cube := s.st.Cube // nil unless the FTL is a cube flavor
-	if cube == nil {
-		return CubeStats{}
-	}
-	cs := cube.CubeStats()
-	return CubeStats{
-		LeaderPrograms:   cs.LeaderPrograms,
-		FollowerPrograms: cs.FollowerPrograms,
-		SafetyRejects:    cs.SafetyRejects,
-		ORTHits:          cs.ORTHits,
-		ORTMisses:        cs.ORTMisses,
-		ORTBytes:         cube.ORTBytes(),
-		RetryHits:        cs.RetryHits,
-		RetryStale:       cs.RetryStale,
-		RetryMisses:      cs.RetryMisses,
-		RetryEntries:     int64(cube.RetryEntries()),
-	}
-}
+func (s *SSD) Cube() CubeStats { return *s.st.Cube.CubeStats() }
 
 // TelemetryConfig configures the observability layer (DESIGN.md §11).
 // The zero value enables metrics, stage attribution, and the sampler
@@ -540,7 +507,10 @@ func (s *SSD) EnableTelemetry(cfg TelemetryConfig) {
 	}
 	hub.SetSpanSample(cfg.SpanSample)
 	s.ctrl.SetTelemetry(hub)
-	s.registerFacadeGauges(hub)
+	// Cube-flavor decision counters (all zero on non-cube FTLs): the
+	// ORT and per-(block,layer) retry-table hit/stale/miss rates are
+	// the health signals DESIGN.md §15 steers on.
+	hub.Registry().MustRegisterStruct("", s.st.Cube.CubeStats(), nil)
 	s.hub = hub
 }
 
@@ -550,66 +520,6 @@ func (s *SSD) TelemetryEnabled() bool { return s.hub != nil }
 // Telemetry returns the underlying hub (nil when telemetry is off) for
 // direct registry/stage access.
 func (s *SSD) Telemetry() *telemetry.Hub { return s.hub }
-
-// registerFacadeGauges exposes the controller's aggregate stats through
-// the registry so JSONL snapshots carry them without reaching into the
-// internal structs.
-func (s *SSD) registerFacadeGauges(hub *telemetry.Hub) {
-	st := s.ctrl.Stats() // stable pointer; ResetStats zeroes in place
-	reg := hub.Registry()
-	reg.RegisterGauge("ftl/write_amp", func() float64 {
-		if st.HostWrites == 0 {
-			return 0
-		}
-		return float64(st.Programs*int64(vth.PagesPerWL)) / float64(st.HostWrites)
-	})
-	// Per-cause write-amplification ledger (DESIGN.md §17): where every
-	// physical program came from, plus the resulting factor.
-	reg.RegisterGauge("ftl/waf/factor", func() float64 { return s.ctrl.WAF().Factor() })
-	for name, get := range map[string]func(lifetime.WAF) int64{
-		"ftl/waf/host_bytes":    lifetime.WAF.HostBytes,
-		"ftl/waf/gc_bytes":      lifetime.WAF.GCBytes,
-		"ftl/waf/refresh_bytes": lifetime.WAF.RefreshBytes,
-		"ftl/waf/wl_bytes":      lifetime.WAF.WLBytes,
-	} {
-		g := get
-		reg.RegisterGauge(name, func() float64 { return float64(g(s.ctrl.WAF())) })
-	}
-	for name, src := range map[string]*int64{
-		"ftl/gc/runs":           &st.GCCount,
-		"ftl/gc/page_moves":     &st.GCPageMoves,
-		"ftl/refreshes":         &st.Refreshes,
-		"ftl/wear_levels":       &st.WearLevels,
-		"ftl/reprograms":        &st.Reprograms,
-		"ftl/buffer_hits":       &st.BufferHits,
-		"ftl/write_rejects":     &st.WriteRejects,
-		"ftl/degraded_dies":     &st.DegradedDies,
-		"ftl/fenced_programs":   &st.FencedPrograms,
-		"nand/read_retries":     &st.ReadRetries,
-		"faults/program_fail":   &st.ProgramFailures,
-		"faults/erase_fail":     &st.EraseFailures,
-		"faults/read_faults":    &st.ReadFaults,
-		"faults/retired_blocks": &st.RetiredBlocks,
-		"faults/recoveries":     &st.FaultRecoveries,
-	} {
-		p := src
-		reg.RegisterGauge(name, func() float64 { return float64(*p) })
-	}
-	// Cube-flavor decision counters (all zero on non-cube FTLs): the
-	// ORT and per-(block,layer) retry-table hit/stale/miss rates are
-	// the health signals DESIGN.md §15 steers on.
-	for name, get := range map[string]func(CubeStats) int64{
-		"cube/ort/hits":      func(c CubeStats) int64 { return c.ORTHits },
-		"cube/ort/misses":    func(c CubeStats) int64 { return c.ORTMisses },
-		"cube/retry/hits":    func(c CubeStats) int64 { return c.RetryHits },
-		"cube/retry/stale":   func(c CubeStats) int64 { return c.RetryStale },
-		"cube/retry/misses":  func(c CubeStats) int64 { return c.RetryMisses },
-		"cube/retry/entries": func(c CubeStats) int64 { return c.RetryEntries },
-	} {
-		g := get
-		reg.RegisterGauge(name, func() float64 { return float64(g(s.Cube())) })
-	}
-}
 
 // ErrTelemetryOff reports a telemetry API called before EnableTelemetry.
 var ErrTelemetryOff = errors.New("cubeftl: telemetry not enabled")

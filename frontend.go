@@ -9,7 +9,6 @@ package cubeftl
 
 import (
 	"fmt"
-	"time"
 
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
@@ -29,23 +28,12 @@ type QueueSpec = host.QueueConfig
 type IOCompletion = host.Completion
 
 // TenantSnapshot is a point-in-time view of one tenant queue, for SLO
-// controllers and operator dashboards. Percentiles are cumulative over
-// the front end's lifetime; latency-window tracking belongs to the
+// controllers and operator dashboards: the queue's counters (Tenant,
+// Submitted, Completed, QueueFulls, Grants, Throttles, ...), its
+// cumulative ReadLat / WriteLat histograms, and QueueLen, Weight and
+// RateIOPS as they stand. Latency-window tracking belongs to the
 // consumer (see internal/server's SLO controller).
-type TenantSnapshot struct {
-	Name       string
-	Queue      int
-	Submitted  int64
-	Completed  int64
-	QueueFulls int64
-	Grants     int64
-	Throttles  int64
-	QueueLen   int
-	ReadP99    time.Duration
-	WriteP99   time.Duration
-	Weight     int
-	RateIOPS   float64
-}
+type TenantSnapshot = host.TenantView
 
 // FrontEnd is a persistent NVMe-style multi-queue host interface over
 // the SSD. Like the SSD itself it is single-threaded: all calls must
@@ -129,28 +117,7 @@ func (f *FrontEnd) SetWeight(queue, weight int) error { return f.h.SetWeight(que
 func (f *FrontEnd) SetRate(queue int, iops float64) error { return f.h.SetRate(queue, iops) }
 
 // Snapshot returns a point-in-time view of every tenant queue.
-func (f *FrontEnd) Snapshot() []TenantSnapshot {
-	samples := f.h.TenantSamples()
-	out := make([]TenantSnapshot, len(samples))
-	for i, ts := range samples {
-		st := f.h.Stats(i)
-		out[i] = TenantSnapshot{
-			Name:       ts.Name,
-			Queue:      i,
-			Submitted:  st.Submitted,
-			Completed:  st.Completed,
-			QueueFulls: st.QueueFulls,
-			Grants:     st.Grants,
-			Throttles:  st.Throttles,
-			QueueLen:   ts.QueueLen,
-			ReadP99:    time.Duration(ts.ReadP99),
-			WriteP99:   time.Duration(ts.WriteP99),
-			Weight:     f.h.Weight(i),
-			RateIOPS:   f.h.Rate(i),
-		}
-	}
-	return out
-}
+func (f *FrontEnd) Snapshot() []TenantSnapshot { return f.h.Snapshot() }
 
 // TraceHash returns the FNV-1a hash over the arbitration grant
 // sequence — equal hashes mean bit-identical scheduling.

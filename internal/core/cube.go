@@ -161,7 +161,6 @@ type CubeFTL struct {
 	// retry is the decaying age-aware offset cache layered over ort
 	// (see retry.go): per block, one row of age buckets per h-layer.
 	retry     []retryBlock
-	retryLive int    // live entries across the whole table
 	readSeq   uint64 // monotonic ObserveRead counter driving decay
 	ageBucket int    // active retention-age bucket for retry lookups
 	// ageFn, when set, resolves the retention-age bucket per block
@@ -181,18 +180,22 @@ type opmRow struct {
 // never negative).
 const ortAbsent int8 = -1
 
-// CubeStats counts PS-aware decisions for reporting.
+// CubeStats is the policy's ledger (metrics.Walk): the PS-aware
+// decision counters, counted in place, and the two table sizes.
 type CubeStats struct {
-	LeaderPrograms   int64
-	FollowerPrograms int64
-	SafetyRejects    int64
-	ORTHits          int64
-	ORTMisses        int64
+	LeaderPrograms   int64 `metric:"-"`
+	FollowerPrograms int64 `metric:"-"`
+	SafetyRejects    int64 `metric:"-"`
+	ORTHits          int64 `metric:"cube/ort/hits gauge reads that started from a cached ORT offset"`
+	ORTMisses        int64 `metric:"cube/ort/misses gauge reads that found no ORT entry"`
+	// ORTBytes is the ORT's footprint at the paper's encoding (§5.1).
+	ORTBytes int64 `metric:"-"`
 
 	// Retry-table counters (zero unless Config.RetryTable is on).
-	RetryHits   int64 // fresh retry-table entries served
-	RetryStale  int64 // entries expired by decay on lookup
-	RetryMisses int64 // lookups that fell through to the ORT
+	RetryHits    int64 `metric:"cube/retry/hits gauge fresh retry-table entries served"`
+	RetryStale   int64 `metric:"cube/retry/stale gauge retry-table entries expired by decay on lookup"`
+	RetryMisses  int64 `metric:"cube/retry/misses gauge retry-table lookups that fell through to the ORT"`
+	RetryEntries int64 `metric:"cube/retry/entries gauge live retry-table entries"`
 }
 
 // NewCubeFTL builds the policy for a device geometry.
@@ -215,6 +218,7 @@ func NewCubeFTL(geo ssd.Geometry, cfg Config) *CubeFTL {
 		retry: make([]retryBlock, blocks),
 	}
 	fillAbsent(f.ort)
+	f.stats.ORTBytes = f.ORTBytes()
 	return f
 }
 
@@ -241,8 +245,14 @@ func (f *CubeFTL) Name() string {
 // Config returns the policy configuration.
 func (f *CubeFTL) Config() Config { return f.cfg }
 
-// CubeStats returns the PS-aware decision counters.
-func (f *CubeFTL) CubeStats() CubeStats { return f.stats }
+// CubeStats returns the live ledger (updated in place); a nil policy —
+// the stack of a non-cube FTL — reads as all zeros.
+func (f *CubeFTL) CubeStats() *CubeStats {
+	if f == nil {
+		return new(CubeStats)
+	}
+	return &f.stats
+}
 
 // ActiveBlocksPerChip implements ftl.Policy.
 func (f *CubeFTL) ActiveBlocksPerChip() int { return f.cfg.ActiveBlocks }

@@ -82,7 +82,7 @@ func (f *CubeFTL) setRetry(rb *retryBlock, layer, bucket int, e retryEntry) {
 	slot := &rb.rows[layer][bucket]
 	if !slot.present {
 		rb.live++
-		f.retryLive++
+		f.stats.RetryEntries++
 	}
 	*slot = e
 }
@@ -91,7 +91,7 @@ func (f *CubeFTL) setRetry(rb *retryBlock, layer, bucket int, e retryEntry) {
 func (f *CubeFTL) clearRetryBlock(rb *retryBlock) {
 	if rb.live > 0 {
 		clear(rb.rows)
-		f.retryLive -= rb.live
+		f.stats.RetryEntries -= int64(rb.live)
 		rb.live = 0
 	}
 }
@@ -100,7 +100,7 @@ func (f *CubeFTL) clearRetryBlock(rb *retryBlock) {
 func (f *CubeFTL) dropRetry(rb *retryBlock, e *retryEntry) {
 	*e = retryEntry{}
 	rb.live--
-	f.retryLive--
+	f.stats.RetryEntries--
 }
 
 // bucketOf resolves a block's retention-age bucket: the per-block
@@ -159,9 +159,6 @@ func (f *CubeFTL) InvalidateBlockRetry(chip, block int) {
 		fillAbsent(f.ort[base : base+f.geo.Layers])
 	}
 }
-
-// RetryEntries returns the number of live retry-table entries.
-func (f *CubeFTL) RetryEntries() int { return f.retryLive }
 
 // RetrySetup bundles everything one -retry-mode choice configures: the
 // chip-level scheduling model and decode latency, and the policy-level

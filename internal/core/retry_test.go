@@ -77,8 +77,8 @@ func TestRetryTableHitStaleAndBuckets(t *testing.T) {
 	if f.CubeStats().RetryHits != 1 {
 		t.Errorf("RetryHits = %d, want 1", f.CubeStats().RetryHits)
 	}
-	if f.RetryEntries() != 1 {
-		t.Errorf("RetryEntries = %d, want 1", f.RetryEntries())
+	if f.CubeStats().RetryEntries != 1 {
+		t.Errorf("RetryEntries = %d, want 1", f.CubeStats().RetryEntries)
 	}
 
 	// A different age bucket does not see the entry (the retry table is
@@ -118,12 +118,12 @@ func TestRetryTableClearedOnErase(t *testing.T) {
 	f.ObserveRead(0, 7, 3, nand.ReadResult{OffsetUsed: 2}, nil)
 	f.SetAgeBucket(5)
 	f.ObserveRead(0, 7, 3, nand.ReadResult{OffsetUsed: 4}, nil)
-	if f.RetryEntries() != 2 {
-		t.Fatalf("RetryEntries = %d, want 2", f.RetryEntries())
+	if f.CubeStats().RetryEntries != 2 {
+		t.Fatalf("RetryEntries = %d, want 2", f.CubeStats().RetryEntries)
 	}
 	f.BlockErased(0, 7)
-	if f.RetryEntries() != 0 {
-		t.Errorf("after erase: RetryEntries = %d, want 0 (all buckets cleared)", f.RetryEntries())
+	if f.CubeStats().RetryEntries != 0 {
+		t.Errorf("after erase: RetryEntries = %d, want 0 (all buckets cleared)", f.CubeStats().RetryEntries)
 	}
 	if off := f.ReadStartOffset(0, 7, 3); off != 0 {
 		t.Errorf("after erase: start offset = %d, want 0", off)
@@ -142,8 +142,8 @@ func TestRetryStateRoundTrip(t *testing.T) {
 	if err := g.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
-	if g.RetryEntries() != 2 {
-		t.Fatalf("restored RetryEntries = %d, want 2", g.RetryEntries())
+	if g.CubeStats().RetryEntries != 2 {
+		t.Fatalf("restored RetryEntries = %d, want 2", g.CubeStats().RetryEntries)
 	}
 	if off := g.ReadStartOffset(0, 5, 2); off != 3 {
 		t.Errorf("restored start offset = %d, want 3", off)

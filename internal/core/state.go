@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"cubeftl/internal/ftl"
 	"cubeftl/internal/process"
 	"cubeftl/internal/vth"
 )
@@ -85,7 +86,7 @@ func (f *CubeFTL) AppendState(dst []byte) []byte {
 	le.PutUint32(b[countAt:], n)
 
 	b = le.AppendUint64(b, f.readSeq)
-	b = le.AppendUint32(b, uint32(f.retryLive))
+	b = le.AppendUint32(b, uint32(f.stats.RetryEntries))
 	for bi := range f.retry {
 		rb := &f.retry[bi]
 		if rb.live == 0 {
@@ -128,32 +129,36 @@ func (f *CubeFTL) RestoreState(data []byte) error {
 // tables the caller has emptied, from an image a first walk has
 // accepted).
 func (f *CubeFTL) decodeState(data []byte, apply bool) error {
-	r := &stateReader{b: data}
+	r := &ftl.StateReader{B: data, What: "core: policy state"}
 	var magic [4]byte
-	r.bytes(magic[:])
-	if r.err == nil && magic != policyStateMagic {
+	r.Bytes(magic[:])
+	if r.Err == nil && magic != policyStateMagic {
 		return fmt.Errorf("core: policy state has magic %q, want %q", magic[:], policyStateMagic[:])
 	}
 	layerKeys := int64(len(f.ort))
 
-	nOPM := r.u32()
+	nOPM := r.U32()
 	prev := int64(-1)
-	for i := uint32(0); i < nOPM && r.err == nil; i++ {
-		k := r.key("OPM", &prev, layerKeys)
-		obs := layerObs{present: true, valid: r.u8() == 1}
-		if nWin := r.u16(); r.err == nil && nWin != vth.ProgramStates {
+	for i := uint32(0); i < nOPM && r.Err == nil; i++ {
+		k := readKey(r, "OPM", &prev, layerKeys)
+		valid := r.U8()
+		if r.Err == nil && valid > 1 {
+			return fmt.Errorf("core: policy state OPM record %d marks validity with byte %d", k, valid)
+		}
+		obs := layerObs{present: true, valid: valid == 1}
+		if nWin := r.U16(); r.Err == nil && nWin != vth.ProgramStates {
 			return fmt.Errorf("core: policy state OPM record has %d loop windows, want %d", nWin, vth.ProgramStates)
 		}
 		for j := range obs.windows {
-			obs.windows[j] = process.LoopWindow{MinLoop: int(r.u16()), MaxLoop: int(r.u16())}
+			obs.windows[j] = process.LoopWindow{MinLoop: int(r.U16()), MaxLoop: int(r.U16())}
 		}
 		for s := range obs.skip {
-			obs.skip[s] = int(int32(r.u32()))
+			obs.skip[s] = int(int32(r.U32()))
 		}
-		obs.startMV = int(int32(r.u32()))
-		obs.finalMV = int(int32(r.u32()))
-		obs.lastBER = math.Float64frombits(r.u64())
-		if apply && r.err == nil {
+		obs.startMV = int(int32(r.U32()))
+		obs.finalMV = int(int32(r.U32()))
+		obs.lastBER = math.Float64frombits(r.U64())
+		if apply && r.Err == nil {
 			bi, l := int(k)/f.geo.Layers, int(k)%f.geo.Layers
 			if f.opm[bi] == nil {
 				f.opm[bi] = f.takeOPMRow()
@@ -162,36 +167,36 @@ func (f *CubeFTL) decodeState(data []byte, apply bool) error {
 		}
 	}
 
-	nORT := r.u32()
+	nORT := r.U32()
 	prev = -1
-	for i := uint32(0); i < nORT && r.err == nil; i++ {
-		k := r.key("ORT", &prev, layerKeys)
-		v := int8(r.u8())
-		if r.err == nil && v < 0 {
+	for i := uint32(0); i < nORT && r.Err == nil; i++ {
+		k := readKey(r, "ORT", &prev, layerKeys)
+		v := int8(r.U8())
+		if r.Err == nil && v < 0 {
 			return fmt.Errorf("core: policy state ORT entry %d caches offset level %d", k, v)
 		}
-		if apply && r.err == nil {
+		if apply && r.Err == nil {
 			f.ort[k] = v
 		}
 	}
 
-	readSeq := r.u64()
-	nRetry := r.u32()
+	readSeq := r.U64()
+	nRetry := r.U32()
 	prev = -1
-	for i := uint32(0); i < nRetry && r.err == nil; i++ {
-		k := r.key("retry", &prev, layerKeys*RetryAgeBuckets)
-		e := retryEntry{present: true, offset: int8(r.u8())}
-		e.seq = r.u64()
-		if apply && r.err == nil {
+	for i := uint32(0); i < nRetry && r.Err == nil; i++ {
+		k := readKey(r, "retry", &prev, layerKeys*RetryAgeBuckets)
+		e := retryEntry{present: true, offset: int8(r.U8())}
+		e.seq = r.U64()
+		if apply && r.Err == nil {
 			lk, bkt := int(k)/RetryAgeBuckets, int(k)%RetryAgeBuckets
 			f.setRetry(&f.retry[lk/f.geo.Layers], lk%f.geo.Layers, bkt, e)
 		}
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err != nil {
+		return r.Err
 	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("core: policy state has %d trailing bytes", len(r.b))
+	if len(r.B) != 0 {
+		return fmt.Errorf("core: policy state has %d trailing bytes", len(r.B))
 	}
 	if apply {
 		f.readSeq = readSeq
@@ -199,71 +204,17 @@ func (f *CubeFTL) decodeState(data []byte, apply bool) error {
 	return nil
 }
 
-// stateReader is a little-endian cursor that latches the first
-// truncation error instead of panicking on short input.
-type stateReader struct {
-	b   []byte
-	err error
-}
-
-func (r *stateReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
-		r.err = fmt.Errorf("core: policy state truncated (need %d bytes, have %d)", n, len(r.b))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *stateReader) bytes(dst []byte) {
-	if src := r.take(len(dst)); src != nil {
-		copy(dst, src)
-	}
-}
-
-// key reads one table key: it must lie in [0, limit) and above the
+// readKey reads one table key: it must lie in [0, limit) and above the
 // previous key of its table (*prev, which it advances).
-func (r *stateReader) key(table string, prev *int64, limit int64) int64 {
-	k := int64(r.u64())
+func readKey(r *ftl.StateReader, table string, prev *int64, limit int64) int64 {
+	k := int64(r.U64())
 	switch {
-	case r.err != nil:
+	case r.Err != nil:
 	case k < 0 || k >= limit:
-		r.err = fmt.Errorf("core: policy state %s key %d is outside this geometry's table [0, %d)", table, k, limit)
+		r.Err = fmt.Errorf("core: policy state %s key %d is outside this geometry's table [0, %d)", table, k, limit)
 	case k <= *prev:
-		r.err = fmt.Errorf("core: policy state %s key %d follows %d: keys must ascend", table, k, *prev)
+		r.Err = fmt.Errorf("core: policy state %s key %d follows %d: keys must ascend", table, k, *prev)
 	}
 	*prev = k
 	return k
-}
-
-func (r *stateReader) u8() byte {
-	if s := r.take(1); s != nil {
-		return s[0]
-	}
-	return 0
-}
-
-func (r *stateReader) u16() uint16 {
-	if s := r.take(2); s != nil {
-		return binary.LittleEndian.Uint16(s)
-	}
-	return 0
-}
-
-func (r *stateReader) u32() uint32 {
-	if s := r.take(4); s != nil {
-		return binary.LittleEndian.Uint32(s)
-	}
-	return 0
-}
-
-func (r *stateReader) u64() uint64 {
-	if s := r.take(8); s != nil {
-		return binary.LittleEndian.Uint64(s)
-	}
-	return 0
 }

@@ -75,3 +75,30 @@ func BenchmarkAppendState(b *testing.B) {
 		buf = f.AppendState(buf[:0])
 	}
 }
+
+// FuzzRestoreState feeds RestoreState arbitrary bytes over a policy
+// holding a learned state. The claim it checks: an image is validated
+// before it is applied, so the answer is an error with AppendState's
+// output unchanged, or a state that re-encodes to the same bytes —
+// never a panic.
+func FuzzRestoreState(f *testing.F) {
+	p := learnedPolicy(f)
+	good := p.AppendState(nil)
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte{})
+	f.Add(policyStateMagic[:])
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if err := p.RestoreState(good); err != nil { // every input meets the same state
+			t.Fatal(err)
+		}
+		if err := p.RestoreState(b); err != nil {
+			if !bytes.Equal(p.AppendState(nil), good) {
+				t.Fatalf("a refused image of %d bytes changed the policy's state", len(b))
+			}
+		} else if again := p.AppendState(nil); !bytes.Equal(again, b) {
+			t.Fatalf("image of %d bytes restores, and re-encodes to %d different bytes", len(b), len(again))
+		}
+	})
+}

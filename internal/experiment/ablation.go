@@ -19,21 +19,47 @@ type AblationResult struct {
 	Knob   string
 	Values []string
 	IOPS   []float64
-	Extra  map[string][]float64 // additional per-value series
+	// Extra holds the additional per-value series, in declaration order:
+	// the order the table's columns print in.
+	Extra []Series
+}
+
+// Series is one named per-value column of a sweep.
+type Series struct {
+	Name   string
+	Values []float64
+}
+
+// point records one knob value's IOPS and its extra-series values, in
+// the order Extra declares them.
+func (r *AblationResult) point(value string, out RunOutcome, extra ...float64) {
+	r.Values = append(r.Values, value)
+	r.IOPS = append(r.IOPS, out.IOPS())
+	for i, v := range extra {
+		r.Extra[i].Values = append(r.Extra[i].Values, v)
+	}
+}
+
+// Series returns the named extra series (nil if the sweep has none).
+func (r *AblationResult) Series(name string) []float64 {
+	for _, s := range r.Extra {
+		if s.Name == name {
+			return s.Values
+		}
+	}
+	return nil
 }
 
 // Table renders the sweep.
 func (r *AblationResult) Table() *Table {
 	t := &Table{Title: r.Title, Cols: []string{r.Knob, "IOPS"}}
-	var extraKeys []string
-	for k := range r.Extra {
-		extraKeys = append(extraKeys, k)
+	for _, s := range r.Extra {
+		t.Cols = append(t.Cols, s.Name)
 	}
-	t.Cols = append(t.Cols, extraKeys...)
 	for i, v := range r.Values {
 		row := []string{v, fmt.Sprintf("%.0f", r.IOPS[i])}
-		for _, k := range extraKeys {
-			row = append(row, f2(r.Extra[k][i]))
+		for _, s := range r.Extra {
+			row = append(row, f2(s.Values[i]))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -56,14 +82,11 @@ func AblationMuThreshold(opts SSDOpts) *AblationResult {
 	r := &AblationResult{
 		Title: "Ablation: WAM buffer-utilization threshold mu_TH (OLTP)",
 		Knob:  "mu_TH",
-		Extra: map[string][]float64{"write P90 (ms)": nil},
+		Extra: []Series{{Name: "write P90 (ms)"}},
 	}
 	for _, th := range []float64{0.5, 0.7, 0.9, 0.95, 1.0} {
 		out := RunCustom(cubeWith(opts, func(c *core.Config) { c.MuThreshold = th }), workload.OLTP, opts)
-		r.Values = append(r.Values, f2(th))
-		r.IOPS = append(r.IOPS, out.IOPS())
-		r.Extra["write P90 (ms)"] = append(r.Extra["write P90 (ms)"],
-			float64(out.Result.WriteLat.Percentile(90))/1e6)
+		r.point(f2(th), out, float64(out.Result.WriteLat.Percentile(90))/1e6)
 	}
 	return r
 }
@@ -75,13 +98,11 @@ func AblationActiveBlocks(opts SSDOpts) *AblationResult {
 	r := &AblationResult{
 		Title: "Ablation: active blocks per chip (OLTP)",
 		Knob:  "active blocks",
-		Extra: map[string][]float64{"mean tPROG (us)": nil},
+		Extra: []Series{{Name: "mean tPROG (us)"}},
 	}
 	for _, n := range []int{1, 2, 4} {
 		out := RunCustom(cubeWith(opts, func(c *core.Config) { c.ActiveBlocks = n }), workload.OLTP, opts)
-		r.Values = append(r.Values, d(n))
-		r.IOPS = append(r.IOPS, out.IOPS())
-		r.Extra["mean tPROG (us)"] = append(r.Extra["mean tPROG (us)"], out.MeanTPROGNs/1e3)
+		r.point(d(n), out, out.Stats.MeanTPROGNs()/1e3)
 	}
 	return r
 }
@@ -93,16 +114,14 @@ func AblationProgramOrder(opts SSDOpts) *AblationResult {
 	r := &AblationResult{
 		Title: "Ablation: static program order under OPM, WAM off (Rocks)",
 		Knob:  "order",
-		Extra: map[string][]float64{"mean tPROG (us)": nil},
+		Extra: []Series{{Name: "mean tPROG (us)"}},
 	}
 	for _, o := range []ftl.Order{ftl.OrderHorizontalFirst, ftl.OrderVerticalFirst, ftl.OrderMixed} {
 		out := RunCustom(cubeWith(opts, func(c *core.Config) {
 			c.UseWAM = false
 			c.Order = o
 		}), workload.Rocks, opts)
-		r.Values = append(r.Values, o.String())
-		r.IOPS = append(r.IOPS, out.IOPS())
-		r.Extra["mean tPROG (us)"] = append(r.Extra["mean tPROG (us)"], out.MeanTPROGNs/1e3)
+		r.point(o.String(), out, out.Stats.MeanTPROGNs()/1e3)
 	}
 	return r
 }
@@ -120,20 +139,14 @@ func AblationORTGranularity(opts SSDOpts) *AblationResult {
 	r := &AblationResult{
 		Title: "Ablation: ORT granularity at mid-life (Proxy)",
 		Knob:  "granularity",
-		Extra: map[string][]float64{"retries/read": nil},
+		Extra: []Series{{Name: "retries/read"}},
 	}
 	for _, g := range []struct {
 		name string
 		g    core.ORTGranularity
 	}{{"per-h-layer", core.ORTPerLayer}, {"per-block", core.ORTPerBlock}, {"per-chip", core.ORTPerChip}} {
 		out := RunCustom(cubeWith(opts, func(c *core.Config) { c.ORT = g.g }), workload.Proxy, opts)
-		r.Values = append(r.Values, g.name)
-		r.IOPS = append(r.IOPS, out.IOPS())
-		perRead := 0.0
-		if out.HostReads > 0 {
-			perRead = float64(out.ReadRetries) / float64(out.HostReads)
-		}
-		r.Extra["retries/read"] = append(r.Extra["retries/read"], perRead)
+		r.point(g.name, out, out.RetriesPerRead())
 	}
 	return r
 }
@@ -147,7 +160,7 @@ func AblationSafetyCheck(opts SSDOpts) *AblationResult {
 	r := &AblationResult{
 		Title: "Ablation: safety check under 2% program disturbance (Mongo, aged)",
 		Knob:  "safety check",
-		Extra: map[string][]float64{"retries/read": nil, "reprograms": nil, "uncorrectable": nil},
+		Extra: []Series{{Name: "retries/read"}, {Name: "reprograms"}, {Name: "uncorrectable"}},
 	}
 	for _, on := range []bool{true, false} {
 		stk := cubeWith(opts, func(c *core.Config) { c.SafetyCheck = on })
@@ -157,15 +170,7 @@ func AblationSafetyCheck(opts SSDOpts) *AblationResult {
 		if on {
 			label = "on"
 		}
-		r.Values = append(r.Values, label)
-		r.IOPS = append(r.IOPS, out.IOPS())
-		perRead := 0.0
-		if out.HostReads > 0 {
-			perRead = float64(out.ReadRetries) / float64(out.HostReads)
-		}
-		r.Extra["retries/read"] = append(r.Extra["retries/read"], perRead)
-		r.Extra["reprograms"] = append(r.Extra["reprograms"], float64(out.Reprograms))
-		r.Extra["uncorrectable"] = append(r.Extra["uncorrectable"], float64(out.Uncorrectable))
+		r.point(label, out, out.RetriesPerRead(), float64(out.Stats.Reprograms), float64(out.Stats.Uncorrectable))
 	}
 	return r
 }

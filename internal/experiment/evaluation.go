@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"cubeftl/internal/ftl"
 	"cubeftl/internal/metrics"
 	"cubeftl/internal/stack"
 	"cubeftl/internal/workload"
@@ -50,23 +51,22 @@ type RunOutcome struct {
 	Workload string
 	Policy   PolicyKind
 	Result   workload.Result
-	// Controller-level measurements for the run window.
-	MeanTPROGNs   float64
-	ReadRetries   int64
-	GCCount       int64
-	Reprograms    int64
-	HostReads     int64
-	HostWrites    int64
-	BufferHits    int64
-	Uncorrectable int64
-	// Fault-handling counters (non-zero only under fault injection).
-	Faults *metrics.CounterSet
+	// Stats is the controller's ledger at the end of the run window.
+	Stats ftl.Stats
 	// Degraded reports whether the device ended the run read-only.
 	Degraded bool
 }
 
 // IOPS is the outcome's throughput.
 func (o RunOutcome) IOPS() float64 { return o.Result.IOPS() }
+
+// RetriesPerRead is the run's read-retry steps per host page read.
+func (o RunOutcome) RetriesPerRead() float64 {
+	if o.Stats.HostReads == 0 {
+		return 0
+	}
+	return float64(o.Stats.ReadRetries) / float64(o.Stats.HostReads)
+}
 
 // mustBuild builds the device running the given FTL, from a spec the
 // experiment drivers wrote themselves: they hard-code the FTL and
@@ -95,21 +95,12 @@ func RunCustom(stk *stack.Stack, prof workload.Profile, opts SSDOpts) RunOutcome
 	ctrl.ResetStats()
 
 	res := workload.Run(ctrl, gen, workload.RunConfig{Requests: opts.Requests, QueueDepth: opts.QueueDepth})
-	st := ctrl.Stats()
 	return RunOutcome{
-		Workload:      prof.Name,
-		Policy:        PolicyKind(stk.Spec.FTL),
-		Result:        res,
-		MeanTPROGNs:   st.MeanTPROGNs(),
-		ReadRetries:   st.ReadRetries,
-		GCCount:       st.GCCount,
-		Reprograms:    st.Reprograms,
-		HostReads:     st.HostReads,
-		HostWrites:    st.HostWrites,
-		BufferHits:    st.BufferHits,
-		Uncorrectable: st.Uncorrectable,
-		Faults:        st.FaultCounters(),
-		Degraded:      ctrl.Degraded(),
+		Workload: prof.Name,
+		Policy:   PolicyKind(stk.Spec.FTL),
+		Result:   res,
+		Stats:    *ctrl.Stats(),
+		Degraded: ctrl.Degraded(),
 	}
 }
 
@@ -157,7 +148,7 @@ func Fig17(opts SSDOpts) *Fig17Result {
 		for _, kind := range EvalPolicies {
 			out := RunWorkload(kind, prof, opts)
 			iops = append(iops, out.IOPS())
-			tprog = append(tprog, out.MeanTPROGNs)
+			tprog = append(tprog, out.Stats.MeanTPROGNs())
 		}
 		res.IOPS = append(res.IOPS, iops)
 		res.MeanTPROG = append(res.MeanTPROG, tprog)
@@ -266,11 +257,11 @@ func TprogAudit(opts SSDOpts) *TprogAuditResult {
 		out := RunWorkload(kind, workload.OLTP, opts)
 		switch kind {
 		case PolicyPage:
-			res.PageNs = out.MeanTPROGNs
+			res.PageNs = out.Stats.MeanTPROGNs()
 		case PolicyVert:
-			res.VertNs = out.MeanTPROGNs
+			res.VertNs = out.Stats.MeanTPROGNs()
 		case PolicyCube:
-			res.CubeNs = out.MeanTPROGNs
+			res.CubeNs = out.Stats.MeanTPROGNs()
 		}
 	}
 	return res

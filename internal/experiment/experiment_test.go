@@ -308,15 +308,29 @@ func TestAblations(t *testing.T) {
 		t.Errorf("per-layer ORT IOPS %v far below best %v", og.IOPS[0], best)
 	}
 	sc := AblationSafetyCheck(o)
-	if sc.Extra["reprograms"][0] == 0 {
+	if sc.Series("reprograms")[0] == 0 {
 		t.Error("safety check on: no reprograms despite injected disturbances")
 	}
-	if sc.Extra["reprograms"][1] != 0 {
+	if sc.Series("reprograms")[1] != 0 {
 		t.Error("safety check off: reprograms still happened")
 	}
 	for _, r := range []*AblationResult{mu, ab, po, og, sc} {
 		if len(r.Table().Rows) == 0 {
 			t.Errorf("%s: empty table", r.Title)
+		}
+	}
+	// The extra series print in declaration order, every time: a
+	// same-seed run is byte-identical.
+	var first bytes.Buffer
+	sc.Table().Fprint(&first)
+	if got := strings.Join(sc.Table().Cols, "|"); got != "safety check|IOPS|retries/read|reprograms|uncorrectable" {
+		t.Errorf("abl-safety columns out of declaration order: %s", got)
+	}
+	for i := 0; i < 20; i++ {
+		var again bytes.Buffer
+		sc.Table().Fprint(&again)
+		if again.String() != first.String() {
+			t.Fatalf("abl-safety rendered two ways:\n%s\n%s", first.String(), again.String())
 		}
 	}
 }
@@ -334,8 +348,8 @@ func TestRunWorkloadOutcome(t *testing.T) {
 	if out.IOPS() <= 0 {
 		t.Error("no throughput")
 	}
-	if out.HostReads+out.HostWrites < int64(o.Requests) {
-		t.Errorf("requests unaccounted: %d reads + %d writes", out.HostReads, out.HostWrites)
+	if out.Stats.HostReads+out.Stats.HostWrites < int64(o.Requests) {
+		t.Errorf("requests unaccounted: %d reads + %d writes", out.Stats.HostReads, out.Stats.HostWrites)
 	}
 }
 

@@ -33,10 +33,9 @@ func ExtFaultTolerance(opts SSDOpts) *ExtFaultResult {
 		res.Labels = append(res.Labels, fmt.Sprintf("pfail %.0e / efail %.0e", rate, rate/10))
 		res.IOPS = append(res.IOPS, out.IOPS())
 		res.WriteP99 = append(res.WriteP99, out.Result.WriteLat.Percentile(99))
-		res.Retired = append(res.Retired, out.Faults.Get("RetiredBlocks"))
-		res.Failures = append(res.Failures,
-			out.Faults.Get("ProgramFailures")+out.Faults.Get("EraseFailures"))
-		res.Recovered = append(res.Recovered, out.Faults.Get("FaultRecoveries"))
+		res.Retired = append(res.Retired, out.Stats.RetiredBlocks)
+		res.Failures = append(res.Failures, out.Stats.ProgramFailures+out.Stats.EraseFailures)
+		res.Recovered = append(res.Recovered, out.Stats.FaultRecoveries)
 		res.Degraded = append(res.Degraded, out.Degraded)
 	}
 	return res

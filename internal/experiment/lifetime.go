@@ -98,9 +98,9 @@ func ExtLifetime(opts SSDOpts) *ExtLifetimeResult {
 
 			iops = append(iops, r.IOPS())
 			p99s = append(p99s, r.ReadLat.Percentile(99))
-			wafs = append(wafs, waf.Factor())
-			refresh = append(refresh, waf.RefreshPages)
-			wl = append(wl, waf.WLPages)
+			wafs = append(wafs, waf.Factor)
+			refresh = append(refresh, st.RefreshPages)
+			wl = append(wl, st.WLPages)
 			grown = append(grown, int(st.RetiredBlocks))
 			spread = append(spread, hi-lo)
 			uncorr = append(uncorr, st.Uncorrectable)

@@ -60,7 +60,7 @@ func TestLifetimeDeterministic(t *testing.T) {
 		d.Ctrl.ResetStats()
 		r := measureRocks(d, opts)
 		lo, hi := d.Ctrl.WearSpread()
-		return r.ReadLat.Percentile(99), d.Ctrl.Stats().ReadRetries, d.Ctrl.WAF().Factor(), hi - lo
+		return r.ReadLat.Percentile(99), d.Ctrl.Stats().ReadRetries, d.Ctrl.WAF().Factor, hi - lo
 	}
 	p99a, retA, wafA, sprA := run()
 	p99b, retB, wafB, sprB := run()

@@ -56,7 +56,7 @@ func ExtParallelScaling(opts SSDOpts) *ExtParallelResult {
 		res.IOPS = append(res.IOPS, out.IOPS())
 		res.TraceHash = append(res.TraceHash, out.Result.TraceHash)
 		res.ReplayOK = append(res.ReplayOK, out.Result.TraceHash == rerun.Result.TraceHash)
-		res.GCCount = append(res.GCCount, out.GCCount)
+		res.GCCount = append(res.GCCount, out.Stats.GCCount)
 	}
 	base := res.IOPS[0]
 	for _, v := range res.IOPS {

@@ -28,7 +28,7 @@ func pinOpts() SSDOpts {
 func pinOutcome(o RunOutcome) string {
 	return fmt.Sprintf("iops=%v rp99=%d wp99=%d tprog=%v retries=%d gc=%d",
 		o.IOPS(), o.Result.ReadLat.Percentile(99), o.Result.WriteLat.Percentile(99),
-		o.MeanTPROGNs, o.ReadRetries, o.GCCount)
+		o.Stats.MeanTPROGNs(), o.Stats.ReadRetries, o.Stats.GCCount)
 }
 
 func checkPin(t *testing.T, got, want string) {
@@ -63,11 +63,11 @@ func TestRunWorkloadPinned(t *testing.T) {
 
 func TestAblationAndFaultRowsPinned(t *testing.T) {
 	a := AblationMuThreshold(pinOpts())
-	checkPin(t, fmt.Sprintf("mu_TH=%s iops=%v wp90=%v", a.Values[2], a.IOPS[2], a.Extra["write P90 (ms)"][2]),
+	checkPin(t, fmt.Sprintf("mu_TH=%s iops=%v wp90=%v", a.Values[2], a.IOPS[2], a.Series("write P90 (ms)")[2]),
 		"mu_TH=0.90 iops=53498.39371072884 wp90=0.835584")
 	s := AblationSafetyCheck(pinOpts())
 	checkPin(t, fmt.Sprintf("safety=%s iops=%v retries/read=%v reprograms=%v", s.Values[0], s.IOPS[0],
-		s.Extra["retries/read"][0], s.Extra["reprograms"][0]),
+		s.Series("retries/read")[0], s.Series("reprograms")[0]),
 		"safety=on iops=46496.51113428704 retries/read=0.9624263652284668 reprograms=17")
 	f := ExtFaultTolerance(pinOpts())
 	for i, want := range map[int]string{

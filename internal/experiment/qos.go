@@ -86,7 +86,7 @@ func ExtQoS(opts SSDOpts) *QoSResult {
 		for _, t := range mr.Tenants {
 			res.Rows = append(res.Rows, QoSTenantRow{
 				Arb:           cfg.name,
-				Tenant:        t.Name,
+				Tenant:        t.Tenant,
 				IOPS:          t.IOPS(),
 				ReadP50:       t.ReadLat.Percentile(50),
 				ReadP99:       t.ReadLat.Percentile(99),

@@ -45,12 +45,8 @@ func RelWork(opts SSDOpts) *RelWorkResult {
 		for _, kind := range res.Policies {
 			out := RunWorkload(kind, workload.OLTP, o)
 			iops = append(iops, out.IOPS())
-			tprog = append(tprog, out.MeanTPROGNs/1e3)
-			perRead := 0.0
-			if out.HostReads > 0 {
-				perRead = float64(out.ReadRetries) / float64(out.HostReads)
-			}
-			rpr = append(rpr, perRead)
+			tprog = append(tprog, out.Stats.MeanTPROGNs()/1e3)
+			rpr = append(rpr, out.RetriesPerRead())
 		}
 		norm := make([]float64, len(iops))
 		for i := range iops {

@@ -44,7 +44,7 @@ func ExtRetryPipeline(opts SSDOpts) *ExtRetryResult {
 			out := RunWorkload(PolicyCube, workload.Rocks, o)
 			p50s = append(p50s, out.Result.ReadLat.Percentile(50))
 			p99s = append(p99s, out.Result.ReadLat.Percentile(99))
-			retries = append(retries, out.ReadRetries)
+			retries = append(retries, out.Stats.ReadRetries)
 		}
 		res.Regimes = append(res.Regimes, regime.label)
 		res.ReadP50 = append(res.ReadP50, p50s)

@@ -144,10 +144,10 @@ func (sm *shardSampler) take(at sim.Time) {
 		ReadP99Ns:   sm.winRead.Percentile(99),
 		WriteP99Ns:  sm.winWrite.Percentile(99),
 
-		WafHostBytes:    waf.HostBytes(),
-		WafGCBytes:      waf.GCBytes(),
-		WafRefreshBytes: waf.RefreshBytes(),
-		WafWLBytes:      waf.WLBytes(),
+		WafHostBytes:    waf.HostBytes,
+		WafGCBytes:      waf.GCBytes,
+		WafRefreshBytes: waf.RefreshBytes,
+		WafWLBytes:      waf.WLBytes,
 		EraseSpread:     wearHi - wearLo,
 	}
 	sm.winRead.Reset()

@@ -10,6 +10,7 @@ import (
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
 	"cubeftl/internal/telemetry"
+	"cubeftl/internal/vth"
 )
 
 // ControllerConfig tunes the datapath around the policy.
@@ -57,22 +58,16 @@ type ControllerConfig struct {
 	// says they are approaching the ECC cliff. Off by default (no
 	// background relocations, bit-identical to the historical datapath).
 	Refresh bool
-	// RefreshPolicy sets the scrub thresholds; the zero value takes
-	// lifetime.DefaultRefreshPolicy.
-	RefreshPolicy lifetime.RefreshPolicy
 	// RefreshPatrolReads is how many host reads on a die fund one patrol
 	// step (the scrubber's rate limit, so it yields to tenant traffic).
 	// <= 0 takes the default.
 	RefreshPatrolReads int
 	// WearLevel enables static wear leveling: when a die's erase-count
-	// spread crosses the wear policy's threshold, the coldest (least
+	// spread crosses lifetime.WearSpreadThreshold, the coldest (least
 	// worn) block's data is moved so the block rejoins the write
 	// rotation. At most one leveling move per completed GC cycle per
 	// die. Off by default.
 	WearLevel bool
-	// WearPolicy sets the leveling threshold; the zero value takes
-	// lifetime.DefaultWearPolicy.
-	WearPolicy lifetime.WearPolicy
 }
 
 // DefaultRefreshPatrolReads is the host-read budget that funds one
@@ -91,79 +86,83 @@ func DefaultControllerConfig() ControllerConfig {
 	}
 }
 
-// Stats aggregates controller-level measurements for one run.
+// Stats aggregates controller-level measurements for one run. It is
+// the ledger the datapath counts into and the one declaration of these
+// numbers (metrics.Walk): a tagged field reaches the telemetry registry,
+// the -stats-out series and /metrics by being here. They register as
+// gauges because ResetStats zeroes them.
 type Stats struct {
-	HostReads  int64
-	HostWrites int64
+	HostReads  int64 `metric:"-"`
+	HostWrites int64 `metric:"-"`
 
 	ReadLat  *metrics.Hist // host read completion latency (ns)
 	WriteLat *metrics.Hist // host write completion latency (ns)
 
-	BufferHits    int64
-	UnmappedReads int64
-	ReadRetries   int64
-	Uncorrectable int64
+	BufferHits    int64 `metric:"ftl/buffer_hits gauge host reads served from the write buffer"`
+	UnmappedReads int64 `metric:"-"`
+	ReadRetries   int64 `metric:"nand/read_retries gauge read-retry steps taken by page reads"`
+	Uncorrectable int64 `metric:"-"`
 
-	Programs    int64
-	ProgramNs   int64 // summed NAND program latency (for mean tPROG)
-	GCCount     int64
-	GCPageMoves int64
-	Reprograms  int64
-	Padded      int64 // pages of padding in partial flush groups
-	Trims       int64 // host discard commands
+	Programs    int64 `metric:"-"`
+	ProgramNs   int64 `metric:"-"` // summed NAND program latency (for mean tPROG)
+	GCCount     int64 `metric:"ftl/gc/runs gauge garbage-collection cycles completed"`
+	GCPageMoves int64 `metric:"ftl/gc/page_moves gauge live pages moved by relocation cycles, every cause"`
+	Reprograms  int64 `metric:"ftl/reprograms gauge word lines rewritten after a safety-check reject"`
+	Padded      int64 `metric:"-"` // pages of padding in partial flush groups
+	Trims       int64 `metric:"-"` // host discard commands
 
 	// Per-cause write-amplification ledger: physical pages programmed,
 	// attributed to what forced the program. HostPages includes the
 	// padding of partial flush groups (the word line is written whole);
 	// GCPages covers garbage collection, read-disturb reclaim, and
-	// retirement evacuation alike.
-	HostPages    int64
-	GCPages      int64
-	RefreshPages int64
-	WLPages      int64
+	// retirement evacuation alike. Views read it in bytes: Controller.WAF.
+	HostPages    int64 `metric:"-"`
+	GCPages      int64 `metric:"-"`
+	RefreshPages int64 `metric:"-"`
+	WLPages      int64 `metric:"-"`
 	// Refreshes counts retention-scrub relocation cycles; WearLevels
 	// counts static wear-leveling relocation cycles.
-	Refreshes  int64
-	WearLevels int64
+	Refreshes  int64 `metric:"ftl/refreshes gauge retention-refresh relocation cycles"`
+	WearLevels int64 `metric:"ftl/wear_levels gauge static wear-leveling relocation cycles"`
 	// DataMismatches counts flash reads whose payload did not match the
 	// translation state (VerifyData mode) — always zero for a correct FTL.
-	DataMismatches int64
+	DataMismatches int64 `metric:"-"`
 	// Reclaims counts read-disturb reclaim relocations; Evacuations the
 	// relocation cycles that emptied a retired block.
-	Reclaims    int64
-	Evacuations int64
+	Reclaims    int64 `metric:"-"`
+	Evacuations int64 `metric:"-"`
 
 	// Fault-handling counters (all zero on a fault-free device).
 
 	// ProgramFailures counts program-status failures reported by the
 	// chips; each one retires the destination block and re-issues the
 	// affected data.
-	ProgramFailures int64
+	ProgramFailures int64 `metric:"faults/program_fail gauge program-status failures reported by the chips"`
 	// EraseFailures counts erase failures; each one grows a bad block.
-	EraseFailures int64
+	EraseFailures int64 `metric:"faults/erase_fail gauge erase failures, each growing a bad block"`
 	// ReadFaults counts transient read faults; each is re-issued before
 	// it can surface as a host-visible error.
-	ReadFaults int64
+	ReadFaults int64 `metric:"faults/read_faults gauge transient read faults re-issued"`
 	// RetiredBlocks counts grown-bad blocks retired by the controller
 	// (program/erase failures; factory marks are counted separately).
-	RetiredBlocks int64
+	RetiredBlocks int64 `metric:"faults/retired_blocks gauge grown-bad blocks retired"`
 	// FactoryBadBlocks counts blocks excluded by the boot-time factory
 	// bad-block scan.
-	FactoryBadBlocks int64
+	FactoryBadBlocks int64 `metric:"-"`
 	// FaultRecoveries counts successful recovery actions: requeued host
 	// groups, retried GC batches, retirements absorbed without data
 	// loss, and transient reads recovered by re-issue.
-	FaultRecoveries int64
+	FaultRecoveries int64 `metric:"faults/recoveries gauge faults absorbed without data loss"`
 	// WriteRejects counts host writes refused in degraded mode.
-	WriteRejects int64
+	WriteRejects int64 `metric:"ftl/write_rejects gauge host writes refused in degraded mode"`
 	// DegradedDies counts dies that individually dropped to read-only
 	// (their free pools exhausted); the device itself keeps serving
 	// writes on the surviving dies until every die has degraded.
-	DegradedDies int64
+	DegradedDies int64 `metric:"ftl/degraded_dies gauge dies that dropped to read-only"`
 	// FencedPrograms counts programs that were already queued on a
 	// die's resources when the die degraded and were refused at grant
 	// time (their data returns to the buffer for surviving dies).
-	FencedPrograms int64
+	FencedPrograms int64 `metric:"ftl/fenced_programs gauge queued programs refused when their die degraded"`
 }
 
 // MeanTPROGNs returns the average NAND program latency of the run.
@@ -172,22 +171,6 @@ func (s *Stats) MeanTPROGNs() float64 {
 		return 0
 	}
 	return float64(s.ProgramNs) / float64(s.Programs)
-}
-
-// FaultCounters returns the fault-handling counters as an ordered,
-// printable set (reports and the cubesim CLI).
-func (s *Stats) FaultCounters() *metrics.CounterSet {
-	cs := metrics.NewCounterSet()
-	cs.Add("ProgramFailures", s.ProgramFailures)
-	cs.Add("EraseFailures", s.EraseFailures)
-	cs.Add("ReadFaults", s.ReadFaults)
-	cs.Add("RetiredBlocks", s.RetiredBlocks)
-	cs.Add("FactoryBadBlocks", s.FactoryBadBlocks)
-	cs.Add("FaultRecoveries", s.FaultRecoveries)
-	cs.Add("WriteRejects", s.WriteRejects)
-	cs.Add("DegradedDies", s.DegradedDies)
-	cs.Add("FencedPrograms", s.FencedPrograms)
-	return cs
 }
 
 // Controller is the host-facing FTL datapath: write buffering, page
@@ -415,9 +398,21 @@ func (c *Controller) SetTelemetry(hub *telemetry.Hub) {
 		// Per-die health gauges: degraded (FTL read-only verdict) and
 		// fenced (device-level program refusal). They normally flip
 		// together, but fencing lands first — the gap is observable.
-		reg.RegisterGauge(fmt.Sprintf("ftl/die/%d/degraded", i), func() float64 { return gauge(d.degraded) })
-		reg.RegisterGauge(fmt.Sprintf("ftl/die/%d/fenced", i), func() float64 { return gauge(c.dev.DieFenced(i)) })
+		reg.RegisterGauge(fmt.Sprintf("ftl/die/%d/degraded", i), func() float64 { return telemetry.BoolValue(d.degraded) })
+		reg.RegisterGauge(fmt.Sprintf("ftl/die/%d/fenced", i), func() float64 { return telemetry.BoolValue(c.dev.DieFenced(i)) })
 	}
+	// The ledgers: every declared number of Stats by address (ResetStats
+	// zeroes the struct in place), the byte-denominated WAF view, rebuilt
+	// once per snapshot, and the one ratio computed on read.
+	reg.MustRegisterStruct("", &c.stats, nil)
+	waf := new(lifetime.WAF)
+	reg.MustRegisterStruct("ftl/", waf, func() { *waf = c.WAF() })
+	reg.RegisterGauge("ftl/write_amp", func() float64 {
+		if c.stats.HostWrites == 0 {
+			return 0
+		}
+		return float64(c.stats.Programs*int64(vth.PagesPerWL)) / float64(c.stats.HostWrites)
+	})
 	// The registry takes a getter; ResetStats empties these histograms
 	// in place, so the getters always return the same two.
 	reg.RegisterHist("ftl/read_ns", func() *metrics.Hist { return c.stats.ReadLat })
@@ -426,13 +421,6 @@ func (c *Controller) SetTelemetry(hub *telemetry.Hub) {
 	c.reqFail = reg.MustCounter("ftl/requeue/program_fail")
 	c.reqReprog = reg.MustCounter("ftl/requeue/reprogram")
 	c.reqAlloc = reg.MustCounter("ftl/requeue/alloc_fail")
-}
-
-func gauge(on bool) float64 {
-	if on {
-		return 1
-	}
-	return 0
 }
 
 // TelemetryHub returns the attached hub, or nil. The host front end
@@ -528,15 +516,13 @@ func (c *Controller) WearSpread() (lo, hi int) {
 	return lo, hi
 }
 
-// WAF returns the per-cause write-amplification ledger.
+// WAF returns the per-cause write-amplification ledger, in bytes.
 func (c *Controller) WAF() lifetime.WAF {
-	return lifetime.WAF{
-		HostPages:    c.stats.HostPages,
-		GCPages:      c.stats.GCPages,
-		RefreshPages: c.stats.RefreshPages,
-		WLPages:      c.stats.WLPages,
-		PageBytes:    int64(c.dev.Die(0).NAND.Config().PageBytes),
-	}
+	st := &c.stats
+	w := lifetime.NewWAF(st.HostPages, st.GCPages, st.RefreshPages, st.WLPages,
+		int64(c.dev.Die(0).NAND.Config().PageBytes))
+	w.Refreshes, w.WearLevels = st.Refreshes, st.WearLevels
+	return w
 }
 
 // Drained reports that no host work is pending anywhere: used by runs

@@ -1,8 +1,10 @@
 package ftl
 
 import (
+	"reflect"
 	"testing"
 
+	"cubeftl/internal/metrics"
 	"cubeftl/internal/nand"
 	"cubeftl/internal/rng"
 	"cubeftl/internal/sim"
@@ -327,5 +329,34 @@ func TestControllerKeepsConfigWhenBufferDefaults(t *testing.T) {
 		if got, want := c.buf.Capacity(), DefaultControllerConfig().WriteBufferPages; got != want {
 			t.Errorf("%s: write buffer holds %d pages, want the default %d", name, got, want)
 		}
+	}
+}
+
+// ResetStats zeroes every number of the ledger except the three that
+// describe the device rather than the window: bad blocks and degraded
+// dies are still gone. One loop over the walk, so a field added to
+// Stats is covered the day it is added.
+func TestResetStatsZeroesTheLedger(t *testing.T) {
+	_, c := testController(t, NewPagePolicy())
+	survives := map[string]bool{"RetiredBlocks": true, "FactoryBadBlocks": true, "DegradedDies": true}
+	fields := reflect.ValueOf(c.Stats()).Elem()
+	rows := metrics.Walk(c.Stats())
+	for i, row := range rows {
+		fields.FieldByName(row.Field).SetInt(int64(i + 1))
+	}
+	c.Stats().ReadLat.Add(5)
+	c.ResetStats()
+	for i, row := range rows {
+		want := 0.0
+		if survives[row.Field] {
+			want = float64(i + 1)
+		}
+		if got := row.Get(); got != want {
+			t.Errorf("%s = %v after ResetStats, want %v", row.Field, got, want)
+		}
+	}
+	if len(rows) != fields.NumField()-2 || c.Stats().ReadLat.N() != 0 {
+		t.Errorf("walk covers %d of %d fields (all but the two histograms), read histogram holds %d samples",
+			len(rows), fields.NumField(), c.Stats().ReadLat.N())
 	}
 }

@@ -1,6 +1,11 @@
 package ftl
 
-import "cubeftl/internal/ssd"
+import (
+	"encoding/binary"
+	"fmt"
+
+	"cubeftl/internal/ssd"
+)
 
 // RecoveryHook is the controller's outbound interface to the
 // crash-consistency subsystem (internal/recovery). The controller
@@ -56,4 +61,66 @@ type PolicyStateSaver interface {
 	AppendState(dst []byte) []byte
 	// RestoreState rebuilds the learned state from AppendState output.
 	RestoreState(data []byte) error
+}
+
+// StateReader is the little-endian cursor the durable-image decoders
+// share (a policy's RestoreState, the recovery checkpoint): it latches
+// the first truncation in Err instead of panicking on short input, and
+// every read after that returns zero. What names the image in the
+// error ("core: policy state", "recovery: checkpoint").
+type StateReader struct {
+	B    []byte // the unread rest of the image
+	Err  error
+	What string
+}
+
+// Take returns the next n bytes, or nil once the image has run short.
+func (r *StateReader) Take(n int) []byte {
+	if r.Err != nil {
+		return nil
+	}
+	if len(r.B) < n {
+		r.Err = fmt.Errorf("%s truncated (need %d bytes, have %d)", r.What, n, len(r.B))
+		return nil
+	}
+	out := r.B[:n]
+	r.B = r.B[n:]
+	return out
+}
+
+// Bytes fills dst from the image.
+func (r *StateReader) Bytes(dst []byte) {
+	if src := r.Take(len(dst)); src != nil {
+		copy(dst, src)
+	}
+}
+
+// U8, U16, U32 and U64 read one little-endian integer (zero once Err
+// is set).
+func (r *StateReader) U8() byte {
+	if s := r.Take(1); s != nil {
+		return s[0]
+	}
+	return 0
+}
+
+func (r *StateReader) U16() uint16 {
+	if s := r.Take(2); s != nil {
+		return binary.LittleEndian.Uint16(s)
+	}
+	return 0
+}
+
+func (r *StateReader) U32() uint32 {
+	if s := r.Take(4); s != nil {
+		return binary.LittleEndian.Uint32(s)
+	}
+	return 0
+}
+
+func (r *StateReader) U64() uint64 {
+	if s := r.Take(8); s != nil {
+		return binary.LittleEndian.Uint64(s)
+	}
+	return 0
 }

@@ -1,6 +1,9 @@
 package ftl
 
-import "cubeftl/internal/nand"
+import (
+	"cubeftl/internal/lifetime"
+	"cubeftl/internal/nand"
+)
 
 // Where each cause of a relocation cycle finds its victim. Every
 // function here ends in startReloc or does nothing; retirement
@@ -55,7 +58,7 @@ func (c *Controller) refreshDue(chip, block int) bool {
 		return false
 	}
 	n := c.dev.Die(chip).NAND
-	return c.cfg.RefreshPolicy.NeedsRefresh(n.BlockPredictedBER(block), n.RetentionMonths(block))
+	return lifetime.NeedsRefresh(n.BlockPredictedBER(block), n.RetentionMonths(block))
 }
 
 // maybeScrub advances the retention patrol: every RefreshPatrolReads
@@ -151,7 +154,7 @@ func (c *Controller) maybeWearLevel(chip int) {
 			victim = b
 		}
 	}
-	if victim >= 0 && c.cfg.WearPolicy.ShouldLevel(minPE, maxPE) {
+	if victim >= 0 && lifetime.ShouldLevel(minPE, maxPE) {
 		d.lastWLGC = c.stats.GCCount
 		c.startReloc(chip, victim, causeWearLevel)
 	}

@@ -110,9 +110,6 @@ type Config struct {
 	// divides. 0 defaults to the sum of queue depths (no device-side
 	// narrowing beyond per-queue backpressure).
 	DispatchWidth int
-	// TraceCap keeps the most recent grants in a replayable trace for
-	// debugging (0 disables; the rolling hash is always maintained).
-	TraceCap int
 	// DieAffinity makes arbitration prefer queues whose head command
 	// targets an idle NAND die (writes and buffered reads are
 	// die-flexible and always eligible). When no candidate's die is
@@ -121,31 +118,33 @@ type Config struct {
 	DieAffinity bool
 }
 
-// TenantStats is the per-tenant accounting of one queue pair.
+// TenantStats is the per-tenant accounting of one queue pair: the
+// ledger the host counts into (metrics.Walk). /metrics labels each
+// declared number with the tenant.
 type TenantStats struct {
 	Tenant string
-	Queue  int
+	Queue  int `metric:"-"`
 
-	Submitted int64 // commands accepted into the queue
-	Completed int64
-	Reads     int64 // completed read commands
-	Writes    int64 // completed write commands
+	Submitted int64 `metric:"-"` // commands accepted into the queue
+	Completed int64 `metric:"-"`
+	Reads     int64 `metric:"-"` // completed read commands
+	Writes    int64 `metric:"-"` // completed write commands
 
 	// QueueFulls counts submissions refused with ErrQueueFull.
-	QueueFulls int64
+	QueueFulls int64 `metric:"tenant/queue_fulls_total counter admissions refused, queue full"`
 	// RejectedPages counts pages the degraded device refused.
-	RejectedPages int64
+	RejectedPages int64 `metric:"-"`
 	// Grants counts device fetches won in arbitration.
-	Grants int64
+	Grants int64 `metric:"tenant/grants_total counter arbitration grants"`
 	// Throttles counts pump passes where this queue held work but was
 	// blocked by its token bucket.
-	Throttles int64
+	Throttles int64 `metric:"tenant/throttles_total counter token-bucket throttles"`
 	// MaxHeadWaitNs is the longest any command waited at the queue head
 	// before being fetched — the starvation figure of merit.
-	MaxHeadWaitNs int64
+	MaxHeadWaitNs int64 `metric:"-"`
 
-	FirstSubmitNs sim.Time
-	LastDoneNs    sim.Time
+	FirstSubmitNs sim.Time `metric:"-"`
+	LastDoneNs    sim.Time `metric:"-"`
 
 	ReadLat  *metrics.Hist // host-visible read latency (ns)
 	WriteLat *metrics.Hist // host-visible write latency (ns)
@@ -217,9 +216,8 @@ type Host struct {
 	pumping  bool
 	repump   bool
 
-	// gt maintains the FNV-1a replay hash and the bounded grant ring;
-	// when the controller carries a telemetry hub, grants also land in
-	// the shared trace event stream.
+	// gt maintains the FNV-1a replay hash; when the controller carries a
+	// telemetry hub, grants also land in the shared trace event stream.
 	gt  *telemetry.GrantTrace
 	hub *telemetry.Hub // nil when telemetry is off
 
@@ -248,10 +246,10 @@ func New(ctrl *ftl.Controller, cfg Config) (*Host, error) {
 		dieAffinity: cfg.DieAffinity,
 	}
 	if h.hub != nil {
-		h.gt = h.hub.NewGrantTrace(cfg.TraceCap)
+		h.gt = h.hub.NewGrantTrace()
 		h.hub.SetTenantSource(h)
 	} else {
-		h.gt = telemetry.NewGrantTrace(cfg.TraceCap)
+		h.gt = telemetry.NewGrantTrace()
 	}
 	sumDepth := 0
 	for i, qc := range cfg.Queues {
@@ -315,9 +313,6 @@ func (h *Host) Grants() int64 { return h.gt.Grants() }
 // equal hashes mean bit-identical arbitration decisions.
 func (h *Host) TraceHash() uint64 { return h.gt.Hash() }
 
-// Trace returns the most recent granted queue indices (TraceCap > 0).
-func (h *Host) Trace() []int { return h.gt.Recent() }
-
 // Outstanding returns commands submitted but not yet completed, across
 // all queues.
 func (h *Host) Outstanding() int {
@@ -364,12 +359,6 @@ func (h *Host) SetRate(qid int, iops float64) error {
 	h.pump()
 	return nil
 }
-
-// Weight returns queue qid's current WRR weight.
-func (h *Host) Weight(qid int) int { return h.queues[qid].cfg.Weight }
-
-// Rate returns queue qid's current IOPS cap (0 = uncapped).
-func (h *Host) Rate(qid int) float64 { return h.queues[qid].cfg.RateIOPS }
 
 // Submit accepts a command into queue q, or rejects it with
 // ErrQueueFull (the queue is at depth) / ErrBadQueue. Completion is
@@ -643,21 +632,41 @@ func (h *Host) armWake(qid int, now sim.Time) {
 	h.eng.After(wait, q.onWake)
 }
 
-// TenantSamples implements telemetry.TenantSource: a point-in-time
-// snapshot of each queue pair for the time-series sampler.
+// TenantView is a point-in-time view of one queue pair, for SLO
+// controllers, dashboards and the sampler: a copy of its accounting
+// (the two histograms are the live ones — cumulative, so latency-window
+// tracking belongs to the consumer) beside the queue's occupancy and
+// the current positions of its two online knobs.
+type TenantView struct {
+	TenantStats
+	QueueLen int // commands waiting in the submission queue
+	Weight   int
+	RateIOPS float64 // 0 = uncapped
+}
+
+// Snapshot returns the view of every queue pair, in queue order.
+func (h *Host) Snapshot() []TenantView {
+	out := make([]TenantView, len(h.queues))
+	for i, q := range h.queues {
+		out[i] = TenantView{*h.stats[i], q.pendingLen(), q.cfg.Weight, q.cfg.RateIOPS}
+	}
+	return out
+}
+
+// TenantSamples implements telemetry.TenantSource: the views in the
+// time-series sampler's JSONL schema.
 func (h *Host) TenantSamples() []telemetry.TenantSample {
 	out := make([]telemetry.TenantSample, len(h.queues))
-	for i, q := range h.queues {
-		st := h.stats[i]
+	for i, v := range h.Snapshot() {
 		out[i] = telemetry.TenantSample{
-			Name:      q.cfg.Name,
-			Completed: st.Completed,
-			IOPS:      st.IOPS(),
-			ReadP99:   st.ReadLat.Percentile(99),
-			WriteP99:  st.WriteLat.Percentile(99),
-			QueueLen:  q.pendingLen(),
-			Grants:    st.Grants,
-			Throttles: st.Throttles,
+			Name:      v.Tenant,
+			Completed: v.Completed,
+			IOPS:      v.IOPS(),
+			ReadP99:   v.ReadLat.Percentile(99),
+			WriteP99:  v.WriteLat.Percentile(99),
+			QueueLen:  v.QueueLen,
+			Grants:    v.Grants,
+			Throttles: v.Throttles,
 		}
 	}
 	return out

@@ -268,20 +268,22 @@ func TestGrantTrace(t *testing.T) {
 			{Name: "b", Depth: 4},
 		},
 		DispatchWidth: 1,
-		TraceCap:      16,
 	})
+	// One command at the device at a time: completions come in grant order.
+	var trace []int
+	done := func(q int) func(Completion) { return func(Completion) { trace = append(trace, q) } }
 	for i := 0; i < 4; i++ {
-		h.Submit(0, Command{Op: Read, LPN: int64(i)})
-		h.Submit(1, Command{Op: Read, LPN: int64(i + 10)})
+		h.Submit(0, Command{Op: Read, LPN: int64(i), Done: done(0)})
+		h.Submit(1, Command{Op: Read, LPN: int64(i + 10), Done: done(1)})
 	}
 	h.Drain()
-	if h.Grants() != 8 || len(h.Trace()) != 8 {
-		t.Fatalf("grants %d trace %v", h.Grants(), h.Trace())
+	if h.Grants() != 8 || len(trace) != 8 {
+		t.Fatalf("grants %d trace %v", h.Grants(), trace)
 	}
 	// Round-robin over two backlogged queues strictly alternates.
-	for i, q := range h.Trace() {
+	for i, q := range trace {
 		if q != i%2 {
-			t.Fatalf("trace %v not alternating", h.Trace())
+			t.Fatalf("trace %v not alternating", trace)
 		}
 	}
 	if h.TraceHash() == 0 {
@@ -344,7 +346,6 @@ func TestOnlineWeightAndRateChanges(t *testing.T) {
 		},
 		Arb:           NewWeightedRoundRobin(),
 		DispatchWidth: 1,
-		TraceCap:      64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,8 +356,8 @@ func TestOnlineWeightAndRateChanges(t *testing.T) {
 	if err := h.SetWeight(1, 0); err != nil { // clamps to 1
 		t.Fatal(err)
 	}
-	if h.Weight(0) != 8 || h.Weight(1) != 1 {
-		t.Fatalf("weights = %d/%d, want 8/1", h.Weight(0), h.Weight(1))
+	if snap := h.Snapshot(); snap[0].Weight != 8 || snap[1].Weight != 1 {
+		t.Fatalf("weights = %d/%d, want 8/1", snap[0].Weight, snap[1].Weight)
 	}
 	if err := h.SetWeight(7, 1); !errors.Is(err, ErrBadQueue) {
 		t.Fatalf("SetWeight on bad queue: %v", err)
@@ -366,10 +367,13 @@ func TestOnlineWeightAndRateChanges(t *testing.T) {
 	}
 
 	// Saturate both queues; the online 8:1 weights must shape grants.
+	// One command at the device at a time: completions come in grant order.
+	var trace []int
 	submit := func(qid, n int) {
+		done := func(Completion) { trace = append(trace, qid) }
 		for i := 0; i < n; i++ {
 			lpn := int64(qid*1000 + i)
-			if err := h.Submit(qid, Command{Op: Write, LPN: lpn}); err != nil {
+			if err := h.Submit(qid, Command{Op: Write, LPN: lpn, Done: done}); err != nil {
 				t.Fatalf("submit q%d: %v", qid, err)
 			}
 		}
@@ -379,7 +383,6 @@ func TestOnlineWeightAndRateChanges(t *testing.T) {
 	h.Drain()
 	// With online weights 8:1 the first WRR cycle grants q0 eight times
 	// before q1's single credit; count q0 wins among the first 8 grants.
-	trace := h.Trace()
 	q0Early := 0
 	for _, qid := range trace[:8] {
 		if qid == 0 {

@@ -216,74 +216,34 @@ func (a *Ager) FastForward(arr *nand.Array, months float64, bucketFor func(month
 	return rep
 }
 
-// RefreshPolicy decides when a block's data must be rewritten. Two
-// triggers, either sufficient: the block's retention age passed the
-// patrol ceiling, or its predicted E<->P1 error rate — the §4.1.2
-// health indicator, the first ECC boundary retention loss pushes —
-// cleared the cliff fraction of the ECC correction budget.
-type RefreshPolicy struct {
-	// MaxRetentionMonths is the hard retention-age ceiling; 0 takes the
-	// default.
-	MaxRetentionMonths float64
-	// BerEP1Cliff is the E<->P1 error-rate threshold; 0 takes the
-	// default (the E/P1 share of 60% of the ECC limit BER).
-	BerEP1Cliff float64
-}
+// The refresh and wear-leveling thresholds used by the lifetime figure.
+// Nothing sets them per device, so they are constants of the package.
+const (
+	// MaxRetentionMonths is the patrol's hard retention-age ceiling.
+	MaxRetentionMonths = 6
+	// WearSpreadThreshold is the erase-count spread (max-min over the
+	// good blocks of a die) above which static wear leveling kicks in.
+	WearSpreadThreshold = 64
+)
 
-// DefaultRefreshPolicy returns the patrol thresholds used by the
-// lifetime figure: refresh anything older than 6 months or predicted
-// past 60% of the ECC budget.
-func DefaultRefreshPolicy() RefreshPolicy {
-	return RefreshPolicy{
-		MaxRetentionMonths: 6,
-		BerEP1Cliff:        vth.BerEP1(0.6 * ecc.LimitBER),
-	}
-}
-
-func (p RefreshPolicy) withDefaults() RefreshPolicy {
-	def := DefaultRefreshPolicy()
-	if p.MaxRetentionMonths <= 0 {
-		p.MaxRetentionMonths = def.MaxRetentionMonths
-	}
-	if p.BerEP1Cliff <= 0 {
-		p.BerEP1Cliff = def.BerEP1Cliff
-	}
-	return p
-}
+// BerEP1Cliff is the E<->P1 error rate past which a block is
+// refreshed: the E/P1 share of 60% of the ECC limit BER.
+var BerEP1Cliff = vth.BerEP1(0.6 * ecc.LimitBER)
 
 // NeedsRefresh reports whether a block with the given predicted raw
 // BER (worst layer, current aging) and retention age should be
-// rewritten now.
-func (p RefreshPolicy) NeedsRefresh(predictedBER, retMonths float64) bool {
-	p = p.withDefaults()
-	if retMonths >= p.MaxRetentionMonths {
-		return true
-	}
-	return vth.BerEP1(predictedBER) >= p.BerEP1Cliff
+// rewritten now. Two triggers, either sufficient: the retention age
+// passed the patrol ceiling, or the predicted E<->P1 error rate — the
+// §4.1.2 health indicator, the first ECC boundary retention loss
+// pushes — cleared the cliff.
+func NeedsRefresh(predictedBER, retMonths float64) bool {
+	return retMonths >= MaxRetentionMonths || vth.BerEP1(predictedBER) >= BerEP1Cliff
 }
 
-// WearPolicy decides when static wear leveling should move cold data
-// off a low-wear block so the block rejoins the write rotation.
-type WearPolicy struct {
-	// SpreadThreshold is the erase-count spread (max-min over good
-	// blocks of a die) above which leveling kicks in; 0 takes the
-	// default.
-	SpreadThreshold int
-}
-
-// DefaultWearPolicy returns the spread threshold used by the lifetime
-// figure.
-func DefaultWearPolicy() WearPolicy { return WearPolicy{SpreadThreshold: 64} }
-
-// ShouldLevel reports whether the given per-die erase-count extremes
-// justify a static wear-leveling relocation.
-func (p WearPolicy) ShouldLevel(minPE, maxPE int) bool {
-	t := p.SpreadThreshold
-	if t <= 0 {
-		t = DefaultWearPolicy().SpreadThreshold
-	}
-	return maxPE-minPE > t
-}
+// ShouldLevel reports whether a die's erase-count extremes justify
+// moving cold data off its least-worn block so the block rejoins the
+// write rotation.
+func ShouldLevel(minPE, maxPE int) bool { return maxPE-minPE > WearSpreadThreshold }
 
 // EraseSnapshot is a point-in-time copy of every good block's erase
 // count, per die — the input to wear-leveling decisions and the
@@ -357,37 +317,33 @@ func quantile(sorted []int, q float64) int {
 	return sorted[rank]
 }
 
-// WAF is the per-cause write-amplification ledger, in device pages.
+// WAF is the per-cause write-amplification ledger: how many bytes of
+// physical programming each cause issued since the last stats reset,
+// and the resulting factor. It is the one view of these numbers (the
+// controller counts them in pages, ftl.Stats): the facade, /metrics,
+// the fleet series and cubesim -waf-out all read this type.
 type WAF struct {
-	HostPages    int64 // pages programmed to serve host writes (incl. padding)
-	GCPages      int64 // pages moved by garbage collection and reclaim
-	RefreshPages int64 // pages moved by retention refresh
-	WLPages      int64 // pages moved by static wear leveling
-	PageBytes    int64 // bytes per page, for the byte-denominated gauges
+	HostBytes    int64   `metric:"waf/host_bytes counter bytes programmed to serve host writes"` // incl. padding
+	GCBytes      int64   `metric:"waf/gc_bytes counter bytes moved by garbage collection and reclaim"`
+	RefreshBytes int64   `metric:"waf/refresh_bytes counter bytes moved by retention refresh"`
+	WLBytes      int64   `metric:"waf/wl_bytes counter bytes moved by static wear leveling"`
+	Factor       float64 `metric:"waf/factor gauge write-amplification factor, total/host"` // 0 before the first host write
+	// Refreshes and WearLevels count the relocation cycles behind
+	// RefreshBytes and WLBytes (declared on ftl.Stats).
+	Refreshes  int64 `metric:"-"`
+	WearLevels int64 `metric:"-"`
 }
 
-// TotalPages returns all device-page programs.
-func (w WAF) TotalPages() int64 {
-	return w.HostPages + w.GCPages + w.RefreshPages + w.WLPages
-}
-
-// Factor returns the write-amplification factor total/host, or 0 with
-// no host writes yet.
-func (w WAF) Factor() float64 {
-	if w.HostPages == 0 {
-		return 0
+// NewWAF builds the ledger from per-cause page counts.
+func NewWAF(hostPages, gcPages, refreshPages, wlPages, pageBytes int64) WAF {
+	w := WAF{
+		HostBytes:    hostPages * pageBytes,
+		GCBytes:      gcPages * pageBytes,
+		RefreshBytes: refreshPages * pageBytes,
+		WLBytes:      wlPages * pageBytes,
 	}
-	return float64(w.TotalPages()) / float64(w.HostPages)
+	if hostPages > 0 {
+		w.Factor = float64(hostPages+gcPages+refreshPages+wlPages) / float64(hostPages)
+	}
+	return w
 }
-
-// HostBytes returns the host-caused program volume in bytes.
-func (w WAF) HostBytes() int64 { return w.HostPages * w.PageBytes }
-
-// GCBytes returns the GC-caused program volume in bytes.
-func (w WAF) GCBytes() int64 { return w.GCPages * w.PageBytes }
-
-// RefreshBytes returns the refresh-caused program volume in bytes.
-func (w WAF) RefreshBytes() int64 { return w.RefreshPages * w.PageBytes }
-
-// WLBytes returns the wear-leveling program volume in bytes.
-func (w WAF) WLBytes() int64 { return w.WLPages * w.PageBytes }

@@ -146,21 +146,20 @@ func TestFastForwardGrowBadVeto(t *testing.T) {
 }
 
 func TestRefreshPolicy(t *testing.T) {
-	p := DefaultRefreshPolicy()
-	if p.NeedsRefresh(0, 0) {
+	if NeedsRefresh(0, 0) {
 		t.Fatal("fresh block wants refresh")
 	}
-	if !p.NeedsRefresh(0, 6) {
+	if !NeedsRefresh(0, MaxRetentionMonths) {
 		t.Fatal("age ceiling not enforced")
 	}
-	if !p.NeedsRefresh(ecc.LimitBER, 0) {
+	if !NeedsRefresh(ecc.LimitBER, 0) {
 		t.Fatal("BER at the ECC limit not refreshed")
 	}
-	if p.NeedsRefresh(0.1*ecc.LimitBER, 1) {
+	if NeedsRefresh(0.1*ecc.LimitBER, 1) {
 		t.Fatal("healthy block refreshed")
 	}
 	// The cliff is expressed on the E<->P1 boundary.
-	if vth.BerEP1(ecc.LimitBER) < p.BerEP1Cliff {
+	if vth.BerEP1(ecc.LimitBER) < BerEP1Cliff {
 		t.Fatal("default cliff above the ECC limit itself")
 	}
 }
@@ -189,28 +188,24 @@ func TestWearPolicyAndSnapshot(t *testing.T) {
 	if spread != 250-0 { // die 1 is all-zero wear
 		t.Fatalf("spread = %d, want 250", spread)
 	}
-	wp := DefaultWearPolicy()
-	if !wp.ShouldLevel(0, spread) {
+	if !ShouldLevel(0, spread) {
 		t.Fatal("large spread not leveled")
 	}
-	if wp.ShouldLevel(100, 110) {
+	if ShouldLevel(100, 100+WearSpreadThreshold) {
 		t.Fatal("small spread leveled")
 	}
 }
 
 func TestWAF(t *testing.T) {
-	w := WAF{HostPages: 100, GCPages: 40, RefreshPages: 8, WLPages: 2, PageBytes: 16 * 1024}
-	if w.TotalPages() != 150 {
-		t.Fatalf("total = %d", w.TotalPages())
+	w := NewWAF(100, 40, 8, 2, 16*1024)
+	if w.Factor != 1.5 {
+		t.Fatalf("factor = %v", w.Factor)
 	}
-	if f := w.Factor(); f != 1.5 {
-		t.Fatalf("factor = %v", f)
+	if w.HostBytes != 100*16*1024 || w.GCBytes != 40*16*1024 || w.RefreshBytes != 8*16*1024 || w.WLBytes != 2*16*1024 {
+		t.Fatalf("byte conversion wrong: %+v", w)
 	}
-	if w.HostBytes() != 100*16*1024 || w.RefreshBytes() != 8*16*1024 {
-		t.Fatal("byte conversion wrong")
-	}
-	if (WAF{}).Factor() != 0 {
-		t.Fatal("empty ledger factor not 0")
+	if NewWAF(0, 5, 0, 0, 16*1024).Factor != 0 {
+		t.Fatal("factor without host writes not 0")
 	}
 }
 

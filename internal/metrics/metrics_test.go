@@ -498,3 +498,53 @@ func TestHistWarmAddAllocs(t *testing.T) {
 		t.Errorf("Add to a warmed histogram: %.2f allocations, want 0", n)
 	}
 }
+
+// Walk reads a ledger's tags once and hands back closures over the
+// fields' addresses: a row follows the live field, including across a
+// whole-struct assignment (how ResetStats zeroes), with no reflection
+// left on the read path.
+func TestWalkReadsLiveFieldsThroughTheirAddresses(t *testing.T) {
+	type ledger struct {
+		Made    int64   `metric:"layer/made_total counter widgets made"`
+		Depth   int     `metric:"layer/depth gauge widgets waiting"`
+		Ratio   float64 `metric:"layer/ratio gauge made over asked, with spaces in the help"`
+		Private int64   `metric:"-"`
+		Name    string
+		hidden  int64
+	}
+	l := &ledger{Made: 3, Depth: 2, Ratio: 0.5, Private: 9, hidden: 1}
+	rows := Walk(l)
+	if len(rows) != 4 || rows[0].Name != "layer/made_total" || rows[0].Kind != "counter" || rows[0].Help != "widgets made" ||
+		rows[2].Help != "made over asked, with spaces in the help" || rows[3].Name != "" || rows[3].Field != "Private" {
+		t.Fatalf("rows = %+v", rows)
+	}
+	l.Made++
+	*l = ledger{Made: l.Made + 1, Depth: 7}
+	if rows[0].Get() != 5 || rows[1].Get() != 7 || rows[2].Get() != 0 || rows[3].Get() != 0 {
+		t.Errorf("rows read %v %v %v %v, want the live 5 7 0 0", rows[0].Get(), rows[1].Get(), rows[2].Get(), rows[3].Get())
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = rows[0].Get() + rows[2].Get() }); n != 0 {
+		t.Errorf("reading a row allocates %.1f times", n)
+	}
+	for name, bad := range map[string]any{
+		"untagged": &struct{ N int64 }{},
+		"kind": &struct {
+			N int64 `metric:"a/b histogram help"`
+		}{},
+		"no help": &struct {
+			N int64 `metric:"a/b gauge"`
+		}{},
+		"type": &struct {
+			N int32 `metric:"a/b gauge help"`
+		}{},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Walk accepted a malformed declaration", name)
+				}
+			}()
+			Walk(bad)
+		}()
+	}
+}

@@ -297,111 +297,65 @@ func decodeCheckpoint(b []byte) (ms ftl.MountState, policy []byte, err error) {
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
 		return ms, nil, fmt.Errorf("recovery: checkpoint CRC mismatch")
 	}
-	r := &ckptReader{b: body}
+	r := &ftl.StateReader{B: body, What: "recovery: checkpoint"}
 	var magic [4]byte
-	r.bytes(magic[:])
-	if r.err == nil && magic != ckptMagic {
+	r.Bytes(magic[:])
+	if r.Err == nil && magic != ckptMagic {
 		return ms, nil, fmt.Errorf("recovery: checkpoint magic %q", magic[:])
 	}
-	ms.LastStamp = r.u64()
-	ms.LastBlockSeq = r.u64()
-	nChips := int(r.u32())
-	nMap := int(r.u32())
-	if nMap <= len(r.b)/mappingBytes { // else truncated: the loop below reports it
+	ms.LastStamp = r.U64()
+	ms.LastBlockSeq = r.U64()
+	nChips := int(r.U32())
+	nMap := int(r.U32())
+	if nMap <= len(r.B)/mappingBytes { // else truncated: the loop below reports it
 		ms.Mappings = make([]ftl.MappingRecord, 0, nMap)
 	}
-	for i := 0; i < nMap && r.err == nil; i++ {
-		lpn, ppn, stamp := ftl.LPN(r.u64()), int64(r.u64()), r.u64()
+	for i := 0; i < nMap && r.Err == nil; i++ {
+		lpn, ppn, stamp := ftl.LPN(r.U64()), int64(r.U64()), r.U64()
 		if int64(ssd.PPN(ppn)) != ppn {
 			return ftl.MountState{}, nil, fmt.Errorf("recovery: checkpoint maps LPN %d to PPN %d, out of range", lpn, ppn)
 		}
 		ms.Mappings = append(ms.Mappings, ftl.MappingRecord{LPN: lpn, PPN: ssd.PPN(ppn), Stamp: stamp})
 	}
-	if r.err != nil {
-		return ftl.MountState{}, nil, r.err
+	if r.Err != nil {
+		return ftl.MountState{}, nil, r.Err
 	}
 	// A chip's pools take 13 bytes at their emptiest; a count the rest of
 	// the image cannot hold is damage, not a reason to allocate for it.
-	if nChips > len(r.b)/chipPoolsMinBytes {
-		return ftl.MountState{}, nil, fmt.Errorf("recovery: checkpoint lists %d chips in %d bytes", nChips, len(r.b))
+	if nChips > len(r.B)/chipPoolsMinBytes {
+		return ftl.MountState{}, nil, fmt.Errorf("recovery: checkpoint lists %d chips in %d bytes", nChips, len(r.B))
 	}
 	ms.Free = make([][]int, nChips)
 	ms.Actives = make([][]ftl.ActiveRecord, nChips)
 	ms.Retired = make([][]int, nChips)
 	ms.DegradedDies = make([]bool, nChips)
-	for chip := 0; chip < nChips && r.err == nil; chip++ {
-		for n := int(r.u32()); n > 0 && r.err == nil; n-- {
-			ms.Free[chip] = append(ms.Free[chip], int(r.u32()))
+	for chip := 0; chip < nChips && r.Err == nil; chip++ {
+		for n := int(r.U32()); n > 0 && r.Err == nil; n-- {
+			ms.Free[chip] = append(ms.Free[chip], int(r.U32()))
 		}
-		for n := int(r.u32()); n > 0 && r.err == nil; n-- {
+		for n := int(r.U32()); n > 0 && r.Err == nil; n-- {
 			ms.Actives[chip] = append(ms.Actives[chip], ftl.ActiveRecord{
-				Block: int(r.u32()),
-				Seq:   r.u64(),
+				Block: int(r.U32()),
+				Seq:   r.U64(),
 			})
 		}
-		for n := int(r.u32()); n > 0 && r.err == nil; n-- {
-			ms.Retired[chip] = append(ms.Retired[chip], int(r.u32()))
+		for n := int(r.U32()); n > 0 && r.Err == nil; n-- {
+			ms.Retired[chip] = append(ms.Retired[chip], int(r.U32()))
 		}
-		d := r.u8()
+		d := r.U8()
 		if d > 1 {
 			return ftl.MountState{}, nil, fmt.Errorf("recovery: checkpoint marks chip %d degraded with byte %d", chip, d)
 		}
 		ms.DegradedDies[chip] = d == 1
 	}
-	if n := int(r.u32()); n > 0 && r.err == nil {
-		policy = append([]byte(nil), r.take(n)...)
+	if n := int(r.U32()); n > 0 && r.Err == nil {
+		policy = append([]byte(nil), r.Take(n)...)
 	}
-	if r.err != nil {
-		return ftl.MountState{}, nil, r.err
+	if r.Err != nil {
+		return ftl.MountState{}, nil, r.Err
 	}
-	if len(r.b) != 0 {
-		return ftl.MountState{}, nil, fmt.Errorf("recovery: checkpoint has %d trailing bytes", len(r.b))
+	if len(r.B) != 0 {
+		return ftl.MountState{}, nil, fmt.Errorf("recovery: checkpoint has %d trailing bytes", len(r.B))
 	}
 	return ms, policy, nil
-}
-
-// ckptReader is a little-endian cursor latching the first truncation.
-type ckptReader struct {
-	b   []byte
-	err error
-}
-
-func (r *ckptReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
-		r.err = fmt.Errorf("recovery: checkpoint truncated (need %d bytes, have %d)", n, len(r.b))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *ckptReader) bytes(dst []byte) {
-	if src := r.take(len(dst)); src != nil {
-		copy(dst, src)
-	}
-}
-
-func (r *ckptReader) u8() byte {
-	if s := r.take(1); s != nil {
-		return s[0]
-	}
-	return 0
-}
-
-func (r *ckptReader) u32() uint32 {
-	if s := r.take(4); s != nil {
-		return binary.LittleEndian.Uint32(s)
-	}
-	return 0
-}
-
-func (r *ckptReader) u64() uint64 {
-	if s := r.take(8); s != nil {
-		return binary.LittleEndian.Uint64(s)
-	}
-	return 0
 }

@@ -141,21 +141,18 @@ func (s *Server) writeMetrics(w io.Writer) error {
 	return telemetry.WriteProm(w, fams)
 }
 
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// collectFamilies builds the exposition families. Core-only; resets
-// the per-tenant scrape windows as it reads them.
+// collectFamilies builds the exposition families: what the server
+// computes at scrape time is written out here; every counted number —
+// the server's and the SLO controller's counters, each tenant's
+// admission counters, the WAF ledger — comes from walking the struct it
+// is counted in (telemetry.AppendLedger), so a counter added to one of
+// them is served with no edit here. Core-only; resets the per-tenant
+// scrape windows as it reads them.
 func (s *Server) collectFamilies() []telemetry.PromFamily {
 	one := func(name, typ, help string, v float64) telemetry.PromFamily {
 		return telemetry.PromFamily{Name: name, Type: typ, Help: help,
 			Samples: []telemetry.PromSample{{Value: v}}}
 	}
-	st := s.stats
 	var dedupEntries, dedupMax int
 	for _, sess := range s.sessions {
 		n := len(sess.acked)
@@ -169,114 +166,88 @@ func (s *Server) collectFamilies() []telemetry.PromFamily {
 		inflight = s.fe.Outstanding()
 	}
 	fams := []telemetry.PromFamily{
-		one("cube_server_up", "gauge", "device mounted and serving", b2f(s.up)),
-		one("cube_server_draining", "gauge", "graceful shutdown in progress", b2f(s.draining)),
+		one("cube_server_up", "gauge", "device mounted and serving", telemetry.BoolValue(s.up)),
+		one("cube_server_draining", "gauge", "graceful shutdown in progress", telemetry.BoolValue(s.draining)),
 		one("cube_server_sessions", "gauge", "live sessions", float64(len(s.sessions))),
 		one("cube_server_conns", "gauge", "open client connections", float64(len(s.conns))),
 		one("cube_server_inflight", "gauge", "commands outstanding at the device", float64(inflight)),
 		one("cube_server_dedup_entries", "gauge", "acked write seqs held above the floors, all sessions", float64(dedupEntries)),
 		one("cube_server_dedup_entries_max", "gauge", "largest single-session dedup window", float64(dedupMax)),
-		one("cube_server_conns_total", "counter", "connections accepted", float64(st.Conns)),
-		one("cube_server_sessions_total", "counter", "sessions created", float64(st.Sessions)),
-		one("cube_server_reads_total", "counter", "read commands", float64(st.Reads)),
-		one("cube_server_writes_total", "counter", "write commands", float64(st.Writes)),
-		one("cube_server_stat_probes_total", "counter", "OpStat probes", float64(st.Stats)),
-		one("cube_server_duplicates_total", "counter", "write acks served from the dedup window", float64(st.Duplicates)),
-		one("cube_server_rejects_total", "counter", "non-OK, non-duplicate replies", float64(st.Rejects)),
-		one("cube_server_unavailables_total", "counter", "replies refused while down", float64(st.Unavailables)),
-		one("cube_server_power_cuts_total", "counter", "power cuts injected", float64(st.PowerCuts)),
-		one("cube_server_recoveries_total", "counter", "successful recoveries", float64(st.Recoveries)),
-		one("cube_server_batches_total", "counter", "pumps of the device with commands outstanding", float64(st.Batches)),
-		one("cube_server_batched_requests_total", "counter", "commands submitted into those pumps", float64(st.BatchedRequests)),
-		one("cube_server_window_all_in_total", "counter", "batch windows skipped or left early: every session had a command in flight", float64(st.WindowAllIn)),
-		one("cube_server_window_timeouts_total", "counter", "batch windows waited out with a session still silent", float64(st.WindowTimeouts)),
-		one("cube_slo_enabled", "gauge", "SLO controller active", b2f(s.cfg.SLO.Enabled)),
-		one("cube_slo_breaches_total", "counter", "intervals a protected tenant missed its target", float64(s.slo.Breaches)),
-		one("cube_slo_tightenings_total", "counter", "knob turns tightening QoS", float64(s.slo.Tightenings)),
-		one("cube_slo_relaxations_total", "counter", "knob turns relaxing QoS", float64(s.slo.Relaxations)),
+		one("cube_slo_enabled", "gauge", "SLO controller active", telemetry.BoolValue(s.cfg.SLO.Enabled)),
 		one("cube_events_total", "counter", "structured events emitted", float64(s.events.Total())),
 	}
+	fams = telemetry.AppendLedger(fams, &s.stats)
+	fams = telemetry.AppendLedger(fams, s.slo)
 
-	// Per-tenant families: SQ occupancy and inflight (the CQ side),
-	// current knob positions (the SLO controller's state), admission
-	// counters, and the windowed latency quantiles.
+	// Per-tenant families: the admission counters (walked), SQ occupancy
+	// and inflight (the CQ side), current knob positions (the SLO
+	// controller's state), and the windowed latency quantiles.
 	label := func(name string) []telemetry.PromLabel {
 		return []telemetry.PromLabel{{K: "tenant", V: name}}
 	}
-	mk := func(name, typ, help string) *telemetry.PromFamily {
-		return &telemetry.PromFamily{Name: name, Type: typ, Help: help}
+	mk := func(name, help string) *telemetry.PromFamily {
+		return &telemetry.PromFamily{Name: name, Type: "gauge", Help: help}
 	}
-	queueLen := mk("cube_tenant_queue_len", "gauge", "submission-queue occupancy")
-	inflightF := mk("cube_tenant_inflight", "gauge", "commands submitted but not completed")
-	weight := mk("cube_tenant_weight", "gauge", "current WRR weight (SLO knob)")
-	rate := mk("cube_tenant_rate_iops", "gauge", "current rate cap in IOPS, 0 = uncapped (SLO knob)")
-	target := mk("cube_tenant_slo_target_ns", "gauge", "read-p99 SLO target, 0 = best-effort")
-	grants := mk("cube_tenant_grants_total", "counter", "arbitration grants")
-	throttles := mk("cube_tenant_throttles_total", "counter", "token-bucket throttles")
-	queueFulls := mk("cube_tenant_queue_fulls_total", "counter", "admissions refused, queue full")
+	add := func(f *telemetry.PromFamily, l []telemetry.PromLabel, v float64) {
+		f.Samples = append(f.Samples, telemetry.PromSample{Labels: l, Value: v})
+	}
+	queueLen := mk("cube_tenant_queue_len", "submission-queue occupancy")
+	inflightF := mk("cube_tenant_inflight", "commands submitted but not completed")
+	weight := mk("cube_tenant_weight", "current WRR weight (SLO knob)")
+	rate := mk("cube_tenant_rate_iops", "current rate cap in IOPS, 0 = uncapped (SLO knob)")
+	target := mk("cube_tenant_slo_target_ns", "read-p99 SLO target, 0 = best-effort")
 	if s.fe != nil {
 		for i, ts := range s.fe.Snapshot() {
-			l := label(ts.Name)
-			queueLen.Samples = append(queueLen.Samples, telemetry.PromSample{Labels: l, Value: float64(ts.QueueLen)})
-			inflightF.Samples = append(inflightF.Samples, telemetry.PromSample{Labels: l, Value: float64(ts.Submitted - ts.Completed)})
-			weight.Samples = append(weight.Samples, telemetry.PromSample{Labels: l, Value: float64(ts.Weight)})
-			rate.Samples = append(rate.Samples, telemetry.PromSample{Labels: l, Value: ts.RateIOPS})
-			grants.Samples = append(grants.Samples, telemetry.PromSample{Labels: l, Value: float64(ts.Grants)})
-			throttles.Samples = append(throttles.Samples, telemetry.PromSample{Labels: l, Value: float64(ts.Throttles)})
-			queueFulls.Samples = append(queueFulls.Samples, telemetry.PromSample{Labels: l, Value: float64(ts.QueueFulls)})
-			target.Samples = append(target.Samples, telemetry.PromSample{Labels: l, Value: float64(s.cfg.Tenants[i].SLOReadP99)})
+			l := label(ts.Tenant)
+			fams = telemetry.AppendLedger(fams, &ts.TenantStats, l...)
+			add(queueLen, l, float64(ts.QueueLen))
+			add(inflightF, l, float64(ts.Submitted-ts.Completed))
+			add(weight, l, float64(ts.Weight))
+			add(rate, l, ts.RateIOPS)
+			add(target, l, float64(s.cfg.Tenants[i].SLOReadP99))
 		}
 	}
-	readP50 := mk("cube_tenant_read_p50_ns", "gauge", "read p50 since last scrape")
-	readP99 := mk("cube_tenant_read_p99_ns", "gauge", "read p99 since last scrape")
-	writeP50 := mk("cube_tenant_write_p50_ns", "gauge", "write p50 since last scrape")
-	writeP99 := mk("cube_tenant_write_p99_ns", "gauge", "write p99 since last scrape")
-	windowIOs := mk("cube_tenant_window_ios", "gauge", "completions observed since last scrape")
+	readP50 := mk("cube_tenant_read_p50_ns", "read p50 since last scrape")
+	readP99 := mk("cube_tenant_read_p99_ns", "read p99 since last scrape")
+	writeP50 := mk("cube_tenant_write_p50_ns", "write p50 since last scrape")
+	writeP99 := mk("cube_tenant_write_p99_ns", "write p99 since last scrape")
+	windowIOs := mk("cube_tenant_window_ios", "completions observed since last scrape")
 	for i := range s.obsWin {
 		w := &s.obsWin[i]
 		l := label(s.cfg.Tenants[i].Name)
-		readP50.Samples = append(readP50.Samples, telemetry.PromSample{Labels: l, Value: float64(w.read.Percentile(50))})
-		readP99.Samples = append(readP99.Samples, telemetry.PromSample{Labels: l, Value: float64(w.read.Percentile(99))})
-		writeP50.Samples = append(writeP50.Samples, telemetry.PromSample{Labels: l, Value: float64(w.write.Percentile(50))})
-		writeP99.Samples = append(writeP99.Samples, telemetry.PromSample{Labels: l, Value: float64(w.write.Percentile(99))})
-		windowIOs.Samples = append(windowIOs.Samples, telemetry.PromSample{Labels: l, Value: float64(w.read.N() + w.write.N())})
+		add(readP50, l, float64(w.read.Percentile(50)))
+		add(readP99, l, float64(w.read.Percentile(99)))
+		add(writeP50, l, float64(w.write.Percentile(50)))
+		add(writeP99, l, float64(w.write.Percentile(99)))
+		add(windowIOs, l, float64(w.read.N()+w.write.N()))
 		w.read.Reset()
 		w.write.Reset()
 		w.since = s.dev.Now()
-	}
-	for _, f := range []*telemetry.PromFamily{
-		queueLen, inflightF, weight, rate, target, grants, throttles, queueFulls,
-		readP50, readP99, writeP50, writeP99, windowIOs,
-	} {
-		fams = append(fams, *f)
 	}
 
 	// Lifetime plane: the per-cause write-amplification ledger and the
 	// per-die erase-count distribution that wear leveling narrows.
 	waf := s.dev.WAF()
-	fams = append(fams,
-		one("cube_waf_host_bytes", "counter", "bytes programmed to serve host writes", float64(waf.HostBytes)),
-		one("cube_waf_gc_bytes", "counter", "bytes moved by garbage collection and reclaim", float64(waf.GCBytes)),
-		one("cube_waf_refresh_bytes", "counter", "bytes moved by retention refresh", float64(waf.RefreshBytes)),
-		one("cube_waf_wl_bytes", "counter", "bytes moved by static wear leveling", float64(waf.WLBytes)),
-		one("cube_waf_factor", "gauge", "write-amplification factor, total/host", waf.Factor),
-	)
-	erase := mk("cube_erase_count", "gauge", "per-die erase-count quantiles over good blocks")
+	fams = telemetry.AppendLedger(fams, &waf)
+	erase := mk("cube_erase_count", "per-die erase-count quantiles over good blocks")
 	for die, row := range s.dev.EraseQuantiles(eraseQuantiles) {
 		for qi, v := range row {
-			erase.Samples = append(erase.Samples, telemetry.PromSample{
-				Labels: []telemetry.PromLabel{
-					{K: "die", V: strconv.Itoa(die)},
-					{K: "quantile", V: eraseQuantileNames[qi]},
-				},
-				Value: float64(v),
-			})
+			add(erase, []telemetry.PromLabel{
+				{K: "die", V: strconv.Itoa(die)},
+				{K: "quantile", V: eraseQuantileNames[qi]},
+			}, float64(v))
 		}
 	}
-	fams = append(fams, *erase)
+	for _, f := range []*telemetry.PromFamily{
+		queueLen, inflightF, weight, rate, target,
+		readP50, readP99, writeP50, writeP99, windowIOs, erase,
+	} {
+		fams = append(fams, *f)
+	}
 
 	// Device registry: per-die health and prog hists, retry-table and
-	// ORT counters, GC/fault gauges — everything the facade registers.
+	// ORT counters, GC/fault gauges — everything the device's ledgers
+	// declare.
 	if hub := s.dev.Telemetry(); hub != nil {
 		fams = append(fams, telemetry.SnapshotFamilies(hub.Registry().Snapshot())...)
 	}

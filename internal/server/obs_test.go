@@ -3,10 +3,17 @@ package server
 import (
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"cubeftl"
+	"cubeftl/internal/core"
+	"cubeftl/internal/ftl"
+	"cubeftl/internal/host"
+	"cubeftl/internal/lifetime"
+	"cubeftl/internal/metrics"
 	"cubeftl/internal/telemetry"
 )
 
@@ -284,5 +291,76 @@ func TestNoDuplicateFamilies(t *testing.T) {
 	}
 	if len(seen) < 30 {
 		t.Errorf("only %d families exposed", len(seen))
+	}
+}
+
+// What cubeserved serves in `make metrics-smoke`'s configuration — every
+// # HELP and # TYPE line and every sample name, values stripped — is
+// what a binary built at the parent of the one-ledger change (6dc32a7)
+// served: the golden file is that binary's scrape.
+func TestMetricsNamesMatchParentScrape(t *testing.T) {
+	srv := startTestServer(t, Config{
+		Device: cubeftl.Options{FTL: cubeftl.FTLCube, Channels: 4, DiesPerChannel: 2, BlocksPerChip: 16, Seed: 1, Recovery: true},
+		Tenants: []TenantDef{
+			{Name: "lat", Weight: 8, SLOReadP99: 2 * time.Millisecond},
+			{Name: "bulk", Weight: 1},
+		},
+		Arbiter:     cubeftl.ArbWRR,
+		SLO:         SLOConfig{Enabled: true},
+		MetricsAddr: "127.0.0.1:0",
+	})
+	defer srv.Close()
+	_, body := scrape(t, srv.MetricsAddr(), "/metrics")
+	lines := strings.Split(body, "\n")
+	for i, l := range lines {
+		if !strings.HasPrefix(l, "#") {
+			lines[i], _, _ = strings.Cut(l, " ")
+		}
+	}
+	want, err := os.ReadFile("testdata/metrics_smoke.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(lines, "\n"); got != string(want) {
+		t.Errorf("/metrics names, types or help moved; got:\n%s", got)
+	}
+}
+
+// Every struct the walker is pointed at, under the prefix its view
+// gives it: each exported numeric field is declared or skipped on
+// purpose with a well-formed tag (Walk panics otherwise), no two
+// declarations anywhere in the process land on one exposition name, and
+// README.md's table has the row.
+func TestLedgerDeclarations(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md") // its metrics table is this walk
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]string{}
+	for _, l := range []struct {
+		prefix string
+		ptr    any
+	}{
+		{"", new(ftl.Stats)}, {"", new(core.CubeStats)}, {"ftl/", new(lifetime.WAF)}, // the registry
+		{"", new(lifetime.WAF)}, {"", new(Stats)}, {"", new(sloController)}, {"", new(host.TenantStats)}, // collectFamilies
+	} {
+		named := 0
+		for _, row := range metrics.Walk(l.ptr) {
+			if row.Name == "" {
+				continue
+			}
+			named++
+			name, where := "cube_"+telemetry.PromName(l.prefix+row.Name), row.Field
+			if prev, dup := seen[name]; dup {
+				t.Errorf("%s is declared by %s and by %T.%s", name, prev, l.ptr, where)
+			}
+			seen[name] = where
+			if line := "| `" + row.Field + "` | `" + row.Name + "` | " + row.Kind + " | " + row.Help + " |"; !strings.Contains(string(readme), line) {
+				t.Errorf("README.md's metrics table lacks the row %s", line)
+			}
+		}
+		if named == 0 {
+			t.Errorf("%T declares nothing", l.ptr)
+		}
 	}
 }

@@ -75,25 +75,25 @@ type Config struct {
 // Stats counts server-level events. All fields are owned by the core
 // goroutine; read them through Server.Stats.
 type Stats struct {
-	Conns        int64 // connections accepted over the server's life
-	Sessions     int64 // distinct sessions created
-	Reads        int64
-	Writes       int64
-	Stats        int64 // OpStat probes
-	Duplicates   int64 // write acks satisfied from the dedup window
-	Rejects      int64 // replies with a non-OK, non-duplicate status
-	Unavailables int64 // replies refused because the device was down
-	PowerCuts    int64
-	Recoveries   int64
+	Conns        int64 `metric:"server/conns_total counter connections accepted"` // over the server's life
+	Sessions     int64 `metric:"server/sessions_total counter sessions created"`
+	Reads        int64 `metric:"server/reads_total counter read commands"`
+	Writes       int64 `metric:"server/writes_total counter write commands"`
+	Stats        int64 `metric:"server/stat_probes_total counter OpStat probes"`
+	Duplicates   int64 `metric:"server/duplicates_total counter write acks served from the dedup window"`
+	Rejects      int64 `metric:"server/rejects_total counter non-OK, non-duplicate replies"`
+	Unavailables int64 `metric:"server/unavailables_total counter replies refused while down"`
+	PowerCuts    int64 `metric:"server/power_cuts_total counter power cuts injected"`
+	Recoveries   int64 `metric:"server/recoveries_total counter successful recoveries"`
 
 	// Coalescing: BatchedRequests commands shared Batches pumps of the
 	// device. A batch window ends one of two ways — every session had a
 	// command in flight (or the window was never opened because they
 	// already had), or the timer ran out with a session still silent.
-	Batches         int64
-	BatchedRequests int64
-	WindowAllIn     int64
-	WindowTimeouts  int64
+	Batches         int64 `metric:"server/batches_total counter pumps of the device with commands outstanding"`
+	BatchedRequests int64 `metric:"server/batched_requests_total counter commands submitted into those pumps"`
+	WindowAllIn     int64 `metric:"server/window_all_in_total counter batch windows skipped or left early: every session had a command in flight"`
+	WindowTimeouts  int64 `metric:"server/window_timeouts_total counter batch windows waited out with a session still silent"`
 }
 
 // session is one client's server-side state: its tenant queue binding
@@ -907,17 +907,6 @@ func (s *Server) Stats() Stats {
 	var st Stats
 	s.do(func() { st = s.stats })
 	return st
-}
-
-// Snapshot returns the front end's per-tenant view (nil while down).
-func (s *Server) Snapshot() []cubeftl.TenantSnapshot {
-	var snap []cubeftl.TenantSnapshot
-	s.do(func() {
-		if s.fe != nil {
-			snap = s.fe.Snapshot()
-		}
-	})
-	return snap
 }
 
 // SLOReport returns the controller's decision log and counters.

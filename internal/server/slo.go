@@ -102,10 +102,11 @@ type sloController struct {
 	// (slo_tighten/slo_relax with the triggering p99 and knob values).
 	events *telemetry.EventLog
 	// Breaches counts intervals where a protected tenant missed its
-	// target; Tightenings/Relaxations count applied knob turns.
-	Breaches    int64
-	Tightenings int64
-	Relaxations int64
+	// target; Tightenings/Relaxations count applied knob turns. The
+	// controller is their ledger (metrics.Walk).
+	Breaches    int64 `metric:"slo/breaches_total counter intervals a protected tenant missed its target"`
+	Tightenings int64 `metric:"slo/tightenings_total counter knob turns tightening QoS"`
+	Relaxations int64 `metric:"slo/relaxations_total counter knob turns relaxing QoS"`
 }
 
 // newSLOController builds the controller over the front end. targets
@@ -305,7 +306,7 @@ func (sc *sloController) record(a Adjustment) {
 			"target_ns": float64(a.Target),
 			"from":      a.From,
 			"to":        a.To,
-			"applied":   b2f(a.Applied),
+			"applied":   telemetry.BoolValue(a.Applied),
 		},
 		Text: map[string]string{"what": a.What},
 	})

@@ -9,42 +9,23 @@ const (
 	fnvPrime  uint64 = 1099511628211
 )
 
-// GrantTrace folds every arbitration grant into an FNV-1a hash (the
-// replay/determinism fingerprint) and retains the most recent grants in
-// a bounded ring for diagnostics. When built via Hub.NewGrantTrace with
+// GrantTrace folds every arbitration grant into an FNV-1a hash, the
+// replay/determinism fingerprint. When built via Hub.NewGrantTrace with
 // tracing enabled, each grant also lands as an instant event in the
 // shared trace event stream, on the host track of the granted queue.
 type GrantTrace struct {
 	hash   uint64
-	ring   []int
-	cap    int
-	head   int
-	n      int
 	grants int64
 	hub    *Hub
 }
 
-// NewGrantTrace returns a trace retaining the last capacity grants
-// (<=0 disables the ring; the hash is always maintained).
-func NewGrantTrace(capacity int) *GrantTrace {
-	gt := &GrantTrace{hash: fnvOffset, cap: capacity}
-	if capacity > 0 {
-		gt.ring = make([]int, capacity)
-	}
-	return gt
-}
+// NewGrantTrace returns an empty trace.
+func NewGrantTrace() *GrantTrace { return &GrantTrace{hash: fnvOffset} }
 
 // Grant records that queue idx won arbitration.
 func (g *GrantTrace) Grant(idx int) {
 	g.grants++
 	g.hash = (g.hash ^ uint64(idx+1)) * fnvPrime
-	if g.cap > 0 {
-		g.ring[g.head] = idx
-		g.head = (g.head + 1) % g.cap
-		if g.n < g.cap {
-			g.n++
-		}
-	}
 	if g.hub.TraceOp() {
 		g.hub.Instant(PidHost, idx, "grant")
 	}
@@ -55,18 +36,3 @@ func (g *GrantTrace) Hash() uint64 { return g.hash }
 
 // Grants returns the total number of grants recorded.
 func (g *GrantTrace) Grants() int64 { return g.grants }
-
-// Recent returns the retained grant queue indices, oldest first.
-func (g *GrantTrace) Recent() []int {
-	if g.cap == 0 || g.n == 0 {
-		return nil
-	}
-	out := make([]int, 0, g.n)
-	if g.n < g.cap {
-		out = append(out, g.ring[:g.n]...)
-	} else {
-		out = append(out, g.ring[g.head:]...)
-		out = append(out, g.ring[:g.head]...)
-	}
-	return out
-}

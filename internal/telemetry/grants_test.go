@@ -6,7 +6,7 @@ import "testing"
 // front end's historical implementation: FNV-1a offset basis folded
 // with (idx+1) per grant. This test pins the exact fold.
 func TestGrantHashMatchesFNVFold(t *testing.T) {
-	g := NewGrantTrace(0)
+	g := NewGrantTrace()
 	if g.Hash() != fnvOffset {
 		t.Fatalf("empty hash = %#x, want offset basis", g.Hash())
 	}
@@ -22,32 +22,12 @@ func TestGrantHashMatchesFNVFold(t *testing.T) {
 	if g.Grants() != int64(len(seq)) {
 		t.Errorf("Grants = %d, want %d", g.Grants(), len(seq))
 	}
-	if g.Recent() != nil {
-		t.Error("capacity 0 kept a ring")
-	}
-}
-
-func TestGrantTraceRingOldestFirst(t *testing.T) {
-	g := NewGrantTrace(3)
-	for _, idx := range []int{5, 6, 7, 8, 9} {
-		g.Grant(idx)
-	}
-	got := g.Recent()
-	want := []int{7, 8, 9}
-	if len(got) != len(want) {
-		t.Fatalf("Recent = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Recent = %v, want %v", got, want)
-		}
-	}
 }
 
 // Two traces fed the same sequence agree; diverging one grant diverges
 // the hash.
 func TestGrantHashDistinguishesSequences(t *testing.T) {
-	a, b := NewGrantTrace(0), NewGrantTrace(0)
+	a, b := NewGrantTrace(), NewGrantTrace()
 	for i := 0; i < 100; i++ {
 		a.Grant(i % 4)
 		b.Grant(i % 4)

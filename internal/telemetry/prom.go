@@ -12,6 +12,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"cubeftl/internal/metrics"
 )
 
 // PromLabel is one label pair on a sample.
@@ -71,6 +73,14 @@ func promEscape(s string) string {
 	return r.Replace(s)
 }
 
+// BoolValue is a flag's sample value: 1 when set.
+func BoolValue(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // promValue formats a sample value: integers without an exponent or
 // trailing zeros, everything else in shortest round-trip form.
 func promValue(v float64) string {
@@ -122,6 +132,30 @@ func WriteProm(w io.Writer, fams []PromFamily) error {
 	return err
 }
 
+// AppendLedger adds the declared numbers of the ledger struct ptr
+// points to (metrics.Walk) to fams: one sample per row, carrying
+// labels, in the family "cube_" + PromName(declared name) with the
+// declared kind and help. The family is created on first use, so
+// walking one struct per tenant with a tenant label fills one family
+// per counter.
+func AppendLedger(fams []PromFamily, ptr any, labels ...PromLabel) []PromFamily {
+rows:
+	for _, row := range metrics.Walk(ptr) {
+		if row.Name == "" {
+			continue
+		}
+		name, sample := "cube_"+PromName(row.Name), PromSample{Labels: labels, Value: row.Get()}
+		for i := range fams {
+			if fams[i].Name == name {
+				fams[i].Samples = append(fams[i].Samples, sample)
+				continue rows
+			}
+		}
+		fams = append(fams, PromFamily{Name: name, Type: row.Kind, Help: row.Help, Samples: []PromSample{sample}})
+	}
+	return fams
+}
+
 // SnapshotFamilies converts a registry snapshot into exposition
 // families under the "cube_" namespace: counters gain the _total
 // suffix, gauges map directly, and histograms render as summaries
@@ -130,7 +164,7 @@ func WriteProm(w io.Writer, fams []PromFamily) error {
 // the sorted family names.
 func SnapshotFamilies(s Snapshot) []PromFamily {
 	fams := make([]PromFamily, 0, len(s.Counters)+len(s.Gauges)+2*len(s.Hists))
-	for _, n := range s.SortedCounterNames() {
+	for _, n := range sortedKeys(s.Counters) {
 		fams = append(fams, PromFamily{
 			Name: "cube_" + PromName(n) + "_total",
 			Type: "counter",
@@ -140,7 +174,7 @@ func SnapshotFamilies(s Snapshot) []PromFamily {
 			},
 		})
 	}
-	for _, n := range sortedKeysF(s.Gauges) {
+	for _, n := range sortedKeys(s.Gauges) {
 		fams = append(fams, PromFamily{
 			Name: "cube_" + PromName(n),
 			Type: "gauge",
@@ -150,7 +184,7 @@ func SnapshotFamilies(s Snapshot) []PromFamily {
 			},
 		})
 	}
-	for _, n := range sortedKeysH(s.Hists) {
+	for _, n := range sortedKeys(s.Hists) {
 		h := s.Hists[n]
 		base := "cube_" + PromName(n)
 		fams = append(fams, PromFamily{
@@ -174,16 +208,8 @@ func SnapshotFamilies(s Snapshot) []PromFamily {
 	return fams
 }
 
-func sortedKeysF(m map[string]float64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func sortedKeysH(m map[string]HistStat) []string {
+// sortedKeys is the deterministic iteration order of a snapshot map.
+func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -50,6 +49,7 @@ type Registry struct {
 	counters map[string]*Counter
 	hists    map[string]func() *metrics.Hist
 	gauges   map[string]func() float64
+	refresh  []func() // run before each snapshot reads (MustRegisterStruct)
 }
 
 // NewRegistry returns an empty registry.
@@ -118,6 +118,30 @@ func (r *Registry) RegisterGauge(name string, get func() float64) error {
 	return nil
 }
 
+// MustRegisterStruct registers every declared number of the ledger
+// struct ptr points to (metrics.Walk) as a gauge named prefix + its
+// declared name, read through the field's address at snapshot time: a
+// field added to the struct is in every snapshot with no second edit.
+// refresh, when non-nil, runs once per snapshot before anything is
+// read — a derived view (the byte-denominated WAF ledger) is rebuilt
+// there instead of being kept current on the datapath. A duplicate
+// name is a programming error and panics, as in MustCounter.
+func (r *Registry) MustRegisterStruct(prefix string, ptr any, refresh func()) {
+	for _, row := range metrics.Walk(ptr) {
+		if row.Name == "" {
+			continue
+		}
+		if err := r.RegisterGauge(prefix+row.Name, row.Get); err != nil {
+			panic(err)
+		}
+	}
+	if refresh != nil {
+		r.mu.Lock()
+		r.refresh = append(r.refresh, refresh)
+		r.mu.Unlock()
+	}
+}
+
 // CounterValue returns a registered counter's value (0 if absent).
 func (r *Registry) CounterValue(name string) int64 {
 	r.mu.Lock()
@@ -152,6 +176,9 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for _, f := range r.refresh {
+		f()
+	}
 	s := Snapshot{
 		Counters: make(map[string]int64, len(r.counters)),
 		Gauges:   make(map[string]float64, len(r.gauges)),
@@ -174,15 +201,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// SortedCounterNames returns the snapshot's counter names sorted — the
-// deterministic iteration order for reports.
-func (s Snapshot) SortedCounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -371,8 +371,8 @@ func (h *Hub) Instant(pid, tid int, name string) {
 // the hub's tracer: every arbitration grant updates the FNV replay hash
 // and, when tracing is on, lands in the same bounded event ring the
 // spans and device operations feed.
-func (h *Hub) NewGrantTrace(capacity int) *GrantTrace {
-	gt := NewGrantTrace(capacity)
+func (h *Hub) NewGrantTrace() *GrantTrace {
+	gt := NewGrantTrace()
 	gt.hub = h
 	return gt
 }

@@ -25,24 +25,16 @@ func DefaultRunConfig() RunConfig {
 	return RunConfig{Requests: 20000, QueueDepth: 32}
 }
 
-// Result summarizes one run.
+// Result summarizes one single-stream run: its one tenant's result.
+// RejectedPages counts page writes the controller refused synchronously
+// (degraded read-only mode); rejected pages complete immediately so the
+// closed loop keeps running against a failing device.
 type Result struct {
-	Name      string
-	Requests  int64
-	ElapsedNs sim.Time
-	ReadLat   *metrics.Hist // per-request read latency
-	WriteLat  *metrics.Hist // per-request write latency
-	// Rejects counts page writes the controller refused synchronously
-	// (degraded read-only mode). Rejected pages complete immediately so
-	// the closed loop keeps running against a failing device.
-	Rejects int64
+	TenantResult
 	// TraceHash fingerprints the host grant sequence: equal hashes
 	// across two runs mean bit-identical dispatch replay.
 	TraceHash uint64
 }
-
-// IOPS is the run's completed requests per simulated second.
-func (r Result) IOPS() float64 { return metrics.IOPS(r.Requests, r.ElapsedNs) }
 
 // TenantSpec is one tenant stream of a multi-queue run: a generator
 // driven closed-loop through its own host queue pair. The closed-loop
@@ -62,8 +54,6 @@ type MultiRunConfig struct {
 	// device across all tenants — the contended resource QoS divides.
 	// 0 defaults to the sum of queue depths.
 	DispatchWidth int
-	// TraceCap retains the last grants for debugging (0 = hash only).
-	TraceCap int
 	// DieAffinity turns on die-aware arbitration: queues whose head
 	// command targets an idle NAND die are preferred (no-op with a
 	// single queue; see host.Config.DieAffinity).
@@ -76,27 +66,19 @@ type MultiRunConfig struct {
 	DeadlineNs sim.Time
 }
 
-// TenantResult is one tenant's view of a multi-queue run.
+// TenantResult is one tenant's view of a multi-queue run: the host's
+// ledger for its queue pair as the run left it — Completed requests,
+// RejectedPages, QueueFulls, Grants, Throttles, MaxHeadWaitNs, and the
+// host-visible (SQ wait + device) ReadLat / WriteLat — and the span the
+// tenant ran over.
 type TenantResult struct {
-	Name      string
-	Queue     int
-	Requests  int64
-	ElapsedNs sim.Time
-	ReadLat   *metrics.Hist // host-visible (SQ wait + device) latency
-	WriteLat  *metrics.Hist
-	// Rejects counts pages refused by a degraded device.
-	Rejects int64
-	// QueueFulls counts submissions bounced by admission control.
-	QueueFulls int64
-	// Grants counts arbitration wins; Throttles counts rate-limiter
-	// stalls; MaxHeadWaitNs is the longest head-of-queue wait.
-	Grants        int64
-	Throttles     int64
-	MaxHeadWaitNs int64
+	host.TenantStats
+	ElapsedNs sim.Time // run start to the tenant's last completion
 }
 
-// IOPS is the tenant's completed requests per simulated second.
-func (t TenantResult) IOPS() float64 { return metrics.IOPS(t.Requests, t.ElapsedNs) }
+// IOPS is the tenant's completed requests per simulated second of the
+// run (the ledger's own IOPS counts from the tenant's first submit).
+func (t TenantResult) IOPS() float64 { return metrics.IOPS(t.Completed, t.ElapsedNs) }
 
 // MultiResult summarizes a multi-tenant run.
 type MultiResult struct {
@@ -210,7 +192,6 @@ func RunTenants(ctrl *ftl.Controller, specs []TenantSpec, cfg MultiRunConfig) (M
 		Queues:        qcs,
 		Arb:           cfg.Arbiter,
 		DispatchWidth: cfg.DispatchWidth,
-		TraceCap:      cfg.TraceCap,
 		DieAffinity:   cfg.DieAffinity,
 	})
 	if err != nil {
@@ -249,19 +230,7 @@ func RunTenants(ctrl *ftl.Controller, specs []TenantSpec, cfg MultiRunConfig) (M
 	out := MultiResult{TraceHash: h.TraceHash(), Grants: h.Grants()}
 	for i := range specs {
 		st := h.Stats(i)
-		tr := TenantResult{
-			Name:          st.Tenant,
-			Queue:         i,
-			Requests:      st.Completed,
-			ElapsedNs:     st.LastDoneNs - start,
-			ReadLat:       st.ReadLat,
-			WriteLat:      st.WriteLat,
-			Rejects:       st.RejectedPages,
-			QueueFulls:    st.QueueFulls,
-			Grants:        st.Grants,
-			Throttles:     st.Throttles,
-			MaxHeadWaitNs: st.MaxHeadWaitNs,
-		}
+		tr := TenantResult{TenantStats: *st, ElapsedNs: st.LastDoneNs - start}
 		out.Tenants = append(out.Tenants, tr)
 		if tr.ElapsedNs > out.ElapsedNs {
 			out.ElapsedNs = tr.ElapsedNs
@@ -291,16 +260,7 @@ func Run(ctrl *ftl.Controller, gen Generator, cfg RunConfig) Result {
 		// Unreachable: the wrapper always passes one well-formed queue.
 		panic(err)
 	}
-	t := mr.Tenants[0]
-	return Result{
-		Name:      t.Name,
-		Requests:  t.Requests,
-		ElapsedNs: t.ElapsedNs,
-		ReadLat:   t.ReadLat,
-		WriteLat:  t.WriteLat,
-		Rejects:   t.Rejects,
-		TraceHash: mr.TraceHash,
-	}
+	return Result{TenantResult: mr.Tenants[0], TraceHash: mr.TraceHash}
 }
 
 // Prefill sequentially writes pages [0, n) through the controller so a

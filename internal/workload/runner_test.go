@@ -107,16 +107,16 @@ func TestStrictPriorityStarvationGuardCompletes(t *testing.T) {
 	}
 	guarded := run(guard)
 	reader := guarded.Tenants[0]
-	if reader.Requests != 200 {
-		t.Fatalf("low-priority tenant completed %d/200 under strict priority with guard", reader.Requests)
+	if reader.Completed != 200 {
+		t.Fatalf("low-priority tenant completed %d/200 under strict priority with guard", reader.Completed)
 	}
-	if guarded.Tenants[1].Requests != 1200 {
-		t.Fatalf("high-priority tenant completed %d/1200", guarded.Tenants[1].Requests)
+	if guarded.Tenants[1].Completed != 1200 {
+		t.Fatalf("high-priority tenant completed %d/1200", guarded.Tenants[1].Completed)
 	}
 
 	unguarded := run(0)
-	if unguarded.Tenants[0].Requests != 200 {
-		t.Fatalf("low-priority tenant completed %d/200 without guard", unguarded.Tenants[0].Requests)
+	if unguarded.Tenants[0].Completed != 200 {
+		t.Fatalf("low-priority tenant completed %d/200 without guard", unguarded.Tenants[0].Completed)
 	}
 	// The guard bounds head-of-queue waits; pure strict priority lets
 	// the low-priority head wait far longer behind the saturating
@@ -170,8 +170,8 @@ func TestRunTenantsAggregateMatchesMerge(t *testing.T) {
 	if aggR.N() != wantR || aggW.N() != wantW {
 		t.Fatalf("aggregate N = %d/%d, want %d/%d", aggR.N(), aggW.N(), wantR, wantW)
 	}
-	if mr.Tenants[0].Requests != 150 || mr.Tenants[1].Requests != 150 {
-		t.Fatalf("tenants completed %d/%d", mr.Tenants[0].Requests, mr.Tenants[1].Requests)
+	if mr.Tenants[0].Completed != 150 || mr.Tenants[1].Completed != 150 {
+		t.Fatalf("tenants completed %d/%d", mr.Tenants[0].Completed, mr.Tenants[1].Completed)
 	}
 }
 

@@ -98,7 +98,7 @@ func TestTraceDrivesRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := Run(ctrl, tr, RunConfig{Requests: 300, QueueDepth: 8}) // wraps past 200
-	if res.Requests != 300 {
-		t.Fatalf("completed %d", res.Requests)
+	if res.Completed != 300 {
+		t.Fatalf("completed %d", res.Completed)
 	}
 }

@@ -116,8 +116,8 @@ func TestRunCompletes(t *testing.T) {
 	ctrl := newTestController(5)
 	gen := NewStream(Mail, int(float64(ctrl.LogicalPages())), 11)
 	res := Run(ctrl, gen, RunConfig{Requests: 500, QueueDepth: 16})
-	if res.Requests != 500 {
-		t.Fatalf("completed %d", res.Requests)
+	if res.Completed != 500 {
+		t.Fatalf("completed %d", res.Completed)
 	}
 	if res.IOPS() <= 0 {
 		t.Fatal("no throughput")

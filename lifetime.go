@@ -47,33 +47,12 @@ func (s *SSD) AgeMonths(months float64) AgeReport {
 
 // WAFStats is the per-cause write-amplification ledger: how many bytes
 // of physical programming each cause issued since the last ResetStats,
-// and the resulting write-amplification factor (total/host).
-type WAFStats struct {
-	HostBytes    int64
-	GCBytes      int64
-	RefreshBytes int64
-	WLBytes      int64
-	Factor       float64
-	// Refreshes and WearLevels count the relocation operations behind
-	// RefreshBytes and WLBytes.
-	Refreshes  int64
-	WearLevels int64
-}
+// the resulting write-amplification factor (total/host), and the
+// Refreshes / WearLevels relocation cycles behind two of the causes.
+type WAFStats = lifetime.WAF
 
 // WAF returns the device's per-cause write-amplification ledger.
-func (s *SSD) WAF() WAFStats {
-	w := s.ctrl.WAF()
-	st := s.ctrl.Stats()
-	return WAFStats{
-		HostBytes:    w.HostBytes(),
-		GCBytes:      w.GCBytes(),
-		RefreshBytes: w.RefreshBytes(),
-		WLBytes:      w.WLBytes(),
-		Factor:       w.Factor(),
-		Refreshes:    st.Refreshes,
-		WearLevels:   st.WearLevels,
-	}
-}
+func (s *SSD) WAF() WAFStats { return s.ctrl.WAF() }
 
 // EraseQuantiles returns the erase-count quantiles (0..1, nearest-rank)
 // of each die's good blocks: out[die][i] is die die's qs[i] quantile.

@@ -3,6 +3,7 @@ package cubeftl
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -98,6 +99,44 @@ func TestTelemetryOutputSchemas(t *testing.T) {
 		if _, ok := smp.Metrics.Counters["ftl/requeue/fenced"]; !ok {
 			t.Errorf("line %d: missing requeue counter", i)
 		}
+	}
+
+	// The key set of a line is the one a cubesim built at the parent of
+	// the one-ledger change (6dc32a7) wrote for this run: the golden file
+	// is the last line of its -stats-out, flattened to key paths.
+	var last any
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	var flatten func(v any, path string)
+	flatten = func(v any, path string) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, x := range v {
+				flatten(x, strings.TrimPrefix(path+"."+k, "."))
+			}
+		case []any:
+			for _, x := range v {
+				flatten(x, path+"[]")
+			}
+		default:
+			keys[path] = true
+		}
+	}
+	flatten(last, "")
+	golden, err := os.ReadFile("testdata/stats_keys.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(golden))
+	for _, k := range want {
+		if !keys[k] {
+			t.Errorf("stats line lost key %s", k)
+		}
+	}
+	if len(keys) != len(want) {
+		t.Errorf("stats line has %d keys, the parent's had %d: %v", len(keys), len(want), keys)
 	}
 
 	var doc struct {

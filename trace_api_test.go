@@ -64,7 +64,7 @@ func TestSuspendAndWearOptions(t *testing.T) {
 }
 
 func TestCheapFigureClosures(t *testing.T) {
-	for _, id := range []string{"fig5", "fig8", "fig10", "fig11", "fig13"} {
+	for _, id := range []string{"fig5", "fig8", "fig10", "fig11", "fig13", "abl-safety"} {
 		var buf bytes.Buffer
 		if err := ReproduceFigure(id, 2, &buf); err != nil {
 			t.Fatalf("%s: %v", id, err)
