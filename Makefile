@@ -185,7 +185,8 @@ trace-demo:
 # Observability smoke: boot a real cubeserved with the metrics plane
 # on, scrape /metrics and /readyz over HTTP, and assert the required
 # exposition families (per-tenant p99, SLO state, retry-table
-# counters, per-die health) are served. Fails on any missing family.
+# counters, per-die health, the write buffer's padding and early-flush
+# counters) are served. Fails on any missing family.
 METRICS_PORT ?= 9491
 metrics-smoke:
 	@set -e; \
@@ -203,6 +204,7 @@ metrics-smoke:
 		'cube_tenant_weight{tenant="lat"}' 'cube_slo_enabled 1' \
 		'cube_cube_retry_hits' 'cube_cube_ort_hits' \
 		'cube_ftl_die_0_degraded' 'cube_events_total' \
+		'cube_ftl_padded_pages' 'cube_ftl_early_flushes' \
 		'cube_waf_host_bytes' 'cube_waf_refresh_bytes' \
 		'cube_erase_count{die="0",quantile="0.5"}'; do \
 		echo "$$out" | grep -qF "$$fam" || { echo "metrics-smoke: missing $$fam"; exit 1; }; \

@@ -194,3 +194,96 @@ func TestHeldAcksCompleteWhenDeviceDegrades(t *testing.T) {
 	}
 	heldStamps(t, c)
 }
+
+// inflightPrograms is how many host programs the dies have outstanding.
+func inflightPrograms(c *Controller) (n int) {
+	for i := range c.dies {
+		n += c.dies[i].inflight
+	}
+	return n
+}
+
+// Nagle's rule for a partial word-line group under durable acks: on an
+// idle array it leaves one DMA time after admission, together with
+// whatever was admitted at the same instant; behind a program in flight
+// it is held — more pages may come — and leaves when that program
+// completes; the flush timer stays armed behind it as the bound.
+func TestPartialGroupRidesTheProgramInFlight(t *testing.T) {
+	eng, c, _ := durableAckController(6)
+	write := func(lpns ...LPN) {
+		t.Helper()
+		for _, lpn := range lpns {
+			if err := c.Write(lpn, nil, func() {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := c.Stats()
+
+	// Idle array: two pages at one instant, one word line, one pad, at
+	// the DMA time — not at once, and not at the timer.
+	write(1, 2)
+	if inflightPrograms(c) != 0 || !c.earlyArmed || c.timerArmed {
+		t.Fatalf("at admission: %d programs in flight, early flush armed %v, timer armed %v; want 0, true, false",
+			inflightPrograms(c), c.earlyArmed, c.timerArmed)
+	}
+	eng.RunUntil(c.cfg.BufferReadNs)
+	if inflightPrograms(c) != 1 || st.Padded != 1 || st.EarlyFlushes != 1 || c.buf.Flushable() != 0 {
+		t.Fatalf("one DMA time in: %d programs in flight, %d pages of padding, %d early flushes, %d pages still queued; want 1, 1, 1, 0",
+			inflightPrograms(c), st.Padded, st.EarlyFlushes, c.buf.Flushable())
+	}
+
+	// A page admitted behind that program is held, under the timer.
+	eng.RunUntil(300 * sim.Microsecond)
+	write(3)
+	admitted := eng.Now()
+	if inflightPrograms(c) != 1 || c.earlyArmed || !c.timerArmed {
+		t.Fatalf("admitted mid-program: %d in flight, early flush armed %v, timer armed %v; want 1, false, true",
+			inflightPrograms(c), c.earlyArmed, c.timerArmed)
+	}
+	eng.RunWhile(func() bool { return inflightPrograms(c) > 0 })
+	completed := eng.Now()
+	if completed >= admitted+c.cfg.FlushTimeoutNs {
+		t.Fatalf("the first program ran until %d, past the timer armed at %d: the scenario is gone", completed, admitted)
+	}
+	if c.buf.Flushable() != 1 || st.Programs != 1 || !c.earlyArmed {
+		t.Fatalf("at the completion: %d pages queued, %d programs done, early flush armed %v; want 1, 1, true",
+			c.buf.Flushable(), st.Programs, c.earlyArmed)
+	}
+	// It leaves on that completion, not on the timer still pending.
+	eng.RunUntil(completed + c.cfg.BufferReadNs)
+	if inflightPrograms(c) != 1 || c.buf.Flushable() != 0 || st.Padded != 3 || st.EarlyFlushes != 2 {
+		t.Fatalf("one DMA time after the completion: %d in flight, %d queued, %d pages of padding, %d early flushes; want 1, 0, 3, 2",
+			inflightPrograms(c), c.buf.Flushable(), st.Padded, st.EarlyFlushes)
+	}
+
+	// The timer armed at the admission still fires, and finds nothing.
+	eng.RunWhile(func() bool { return c.buf.Occupied() > 0 || c.timerArmed })
+	if st.Programs != 2 || st.Padded != 3 || inflightPrograms(c) != 0 {
+		t.Fatalf("drained: %d programs, %d pages of padding, %d in flight; want 2, 3, 0", st.Programs, st.Padded, inflightPrograms(c))
+	}
+	if c.PendingAckCount() != 3 {
+		t.Fatalf("%d acks held, want all 3 (the hook releases nothing)", c.PendingAckCount())
+	}
+}
+
+// With volatile acks the host is not waiting on the program: a partial
+// group waits out the timer on any array, as it always has.
+func TestVolatileAcksKeepTheFlushTimer(t *testing.T) {
+	eng, c := testController(t, NewPagePolicy())
+	c.SetRecovery(&heldHook{}) // a hook alone changes nothing
+	if err := c.Write(1, nil, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if c.earlyArmed || !c.timerArmed {
+		t.Fatalf("early flush armed %v, timer armed %v; want false, true", c.earlyArmed, c.timerArmed)
+	}
+	eng.RunUntil(c.cfg.FlushTimeoutNs - 1)
+	if c.buf.Flushable() != 1 {
+		t.Fatal("the page left before the flush timer")
+	}
+	eng.Run()
+	if st := c.Stats(); st.Padded != 2 || st.EarlyFlushes != 0 || st.Programs != 1 {
+		t.Fatalf("%d pages of padding, %d early flushes, %d programs; want 2, 0, 1", st.Padded, st.EarlyFlushes, st.Programs)
+	}
+}

@@ -25,8 +25,12 @@ type ControllerConfig struct {
 	GCFreeBlocksLow int
 	// BufferReadNs is the latency of serving a read from the buffer.
 	BufferReadNs int64
-	// FlushTimeoutNs flushes a partial word-line group after this idle
-	// time so trickle writes are not stranded in the buffer.
+	// FlushTimeoutNs bounds how long a partial word-line group is held
+	// for more pages: trickle writes are not stranded in the buffer. It
+	// is what a volatile-ack write's program waits out (its host was
+	// acked on admission and is not waiting), and the backstop of a
+	// durable-ack group held behind a program in flight; a durable-ack
+	// group on an idle array does not wait for it (maybeFlush).
 	FlushTimeoutNs int64
 	// MaxInflightProgramsPerChip bounds concurrently issued programs
 	// per chip so allocation decisions stay close to execution.
@@ -108,8 +112,12 @@ type Stats struct {
 	GCCount     int64 `metric:"ftl/gc/runs gauge garbage-collection cycles completed"`
 	GCPageMoves int64 `metric:"ftl/gc/page_moves gauge live pages moved by relocation cycles, every cause"`
 	Reprograms  int64 `metric:"ftl/reprograms gauge word lines rewritten after a safety-check reject"`
-	Padded      int64 `metric:"-"` // pages of padding in partial flush groups
-	Trims       int64 `metric:"-"` // host discard commands
+	// Padded counts the pages of padding in partial flush groups;
+	// EarlyFlushes the partial groups that left ahead of the flush timer
+	// because every host was blocked on an idle array (maybeFlush).
+	Padded       int64 `metric:"ftl/padded_pages gauge pages of padding programmed with partial flush groups"`
+	EarlyFlushes int64 `metric:"ftl/early_flushes gauge partial flush groups programmed ahead of the flush timer, hosts blocked on an idle array"`
+	Trims        int64 `metric:"-"` // host discard commands
 
 	// Per-cause write-amplification ledger: physical pages programmed,
 	// attributed to what forced the program. HostPages includes the
@@ -199,8 +207,10 @@ type Controller struct {
 
 	pendingWrites pool.Ring[*hostWrite] // host writes waiting for buffer space
 	flushChip     int                   // round-robin cursor
-	timerArmed    bool
-	onFlushTimer  func() // flushTimerFired, bound once
+	timerArmed    bool                  // the FlushTimeoutNs bound on a held partial group
+	earlyArmed    bool                  // its flush one DMA time from now (maybeFlush)
+	onFlushTimer  func()                // flushTimerFired, bound once
+	onEarlyFlush  func()                // earlyFlushFired, bound once
 
 	// Free lists of datapath op records (ops.go, relocator.go).
 	hostReads  pool.FreeList[hostRead]
@@ -305,7 +315,7 @@ func newController(dev *ssd.Device, pol Policy, cfg ControllerConfig) *Controlle
 
 		windows: make([]relocWindow, 0, int(numCauses)*relocWindowsKept),
 	}
-	c.onFlushTimer = c.flushTimerFired
+	c.onFlushTimer, c.onEarlyFlush = c.flushTimerFired, c.earlyFlushFired
 	if cfg.VerifyData {
 		c.expectedStamp = make([]uint64, logical)
 	}
@@ -532,12 +542,18 @@ func (c *Controller) Drained() bool {
 	if c.pendingWrites.Len() > 0 || (!c.degraded && (c.buf.Occupied() > 0 || c.pendingAckCount > 0)) {
 		return false
 	}
+	return !c.hostProgramInFlight()
+}
+
+// hostProgramInFlight reports whether any die has an issued, uncompleted
+// host program.
+func (c *Controller) hostProgramInFlight() bool {
 	for i := range c.dies {
 		if c.dies[i].inflight > 0 {
-			return false
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // SetRecovery attaches (or detaches, with nil) the crash-consistency

@@ -35,6 +35,9 @@ func (c *Controller) Read(lpn LPN, pp *telemetry.PageProbe, done func()) {
 	}
 	chip, block, layer, wl, page := c.geo.DecodePPN(ppn)
 	r.lpn, r.pp, r.chip, r.attempt = lpn, pp, chip, 0
+	if c.expectedStamp != nil {
+		r.stamp = c.expectedStamp[lpn]
+	}
 	r.params = nand.ReadParams{StartOffset: c.pol.ReadStartOffset(chip, block, layer), Mode: c.cfg.RetryMode}
 	r.addr = nand.Address{Block: block, Layer: layer, WL: wl, Page: page}
 	c.dev.Read(chip, r.addr, r.params, pp, r.onFlash)
@@ -109,7 +112,11 @@ func (c *Controller) admitPending() {
 }
 
 // maybeFlush issues word-line programs while buffered pages and chip
-// slots are available.
+// slots are available. What is left over — less than a word line —
+// follows Nagle's rule: with every host blocked on the device and no
+// program in flight it goes out at once (hostsWaitOnIdleArray), padded;
+// otherwise it is held for more pages, until the next completion calls
+// here again or, at the latest, the flush timer.
 func (c *Controller) maybeFlush() {
 	if c.degraded {
 		return
@@ -121,9 +128,30 @@ func (c *Controller) maybeFlush() {
 		}
 		c.flushTo(chip, c.takeFlushGroup())
 	}
-	if c.buf.Flushable() > 0 {
-		c.armFlushTimer()
+	if c.buf.Flushable() == 0 {
+		return
 	}
+	if !c.hostsWaitOnIdleArray() {
+		c.armFlushTimer()
+	} else if !c.earlyArmed {
+		// After the DMA time, not now: the writes a host submits at one
+		// instant share one word line and one pad.
+		c.earlyArmed = true
+		c.eng.After(c.cfg.BufferReadNs, c.onEarlyFlush)
+	}
+}
+
+// hostsWaitOnIdleArray reports that holding a partial group can buy no
+// coalescing: acks are durable, so every buffered page has a host
+// blocked on its program; none of those hosts is waiting for buffer
+// space, so none of them will send the pages that would fill the group;
+// and no host program is in flight whose completion would re-run
+// maybeFlush, which is what carries a page that arrives mid-program (the
+// group size follows arrival rate x tPROG, and a saturated array never
+// takes this path).
+func (c *Controller) hostsWaitOnIdleArray() bool {
+	return c.cfg.DurableAcks && c.rec != nil && c.pendingAckCount > 0 &&
+		c.pendingWrites.Len() == 0 && !c.hostProgramInFlight()
 }
 
 // pickChip round-robins over dies with an open program slot, dispatching
@@ -167,19 +195,42 @@ func (c *Controller) armFlushTimer() {
 
 func (c *Controller) flushTimerFired() {
 	c.timerArmed = false
-	if c.degraded || c.buf.Flushable() == 0 {
+	c.flushPartial()
+}
+
+// earlyFlushFired is the flush maybeFlush scheduled ahead of the timer.
+// If the array stopped being idle in the meantime the group rides the
+// program now in flight (or the timer) after all.
+func (c *Controller) earlyFlushFired() {
+	c.earlyArmed = false
+	if c.buf.Flushable() > 0 && !c.hostsWaitOnIdleArray() {
+		c.armFlushTimer()
 		return
 	}
-	if chip, ok := c.pickChip(); ok {
-		f := c.takeFlushGroup()
-		c.stats.Padded += int64(vth.PagesPerWL - len(f.group))
-		c.flushTo(chip, f)
-	} else {
+	if c.flushPartial() {
+		c.stats.EarlyFlushes++
+	}
+}
+
+// flushPartial pads what is left in the flush queue to a word line and
+// programs it: the one way a partial group leaves the buffer, whichever
+// event decided it should. It reports whether a die took the group.
+func (c *Controller) flushPartial() bool {
+	if c.degraded || c.buf.Flushable() == 0 {
+		return false
+	}
+	chip, ok := c.pickChip()
+	if !ok {
 		// No chip can take the flush right now. Re-arm unless the
 		// device as a whole has lost the ability to make progress.
 		c.checkDegraded()
 		c.armFlushTimer()
+		return false
 	}
+	f := c.takeFlushGroup()
+	c.stats.Padded += int64(vth.PagesPerWL - len(f.group))
+	c.flushTo(chip, f)
+	return true
 }
 
 // takeFlushGroup claims the next word line's worth of buffered pages on

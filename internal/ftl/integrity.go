@@ -65,15 +65,18 @@ func (c *Controller) recordMapping(lpn LPN, stamp uint64) {
 	}
 }
 
-// checkReadPayload validates a flash read's payload against the
-// expected tag and counts a mismatch when the device returned content
-// that does not belong to the logical page.
-func (c *Controller) checkReadPayload(lpn LPN, data []byte) {
+// checkReadPayload validates a flash read's payload against the tag the
+// logical page held when the read was issued (issuedStamp) and counts a
+// mismatch when the device returned anything else. Not the tag it holds
+// now: a read queued behind a long plane hold may complete after the
+// page was overwritten, flushed elsewhere and remapped, and still — the
+// host sent it first — returns the version it was addressed to.
+func (c *Controller) checkReadPayload(lpn LPN, issuedStamp uint64, data []byte) {
 	if c.expectedStamp == nil || data == nil {
 		return
 	}
 	gotLPN, gotStamp, ok := ParsePageTag(data)
-	if !ok || gotLPN != lpn || gotStamp != c.expectedStamp[lpn] {
+	if !ok || gotLPN != lpn || gotStamp != issuedStamp {
 		c.stats.DataMismatches++
 	}
 }

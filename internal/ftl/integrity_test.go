@@ -3,6 +3,7 @@ package ftl
 import (
 	"testing"
 
+	"cubeftl/internal/nand"
 	"cubeftl/internal/rng"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
@@ -120,5 +121,46 @@ func TestIntegrityDetectsCorruption(t *testing.T) {
 	eng.Run()
 	if c.Stats().DataMismatches != 1 {
 		t.Fatalf("mismatches = %d, want 1", c.Stats().DataMismatches)
+	}
+}
+
+// A read answers with the version it was issued against. Held behind an
+// erase on its plane while the page is overwritten, flushed to the other
+// die and remapped, it completes after the newer mapping is installed
+// and returns the older data — legally, the host sent it first. The
+// oracle checks the payload against the stamp live at issue.
+func TestIntegrityReadOvertakenByOverwrite(t *testing.T) {
+	eng, c := verifyingController(3)
+	for lpn := LPN(0); lpn < 3; lpn++ {
+		c.Write(lpn, nil, func() {})
+	}
+	eng.Run()
+	chip, _, _, _, _ := c.geo.DecodePPN(c.Mapper().Lookup(0))
+	old := c.StampOf(0)
+	// A long hold on the die LPN 0 landed on: erase one of its free blocks.
+	c.dev.Erase(chip, c.dies[chip].free[0], func(nand.EraseResult, error) {})
+	readDoneAt := sim.Time(-1)
+	c.Read(0, nil, func() { readDoneAt = eng.Now() })
+	for _, lpn := range []LPN{0, 10, 11} {
+		c.Write(lpn, nil, func() {})
+	}
+	remappedAt := sim.Time(-1)
+	eng.RunWhile(func() bool {
+		if remappedAt < 0 && c.StampOf(0) != old {
+			remappedAt = eng.Now()
+		}
+		return true
+	})
+	if remappedAt < 0 || readDoneAt <= remappedAt {
+		t.Fatalf("the read (done at %d) did not outlast the remap (at %d): the scenario is gone", readDoneAt, remappedAt)
+	}
+	if n := c.Stats().DataMismatches; n != 0 {
+		t.Fatalf("DataMismatches = %d for a read that returned the version it was issued against", n)
+	}
+	// The newer version is what a read issued now sees.
+	c.Read(0, nil, func() {})
+	eng.Run()
+	if n := c.Stats().DataMismatches; n != 0 {
+		t.Fatalf("DataMismatches = %d after re-reading the overwritten page", n)
 	}
 }

@@ -67,12 +67,14 @@ type hostRead struct {
 	pp    *telemetry.PageProbe
 	done  func()
 
-	// Mapped reads: the flash location, and how often a transient fault
-	// made the controller re-issue the read.
+	// Mapped reads: the flash location, how often a transient fault made
+	// the controller re-issue the read and, in VerifyData mode, the stamp
+	// the page was mapped under when the read was issued.
 	chip    int
 	addr    nand.Address
 	params  nand.ReadParams
 	attempt int
+	stamp   uint64
 
 	onFinish func()
 	onFlash  func(res nand.ReadResult, err error)
@@ -98,7 +100,7 @@ func (r *hostRead) flashDone(res nand.ReadResult, err error) {
 		return
 	}
 	if err == nil {
-		c.checkReadPayload(r.lpn, res.Data)
+		c.checkReadPayload(r.lpn, r.stamp, res.Data)
 	}
 	c.maybeReclaim(r.chip, r.addr.Block)
 	c.maybeScrub(r.chip)

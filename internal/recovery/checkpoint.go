@@ -134,11 +134,15 @@ func ckptMappings(img []byte) int {
 // ckptEncoder streams a controller's durable state into a checkpoint
 // image. It never materialises an ftl.MountState: it walks the mapper,
 // the stamps and the block pools and appends as it goes. The scratch
-// slices are the only state, kept so a steady-state checkpoint allocates
-// nothing.
+// buffers are kept so a steady-state checkpoint allocates nothing.
 type ckptEncoder struct {
 	actives []ftl.ActiveRecord
 	retired []int
+	was     [ckptHeaderBytes]byte // patchCheckpoint: a span's bytes before its rewrite
+
+	// bodyCRC is the CRC of the header and mapping records of the image
+	// last encoded — what patchCheckpoint needs of an image to patch it.
+	bodyCRC uint32
 }
 
 // appendHeader appends the image header for ctrl's counters and nMap
@@ -209,18 +213,28 @@ func (e *ckptEncoder) appendCheckpoint(dst []byte, ctrl *ftl.Controller) []byte 
 	return e.appendTail(dst, ctrl, crc, len(dst))
 }
 
-// patchCheckpoint brings img, the image this encoder last left in the
-// buffer, up to ctrl's state by rewriting what can have changed: the
-// header's counters, the records of the pages in dirty, everything behind
-// the records. The caller vouches that the set of mapped pages is still
-// the one img lists and that dirty names every page mapped anew since img
-// was encoded, repeats and all; the result is then appendCheckpoint's,
-// byte for byte, without the walk over the logical space.
-func (e *ckptEncoder) patchCheckpoint(img []byte, ctrl *ftl.Controller, dirty []ftl.LPN) []byte {
+// patchCheckpoint brings img, an image this encoder left in the buffer
+// with bodyCRC over its header and records, up to ctrl's state by
+// rewriting what can have changed: the header's counters, the records of
+// the pages in dirty, everything behind the records. The caller vouches
+// that the set of mapped pages is still the one img lists and that dirty
+// names every page mapped anew since img was encoded, repeats and all;
+// the result is then appendCheckpoint's, byte for byte, without the walk
+// over the logical space — and, for a short dirty list, without a pass
+// over the records to sum them: CRC-32 is linear, so each rewritten span
+// moves the body's CRC by crcOfChange, whatever the megabytes around it
+// hold. A long list (a saturating writer's) is cheaper summed in one pass.
+func (e *ckptEncoder) patchCheckpoint(img []byte, bodyCRC uint32, ctrl *ftl.Controller, dirty []ftl.LPN) []byte {
 	nMap := ckptMappings(img)
-	appendHeader(img[:0], ctrl, nMap)
 	body := img[:ckptHeaderBytes+nMap*mappingBytes]
 	recs := body[ckptHeaderBytes:]
+	moveCRC := len(dirty)*crcMoveWorthBytes < len(body)
+	was := e.was[:copy(e.was[:], body[:ckptHeaderBytes])]
+	appendHeader(img[:0], ctrl, nMap)
+	crc := bodyCRC
+	if moveCRC {
+		crc ^= crcOfChange(was, body[:ckptHeaderBytes], len(recs))
+	}
 	mapper := ctrl.Mapper()
 	for _, lpn := range dirty {
 		// The records are sorted by LPN: find the first at or above lpn.
@@ -237,15 +251,88 @@ func (e *ckptEncoder) patchCheckpoint(img []byte, ctrl *ftl.Controller, dirty []
 		if lo == nMap || ftl.LPN(binary.LittleEndian.Uint64(recs[lo*mappingBytes:])) != lpn || ppn == ssd.UnmappedPPN {
 			panic("recovery: patched checkpoint's mapped set differs from the image's")
 		}
-		putMapping(recs[lo*mappingBytes:], ctrl, lpn, ppn)
+		rec := recs[lo*mappingBytes : (lo+1)*mappingBytes]
+		was = e.was[:copy(e.was[:], rec)]
+		putMapping(rec, ctrl, lpn, ppn)
+		if moveCRC {
+			crc ^= crcOfChange(was, rec, len(recs)-(lo+1)*mappingBytes)
+		}
 	}
-	return e.appendTail(body, ctrl, crc32.Update(0, crc32.IEEETable, body), len(body))
+	if !moveCRC {
+		crc = crc32.Update(0, crc32.IEEETable, body)
+	}
+	return e.appendTail(body, ctrl, crc, len(body))
+}
+
+// crcMoveWorthBytes is how many bytes of a plain CRC pass one crcOfChange
+// costs (0.19 us against 18 GB/s of hash/crc32 on the development
+// machine, rounded up): patchCheckpoint moves the CRC record by record
+// only while that is cheaper than summing the body.
+const crcMoveWorthBytes = 4096
+
+// crcOfChange returns what rewriting a span of a message from was to now
+// does to the message's CRC-32, behind bytes of it following the span:
+// crc(new message) = crc(old message) ^ crcOfChange. The two messages
+// differ by was ^ now followed by behind zero bytes (what precedes the
+// span cancels, and so do the CRC's initial value and final inversion),
+// and the remainder of that is the span's, multiplied by x^(8 behind).
+// was is left holding the difference.
+func crcOfChange(was, now []byte, behind int) uint32 {
+	for i := range was {
+		was[i] ^= now[i]
+	}
+	return crcShift(crcRaw(was), behind)
+}
+
+// crcRaw is the remainder of p(x) x^32 by the IEEE polynomial, in the
+// bit order hash/crc32 keeps: its CRC with a zero initial value and no
+// final inversion, the form in which the CRC is linear in p.
+func crcRaw(p []byte) uint32 { return ^crc32.Update(0xffffffff, crc32.IEEETable, p) }
+
+// crcShift returns r x^(8n) mod P: the raw CRC of a message followed by
+// n zero bytes, from the raw CRC r of the message. One multiplication
+// per non-zero byte of n.
+func crcShift(r uint32, n int) uint32 {
+	for d := 0; n != 0 && r != 0; d, n = d+1, n>>8 {
+		if v := n & 0xff; v != 0 {
+			r = crcMul(crcPow8[d][v], r)
+		}
+	}
+	return r
+}
+
+// crcPow8[d][v] is x^(8 v 256^d) mod P, for every distance below 2^40
+// bytes (an image's mapping count is 32 bits wide). In hash/crc32's
+// reflected order bit 31 is the coefficient of x^0, so x^8 is bit 23.
+var crcPow8 = func() (t [5][256]uint32) {
+	step := uint32(1 << 23)
+	for d := range t {
+		t[d][0] = 1 << 31
+		for v := 1; v < len(t[d]); v++ {
+			t[d][v] = crcMul(t[d][v-1], step)
+		}
+		step = crcMul(t[d][255], step)
+	}
+	return t
+}()
+
+// crcMul multiplies two polynomials mod P (reflected bit order): a's
+// coefficients from x^0 up, b multiplied by x at each step.
+func crcMul(a, b uint32) (p uint32) {
+	for ; a != 0; a <<= 1 {
+		if a&(1<<31) != 0 {
+			p ^= b
+		}
+		b = b>>1 ^ crc32.IEEE&-(b&1)
+	}
+	return p
 }
 
 // appendTail appends what follows the mapping records — the block pools
 // per chip, the policy's state, the CRC — to an image whose bytes before
-// from sum to crc.
+// from, its header and records, sum to crc.
 func (e *ckptEncoder) appendTail(dst []byte, ctrl *ftl.Controller, crc uint32, from int) []byte {
+	e.bodyCRC = crc
 	le := binary.LittleEndian
 	for chip, nChips := 0, ctrl.Device().Geometry().Chips; chip < nChips; chip++ {
 		free := ctrl.FreeBlocks(chip)

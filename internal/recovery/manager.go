@@ -122,6 +122,7 @@ const (
 type slotLog struct {
 	patchable bool
 	dirty     []ftl.LPN // at most dirtyLogCap, repeats kept
+	bodyCRC   uint32    // of the image's header and records (ckptEncoder.bodyCRC)
 }
 
 // note logs a page mapped anew; a full log gives the slot up.
@@ -414,12 +415,12 @@ func (m *Manager) checkpoint(sync bool) {
 	sl.valid = false
 	lg := &m.slotLogs[m.ckpt.slot]
 	if lg.patchable && ckptMappings(sl.data) == m.ctrl.Mapper().Mapped() {
-		sl.data = m.enc.patchCheckpoint(sl.data, m.ctrl, lg.dirty)
+		sl.data = m.enc.patchCheckpoint(sl.data, lg.bodyCRC, m.ctrl, lg.dirty)
 		m.ckptPatched++
 	} else {
 		sl.data = m.enc.appendCheckpoint(sl.data[:0], m.ctrl)
 	}
-	lg.patchable, lg.dirty = true, lg.dirty[:0]
+	lg.patchable, lg.dirty, lg.bodyCRC = true, lg.dirty[:0], m.enc.bodyCRC
 	if sync {
 		m.install()
 		return

@@ -695,7 +695,7 @@ func TestPatchedCheckpointAllocs(t *testing.T) {
 	}
 	var enc ckptEncoder
 	img := enc.appendCheckpoint(nil, r.ctrl)
-	if n := testing.AllocsPerRun(20, func() { img = enc.patchCheckpoint(img, r.ctrl, dirty) }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { img = enc.patchCheckpoint(img, enc.bodyCRC, r.ctrl, dirty) }); n != 0 {
 		t.Errorf("patching %d records: %.1f allocations, want 0", len(dirty), n)
 	}
 	if !bytes.Equal(img, referenceImage(r.ctrl)) {
@@ -731,5 +731,107 @@ func TestFirstEncodeSizesSlotOnce(t *testing.T) {
 	if len(img) <= records || cap(img) >= records+records/8 {
 		t.Errorf("image of %d bytes (%d of them header and records) sits in a buffer of %d: want one sized once, a sixteenth over the records",
 			len(img), records, cap(img))
+	}
+}
+
+// The identity the patched CRC stands on: appending n zero bytes to a
+// message multiplies its raw CRC by x^(8n), and the raw CRC is linear.
+func TestCRCShiftIsAppendingZeros(t *testing.T) {
+	src := rng.New(77)
+	for i := 0; i < 200; i++ {
+		a := make([]byte, src.Intn(64))
+		for j := range a {
+			a[j] = byte(src.Intn(256))
+		}
+		n := src.Intn(1 << uint(src.Intn(18)))
+		if got, want := crcShift(crcRaw(a), n), crcRaw(append(a[:len(a):len(a)], make([]byte, n)...)); got != want {
+			t.Fatalf("crcShift(raw(%d bytes), %d) = %08x, raw of the padded message %08x", len(a), n, got, want)
+		}
+	}
+	// Distances too long to allocate: shifting twice is shifting by the sum.
+	for i := 0; i < 200; i++ {
+		r := uint32(src.Intn(1<<31))<<1 | 1
+		a, b := src.Intn(1<<39), src.Intn(1<<39)
+		if got, want := crcShift(crcShift(r, a), b), crcShift(r, a+b); got != want {
+			t.Fatalf("crcShift(crcShift(%08x, %d), %d) = %08x, crcShift by the sum %08x", r, a, b, got, want)
+		}
+	}
+	// Linearity, as patchCheckpoint uses it: rewrite a span in the middle
+	// of a message and move its CRC by crcOfChange.
+	msg := make([]byte, 5000)
+	for j := range msg {
+		msg[j] = byte(src.Intn(256))
+	}
+	for i := 0; i < 200; i++ {
+		at, n := src.Intn(len(msg)-mappingBytes), 1+src.Intn(mappingBytes)
+		crc := crc32.ChecksumIEEE(msg)
+		was := append([]byte(nil), msg[at:at+n]...)
+		for j := at; j < at+n; j++ {
+			msg[j] = byte(src.Intn(256))
+		}
+		if got, want := crc^crcOfChange(was, msg[at:at+n], len(msg)-at-n), crc32.ChecksumIEEE(msg); got != want {
+			t.Fatalf("span [%d, %d) of %d rewritten: patched CRC %08x, recomputed %08x", at, at+n, len(msg), got, want)
+		}
+	}
+}
+
+// A patched image carries the CRC a pass over all of it would compute,
+// whichever records the patch names: none (the header alone), the first,
+// the last, one twice, a random handful — each set patched on top of the
+// one before it, on a controller that keeps moving in between.
+func TestPatchedCRCMatchesRecompute(t *testing.T) {
+	r := newPatchRig(t, 13, -1)
+	var enc ckptEncoder
+	img := enc.appendCheckpoint(nil, r.ctrl)
+	var mapped []ftl.LPN
+	for lpn := ftl.LPN(0); int(lpn) < r.ctrl.LogicalPages(); lpn++ {
+		if r.ctrl.Mapper().Lookup(lpn) != ssd.UnmappedPPN {
+			mapped = append(mapped, lpn)
+		}
+	}
+	first, last := mapped[0], mapped[len(mapped)-1]
+	sets := [][]ftl.LPN{nil, {first}, {last}, {first, last, first}, {last, last}}
+	for i := 0; i < 16; i++ {
+		// Short lists move the CRC span by span, long ones sum the body.
+		set := make([]ftl.LPN, 1+r.src.Intn(4+36*(i%2)))
+		for j := range set {
+			set[j] = mapped[r.src.Intn(len(mapped))]
+		}
+		sets = append(sets, set)
+	}
+	moved := 0
+	for i, set := range sets {
+		// Overwrite the set's pages (and so move the header's stamp
+		// counter, the pools and the policy state), then patch every page
+		// the controller mapped on the way: the set is part of it.
+		var dirty []ftl.LPN
+		for _, lpn := range set {
+			if err := r.ctrl.Write(lpn, nil, func() {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := r.ctrl.StateSnapshot()
+		r.ctrl.Engine().RunWhile(func() bool { return !r.ctrl.Drained() })
+		after := r.ctrl.StateSnapshot()
+		for j, m := range after.Mappings {
+			if m != before.Mappings[j] {
+				dirty = append(dirty, m.LPN)
+			}
+		}
+		dirty = append(dirty, set...) // repeats are legal
+		img = enc.patchCheckpoint(img, enc.bodyCRC, r.ctrl, dirty)
+		body := img[:len(img)-4]
+		if len(dirty)*crcMoveWorthBytes < ckptHeaderBytes+ckptMappings(img)*mappingBytes {
+			moved++
+		}
+		if got, want := binary.LittleEndian.Uint32(img[len(body):]), crc32.ChecksumIEEE(body); got != want {
+			t.Fatalf("set %d (%d pages, %d records patched): image carries CRC %08x, its bytes sum to %08x", i, len(set), len(dirty), got, want)
+		}
+		if !bytes.Equal(img, referenceImage(r.ctrl)) {
+			t.Fatalf("set %d: patched image differs from the reference encoder's", i)
+		}
+	}
+	if moved < 8 || len(sets)-moved < 4 {
+		t.Errorf("%d of %d patches moved the CRC, the rest summed the body: want both kinds exercised", moved, len(sets))
 	}
 }

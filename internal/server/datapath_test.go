@@ -6,6 +6,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"cubeftl"
 	"cubeftl/internal/pool"
@@ -257,5 +258,51 @@ func BenchmarkReadFrame(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf = frame[:0]
+	}
+}
+
+// A durable write's reply carries the device clock it cost. A lone
+// synchronous client is blocked on it and the array is idle, so the page
+// leaves the write buffer at the DMA time: DMA, one padded program, one
+// journal flush — about 0.7 ms where waiting out the 500 us flush timer
+// first made it 1.2. A write and a read arriving together still go
+// through one pump and leave in one batch.
+func TestServedWriteDoesNotWaitOutTheFlushTimer(t *testing.T) {
+	s, c := coreFixture(t)
+	const limit = 800 * time.Microsecond
+	for seq := uint64(1); seq <= 8; seq++ {
+		serveOne(s, c, IORequest{Op: OpWrite, Seq: seq, AckFloor: seq - 1, LPN: int64(seq * 11), Pages: 1})
+		b := <-c.out
+		rep, err := ParseIOReply(b[5:])
+		if err != nil || rep.Seq != seq || rep.Status != StatusOK {
+			t.Fatalf("write %d answered %+v (%v)", seq, rep, err)
+		}
+		if lat := time.Duration(rep.LatencyNs); lat >= limit {
+			t.Errorf("write %d cost %v of device clock, want under %v", seq, lat, limit)
+		}
+		c.spare <- b
+	}
+
+	batches := s.stats.Batches
+	s.handleIO(c, IORequest{Op: OpWrite, Seq: 9, AckFloor: 8, LPN: 500, Pages: 1})
+	s.handleIO(c, IORequest{Op: OpRead, Seq: 10, AckFloor: 8, LPN: 11, Pages: 1})
+	s.pump()
+	s.flushReplies()
+	if got := s.stats.Batches - batches; got != 1 || len(c.out) != 1 {
+		t.Fatalf("a write and a read took %d pumps and left in %d batches, want 1 and 1", got, len(c.out))
+	}
+	b := <-c.out
+	const frameLen = 4 + 1 + 18
+	if len(b) != 2*frameLen {
+		t.Fatalf("batch is %d bytes, want two reply frames (%d)", len(b), 2*frameLen)
+	}
+	for off := 0; off < len(b); off += frameLen {
+		rep, err := ParseIOReply(b[off+5 : off+frameLen])
+		if err != nil || rep.Status != StatusOK {
+			t.Fatalf("frame at %d: %+v (%v)", off, rep, err)
+		}
+		if lat := time.Duration(rep.LatencyNs); rep.Seq == 9 && lat >= limit {
+			t.Errorf("the batched write cost %v of device clock, want under %v", lat, limit)
+		}
 	}
 }

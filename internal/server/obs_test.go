@@ -297,7 +297,8 @@ func TestNoDuplicateFamilies(t *testing.T) {
 // What cubeserved serves in `make metrics-smoke`'s configuration — every
 // # HELP and # TYPE line and every sample name, values stripped — is
 // what a binary built at the parent of the one-ledger change (6dc32a7)
-// served: the golden file is that binary's scrape.
+// served: the golden file is that binary's scrape, plus the two families
+// ftl.Stats has declared since (ftl/padded_pages, ftl/early_flushes).
 func TestMetricsNamesMatchParentScrape(t *testing.T) {
 	srv := startTestServer(t, Config{
 		Device: cubeftl.Options{FTL: cubeftl.FTLCube, Channels: 4, DiesPerChannel: 2, BlocksPerChip: 16, Seed: 1, Recovery: true},

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"cubeftl/internal/core"
+	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
 	"cubeftl/internal/nand"
+	"cubeftl/internal/recovery"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/workload"
 )
@@ -161,5 +163,54 @@ func TestPowerCycleNeedsRecovery(t *testing.T) {
 	}
 	if st.Up() != nil {
 		t.Error("a refused PowerCut took the stack down")
+	}
+}
+
+// The latency budget of a durable write on an idle array (DESIGN.md §12):
+// DMA, one padded program, one journal flush — and no flush-timer term,
+// because with the host blocked on the ack and nothing in flight nobody
+// can send the pages the timer would be waiting for. Two writes
+// submitted at one instant still share a word line and a pad.
+func TestDurableWriteOnIdleArraySkipsTheFlushTimer(t *testing.T) {
+	st, err := Build(Spec{FTL: "cube", Channels: 2, DiesPerChannel: 2, BlocksPerChip: 16, Seed: 3, Recovery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const busSlack = 100 * sim.Microsecond // three pages over the channel, command overheads
+	stats := st.Ctrl.Stats()
+	submit := func(lpns ...int) (slowest sim.Time) {
+		t.Helper()
+		start, pending := st.Eng.Now(), len(lpns)
+		for _, lpn := range lpns {
+			if err := st.Ctrl.Write(ftl.LPN(lpn), nil, func() { pending--; slowest = st.Eng.Now() - start }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.Eng.RunWhile(func() bool { return pending > 0 })
+		return slowest
+	}
+
+	lat := submit(7)
+	if stats.Programs != 1 || stats.Padded != 2 || stats.EarlyFlushes != 1 {
+		t.Fatalf("one write: %d programs, %d pages of padding, %d early flushes; want 1, 2, 1", stats.Programs, stats.Padded, stats.EarlyFlushes)
+	}
+	budget := st.CtrlCfg.BufferReadNs + stats.ProgramNs + recovery.JournalFlushNs + busSlack
+	if lat > budget || budget >= st.CtrlCfg.FlushTimeoutNs+stats.ProgramNs {
+		t.Errorf("a lone durable write took %d ns; budget %d ns (DMA %d + program %d + journal flush %d + bus %d), the flush timer alone is %d",
+			lat, budget, st.CtrlCfg.BufferReadNs, stats.ProgramNs, recovery.JournalFlushNs, busSlack, st.CtrlCfg.FlushTimeoutNs)
+	}
+
+	tprog := stats.ProgramNs
+	lat = submit(8, 9)
+	if stats.Programs != 2 || stats.Padded != 3 || stats.EarlyFlushes != 2 {
+		t.Fatalf("two writes at one instant: %d programs, %d pages of padding, %d early flushes in all; want 2, 3, 2", stats.Programs, stats.Padded, stats.EarlyFlushes)
+	}
+	// The word line's two mappings reach the journal one after the other:
+	// the first starts a flush, the second rides the next.
+	if budget := st.CtrlCfg.BufferReadNs + (stats.ProgramNs - tprog) + 2*recovery.JournalFlushNs + busSlack; lat > budget {
+		t.Errorf("two durable writes at one instant took %d ns, budget %d ns", lat, budget)
+	}
+	if err := st.Up(); err != nil {
+		t.Fatal(err)
 	}
 }

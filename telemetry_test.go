@@ -103,7 +103,9 @@ func TestTelemetryOutputSchemas(t *testing.T) {
 
 	// The key set of a line is the one a cubesim built at the parent of
 	// the one-ledger change (6dc32a7) wrote for this run: the golden file
-	// is the last line of its -stats-out, flattened to key paths.
+	// is the last line of its -stats-out, flattened to key paths, plus the
+	// two gauges ftl.Stats has declared since (ftl/padded_pages,
+	// ftl/early_flushes).
 	var last any
 	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
 		t.Fatal(err)
