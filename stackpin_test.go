@@ -47,7 +47,7 @@ func TestRemountSequencePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "{MountTime:17.865076ms UsedCheckpoint:true CheckpointAge:1.343042ms JournalRecords:25 JournalTorn:true BlocksProbed:31 DiscoveredBlocks:0 OOBPagesScanned:2430 MappingsRecovered:16173 RollForwardWins:0 EvacuationsQueued:0 Verified:true} | {Requests:3000 Elapsed:177.1545ms IOPS:16934.370845787154 ReadP50:557.056µs ReadP90:999.424µs ReadP99:1.47456ms WriteP50:1.277952ms WriteP90:1.80224ms WriteP99:2.490368ms MeanTPROG:596.096µs ReadRetries:0 GCRuns:0 Reprograms:0 BufferHits:66 DataMismatches:0 ProgramFailures:1 EraseFailures:0 ReadFaults:0 RetiredBlocks:1 FaultRecoveries:1 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:7816181708754184893} | {LeaderPrograms:239 FollowerPrograms:606 SafetyRejects:0 ORTHits:0 ORTMisses:999 ORTBytes:6144 RetryHits:1045 RetryStale:0 RetryMisses:999 RetryEntries:795} | {HostBytes:41091072 GCBytes:442368 RefreshBytes:0 WLBytes:0 Factor:1.0107655502392345 Refreshes:0 WearLevels:0} | now=195019576 fired=7856"
+	const want = "{MountTime:17.865076ms UsedCheckpoint:true CheckpointAge:1.343042ms JournalRecords:25 JournalTorn:true BlocksProbed:31 DiscoveredBlocks:0 OOBPagesScanned:2430 MappingsRecovered:16173 RollForwardWins:0 EvacuationsQueued:0 Verified:true} | {Requests:3000 Elapsed:177.1545ms IOPS:16934.370845787154 ReadP50:557.056µs ReadP90:999.424µs ReadP99:1.47456ms WriteP50:1.277952ms WriteP90:1.80224ms WriteP99:2.490368ms MeanTPROG:596.096µs ReadRetries:0 GCRuns:0 Reprograms:0 BufferHits:66 DataMismatches:0 ProgramFailures:1 EraseFailures:0 ReadFaults:0 RetiredBlocks:1 FaultRecoveries:1 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:7816181708754184893} | {LeaderPrograms:239 FollowerPrograms:606 SafetyRejects:0 ORTHits:0 ORTMisses:999 ORTBytes:6144 RetryHits:1045 RetryStale:0 RetryMisses:999 RetryEntries:795} | {HostBytes:41091072 GCBytes:442368 RefreshBytes:0 WLBytes:0 Factor:1.0107655502392345 Refreshes:0 WearLevels:0} | now=195019576 fired=7857"
 	if got := fmt.Sprintf("%+v | %s", rpt, pinState(dev, st)); got != want {
 		t.Errorf("simulated results moved\n got: %s\nwant: %s", got, want)
 	}
