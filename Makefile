@@ -2,9 +2,9 @@
 # long tests hide behind -short here; `make soak` runs them in full.
 GO ?= go
 
-.PHONY: tier1 build fmt vet test race race-core fuzz-smoke bench bench-smoke bench-scale bench-telemetry one-stack one-relocator one-ledger trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
+.PHONY: tier1 build fmt vet test race race-core fuzz-smoke powercut-sweep bench bench-smoke bench-scale bench-telemetry one-stack one-relocator one-ledger trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
 
-tier1: build fmt vet one-stack one-relocator one-ledger race race-core fuzz-smoke fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
+tier1: build fmt vet one-stack one-relocator one-ledger race race-core fuzz-smoke powercut-sweep fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
 
 build:
 	$(GO) build ./...
@@ -40,13 +40,29 @@ race-core:
 # checkpoint decoder on any bytes, raw and with a valid CRC (an error, or
 # a state that re-encodes to the same image); the cube policy's
 # RestoreState on any bytes (an error that leaves AppendState's output
-# unchanged, or a state that re-encodes to the same bytes). A failing
-# input is written under the package's testdata/fuzz/.
+# unchanged, or a state that re-encodes to the same bytes); the two
+# decoders a durable write's commit rests on — the journal on any bytes,
+# raw and as one sealed frame (records that re-encode to the prefix they
+# came from, torn exactly when bytes remain), and the OOB record parser
+# (a record it accepts re-encodes to the same bytes). A failing input is
+# written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/recovery -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRestoreState -fuzztime 10s
+	$(GO) test ./internal/recovery -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s
+	$(GO) test ./internal/ftl -run '^$$' -fuzz FuzzDecodeOOB -fuzztime 10s
+
+# Acked implies recoverable, at every instant: a short durable-ack run on
+# a tiny stack.Build device (and on one whose dies run two host programs
+# at once) is replayed and cut after each of its events — inside
+# programs, journal flushes, patched checkpoints and GC — and every cut
+# must remount with verify and lose no acked write. The negative control
+# runs the stack leg with the roll-forward rule of the journal-gated ack
+# and must lose some. The race legs above take every seventh cut.
+powercut-sweep:
+	$(GO) test ./internal/recovery -count=1 -run 'PowerCutAtEveryEvent' -v
 
 # The repository's benchmark (bench/README.md): six workloads, both
 # clocks, per-layer decomposition; results land in bench/out/. Compare

@@ -68,14 +68,16 @@ func (s *SSD) AttachFrontEnd(queues []QueueSpec, arb string, dispatchWidth int) 
 // Submit enqueues one command (write=false reads) of pages consecutive
 // logical pages starting at lpn into the tenant's queue. done (optional)
 // runs in simulated time when the command completes — under
-// Options.Recovery a write completes only once its mapping record is
-// durable, so done doubles as the durable-ack signal. Errors are
+// Options.Recovery a write completes only once its pages are programmed,
+// so done doubles as the durable-ack signal. A Submit from inside a
+// Pump withdraws Pump's promise that nothing new is coming. Errors are
 // synchronous admission failures: ErrQueueFull (retryable), ErrBadQueue,
 // ErrBadLPN or ErrPowerLost (terminal).
 func (f *FrontEnd) Submit(queue int, write bool, lpn int64, pages int, done func(IOCompletion)) error {
 	if err := f.s.st.Up(); err != nil {
 		return err
 	}
+	f.s.ctrl.SetDrainPromise(false)
 	if pages < 1 {
 		pages = 1
 	}
@@ -94,16 +96,26 @@ func (f *FrontEnd) Outstanding() int { return f.h.Outstanding() }
 
 // Pump advances the simulation until every submitted command has
 // completed and the controller has quiesced, delivering completions
-// along the way. A live server calls this after each submission batch.
+// along the way. A live server calls this after each submission batch,
+// once no more traffic is waiting. The contract: the caller submits
+// nothing until Pump returns (completions only record results). The
+// device takes that as a promise that every durable write it will see
+// until then is in already, so a partial word-line group leaves at once
+// instead of being held for pages that cannot come; a Submit from a
+// completion withdraws the promise for the rest of the call.
 func (f *FrontEnd) Pump() {
 	if f.s.st.Up() == nil {
+		f.s.ctrl.SetDrainPromise(true)
 		f.h.Drain()
+		f.s.ctrl.SetDrainPromise(false)
 	}
 }
 
 // PumpTo advances the simulation only until at most target commands
 // remain outstanding, preserving a standing backlog so tenants contend
-// for grants. Call Pump (full drain) once traffic stops arriving.
+// for grants; it makes no promise, so a partial group keeps waiting for
+// the pages more traffic may bring. Call Pump (full drain) once traffic
+// stops arriving.
 func (f *FrontEnd) PumpTo(target int) {
 	if f.s.st.Up() == nil {
 		f.h.DrainTo(target)

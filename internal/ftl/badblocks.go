@@ -115,6 +115,7 @@ func (c *Controller) markDieDegraded(die int) {
 	// grant, so a cursor kept open here would claim word lines the die
 	// never programmed (e.g. one taken by a program the fence failed).
 	for _, cur := range d.actives {
+		c.closeWritePoint(die, cur)
 		c.pol.BlockRetired(die, cur.Block)
 		c.setRole(die, cur.Block, roleData)
 	}
@@ -158,8 +159,8 @@ func (c *Controller) checkDeviceDegraded() {
 		}
 		w.ack()
 	}
-	// Held durable acks can never be released by journal flushes now
-	// (their data will never program): complete them so the host's
+	// Held durable acks can never be released by a program now (their
+	// data will never reach the media): complete them so the host's
 	// closed loop terminates. They are NOT recorded as durable.
 	held := c.heldAcks
 	c.heldAcks, c.heldAcksTail = nil, nil

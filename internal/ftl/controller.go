@@ -30,7 +30,8 @@ type ControllerConfig struct {
 	// is what a volatile-ack write's program waits out (its host was
 	// acked on admission and is not waiting), and the backstop of a
 	// durable-ack group held behind a program in flight; a durable-ack
-	// group on an idle array does not wait for it (maybeFlush).
+	// group on an idle array, or during a host's drain, does not wait
+	// for it (maybeFlush).
 	FlushTimeoutNs int64
 	// MaxInflightProgramsPerChip bounds concurrently issued programs
 	// per chip so allocation decisions stay close to execution.
@@ -47,10 +48,11 @@ type ControllerConfig struct {
 	// block whose read count exceeds the chip's disturb budget).
 	DisableReadReclaim bool
 	// DurableAcks defers host write acknowledgments until the write's
-	// journal record is durable (requires an attached RecoveryHook).
-	// With it, an acked write is guaranteed to survive a power cut;
-	// without it, acks fire on buffer admission (the classic volatile
-	// write-cache contract) and recently acked writes can be lost.
+	// page is programmed under its OOB record (requires an attached
+	// RecoveryHook, whose mount rolls such pages forward). With it, an
+	// acked write is guaranteed to survive a power cut; without it, acks
+	// fire on buffer admission (the classic volatile write-cache
+	// contract) and recently acked writes can be lost.
 	DurableAcks bool
 	// RetryMode is the NAND read-retry scheduling model applied to every
 	// page read the controller issues — host reads and GC relocation
@@ -114,7 +116,8 @@ type Stats struct {
 	Reprograms  int64 `metric:"ftl/reprograms gauge word lines rewritten after a safety-check reject"`
 	// Padded counts the pages of padding in partial flush groups;
 	// EarlyFlushes the partial groups that left ahead of the flush timer
-	// because every host was blocked on an idle array (maybeFlush).
+	// because every host was blocked and no page could join them — an
+	// idle array, or a host's drain promise (maybeFlush).
 	Padded       int64 `metric:"ftl/padded_pages gauge pages of padding programmed with partial flush groups"`
 	EarlyFlushes int64 `metric:"ftl/early_flushes gauge partial flush groups programmed ahead of the flush timer, hosts blocked on an idle array"`
 	Trims        int64 `metric:"-"` // host discard commands
@@ -228,11 +231,13 @@ type Controller struct {
 	blockSeq   uint64
 	stamps     []uint64
 
-	// DurableAcks bookkeeping: host writes whose acks are held until the
-	// journal record of their mapping is durable, chained through
-	// hostWrite.next in admission order — ascending stamp.
+	// DurableAcks bookkeeping: host writes whose acks are held until
+	// their page is programmed, chained through hostWrite.next in
+	// admission order — ascending stamp. drainPromise is the host's word
+	// that nothing new is coming (SetDrainPromise).
 	heldAcks, heldAcksTail *hostWrite
 	pendingAckCount        int
+	drainPromise           bool
 
 	expectedStamp []uint64 // VerifyData mode (integrity.go); nil otherwise
 	stats         Stats
@@ -250,7 +255,13 @@ type die struct {
 	free     []int          // erased blocks, in allocation order
 	actives  []*BlockCursor // open write points
 	inflight int            // issued, uncompleted host programs
-	degraded bool           // read-only: fenced at the device, no write points
+	// closing holds former write points — filled, or abandoned by a
+	// degrading die — with a host program still in flight. Its pages are
+	// acked when it completes, before the journal has their mappings, and
+	// a mount rolls pages forward only from the blocks the checkpoint lists
+	// as open, so until then a checkpoint lists these too (AppendActives).
+	closing  []*BlockCursor
+	degraded bool // read-only: fenced at the device, no write points
 
 	// One relocation cycle runs per die at a time. Work that found the
 	// die busy queues: retired blocks still to evacuate, and blocks a
@@ -567,5 +578,5 @@ func (c *Controller) SetRecovery(rec RecoveryHook) { c.rec = rec }
 func (c *Controller) StampOf(lpn LPN) uint64 { return c.stamps[lpn] }
 
 // PendingAckCount returns how many host write acks are waiting for
-// journal durability (DurableAcks mode).
+// their page's program to complete (DurableAcks mode).
 func (c *Controller) PendingAckCount() int { return c.pendingAckCount }

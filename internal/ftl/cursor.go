@@ -56,6 +56,10 @@ type BlockCursor struct {
 	// that share a write stamp (GC relocations).
 	Seq uint64
 
+	// hostPrograms counts host programs issued into the block and not yet
+	// completed (die.closing).
+	hostPrograms int
+
 	layers      int
 	wlsPerLayer int
 	programmed  []bool // indexed layer*wlsPerLayer+wl

@@ -44,10 +44,11 @@ func (c *Controller) Read(lpn LPN, pp *telemetry.PageProbe, done func()) {
 }
 
 // Write serves a host page write; done runs when the write is
-// acknowledged (admitted to the buffer). Backpressure from a full
-// buffer delays the acknowledgment. A write is rejected synchronously
-// (done never runs) with ErrBadLPN outside the logical capacity or
-// ErrDegraded once the device has dropped to read-only mode.
+// acknowledged: admitted to the buffer, or with DurableAcks programmed.
+// Backpressure from a full buffer delays the acknowledgment. A write is
+// rejected synchronously (done never runs) with ErrBadLPN outside the
+// logical capacity or ErrDegraded once the device has dropped to
+// read-only mode.
 //
 // pp, when non-nil, is a latency-attribution probe: an immediately
 // admitted write charges the buffer stage; one held by backpressure
@@ -70,8 +71,8 @@ func (c *Controller) Write(lpn LPN, pp *telemetry.PageProbe, done func()) error 
 			pp.BufferNs += c.cfg.BufferReadNs
 		}
 		if c.cfg.DurableAcks && c.rec != nil {
-			// Hold the ack until the journal record of this write's
-			// mapping is durable (released by the recovery manager).
+			// Hold the ack until the page is programmed (released by
+			// flushOp.programDone).
 			c.deferAck(w)
 		} else {
 			c.eng.After(c.cfg.BufferReadNs, w.onAck) // DMA into buffer
@@ -113,10 +114,11 @@ func (c *Controller) admitPending() {
 
 // maybeFlush issues word-line programs while buffered pages and chip
 // slots are available. What is left over — less than a word line —
-// follows Nagle's rule: with every host blocked on the device and no
-// program in flight it goes out at once (hostsWaitOnIdleArray), padded;
-// otherwise it is held for more pages, until the next completion calls
-// here again or, at the latest, the flush timer.
+// follows Nagle's rule: with every host blocked on the device and either
+// no program in flight or the host's promise that nothing new is coming
+// it goes out at once (groupCannotGrow), padded; otherwise it is held
+// for more pages, until the next completion calls here again or, at the
+// latest, the flush timer.
 func (c *Controller) maybeFlush() {
 	if c.degraded {
 		return
@@ -131,7 +133,7 @@ func (c *Controller) maybeFlush() {
 	if c.buf.Flushable() == 0 {
 		return
 	}
-	if !c.hostsWaitOnIdleArray() {
+	if !c.groupCannotGrow() {
 		c.armFlushTimer()
 	} else if !c.earlyArmed {
 		// After the DMA time, not now: the writes a host submits at one
@@ -141,17 +143,30 @@ func (c *Controller) maybeFlush() {
 	}
 }
 
-// hostsWaitOnIdleArray reports that holding a partial group can buy no
+// groupCannotGrow reports that holding a partial group can buy no
 // coalescing: acks are durable, so every buffered page has a host
 // blocked on its program; none of those hosts is waiting for buffer
 // space, so none of them will send the pages that would fill the group;
-// and no host program is in flight whose completion would re-run
-// maybeFlush, which is what carries a page that arrives mid-program (the
-// group size follows arrival rate x tPROG, and a saturated array never
-// takes this path).
-func (c *Controller) hostsWaitOnIdleArray() bool {
+// and either the host has promised to submit nothing new while it drains
+// (SetDrainPromise), or no host program is in flight whose completion
+// would re-run maybeFlush, which is what carries a page that arrives
+// mid-program (the group size follows arrival rate x tPROG, and a
+// saturated array never takes this path).
+func (c *Controller) groupCannotGrow() bool {
 	return c.cfg.DurableAcks && c.rec != nil && c.pendingAckCount > 0 &&
-		c.pendingWrites.Len() == 0 && !c.hostProgramInFlight()
+		c.pendingWrites.Len() == 0 && (c.drainPromise || !c.hostProgramInFlight())
+}
+
+// SetDrainPromise records whether the host promises to submit no new
+// command until it withdraws the promise: FrontEnd.Pump makes it for a
+// full drain, FrontEnd.Submit withdraws it. While it holds, a partial
+// group of durable writes cannot grow, so it leaves one DMA time after
+// admission instead of waiting for the program in flight or the timer.
+func (c *Controller) SetDrainPromise(on bool) {
+	c.drainPromise = on
+	if on {
+		c.maybeFlush() // a group already held behind a program may go now
+	}
 }
 
 // pickChip round-robins over dies with an open program slot, dispatching
@@ -203,7 +218,7 @@ func (c *Controller) flushTimerFired() {
 // program now in flight (or the timer) after all.
 func (c *Controller) earlyFlushFired() {
 	c.earlyArmed = false
-	if c.buf.Flushable() > 0 && !c.hostsWaitOnIdleArray() {
+	if c.buf.Flushable() > 0 && !c.groupCannotGrow() {
 		c.armFlushTimer()
 		return
 	}
@@ -255,6 +270,7 @@ func (c *Controller) flushTo(chip int, f *flushOp) {
 		return
 	}
 	cursor.Take(layer, wl)
+	cursor.hostPrograms++
 	f.chip, f.cursor, f.block, f.layer, f.wl = chip, cursor, cursor.Block, layer, wl
 	f.params = c.pol.ProgramParams(chip, f.block, layer, wl)
 	addr := nand.Address{Block: f.block, Layer: layer, WL: wl}
@@ -343,6 +359,7 @@ func (c *Controller) armWritePoints(chip int) {
 // is what it reports.
 func (c *Controller) replaceWritePoint(chip, i int) (backfilled bool) {
 	d := &c.dies[chip]
+	c.closeWritePoint(chip, d.actives[i])
 	old := d.actives[i].Block
 	c.pol.BlockRetired(chip, old)
 	c.setRole(chip, old, roleData)
@@ -352,6 +369,27 @@ func (c *Controller) replaceWritePoint(chip, i int) (backfilled bool) {
 	}
 	d.actives = slices.Delete(d.actives, i, i+1)
 	return false
+}
+
+// closeWritePoint keeps a write point that is leaving the die's actives
+// in die.closing while a host program into it is still in flight.
+func (c *Controller) closeWritePoint(chip int, cur *BlockCursor) {
+	if cur.hostPrograms > 0 {
+		c.dies[chip].closing = append(c.dies[chip].closing, cur)
+	}
+}
+
+// hostProgramDone retires a completed host program (or one refused or
+// failed) from its die's and its block's counts; a former write point
+// leaves die.closing with its last one.
+func (c *Controller) hostProgramDone(chip int, cur *BlockCursor) {
+	d := &c.dies[chip]
+	d.inflight--
+	if cur.hostPrograms--; cur.hostPrograms == 0 {
+		if i := slices.Index(d.closing, cur); i >= 0 {
+			d.closing = slices.Delete(d.closing, i, i+1)
+		}
+	}
 }
 
 // retireIfFull replaces a write point whose block just filled.
@@ -364,9 +402,9 @@ func (c *Controller) retireIfFull(chip int, cursor *BlockCursor) {
 	}
 }
 
-// deferAck holds w's ack until ReleaseDurableAcks covers its page and
-// stamp. Stamps are issued in admission order, so appending keeps the
-// chain sorted by stamp.
+// deferAck holds w's ack until takeHeldAcks covers its page and stamp.
+// Stamps are issued in admission order, so appending keeps the chain
+// sorted by stamp.
 func (c *Controller) deferAck(w *hostWrite) {
 	if c.heldAcksTail == nil {
 		c.heldAcks = w
@@ -377,16 +415,16 @@ func (c *Controller) deferAck(w *hostWrite) {
 	c.pendingAckCount++
 }
 
-// ReleaseDurableAcks completes every held ack for lpn whose stamp is
-// <= stamp — called by the recovery manager when the journal record
-// mapping that stamp becomes durable. Older coalesced acks are covered
-// by the newer durable data (host write order is preserved per LPN).
-// The chain is sorted by stamp and mappings become durable in roughly
-// the order their writes were admitted, so the walk ends within the
-// few writes still held from before this one.
-func (c *Controller) ReleaseDurableAcks(lpn LPN, stamp uint64) {
-	var released, prev *hostWrite
-	tail := &released
+// takeHeldAcks unlinks every held ack for lpn whose stamp is <= stamp —
+// the page just settled on the media under that stamp — and appends it
+// to the detached chain whose open end is tail, returning the new open
+// end; the caller runs the chain (runAcks) once its own state is
+// settled. Older writes coalesced in the buffer are covered by the newer
+// data (host write order is preserved per LPN). The chain is sorted by
+// stamp and groups leave the buffer in admission order, so the walk
+// ends within the few writes still held from before this one.
+func (c *Controller) takeHeldAcks(lpn LPN, stamp uint64, tail **hostWrite) **hostWrite {
+	var prev *hostWrite
 	for link := &c.heldAcks; *link != nil && (*link).stamp <= stamp; {
 		w := *link
 		if w.lpn != lpn {
@@ -402,9 +440,7 @@ func (c *Controller) ReleaseDurableAcks(lpn LPN, stamp uint64) {
 		*tail, tail = w, &w.next
 		c.pendingAckCount--
 	}
-	// Acks may reenter the controller (the host issues its next
-	// command synchronously): run them only after the chain is settled.
-	runAcks(released)
+	return tail
 }
 
 // runAcks acknowledges a detached chain of host writes, oldest first.

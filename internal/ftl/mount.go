@@ -97,10 +97,19 @@ func (c *Controller) StampCounters() (lastStamp, lastBlockSeq uint64) {
 // and do not modify it.
 func (c *Controller) FreeBlocks(chip int) []int { return c.dies[chip].free }
 
-// AppendActives appends a chip's open write points to dst.
+// AppendActives appends a chip's open write points to dst, then the
+// closed blocks a host program is still programming (die.closing) that
+// nothing has collected or retired since: the mount scans both for pages
+// to roll forward, and one that turns out full is a dirty block again.
 func (c *Controller) AppendActives(dst []ActiveRecord, chip int) []ActiveRecord {
-	for _, cur := range c.dies[chip].actives {
+	d := &c.dies[chip]
+	for _, cur := range d.actives {
 		dst = append(dst, ActiveRecord{Block: cur.Block, Seq: cur.Seq})
+	}
+	for _, cur := range d.closing {
+		if c.role(chip, cur.Block) == roleData {
+			dst = append(dst, ActiveRecord{Block: cur.Block, Seq: cur.Seq})
+		}
 	}
 	return dst
 }

@@ -119,7 +119,8 @@ func (r *hostRead) finish() {
 
 // hostWrite carries one host page write from admission to its
 // acknowledgment, which may be held back by buffer backpressure or (with
-// DurableAcks) by journal durability.
+// DurableAcks) until a program carrying its page, or a newer version of
+// it, completes.
 type hostWrite struct {
 	c    *Controller
 	live bool
@@ -225,7 +226,7 @@ func (f *flushOp) flushOOB(blockSeq uint64) [][]byte {
 func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 	pool.CheckLive(f.live, "ftl flush op")
 	c, chip, cursor, group := f.c, f.chip, f.cursor, f.group
-	c.dies[chip].inflight--
+	c.hostProgramDone(chip, cursor)
 	if errors.Is(err, ssd.ErrDieFenced) {
 		// The die degraded while this program waited for its grant:
 		// nothing reached the media. Return the data to the buffer so
@@ -253,6 +254,8 @@ func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 		return
 	}
 	c.programmed(chip, res.LatencyNs, &c.stats.HostPages)
+	var acked *hostWrite
+	tail := &acked
 	if c.hub.Tracing() {
 		c.hub.Event(telemetry.PidFTL, chip, "flush", f.issueAt, c.eng.Now()-f.issueAt,
 			map[string]int64{"pages": int64(len(group)), "block": int64(f.block)})
@@ -265,6 +268,9 @@ func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 		c.buf.Requeue(group)
 		f.release()
 	} else {
+		// A settled page is on the media under a CRC-checked OOB record the
+		// mount rolls forward from: that is the commit point of a held
+		// durable ack, whether or not the journal has the mapping yet.
 		wlIdx := f.layer*c.geo.WLsPerLayer + f.wl
 		for i, h := range group {
 			if c.buf.Settle(h) {
@@ -275,6 +281,7 @@ func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 				if c.rec != nil {
 					c.rec.NoteMapped(h.LPN, ppn, h.Stamp)
 				}
+				tail = c.takeHeldAcks(h.LPN, h.Stamp, tail)
 			}
 		}
 		f.release()
@@ -283,4 +290,7 @@ func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 	c.retireIfFull(chip, cursor)
 	c.checkGC(chip)
 	c.maybeFlush()
+	// Acks may reenter the controller (the host issues its next command
+	// synchronously): run them only once this completion is settled.
+	runAcks(acked)
 }

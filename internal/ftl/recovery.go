@@ -24,6 +24,8 @@ type RecoveryHook interface {
 
 	// NoteMapped records an installed mapping lpn -> ppn carrying the
 	// data version's write stamp (host flush and GC relocation alike).
+	// The page is already on the media under its OOB record, which is
+	// what commits it: the journal record only spares the mount a scan.
 	NoteMapped(lpn LPN, ppn ssd.PPN, stamp uint64)
 
 	// NoteTrim records an explicit host invalidation.

@@ -105,7 +105,8 @@ func appendDieDegraded(dst []byte, die int) []byte {
 // decodeJournal walks the journal buffer and returns every validly
 // framed record with its start offset within b, plus whether the tail
 // was torn (bytes remained but did not frame). A record with an
-// unknown type or short payload also stops the walk — after a torn
+// unknown type, a short payload or a PPN out of range (FuzzDecodeJournal:
+// it was truncated to one that fits) also stops the walk — after a torn
 // frame nothing downstream can be trusted, because frame boundaries
 // are gone.
 func decodeJournal(b []byte) (recs []Record, offs []int, torn bool) {
@@ -150,10 +151,14 @@ func decodeRecord(typ byte, p []byte) (Record, bool) {
 		if len(p) != 24 {
 			return Record{}, false
 		}
+		ppn := int64(binary.LittleEndian.Uint64(p[8:16]))
+		if int64(ssd.PPN(ppn)) != ppn {
+			return Record{}, false // a PPN no device has: damage, not a mapping
+		}
 		return Record{
 			Type:  recMapped,
 			LPN:   ftl.LPN(binary.LittleEndian.Uint64(p[0:8])),
-			PPN:   ssd.PPN(int64(binary.LittleEndian.Uint64(p[8:16]))),
+			PPN:   ssd.PPN(ppn),
 			Stamp: binary.LittleEndian.Uint64(p[16:24]),
 		}, true
 	case recTrim:

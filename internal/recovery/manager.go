@@ -44,7 +44,7 @@ type Options struct {
 
 // Manager is the runtime half of the recovery subsystem: it implements
 // ftl.RecoveryHook, batches journal appends into periodic flushes,
-// defers erase/repool/ack transitions until their justifying records
+// defers erase/repool/trim transitions until their justifying records
 // are durable, writes periodic checkpoints, and executes the power cut.
 // The manager itself is volatile — only its SystemArea survives a cut.
 type Manager struct {
@@ -87,24 +87,20 @@ type Manager struct {
 
 // waiter is one deferred transition, run once the journal is durable
 // through absolute offset off (by flush or by a checkpoint whose cutoff
-// covers it).
+// covers it). A write needs none: its OOB record commits it.
 type waiter struct {
 	off  uint64
 	kind waiterKind
 
-	lpn     ftl.LPN // waitMapped, waitTrim
-	stamp   uint64  // waitMapped
+	lpn     ftl.LPN // waitTrim
 	proceed func()  // waitProceed
 }
 
 type waiterKind uint8
 
 const (
-	// waitMapped: the write (lpn, stamp) is committed — the ledger
-	// learns it and the host acks held for it release.
-	waitMapped waiterKind = iota
 	// waitTrim: the trim of lpn is committed.
-	waitTrim
+	waitTrim waiterKind = iota
 	// waitProceed: run proceed (an erase or a re-pool held back by the
 	// controller).
 	waitProceed
@@ -269,11 +265,6 @@ func (m *Manager) wait(w waiter) {
 
 func (m *Manager) run(w waiter) {
 	switch w.kind {
-	case waitMapped:
-		if m.ledger != nil {
-			m.ledger.Record(w.lpn, w.stamp)
-		}
-		m.ctrl.ReleaseDurableAcks(w.lpn, w.stamp)
 	case waitTrim:
 		if m.ledger != nil {
 			m.ledger.RecordTrim(w.lpn)
@@ -307,9 +298,10 @@ func (m *Manager) NoteBlockOpened(chip, block int, seq uint64) {
 	m.staged()
 }
 
-// NoteMapped implements ftl.RecoveryHook. Once the record is durable
-// the write is committed: the ledger learns it and any deferred host
-// acks for it release.
+// NoteMapped implements ftl.RecoveryHook. The write is committed
+// already — its page is programmed under a CRC-checked OOB record the
+// mount rolls forward from — so the ledger learns it now; the journal
+// record only spares the mount that scan.
 func (m *Manager) NoteMapped(lpn ftl.LPN, ppn ssd.PPN, stamp uint64) {
 	if m.dead {
 		return
@@ -318,7 +310,9 @@ func (m *Manager) NoteMapped(lpn ftl.LPN, ppn ssd.PPN, stamp uint64) {
 	m.staged()
 	m.slotLogs[0].note(lpn)
 	m.slotLogs[1].note(lpn)
-	m.wait(waiter{kind: waitMapped, lpn: lpn, stamp: stamp})
+	if m.ledger != nil {
+		m.ledger.Record(lpn, stamp)
+	}
 }
 
 // NoteTrim implements ftl.RecoveryHook.

@@ -38,7 +38,7 @@ type MountReport struct {
 	OOBPagesScanned  int // spare-area records read during roll-forward
 
 	MappingsRecovered int // live L2P entries after the mount
-	RollForwardWins   int // mappings recovered from OOB past the durable state
+	RollForwardWins   int // mappings the checkpoint and journal did not have: recovered from OOB alone
 	EvacuationsQueued int // retired-with-live blocks queued for evacuation
 }
 
@@ -50,6 +50,12 @@ type mapEntry struct {
 	stamp  uint64
 	oobSeq uint64 // 0: from checkpoint/journal
 }
+
+// globalHorizonForTest brings back the roll-forward rule acks outgrew: a
+// candidate also had to be newer than every stamp the checkpoint and
+// journal held. Only the exhaustive cut sweep's negative control sets
+// it (export_test.go), to show that rule loses acked writes.
+var globalHorizonForTest bool
 
 // oobCand is one valid spare-area record found by the scan.
 type oobCand struct {
@@ -208,7 +214,7 @@ func scanBlockOOB(chipNAND *nand.Chip, geo ssd.Geometry, chip, block int) (cands
 //     means the block was opened after the last durable record — scan
 //     its OOB and treat it as discovered;
 //  4. roll-forward: scan the OOB of every open/discovered block and
-//     apply records whose stamp exceeds the durable state's;
+//     apply each record newer than its LPN's replayed mapping;
 //  5. force-retire every block the media marks bad, rebuild cursors
 //     from media occupancy, re-arm write points, and queue retired
 //     blocks still holding live pages for evacuation.
@@ -349,12 +355,14 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 		}
 	}
 
-	// Resolve the OOB candidates against the durable state: strictly
-	// newer stamps win (the roll-forward); at equal stamp the
-	// journal-derived mapping stands, and among OOB entries the copy in
-	// the younger block (higher sequence) wins — both copies of a GC
-	// relocation hold identical data.
-	durableStamp := st.maxStamp
+	// Resolve the OOB candidates against the replayed state, one LPN at a
+	// time and by one rule on either path: a stamp strictly newer than the
+	// LPN's mapping wins (the roll-forward — a durable write is acked once
+	// its page is programmed, before its journal record is durable, and
+	// programs complete out of stamp order, so no global horizon will do);
+	// at equal stamp a checkpoint/journal mapping stands, and among OOB
+	// entries the copy in the younger block (higher sequence) wins — both
+	// copies of a GC relocation hold identical data.
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].stamp != cands[j].stamp {
 			return cands[i].stamp < cands[j].stamp
@@ -364,28 +372,27 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 		}
 		return cands[i].ppn < cands[j].ppn
 	})
+	var horizon uint64 // stamps start at 1: no candidate is at or below 0
+	if globalHorizonForTest && slot >= 0 {
+		horizon = st.maxStamp
+	}
 	for _, cand := range cands {
 		if cand.blockSeq > st.maxBlockSeq {
 			st.maxBlockSeq = cand.blockSeq
 		}
-		cur, mapped := st.mappings[cand.lpn]
-		switch {
-		case slot < 0: // full scan: OOB is the only source of truth
-			if !mapped || cand.stamp > cur.stamp ||
-				(cand.stamp == cur.stamp && cand.blockSeq > cur.oobSeq) {
-				st.mappings[cand.lpn] = mapEntry{ppn: cand.ppn, stamp: cand.stamp, oobSeq: cand.blockSeq}
-			}
-		case cand.stamp > durableStamp && (!mapped || cand.stamp > cur.stamp ||
-			(cand.stamp == cur.stamp && cur.oobSeq > 0 && cand.blockSeq > cur.oobSeq)):
-			if !mapped || cand.stamp > cur.stamp {
-				rpt.RollForwardWins++
-			}
+		switch cur, mapped := st.mappings[cand.lpn]; {
+		case cand.stamp <= horizon:
+		case !mapped, cand.stamp > cur.stamp,
+			cand.stamp == cur.stamp && cur.oobSeq > 0 && cand.blockSeq > cur.oobSeq:
 			st.mappings[cand.lpn] = mapEntry{ppn: cand.ppn, stamp: cand.stamp, oobSeq: cand.blockSeq}
 		}
 	}
 	for _, e := range st.mappings {
 		if e.stamp > st.maxStamp {
 			st.maxStamp = e.stamp
+		}
+		if e.oobSeq > 0 {
+			rpt.RollForwardWins++
 		}
 	}
 

@@ -10,9 +10,8 @@ import (
 )
 
 // Ledger is the durability oracle: it records, in commit order, every
-// write whose journal record became durable (which under DurableAcks
-// is exactly the set of host-acknowledged writes) and every durable
-// trim. It lives outside the device — the test harness owns it — so it
+// write whose page was programmed and mapped (which under DurableAcks
+// covers every host-acknowledged write) and every durable trim. It lives outside the device — the test harness owns it — so it
 // survives the power cut and tells the verifier what the recovered
 // device MUST still hold.
 type Ledger struct {

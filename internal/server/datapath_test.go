@@ -76,19 +76,31 @@ func coreFixture(tb testing.TB) (*Server, *conn) {
 	tb.Helper()
 	cfg := testConfig(false)
 	cfg.PrefillPages = 2000
+	s, conns := coreFixtureConns(tb, cfg, 1)
+	return s, conns[0]
+}
+
+// coreFixtureConns is coreFixture for cfg with n connections, each with
+// its own session on the "lat" tenant.
+func coreFixtureConns(tb testing.TB, cfg Config, n int) (*Server, []*conn) {
+	tb.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	near, far := net.Pipe()
-	tb.Cleanup(func() { near.Close(); far.Close() })
-	c := &conn{nc: near, out: make(chan []byte, 256), spare: make(chan []byte, 2)}
-	s.handle(request{kind: kindConnect, c: c})
-	s.handle(request{kind: kindHello, c: c, hello: Hello{Tenant: "lat"}})
-	if typ, body := takeBatch(tb, c); typ != MsgHelloAck || len(body) != 21 {
-		tb.Fatalf("hello answered with frame type %d, %d bytes", typ, len(body))
+	conns := make([]*conn, n)
+	for i := range conns {
+		near, far := net.Pipe()
+		tb.Cleanup(func() { near.Close(); far.Close() })
+		c := &conn{nc: near, out: make(chan []byte, 256), spare: make(chan []byte, 2)}
+		s.handle(request{kind: kindConnect, c: c})
+		s.handle(request{kind: kindHello, c: c, hello: Hello{Tenant: "lat"}})
+		if typ, body := takeBatch(tb, c); typ != MsgHelloAck || len(body) != 21 {
+			tb.Fatalf("hello answered with frame type %d, %d bytes", typ, len(body))
+		}
+		conns[i] = c
 	}
-	return s, c
+	return s, conns
 }
 
 // takeBatch plays the connection's writer: it takes the one batch the
@@ -263,10 +275,11 @@ func BenchmarkReadFrame(b *testing.B) {
 
 // A durable write's reply carries the device clock it cost. A lone
 // synchronous client is blocked on it and the array is idle, so the page
-// leaves the write buffer at the DMA time: DMA, one padded program, one
-// journal flush — about 0.7 ms where waiting out the 500 us flush timer
-// first made it 1.2. A write and a read arriving together still go
-// through one pump and leave in one batch.
+// leaves the write buffer at the DMA time and is acked when its program
+// completes: DMA and one padded program — about 0.6 ms, where a journal
+// flush behind it made it 0.7 and waiting out the 500 us flush timer
+// first 1.2. A write and a read arriving together still go through one
+// pump and leave in one batch.
 func TestServedWriteDoesNotWaitOutTheFlushTimer(t *testing.T) {
 	s, c := coreFixture(t)
 	const limit = 800 * time.Microsecond
@@ -304,5 +317,41 @@ func TestServedWriteDoesNotWaitOutTheFlushTimer(t *testing.T) {
 		if lat := time.Duration(rep.LatencyNs); rep.Seq == 9 && lat >= limit {
 			t.Errorf("the batched write cost %v of device clock, want under %v", lat, limit)
 		}
+	}
+}
+
+// Eight synchronous writers: each pump carries eight writes, two full
+// word lines and a partial group that arrives behind their programs. The
+// core pumps in full only with nothing left to submit, so the device
+// takes the pump as "no more pages are coming" and sends the partial
+// group one DMA time after admission — no write waits out the 500 us
+// flush timer (at the parent the two pages of that group cost about
+// 1.1 ms of device clock: the timer, then their program).
+func TestEightWritersNeverWaitTheFlushTimer(t *testing.T) {
+	cfg := testConfig(false)
+	cfg.PrefillPages, cfg.DispatchWidth = 2000, 0 // every write dispatched at once
+	s, conns := coreFixtureConns(t, cfg, 8)
+	const limit = 800 * time.Microsecond
+	for round := uint64(1); round <= 8; round++ {
+		for i, c := range conns {
+			lpn := int64(round*97+uint64(i)*13) % 2000
+			s.handle(request{kind: kindIO, c: c, io: IORequest{Op: OpWrite, Seq: round, AckFloor: round - 1, LPN: lpn, Pages: 1}})
+		}
+		s.pump()
+		s.flushReplies()
+		for i, c := range conns {
+			b := <-c.out
+			rep, err := ParseIOReply(b[5:])
+			if err != nil || rep.Seq != round || rep.Status != StatusOK {
+				t.Fatalf("round %d, writer %d answered %+v (%v)", round, i, rep, err)
+			}
+			if lat := time.Duration(rep.LatencyNs); lat >= limit {
+				t.Errorf("round %d, writer %d: a write cost %v of device clock, want under %v", round, i, lat, limit)
+			}
+			c.spare <- b
+		}
+	}
+	if st := s.stats; st.BatchedRequests != 64 || st.Batches != 8 {
+		t.Fatalf("%d writes in %d pumps, want 64 in 8", st.BatchedRequests, st.Batches)
 	}
 }

@@ -214,6 +214,12 @@ func TestEventLogCapturesChaosOps(t *testing.T) {
 		if ev.Fields["verified"] != 1 {
 			t.Errorf("remount event without verify-pass verdict: %+v", ev)
 		}
+		// The last write was acked when its program completed, and nothing
+		// ran the device clock on to its journal flush before the cut: it
+		// came back from its page's OOB record alone.
+		if wins, ok := ev.Fields["rollforward_wins"]; !ok || wins < 1 {
+			t.Errorf("remount event reports %v roll-forward wins (present %v), want the last acked write: %+v", wins, ok, ev)
+		}
 	}
 	for _, ev := range srv.events.ByType(telemetry.EvDieKill) {
 		if ev.Fields["die"] != 1 {

@@ -286,9 +286,10 @@ func (q *ioReq) release() {
 	q.s.ioReqs.Put(q)
 }
 
-// done stages the reply for a completed command. Under Options.Recovery
-// a write completes only once its mapping record is durable — the ack a
-// client may trust across power loss.
+// done stages the reply for a completed command, and does nothing else:
+// it runs inside FrontEnd.Pump, which the core may not submit into.
+// Under Options.Recovery a write completes only once its page is
+// programmed — the ack a client may trust across power loss.
 func (q *ioReq) done(ic cubeftl.IOCompletion) {
 	pool.CheckLive(q.live, "server io request")
 	s, c, sess, seq, queue, write := q.s, q.c, q.sess, q.seq, q.queue, q.write
@@ -596,10 +597,15 @@ func (s *Server) gather() {
 
 // pump advances the simulation, then lets the SLO controller act. The
 // replies of the commands that complete are staged per connection; the
-// caller flushes them once the pump is over. While more traffic is already waiting in reqCh it drains only down
-// to a backlog target — keeping tenants contending for grants instead
-// of letting every batch start from an idle device — and quiesces
-// fully once the wire goes quiet (clients are all blocked on replies).
+// caller flushes them once the pump is over. While more traffic is
+// already waiting in reqCh it drains only down to a backlog target —
+// keeping tenants contending for grants instead of letting every batch
+// start from an idle device — and quiesces fully once the wire goes
+// quiet (clients are all blocked on replies). Only then does it call
+// FrontEnd.Pump, whose contract — nothing is submitted until it returns —
+// the core keeps by construction: it submits from handle alone, and
+// completions only stage replies. The device reads the contract as "no
+// more pages are coming" and sends a partial word line at once.
 func (s *Server) pump() {
 	if !s.up || s.fe == nil {
 		return
@@ -862,6 +868,10 @@ func (s *Server) Recover() (cubeftl.MountReport, error) {
 				"used_checkpoint": ckpt,
 				"mappings":        float64(rpt.MappingsRecovered),
 				"mount_ns":        float64(rpt.MountTime),
+				// Mappings the checkpoint and journal did not have: pages —
+				// acked writes among them — that came back from their OOB
+				// records alone.
+				"rollforward_wins": float64(rpt.RollForwardWins),
 			},
 			Text: map[string]string{"outcome": "ok"},
 		})

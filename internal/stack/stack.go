@@ -100,8 +100,9 @@ type Spec struct {
 
 	// Recovery enables the crash-consistency subsystem (DESIGN.md §12):
 	// a checkpointed and journaled system area, durable-ack semantics
-	// (host write acknowledgments wait for the write's mapping record
-	// to be durable), and the PowerCut/Remount cycle.
+	// (host write acknowledgments wait for the write's page to be
+	// programmed, which the remount rolls forward), and the
+	// PowerCut/Remount cycle.
 	Recovery bool
 	// CkptInterval is the periodic checkpoint cadence in simulated time
 	// (0 selects the 20ms default; negative disables periodic

@@ -25,7 +25,7 @@ const (
 	EvSLOTighten   = "slo_tighten"   // Fields: p99_ns, target_ns, from, to; Text: what, applied
 	EvSLORelax     = "slo_relax"     // same shape as slo_tighten
 	EvPowerCut     = "power_cut"     // Fields: sessions, conns_dropped
-	EvRemount      = "remount"       // Fields: verified, mappings, used_checkpoint, replayed; Text: outcome
+	EvRemount      = "remount"       // Fields: verified, mappings, used_checkpoint, mount_ns, rollforward_wins; Text: outcome
 	EvDieKill      = "die_kill"      // Fields: die
 	EvBlockRetire  = "block_retire"  // Fields: chip, block
 	EvDieDegraded  = "die_degraded"  // Fields: die
