@@ -15,7 +15,10 @@ import (
 // The percentile fields (and nothing else) were re-captured at ISSUE 17,
 // when metrics.Hist became the fixed-bucket histogram: each now reads
 // the lower edge of its bucket, at most 2^-5 below the sample it stood
-// for.
+// for. TestRemountSequencePinned was re-captured at ISSUE 25, when a
+// durable write came to be acked at its program's completion instead of
+// a journal flush later (EXPERIMENTS.md "Served path: the commit on the
+// media" lists what moved).
 
 func pinState(dev *SSD, st RunStats) string {
 	return fmt.Sprintf("%+v | %+v | %+v | now=%d fired=%d",
@@ -47,7 +50,7 @@ func TestRemountSequencePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "{MountTime:17.865076ms UsedCheckpoint:true CheckpointAge:1.343042ms JournalRecords:25 JournalTorn:true BlocksProbed:31 DiscoveredBlocks:0 OOBPagesScanned:2430 MappingsRecovered:16173 RollForwardWins:0 EvacuationsQueued:0 Verified:true} | {Requests:3000 Elapsed:177.1545ms IOPS:16934.370845787154 ReadP50:557.056µs ReadP90:999.424µs ReadP99:1.47456ms WriteP50:1.277952ms WriteP90:1.80224ms WriteP99:2.490368ms MeanTPROG:596.096µs ReadRetries:0 GCRuns:0 Reprograms:0 BufferHits:66 DataMismatches:0 ProgramFailures:1 EraseFailures:0 ReadFaults:0 RetiredBlocks:1 FaultRecoveries:1 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:7816181708754184893} | {LeaderPrograms:239 FollowerPrograms:606 SafetyRejects:0 ORTHits:0 ORTMisses:999 ORTBytes:6144 RetryHits:1045 RetryStale:0 RetryMisses:999 RetryEntries:795} | {HostBytes:41091072 GCBytes:442368 RefreshBytes:0 WLBytes:0 Factor:1.0107655502392345 Refreshes:0 WearLevels:0} | now=195019576 fired=7857"
+	const want = "{MountTime:17.865136ms UsedCheckpoint:true CheckpointAge:1.223042ms JournalRecords:24 JournalTorn:false BlocksProbed:31 DiscoveredBlocks:0 OOBPagesScanned:2430 MappingsRecovered:16175 RollForwardWins:1 EvacuationsQueued:0 Verified:true} | {Requests:3000 Elapsed:172.3165ms IOPS:17409.82436388854 ReadP50:540.672µs ReadP90:966.656µs ReadP99:1.441792ms WriteP50:1.277952ms WriteP90:1.80224ms WriteP99:2.94912ms MeanTPROG:595.289µs ReadRetries:0 GCRuns:0 Reprograms:0 BufferHits:77 DataMismatches:0 ProgramFailures:1 EraseFailures:0 ReadFaults:0 RetiredBlocks:1 FaultRecoveries:1 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:7816181708754184893} | {LeaderPrograms:230 FollowerPrograms:600 SafetyRejects:0 ORTHits:0 ORTMisses:982 ORTBytes:6144 RetryHits:1049 RetryStale:0 RetryMisses:982 RetryEntries:784} | {HostBytes:40452096 GCBytes:344064 RefreshBytes:0 WLBytes:0 Factor:1.008505467800729 Refreshes:0 WearLevels:0} | now=190181636 fired=7768"
 	if got := fmt.Sprintf("%+v | %s", rpt, pinState(dev, st)); got != want {
 		t.Errorf("simulated results moved\n got: %s\nwant: %s", got, want)
 	}
