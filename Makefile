@@ -2,9 +2,9 @@
 # long tests hide behind -short here; `make soak` runs them in full.
 GO ?= go
 
-.PHONY: tier1 build fmt vet test race race-core fuzz-smoke powercut-sweep bench bench-smoke bench-scale bench-telemetry one-stack one-relocator one-ledger trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
+.PHONY: tier1 build fmt vet test race race-core fuzz-smoke powercut-sweep bench bench-smoke bench-scale bench-telemetry one-stack one-relocator one-ledger one-index trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
 
-tier1: build fmt vet one-stack one-relocator one-ledger race race-core fuzz-smoke powercut-sweep fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
+tier1: build fmt vet one-stack one-relocator one-ledger one-index race race-core fuzz-smoke powercut-sweep fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
 
 build:
 	$(GO) build ./...
@@ -44,8 +44,9 @@ race-core:
 # decoders a durable write's commit rests on — the journal on any bytes,
 # raw and as one sealed frame (records that re-encode to the prefix they
 # came from, torn exactly when bytes remain), and the OOB record parser
-# (a record it accepts re-encodes to the same bytes). A failing input is
-# written under the package's testdata/fuzz/.
+# (a record it accepts re-encodes to the same bytes); and the per-page
+# index against a Go map on any sequence of Put / Delete / Get. A
+# failing input is written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
@@ -53,6 +54,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRestoreState -fuzztime 10s
 	$(GO) test ./internal/recovery -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s
 	$(GO) test ./internal/ftl -run '^$$' -fuzz FuzzDecodeOOB -fuzztime 10s
+	$(GO) test ./internal/pool -run '^$$' -fuzz FuzzIndexMatchesMap -fuzztime 10s
 
 # Acked implies recoverable, at every instant: a short durable-ack run on
 # a tiny stack.Build device (and on one whose dies run two host programs
@@ -139,6 +141,20 @@ one-relocator:
 	@long=$$(wc -l $(FTL_SRC) | awk '$$2 != "total" && $$1 > 600 { print $$2 ": " $$1 " lines" }'); \
 	if [ -n "$$long" ]; then echo "one-relocator: over 600 lines, split by concern:"; echo "$$long"; exit 1; fi
 	@echo "one-relocator: PASS"
+
+# One index for per-page lookups: fails if a Go map keyed by a page or
+# op number (map[int64], map[uint64], map[LPN], map[PPN]) is back in a
+# non-test file of internal/cache, internal/ftl or internal/ssd. The
+# cache's residents and ghosts and the write buffer's entries live in a
+# pool.Index; the device's in-flight media ops are linked through their
+# records.
+INDEX_SRC = $(filter-out %_test.go,$(wildcard internal/cache/*.go internal/ftl/*.go internal/ssd/*.go))
+one-index:
+	@bad=$$(grep -nE 'map\[ *([a-z]+\.)?(int64|uint64|LPN|PPN) *\]' $(INDEX_SRC)); \
+	if [ -n "$$bad" ]; then \
+		echo "one-index: per-page tables are pool.Index, in-flight ops a list through their records:"; echo "$$bad"; exit 1; \
+	fi
+	@echo "one-index: PASS"
 
 # One ledger: a number is declared once, beside the field it is counted
 # in (a `metric:"name kind help"` tag, metrics.Walk), and every view

@@ -190,7 +190,7 @@ func (c *Cache) Lookup(lpn int64, pages int) bool {
 	}
 	c.slots = c.slots[:0]
 	for p := int64(0); p < int64(pages); p++ {
-		if slot, ok := c.s.index[lpn+p]; ok {
+		if slot, ok := c.s.index.Get(lpn + p); ok {
 			c.slots = append(c.slots, slot)
 		}
 	}
@@ -220,7 +220,7 @@ func (c *Cache) FillRead(lpn int64, pages int) []int64 {
 	c.flush = c.flush[:0]
 	for p := int64(0); p < int64(pages); p++ {
 		page := lpn + p
-		if slot, ok := c.s.index[page]; ok {
+		if slot, ok := c.s.index.Get(page); ok {
 			c.pol.touch(slot)
 			continue
 		}
@@ -245,7 +245,7 @@ func (c *Cache) Write(lpn int64, pages int) (absorbed bool, flush []int64) {
 	back := c.cfg.Mode == WriteBack
 	for p := int64(0); p < int64(pages); p++ {
 		page := lpn + p
-		if slot, ok := c.s.index[page]; ok {
+		if slot, ok := c.s.index.Get(page); ok {
 			c.stats.WriteHits++
 			c.pol.touch(slot)
 			c.s.nodes[slot].dirty = back // write-through refresh leaves the page clean
@@ -284,7 +284,7 @@ func (c *Cache) Invalidate(lpn int64) {
 	if c == nil {
 		return
 	}
-	if slot, ok := c.s.index[lpn]; ok {
+	if slot, ok := c.s.index.Get(lpn); ok {
 		c.pol.remove(slot)
 	}
 }

@@ -1,5 +1,7 @@
 package cache
 
+import "cubeftl/internal/pool"
+
 // policy is a replacement strategy over the slab's nodes. The Cache
 // guarantees insert is never called for a resident page and touch /
 // remove only for slots of resident ones.
@@ -67,18 +69,21 @@ type twoQ struct {
 	am    queue // LRU; head = MRU
 	ghost queue // FIFO of ghosts; head = newest
 
-	// A ghost keeps its node but leaves the slab's index for this map:
+	// A ghost keeps its node but leaves the slab's index for this one:
 	// only insert asks about ghosts, and every Lookup, Write and FillRead
-	// asks about residents — in one map the ghosts made each of those
-	// probes slower than the four-map cache's (measured, EXPERIMENTS.md).
-	ghosts map[int64]int32
+	// asks about residents, which then probe a table a third less full
+	// and read no node to tell a ghost from a resident page. With the
+	// ghosts in the slab's index those probes were slower (measured,
+	// EXPERIMENTS.md).
+	ghosts pool.Index[int32]
 }
 
 // newTwoQ sizes the queues from the total resident capacity using the
 // paper's recommended splits: Kin = 25% of the cache, Kout ghosts
 // remember 50% of the cache's worth of recently evicted pages. The slab
 // holds all of them plus the one page inserted before its victim is
-// taken.
+// taken, and the ghost index the one ghost made before the oldest is
+// forgotten.
 func newTwoQ(capacity int) *twoQ {
 	kin := capacity / 4
 	if kin < 1 {
@@ -95,7 +100,7 @@ func newTwoQ(capacity int) *twoQ {
 		a1in:    emptyQueue(),
 		am:      emptyQueue(),
 		ghost:   emptyQueue(),
-		ghosts:  make(map[int64]int32, kout),
+		ghosts:  pool.NewIndex[int32](kout + 1),
 	}
 }
 
@@ -108,11 +113,10 @@ func (q *twoQ) touch(slot int32) {
 }
 
 func (q *twoQ) insert(lpn int64) int32 {
-	if slot, ok := q.ghosts[lpn]; ok {
+	if slot, ok := q.ghosts.Delete(lpn); ok {
 		// Re-referenced after probation: this page has proven itself —
 		// admit straight into the main LRU.
-		delete(q.ghosts, lpn)
-		q.s.index[lpn] = slot
+		q.s.index.Put(lpn, slot)
 		q.s.unlink(&q.ghost, slot)
 		q.s.pushFront(&q.am, slot, onAm)
 		return slot
@@ -126,12 +130,12 @@ func (q *twoQ) victim() (int64, bool, bool) {
 	if (q.a1in.n > q.kinCap || q.am.n == 0) && q.a1in.n > 0 {
 		slot, lpn, dirty := q.s.popTail(&q.a1in)
 		q.s.nodes[slot].dirty = false
-		delete(q.s.index, lpn)
-		q.ghosts[lpn] = slot
+		q.s.index.Delete(lpn)
+		q.ghosts.Put(lpn, slot)
 		q.s.pushFront(&q.ghost, slot, onGhost)
 		for q.ghost.n > q.koutCap {
 			old, oldLPN, _ := q.s.popTail(&q.ghost)
-			delete(q.ghosts, oldLPN)
+			q.ghosts.Delete(oldLPN)
 			q.s.release(old)
 		}
 		return lpn, dirty, true

@@ -1,8 +1,11 @@
 package cache
 
+import "cubeftl/internal/pool"
+
 // Every page the cache knows about — resident, or a 2Q ghost — is one
 // node of a slab sized when the cache is built. Resident pages are found
-// through one map from page number to slot; the replacement queues are
+// through one open-addressed index from page number to slot (2Q keeps
+// its ghosts in a second one, policy.go); the replacement queues are
 // intrusive lists threaded through the nodes, so a hit, a miss, an
 // eviction and a ghost promotion move slot numbers around and allocate
 // nothing.
@@ -34,14 +37,14 @@ type queue struct {
 
 type slab struct {
 	nodes []node
-	free  int32           // free nodes, chained through next
-	index map[int64]int32 // resident page -> slot
+	free  int32             // free nodes, chained through next
+	index pool.Index[int32] // resident page -> slot
 }
 
 // newSlab returns a slab of resident + ghosts nodes, all free.
 func newSlab(resident, ghosts int) *slab {
 	n := resident + ghosts
-	s := &slab{nodes: make([]node, n), free: nilSlot, index: make(map[int64]int32, resident)}
+	s := &slab{nodes: make([]node, n), free: nilSlot, index: pool.NewIndex[int32](resident)}
 	for i := n - 1; i >= 0; i-- {
 		s.nodes[i].next = s.free
 		s.free = int32(i)
@@ -58,19 +61,19 @@ func (s *slab) alloc(lpn int64, q *queue, which uint8) int32 {
 	n := &s.nodes[slot]
 	s.free = n.next
 	n.lpn, n.dirty = lpn, false
-	s.index[lpn] = slot
+	s.index.Put(lpn, slot)
 	s.pushFront(q, slot, which)
 	return slot
 }
 
 // drop forgets a resident page whose node is on no list.
 func (s *slab) drop(slot int32) {
-	delete(s.index, s.nodes[slot].lpn)
+	s.index.Delete(s.nodes[slot].lpn)
 	s.release(slot)
 }
 
-// release returns a node that is on no list, and in no map, to the free
-// chain.
+// release returns a node that is on no list, and in no index, to the
+// free chain.
 func (s *slab) release(slot int32) {
 	n := &s.nodes[slot]
 	n.queue, n.dirty = onFree, false

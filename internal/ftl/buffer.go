@@ -13,16 +13,13 @@ import (
 // (§5.2).
 type WriteBuffer struct {
 	capacity int
-	entries  map[LPN]*bufEntry
-	queue    pool.Ring[LPN] // admission-ordered entries awaiting flush
-	occupied int
-	spare    pool.FreeList[bufEntry] // settled entries awaiting reuse
+	entries  pool.Index[bufEntry] // by LPN; one per occupied slot
+	queue    pool.Ring[LPN]       // admission-ordered entries awaiting flush
 
 	requeueEvents int64 // pages bounced back by failed/fenced programs
 }
 
 type bufEntry struct {
-	lpn      LPN
 	stamp    uint64 // global write stamp of the latest data; flushes capture it
 	inflight bool   // currently part of an issued program
 	requeue  bool   // overwritten while in flight; must flush again
@@ -35,27 +32,23 @@ func NewWriteBuffer(capacity int) (*WriteBuffer, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBufferCapacity, capacity)
 	}
-	return &WriteBuffer{
-		capacity: capacity,
-		entries:  make(map[LPN]*bufEntry, capacity),
-	}, nil
+	return &WriteBuffer{capacity: capacity, entries: pool.NewIndex[bufEntry](capacity)}, nil
 }
 
 // Capacity returns the slot count.
 func (b *WriteBuffer) Capacity() int { return b.capacity }
 
 // Occupied returns the number of used slots (including in-flight ones).
-func (b *WriteBuffer) Occupied() int { return b.occupied }
+func (b *WriteBuffer) Occupied() int { return b.entries.Len() }
 
 // Utilization is the paper's mu: occupied slots over capacity.
 func (b *WriteBuffer) Utilization() float64 {
-	return float64(b.occupied) / float64(b.capacity)
+	return float64(b.entries.Len()) / float64(b.capacity)
 }
 
 // Contains reports whether lpn's latest data lives in the buffer.
 func (b *WriteBuffer) Contains(lpn LPN) bool {
-	_, ok := b.entries[lpn]
-	return ok
+	return b.entries.Ref(int64(lpn)) != nil
 }
 
 // Flushable returns how many entries are queued and not in flight.
@@ -66,24 +59,18 @@ func (b *WriteBuffer) Flushable() int { return b.queue.Len() }
 // coalesces in place and always succeeds; a new page needs a free slot.
 // It reports whether the write was admitted.
 func (b *WriteBuffer) Put(lpn LPN, stamp uint64) bool {
-	if e, ok := b.entries[lpn]; ok {
+	if e := b.entries.Ref(int64(lpn)); e != nil {
 		e.stamp = stamp
 		if e.inflight {
 			e.requeue = true
 		}
 		return true
 	}
-	if b.occupied >= b.capacity {
+	if b.entries.Len() >= b.capacity {
 		return false
 	}
-	e := b.spare.Get()
-	if e == nil {
-		e = new(bufEntry)
-	}
-	*e = bufEntry{lpn: lpn, stamp: stamp}
-	b.entries[lpn] = e
+	b.entries.Put(int64(lpn), bufEntry{stamp: stamp})
 	b.queue.Push(lpn)
-	b.occupied++
 	return true
 }
 
@@ -108,7 +95,7 @@ func (b *WriteBuffer) TakeFlushGroup(dst []FlushHandle, max int) []FlushHandle {
 	out := dst[:0]
 	for i := 0; i < max && b.queue.Len() > 0; i++ {
 		lpn := b.queue.Pop()
-		e := b.entries[lpn]
+		e := b.entries.Ref(int64(lpn))
 		e.inflight = true
 		out = append(out, FlushHandle{LPN: lpn, Stamp: e.stamp, Requeues: e.requeues})
 	}
@@ -121,8 +108,8 @@ func (b *WriteBuffer) Requeue(hs []FlushHandle) {
 	// Pushed to the front last to first, so the group keeps its order
 	// ahead of everything already queued.
 	for i := len(hs) - 1; i >= 0; i-- {
-		e, ok := b.entries[hs[i].LPN]
-		if !ok || !e.inflight {
+		e := b.entries.Ref(int64(hs[i].LPN))
+		if e == nil || !e.inflight {
 			continue
 		}
 		e.inflight = false
@@ -142,8 +129,8 @@ func (b *WriteBuffer) RequeueEvents() int64 { return b.requeueEvents }
 // install the mapping) — stale data was overwritten mid-flight and must
 // not be mapped. The slot is freed unless the entry needs another flush.
 func (b *WriteBuffer) Settle(h FlushHandle) (current bool) {
-	e, ok := b.entries[h.LPN]
-	if !ok {
+	e := b.entries.Ref(int64(h.LPN))
+	if e == nil {
 		return false
 	}
 	current = e.stamp == h.Stamp
@@ -153,8 +140,6 @@ func (b *WriteBuffer) Settle(h FlushHandle) (current bool) {
 		b.queue.Push(h.LPN)
 		return current
 	}
-	delete(b.entries, h.LPN)
-	b.spare.Put(e)
-	b.occupied--
+	b.entries.Delete(int64(h.LPN))
 	return current
 }

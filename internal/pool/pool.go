@@ -1,10 +1,11 @@
-// Package pool holds the two containers the datapath's pooled op
-// records are built on: a FIFO ring whose vacated slots are zeroed, and
-// a LIFO free list of records. Both exist so that a steady-state host IO
-// allocates nothing and so that nothing an op captured (probes, payload
+// Package pool holds the containers the datapath is built on: a FIFO
+// ring whose vacated slots are zeroed, a LIFO free list of records, and
+// a fixed-capacity index from page numbers to values (index.go). They
+// exist so that a steady-state host IO allocates nothing, hashes nothing
+// through a Go map, and so that nothing an op captured (probes, payload
 // slices, completion callbacks) stays reachable after the op is done.
 //
-// Neither is safe for concurrent use: every owner is a single-threaded
+// None is safe for concurrent use: every owner is a single-threaded
 // simulation stack (fleet shards each own theirs).
 package pool
 

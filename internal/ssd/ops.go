@@ -205,10 +205,10 @@ type programOp struct {
 	params     nand.ProgramParams
 	done       func(res nand.ProgramResult, err error)
 
-	res     nand.ProgramResult
-	err     error
-	mediaID int64 // in-flight tracking id while the ISPP window is open
-	hold    segHold
+	res   nand.ProgramResult
+	err   error
+	media mediaLink // on the device's in-flight list while the ISPP window is open
+	hold  segHold
 
 	onFenced, onChannel, onXfer, onPlane, onFailed func()
 }
@@ -296,7 +296,7 @@ func (op *programOp) planeGranted() {
 	// The NAND mutation is committed but the ISPP latency window is
 	// still open: a power cut before the completion callback leaves
 	// this word line partially programmed.
-	op.mediaID = d.trackOp(MediaOp{Kind: MediaProgram, Die: op.die, Addr: op.addr})
+	d.track(&op.media, MediaOp{Kind: MediaProgram, Die: op.die, Addr: op.addr})
 	segments := 1
 	if d.cfg.SuspendOps && op.res.Loops > 1 {
 		segments = op.res.Loops
@@ -312,7 +312,7 @@ func (op *programOp) failed() {
 
 func (op *programOp) programmed() {
 	pool.CheckLive(op.live, "ssd program op")
-	op.d.untrackOp(op.mediaID)
+	op.d.untrack(&op.media)
 	op.finish()
 }
 
@@ -326,10 +326,10 @@ type eraseOp struct {
 	plane      *sim.Resource
 	done       func(res nand.EraseResult, err error)
 
-	res     nand.EraseResult
-	err     error
-	mediaID int64
-	hold    segHold
+	res   nand.EraseResult
+	err   error
+	media mediaLink
+	hold  segHold
 
 	onPlane, onFailed func()
 }
@@ -380,7 +380,7 @@ func (op *eraseOp) planeGranted() {
 		d.eng.After(op.res.LatencyNs, op.onFailed)
 		return
 	}
-	op.mediaID = d.trackOp(MediaOp{Kind: MediaErase, Die: op.die, Block: op.block})
+	d.track(&op.media, MediaOp{Kind: MediaErase, Die: op.die, Block: op.block})
 	segments := 1
 	if d.cfg.SuspendOps {
 		segments = eraseSuspendPoints
@@ -396,6 +396,6 @@ func (op *eraseOp) failed() {
 
 func (op *eraseOp) erased() {
 	pool.CheckLive(op.live, "ssd erase op")
-	op.d.untrackOp(op.mediaID)
+	op.d.untrack(&op.media)
 	op.finish()
 }

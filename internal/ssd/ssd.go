@@ -15,7 +15,6 @@ package ssd
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"cubeftl/internal/nand"
 	"cubeftl/internal/pool"
@@ -149,13 +148,13 @@ type Device struct {
 	// events, so enabling telemetry cannot change device behavior.
 	hub *telemetry.Hub
 
-	// inflight tracks media operations whose NAND state mutation has
-	// happened but whose latency window is still open. A power cut
-	// inside that window leaves the word line partially programmed (or
-	// the block half erased); the recovery subsystem reads this set at
-	// cut time to corrupt exactly the in-flight operations.
-	inflight map[int64]MediaOp
-	opSeq    int64
+	// media links the program and erase records whose NAND state
+	// mutation has happened but whose latency window is still open, in
+	// issue order (a ring through this sentinel). A power cut inside
+	// that window leaves the word line partially programmed (or the
+	// block half erased); the recovery subsystem reads the list at cut
+	// time to corrupt exactly the in-flight operations.
+	media mediaLink
 
 	// Free lists of op records (ops.go). One record carries one
 	// in-flight operation from issue to completion; records are reused
@@ -178,7 +177,8 @@ func NewWithArray(eng *sim.Engine, cfg Config, array *nand.Array) *Device {
 	if cfg.Channels <= 0 || cfg.DiesPerChannel <= 0 {
 		panic(fmt.Sprintf("ssd: invalid organization %+v", cfg))
 	}
-	d := &Device{eng: eng, cfg: cfg, inflight: make(map[int64]MediaOp)}
+	d := &Device{eng: eng, cfg: cfg}
+	d.media.prev, d.media.next = &d.media, &d.media
 	d.array = array
 	if d.array == nil {
 		d.array = nand.NewArray(nand.ArrayConfig{
@@ -304,26 +304,35 @@ type MediaOp struct {
 	Block int
 }
 
-func (d *Device) trackOp(op MediaOp) int64 {
-	d.opSeq++
-	d.inflight[d.opSeq] = op
-	return d.opSeq
+// mediaLink is the part of a program or erase record that sits on the
+// device's in-flight media list while the operation's latency window is
+// open.
+type mediaLink struct {
+	op         MediaOp
+	prev, next *mediaLink
 }
 
-func (d *Device) untrackOp(id int64) { delete(d.inflight, id) }
+// track appends l, carrying op, to the in-flight list.
+func (d *Device) track(l *mediaLink, op MediaOp) {
+	l.op = op
+	l.prev, l.next = d.media.prev, &d.media
+	d.media.prev.next = l
+	d.media.prev = l
+}
+
+// untrack takes l off the in-flight list.
+func (d *Device) untrack(l *mediaLink) {
+	l.prev.next, l.next.prev = l.next, l.prev
+	l.prev, l.next = nil, nil
+}
 
 // InflightMediaOps returns the media operations currently inside their
 // latency windows, in issue order. A power cut at this instant
 // interrupts exactly these operations.
 func (d *Device) InflightMediaOps() []MediaOp {
-	ids := make([]int64, 0, len(d.inflight))
-	for id := range d.inflight {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	ops := make([]MediaOp, len(ids))
-	for i, id := range ids {
-		ops[i] = d.inflight[id]
+	var ops []MediaOp
+	for l := d.media.next; l != &d.media; l = l.next {
+		ops = append(ops, l.op)
 	}
 	return ops
 }

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -312,5 +313,36 @@ func TestMultiPlaneSamePlaneStillSerializes(t *testing.T) {
 	eng.Run()
 	if gap := done[1] - done[0]; gap < 600_000 {
 		t.Errorf("same-plane programs overlapped: gap %d", gap)
+	}
+}
+
+// InflightMediaOps lists the programs and erases inside their latency
+// windows in the order the windows opened, and an operation leaves the
+// list when it completes, from wherever it sits in it.
+func TestInflightMediaOpsInIssueOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	d := New(eng, smallConfig())
+	done := func(nand.ProgramResult, error) {}
+	d.Erase(1, 3, func(nand.EraseResult, error) {})
+	d.Program(0, nand.Address{Block: 0, Layer: 2}, nil, nil, nand.ProgramParams{}, done)
+	d.Program(2, nand.Address{Block: 5, Layer: 1}, nil, nil, nand.ProgramParams{}, done)
+	eng.RunWhile(func() bool { return len(d.InflightMediaOps()) < 3 })
+	want := []MediaOp{
+		{Kind: MediaErase, Die: 1, Block: 3},
+		{Kind: MediaProgram, Die: 0, Addr: nand.Address{Block: 0, Layer: 2}},
+		{Kind: MediaProgram, Die: 2, Addr: nand.Address{Block: 5, Layer: 1}},
+	}
+	if got := d.InflightMediaOps(); !slices.Equal(got, want) {
+		t.Fatalf("in flight %+v, want %+v", got, want)
+	}
+	// The programs end well inside the erase's window, the first one
+	// first: it leaves the middle of the list.
+	eng.RunWhile(func() bool { return len(d.InflightMediaOps()) == 3 })
+	if got := d.InflightMediaOps(); !slices.Equal(got, []MediaOp{want[0], want[2]}) {
+		t.Fatalf("after the first program, in flight %+v", got)
+	}
+	eng.Run()
+	if got := d.InflightMediaOps(); len(got) != 0 {
+		t.Fatalf("after the run, in flight %+v", got)
 	}
 }
