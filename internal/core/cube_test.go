@@ -8,6 +8,7 @@ import (
 	"cubeftl/internal/rng"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
+	"cubeftl/internal/workload"
 )
 
 func testDevice(seed uint64) (*sim.Engine, *ssd.Device) {
@@ -277,5 +278,53 @@ func TestCubeFTLMeanTPROGReduction(t *testing.T) {
 	red := 1 - cube/page
 	if red < 0.12 || red > 0.35 {
 		t.Errorf("cubeFTL mean tPROG reduction = %.3f, want ~0.20 overall", red)
+	}
+}
+
+// A block keeps its OPM row until its last program completes, and loses
+// it then: a prefill whose acks re-enter the controller (volatile acks:
+// an admitted write's ack issues the host's next write from inside the
+// completion that freed its slot) must leave a row only on the write
+// points, and count exactly one leader program per leader word line on
+// the media. Closing a block while its last word line was still being
+// programmed made that follower complete as a "leader" of a block with
+// no row, which took a fresh row that lived until the block was erased.
+func TestPrefillLeavesRowsOnWritePointsOnly(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := ssd.DefaultConfig()
+	cfg.Chip.Process.BlocksPerChip = 24
+	cfg.Seed = 1
+	dev := ssd.New(eng, cfg)
+	pol := New(dev.Geometry())
+	c := ftl.NewController(dev, pol, ftl.DefaultControllerConfig())
+	workload.Prefill(c, int64(0.8*float64(c.LogicalPages())))
+
+	geo := dev.Geometry()
+	rows, writePoints, leaders := 0, 0, int64(0)
+	for _, row := range pol.opm {
+		if row != nil {
+			rows++
+		}
+	}
+	for chip := 0; chip < geo.Chips; chip++ {
+		writePoints += len(c.AppendActives(nil, chip))
+		for b := 0; b < geo.BlocksPerChip; b++ {
+			for l := 0; l < geo.Layers; l++ {
+				if dev.Die(chip).NAND.IsProgrammed(nand.Address{Block: b, Layer: l}) {
+					leaders++
+				}
+			}
+		}
+	}
+	_, opened := c.StampCounters()
+	st := pol.CubeStats()
+	if opened <= uint64(writePoints) || st.SafetyRejects != 0 {
+		t.Fatalf("%d blocks opened for %d write points, %d safety rejects: the prefill closed no block cleanly", opened, writePoints, st.SafetyRejects)
+	}
+	if rows > writePoints {
+		t.Errorf("%d OPM rows after the prefill, %d write points (%d blocks opened)", rows, writePoints, opened)
+	}
+	if st.LeaderPrograms != leaders {
+		t.Errorf("%d leader programs counted, %d leader word lines programmed", st.LeaderPrograms, leaders)
 	}
 }

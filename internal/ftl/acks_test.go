@@ -209,7 +209,7 @@ func TestCheckpointListsABlockWithAProgramInFlight(t *testing.T) {
 	if die < 0 {
 		t.Fatal("no program in flight")
 	}
-	cur := c.dies[die].actives[slices.IndexFunc(c.dies[die].actives, func(b *BlockCursor) bool { return b.hostPrograms == 1 })]
+	cur := c.dies[die].actives[slices.IndexFunc(c.dies[die].actives, func(b *BlockCursor) bool { return b.programs == 1 })]
 	rec := ActiveRecord{Block: cur.Block, Seq: cur.Seq}
 	c.markDieDegraded(die)
 	if len(c.dies[die].actives) != 0 || !slices.Contains(c.AppendActives(nil, die), rec) {

@@ -116,7 +116,6 @@ func (c *Controller) markDieDegraded(die int) {
 	// never programmed (e.g. one taken by a program the fence failed).
 	for _, cur := range d.actives {
 		c.closeWritePoint(die, cur)
-		c.pol.BlockRetired(die, cur.Block)
 		c.setRole(die, cur.Block, roleData)
 	}
 	d.actives = nil

@@ -256,10 +256,12 @@ type die struct {
 	actives  []*BlockCursor // open write points
 	inflight int            // issued, uncompleted host programs
 	// closing holds former write points — filled, or abandoned by a
-	// degrading die — with a host program still in flight. Its pages are
-	// acked when it completes, before the journal has their mappings, and
-	// a mount rolls pages forward only from the blocks the checkpoint lists
-	// as open, so until then a checkpoint lists these too (AppendActives).
+	// degrading die — with a program still in flight. The policy hears
+	// of their retirement when the last one completes (it still observes
+	// those programs), and host pages are acked when theirs completes,
+	// before the journal has their mappings; a mount rolls pages forward
+	// only from the blocks the checkpoint lists as open, so until then a
+	// checkpoint lists these too (AppendActives).
 	closing  []*BlockCursor
 	degraded bool // read-only: fenced at the device, no write points
 

@@ -360,3 +360,55 @@ func TestResetStatsZeroesTheLedger(t *testing.T) {
 			len(rows), fields.NumField(), c.Stats().ReadLat.N())
 	}
 }
+
+// retireWatch is a policy that fails the test if the controller retires
+// a block with the policy before the last program into it completed: it
+// must not observe a program of a block it has been told is closed.
+type retireWatch struct {
+	Policy
+	t       *testing.T
+	closed  map[[2]int]bool
+	retired int
+}
+
+func (p *retireWatch) ObserveProgram(chip, block, layer, wl int, params nand.ProgramParams, res nand.ProgramResult) ProgramVerdict {
+	if p.closed[[2]int{chip, block}] {
+		p.t.Fatalf("chip %d block %d: program of (%d,%d) completed after the block was retired", chip, block, layer, wl)
+	}
+	return p.Policy.ObserveProgram(chip, block, layer, wl, params, res)
+}
+
+func (p *retireWatch) BlockRetired(chip, block int) {
+	p.closed[[2]int{chip, block}] = true
+	p.retired++
+	p.Policy.BlockRetired(chip, block)
+}
+
+func (p *retireWatch) BlockErased(chip, block int) {
+	delete(p.closed, [2]int{chip, block})
+	p.Policy.BlockErased(chip, block)
+}
+
+// A block is retired with the policy only once its last program — host
+// flush or relocation — has completed, although an ack that frees a
+// buffer slot re-enters Write and can issue the block's last word line
+// from inside the completion of the one before it.
+func TestBlockRetiredAfterItsLastProgram(t *testing.T) {
+	pol := &retireWatch{Policy: NewPagePolicy(), t: t, closed: map[[2]int]bool{}}
+	eng, c := testController(t, pol)
+	n, writes, outstanding := c.LogicalPages()*6/10, c.LogicalPages()*3, 0
+	src := rng.New(11)
+	var issue func()
+	issue = func() {
+		for outstanding < 16 && writes > 0 {
+			writes--
+			outstanding++
+			c.Write(LPN(src.Intn(n)), nil, func() { outstanding--; issue() })
+		}
+	}
+	issue()
+	eng.Run()
+	if st := c.Stats(); st.GCCount == 0 || pol.retired < 40 {
+		t.Fatalf("%d GC cycles, %d blocks retired: the run closed too few blocks", st.GCCount, pol.retired)
+	}
+}

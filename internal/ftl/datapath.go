@@ -270,7 +270,7 @@ func (c *Controller) flushTo(chip int, f *flushOp) {
 		return
 	}
 	cursor.Take(layer, wl)
-	cursor.hostPrograms++
+	cursor.programs++
 	f.chip, f.cursor, f.block, f.layer, f.wl = chip, cursor, cursor.Block, layer, wl
 	f.params = c.pol.ProgramParams(chip, f.block, layer, wl)
 	addr := nand.Address{Block: f.block, Layer: layer, WL: wl}
@@ -361,7 +361,6 @@ func (c *Controller) replaceWritePoint(chip, i int) (backfilled bool) {
 	d := &c.dies[chip]
 	c.closeWritePoint(chip, d.actives[i])
 	old := d.actives[i].Block
-	c.pol.BlockRetired(chip, old)
 	c.setRole(chip, old, roleData)
 	if fresh, ok := c.takeFreeBlock(chip); ok {
 		d.actives[i] = fresh
@@ -371,24 +370,30 @@ func (c *Controller) replaceWritePoint(chip, i int) (backfilled bool) {
 	return false
 }
 
-// closeWritePoint keeps a write point that is leaving the die's actives
-// in die.closing while a host program into it is still in flight.
+// closeWritePoint retires a write point that is leaving the die's
+// actives with the policy, or, while a program into it is still in
+// flight, holds it in die.closing until the last one has completed
+// (programEnded).
 func (c *Controller) closeWritePoint(chip int, cur *BlockCursor) {
-	if cur.hostPrograms > 0 {
+	if cur.programs > 0 {
 		c.dies[chip].closing = append(c.dies[chip].closing, cur)
+		return
 	}
+	c.pol.BlockRetired(chip, cur.Block)
 }
 
-// hostProgramDone retires a completed host program (or one refused or
-// failed) from its die's and its block's counts; a former write point
-// leaves die.closing with its last one.
-func (c *Controller) hostProgramDone(chip int, cur *BlockCursor) {
+// programEnded retires a completed program, host or relocation (or one
+// refused or failed), from its block's count, once the policy has
+// observed it: a former write point whose last program this was leaves
+// die.closing and is retired with the policy.
+func (c *Controller) programEnded(chip int, cur *BlockCursor) {
+	if cur.programs--; cur.programs > 0 {
+		return
+	}
 	d := &c.dies[chip]
-	d.inflight--
-	if cur.hostPrograms--; cur.hostPrograms == 0 {
-		if i := slices.Index(d.closing, cur); i >= 0 {
-			d.closing = slices.Delete(d.closing, i, i+1)
-		}
+	if i := slices.Index(d.closing, cur); i >= 0 {
+		d.closing = slices.Delete(d.closing, i, i+1)
+		c.pol.BlockRetired(chip, cur.Block)
 	}
 }
 

@@ -98,7 +98,7 @@ func (c *Controller) StampCounters() (lastStamp, lastBlockSeq uint64) {
 func (c *Controller) FreeBlocks(chip int) []int { return c.dies[chip].free }
 
 // AppendActives appends a chip's open write points to dst, then the
-// closed blocks a host program is still programming (die.closing) that
+// closed blocks a program is still programming (die.closing) that
 // nothing has collected or retired since: the mount scans both for pages
 // to roll forward, and one that turns out full is a dirty block again.
 func (c *Controller) AppendActives(dst []ActiveRecord, chip int) []ActiveRecord {

@@ -226,13 +226,14 @@ func (f *flushOp) flushOOB(blockSeq uint64) [][]byte {
 func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 	pool.CheckLive(f.live, "ftl flush op")
 	c, chip, cursor, group := f.c, f.chip, f.cursor, f.group
-	c.hostProgramDone(chip, cursor)
+	c.dies[chip].inflight--
 	if errors.Is(err, ssd.ErrDieFenced) {
 		// The die degraded while this program waited for its grant:
 		// nothing reached the media. Return the data to the buffer so
 		// surviving dies can absorb it (or, device-wide, so the
 		// rejection is accounted instead of silently lost).
 		c.stats.FencedPrograms++
+		c.programEnded(chip, cursor)
 		c.requeueInstant(chip, "requeue_fenced", c.reqFenced)
 		c.buf.Requeue(group)
 		f.release()
@@ -244,6 +245,7 @@ func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 		// buffer. Re-issue it at the next allocation and retire the
 		// failed block.
 		c.stats.ProgramFailures++
+		c.programEnded(chip, cursor)
 		c.requeueInstant(chip, "requeue_program_fail", c.reqFail)
 		c.buf.Requeue(group)
 		f.release()
@@ -260,7 +262,9 @@ func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 		c.hub.Event(telemetry.PidFTL, chip, "flush", f.issueAt, c.eng.Now()-f.issueAt,
 			map[string]int64{"pages": int64(len(group)), "block": int64(f.block)})
 	}
-	if c.pol.ObserveProgram(chip, f.block, f.layer, f.wl, f.params, res) == VerdictReprogram {
+	verdict := c.pol.ObserveProgram(chip, f.block, f.layer, f.wl, f.params, res)
+	c.programEnded(chip, cursor)
+	if verdict == VerdictReprogram {
 		// §4.1.4: the word line is suspect — leave it unmapped (its pages
 		// are garbage) and rewrite the data at the next allocation.
 		c.stats.Reprograms++

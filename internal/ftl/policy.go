@@ -54,9 +54,9 @@ type Policy interface {
 	ObserveRead(chip, block, layer int, res nand.ReadResult, err error)
 
 	// BlockRetired tells the policy an active block filled up and left
-	// the write point (its monitoring state can be dropped), and
-	// BlockErased tells it a block was erased (any cached read offsets
-	// for it are stale).
+	// the write point, and its last program has completed (its monitoring
+	// state can be dropped), and BlockErased tells it a block was erased
+	// (any cached read offsets for it are stale).
 	BlockRetired(chip, block int)
 	BlockErased(chip, block int)
 }

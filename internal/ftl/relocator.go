@@ -385,6 +385,7 @@ func (g *relocOp) write() {
 		return
 	}
 	cursor.Take(layer, wl)
+	cursor.programs++
 	g.cursor, g.block, g.layer, g.wl = cursor, cursor.Block, layer, wl
 	g.progParams = c.pol.ProgramParams(chip, g.block, layer, wl)
 	addr := nand.Address{Block: g.block, Layer: layer, WL: wl}
@@ -400,6 +401,7 @@ func (g *relocOp) programDone(res nand.ProgramResult, err error) {
 		// keeps the die from degrading), but if it ever does the
 		// victim's copies are still intact — just end the cycle.
 		c.stats.FencedPrograms++
+		c.programEnded(chip, cursor)
 		g.cycle().close()
 		g.release()
 		return
@@ -409,6 +411,7 @@ func (g *relocOp) programDone(res nand.ProgramResult, err error) {
 		// batch on a fresh word line (the source copies are still
 		// intact on the victim).
 		c.stats.ProgramFailures++
+		c.programEnded(chip, cursor)
 		c.retireActive(chip, cursor)
 		c.stats.FaultRecoveries++
 		g.write()
@@ -420,7 +423,9 @@ func (g *relocOp) programDone(res nand.ProgramResult, err error) {
 		c.hub.Event(telemetry.PidFTL, chip, "gc_write", g.issueAt, c.eng.Now()-g.issueAt,
 			map[string]int64{"pages": int64(g.n), "victim": int64(victim)})
 	}
-	if c.pol.ObserveProgram(chip, g.block, g.layer, g.wl, g.progParams, res) == VerdictReprogram {
+	verdict := c.pol.ObserveProgram(chip, g.block, g.layer, g.wl, g.progParams, res)
+	c.programEnded(chip, cursor)
+	if verdict == VerdictReprogram {
 		c.stats.Reprograms++
 		c.requeueInstant(chip, "requeue_reprogram", c.reqReprog)
 		c.retireIfFull(chip, cursor)
