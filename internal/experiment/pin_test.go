@@ -68,7 +68,7 @@ func TestAblationAndFaultRowsPinned(t *testing.T) {
 	s := AblationSafetyCheck(pinOpts())
 	checkPin(t, fmt.Sprintf("safety=%s iops=%v retries/read=%v reprograms=%v", s.Values[0], s.IOPS[0],
 		s.Series("retries/read")[0], s.Series("reprograms")[0]),
-		"safety=on iops=46496.51113428704 retries/read=0.9624263652284668 reprograms=17")
+		"safety=on iops=47084.570480422706 retries/read=0.9487342779812132 reprograms=16")
 	f := ExtFaultTolerance(pinOpts())
 	for i, want := range map[int]string{
 		2: "pfail 1e-03 / efail 1e-04 iops=38143.640558743304 wp99=1933312 retired=20 failures=3 recovered=3 degraded=false",
