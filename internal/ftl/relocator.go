@@ -112,8 +112,8 @@ func (cy *relocCycle) relocate(lpns []LPN) {
 	g := c.getReloc()
 	g.n = 0
 	for g.n < vth.PagesPerWL && len(lpns) > 0 {
-		if c.mappedIn(lpns[0], cy.chip, cy.victim) {
-			g.batch[g.n] = lpns[0]
+		if l := lpns[0]; c.mappedIn(l, cy.chip, cy.victim) {
+			g.batch[g.n], g.stamps[g.n] = l, c.stamps[l]
 			g.n++
 		}
 		lpns = lpns[1:]
@@ -276,6 +276,7 @@ type relocOp struct {
 	rest         []LPN // victim pages still to visit after this batch
 	n            int   // pages in this batch
 	batch        [vth.PagesPerWL]LPN
+	stamps       [vth.PagesPerWL]uint64 // the stamp of each page's copy in the victim
 	data         [vth.PagesPerWL][]byte // payloads read (VerifyData mode)
 
 	// The read in progress.
@@ -363,10 +364,12 @@ func (g *relocOp) gcPages() [][]byte {
 }
 
 // gcOOB builds the spare-area records for the batch's word line: each
-// copy keeps its data's original write stamp.
+// copy keeps the write stamp of the version it copies, taken when the
+// batch was formed — not the page's stamp now, which a host overwrite
+// since may have moved past the data this program carries.
 func (g *relocOp) gcOOB(blockSeq uint64) [][]byte {
 	for i, l := range g.batch[:g.n] {
-		g.oob.put(i, l, g.c.stamps[l], blockSeq)
+		g.oob.put(i, l, g.stamps[i], blockSeq)
 	}
 	return g.oob.padded(g.n, blockSeq)
 }
@@ -437,8 +440,9 @@ func (g *relocOp) programDone(res nand.ProgramResult, err error) {
 	moved := 0
 	for i, l := range g.batch[:g.n] {
 		// Re-check liveness: the host may have overwritten it while the
-		// program was in flight.
-		if c.mappedIn(l, chip, victim) {
+		// program was in flight (a straggler can even land the newer
+		// version in the victim itself).
+		if c.mappedIn(l, chip, victim) && c.stamps[l] == g.stamps[i] {
 			dst := c.geo.EncodePPN(chip, g.block, wlIdx, i)
 			c.mapper.Map(l, dst)
 			moved++
@@ -446,7 +450,7 @@ func (g *relocOp) programDone(res nand.ProgramResult, err error) {
 				// The relocated copy keeps its data's stamp; the
 				// destination block's younger sequence breaks the tie
 				// against the source copy on recovery.
-				c.rec.NoteMapped(l, dst, c.stamps[l])
+				c.rec.NoteMapped(l, dst, g.stamps[i])
 			}
 		}
 	}

@@ -56,7 +56,14 @@ func closedLoop(t testing.TB, ctrl *ftl.Controller, seed uint64, hot, n, qd int)
 // stackLife is the sweep's device as every binary builds it: stack.Build
 // with Recovery on — two dies of six blocks, so the run's overwrites push
 // both into GC — prefilled over the hot set before the measured run.
-func stackLife(t testing.TB) sweepLife {
+func stackLife(t testing.TB) sweepLife { return stackLifeMounting(t, false) }
+
+// fullScanLife is stackLife remounted from the media alone: no checkpoint,
+// no journal, every block's OOB — the mount that shows what a page's
+// spare-area record says, with nothing else to cover for it.
+func fullScanLife(t testing.TB) sweepLife { return stackLifeMounting(t, true) }
+
+func stackLifeMounting(t testing.TB, fullScan bool) sweepLife {
 	const seed, hot = 3, 600
 	st, err := stack.Build(stack.Spec{
 		FTL: "cube", Channels: 1, DiesPerChannel: 2, BlocksPerChip: 6, Seed: seed,
@@ -74,7 +81,7 @@ func stackLife(t testing.TB) sweepLife {
 			if err := st.PowerCut(); err != nil {
 				return err
 			}
-			_, err := st.Remount(true, false)
+			_, err := st.Remount(true, fullScan)
 			return err
 		},
 		ctrl:    st.Ctrl,
@@ -156,7 +163,7 @@ func TestPowerCutAtEveryEvent(t *testing.T) {
 	for _, leg := range []struct {
 		name string
 		life func(testing.TB) sweepLife
-	}{{"stack", stackLife}, {"two programs per die", inflightLife}} {
+	}{{"stack", stackLife}, {"two programs per die", inflightLife}, {"full scan", fullScanLife}} {
 		t.Run(leg.name, func(t *testing.T) {
 			stride := sweepStride()
 			failed, probe, events := sweepCuts(t, leg.life, stride)
