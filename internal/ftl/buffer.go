@@ -23,6 +23,7 @@ type bufEntry struct {
 	stamp    uint64 // global write stamp of the latest data; flushes capture it
 	inflight bool   // currently part of an issued program
 	requeue  bool   // overwritten while in flight; must flush again
+	trimmed  bool   // trimmed while in flight: holds no data
 	requeues int    // failed-program requeues survived (telemetry)
 }
 
@@ -48,7 +49,8 @@ func (b *WriteBuffer) Utilization() float64 {
 
 // Contains reports whether lpn's latest data lives in the buffer.
 func (b *WriteBuffer) Contains(lpn LPN) bool {
-	return b.entries.Ref(int64(lpn)) != nil
+	e := b.entries.Ref(int64(lpn))
+	return e != nil && !e.trimmed
 }
 
 // Flushable returns how many entries are queued and not in flight.
@@ -60,7 +62,7 @@ func (b *WriteBuffer) Flushable() int { return b.queue.Len() }
 // It reports whether the write was admitted.
 func (b *WriteBuffer) Put(lpn LPN, stamp uint64) bool {
 	if e := b.entries.Ref(int64(lpn)); e != nil {
-		e.stamp = stamp
+		e.stamp, e.trimmed = stamp, false
 		if e.inflight {
 			e.requeue = true
 		}
@@ -112,12 +114,39 @@ func (b *WriteBuffer) Requeue(hs []FlushHandle) {
 		if e == nil || !e.inflight {
 			continue
 		}
+		if e.trimmed { // nothing left to write
+			b.entries.Delete(int64(hs[i].LPN))
+			continue
+		}
 		e.inflight = false
 		e.requeue = false
 		e.requeues++
 		b.requeueEvents++
 		b.queue.PushFront(hs[i].LPN)
 	}
+}
+
+// Trim forgets lpn's buffered data the way an overwrite supersedes it,
+// under the trim's write stamp: a queued entry leaves the queue and frees
+// its slot, which Trim reports; an in-flight one keeps its slot until its
+// program settles — stale, the stamp having moved — and is neither
+// requeued nor flushed again unless a write puts new data in it first.
+func (b *WriteBuffer) Trim(lpn LPN, stamp uint64) (freed bool) {
+	e := b.entries.Ref(int64(lpn))
+	switch {
+	case e == nil:
+		return false
+	case e.inflight:
+		e.stamp, e.requeue, e.trimmed = stamp, false, true
+		return false
+	}
+	b.entries.Delete(int64(lpn))
+	for n := b.queue.Len(); n > 0; n-- { // the others keep their order
+		if l := b.queue.Pop(); l != lpn {
+			b.queue.Push(l)
+		}
+	}
+	return true
 }
 
 // RequeueEvents returns how many page-level requeues the buffer has

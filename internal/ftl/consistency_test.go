@@ -42,6 +42,54 @@ func TestTrim(t *testing.T) {
 	}
 }
 
+// A trim supersedes a buffered copy the way an overwrite does: a queued
+// page is not flushed, a page whose program is in flight settles stale,
+// and a durable write held for either is acknowledged with the trim.
+func TestTrimForgetsTheBufferedCopy(t *testing.T) {
+	eng, c := testController(t, NewPagePolicy())
+	c.Write(5, nil, func() {}) // queued: a partial group waits for the timer
+	c.Trim(5, nil)
+	if c.buf.Occupied() != 0 || c.buf.Contains(5) {
+		t.Fatalf("after the trim the buffer holds %d pages", c.buf.Occupied())
+	}
+	for lpn := LPN(6); lpn < 9; lpn++ { // a whole word line: issued at once
+		c.Write(lpn, nil, func() {})
+	}
+	c.Trim(7, nil)
+	if c.buf.Contains(7) {
+		t.Error("a page trimmed in flight still reads from the buffer")
+	}
+	eng.Run()
+	for lpn, want := range map[LPN]bool{5: false, 6: true, 7: false, 8: true} {
+		if got := c.Mapper().Lookup(lpn) != ssd.UnmappedPPN; got != want {
+			t.Errorf("LPN %d mapped = %v, want %v", lpn, got, want)
+		}
+	}
+	if st := c.Stats(); st.Programs != 1 || c.buf.Occupied() != 0 {
+		t.Errorf("%d programs, %d pages left in the buffer; want 1 and 0", st.Programs, c.buf.Occupied())
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, c, h := durableAckController(3)
+	acked := map[LPN]bool{}
+	for _, lpn := range []LPN{1, 2, 3, 4} { // 1-3 in flight, 4 queued
+		if err := c.Write(lpn, nil, func() { acked[lpn] = true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Trim(2, nil)
+	c.Trim(4, nil)
+	if !acked[2] || !acked[4] || acked[1] || c.PendingAckCount() != 2 {
+		t.Fatalf("at the trims: acked %v with %d held; want 2 and 4 acked, 1 and 3 held", acked, c.PendingAckCount())
+	}
+	eng.RunWhile(func() bool { return !c.Drained() })
+	if len(acked) != 4 || len(h.mapped) != 2 || c.Mapper().Lookup(2) != ssd.UnmappedPPN {
+		t.Fatalf("drained: acked %v, mapped %v; want every write acked and only 1 and 3 mapped", acked, h.mapped)
+	}
+}
+
 func TestConsistencyAfterCleanRun(t *testing.T) {
 	eng, c := testController(t, NewPagePolicy())
 	for lpn := LPN(0); lpn < 60; lpn++ {
