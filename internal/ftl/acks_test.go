@@ -23,7 +23,7 @@ func (h *heldHook) NoteMapped(lpn LPN, ppn ssd.PPN, stamp uint64) {
 	h.mapped = append(h.mapped, MappingRecord{LPN: lpn, PPN: ppn, Stamp: stamp})
 	h.at = append(h.at, h.eng.Now())
 }
-func (h *heldHook) NoteTrim(lpn LPN)                             {}
+func (h *heldHook) NoteTrim(lpn LPN, stamp uint64)               {}
 func (h *heldHook) NoteRetired(chip, block int)                  {}
 func (h *heldHook) NoteDieDegraded(die int)                      {}
 func (h *heldHook) BarrierErase(chip, block int, proceed func()) { proceed() }

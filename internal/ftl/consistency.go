@@ -12,17 +12,19 @@ import (
 // mapping is dropped and any buffered copy forgotten, so the physical
 // page becomes garbage for the next collection. Completion is
 // immediate (metadata only). A trim supersedes the page's data the way
-// an overwrite does, under the next write stamp: a queued copy is not
-// flushed, an in-flight one settles stale, and the writes it superseded
-// that still hold a durable ack are acknowledged with it.
+// an overwrite does, under the next write stamp, which the page keeps as
+// its tombstone: a queued copy is not flushed, an in-flight one settles
+// stale, and the writes it superseded that still hold a durable ack are
+// acknowledged with it.
 func (c *Controller) Trim(lpn LPN, done func()) {
 	if lpn >= 0 && int(lpn) < c.mapper.LogicalPages() {
 		c.writeStamp++
 		freed := c.buf.Trim(lpn, c.writeStamp)
 		c.mapper.Invalidate(lpn)
+		c.setStamp(lpn, c.writeStamp)
 		c.stats.Trims++
 		if c.rec != nil {
-			c.rec.NoteTrim(lpn)
+			c.rec.NoteTrim(lpn, c.writeStamp)
 		}
 		var acked *hostWrite
 		c.takeHeldAcks(lpn, c.writeStamp, &acked)

@@ -222,14 +222,18 @@ type Controller struct {
 	relocOps   pool.FreeList[relocOp]
 
 	// Crash-consistency state (see internal/recovery). writeStamp is the
-	// last global write stamp issued (monotonic across host writes and
-	// across power cycles); stamps[lpn] is the stamp of the mapped copy.
-	// blockSeq is the last block sequence number assigned to an opened
-	// block. rec, when non-nil, receives mapping deltas for journaling.
+	// last global write stamp issued (monotonic across host writes, trims
+	// and power cycles); stamps[lpn] is the stamp of the mapped copy or,
+	// for an unmapped page, of the trim that unmapped it — a tombstone the
+	// checkpoint keeps, so no older copy left on the media comes back —
+	// and stamped counts the pages with one. blockSeq is the last block
+	// sequence number assigned to an opened block. rec, when non-nil, is
+	// told what the journal must make durable.
 	rec        RecoveryHook
 	writeStamp uint64
 	blockSeq   uint64
 	stamps     []uint64
+	stamped    int
 
 	// DurableAcks bookkeeping: host writes whose acks are held until
 	// their page is programmed, chained through hostWrite.next in
@@ -259,7 +263,7 @@ type die struct {
 	// degrading die — with a program still in flight. The policy hears
 	// of their retirement when the last one completes (it still observes
 	// those programs), and host pages are acked when theirs completes,
-	// before the journal has their mappings; a mount rolls pages forward
+	// committed by their OOB records alone; a mount rolls pages forward
 	// only from the blocks the checkpoint lists as open, so until then a
 	// checkpoint lists these too (AppendActives).
 	closing  []*BlockCursor
@@ -574,10 +578,6 @@ func (c *Controller) hostProgramInFlight() bool {
 // checkpoints the controller's full state, so deltas that predate the
 // hook are covered by the checkpoint rather than the journal.
 func (c *Controller) SetRecovery(rec RecoveryHook) { c.rec = rec }
-
-// StampOf returns the global write stamp of the mapped copy of lpn
-// (zero when never mapped since the stamp counter started).
-func (c *Controller) StampOf(lpn LPN) uint64 { return c.stamps[lpn] }
 
 // PendingAckCount returns how many host write acks are waiting for
 // their page's program to complete (DurableAcks mode).

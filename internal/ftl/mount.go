@@ -22,7 +22,8 @@ type MountState struct {
 	LastBlockSeq uint64
 
 	// Mappings lists every live L2P entry in ascending LPN order, each
-	// carrying the write stamp of its data version.
+	// carrying the write stamp of its data version, and among them every
+	// trimmed page, with PPN UnmappedPPN and the trim's stamp.
 	Mappings []MappingRecord
 
 	// Free is each chip's erased-block pool, in pool order.
@@ -40,7 +41,7 @@ type MountState struct {
 	DegradedDies []bool
 }
 
-// MappingRecord is one live L2P entry.
+// MappingRecord is one live L2P entry, or a trim's tombstone.
 type MappingRecord struct {
 	LPN   LPN
 	PPN   ssd.PPN
@@ -66,11 +67,9 @@ func (c *Controller) StateSnapshot() MountState {
 		DegradedDies: make([]bool, c.geo.Chips),
 	}
 	for lpn := LPN(0); lpn < LPN(c.mapper.LogicalPages()); lpn++ {
-		ppn := c.mapper.Lookup(lpn)
-		if ppn == ssd.UnmappedPPN {
-			continue
+		if c.stamps[lpn] != 0 {
+			ms.Mappings = append(ms.Mappings, MappingRecord{LPN: lpn, PPN: c.mapper.Lookup(lpn), Stamp: c.stamps[lpn]})
 		}
-		ms.Mappings = append(ms.Mappings, MappingRecord{LPN: lpn, PPN: ppn, Stamp: c.stamps[lpn]})
 	}
 	for chip := 0; chip < c.geo.Chips; chip++ {
 		ms.Free[chip] = append([]int(nil), c.dies[chip].free...)
@@ -90,6 +89,23 @@ func (c *Controller) StateSnapshot() MountState {
 // sequence number issued.
 func (c *Controller) StampCounters() (lastStamp, lastBlockSeq uint64) {
 	return c.writeStamp, c.blockSeq
+}
+
+// StampOf returns the global write stamp of the mapped copy of lpn, or
+// of the trim that unmapped it (zero when neither happened since the
+// stamp counter started).
+func (c *Controller) StampOf(lpn LPN) uint64 { return c.stamps[lpn] }
+
+// StampedPages returns how many logical pages have a stamp: the mapped
+// ones and the trimmed ones.
+func (c *Controller) StampedPages() int { return c.stamped }
+
+// setStamp records the stamp of lpn's mapped copy or tombstone.
+func (c *Controller) setStamp(lpn LPN, stamp uint64) {
+	if c.stamps[lpn] == 0 {
+		c.stamped++
+	}
+	c.stamps[lpn] = stamp
 }
 
 // FreeBlocks returns a chip's erased-block pool in pool order. The
@@ -182,9 +198,11 @@ func NewControllerWithState(dev *ssd.Device, pol Policy, cfg ControllerConfig, m
 		if m.LPN < 0 || int(m.LPN) >= c.LogicalPages() {
 			return nil, fmt.Errorf("ftl: mount state maps out-of-range LPN %d", m.LPN)
 		}
-		c.mapper.Map(m.LPN, m.PPN)
-		c.stamps[m.LPN] = m.Stamp
-		c.recordMapping(m.LPN, m.Stamp)
+		c.setStamp(m.LPN, m.Stamp)
+		if m.PPN != ssd.UnmappedPPN {
+			c.mapper.Map(m.LPN, m.PPN)
+			c.recordMapping(m.LPN, m.Stamp)
+		}
 	}
 
 	// Restore degraded dies: fence them again and leave their write

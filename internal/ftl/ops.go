@@ -274,13 +274,13 @@ func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 	} else {
 		// A settled page is on the media under a CRC-checked OOB record the
 		// mount rolls forward from: that is the commit point of a held
-		// durable ack, whether or not the journal has the mapping yet.
+		// durable ack, and the only record of the mapping there is.
 		wlIdx := f.layer*c.geo.WLsPerLayer + f.wl
 		for i, h := range group {
 			if c.buf.Settle(h) {
 				ppn := c.geo.EncodePPN(chip, f.block, wlIdx, i)
 				c.mapper.Map(h.LPN, ppn)
-				c.stamps[h.LPN] = h.Stamp
+				c.setStamp(h.LPN, h.Stamp)
 				c.recordMapping(h.LPN, h.Stamp)
 				if c.rec != nil {
 					c.rec.NoteMapped(h.LPN, ppn, h.Stamp)

@@ -8,12 +8,14 @@ import (
 )
 
 // RecoveryHook is the controller's outbound interface to the
-// crash-consistency subsystem (internal/recovery). The controller
-// notifies it of every mapping delta so the journal can make the
-// deltas durable, and defers two state transitions — erasing a block
-// and returning it to the free pool — until the journal records that
-// justify them are durable. Without a hook attached every Note is
-// skipped and both barriers proceed immediately.
+// crash-consistency subsystem (internal/recovery). A page's mapping is
+// committed by the OOB record programmed with it; the controller tells
+// the hook what no page records — blocks opened, erased and retired,
+// dies degraded, trims — so its journal can make those durable, and
+// defers two state transitions — erasing a block and returning it to
+// the free pool — until the records they depend on are durable. Without
+// a hook attached every Note is skipped and both barriers proceed
+// immediately.
 //
 // Import direction: internal/recovery imports internal/ftl, never the
 // reverse; this interface is the seam between them.
@@ -22,14 +24,16 @@ type RecoveryHook interface {
 	// point with the given block sequence number.
 	NoteBlockOpened(chip, block int, seq uint64)
 
-	// NoteMapped records an installed mapping lpn -> ppn carrying the
+	// NoteMapped reports an installed mapping lpn -> ppn carrying the
 	// data version's write stamp (host flush and GC relocation alike).
 	// The page is already on the media under its OOB record, which is
-	// what commits it: the journal record only spares the mount a scan.
+	// what commits it: nothing about it needs journaling.
 	NoteMapped(lpn LPN, ppn ssd.PPN, stamp uint64)
 
-	// NoteTrim records an explicit host invalidation.
-	NoteTrim(lpn LPN)
+	// NoteTrim records an explicit host invalidation, under the write
+	// stamp the trim took: no copy of the page at or below it may come
+	// back.
+	NoteTrim(lpn LPN, stamp uint64)
 
 	// NoteRetired records a block added to the grown bad-block list.
 	NoteRetired(chip, block int)
@@ -37,18 +41,21 @@ type RecoveryHook interface {
 	// NoteDieDegraded records a die transitioning to read-only.
 	NoteDieDegraded(die int)
 
-	// BarrierErase defers a victim-block erase until every journal
-	// record moving data out of the block is durable; proceed issues
-	// the erase. Without this barrier a power cut after the erase but
-	// before the relocation records persist would leave the recovered
-	// mapping pointing into erased cells.
+	// BarrierErase defers a victim-block erase until every record noted
+	// so far is durable; proceed issues the erase. Those include the
+	// opening of each block the victim's pages were copied into, which
+	// sends the mount to find the copies, and any trim of a page the
+	// checkpoint still maps into the victim: without the barrier a cut
+	// after the erase could leave the recovered mapping pointing into
+	// erased cells.
 	BarrierErase(chip, block int, proceed func())
 
 	// NoteErased records a completed erase and defers the block's
 	// return to the free pool until the erase record itself is
 	// durable; proceed re-pools the block. Without this barrier the
-	// block could be reopened and reprogrammed while the journal still
-	// calls it a victim, resurrecting pre-erase mappings on recovery.
+	// block could be reopened and take writes while the durable state
+	// still calls it a full block of old data, which the mount does not
+	// scan.
 	NoteErased(chip, block int, proceed func())
 }
 

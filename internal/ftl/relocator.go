@@ -141,8 +141,9 @@ func (cy *relocCycle) finish() {
 		c.mapper.ClearBlock(cy.chip, cy.victim)
 		cy.done()
 	case c.rec != nil:
-		// Every journal record relocating data out of the victim must be
-		// durable before the cells are wiped.
+		// What sends a mount to the victim's copies — their blocks'
+		// opening records — and every trim of a page the checkpoint maps
+		// into it must be durable before the cells are wiped.
 		c.rec.BarrierErase(cy.chip, cy.victim, cy.onBarrier)
 	default:
 		cy.erase()
@@ -447,9 +448,9 @@ func (g *relocOp) programDone(res nand.ProgramResult, err error) {
 			c.mapper.Map(l, dst)
 			moved++
 			if c.rec != nil {
-				// The relocated copy keeps its data's stamp; the
-				// destination block's younger sequence breaks the tie
-				// against the source copy on recovery.
+				// The relocated copy keeps its data's stamp; a mount
+				// breaks the tie with the source copy by reading what
+				// the source page still holds.
 				c.rec.NoteMapped(l, dst, g.stamps[i])
 			}
 		}

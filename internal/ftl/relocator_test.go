@@ -260,7 +260,7 @@ type inlineHook struct{}
 
 func (inlineHook) NoteBlockOpened(int, int, uint64)      {}
 func (inlineHook) NoteMapped(LPN, ssd.PPN, uint64)       {}
-func (inlineHook) NoteTrim(LPN)                          {}
+func (inlineHook) NoteTrim(LPN, uint64)                  {}
 func (inlineHook) NoteRetired(int, int)                  {}
 func (inlineHook) NoteDieDegraded(int)                   {}
 func (inlineHook) BarrierErase(_, _ int, proceed func()) { proceed() }

@@ -120,7 +120,8 @@ var ckptMagic = [4]byte{'C', 'C', 'K', 'P'}
 // An image opens with a fixed header — magic, LastStamp u64,
 // LastBlockSeq u64, chip count u32, mapping count u32 — followed by the
 // L2P entries in LPN order, mappingBytes each: lpn u64, ppn u64, stamp
-// u64.
+// u64. A trimmed page is an entry too, a tombstone: ppn -1, the trim's
+// stamp.
 const (
 	ckptHeaderBytes = 4 + 8 + 8 + 4 + 4
 	mappingBytes    = 24
@@ -172,8 +173,8 @@ func putMapping(rec []byte, ctrl *ftl.Controller, lpn ftl.LPN, ppn ssd.PPN) {
 func (e *ckptEncoder) appendCheckpoint(dst []byte, ctrl *ftl.Controller) []byte {
 	start := len(dst)
 
-	// The mapper counts its live pages per block, so the mapping section
-	// is sized before the walk and written by index. A buffer that has to
+	// The controller counts the pages that carry a stamp, so the mapping
+	// section is sized before the walk and written by index. A buffer that has to
 	// grow for it grows a sixteenth further: the pools and the policy's
 	// state come to a few percent of the records on a device worth
 	// pre-sizing for (65 KB behind 2.4 MB on the served one), and appended
@@ -182,7 +183,7 @@ func (e *ckptEncoder) appendCheckpoint(dst []byte, ctrl *ftl.Controller) []byte 
 	// chunk at a time while the chunk is still in cache: a second pass
 	// over the finished image would read all of it back from memory.
 	mapper := ctrl.Mapper()
-	nMap := mapper.Mapped()
+	nMap := ctrl.StampedPages()
 	if need := ckptHeaderBytes + nMap*mappingBytes; cap(dst)-len(dst) < need {
 		dst = slices.Grow(dst, need+need/16)
 	}
@@ -193,11 +194,11 @@ func (e *ckptEncoder) appendCheckpoint(dst []byte, ctrl *ftl.Controller) []byte 
 	crc := crc32.Update(0, crc32.IEEETable, dst[start:len(dst)-len(recs)])
 	for lpn, n := ftl.LPN(0), ftl.LPN(mapper.LogicalPages()); lpn < n; lpn++ {
 		ppn := mapper.Lookup(lpn)
-		if ppn == ssd.UnmappedPPN {
+		if ppn == ssd.UnmappedPPN && ctrl.StampOf(lpn) == 0 {
 			continue
 		}
 		if off == len(recs) {
-			panic("recovery: forward map holds more pages than the mapper counts")
+			panic("recovery: more pages carry a stamp than the controller counts")
 		}
 		putMapping(recs[off:off+mappingBytes], ctrl, lpn, ppn)
 		off += mappingBytes
@@ -207,7 +208,7 @@ func (e *ckptEncoder) appendCheckpoint(dst []byte, ctrl *ftl.Controller) []byte 
 		}
 	}
 	if off != len(recs) {
-		panic("recovery: forward map holds fewer pages than the mapper counts")
+		panic("recovery: fewer pages carry a stamp than the controller counts")
 	}
 	crc = crc32.Update(crc, crc32.IEEETable, recs[summed:])
 	return e.appendTail(dst, ctrl, crc, len(dst))
@@ -217,8 +218,9 @@ func (e *ckptEncoder) appendCheckpoint(dst []byte, ctrl *ftl.Controller) []byte 
 // with bodyCRC over its header and records, up to ctrl's state by
 // rewriting what can have changed: the header's counters, the records of
 // the pages in dirty, everything behind the records. The caller vouches
-// that the set of mapped pages is still the one img lists and that dirty
-// names every page mapped anew since img was encoded, repeats and all;
+// that the set of pages with a stamp is still the one img lists and that
+// dirty names every page mapped or trimmed since img was encoded, repeats
+// and all;
 // the result is then appendCheckpoint's, byte for byte, without the walk
 // over the logical space — and, for a short dirty list, without a pass
 // over the records to sum them: CRC-32 is linear, so each rewritten span
@@ -247,13 +249,12 @@ func (e *ckptEncoder) patchCheckpoint(img []byte, bodyCRC uint32, ctrl *ftl.Cont
 				hi = mid
 			}
 		}
-		ppn := mapper.Lookup(lpn)
-		if lo == nMap || ftl.LPN(binary.LittleEndian.Uint64(recs[lo*mappingBytes:])) != lpn || ppn == ssd.UnmappedPPN {
-			panic("recovery: patched checkpoint's mapped set differs from the image's")
+		if lo == nMap || ftl.LPN(binary.LittleEndian.Uint64(recs[lo*mappingBytes:])) != lpn || ctrl.StampOf(lpn) == 0 {
+			panic("recovery: patched checkpoint's set of pages differs from the image's")
 		}
 		rec := recs[lo*mappingBytes : (lo+1)*mappingBytes]
 		was = e.was[:copy(e.was[:], rec)]
-		putMapping(rec, ctrl, lpn, ppn)
+		putMapping(rec, ctrl, lpn, mapper.Lookup(lpn))
 		if moveCRC {
 			crc ^= crcOfChange(was, rec, len(recs)-(lo+1)*mappingBytes)
 		}

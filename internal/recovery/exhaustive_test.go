@@ -33,8 +33,8 @@ type sweepLife struct {
 	patched func() int
 }
 
-// closedLoop keeps qd writes outstanding over the first hot LPNs until n
-// have been issued.
+// closedLoop keeps qd operations outstanding over the first hot LPNs
+// until n have been issued: writes, and one trim in sixteen.
 func closedLoop(t testing.TB, ctrl *ftl.Controller, seed uint64, hot, n, qd int) (busy func() bool) {
 	src := rng.New(seed)
 	issued, outstanding := 0, 0
@@ -43,8 +43,10 @@ func closedLoop(t testing.TB, ctrl *ftl.Controller, seed uint64, hot, n, qd int)
 		for outstanding < qd && issued < n {
 			issued++
 			outstanding++
-			lpn := ftl.LPN(src.Intn(hot))
-			if err := ctrl.Write(lpn, nil, func() { outstanding--; issue() }); err != nil {
+			lpn, done := ftl.LPN(src.Intn(hot)), func() { outstanding--; issue() }
+			if src.Intn(16) == 0 {
+				ctrl.Trim(lpn, done)
+			} else if err := ctrl.Write(lpn, nil, done); err != nil {
 				t.Fatalf("write %d: %v", lpn, err)
 			}
 		}
@@ -180,11 +182,11 @@ func TestPowerCutAtEveryEvent(t *testing.T) {
 	}
 }
 
-// The negative control: the stack leg with the roll-forward rule the
+// The negative controls. The stack leg with the roll-forward rule the
 // journal-gated ack used — a candidate must also be newer than every
-// stamp the checkpoint and journal hold — loses acked writes. Programs
-// complete out of stamp order, so a newer stamp's record can be durable
-// while an older one, already acked, is not.
+// stamp the checkpoint and journal hold — loses acked writes: programs
+// complete out of stamp order, so a newer stamp's page can be on the
+// media while an older one, already acked, is not in the checkpoint.
 func TestPowerCutAtEveryEventNeedsThePerLPNRule(t *testing.T) {
 	defer recovery.UseGlobalHorizonForTest()()
 	failed, _, events := sweepCuts(t, stackLife, 29)
@@ -192,4 +194,29 @@ func TestPowerCutAtEveryEventNeedsThePerLPNRule(t *testing.T) {
 		t.Fatal("every cut recovered every acked write under the global horizon: the sweep does not reach the case")
 	}
 	t.Logf("%d of %d cuts lose acked writes under the global horizon, first: %s", len(failed), (events+28)/29, failed[0])
+}
+
+// Both legs, with a checkpoint mapping standing at every tie unread, lose
+// writes: a GC copy made since the checkpoint carries the same stamp as
+// the page the checkpoint maps, and once the victim is erased only the
+// media can say which of the two still holds the data. A handful of cuts
+// reach the case, so the control cuts after every event, and is not run
+// under -short or -race.
+func TestPowerCutAtEveryEventNeedsTheMediaAtTies(t *testing.T) {
+	if sweepStride() != 1 {
+		t.Skip("the control needs a cut after every event")
+	}
+	defer recovery.UseCheckpointAtTiesForTest()()
+	for _, leg := range []struct {
+		name string
+		life func(testing.TB) sweepLife
+	}{{"stack", stackLife}, {"two programs per die", inflightLife}} {
+		t.Run(leg.name, func(t *testing.T) {
+			failed, _, events := sweepCuts(t, leg.life, 1)
+			if len(failed) == 0 {
+				t.Fatal("every cut recovered every acked write with the checkpoint standing at ties: the sweep does not reach the case")
+			}
+			t.Logf("%d of %d cuts lose writes with the checkpoint standing at ties, first: %s", len(failed), events, failed[0])
+		})
+	}
 }

@@ -7,5 +7,13 @@ func UseGlobalHorizonForTest() (restore func()) {
 	return func() { globalHorizonForTest = false }
 }
 
+// UseCheckpointAtTiesForTest makes Mount let a checkpoint mapping stand
+// at every equal-stamp tie, without reading its page
+// (checkpointWinsTiesForTest), until the returned func runs.
+func UseCheckpointAtTiesForTest() (restore func()) {
+	checkpointWinsTiesForTest = true
+	return func() { checkpointWinsTiesForTest = false }
+}
+
 // PatchedCheckpoints returns how many checkpoints patchCheckpoint wrote.
 func (m *Manager) PatchedCheckpoints() int { return m.ckptPatched }

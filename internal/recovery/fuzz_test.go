@@ -56,12 +56,17 @@ func FuzzDecodeJournal(f *testing.F) {
 	dev := ssd.New(sim.NewEngine(), cutSSDConfig(3))
 	ctrl := ftl.NewController(dev, core.New(dev.Geometry()), cutCtrlConfig())
 	mgr := Attach(ctrl, NewSystemArea(), Options{CkptIntervalNs: -1}) // keep the whole journal
-	hammer(f, ctrl, 1, 300)
+	// A few records, whole and torn: the blocks a thousand writes open, and
+	// four trims. A long input costs the fuzzer its budget in minimisation.
+	hammer(f, ctrl, 1, 1000)
+	for lpn := ftl.LPN(0); lpn < 4; lpn++ {
+		ctrl.Trim(lpn, nil)
+	}
 	ctrl.Engine().RunWhile(func() bool { return !mgr.Quiesced() })
-	// A few of its records, whole and torn: a long input costs the fuzzer
-	// its budget in minimisation.
-	_, offs, _ := decodeJournal(mgr.sys.journal)
-	journal := mgr.sys.journal[:offs[12]]
+	journal := mgr.sys.journal
+	if recs, _, torn := decodeJournal(journal); torn || len(recs) != 12 {
+		f.Fatalf("seed journal holds %d records (torn %v), want 12", len(recs), torn)
+	}
 	f.Add(journal)
 	f.Add(journal[:len(journal)-5])
 	f.Add(bytes.Join(sampleRecords(), nil))
@@ -94,18 +99,16 @@ func FuzzDecodeJournal(f *testing.F) {
 }
 
 // appendRecord is the journal's encoder for a decoded record.
-func appendRecord(dst []byte, r Record) []byte {
-	switch r.Type {
+func appendRecord(dst []byte, r record) []byte {
+	switch r.typ {
 	case recBlockOpened:
-		return appendBlockOpened(dst, r.Chip, r.Block, r.Seq)
-	case recMapped:
-		return appendMapped(dst, r.LPN, r.PPN, r.Stamp)
+		return appendBlockOpened(dst, r.chip, r.block, r.seq)
 	case recTrim:
-		return appendTrim(dst, r.LPN)
+		return appendTrim(dst, r.lpn, r.stamp)
 	case recErased, recRetired:
-		return appendChipBlock(dst, byte(r.Type), r.Chip, r.Block)
+		return appendChipBlock(dst, byte(r.typ), r.chip, r.block)
 	case recDieDegraded:
-		return appendDieDegraded(dst, r.Die)
+		return appendDieDegraded(dst, r.die)
 	}
 	panic("recovery: no encoder for record type")
 }

@@ -1,15 +1,21 @@
 // Package recovery is the crash-consistency subsystem: per-program OOB
 // metadata, a reserved system area holding periodic checkpoints and a
-// write-ahead journal of mapping deltas, a power-cut engine that halts
-// the simulated device mid-flight, and the mount path that rebuilds a
+// write-ahead journal of block events, a power-cut engine that halts the
+// simulated device mid-flight, and the mount path that rebuilds a
 // consistent FTL from flash contents alone.
 //
-// The journal is strictly a redo log of already-true facts: every
-// record describes a state transition that has ALREADY happened on the
-// media or in controller RAM by the time the record is appended. Replay
-// of any validly-framed prefix is therefore always safe — a torn tail
-// (detected by framing and CRC) simply means the newest facts are
-// re-discovered by the OOB roll-forward scan instead.
+// A page's mapping is committed once, on the media: the CRC-checked OOB
+// record programmed with it names its LPN and write stamp, and the mount
+// rolls every page forward from there. The journal carries what no page
+// records — a block opened, erased or retired, a die degraded, a trim —
+// and is strictly a redo log of already-true facts: every record
+// describes a state transition that has ALREADY happened on the media or
+// in controller RAM by the time the record is appended. Replay of any
+// validly-framed prefix is therefore always safe: a torn tail (detected
+// by framing and CRC) drops only the newest facts, which the mount
+// re-discovers from the media (a block opened since, by the free-pool
+// probe) or which nothing was allowed to depend on yet (an erased block
+// is not reused, and a trim is not durable, until its record is).
 package recovery
 
 import (
@@ -17,29 +23,26 @@ import (
 	"hash/crc32"
 
 	"cubeftl/internal/ftl"
-	"cubeftl/internal/ssd"
 )
 
 // Record types. The payload layouts are fixed little-endian.
 const (
 	recBlockOpened = iota + 1 // chip u32, block u32, seq u64
-	recMapped                 // lpn u64, ppn u64, stamp u64
-	recTrim                   // lpn u64
+	recTrim                   // lpn u64, stamp u64
 	recErased                 // chip u32, block u32
 	recRetired                // chip u32, block u32
 	recDieDegraded            // die u32
 )
 
-// Record is one decoded journal entry. Fields are valid per Type.
-type Record struct {
-	Type  int
-	Chip  int
-	Block int
-	Die   int
-	Seq   uint64
-	LPN   ftl.LPN
-	PPN   ssd.PPN
-	Stamp uint64
+// record is one decoded journal entry. Fields are valid per typ.
+type record struct {
+	typ   int
+	chip  int
+	block int
+	die   int
+	seq   uint64
+	lpn   ftl.LPN
+	stamp uint64
 }
 
 // Frame: len u16 (payload bytes) | type u8 | payload | crc u32.
@@ -69,19 +72,11 @@ func appendBlockOpened(dst []byte, chip, block int, seq uint64) []byte {
 	return endFrame(dst, start)
 }
 
-func appendMapped(dst []byte, lpn ftl.LPN, ppn ssd.PPN, stamp uint64) []byte {
+func appendTrim(dst []byte, lpn ftl.LPN, stamp uint64) []byte {
 	start := len(dst)
-	dst = beginFrame(dst, recMapped, 24)
+	dst = beginFrame(dst, recTrim, 16)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(lpn))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(ppn)))
 	dst = binary.LittleEndian.AppendUint64(dst, stamp)
-	return endFrame(dst, start)
-}
-
-func appendTrim(dst []byte, lpn ftl.LPN) []byte {
-	start := len(dst)
-	dst = beginFrame(dst, recTrim, 8)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(lpn))
 	return endFrame(dst, start)
 }
 
@@ -105,11 +100,10 @@ func appendDieDegraded(dst []byte, die int) []byte {
 // decodeJournal walks the journal buffer and returns every validly
 // framed record with its start offset within b, plus whether the tail
 // was torn (bytes remained but did not frame). A record with an
-// unknown type, a short payload or a PPN out of range (FuzzDecodeJournal:
-// it was truncated to one that fits) also stops the walk — after a torn
-// frame nothing downstream can be trusted, because frame boundaries
-// are gone.
-func decodeJournal(b []byte) (recs []Record, offs []int, torn bool) {
+// unknown type or a payload of the wrong length also stops the walk —
+// after a torn frame nothing downstream can be trusted, because frame
+// boundaries are gone.
+func decodeJournal(b []byte) (recs []record, offs []int, torn bool) {
 	off := 0
 	for off < len(b) {
 		if len(b)-off < frameOverhead {
@@ -135,52 +129,17 @@ func decodeJournal(b []byte) (recs []Record, offs []int, torn bool) {
 	return recs, offs, false
 }
 
-func decodeRecord(typ byte, p []byte) (Record, bool) {
-	switch typ {
-	case recBlockOpened:
-		if len(p) != 16 {
-			return Record{}, false
-		}
-		return Record{
-			Type:  recBlockOpened,
-			Chip:  int(binary.LittleEndian.Uint32(p[0:4])),
-			Block: int(binary.LittleEndian.Uint32(p[4:8])),
-			Seq:   binary.LittleEndian.Uint64(p[8:16]),
-		}, true
-	case recMapped:
-		if len(p) != 24 {
-			return Record{}, false
-		}
-		ppn := int64(binary.LittleEndian.Uint64(p[8:16]))
-		if int64(ssd.PPN(ppn)) != ppn {
-			return Record{}, false // a PPN no device has: damage, not a mapping
-		}
-		return Record{
-			Type:  recMapped,
-			LPN:   ftl.LPN(binary.LittleEndian.Uint64(p[0:8])),
-			PPN:   ssd.PPN(ppn),
-			Stamp: binary.LittleEndian.Uint64(p[16:24]),
-		}, true
-	case recTrim:
-		if len(p) != 8 {
-			return Record{}, false
-		}
-		return Record{Type: recTrim, LPN: ftl.LPN(binary.LittleEndian.Uint64(p))}, true
-	case recErased, recRetired:
-		if len(p) != 8 {
-			return Record{}, false
-		}
-		return Record{
-			Type:  int(typ),
-			Chip:  int(binary.LittleEndian.Uint32(p[0:4])),
-			Block: int(binary.LittleEndian.Uint32(p[4:8])),
-		}, true
-	case recDieDegraded:
-		if len(p) != 4 {
-			return Record{}, false
-		}
-		return Record{Type: recDieDegraded, Die: int(binary.LittleEndian.Uint32(p))}, true
-	default:
-		return Record{}, false
+func decodeRecord(typ byte, p []byte) (record, bool) {
+	le := binary.LittleEndian
+	switch {
+	case typ == recBlockOpened && len(p) == 16:
+		return record{typ: recBlockOpened, chip: int(le.Uint32(p[0:4])), block: int(le.Uint32(p[4:8])), seq: le.Uint64(p[8:16])}, true
+	case typ == recTrim && len(p) == 16:
+		return record{typ: recTrim, lpn: ftl.LPN(le.Uint64(p[0:8])), stamp: le.Uint64(p[8:16])}, true
+	case (typ == recErased || typ == recRetired) && len(p) == 8:
+		return record{typ: int(typ), chip: int(le.Uint32(p[0:4])), block: int(le.Uint32(p[4:8]))}, true
+	case typ == recDieDegraded && len(p) == 4:
+		return record{typ: recDieDegraded, die: int(le.Uint32(p))}, true
 	}
+	return record{}, false
 }

@@ -12,8 +12,7 @@ import (
 func sampleRecords() [][]byte {
 	return [][]byte{
 		appendBlockOpened(nil, 1, 7, 42),
-		appendMapped(nil, 9, 1234, 55),
-		appendTrim(nil, 3),
+		appendTrim(nil, 3, 56),
 		appendChipBlock(nil, recErased, 0, 5),
 		appendChipBlock(nil, recRetired, 2, 11),
 		appendDieDegraded(nil, 3),
@@ -29,19 +28,18 @@ func TestJournalRoundTrip(t *testing.T) {
 	if torn {
 		t.Fatal("clean journal reported torn")
 	}
-	if len(recs) != 6 || len(offs) != 6 {
-		t.Fatalf("decoded %d records, want 6", len(recs))
+	if len(recs) != 5 || len(offs) != 5 {
+		t.Fatalf("decoded %d records, want 5", len(recs))
 	}
 	if offs[0] != 0 {
 		t.Errorf("first offset = %d", offs[0])
 	}
-	want := []Record{
-		{Type: recBlockOpened, Chip: 1, Block: 7, Seq: 42},
-		{Type: recMapped, LPN: 9, PPN: 1234, Stamp: 55},
-		{Type: recTrim, LPN: 3},
-		{Type: recErased, Chip: 0, Block: 5},
-		{Type: recRetired, Chip: 2, Block: 11},
-		{Type: recDieDegraded, Die: 3},
+	want := []record{
+		{typ: recBlockOpened, chip: 1, block: 7, seq: 42},
+		{typ: recTrim, lpn: 3, stamp: 56},
+		{typ: recErased, chip: 0, block: 5},
+		{typ: recRetired, chip: 2, block: 11},
+		{typ: recDieDegraded, die: 3},
 	}
 	for i, w := range want {
 		if recs[i] != w {
@@ -65,8 +63,8 @@ func TestJournalTornTailDetected(t *testing.T) {
 		if !torn {
 			t.Fatalf("cut at %d of %d not reported torn", cut, full)
 		}
-		if len(recs) != 5 {
-			t.Fatalf("cut at %d decoded %d records, want 5", cut, len(recs))
+		if len(recs) != 4 {
+			t.Fatalf("cut at %d decoded %d records, want 4", cut, len(recs))
 		}
 	}
 }
@@ -78,7 +76,7 @@ func TestJournalCorruptionDetected(t *testing.T) {
 		buf = append(buf, r...)
 	}
 	second := len(appendBlockOpened(nil, 1, 7, 42))
-	mid := second + 5 // inside the Mapped record
+	mid := second + 5 // inside the Trim record
 	buf[mid] ^= 0xFF
 	recs, _, torn := decodeJournal(buf)
 	if !torn {

@@ -93,6 +93,7 @@ type waiter struct {
 	kind waiterKind
 
 	lpn     ftl.LPN // waitTrim
+	stamp   uint64  // waitTrim
 	proceed func()  // waitProceed
 }
 
@@ -107,21 +108,21 @@ const (
 )
 
 // slotLog is what this manager knows about the image it last encoded
-// into one slot's buffer. While patchable holds, no page has left the
-// mapped set since that encode and dirty holds every page mapped since,
-// overwrites and relocations alike. The mapped set can then only have
-// grown, which Mapper.Mapped() gives away; if it has not, the image's
-// records are the right ones except at the pages in dirty, and the next
-// checkpoint into the slot rewrites those in place instead of walking
-// the logical space. The zero value (a fresh manager: the slot's bytes
-// are some earlier life's) is not patchable.
+// into one slot's buffer. While patchable holds, dirty holds every page
+// mapped or trimmed since that encode, overwrites and relocations alike.
+// A page never loses its stamp (a trim leaves a tombstone), so the set of
+// pages with one can only have grown, which StampedPages gives away; if
+// it has not, the image's records are the right ones except at the pages
+// in dirty, and the next checkpoint into the slot rewrites those in place
+// instead of walking the logical space. The zero value (a fresh manager:
+// the slot's bytes are some earlier life's) is not patchable.
 type slotLog struct {
 	patchable bool
 	dirty     []ftl.LPN // at most dirtyLogCap, repeats kept
 	bodyCRC   uint32    // of the image's header and records (ckptEncoder.bodyCRC)
 }
 
-// note logs a page mapped anew; a full log gives the slot up.
+// note logs a page mapped or trimmed anew; a full log gives the slot up.
 func (lg *slotLog) note(lpn ftl.LPN) {
 	switch {
 	case !lg.patchable:
@@ -267,7 +268,7 @@ func (m *Manager) run(w waiter) {
 	switch w.kind {
 	case waitTrim:
 		if m.ledger != nil {
-			m.ledger.RecordTrim(w.lpn)
+			m.ledger.RecordTrim(w.lpn, w.stamp)
 		}
 	case waitProceed:
 		w.proceed()
@@ -300,14 +301,12 @@ func (m *Manager) NoteBlockOpened(chip, block int, seq uint64) {
 
 // NoteMapped implements ftl.RecoveryHook. The write is committed
 // already — its page is programmed under a CRC-checked OOB record the
-// mount rolls forward from — so the ledger learns it now; the journal
-// record only spares the mount that scan.
-func (m *Manager) NoteMapped(lpn ftl.LPN, ppn ssd.PPN, stamp uint64) {
+// mount rolls forward from — so the journal has nothing to add: the
+// ledger learns it, and the slots' dirty logs, for the next patch.
+func (m *Manager) NoteMapped(lpn ftl.LPN, _ ssd.PPN, stamp uint64) {
 	if m.dead {
 		return
 	}
-	m.ram = appendMapped(m.ram, lpn, ppn, stamp)
-	m.staged()
 	m.slotLogs[0].note(lpn)
 	m.slotLogs[1].note(lpn)
 	if m.ledger != nil {
@@ -315,17 +314,18 @@ func (m *Manager) NoteMapped(lpn ftl.LPN, ppn ssd.PPN, stamp uint64) {
 	}
 }
 
-// NoteTrim implements ftl.RecoveryHook.
-func (m *Manager) NoteTrim(lpn ftl.LPN) {
+// NoteTrim implements ftl.RecoveryHook. The trim is the one page-level
+// fact no page records, so it is journaled, under its write stamp: the
+// mount keeps it as a tombstone no older copy on the media can pass.
+func (m *Manager) NoteTrim(lpn ftl.LPN, stamp uint64) {
 	if m.dead {
 		return
 	}
-	m.ram = appendTrim(m.ram, lpn)
+	m.ram = appendTrim(m.ram, lpn, stamp)
 	m.staged()
-	// A page left the mapped set; one mapped for the first time would
-	// bring the count back to the images'.
-	m.slotLogs[0].patchable, m.slotLogs[1].patchable = false, false
-	m.wait(waiter{kind: waitTrim, lpn: lpn})
+	m.slotLogs[0].note(lpn)
+	m.slotLogs[1].note(lpn)
+	m.wait(waiter{kind: waitTrim, lpn: lpn, stamp: stamp})
 }
 
 // NoteRetired implements ftl.RecoveryHook.
@@ -347,16 +347,18 @@ func (m *Manager) NoteDieDegraded(die int) {
 }
 
 // BarrierErase implements ftl.RecoveryHook: the erase may only start
-// once every record appended so far — in particular the Mapped records
-// relocating the victim's live pages — is durable.
+// once every record appended so far is durable — the BlockOpened of each
+// block the victim's pages were copied into, which sends the mount to
+// scan it for the copies, and every trim of a page the checkpoint still
+// maps into the victim, which no copy exists to overrule.
 func (m *Manager) BarrierErase(chip, block int, proceed func()) {
 	m.wait(waiter{kind: waitProceed, proceed: proceed})
 }
 
 // NoteErased implements ftl.RecoveryHook: the block returns to the
-// free pool only once the Erased record is durable, so recovery can
-// never see the block reused while the journal still shows its old
-// contents live.
+// free pool only once the Erased record is durable. A block reopened
+// before then could take acked writes the mount would never scan for,
+// the durable state still calling it a full block of old data.
 func (m *Manager) NoteErased(chip, block int, proceed func()) {
 	if m.dead {
 		return
@@ -408,7 +410,7 @@ func (m *Manager) checkpoint(sync bool) {
 	sl := &m.sys.slots[m.ckpt.slot]
 	sl.valid = false
 	lg := &m.slotLogs[m.ckpt.slot]
-	if lg.patchable && ckptMappings(sl.data) == m.ctrl.Mapper().Mapped() {
+	if lg.patchable && ckptMappings(sl.data) == m.ctrl.StampedPages() {
 		sl.data = m.enc.patchCheckpoint(sl.data, lg.bodyCRC, m.ctrl, lg.dirty)
 		m.ckptPatched++
 	} else {

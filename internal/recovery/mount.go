@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cubeftl/internal/ftl"
@@ -38,24 +39,28 @@ type MountReport struct {
 	OOBPagesScanned  int // spare-area records read during roll-forward
 
 	MappingsRecovered int // live L2P entries after the mount
-	RollForwardWins   int // mappings the checkpoint and journal did not have: recovered from OOB alone
+	RollForwardWins   int // mappings the checkpoint did not have: recovered from OOB alone
 	EvacuationsQueued int // retired-with-live blocks queued for evacuation
 }
 
-// mapOrigin distinguishes where a recovered mapping came from, for the
-// equal-stamp tiebreak (journal-derived beats OOB at equal stamp; among
-// OOB entries the higher block sequence wins).
+// mapEntry is an LPN's mapping as the mount has it so far: from the
+// checkpoint (oobSeq 0) or from an OOB candidate found on the media
+// (oobSeq its block's sequence). A trim's tombstone maps nowhere
+// (ssd.UnmappedPPN) at the trim's stamp. checked records that a
+// checkpoint mapping's page was read and still holds its version.
 type mapEntry struct {
-	ppn    ssd.PPN
-	stamp  uint64
-	oobSeq uint64 // 0: from checkpoint/journal
+	ppn     ssd.PPN
+	stamp   uint64
+	oobSeq  uint64
+	checked bool
 }
 
 // globalHorizonForTest brings back the roll-forward rule acks outgrew: a
 // candidate also had to be newer than every stamp the checkpoint and
-// journal held. Only the exhaustive cut sweep's negative control sets
-// it (export_test.go), to show that rule loses acked writes.
-var globalHorizonForTest bool
+// journal held. checkpointWinsTiesForTest lets a checkpoint mapping stand
+// at every tie, unread. Only the exhaustive cut sweep's negative controls
+// set them (export_test.go), to show those rules lose acked writes.
+var globalHorizonForTest, checkpointWinsTiesForTest bool
 
 // oobCand is one valid spare-area record found by the scan.
 type oobCand struct {
@@ -94,21 +99,11 @@ func newMountState(geo ssd.Geometry) *mountState {
 }
 
 func removeBlock(s []int, block int) []int {
-	for i, b := range s {
-		if b == block {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
+	return slices.DeleteFunc(s, func(b int) bool { return b == block })
 }
 
 func removeActive(s []ftl.ActiveRecord, block int) []ftl.ActiveRecord {
-	for i, a := range s {
-		if a.Block == block {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
+	return slices.DeleteFunc(s, func(a ftl.ActiveRecord) bool { return a.Block == block })
 }
 
 func (st *mountState) seed(ms ftl.MountState) {
@@ -133,31 +128,25 @@ func (st *mountState) seed(ms ftl.MountState) {
 // apply replays one journal record. Every record states a fact that
 // was already true when it was written, so application is
 // unconditional and in journal order.
-func (st *mountState) apply(r Record) {
-	switch r.Type {
+func (st *mountState) apply(r record) {
+	switch r.typ {
 	case recBlockOpened:
-		st.free[r.Chip] = removeBlock(st.free[r.Chip], r.Block)
-		st.actives[r.Chip] = append(st.actives[r.Chip], ftl.ActiveRecord{Block: r.Block, Seq: r.Seq})
-		if r.Seq > st.maxBlockSeq {
-			st.maxBlockSeq = r.Seq
-		}
-	case recMapped:
-		st.mappings[r.LPN] = mapEntry{ppn: r.PPN, stamp: r.Stamp}
-		if r.Stamp > st.maxStamp {
-			st.maxStamp = r.Stamp
-		}
+		st.free[r.chip] = removeBlock(st.free[r.chip], r.block)
+		st.actives[r.chip] = append(st.actives[r.chip], ftl.ActiveRecord{Block: r.block, Seq: r.seq})
+		st.maxBlockSeq = max(st.maxBlockSeq, r.seq)
 	case recTrim:
-		delete(st.mappings, r.LPN)
+		st.mappings[r.lpn] = mapEntry{ppn: ssd.UnmappedPPN, stamp: r.stamp}
+		st.maxStamp = max(st.maxStamp, r.stamp)
 	case recErased:
-		st.actives[r.Chip] = removeActive(st.actives[r.Chip], r.Block)
-		st.free[r.Chip] = removeBlock(st.free[r.Chip], r.Block) // defensive
-		st.free[r.Chip] = append(st.free[r.Chip], r.Block)
+		st.actives[r.chip] = removeActive(st.actives[r.chip], r.block)
+		st.free[r.chip] = removeBlock(st.free[r.chip], r.block) // defensive
+		st.free[r.chip] = append(st.free[r.chip], r.block)
 	case recRetired:
-		st.free[r.Chip] = removeBlock(st.free[r.Chip], r.Block)
-		st.actives[r.Chip] = removeActive(st.actives[r.Chip], r.Block)
-		st.retired[r.Chip][r.Block] = true
+		st.free[r.chip] = removeBlock(st.free[r.chip], r.block)
+		st.actives[r.chip] = removeActive(st.actives[r.chip], r.block)
+		st.retired[r.chip][r.block] = true
 	case recDieDegraded:
-		st.degraded[r.Die] = true
+		st.degraded[r.die] = true
 	}
 }
 
@@ -214,7 +203,9 @@ func scanBlockOOB(chipNAND *nand.Chip, geo ssd.Geometry, chip, block int) (cands
 //     means the block was opened after the last durable record — scan
 //     its OOB and treat it as discovered;
 //  4. roll-forward: scan the OOB of every open/discovered block and
-//     apply each record newer than its LPN's replayed mapping;
+//     apply each record newer than its LPN's mapping or tombstone; at
+//     equal stamp a copy beats a checkpoint mapping whose page no longer
+//     holds that version;
 //  5. force-retire every block the media marks bad, rebuild cursors
 //     from media occupancy, re-arm write points, and queue retired
 //     blocks still holding live pages for evacuation.
@@ -315,14 +306,9 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 		}
 	} else {
 		// Full scan: classify every block from media alone.
-		rpt.CheckpointAgeNs = 0
 		for chip := 0; chip < geo.Chips; chip++ {
 			chipNAND := dev.Die(chip).NAND
-			type openBlock struct {
-				block int
-				seq   uint64
-			}
-			var open []openBlock
+			var open []ftl.ActiveRecord
 			for b := 0; b < geo.BlocksPerChip; b++ {
 				if chipNAND.IsBadBlock(b) {
 					st.retired[chip][b] = true
@@ -336,33 +322,26 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 				}
 				seq := scanBlock(chip, b)
 				if seq > 0 && !blockFull(dev, geo, chip, b) {
-					open = append(open, openBlock{block: b, seq: seq})
+					open = append(open, ftl.ActiveRecord{Block: b, Seq: seq})
 				}
 			}
 			// Cap re-armed write points at the policy's count; the
 			// rest stay dirty and come back through GC.
-			want := pol.ActiveBlocksPerChip()
-			if want < 1 {
-				want = 1
-			}
-			sort.Slice(open, func(i, j int) bool { return open[i].seq > open[j].seq })
-			if len(open) > want {
-				open = open[:want]
-			}
-			for _, ob := range open {
-				st.actives[chip] = append(st.actives[chip], ftl.ActiveRecord{Block: ob.block, Seq: ob.seq})
-			}
+			sort.Slice(open, func(i, j int) bool { return open[i].Seq > open[j].Seq })
+			st.actives[chip] = open[:min(len(open), max(pol.ActiveBlocksPerChip(), 1))]
 		}
 	}
 
 	// Resolve the OOB candidates against the replayed state, one LPN at a
 	// time and by one rule on either path: a stamp strictly newer than the
-	// LPN's mapping wins (the roll-forward — a durable write is acked once
-	// its page is programmed, before its journal record is durable, and
-	// programs complete out of stamp order, so no global horizon will do);
-	// at equal stamp a checkpoint/journal mapping stands, and among OOB
-	// entries the copy in the younger block (higher sequence) wins — both
-	// copies of a GC relocation hold identical data.
+	// LPN's entry wins (the roll-forward — a write is acked once its page is
+	// programmed, and programs complete out of stamp order, so no global
+	// horizon will do), and a trim's tombstone is an entry like any other.
+	// An equal stamp is a relocated copy of the same version. Among copies
+	// on the media the one in the younger block wins. Against a checkpoint
+	// mapping the media decides: the checkpoint's page stands while its OOB
+	// still names this LPN and stamp, and not once GC has erased or reused
+	// it — the relocation that made the copy is recorded nowhere else.
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].stamp != cands[j].stamp {
 			return cands[i].stamp < cands[j].stamp
@@ -377,20 +356,34 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 		horizon = st.maxStamp
 	}
 	for _, cand := range cands {
-		if cand.blockSeq > st.maxBlockSeq {
-			st.maxBlockSeq = cand.blockSeq
-		}
-		switch cur, mapped := st.mappings[cand.lpn]; {
+		st.maxBlockSeq = max(st.maxBlockSeq, cand.blockSeq)
+		cur, mapped := st.mappings[cand.lpn]
+		switch {
 		case cand.stamp <= horizon:
-		case !mapped, cand.stamp > cur.stamp,
-			cand.stamp == cur.stamp && cur.oobSeq > 0 && cand.blockSeq > cur.oobSeq:
-			st.mappings[cand.lpn] = mapEntry{ppn: cand.ppn, stamp: cand.stamp, oobSeq: cand.blockSeq}
+			continue
+		case !mapped, cand.stamp > cur.stamp:
+		case cand.stamp < cur.stamp, cand.ppn == cur.ppn, cur.ppn == ssd.UnmappedPPN:
+			continue
+		case cur.oobSeq > 0:
+			if cand.blockSeq <= cur.oobSeq {
+				continue
+			}
+		case cur.checked || checkpointWinsTiesForTest:
+			continue
+		default:
+			cost += OOBReadNs
+			chip, block, layer, wl, page := geo.DecodePPN(cur.ppn)
+			lpn, stamp, _, ok := ftl.DecodeOOB(dev.Die(chip).NAND.OOB(nand.Address{Block: block, Layer: layer, WL: wl, Page: page}))
+			if ok && lpn == cand.lpn && stamp == cur.stamp {
+				cur.checked = true
+				st.mappings[cand.lpn] = cur
+				continue
+			}
 		}
+		st.mappings[cand.lpn] = mapEntry{ppn: cand.ppn, stamp: cand.stamp, oobSeq: cand.blockSeq}
 	}
 	for _, e := range st.mappings {
-		if e.stamp > st.maxStamp {
-			st.maxStamp = e.stamp
-		}
+		st.maxStamp = max(st.maxStamp, e.stamp)
 		if e.oobSeq > 0 {
 			rpt.RollForwardWins++
 		}
@@ -411,14 +404,17 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 	// Defensive: two logical pages must never share a physical page.
 	owner := make(map[ssd.PPN]ftl.LPN, len(st.mappings))
 	for lpn, e := range st.mappings {
+		if e.ppn == ssd.UnmappedPPN {
+			continue
+		}
 		if prev, clash := owner[e.ppn]; clash {
 			return nil, rpt, fmt.Errorf("recovery: LPNs %d and %d both recovered to PPN %d", prev, lpn, e.ppn)
 		}
 		owner[e.ppn] = lpn
 	}
+	rpt.MappingsRecovered = len(owner)
 
 	ms := st.finalize()
-	rpt.MappingsRecovered = len(ms.Mappings)
 
 	// Advance the clock by the modeled mount I/O, then build the
 	// controller and let any evacuations run to completion.

@@ -163,8 +163,7 @@ func TestInPlaceRecordsMatchReferenceFrames(t *testing.T) {
 	prefix := []byte("earlier records")
 	for name, c := range map[string]struct{ got, want []byte }{
 		"BlockOpened": {appendBlockOpened(prefix, 1, 7, 42), frame(recBlockOpened, append(u32(1, 7), u64(42)...))},
-		"Mapped":      {appendMapped(prefix, 9, 1234, 55), frame(recMapped, u64(9, 1234, 55))},
-		"Trim":        {appendTrim(prefix, 3), frame(recTrim, u64(3))},
+		"Trim":        {appendTrim(prefix, 3, 56), frame(recTrim, u64(3, 56))},
 		"Erased":      {appendChipBlock(prefix, recErased, 0, 5), frame(recErased, u32(0, 5))},
 		"Retired":     {appendChipBlock(prefix, recRetired, 2, 11), frame(recRetired, u32(2, 11))},
 		"DieDegraded": {appendDieDegraded(prefix, 3), frame(recDieDegraded, u32(3))},
@@ -342,6 +341,20 @@ func TestWaitersMayReenter(t *testing.T) {
 	}
 }
 
+// A page's mapping is committed by its OOB record alone: host writes that
+// open no block and erase none append nothing to the journal.
+func TestHostWritesAppendNoJournalBytes(t *testing.T) {
+	eng, m := waiterFixture(t)
+	hammer(t, m.ctrl, 1, 90)
+	eng.RunWhile(func() bool { return !m.Quiesced() })
+	if st := m.ctrl.Stats(); st.HostPages == 0 || st.GCCount != 0 {
+		t.Fatalf("set-up: %d host pages programmed, %d GC cycles; want some and none", st.HostPages, st.GCCount)
+	}
+	if m.appended != 0 || len(m.sys.journal) != 0 {
+		t.Errorf("%d journal bytes appended for %d host pages, want 0", m.appended, m.ctrl.Stats().HostPages)
+	}
+}
+
 // A checkpoint whose cutoff covers a waiter releases it at install, even
 // though the journal bytes it waited on are still in flight.
 func TestWaitersReleasedByCheckpointInstall(t *testing.T) {
@@ -498,9 +511,10 @@ func (r *patchRig) writeThrough(n int) {
 
 // A patched checkpoint is the full encode's image, byte for byte, across
 // everything that reaches a slot between two of its writes: overwrites,
-// GC relocation, a retired block's evacuation, the pools and the policy
-// state moving under it. What changes the set of mapped pages — a trim, a
-// first write — sends each slot through one full encode and back.
+// GC relocation, a trim, a retired block's evacuation, the pools and the
+// policy state moving under it. What grows the set of pages the image
+// lists — a first write — sends each slot through one full encode and
+// back.
 func TestPatchedCheckpointMatchesReference(t *testing.T) {
 	r := newPatchRig(t, 11, 2*sim.Millisecond)
 	ctrl, mgr := r.ctrl, r.mgr
@@ -518,8 +532,8 @@ func TestPatchedCheckpointMatchesReference(t *testing.T) {
 		t.Fatal("steady overwrites left a slot unpatchable")
 	}
 
-	// A trim of a page no write touches: both images list it, so each slot
-	// takes one full encode, and only one.
+	// A trim of a page no write touches: both images list it, and go on
+	// listing it as a tombstone, so both slots are patched.
 	full := r.full
 	trimmed := ftl.LPN(ctrl.LogicalPages() * 35 / 100)
 	if ctrl.Mapper().Lookup(trimmed) == ssd.UnmappedPPN {
@@ -527,8 +541,8 @@ func TestPatchedCheckpointMatchesReference(t *testing.T) {
 	}
 	ctrl.Trim(trimmed, nil)
 	r.writeThrough(6)
-	if got := r.full - full; got != 2 {
-		t.Fatalf("after a trim: %d full encodes in 6 checkpoints, want 2 (one per slot)", got)
+	if got := r.full - full; got != 0 {
+		t.Fatalf("after a trim: %d full encodes in 6 checkpoints, want none", got)
 	}
 
 	// The first write to an unmapped page: once it has landed, both images
@@ -605,8 +619,10 @@ func TestDirtyLogOverflowFallsBackToFullEncode(t *testing.T) {
 }
 
 // A trim and a first write between two encodes of a slot leave the
-// mapper's count where the image has it with a different set of pages
-// behind it: the trim alone must send the slot to the full encode.
+// mapper's count where the image has it, with a different set of mapped
+// pages behind it. The image lists the trimmed page still, as a
+// tombstone, so its count is one short of the pages with a stamp, and
+// the slot goes to the full encode.
 func TestTrimAndFirstWriteKeepTheCountNotTheSet(t *testing.T) {
 	r := newPatchRig(t, 31, -1)
 	ctrl, mgr := r.ctrl, r.mgr
@@ -633,7 +649,7 @@ func TestTrimAndFirstWriteKeepTheCountNotTheSet(t *testing.T) {
 	r.checkpointNow()
 	r.checkpointNow()
 	if mgr.ckptPatched != 2 {
-		t.Fatalf("a slot whose image lists a trimmed page was patched (%d patched checkpoints, want still 2)", mgr.ckptPatched)
+		t.Fatalf("a slot whose image lacks a page mapped since was patched (%d patched checkpoints, want still 2)", mgr.ckptPatched)
 	}
 	r.write(64)
 	r.checkpointNow()

@@ -9,11 +9,12 @@ import (
 	"cubeftl/internal/ssd"
 )
 
-// Ledger is the durability oracle: it records, in commit order, every
-// write whose page was programmed and mapped (which under DurableAcks
-// covers every host-acknowledged write) and every durable trim. It lives outside the device — the test harness owns it — so it
-// survives the power cut and tells the verifier what the recovered
-// device MUST still hold.
+// Ledger is the durability oracle: it keeps, per logical page, the
+// newest of the writes whose page was programmed and mapped (which under
+// DurableAcks covers every host-acknowledged write) and the trims whose
+// record is durable. It lives outside the device — the test harness owns
+// it — so it survives the power cut and tells the verifier what the
+// recovered device MUST still hold.
 type Ledger struct {
 	entries map[ftl.LPN]ledgerEntry
 }
@@ -27,19 +28,31 @@ type ledgerEntry struct {
 func NewLedger() *Ledger { return &Ledger{entries: make(map[ftl.LPN]ledgerEntry)} }
 
 // Record notes a durable write of lpn at the given stamp.
-func (l *Ledger) Record(lpn ftl.LPN, stamp uint64) {
-	l.entries[lpn] = ledgerEntry{stamp: stamp}
+func (l *Ledger) Record(lpn ftl.LPN, stamp uint64) { l.note(lpn, ledgerEntry{stamp: stamp}) }
+
+// RecordTrim notes a durable trim of lpn, which took the given stamp:
+// the device owes lpn unmapped, or mapped at a newer stamp.
+func (l *Ledger) RecordTrim(lpn ftl.LPN, stamp uint64) {
+	l.note(lpn, ledgerEntry{stamp: stamp, trimmed: true})
 }
 
-// RecordTrim notes a durable trim: the device owes nothing for lpn
-// until a later write. (A crash may still resurrect pre-trim data —
-// permitted, as with real non-deterministic trim.)
-func (l *Ledger) RecordTrim(lpn ftl.LPN) {
-	l.entries[lpn] = ledgerEntry{trimmed: true}
+// note keeps the newer fact: a trim turns durable a journal flush after
+// it took its stamp, by when a newer write of the page may be recorded.
+func (l *Ledger) note(lpn ftl.LPN, e ledgerEntry) {
+	if old, ok := l.entries[lpn]; !ok || old.stamp <= e.stamp {
+		l.entries[lpn] = e
+	}
 }
 
-// Len returns the number of tracked logical pages.
-func (l *Ledger) Len() int { return len(l.entries) }
+// ForgetTrims drops the trims: the media hold no trace of one, so a
+// mount from the media alone owes none of them.
+func (l *Ledger) ForgetTrims() {
+	for lpn, e := range l.entries {
+		if e.trimmed {
+			delete(l.entries, lpn)
+		}
+	}
+}
 
 // Writes returns the count of non-trimmed entries.
 func (l *Ledger) Writes() int {
@@ -62,7 +75,9 @@ func (l *Ledger) Writes() int {
 //  3. payload integrity (when the media stores data): every mapped
 //     page's stored tag matches its LPN and stamp;
 //  4. the ledger: every durably-acknowledged write is still mapped at
-//     the recorded stamp or newer — zero lost acked writes.
+//     the recorded stamp or newer, or trimmed by a newer trim — zero lost
+//     acked writes — and every durably trimmed page is unmapped or
+//     mapped at a newer stamp.
 func Verify(ctrl *ftl.Controller, led *Ledger) error {
 	if err := ctrl.CheckConsistency(); err != nil {
 		return err
@@ -103,14 +118,17 @@ func Verify(ctrl *ftl.Controller, led *Ledger) error {
 		sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
 		for _, l := range lpns {
 			lpn := ftl.LPN(l)
-			e := led.entries[lpn]
-			if e.trimmed {
-				continue
-			}
-			if mapper.Lookup(lpn) == ssd.UnmappedPPN {
+			e, mapped, got := led.entries[lpn], mapper.Lookup(lpn) != ssd.UnmappedPPN, ctrl.StampOf(lpn)
+			// A trim the host issued after the write may have taken effect
+			// before it was durable (a torn journal tail keeps whole
+			// records): an unmapped page whose tombstone is newer is not lost.
+			switch {
+			case e.trimmed && mapped && got <= e.stamp:
+				return fmt.Errorf("recovery: durable trim lost: LPN %d (trimmed at stamp %d) is mapped at stamp %d", lpn, e.stamp, got)
+			case e.trimmed:
+			case !mapped && got <= e.stamp:
 				return fmt.Errorf("recovery: acked write lost: LPN %d (stamp %d) is unmapped", lpn, e.stamp)
-			}
-			if got := ctrl.StampOf(lpn); got < e.stamp {
+			case got < e.stamp:
 				return fmt.Errorf("recovery: acked write lost: LPN %d recovered at stamp %d, acked stamp %d",
 					lpn, got, e.stamp)
 			}

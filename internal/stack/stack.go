@@ -282,9 +282,9 @@ func (st *Stack) PowerCut() error {
 // Remount rebuilds the volatile half of the stack from the durable one:
 // a fresh engine and device over the surviving NAND array, a fresh
 // policy, and a controller recovery.Mount restores (fullScan: from OOB
-// metadata alone). verify then runs recovery.Verify against the ledger
-// of acknowledged writes; a failed mount or audit leaves the stack as it
-// was.
+// metadata alone, which owes none of the ledger's trims). verify then
+// runs recovery.Verify against the ledger of acknowledged writes; a
+// failed mount or audit leaves the stack as it was.
 func (st *Stack) Remount(verify, fullScan bool) (recovery.MountReport, error) {
 	if st.Mgr == nil {
 		return recovery.MountReport{}, ErrRecoveryOff
@@ -301,6 +301,9 @@ func (st *Stack) Remount(verify, fullScan bool) (recovery.MountReport, error) {
 	ctrl, rpt, err := recovery.Mount(dev, pol, st.CtrlCfg, sys, recovery.MountOptions{ForceFullScan: fullScan})
 	if err != nil {
 		return rpt, fmt.Errorf("cubeftl: recovery mount: %w", err)
+	}
+	if fullScan && ledger != nil {
+		ledger.ForgetTrims() // the media hold no trace of a trim
 	}
 	if verify {
 		if err := recovery.Verify(ctrl, ledger); err != nil {

@@ -70,7 +70,7 @@ type MountReport struct {
 	DiscoveredBlocks  int // blocks found programmed that durable state called free
 	OOBPagesScanned   int // spare-area records read during roll-forward
 	MappingsRecovered int // live L2P entries after the mount
-	RollForwardWins   int // mappings the checkpoint and journal did not have: recovered from OOB alone
+	RollForwardWins   int // mappings the checkpoint did not have: recovered from OOB alone
 	EvacuationsQueued int // retired-with-live blocks evacuated at mount
 
 	// Verified is true when the full-device verifier ran and passed:
