@@ -126,7 +126,7 @@ func TestLifecycleOnBareStack(t *testing.T) {
 	got := fmt.Sprintf("mount=%d ckpt=%v age=%d journal=%d torn=%v probed=%d oob=%d mappings=%d | reqs=%d elapsed=%d hash=%d | leaders=%d followers=%d | host=%d gc=%d | now=%d fired=%d",
 		rpt.MountNs, rpt.UsedCheckpoint, rpt.CheckpointAgeNs, rpt.JournalRecords, rpt.JournalTorn, rpt.BlocksProbed, rpt.OOBPagesScanned, rpt.MappingsRecovered,
 		res.Completed, res.ElapsedNs, res.TraceHash, cs.LeaderPrograms, cs.FollowerPrograms, waf.HostBytes, waf.GCBytes, st.Eng.Now(), st.Eng.Fired())
-	const want = "mount=17865136 ckpt=true age=1223042 journal=24 torn=false probed=31 oob=2430 mappings=16175 | reqs=3000 elapsed=172316500 hash=7816181708754184893 | leaders=230 followers=600 | host=40452096 gc=344064 | now=190181636 fired=7768"
+	const want = "mount=17863648 ckpt=true age=1223042 journal=0 torn=false probed=31 oob=2430 mappings=16175 | reqs=3000 elapsed=172316500 hash=7816181708754184893 | leaders=230 followers=600 | host=40452096 gc=344064 | now=190180148 fired=6751"
 	if got != want {
 		t.Errorf("the bare stack left the facade's pin\n got: %s\nwant: %s", got, want)
 	}

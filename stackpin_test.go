@@ -50,7 +50,7 @@ func TestRemountSequencePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "{MountTime:17.865136ms UsedCheckpoint:true CheckpointAge:1.223042ms JournalRecords:24 JournalTorn:false BlocksProbed:31 DiscoveredBlocks:0 OOBPagesScanned:2430 MappingsRecovered:16175 RollForwardWins:1 EvacuationsQueued:0 Verified:true} | {Requests:3000 Elapsed:172.3165ms IOPS:17409.82436388854 ReadP50:540.672µs ReadP90:966.656µs ReadP99:1.441792ms WriteP50:1.277952ms WriteP90:1.80224ms WriteP99:2.94912ms MeanTPROG:595.289µs ReadRetries:0 GCRuns:0 Reprograms:0 BufferHits:77 DataMismatches:0 ProgramFailures:1 EraseFailures:0 ReadFaults:0 RetiredBlocks:1 FaultRecoveries:1 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:7816181708754184893} | {LeaderPrograms:230 FollowerPrograms:600 SafetyRejects:0 ORTHits:0 ORTMisses:982 ORTBytes:6144 RetryHits:1049 RetryStale:0 RetryMisses:982 RetryEntries:784} | {HostBytes:40452096 GCBytes:344064 RefreshBytes:0 WLBytes:0 Factor:1.008505467800729 Refreshes:0 WearLevels:0} | now=190181636 fired=7768"
+	const want = "{MountTime:17.863648ms UsedCheckpoint:true CheckpointAge:1.223042ms JournalRecords:0 JournalTorn:false BlocksProbed:31 DiscoveredBlocks:0 OOBPagesScanned:2430 MappingsRecovered:16175 RollForwardWins:25 EvacuationsQueued:0 Verified:true} | {Requests:3000 Elapsed:172.3165ms IOPS:17409.82436388854 ReadP50:540.672µs ReadP90:966.656µs ReadP99:1.441792ms WriteP50:1.277952ms WriteP90:1.80224ms WriteP99:2.94912ms MeanTPROG:595.289µs ReadRetries:0 GCRuns:0 Reprograms:0 BufferHits:77 DataMismatches:0 ProgramFailures:1 EraseFailures:0 ReadFaults:0 RetiredBlocks:1 FaultRecoveries:1 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:7816181708754184893} | {LeaderPrograms:230 FollowerPrograms:600 SafetyRejects:0 ORTHits:0 ORTMisses:982 ORTBytes:6144 RetryHits:1049 RetryStale:0 RetryMisses:982 RetryEntries:784} | {HostBytes:40452096 GCBytes:344064 RefreshBytes:0 WLBytes:0 Factor:1.008505467800729 Refreshes:0 WearLevels:0} | now=190180148 fired=6751"
 	if got := fmt.Sprintf("%+v | %s", rpt, pinState(dev, st)); got != want {
 		t.Errorf("simulated results moved\n got: %s\nwant: %s", got, want)
 	}
