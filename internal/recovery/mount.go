@@ -77,6 +77,7 @@ type mountState struct {
 	free     [][]int
 	actives  [][]ftl.ActiveRecord
 	retired  []map[int]bool
+	erased   []map[int]bool // since the checkpoint
 	degraded []bool
 
 	maxStamp    uint64 // highest stamp in durable state
@@ -90,10 +91,11 @@ func newMountState(geo ssd.Geometry) *mountState {
 		free:     make([][]int, geo.Chips),
 		actives:  make([][]ftl.ActiveRecord, geo.Chips),
 		retired:  make([]map[int]bool, geo.Chips),
+		erased:   make([]map[int]bool, geo.Chips),
 		degraded: make([]bool, geo.Chips),
 	}
 	for chip := 0; chip < geo.Chips; chip++ {
-		st.retired[chip] = make(map[int]bool)
+		st.retired[chip], st.erased[chip] = make(map[int]bool), make(map[int]bool)
 	}
 	return st
 }
@@ -138,6 +140,7 @@ func (st *mountState) apply(r record) {
 		st.mappings[r.lpn] = mapEntry{ppn: ssd.UnmappedPPN, stamp: r.stamp}
 		st.maxStamp = max(st.maxStamp, r.stamp)
 	case recErased:
+		st.erased[r.chip][r.block] = true
 		st.actives[r.chip] = removeActive(st.actives[r.chip], r.block)
 		st.free[r.chip] = removeBlock(st.free[r.chip], r.block) // defensive
 		st.free[r.chip] = append(st.free[r.chip], r.block)
@@ -371,8 +374,11 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 		case cur.checked || checkpointWinsTiesForTest:
 			continue
 		default:
-			cost += OOBReadNs
 			chip, block, layer, wl, page := geo.DecodePPN(cur.ppn)
+			if st.erased[chip][block] {
+				break // the journal says so: no need to read
+			}
+			cost += OOBReadNs
 			lpn, stamp, _, ok := ftl.DecodeOOB(dev.Die(chip).NAND.OOB(nand.Address{Block: block, Layer: layer, WL: wl, Page: page}))
 			if ok && lpn == cand.lpn && stamp == cur.stamp {
 				cur.checked = true

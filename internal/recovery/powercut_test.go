@@ -43,12 +43,18 @@ func cutCtrlConfig() ftl.ControllerConfig {
 // that instant, ready for a power cut.
 func launch(t *testing.T, seed uint64, requests int, deadline sim.Time) (*ftl.Controller, *Manager, *Ledger) {
 	t.Helper()
+	return launchEvery(t, seed, requests, deadline, 2*sim.Millisecond)
+}
+
+// launchEvery is launch with a checkpoint every interval.
+func launchEvery(t *testing.T, seed uint64, requests int, deadline, interval sim.Time) (*ftl.Controller, *Manager, *Ledger) {
+	t.Helper()
 	eng := sim.NewEngine()
 	dev := ssd.New(eng, cutSSDConfig(seed))
 	ctrl := ftl.NewController(dev, core.New(dev.Geometry()), cutCtrlConfig())
 	workload.Prefill(ctrl, int64(ctrl.LogicalPages()/2))
 	led := NewLedger()
-	mgr := Attach(ctrl, NewSystemArea(), Options{Ledger: led, CkptIntervalNs: 2 * sim.Millisecond})
+	mgr := Attach(ctrl, NewSystemArea(), Options{Ledger: led, CkptIntervalNs: interval})
 	specs := []workload.TenantSpec{{
 		Gen:      workload.NewStream(workload.Mixed, ctrl.LogicalPages(), seed+0x9E37),
 		Requests: requests,
@@ -161,48 +167,53 @@ func TestPowerCutDeterministic(t *testing.T) {
 }
 
 // A full-scan mount (no checkpoint, OOB only) of the same cut must
-// also verify, and must cost more mount time than the checkpointed
-// mount — that difference is the point of checkpointing.
+// also verify, and must cost well over the checkpointed mount — that
+// difference is the point of checkpointing — at every checkpoint
+// interval: the checkpoint mount's cost grows with the checkpoint's age
+// (open blocks to scan, GC copies to settle against it), the full
+// scan's with the programmed capacity.
 func TestMountFullScanVsCheckpoint(t *testing.T) {
 	const seed = 77
-	const requests = 1500
-	probe, _, _ := launch(t, seed, requests, 0)
-	cutAt := probe.Engine().Now() * 2 / 3
+	const requests = 12000
+	for _, interval := range []sim.Time{2 * sim.Millisecond, 20 * sim.Millisecond, 100 * sim.Millisecond} {
+		probe, _, _ := launchEvery(t, seed, requests, 0, interval)
+		cutAt := probe.Engine().Now() * 2 / 3
 
-	ctrl, mgr, led := launch(t, seed, requests, cutAt)
-	mgr.PowerCut()
-	array, sys := ctrl.Device().Array(), mgr.System()
+		ctrl, mgr, led := launchEvery(t, seed, requests, cutAt, interval)
+		mgr.PowerCut()
+		array, sys := ctrl.Device().Array(), mgr.System()
 
-	fast, fastRpt := remountFrom(t, seed, array, sys, false)
-	if err := Verify(fast, led); err != nil {
-		t.Fatalf("checkpoint mount: %v", err)
-	}
-	if !fastRpt.UsedCheckpoint {
-		t.Fatal("checkpoint mount did not use the checkpoint")
-	}
-
-	slow, slowRpt := remountFrom(t, seed, array, sys, true)
-	if err := Verify(slow, led); err != nil {
-		t.Fatalf("full-scan mount: %v", err)
-	}
-	if slowRpt.UsedCheckpoint {
-		t.Fatal("forced full scan used a checkpoint")
-	}
-	if slowRpt.MountNs <= fastRpt.MountNs {
-		t.Errorf("full scan (%d ns) not slower than checkpointed mount (%d ns)",
-			slowRpt.MountNs, fastRpt.MountNs)
-	}
-	// Both mounts must agree on the durable mapping for every acked
-	// write; the full scan may additionally resurrect newer unacked
-	// data, so compare via the ledger-audited stamps.
-	for lpn := ftl.LPN(0); lpn < ftl.LPN(fast.LogicalPages()); lpn++ {
-		if fast.Mapper().Lookup(lpn) != ssd.UnmappedPPN && slow.Mapper().Lookup(lpn) == ssd.UnmappedPPN {
-			t.Errorf("LPN %d recovered by checkpoint mount but lost by full scan", lpn)
+		fast, fastRpt := remountFrom(t, seed, array, sys, false)
+		if err := Verify(fast, led); err != nil {
+			t.Fatalf("checkpoint every %d ms: checkpoint mount: %v", interval/sim.Millisecond, err)
 		}
+		if !fastRpt.UsedCheckpoint {
+			t.Fatal("checkpoint mount did not use the checkpoint")
+		}
+
+		slow, slowRpt := remountFrom(t, seed, array, sys, true)
+		if err := Verify(slow, led); err != nil {
+			t.Fatalf("checkpoint every %d ms: full-scan mount: %v", interval/sim.Millisecond, err)
+		}
+		if slowRpt.UsedCheckpoint {
+			t.Fatal("forced full scan used a checkpoint")
+		}
+		if 2*fastRpt.MountNs >= slowRpt.MountNs {
+			t.Errorf("checkpoint every %d ms: full scan (%d ns) not twice the checkpointed mount (%d ns)",
+				interval/sim.Millisecond, slowRpt.MountNs, fastRpt.MountNs)
+		}
+		// Both mounts must agree on the durable mapping for every acked
+		// write; the full scan may additionally resurrect newer unacked
+		// data, so compare via the ledger-audited stamps.
+		for lpn := ftl.LPN(0); lpn < ftl.LPN(fast.LogicalPages()); lpn++ {
+			if fast.Mapper().Lookup(lpn) != ssd.UnmappedPPN && slow.Mapper().Lookup(lpn) == ssd.UnmappedPPN {
+				t.Errorf("checkpoint every %d ms: LPN %d recovered by checkpoint mount but lost by full scan", interval/sim.Millisecond, lpn)
+			}
+		}
+		t.Logf("checkpoint every %d ms: mount %.2f ms (age %.2f ms, %d journal records, %d OOB pages, %d roll-forward wins), full scan %.2f ms (%d OOB pages)",
+			interval/sim.Millisecond, float64(fastRpt.MountNs)/1e6, float64(fastRpt.CheckpointAgeNs)/1e6, fastRpt.JournalRecords,
+			fastRpt.OOBPagesScanned, fastRpt.RollForwardWins, float64(slowRpt.MountNs)/1e6, slowRpt.OOBPagesScanned)
 	}
-	t.Logf("mount ns: checkpoint=%d (age %d ns, %d journal records, %d OOB pages) fullscan=%d (%d OOB pages)",
-		fastRpt.MountNs, fastRpt.CheckpointAgeNs, fastRpt.JournalRecords, fastRpt.OOBPagesScanned,
-		slowRpt.MountNs, slowRpt.OOBPagesScanned)
 }
 
 // scrubCtrlConfig turns on the retention scrubber with a patrol cheap
