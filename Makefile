@@ -56,13 +56,17 @@ fuzz-smoke:
 	$(GO) test ./internal/ftl -run '^$$' -fuzz FuzzDecodeOOB -fuzztime 10s
 	$(GO) test ./internal/pool -run '^$$' -fuzz FuzzIndexMatchesMap -fuzztime 10s
 
-# Acked implies recoverable, at every instant: a short durable-ack run on
-# a tiny stack.Build device (and on one whose dies run two host programs
-# at once) is replayed and cut after each of its events — inside
-# programs, journal flushes, patched checkpoints and GC — and every cut
-# must remount with verify and lose no acked write. The negative control
-# runs the stack leg with the roll-forward rule of the journal-gated ack
-# and must lose some. The race legs above take every seventh cut.
+# Acked implies recoverable, at every instant: a short durable-ack run of
+# writes and one trim in sixteen on a tiny stack.Build device (and on one
+# whose dies run two host programs at once, and the first again mounted
+# by a full OOB scan) is replayed and cut after each of its events —
+# inside programs, journal flushes, patched checkpoints and GC — and
+# every cut must remount with verify and lose no acked write and no
+# durable trim. Two negative controls must lose some: the stack leg with
+# the roll-forward rule of the journal-gated ack, and both checkpoint
+# legs with the checkpoint's mapping standing, unread, at every tie with
+# a GC copy. The race legs above take every seventh cut of the sweep and
+# skip the second control.
 powercut-sweep:
 	$(GO) test ./internal/recovery -count=1 -run 'PowerCutAtEveryEvent' -v
 
