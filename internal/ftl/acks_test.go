@@ -19,8 +19,8 @@ type heldHook struct {
 }
 
 func (h *heldHook) NoteBlockOpened(chip, block int, seq uint64) {}
-func (h *heldHook) NoteMapped(lpn LPN, ppn ssd.PPN, stamp uint64) {
-	h.mapped = append(h.mapped, MappingRecord{LPN: lpn, PPN: ppn, Stamp: stamp})
+func (h *heldHook) NoteMapped(lpn LPN, stamp uint64) {
+	h.mapped = append(h.mapped, MappingRecord{LPN: lpn, Stamp: stamp})
 	h.at = append(h.at, h.eng.Now())
 }
 func (h *heldHook) NoteTrim(lpn LPN, stamp uint64)               {}

@@ -283,7 +283,7 @@ func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 				c.setStamp(h.LPN, h.Stamp)
 				c.recordMapping(h.LPN, h.Stamp)
 				if c.rec != nil {
-					c.rec.NoteMapped(h.LPN, ppn, h.Stamp)
+					c.rec.NoteMapped(h.LPN, h.Stamp)
 				}
 				tail = c.takeHeldAcks(h.LPN, h.Stamp, tail)
 			}

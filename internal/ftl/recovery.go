@@ -3,8 +3,6 @@ package ftl
 import (
 	"encoding/binary"
 	"fmt"
-
-	"cubeftl/internal/ssd"
 )
 
 // RecoveryHook is the controller's outbound interface to the
@@ -24,11 +22,11 @@ type RecoveryHook interface {
 	// point with the given block sequence number.
 	NoteBlockOpened(chip, block int, seq uint64)
 
-	// NoteMapped reports an installed mapping lpn -> ppn carrying the
-	// data version's write stamp (host flush and GC relocation alike).
-	// The page is already on the media under its OOB record, which is
-	// what commits it: nothing about it needs journaling.
-	NoteMapped(lpn LPN, ppn ssd.PPN, stamp uint64)
+	// NoteMapped reports a mapping installed for lpn, carrying the data
+	// version's write stamp (host flush and GC relocation alike). The
+	// page is already on the media under its OOB record, which is what
+	// commits it: nothing about it needs journaling.
+	NoteMapped(lpn LPN, stamp uint64)
 
 	// NoteTrim records an explicit host invalidation, under the write
 	// stamp the trim took: no copy of the page at or below it may come

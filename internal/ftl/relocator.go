@@ -183,7 +183,7 @@ func (cy *relocCycle) erased(_ nand.EraseResult, err error) {
 	c.mapper.ClearBlock(cy.chip, cy.victim)
 	if c.rec != nil {
 		// The block may not be reopened until its erase record is
-		// durable, or recovery could resurrect pre-erase mappings.
+		// durable, or it could take writes no mount scans for.
 		c.rec.NoteErased(cy.chip, cy.victim, cy.onRepool)
 	} else {
 		cy.repool()
@@ -451,7 +451,7 @@ func (g *relocOp) programDone(res nand.ProgramResult, err error) {
 				// The relocated copy keeps its data's stamp; a mount
 				// breaks the tie with the source copy by reading what
 				// the source page still holds.
-				c.rec.NoteMapped(l, dst, g.stamps[i])
+				c.rec.NoteMapped(l, g.stamps[i])
 			}
 		}
 	}

@@ -259,7 +259,7 @@ func TestRelocWindowsBounded(t *testing.T) {
 type inlineHook struct{}
 
 func (inlineHook) NoteBlockOpened(int, int, uint64)      {}
-func (inlineHook) NoteMapped(LPN, ssd.PPN, uint64)       {}
+func (inlineHook) NoteMapped(LPN, uint64)                {}
 func (inlineHook) NoteTrim(LPN, uint64)                  {}
 func (inlineHook) NoteRetired(int, int)                  {}
 func (inlineHook) NoteDieDegraded(int)                   {}

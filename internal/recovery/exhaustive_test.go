@@ -20,8 +20,9 @@ import (
 // fires — inside programs, journal flushes, checkpoint writes (patched
 // ones included), GC relocations, erases and their barriers — each cut
 // followed by a verified remount. A write is acked when its page is
-// programmed, before its journal record is durable, so this is the proof
-// that the mount's per-LPN roll-forward brings back every acked write.
+// programmed and is recorded nowhere but in its OOB record, so this is
+// the proof that the mount's per-LPN roll-forward brings back every acked
+// write, and its tombstones every durable trim.
 
 // sweepLife is one replay of a sweep's run: its engine, whether host work
 // is still outstanding, and the power cut + verified remount.

@@ -303,7 +303,7 @@ func (m *Manager) NoteBlockOpened(chip, block int, seq uint64) {
 // already — its page is programmed under a CRC-checked OOB record the
 // mount rolls forward from — so the journal has nothing to add: the
 // ledger learns it, and the slots' dirty logs, for the next patch.
-func (m *Manager) NoteMapped(lpn ftl.LPN, _ ssd.PPN, stamp uint64) {
+func (m *Manager) NoteMapped(lpn ftl.LPN, stamp uint64) {
 	if m.dead {
 		return
 	}

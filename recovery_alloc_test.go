@@ -30,8 +30,8 @@ func servedDevice(tb testing.TB) *SSD {
 }
 
 // durableWrites issues n one-page writes over the prefilled range and
-// runs until every one is acknowledged: programmed, its Mapped record
-// flushed, its held ack released.
+// runs until every one is acknowledged: programmed under its OOB record,
+// its held ack released.
 func durableWrites(s *SSD, lpn *int64, n int) {
 	for i := 0; i < n; i++ {
 		*lpn = (*lpn*31 + 17) % 100_000
