@@ -44,9 +44,12 @@ race-core:
 # decoders a durable write's commit rests on — the journal on any bytes,
 # raw and as one sealed frame (records that re-encode to the prefix they
 # came from, torn exactly when bytes remain), and the OOB record parser
-# (a record it accepts re-encodes to the same bytes); and the per-page
-# index against a Go map on any sequence of Put / Delete / Get. A
-# failing input is written under the package's testdata/fuzz/.
+# (a record it accepts re-encodes to the same bytes); the per-page index
+# against a Go map on any sequence of Put / Delete / Get; and the block
+# trace parser on any bytes, MSR / FIU / sniffed, strict and tolerant (an
+# error, or a trace whose arrivals start at 0 and never go back, with
+# every extent at least one page at a non-negative LPN). A failing input
+# is written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
@@ -55,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/recovery -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s
 	$(GO) test ./internal/ftl -run '^$$' -fuzz FuzzDecodeOOB -fuzztime 10s
 	$(GO) test ./internal/pool -run '^$$' -fuzz FuzzIndexMatchesMap -fuzztime 10s
+	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParseTimedTrace -fuzztime 10s
 
 # Acked implies recoverable, at every instant: a short durable-ack run of
 # writes and one trim in sixteen on a tiny stack.Build device (and on one
@@ -107,7 +111,7 @@ bench-telemetry:
 # device's, and bench/ is the frozen harness, whose -seed also feeds its
 # load generator); or if a package under internal/ is imported by no
 # other package (test imports count, a package's own tests do not).
-DEVICE_FLAGS = ftl|channels|dies|blocks|seed|dieaware|pe|retention|retry-mode|refresh|wearlevel|pfail|efail|rfault|badblocks|recovery|ckpt-interval
+DEVICE_FLAGS = ftl|channels|dies|blocks|seed|pe|retention|retry-mode|refresh|wearlevel|pfail|efail|rfault|badblocks|recovery|ckpt-interval
 one-stack:
 	@bad=$$(grep -rn --include='*.go' -e 'ssd\.New(' -e 'ssd\.NewWithArray(' -e 'ftl\.NewController(' \
 			-e 'recovery\.Attach(' -e 'recovery\.Mount(' . \

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -115,25 +116,32 @@ func main() {
 	if err := c.finish(); err != nil {
 		fatal(err)
 	}
-	f, err := os.Open(c.tracePath)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-
 	if err := c.profile.Start(); err != nil {
 		fatal(err)
 	}
-	defer func() {
-		if err := c.profile.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "cubefleet: profiling:", err)
-		}
-	}()
+	err := c.run(os.Stdout, os.Stderr)
+	if err := c.profile.Stop(); err != nil {
+		fmt.Fprintln(os.Stderr, "cubefleet: profiling:", err)
+	}
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// run replays the trace the way the flags say: the deterministic report
+// to stdout; wall clock — the one number the host scheduler owns — and
+// notes to stderr.
+func (c *config) run(stdout, stderr io.Writer) error {
+	f, err := os.Open(c.tracePath)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
 
 	if c.single {
 		ssd, err := cubeftl.New(c.dev)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if c.fleet.PrefillPages > 0 {
 			ssd.Prefill(c.fleet.PrefillPages)
@@ -142,45 +150,43 @@ func main() {
 		start := time.Now()
 		st, err := ssd.ReplayTrace(c.tracePath, f, c.trace)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("single-device replay: ftl=%s requests=%d iops=%.0f elapsed=%v\n",
+		fmt.Fprintf(stdout, "single-device replay: ftl=%s requests=%d iops=%.0f elapsed=%v\n",
 			ssd.FTLName(), st.Requests, st.IOPS, st.Elapsed)
-		fmt.Printf("read_lat: p50=%v p90=%v p99=%v\n", st.ReadP50, st.ReadP90, st.ReadP99)
-		fmt.Printf("write_lat: p50=%v p90=%v p99=%v\n", st.WriteP50, st.WriteP90, st.WriteP99)
-		fmt.Printf("gc=%d retries=%d buffer_hits=%d trace_hash=%016x\n",
+		fmt.Fprintf(stdout, "read_lat: p50=%v p90=%v p99=%v\n", st.ReadP50, st.ReadP90, st.ReadP99)
+		fmt.Fprintf(stdout, "write_lat: p50=%v p90=%v p99=%v\n", st.WriteP50, st.WriteP90, st.WriteP99)
+		fmt.Fprintf(stdout, "gc=%d retries=%d buffer_hits=%d trace_hash=%016x\n",
 			st.GCRuns, st.ReadRetries, st.BufferHits, st.TraceHash)
-		fmt.Fprintf(os.Stderr, "wall: %v\n", time.Since(start))
-		return
+		fmt.Fprintf(stderr, "wall: %v\n", time.Since(start))
+		return nil
 	}
 
 	if c.statsOut != "" {
 		statsW, err := os.Create(c.statsOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer statsW.Close()
 		c.fleet.StatsOut = statsW
 	}
 	if c.metricsAddr != "" {
-		c.fleet.Obs, err = cubeftl.StartFleetObs(c.metricsAddr, c.fleet.Shards)
-		if err != nil {
-			fatal(err)
+		if c.fleet.Obs, err = cubeftl.StartFleetObs(c.metricsAddr, c.fleet.Shards); err != nil {
+			return err
 		}
 		defer c.fleet.Obs.Close()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", c.fleet.Obs.Addr())
+		fmt.Fprintf(stderr, "metrics: http://%s/metrics\n", c.fleet.Obs.Addr())
 	}
 	st, err := cubeftl.RunFleet(c.fleet, c.tracePath, f, c.trace)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	// The deterministic report goes to stdout; wall clock — the one
-	// number the host scheduler owns — goes to stderr.
-	fmt.Print(st.Report())
+	fmt.Fprint(stdout, st.Report())
 	if len(st.Series) > 0 && c.statsOut != "" {
-		fmt.Fprintf(os.Stderr, "series: wrote %d samples to %s\n", len(st.Series), c.statsOut)
+		fmt.Fprintf(stderr, "series: wrote %d samples to %s\n", len(st.Series), c.statsOut)
 	}
-	fmt.Fprintf(os.Stderr, "wall: %v\n", time.Duration(st.WallNs))
+	fmt.Fprintf(stderr, "wall: %v\n", time.Duration(st.WallNs))
+	return nil
 }
 
 func fatal(err error) {

@@ -80,6 +80,32 @@ func TestBadFlagsRejected(t *testing.T) {
 	}
 }
 
+// A float flag that is not a finite, non-negative number is refused by
+// name, fleet and -single alike: NaN used to surface as an out-of-order
+// timestamp, or replay the trace with every gap collapsed, or mean 0.
+func TestNonFiniteFloatFlagsRejected(t *testing.T) {
+	const trace = "-trace ../../internal/workload/testdata/msr_sample.csv -blocks 8 -channels 1 -dies 2 "
+	for _, tc := range []struct{ args, flag string }{
+		{"-compress NaN", "-compress"},
+		{"-compress NaN -single", "-compress"},
+		{"-compress -2 -single", "-compress"},
+		{"-compress +Inf", "-compress"},
+		{"-placement capacity -capacity-jitter NaN", "-capacity-jitter"},
+		{"-placement capacity -capacity-jitter -2", "-capacity-jitter"},
+		{"-capacity-jitter Inf", "-capacity-jitter"},
+		{"-pe 2000 -age-jitter NaN", "-age-jitter"},
+		{"-pe 2000 -age-jitter -0.5", "-age-jitter"},
+	} {
+		c, err := parse(t, trace+tc.args)
+		if err == nil {
+			err = c.run(io.Discard, io.Discard)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+			t.Errorf("%s: got %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
 // cubefleet accepts exactly the flags its -h listed before the device
 // flags moved into the shared table.
 func TestFlagNames(t *testing.T) {

@@ -95,8 +95,8 @@ func TestDeviceFromCommandLine(t *testing.T) {
 		{"-queues hot=YCSB-C,bulk=Bulk -arb wrr -weights 8,1 -rate 0,4000 -width 6", base},
 		{"-workload Mixed -trace-out trace.json -stats-out stats.jsonl -breakdown", base},
 		{"-workload Mixed -requests 8000 -qd 16 -killdie 3 -trace-out trace.json -stats-out stats.jsonl -breakdown", base}, // make trace-demo
-		{"-blocks 16 -dies 2 -seed 42 -dieaware -retry-mode ort-pr-ar -refresh -wearlevel -pfail 0.001 -efail 0.01 -rfault 0.002 -badblocks 0.02 -ckpt-interval -1ms",
-			cubeftl.Options{FTL: "cube", Channels: 2, DiesPerChannel: 2, BlocksPerChip: 16, Seed: 42, DieAffinity: true,
+		{"-blocks 16 -dies 2 -seed 42 -retry-mode ort-pr-ar -refresh -wearlevel -pfail 0.001 -efail 0.01 -rfault 0.002 -badblocks 0.02 -ckpt-interval -1ms",
+			cubeftl.Options{FTL: "cube", Channels: 2, DiesPerChannel: 2, BlocksPerChip: 16, Seed: 42,
 				RetryMode: "ort-pr-ar", Refresh: true, WearLevel: true, ProgramFailRate: 0.001, EraseFailRate: 0.01,
 				ReadFaultRate: 0.002, FactoryBadRate: 0.02, CkptInterval: -time.Millisecond}},
 	} {
@@ -113,7 +113,7 @@ func TestDeviceFromCommandLine(t *testing.T) {
 // cubesim accepts exactly the flags its -h listed before the device
 // flags moved into the shared table.
 func TestFlagNames(t *testing.T) {
-	const want = "age arb badblocks blocks breakdown channels ckpt-interval cpuprofile dieaware dies efail ftl killdie memprofile pe pfail powercut pprof-addr prefill prios qd queues rate record refresh requests retention retry-mode rfault seed stats-interval stats-out trace trace-out verify-mount waf-out wearlevel weights width workload"
+	const want = "age arb badblocks blocks breakdown channels ckpt-interval cpuprofile dies efail ftl killdie memprofile pe pfail powercut pprof-addr prefill prios qd queues rate record refresh requests retention retry-mode rfault seed stats-interval stats-out trace trace-out verify-mount waf-out wearlevel weights width workload"
 	var c config
 	fs := flag.NewFlagSet("cubesim", flag.ContinueOnError)
 	c.bind(fs)

@@ -59,7 +59,7 @@ type config struct {
 // bind declares cubesim's flags on fs.
 func (c *config) bind(fs *flag.FlagSet) {
 	c.dev = cubeftl.Options{FTL: cubeftl.FTLCube, Channels: 2, DiesPerChannel: 4, BlocksPerChip: 32, Seed: 1}
-	c.dev.BindFlags(fs, "ftl", "channels", "dies", "dieaware", "blocks", "seed", "pe", "retention", "retry-mode",
+	c.dev.BindFlags(fs, "ftl", "channels", "dies", "blocks", "seed", "pe", "retention", "retry-mode",
 		"pfail", "efail", "rfault", "badblocks", "refresh", "wearlevel", "ckpt-interval")
 	fs.StringVar(&c.wl, "workload", "OLTP", "workload: "+strings.Join(cubeftl.Workloads(), ", "))
 	fs.IntVar(&c.requests, "requests", 20000, "host requests to complete")

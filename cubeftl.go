@@ -174,9 +174,6 @@ func (s *SSD) Degraded() bool { return s.ctrl.Degraded() }
 // die does not stop the device: writes keep flowing to the survivors.
 func (s *SSD) DieDegraded(die int) bool { return s.ctrl.DieDegraded(die) }
 
-// DegradedDieCount returns how many dies have degraded to read-only.
-func (s *SSD) DegradedDieCount() int { return s.ctrl.DegradedDieCount() }
-
 // Read enqueues a host page read; done (optional) runs in simulated
 // time when data is returned.
 func (s *SSD) Read(lpn int64, done func()) error {
@@ -429,7 +426,6 @@ func (s *SSD) RunTenants(tenants []TenantConfig, arb string, dispatchWidth int) 
 	mr, err := workload.RunTenants(s.ctrl, specs, workload.MultiRunConfig{
 		Arbiter:       arbiter,
 		DispatchWidth: dispatchWidth,
-		DieAffinity:   s.st.Spec.DieAffinity,
 	})
 	if err != nil {
 		return MultiTenantStats{}, err
@@ -476,14 +472,9 @@ func (s *SSD) Cube() CubeStats { return *s.st.Cube.CubeStats() }
 // hook but not span/event tracing.
 type TelemetryConfig struct {
 	// Trace collects per-IO spans and device operation events for Chrome
-	// trace_event export (WriteChromeTrace → Perfetto).
+	// trace_event export (WriteChromeTrace → Perfetto): the 4096 most
+	// recent spans, and a uniform 4096-span reservoir over the older ones.
 	Trace bool
-	// TraceRing bounds the most-recent-spans ring (default 4096).
-	TraceRing int
-	// TraceReservoir sizes the uniform reservoir kept over spans evicted
-	// from the ring, so long runs retain a representative sample beyond
-	// the tail. Default 4096; negative disables the reservoir.
-	TraceReservoir int
 	// SpanSample traces one in every SpanSample host commands (and the
 	// matching fraction of device op events); 0 or 1 traces everything.
 	// The sample is systematic with a seed-derived phase, so fixed-seed
@@ -500,10 +491,7 @@ type TelemetryConfig struct {
 func (s *SSD) EnableTelemetry(cfg TelemetryConfig) {
 	hub := telemetry.NewHub(s.eng, s.dev.Config().Seed)
 	if cfg.Trace {
-		hub.EnableTracer(telemetry.TracerConfig{
-			RingSize:      cfg.TraceRing,
-			ReservoirSize: cfg.TraceReservoir,
-		})
+		hub.EnableTracer(telemetry.TracerConfig{})
 	}
 	hub.SetSpanSample(cfg.SpanSample)
 	s.ctrl.SetTelemetry(hub)

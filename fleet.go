@@ -35,8 +35,9 @@ type TraceReplayOptions struct {
 	// Format selects the parser: TraceFormatAuto (default, sniffs the
 	// first record), TraceFormatMSR, or TraceFormatFIU.
 	Format string
-	// TimeCompression divides inter-arrival gaps (10 = replay a
-	// day-long trace in 1/10 of its simulated span); <= 1 = none.
+	// TimeCompression divides inter-arrival gaps: 10 replays a day-long
+	// trace in 1/10 of its simulated span, 0.5 doubles every gap, 0 =
+	// none. A negative or non-finite factor is an error.
 	TimeCompression float64
 	// Tolerant skips malformed records and clamps out-of-order
 	// timestamps instead of failing with a typed error.

@@ -57,7 +57,6 @@ func (s *SSD) AttachFrontEnd(queues []QueueSpec, arb string, dispatchWidth int) 
 		Queues:        queues,
 		Arb:           arbiter,
 		DispatchWidth: dispatchWidth,
-		DieAffinity:   s.st.Spec.DieAffinity,
 	})
 	if err != nil {
 		return nil, err
@@ -96,29 +95,18 @@ func (f *FrontEnd) Outstanding() int { return f.h.Outstanding() }
 
 // Pump advances the simulation until every submitted command has
 // completed and the controller has quiesced, delivering completions
-// along the way. A live server calls this after each submission batch,
-// once no more traffic is waiting. The contract: the caller submits
-// nothing until Pump returns (completions only record results). The
-// device takes that as a promise that every durable write it will see
-// until then is in already, so a partial word-line group leaves at once
-// instead of being held for pages that cannot come; a Submit from a
-// completion withdraws the promise for the rest of the call.
+// along the way. A live server calls this after each submission batch.
+// The contract: the caller submits nothing until Pump returns
+// (completions only record results). The device takes that as a promise
+// that every durable write it will see until then is in already, so a
+// partial word-line group leaves at once instead of being held for pages
+// that cannot come; a Submit from a completion withdraws the promise for
+// the rest of the call.
 func (f *FrontEnd) Pump() {
 	if f.s.st.Up() == nil {
 		f.s.ctrl.SetDrainPromise(true)
 		f.h.Drain()
 		f.s.ctrl.SetDrainPromise(false)
-	}
-}
-
-// PumpTo advances the simulation only until at most target commands
-// remain outstanding, preserving a standing backlog so tenants contend
-// for grants; it makes no promise, so a partial group keeps waiting for
-// the pages more traffic may bring. Call Pump (full drain) once traffic
-// stops arriving.
-func (f *FrontEnd) PumpTo(target int) {
-	if f.s.st.Up() == nil {
-		f.h.DrainTo(target)
 	}
 }
 
@@ -130,10 +118,6 @@ func (f *FrontEnd) SetRate(queue int, iops float64) error { return f.h.SetRate(q
 
 // Snapshot returns a point-in-time view of every tenant queue.
 func (f *FrontEnd) Snapshot() []TenantSnapshot { return f.h.Snapshot() }
-
-// TraceHash returns the FNV-1a hash over the arbitration grant
-// sequence — equal hashes mean bit-identical scheduling.
-func (f *FrontEnd) TraceHash() uint64 { return f.h.TraceHash() }
 
 // IsMapped reports whether lpn currently holds a written page — the
 // probe behind the block server's StatLPN operation and the soak

@@ -156,14 +156,6 @@ func New(cfg Config) (*Cache, error) {
 // Enabled reports whether the cache exists.
 func (c *Cache) Enabled() bool { return c != nil }
 
-// Mode returns the write discipline (WriteThrough when disabled).
-func (c *Cache) Mode() Mode {
-	if c == nil {
-		return WriteThrough
-	}
-	return c.cfg.Mode
-}
-
 // Len returns the resident page count.
 func (c *Cache) Len() int {
 	if c == nil {

@@ -62,12 +62,6 @@ type Config struct {
 	Order ftl.Order
 	// SafetyCheck enables the §4.1.4 post-program BER verdict.
 	SafetyCheck bool
-	// SafetyRatio is how far above the h-layer's previous program BER a
-	// follower may land before it is declared improperly programmed.
-	SafetyRatio float64
-	// RefBerEP1 is the offline-characterized normalization reference
-	// for the spare margin S_M (BER_EP1 of the best fresh h-layer).
-	RefBerEP1 float64
 	// ORT selects the read-offset cache granularity.
 	ORT ORTGranularity
 	// DisableORT turns every read-offset cache off (the PS-unaware
@@ -90,11 +84,17 @@ func DefaultConfig() Config {
 		ActiveBlocks: 2,
 		Order:        ftl.OrderMixed,
 		SafetyCheck:  true,
-		SafetyRatio:  2.5,
-		RefBerEP1:    vth.BerEP1(1e-4),
 		ORT:          ORTPerLayer,
 	}
 }
+
+// safetyRatio is how far above the h-layer's previous program BER a
+// follower may land before it is declared improperly programmed.
+const safetyRatio = 2.5
+
+// refBerEP1 is the offline-characterized normalization reference for the
+// spare margin S_M (BER_EP1 of the best fresh h-layer).
+var refBerEP1 = vth.BerEP1(1e-4)
 
 // MinusConfig returns cubeFTL-: identical except the WAM is disabled
 // and allocation follows the horizontal-first order (§6.3).
@@ -358,7 +358,7 @@ func (f *CubeFTL) ObserveProgram(chip, block, layer, _ int, params nand.ProgramP
 		}
 		o := &row.obs[layer]
 		*o = layerObs{present: true, valid: true, windows: res.Windows, lastBER: res.MeasuredBER}
-		sm := vth.SpareMargin(res.BerEP1, f.cfg.RefBerEP1)
+		sm := vth.SpareMargin(res.BerEP1, refBerEP1)
 		total := vth.SMToMarginMV(sm)
 		if total < vth.DeltaVISPPmV {
 			// Sub-loop margins save no ISPP loop; not worth the
@@ -387,7 +387,7 @@ func (f *CubeFTL) ObserveProgram(chip, block, layer, _ int, params nand.ProgramP
 	obs := &row.obs[layer]
 	f.stats.FollowerPrograms++
 	normBER := res.MeasuredBER / expectedPenalty(params)
-	if f.cfg.SafetyCheck && obs.lastBER > 0 && normBER > f.cfg.SafetyRatio*obs.lastBER {
+	if f.cfg.SafetyCheck && obs.lastBER > 0 && normBER > safetyRatio*obs.lastBER {
 		// §4.1.4: improperly programmed — rewrite the data on the next
 		// word line and re-monitor from scratch on this h-layer.
 		obs.valid = false

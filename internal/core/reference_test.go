@@ -96,7 +96,7 @@ func (f *refCube) ObserveProgram(chip, block, layer, _ int, params nand.ProgramP
 	if obs == nil || !obs.valid {
 		f.stats.LeaderPrograms++
 		o := &refObs{valid: true, windows: append([]process.LoopWindow(nil), res.Windows[:]...), lastBER: res.MeasuredBER}
-		total := vth.SMToMarginMV(vth.SpareMargin(res.BerEP1, f.cfg.RefBerEP1))
+		total := vth.SMToMarginMV(vth.SpareMargin(res.BerEP1, refBerEP1))
 		if total < vth.DeltaVISPPmV {
 			total = 0
 		}
@@ -117,7 +117,7 @@ func (f *refCube) ObserveProgram(chip, block, layer, _ int, params nand.ProgramP
 	}
 	f.stats.FollowerPrograms++
 	normBER := res.MeasuredBER / expectedPenalty(params)
-	if f.cfg.SafetyCheck && obs.lastBER > 0 && normBER > f.cfg.SafetyRatio*obs.lastBER {
+	if f.cfg.SafetyCheck && obs.lastBER > 0 && normBER > safetyRatio*obs.lastBER {
 		obs.valid = false
 		f.stats.SafetyRejects++
 		return ftl.VerdictReprogram

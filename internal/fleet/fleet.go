@@ -68,8 +68,6 @@ type Config struct {
 	// (0 keeps the device default 2x4).
 	Channels       int
 	DiesPerChannel int
-	// BufferPages sizes each controller's write buffer (default 128).
-	BufferPages int
 	// CapacityJitter varies BlocksPerChip per shard by up to the given
 	// fraction (seed-derived, 0 disables). With PlaceCapacity this is
 	// what makes capacity-aware placement differ from uniform.
@@ -77,7 +75,8 @@ type Config struct {
 
 	// PE / RetentionMonths pre-age every shard (0 = fresh devices).
 	// AgeJitter varies the P/E count per shard by up to the given
-	// fraction (seed-derived), modeling fleet-wide wear imbalance.
+	// fraction (seed-derived, 0 disables), modeling fleet-wide wear
+	// imbalance. Run rejects a jitter that is negative or not finite.
 	PE              int
 	RetentionMonths float64
 	AgeJitter       float64
@@ -91,9 +90,6 @@ type Config struct {
 	// Cache configures each shard's private host-side DRAM cache
 	// (SizePages is per shard; <= 0 disables caching).
 	Cache cache.Config
-	// CacheHitNs is the DRAM service latency charged to cache hits and
-	// write-back absorptions (default 2000 ns).
-	CacheHitNs int64
 
 	// PrefillPages sequentially maps the first N logical pages of each
 	// shard before replay so reads hit programmed flash (0 = none;
@@ -106,10 +102,6 @@ type Config struct {
 	// MaxRequests bounds the total fleet request count after repeat
 	// expansion (0 = no bound).
 	MaxRequests int
-	// TenantExtentPages is the source-LBA granularity of tenant
-	// synthesis: trace extents within the same aligned window of this
-	// many pages belong to the same tenant (default 2048).
-	TenantExtentPages int64
 
 	// SampleIntervalNs enables per-shard sim-clock sampling every given
 	// simulated nanoseconds; the per-shard streams merge into
@@ -123,22 +115,31 @@ type Config struct {
 	Live *LiveView
 }
 
+const (
+	// bufferPages sizes each shard controller's write buffer.
+	bufferPages = 128
+	// cacheHitNs is the DRAM service latency charged to cache hits and
+	// write-back absorptions.
+	cacheHitNs = 2000
+	// tenantExtentPages is the source-LBA granularity of tenant
+	// synthesis: trace extents within the same aligned window of this
+	// many pages belong to the same tenant.
+	tenantExtentPages = 2048
+)
+
 // DefaultConfig returns the standard fleet setup: 4 shards, 1024
 // tenants, hash placement, cubeFTL shards with a disabled cache.
 func DefaultConfig() Config {
 	return Config{
-		Shards:            4,
-		Tenants:           1024,
-		Placement:         PlaceHash,
-		Seed:              1,
-		Policy:            "cube",
-		BlocksPerChip:     16,
-		BufferPages:       128,
-		QueuesPerShard:    8,
-		QueueDepth:        32,
-		CacheHitNs:        2000,
-		Repeat:            1,
-		TenantExtentPages: 2048,
+		Shards:         4,
+		Tenants:        1024,
+		Placement:      PlaceHash,
+		Seed:           1,
+		Policy:         "cube",
+		BlocksPerChip:  16,
+		QueuesPerShard: 8,
+		QueueDepth:     32,
+		Repeat:         1,
 	}
 }
 
@@ -162,23 +163,14 @@ func (c Config) withDefaults() Config {
 	if c.BlocksPerChip <= 0 {
 		c.BlocksPerChip = d.BlocksPerChip
 	}
-	if c.BufferPages <= 0 {
-		c.BufferPages = d.BufferPages
-	}
 	if c.QueuesPerShard <= 0 {
 		c.QueuesPerShard = d.QueuesPerShard
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = d.QueueDepth
 	}
-	if c.CacheHitNs <= 0 {
-		c.CacheHitNs = d.CacheHitNs
-	}
 	if c.Repeat <= 0 {
 		c.Repeat = d.Repeat
-	}
-	if c.TenantExtentPages <= 0 {
-		c.TenantExtentPages = d.TenantExtentPages
 	}
 	return c
 }
@@ -194,6 +186,14 @@ func Run(cfg Config, trace *workload.TimedTrace) (*Result, error) {
 	}
 	if cfg.Tenants < cfg.Shards {
 		return nil, fmt.Errorf("%w: %d tenants cannot cover %d shards", ErrBadConfig, cfg.Tenants, cfg.Shards)
+	}
+	for _, j := range []struct {
+		name string
+		v    float64
+	}{{"-capacity-jitter (CapacityJitter)", cfg.CapacityJitter}, {"-age-jitter (AgeJitter)", cfg.AgeJitter}} {
+		if !(j.v >= 0 && j.v <= math.MaxFloat64) {
+			return nil, fmt.Errorf("%w: %s must be a finite, non-negative fraction, got %v", ErrBadConfig, j.name, j.v)
+		}
 	}
 
 	specs, place, err := planShards(cfg, trace)
@@ -390,6 +390,6 @@ func assignRequests(cfg Config, trace *workload.TimedTrace, place Placement, spe
 func tenantOf(cfg Config, r workload.TimedRequest) int {
 	h := fnvMix(cfg.Seed, uint64(r.Disk))
 	h = fnvString(h, r.Host)
-	h = fnvMix(h, uint64(r.LPN/cfg.TenantExtentPages))
+	h = fnvMix(h, uint64(r.LPN/tenantExtentPages))
 	return int(h % uint64(cfg.Tenants))
 }

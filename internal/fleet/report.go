@@ -23,7 +23,7 @@ type ShardResult struct {
 	Writes   int64
 
 	// ReadLat / WriteLat are host-visible request latencies including
-	// cache hits (charged at Config.CacheHitNs).
+	// cache hits (charged at cacheHitNs).
 	ReadLat  *metrics.Hist
 	WriteLat *metrics.Hist
 

@@ -83,7 +83,7 @@ func (r *shardRunner) getMiss() *missRec {
 func runShard(cfg Config, spec *shardSpec) (ShardResult, error) {
 	stk, err := stack.Build(stack.Spec{
 		FTL: cfg.Policy, Channels: cfg.Channels, DiesPerChannel: cfg.DiesPerChannel,
-		BlocksPerChip: spec.blocksPerChip, Seed: spec.seed, WriteBufferPages: cfg.BufferPages,
+		BlocksPerChip: spec.blocksPerChip, Seed: spec.seed, WriteBufferPages: bufferPages,
 		PECycles: spec.pe, RetentionMonths: cfg.RetentionMonths,
 	})
 	if err != nil {
@@ -218,9 +218,9 @@ func (r *shardRunner) arrive(i int) {
 func (r *shardRunner) issue(qid int, req shardReq) {
 	if req.op == workload.Read {
 		if r.cache.Lookup(req.lpn, req.pages) {
-			r.readLat.Add(r.cfg.CacheHitNs)
-			r.sampler.observe(false, r.cfg.CacheHitNs)
-			r.eng.After(r.cfg.CacheHitNs, r.onReadHit)
+			r.readLat.Add(cacheHitNs)
+			r.sampler.observe(false, cacheHitNs)
+			r.eng.After(cacheHitNs, r.onReadHit)
 			return
 		}
 	} else {
@@ -229,9 +229,9 @@ func (r *shardRunner) issue(qid int, req shardReq) {
 			r.deviceFlush(lpn)
 		}
 		if absorbed {
-			r.writeLat.Add(r.cfg.CacheHitNs)
-			r.sampler.observe(true, r.cfg.CacheHitNs)
-			r.eng.After(r.cfg.CacheHitNs, r.onWriteHit)
+			r.writeLat.Add(cacheHitNs)
+			r.sampler.observe(true, cacheHitNs)
+			r.eng.After(cacheHitNs, r.onWriteHit)
 			return
 		}
 	}

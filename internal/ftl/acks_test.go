@@ -95,7 +95,7 @@ func TestDurableAckLandsAtProgramCompletion(t *testing.T) {
 	write(2, 9)
 	write(3, 7)
 	write(4, 10)
-	eng.RunUntil(c.cfg.BufferReadNs)
+	eng.RunUntil(BufferReadNs)
 	if len(ackedAt) != 0 {
 		t.Fatalf("writes acked at admission: %v", ackedAt)
 	}
@@ -255,7 +255,7 @@ func TestPartialGroupRidesTheProgramInFlight(t *testing.T) {
 		t.Fatalf("at admission: %d programs in flight, early flush armed %v, timer armed %v; want 0, true, false",
 			inflightPrograms(c), c.earlyArmed, c.timerArmed)
 	}
-	eng.RunUntil(c.cfg.BufferReadNs)
+	eng.RunUntil(BufferReadNs)
 	if inflightPrograms(c) != 1 || st.Padded != 1 || st.EarlyFlushes != 1 || c.buf.Flushable() != 0 {
 		t.Fatalf("one DMA time in: %d programs in flight, %d pages of padding, %d early flushes, %d pages still queued; want 1, 1, 1, 0",
 			inflightPrograms(c), st.Padded, st.EarlyFlushes, c.buf.Flushable())
@@ -271,7 +271,7 @@ func TestPartialGroupRidesTheProgramInFlight(t *testing.T) {
 	}
 	eng.RunWhile(func() bool { return inflightPrograms(c) > 0 })
 	completed := eng.Now()
-	if completed >= admitted+c.cfg.FlushTimeoutNs {
+	if completed >= admitted+FlushTimeoutNs {
 		t.Fatalf("the first program ran until %d, past the timer armed at %d: the scenario is gone", completed, admitted)
 	}
 	if c.buf.Flushable() != 1 || st.Programs != 1 || !c.earlyArmed {
@@ -282,7 +282,7 @@ func TestPartialGroupRidesTheProgramInFlight(t *testing.T) {
 		t.Fatalf("at the completion: acked %v, want [1 2] — their program is done", acked)
 	}
 	// It leaves on that completion, not on the timer still pending.
-	eng.RunUntil(completed + c.cfg.BufferReadNs)
+	eng.RunUntil(completed + BufferReadNs)
 	if inflightPrograms(c) != 1 || c.buf.Flushable() != 0 || st.Padded != 3 || st.EarlyFlushes != 2 {
 		t.Fatalf("one DMA time after the completion: %d in flight, %d queued, %d pages of padding, %d early flushes; want 1, 0, 3, 2",
 			inflightPrograms(c), c.buf.Flushable(), st.Padded, st.EarlyFlushes)
@@ -330,7 +330,7 @@ func TestDrainPromiseSendsThePartialGroupAtOnce(t *testing.T) {
 	if !c.earlyArmed {
 		t.Fatal("the promise left the held group waiting")
 	}
-	eng.RunUntil(promised + c.cfg.BufferReadNs)
+	eng.RunUntil(promised + BufferReadNs)
 	if inflightPrograms(c) != 2 || st.EarlyFlushes != 2 || c.buf.Flushable() != 0 {
 		t.Fatalf("one DMA time after the promise: %d programs in flight, %d early flushes, %d queued; want 2, 2, 0",
 			inflightPrograms(c), st.EarlyFlushes, c.buf.Flushable())
@@ -344,7 +344,7 @@ func TestDrainPromiseSendsThePartialGroupAtOnce(t *testing.T) {
 	if !c.earlyArmed {
 		t.Fatal("admitted under the promise: early flush not armed")
 	}
-	eng.RunUntil(admitted + c.cfg.BufferReadNs)
+	eng.RunUntil(admitted + BufferReadNs)
 	if c.buf.Flushable() != 0 || st.EarlyFlushes != 3 {
 		t.Fatalf("one DMA time after admission: %d queued, %d early flushes; want 0, 3", c.buf.Flushable(), st.EarlyFlushes)
 	}
@@ -374,7 +374,7 @@ func TestVolatileAcksKeepTheFlushTimer(t *testing.T) {
 	if c.earlyArmed || !c.timerArmed {
 		t.Fatalf("early flush armed %v, timer armed %v; want false, true", c.earlyArmed, c.timerArmed)
 	}
-	eng.RunUntil(c.cfg.FlushTimeoutNs - 1)
+	eng.RunUntil(FlushTimeoutNs - 1)
 	if c.buf.Flushable() != 1 {
 		t.Fatal("the page left before the flush timer")
 	}

@@ -35,7 +35,7 @@ func (c *Controller) Trim(lpn LPN, done func()) {
 		runAcks(acked)
 	}
 	if done != nil {
-		c.eng.After(c.cfg.BufferReadNs, done)
+		c.eng.After(BufferReadNs, done)
 	}
 }
 

@@ -17,22 +17,9 @@ import (
 type ControllerConfig struct {
 	// WriteBufferPages is the DRAM write buffer capacity in pages.
 	WriteBufferPages int
-	// OverProvision is the fraction of physical pages withheld from the
-	// logical capacity (spare area for garbage collection).
-	OverProvision float64
 	// GCFreeBlocksLow triggers garbage collection on a chip when its
 	// free-block pool drops to this size.
 	GCFreeBlocksLow int
-	// BufferReadNs is the latency of serving a read from the buffer.
-	BufferReadNs int64
-	// FlushTimeoutNs bounds how long a partial word-line group is held
-	// for more pages: trickle writes are not stranded in the buffer. It
-	// is what a volatile-ack write's program waits out (its host was
-	// acked on admission and is not waiting), and the backstop of a
-	// durable-ack group held behind a program in flight; a durable-ack
-	// group on an idle array, or during a host's drain, does not wait
-	// for it (maybeFlush).
-	FlushTimeoutNs int64
 	// MaxInflightProgramsPerChip bounds concurrently issued programs
 	// per chip so allocation decisions stay close to execution.
 	MaxInflightProgramsPerChip int
@@ -80,14 +67,28 @@ type ControllerConfig struct {
 // scrub patrol step when ControllerConfig.RefreshPatrolReads is unset.
 const DefaultRefreshPatrolReads = 256
 
+const (
+	// OverProvision is the fraction of physical pages withheld from the
+	// logical capacity (spare area for garbage collection).
+	OverProvision = 0.125
+	// BufferReadNs is the latency of serving a read from the buffer, and
+	// of a write's DMA into it.
+	BufferReadNs = 3 * sim.Microsecond
+	// FlushTimeoutNs bounds how long a partial word-line group is held
+	// for more pages: trickle writes are not stranded in the buffer. It
+	// is what a volatile-ack write's program waits out (its host was
+	// acked on admission and is not waiting), and the backstop of a
+	// durable-ack group held behind a program in flight; a durable-ack
+	// group on an idle array, or during a host's drain, does not wait
+	// for it (maybeFlush).
+	FlushTimeoutNs = 500 * sim.Microsecond
+)
+
 // DefaultControllerConfig returns the evaluation defaults.
 func DefaultControllerConfig() ControllerConfig {
 	return ControllerConfig{
 		WriteBufferPages:           192,
-		OverProvision:              0.125,
 		GCFreeBlocksLow:            4,
-		BufferReadNs:               3 * sim.Microsecond,
-		FlushTimeoutNs:             500 * sim.Microsecond,
 		MaxInflightProgramsPerChip: 1,
 	}
 }
@@ -315,7 +316,7 @@ func newController(dev *ssd.Device, pol Policy, cfg ControllerConfig) *Controlle
 		cfg.RefreshPatrolReads = DefaultRefreshPatrolReads
 	}
 	geo := dev.Geometry()
-	logical := int(float64(geo.PhysPages()) * (1 - cfg.OverProvision))
+	logical := int(float64(geo.PhysPages()) * (1 - OverProvision))
 	buf, _ := NewWriteBuffer(cfg.WriteBufferPages) // cannot fail: the capacity is positive
 	c := &Controller{
 		eng:    dev.Engine(),
@@ -503,28 +504,6 @@ func (c *Controller) Degraded() bool { return c.degraded }
 // DieDegraded reports whether one die has dropped to read-only mode.
 // The device keeps serving writes while any die survives.
 func (c *Controller) DieDegraded(die int) bool { return c.dies[die].degraded }
-
-// DegradedDieCount returns how many dies have degraded to read-only.
-func (c *Controller) DegradedDieCount() int { return int(c.stats.DegradedDies) }
-
-// TargetDie returns the die a read of lpn would touch, or -1 when the
-// read is die-agnostic (buffered or unmapped) — used by die-aware host
-// dispatch to prefer commands whose die is idle.
-func (c *Controller) TargetDie(lpn LPN) int {
-	if lpn < 0 || int(lpn) >= c.mapper.LogicalPages() || c.buf.Contains(lpn) {
-		return -1
-	}
-	ppn := c.mapper.Lookup(lpn)
-	if ppn == ssd.UnmappedPPN {
-		return -1
-	}
-	die, _, _, _, _ := c.geo.DecodePPN(ppn)
-	return die
-}
-
-// DieBusy reports whether a die has work queued or running on any of
-// its planes.
-func (c *Controller) DieBusy(die int) bool { return c.dev.Die(die).Busy() }
 
 // IsRetired reports whether a block has been retired (factory mark or
 // grown bad).

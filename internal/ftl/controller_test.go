@@ -226,7 +226,6 @@ func TestFlushTimeoutTrickleWrites(t *testing.T) {
 	eng, dev := testDevice(19)
 	cfg := DefaultControllerConfig()
 	cfg.WriteBufferPages = 32
-	cfg.FlushTimeoutNs = 200 * sim.Microsecond
 	c := NewController(dev, NewPagePolicy(), cfg)
 
 	// Three rounds of single-page writes, each drained separately: every
@@ -239,9 +238,9 @@ func TestFlushTimeoutTrickleWrites(t *testing.T) {
 		if c.Mapper().Lookup(lpn) == ssd.UnmappedPPN {
 			t.Fatalf("round %d: trickle write never flushed", round)
 		}
-		if elapsed := eng.Now() - start; elapsed < cfg.FlushTimeoutNs {
+		if elapsed := eng.Now() - start; elapsed < FlushTimeoutNs {
 			t.Errorf("round %d: flushed after %d ns, before the %d ns timeout",
-				round, elapsed, cfg.FlushTimeoutNs)
+				round, elapsed, FlushTimeoutNs)
 		}
 	}
 	// Each 1-page group was padded to a full word line.

@@ -28,9 +28,9 @@ func (c *Controller) Read(lpn LPN, pp *telemetry.PageProbe, done func()) {
 	if ppn == ssd.UnmappedPPN {
 		if pp != nil {
 			pp.Buffered = true
-			pp.BufferNs += c.cfg.BufferReadNs
+			pp.BufferNs += BufferReadNs
 		}
-		c.eng.After(c.cfg.BufferReadNs, r.onFinish)
+		c.eng.After(BufferReadNs, r.onFinish)
 		return
 	}
 	chip, block, layer, wl, page := c.geo.DecodePPN(ppn)
@@ -68,14 +68,14 @@ func (c *Controller) Write(lpn LPN, pp *telemetry.PageProbe, done func()) error 
 	if c.admit(w) {
 		if pp != nil {
 			pp.Buffered = true
-			pp.BufferNs += c.cfg.BufferReadNs
+			pp.BufferNs += BufferReadNs
 		}
 		if c.cfg.DurableAcks && c.rec != nil {
 			// Hold the ack until the page is programmed (released by
 			// flushOp.programDone).
 			c.deferAck(w)
 		} else {
-			c.eng.After(c.cfg.BufferReadNs, w.onAck) // DMA into buffer
+			c.eng.After(BufferReadNs, w.onAck) // DMA into buffer
 		}
 	} else {
 		w.pp = pp
@@ -139,7 +139,7 @@ func (c *Controller) maybeFlush() {
 		// After the DMA time, not now: the writes a host submits at one
 		// instant share one word line and one pad.
 		c.earlyArmed = true
-		c.eng.After(c.cfg.BufferReadNs, c.onEarlyFlush)
+		c.eng.After(BufferReadNs, c.onEarlyFlush)
 	}
 }
 
@@ -205,7 +205,7 @@ func (c *Controller) armFlushTimer() {
 		return
 	}
 	c.timerArmed = true
-	c.eng.After(c.cfg.FlushTimeoutNs, c.onFlushTimer)
+	c.eng.After(FlushTimeoutNs, c.onFlushTimer)
 }
 
 func (c *Controller) flushTimerFired() {

@@ -110,12 +110,6 @@ type Config struct {
 	// divides. 0 defaults to the sum of queue depths (no device-side
 	// narrowing beyond per-queue backpressure).
 	DispatchWidth int
-	// DieAffinity makes arbitration prefer queues whose head command
-	// targets an idle NAND die (writes and buffered reads are
-	// die-flexible and always eligible). When no candidate's die is
-	// idle the full eligible set is used, so no queue can starve. With
-	// a single queue this is a no-op. Off by default.
-	DieAffinity bool
 }
 
 // TenantStats is the per-tenant accounting of one queue pair: the
@@ -221,9 +215,7 @@ type Host struct {
 	gt  *telemetry.GrantTrace
 	hub *telemetry.Hub // nil when telemetry is off
 
-	dieAffinity bool
-	scratch     []QueueState // reused eligible-set buffer
-	affinity    []QueueState // reused die-affinity subset buffer
+	scratch []QueueState // reused eligible-set buffer
 
 	cmds pool.FreeList[cmdRec] // released per-command records
 }
@@ -239,11 +231,10 @@ func New(ctrl *ftl.Controller, cfg Config) (*Host, error) {
 		arb = NewRoundRobin()
 	}
 	h := &Host{
-		eng:         ctrl.Engine(),
-		ctrl:        ctrl,
-		arb:         arb,
-		hub:         ctrl.TelemetryHub(),
-		dieAffinity: cfg.DieAffinity,
+		eng:  ctrl.Engine(),
+		ctrl: ctrl,
+		arb:  arb,
+		hub:  ctrl.TelemetryHub(),
 	}
 	if h.hub != nil {
 		h.gt = h.hub.NewGrantTrace()
@@ -293,12 +284,6 @@ func New(ctrl *ftl.Controller, cfg Config) (*Host, error) {
 	}
 	return h, nil
 }
-
-// Arbiter returns the active arbitration policy.
-func (h *Host) Arbiter() Arbiter { return h.arb }
-
-// Queues returns the number of queue pairs.
-func (h *Host) Queues() int { return len(h.queues) }
 
 // Controller returns the FTL datapath behind the host interface.
 func (h *Host) Controller() *ftl.Controller { return h.ctrl }
@@ -399,18 +384,6 @@ func (h *Host) Drain() {
 	h.eng.RunWhile(func() bool { return !h.ctrl.Drained() })
 }
 
-// DrainTo advances the simulation only until at most target commands
-// remain outstanding. A live server uses it to keep a standing backlog
-// while traffic is still arriving — so tenants genuinely contend for
-// arbitration grants — and falls back to Drain once the source goes
-// quiet.
-func (h *Host) DrainTo(target int) {
-	if target < 0 {
-		target = 0
-	}
-	h.eng.RunWhile(func() bool { return h.Outstanding() > target })
-}
-
 // pump runs the dispatch loop, flattening reentrant calls (a command
 // can complete synchronously when a degraded device rejects its
 // writes) into repeat passes.
@@ -457,35 +430,9 @@ func (h *Host) dispatch() {
 		if len(el) == 0 {
 			return
 		}
-		if h.dieAffinity && len(el) > 1 {
-			aff := h.affinity[:0]
-			for _, qs := range el {
-				if h.headDieIdle(qs.Index) {
-					aff = append(aff, qs)
-				}
-			}
-			h.affinity = aff[:0]
-			if n := len(aff); n > 0 && n < len(el) {
-				el = aff
-			}
-		}
 		idx := h.arb.Pick(el, now)
 		h.grant(idx, now)
 	}
-}
-
-// headDieIdle reports whether a queue's head command could start on
-// NAND immediately: writes and buffered/unmapped reads are
-// die-flexible (the FTL places them), and a mapped read qualifies when
-// its die has nothing queued or running.
-func (h *Host) headDieIdle(qid int) bool {
-	q := h.queues[qid]
-	cmd := q.sq[q.head].cmd
-	if cmd.Op != Read {
-		return true
-	}
-	die := h.ctrl.TargetDie(ftl.LPN(cmd.LPN))
-	return die < 0 || !h.ctrl.DieBusy(die)
 }
 
 // grant fetches the head command of queue idx and issues it.

@@ -25,21 +25,20 @@ import (
 	"cubeftl/internal/vth"
 )
 
+// The wear a fast-forward adds. pePerYear is the mean P/E cycles a
+// block accumulates per simulated year: 650 walks a device to the
+// paper's 2K-cycle rated endurance in about three years — the
+// fleet-replacement horizon the lifetime figure sweeps. peJitter is the
+// relative spread of per-block wear (each block's added cycles are
+// scaled by a uniform factor in 1 ± peJitter); it is what gives static
+// wear leveling something to level: hot blocks pull ahead of cold ones.
+const (
+	pePerYear = 650
+	peJitter  = 0.25
+)
+
 // Config parameterizes the aging fast-forward.
 type Config struct {
-	// PEPerYear is the mean P/E cycles a block accumulates per simulated
-	// year. The default, 650, walks a device to the paper's 2K-cycle
-	// rated endurance in about three years — the fleet-replacement
-	// horizon the lifetime figure sweeps.
-	PEPerYear float64
-
-	// PEJitter is the relative spread of per-block wear (each block's
-	// added cycles are scaled by a uniform factor in 1 ± PEJitter). The
-	// jitter is what gives static wear leveling something to level: hot
-	// blocks pull ahead of cold ones. Zero takes the default; negative
-	// disables jitter (uniform wear).
-	PEJitter float64
-
 	// BadBlocksPerDieYear is the expected grown-bad-block count per die
 	// per simulated year (real parts: a handful over the device life).
 	// Zero takes the default; negative disables growth.
@@ -54,8 +53,6 @@ type Config struct {
 // regimes (2K P/E) in ~3 simulated years.
 func DefaultConfig() Config {
 	return Config{
-		PEPerYear:           650,
-		PEJitter:            0.25,
 		BadBlocksPerDieYear: 0.7,
 		Seed:                1,
 	}
@@ -113,20 +110,10 @@ type Ager struct {
 	round int
 }
 
-// NewAger returns an Ager. Zero-valued Config fields take defaults;
-// PEJitter and BadBlocksPerDieYear accept negative values to mean
-// "really zero" (uniform wear, no bad-block growth).
+// NewAger returns an Ager. A zero BadBlocksPerDieYear takes the
+// default; a negative one means "really zero" (no bad-block growth).
 func NewAger(cfg Config) *Ager {
 	def := DefaultConfig()
-	if cfg.PEPerYear <= 0 {
-		cfg.PEPerYear = def.PEPerYear
-	}
-	switch {
-	case cfg.PEJitter == 0:
-		cfg.PEJitter = def.PEJitter
-	case cfg.PEJitter < 0:
-		cfg.PEJitter = 0
-	}
 	switch {
 	case cfg.BadBlocksPerDieYear == 0:
 		cfg.BadBlocksPerDieYear = def.BadBlocksPerDieYear
@@ -135,9 +122,6 @@ func NewAger(cfg Config) *Ager {
 	}
 	return &Ager{cfg: cfg}
 }
-
-// Config returns the ager's effective configuration.
-func (a *Ager) Config() Config { return a.cfg }
 
 // FastForward ages every die of the array by months: adds jittered P/E
 // wear, advances the retention clock of every block currently holding
@@ -151,7 +135,7 @@ func (a *Ager) FastForward(arr *nand.Array, months float64, bucketFor func(month
 	}
 	a.round++
 	root := rng.New(a.cfg.Seed).Derive(fmt.Sprintf("lifetime/round/%d", a.round))
-	basePE := a.cfg.PEPerYear * months / MonthsPerYear
+	basePE := pePerYear * months / MonthsPerYear
 	rep.MinPE = 1 << 30
 	for d := 0; d < arr.Dies(); d++ {
 		chip := arr.Die(d)
@@ -160,7 +144,7 @@ func (a *Ager) FastForward(arr *nand.Array, months float64, bucketFor func(month
 		for b := 0; b < chip.Blocks(); b++ {
 			// Draw the block's variates unconditionally so the stream
 			// stays aligned whatever the block's state is.
-			jitter := 1 + a.cfg.PEJitter*(2*src.Float64()-1)
+			jitter := 1 + peJitter*(2*src.Float64()-1)
 			badDraw := src.Float64()
 			if chip.IsBadBlock(b) {
 				continue

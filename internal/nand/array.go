@@ -53,9 +53,6 @@ func NewArray(cfg ArrayConfig) *Array {
 	return a
 }
 
-// Config returns the array configuration.
-func (a *Array) Config() ArrayConfig { return a.cfg }
-
 // Channels returns the channel count.
 func (a *Array) Channels() int { return a.cfg.Channels }
 

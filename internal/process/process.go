@@ -308,12 +308,6 @@ func (m *Model) BerEP1(block, layer int, a Aging) float64 {
 	return vth.BerEP1(m.BER(block, layer, 0, a))
 }
 
-// RefBerEP1 returns the normalization reference for S_M: BER_EP1 of the
-// best h-layer of an ideal fresh block.
-func (m *Model) RefBerEP1() float64 {
-	return vth.BerEP1(m.cfg.BaseBER)
-}
-
 // DeltaV returns the inter-layer variability metric of a block: the
 // ratio of the maximum to the minimum leading-WL BER across h-layers
 // (paper §3.1).

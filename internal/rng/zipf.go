@@ -49,9 +49,6 @@ func zetaStatic(n uint64, theta float64) float64 {
 	return sum
 }
 
-// N returns the population size.
-func (z *Zipf) N() uint64 { return z.n }
-
 // Next returns the next Zipf-distributed value in [0, n).
 func (z *Zipf) Next() uint64 {
 	u := z.src.Float64()

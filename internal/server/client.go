@@ -21,38 +21,30 @@ type ClientConfig struct {
 	Addr   string
 	Tenant string
 
-	// BaseBackoff seeds the exponential backoff between retries
-	// (default 1ms, doubling to MaxBackoff, default 100ms). Backoff is
-	// deterministic; with writes deduplicated server-side, thundering
-	// herds cost throughput, not correctness.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// RetryBudget bounds one call's total wall-clock time across
 	// reconnects and retries (default 30s). A call that cannot complete
 	// within it fails with ErrRetriesExhausted — the client is never
 	// stuck forever.
 	RetryBudget time.Duration
-	// CallTimeout bounds one attempt's wait for a reply (default 5s
-	// wall). On expiry the connection is dropped and the attempt
-	// retried.
-	CallTimeout time.Duration
 
 	// Logf receives client-side log lines (nil = silent).
 	Logf func(format string, args ...any)
 }
 
+const (
+	// baseBackoff seeds the exponential backoff between retries, doubling
+	// to maxBackoff. Backoff is deterministic; with writes deduplicated
+	// server-side, thundering herds cost throughput, not correctness.
+	baseBackoff = time.Millisecond
+	maxBackoff  = 100 * time.Millisecond
+	// callTimeout bounds one attempt's wait for a reply (wall clock). On
+	// expiry the connection is dropped and the attempt retried.
+	callTimeout = 5 * time.Second
+)
+
 func (c ClientConfig) withDefaults() ClientConfig {
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 100 * time.Millisecond
-	}
 	if c.RetryBudget <= 0 {
 		c.RetryBudget = 30 * time.Second
-	}
-	if c.CallTimeout <= 0 {
-		c.CallTimeout = 5 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -115,7 +107,7 @@ type Client struct {
 func Dial(cfg ClientConfig) (*Client, error) {
 	c := &Client{cfg: cfg.withDefaults()}
 	deadline := time.Now().Add(c.cfg.RetryBudget)
-	backoff := c.cfg.BaseBackoff
+	backoff := baseBackoff
 	var last error
 	for time.Now().Before(deadline) {
 		if last = c.connect(); last == nil {
@@ -125,24 +117,18 @@ func Dial(cfg ClientConfig) (*Client, error) {
 			return nil, last
 		}
 		time.Sleep(backoff)
-		backoff = c.nextBackoff(backoff)
+		backoff = nextBackoff(backoff)
 	}
 	return nil, fmt.Errorf("%w: dial %s: %v", ErrRetriesExhausted, cfg.Addr, last)
 }
 
-func (c *Client) nextBackoff(cur time.Duration) time.Duration {
-	next := cur * 2
-	if next > c.cfg.MaxBackoff {
-		next = c.cfg.MaxBackoff
-	}
-	return next
-}
+func nextBackoff(cur time.Duration) time.Duration { return min(cur*2, maxBackoff) }
 
 // connect dials and performs the Hello handshake.
 func (c *Client) connect() error {
 	c.dropConn()
 	c.Stats.Dials++
-	nc, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.CallTimeout)
+	nc, err := net.DialTimeout("tcp", c.cfg.Addr, callTimeout)
 	if err != nil {
 		return err
 	}
@@ -157,7 +143,7 @@ func (c *Client) connect() error {
 		c.dropConn()
 		return err
 	}
-	nc.SetReadDeadline(time.Now().Add(c.cfg.CallTimeout))
+	nc.SetReadDeadline(time.Now().Add(callTimeout))
 	typ, body, err := c.readFrame()
 	if err != nil {
 		c.dropConn()
@@ -240,7 +226,7 @@ func (c *Client) call(op uint8, lpn int64, pages int) (Result, error) {
 	c.seq++
 	req := IORequest{Op: op, Seq: c.seq, AckFloor: c.floor, LPN: lpn, Pages: uint32(pages)}
 	deadline := time.Now().Add(c.cfg.RetryBudget)
-	backoff := c.cfg.BaseBackoff
+	backoff := baseBackoff
 	var last error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -250,7 +236,7 @@ func (c *Client) call(op uint8, lpn int64, pages int) (Result, error) {
 					ErrRetriesExhausted, opName(op), req.Seq, attempt, last)
 			}
 			time.Sleep(backoff)
-			backoff = c.nextBackoff(backoff)
+			backoff = nextBackoff(backoff)
 		}
 		if c.nc == nil {
 			if last = c.connect(); last != nil {
@@ -303,7 +289,7 @@ func (c *Client) call(op uint8, lpn int64, pages int) (Result, error) {
 
 // attempt sends req and waits for its reply on the current connection.
 func (c *Client) attempt(req IORequest) (IOReply, error) {
-	c.nc.SetReadDeadline(time.Now().Add(c.cfg.CallTimeout))
+	c.nc.SetReadDeadline(time.Now().Add(callTimeout))
 	c.wbuf = AppendIO(c.wbuf[:0], req)
 	if _, err := c.nc.Write(c.wbuf); err != nil {
 		return IOReply{}, err

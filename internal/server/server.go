@@ -49,8 +49,7 @@ type Config struct {
 	// within one window contend in simulated time the way concurrently
 	// submitted commands contend in a real device. The wait ends early
 	// once every session has a command in flight: nobody is left who
-	// could join. 0 selects DefaultBatchWindow; negative disables
-	// coalescing.
+	// could join. 0 (or less) selects DefaultBatchWindow.
 	BatchWindow time.Duration
 	// PrefillPages sequentially writes this many logical pages before
 	// serving so traffic lands on a steady-state device.
@@ -363,6 +362,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Arbiter == "" {
 		cfg.Arbiter = cubeftl.ArbWRR
 	}
+	if cfg.BatchWindow <= 0 {
+		cfg.BatchWindow = DefaultBatchWindow
+	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -559,14 +561,10 @@ func (s *Server) coreLoop() {
 // while some session could still send: with none idle the window is not
 // opened, and it is left the moment the last one's command is in.
 func (s *Server) gather() {
-	w := s.batchWindow()
-	if w <= 0 {
-		return
-	}
 	if s.idle > 0 {
 		// Every way out of the loop below leaves the timer stopped or
 		// fired with its channel empty, so Reset is safe.
-		if s.window == nil {
+		if w := s.cfg.BatchWindow; s.window == nil {
 			s.window = time.NewTimer(w)
 		} else {
 			s.window.Reset(w)
@@ -595,55 +593,27 @@ func (s *Server) gather() {
 	s.stats.WindowAllIn++
 }
 
-// pump advances the simulation, then lets the SLO controller act. The
-// replies of the commands that complete are staged per connection; the
-// caller flushes them once the pump is over. While more traffic is
-// already waiting in reqCh it drains only down to a backlog target —
-// keeping tenants contending for grants instead of letting every batch
-// start from an idle device — and quiesces fully once the wire goes
-// quiet (clients are all blocked on replies). Only then does it call
-// FrontEnd.Pump, whose contract — nothing is submitted until it returns —
-// the core keeps by construction: it submits from handle alone, and
-// completions only stage replies. The device reads the contract as "no
-// more pages are coming" and sends a partial word line at once.
+// pump runs the batch coreLoop has drained from reqCh to completion,
+// then lets the SLO controller act. The replies of the commands that
+// complete are staged per connection; the caller flushes them once the
+// pump is over. FrontEnd.Pump's contract — nothing is submitted until it
+// returns — the core keeps by construction: it submits from handle
+// alone, and completions only stage replies. The device reads the
+// contract as "no more pages are coming" and sends a partial word line
+// at once.
 func (s *Server) pump() {
 	if !s.up || s.fe == nil {
 		return
 	}
 	if s.fe.Outstanding() > 0 {
 		s.stats.Batches++
-		if len(s.reqCh) > 0 {
-			s.fe.PumpTo(s.backlogTarget())
-		} else {
-			s.fe.Pump()
-		}
+		s.fe.Pump()
 	}
 	s.slo.maybeDecide(s.dev.Now())
 }
 
 // DefaultBatchWindow is the coalescing window Config.BatchWindow 0 selects.
 const DefaultBatchWindow = 200 * time.Microsecond
-
-// batchWindow resolves the configured coalescing window.
-func (s *Server) batchWindow() time.Duration {
-	switch {
-	case s.cfg.BatchWindow < 0:
-		return 0
-	case s.cfg.BatchWindow == 0:
-		return DefaultBatchWindow
-	}
-	return s.cfg.BatchWindow
-}
-
-// backlogTarget is how many outstanding commands pump leaves in place
-// while traffic is still arriving. It sits below the dispatch width so
-// arrivals stack up behind the arbiter rather than finding it idle.
-func (s *Server) backlogTarget() int {
-	if w := s.cfg.DispatchWidth; w > 1 {
-		return w / 2
-	}
-	return 2
-}
 
 // do runs fn on the core goroutine and waits for it — the only safe
 // way for another goroutine (chaos harness, admin, signal handler) to

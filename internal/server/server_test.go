@@ -226,6 +226,69 @@ func TestDuplicateWriteAckSuppression(t *testing.T) {
 	}
 }
 
+// A pipelining client — one connection, eight writes sent before any
+// reply is read — gets eight durable acks, and every page survives a
+// power cut: the core submits what it drained from the wire and pumps
+// the device until all of it completes.
+func TestPipeliningClientGetsDurableAcks(t *testing.T) {
+	srv := startTestServer(t, testConfig(false))
+	defer srv.Close()
+
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	frame, _ := AppendHello(nil, Hello{Tenant: "bulk"})
+	if _, err := nc.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if typ, body, err := ReadFrame(br, nil); err != nil || typ != MsgHelloAck {
+		t.Fatalf("hello ack: typ %d err %v", typ, err)
+	} else if ack, _ := ParseHelloAck(body); ack.Status != StatusOK {
+		t.Fatalf("hello refused: %v", ack.Status)
+	}
+
+	const n = 8
+	for seq := uint64(1); seq <= n; seq++ {
+		if _, err := nc.Write(AppendIO(nil, IORequest{Op: OpWrite, Seq: seq, LPN: int64(100 + seq), Pages: 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acked := map[uint64]bool{}
+	for len(acked) < n {
+		nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+		typ, body, err := ReadFrame(br, nil)
+		if err != nil || typ != MsgIOReply {
+			t.Fatalf("reply %d: typ %d err %v", len(acked)+1, typ, err)
+		}
+		rep, err := ParseIOReply(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Status != StatusOK || rep.Flags&FlagDuplicate != 0 || rep.Seq < 1 || rep.Seq > n || acked[rep.Seq] {
+			t.Fatalf("reply %+v after %d acks", rep, len(acked))
+		}
+		acked[rep.Seq] = true
+	}
+	if st := srv.Stats(); st.Writes != n {
+		t.Fatalf("server executed %d writes, want %d", st.Writes, n)
+	}
+
+	rpt, err := srv.Restart()
+	if err != nil || !rpt.Verified {
+		t.Fatalf("restart: verified=%v err=%v", rpt.Verified, err)
+	}
+	cl := testClient(t, srv, "bulk")
+	defer cl.Close()
+	for seq := uint64(1); seq <= n; seq++ {
+		if mapped, err := cl.Stat(int64(100 + seq)); err != nil || !mapped {
+			t.Fatalf("lpn %d acked, after the restart: mapped=%v err=%v", 100+seq, mapped, err)
+		}
+	}
+}
+
 func TestTerminalErrorsThroughServer(t *testing.T) {
 	srv := startTestServer(t, testConfig(false))
 	defer srv.Close()

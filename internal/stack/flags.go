@@ -21,7 +21,6 @@ var deviceFlags = []struct{ name, field, usage string }{
 	{"dies", "DiesPerChannel", "NAND dies behind each channel (0 = device default 4)"},
 	{"blocks", "BlocksPerChip", "blocks per chip (428 = paper's full chip; 0 = device default 64)"},
 	{"seed", "Seed", "random seed (device personality; a fleet derives each shard's from it)"},
-	{"dieaware", "DieAffinity", "die-aware dispatch: prefer queue heads targeting idle dies (multi-tenant mode)"},
 	{"pe", "PECycles", "pre-aged P/E cycles (paper: 0 or 2000)"},
 	{"retention", "RetentionMonths", "pinned retention age in months (paper: 0, 1 or 12)"},
 	{"retry-mode", "RetryMode", "read-retry stack: baseline (no offset caches), ort (default; the paper's flow), ort-pr (pipelined sense/decode + retry table), ort-pr-ar (ort-pr + adaptive sense termination)"},

@@ -46,11 +46,6 @@ type Spec struct {
 	PlanesPerChip  int // default 1 (the paper's model); 2+ overlaps ops within a die
 	Seed           uint64
 
-	// DieAffinity makes the multi-queue host front end prefer fetching
-	// commands whose target die is idle (reads to busy dies wait while
-	// reads to idle dies dispatch), increasing array-level overlap.
-	DieAffinity bool
-
 	WriteBufferPages int // default ftl.DefaultControllerConfig's (192)
 
 	// Pre-aging (paper §6.2): wear on every block and a pinned retention

@@ -196,10 +196,10 @@ func TestDurableWriteOnIdleArraySkipsTheFlushTimer(t *testing.T) {
 	if stats.Programs != 1 || stats.Padded != 2 || stats.EarlyFlushes != 1 {
 		t.Fatalf("one write: %d programs, %d pages of padding, %d early flushes; want 1, 2, 1", stats.Programs, stats.Padded, stats.EarlyFlushes)
 	}
-	budget := st.CtrlCfg.BufferReadNs + stats.ProgramNs + busSlack
+	budget := ftl.BufferReadNs + stats.ProgramNs + busSlack
 	if lat > budget || busSlack >= recovery.JournalFlushNs {
 		t.Errorf("a lone durable write took %d ns; budget %d ns (DMA %d + program %d + bus %d), a journal flush is %d",
-			lat, budget, st.CtrlCfg.BufferReadNs, stats.ProgramNs, busSlack, recovery.JournalFlushNs)
+			lat, budget, ftl.BufferReadNs, stats.ProgramNs, busSlack, recovery.JournalFlushNs)
 	}
 
 	tprog := stats.ProgramNs
@@ -207,7 +207,7 @@ func TestDurableWriteOnIdleArraySkipsTheFlushTimer(t *testing.T) {
 	if stats.Programs != 2 || stats.Padded != 3 || stats.EarlyFlushes != 2 {
 		t.Fatalf("two writes at one instant: %d programs, %d pages of padding, %d early flushes in all; want 2, 3, 2", stats.Programs, stats.Padded, stats.EarlyFlushes)
 	}
-	if budget := st.CtrlCfg.BufferReadNs + (stats.ProgramNs - tprog) + busSlack; lat > budget {
+	if budget := ftl.BufferReadNs + (stats.ProgramNs - tprog) + busSlack; lat > budget {
 		t.Errorf("two durable writes at one instant took %d ns, budget %d ns", lat, budget)
 	}
 	if err := st.Up(); err != nil {

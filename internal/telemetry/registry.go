@@ -18,21 +18,14 @@ var ErrDuplicateName = errors.New("telemetry: duplicate metric name")
 // servers, tests) observes a consistent value — the simulator itself is
 // single-threaded and never contends.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 // Inc adds delta to the counter.
 func (c *Counter) Inc(delta int64) { c.v.Add(delta) }
 
-// Set overwrites the counter's value.
-func (c *Counter) Set(v int64) { c.v.Store(v) }
-
 // Value returns the current value.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Name returns the registered name.
-func (c *Counter) Name() string { return c.name }
 
 // Registry is the central metrics catalog: every histogram, counter,
 // and gauge in the stack registers here under a unique slash-separated
@@ -76,7 +69,7 @@ func (r *Registry) Counter(name string) (*Counter, error) {
 	if r.taken(name) {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name)
 	}
-	c := &Counter{name: name}
+	c := new(Counter)
 	r.counters[name] = c
 	r.names = append(r.names, name)
 	return c, nil

@@ -69,7 +69,6 @@ type Sampler struct {
 // previous sink.
 func (h *Hub) StartSampler(w io.Writer, interval sim.Time) *Sampler {
 	s := &Sampler{hub: h, interval: interval, w: bufio.NewWriter(w)}
-	h.sampler = s
 	h.eng.SetProbe(interval, s.fire)
 	return s
 }

@@ -109,14 +109,13 @@ type PageProbe struct {
 }
 
 // Hub is the per-SSD telemetry root: the registry, the stage-latency
-// attribution set, the (optional) tracer, and the (optional) sampler.
+// attribution set and the (optional) tracer; StartSampler reads it.
 // A nil *Hub disables everything.
 type Hub struct {
 	eng      *sim.Engine
 	registry *Registry
 	stages   *StageSet
 	tracer   *Tracer
-	sampler  *Sampler
 	events   *EventLog
 	seed     uint64
 
@@ -156,12 +155,6 @@ func (h *Hub) Stages() *StageSet { return h.stages }
 
 // Tracer returns the span/event tracer, or nil when tracing is off.
 func (h *Hub) Tracer() *Tracer { return h.tracer }
-
-// Sampler returns the time-series sampler, or nil when not started.
-func (h *Hub) Sampler() *Sampler { return h.sampler }
-
-// Now returns the current simulated time.
-func (h *Hub) Now() int64 { return h.eng.Now() }
 
 // EnableTracer turns on span and event collection for Chrome export.
 func (h *Hub) EnableTracer(cfg TracerConfig) *Tracer {
@@ -209,10 +202,6 @@ func (h *Hub) SetSpanSample(every int) {
 	h.sampleEvery = uint64(every)
 	h.samplePhase = newReservoirRNG(h.seed, "span-sample").Uint64n(uint64(every))
 }
-
-// SpanSample returns the configured sampling period (0 or 1 = every
-// command is traced).
-func (h *Hub) SpanSample() int { return int(h.sampleEvery) }
 
 // Tracing reports whether a tracer is collecting, through a possibly
 // nil hub — datapath call sites use it to skip building event args

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -87,12 +88,10 @@ type TraceOptions struct {
 	// Format selects the parser: FormatMSR, FormatFIU, or FormatAuto
 	// (default) which sniffs the first record.
 	Format string
-	// PageBytes is the simulated page size extents are quantized to
-	// (default 16384, the device's page).
-	PageBytes int
 	// TimeCompression divides every inter-arrival gap: 10 replays a
-	// day-long trace in 1/10th of its simulated span. Values <= 0 mean
-	// no compression. Compression rescales time, it does not reorder.
+	// day-long trace in 1/10th of its simulated span, 0.5 doubles every
+	// gap, and 0 means no compression. Compression rescales time, it
+	// does not reorder; a negative or non-finite factor is an error.
 	TimeCompression float64
 	// Tolerant skips malformed records (counting them in Skipped) and
 	// clamps out-of-order timestamps (counting them in Clamped) instead
@@ -103,17 +102,21 @@ type TraceOptions struct {
 	MaxRequests int
 }
 
-func (o TraceOptions) withDefaults() TraceOptions {
+// tracePageBytes is the simulated page size extents are quantized to:
+// the device's page.
+const tracePageBytes = 16 * 1024
+
+func (o TraceOptions) withDefaults() (TraceOptions, error) {
+	if c := o.TimeCompression; !(c >= 0 && c <= math.MaxFloat64) {
+		return o, fmt.Errorf("workload: -compress (TimeCompression) must be a finite, non-negative factor, got %v", c)
+	}
 	if o.Format == "" {
 		o.Format = FormatAuto
 	}
-	if o.PageBytes <= 0 {
-		o.PageBytes = 16 * 1024
-	}
-	if o.TimeCompression <= 0 {
+	if o.TimeCompression == 0 {
 		o.TimeCompression = 1
 	}
-	return o
+	return o, nil
 }
 
 // TimedRequest is one trace record resolved to simulated time and page
@@ -124,7 +127,7 @@ type TimedRequest struct {
 	Host  string   // MSR hostname / FIU process
 	Disk  int      // MSR disk number / FIU device minor
 	Op    Op
-	LPN   int64 // in source page space (Offset / PageBytes)
+	LPN   int64 // in source page space (Offset / tracePageBytes)
 	Pages int
 }
 
@@ -166,7 +169,10 @@ func (t *TimedTrace) String() string {
 
 // ParseTimedTrace ingests an MSR-Cambridge or FIU block trace.
 func ParseTimedTrace(name string, r io.Reader, opt TraceOptions) (*TimedTrace, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	switch opt.Format {
 	case FormatAuto, FormatMSR, FormatFIU:
 	default:
@@ -217,15 +223,25 @@ func ParseTimedTrace(name string, r io.Reader, opt TraceOptions) (*TimedTrace, e
 			t.Clamped++
 			rec.rawNs = prev
 		}
-		prev = rec.rawNs
-		at := sim.Time(float64(rec.rawNs-t0) * rec.nsPerUnit / opt.TimeCompression)
-
-		lpn := rec.offset / int64(opt.PageBytes)
-		end := rec.offset + rec.bytes
-		pages := int((end+int64(opt.PageBytes)-1)/int64(opt.PageBytes) - lpn)
-		if pages < 1 {
-			pages = 1
+		// Both times are non-negative, so the difference cannot overflow;
+		// the scaled arrival can leave the simulated clock's range.
+		atNs := float64(rec.rawNs-t0) * rec.nsPerUnit / opt.TimeCompression
+		if !(atNs < math.MaxInt64) {
+			if !opt.Tolerant {
+				return nil, &TraceParseError{Format: format, Line: lineNo,
+					Detail: fmt.Sprintf("arrival %g ns after the first record is past the simulated clock", atNs),
+					kind:   ErrTraceRecord}
+			}
+			t.Skipped++
+			continue
 		}
+		prev = rec.rawNs
+		at := sim.Time(atNs)
+
+		// The extent's last byte is offset+bytes-1 (no overflow: parseRecord
+		// keeps offset+bytes in range), so it spans at least one page.
+		lpn := rec.offset / tracePageBytes
+		pages := int((rec.offset+rec.bytes-1)/tracePageBytes - lpn + 1)
 		tr := TimedRequest{
 			AtNs: at, Host: rec.host, Disk: rec.disk,
 			Op: rec.op, LPN: lpn, Pages: pages,
@@ -320,6 +336,9 @@ func parseRecord(format, line string, lineNo int) (record, *TraceParseError) {
 		if size == 0 {
 			return fail(ErrTraceZeroExtent, fmt.Sprintf("zero-byte request at offset %d", offset))
 		}
+		if size > math.MaxInt64-offset {
+			return fail(ErrTraceRecord, fmt.Sprintf("extent of %d bytes at offset %d ends past 2^63", size, offset))
+		}
 		return record{
 			rawNs:     ticks, // FILETIME 100 ns ticks; scaled after t0-subtraction
 			nsPerUnit: 100,
@@ -335,16 +354,18 @@ func parseRecord(format, line string, lineNo int) (record, *TraceParseError) {
 		if len(f) < 6 {
 			return fail(ErrTraceRecord, fmt.Sprintf("truncated record: %d of 6+ fields", len(f)))
 		}
+		// A timestamp, LBA and size must each fit an int64 once scaled to
+		// ns and bytes; NaN fails the first comparison.
 		sec, err := strconv.ParseFloat(f[0], 64)
-		if err != nil || sec < 0 {
+		if err != nil || !(sec >= 0 && sec*1e9 < math.MaxInt64) {
 			return fail(ErrTraceRecord, fmt.Sprintf("bad timestamp %q", f[0]))
 		}
 		lba, err := strconv.ParseInt(f[3], 10, 64)
-		if err != nil || lba < 0 {
+		if err != nil || lba < 0 || lba > math.MaxInt64/512 {
 			return fail(ErrTraceRecord, fmt.Sprintf("bad lba %q", f[3]))
 		}
 		blocks, err := strconv.ParseInt(f[4], 10, 64)
-		if err != nil || blocks < 0 {
+		if err != nil || blocks < 0 || blocks > math.MaxInt64/512-lba {
 			return fail(ErrTraceRecord, fmt.Sprintf("bad size %q", f[4]))
 		}
 		if blocks == 0 {

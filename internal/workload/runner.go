@@ -54,10 +54,6 @@ type MultiRunConfig struct {
 	// device across all tenants — the contended resource QoS divides.
 	// 0 defaults to the sum of queue depths.
 	DispatchWidth int
-	// DieAffinity turns on die-aware arbitration: queues whose head
-	// command targets an idle NAND die are preferred (no-op with a
-	// single queue; see host.Config.DieAffinity).
-	DieAffinity bool
 	// DeadlineNs, when positive, stops the run at that absolute sim
 	// time regardless of request budgets and skips the drain — the
 	// device is left mid-flight with buffered writes, in-flight
@@ -192,7 +188,6 @@ func RunTenants(ctrl *ftl.Controller, specs []TenantSpec, cfg MultiRunConfig) (M
 		Queues:        qcs,
 		Arb:           cfg.Arbiter,
 		DispatchWidth: cfg.DispatchWidth,
-		DieAffinity:   cfg.DieAffinity,
 	})
 	if err != nil {
 		return MultiResult{}, err
