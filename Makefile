@@ -48,8 +48,12 @@ race-core:
 # against a Go map on any sequence of Put / Delete / Get; and the block
 # trace parser on any bytes, MSR / FIU / sniffed, strict and tolerant (an
 # error, or a trace whose arrivals start at 0 and never go back, with
-# every extent at least one page at a non-negative LPN). A failing input
-# is written under the package's testdata/fuzz/.
+# every extent at least one page at a non-negative LPN); and the two
+# command-line decoders left, cubesim's -age (an error naming -age, or
+# a positive age of at most 100 years) and cubeserved's -tenant (an
+# error, or a named tenant with non-negative weight, depth and SLO and a
+# rate cap that is 0 or a finite rate of at least 1e-9 IOPS). A failing
+# input is written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
@@ -59,6 +63,8 @@ fuzz-smoke:
 	$(GO) test ./internal/ftl -run '^$$' -fuzz FuzzDecodeOOB -fuzztime 10s
 	$(GO) test ./internal/pool -run '^$$' -fuzz FuzzIndexMatchesMap -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParseTimedTrace -fuzztime 10s
+	$(GO) test ./cmd/cubesim -run '^$$' -fuzz FuzzParseAge -fuzztime 10s
+	$(GO) test ./cmd/cubeserved -run '^$$' -fuzz FuzzParseTenant -fuzztime 10s
 
 # Acked implies recoverable, at every instant: a short durable-ack run of
 # writes and one trim in sixteen on a tiny stack.Build device (and on one

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"cubeftl"
+	"cubeftl/internal/host"
 	"cubeftl/internal/obs"
 	"cubeftl/internal/server"
 )
@@ -127,7 +128,10 @@ func main() {
 		st.Conns, st.Sessions, st.Writes, st.Duplicates, st.Reads, st.PowerCuts, st.Recoveries)
 }
 
-// parseTenant parses "name[,k=v]...".
+// parseTenant parses "name[,k=v]...". weight and depth are non-negative
+// (0 keeps the default: 1 and 32), rate is 0 (uncapped) or what
+// host.CheckRate accepts, and slo is a non-negative duration (0 =
+// best-effort); an error names the field.
 func parseTenant(spec string) (server.TenantDef, error) {
 	parts := strings.Split(spec, ",")
 	if parts[0] == "" {
@@ -142,21 +146,34 @@ func parseTenant(spec string) (server.TenantDef, error) {
 		var err error
 		switch k {
 		case "weight":
-			td.Weight, err = strconv.Atoi(v)
+			td.Weight, err = nonNegative(v)
 		case "depth":
-			td.Depth, err = strconv.Atoi(v)
+			td.Depth, err = nonNegative(v)
 		case "prio":
 			td.Priority, err = strconv.Atoi(v)
 		case "rate":
-			td.RateIOPS, err = strconv.ParseFloat(v, 64)
+			if td.RateIOPS, err = strconv.ParseFloat(v, 64); err == nil {
+				err = host.CheckRate(td.RateIOPS)
+			}
 		case "slo":
-			td.SLOReadP99, err = time.ParseDuration(v)
+			if td.SLOReadP99, err = time.ParseDuration(v); err == nil && td.SLOReadP99 < 0 {
+				err = fmt.Errorf("negative duration %v", td.SLOReadP99)
+			}
 		default:
-			err = fmt.Errorf("unknown field %q", k)
+			return td, fmt.Errorf("tenant spec %q: unknown field %q", spec, k)
 		}
 		if err != nil {
-			return td, fmt.Errorf("tenant spec %q: %v", spec, err)
+			return td, fmt.Errorf("tenant spec %q: %s: %v", spec, k, err)
 		}
 	}
 	return td, nil
+}
+
+// nonNegative parses a count that may be 0 but not negative.
+func nonNegative(v string) (int, error) {
+	n, err := strconv.Atoi(v)
+	if err == nil && n < 0 {
+		err = fmt.Errorf("%d is negative", n)
+	}
+	return n, err
 }

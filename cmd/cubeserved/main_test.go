@@ -3,10 +3,12 @@ package main
 import (
 	"flag"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
 	"cubeftl"
+	"cubeftl/internal/host"
 )
 
 // The command lines the Makefile and the README use, and the empty one,
@@ -48,4 +50,56 @@ func TestFlagNames(t *testing.T) {
 	if g := strings.Join(got, " "); g != want {
 		t.Errorf("flag set changed:\n got %s\nwant %s", g, want)
 	}
+}
+
+// Every field of a -tenant spec is range-checked: negative weights and
+// depths (which used to become 1 and 32), NaN, negative, infinite or
+// vanishing rates (which used to mean "uncapped" or hang the run) and
+// negative SLOs are errors that name the field.
+func TestParseTenantRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		spec  string
+		field string // "" = accepted
+	}{
+		{"lat,weight=8,slo=2ms", ""},
+		{"bulk,weight=0,depth=0,rate=0,prio=-3", ""},
+		{"bulk,rate=1e-9,depth=64", ""},
+		{"bulk,weight=-1", "weight"},
+		{"bulk,depth=-32", "depth"},
+		{"bulk,rate=NaN", "rate"},
+		{"bulk,rate=-100", "rate"},
+		{"bulk,rate=-Inf", "rate"},
+		{"bulk,rate=+Inf", "rate"},
+		{"bulk,rate=1e-12", "rate"},
+		{"lat,slo=-2ms", "slo"},
+		{"lat,color=red", "color"},
+	} {
+		_, err := parseTenant(tc.spec)
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%q: %v", tc.spec, err)
+		case tc.field != "" && err == nil:
+			t.Errorf("%q accepted", tc.spec)
+		case tc.field != "" && !strings.Contains(err.Error(), tc.field):
+			t.Errorf("%q: error %q does not name %s", tc.spec, err, tc.field)
+		}
+	}
+}
+
+// FuzzParseTenant: any -tenant spec is an error, or a named tenant whose
+// every field is in range.
+func FuzzParseTenant(f *testing.F) {
+	for _, seed := range []string{"lat,weight=8,slo=2ms", "bulk,weight=1", "a,depth=0,prio=-1,rate=1e-9", ",", "x,rate=NaN", "x,weight=-1", "x,slo=-1s", "x,=", "x,rate=1e400"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		td, err := parseTenant(spec)
+		if err != nil {
+			return
+		}
+		rateOK := td.RateIOPS == 0 || (td.RateIOPS >= host.MinRateIOPS && !math.IsInf(td.RateIOPS, 1))
+		if td.Name == "" || td.Weight < 0 || td.Depth < 0 || td.SLOReadP99 < 0 || !rateOK {
+			t.Fatalf("%q accepted as %+v", spec, td)
+		}
+	})
 }

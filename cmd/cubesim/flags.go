@@ -2,12 +2,12 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"time"
 
 	"cubeftl"
+	"cubeftl/internal/host"
 )
 
 // powercutMode is how -powercut picks the cut instant.
@@ -46,9 +46,15 @@ func parsePowercut(spec string) (powercutSpec, error) {
 	return powercutSpec{mode: pcAt, at: d}, nil
 }
 
+// maxAgeMonths bounds -age: a century of wear (65 000 P/E cycles at the
+// lifetime model's rate) is past any device's life, and a larger age
+// overflowed the integer P/E count the fast-forward adds.
+const maxAgeMonths = 1200
+
 // parseAge parses the -age spec into simulated retention months: empty
 // (no aging), a count of years ("3y", "2.5y"), a count of months
-// ("18mo"), or a Go duration ("4380h") converted at 730h per month.
+// ("18mo"), or a Go duration ("4380h") converted at 730h per month. The
+// age must be positive and at most 100 years.
 func parseAge(spec string) (float64, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -75,8 +81,8 @@ func parseAge(spec string) (float64, error) {
 		}
 		months = d.Hours() / 730
 	}
-	if !(months > 0 && months <= math.MaxFloat64) { // NaN and +Inf fail too
-		return 0, fmt.Errorf("cubesim: -age must be positive and finite, got %q", spec)
+	if !(months > 0 && months <= maxAgeMonths) { // NaN and +Inf fail too
+		return 0, fmt.Errorf("cubesim: -age must be positive and at most 100y, got %q", spec)
 	}
 	return months, nil
 }
@@ -120,6 +126,34 @@ func parseTenants(spec string, requests, qd int) ([]cubeftl.TenantConfig, error)
 		return nil, fmt.Errorf("cubesim: -queues named no tenants")
 	}
 	return tenants, nil
+}
+
+// setTenantKnobs sets each tenant's WRR weight, rate cap and priority
+// from the -weights, -rate and -prios lists. A rate cap is 0 (uncapped)
+// or what host.CheckRate accepts; anything else is an error naming
+// -rate and the tenant.
+func setTenantKnobs(tenants []cubeftl.TenantConfig, weights, rates, prios string) error {
+	ws, err := splitList("-weights", weights, len(tenants))
+	if err != nil {
+		return err
+	}
+	rs, err := splitList("-rate", rates, len(tenants))
+	if err != nil {
+		return err
+	}
+	ps, err := splitList("-prios", prios, len(tenants))
+	if err != nil {
+		return err
+	}
+	for i := range tenants {
+		if err := host.CheckRate(rs[i]); err != nil {
+			return fmt.Errorf("cubesim: -rate: tenant %d: %v", i+1, err)
+		}
+		tenants[i].Weight = int(ws[i])
+		tenants[i].RateIOPS = rs[i]
+		tenants[i].Priority = int(ps[i])
+	}
+	return nil
 }
 
 // splitList parses a comma-separated numeric flag into per-tenant

@@ -232,11 +232,66 @@ func TestParseAge(t *testing.T) {
 			t.Errorf("parseAge(%q) = %v, want %v", tc.spec, got, tc.want)
 		}
 	}
-	for _, bad := range []string{"soon", "3", "-1y", "0mo", "xy", "-5ms", "Infy", "NaNy", "infmo", "nanmo"} {
+	if got, err := parseAge("100y"); err != nil || got != maxAgeMonths {
+		t.Errorf("parseAge(\"100y\") = %v, %v; want the %d-month cap", got, err, maxAgeMonths)
+	}
+	for _, bad := range []string{"soon", "3", "-1y", "0mo", "xy", "-5ms", "Infy", "NaNy", "infmo", "nanmo", "101y", "1e300y", "1201mo", "8760001h"} {
 		if _, err := parseAge(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		} else if !strings.Contains(err.Error(), "-age") {
 			t.Errorf("spec %q error %q does not name -age", bad, err)
+		}
+	}
+}
+
+// FuzzParseAge: any -age spec is an error naming -age, or a positive
+// number of months no larger than the cap.
+func FuzzParseAge(f *testing.F) {
+	for _, seed := range []string{"", "3y", "2.5y", "18mo", " 1mo ", "730h", "100y", "101y", "1e300y", "NaNy", "-1y", "0x1p-1074y", "9223372036854775807ns", "mo", "y"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		months, err := parseAge(spec)
+		switch {
+		case err != nil:
+			if !strings.Contains(err.Error(), "-age") {
+				t.Fatalf("%q: error %q does not name -age", spec, err)
+			}
+		case strings.TrimSpace(spec) == "":
+			if months != 0 {
+				t.Fatalf("empty spec gave %v months", months)
+			}
+		case !(months > 0 && months <= maxAgeMonths):
+			t.Fatalf("%q gave %v months, outside (0, %d]", spec, months, maxAgeMonths)
+		}
+	})
+}
+
+// A -rate entry is 0 (uncapped) or a finite cap of at least
+// host.MinRateIOPS: NaN, negative, infinite or vanishing rates are an
+// error naming -rate and the tenant, where they used to mean "uncapped"
+// or hang the run.
+func TestSetTenantKnobsRejectsBadRates(t *testing.T) {
+	for _, tc := range []struct {
+		rates string
+		ok    bool
+	}{
+		{"", true}, {"0,20000", true}, {"1e-9,", true},
+		{"NaN,0", false}, {"-5,0", false}, {"0,-Inf", false}, {"+Inf,0", false}, {"0,1e-12", false},
+	} {
+		tenants, err := parseTenants("db=OLTP,bulk=Bulk", 100, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = setTenantKnobs(tenants, "8,1", tc.rates, "")
+		if tc.ok != (err == nil) {
+			t.Errorf("-rate %q: %v, want ok=%v", tc.rates, err, tc.ok)
+		}
+		if err != nil && (!strings.Contains(err.Error(), "-rate") || !strings.Contains(err.Error(), "tenant")) {
+			t.Errorf("-rate %q: error %q names neither -rate nor the tenant", tc.rates, err)
+		}
+		if tc.ok && (tenants[0].Weight != 8 || tenants[1].Weight != 1) {
+			t.Errorf("-rate %q: weights not set: %+v", tc.rates, tenants)
 		}
 	}
 }

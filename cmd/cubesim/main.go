@@ -112,6 +112,15 @@ func run() error {
 	if err := validateRecoveryFlags(pc, c.queues, c.tracePath, c.record); err != nil {
 		return err
 	}
+	var tenants []cubeftl.TenantConfig
+	if c.queues != "" {
+		if tenants, err = parseTenants(c.queues, c.requests, c.qd); err != nil {
+			return err
+		}
+		if err := setTenantKnobs(tenants, c.weights, c.rate, c.prios); err != nil {
+			return err
+		}
+	}
 	c.dev.Recovery = pc.mode != pcOff
 	if err := c.profile.Start(); err != nil {
 		return err
@@ -162,7 +171,7 @@ func run() error {
 		}
 		defer c.closeStats()
 		if c.queues != "" {
-			err = runMultiTenant(dev, &c)
+			err = runMultiTenant(dev, &c, tenants)
 		} else {
 			err = runSingle(dev, &c)
 		}
@@ -346,30 +355,9 @@ func runPowerCut(dev *cubeftl.SSD, c *config, prefillPages int64, pc powercutSpe
 	return nil
 }
 
-// runMultiTenant drives the comma-separated tenant streams through the
+// runMultiTenant drives the -queues tenant streams through the
 // multi-queue host interface and prints per-tenant QoS accounting.
-func runMultiTenant(dev *cubeftl.SSD, c *config) error {
-	tenants, err := parseTenants(c.queues, c.requests, c.qd)
-	if err != nil {
-		return err
-	}
-	ws, err := splitList("-weights", c.weights, len(tenants))
-	if err != nil {
-		return err
-	}
-	rs, err := splitList("-rate", c.rate, len(tenants))
-	if err != nil {
-		return err
-	}
-	ps, err := splitList("-prios", c.prios, len(tenants))
-	if err != nil {
-		return err
-	}
-	for i := range tenants {
-		tenants[i].Weight = int(ws[i])
-		tenants[i].RateIOPS = rs[i]
-		tenants[i].Priority = int(ps[i])
-	}
+func runMultiTenant(dev *cubeftl.SSD, c *config, tenants []cubeftl.TenantConfig) error {
 	st, err := dev.RunTenants(tenants, c.arb, c.width)
 	if err != nil {
 		return err

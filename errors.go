@@ -58,5 +58,6 @@ func Terminal(err error) bool {
 	return errors.Is(err, ftl.ErrBadLPN) || errors.Is(err, ErrBadLPN) ||
 		errors.Is(err, host.ErrBadQueue) || errors.Is(err, ftl.ErrDegraded) ||
 		errors.Is(err, host.ErrUnknownArbiter) || errors.Is(err, host.ErrNoQueues) ||
+		errors.Is(err, host.ErrBadRate) ||
 		errors.Is(err, ErrPowerLost)
 }

@@ -52,6 +52,7 @@ func TestRetryableTerminalClassification(t *testing.T) {
 		fmt.Errorf("write refused: %w", ftl.ErrDegraded),
 		host.ErrUnknownArbiter,
 		host.ErrNoQueues,
+		host.CheckRate(-1),
 	}
 	for _, err := range retryable {
 		if !Retryable(err) {

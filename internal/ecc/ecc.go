@@ -6,10 +6,10 @@
 // a 16 KB page is split into fixed-size codewords, each codeword
 // tolerates up to CorrectableBits errors, and a page read fails if any
 // codeword exceeds the budget. Only the page's worst codeword decides
-// that, so its error count is what is sampled: the largest of one
-// binomial draw per codeword at the word line's effective BER, which
-// makes the pass/fail boundary appropriately soft near the capability
-// limit.
+// that — the largest of one binomial draw per codeword at the word
+// line's effective BER, which makes the pass/fail boundary appropriately
+// soft near the capability limit — and only where it falls against the
+// limit and the AR margin is sampled, not its count.
 package ecc
 
 import (
@@ -77,22 +77,31 @@ type Engine struct {
 // NewEngine returns an engine drawing from the given source.
 func NewEngine(src *rng.Source) *Engine { return &Engine{src: src} }
 
-// Result reports one decode attempt.
+// Result reports one decode attempt: the two verdicts a read-retry step
+// consumes.
 type Result struct {
+	// Correctable: the worst codeword holds at most CorrectableBits errors.
 	Correctable bool
-	// MaxErrors is the largest per-codeword error count of the page.
-	MaxErrors int
+	// ARClear: the worst codeword's error count is at least ARMarginBits
+	// from CorrectableBits, on either side, so AR may end the sense early.
+	ARClear bool
 }
+
+// verdictCuts are the worst-codeword counts at which a Result changes:
+// the last count under the AR margin, the limit, and the last count
+// inside the margin above it.
+var verdictCuts = rng.NewCuts(CorrectableBits-ARMarginBits, CorrectableBits, CorrectableBits+ARMarginBits-1)
 
 // Decode samples the decode outcome of reading a page of pageBytes at
 // effective bit error rate ber. Every codeword of the page sees the same
 // ber and only the worst one matters, so the page costs one binomial
-// set-up and one inversion; the source still advances by one variate per
-// codeword (rng.Binomial.DrawMax).
+// set-up and places the largest variate against the three cuts, mostly
+// without working out its count; the source still advances by one
+// variate per codeword (rng.Binomial.MaxRank).
 func (e *Engine) Decode(ber float64, pageBytes int) Result {
 	e.errs.Reset(CodewordBits, ber)
-	worst := e.errs.DrawMax(e.src, CodewordsPerPage(pageBytes))
-	return Result{Correctable: worst <= CorrectableBits, MaxErrors: worst}
+	r := e.errs.MaxRank(e.src, CodewordsPerPage(pageBytes), verdictCuts)
+	return Result{Correctable: r <= 1, ARClear: r == 0 || r == 3}
 }
 
 // FailProb returns the analytic probability that a page read at

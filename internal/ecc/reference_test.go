@@ -9,23 +9,18 @@ import (
 
 // decodeReference is Engine.Decode as it stood before the page's verdict
 // was sampled from its largest variate: one binomial draw — one
-// inversion — per codeword, the largest kept. Decode must return what it
-// returns and leave the source where it leaves it.
+// inversion — per codeword, the largest kept, and the verdicts read off
+// its count. Decode must return what it returns and leave the source
+// where it leaves it.
 func decodeReference(src *rng.Source, ber float64, pageBytes int) Result {
-	n := CodewordsPerPage(pageBytes)
-	res := Result{Correctable: true}
 	var errs rng.Binomial
 	errs.Reset(CodewordBits, ber)
-	for i := 0; i < n; i++ {
-		k := errs.Draw(src)
-		if k > res.MaxErrors {
-			res.MaxErrors = k
-		}
-		if k > CorrectableBits {
-			res.Correctable = false
-		}
+	worst := 0
+	for i := 0; i < CodewordsPerPage(pageBytes); i++ {
+		worst = max(worst, errs.Draw(src))
 	}
-	return res
+	d := worst - CorrectableBits
+	return Result{Correctable: d <= 0, ARClear: d <= -ARMarginBits || d >= ARMarginBits}
 }
 
 // lockstep drives an Engine and the reference from equal seeds. The
@@ -58,13 +53,15 @@ func (l *lockstep) decode(t testing.TB, ber float64, pageBytes int) {
 // oracleBERs covers every kind of rng.Binomial at CodewordBits trials —
 // always 0, inversion (a walk of a term or two, one of ~16, one that all
 // but fills the memo), both sides of the n·p = 32 switch to the normal
-// approximation, the capability limit, hopeless, always n — and the
-// values no model should produce but a caller could pass.
+// approximation, a mean on each of the three cuts (the AR margin under
+// the limit, the limit, the AR margin above it), hopeless, always n —
+// and the values no model should produce but a caller could pass.
 var oracleBERs = []float64{
 	0, 1e-6, 2e-4, 2e-3,
 	math.Nextafter(32.0/CodewordBits, 0), 32.0 / CodewordBits, math.Nextafter(32.0/CodewordBits, 1),
 	LimitBER, 0.02, 1,
 	-1e-3, 1.5, math.Inf(1), math.Inf(-1), math.NaN(),
+	54.5 / CodewordBits, 72.5 / CodewordBits, 89.5 / CodewordBits,
 }
 
 func TestDecodeMatchesReference(t *testing.T) {
@@ -87,10 +84,11 @@ func TestDecodeMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzDecodeMatchesReference runs the same oracle on any bit pattern as a
-// BER: subnormals, NaNs with payloads and infinities must neither panic
-// nor disagree. The first page fills the engine's memo so that the fuzzed
-// one resets over it; the repeat decodes from a warm set-up.
+// FuzzDecodeMatchesReference runs the same oracle — both verdicts and the
+// whole source state — on any bit pattern as a BER: subnormals, NaNs with
+// payloads and infinities must neither panic nor disagree. The first page
+// leaves an inversion set up in the engine so that the fuzzed one resets
+// over it; the repeat decodes from a warm set-up.
 func FuzzDecodeMatchesReference(f *testing.F) {
 	for i, ber := range oracleBERs {
 		for _, codewords := range []uint8{0, 1, 4, 16, 255} {

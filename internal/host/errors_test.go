@@ -2,6 +2,7 @@ package host
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -39,6 +40,40 @@ func TestTypedErrorsRoundTrip(t *testing.T) {
 	for _, name := range []string{"", "rr", "wrr", "prio"} {
 		if _, err := NewArbiter(name, 0); err != nil {
 			t.Errorf("NewArbiter(%q): %v", name, err)
+		}
+	}
+}
+
+// A rate cap is 0 or a finite rate the engine's clock can wait for. NaN,
+// negative and -Inf rates used to mean "uncapped" silently, and a
+// positive rate under ~1.1e-10 IOPS overflowed the token wait so that
+// the engine stepped 1 ns at a time forever; New and SetRate refuse them
+// all, and SetRate leaves the queue's cap as it was.
+func TestRateCapsValidated(t *testing.T) {
+	for _, tc := range []struct {
+		rate float64
+		ok   bool
+	}{
+		{0, true}, {MinRateIOPS, true}, {0.5, true}, {4000, true}, {math.MaxFloat64, true},
+		{math.NaN(), false}, {-1, false}, {math.Inf(-1), false}, {math.Inf(1), false},
+		{1e-12, false}, {math.Nextafter(MinRateIOPS, 0), false}, {math.SmallestNonzeroFloat64, false},
+		{math.Copysign(0, -1), true},
+	} {
+		ctrl := newTestController(1)
+		_, err := New(ctrl, Config{Queues: []QueueConfig{{Name: "t", Depth: 1, RateIOPS: tc.rate}}})
+		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, ErrBadRate)) {
+			t.Errorf("New with rate %v: %v, want ok=%v", tc.rate, err, tc.ok)
+		}
+		h, err := New(ctrl, Config{Queues: []QueueConfig{{Name: "t", Depth: 1, RateIOPS: 100}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = h.SetRate(0, tc.rate)
+		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, ErrBadRate)) {
+			t.Errorf("SetRate(%v): %v, want ok=%v", tc.rate, err, tc.ok)
+		}
+		if want := 100.0; !tc.ok && h.Snapshot()[0].RateIOPS != want {
+			t.Errorf("refused SetRate(%v) moved the cap to %v", tc.rate, h.Snapshot()[0].RateIOPS)
 		}
 	}
 }

@@ -41,7 +41,26 @@ var (
 	// ErrUnknownArbiter reports a NewArbiter name outside the supported
 	// set (rr, wrr, prio).
 	ErrUnknownArbiter = errors.New("host: unknown arbiter")
+	// ErrBadRate reports a token-bucket rate that is neither 0 (uncapped)
+	// nor a finite rate of at least MinRateIOPS (CheckRate).
+	ErrBadRate = errors.New("host: a rate cap is 0 (uncapped) or a finite IOPS of at least 1e-9")
 )
+
+// MinRateIOPS is the smallest token-bucket rate. The wait for one token,
+// up to 1e9/rate ns, then fits the engine's int64 clock with over 250
+// years of simulated time to spare; a rate below about 1.1e-10 overflowed
+// it, and the engine stepped 1 ns at a time forever.
+const MinRateIOPS = 1e-9
+
+// CheckRate returns nil for 0 (uncapped) and for a finite rate of at
+// least MinRateIOPS, and ErrBadRate naming the value otherwise: NaN, a
+// negative or infinite rate, or one too small to wait for.
+func CheckRate(iops float64) error {
+	if iops == 0 || (iops >= MinRateIOPS && iops <= math.MaxFloat64) {
+		return nil
+	}
+	return fmt.Errorf("%w, got %v", ErrBadRate, iops)
+}
 
 // Op is a host command direction.
 type Op int
@@ -94,7 +113,8 @@ type QueueConfig struct {
 	// (used by the "prio" arbiter).
 	Priority int
 	// RateIOPS token-bucket rate limits the queue's command fetch rate;
-	// 0 disables limiting. A multi-page command consumes one token.
+	// 0 disables limiting, and anything else must pass CheckRate. A
+	// multi-page command consumes one token.
 	RateIOPS float64
 	// BurstIOs is the token bucket capacity; defaults to Depth.
 	BurstIOs int
@@ -226,6 +246,11 @@ func New(ctrl *ftl.Controller, cfg Config) (*Host, error) {
 	if len(cfg.Queues) == 0 {
 		return nil, ErrNoQueues
 	}
+	for i, qc := range cfg.Queues {
+		if err := CheckRate(qc.RateIOPS); err != nil {
+			return nil, fmt.Errorf("queue %d (%q): %w", i, qc.Name, err)
+		}
+	}
 	arb := cfg.Arb
 	if arb == nil {
 		arb = NewRoundRobin()
@@ -324,11 +349,15 @@ func (h *Host) SetWeight(qid, weight int) error {
 }
 
 // SetRate changes queue qid's token-bucket IOPS cap online (0 removes
-// the cap). Enabling a cap starts the bucket full so the change
-// throttles the future rate without retroactively debiting past I/O.
+// the cap; a rate CheckRate refuses changes nothing). Enabling a cap
+// starts the bucket full so the change throttles the future rate
+// without retroactively debiting past I/O.
 func (h *Host) SetRate(qid int, iops float64) error {
 	if qid < 0 || qid >= len(h.queues) {
 		return fmt.Errorf("%w: %d (have %d)", ErrBadQueue, qid, len(h.queues))
+	}
+	if err := CheckRate(iops); err != nil {
+		return err
 	}
 	q := h.queues[qid]
 	if iops == q.cfg.RateIOPS {

@@ -3,7 +3,6 @@ package nand
 import (
 	"fmt"
 
-	"cubeftl/internal/ecc"
 	"cubeftl/internal/vth"
 )
 
@@ -65,10 +64,6 @@ type ReadResult struct {
 
 	// OffsetUsed is the offset level that finally decoded the page.
 	OffsetUsed int
-
-	// MaxErrors is the worst per-codeword error count of the successful
-	// attempt (available to the controller for health tracking).
-	MaxErrors int
 
 	// Data is the stored payload when the chip stores data.
 	Data []byte
@@ -182,7 +177,7 @@ func (c *Chip) ReadPage(a Address, params ReadParams) (ReadResult, error) {
 		// precision. (The model is statistical — the outcome sample
 		// stands in for the margin the chip senses incrementally.)
 		senseNs := int64(vth.TReadNs)
-		if params.Mode == RetryPipelinedAR && arMarginClears(dec.MaxErrors) {
+		if params.Mode == RetryPipelinedAR && dec.ARClear {
 			senseNs = vth.TReadARNs
 			c.stats.ARSenses++
 		}
@@ -213,7 +208,6 @@ func (c *Chip) ReadPage(a Address, params ReadParams) (ReadResult, error) {
 			res.LatencyNs = latency
 			res.Retries = attempts - 1
 			res.OffsetUsed = offset
-			res.MaxErrors = dec.MaxErrors
 			if c.cfg.StoreData && st.pages != nil {
 				res.Data = st.pages[a.Page]
 			}
@@ -231,17 +225,6 @@ func (c *Chip) ReadPage(a Address, params ReadParams) (ReadResult, error) {
 	c.stats.ReadRetries += int64(res.Retries)
 	c.stats.ReadFailures++
 	return res, fmt.Errorf("%w: %v after %d attempts", ErrUncorrectable, a, attempts)
-}
-
-// arMarginClears reports whether a sense's sampled worst-codeword error
-// count is far enough from the correction capability — in either
-// direction — that AR may terminate the strobe early.
-func arMarginClears(maxErrors int) bool {
-	d := maxErrors - ecc.CorrectableBits
-	if d < 0 {
-		d = -d
-	}
-	return d >= ecc.ARMarginBits
 }
 
 // ladderIter enumerates the retry ladder in place: offset levels in

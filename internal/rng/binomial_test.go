@@ -162,21 +162,41 @@ func stateBefore(out uint64) uint64 {
 	return z - 0x9e3779b97f4a7c15
 }
 
-// DrawMax must return the largest of count Draws and leave the source
-// where they would — for every kind, from a source with and without a
-// cached Gaussian, after a Reset from another kind (the memo then holds
-// stale entries past walked), and for a variate so close to 1 that the
-// inversion runs off the end of the memo.
-func TestDrawMaxIsMaxOfDraws(t *testing.T) {
-	maxOfDraws := func(b *Binomial, s *Source, count int) int {
-		most := 0
-		for i := 0; i < count; i++ {
-			if k := b.Draw(s); k > most {
-				most = k
-			}
+// maxOfDraws is the largest of count Draws: what MaxRank places.
+func maxOfDraws(b *Binomial, s *Source, count int) int {
+	most := 0
+	for i := 0; i < count; i++ {
+		if k := b.Draw(s); k > most {
+			most = k
 		}
-		return most
 	}
+	return most
+}
+
+// rankOf counts the cuts k exceeds.
+func rankOf(k int, cuts []int) int {
+	r := 0
+	for _, c := range cuts {
+		if k > c {
+			r++
+		}
+	}
+	return r
+}
+
+// verdictCutSets are the cut lists the oracle tests place draws against:
+// the ECC engine's (the AR margin under the limit, the limit, the last
+// count inside the margin above it), single cuts on and off the fast
+// paths, and cuts at and past n = 8192, which the normal kind leaves to
+// its exact path.
+var verdictCutSets = [][]int{{54, 72, 89}, {72}, {0}, {0, 1, 2, 3}, {31, 32}, {40, 100, 4000, 8191}, {8192}, {10000}}
+
+// MaxRank must place the largest of count Draws against every cut list
+// and leave the source where they would — for every kind, from a source
+// with and without a cached Gaussian, after a Reset from another kind
+// (the memo then holds stale entries past walked), and for a variate so
+// close to 1 that the inversion runs off the end of the memo.
+func TestMaxRankMatchesMaxOfDraws(t *testing.T) {
 	cases := []struct {
 		n    int
 		p    float64
@@ -187,52 +207,57 @@ func TestDrawMaxIsMaxOfDraws(t *testing.T) {
 		{1, 0.5, binomialDirect}, {64, 0.3, binomialDirect},
 		{65, 0.3, binomialInvert}, {8192, 1e-6, binomialInvert}, {8192, 2e-4, binomialInvert},
 		{8192, 2e-3, binomialInvert}, {8192, math.Nextafter(32.0/8192, 0), binomialInvert},
-		{8192, 32.0 / 8192, binomialNormal}, {8192, 72.0 / 8192, binomialNormal},
-		{8192, 0.02, binomialNormal}, {8192, 0.999, binomialNormal}, {131072, 1e-4, binomialInvert},
+		{8192, 32.0 / 8192, binomialNormal}, {8192, 54.5 / 8192, binomialNormal}, {8192, 72.0 / 8192, binomialNormal},
+		{8192, 89.5 / 8192, binomialNormal}, {8192, 0.02, binomialNormal}, {8192, 0.999, binomialNormal},
+		{131072, 1e-4, binomialInvert},
 	}
 	pick := New(7)
 	var got, want Binomial // reused across cases, as ecc.Engine reuses its own
-	for _, c := range cases {
-		for _, count := range []int{-1, 0, 1, 2, 3, 16, 17} {
-			for trial := 0; trial < 50; trial++ {
-				seed := pick.Uint64()
-				a, b := New(seed), New(seed)
-				if trial%2 == 1 { // leave the second variate of a Gaussian pair cached
-					a.NormFloat64()
-					b.NormFloat64()
-				}
-				got.Reset(c.n, c.p)
-				want.Reset(c.n, c.p)
-				if got.kind != c.kind {
-					t.Fatalf("n=%d p=%g: kind %d, want %d", c.n, c.p, got.kind, c.kind)
-				}
-				g, w := got.DrawMax(a, count), maxOfDraws(&want, b, count)
-				if g != w || *a != *b {
-					t.Fatalf("n=%d p=%g count=%d seed=%#x: DrawMax %d, max of draws %d, sources equal %v",
-						c.n, c.p, count, seed, g, w, *a == *b)
+	for _, cuts := range verdictCutSets {
+		c := NewCuts(cuts...)
+		for _, tc := range cases {
+			for _, count := range []int{-1, 0, 1, 2, 3, 16, 17} {
+				for trial := 0; trial < 50; trial++ {
+					seed := pick.Uint64()
+					a, b := New(seed), New(seed)
+					if trial%2 == 1 { // leave the second variate of a Gaussian pair cached
+						a.NormFloat64()
+						b.NormFloat64()
+					}
+					got.Reset(tc.n, tc.p)
+					want.Reset(tc.n, tc.p)
+					if got.kind != tc.kind {
+						t.Fatalf("n=%d p=%g: kind %d, want %d", tc.n, tc.p, got.kind, tc.kind)
+					}
+					g, w := got.MaxRank(a, count, c), rankOf(maxOfDraws(&want, b, count), cuts)
+					if g != w || *a != *b {
+						t.Fatalf("n=%d p=%g cuts=%v count=%d seed=%#x: MaxRank %d, rank of the max of draws %d, sources equal %v",
+							tc.n, tc.p, cuts, count, seed, g, w, *a == *b)
+					}
 				}
 			}
 		}
 	}
 
 	// One variate of the sixteen is the largest a Source can produce: the
-	// walk leaves the memo, in DrawMax as in the Draw that receives it.
+	// walk leaves the memo, in MaxRank as in the Draw that receives it.
 	const gamma = 0x9e3779b97f4a7c15
-	for _, c := range []struct {
+	c := NewCuts(54, 72, 89)
+	for _, tc := range []struct {
 		n int
 		p float64
 	}{{8192, 31.9 / 8192}, {100000, 3e-4}} {
 		for at := uint64(0); at < 16; at++ {
 			state := stateBefore(math.MaxUint64) - at*gamma
 			a, b := &Source{state: state}, &Source{state: state}
-			got.Reset(c.n, c.p)
-			want.Reset(c.n, c.p)
-			g, w := got.DrawMax(a, 16), maxOfDraws(&want, b, 16)
-			if g != w || *a != *b {
-				t.Fatalf("n=%d p=%g top variate at %d: DrawMax %d, max of draws %d", c.n, c.p, at, g, w)
+			got.Reset(tc.n, tc.p)
+			want.Reset(tc.n, tc.p)
+			most := maxOfDraws(&want, b, 16)
+			if g, w := got.MaxRank(a, 16, c), rankOf(most, c.k); g != w || *a != *b {
+				t.Fatalf("n=%d p=%g top variate at %d: MaxRank %d, rank of the max of draws %d", tc.n, tc.p, at, g, w)
 			}
-			if g < binomialMemo {
-				t.Fatalf("n=%d p=%g top variate at %d: draw %d stayed inside the memo", c.n, c.p, at, g)
+			if most < binomialMemo {
+				t.Fatalf("n=%d p=%g top variate at %d: draw %d stayed inside the memo", tc.n, tc.p, at, most)
 			}
 		}
 	}
@@ -240,7 +265,7 @@ func TestDrawMaxIsMaxOfDraws(t *testing.T) {
 
 // A NaN p takes the normal kind (every comparison with it is false) and
 // used to come out as int(NaN), which the language leaves to the
-// platform; it is 0 now, from Draw and DrawMax alike.
+// platform; it is 0 now, from Draw and MaxRank alike.
 func TestBinomialNaN(t *testing.T) {
 	var b Binomial
 	b.Reset(8192, math.NaN())
@@ -248,8 +273,8 @@ func TestBinomialNaN(t *testing.T) {
 	if k := b.Draw(s); k != 0 {
 		t.Errorf("Draw with NaN p = %d, want 0", k)
 	}
-	if k := b.DrawMax(s, 16); k != 0 {
-		t.Errorf("DrawMax with NaN p = %d, want 0", k)
+	if r := b.MaxRank(s, 16, NewCuts(0)); r != 0 {
+		t.Errorf("MaxRank with NaN p = %d, want 0 (no draw above 0)", r)
 	}
 	for i := 0; i < 17; i++ {
 		ref.NormFloat64()

@@ -326,10 +326,18 @@ func zipfNextReference(z *Zipf) uint64 {
 	return v
 }
 
+// Next must match the reference draw for draw at the benchmark
+// workloads' footprints (Mixed over the 2x4x128 device and the served
+// 4x2x64 one, YCSB-C and OLTP over 2x4x128, Rocks over 2x4x64) and at
+// every theta the workloads use. 0.8, 0.9 and 0.99 take the bracketed
+// chain; 0.7's alpha has a real fraction and takes Pow.
 func TestZipfMatchesReference(t *testing.T) {
-	for _, theta := range []float64{0.8, 0.9, 0.99} {
-		for _, n := range []uint64{2, 1000, 1 << 20} {
+	for _, theta := range []float64{0.7, 0.8, 0.9, 0.99} {
+		for _, n := range []uint64{2, 1000, 154828, 180633, 309657, 361267, 1 << 20} {
 			got, ref := NewZipf(New(41), n, theta), NewZipf(New(41), n, theta)
+			if want := theta != 0.7; got.chain != want {
+				t.Fatalf("theta=%v: bracketed chain %v, want %v", theta, got.chain, want)
+			}
 			ranks := [3]int{}
 			for i := 0; i < 100000; i++ {
 				g, w := got.Next(), zipfNextReference(ref)
@@ -349,6 +357,55 @@ func TestZipfMatchesReference(t *testing.T) {
 				t.Fatalf("theta=%v n=%d: a branch of Next was never taken: %v", theta, n, ranks)
 			}
 		}
+	}
+}
+
+// index must give Pow's integer for every x: random ones; x so small
+// that Pow's chain gives up (its guard against an exponent overflow),
+// subnormal x and x = 1; thetas whose alpha is an exact integer (0.5,
+// 0.75: no fraction, no bracket); and, where the bracket matters, the
+// x within a few ulps of where n·x^alpha crosses an integer.
+func TestZipfIndexMatchesPow(t *testing.T) {
+	src := New(43)
+	xs := []float64{1, math.Nextafter(1, 0), 0.5, 1e-3, 1e-30, 1e-300, 5e-324, math.SmallestNonzeroFloat64 * 3}
+	for i := 0; i < 20000; i++ {
+		xs = append(xs, src.Float64(), math.Pow(src.Float64(), 8), math.Nextafter(src.Float64(), 1))
+	}
+	straddles := 0
+	for _, theta := range []float64{0.5, 0.75, 0.8, 0.9, 0.99} {
+		for _, n := range []uint64{3, 309657, 1 << 20} {
+			z := NewZipf(New(1), n, theta)
+			check := func(x float64) {
+				got, want := z.index(x), uint64(float64(n)*math.Pow(x, z.alpha))
+				if got != want {
+					t.Fatalf("theta=%v n=%d x=%v: index %d, Pow %d", theta, n, x, got, want)
+				}
+				if z.chain && x > 0 && x <= 1 {
+					x1, xe := math.Frexp(x)
+					d := z.fracSlope*float64(1-xe) + z.fracPad
+					if lo, hi := powChain(x1, xe, z.powInt, 1-d, 1+d); uint64(float64(n)*lo) != uint64(float64(n)*hi) {
+						straddles++
+					}
+				}
+			}
+			for _, x := range xs {
+				check(x)
+			}
+			for i := 0; i < 300; i++ {
+				m := 1 + src.Uint64n(n-1)
+				x := math.Pow(float64(m)/float64(n), 1/z.alpha)
+				for j := 0; j < 12; j++ {
+					x = math.Nextafter(x, 0)
+				}
+				for j := 0; j < 24; j++ {
+					check(x)
+					x = math.Nextafter(x, 1)
+				}
+			}
+		}
+	}
+	if straddles == 0 {
+		t.Error("no x landed inside a bracket: the straddle fall-back went untested")
 	}
 }
 
