@@ -115,15 +115,17 @@ func (c *Controller) FreeBlocks(chip int) []int { return c.dies[chip].free }
 
 // AppendActives appends a chip's open write points to dst, then the
 // closed blocks a program is still programming (die.closing) that
-// nothing has collected or retired since: the mount scans both for pages
-// to roll forward, and one that turns out full is a dirty block again.
+// nothing has collected since: the mount scans them all for pages to
+// roll forward, and one that turns out full is a dirty block again. A
+// retired one is listed too: a program into it may still complete, and
+// ack a page that waits there for its evacuation.
 func (c *Controller) AppendActives(dst []ActiveRecord, chip int) []ActiveRecord {
 	d := &c.dies[chip]
 	for _, cur := range d.actives {
 		dst = append(dst, ActiveRecord{Block: cur.Block, Seq: cur.Seq})
 	}
 	for _, cur := range d.closing {
-		if c.role(chip, cur.Block) == roleData {
+		if r := c.role(chip, cur.Block); r == roleData || r == roleRetired {
 			dst = append(dst, ActiveRecord{Block: cur.Block, Seq: cur.Seq})
 		}
 	}

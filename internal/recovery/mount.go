@@ -145,8 +145,9 @@ func (st *mountState) apply(r record) {
 		st.free[r.chip] = removeBlock(st.free[r.chip], r.block) // defensive
 		st.free[r.chip] = append(st.free[r.chip], r.block)
 	case recRetired:
+		// A retired write point stays listed until its scan: pages acked
+		// into it may still wait for their evacuation.
 		st.free[r.chip] = removeBlock(st.free[r.chip], r.block)
-		st.actives[r.chip] = removeActive(st.actives[r.chip], r.block)
 		st.retired[r.chip][r.block] = true
 	case recDieDegraded:
 		st.degraded[r.die] = true
@@ -296,12 +297,12 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 			}
 			st.free[chip] = stillFree
 
-			// Roll-forward scan of the open blocks.
+			// Roll-forward scan of the open blocks, retired ones included.
 			stillActive := st.actives[chip][:0]
 			for _, ar := range st.actives[chip] {
 				scanBlock(chip, ar.Block)
-				if blockFull(dev, geo, chip, ar.Block) {
-					continue // filled before the cut: dirty now
+				if st.retired[chip][ar.Block] || blockFull(dev, geo, chip, ar.Block) {
+					continue // retired, or filled before the cut: dirty now
 				}
 				stillActive = append(stillActive, ar)
 			}
