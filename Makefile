@@ -2,9 +2,9 @@
 # long tests hide behind -short here; `make soak` runs them in full.
 GO ?= go
 
-.PHONY: tier1 build fmt vet test race race-core fuzz-smoke powercut-sweep bench bench-smoke bench-scale bench-telemetry one-stack one-relocator one-ledger one-index trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
+.PHONY: tier1 build fmt vet test race race-core fuzz-smoke powercut-sweep bench bench-smoke bench-scale bench-telemetry one-stack one-relocator one-ledger one-index trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak figures demo clean
 
-tier1: build fmt vet one-stack one-relocator one-ledger one-index race race-core fuzz-smoke powercut-sweep fleet-smoke metrics-smoke lifetime-smoke soak-short bench-smoke
+tier1: build fmt vet one-stack one-relocator one-ledger one-index race race-core fuzz-smoke powercut-sweep fleet-smoke metrics-smoke lifetime-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -20,16 +20,18 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-checked short run (skips the chaos soak and long experiments).
+# Race-checked short run (the chaos soaks and long experiments run
+# shortened or not at all).
 race:
 	$(GO) test -race -short ./...
 
 # Full (non-short) race run over the concurrency-sensitive core: the
 # event engine, the FTL (per-die degraded transitions), the multi-queue
 # host front end, the crash-consistency subsystem (power-cut sweep),
-# the telemetry registry/tracer, the network block service (live
-# concurrent clients against the single-threaded core), and the
-# read-retry pipeline layers (nand ladder/latency model, core retry
+# the telemetry registry/tracer, the network block service (the live
+# chaos soak, TestChaosSoak: six TCP clients against the single-threaded
+# core through faults, two power cuts and a die kill, in two 5 s legs),
+# and the read-retry pipeline layers (nand ladder/latency model, core retry
 # table and its checkpoint serialization).
 race-core:
 	$(GO) test -race ./internal/sim ./internal/ftl ./internal/host ./internal/recovery ./internal/telemetry ./internal/server ./internal/fleet ./internal/cache ./internal/nand ./internal/core ./internal/lifetime
@@ -176,8 +178,8 @@ one-index:
 # starting "cube_", "ftl/", "nand/", "faults/" or "cube/") appears in
 # more than one non-test .go file of the library (the root package and
 # internal/) — a second file spelling a name is a copy of the
-# declaration; the scrapers (bench/, cmd/soak's audit, examples/) look a
-# name up in what was served and have to spell it — or if one of the
+# declaration; the scrapers (bench/, examples/, the tests) look a name up
+# in what was served and have to spell it — or if one of the
 # copying helpers is back: metrics.CounterSet, Stats.FaultCounters, a
 # map[string]*int64 of metric names.
 one-ledger:
@@ -263,14 +265,6 @@ metrics-smoke:
 # the same device's fresh baseline and no read goes uncorrectable.
 lifetime-smoke:
 	$(GO) test -run TestLifetimeSmoke -v ./internal/experiment
-
-# Live-traffic chaos soak, tier-1 sized (<= 60s wall): a real cubeserved
-# instance, 6 concurrent TCP clients, fault injection on, die kill and
-# power cuts mid-traffic. Exits non-zero on any acked-write loss, stuck
-# client, or failed recovery verification. -ab runs static weights then
-# the SLO controller and prints the protected tenant's p99 both ways.
-soak-short:
-	$(GO) run ./cmd/soak -ab -dur 5s -clients 6 -cuts 2 -killdie 1 -slo-target 300us
 
 # Full suite including the fault-injection chaos soak.
 soak:

@@ -160,12 +160,10 @@ type CubeFTL struct {
 
 	// retry is the decaying age-aware offset cache layered over ort
 	// (see retry.go): per block, one row of age buckets per h-layer.
-	retry     []retryBlock
-	readSeq   uint64 // monotonic ObserveRead counter driving decay
-	ageBucket int    // active retention-age bucket for retry lookups
-	// ageFn, when set, resolves the retention-age bucket per block
-	// (aged devices where blocks carry independent retention clocks);
-	// nil keeps the device-wide ageBucket.
+	retry   []retryBlock
+	readSeq uint64 // monotonic ObserveRead counter driving decay
+	// ageFn resolves a block's retention-age bucket for retry lookups;
+	// nil keys every block to bucket 0.
 	ageFn func(chip, block int) int
 
 	stats CubeStats

@@ -29,9 +29,8 @@ type refCube struct {
 	ort   map[int64]int8
 	retry map[int64]refRetry
 
-	readSeq   uint64
-	ageBucket int
-	ageFn     func(chip, block int) int
+	readSeq uint64
+	ageFn   func(chip, block int) int
 
 	stats CubeStats
 }
@@ -74,11 +73,10 @@ func (f *refCube) ortKey(chip, block, layer int) int64 {
 }
 
 func (f *refCube) retryKey(chip, block, layer int) int64 {
-	b := f.ageBucket
+	b := 0
 	if f.ageFn != nil {
-		b = f.ageFn(chip, block)
+		b = min(max(f.ageFn(chip, block), 0), RetryAgeBuckets-1)
 	}
-	b = min(max(b, 0), RetryAgeBuckets-1)
 	return f.opmKey(chip, block, layer)*RetryAgeBuckets + int64(b)
 }
 
@@ -287,11 +285,6 @@ func (ls *lockstep) applyRetrySetup(rs RetrySetup) {
 	ls.ref.cfg.DisableORT, ls.ref.cfg.RetryTable = rs.DisableORT, rs.RetryTable
 }
 
-func (ls *lockstep) setAgeBucket(b int) {
-	ls.cube.SetAgeBucket(b)
-	ls.ref.ageBucket = ls.cube.AgeBucket()
-}
-
 func (ls *lockstep) setAgeBucketFn(fn func(chip, block int) int) {
 	ls.cube.SetAgeBucketFn(fn)
 	ls.ref.ageFn = fn
@@ -429,8 +422,9 @@ func TestFlatTablesMatchMapReference(t *testing.T) {
 							ls.invalidateBlockRetry(chip, block)
 						case r < 96: // an age jump of one block, out-of-range resolver answers included
 							ages[chip*geo.BlocksPerChip+block] = src.Intn(RetryAgeBuckets+3) - 1
-						case r < 98:
-							ls.setAgeBucket(src.Intn(RetryAgeBuckets+2) - 1)
+						case r < 98: // one bucket for every block, out-of-range answers included
+							b := src.Intn(RetryAgeBuckets+2) - 1
+							ls.setAgeBucketFn(func(int, int) int { return b })
 						default: // per-block clocks on and off
 							if src.Intn(2) == 0 {
 								ls.setAgeBucketFn(perBlock)

@@ -103,46 +103,22 @@ func (f *CubeFTL) dropRetry(rb *retryBlock, e *retryEntry) {
 	f.stats.RetryEntries--
 }
 
-// bucketOf resolves a block's retention-age bucket: the per-block
-// resolver when one is wired (aged devices), else the device-wide
-// bucket. The result is clamped so a misbehaving resolver cannot key
-// outside the table.
+// bucketOf resolves a block's retention-age bucket: the resolver's
+// answer, clamped so a misbehaving resolver cannot key outside the
+// table, or bucket 0 when none is wired.
 func (f *CubeFTL) bucketOf(chip, block int) int {
-	b := f.ageBucket
-	if f.ageFn != nil {
-		b = f.ageFn(chip, block)
+	if f.ageFn == nil {
+		return 0
 	}
-	if b < 0 {
-		b = 0
-	}
-	if b >= RetryAgeBuckets {
-		b = RetryAgeBuckets - 1
-	}
-	return b
+	return min(max(f.ageFn(chip, block), 0), RetryAgeBuckets-1)
 }
 
-// SetAgeBucket tells the policy which retention-age bucket the device
-// currently operates in (derived from the simulated retention age; a
-// real controller would drive this from per-block program timestamps).
-func (f *CubeFTL) SetAgeBucket(b int) {
-	if b < 0 {
-		b = 0
-	}
-	if b >= RetryAgeBuckets {
-		b = RetryAgeBuckets - 1
-	}
-	f.ageBucket = b
-}
-
-// SetAgeBucketFn wires a per-block retention-age bucket resolver (nil
-// restores the device-wide bucket). With it, a block whose retention
-// clock crosses a bucket boundary — an aging fast-forward jump — stops
+// SetAgeBucketFn wires the per-block retention-age bucket resolver (nil
+// keys every block to bucket 0). With it, a block whose retention clock
+// crosses a bucket boundary — an aging fast-forward jump — stops
 // matching its old retry-table entries by construction: the lookup key
 // moves with the block's age.
 func (f *CubeFTL) SetAgeBucketFn(fn func(chip, block int) int) { f.ageFn = fn }
-
-// AgeBucket returns the active retention-age bucket.
-func (f *CubeFTL) AgeBucket() int { return f.ageBucket }
 
 // InvalidateBlockRetry drops every cached read-start offset touching a
 // block: its retry-table entries across all age buckets and layers, and

@@ -50,6 +50,11 @@ func TestRetrySetupFor(t *testing.T) {
 	}
 }
 
+// constBucket is a resolver that keys every block to bucket b.
+func constBucket(b int) func(chip, block int) int {
+	return func(int, int) int { return b }
+}
+
 // retryPolicy builds a cube policy with the retry table on and a small
 // decay horizon for testing.
 func retryPolicy(t *testing.T, seed uint64) *CubeFTL {
@@ -64,7 +69,7 @@ func retryPolicy(t *testing.T, seed uint64) *CubeFTL {
 
 func TestRetryTableHitStaleAndBuckets(t *testing.T) {
 	f := retryPolicy(t, 3)
-	f.SetAgeBucket(4)
+	f.SetAgeBucketFn(constBucket(4))
 
 	// Before any observation: retry miss, ORT miss, offset 0.
 	if off := f.ReadStartOffset(0, 5, 2); off != 0 {
@@ -83,7 +88,7 @@ func TestRetryTableHitStaleAndBuckets(t *testing.T) {
 
 	// A different age bucket does not see the entry (the retry table is
 	// age-keyed); the lookup falls through to the shared ORT prior.
-	f.SetAgeBucket(5)
+	f.SetAgeBucketFn(constBucket(5))
 	if off := f.ReadStartOffset(0, 5, 2); off != 3 {
 		t.Fatalf("other bucket: ORT fallback = %d, want 3", off)
 	}
@@ -91,7 +96,7 @@ func TestRetryTableHitStaleAndBuckets(t *testing.T) {
 	if st.RetryMisses == 0 || st.ORTHits == 0 {
 		t.Errorf("other bucket lookup: RetryMisses=%d ORTHits=%d, want both > 0", st.RetryMisses, st.ORTHits)
 	}
-	f.SetAgeBucket(4)
+	f.SetAgeBucketFn(constBucket(4))
 
 	// Age the entry past the decay horizon with unrelated observations:
 	// the next lookup expires it and falls back to the ORT.
@@ -114,9 +119,9 @@ func TestRetryTableHitStaleAndBuckets(t *testing.T) {
 
 func TestRetryTableClearedOnErase(t *testing.T) {
 	f := retryPolicy(t, 4)
-	f.SetAgeBucket(2)
+	f.SetAgeBucketFn(constBucket(2))
 	f.ObserveRead(0, 7, 3, nand.ReadResult{OffsetUsed: 2}, nil)
-	f.SetAgeBucket(5)
+	f.SetAgeBucketFn(constBucket(5))
 	f.ObserveRead(0, 7, 3, nand.ReadResult{OffsetUsed: 4}, nil)
 	if f.CubeStats().RetryEntries != 2 {
 		t.Fatalf("RetryEntries = %d, want 2", f.CubeStats().RetryEntries)
@@ -132,13 +137,13 @@ func TestRetryTableClearedOnErase(t *testing.T) {
 
 func TestRetryStateRoundTrip(t *testing.T) {
 	f := retryPolicy(t, 5)
-	f.SetAgeBucket(4)
+	f.SetAgeBucketFn(constBucket(4))
 	f.ObserveRead(0, 5, 2, nand.ReadResult{OffsetUsed: 3}, nil)
 	f.ObserveRead(1, 8, 6, nand.ReadResult{OffsetUsed: 5}, nil)
 	blob := f.AppendState(nil)
 
 	g := retryPolicy(t, 5)
-	g.SetAgeBucket(4)
+	g.SetAgeBucketFn(constBucket(4))
 	if err := g.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -230,20 +235,24 @@ func TestRetryTableAgeJumpNoStaleOffsets(t *testing.T) {
 	}
 }
 
-// SetAgeBucketFn(nil) restores the device-wide bucket, and resolver
-// results outside [0, RetryAgeBuckets) are clamped.
+// Without a resolver every block keys to bucket 0, and resolver results
+// outside [0, RetryAgeBuckets) are clamped.
 func TestAgeBucketFnFallbackAndClamp(t *testing.T) {
 	f := retryPolicy(t, 9)
-	f.SetAgeBucket(3)
-	f.SetAgeBucketFn(func(chip, block int) int { return 99 })
+	f.SetAgeBucketFn(constBucket(99))
 	f.ObserveRead(0, 1, 0, nand.ReadResult{OffsetUsed: 1}, nil)
 	if off := f.ReadStartOffset(0, 1, 0); off != 1 {
 		t.Fatalf("clamped bucket lookup = %d, want 1", off)
 	}
 	f.SetAgeBucketFn(nil)
 	hits := f.CubeStats().RetryHits
-	f.ReadStartOffset(0, 1, 0) // device-wide bucket 3 != clamped 5
+	f.ReadStartOffset(0, 1, 0) // bucket 0 != clamped 5
 	if f.CubeStats().RetryHits != hits {
-		t.Fatal("nil resolver did not fall back to the device-wide bucket")
+		t.Fatal("nil resolver did not fall back to bucket 0")
+	}
+	f.ObserveRead(0, 1, 0, nand.ReadResult{OffsetUsed: 2}, nil)
+	f.SetAgeBucketFn(constBucket(-4))
+	if off := f.ReadStartOffset(0, 1, 0); off != 2 || f.CubeStats().RetryHits != hits+1 {
+		t.Fatalf("bucket -4 lookup = %d, want bucket 0's offset 2", off)
 	}
 }

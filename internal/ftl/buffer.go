@@ -149,10 +149,6 @@ func (b *WriteBuffer) Trim(lpn LPN, stamp uint64) (freed bool) {
 	return true
 }
 
-// RequeueEvents returns how many page-level requeues the buffer has
-// absorbed (fenced dies, program failures, reprogram verdicts).
-func (b *WriteBuffer) RequeueEvents() int64 { return b.requeueEvents }
-
 // Settle resolves one flushed page after its program completed. It
 // reports whether the captured data is still current (the caller should
 // install the mapping) — stale data was overwritten mid-flight and must

@@ -112,32 +112,8 @@ func TestConsistencySoak(t *testing.T) {
 			cfg := DefaultControllerConfig()
 			cfg.WriteBufferPages = 24
 			c := NewController(dev, pol, cfg)
-			src := rng.New(77)
 			n := c.LogicalPages() * 5 / 10
-			ops := n * 8
-			outstanding := 0
-			var issue func()
-			issue = func() {
-				for outstanding < 12 && ops > 0 {
-					ops--
-					outstanding++
-					lpn := LPN(src.Intn(n))
-					done := func() { outstanding--; issue() }
-					switch src.Intn(10) {
-					case 0:
-						c.Trim(lpn, done)
-					case 1, 2:
-						c.Read(lpn, nil, done)
-					default:
-						c.Write(lpn, nil, done)
-					}
-				}
-			}
-			issue()
-			eng.Run()
-			if !c.Drained() {
-				t.Fatal("not drained")
-			}
+			closedLoop(t, eng, c, rng.New(77), n, n*8, 12, 2)
 			if c.Stats().GCCount == 0 {
 				t.Fatal("soak did not exercise GC")
 			}

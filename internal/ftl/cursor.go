@@ -106,9 +106,6 @@ func (c *BlockCursor) Take(layer, wl int) {
 	}
 }
 
-// Remaining returns the number of free word lines.
-func (c *BlockCursor) Remaining() int { return len(c.programmed) - c.used }
-
 // Full reports whether every word line is programmed.
 func (c *BlockCursor) Full() bool { return c.used == len(c.programmed) }
 

@@ -225,6 +225,40 @@ func TestFactoryBadBlocksExcluded(t *testing.T) {
 	}
 }
 
+// closedLoop keeps depth host commands outstanding on c until ops of them
+// have been issued, then runs eng until it stops and fails t unless c
+// drained. Each command is at an LPN drawn below n from src: a trim one
+// time in ten, a read reads times in ten, else a write, which c may not
+// refuse.
+func closedLoop(t *testing.T, eng *sim.Engine, c *Controller, src *rng.Source, n, ops, depth, reads int) {
+	t.Helper()
+	outstanding := 0
+	var issue func()
+	issue = func() {
+		for outstanding < depth && ops > 0 {
+			ops--
+			outstanding++
+			lpn := LPN(src.Intn(n))
+			done := func() { outstanding--; issue() }
+			switch k := src.Intn(10); {
+			case k == 0:
+				c.Trim(lpn, done)
+			case k <= reads:
+				c.Read(lpn, nil, done)
+			default:
+				if err := c.Write(lpn, nil, done); err != nil {
+					t.Fatalf("host write refused: %v", err)
+				}
+			}
+		}
+	}
+	issue()
+	eng.Run()
+	if !c.Drained() {
+		t.Fatal("not drained")
+	}
+}
+
 // Chaos soak: sustained program/erase/read fault rates over >=50k host
 // writes with the end-to-end integrity oracle on. The FTL must absorb
 // every fault — zero data mismatches, consistent translation state, and
@@ -244,34 +278,8 @@ func TestChaosSoak(t *testing.T) {
 	cfg.VerifyData = true
 	c := NewController(dev, NewPagePolicy(), cfg)
 
-	src := rng.New(1234)
 	n := c.LogicalPages() * 3 / 10
-	ops := 85_000
-	outstanding := 0
-	var issue func()
-	issue = func() {
-		for outstanding < 16 && ops > 0 {
-			ops--
-			outstanding++
-			lpn := LPN(src.Intn(n))
-			done := func() { outstanding--; issue() }
-			switch src.Intn(10) {
-			case 0:
-				c.Trim(lpn, done)
-			case 1, 2, 3:
-				c.Read(lpn, nil, done)
-			default:
-				if err := c.Write(lpn, nil, done); err != nil {
-					t.Fatalf("host write failed mid-soak: %v", err)
-				}
-			}
-		}
-	}
-	issue()
-	eng.Run()
-	if !c.Drained() {
-		t.Fatal("not drained")
-	}
+	closedLoop(t, eng, c, rng.New(1234), n, 85_000, 16, 3)
 	st := c.Stats()
 	if st.HostWrites < 50_000 {
 		t.Fatalf("soak completed only %d host writes, want >= 50000", st.HostWrites)
@@ -420,34 +428,8 @@ func TestChaosSoakDieKill(t *testing.T) {
 	cfg.VerifyData = true
 	c := NewController(dev, NewPagePolicy(), cfg)
 
-	src := rng.New(4242)
 	n := c.LogicalPages() * 3 / 10
-	ops := 40_000
-	outstanding := 0
-	var issue func()
-	issue = func() {
-		for outstanding < 16 && ops > 0 {
-			ops--
-			outstanding++
-			lpn := LPN(src.Intn(n))
-			done := func() { outstanding--; issue() }
-			switch src.Intn(10) {
-			case 0:
-				c.Trim(lpn, done)
-			case 1, 2, 3:
-				c.Read(lpn, nil, done)
-			default:
-				if err := c.Write(lpn, nil, done); err != nil {
-					t.Fatalf("host write failed with one dead die: %v", err)
-				}
-			}
-		}
-	}
-	issue()
-	eng.Run()
-	if !c.Drained() {
-		t.Fatal("not drained")
-	}
+	closedLoop(t, eng, c, rng.New(4242), n, 40_000, 16, 3)
 	st := c.Stats()
 	if !c.DieDegraded(deadDie) {
 		t.Error("dead die never degraded")

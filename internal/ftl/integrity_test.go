@@ -60,32 +60,8 @@ func TestIntegrityBasicReadBack(t *testing.T) {
 // read's payload checked against the translation state.
 func TestIntegritySoakThroughGC(t *testing.T) {
 	eng, c := verifyingController(9)
-	src := rng.New(17)
 	n := c.LogicalPages() * 5 / 10
-	ops := n * 10
-	outstanding := 0
-	var issue func()
-	issue = func() {
-		for outstanding < 12 && ops > 0 {
-			ops--
-			outstanding++
-			lpn := LPN(src.Intn(n))
-			done := func() { outstanding--; issue() }
-			switch src.Intn(10) {
-			case 0:
-				c.Trim(lpn, done)
-			case 1, 2, 3, 4:
-				c.Read(lpn, nil, done)
-			default:
-				c.Write(lpn, nil, done)
-			}
-		}
-	}
-	issue()
-	eng.Run()
-	if !c.Drained() {
-		t.Fatal("not drained")
-	}
+	closedLoop(t, eng, c, rng.New(17), n, n*10, 12, 4)
 	st := c.Stats()
 	if st.GCCount == 0 {
 		t.Fatal("soak did not exercise GC relocation")

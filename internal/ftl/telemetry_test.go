@@ -79,11 +79,11 @@ func TestFencedRequeueSingleCompletionTelemetry(t *testing.T) {
 	}
 	// The requeue surfaced in the registry and as page-level buffer
 	// accounting: the whole fenced word-line group bounced once.
-	if got := hub.Registry().CounterValue("ftl/requeue/fenced"); got != st.FencedPrograms {
+	if got := hub.Registry().Snapshot().Counters["ftl/requeue/fenced"]; got != st.FencedPrograms {
 		t.Errorf("ftl/requeue/fenced = %d, want %d", got, st.FencedPrograms)
 	}
-	if got := c.buf.RequeueEvents(); got != int64(vth.PagesPerWL) {
-		t.Errorf("buffer RequeueEvents = %d, want %d", got, vth.PagesPerWL)
+	if got := c.buf.requeueEvents; got != int64(vth.PagesPerWL) {
+		t.Errorf("buffer requeueEvents = %d, want %d", got, vth.PagesPerWL)
 	}
 	// And in the trace event stream as an FTL-track instant on die 1.
 	found := false

@@ -81,9 +81,6 @@ func (s *Summary) Variance() float64 {
 	return s.m2 / float64(s.n-1)
 }
 
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
-
 // Hist is a latency histogram over int64 nanosecond samples: an exact
 // Summary (count, mean, min, max) beside fixed log-linear buckets — 64
 // octaves of 32 buckets, so a bucket is at most 2^-5 of its lower edge

@@ -68,12 +68,6 @@ func (a *Array) Die(i int) *Chip { return a.dies[i] }
 // ChannelOf returns the channel serving die i.
 func (a *Array) ChannelOf(die int) int { return die % a.cfg.Channels }
 
-// DieAt returns the idx-th die on a channel (0 <= idx <
-// DiesPerChannel). Inverse of the interleaved die->channel mapping.
-func (a *Array) DieAt(channel, idx int) *Chip {
-	return a.dies[idx*a.cfg.Channels+channel]
-}
-
 // SetFaults installs one fault-injection config on every die. Each die
 // draws from its own seed-derived stream, so two dies with the same
 // config still fail at independent, reproducible points.

@@ -43,15 +43,6 @@ func TestArrayDieSeedsAndChannelMap(t *testing.T) {
 			t.Errorf("die %d on channel %d", i, ch)
 		}
 	}
-	// DieAt inverts the interleave: the idx-th die on a channel.
-	for ch := 0; ch < a.Channels(); ch++ {
-		for idx := 0; idx < a.DiesPerChannel(); idx++ {
-			die := idx*a.Channels() + ch
-			if a.DieAt(ch, idx) != a.Die(die) {
-				t.Errorf("DieAt(%d,%d) != Die(%d)", ch, idx, die)
-			}
-		}
-	}
 }
 
 func TestArrayDieSeedsDeterministic(t *testing.T) {

@@ -318,11 +318,6 @@ func (c *Chip) SetDisturbProb(p float64) { c.disturbProb = p }
 // momentary shift of the optimal read offset (0 disables).
 func (c *Chip) SetReadJitterProb(p float64) { c.readJitterProb = p }
 
-// SetDecodeLatency sets the modeled per-attempt ECC decode latency in
-// nanoseconds (see Config.DecodeLatencyNs; 0 restores the historical
-// decode-folded-into-sense arithmetic).
-func (c *Chip) SetDecodeLatency(ns int64) { c.cfg.DecodeLatencyNs = ns }
-
 // aging returns the aging state applied to accesses of a block: the
 // chip-wide fixed retention override when set (the paper's pre-aged
 // evaluation states), else the block's own retention clock.
@@ -345,14 +340,6 @@ func (c *Chip) IsProgrammed(a Address) bool {
 		return false
 	}
 	return c.blocks[a.Block].wls[c.wlIndex(a)].programmed
-}
-
-// StoredBER returns the effective bit error rate of a programmed word
-// line at the optimal read offset, including any penalty from the
-// parameters it was programmed with and accumulated read disturb.
-func (c *Chip) StoredBER(a Address) float64 {
-	blk := &c.blocks[a.Block]
-	return storedBER(c.model.BER(a.Block, a.Layer, a.WL, c.aging(a.Block)), &blk.wls[c.wlIndex(a)], blk)
 }
 
 // storedBER applies a word line's program-parameter penalty and its

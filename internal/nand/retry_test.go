@@ -267,8 +267,8 @@ func TestRetryModesSameDecisionsDifferentLatency(t *testing.T) {
 	const decode = ecc.DefaultDecodeLatencyNs
 	chips := twinChips(t, 3)
 	serial, pr, ar := chips[0], chips[1], chips[2]
-	pr.SetDecodeLatency(decode)
-	ar.SetDecodeLatency(decode)
+	pr.cfg.DecodeLatencyNs = decode
+	ar.cfg.DecodeLatencyNs = decode
 	for _, c := range chips {
 		for b := 0; b < 4; b++ {
 			c.SetPECycles(b, 2000)

@@ -231,14 +231,15 @@ func mustPanic(t *testing.T, want string, fn func()) {
 	fn()
 }
 
-// The concurrent-client chaos run — live traffic through a power cut, a
-// verified recovery, the acked-write audit — with every free list in the
-// process capped at one record: request records, front-end commands and
-// the device stack's op records are recycled at once or dropped for
-// good, so one stepped after its release trips its liveness check.
+// One leg of the chaos soak — live traffic through power cuts and a die
+// kill, verified recoveries, the acked-write audit — with every free list
+// in the process capped at one record: request records, front-end
+// commands and the device stack's op records are recycled at once or
+// dropped for good, so one stepped after its release trips its liveness
+// check.
 func TestChaosWithRecycledRequestRecords(t *testing.T) {
 	defer pool.LimitFreeListsForTest(1)()
-	TestChaosConcurrentClients(t)
+	chaosLeg(t, true)
 }
 
 func BenchmarkServeIO(b *testing.B) {

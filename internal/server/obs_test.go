@@ -190,7 +190,7 @@ func TestEventLogCapturesChaosOps(t *testing.T) {
 	}
 	cl.Close()
 
-	if err := srv.KillDie(1); err != nil {
+	if err := srv.killDie(1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Restart(); err != nil {
@@ -247,7 +247,7 @@ func TestEventLogCapturesChaosOps(t *testing.T) {
 }
 
 // Every SLO tightening event must carry the breach that justified it:
-// p99 above target. This is the invariant cmd/soak asserts from the
+// p99 above target. This is the invariant TestChaosSoak asserts from the
 // event log; the unit test drives it with a synthetic controller.
 func TestSLOEventsCarryBreachEvidence(t *testing.T) {
 	log := telemetry.NewEventLog(nil, 0)

@@ -860,8 +860,8 @@ func (s *Server) Restart() (cubeftl.MountReport, error) {
 	return s.Recover()
 }
 
-// KillDie injects certain program/erase failure on one die.
-func (s *Server) KillDie(die int) error {
+// killDie injects certain program/erase failure on one die.
+func (s *Server) killDie(die int) error {
 	var err error
 	s.do(func() {
 		if err = s.dev.KillDie(die); err == nil {
@@ -887,15 +887,6 @@ func (s *Server) Stats() Stats {
 	var st Stats
 	s.do(func() { st = s.stats })
 	return st
-}
-
-// SLOReport returns the controller's decision log and counters.
-func (s *Server) SLOReport() (decisions []Adjustment, breaches, tightenings, relaxations int64) {
-	s.do(func() {
-		decisions = append(decisions, s.slo.Decisions...)
-		breaches, tightenings, relaxations = s.slo.Breaches, s.slo.Tightenings, s.slo.Relaxations
-	})
-	return
 }
 
 // FinalStats returns the counters after Close has returned — the core

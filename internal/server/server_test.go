@@ -3,9 +3,7 @@ package server
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -327,120 +325,5 @@ func TestGracefulCloseNotifiesClients(t *testing.T) {
 	_, err := cl.Write(2, 1)
 	if err == nil {
 		t.Fatal("write to closed server succeeded")
-	}
-}
-
-// TestChaosConcurrentClients is the in-tree miniature of cmd/soak:
-// four live clients, a power cut + recovery mid-traffic, and the
-// audit that no acked write is lost and no client gets stuck. The
-// post-cut Remount runs the ledger verifier, so torn in-flight writes
-// or resurrected unacked state fail the test.
-func TestChaosConcurrentClients(t *testing.T) {
-	srv := startTestServer(t, testConfig(true))
-	defer srv.Close()
-
-	const nClients = 4
-	type workerState struct {
-		acked []int64
-		err   error
-	}
-	states := make([]workerState, nClients)
-	logical := int64(srv.Device().LogicalPages())
-	region := logical / nClients
-
-	// The batch window's idle count is recounted between requests for as
-	// long as there is traffic, and after every step below.
-	stopWatch := watchIdle(t, srv)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < nClients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tenant := "lat"
-			if i%2 == 1 {
-				tenant = "bulk"
-			}
-			cl, err := Dial(ClientConfig{
-				Addr: srv.Addr().String(), Tenant: tenant, RetryBudget: 20 * time.Second,
-			})
-			if err != nil {
-				states[i].err = err
-				return
-			}
-			defer cl.Close()
-			lo := int64(i) * region
-			for n := int64(0); ; n++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				lpn := lo + n%region
-				if _, err := cl.Write(lpn, 1); err != nil {
-					states[i].err = fmt.Errorf("write %d: %w", lpn, err)
-					return
-				}
-				states[i].acked = append(states[i].acked, lpn)
-				if n%4 == 3 {
-					if _, err := cl.Read(lpn, 1); err != nil {
-						states[i].err = fmt.Errorf("read %d: %w", lpn, err)
-						return
-					}
-				}
-			}
-		}(i)
-	}
-
-	time.Sleep(200 * time.Millisecond)
-	checkIdle(t, srv, "under traffic")
-	if _, err := srv.Restart(); err != nil {
-		t.Fatalf("mid-traffic restart: %v", err)
-	}
-	checkIdle(t, srv, "mid-traffic restart")
-	time.Sleep(200 * time.Millisecond)
-	close(stop)
-
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	select {
-	case <-finished:
-	case <-time.After(30 * time.Second):
-		t.Fatal("stuck clients: workers did not finish")
-	}
-	if looks := stopWatch(); looks < 50 {
-		t.Errorf("idle count checked %d times in 400 ms of traffic", looks)
-	}
-	checkIdle(t, srv, "workers gone")
-
-	// Final cut + recovery, then the acked-write audit.
-	rpt, err := srv.Restart()
-	if err != nil {
-		t.Fatalf("final restart: %v", err)
-	}
-	if !rpt.Verified {
-		t.Fatal("final recovery skipped verification")
-	}
-	checkIdle(t, srv, "final restart")
-	audit := testClient(t, srv, "lat")
-	defer audit.Close()
-	for i, st := range states {
-		if st.err != nil {
-			t.Fatalf("worker %d: %v", i, st.err)
-		}
-		seen := make(map[int64]bool)
-		for _, lpn := range st.acked {
-			if seen[lpn] {
-				continue
-			}
-			seen[lpn] = true
-			mapped, err := audit.Stat(lpn)
-			if err != nil {
-				t.Fatalf("stat %d: %v", lpn, err)
-			}
-			if !mapped {
-				t.Fatalf("worker %d: acked write at lpn %d lost", i, lpn)
-			}
-		}
 	}
 }

@@ -337,33 +337,8 @@ func (d *Device) InflightMediaOps() []MediaOp {
 	return ops
 }
 
-// BusUtilization reports the mean utilization across channels.
-func (d *Device) BusUtilization() float64 {
-	if len(d.channels) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, c := range d.channels {
-		sum += c.Utilization()
-	}
-	return sum / float64(len(d.channels))
-}
-
 // ChannelUtilization reports one channel's utilization.
 func (d *Device) ChannelUtilization(c int) float64 { return d.channels[c].Utilization() }
-
-// ChipUtilization reports the mean utilization across dies (averaged
-// over planes).
-func (d *Device) ChipUtilization() float64 {
-	sum, n := 0.0, 0
-	for _, dh := range d.dies {
-		for _, p := range dh.planes {
-			sum += p.Utilization()
-			n++
-		}
-	}
-	return sum / float64(n)
-}
 
 // DieUtilization reports one die's utilization (averaged over planes).
 func (d *Device) DieUtilization(die int) float64 {

@@ -173,11 +173,11 @@ func TestUtilizationReporting(t *testing.T) {
 	d := New(eng, smallConfig())
 	d.Program(0, nand.Address{Block: 0, Layer: 1}, nil, nil, nand.ProgramParams{}, func(nand.ProgramResult, error) {})
 	eng.Run()
-	if d.ChipUtilization() <= 0 {
-		t.Error("chip utilization not accounted")
+	if d.DieUtilization(0) <= 0 {
+		t.Error("die utilization not accounted")
 	}
-	if d.BusUtilization() <= 0 {
-		t.Error("bus utilization not accounted")
+	if d.ChannelUtilization(d.ChannelOf(0)) <= 0 {
+		t.Error("channel utilization not accounted")
 	}
 }
 

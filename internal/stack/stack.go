@@ -229,12 +229,11 @@ func (s Spec) Policy(dev *ssd.Device) (ftl.Policy, *core.CubeFTL, error) {
 	}
 	cube := core.NewCubeFTL(dev.Geometry(), cfg)
 	cube.ApplyRetrySetup(rs)
-	cube.SetAgeBucket(core.AgeBucketFor(s.RetentionMonths))
 	// Key the retry table by each block's own retention age. On a fresh
-	// or uniformly pre-aged device EffectiveRetentionMonths equals the
-	// device-wide setting, so this resolves to the bucket SetAgeBucket
-	// chose and replays stay bit-identical; once Age moves individual
-	// blocks across bucket boundaries the key moves with the block.
+	// or uniformly pre-aged device EffectiveRetentionMonths is the
+	// device-wide setting, so every block shares one bucket; once Age
+	// moves individual blocks across bucket boundaries the key moves with
+	// the block.
 	cube.SetAgeBucketFn(func(chip, block int) int {
 		return core.AgeBucketFor(dev.Die(chip).NAND.EffectiveRetentionMonths(block))
 	})

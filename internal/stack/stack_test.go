@@ -66,12 +66,9 @@ func TestBuildWiring(t *testing.T) {
 	if c := st.Cube.Config(); !c.RetryTable || c.ActiveBlocks != 3 {
 		t.Errorf("cube config %+v", c)
 	}
-	if got, want := st.Cube.AgeBucket(), core.AgeBucketFor(12); got != want {
-		t.Errorf("age bucket %d, want %d", got, want)
-	}
 	// The remount path rebuilds an identically configured policy.
 	_, again, err := st.Spec.Policy(st.Dev)
-	if err != nil || again.Config() != st.Cube.Config() || again.AgeBucket() != st.Cube.AgeBucket() {
+	if err != nil || again.Config() != st.Cube.Config() {
 		t.Errorf("Spec.Policy rebuilt %+v (err %v), want %+v", again.Config(), err, st.Cube.Config())
 	}
 }

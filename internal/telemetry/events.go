@@ -5,9 +5,9 @@ package telemetry
 // verdicts — SLO knob changes, chaos/admin operations, recovery
 // outcomes, block retirements — each stamped with the sim clock (the
 // deterministic ordering key) and the wall clock (operator context).
-// A soak run's event file is a replayable audit trail: cmd/soak reads
-// it back and asserts every tighten had a triggering breach and every
-// remount carried a verify-pass verdict.
+// A soak run's event log is a replayable audit trail: the server's
+// chaos soak (TestChaosSoak) reads it back and asserts every tighten had
+// a triggering breach and every remount carried a verify-pass verdict.
 
 import (
 	"bufio"
@@ -47,7 +47,7 @@ type Event struct {
 }
 
 // EventLog collects events into a bounded in-memory ring (oldest
-// dropped, drop count kept) and optionally streams each one as a JSONL
+// dropped; Total counts them all) and optionally streams each one as a JSONL
 // line to a writer. Emission sites run on the core/sim goroutine;
 // readers (admin goroutines, scrapes, tests) take snapshots — the
 // mutex makes that safe.
@@ -57,7 +57,6 @@ type EventLog struct {
 	buf     []Event
 	start   int // ring head
 	n       int // ring occupancy
-	dropped int64
 	total   int64
 	werr    error
 	nowWall func() int64
@@ -102,7 +101,6 @@ func (l *EventLog) Emit(ev Event) {
 	} else {
 		l.buf[l.start] = ev
 		l.start = (l.start + 1) % cap(l.buf)
-		l.dropped++
 	}
 	if l.w != nil && l.werr == nil {
 		b, err := json.Marshal(ev)
@@ -149,16 +147,6 @@ func (l *EventLog) Total() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.total
-}
-
-// Dropped returns how many events fell off the ring.
-func (l *EventLog) Dropped() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }
 
 // Close flushes the JSONL stream and returns the first write error

@@ -60,15 +60,15 @@ func TestEventLogRingDropsOldest(t *testing.T) {
 			t.Errorf("evs[%d].SimNs = %d, want %d", i, ev.SimNs, want)
 		}
 	}
-	if l.Dropped() != 6 || l.Total() != 10 {
-		t.Errorf("dropped=%d total=%d, want 6/10", l.Dropped(), l.Total())
+	if l.Total() != 10 {
+		t.Errorf("total=%d, want 10 with 6 dropped", l.Total())
 	}
 }
 
 func TestEventLogNilSafe(t *testing.T) {
 	var l *EventLog
 	l.Emit(Event{Type: "x"}) // must not panic
-	if l.Events() != nil || l.Total() != 0 || l.Dropped() != 0 {
+	if l.Events() != nil || l.Total() != 0 {
 		t.Error("nil log not empty")
 	}
 	if err := l.Close(); err != nil {

@@ -135,16 +135,6 @@ func (r *Registry) MustRegisterStruct(prefix string, ptr any, refresh func()) {
 	}
 }
 
-// CounterValue returns a registered counter's value (0 if absent).
-func (r *Registry) CounterValue(name string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c.Value()
-	}
-	return 0
-}
-
 // HistStat is a snapshot of one histogram's headline statistics.
 type HistStat struct {
 	N    int64   `json:"n"`

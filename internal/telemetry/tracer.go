@@ -11,7 +11,7 @@ type TracerConfig struct {
 	// 4096; 0 keeps the default, negative disables the reservoir).
 	ReservoirSize int
 	// EventCap bounds the operation-event buffer (default 1<<18); when
-	// full, further events are dropped (counted in DroppedEvents).
+	// full, further events are dropped (counted in droppedEvents).
 	EventCap int
 	// Seed derives the reservoir's RNG stream; the hub fills it in.
 	Seed uint64
@@ -134,10 +134,6 @@ func (t *Tracer) AddEvent(ev OpEvent) {
 
 // SpansSeen returns the total number of spans recorded.
 func (t *Tracer) SpansSeen() int64 { return t.spansSeen }
-
-// DroppedEvents returns how many operation events were discarded after
-// the event buffer filled.
-func (t *Tracer) DroppedEvents() int64 { return t.droppedEvents }
 
 // Spans returns every retained span (reservoir sample of old spans
 // followed by the ring's contents), ordered by span ID so export order

@@ -89,7 +89,7 @@ func TestTracerEventCapDropsAndCounts(t *testing.T) {
 	if got := len(tr.Events()); got != 3 {
 		t.Errorf("events kept = %d, want 3", got)
 	}
-	if got := tr.DroppedEvents(); got != 2 {
-		t.Errorf("DroppedEvents = %d, want 2", got)
+	if got := tr.droppedEvents; got != 2 {
+		t.Errorf("droppedEvents = %d, want 2", got)
 	}
 }
