@@ -47,15 +47,17 @@ race-core:
 # raw and as one sealed frame (records that re-encode to the prefix they
 # came from, torn exactly when bytes remain), and the OOB record parser
 # (a record it accepts re-encodes to the same bytes); the per-page index
-# against a Go map on any sequence of Put / Delete / Get; and the block
+# against a Go map on any sequence of Put / Delete / Get; the block
 # trace parser on any bytes, MSR / FIU / sniffed, strict and tolerant (an
 # error, or a trace whose arrivals start at 0 and never go back, with
-# every extent at least one page at a non-negative LPN); and the two
-# command-line decoders left, cubesim's -age (an error naming -age, or
-# a positive age of at most 100 years) and cubeserved's -tenant (an
-# error, or a named tenant with non-negative weight, depth and SLO and a
-# rate cap that is 0 or a finite rate of at least 1e-9 IOPS). A failing
-# input is written under the package's testdata/fuzz/.
+# every extent at least one page at a non-negative LPN); the text trace
+# parser on any bytes (an error, or requests of at least one page at a
+# non-negative LPN whose end neither overflows nor passes MaxLPN); and
+# the two command-line decoders left, cubesim's -age (an error naming
+# -age, or a positive age of at most 100 years) and cubeserved's -tenant
+# (an error, or a named tenant with non-negative weight, depth and SLO
+# and a rate cap that is 0 or a finite rate of at least 1e-9 IOPS). A
+# failing input is written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
@@ -65,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ftl -run '^$$' -fuzz FuzzDecodeOOB -fuzztime 10s
 	$(GO) test ./internal/pool -run '^$$' -fuzz FuzzIndexMatchesMap -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParseTimedTrace -fuzztime 10s
+	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s
 	$(GO) test ./cmd/cubesim -run '^$$' -fuzz FuzzParseAge -fuzztime 10s
 	$(GO) test ./cmd/cubeserved -run '^$$' -fuzz FuzzParseTenant -fuzztime 10s
 
@@ -178,7 +181,7 @@ one-index:
 # starting "cube_", "ftl/", "nand/", "faults/" or "cube/") appears in
 # more than one non-test .go file of the library (the root package and
 # internal/) — a second file spelling a name is a copy of the
-# declaration; the scrapers (bench/, examples/, the tests) look a name up
+# declaration; the scrapers (bench/, the tests) look a name up
 # in what was served and have to spell it — or if one of the
 # copying helpers is back: metrics.CounterSet, Stats.FaultCounters, a
 # map[string]*int64 of metric names.
@@ -276,7 +279,7 @@ figures:
 
 # Multi-tenant QoS demo: RR vs WRR vs WRR + rate cap.
 demo:
-	$(GO) run ./examples/multi-tenant
+	$(GO) test -run ExampleSSD_RunTenants -v .
 
 clean:
 	$(GO) clean ./...

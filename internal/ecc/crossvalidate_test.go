@@ -4,16 +4,16 @@ import (
 	"math"
 	"testing"
 
-	"cubeftl/internal/bch"
 	"cubeftl/internal/rng"
 )
 
 // Cross-validation: the statistical pass/fail model this package uses
-// for bulk simulation must agree with the real BCH decoder (package
-// bch) at the same t/n ratio. BCH(1023, t=9) has t/n = 8.8e-3 — the
-// same operating point as the simulator's 72-bit/1KB configuration.
+// for bulk simulation must agree with the real BCH decoder
+// (bch_code_test.go) at the same t/n ratio. BCH(1023, t=9) has t/n =
+// 8.8e-3 — the same operating point as the simulator's 72-bit/1KB
+// configuration.
 func TestStatisticalModelMatchesRealBCH(t *testing.T) {
-	code, err := bch.New(10, 9)
+	code, err := newBCH(10, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -77,6 +78,9 @@ func ParseTrace(name string, r io.Reader) (*Trace, error) {
 		pages, err := strconv.Atoi(f[2])
 		if err != nil || pages < 1 {
 			return nil, fmt.Errorf("workload: trace line %d: bad pages %q", lineNo, f[2])
+		}
+		if int64(pages) > math.MaxInt64-lpn {
+			return nil, fmt.Errorf("workload: trace line %d: lpn %d + %d pages overflows: %w", lineNo, lpn, pages, ErrTraceExtent)
 		}
 		req.LPN, req.Pages = lpn, pages
 		if len(f) == 4 {

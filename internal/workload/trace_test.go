@@ -78,6 +78,9 @@ func TestTraceParseErrors(t *testing.T) {
 		"r 1\n",       // too few fields
 		"r 1 1 2 3\n", // too many fields
 		"r 1 1 -5\n",  // negative think
+		// lpn + pages past int64: MaxLPN would wrap negative.
+		"w 4611686018427387904 4611686018427387904\n",
+		"r 9223372036854775807 1\n",
 	}
 	for _, in := range cases {
 		if _, err := ParseTrace("t", strings.NewReader(in)); err == nil {

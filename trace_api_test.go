@@ -39,10 +39,16 @@ func TestRunTraceValidation(t *testing.T) {
 	if _, err := dev.RunTrace(strings.NewReader("bogus line\n"), "t", 10, 2); err == nil {
 		t.Error("malformed trace accepted")
 	}
-	// Trace beyond the device's capacity.
-	huge := strings.NewReader("w 99999999999 1\n")
-	if _, err := dev.RunTrace(huge, "t", 10, 2); err == nil {
-		t.Error("oversized trace accepted")
+	// Traces beyond the device's capacity, including extents whose end
+	// overflows int64.
+	for _, line := range []string{
+		"w 99999999999 1\n",
+		"w 4611686018427387904 4611686018427387904\n",
+		"r 9223372036854775807 1\n",
+	} {
+		if _, err := dev.RunTrace(strings.NewReader(line), "t", 10, 2); err == nil {
+			t.Errorf("oversized trace %q accepted", line)
+		}
 	}
 }
 
