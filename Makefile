@@ -48,9 +48,11 @@ race-core:
 # came from, torn exactly when bytes remain), and the OOB record parser
 # (a record it accepts re-encodes to the same bytes); the per-page index
 # against a Go map on any sequence of Put / Delete / Get; the block
-# trace parser on any bytes, MSR / FIU / sniffed, strict and tolerant (an
-# error, or a trace whose arrivals start at 0 and never go back, with
-# every extent at least one page at a non-negative LPN); the text trace
+# trace parser on any bytes, MSR / FIU / sniffed, strict and tolerant,
+# against the string parser it replaced (the same error — sentinel,
+# format, line — or the same records, sources and counts; and a trace
+# whose arrivals start at 0 and never go back, with every extent at
+# least one page at a non-negative LPN); the text trace
 # parser on any bytes (an error, or requests of at least one page at a
 # non-negative LPN whose end neither overflows nor passes MaxLPN); and
 # the two command-line decoders left, cubesim's -age (an error naming

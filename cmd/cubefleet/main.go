@@ -177,15 +177,17 @@ func (c *config) run(stdout, stderr io.Writer) error {
 		defer c.fleet.Obs.Close()
 		fmt.Fprintf(stderr, "metrics: http://%s/metrics\n", c.fleet.Obs.Addr())
 	}
+	start := time.Now() // the wall line covers ingestion; WallNs is the replay alone
 	st, err := cubeftl.RunFleet(c.fleet, c.tracePath, f, c.trace)
 	if err != nil {
 		return err
 	}
+	wall := time.Since(start)
 	fmt.Fprint(stdout, st.Report())
 	if len(st.Series) > 0 && c.statsOut != "" {
 		fmt.Fprintf(stderr, "series: wrote %d samples to %s\n", len(st.Series), c.statsOut)
 	}
-	fmt.Fprintf(stderr, "wall: %v\n", time.Duration(st.WallNs))
+	fmt.Fprintf(stderr, "wall: %v (replay %v)\n", wall, time.Duration(st.WallNs))
 	return nil
 }
 

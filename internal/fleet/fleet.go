@@ -348,6 +348,13 @@ func assignRequests(cfg Config, trace *workload.TimedTrace, place Placement, spe
 	}
 	whole, rem := total/n, total%n
 
+	// A tenant hashes its source's (seed, disk, host) prefix, computed
+	// once per source, with the record's extent.
+	prefix := make([]uint64, len(trace.Sources))
+	for i, s := range trace.Sources {
+		prefix[i] = fnvString(fnvMix(cfg.Seed, uint64(s.Disk)), s.Host)
+	}
+
 	// Tenant slots are allocated per shard in first-appearance order of
 	// the global tenant id, so a shard's tenant count is known before
 	// its device is built.
@@ -360,7 +367,11 @@ func assignRequests(cfg Config, trace *workload.TimedTrace, place Placement, spe
 				i, r.AtNs, prev, workload.ErrTraceOutOfOrder)
 		}
 		prev = r.AtNs
-		tenant := tenantOf(cfg, *r)
+		if r.Source < 0 || int(r.Source) >= len(prefix) {
+			return fmt.Errorf("fleet: trace record %d names source %d of %d: %w",
+				i, r.Source, len(prefix), workload.ErrTraceRecord)
+		}
+		tenant := tenantOf(cfg, prefix[r.Source], r.LPN)
 		sp := specs[place.Shard(tenant)]
 		sl, ok := slot[tenant]
 		if !ok {
@@ -384,12 +395,10 @@ func assignRequests(cfg Config, trace *workload.TimedTrace, place Placement, spe
 	return nil
 }
 
-// tenantOf synthesizes a logical tenant from a trace record: requests
-// from the same source stream touching the same aligned extent window
-// belong to the same tenant.
-func tenantOf(cfg Config, r workload.TimedRequest) int {
-	h := fnvMix(cfg.Seed, uint64(r.Disk))
-	h = fnvString(h, r.Host)
-	h = fnvMix(h, uint64(r.LPN/tenantExtentPages))
+// tenantOf synthesizes a logical tenant from a trace record, given its
+// source's hash prefix and its LPN: requests from the same source stream
+// touching the same aligned extent window belong to the same tenant.
+func tenantOf(cfg Config, prefix uint64, lpn int64) int {
+	h := fnvMix(prefix, uint64(lpn/tenantExtentPages))
 	return int(h % uint64(cfg.Tenants))
 }

@@ -21,7 +21,11 @@ func synthTrace(n int) *workload.TimedTrace {
 		state = state*6364136223846793005 + 1442695040888963407
 		return state >> 33
 	}
-	hosts := []string{"usr", "proj", "web"}
+	for _, host := range []string{"usr", "proj", "web"} {
+		for disk := 0; disk < 2; disk++ {
+			tr.Sources = append(tr.Sources, workload.Source{Host: host, Disk: disk})
+		}
+	}
 	at := int64(0)
 	for i := 0; i < n; i++ {
 		op := workload.Read
@@ -34,13 +38,14 @@ func synthTrace(n int) *workload.TimedTrace {
 		} else {
 			lpn = int64(next() % 1_000_000) // cold span
 		}
+		host := int(next()) % 3
+		disk := int(next() % 2)
 		tr.Reqs = append(tr.Reqs, workload.TimedRequest{
-			AtNs:  at,
-			Host:  hosts[int(next())%len(hosts)],
-			Disk:  int(next() % 2),
-			Op:    op,
-			LPN:   lpn,
-			Pages: int(next()%3) + 1,
+			AtNs:   at,
+			Source: int32(2*host + disk),
+			Op:     op,
+			LPN:    lpn,
+			Pages:  int(next()%3) + 1,
 		})
 		at += int64(next() % 40_000) // 0-40 us gaps
 		tr.SpanNs = at
@@ -278,6 +283,11 @@ func TestFleetErrors(t *testing.T) {
 	_, err := Run(smallConfig(), tr)
 	if !errors.Is(err, workload.ErrTraceOutOfOrder) || !strings.Contains(fmt.Sprint(err), "record 6") {
 		t.Errorf("out-of-order record: got %v", err)
+	}
+	tr = synthTrace(10)
+	tr.Reqs[4].Source = int32(len(tr.Sources))
+	if _, err := Run(smallConfig(), tr); !errors.Is(err, workload.ErrTraceRecord) || !strings.Contains(fmt.Sprint(err), "record 4") {
+		t.Errorf("record naming no source: got %v", err)
 	}
 	tr = synthTrace(10)
 	tr.Reqs[0].AtNs = -5

@@ -21,7 +21,9 @@ type timedReq struct {
 // refAssignRequests is assignRequests as it was before a shard's replay
 // became a stream (ISSUE 16): the trace expanded ×Repeat into one
 // request slice per shard. It is the oracle for the cursor
-// (shardSpec.at / req) and the per-shard counts.
+// (shardSpec.at / req) and the per-shard counts, and it hashes each
+// record's whole (seed, disk, host, extent) tenant key, the oracle for
+// the per-source prefixes assignRequests hashes once.
 func refAssignRequests(cfg Config, trace *workload.TimedTrace, place Placement) (reqs [][]timedReq, tenants []int) {
 	reqs, tenants = make([][]timedReq, cfg.Shards), make([]int, cfg.Shards)
 	slot := make(map[int]int, cfg.Tenants)
@@ -38,7 +40,8 @@ func refAssignRequests(cfg Config, trace *workload.TimedTrace, place Placement) 
 			if cfg.MaxRequests > 0 && emitted >= cfg.MaxRequests {
 				return reqs, tenants
 			}
-			tenant := tenantOf(cfg, r)
+			src := trace.Sources[r.Source]
+			tenant := int(fnvMix(fnvString(fnvMix(cfg.Seed, uint64(src.Disk)), src.Host), uint64(r.LPN/tenantExtentPages)) % uint64(cfg.Tenants))
 			sh := place.Shard(tenant)
 			sl, ok := slot[tenant]
 			if !ok {
