@@ -54,12 +54,13 @@ race-core:
 # whose arrivals start at 0 and never go back, with every extent at
 # least one page at a non-negative LPN); the text trace
 # parser on any bytes (an error, or requests of at least one page at a
-# non-negative LPN whose end neither overflows nor passes MaxLPN); and
-# the two command-line decoders left, cubesim's -age (an error naming
-# -age, or a positive age of at most 100 years) and cubeserved's -tenant
-# (an error, or a named tenant with non-negative weight, depth and SLO
-# and a rate cap that is 0 or a finite rate of at least 1e-9 IOPS). A
-# failing input is written under the package's testdata/fuzz/.
+# non-negative LPN whose end neither overflows nor passes MaxLPN);
+# cubesim's -age decoder (an error naming -age, or a positive age of at
+# most 100 years); and host.ParseQueue, the -tenant decoder both cubesim
+# and cubeserved use, with each binary's extra field (an error, or a
+# named queue with non-negative weight, depth and SLO and a rate cap
+# that is 0 or a finite rate of at least 1e-9 IOPS). A failing input is
+# written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
@@ -71,7 +72,7 @@ fuzz-smoke:
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParseTimedTrace -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s
 	$(GO) test ./cmd/cubesim -run '^$$' -fuzz FuzzParseAge -fuzztime 10s
-	$(GO) test ./cmd/cubeserved -run '^$$' -fuzz FuzzParseTenant -fuzztime 10s
+	$(GO) test ./internal/host -run '^$$' -fuzz FuzzParseQueue -fuzztime 10s
 
 # Acked implies recoverable, at every instant: a short durable-ack run of
 # writes and one trim in sixteen on a tiny stack.Build device (and on one

@@ -17,8 +17,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -53,11 +51,22 @@ func (c *config) bind(fs *flag.FlagSet) {
 	c.profile.RegisterFlags(fs)
 	fs.Func("tenant", "tenant spec: name[,weight=N][,depth=N][,prio=N][,rate=IOPS][,slo=DUR] (repeatable)",
 		func(spec string) error {
-			td, err := parseTenant(spec)
+			var slo time.Duration
+			q, err := host.ParseQueue(spec, map[string]func(string) error{
+				"slo": func(v string) (err error) {
+					if slo, err = time.ParseDuration(v); err == nil && slo < 0 {
+						err = fmt.Errorf("negative duration %v", slo)
+					}
+					return err
+				},
+			})
 			if err != nil {
 				return err
 			}
-			c.srv.Tenants = append(c.srv.Tenants, td)
+			c.srv.Tenants = append(c.srv.Tenants, server.TenantDef{
+				Name: q.Name, Depth: q.Depth, Weight: q.Weight, Priority: q.Priority,
+				RateIOPS: q.RateIOPS, SLOReadP99: slo,
+			})
 			return nil
 		})
 }
@@ -126,54 +135,4 @@ func main() {
 	st := srv.FinalStats()
 	logger.Printf("cubeserved: done — %d conns, %d sessions, %d writes (%d dup-acked), %d reads, %d power cuts / %d recoveries",
 		st.Conns, st.Sessions, st.Writes, st.Duplicates, st.Reads, st.PowerCuts, st.Recoveries)
-}
-
-// parseTenant parses "name[,k=v]...". weight and depth are non-negative
-// (0 keeps the default: 1 and 32), rate is 0 (uncapped) or what
-// host.CheckRate accepts, and slo is a non-negative duration (0 =
-// best-effort); an error names the field.
-func parseTenant(spec string) (server.TenantDef, error) {
-	parts := strings.Split(spec, ",")
-	if parts[0] == "" {
-		return server.TenantDef{}, fmt.Errorf("tenant spec %q: empty name", spec)
-	}
-	td := server.TenantDef{Name: parts[0], Weight: 1}
-	for _, kv := range parts[1:] {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return td, fmt.Errorf("tenant spec %q: bad field %q", spec, kv)
-		}
-		var err error
-		switch k {
-		case "weight":
-			td.Weight, err = nonNegative(v)
-		case "depth":
-			td.Depth, err = nonNegative(v)
-		case "prio":
-			td.Priority, err = strconv.Atoi(v)
-		case "rate":
-			if td.RateIOPS, err = strconv.ParseFloat(v, 64); err == nil {
-				err = host.CheckRate(td.RateIOPS)
-			}
-		case "slo":
-			if td.SLOReadP99, err = time.ParseDuration(v); err == nil && td.SLOReadP99 < 0 {
-				err = fmt.Errorf("negative duration %v", td.SLOReadP99)
-			}
-		default:
-			return td, fmt.Errorf("tenant spec %q: unknown field %q", spec, k)
-		}
-		if err != nil {
-			return td, fmt.Errorf("tenant spec %q: %s: %v", spec, k, err)
-		}
-	}
-	return td, nil
-}
-
-// nonNegative parses a count that may be 0 but not negative.
-func nonNegative(v string) (int, error) {
-	n, err := strconv.Atoi(v)
-	if err == nil && n < 0 {
-		err = fmt.Errorf("%d is negative", n)
-	}
-	return n, err
 }

@@ -90,13 +90,13 @@ func parseAge(spec string) (float64, error) {
 // validateRecoveryFlags rejects flag combinations the power-cut path
 // does not support: the cut drives a single synthetic workload stream,
 // so multi-tenant mode, trace replay, and trace recording are out.
-func validateRecoveryFlags(pc powercutSpec, queues, tracePath, record string) error {
+func validateRecoveryFlags(pc powercutSpec, multiTenant bool, tracePath, record string) error {
 	if pc.mode == pcOff {
 		return nil
 	}
 	switch {
-	case queues != "":
-		return fmt.Errorf("cubesim: -powercut does not combine with -queues (single-stream only)")
+	case multiTenant:
+		return fmt.Errorf("cubesim: -powercut does not combine with -tenant (single-stream only)")
 	case tracePath != "":
 		return fmt.Errorf("cubesim: -powercut does not combine with -trace (synthetic workloads only)")
 	case record != "":
@@ -105,81 +105,22 @@ func validateRecoveryFlags(pc powercutSpec, queues, tracePath, record string) er
 	return nil
 }
 
-// parseTenants parses the -queues spec: comma-separated tenant streams,
-// each "workload" or "name=workload".
-func parseTenants(spec string, requests, qd int) ([]cubeftl.TenantConfig, error) {
-	var tenants []cubeftl.TenantConfig
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, wl := "", part
-		if eq := strings.IndexByte(part, '='); eq >= 0 {
-			name, wl = part[:eq], part[eq+1:]
-		}
-		tenants = append(tenants, cubeftl.TenantConfig{
-			Name: name, Workload: wl, Requests: requests, QueueDepth: qd,
-		})
-	}
-	if len(tenants) == 0 {
-		return nil, fmt.Errorf("cubesim: -queues named no tenants")
-	}
-	return tenants, nil
-}
-
-// setTenantKnobs sets each tenant's WRR weight, rate cap and priority
-// from the -weights, -rate and -prios lists. A rate cap is 0 (uncapped)
-// or what host.CheckRate accepts; anything else is an error naming
-// -rate and the tenant.
-func setTenantKnobs(tenants []cubeftl.TenantConfig, weights, rates, prios string) error {
-	ws, err := splitList("-weights", weights, len(tenants))
+// parseTenant decodes one -tenant spec: host.ParseQueue's fields plus
+// workload=, which defaults to the tenant's name. A depth of 0 is left
+// for tenantRuns to fill from -qd.
+func parseTenant(spec string) (cubeftl.TenantConfig, error) {
+	var wl string
+	q, err := host.ParseQueue(spec, map[string]func(string) error{
+		"workload": func(v string) error { wl = v; return nil },
+	})
 	if err != nil {
-		return err
+		return cubeftl.TenantConfig{}, err
 	}
-	rs, err := splitList("-rate", rates, len(tenants))
-	if err != nil {
-		return err
+	if wl == "" {
+		wl = q.Name
 	}
-	ps, err := splitList("-prios", prios, len(tenants))
-	if err != nil {
-		return err
-	}
-	for i := range tenants {
-		if err := host.CheckRate(rs[i]); err != nil {
-			return fmt.Errorf("cubesim: -rate: tenant %d: %v", i+1, err)
-		}
-		tenants[i].Weight = int(ws[i])
-		tenants[i].RateIOPS = rs[i]
-		tenants[i].Priority = int(ps[i])
-	}
-	return nil
-}
-
-// splitList parses a comma-separated numeric flag into per-tenant
-// values: empty spec means all-default (zero), otherwise exactly one
-// value per tenant (an empty entry, as in "8,,1", keeps the default).
-// Errors name the offending flag and the expected count.
-func splitList(flagName, spec string, n int) ([]float64, error) {
-	out := make([]float64, n)
-	if spec == "" {
-		return out, nil
-	}
-	parts := strings.Split(spec, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("cubesim: %s: got %d values, want %d (one per -queues tenant)",
-			flagName, len(parts), n)
-	}
-	for i, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("cubesim: %s: bad value %q: %v", flagName, p, err)
-		}
-		out[i] = v
-	}
-	return out, nil
+	return cubeftl.TenantConfig{
+		Name: q.Name, Workload: wl, QueueDepth: q.Depth,
+		Weight: q.Weight, Priority: q.Priority, RateIOPS: q.RateIOPS,
+	}, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -92,7 +93,7 @@ func TestDeviceFromCommandLine(t *testing.T) {
 			with(func(o *cubeftl.Options) { o.FTL, o.PECycles, o.RetentionMonths = "page", 2000, 12 })},
 		{"-workload Mixed -channels 4 -dies 4",
 			with(func(o *cubeftl.Options) { o.Channels, o.DiesPerChannel = 4, 4 })},
-		{"-queues hot=YCSB-C,bulk=Bulk -arb wrr -weights 8,1 -rate 0,4000 -width 6", base},
+		{"-tenant hot,workload=YCSB-C,weight=8 -tenant bulk,workload=Bulk,weight=1,rate=4000 -arb wrr -width 6", base},
 		{"-workload Mixed -trace-out trace.json -stats-out stats.jsonl -breakdown", base},
 		{"-workload Mixed -requests 8000 -qd 16 -killdie 3 -trace-out trace.json -stats-out stats.jsonl -breakdown", base}, // make trace-demo
 		{"-blocks 16 -dies 2 -seed 42 -retry-mode ort-pr-ar -refresh -wearlevel -pfail 0.001 -efail 0.01 -rfault 0.002 -badblocks 0.02 -ckpt-interval -1ms",
@@ -111,9 +112,11 @@ func TestDeviceFromCommandLine(t *testing.T) {
 }
 
 // cubesim accepts exactly the flags its -h listed before the device
-// flags moved into the shared table.
+// flags moved into the shared table, with the repeatable -tenant spec
+// in place of -queues and its three per-tenant lists (-weights, -rate,
+// -prios).
 func TestFlagNames(t *testing.T) {
-	const want = "age arb badblocks blocks breakdown channels ckpt-interval cpuprofile dies efail ftl killdie memprofile pe pfail powercut pprof-addr prefill prios qd queues rate record refresh requests retention retry-mode rfault seed stats-interval stats-out trace trace-out verify-mount waf-out wearlevel weights width workload"
+	const want = "age arb badblocks blocks breakdown channels ckpt-interval cpuprofile dies efail ftl killdie memprofile pe pfail powercut pprof-addr prefill qd record refresh requests retention retry-mode rfault seed stats-interval stats-out tenant trace trace-out verify-mount waf-out wearlevel width workload"
 	var c config
 	fs := flag.NewFlagSet("cubesim", flag.ContinueOnError)
 	c.bind(fs)
@@ -124,68 +127,76 @@ func TestFlagNames(t *testing.T) {
 	}
 }
 
+// The tenant command lines of the README, the package comment and the
+// verify notes build the streams the parent built from -queues and its
+// three per-tenant lists, spelled there as
+//
+//	-queues hot=YCSB-C,bulk=Bulk -weights 8,1 -rate 0,4000
+//	-queues db=OLTP,web=Web -weights 1,8
+//	-queues bulk=Rocks,hot=Web -prios 0,5 -rate 20000,0
+func TestTenantFromCommandLine(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want []cubeftl.TenantConfig
+	}{
+		{"-tenant hot,workload=YCSB-C,weight=8 -tenant bulk,workload=Bulk,weight=1,rate=4000 -arb wrr -width 6", // README
+			[]cubeftl.TenantConfig{
+				{Name: "hot", Workload: "YCSB-C", Requests: 20000, QueueDepth: 24, Weight: 8},
+				{Name: "bulk", Workload: "Bulk", Requests: 20000, QueueDepth: 24, Weight: 1, RateIOPS: 4000},
+			}},
+		{"-tenant hot,workload=YCSB-C,weight=8 -tenant bulk,workload=Bulk,weight=1,rate=4000 -arb wrr -width 6 -requests 3000 -blocks 32", // verify notes
+			[]cubeftl.TenantConfig{
+				{Name: "hot", Workload: "YCSB-C", Requests: 3000, QueueDepth: 24, Weight: 8},
+				{Name: "bulk", Workload: "Bulk", Requests: 3000, QueueDepth: 24, Weight: 1, RateIOPS: 4000},
+			}},
+		{"-tenant db,workload=OLTP,weight=1 -tenant web,workload=Web,weight=8 -arb wrr -requests 8000", // package comment
+			[]cubeftl.TenantConfig{
+				{Name: "db", Workload: "OLTP", Requests: 8000, QueueDepth: 24, Weight: 1},
+				{Name: "web", Workload: "Web", Requests: 8000, QueueDepth: 24, Weight: 8},
+			}},
+		{"-tenant bulk,workload=Rocks,rate=20000 -tenant hot,workload=Web,prio=5 -arb prio", // package comment
+			[]cubeftl.TenantConfig{
+				{Name: "bulk", Workload: "Rocks", Requests: 20000, QueueDepth: 24, RateIOPS: 20000},
+				{Name: "hot", Workload: "Web", Requests: 20000, QueueDepth: 24, Priority: 5},
+			}},
+	} {
+		c, err := parse(t, strings.Fields(tc.args)...)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if got := c.tenantRuns(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%q built\n %+v, want\n %+v", tc.args, got, tc.want)
+		}
+	}
+}
+
+// A -tenant spec names its workload, or runs the one its name names; its
+// depth is -qd, wherever -qd stands on the line, unless depth= sets it.
+// The shared decoder's range rules hold: the negative and fractional
+// weights and the fractional priority the per-tenant lists silently
+// truncated are errors naming the field.
 func TestParseTenants(t *testing.T) {
-	tenants, err := parseTenants("db=OLTP, web=Web ,Rocks", 500, 8)
+	c, err := parse(t, "-tenant", "Rocks", "-tenant", "db,workload=OLTP,depth=8", "-qd", "4", "-requests", "500")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tenants) != 3 {
-		t.Fatalf("tenants = %d", len(tenants))
+	want := []cubeftl.TenantConfig{
+		{Name: "Rocks", Workload: "Rocks", Requests: 500, QueueDepth: 4},
+		{Name: "db", Workload: "OLTP", Requests: 500, QueueDepth: 8},
 	}
-	if tenants[0].Name != "db" || tenants[0].Workload != "OLTP" {
-		t.Errorf("tenant 0 = %+v", tenants[0])
+	if got := c.tenantRuns(); !reflect.DeepEqual(got, want) {
+		t.Errorf("built\n %+v, want\n %+v", got, want)
 	}
-	if tenants[1].Workload != "Web" {
-		t.Errorf("tenant 1 = %+v", tenants[1])
-	}
-	if tenants[2].Name != "" || tenants[2].Workload != "Rocks" {
-		t.Errorf("tenant 2 = %+v", tenants[2])
-	}
-	if tenants[0].Requests != 500 || tenants[0].QueueDepth != 8 {
-		t.Errorf("tenant 0 run shape = %+v", tenants[0])
-	}
-	if _, err := parseTenants(" , ", 500, 8); err == nil {
-		t.Error("empty -queues spec accepted")
-	}
-}
-
-func TestSplitListDefaultsAndValues(t *testing.T) {
-	vals, err := splitList("-weights", "", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 3 || vals[0] != 0 || vals[2] != 0 {
-		t.Errorf("empty spec = %v", vals)
-	}
-	vals, err = splitList("-weights", "8,,1", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[0] != 8 || vals[1] != 0 || vals[2] != 1 {
-		t.Errorf("values = %v", vals)
-	}
-}
-
-func TestSplitListErrorsNameFlagAndCount(t *testing.T) {
-	for _, flagName := range []string{"-weights", "-prios", "-rate"} {
-		_, err := splitList(flagName, "1,2,3", 2)
+	for spec, field := range map[string]string{
+		"db,weight=-3": "weight", "web,weight=8.9": "weight", "db,prio=1.5": "prio",
+		"lat,slo=2ms": "slo", ",workload=OLTP": "empty name",
+	} {
+		_, err := parse(t, "-tenant", spec)
 		if err == nil {
-			t.Fatalf("%s: length mismatch accepted", flagName)
+			t.Errorf("-tenant %q accepted", spec)
+		} else if !strings.Contains(err.Error(), field) {
+			t.Errorf("-tenant %q: error %q does not name %s", spec, err, field)
 		}
-		msg := err.Error()
-		if !strings.Contains(msg, flagName) {
-			t.Errorf("%s mismatch error %q does not name the flag", flagName, msg)
-		}
-		if !strings.Contains(msg, "got 3") || !strings.Contains(msg, "want 2") {
-			t.Errorf("%s mismatch error %q does not state got/want counts", flagName, msg)
-		}
-	}
-	_, err := splitList("-rate", "1,abc", 2)
-	if err == nil {
-		t.Fatal("non-numeric value accepted")
-	}
-	if !strings.Contains(err.Error(), "-rate") || !strings.Contains(err.Error(), "abc") {
-		t.Errorf("bad-value error %q lacks flag name or offending token", err)
 	}
 }
 
@@ -267,53 +278,25 @@ func FuzzParseAge(f *testing.F) {
 	})
 }
 
-// A -rate entry is 0 (uncapped) or a finite cap of at least
-// host.MinRateIOPS: NaN, negative, infinite or vanishing rates are an
-// error naming -rate and the tenant, where they used to mean "uncapped"
-// or hang the run.
-func TestSetTenantKnobsRejectsBadRates(t *testing.T) {
-	for _, tc := range []struct {
-		rates string
-		ok    bool
-	}{
-		{"", true}, {"0,20000", true}, {"1e-9,", true},
-		{"NaN,0", false}, {"-5,0", false}, {"0,-Inf", false}, {"+Inf,0", false}, {"0,1e-12", false},
-	} {
-		tenants, err := parseTenants("db=OLTP,bulk=Bulk", 100, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = setTenantKnobs(tenants, "8,1", tc.rates, "")
-		if tc.ok != (err == nil) {
-			t.Errorf("-rate %q: %v, want ok=%v", tc.rates, err, tc.ok)
-		}
-		if err != nil && (!strings.Contains(err.Error(), "-rate") || !strings.Contains(err.Error(), "tenant")) {
-			t.Errorf("-rate %q: error %q names neither -rate nor the tenant", tc.rates, err)
-		}
-		if tc.ok && (tenants[0].Weight != 8 || tenants[1].Weight != 1) {
-			t.Errorf("-rate %q: weights not set: %+v", tc.rates, tenants)
-		}
-	}
-}
-
 func TestValidateRecoveryFlags(t *testing.T) {
 	cut := powercutSpec{mode: pcAt, at: time.Millisecond}
-	if err := validateRecoveryFlags(cut, "", "", ""); err != nil {
+	if err := validateRecoveryFlags(cut, false, "", ""); err != nil {
 		t.Fatalf("plain power cut rejected: %v", err)
 	}
 	// Without a cut, any combination passes (the flags are inert).
-	if err := validateRecoveryFlags(powercutSpec{}, "db=OLTP", "t.trace", "out"); err != nil {
+	if err := validateRecoveryFlags(powercutSpec{}, true, "t.trace", "out"); err != nil {
 		t.Fatalf("inert flags rejected: %v", err)
 	}
 	for _, tc := range []struct {
-		queues, trace, record string
-		wantFlag              string
+		tenants       bool
+		trace, record string
+		wantFlag      string
 	}{
-		{"db=OLTP", "", "", "-queues"},
-		{"", "run.trace", "", "-trace"},
-		{"", "", "out.trace", "-record"},
+		{true, "", "", "-tenant"},
+		{false, "run.trace", "", "-trace"},
+		{false, "", "out.trace", "-record"},
 	} {
-		err := validateRecoveryFlags(cut, tc.queues, tc.trace, tc.record)
+		err := validateRecoveryFlags(cut, tc.tenants, tc.trace, tc.record)
 		if err == nil {
 			t.Fatalf("combo %+v accepted", tc)
 		}

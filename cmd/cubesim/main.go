@@ -10,8 +10,8 @@
 // Multi-tenant mode drives several named streams through the
 // NVMe-style multi-queue host interface with QoS arbitration:
 //
-//	cubesim -queues "db=OLTP,web=Web" -arb wrr -weights 1,8 -requests 8000
-//	cubesim -queues "bulk=Rocks,hot=Web" -arb prio -prios 0,5 -rate 20000,0
+//	cubesim -tenant db,workload=OLTP,weight=1 -tenant web,workload=Web,weight=8 -arb wrr -requests 8000
+//	cubesim -tenant bulk,workload=Rocks,rate=20000 -tenant hot,workload=Web,prio=5 -arb prio
 package main
 
 import (
@@ -50,10 +50,10 @@ type config struct {
 	profile            obs.ProfileConfig
 	statsFile          *os.File // the open -stats-out sink
 
-	// Multi-tenant mode (-queues).
-	queues, arb          string
-	weights, rate, prios string
-	width                int
+	// Multi-tenant mode (-tenant).
+	tenants []cubeftl.TenantConfig
+	arb     string
+	width   int
 }
 
 // bind declares cubesim's flags on fs.
@@ -67,11 +67,15 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.BoolVar(&c.prefill, "prefill", true, "prefill the workload footprint before measuring")
 	fs.StringVar(&c.tracePath, "trace", "", "replay a recorded trace file instead of a synthetic workload")
 	fs.StringVar(&c.record, "record", "", "record the workload to a trace file and exit")
-	fs.StringVar(&c.queues, "queues", "", "multi-tenant mode: comma-separated tenant streams, each 'workload' or 'name=workload' (e.g. 'db=OLTP,web=Web')")
+	fs.Func("tenant", "multi-tenant mode, one tenant stream per use: name[,workload=W][,weight=N][,depth=N][,prio=N][,rate=IOPS]; the workload defaults to the name and the depth to -qd, rate 0 = unlimited, higher prio = more urgent (e.g. 'hot,workload=YCSB-C,weight=8')",
+		func(spec string) error {
+			t, err := parseTenant(spec)
+			if err == nil {
+				c.tenants = append(c.tenants, t)
+			}
+			return err
+		})
 	fs.StringVar(&c.arb, "arb", "rr", "queue arbitration: rr, wrr, prio")
-	fs.StringVar(&c.weights, "weights", "", "per-tenant WRR weights, comma-separated (e.g. '8,1')")
-	fs.StringVar(&c.rate, "rate", "", "per-tenant IOPS caps, comma-separated; 0 = unlimited (e.g. '0,20000')")
-	fs.StringVar(&c.prios, "prios", "", "per-tenant strict-priority classes, comma-separated; higher = more urgent")
 	fs.IntVar(&c.width, "width", 32, "device dispatch width shared by all tenant queues (multi-tenant mode)")
 	fs.StringVar(&c.age, "age", "", "lifetime fast-forward applied after prefill: years ('3y'), months ('18mo'), or a duration; deterministically ages wear, retention, and bad blocks from -seed")
 	fs.StringVar(&c.wafOut, "waf-out", "", "write the per-cause write-amplification ledger and erase-count quantiles to this JSON file after the run")
@@ -109,17 +113,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := validateRecoveryFlags(pc, c.queues, c.tracePath, c.record); err != nil {
+	if err := validateRecoveryFlags(pc, len(c.tenants) > 0, c.tracePath, c.record); err != nil {
 		return err
-	}
-	var tenants []cubeftl.TenantConfig
-	if c.queues != "" {
-		if tenants, err = parseTenants(c.queues, c.requests, c.qd); err != nil {
-			return err
-		}
-		if err := setTenantKnobs(tenants, c.weights, c.rate, c.prios); err != nil {
-			return err
-		}
 	}
 	c.dev.Recovery = pc.mode != pcOff
 	if err := c.profile.Start(); err != nil {
@@ -170,8 +165,8 @@ func run() error {
 			return err
 		}
 		defer c.closeStats()
-		if c.queues != "" {
-			err = runMultiTenant(dev, &c, tenants)
+		if len(c.tenants) > 0 {
+			err = runMultiTenant(dev, &c)
 		} else {
 			err = runSingle(dev, &c)
 		}
@@ -355,10 +350,23 @@ func runPowerCut(dev *cubeftl.SSD, c *config, prefillPages int64, pc powercutSpe
 	return nil
 }
 
-// runMultiTenant drives the -queues tenant streams through the
-// multi-queue host interface and prints per-tenant QoS accounting.
-func runMultiTenant(dev *cubeftl.SSD, c *config, tenants []cubeftl.TenantConfig) error {
-	st, err := dev.RunTenants(tenants, c.arb, c.width)
+// tenantRuns returns the -tenant streams with their run shape filled
+// in: -requests each, and -qd where the spec left the depth at 0.
+func (c *config) tenantRuns() []cubeftl.TenantConfig {
+	runs := append([]cubeftl.TenantConfig(nil), c.tenants...)
+	for i := range runs {
+		runs[i].Requests = c.requests
+		if runs[i].QueueDepth == 0 {
+			runs[i].QueueDepth = c.qd
+		}
+	}
+	return runs
+}
+
+// runMultiTenant drives the -tenant streams through the multi-queue
+// host interface and prints per-tenant QoS accounting.
+func runMultiTenant(dev *cubeftl.SSD, c *config) error {
+	st, err := dev.RunTenants(c.tenantRuns(), c.arb, c.width)
 	if err != nil {
 		return err
 	}

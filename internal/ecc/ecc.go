@@ -56,15 +56,6 @@ func CodewordsPerPage(pageBytes int) int {
 	return n
 }
 
-// Margin returns LimitBER / ber: how many times the effective BER can
-// grow before the expected error count hits the correction capability.
-func Margin(ber float64) float64 {
-	if ber <= 0 {
-		return math.Inf(1)
-	}
-	return LimitBER / ber
-}
-
 // Engine samples decode outcomes. It is not safe for concurrent use;
 // give each simulated controller its own Engine.
 type Engine struct {

@@ -19,18 +19,6 @@ func TestCodewordsPerPage(t *testing.T) {
 	}
 }
 
-func TestMargin(t *testing.T) {
-	if m := Margin(LimitBER); math.Abs(m-1) > 1e-12 {
-		t.Errorf("Margin(LimitBER) = %v, want 1", m)
-	}
-	if m := Margin(LimitBER / 10); math.Abs(m-10) > 1e-9 {
-		t.Errorf("Margin = %v, want 10", m)
-	}
-	if !math.IsInf(Margin(0), 1) {
-		t.Error("Margin(0) not +Inf")
-	}
-}
-
 func TestDecodeCleanPage(t *testing.T) {
 	e := NewEngine(rng.New(1))
 	for i := 0; i < 100; i++ {

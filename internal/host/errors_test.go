@@ -3,6 +3,7 @@ package host
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -74,6 +75,31 @@ func TestRateCapsValidated(t *testing.T) {
 		}
 		if want := 100.0; !tc.ok && h.Snapshot()[0].RateIOPS != want {
 			t.Errorf("refused SetRate(%v) moved the cap to %v", tc.rate, h.Snapshot()[0].RateIOPS)
+		}
+	}
+}
+
+// A negative depth, weight or burst is an error naming the queue and
+// the field, where New used to serve a 32-deep queue, a weight of 1 and
+// a Depth-sized burst; zero keeps each default.
+func TestNewRejectsNegativeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		qc    QueueConfig
+		field string // "" = accepted
+	}{
+		{QueueConfig{Name: "a"}, ""},
+		{QueueConfig{Name: "a", Depth: -1}, "depth"},
+		{QueueConfig{Name: "a", Weight: -3}, "weight"},
+		{QueueConfig{Name: "a", BurstIOs: -2, RateIOPS: 100}, "burst"},
+	} {
+		_, err := New(newTestController(1), Config{Queues: []QueueConfig{tc.qc}})
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%+v: %v", tc.qc, err)
+		case tc.field != "" && err == nil:
+			t.Errorf("%+v accepted", tc.qc)
+		case tc.field != "" && !(strings.Contains(err.Error(), tc.field) && strings.Contains(err.Error(), `"a"`)):
+			t.Errorf("%+v: error %q does not name the queue and %s", tc.qc, err, tc.field)
 		}
 	}
 }

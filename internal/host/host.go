@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/metrics"
@@ -105,9 +107,10 @@ type QueueConfig struct {
 	Name string
 	// Depth bounds the queue occupancy — commands submitted but not yet
 	// completed. Submissions beyond it fail with ErrQueueFull.
-	// Defaults to 32.
+	// 0 defaults to 32.
 	Depth int
-	// Weight is the WRR share (>= 1; used by the "wrr" arbiter).
+	// Weight is the WRR share (used by the "wrr" arbiter); 0 defaults
+	// to 1.
 	Weight int
 	// Priority is the strict-priority class; higher is more urgent
 	// (used by the "prio" arbiter).
@@ -116,8 +119,70 @@ type QueueConfig struct {
 	// 0 disables limiting, and anything else must pass CheckRate. A
 	// multi-page command consumes one token.
 	RateIOPS float64
-	// BurstIOs is the token bucket capacity; defaults to Depth.
+	// BurstIOs is the token bucket capacity; 0 defaults to Depth.
 	BurstIOs int
+}
+
+// Check returns nil when every field of q is in range: Depth, Weight
+// and BurstIOs are non-negative (0 keeps the default) and RateIOPS
+// passes CheckRate. The error names the field.
+func (q QueueConfig) Check() error {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"depth", q.Depth}, {"weight", q.Weight}, {"burst", q.BurstIOs}} {
+		if f.n < 0 {
+			return fmt.Errorf("%s: %d is negative", f.name, f.n)
+		}
+	}
+	if err := CheckRate(q.RateIOPS); err != nil {
+		return fmt.Errorf("rate: %w", err)
+	}
+	return nil
+}
+
+// ParseQueue decodes the tenant spec both binaries take,
+// "name[,weight=N][,depth=N][,prio=N][,rate=IOPS]", into a QueueConfig
+// that passes Check. A field named in extra goes to its function, which
+// decodes the value for the caller; any other field is an error. Weight,
+// depth and prio are integers. Every error names the spec and the field.
+func ParseQueue(spec string, extra map[string]func(value string) error) (QueueConfig, error) {
+	parts := strings.Split(spec, ",")
+	if parts[0] == "" {
+		return QueueConfig{}, fmt.Errorf("tenant spec %q: empty name", spec)
+	}
+	q := QueueConfig{Name: parts[0]}
+	for _, kv := range parts[1:] {
+		k, v, ok := strings.Cut(kv, "=")
+		if !ok {
+			return q, fmt.Errorf("tenant spec %q: bad field %q", spec, kv)
+		}
+		var err error
+		switch k {
+		case "weight":
+			q.Weight, err = strconv.Atoi(v)
+		case "depth":
+			q.Depth, err = strconv.Atoi(v)
+		case "prio":
+			q.Priority, err = strconv.Atoi(v)
+		case "rate":
+			q.RateIOPS, err = strconv.ParseFloat(v, 64)
+		default:
+			set, known := extra[k]
+			if !known {
+				return q, fmt.Errorf("tenant spec %q: unknown field %q", spec, k)
+			}
+			err = set(v)
+		}
+		if err != nil {
+			return q, fmt.Errorf("tenant spec %q: %s: %v", spec, k, err)
+		}
+		// After each field, so a later one cannot overwrite a bad value.
+		if err := q.Check(); err != nil {
+			return q, fmt.Errorf("tenant spec %q: %v", spec, err)
+		}
+	}
+	return q, nil
 }
 
 // Config assembles a host front end.
@@ -247,7 +312,7 @@ func New(ctrl *ftl.Controller, cfg Config) (*Host, error) {
 		return nil, ErrNoQueues
 	}
 	for i, qc := range cfg.Queues {
-		if err := CheckRate(qc.RateIOPS); err != nil {
+		if err := qc.Check(); err != nil {
 			return nil, fmt.Errorf("queue %d (%q): %w", i, qc.Name, err)
 		}
 	}
@@ -272,13 +337,13 @@ func New(ctrl *ftl.Controller, cfg Config) (*Host, error) {
 		if qc.Name == "" {
 			qc.Name = fmt.Sprintf("q%d", i)
 		}
-		if qc.Depth <= 0 {
+		if qc.Depth == 0 {
 			qc.Depth = 32
 		}
-		if qc.Weight < 1 {
+		if qc.Weight == 0 {
 			qc.Weight = 1
 		}
-		if qc.BurstIOs <= 0 {
+		if qc.BurstIOs == 0 {
 			qc.BurstIOs = qc.Depth
 		}
 		sumDepth += qc.Depth

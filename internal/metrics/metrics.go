@@ -13,10 +13,10 @@ import (
 	"math/bits"
 )
 
-// Summary accumulates online mean/min/max/variance (Welford's algorithm).
+// Summary accumulates an online count, mean, min and max.
 type Summary struct {
 	n        int64
-	mean, m2 float64
+	mean     float64
 	min, max float64
 }
 
@@ -33,9 +33,7 @@ func (s *Summary) Add(v float64) {
 			s.max = v
 		}
 	}
-	d := v - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (v - s.mean)
+	s.mean += (v - s.mean) / float64(s.n)
 }
 
 // N returns the number of observations.
@@ -51,7 +49,7 @@ func (s *Summary) Min() float64 { return s.min }
 func (s *Summary) Max() float64 { return s.max }
 
 // Merge folds o's observations into s, as if every sample o saw had
-// been Added to s (Chan et al. parallel combine of Welford state).
+// been Added to s (the count-weighted combine of the two means).
 func (s *Summary) Merge(o Summary) {
 	if o.n == 0 {
 		return
@@ -63,7 +61,6 @@ func (s *Summary) Merge(o Summary) {
 	na, nb := float64(s.n), float64(o.n)
 	d := o.mean - s.mean
 	s.mean += d * nb / (na + nb)
-	s.m2 += o.m2 + d*d*na*nb/(na+nb)
 	s.n += o.n
 	if o.min < s.min {
 		s.min = o.min
@@ -71,14 +68,6 @@ func (s *Summary) Merge(o Summary) {
 	if o.max > s.max {
 		s.max = o.max
 	}
-}
-
-// Variance returns the sample variance, or 0 with fewer than 2 samples.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
 }
 
 // Hist is a latency histogram over int64 nanosecond samples: an exact

@@ -60,7 +60,7 @@ func TestArraySetDieFaultsIsolated(t *testing.T) {
 	a := NewArray(testArrayConfig(1, 3))
 	a.SetDieFaults(1, FaultConfig{ProgramFailRate: 1})
 	for i := 0; i < a.Dies(); i++ {
-		got := a.Die(i).Faults().ProgramFailRate
+		got := a.Die(i).faults.ProgramFailRate
 		want := 0.0
 		if i == 1 {
 			want = 1
@@ -71,7 +71,7 @@ func TestArraySetDieFaultsIsolated(t *testing.T) {
 	}
 	a.SetFaults(FaultConfig{EraseFailRate: 0.5})
 	for i := 0; i < a.Dies(); i++ {
-		if got := a.Die(i).Faults().EraseFailRate; got != 0.5 {
+		if got := a.Die(i).faults.EraseFailRate; got != 0.5 {
 			t.Errorf("die %d EraseFailRate = %v after SetFaults", i, got)
 		}
 	}

@@ -73,9 +73,6 @@ func (c *Chip) SetFaults(cfg FaultConfig) {
 	}
 }
 
-// Faults returns the chip's installed fault-injection config.
-func (c *Chip) Faults() FaultConfig { return c.faults }
-
 // IsBadBlock reports whether a block is marked bad (factory or grown).
 func (c *Chip) IsBadBlock(block int) bool {
 	return block >= 0 && block < len(c.blocks) && c.blocks[block].bad

@@ -250,7 +250,7 @@ func TestAgedReadRetryBehaviour(t *testing.T) {
 		c.SetPECycles(blk, 2000)
 		a := Address{Block: blk, Layer: c.Model().WorstLayer()}
 		mustProgram(t, c, a, ProgramParams{})
-		opt := c.OptimalOffsetFor(blk, a.Layer)
+		opt := c.model.OptimalOffset(blk, a.Layer, c.aging(blk))
 
 		// PS-unaware: ladder from the default voltages.
 		r0, err := c.ReadPage(a, ReadParams{})
@@ -283,7 +283,7 @@ func TestReadRetryBudgetExhaustion(t *testing.T) {
 	c.SetPECycles(0, 2000)
 	a := Address{Block: 0, Layer: c.Model().WorstLayer()}
 	mustProgram(t, c, a, ProgramParams{})
-	if c.OptimalOffsetFor(0, a.Layer) < 2 {
+	if c.model.OptimalOffset(0, a.Layer, c.aging(0)) < 2 {
 		t.Skip("this block/layer did not drift far enough to test budget exhaustion")
 	}
 	_, err := c.ReadPage(a, ReadParams{MaxRetries: 1})

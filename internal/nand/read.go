@@ -279,10 +279,3 @@ func ladder(start, n int) []int {
 	}
 	return seq
 }
-
-// OptimalOffsetFor exposes the chip's true optimal read offset for an
-// h-layer under its current aging — the quantity a controller discovers
-// by retrying. Characterization experiments use it as ground truth.
-func (c *Chip) OptimalOffsetFor(block, layer int) int {
-	return c.model.OptimalOffset(block, layer, c.aging(block))
-}

@@ -197,10 +197,6 @@ func (m *Model) WorstLayer() int { return m.worst }
 // BestLayer returns the index of the most reliable h-layer (beta).
 func (m *Model) BestLayer() int { return m.best }
 
-// LayerBase returns the fresh, untilted BER multiplier of a layer,
-// normalized so the best layer is 1.0.
-func (m *Model) LayerBase(layer int) float64 { return m.layerBase[layer] }
-
 // retention maps months of retention to the normalized retention stress
 // R(t), which is 0 at t=0 and 1 at 12 months. The logarithmic shape
 // models the fast early charge loss of charge-trap cells followed by a

@@ -127,14 +127,14 @@ func TestLayerProfileShape(t *testing.T) {
 	if b := m.BestLayer(); b <= L/2 || b >= L-4 {
 		t.Errorf("best layer at %d, want above the middle, away from the top edge", b)
 	}
-	if m.LayerBase(0) < 1.2 {
-		t.Errorf("bottom edge layer multiplier %.3f, want elevated", m.LayerBase(0))
+	if m.layerBase[0] < 1.2 {
+		t.Errorf("bottom edge layer multiplier %.3f, want elevated", m.layerBase[0])
 	}
-	if m.LayerBase(L-1) < 1.1 {
-		t.Errorf("top edge layer multiplier %.3f, want elevated", m.LayerBase(L-1))
+	if m.layerBase[L-1] < 1.1 {
+		t.Errorf("top edge layer multiplier %.3f, want elevated", m.layerBase[L-1])
 	}
-	if m.LayerBase(m.BestLayer()) != 1.0 {
-		t.Errorf("best layer multiplier = %v, want exactly 1 after normalization", m.LayerBase(m.BestLayer()))
+	if m.layerBase[m.BestLayer()] != 1.0 {
+		t.Errorf("best layer multiplier = %v, want exactly 1 after normalization", m.layerBase[m.BestLayer()])
 	}
 }
 

@@ -9,7 +9,6 @@ package server
 import (
 	"io"
 	"strconv"
-	"time"
 
 	"cubeftl"
 	"cubeftl/internal/metrics"
@@ -22,7 +21,6 @@ import (
 type obsWindow struct {
 	read  *metrics.Hist
 	write *metrics.Hist
-	since time.Duration
 }
 
 // obsEnabled reports whether the observability plane is configured.
@@ -222,7 +220,6 @@ func (s *Server) collectFamilies() []telemetry.PromFamily {
 		add(windowIOs, l, float64(w.read.N()+w.write.N()))
 		w.read.Reset()
 		w.write.Reset()
-		w.since = s.dev.Now()
 	}
 
 	// Lifetime plane: the per-cause write-amplification ledger and the

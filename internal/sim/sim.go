@@ -387,20 +387,6 @@ func (r *Resource) Release() {
 	}
 }
 
-// Hold acquires the resource, keeps it for d, then releases it and runs
-// then (which may be nil). This is the common "use device for a fixed
-// service time" pattern.
-func (r *Resource) Hold(d Time, then func()) {
-	r.Acquire(func() {
-		r.eng.After(d, func() {
-			r.Release()
-			if then != nil {
-				then()
-			}
-		})
-	})
-}
-
 // Busy reports whether the resource is currently held.
 func (r *Resource) Busy() bool { return r.busy }
 

@@ -158,12 +158,25 @@ func TestResourceFIFO(t *testing.T) {
 	}
 }
 
+// hold acquires r, keeps it for d, then releases it and runs then
+// (which may be nil).
+func hold(r *Resource, d Time, then func()) {
+	r.Acquire(func() {
+		r.eng.After(d, func() {
+			r.Release()
+			if then != nil {
+				then()
+			}
+		})
+	})
+}
+
 func TestResourceHoldSerializes(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "chip")
 	var doneAt []Time
 	for i := 0; i < 3; i++ {
-		r.Hold(100, func() { doneAt = append(doneAt, e.Now()) })
+		hold(r, 100, func() { doneAt = append(doneAt, e.Now()) })
 	}
 	e.Run()
 	want := []Time{100, 200, 300}
@@ -189,7 +202,7 @@ func TestReleaseIdlePanics(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "bus")
-	r.Hold(50, nil)
+	hold(r, 50, nil)
 	e.Schedule(100, func() {}) // extend the run to t=100
 	e.Run()
 	if bt := r.BusyTime(); bt != 50 {

@@ -83,38 +83,6 @@ func (d Distribution) MidpointRefs() Refs {
 	return r
 }
 
-// OptimalRefs places each reference at the minimum-error crossing of
-// the current (aged) adjacent distributions, found numerically.
-func (d Distribution) OptimalRefs() Refs {
-	var r Refs
-	for i := 0; i < ProgramStates; i++ {
-		lo, hi := d.States[i], d.States[i+1]
-		// Ternary search for the reference minimizing the two tails.
-		a, b := lo.MeanMV, hi.MeanMV
-		for iter := 0; iter < 60; iter++ {
-			m1 := a + (b-a)/3
-			m2 := b - (b-a)/3
-			if boundaryErr(lo, hi, m1) < boundaryErr(lo, hi, m2) {
-				b = m2
-			} else {
-				a = m1
-			}
-		}
-		r[i] = (a + b) / 2
-	}
-	return r
-}
-
-// Shifted returns the references moved by offsetMV (negative follows
-// downward retention drift).
-func (r Refs) Shifted(offsetMV float64) Refs {
-	var out Refs
-	for i := range r {
-		out[i] = r[i] + offsetMV
-	}
-	return out
-}
-
 // boundaryErr is the probability mass on the wrong side of a reference
 // for the two adjacent states (equal state occupancy assumed).
 func boundaryErr(lo, hi StateDist, ref float64) float64 {
@@ -134,12 +102,6 @@ func (d Distribution) RawBER(r Refs) float64 {
 	}
 	// Per-state boundary mass / states, spread over 3 bits per cell.
 	return sum / float64(NumStates) / float64(PagesPerWL) * 2
-}
-
-// BoundaryBER is the error contribution of one boundary (0 = E<->P1).
-func (d Distribution) BoundaryBER(r Refs, boundary int) float64 {
-	return boundaryErr(d.States[boundary], d.States[boundary+1], r[boundary]) /
-		float64(NumStates) / float64(PagesPerWL) * 2
 }
 
 // RefStepMV is the read-retry offset step implied by the distribution

@@ -5,6 +5,45 @@ import (
 	"testing"
 )
 
+// optimalRefs places each reference of d at the minimum-error crossing
+// of the current (aged) adjacent distributions, found numerically: the
+// operating point a retry-equipped controller converges to.
+func optimalRefs(d Distribution) Refs {
+	var r Refs
+	for i := 0; i < ProgramStates; i++ {
+		lo, hi := d.States[i], d.States[i+1]
+		// Ternary search for the reference minimizing the two tails.
+		a, b := lo.MeanMV, hi.MeanMV
+		for iter := 0; iter < 60; iter++ {
+			m1 := a + (b-a)/3
+			m2 := b - (b-a)/3
+			if boundaryErr(lo, hi, m1) < boundaryErr(lo, hi, m2) {
+				b = m2
+			} else {
+				a = m1
+			}
+		}
+		r[i] = (a + b) / 2
+	}
+	return r
+}
+
+// shifted returns r moved by offsetMV (negative follows downward
+// retention drift).
+func shifted(r Refs, offsetMV float64) Refs {
+	for i := range r {
+		r[i] += offsetMV
+	}
+	return r
+}
+
+// boundaryBER is the error contribution of one boundary of d read at r
+// (0 = E<->P1), in RawBER's units.
+func boundaryBER(d Distribution, r Refs, boundary int) float64 {
+	return boundaryErr(d.States[boundary], d.States[boundary+1], r[boundary]) /
+		float64(NumStates) / float64(PagesPerWL) * 2
+}
+
 func TestNominalDistributionShape(t *testing.T) {
 	d := NominalDistribution()
 	// States strictly ordered in Vth.
@@ -17,7 +56,7 @@ func TestNominalDistributionShape(t *testing.T) {
 		}
 	}
 	// Fresh word line at optimal references is essentially error-free.
-	if ber := d.RawBER(d.OptimalRefs()); ber > 1e-6 {
+	if ber := d.RawBER(optimalRefs(d)); ber > 1e-6 {
 		t.Errorf("fresh BER at optimal refs = %v", ber)
 	}
 }
@@ -56,7 +95,7 @@ func TestAgingDegradesAndShiftsDown(t *testing.T) {
 func TestOptimalRefsRecoverDrift(t *testing.T) {
 	aged := NominalDistribution().Age(1, 0.5)
 	atDefault := aged.RawBER(aged.MidpointRefs())
-	atOptimal := aged.RawBER(aged.OptimalRefs())
+	atOptimal := aged.RawBER(optimalRefs(aged))
 	if atOptimal >= atDefault/3 {
 		t.Errorf("optimal refs only improved BER %.2e -> %.2e", atDefault, atOptimal)
 	}
@@ -66,11 +105,11 @@ func TestOptimalRefsRecoverDrift(t *testing.T) {
 // roughly OffsetPenaltyBase — the constant the abstract model asserts.
 func TestOffsetPenaltyBaseDerivation(t *testing.T) {
 	aged := NominalDistribution().Age(0.7, 0.5)
-	opt := aged.OptimalRefs()
+	opt := optimalRefs(aged)
 	prev := aged.RawBER(opt)
 	var ratios []float64
 	for level := 1; level <= 3; level++ {
-		ber := aged.RawBER(opt.Shifted(float64(level) * RefStepMV))
+		ber := aged.RawBER(shifted(opt, float64(level)*RefStepMV))
 		ratios = append(ratios, ber/prev)
 		prev = ber
 	}
@@ -95,17 +134,17 @@ func TestBerEP1DominanceDerivation(t *testing.T) {
 	// point a retry-equipped controller actually reads at, and the one
 	// the post-program health measurement uses.
 	aged := NominalDistribution().Age(1, 1)
-	refs := aged.OptimalRefs()
+	refs := optimalRefs(aged)
 	total := aged.RawBER(refs)
-	ep1 := aged.BoundaryBER(refs, 0)
+	ep1 := boundaryBER(aged, refs, 0)
 	frac := ep1 / total
 	if frac < 0.15 || frac > 0.75 {
 		t.Errorf("E<->P1 share of total BER = %.2f, abstract BEREP1Ratio is %.2f", frac, BEREP1Ratio)
 	}
 	// And it must be the single largest boundary contribution.
 	for b := 1; b < ProgramStates; b++ {
-		if aged.BoundaryBER(refs, b) > ep1 {
-			t.Errorf("boundary %d exceeds E<->P1 (%.2e > %.2e)", b, aged.BoundaryBER(refs, b), ep1)
+		if boundaryBER(aged, refs, b) > ep1 {
+			t.Errorf("boundary %d exceeds E<->P1 (%.2e > %.2e)", b, boundaryBER(aged, refs, b), ep1)
 		}
 	}
 }
@@ -124,7 +163,7 @@ func TestMarginPenaltyDerivation(t *testing.T) {
 			d.States[s].MeanMV = p1MeanMV + (d.States[s].MeanMV-p1MeanMV)*scale
 		}
 		aged := d.Age(0.8, 0.8)
-		return aged.RawBER(aged.OptimalRefs())
+		return aged.RawBER(optimalRefs(aged))
 	}
 	base := squeeze(0)
 	prev := base

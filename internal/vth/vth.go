@@ -84,20 +84,6 @@ var offsetPenalties = func() (t [MaxReadOffsetLevel + 1]float64) {
 	return t
 }()
 
-// OffsetTolerance returns the largest offset distance that still reads
-// correctably, given the ratio eccLimitBER/actualBER (>= 1 when the page
-// is correctable at the optimal offset).
-func OffsetTolerance(margin float64) int {
-	if margin <= 1 {
-		return 0
-	}
-	d := int(math.Log(margin) / math.Log(OffsetPenaltyBase))
-	if d > MaxReadOffsetLevel {
-		d = MaxReadOffsetLevel
-	}
-	return d
-}
-
 // MarginBERPenalty returns the multiplicative increase in programmed BER
 // caused by tightening the program window by marginMV millivolts
 // (raising V_Start and/or lowering V_Final). This is the Fig 10 curve:

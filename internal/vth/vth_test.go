@@ -3,7 +3,6 @@ package vth
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestOffsetPenalty(t *testing.T) {
@@ -23,40 +22,6 @@ func TestOffsetPenalty(t *testing.T) {
 			t.Fatalf("OffsetPenalty not strictly increasing at %d", d)
 		}
 		prev = p
-	}
-}
-
-func TestOffsetTolerance(t *testing.T) {
-	if OffsetTolerance(1) != 0 {
-		t.Error("tolerance at margin 1 should be 0")
-	}
-	if OffsetTolerance(0.5) != 0 {
-		t.Error("tolerance below margin 1 should be 0")
-	}
-	if got := OffsetTolerance(OffsetPenaltyBase * OffsetPenaltyBase * 1.01); got != 2 {
-		t.Errorf("tolerance = %d, want 2", got)
-	}
-	if got := OffsetTolerance(1e12); got != MaxReadOffsetLevel {
-		t.Errorf("tolerance not capped: %d", got)
-	}
-}
-
-func TestToleranceConsistentWithPenalty(t *testing.T) {
-	f := func(raw uint16) bool {
-		margin := 1 + float64(raw)/65535*1000
-		d := OffsetTolerance(margin)
-		// Reading at distance d must stay within margin...
-		if OffsetPenalty(d) > margin*(1+1e-9) {
-			return false
-		}
-		// ...and d+1 must exceed it (unless capped).
-		if d < MaxReadOffsetLevel && OffsetPenalty(d+1) <= margin {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -240,7 +240,7 @@ func TestToTraceThinkTimes(t *testing.T) {
 	}
 	// Replay wraps: a second pass produces the same stream.
 	first := g.Next()
-	g.Rewind()
+	g.pos = 0 // rewind
 	if again := g.Next(); again != first {
 		t.Errorf("rewound replay diverged: %+v vs %+v", again, first)
 	}

@@ -128,7 +128,4 @@ func (t *Trace) Next() Request {
 	return r
 }
 
-// Rewind restarts replay from the beginning.
-func (t *Trace) Rewind() { t.pos = 0 }
-
 var _ Generator = (*Trace)(nil)

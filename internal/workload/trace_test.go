@@ -33,7 +33,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if got, want := tr.Next(), gen3.Next(); got != want {
 		t.Fatalf("wrap: got %+v want %+v", got, want)
 	}
-	tr.Rewind()
+	tr.pos = 0 // rewind
 	if got, want := tr.Next(), NewStream(Rocks, 50000, 13).Next(); got != want {
 		t.Fatal("rewind did not restart")
 	}
