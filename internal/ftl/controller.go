@@ -39,7 +39,9 @@ type ControllerConfig struct {
 	// RecoveryHook, whose mount rolls such pages forward). With it, an
 	// acked write is guaranteed to survive a power cut; without it, acks
 	// fire on buffer admission (the classic volatile write-cache
-	// contract) and recently acked writes can be lost.
+	// contract) and recently acked writes can be lost. It also decides
+	// whether programs carry spare-area records at all: without it no
+	// mount will read them, so none are encoded or stored.
 	DurableAcks bool
 	// RetryMode is the NAND read-retry scheduling model applied to every
 	// page read the controller issues — host reads and GC relocation
@@ -555,8 +557,15 @@ func (c *Controller) hostProgramInFlight() bool {
 // SetRecovery attaches (or detaches, with nil) the crash-consistency
 // hook. Attach before driving I/O; the recovery manager immediately
 // checkpoints the controller's full state, so deltas that predate the
-// hook are covered by the checkpoint rather than the journal.
-func (c *Controller) SetRecovery(rec RecoveryHook) { c.rec = rec }
+// hook are covered by the checkpoint rather than the journal. A hook
+// needs a controller configured with DurableAcks: without it the media
+// carry no spare-area records for a mount to roll forward from.
+func (c *Controller) SetRecovery(rec RecoveryHook) {
+	if rec != nil && !c.cfg.DurableAcks {
+		panic("ftl: SetRecovery on a controller without ControllerConfig.DurableAcks: its programs carry no spare-area records")
+	}
+	c.rec = rec
+}
 
 // PendingAckCount returns how many host write acks are waiting for
 // their page's program to complete (DurableAcks mode).

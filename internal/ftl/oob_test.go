@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"cubeftl/internal/nand"
@@ -13,9 +14,12 @@ import (
 // a record it decodes must re-encode to the same bytes.
 func FuzzDecodeOOB(f *testing.F) {
 	// Real records: the spare areas of a word line of host pages and of a
-	// padded one, as the chip stores them.
+	// padded one, as the chip stores them. Only a DurableAcks controller
+	// writes records, and the fault device's chips store payloads.
 	eng, dev := faultDevice(3, 8)
-	c := NewController(dev, NewPagePolicy(), DefaultControllerConfig())
+	cfg := DefaultControllerConfig()
+	cfg.VerifyData, cfg.DurableAcks = true, true
+	c := NewController(dev, NewPagePolicy(), cfg)
 	for lpn := LPN(0); lpn < 4; lpn++ {
 		if err := c.Write(lpn, nil, func() {}); err != nil {
 			f.Fatal(err)
@@ -44,4 +48,19 @@ func FuzzDecodeOOB(f *testing.F) {
 			t.Fatalf("record %x decodes to (%d, %d, %d), which encodes to %x", b, lpn, stamp, seq, again)
 		}
 	})
+}
+
+// A recovery hook on a controller without DurableAcks is refused at
+// attach: its programs carry no spare-area records, so a mount after a
+// cut would find none.
+func TestSetRecoveryNeedsDurableAcks(t *testing.T) {
+	_, c := testController(t, NewPagePolicy())
+	c.SetRecovery(nil) // detaching is always allowed
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "DurableAcks") {
+			t.Fatalf("SetRecovery without DurableAcks: panic %q, want one naming DurableAcks", msg)
+		}
+	}()
+	c.SetRecovery(inlineHook{})
 }

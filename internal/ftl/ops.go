@@ -215,8 +215,13 @@ func (f *flushOp) release() {
 	f.c.flushOps.Put(f)
 }
 
-// flushOOB builds the spare-area records for the flush group.
+// flushOOB builds the spare-area records for the flush group, or
+// returns nil on a controller without DurableAcks, whose media no mount
+// reads.
 func (f *flushOp) flushOOB(blockSeq uint64) [][]byte {
+	if !f.c.cfg.DurableAcks {
+		return nil
+	}
 	for i, h := range f.group {
 		f.oob.put(i, h.LPN, h.Stamp, blockSeq)
 	}

@@ -367,8 +367,12 @@ func (g *relocOp) gcPages() [][]byte {
 // gcOOB builds the spare-area records for the batch's word line: each
 // copy keeps the write stamp of the version it copies, taken when the
 // batch was formed — not the page's stamp now, which a host overwrite
-// since may have moved past the data this program carries.
+// since may have moved past the data this program carries. Like
+// flushOOB it returns nil without DurableAcks.
 func (g *relocOp) gcOOB(blockSeq uint64) [][]byte {
+	if !g.c.cfg.DurableAcks {
+		return nil
+	}
 	for i, l := range g.batch[:g.n] {
 		g.oob.put(i, l, g.stamps[i], blockSeq)
 	}

@@ -276,6 +276,7 @@ func TestGCCycleAllocs(t *testing.T) {
 		eng, dev := testDevice(7)
 		cfg := DefaultControllerConfig()
 		cfg.WriteBufferPages = 32
+		cfg.DurableAcks = hooked
 		c := NewController(dev, NewPagePolicy(), cfg)
 		if hooked {
 			c.SetRecovery(inlineHook{})

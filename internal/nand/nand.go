@@ -87,7 +87,6 @@ type wlState struct {
 	hasOOB bool
 
 	programmed bool
-	disturbed  bool // environmental disturbance hit this program
 	// partial marks a word line whose program was interrupted by a
 	// power cut: the cells hold an indeterminate charge pattern, any
 	// read fails ECC, and the OOB is unreadable.

@@ -136,7 +136,6 @@ func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams
 	disturbShift := 0
 	if c.disturbProb > 0 && c.src.Bool(c.disturbProb) {
 		disturbShift = 2
-		st.disturbed = true
 	}
 
 	// Window tightening: raising V_Start shifts every completion

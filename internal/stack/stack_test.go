@@ -12,6 +12,7 @@ import (
 	"cubeftl/internal/nand"
 	"cubeftl/internal/recovery"
 	"cubeftl/internal/sim"
+	"cubeftl/internal/ssd"
 	"cubeftl/internal/workload"
 )
 
@@ -209,5 +210,42 @@ func TestDurableWriteOnIdleArraySkipsTheFlushTimer(t *testing.T) {
 	}
 	if err := st.Up(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Spare-area records exist only where a mount reads them: a device
+// built without Spec.Recovery programs none, host or GC, and one built
+// with it carries a record naming the LPN and stamp of every mapped
+// page (recovery.Verify's L2P <-> OOB audit).
+func TestSpareAreaRecordsOnlyWithRecovery(t *testing.T) {
+	for _, rec := range []bool{false, true} {
+		st, err := Build(Spec{FTL: "cube", Channels: 1, DiesPerChannel: 2, BlocksPerChip: 32, Seed: 5, Recovery: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		workload.Prefill(st.Ctrl, int64(0.8*float64(st.Ctrl.LogicalPages())))
+		prof, _ := workload.ByName("Mixed")
+		workload.Run(st.Ctrl, workload.NewStream(prof, st.Ctrl.LogicalPages(), 11), workload.RunConfig{Requests: 20000, QueueDepth: 16})
+		st.DrainRelocations()
+		if st.Ctrl.Stats().GCCount == 0 {
+			t.Fatalf("Recovery=%v: garbage collection never ran", rec)
+		}
+		if rec {
+			if err := recovery.Verify(st.Ctrl, nil); err != nil {
+				t.Errorf("Recovery=true: %v", err)
+			}
+			continue
+		}
+		geo, mapper := st.Dev.Geometry(), st.Ctrl.Mapper()
+		for lpn := ftl.LPN(0); lpn < ftl.LPN(mapper.LogicalPages()); lpn++ {
+			ppn := mapper.Lookup(lpn)
+			if ppn == ssd.UnmappedPPN {
+				continue
+			}
+			chip, block, layer, wl, page := geo.DecodePPN(ppn)
+			if oob := st.Dev.Die(chip).NAND.OOB(nand.Address{Block: block, Layer: layer, WL: wl, Page: page}); oob != nil {
+				t.Fatalf("Recovery=false: LPN %d at chip %d block %d carries a %d-byte spare-area record", lpn, chip, block, len(oob))
+			}
+		}
 	}
 }
