@@ -140,6 +140,8 @@ type ckptEncoder struct {
 	actives []ftl.ActiveRecord
 	retired []int
 	was     [ckptHeaderBytes]byte // patchCheckpoint: a span's bytes before its rewrite
+	dirty   []ftl.LPN             // patchCheckpoint: the dirty pages, sorted, each once
+	at      []int                 // patchCheckpoint: where each page new to the image goes
 
 	// bodyCRC is the CRC of the header and mapping records of the image
 	// last encoded — what patchCheckpoint needs of an image to patch it.
@@ -218,51 +220,119 @@ func (e *ckptEncoder) appendCheckpoint(dst []byte, ctrl *ftl.Controller) []byte 
 // with bodyCRC over its header and records, up to ctrl's state by
 // rewriting what can have changed: the header's counters, the records of
 // the pages in dirty, everything behind the records. The caller vouches
-// that the set of pages with a stamp is still the one img lists and that
-// dirty names every page mapped or trimmed since img was encoded, repeats
-// and all;
-// the result is then appendCheckpoint's, byte for byte, without the walk
-// over the logical space — and, for a short dirty list, without a pass
-// over the records to sum them: CRC-32 is linear, so each rewritten span
-// moves the body's CRC by crcOfChange, whatever the megabytes around it
-// hold. A long list (a saturating writer's) is cheaper summed in one pass.
+// that dirty names every page mapped or trimmed since img was encoded,
+// repeats and all. A page never loses its stamp, so the pages with one
+// are the image's and, if there are more of them now, the pages of dirty
+// the image does not list: their records are inserted where they belong.
+// The result is then appendCheckpoint's, byte for byte, without the walk
+// over the logical space.
+//
+// dirty is sorted into scratch once, so the image's records are found by
+// one forward gallop and the new ones merged in by one backward pass that
+// moves each run of old records once. Only the image's header and its
+// rewritten records need summing again: CRC-32 is linear, so each
+// rewritten span moves the body's CRC by crcOfChange, whatever the
+// megabytes around it hold, and records appended past the image's last
+// one extend it. A long list (a saturating writer's), or a new page that
+// lands among the old records, is cheaper summed in one pass.
 func (e *ckptEncoder) patchCheckpoint(img []byte, bodyCRC uint32, ctrl *ftl.Controller, dirty []ftl.LPN) []byte {
-	nMap := ckptMappings(img)
-	body := img[:ckptHeaderBytes+nMap*mappingBytes]
-	recs := body[ckptHeaderBytes:]
-	moveCRC := len(dirty)*crcMoveWorthBytes < len(body)
-	was := e.was[:copy(e.was[:], body[:ckptHeaderBytes])]
+	nOld, nMap := ckptMappings(img), ctrl.StampedPages()
+	oldBody := ckptHeaderBytes + nOld*mappingBytes
+	recs := img[ckptHeaderBytes:oldBody]
+	// A page new to the image costs no move: its record is summed where
+	// it is appended.
+	moveCRC := (len(dirty)-(nMap-nOld))*crcMoveWorthBytes < oldBody
+	was := e.was[:copy(e.was[:], img[:ckptHeaderBytes])]
 	appendHeader(img[:0], ctrl, nMap)
 	crc := bodyCRC
 	if moveCRC {
-		crc ^= crcOfChange(was, body[:ckptHeaderBytes], len(recs))
+		crc ^= crcOfChange(was, img[:ckptHeaderBytes], len(recs))
 	}
+
+	// Rewrite the records the image has; gather the pages it lacks at the
+	// front of the sorted list, each with the index of the first record
+	// above it.
+	e.dirty = append(e.dirty[:0], dirty...)
+	slices.Sort(e.dirty)
+	sorted := slices.Compact(e.dirty)
 	mapper := ctrl.Mapper()
-	for _, lpn := range dirty {
-		// The records are sorted by LPN: find the first at or above lpn.
-		lo, hi := 0, nMap
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if ftl.LPN(binary.LittleEndian.Uint64(recs[mid*mappingBytes:])) < lpn {
-				lo = mid + 1
-			} else {
-				hi = mid
+	added, at := 0, 0
+	e.at = e.at[:0]
+	for _, lpn := range sorted {
+		if ctrl.StampOf(lpn) == 0 {
+			panic("recovery: patched checkpoint names a page without a stamp")
+		}
+		if at = seekRecord(recs, at, lpn); at == nOld || recordLPN(recs, at) != lpn {
+			if at < nOld {
+				moveCRC = false // a merge moves the records behind it
 			}
+			sorted[added] = lpn
+			added++
+			e.at = append(e.at, at)
+			continue
 		}
-		if lo == nMap || ftl.LPN(binary.LittleEndian.Uint64(recs[lo*mappingBytes:])) != lpn || ctrl.StampOf(lpn) == 0 {
-			panic("recovery: patched checkpoint's set of pages differs from the image's")
-		}
-		rec := recs[lo*mappingBytes : (lo+1)*mappingBytes]
+		rec := recs[at*mappingBytes : (at+1)*mappingBytes]
 		was = e.was[:copy(e.was[:], rec)]
 		putMapping(rec, ctrl, lpn, mapper.Lookup(lpn))
 		if moveCRC {
-			crc ^= crcOfChange(was, rec, len(recs)-(lo+1)*mappingBytes)
+			crc ^= crcOfChange(was, rec, len(recs)-(at+1)*mappingBytes)
 		}
 	}
-	if !moveCRC {
-		crc = crc32.Update(0, crc32.IEEETable, body)
+	if added != nMap-nOld {
+		panic("recovery: patched checkpoint's set of pages differs from the image's")
 	}
-	return e.appendTail(body, ctrl, crc, len(body))
+
+	// A buffer grows as appendCheckpoint's does, at least a sixteenth past
+	// the image, tail included, and before the image fills it: the policy's
+	// state changes length from one checkpoint to the next, and a tail that
+	// outgrew the buffer would move the whole image once more inside its
+	// appends — after a prefill, once a slot under the steady load.
+	body := ckptHeaderBytes + nMap*mappingBytes
+	if need := body + len(img) - oldBody; cap(img) < need+need/32 {
+		img = slices.Grow(img[:oldBody], need+need/16-oldBody)
+	}
+	img = img[:body]
+	recs = img[ckptHeaderBytes:]
+	for k, end := added-1, nOld; k >= 0; k-- {
+		// The old records above the k-th new page move up past it and
+		// the k pages below it.
+		i := e.at[k]
+		copy(recs[(i+k+1)*mappingBytes:], recs[i*mappingBytes:end*mappingBytes])
+		putMapping(recs[(i+k)*mappingBytes:(i+k+1)*mappingBytes], ctrl, sorted[k], mapper.Lookup(sorted[k]))
+		end = i
+	}
+	if moveCRC {
+		crc = crc32.Update(crc, crc32.IEEETable, img[oldBody:])
+	} else {
+		crc = crc32.Update(0, crc32.IEEETable, img)
+	}
+	return e.appendTail(img, ctrl, crc, body)
+}
+
+// recordLPN returns the LPN of the i-th of a run of mapping records.
+func recordLPN(recs []byte, i int) ftl.LPN {
+	return ftl.LPN(binary.LittleEndian.Uint64(recs[i*mappingBytes:]))
+}
+
+// seekRecord returns the first record at or after from whose LPN is lpn
+// or above (the record count if none): it gallops forward from from in
+// doubling steps, then binary-searches the last step. Called for
+// ascending lpn, each from the last answer, it costs O(log gap) a page
+// instead of O(log n).
+func seekRecord(recs []byte, from int, lpn ftl.LPN) int {
+	n := len(recs) / mappingBytes
+	lo, hi := from, from
+	for step := 1; hi < n && recordLPN(recs, hi) < lpn; step <<= 1 {
+		lo, hi = hi+1, hi+step
+	}
+	for hi = min(hi, n); lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); recordLPN(recs, mid) < lpn {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // crcMoveWorthBytes is how many bytes of a plain CRC pass one crcOfChange

@@ -18,21 +18,28 @@ import (
 // The exhaustive power-cut sweep (ROADMAP 1(c)): one short run on a tiny
 // durable-ack device, replayed from scratch and cut after every event it
 // fires — inside programs, journal flushes, checkpoint writes (patched
-// ones included), GC relocations, erases and their barriers — each cut
-// followed by a verified remount. A write is acked when its page is
-// programmed and is recorded nowhere but in its OOB record, so this is
-// the proof that the mount's per-LPN roll-forward brings back every acked
-// write, and its tombstones every durable trim.
+// ones included, and patches that insert the records of pages written for
+// the first time since their slot's last encode), GC relocations, erases
+// and their barriers — each cut followed by a verified remount. A write
+// is acked when its page is programmed and is recorded nowhere but in its
+// OOB record, so this is the proof that the mount's per-LPN roll-forward
+// brings back every acked write, and its tombstones every durable trim.
 
 // sweepLife is one replay of a sweep's run: its engine, whether host work
 // is still outstanding, and the power cut + verified remount.
 type sweepLife struct {
-	eng     *sim.Engine
-	busy    func() bool
-	cut     func() error
-	ctrl    *ftl.Controller
-	patched func() int
+	eng          *sim.Engine
+	busy         func() bool
+	cut          func() error
+	ctrl         *ftl.Controller
+	patched      func() int
+	inGrownPatch func() bool
 }
+
+// prefilled is how many of a life's hot pages are written before its
+// measured run: the rest are first written during it, between two
+// checkpoints of a slot, whose next image must insert their records.
+func prefilled(hot int) int64 { return int64(hot - hot/8) }
 
 // closedLoop keeps qd operations outstanding over the first hot LPNs
 // until n have been issued: writes, and one trim in sixteen.
@@ -74,15 +81,15 @@ func stackLifeMounting(t testing.TB, fullScan bool) sweepLife {
 	}, fullScan)
 }
 
-// specLife builds spec's stack, prefills the 600 hot pages and runs the
-// sweep's closed loop over them, seeded by the spec.
+// specLife builds spec's stack, prefills most of the 600 hot pages and
+// runs the sweep's closed loop over them, seeded by the spec.
 func specLife(t testing.TB, spec stack.Spec, fullScan bool) sweepLife {
 	const hot = 600
 	st, err := stack.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	workload.Prefill(st.Ctrl, hot)
+	workload.Prefill(st.Ctrl, prefilled(hot))
 	return sweepLife{
 		eng:  st.Eng,
 		busy: closedLoop(t, st.Ctrl, spec.Seed, hot, 1500, 24),
@@ -93,8 +100,9 @@ func specLife(t testing.TB, spec stack.Spec, fullScan bool) sweepLife {
 			_, err := st.Remount(true, fullScan)
 			return err
 		},
-		ctrl:    st.Ctrl,
-		patched: st.Mgr.PatchedCheckpoints,
+		ctrl:         st.Ctrl,
+		patched:      st.Mgr.PatchedCheckpoints,
+		inGrownPatch: st.Mgr.InGrownPatch,
 	}
 }
 
@@ -117,7 +125,7 @@ func inflightLife(t testing.TB) sweepLife {
 	eng := sim.NewEngine()
 	dev := ssd.New(eng, devCfg)
 	ctrl := ftl.NewController(dev, core.New(dev.Geometry()), cfg)
-	workload.Prefill(ctrl, hot)
+	workload.Prefill(ctrl, prefilled(hot))
 	led := recovery.NewLedger()
 	mgr := recovery.Attach(ctrl, recovery.NewSystemArea(), recovery.Options{Ledger: led, CkptIntervalNs: 150 * sim.Microsecond})
 	return sweepLife{
@@ -132,15 +140,17 @@ func inflightLife(t testing.TB) sweepLife {
 			}
 			return recovery.Verify(ctrl2, led)
 		},
-		ctrl:    ctrl,
-		patched: mgr.PatchedCheckpoints,
+		ctrl:         ctrl,
+		patched:      mgr.PatchedCheckpoints,
+		inGrownPatch: mgr.InGrownPatch,
 	}
 }
 
 // sweepCuts runs one life to completion as the probe, then cuts a fresh
 // replay after every stride-th event of its measured run. It returns the
-// cuts whose remount failed, the probe, and the run's event count.
-func sweepCuts(t *testing.T, life func(testing.TB) sweepLife, stride uint64) (failed []string, probe sweepLife, events uint64) {
+// cuts whose remount failed, the probe, the run's event count and how
+// many cuts landed inside the write of a patch that inserted records.
+func sweepCuts(t *testing.T, life func(testing.TB) sweepLife, stride uint64) (failed []string, probe sweepLife, events uint64, inGrown int) {
 	t.Helper()
 	probe = life(t)
 	start := probe.eng.Fired()
@@ -150,11 +160,14 @@ func sweepCuts(t *testing.T, life func(testing.TB) sweepLife, stride uint64) (fa
 		l := life(t)
 		at := l.eng.Fired() + i
 		l.eng.RunWhile(func() bool { return l.busy() && l.eng.Fired() < at })
+		if l.inGrownPatch() {
+			inGrown++
+		}
 		if err := l.cut(); err != nil {
 			failed = append(failed, fmt.Sprintf("cut after event %d (t=%d): %v", i, l.eng.Now(), err))
 		}
 	}
-	return failed, probe, events
+	return failed, probe, events, inGrown
 }
 
 // sweepStride is 1 — every event — except under -short and -race, where
@@ -162,7 +175,7 @@ func sweepCuts(t *testing.T, life func(testing.TB) sweepLife, stride uint64) (fa
 // race detector. make tier1 runs it in full once, without
 // (powercut-sweep), and every seventh cut in its race legs.
 func sweepStride() uint64 {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || recovery.RaceEnabled {
 		return 7
 	}
 	return 1
@@ -175,12 +188,13 @@ func TestPowerCutAtEveryEvent(t *testing.T) {
 	}{{"stack", stackLife}, {"two programs per die", inflightLife}, {"full scan", fullScanLife}} {
 		t.Run(leg.name, func(t *testing.T) {
 			stride := sweepStride()
-			failed, probe, events := sweepCuts(t, leg.life, stride)
+			failed, probe, events, inGrown := sweepCuts(t, leg.life, stride)
 			stats := probe.ctrl.Stats()
-			t.Logf("%d events, %d cuts; probe: %d programs, %d GC cycles, %d patched checkpoints",
-				events, (events+stride-1)/stride, stats.Programs, stats.GCCount, probe.patched())
-			if stats.GCCount == 0 || probe.patched() == 0 {
-				t.Errorf("the run covers %d GC cycles and %d patched checkpoints, want both", stats.GCCount, probe.patched())
+			t.Logf("%d events, %d cuts, %d inside a patch that inserted records; probe: %d programs, %d GC cycles, %d patched checkpoints",
+				events, (events+stride-1)/stride, inGrown, stats.Programs, stats.GCCount, probe.patched())
+			if stats.GCCount == 0 || probe.patched() == 0 || inGrown == 0 {
+				t.Errorf("the run covers %d GC cycles, %d patched checkpoints and %d cuts inside a patch that inserted records, want all three",
+					stats.GCCount, probe.patched(), inGrown)
 			}
 			for _, f := range failed {
 				t.Error(f)
@@ -211,7 +225,7 @@ func TestPowerCutAfterProgramFailures(t *testing.T) {
 				}, false)
 			}
 			stride := 5 * sweepStride()
-			failed, probe, events := sweepCuts(t, life, stride)
+			failed, probe, events, _ := sweepCuts(t, life, stride)
 			retired := probe.ctrl.Stats().RetiredBlocks
 			t.Logf("%d events, %d cuts; probe: %d blocks retired", events, (events+stride-1)/stride, retired)
 			if retired == 0 {
@@ -231,7 +245,7 @@ func TestPowerCutAfterProgramFailures(t *testing.T) {
 // media while an older one, already acked, is not in the checkpoint.
 func TestPowerCutAtEveryEventNeedsThePerLPNRule(t *testing.T) {
 	defer recovery.UseGlobalHorizonForTest()()
-	failed, _, events := sweepCuts(t, stackLife, 29)
+	failed, _, events, _ := sweepCuts(t, stackLife, 29)
 	if len(failed) == 0 {
 		t.Fatal("every cut recovered every acked write under the global horizon: the sweep does not reach the case")
 	}
@@ -254,7 +268,7 @@ func TestPowerCutAtEveryEventNeedsTheMediaAtTies(t *testing.T) {
 		life func(testing.TB) sweepLife
 	}{{"stack", stackLife}, {"two programs per die", inflightLife}} {
 		t.Run(leg.name, func(t *testing.T) {
-			failed, _, events := sweepCuts(t, leg.life, 1)
+			failed, _, events, _ := sweepCuts(t, leg.life, 1)
 			if len(failed) == 0 {
 				t.Fatal("every cut recovered every acked write with the checkpoint standing at ties: the sweep does not reach the case")
 			}

@@ -109,13 +109,14 @@ const (
 
 // slotLog is what this manager knows about the image it last encoded
 // into one slot's buffer. While patchable holds, dirty holds every page
-// mapped or trimmed since that encode, overwrites and relocations alike.
-// A page never loses its stamp (a trim leaves a tombstone), so the set of
-// pages with one can only have grown, which StampedPages gives away; if
-// it has not, the image's records are the right ones except at the pages
-// in dirty, and the next checkpoint into the slot rewrites those in place
-// instead of walking the logical space. The zero value (a fresh manager:
-// the slot's bytes are some earlier life's) is not patchable.
+// mapped or trimmed since that encode, overwrites, relocations and first
+// writes alike. A page never loses its stamp (a trim leaves a tombstone),
+// so the set of pages with one can only have grown, by the pages of dirty
+// the image does not list; the image's other records are the right ones
+// except at the pages in dirty. The next checkpoint into the slot rewrites
+// those in place and inserts the new ones instead of walking the logical
+// space. The zero value (a fresh manager: the slot's bytes are some
+// earlier life's) is not patchable.
 type slotLog struct {
 	patchable bool
 	dirty     []ftl.LPN // at most dirtyLogCap, repeats kept
@@ -135,9 +136,9 @@ func (lg *slotLog) note(lpn ftl.LPN) {
 
 // dirtyLogCap bounds a slot's dirty log. A slot is rewritten every other
 // checkpoint, so at the default cadence the log sees 40 ms of device
-// clock; past a few thousand pages the binary searches cost what the
-// walk does. A log that fills up gives the slot back to the full encode,
-// as it must when checkpoints are off and nothing ever empties it.
+// clock: a served device's prefill maps some 1 800 pages a slot in that
+// time. A log that fills up gives the slot back to the full encode, as it
+// must when checkpoints are off and nothing ever empties it.
 const dirtyLogCap = 4096
 
 // pendingCkpt describes a checkpoint between the start of its write and
@@ -147,6 +148,7 @@ type pendingCkpt struct {
 	stamp  uint64
 	cutoff uint64
 	start  sim.Time
+	grown  bool // patched an image whose set of pages has grown since
 }
 
 // ckptWindowsKept bounds CkptWindows: the power-cut tests aim at the
@@ -176,6 +178,7 @@ func Attach(ctrl *ftl.Controller, sys *SystemArea, opts Options) *Manager {
 	for i := range m.slotLogs {
 		m.slotLogs[i].dirty = make([]ftl.LPN, 0, dirtyLogCap)
 	}
+	m.enc.dirty, m.enc.at = make([]ftl.LPN, 0, dirtyLogCap), make([]int, 0, dirtyLogCap)
 	m.onFlushDone, m.onCkptTimer, m.onCkptDone = m.finishFlush, m.ckptTimerFired, m.finishCheckpoint
 	ctrl.SetRecovery(m)
 	m.checkpoint(true)
@@ -392,10 +395,11 @@ func (m *Manager) ckptTimerFired() {
 // moment the write begins — which is what makes its bytes free to
 // overwrite — so a power cut mid-write tears this slot and recovery
 // falls back to the other one. When the buffer holds this manager's own
-// last image of the same mapped pages, only what changed since is
-// rewritten (patchCheckpoint); the bytes are the full encode's either
-// way. sync installs immediately (attach-time checkpoint); otherwise the
-// install lands after the modeled write latency.
+// last image of the slot, only what changed since is rewritten, and the
+// pages stamped since inserted (patchCheckpoint); the bytes are the full
+// encode's either way. sync installs immediately (attach-time
+// checkpoint); otherwise the install lands after the modeled write
+// latency.
 func (m *Manager) checkpoint(sync bool) {
 	if m.dead || m.ckptBusy {
 		return
@@ -410,7 +414,8 @@ func (m *Manager) checkpoint(sync bool) {
 	sl := &m.sys.slots[m.ckpt.slot]
 	sl.valid = false
 	lg := &m.slotLogs[m.ckpt.slot]
-	if lg.patchable && ckptMappings(sl.data) == m.ctrl.StampedPages() {
+	if lg.patchable && ckptMappings(sl.data) <= m.ctrl.StampedPages() {
+		m.ckpt.grown = ckptMappings(sl.data) < m.ctrl.StampedPages()
 		sl.data = m.enc.patchCheckpoint(sl.data, lg.bodyCRC, m.ctrl, lg.dirty)
 		m.ckptPatched++
 	} else {

@@ -1,7 +1,7 @@
 //go:build !race
 
-package recovery_test
+package recovery
 
 // raceEnabled reports a -race build (race_test.go): the exhaustive cut
-// sweep thins out under the detector.
+// sweep thins out under the detector, and a buffer growth allocates twice.
 const raceEnabled = false

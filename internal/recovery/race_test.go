@@ -1,5 +1,5 @@
 //go:build race
 
-package recovery_test
+package recovery
 
 const raceEnabled = true

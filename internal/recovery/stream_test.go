@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"cubeftl/internal/core"
@@ -461,6 +462,7 @@ type patchRig struct {
 	stamp uint64 // of the last checkpoint compared
 	ckpts int    // checkpoints compared, the attach-time one included
 	full  int    // how many of them were full encodes
+	grown int    // how many were patches of an image that lacked pages
 }
 
 // newPatchRig prefills the lower 40 % of the logical space; write
@@ -468,9 +470,16 @@ type patchRig struct {
 // untouched and the upper 60 % stays unmapped.
 func newPatchRig(t *testing.T, seed uint64, interval sim.Time) *patchRig {
 	t.Helper()
+	return newPatchRigFilled(t, seed, interval, 4)
+}
+
+// newPatchRigFilled is newPatchRig with the lower tenths/10 of the
+// logical space prefilled before the manager attaches.
+func newPatchRigFilled(t *testing.T, seed uint64, interval sim.Time, tenths int) *patchRig {
+	t.Helper()
 	dev := ssd.New(sim.NewEngine(), cutSSDConfig(seed))
 	ctrl := ftl.NewController(dev, core.New(dev.Geometry()), cutCtrlConfig())
-	workload.Prefill(ctrl, int64(ctrl.LogicalPages()*4/10))
+	workload.Prefill(ctrl, int64(ctrl.LogicalPages()*tenths/10))
 	r := &patchRig{t: t, ctrl: ctrl, src: rng.New(seed)}
 	r.mgr = Attach(ctrl, NewSystemArea(), Options{CkptIntervalNs: interval})
 	r.observe()
@@ -487,6 +496,9 @@ func (r *patchRig) observe() {
 	r.stamp = m.ckpt.stamp
 	r.ckpts++
 	r.full = r.ckpts - m.ckptPatched
+	if m.ckpt.grown {
+		r.grown++
+	}
 	if got, want := m.sys.slots[m.ckpt.slot].data, referenceImage(r.ctrl); !bytes.Equal(got, want) {
 		r.t.Fatalf("checkpoint %d (stamp %d, %d patched so far): slot image differs from the reference encoder's (%d vs %d bytes)",
 			r.ckpts, r.stamp, m.ckptPatched, len(got), len(want))
@@ -519,13 +531,34 @@ func (r *patchRig) write(ops int) { r.t.Helper(); r.writeUntil(ops, func() bool 
 func (r *patchRig) writeUntil(ops int, stop func() bool) {
 	r.t.Helper()
 	n := r.ctrl.LogicalPages() * 3 / 10
+	r.writePages(ops, func() ftl.LPN { return ftl.LPN(r.src.Intn(n)) }, stop)
+}
+
+// writeFirst writes each of lpns, none of them stamped yet, in the order
+// given and runs until they are all acknowledged.
+func (r *patchRig) writeFirst(lpns ...ftl.LPN) {
+	r.t.Helper()
+	r.writePages(len(lpns), func() ftl.LPN {
+		lpn := lpns[0]
+		if r.ctrl.StampOf(lpn) != 0 {
+			r.t.Fatalf("page %d picked for a first write has a stamp", lpn)
+		}
+		lpns = lpns[1:]
+		return lpn
+	}, func() bool { return false })
+}
+
+// writePages writes ops pages, each next's, at queue depth 16 and runs
+// until they are all acknowledged or stop holds.
+func (r *patchRig) writePages(ops int, next func() ftl.LPN, stop func() bool) {
+	r.t.Helper()
 	outstanding := 0
 	var issue func()
 	issue = func() {
 		for outstanding < 16 && ops > 0 {
 			ops--
 			outstanding++
-			if err := r.ctrl.Write(ftl.LPN(r.src.Intn(n)), nil, func() { outstanding--; issue() }); err != nil {
+			if err := r.ctrl.Write(next(), nil, func() { outstanding--; issue() }); err != nil {
 				r.t.Fatalf("write: %v", err)
 			}
 		}
@@ -534,6 +567,15 @@ func (r *patchRig) writeUntil(ops int, stop func() bool) {
 	for (outstanding > 0 || !r.ctrl.Drained()) && !stop() {
 		r.step()
 	}
+}
+
+// pageRange returns the n pages from lpn up.
+func pageRange(lpn ftl.LPN, n int) []ftl.LPN {
+	out := make([]ftl.LPN, n)
+	for i := range out {
+		out[i] = lpn + ftl.LPN(i)
+	}
+	return out
 }
 
 // writeThrough keeps overwriting until n more checkpoints have begun.
@@ -547,9 +589,8 @@ func (r *patchRig) writeThrough(n int) {
 // A patched checkpoint is the full encode's image, byte for byte, across
 // everything that reaches a slot between two of its writes: overwrites,
 // GC relocation, a trim, a retired block's evacuation, the pools and the
-// policy state moving under it. What grows the set of pages the image
-// lists — a first write — sends each slot through one full encode and
-// back.
+// policy state moving under it, and a first write, which grows the set of
+// pages the image lists: its record is inserted in each slot's image.
 func TestPatchedCheckpointMatchesReference(t *testing.T) {
 	r := newPatchRig(t, 11, 2*sim.Millisecond)
 	ctrl, mgr := r.ctrl, r.mgr
@@ -581,8 +622,8 @@ func TestPatchedCheckpointMatchesReference(t *testing.T) {
 	}
 
 	// The first write to an unmapped page: once it has landed, both images
-	// are a record short.
-	full = r.full
+	// are a record short, and both are patched.
+	full, grown := r.full, r.grown
 	fresh := ftl.LPN(ctrl.LogicalPages() / 2)
 	if ctrl.Mapper().Lookup(fresh) != ssd.UnmappedPPN {
 		t.Fatal("page picked for the first write is already mapped")
@@ -595,8 +636,11 @@ func TestPatchedCheckpointMatchesReference(t *testing.T) {
 		r.write(16)
 	}
 	r.writeThrough(6)
-	if got := r.full - full; got != 2 {
-		t.Fatalf("after a first write: %d full encodes, want 2 (one per slot)", got)
+	if got := r.full - full; got != 0 {
+		t.Fatalf("after a first write: %d full encodes, want none", got)
+	}
+	if got := r.grown - grown; got != 2 {
+		t.Fatalf("after a first write: %d patches inserted its record, want 2 (one per slot)", got)
 	}
 
 	// Program failures on one die: blocks retire and their live pages are
@@ -656,8 +700,9 @@ func TestDirtyLogOverflowFallsBackToFullEncode(t *testing.T) {
 // A trim and a first write between two encodes of a slot leave the
 // mapper's count where the image has it, with a different set of mapped
 // pages behind it. The image lists the trimmed page still, as a
-// tombstone, so its count is one short of the pages with a stamp, and
-// the slot goes to the full encode.
+// tombstone, so its count is one short of the pages with a stamp: the
+// slot is patched, the first write's record inserted, and the image is
+// the reference encoder's (observe compares every checkpoint).
 func TestTrimAndFirstWriteKeepTheCountNotTheSet(t *testing.T) {
 	r := newPatchRig(t, 31, -1)
 	ctrl, mgr := r.ctrl, r.mgr
@@ -683,13 +728,98 @@ func TestTrimAndFirstWriteKeepTheCountNotTheSet(t *testing.T) {
 	}
 	r.checkpointNow()
 	r.checkpointNow()
-	if mgr.ckptPatched != 2 {
-		t.Fatalf("a slot whose image lacks a page mapped since was patched (%d patched checkpoints, want still 2)", mgr.ckptPatched)
+	if mgr.ckptPatched != 4 || r.grown != 2 {
+		t.Fatalf("%d patched checkpoints, %d of them inserting a record; want 4 and 2", mgr.ckptPatched, r.grown)
 	}
 	r.write(64)
 	r.checkpointNow()
-	if mgr.ckptPatched != 3 {
-		t.Errorf("%d patched checkpoints after the full encodes, want 3", mgr.ckptPatched)
+	if mgr.ckptPatched != 5 || r.grown != 2 {
+		t.Errorf("%d patched checkpoints, %d of them inserting a record; want 5 and 2", mgr.ckptPatched, r.grown)
+	}
+}
+
+// A device prefilled under its manager, as a served one is: the image of
+// the empty device grows by every page the prefill maps, and after each
+// slot's first encode every checkpoint patches it, appending the records
+// of the pages mapped since behind the image's last one.
+func TestGrowingPatchFromEmpty(t *testing.T) {
+	r := newPatchRigFilled(t, 17, 2*sim.Millisecond, 0)
+	r.writeFirst(pageRange(0, r.ctrl.LogicalPages()/2)...)
+	if r.ckpts < 20 || r.full != 2 || r.grown != r.ckpts-r.full {
+		t.Fatalf("prefill under the manager: %d checkpoints, %d full encodes, %d patches of a grown image; want at least 20, 2 and the rest",
+			r.ckpts, r.full, r.grown)
+	}
+	t.Logf("%d checkpoints compared, %d patched, %d full", r.ckpts, r.mgr.ckptPatched, r.full)
+}
+
+// First writes below the image's last record land among its records. In
+// one interval with trims, overwrites and first writes that are
+// overwritten again, below the image's first record, between its records
+// and past its last one, each slot's patch merges them in.
+func TestGrowingPatchMergesAmongTheRecords(t *testing.T) {
+	r := newPatchRigFilled(t, 19, -1, 0)
+	ctrl, mgr := r.ctrl, r.mgr
+	n := ftl.LPN(ctrl.LogicalPages())
+	r.writeFirst(pageRange(n/4, int(n/20))...)
+	r.writeFirst(n * 9 / 10)
+	r.checkpointNow() // the other slot's first encode
+	r.checkpointNow() // this one is patched, past the image's last record
+	if r.full != 2 || r.grown != 1 {
+		t.Fatalf("set-up: %d full encodes, %d patches of a grown image; want 2 and 1", r.full, r.grown)
+	}
+
+	full, patched, grown := r.full, mgr.ckptPatched, r.grown
+	ctrl.Trim(n/4+3, nil)
+	ctrl.Trim(n/4+10, nil)
+	r.write(300) // the lower 30 %: the upper sixth of it mapped, the rest not
+	r.writeFirst(n*6/10, n*6/10+1, n*8/10, n-1)
+	ctrl.Trim(n*8/10, nil)
+	for !ctrl.Drained() {
+		r.step()
+	}
+	r.checkpointNow()
+	r.checkpointNow()
+	if r.full != full || mgr.ckptPatched != patched+2 || r.grown != grown+2 {
+		t.Fatalf("%d full encodes, %d patched, %d patches of a grown image; want 0, 2 and 2",
+			r.full-full, mgr.ckptPatched-patched, r.grown-grown)
+	}
+	if err := ctrl.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A dirty log that overflows while the image grows gives the slot back to
+// the full encode all the same, and the slot patches again after it.
+func TestDirtyLogOverflowDuringGrowthFallsBackToFullEncode(t *testing.T) {
+	r := newPatchRigFilled(t, 29, -1, 0)
+	mgr := r.mgr
+	r.checkpointNow() // the other slot's first encode
+	r.writeFirst(pageRange(0, 64)...)
+	r.checkpointNow()
+	if mgr.ckptPatched != 1 || r.grown != 1 {
+		t.Fatalf("set-up: %d patched checkpoints, %d of a grown image; want 1 and 1", mgr.ckptPatched, r.grown)
+	}
+
+	// The lower 30 %: first writes, and overwrites of the pages among them.
+	stamped := r.ctrl.StampedPages()
+	r.write(dirtyLogCap + dirtyLogCap/4)
+	for i, lg := range mgr.slotLogs {
+		if lg.patchable || len(lg.dirty) > dirtyLogCap {
+			t.Fatalf("slot %d after %d writes: patchable=%v, log %d; want an overflowed log", i, dirtyLogCap+dirtyLogCap/4, lg.patchable, len(lg.dirty))
+		}
+	}
+	if r.ctrl.StampedPages() <= stamped+64 {
+		t.Fatalf("%d pages stamped before the overflow, %d after: want the set grown", stamped, r.ctrl.StampedPages())
+	}
+	r.checkpointNow()
+	r.checkpointNow()
+	if mgr.ckptPatched != 1 {
+		t.Fatalf("overflowed slots were patched (%d patched checkpoints, want still 1)", mgr.ckptPatched)
+	}
+	r.writeFirst(pageRange(ftl.LPN(r.ctrl.LogicalPages()/2), 64)...)
+	r.checkpointNow()
+	if mgr.ckptPatched != 2 || r.grown != 2 {
+		t.Errorf("slot not patched again after its full encode (%d patched checkpoints, %d of a grown image; want 2 and 2)", mgr.ckptPatched, r.grown)
 	}
 }
 
@@ -732,7 +862,10 @@ func TestPowerCutMidPatchThenFullEncodes(t *testing.T) {
 }
 
 // The steady state of a served device: a checkpoint that patches a
-// handful of records allocates nothing, in the encoder or around it.
+// handful of records allocates nothing, in the encoder or around it. One
+// that inserts the records of pages written for the first time allocates
+// only when its slot's buffer grows: once, by at least a sixteenth of the
+// image, tail included.
 func TestPatchedCheckpointAllocs(t *testing.T) {
 	r := newPatchRig(t, 5, -1)
 	r.checkpointNow()
@@ -764,6 +897,52 @@ func TestPatchedCheckpointAllocs(t *testing.T) {
 	if r.mgr.ckptPatched != patched+11 {
 		t.Errorf("%d of 11 measured checkpoints were patched", r.mgr.ckptPatched-patched)
 	}
+
+	// Growing: each checkpoint follows 24 first writes. Only the encode is
+	// measured, on one P as AllocsPerRun measures and just after a
+	// collection, not the writes or the reference comparison. The
+	// checkpoints measured above went unobserved.
+	r.stamp = r.mgr.ckpt.stamp
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const ckpts = 40
+	var ms runtime.MemStats
+	next, grown, growths, allocs := ftl.LPN(r.ctrl.LogicalPages()/2), r.grown, 0, uint64(0)
+	for i := 0; i < ckpts; i++ {
+		r.writeFirst(pageRange(next, 24)...)
+		next += 24
+		buf := &r.mgr.sys.slots[r.mgr.sys.oldestSlot()].data
+		was := cap(*buf)
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		r.mgr.CheckpointNow()
+		runtime.ReadMemStats(&ms)
+		allocs += ms.Mallocs - before
+		if cap(*buf) != was {
+			growths++
+		}
+		r.observe()
+		for !r.mgr.Quiesced() {
+			r.step()
+		}
+	}
+	if r.grown != grown+ckpts {
+		t.Fatalf("%d of %d growing checkpoints were patches of a grown image", r.grown-grown, ckpts)
+	}
+	// One allocation is the runtime's: appendTail's type assertion to
+	// ftl.PolicyStateSaver fills its call site's cache on a random one in
+	// 1 024 misses, once for the policy's type (AllocsPerRun's integer
+	// average hides it). Under the race detector slices.Grow's
+	// append(s, make(...)...) allocates the make too.
+	perGrowth := uint64(1)
+	if raceEnabled {
+		perGrowth = 2
+	}
+	if growths == 0 || growths >= ckpts/2 || allocs > perGrowth*uint64(growths)+1 {
+		t.Errorf("%d growing checkpoints: %d allocations, %d buffer growths; want at most %d allocations a growth, and a growth at most every other checkpoint",
+			ckpts, allocs, growths, perGrowth)
+	}
+	t.Logf("%d growing checkpoints: %d allocations, %d buffer growths", ckpts, allocs, growths)
 }
 
 // The first full encode into an empty buffer sizes it once, tail and all

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"fmt"
-	"sort"
 
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/nand"
@@ -15,31 +14,31 @@ import (
 // record is durable. It lives outside the device — the test harness owns
 // it — so it survives the power cut and tells the verifier what the
 // recovered device MUST still hold.
+//
+// The table is dense, indexed by LPN and grown to the highest page
+// recorded: an entry is the stamp shifted left by one, or'd with 1 for a
+// trim, and 0 is no entry (stamps start at 1).
 type Ledger struct {
-	entries map[ftl.LPN]ledgerEntry
-}
-
-type ledgerEntry struct {
-	stamp   uint64
-	trimmed bool
+	entries []uint64
 }
 
 // NewLedger returns an empty ledger.
-func NewLedger() *Ledger { return &Ledger{entries: make(map[ftl.LPN]ledgerEntry)} }
+func NewLedger() *Ledger { return &Ledger{} }
 
 // Record notes a durable write of lpn at the given stamp.
-func (l *Ledger) Record(lpn ftl.LPN, stamp uint64) { l.note(lpn, ledgerEntry{stamp: stamp}) }
+func (l *Ledger) Record(lpn ftl.LPN, stamp uint64) { l.note(lpn, stamp<<1) }
 
 // RecordTrim notes a durable trim of lpn, which took the given stamp:
 // the device owes lpn unmapped, or mapped at a newer stamp.
-func (l *Ledger) RecordTrim(lpn ftl.LPN, stamp uint64) {
-	l.note(lpn, ledgerEntry{stamp: stamp, trimmed: true})
-}
+func (l *Ledger) RecordTrim(lpn ftl.LPN, stamp uint64) { l.note(lpn, stamp<<1|1) }
 
 // note keeps the newer fact: a trim turns durable a journal flush after
 // it took its stamp, by when a newer write of the page may be recorded.
-func (l *Ledger) note(lpn ftl.LPN, e ledgerEntry) {
-	if old, ok := l.entries[lpn]; !ok || old.stamp <= e.stamp {
+func (l *Ledger) note(lpn ftl.LPN, e uint64) {
+	if n := int(lpn) + 1 - len(l.entries); n > 0 {
+		l.entries = append(l.entries, make([]uint64, n)...)
+	}
+	if old := l.entries[lpn]; old>>1 <= e>>1 {
 		l.entries[lpn] = e
 	}
 }
@@ -48,8 +47,8 @@ func (l *Ledger) note(lpn ftl.LPN, e ledgerEntry) {
 // mount from the media alone owes none of them.
 func (l *Ledger) ForgetTrims() {
 	for lpn, e := range l.entries {
-		if e.trimmed {
-			delete(l.entries, lpn)
+		if e&1 != 0 {
+			l.entries[lpn] = 0
 		}
 	}
 }
@@ -58,7 +57,7 @@ func (l *Ledger) ForgetTrims() {
 func (l *Ledger) Writes() int {
 	n := 0
 	for _, e := range l.entries {
-		if !e.trimmed {
+		if e != 0 && e&1 == 0 {
 			n++
 		}
 	}
@@ -111,26 +110,24 @@ func Verify(ctrl *ftl.Controller, led *Ledger) error {
 		}
 	}
 	if led != nil {
-		lpns := make([]int64, 0, len(led.entries))
-		for lpn := range led.entries {
-			lpns = append(lpns, int64(lpn))
-		}
-		sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
-		for _, l := range lpns {
-			lpn := ftl.LPN(l)
-			e, mapped, got := led.entries[lpn], mapper.Lookup(lpn) != ssd.UnmappedPPN, ctrl.StampOf(lpn)
+		for i, e := range led.entries {
+			if e == 0 {
+				continue
+			}
+			lpn, stamp, trimmed := ftl.LPN(i), e>>1, e&1 != 0
+			mapped, got := mapper.Lookup(lpn) != ssd.UnmappedPPN, ctrl.StampOf(lpn)
 			// A trim the host issued after the write may have taken effect
 			// before it was durable (a torn journal tail keeps whole
 			// records): an unmapped page whose tombstone is newer is not lost.
 			switch {
-			case e.trimmed && mapped && got <= e.stamp:
-				return fmt.Errorf("recovery: durable trim lost: LPN %d (trimmed at stamp %d) is mapped at stamp %d", lpn, e.stamp, got)
-			case e.trimmed:
-			case !mapped && got <= e.stamp:
-				return fmt.Errorf("recovery: acked write lost: LPN %d (stamp %d) is unmapped", lpn, e.stamp)
-			case got < e.stamp:
+			case trimmed && mapped && got <= stamp:
+				return fmt.Errorf("recovery: durable trim lost: LPN %d (trimmed at stamp %d) is mapped at stamp %d", lpn, stamp, got)
+			case trimmed:
+			case !mapped && got <= stamp:
+				return fmt.Errorf("recovery: acked write lost: LPN %d (stamp %d) is unmapped", lpn, stamp)
+			case got < stamp:
 				return fmt.Errorf("recovery: acked write lost: LPN %d recovered at stamp %d, acked stamp %d",
-					lpn, got, e.stamp)
+					lpn, got, stamp)
 			}
 		}
 	}

@@ -48,13 +48,15 @@ type Event struct {
 
 // EventLog collects events into a bounded in-memory ring (oldest
 // dropped; Total counts them all) and optionally streams each one as a JSONL
-// line to a writer. Emission sites run on the core/sim goroutine;
-// readers (admin goroutines, scrapes, tests) take snapshots — the
-// mutex makes that safe.
+// line to a writer. The ring grows by append up to its cap, so a run that
+// emits a handful of events holds a handful. Emission sites run on the
+// core/sim goroutine; readers (admin goroutines, scrapes, tests) take
+// snapshots — the mutex makes that safe.
 type EventLog struct {
 	mu      sync.Mutex
 	w       *bufio.Writer
 	buf     []Event
+	limit   int // ring capacity: buf grows up to it
 	start   int // ring head
 	n       int // ring occupancy
 	total   int64
@@ -74,7 +76,7 @@ func NewEventLog(w io.Writer, capEvents int) *EventLog {
 		capEvents = DefaultEventCap
 	}
 	l := &EventLog{
-		buf:     make([]Event, 0, capEvents),
+		limit:   capEvents,
 		nowWall: func() int64 { return time.Now().UnixNano() },
 	}
 	if w != nil {
@@ -95,12 +97,12 @@ func (l *EventLog) Emit(ev Event) {
 		ev.WallNs = l.nowWall()
 	}
 	l.total++
-	if l.n < cap(l.buf) {
+	if l.n < l.limit {
 		l.buf = append(l.buf, ev)
 		l.n++
 	} else {
 		l.buf[l.start] = ev
-		l.start = (l.start + 1) % cap(l.buf)
+		l.start = (l.start + 1) % l.limit
 	}
 	if l.w != nil && l.werr == nil {
 		b, err := json.Marshal(ev)
@@ -122,7 +124,7 @@ func (l *EventLog) Events() []Event {
 	defer l.mu.Unlock()
 	out := make([]Event, 0, l.n)
 	for i := 0; i < l.n; i++ {
-		out = append(out, l.buf[(l.start+i)%cap(l.buf)])
+		out = append(out, l.buf[(l.start+i)%l.limit])
 	}
 	return out
 }

@@ -65,6 +65,34 @@ func TestEventLogRingDropsOldest(t *testing.T) {
 	}
 }
 
+// The ring is not allocated up front: it grows by append up to its cap,
+// and wraps at the cap, not at whatever capacity append gave the buffer
+// (5 events grow it to 6 or 8).
+func TestEventLogGrowsOnDemand(t *testing.T) {
+	l := NewEventLog(nil, 0)
+	for i := 0; i < 3; i++ {
+		l.Emit(Event{SimNs: int64(i), Type: "e"})
+	}
+	if c := cap(l.buf); c >= DefaultEventCap/2 {
+		t.Errorf("log of 3 events holds a buffer of %d", c)
+	}
+	for _, limit := range []int{4, 5} {
+		l := NewEventLog(nil, limit)
+		for i := 0; i < 10; i++ {
+			l.Emit(Event{SimNs: int64(i), Type: "e"})
+		}
+		evs := l.Events()
+		if len(evs) != limit {
+			t.Fatalf("cap %d: retained %d", limit, len(evs))
+		}
+		for i, ev := range evs {
+			if want := int64(10 - limit + i); ev.SimNs != want {
+				t.Errorf("cap %d: evs[%d].SimNs = %d, want %d", limit, i, ev.SimNs, want)
+			}
+		}
+	}
+}
+
 func TestEventLogNilSafe(t *testing.T) {
 	var l *EventLog
 	l.Emit(Event{Type: "x"}) // must not panic
