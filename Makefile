@@ -31,10 +31,11 @@ race:
 # the telemetry registry/tracer, the network block service (the live
 # chaos soak, TestChaosSoak: six TCP clients against the single-threaded
 # core through faults, two power cuts and a die kill, in two 5 s legs),
-# and the read-retry pipeline layers (nand ladder/latency model, core retry
-# table and its checkpoint serialization).
+# the read-retry pipeline layers (nand ladder/latency model, core retry
+# table and its checkpoint serialization), and the block trace parser
+# (its workers and the in-order merge, at GOMAXPROCS 1, 2 and 8).
 race-core:
-	$(GO) test -race ./internal/sim ./internal/ftl ./internal/host ./internal/recovery ./internal/telemetry ./internal/server ./internal/fleet ./internal/cache ./internal/nand ./internal/core ./internal/lifetime
+	$(GO) test -race ./internal/sim ./internal/ftl ./internal/host ./internal/recovery ./internal/telemetry ./internal/server ./internal/fleet ./internal/cache ./internal/nand ./internal/core ./internal/lifetime ./internal/workload
 
 # Ten seconds of native fuzzing per target: ecc.Decode against its
 # per-codeword reference on any bit pattern as a BER; the connection
@@ -212,7 +213,9 @@ one-ledger:
 # The report on stdout is byte-stable for a fixed seed, however the
 # shard goroutines are scheduled: the target runs it on one processor
 # and on all of them and fails unless the two reports are identical —
-# the quickest fleet-determinism check outside the test suite.
+# the quickest fleet-determinism check outside the test suite. The
+# fixture is two trace blocks, so the second run also parses it on
+# several goroutines and merges the blocks.
 FLEET_SMOKE = -trace internal/workload/testdata/msr_sample.csv \
 	-shards 8 -tenants 1024 -blocks 8 -channels 1 -dies 2 \
 	-cache-pages 1024 -cache-policy 2q -cache-mode back -compress 20

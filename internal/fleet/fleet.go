@@ -357,10 +357,18 @@ func assignRequests(cfg Config, trace *workload.TimedTrace, place Placement, spe
 
 	// Tenant slots are allocated per shard in first-appearance order of
 	// the global tenant id, so a shard's tenant count is known before
-	// its device is built.
-	slot := make(map[int]int32, cfg.Tenants)
+	// its device is built. A first pass hashes each record to its
+	// tenant, kept as the tenant's ordinal in that order, and counts
+	// each shard's records; the second carves every shard's refs out of
+	// one array sized once.
+	m := min(n, total)
+	type tenantHome struct{ shard, slot int32 }
+	var homes []tenantHome
+	ordinal := make(map[int]int32, cfg.Tenants)
+	ords := make([]int32, m)
+	counts := make([]int, len(specs))
 	prev := sim.Time(0)
-	for i := range trace.Reqs[:min(n, total)] {
+	for i := range trace.Reqs[:m] {
 		r := &trace.Reqs[i]
 		if r.AtNs < prev {
 			return fmt.Errorf("fleet: trace record %d arrives at %d ns, before its predecessor at %d ns: %w",
@@ -372,14 +380,25 @@ func assignRequests(cfg Config, trace *workload.TimedTrace, place Placement, spe
 				i, r.Source, len(prefix), workload.ErrTraceRecord)
 		}
 		tenant := tenantOf(cfg, prefix[r.Source], r.LPN)
-		sp := specs[place.Shard(tenant)]
-		sl, ok := slot[tenant]
+		o, ok := ordinal[tenant]
 		if !ok {
-			sl = int32(sp.tenants)
-			sp.tenants++
-			slot[tenant] = sl
+			o = int32(len(homes))
+			ordinal[tenant] = o
+			sh := place.Shard(tenant)
+			homes = append(homes, tenantHome{shard: int32(sh), slot: int32(specs[sh].tenants)})
+			specs[sh].tenants++
 		}
-		sp.refs = append(sp.refs, traceRef{rec: int32(i), slot: sl})
+		ords[i] = o
+		counts[homes[o].shard]++
+	}
+	refs := make([]traceRef, m)
+	for i, sp := range specs {
+		sp.refs, refs = refs[:0:counts[i]], refs[counts[i]:]
+	}
+	for i, o := range ords {
+		h := homes[o]
+		sp := specs[h.shard]
+		sp.refs = append(sp.refs, traceRef{rec: int32(i), slot: h.slot})
 		if i < rem {
 			sp.n++ // the partial last pass reaches this record
 		}

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -16,8 +18,13 @@ import (
 // (every record with its source's host and disk, Skipped, Clamped,
 // streams, MaxLPN and SpanNs). And the trace must be one the replayers
 // can take: arrivals that start at 0 and never go back, every extent at
-// least one page long at a non-negative LPN.
+// least one page long at a non-negative LPN. The parser runs twice on
+// each input, under GOMAXPROCS 4: at the default block size (one block
+// for any input under it) and at the smallest, every line a block of
+// its own; both runs must give the same result.
 func FuzzParseTimedTrace(f *testing.F) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+
 	// Seeds: single lines and short runs of the MSR fixture (its records
 	// are at most a few dozen bytes; a long seed spends the fuzzing time
 	// minimising), and FIU lines.
@@ -52,18 +59,20 @@ func FuzzParseTimedTrace(f *testing.F) {
 	f.Add([]byte("128166372003095799,web,2,Read,256278528,32768,10946,extra,,\n128166372003095800,,,read,0,1,,,,,,\n"))
 	f.Add([]byte("1e-3 1 p 0 1 R\n0x1p-2 1 p 0 1 R\n+.5 1 p 0 1 r\n5. 1 p 0 1 w\n0.12345678901234567890 1 p 0 1 W\ninf 1 p 0 1 R\n1_0 1 p 0 1 R\n"))
 
-	sentinels := []error{ErrTraceEmpty, ErrTraceRecord, ErrTraceOp, ErrTraceZeroExtent, ErrTraceOutOfOrder, ErrTraceExtent, ErrTraceFormat}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, format := range []string{FormatAuto, FormatMSR, FormatFIU} {
 			for _, tolerant := range []bool{false, true} {
 				opt := TraceOptions{Format: format, Tolerant: tolerant}
 				tr, err := ParseTimedTrace("fuzz", bytes.NewReader(data), opt)
+				lines, linesErr := parseInBlocks("fuzz", data, opt, 1)
 				// The reference stops at a line past the 1 MiB bound
 				// instead of skipping it; shorter input holds none.
 				if len(data) < maxTraceLine {
 					ref, refErr := refParseTimedTrace("fuzz", bytes.NewReader(data), opt)
-					sameParse(t, opt, sentinels, tr, err, ref, refErr)
+					sameParse(t, opt, tr, err, ref, refErr)
+					sameParse(t, opt, lines, linesErr, ref, refErr)
 				}
+				sameTrace(t, fmt.Sprintf("%+v, a block a line", opt), lines, linesErr, tr, err)
 				if err == nil {
 					replayable(t, opt, tr)
 				}
@@ -72,15 +81,18 @@ func FuzzParseTimedTrace(f *testing.F) {
 	})
 }
 
+// traceSentinels are the errors a trace parse wraps.
+var traceSentinels = []error{ErrTraceEmpty, ErrTraceRecord, ErrTraceOp, ErrTraceZeroExtent, ErrTraceOutOfOrder, ErrTraceExtent, ErrTraceFormat}
+
 // sameParse fails t unless the byte scanner's result (tr, err) is the
 // reference parser's (ref, refErr).
-func sameParse(t *testing.T, opt TraceOptions, sentinels []error, tr *TimedTrace, err error, ref *refTrace, refErr error) {
+func sameParse(t *testing.T, opt TraceOptions, tr *TimedTrace, err error, ref *refTrace, refErr error) {
 	t.Helper()
 	if (err == nil) != (refErr == nil) {
 		t.Fatalf("%+v: error %v, reference %v", opt, err, refErr)
 	}
 	if err != nil {
-		for _, s := range sentinels {
+		for _, s := range traceSentinels {
 			if errors.Is(err, s) != errors.Is(refErr, s) {
 				t.Fatalf("%+v: error %v, reference %v", opt, err, refErr)
 			}
