@@ -181,9 +181,6 @@ func (c Config) withDefaults() Config {
 // own goroutine and engine.
 func Run(cfg Config, trace *workload.TimedTrace) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if trace == nil || trace.Len() == 0 {
-		return nil, ErrNoTrace
-	}
 	if cfg.Tenants < cfg.Shards {
 		return nil, fmt.Errorf("%w: %d tenants cannot cover %d shards", ErrBadConfig, cfg.Tenants, cfg.Shards)
 	}
@@ -230,6 +227,9 @@ func Run(cfg Config, trace *workload.TimedTrace) (*Result, error) {
 // planShards fixes, before any goroutine starts, each shard's device
 // personality and which of the trace's records it replays.
 func planShards(cfg Config, trace *workload.TimedTrace) ([]*shardSpec, Placement, error) {
+	if trace == nil || trace.Len() == 0 {
+		return nil, nil, ErrNoTrace
+	}
 	specs := buildShardSpecs(cfg, rng.New(cfg.Seed))
 	weights := make([]int64, cfg.Shards)
 	for i, sp := range specs {

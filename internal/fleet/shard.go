@@ -78,8 +78,8 @@ func (r *shardRunner) getMiss() *missRec {
 	return m
 }
 
-// runShard builds one complete device stack and replays the shard's
-// requests to completion.
+// runShard builds one shard's device stack, prefills it and replays
+// the shard's requests on it.
 func runShard(cfg Config, spec *shardSpec) (ShardResult, error) {
 	stk, err := stack.Build(stack.Spec{
 		FTL: cfg.Policy, Channels: cfg.Channels, DiesPerChannel: cfg.DiesPerChannel,
@@ -91,8 +91,34 @@ func runShard(cfg Config, spec *shardSpec) (ShardResult, error) {
 		// no retry mode: the FTL name is all Build can still reject.
 		return ShardResult{}, fmt.Errorf("%w: %v", ErrBadPolicy, err)
 	}
-	eng, ctrl := stk.Eng, stk.Ctrl
+	if n := cfg.PrefillPages; n > 0 {
+		workload.Prefill(stk.Ctrl, min(n, int64(stk.Ctrl.LogicalPages())))
+		stk.Ctrl.ResetStats()
+	}
+	return replayShard(cfg, spec, stk.Ctrl)
+}
 
+// Replay replays trace open-loop on ctrl, the way a shard replays its
+// requests: every record arrives at its time, whether or not the
+// device has caught up. It is one shard with one tenant behind one
+// host queue whose depth caps the outstanding requests (0 = the
+// fleet's default, 32) — arrivals past the cap wait in the queue's
+// backlog — and no cache. trace must fit ctrl's logical space
+// (TimedTrace.Remap): with one tenant, a shard's fold leaves such an
+// address as it is.
+func Replay(ctrl *ftl.Controller, trace *workload.TimedTrace, queueDepth int) (ShardResult, error) {
+	cfg := Config{Shards: 1, Tenants: 1, QueuesPerShard: 1, QueueDepth: queueDepth}.withDefaults()
+	specs, _, err := planShards(cfg, trace)
+	if err != nil {
+		return ShardResult{}, err
+	}
+	return replayShard(cfg, specs[0], ctrl)
+}
+
+// replayShard replays the shard's requests on ctrl, behind the shard's
+// host queues and cache, to completion.
+func replayShard(cfg Config, spec *shardSpec, ctrl *ftl.Controller) (ShardResult, error) {
+	eng := ctrl.Engine()
 	queues := make([]host.QueueConfig, cfg.QueuesPerShard)
 	for q := range queues {
 		queues[q] = host.QueueConfig{
@@ -110,14 +136,6 @@ func runShard(cfg Config, spec *shardSpec) (ShardResult, error) {
 	}
 
 	logical := int64(ctrl.LogicalPages())
-	if n := cfg.PrefillPages; n > 0 {
-		if n > logical {
-			n = logical
-		}
-		workload.Prefill(ctrl, n)
-		ctrl.ResetStats()
-	}
-
 	r := &shardRunner{
 		cfg:      cfg,
 		spec:     spec,
