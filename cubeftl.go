@@ -29,6 +29,7 @@ import (
 	"cubeftl/internal/core"
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
+	"cubeftl/internal/metrics"
 	"cubeftl/internal/nand"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
@@ -274,23 +275,26 @@ func (s *SSD) run(gen workload.Generator, cfg workload.RunConfig) (RunStats, err
 	if err := s.st.Up(); err != nil {
 		return RunStats{}, err
 	}
-	return s.runStats(workload.Run(s.ctrl, gen, cfg)), nil
+	res := workload.Run(s.ctrl, gen, cfg)
+	return s.runStats(res.Completed, res.ElapsedNs, res.ReadLat, res.WriteLat, res.TraceHash), nil
 }
 
 // runStats assembles a run's RunStats from what the host side measured
-// and the controller's counters for the same window.
-func (s *SSD) runStats(res workload.Result) RunStats {
+// — requests completed over elapsed simulated time, the read and write
+// latency distributions, the grant-sequence hash — and the controller's
+// counters for the same window.
+func (s *SSD) runStats(requests int64, elapsed sim.Time, read, write *metrics.Hist, traceHash uint64) RunStats {
 	st := s.ctrl.Stats()
 	return RunStats{
-		Requests:       res.Completed,
-		Elapsed:        time.Duration(res.ElapsedNs),
-		IOPS:           res.IOPS(),
-		ReadP50:        time.Duration(res.ReadLat.Percentile(50)),
-		ReadP90:        time.Duration(res.ReadLat.Percentile(90)),
-		ReadP99:        time.Duration(res.ReadLat.Percentile(99)),
-		WriteP50:       time.Duration(res.WriteLat.Percentile(50)),
-		WriteP90:       time.Duration(res.WriteLat.Percentile(90)),
-		WriteP99:       time.Duration(res.WriteLat.Percentile(99)),
+		Requests:       requests,
+		Elapsed:        time.Duration(elapsed),
+		IOPS:           metrics.IOPS(requests, elapsed),
+		ReadP50:        time.Duration(read.Percentile(50)),
+		ReadP90:        time.Duration(read.Percentile(90)),
+		ReadP99:        time.Duration(read.Percentile(99)),
+		WriteP50:       time.Duration(write.Percentile(50)),
+		WriteP90:       time.Duration(write.Percentile(90)),
+		WriteP99:       time.Duration(write.Percentile(99)),
 		MeanTPROG:      time.Duration(st.MeanTPROGNs()),
 		ReadRetries:    st.ReadRetries,
 		GCRuns:         st.GCCount,
@@ -306,7 +310,7 @@ func (s *SSD) runStats(res workload.Result) RunStats {
 		WriteRejects:    st.WriteRejects,
 		DegradedDies:    st.DegradedDies,
 		FencedPrograms:  st.FencedPrograms,
-		TraceHash:       res.TraceHash,
+		TraceHash:       traceHash,
 	}
 }
 

@@ -44,8 +44,10 @@ type TraceReplayOptions struct {
 	Tolerant bool
 	// MaxRequests bounds ingestion (0 = whole trace).
 	MaxRequests int
-	// QueueDepth is the closed-loop window for single-device replay
-	// (default 32; fleet replay is open-loop and ignores it).
+	// QueueDepth caps the requests outstanding at the device in a
+	// single-device replay (default 32); records that arrive past the
+	// cap wait in a backlog, and the trace's clock keeps running. Fleet
+	// replay sizes its queues with FleetOptions.QueueDepth instead.
 	QueueDepth int
 }
 
@@ -59,9 +61,12 @@ func (o TraceReplayOptions) parse(name string, r io.Reader) (*workload.TimedTrac
 }
 
 // ReplayTrace parses an MSR-Cambridge or FIU block trace from r and
-// replays it closed-loop against this SSD, folding the trace's address
-// space onto the device's logical pages and carrying inter-arrival
-// gaps as think time. Returns the same RunStats as RunWorkload.
+// replays it open-loop against this SSD, the way a fleet shard replays
+// its share: the trace's address space folds onto the device's logical
+// pages, and every record arrives at its (compressed) time whether or
+// not the device has caught up, through one host queue of
+// opt.QueueDepth. Latency counts from admission to that queue. Returns
+// the same RunStats as RunWorkload.
 func (s *SSD) ReplayTrace(name string, r io.Reader, opt TraceReplayOptions) (RunStats, error) {
 	tr, err := opt.parse(name, r)
 	if err != nil {
@@ -70,11 +75,14 @@ func (s *SSD) ReplayTrace(name string, r io.Reader, opt TraceReplayOptions) (Run
 	if err := tr.Remap(int64(s.ctrl.LogicalPages()), opt.Tolerant); err != nil {
 		return RunStats{}, err
 	}
-	depth := opt.QueueDepth
-	if depth <= 0 {
-		depth = 32
+	if err := s.st.Up(); err != nil {
+		return RunStats{}, err
 	}
-	return s.run(tr.ToTrace(true), workload.RunConfig{Requests: tr.Len(), QueueDepth: depth})
+	res, err := fleet.Replay(s.ctrl, tr, opt.QueueDepth)
+	if err != nil {
+		return RunStats{}, err
+	}
+	return s.runStats(res.Requests, res.ElapsedNs, res.ReadLat, res.WriteLat, res.TraceHash), nil
 }
 
 // Placement policy names accepted by FleetOptions.Placement.

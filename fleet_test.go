@@ -2,9 +2,13 @@ package cubeftl
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+	"time"
+
+	"cubeftl/internal/workload"
 )
 
 const msrFixture = "internal/workload/testdata/msr_sample.csv"
@@ -48,6 +52,66 @@ func TestReplayTraceBadInput(t *testing.T) {
 	_, err = dev.ReplayTrace("garbage", strings.NewReader("not,a,real\ntrace,at,all\n"), TraceReplayOptions{})
 	if err == nil {
 		t.Error("garbage trace accepted")
+	}
+	// An extent longer than the device: an error when strict, dropped
+	// (leaving nothing to replay) when tolerant.
+	huge := "0,h,0,Write,0,1125899906842624,0\n" // 2^50 bytes
+	_, err = dev.ReplayTrace("huge", strings.NewReader(huge), TraceReplayOptions{})
+	if !errors.Is(err, workload.ErrTraceExtent) {
+		t.Errorf("oversized extent: got %v, want ErrTraceExtent", err)
+	}
+	_, err = dev.ReplayTrace("huge", strings.NewReader(huge), TraceReplayOptions{Tolerant: true})
+	if !errors.Is(err, ErrTraceEmpty) {
+		t.Errorf("oversized extent, tolerant: got %v, want ErrTraceEmpty", err)
+	}
+}
+
+// msrRecords is an MSR trace of one single-page write per tick count.
+func msrRecords(ticks ...int64) string {
+	var b strings.Builder
+	for i, at := range ticks {
+		fmt.Fprintf(&b, "%d,h,0,Write,%d,16384,0\n", at, i*16384)
+	}
+	return b.String()
+}
+
+// TestReplayTraceKeepsArrivalGaps replays two records a second apart,
+// compressed tenfold: the replay is open-loop, so the second write
+// arrives 100 ms after the first however fast the device is, and the
+// run spans the gap.
+func TestReplayTraceKeepsArrivalGaps(t *testing.T) {
+	dev, err := New(smallOptions(FTLCube))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gap = 100 * time.Millisecond // 10^7 ticks of 100 ns, over 10
+	st, err := dev.ReplayTrace("gap", strings.NewReader(msrRecords(0, 10_000_000)), TraceReplayOptions{TimeCompression: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Requests != 2 {
+		t.Fatalf("replayed %d of 2 records", st.Requests)
+	}
+	if st.Elapsed < gap || st.Elapsed > gap+10*time.Millisecond {
+		t.Errorf("elapsed %v, want the %v gap plus one write", st.Elapsed, gap)
+	}
+}
+
+// TestReplayTraceBacklog offers 64 writes at one instant to a queue of
+// depth 4: the records past the cap wait in the backlog, and every one
+// of them completes.
+func TestReplayTraceBacklog(t *testing.T) {
+	dev, err := New(smallOptions(FTLCube))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	st, err := dev.ReplayTrace("burst", strings.NewReader(msrRecords(make([]int64, n)...)), TraceReplayOptions{QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Requests != n {
+		t.Errorf("replayed %d of %d records", st.Requests, n)
 	}
 }
 
