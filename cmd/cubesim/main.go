@@ -65,8 +65,8 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.IntVar(&c.requests, "requests", 20000, "host requests to complete")
 	fs.IntVar(&c.qd, "qd", 24, "host queue depth")
 	fs.BoolVar(&c.prefill, "prefill", true, "prefill the workload footprint before measuring")
-	fs.StringVar(&c.tracePath, "trace", "", "replay a recorded trace file instead of a synthetic workload")
-	fs.StringVar(&c.record, "record", "", "record the workload to a trace file and exit")
+	fs.StringVar(&c.tracePath, "trace", "", "replay an MSR-Cambridge or FIU block trace open-loop instead of a synthetic workload (-requests caps the records read, -qd the requests outstanding)")
+	fs.StringVar(&c.record, "record", "", "record the workload to an MSR-Cambridge CSV trace file and exit")
 	fs.Func("tenant", "multi-tenant mode, one tenant stream per use: name[,workload=W][,weight=N][,depth=N][,prio=N][,rate=IOPS]; the workload defaults to the name and the depth to -qd, rate 0 = unlimited, higher prio = more urgent (e.g. 'hot,workload=YCSB-C,weight=8')",
 		func(spec string) error {
 			t, err := parseTenant(spec)
@@ -198,8 +198,9 @@ func record(dev *cubeftl.SSD, c *config) error {
 	return nil
 }
 
-// runSingle drives one stream — the named workload, or the -trace file —
-// and prints the run's measurements.
+// runSingle drives one stream — the named workload closed-loop, or the
+// -trace file open-loop, at most -requests of its records — and prints
+// the run's measurements.
 func runSingle(dev *cubeftl.SSD, c *config) error {
 	label, runIt := c.wl, func() (cubeftl.RunStats, error) { return dev.RunWorkload(c.wl, c.requests, c.qd) }
 	if c.tracePath != "" {
@@ -208,7 +209,9 @@ func runSingle(dev *cubeftl.SSD, c *config) error {
 			return err
 		}
 		defer f.Close()
-		label, runIt = c.tracePath, func() (cubeftl.RunStats, error) { return dev.RunTrace(f, c.tracePath, c.requests, c.qd) }
+		label, runIt = c.tracePath, func() (cubeftl.RunStats, error) {
+			return dev.ReplayTrace(c.tracePath, f, cubeftl.TraceReplayOptions{MaxRequests: c.requests, QueueDepth: c.qd})
+		}
 	}
 	st, err := runIt()
 	if err != nil {

@@ -96,10 +96,11 @@ func ExampleSSD_RunTenants() {
 	// bulk throttled under the cap: true
 }
 
-// Record a workload's request stream as a plain-text trace, then replay
-// it against two FTLs: both devices see the identical requests, so
-// every difference is the FTL.
-func ExampleSSD_RunTrace() {
+// Record a workload's request stream as an MSR-Cambridge CSV trace,
+// then replay it open-loop against two FTLs: both devices see the
+// identical requests at the identical times, so every difference is
+// the FTL.
+func ExampleSSD_ReplayTrace() {
 	probe, err := cubeftl.New(cubeftl.Options{FTL: cubeftl.FTLPage, BlocksPerChip: 32, Seed: 9})
 	if err != nil {
 		log.Fatal(err)
@@ -108,7 +109,7 @@ func ExampleSSD_RunTrace() {
 	if err := cubeftl.RecordTrace(&trace, "Mongo", probe.LogicalPages(), 4000, 9); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("recorded %d bytes of \"<r|w> <lpn> <pages> [think_ns]\"\n", trace.Len())
+	fmt.Printf("recorded %d bytes of MSR CSV\n", trace.Len())
 	for _, f := range []string{cubeftl.FTLPage, cubeftl.FTLCube} {
 		dev, err := cubeftl.New(cubeftl.Options{FTL: f, BlocksPerChip: 32, Seed: 9})
 		if err != nil {
@@ -116,7 +117,7 @@ func ExampleSSD_RunTrace() {
 		}
 		dev.Prefill(int64(dev.LogicalPages()) * 6 / 10)
 		dev.ResetStats()
-		st, err := dev.RunTrace(bytes.NewReader(trace.Bytes()), "mongo-capture", 4000, 24)
+		st, err := dev.ReplayTrace("mongo-capture", bytes.NewReader(trace.Bytes()), cubeftl.TraceReplayOptions{QueueDepth: 24})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -124,9 +125,9 @@ func ExampleSSD_RunTrace() {
 			dev.FTLName(), st.IOPS, st.WriteP90, st.MeanTPROG)
 	}
 	// Output:
-	// recorded 39938 bytes of "<r|w> <lpn> <pages> [think_ns]"
-	// pageFTL   55832 IOPS, write p90 524.288µs, mean tPROG 704.93µs
-	// cubeFTL   67306 IOPS, write p90 245.76µs, mean tPROG 550.185µs
+	// recorded 152730 bytes of MSR CSV
+	// pageFTL   52007 IOPS, write p90 753.664µs, mean tPROG 704.898µs
+	// cubeFTL   61740 IOPS, write p90 540.672µs, mean tPROG 550.213µs
 }
 
 // Run a Mixed workload with the observability layer on: per-IO spans

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -139,32 +138,4 @@ func replayable(t *testing.T, opt TraceOptions, tr *TimedTrace) {
 			t.Fatalf("%+v: record %d has extent lpn=%d pages=%d", opt, i, r.LPN, r.Pages)
 		}
 	}
-}
-
-// FuzzParseTrace feeds any bytes to the text trace parser. It must
-// return an error or a non-empty trace whose every request has LPN >= 0,
-// Pages >= 1, ThinkNs >= 0 and an end LPN+Pages that neither overflows
-// nor passes MaxLPN.
-func FuzzParseTrace(f *testing.F) {
-	f.Add([]byte("# c\nr 10 2\nW 100 4 5000\n"))
-	f.Add([]byte("w 4611686018427387904 4611686018427387904\n"))
-	f.Add([]byte("r 9223372036854775807 1\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ParseTrace("fuzz", bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if tr.Len() == 0 {
-			t.Fatal("empty trace accepted")
-		}
-		max := tr.MaxLPN()
-		for i, r := range tr.reqs {
-			if r.LPN < 0 || r.Pages < 1 || r.ThinkNs < 0 {
-				t.Fatalf("request %d: %+v", i, r)
-			}
-			if int64(r.Pages) > math.MaxInt64-r.LPN || r.LPN+int64(r.Pages) > max {
-				t.Fatalf("request %d: lpn %d + %d pages passes MaxLPN %d", i, r.LPN, r.Pages, max)
-			}
-		}
-	})
 }

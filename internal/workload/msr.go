@@ -29,6 +29,7 @@ package workload
 // sectors, and Op is "R"/"W".
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -1017,20 +1018,23 @@ func (t *TimedTrace) Remap(logicalPages int64, tolerant bool) error {
 	return nil
 }
 
-// ToTrace converts the timed trace into a closed-loop Generator (the
-// simple replayable Trace), optionally carrying inter-arrival gaps as
-// think times so the replay approximates the source arrival process.
-// This is the single-device replay path; the fleet replays TimedTrace
-// directly in open loop.
-func (t *TimedTrace) ToTrace(withThink bool) *Trace {
-	reqs := make([]Request, len(t.Reqs))
-	var prev sim.Time
-	for i, r := range t.Reqs {
-		reqs[i] = Request{Op: r.Op, LPN: r.LPN, Pages: r.Pages}
-		if withThink && i > 0 && r.AtNs > prev {
-			reqs[i-1].ThinkNs = r.AtNs - prev
+// WriteMSR records the next n requests of gen to w as MSR-Cambridge
+// CSV, the grammar ParseTimedTrace reads back: host gen.Name(), disk 0,
+// extents in whole pages, and a timestamp that advances only at a burst
+// pause — the running sum of the ThinkNs of the requests before, in
+// FILETIME ticks from 0.
+func WriteMSR(w io.Writer, gen Generator, n int) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# cubeftl trace: %s, %d requests\n", gen.Name(), n)
+	var at sim.Time
+	for range n {
+		r := gen.Next()
+		op := "Read"
+		if r.Op == Write {
+			op = "Write"
 		}
-		prev = r.AtNs
+		fmt.Fprintf(bw, "%d,%s,0,%s,%d,%d,0\n", at/100, gen.Name(), op, r.LPN*tracePageBytes, int64(r.Pages)*tracePageBytes)
+		at += r.ThinkNs
 	}
-	return &Trace{name: t.Name, reqs: reqs}
+	return bw.Flush()
 }

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"cubeftl/internal/sim"
 )
 
 const msrFixture = "testdata/msr_sample.csv"
@@ -225,27 +227,6 @@ func TestRemap(t *testing.T) {
 	}
 }
 
-func TestToTraceThinkTimes(t *testing.T) {
-	tr := parseFixture(t, TraceOptions{MaxRequests: 100})
-	g := tr.ToTrace(true)
-	if g.Len() != 100 {
-		t.Fatalf("generator len = %d, want 100", g.Len())
-	}
-	think := int64(0)
-	for i := 0; i < g.Len(); i++ {
-		think += g.Next().ThinkNs
-	}
-	if think == 0 {
-		t.Errorf("no think time carried over from arrivals")
-	}
-	// Replay wraps: a second pass produces the same stream.
-	first := g.Next()
-	g.pos = 0 // rewind
-	if again := g.Next(); again != first {
-		t.Errorf("rewound replay diverged: %+v vs %+v", again, first)
-	}
-}
-
 func TestParseMaxRequests(t *testing.T) {
 	tr := parseFixture(t, TraceOptions{MaxRequests: 7})
 	if tr.Len() != 7 {
@@ -387,5 +368,39 @@ func TestNumberParsersMatchStrconv(t *testing.T) {
 		if got, ok := atoi([]byte(s)); ok != wantOK || ok && got != want {
 			t.Errorf("atoi(%q) = %d, %v; strconv %d, %v", s, got, ok, want, wantOK)
 		}
+	}
+}
+
+// TestTraceRoundTrip records a bursty stream with WriteMSR and parses it
+// back: the same op / LPN / pages sequence, one origin, and arrivals
+// that move only at a burst pause, by exactly the pause.
+func TestTraceRoundTrip(t *testing.T) {
+	const n = 500 // Rocks pauses after every 160th request
+	var buf bytes.Buffer
+	if err := WriteMSR(&buf, NewStream(Rocks, 50000, 13), n); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ParseTimedTrace("rocks-replay", &buf, TraceOptions{Format: FormatMSR})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != n || tr.Streams() != 1 || tr.Sources[0].Host != "Rocks" {
+		t.Fatalf("parsed %v, sources %v", tr, tr.Sources)
+	}
+	gen := NewStream(Rocks, 50000, 13)
+	var at sim.Time
+	pauses := 0
+	for i, got := range tr.Reqs {
+		want := gen.Next()
+		if got.Op != want.Op || got.LPN != want.LPN || got.Pages != want.Pages || got.AtNs != at {
+			t.Fatalf("record %d: got %+v, want %+v arriving at %d ns", i, got, want, at)
+		}
+		if want.ThinkNs > 0 {
+			pauses++
+		}
+		at += want.ThinkNs
+	}
+	if pauses != n/Rocks.BurstLen {
+		t.Errorf("%d burst pauses in %d requests, want %d", pauses, n, n/Rocks.BurstLen)
 	}
 }

@@ -2,7 +2,6 @@ package cubeftl
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 )
@@ -143,7 +142,6 @@ func TestPowerCutRefusesHostIO(t *testing.T) {
 		"RunWorkload":      second(s.RunWorkload("Mixed", 100, 8)),
 		"RunWorkloadUntil": second(s.RunWorkloadUntil("Mixed", 100, 8, s.Now()+time.Millisecond)),
 		"RunTenants":       second(s.RunTenants([]TenantConfig{{Workload: "Mixed", Requests: 100}}, ArbRR, 0)),
-		"RunTrace":         second(s.RunTrace(strings.NewReader("w 5000 1\n"), "t", 1, 1)),
 		"ReplayTrace":      second(s.ReplayTrace("msr", openFixture(t), TraceReplayOptions{})),
 	} {
 		if !errors.Is(err, ErrPowerLost) {

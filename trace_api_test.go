@@ -4,25 +4,48 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"cubeftl/internal/workload"
 )
 
+// TestRecordAndReplayTrace records a workload, reads the recording back
+// as MSR CSV — the generator's exact requests, arriving together within
+// a burst and one pause apart across bursts — and replays all of it.
 func TestRecordAndReplayTrace(t *testing.T) {
+	const n = 300 // Rocks pauses after every 160th request
 	var buf bytes.Buffer
-	if err := RecordTrace(&buf, "Rocks", 50000, 300, 7); err != nil {
+	if err := RecordTrace(&buf, "Rocks", 50000, n, 7); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() == 0 {
-		t.Fatal("empty trace")
+	tr, err := workload.ParseTimedTrace("rocks", bytes.NewReader(buf.Bytes()), workload.TraceOptions{Format: TraceFormatMSR})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if tr.Len() != n {
+		t.Fatalf("parsed %d of %d recorded requests", tr.Len(), n)
+	}
+	gen := workload.NewStream(workload.Rocks, 50000, 7)
+	var at int64
+	for i, got := range tr.Reqs {
+		want := gen.Next()
+		if got.Op != want.Op || got.LPN != want.LPN || got.Pages != want.Pages || got.AtNs != at {
+			t.Fatalf("record %d: got %+v, want %+v arriving at %d ns", i, got, want, at)
+		}
+		at += want.ThinkNs
+	}
+	if at == 0 {
+		t.Fatal("no burst pause recorded")
+	}
+
 	dev, err := New(smallOptions(FTLCube))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := dev.RunTrace(bytes.NewReader(buf.Bytes()), "rocks", 300, 8)
+	st, err := dev.ReplayTrace("rocks", bytes.NewReader(buf.Bytes()), TraceReplayOptions{QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests != 300 || st.IOPS <= 0 {
+	if st.Requests != n || st.IOPS <= 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -30,25 +53,6 @@ func TestRecordAndReplayTrace(t *testing.T) {
 func TestRecordTraceUnknownWorkload(t *testing.T) {
 	if err := RecordTrace(&bytes.Buffer{}, "nope", 100, 10, 1); err == nil {
 		t.Fatal("unknown workload accepted")
-	}
-}
-
-func TestRunTraceValidation(t *testing.T) {
-	dev, _ := New(smallOptions(FTLPage))
-	// Malformed trace.
-	if _, err := dev.RunTrace(strings.NewReader("bogus line\n"), "t", 10, 2); err == nil {
-		t.Error("malformed trace accepted")
-	}
-	// Traces beyond the device's capacity, including extents whose end
-	// overflows int64.
-	for _, line := range []string{
-		"w 99999999999 1\n",
-		"w 4611686018427387904 4611686018427387904\n",
-		"r 9223372036854775807 1\n",
-	} {
-		if _, err := dev.RunTrace(strings.NewReader(line), "t", 10, 2); err == nil {
-			t.Errorf("oversized trace %q accepted", line)
-		}
 	}
 }
 
