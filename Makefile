@@ -2,9 +2,9 @@
 # long tests hide behind -short here; `make soak` runs them in full.
 GO ?= go
 
-.PHONY: tier1 build fmt vet test race race-core fuzz-smoke powercut-sweep bench bench-smoke bench-scale bench-telemetry one-stack one-relocator one-ledger one-index trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak figures demo clean
+.PHONY: tier1 build fmt vet test race race-core fuzz-smoke powercut-sweep bench bench-smoke bench-scale bench-telemetry one-stack one-relocator one-ledger one-index one-trace trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak figures demo clean
 
-tier1: build fmt vet one-stack one-relocator one-ledger one-index race race-core fuzz-smoke powercut-sweep fleet-smoke metrics-smoke lifetime-smoke bench-smoke
+tier1: build fmt vet one-stack one-relocator one-ledger one-index one-trace race race-core fuzz-smoke powercut-sweep fleet-smoke metrics-smoke lifetime-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -53,9 +53,7 @@ race-core:
 # against the string parser it replaced (the same error — sentinel,
 # format, line — or the same records, sources and counts; and a trace
 # whose arrivals start at 0 and never go back, with every extent at
-# least one page at a non-negative LPN); the text trace
-# parser on any bytes (an error, or requests of at least one page at a
-# non-negative LPN whose end neither overflows nor passes MaxLPN);
+# least one page at a non-negative LPN);
 # cubesim's -age decoder (an error naming -age, or a positive age of at
 # most 100 years); and host.ParseQueue, the -tenant decoder both cubesim
 # and cubeserved use, with each binary's extra field (an error, or a
@@ -71,7 +69,6 @@ fuzz-smoke:
 	$(GO) test ./internal/ftl -run '^$$' -fuzz FuzzDecodeOOB -fuzztime 10s
 	$(GO) test ./internal/pool -run '^$$' -fuzz FuzzIndexMatchesMap -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParseTimedTrace -fuzztime 10s
-	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s
 	$(GO) test ./cmd/cubesim -run '^$$' -fuzz FuzzParseAge -fuzztime 10s
 	$(GO) test ./internal/host -run '^$$' -fuzz FuzzParseQueue -fuzztime 10s
 
@@ -182,6 +179,22 @@ one-index:
 		echo "one-index: per-page tables are pool.Index, in-flight ops a list through their records:"; echo "$$bad"; exit 1; \
 	fi
 	@echo "one-index: PASS"
+
+# One trace grammar, one replay path: a recorded trace is MSR / FIU
+# (workload.ParseTimedTrace), and every replay of one — a fleet shard's
+# or a single device's (SSD.ReplayTrace) — is internal/fleet's
+# open-loop replayer. Fails if a non-test .go file outside internal/sim
+# and internal/fleet feeds the engine an arrival stream (.Feed(), or if
+# one names the deleted text-trace path: ParseTrace, WriteTrace,
+# ToTrace or RunTrace.
+one-trace:
+	@bad=$$(grep -rn --include='*.go' --exclude='*_test.go' -F '.Feed(' . \
+			| grep -v -e '^\./internal/sim/' -e '^\./internal/fleet/'; \
+		grep -rnw --include='*.go' --exclude='*_test.go' -E 'ParseTrace|WriteTrace|ToTrace|RunTrace' .); \
+	if [ -n "$$bad" ]; then \
+		echo "one-trace: traces are MSR / FIU, replayed by internal/fleet's open-loop replayer only:"; echo "$$bad"; exit 1; \
+	fi
+	@echo "one-trace: PASS"
 
 # One ledger: a number is declared once, beside the field it is counted
 # in (a `metric:"name kind help"` tag, metrics.Walk), and every view

@@ -9,7 +9,7 @@
 //	cubefleet -trace internal/workload/testdata/msr_sample.csv
 //	cubefleet -trace t.csv -shards 8 -tenants 2048 -placement capacity \
 //	          -cache-pages 4096 -cache-policy 2q -cache-mode back -repeat 8
-//	cubefleet -trace t.csv -single          # one device, closed-loop replay
+//	cubefleet -trace t.csv -single          # one device, the same open-loop replay
 //
 // The fleet report on stdout is deterministic: a fixed -seed and trace
 // reproduce it byte for byte regardless of goroutine scheduling. Wall
@@ -53,7 +53,7 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.BoolVar(&c.trace.Tolerant, "tolerant", false, "skip malformed records instead of failing")
 	fs.IntVar(&c.trace.MaxRequests, "max-requests", 0, "cap ingested requests (0 = whole trace)")
 
-	fs.BoolVar(&c.single, "single", false, "replay on one device closed-loop instead of a fleet")
+	fs.BoolVar(&c.single, "single", false, "replay on one device instead of a fleet: the same open-loop replay through one queue of -qd and no cache")
 
 	c.dev = cubeftl.Options{FTL: cubeftl.FTLCube, BlocksPerChip: 16, Seed: 1}
 	c.dev.BindFlags(fs, "ftl", "blocks", "channels", "dies", "seed", "pe", "retention")
