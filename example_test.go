@@ -126,8 +126,8 @@ func ExampleSSD_ReplayTrace() {
 	}
 	// Output:
 	// recorded 152730 bytes of MSR CSV
-	// pageFTL   52007 IOPS, write p90 753.664µs, mean tPROG 704.898µs
-	// cubeFTL   61740 IOPS, write p90 540.672µs, mean tPROG 550.213µs
+	// pageFTL   56211 IOPS, write p90 753.664µs, mean tPROG 704.898µs
+	// cubeFTL   68109 IOPS, write p90 540.672µs, mean tPROG 550.213µs
 }
 
 // Run a Mixed workload with the observability layer on: per-IO spans

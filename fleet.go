@@ -66,7 +66,8 @@ func (o TraceReplayOptions) parse(name string, r io.Reader) (*workload.TimedTrac
 // pages, and every record arrives at its (compressed) time whether or
 // not the device has caught up, through one host queue of
 // opt.QueueDepth. Latency counts from admission to that queue. Returns
-// the same RunStats as RunWorkload.
+// the same RunStats as RunWorkload: Elapsed ends at the last request's
+// completion, not at the drain of the writes still buffered.
 func (s *SSD) ReplayTrace(name string, r io.Reader, opt TraceReplayOptions) (RunStats, error) {
 	tr, err := opt.parse(name, r)
 	if err != nil {
@@ -82,7 +83,7 @@ func (s *SSD) ReplayTrace(name string, r io.Reader, opt TraceReplayOptions) (Run
 	if err != nil {
 		return RunStats{}, err
 	}
-	return s.runStats(res.Requests, res.ElapsedNs, res.ReadLat, res.WriteLat, res.TraceHash), nil
+	return s.runStats(res.Requests, res.DoneNs, res.ReadLat, res.WriteLat, res.TraceHash), nil
 }
 
 // Placement policy names accepted by FleetOptions.Placement.

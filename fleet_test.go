@@ -97,6 +97,33 @@ func TestReplayTraceKeepsArrivalGaps(t *testing.T) {
 	}
 }
 
+// TestReplayTraceElapsedIsLastCompletion: a replay's Elapsed ends where
+// RunWorkload's does, at the last request's completion — read off the
+// traced spans — and not at the drain of the writes still buffered
+// behind it.
+func TestReplayTraceElapsedIsLastCompletion(t *testing.T) {
+	dev, err := New(smallOptions(FTLCube))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.EnableTelemetry(TelemetryConfig{Trace: true})
+	st, err := dev.ReplayTrace("burst", strings.NewReader(msrRecords(0, 0, 0, 5000, 5000, 90000)), TraceReplayOptions{QueueDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := dev.Telemetry().Tracer().Spans()
+	if int64(len(spans)) != st.Requests || st.Requests != 6 {
+		t.Fatalf("%d spans for %d requests, want 6", len(spans), st.Requests)
+	}
+	start, last := spans[0].SubmitNs, int64(0)
+	for _, sp := range spans {
+		start, last = min(start, sp.SubmitNs), max(last, sp.DoneNs)
+	}
+	if want := time.Duration(last - start); st.Elapsed != want {
+		t.Errorf("Elapsed %v, want the last completion at %v", st.Elapsed, want)
+	}
+}
+
 // TestReplayTraceBacklog offers 64 writes at one instant to a queue of
 // depth 4: the records past the cap wait in the backlog, and every one
 // of them completes.

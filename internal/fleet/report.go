@@ -37,6 +37,9 @@ type ShardResult struct {
 	Defers int64
 
 	ElapsedNs sim.Time // shard simulated time at quiesce
+	// DoneNs ends at the last request's completion; ElapsedNs runs on
+	// through the cache flush and the controller drain.
+	DoneNs sim.Time
 	// TraceHash fingerprints the shard's arbitration grant sequence.
 	TraceHash uint64
 	Grants    int64

@@ -41,6 +41,7 @@ type shardRunner struct {
 	total     int64
 	reads     int64
 	writes    int64
+	doneAt    sim.Time // the last request's completion
 
 	flushWrites     int64 // dirty cache pages written to the device
 	flushRejects    int64 // flush writes refused by a degraded device
@@ -180,6 +181,7 @@ func replayShard(cfg Config, spec *shardSpec, ctrl *ftl.Controller) (ShardResult
 		FlushRejects:  r.flushRejects,
 		Defers:        r.queueFullDefers,
 		ElapsedNs:     eng.Now() - replayStart,
+		DoneNs:        max(r.doneAt-replayStart, 0),
 		TraceHash:     h.TraceHash(),
 		Grants:        h.Grants(),
 		HostReads:     st.HostReads,
@@ -319,6 +321,7 @@ func (r *shardRunner) finish(op workload.Op) {
 		r.writes++
 	}
 	r.completed++
+	r.doneAt = r.eng.Now()
 }
 
 // deviceFlush writes one evicted/flushed dirty cache page straight to
