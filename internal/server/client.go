@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"time"
 )
 
@@ -40,6 +41,12 @@ const (
 	// callTimeout bounds one attempt's wait for a reply (wall clock). On
 	// expiry the connection is dropped and the attempt retried.
 	callTimeout = 5 * time.Second
+	// idleAfter is how long a connection goes without a call before the
+	// next call first reads what the server sent it meanwhile (drainIdle);
+	// drainWait bounds that read when nothing is pending. A client that
+	// calls back to back never pays it.
+	idleAfter = time.Millisecond
+	drainWait = 200 * time.Microsecond
 )
 
 func (c ClientConfig) withDefaults() ClientConfig {
@@ -82,6 +89,9 @@ type Client struct {
 
 	nc net.Conn
 	br *bufio.Reader
+	// lastReply is when the connection last answered a call: a call
+	// after idleAfter of silence drains it first.
+	lastReply time.Time
 	// Request and reply frame buffers, kept across calls.
 	wbuf, rbuf []byte
 
@@ -225,7 +235,13 @@ func (c *Client) Stat(lpn int64) (bool, error) {
 func (c *Client) call(op uint8, lpn int64, pages int) (Result, error) {
 	c.seq++
 	req := IORequest{Op: op, Seq: c.seq, AckFloor: c.floor, LPN: lpn, Pages: uint32(pages)}
-	deadline := time.Now().Add(c.cfg.RetryBudget)
+	now := time.Now()
+	deadline := now.Add(c.cfg.RetryBudget)
+	if c.nc != nil && now.Sub(c.lastReply) > idleAfter {
+		if err := c.drainIdle(); err != nil {
+			return Result{}, err
+		}
+	}
 	backoff := baseBackoff
 	var last error
 	for attempt := 0; ; attempt++ {
@@ -248,6 +264,7 @@ func (c *Client) call(op uint8, lpn int64, pages int) (Result, error) {
 			}
 		}
 		rep, err := c.attempt(req)
+		c.lastReply = time.Now()
 		if err != nil {
 			// Dead or wedged connection: the request may or may not have
 			// executed. Reconnect and re-issue the same seq; the server's
@@ -283,6 +300,39 @@ func (c *Client) call(op uint8, lpn int64, pages int) (Result, error) {
 		default:
 			c.floor = req.Seq
 			return Result{}, fmt.Errorf("server: %s seq %d: %v", opName(op), req.Seq, rep.Status)
+		}
+	}
+}
+
+// drainIdle reads what the server sent an idle connection before a
+// call writes to it: a server that shuts down or restarts says so
+// (GOINGDOWN) and closes the connection, and a write to the closed
+// socket draws a reset that discards the unread notice. A shutdown
+// notice ends the call with ErrServerClosed; a restart notice, a closed
+// or broken connection drops it, so that the call redials. Stale
+// replies are skipped.
+func (c *Client) drainIdle() error {
+	for {
+		c.nc.SetReadDeadline(time.Now().Add(drainWait))
+		if _, err := c.br.Peek(1); err != nil {
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				c.dropConn()
+			}
+			return nil // nothing pending
+		}
+		c.nc.SetReadDeadline(time.Now().Add(callTimeout))
+		typ, body, err := c.readFrame()
+		if err != nil {
+			c.dropConn()
+			return nil
+		}
+		if typ == MsgGoingDown {
+			reason, _ := ParseGoingDown(body)
+			c.dropConn()
+			if reason == DownShutdown {
+				return ErrServerClosed
+			}
+			return nil
 		}
 	}
 }

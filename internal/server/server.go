@@ -230,8 +230,15 @@ func (s *Server) flushConn(c *conn) {
 	}
 }
 
+// closeLinger bounds how long a closed connection's writer goes on
+// sending what was queued before it — a GOINGDOWN notice — to a client
+// that has stopped reading.
+const closeLinger = time.Second
+
 // closeConn tears a connection down, handing the writer whatever is
-// still staged (a GoingDown notice) if it has room. Core-only;
+// still staged (a GoingDown notice) if it has room. The writer sends
+// what it holds and then closes the socket: closing it here would race
+// the notice out of the socket before it was written. Core-only;
 // idempotent.
 func (s *Server) closeConn(c *conn) {
 	if c.closed {
@@ -250,7 +257,7 @@ func (s *Server) closeConn(c *conn) {
 		c.pend = nil
 	}
 	close(c.out)
-	c.nc.Close()
+	c.nc.SetWriteDeadline(time.Now().Add(closeLinger))
 }
 
 // ioReq is one read or write between handleIO and its completion: what
@@ -509,9 +516,9 @@ func (s *Server) enqueue(r request) {
 
 func (s *Server) writeLoop(c *conn) {
 	defer s.wg.Done()
+	defer c.nc.Close() // also ends readLoop
 	for batch := range c.out {
 		if _, err := c.nc.Write(batch); err != nil {
-			c.nc.Close()
 			// Keep draining so the core's sends never block.
 			for range c.out {
 			}

@@ -312,6 +312,9 @@ func TestTerminalErrorsThroughServer(t *testing.T) {
 	}
 }
 
+// An idle client hears the server go: its next call reads the
+// GOINGDOWN the server sent before closing the connection, and fails at
+// once with ErrServerClosed instead of redialing for its retry budget.
 func TestGracefulCloseNotifiesClients(t *testing.T) {
 	srv := startTestServer(t, testConfig(false))
 	cl := testClient(t, srv, "bulk")
@@ -322,8 +325,38 @@ func TestGracefulCloseNotifiesClients(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	time.Sleep(2 * idleAfter)
+	start := time.Now()
 	_, err := cl.Write(2, 1)
-	if err == nil {
-		t.Fatal("write to closed server succeeded")
+	if !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("write to closed server: %v, want ErrServerClosed", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("the write took %v to fail, want the notice read at once", took)
+	}
+	if cl.Stats.Dials != 1 {
+		t.Errorf("%d dials, want the first one only", cl.Stats.Dials)
+	}
+}
+
+// An idle client hears a restart too: the notice drops the connection,
+// and the call redials the recovered server on its first attempt.
+func TestRestartNotifiesIdleClients(t *testing.T) {
+	srv := startTestServer(t, testConfig(false))
+	defer srv.Close()
+	cl := testClient(t, srv, "bulk")
+	defer cl.Close()
+	if _, err := cl.Write(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(2 * idleAfter)
+	if _, err := cl.Write(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if cl.Stats.Retries != 0 || cl.Stats.Unavailables != 0 || cl.Stats.Dials != 2 {
+		t.Errorf("stats %+v, want one redial and no failed attempt", cl.Stats)
 	}
 }
