@@ -45,7 +45,7 @@ const (
 	// next call first reads what the server sent it meanwhile (drainIdle);
 	// drainWait bounds that read when nothing is pending. A client that
 	// calls back to back never pays it.
-	idleAfter = time.Millisecond
+	idleAfter = 10 * time.Millisecond
 	drainWait = 200 * time.Microsecond
 )
 
@@ -89,8 +89,8 @@ type Client struct {
 
 	nc net.Conn
 	br *bufio.Reader
-	// lastReply is when the connection last answered a call: a call
-	// after idleAfter of silence drains it first.
+	// lastReply is when the connection last answered a Hello or a call:
+	// a call after idleAfter of silence drains it first.
 	lastReply time.Time
 	// Request and reply frame buffers, kept across calls.
 	wbuf, rbuf []byte
@@ -184,7 +184,7 @@ func (c *Client) connect() error {
 		return fmt.Errorf("%w: hello refused: %v", ErrServerClosed, ack.Status)
 	}
 	resumed := c.id != 0
-	c.id = ack.ClientID
+	c.id, c.lastReply = ack.ClientID, time.Now()
 	c.CapacityPages = ack.CapacityPages
 	c.Queue = ack.Queue
 	if resumed {
