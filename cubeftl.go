@@ -78,6 +78,7 @@ type SSD struct {
 	ctrl    *ftl.Controller
 	hub     *telemetry.Hub     // nil until EnableTelemetry
 	sampler *telemetry.Sampler // nil until StartStats
+	stats   *telemetry.JSONL   // StartStats' sink
 
 	// outstanding counts facade-issued host ops not yet completed (Run's
 	// stop condition under Options.Recovery — the manager's checkpoint
@@ -498,11 +499,7 @@ func (s *SSD) EnableTelemetry(cfg TelemetryConfig) {
 		hub.EnableTracer(telemetry.TracerConfig{})
 	}
 	hub.SetSpanSample(cfg.SpanSample)
-	s.ctrl.SetTelemetry(hub)
-	// Cube-flavor decision counters (all zero on non-cube FTLs): the
-	// ORT and per-(block,layer) retry-table hit/stale/miss rates are
-	// the health signals DESIGN.md §15 steers on.
-	hub.Registry().MustRegisterStruct("", s.st.Cube.CubeStats(), nil)
+	s.st.SetTelemetry(hub)
 	s.hub = hub
 }
 
@@ -538,7 +535,8 @@ func (s *SSD) StartStats(w io.Writer, interval time.Duration) error {
 	if interval <= 0 {
 		interval = time.Millisecond
 	}
-	s.sampler = s.hub.StartSampler(w, int64(interval))
+	s.stats = telemetry.NewJSONL(w)
+	s.sampler = s.hub.StartSampler(int64(interval), s.stats.Write)
 	return nil
 }
 
@@ -548,7 +546,10 @@ func (s *SSD) CloseStats() error {
 		return ErrTelemetryOff
 	}
 	err := s.sampler.Close()
-	s.sampler = nil
+	if ferr := s.stats.Flush(); err == nil {
+		err = ferr
+	}
+	s.sampler, s.stats = nil, nil
 	return err
 }
 

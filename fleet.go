@@ -110,9 +110,11 @@ const (
 type FleetOptions struct {
 	fleet.Config
 	// StatsOut receives the merged fleet series, one JSON object per
-	// SampleIntervalNs of simulated time (nil = discard the series). The
-	// interval defaults to 1ms when a sink — this or Obs — is attached
-	// and none is given; 0 with no sink disables sampling.
+	// SampleIntervalNs of simulated time (nil = discard the series): each
+	// shard's sample has a single device's -stats-out schema plus the
+	// shard's own ledgers, labelled with the shard. The interval
+	// defaults to 1ms when a sink — this or Obs — is attached and none is
+	// given; 0 with no sink disables sampling.
 	StatsOut io.Writer
 	// Obs attaches a live /metrics endpoint (StartFleetObs) that serves
 	// each shard's latest sample while the run is in flight.
@@ -130,8 +132,9 @@ type FleetStats = fleet.Result
 
 // FleetObs is a live observability endpoint for a fleet run: while the
 // shards replay, /metrics serves each shard's most recent sim-clock
-// sample (progress, backlog, cache hit counters, windowed read p99)
-// plus fleet aggregates, in Prometheus text exposition. Pass it via
+// sample — the registry families a single device serves, plus the
+// shard's progress, cache and latency-window ledgers — each labelled
+// shard="i", in Prometheus text exposition. Pass it via
 // FleetOptions.Obs; Close it when done.
 type FleetObs struct {
 	live *fleet.LiveView

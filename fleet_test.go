@@ -1,13 +1,21 @@
 package cubeftl
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"cubeftl/internal/core"
+	"cubeftl/internal/ftl"
+	"cubeftl/internal/metrics"
+	"cubeftl/internal/telemetry"
 	"cubeftl/internal/workload"
 )
 
@@ -182,6 +190,88 @@ func TestRunFleetFacadeDeterminism(t *testing.T) {
 	}
 	if strings.Contains(a.Report(), "wall") {
 		t.Error("wall clock leaked into the deterministic report")
+	}
+}
+
+// One sample schema for a device and a shard: on one geometry and FTL,
+// a shard's entry in the last row of the fleet series carries every key
+// path of a single device's -stats-out line, and the live /metrics
+// serves every ftl.Stats and core.CubeStats row once per shard.
+func TestFleetSeriesIsTheDeviceSchema(t *testing.T) {
+	dev := Options{FTL: FTLCube, BlocksPerChip: 8, Channels: 1, DiesPerChannel: 2, Seed: 1}
+	topt := TraceReplayOptions{TimeCompression: 20}
+
+	ssd, err := New(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssd.EnableTelemetry(TelemetryConfig{})
+	var single bytes.Buffer
+	if err := ssd.StartStats(&single, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ssd.ReplayTrace("msr_sample", openFixture(t), topt); err != nil {
+		t.Fatal(err)
+	}
+	if err := ssd.CloseStats(); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(single.Bytes()), []byte("\n"))
+	want := keyPaths(t, lines[len(lines)-1])
+	if !want["tenants[].name"] || !want["dies[].util"] || !want["metrics.gauges.cube/retry/hits"] {
+		t.Fatalf("the device's own line lacks its schema: %v", want)
+	}
+
+	obs, err := StartFleetObs("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obs.Close()
+	var opts FleetOptions
+	opts.Shards, opts.Tenants, opts.Seed = 2, 64, dev.Seed
+	opts.Policy, opts.BlocksPerChip, opts.Channels, opts.DiesPerChannel = dev.FTL, dev.BlocksPerChip, dev.Channels, dev.DiesPerChannel
+	var series bytes.Buffer
+	opts.StatsOut, opts.Obs = &series, obs
+	if _, err := RunFleet(opts, "msr_sample", openFixture(t), topt); err != nil {
+		t.Fatal(err)
+	}
+	rows := bytes.Split(bytes.TrimSpace(series.Bytes()), []byte("\n"))
+	var last struct{ Shards []json.RawMessage }
+	if err := json.Unmarshal(rows[len(rows)-1], &last); err != nil {
+		t.Fatal(err)
+	}
+	if len(last.Shards) != opts.Shards {
+		t.Fatalf("last row carries %d shards, want %d", len(last.Shards), opts.Shards)
+	}
+	for i, entry := range last.Shards {
+		got := keyPaths(t, entry)
+		for k := range want {
+			if !got[k] {
+				t.Errorf("shard %d's entry lacks the device key %s", i, k)
+			}
+		}
+	}
+
+	resp, err := http.Get("http://" + obs.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ledger := range []any{new(ftl.Stats), new(core.CubeStats)} {
+		for _, row := range metrics.Walk(ledger) {
+			if row.Name == "" {
+				continue
+			}
+			for i := 0; i < opts.Shards; i++ {
+				if line := fmt.Sprintf("cube_%s{shard=\"%d\"} ", telemetry.PromName(row.Name), i); !bytes.Contains(body, []byte(line)) {
+					t.Errorf("/metrics lacks %s", line)
+				}
+			}
+		}
 	}
 }
 

@@ -87,25 +87,25 @@ type Stats struct {
 	// Hits counts read lookups fully served from the cache; Misses the
 	// rest. PartialHits is the subset of misses where at least one (but
 	// not every) page of a multi-page request was resident.
-	Hits        int64
-	Misses      int64
-	PartialHits int64
+	Hits        int64 `metric:"cache/hits gauge read lookups served from the cache"`
+	Misses      int64 `metric:"cache/misses gauge read lookups that went to the device"`
+	PartialHits int64 `metric:"cache/partial_hits gauge misses with some but not all pages resident"`
 
 	// WriteHits counts written pages that were resident; WriteAllocs
 	// pages inserted by write-back absorption.
-	WriteHits   int64
-	WriteAllocs int64
+	WriteHits   int64 `metric:"cache/write_hits gauge written pages that were resident"`
+	WriteAllocs int64 `metric:"cache/write_allocs gauge pages inserted by write-back absorption"`
 
 	// Inserts counts pages added; Evictions pages removed to make room.
 	// DirtyEvictions is the subset of evictions that carried unwritten
 	// data and therefore forced a device flush write.
-	Inserts        int64
-	Evictions      int64
-	DirtyEvictions int64
+	Inserts        int64 `metric:"cache/inserts gauge pages added"`
+	Evictions      int64 `metric:"cache/evictions gauge pages removed to make room"`
+	DirtyEvictions int64 `metric:"cache/dirty_evictions gauge evictions that forced a device flush write"`
 
 	// FlushedPages counts dirty pages pushed to the device by explicit
 	// FlushAll calls (drain/shutdown), as opposed to eviction flushes.
-	FlushedPages int64
+	FlushedPages int64 `metric:"cache/flushed_pages gauge dirty pages pushed to the device by an explicit flush"`
 }
 
 // HitRate returns read hits over read lookups in [0, 1].

@@ -18,9 +18,9 @@ type ShardResult struct {
 	LogicalPages  int64
 	Tenants       int
 
-	Requests int64
-	Reads    int64
-	Writes   int64
+	// ShardStats counts what the shard replayed: requests, reads and
+	// writes completed, cache flush writes and refusals, defers.
+	ShardStats
 
 	// ReadLat / WriteLat are host-visible request latencies including
 	// cache hits (charged at cacheHitNs).
@@ -28,13 +28,6 @@ type ShardResult struct {
 	WriteLat *metrics.Hist
 
 	CacheStats cache.Stats
-	// FlushWrites counts dirty cache pages written to the device
-	// (evictions plus the end-of-run flush); FlushRejects the subset a
-	// degraded device refused.
-	FlushWrites  int64
-	FlushRejects int64
-	// Defers counts requests parked by queue admission control.
-	Defers int64
 
 	ElapsedNs sim.Time // shard simulated time at quiesce
 	// DoneNs ends at the last request's completion; ElapsedNs runs on
@@ -53,7 +46,7 @@ type ShardResult struct {
 	// Samples is the shard's sim-clock sample stream (empty unless
 	// Config.SampleIntervalNs > 0). Always ends with a tail sample at
 	// quiesce time.
-	Samples []ShardSample
+	Samples []Sample
 }
 
 // Result aggregates a fleet run. Everything except WallNs is a pure
@@ -84,7 +77,7 @@ type Result struct {
 	// Series is the merged fleet time series (empty unless sampling was
 	// enabled): per-shard streams folded in fixed shard order. Render
 	// with SeriesJSONL.
-	Series []FleetSample
+	Series []Row
 
 	// WallNs is the measured host wall-clock time of the shard
 	// goroutines. It is reported separately and never included in

@@ -1,107 +1,106 @@
 package fleet
 
-// Fleet-wide observability (DESIGN.md §16): each shard samples its own
-// state on its private sim clock (eng.SetProbe), and the per-shard
-// streams merge — in fixed shard order, interval-indexed, with
-// carry-forward for shards that quiesce early — into one deterministic
-// fleet time series. A LiveView additionally publishes each shard's
-// latest sample lock-free so a /metrics scrape can watch a run in
-// flight without perturbing it.
+// Fleet-wide observability (DESIGN.md §16): a sampled shard attaches a
+// telemetry hub to its stack the way a single device does
+// (stack.Stack.SetTelemetry), registers its own ledgers beside the
+// device's, and hands one telemetry.Sample per interval of its private
+// sim clock to its sink. The per-shard streams merge — in fixed shard
+// order, interval-indexed, with carry-forward for shards that quiesce
+// early — into one deterministic fleet series. A LiveView also
+// publishes each shard's latest sample lock-free, so a /metrics scrape
+// can watch a run in flight without perturbing it.
 
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
+	"maps"
+	"strconv"
 	"sync/atomic"
 
+	"cubeftl/internal/cache"
 	"cubeftl/internal/metrics"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/telemetry"
 )
 
-// ShardSample is one shard's state at a sim-clock sampling boundary.
-// Counters are cumulative since replay start; the latency quantiles
-// are windowed — they cover only the interval since the previous
-// sample, so they reflect current conditions.
-type ShardSample struct {
-	Shard int   `json:"shard"`
-	TsNs  int64 `json:"ts_ns"`
-
-	Completed   int64 `json:"completed"`
-	Reads       int64 `json:"reads"`
-	Writes      int64 `json:"writes"`
-	Backlog     int   `json:"backlog"`
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	FlushWrites int64 `json:"flush_writes"`
-	GCCount     int64 `json:"gc"`
-	Degraded    bool  `json:"degraded,omitempty"`
-
-	WindowIOs  int64 `json:"window_ios"`
-	ReadP50Ns  int64 `json:"read_p50_ns"`
-	ReadP99Ns  int64 `json:"read_p99_ns"`
-	WriteP99Ns int64 `json:"write_p99_ns"`
-
-	// Per-cause write-amplification ledger (cumulative bytes) and the
-	// erase-count spread wear leveling narrows. Appended fields: the
-	// JSONL schema grows at the end only.
-	WafHostBytes    int64 `json:"waf_host_bytes"`
-	WafGCBytes      int64 `json:"waf_gc_bytes"`
-	WafRefreshBytes int64 `json:"waf_refresh_bytes"`
-	WafWLBytes      int64 `json:"waf_wl_bytes"`
-	EraseSpread     int   `json:"erase_spread"`
+// ShardStats is a shard's own ledger (metrics.Walk): what it replayed.
+// A sampled shard's registry carries it beside the device's ledgers.
+type ShardStats struct {
+	Requests int64 `metric:"fleet/completed gauge requests completed"`
+	Reads    int64 `metric:"fleet/reads gauge reads completed"`
+	Writes   int64 `metric:"fleet/writes gauge writes completed"`
+	// FlushWrites counts dirty cache pages written to the device
+	// (evictions plus the end-of-run flush); FlushRejects those a
+	// degraded device refused.
+	FlushWrites  int64 `metric:"fleet/flush_writes gauge dirty cache pages written to the device"`
+	FlushRejects int64 `metric:"fleet/flush_rejects gauge dirty cache pages a degraded device refused"`
+	// Defers counts requests parked by queue admission control.
+	Defers int64 `metric:"fleet/defers gauge requests parked by queue admission control"`
 }
 
-// FleetSample is one merged row of the fleet series: per-shard rows at
-// the same interval index plus their aggregates. Window quantiles
-// aggregate as maxima (a p99 of p99s is not a fleet p99; the max is an
-// honest bound), counters as sums.
-type FleetSample struct {
-	Interval int   `json:"interval"`
-	TsNs     int64 `json:"ts_ns"`
+// The latency windows a sampled shard registers: host-visible read and
+// write latency since its previous sample. A carried-forward sample
+// zeroes them.
+const (
+	windowRead  = "fleet/window/read_ns"
+	windowWrite = "fleet/window/write_ns"
+)
 
-	Completed      int64 `json:"completed"`
-	Reads          int64 `json:"reads"`
-	Writes         int64 `json:"writes"`
-	Backlog        int   `json:"backlog"`
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	FlushWrites    int64 `json:"flush_writes"`
-	GCCount        int64 `json:"gc"`
-	DegradedShards int   `json:"degraded_shards"`
-
-	WindowIOs    int64 `json:"window_ios"`
-	ReadP99NsMax int64 `json:"read_p99_ns_max"`
-
-	WafHostBytes    int64 `json:"waf_host_bytes"`
-	WafGCBytes      int64 `json:"waf_gc_bytes"`
-	WafRefreshBytes int64 `json:"waf_refresh_bytes"`
-	WafWLBytes      int64 `json:"waf_wl_bytes"`
-	EraseSpreadMax  int   `json:"erase_spread_max"`
-
-	Shards []ShardSample `json:"shards"`
+// Sample is one shard's telemetry.Sample — the schema of a single
+// device's -stats-out line — labelled with the shard.
+type Sample struct {
+	Shard int `json:"shard"`
+	telemetry.Sample
 }
 
-// shardSampler collects one shard's sample stream. It lives entirely
-// on the shard's goroutine; only the LiveView publication crosses
-// goroutines, via an atomic pointer store of an immutable sample.
+// Row is one interval of the fleet series: every shard's sample at
+// interval index Interval, in shard order. TsNs is the latest of their
+// clocks. A fleet total is a fold over Shards.
+type Row struct {
+	Interval int      `json:"interval"`
+	TsNs     int64    `json:"ts_ns"`
+	Shards   []Sample `json:"shards"`
+}
+
+// shardSampler keeps one shard's samples. It lives on the shard's
+// goroutine; only the LiveView publication crosses goroutines, as an
+// atomic store of a sample nothing writes again.
 type shardSampler struct {
-	r       *shardRunner
-	live    *LiveView
-	samples []ShardSample
+	*telemetry.Sampler // Close takes the tail sample
+	id                 int
+	live               *LiveView
+	samples            []Sample
 
 	winRead  *metrics.Hist
 	winWrite *metrics.Hist
 }
 
-func newShardSampler(r *shardRunner, live *LiveView) *shardSampler {
-	return &shardSampler{
-		r:        r,
-		live:     live,
-		winRead:  metrics.NewHist(0),
-		winWrite: metrics.NewHist(0),
-	}
+// startSampler registers the shard's numbers in the registry of the hub
+// attached to its stack — its ledger, its cache's, the requests parked
+// now, the erase-count spread wear leveling narrows, and its latency
+// windows — and samples every Config.SampleIntervalNs.
+func (r *shardRunner) startSampler(hub *telemetry.Hub) {
+	sm := &shardSampler{id: r.spec.id, live: r.cfg.Live, winRead: metrics.NewHist(0), winWrite: metrics.NewHist(0)}
+	reg := hub.Registry()
+	reg.MustRegisterStruct("", &r.stats, nil)
+	cs := new(cache.Stats)
+	reg.MustRegisterStruct("", cs, func() { *cs = r.cache.Stats() })
+	reg.RegisterGauge("fleet/backlog", func() float64 {
+		var n int
+		for i := range r.backlog {
+			n += r.backlog[i].Len()
+		}
+		return float64(n)
+	})
+	reg.RegisterGauge("fleet/erase_spread", func() float64 {
+		lo, hi := r.ctrl.WearSpread()
+		return float64(hi - lo)
+	})
+	reg.RegisterHist(windowRead, func() *metrics.Hist { return sm.winRead })
+	reg.RegisterHist(windowWrite, func() *metrics.Hist { return sm.winWrite })
+	sm.Sampler = hub.StartSampler(sim.Time(r.cfg.SampleIntervalNs), sm.take)
+	r.sampler = sm
 }
 
 // observe mirrors one completion's latency into the current window.
@@ -116,111 +115,50 @@ func (sm *shardSampler) observe(write bool, latNs int64) {
 	}
 }
 
-// take snapshots the shard at boundary time at and resets the window.
-func (sm *shardSampler) take(at sim.Time) {
-	r := sm.r
-	var backlog int
-	for i := range r.backlog {
-		backlog += r.backlog[i].Len()
-	}
-	cs := r.cache.Stats()
-	st := r.ctrl.Stats()
-	waf := r.ctrl.WAF()
-	wearLo, wearHi := r.ctrl.WearSpread()
-	s := ShardSample{
-		Shard:       r.spec.id,
-		TsNs:        int64(at),
-		Completed:   r.completed,
-		Reads:       r.reads,
-		Writes:      r.writes,
-		Backlog:     backlog,
-		CacheHits:   cs.Hits,
-		CacheMisses: cs.Misses,
-		FlushWrites: r.flushWrites,
-		GCCount:     st.GCCount,
-		Degraded:    r.ctrl.Degraded(),
-		WindowIOs:   sm.winRead.N() + sm.winWrite.N(),
-		ReadP50Ns:   sm.winRead.Percentile(50),
-		ReadP99Ns:   sm.winRead.Percentile(99),
-		WriteP99Ns:  sm.winWrite.Percentile(99),
-
-		WafHostBytes:    waf.HostBytes,
-		WafGCBytes:      waf.GCBytes,
-		WafRefreshBytes: waf.RefreshBytes,
-		WafWLBytes:      waf.WLBytes,
-		EraseSpread:     wearHi - wearLo,
-	}
+// take is the shard's sink: it keeps the sample, publishes it, and
+// opens the next window.
+func (sm *shardSampler) take(s telemetry.Sample) error {
+	sm.samples = append(sm.samples, Sample{Shard: sm.id, Sample: s})
+	sm.live.publish(&sm.samples[len(sm.samples)-1])
 	sm.winRead.Reset()
 	sm.winWrite.Reset()
-	sm.samples = append(sm.samples, s)
-	sm.live.publish(&sm.samples[len(sm.samples)-1])
+	return nil
 }
 
 // mergeSeries folds per-shard sample streams into the fleet series.
 // Row k takes each shard's k-th sample; a shard that quiesced early
-// carries its last sample forward with the window fields zeroed (no
+// carries its last sample forward with its latency windows zeroed (no
 // new observations, but its counters still stand).
-func mergeSeries(shards []ShardResult) []FleetSample {
+func mergeSeries(shards []ShardResult) []Row {
 	rows := 0
 	for i := range shards {
-		if n := len(shards[i].Samples); n > rows {
-			rows = n
-		}
+		rows = max(rows, len(shards[i].Samples))
 	}
-	if rows == 0 {
-		return nil
-	}
-	series := make([]FleetSample, 0, rows)
-	for k := 0; k < rows; k++ {
-		f := FleetSample{Interval: k}
+	series := make([]Row, rows)
+	for k := range series {
+		row := &series[k]
+		row.Interval = k
 		for i := range shards {
 			ss := shards[i].Samples
 			if len(ss) == 0 {
 				continue
 			}
-			var s ShardSample
-			if k < len(ss) {
-				s = ss[k]
-			} else {
-				s = ss[len(ss)-1] // carried forward: counters stand,
-				s.WindowIOs = 0   // but the window saw nothing new
-				s.ReadP50Ns, s.ReadP99Ns, s.WriteP99Ns = 0, 0, 0
+			s := ss[min(k, len(ss)-1)]
+			if k >= len(ss) {
+				s.Metrics.Hists = maps.Clone(s.Metrics.Hists)
+				s.Metrics.Hists[windowRead] = telemetry.HistStat{}
+				s.Metrics.Hists[windowWrite] = telemetry.HistStat{}
 			}
-			if s.TsNs > f.TsNs {
-				f.TsNs = s.TsNs
-			}
-			f.Completed += s.Completed
-			f.Reads += s.Reads
-			f.Writes += s.Writes
-			f.Backlog += s.Backlog
-			f.CacheHits += s.CacheHits
-			f.CacheMisses += s.CacheMisses
-			f.FlushWrites += s.FlushWrites
-			f.GCCount += s.GCCount
-			if s.Degraded {
-				f.DegradedShards++
-			}
-			f.WindowIOs += s.WindowIOs
-			if s.ReadP99Ns > f.ReadP99NsMax {
-				f.ReadP99NsMax = s.ReadP99Ns
-			}
-			f.WafHostBytes += s.WafHostBytes
-			f.WafGCBytes += s.WafGCBytes
-			f.WafRefreshBytes += s.WafRefreshBytes
-			f.WafWLBytes += s.WafWLBytes
-			if s.EraseSpread > f.EraseSpreadMax {
-				f.EraseSpreadMax = s.EraseSpread
-			}
-			f.Shards = append(f.Shards, s)
+			row.TsNs = max(row.TsNs, s.TsNs)
+			row.Shards = append(row.Shards, s)
 		}
-		series = append(series, f)
 	}
 	return series
 }
 
 // SeriesJSONL writes the merged fleet series as one JSON object per
 // line. Byte-stable for a fixed (Config, trace): struct field order is
-// fixed and no wall-clock value appears.
+// fixed, map keys are sorted, and no wall-clock value appears.
 func (r *Result) SeriesJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -238,15 +176,15 @@ func (r *Result) SeriesJSONL(w io.Writer) error {
 // shard. The live view is an observation channel only — it does not
 // participate in the deterministic merged series.
 type LiveView struct {
-	latest []atomic.Pointer[ShardSample]
+	latest []atomic.Pointer[Sample]
 }
 
 // NewLiveView sizes the view for a fleet of the given shard count.
 func NewLiveView(shards int) *LiveView {
-	return &LiveView{latest: make([]atomic.Pointer[ShardSample], shards)}
+	return &LiveView{latest: make([]atomic.Pointer[Sample], shards)}
 }
 
-func (v *LiveView) publish(s *ShardSample) {
+func (v *LiveView) publish(s *Sample) {
 	if v == nil || s.Shard >= len(v.latest) {
 		return
 	}
@@ -255,8 +193,8 @@ func (v *LiveView) publish(s *ShardSample) {
 
 // Snapshot returns the latest sample from every shard that has taken
 // one, in shard order.
-func (v *LiveView) Snapshot() []ShardSample {
-	var out []ShardSample
+func (v *LiveView) Snapshot() []Sample {
+	var out []Sample
 	for i := range v.latest {
 		if s := v.latest[i].Load(); s != nil {
 			out = append(out, *s)
@@ -266,85 +204,13 @@ func (v *LiveView) Snapshot() []ShardSample {
 }
 
 // WriteMetrics renders the live fleet view in Prometheus text
-// exposition: per-shard progress/latency families plus aggregates.
+// exposition: every shard's latest registry snapshot, each sample
+// labelled shard="i" — the families a single device serves, one series
+// per shard. A fleet total is a sum by over them.
 func (v *LiveView) WriteMetrics(w io.Writer) error {
-	snap := v.Snapshot()
-	one := func(name, typ, help string, val float64) telemetry.PromFamily {
-		return telemetry.PromFamily{Name: name, Type: typ, Help: help,
-			Samples: []telemetry.PromSample{{Value: val}}}
-	}
-	mk := func(name, typ, help string) *telemetry.PromFamily {
-		return &telemetry.PromFamily{Name: name, Type: typ, Help: help}
-	}
-	simNs := mk("cube_fleet_shard_sim_ns", "gauge", "shard simulated clock at last sample")
-	completed := mk("cube_fleet_shard_completed", "gauge", "requests completed")
-	backlog := mk("cube_fleet_shard_backlog", "gauge", "requests parked by admission control")
-	cacheHits := mk("cube_fleet_shard_cache_hits", "gauge", "host cache read hits")
-	cacheMisses := mk("cube_fleet_shard_cache_misses", "gauge", "host cache read misses")
-	gc := mk("cube_fleet_shard_gc", "gauge", "GC runs")
-	degraded := mk("cube_fleet_shard_degraded", "gauge", "shard device degraded")
-	readP99 := mk("cube_fleet_shard_read_p99_ns", "gauge", "windowed read p99 at last sample")
-	windowIOs := mk("cube_fleet_shard_window_ios", "gauge", "completions in the last sample window")
-	eraseSpread := mk("cube_fleet_shard_erase_spread", "gauge", "erase-count spread over the shard's good blocks")
-	var total, reads, writes, hits, misses int64
-	var degradedShards int
-	var p99Max int64
-	var wafHost, wafGC, wafRefresh, wafWL int64
-	var spreadMax int
-	for i := range snap {
-		s := &snap[i]
-		l := []telemetry.PromLabel{{K: "shard", V: fmt.Sprint(s.Shard)}}
-		add := func(f *telemetry.PromFamily, val float64) {
-			f.Samples = append(f.Samples, telemetry.PromSample{Labels: l, Value: val})
-		}
-		add(simNs, float64(s.TsNs))
-		add(completed, float64(s.Completed))
-		add(backlog, float64(s.Backlog))
-		add(cacheHits, float64(s.CacheHits))
-		add(cacheMisses, float64(s.CacheMisses))
-		add(gc, float64(s.GCCount))
-		add(readP99, float64(s.ReadP99Ns))
-		add(windowIOs, float64(s.WindowIOs))
-		dg := 0.0
-		if s.Degraded {
-			dg, degradedShards = 1.0, degradedShards+1
-		}
-		add(degraded, dg)
-		add(eraseSpread, float64(s.EraseSpread))
-		total += s.Completed
-		reads += s.Reads
-		writes += s.Writes
-		hits += s.CacheHits
-		misses += s.CacheMisses
-		if s.ReadP99Ns > p99Max {
-			p99Max = s.ReadP99Ns
-		}
-		wafHost += s.WafHostBytes
-		wafGC += s.WafGCBytes
-		wafRefresh += s.WafRefreshBytes
-		wafWL += s.WafWLBytes
-		if s.EraseSpread > spreadMax {
-			spreadMax = s.EraseSpread
-		}
-	}
-	hitRate := 0.0
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
-	}
-	fams := []telemetry.PromFamily{
-		one("cube_fleet_shards", "gauge", "shards reporting", float64(len(snap))),
-		one("cube_fleet_completed", "gauge", "fleet requests completed", float64(total)),
-		one("cube_fleet_reads", "gauge", "fleet reads completed", float64(reads)),
-		one("cube_fleet_writes", "gauge", "fleet writes completed", float64(writes)),
-		one("cube_fleet_cache_hit_rate", "gauge", "fleet read hit rate", hitRate),
-		one("cube_fleet_degraded_shards", "gauge", "shards with a degraded device", float64(degradedShards)),
-		one("cube_fleet_read_p99_ns_max", "gauge", "worst windowed read p99 across shards", float64(p99Max)),
-		one("cube_fleet_waf_host_bytes", "gauge", "fleet bytes programmed for host writes", float64(wafHost)),
-		one("cube_fleet_waf_gc_bytes", "gauge", "fleet bytes moved by GC and reclaim", float64(wafGC)),
-		one("cube_fleet_waf_refresh_bytes", "gauge", "fleet bytes moved by retention refresh", float64(wafRefresh)),
-		one("cube_fleet_waf_wl_bytes", "gauge", "fleet bytes moved by static wear leveling", float64(wafWL)),
-		one("cube_fleet_erase_spread_max", "gauge", "worst erase-count spread across shards", float64(spreadMax)),
-		*simNs, *completed, *backlog, *cacheHits, *cacheMisses, *gc, *degraded, *readP99, *windowIOs, *eraseSpread,
+	var fams []telemetry.PromFamily
+	for _, s := range v.Snapshot() {
+		fams = append(fams, telemetry.SnapshotFamilies(s.Metrics, telemetry.PromLabel{K: "shard", V: strconv.Itoa(s.Shard)})...)
 	}
 	return telemetry.WriteProm(w, fams)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"cubeftl/internal/telemetry"
 )
 
 // The merged fleet series must be byte-stable for a fixed seed+trace
@@ -35,9 +37,13 @@ func TestFleetSeriesDeterministic(t *testing.T) {
 				t.Fatal("sampling enabled but series empty")
 			}
 			last := res.Series[len(res.Series)-1]
-			if last.Completed != res.Requests {
-				t.Errorf("final series row completed=%d, result requests=%d",
-					last.Completed, res.Requests)
+			var completed float64
+			for _, s := range last.Shards {
+				completed += s.Metrics.Gauges["fleet/completed"]
+			}
+			if int64(completed) != res.Requests {
+				t.Errorf("final series row completed=%v, result requests=%d",
+					completed, res.Requests)
 			}
 			if len(last.Shards) != c.Shards {
 				t.Errorf("final row carries %d shards, want %d", len(last.Shards), c.Shards)
@@ -78,43 +84,49 @@ func TestFleetSamplingIsPassive(t *testing.T) {
 	}
 }
 
+// sample is a shard's sample at ts with completed requests and a read
+// window of n observations with the given p99.
+func sample(shard int, ts int64, completed float64, n, p99 int64) Sample {
+	return Sample{Shard: shard, Sample: telemetry.Sample{TsNs: ts, Metrics: telemetry.Snapshot{
+		Gauges: map[string]float64{"fleet/completed": completed},
+		Hists:  map[string]telemetry.HistStat{windowRead: {N: n, P99: p99}, windowWrite: {}},
+	}}}
+}
+
 // Carry-forward: a shard that quiesces early still appears in later
 // rows with its counters standing and its window zeroed.
 func TestFleetSeriesCarryForward(t *testing.T) {
 	shards := []ShardResult{
-		{Shard: 0, Samples: []ShardSample{
-			{Shard: 0, TsNs: 10, Completed: 5, WindowIOs: 5, ReadP99Ns: 700},
-			{Shard: 0, TsNs: 20, Completed: 9, WindowIOs: 4, ReadP99Ns: 900},
-		}},
-		{Shard: 1, Samples: []ShardSample{
-			{Shard: 1, TsNs: 10, Completed: 3, WindowIOs: 3, ReadP99Ns: 400},
-		}},
+		{Shard: 0, Samples: []Sample{sample(0, 10, 5, 5, 700), sample(0, 20, 9, 4, 900)}},
+		{Shard: 1, Samples: []Sample{sample(1, 10, 3, 3, 400)}},
 	}
 	series := mergeSeries(shards)
 	if len(series) != 2 {
 		t.Fatalf("rows = %d", len(series))
 	}
 	row := series[1]
-	if row.Completed != 12 || row.TsNs != 20 {
-		t.Errorf("row 1 completed=%d ts=%d, want 12/20", row.Completed, row.TsNs)
+	if row.Interval != 1 || row.TsNs != 20 || len(row.Shards) != 2 {
+		t.Errorf("row 1: interval %d ts %d with %d shards, want 1/20/2", row.Interval, row.TsNs, len(row.Shards))
 	}
 	carried := row.Shards[1]
-	if carried.Completed != 3 || carried.WindowIOs != 0 || carried.ReadP99Ns != 0 {
+	if carried.Shard != 1 || carried.Metrics.Gauges["fleet/completed"] != 3 || carried.Metrics.Hists[windowRead] != (telemetry.HistStat{}) {
 		t.Errorf("carried sample not window-zeroed: %+v", carried)
 	}
-	if row.ReadP99NsMax != 900 {
-		t.Errorf("p99 max = %d", row.ReadP99NsMax)
+	if w := shards[1].Samples[0].Metrics.Hists[windowRead]; w.N != 3 || w.P99 != 400 {
+		t.Errorf("carrying forward changed the shard's own sample: %+v", w)
+	}
+	if got := series[0].Shards[0].Metrics.Hists[windowRead].P99; got != 700 {
+		t.Errorf("row 0 shard 0 window p99 = %d", got)
 	}
 }
 
 // The live view renders the latest per-shard samples as valid
-// exposition with per-shard labels and fleet aggregates.
+// exposition, every registry family labelled with the shard.
 func TestLiveViewMetrics(t *testing.T) {
 	v := NewLiveView(2)
-	v.publish(&ShardSample{Shard: 0, TsNs: 100, Completed: 40, Reads: 30, Writes: 10,
-		CacheHits: 20, CacheMisses: 10, ReadP99Ns: 800, WindowIOs: 12})
-	v.publish(&ShardSample{Shard: 1, TsNs: 90, Completed: 20, Reads: 10, Writes: 10,
-		Degraded: true, ReadP99Ns: 1500, WindowIOs: 6})
+	s0, s1 := sample(0, 100, 40, 12, 800), sample(1, 90, 20, 6, 1500)
+	v.publish(&s0)
+	v.publish(&s1)
 
 	var buf bytes.Buffer
 	if err := v.WriteMetrics(&buf); err != nil {
@@ -122,22 +134,24 @@ func TestLiveViewMetrics(t *testing.T) {
 	}
 	body := buf.String()
 	for _, want := range []string{
-		"cube_fleet_shards 2",
-		"cube_fleet_completed 60",
-		`cube_fleet_shard_completed{shard="0"} 40`,
-		`cube_fleet_shard_degraded{shard="1"} 1`,
-		"cube_fleet_degraded_shards 1",
-		"cube_fleet_read_p99_ns_max 1500",
+		`cube_fleet_completed{shard="0"} 40`,
+		`cube_fleet_completed{shard="1"} 20`,
+		`cube_fleet_window_read_ns{shard="1",quantile="0.99"} 1500`,
+		`cube_fleet_window_read_ns_count{shard="0"} 12`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("live metrics missing %q", want)
 		}
 	}
+	if n := strings.Count(body, "# TYPE cube_fleet_completed gauge"); n != 1 {
+		t.Errorf("cube_fleet_completed declared %d times, want once for both shards", n)
+	}
 
 	// Re-publishing shard 0 replaces its row.
-	v.publish(&ShardSample{Shard: 0, TsNs: 200, Completed: 80})
+	s0 = sample(0, 200, 80, 0, 0)
+	v.publish(&s0)
 	snap := v.Snapshot()
-	if len(snap) != 2 || snap[0].Completed != 80 {
+	if len(snap) != 2 || snap[0].Metrics.Gauges["fleet/completed"] != 80 {
 		t.Errorf("snapshot after republish: %+v", snap)
 	}
 }

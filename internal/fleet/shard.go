@@ -10,6 +10,7 @@ import (
 	"cubeftl/internal/pool"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/stack"
+	"cubeftl/internal/telemetry"
 	"cubeftl/internal/workload"
 )
 
@@ -35,18 +36,13 @@ type shardRunner struct {
 	span int64    // logical pages per tenant extent
 	t0   sim.Time // replay start; prefill may have advanced the clock
 
-	misses    pool.FreeList[missRec]
-	backlog   []pool.Ring[*missRec] // per queue: misses bounced by admission control
-	completed int64
-	total     int64
-	reads     int64
-	writes    int64
-	doneAt    sim.Time // the last request's completion
+	misses  pool.FreeList[missRec]
+	backlog []pool.Ring[*missRec] // per queue: misses bounced by admission control
+	stats   ShardStats
+	total   int64
+	doneAt  sim.Time // the last request's completion
 
-	flushWrites     int64 // dirty cache pages written to the device
-	flushRejects    int64 // flush writes refused by a degraded device
-	flushInflight   int64
-	queueFullDefers int64
+	flushInflight int64
 
 	// Bound once: a cache flush write was acknowledged; a cache hit's
 	// DRAM latency has elapsed.
@@ -96,6 +92,11 @@ func runShard(cfg Config, spec *shardSpec) (ShardResult, error) {
 		workload.Prefill(stk.Ctrl, min(n, int64(stk.Ctrl.LogicalPages())))
 		stk.Ctrl.ResetStats()
 	}
+	if cfg.SampleIntervalNs > 0 {
+		// Before the host front end is built over the controller: the
+		// host finds the hub there and reports its queues to it.
+		stk.SetTelemetry(telemetry.NewHub(stk.Eng, spec.seed))
+	}
 	return replayShard(cfg, spec, stk.Ctrl)
 }
 
@@ -117,7 +118,8 @@ func Replay(ctrl *ftl.Controller, trace *workload.TimedTrace, queueDepth int) (S
 }
 
 // replayShard replays the shard's requests on ctrl, behind the shard's
-// host queues and cache, to completion.
+// host queues and cache, to completion — sampled when
+// Config.SampleIntervalNs is set, into the hub runShard attached.
 func replayShard(cfg Config, spec *shardSpec, ctrl *ftl.Controller) (ShardResult, error) {
 	eng := ctrl.Engine()
 	queues := make([]host.QueueConfig, cfg.QueuesPerShard)
@@ -153,14 +155,13 @@ func replayShard(cfg Config, spec *shardSpec, ctrl *ftl.Controller) (ShardResult
 	r.onReadHit = func() { r.finish(workload.Read) }
 	r.onWriteHit = func() { r.finish(workload.Write) }
 	if cfg.SampleIntervalNs > 0 {
-		r.sampler = newShardSampler(r, cfg.Live)
-		eng.SetProbe(sim.Time(cfg.SampleIntervalNs), func(at sim.Time) { r.sampler.take(at) })
+		r.startSampler(ctrl.TelemetryHub())
 	}
 	replayStart := eng.Now() // prefill time is excluded from ElapsedNs
 	r.replay(logical)
 	if r.sampler != nil {
 		// Tail sample: the window since the last boundary crossing.
-		r.sampler.take(eng.Now())
+		r.sampler.Close()
 	}
 
 	st := ctrl.Stats()
@@ -171,15 +172,10 @@ func replayShard(cfg Config, spec *shardSpec, ctrl *ftl.Controller) (ShardResult
 		PE:            spec.pe,
 		LogicalPages:  logical,
 		Tenants:       spec.tenants,
-		Requests:      r.completed,
-		Reads:         r.reads,
-		Writes:        r.writes,
+		ShardStats:    r.stats,
 		ReadLat:       r.readLat,
 		WriteLat:      r.writeLat,
 		CacheStats:    hc.Stats(),
-		FlushWrites:   r.flushWrites,
-		FlushRejects:  r.flushRejects,
-		Defers:        r.queueFullDefers,
 		ElapsedNs:     eng.Now() - replayStart,
 		DoneNs:        max(r.doneAt-replayStart, 0),
 		TraceHash:     h.TraceHash(),
@@ -211,7 +207,7 @@ func (r *shardRunner) replay(logical int64) {
 	}
 	r.t0 = r.eng.Now()
 	r.eng.Feed(r.spec.n, r.arrivalAt, r.arrive)
-	r.eng.RunWhile(func() bool { return r.completed < r.total || r.flushInflight > 0 })
+	r.eng.RunWhile(func() bool { return r.stats.Requests < r.total || r.flushInflight > 0 })
 	for _, lpn := range r.cache.FlushAll() {
 		r.deviceFlush(lpn)
 	}
@@ -261,7 +257,7 @@ func (r *shardRunner) issue(qid int, req shardReq) {
 	m := r.getMiss()
 	m.qid, m.op, m.lpn, m.pages = qid, req.op, req.lpn, req.pages
 	if !r.trySubmit(m) {
-		r.queueFullDefers++
+		r.stats.Defers++
 		r.backlog[qid].Push(m)
 	}
 }
@@ -316,11 +312,11 @@ func (r *shardRunner) drainBacklog(qid int) {
 
 func (r *shardRunner) finish(op workload.Op) {
 	if op == workload.Read {
-		r.reads++
+		r.stats.Reads++
 	} else {
-		r.writes++
+		r.stats.Writes++
 	}
-	r.completed++
+	r.stats.Requests++
 	r.doneAt = r.eng.Now()
 }
 
@@ -334,8 +330,8 @@ func (r *shardRunner) deviceFlush(lpn int64) {
 		// Degraded device: the dirty page is lost, which is the real
 		// failure contract of a volatile write-back cache.
 		r.flushInflight--
-		r.flushRejects++
+		r.stats.FlushRejects++
 		return
 	}
-	r.flushWrites++
+	r.stats.FlushWrites++
 }

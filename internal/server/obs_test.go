@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"cubeftl"
+	"cubeftl/internal/cache"
 	"cubeftl/internal/core"
+	"cubeftl/internal/fleet"
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
 	"cubeftl/internal/lifetime"
@@ -349,6 +351,7 @@ func TestLedgerDeclarations(t *testing.T) {
 		ptr    any
 	}{
 		{"", new(ftl.Stats)}, {"", new(core.CubeStats)}, {"ftl/", new(lifetime.WAF)}, // the registry
+		{"", new(fleet.ShardStats)}, {"", new(cache.Stats)}, // a sampled fleet shard's registry, beside the three above
 		{"", new(lifetime.WAF)}, {"", new(Stats)}, {"", new(sloController)}, {"", new(host.TenantStats)}, // collectFamilies
 	} {
 		named := 0

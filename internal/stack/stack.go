@@ -23,6 +23,7 @@ import (
 	"cubeftl/internal/recovery"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
+	"cubeftl/internal/telemetry"
 )
 
 // Spec describes a simulated SSD (the facade exports it as
@@ -248,6 +249,17 @@ func (st *Stack) attach(sys *recovery.SystemArea, ledger *recovery.Ledger) {
 		CkptIntervalNs: sim.Time(st.Spec.CkptInterval),
 		Ledger:         ledger,
 	})
+}
+
+// SetTelemetry attaches hub to the stack: the controller's datapath
+// hooks and ledgers (ftl.Controller.SetTelemetry) and the cube policy's
+// decision counters — all zero on the other FTLs — whose ORT and
+// retry-table rates are the health signals DESIGN.md §15 steers on.
+// The facade, the server (through the facade) and a sampled fleet
+// shard all attach telemetry here.
+func (st *Stack) SetTelemetry(hub *telemetry.Hub) {
+	st.Ctrl.SetTelemetry(hub)
+	hub.Registry().MustRegisterStruct("", st.Cube.CubeStats(), nil)
 }
 
 // Up returns ErrPowerLost between PowerCut and Remount and nil

@@ -91,7 +91,9 @@ func promValue(v float64) string {
 }
 
 // WriteProm renders the families in sorted-name order. Families with
-// no samples are skipped.
+// no samples are skipped; families that share a name render as one,
+// their samples in the order given — so each shard of a fleet can bring
+// its own families, labelled with the shard.
 func WriteProm(w io.Writer, fams []PromFamily) error {
 	sorted := make([]*PromFamily, 0, len(fams))
 	for i := range fams {
@@ -101,15 +103,17 @@ func WriteProm(w io.Writer, fams []PromFamily) error {
 	}
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
 	var b strings.Builder
-	for _, f := range sorted {
-		if f.Help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, promEscape(f.Help))
+	for i, f := range sorted {
+		if i == 0 || sorted[i-1].Name != f.Name {
+			if f.Help != "" {
+				fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, promEscape(f.Help))
+			}
+			typ := f.Type
+			if typ == "" {
+				typ = "untyped"
+			}
+			fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, typ)
 		}
-		typ := f.Type
-		if typ == "" {
-			typ = "untyped"
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, typ)
 		for _, s := range f.Samples {
 			b.WriteString(f.Name)
 			b.WriteString(s.Suffix)
@@ -157,12 +161,15 @@ rows:
 }
 
 // SnapshotFamilies converts a registry snapshot into exposition
-// families under the "cube_" namespace: counters gain the _total
-// suffix, gauges map directly, and histograms render as summaries
-// (quantile 0.5/0.99 samples plus _sum and _count) with the observed
-// max as a companion _max gauge. Output order is fully determined by
-// the sorted family names.
-func SnapshotFamilies(s Snapshot) []PromFamily {
+// families under the "cube_" namespace, every sample carrying labels:
+// counters gain the _total suffix, gauges map directly, and histograms
+// render as summaries (quantile 0.5/0.99 samples plus _sum and _count)
+// with the observed max as a companion _max gauge. Output order is
+// fully determined by the sorted family names.
+func SnapshotFamilies(s Snapshot, labels ...PromLabel) []PromFamily {
+	quantile := func(q string) []PromLabel {
+		return append(labels[:len(labels):len(labels)], PromLabel{K: "quantile", V: q})
+	}
 	fams := make([]PromFamily, 0, len(s.Counters)+len(s.Gauges)+2*len(s.Hists))
 	for _, n := range sortedKeys(s.Counters) {
 		fams = append(fams, PromFamily{
@@ -170,7 +177,7 @@ func SnapshotFamilies(s Snapshot) []PromFamily {
 			Type: "counter",
 			Help: "registry counter " + n,
 			Samples: []PromSample{
-				{Value: float64(s.Counters[n])},
+				{Labels: labels, Value: float64(s.Counters[n])},
 			},
 		})
 	}
@@ -180,7 +187,7 @@ func SnapshotFamilies(s Snapshot) []PromFamily {
 			Type: "gauge",
 			Help: "registry gauge " + n,
 			Samples: []PromSample{
-				{Value: s.Gauges[n]},
+				{Labels: labels, Value: s.Gauges[n]},
 			},
 		})
 	}
@@ -192,17 +199,17 @@ func SnapshotFamilies(s Snapshot) []PromFamily {
 			Type: "summary",
 			Help: "registry histogram " + n,
 			Samples: []PromSample{
-				{Labels: []PromLabel{{K: "quantile", V: "0.5"}}, Value: float64(h.P50)},
-				{Labels: []PromLabel{{K: "quantile", V: "0.99"}}, Value: float64(h.P99)},
-				{Suffix: "_sum", Value: h.Mean * float64(h.N)},
-				{Suffix: "_count", Value: float64(h.N)},
+				{Labels: quantile("0.5"), Value: float64(h.P50)},
+				{Labels: quantile("0.99"), Value: float64(h.P99)},
+				{Suffix: "_sum", Labels: labels, Value: h.Mean * float64(h.N)},
+				{Suffix: "_count", Labels: labels, Value: float64(h.N)},
 			},
 		})
 		fams = append(fams, PromFamily{
 			Name:    base + "_max",
 			Type:    "gauge",
 			Help:    "registry histogram max " + n,
-			Samples: []PromSample{{Value: float64(h.Max)}},
+			Samples: []PromSample{{Labels: labels, Value: float64(h.Max)}},
 		})
 	}
 	return fams

@@ -53,64 +53,72 @@ type Sample struct {
 	Metrics Snapshot       `json:"metrics"`
 }
 
-// Sampler drives periodic sampling off the simulated clock via the
-// engine's probe hook. It is not an event source: the probe fires as a
-// side effect of the clock crossing each interval boundary, so enabling
-// sampling cannot perturb the event sequence or the run's TraceHash.
+// Sampler takes a Sample of the hub at every interval boundary of the
+// simulated clock, via the engine's probe hook, and hands it to its
+// sink. It is not an event source: the probe fires as a side effect of
+// the clock crossing a boundary, so sampling cannot perturb the event
+// sequence or the run's TraceHash.
 type Sampler struct {
-	hub      *Hub
-	interval sim.Time
-	w        *bufio.Writer
-	err      error
+	hub  *Hub
+	sink func(Sample) error
+	err  error
 }
 
-// StartSampler begins emitting a JSONL snapshot every interval of
-// simulated time to w. One sampler per hub; starting again replaces the
-// previous sink.
-func (h *Hub) StartSampler(w io.Writer, interval sim.Time) *Sampler {
-	s := &Sampler{hub: h, interval: interval, w: bufio.NewWriter(w)}
+// StartSampler begins sampling every interval of simulated time into
+// sink; the first error the sink returns stops it and is Close's. One
+// sampler per engine: starting again replaces the previous one.
+func (h *Hub) StartSampler(interval sim.Time, sink func(Sample) error) *Sampler {
+	s := &Sampler{hub: h, sink: sink}
 	h.eng.SetProbe(interval, s.fire)
 	return s
 }
 
-// fire captures and writes one snapshot at simulated time at.
 func (s *Sampler) fire(at sim.Time) {
-	if s.err != nil {
-		return
+	if s.err == nil {
+		s.err = s.sink(s.hub.Sample(at))
 	}
-	s.err = s.writeSample(at)
 }
 
-func (s *Sampler) writeSample(at sim.Time) error {
-	smp := Sample{TsNs: at, Metrics: s.hub.registry.Snapshot()}
-	if s.hub.tenantSrc != nil {
-		smp.Tenants = s.hub.tenantSrc.TenantSamples()
+// Close hands the sink a final sample at the current simulated time (so
+// a short run always yields at least one) and stops sampling.
+func (s *Sampler) Close() error {
+	s.fire(s.hub.eng.Now())
+	s.hub.eng.SetProbe(0, nil)
+	return s.err
+}
+
+// Sample snapshots the stack at simulated time at: the registry, and
+// the per-tenant and per-die samples of the bound sources.
+func (h *Hub) Sample(at sim.Time) Sample {
+	smp := Sample{TsNs: at, Metrics: h.registry.Snapshot()}
+	if h.tenantSrc != nil {
+		smp.Tenants = h.tenantSrc.TenantSamples()
 	}
-	if s.hub.deviceSrc != nil {
-		smp.Dies = s.hub.deviceSrc.DieSamples()
+	if h.deviceSrc != nil {
+		smp.Dies = h.deviceSrc.DieSamples()
 	}
+	return smp
+}
+
+// JSONL is the -stats-out sink: one JSON object per sample and line.
+type JSONL struct {
+	w *bufio.Writer
+}
+
+// NewJSONL buffers w; Flush after the last sample.
+func NewJSONL(w io.Writer) *JSONL { return &JSONL{w: bufio.NewWriter(w)} }
+
+// Write appends one sample's line.
+func (j *JSONL) Write(smp Sample) error {
 	b, err := json.Marshal(smp)
 	if err != nil {
 		return err
 	}
-	if _, err := s.w.Write(b); err != nil {
+	if _, err := j.w.Write(b); err != nil {
 		return err
 	}
-	if err := s.w.WriteByte('\n'); err != nil {
-		return err
-	}
-	return nil
+	return j.w.WriteByte('\n')
 }
 
-// Close emits a final snapshot at the current simulated time (so short
-// runs always produce at least one line) and flushes the sink.
-func (s *Sampler) Close() error {
-	if s.err != nil {
-		return s.err
-	}
-	if err := s.writeSample(s.hub.eng.Now()); err != nil {
-		return err
-	}
-	s.hub.eng.SetProbe(0, nil)
-	return s.w.Flush()
-}
+// Flush writes the buffered lines out.
+func (j *JSONL) Flush() error { return j.w.Flush() }

@@ -88,12 +88,16 @@ func TestSamplerEmitsPerInterval(t *testing.T) {
 	h.Registry().MustCounter("x").Inc(3)
 
 	var buf bytes.Buffer
-	s := h.StartSampler(&buf, 1000)
+	jsonl := NewJSONL(&buf)
+	s := h.StartSampler(1000, jsonl.Write)
 	for i := 1; i <= 5; i++ {
 		eng.Schedule(int64(i)*700, func() {})
 	}
 	eng.Run() // clock ends at 3500 → boundaries 1000, 2000, 3000
 	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := jsonl.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))

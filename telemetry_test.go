@@ -39,6 +39,34 @@ func telemetryRun(t *testing.T) (stats, trace []byte, breakdown string, rs RunSt
 	return statsBuf.Bytes(), traceBuf.Bytes(), dev.BreakdownTable(), rs
 }
 
+// keyPaths flattens one JSON object to its key paths: "a.b" for a key
+// of a nested object, "a[]" for the elements of an array.
+func keyPaths(t *testing.T, line []byte) map[string]bool {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(line, &v); err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	var flatten func(v any, path string)
+	flatten = func(v any, path string) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, x := range v {
+				flatten(x, strings.TrimPrefix(path+"."+k, "."))
+			}
+		case []any:
+			for _, x := range v {
+				flatten(x, path+"[]")
+			}
+		default:
+			keys[path] = true
+		}
+	}
+	flatten(v, "")
+	return keys
+}
+
 // Golden determinism: the same seed produces byte-identical stats JSONL
 // and Chrome trace JSON on every execution.
 func TestTelemetryOutputsByteIdentical(t *testing.T) {
@@ -106,27 +134,7 @@ func TestTelemetryOutputSchemas(t *testing.T) {
 	// is the last line of its -stats-out, flattened to key paths, plus the
 	// two gauges ftl.Stats has declared since (ftl/padded_pages,
 	// ftl/early_flushes).
-	var last any
-	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
-		t.Fatal(err)
-	}
-	keys := map[string]bool{}
-	var flatten func(v any, path string)
-	flatten = func(v any, path string) {
-		switch v := v.(type) {
-		case map[string]any:
-			for k, x := range v {
-				flatten(x, strings.TrimPrefix(path+"."+k, "."))
-			}
-		case []any:
-			for _, x := range v {
-				flatten(x, path+"[]")
-			}
-		default:
-			keys[path] = true
-		}
-	}
-	flatten(last, "")
+	keys := keyPaths(t, lines[len(lines)-1])
 	golden, err := os.ReadFile("testdata/stats_keys.golden")
 	if err != nil {
 		t.Fatal(err)
