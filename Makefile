@@ -121,9 +121,12 @@ bench-telemetry:
 # declared anywhere else (binaries bind them with Spec.BindFlags;
 # paperfig's -blocks is the width of the characterization sweep, not a
 # device's, and bench/ is the frozen harness, whose -seed also feeds its
-# load generator); or if a package under internal/ is imported by no
+# load generator); if -stats-out or -stats-interval is declared anywhere
+# but internal/obs/stats.go (cubesim and cubefleet bind them with
+# obs.StatsConfig); or if a package under internal/ is imported by no
 # other package (test imports count, a package's own tests do not).
 DEVICE_FLAGS = ftl|channels|dies|blocks|seed|pe|retention|retry-mode|refresh|wearlevel|pfail|efail|rfault|badblocks|recovery|ckpt-interval
+STATS_FLAGS = stats-out|stats-interval
 one-stack:
 	@bad=$$(grep -rn --include='*.go' -e 'ssd\.New(' -e 'ssd\.NewWithArray(' -e 'ftl\.NewController(' \
 			-e 'recovery\.Attach(' -e 'recovery\.Mount(' . \
@@ -135,6 +138,11 @@ one-stack:
 		| grep -v -e '_test\.go:' -e '^\./internal/stack/' -e '^\./bench/' -e '^\./cmd/paperfig/main\.go:.*"blocks", 8, "blocks swept by'); \
 	if [ -n "$$bad" ]; then \
 		echo "one-stack: device flags are declared in internal/stack/flags.go only (bind them with Spec.BindFlags):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE --include='*.go' '(flag|fs)\.[A-Za-z0-9]+\((&[A-Za-z0-9_.]+, *)?"($(STATS_FLAGS))"' . \
+		| grep -v -e '_test\.go:' -e '^\./internal/obs/stats\.go:' -e '^\./bench/'); \
+	if [ -n "$$bad" ]; then \
+		echo "one-stack: -stats-out and -stats-interval are declared in internal/obs/stats.go only (bind them with obs.StatsConfig):"; echo "$$bad"; exit 1; \
 	fi
 	@$(GO) list -test -deps -f '{{.ImportPath}}{{range .Imports}}|{{.}}{{end}}' ./... | awk -F'|' ' \
 		{ p = $$1; sub(/ \[.*/, "", p); sub(/(_test|\.test)$$/, "", p); \
@@ -203,9 +211,11 @@ one-trace:
 # more than one non-test .go file of the library (the root package and
 # internal/) — a second file spelling a name is a copy of the
 # declaration; the scrapers (bench/, the tests) look a name up
-# in what was served and have to spell it — or if one of the
+# in what was served and have to spell it — if one of the
 # copying helpers is back: metrics.CounterSet, Stats.FaultCounters, a
-# map[string]*int64 of metric names.
+# map[string]*int64 of metric names; or if a non-test file in
+# internal/fleet builds a telemetry.PromFamily literal (a fleet exports
+# its shards' registries, labelled shard, and nothing listed by hand).
 one-ledger:
 	@bad=$$(grep -rnoE --include='*.go' --exclude='*_test.go' \
 			'"(cube_|ftl/|nand/|faults/|cube/)[A-Za-z0-9_/%]+' *.go internal \
@@ -218,6 +228,10 @@ one-ledger:
 			-e 'CounterSet' -e 'FaultCounters' -e 'map\[string\]\*int64' .); \
 	if [ -n "$$bad" ]; then \
 		echo "one-ledger: counters are read by walking their struct (metrics.Walk), not copied into a named set:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn --include='*.go' --exclude='*_test.go' -F 'PromFamily{' internal/fleet); \
+	if [ -n "$$bad" ]; then \
+		echo "one-ledger: a fleet exports its shards' registries (telemetry.SnapshotFamilies), not families built by hand:"; echo "$$bad"; exit 1; \
 	fi
 	@echo "one-ledger: PASS"
 

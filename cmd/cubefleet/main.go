@@ -39,8 +39,7 @@ type config struct {
 	dev         cubeftl.Options
 	fleet       cubeftl.FleetOptions
 	cacheMode   string
-	statsOut    string
-	statsIvl    time.Duration
+	stats       obs.StatsConfig
 	metricsAddr string
 	profile     obs.ProfileConfig
 }
@@ -75,18 +74,21 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.IntVar(&f.Repeat, "repeat", 1, "replay the trace N times back to back")
 	fs.IntVar(&f.MaxRequests, "fleet-max-requests", 0, "cap total fleet requests after repeat expansion (0 = all)")
 
-	fs.StringVar(&c.statsOut, "stats-out", "", "write the merged fleet time series (one JSON object per interval) to this file")
-	fs.DurationVar(&c.statsIvl, "stats-interval", time.Millisecond, "simulated time between fleet series samples")
-	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve live /metrics for the run on this address (e.g. 127.0.0.1:9090)")
+	c.stats.RegisterFlags(fs)
+	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve live /metrics for the fleet run on this address (e.g. 127.0.0.1:9090); not with -single")
 	c.profile.RegisterFlags(fs)
 }
 
 // finish resolves what the parsed flags imply: the typed cache mode,
 // the device half of the fleet's configuration (fleet.Config spells it
-// flat), and the one queue depth both replays share.
+// flat), and the one queue depth both replays share. -metrics-addr
+// serves a fleet's live view, which -single does not have.
 func (c *config) finish() error {
 	if err := c.dev.Validate(); err != nil {
 		return err
+	}
+	if c.single && c.metricsAddr != "" {
+		return fmt.Errorf("cubefleet: -metrics-addr serves a fleet's live view and -single runs no fleet; -stats-out writes the device's series")
 	}
 	mode, err := cache.ParseMode(c.cacheMode)
 	if err != nil {
@@ -97,8 +99,8 @@ func (c *config) finish() error {
 	f.Policy, f.Seed, f.PE, f.RetentionMonths = d.FTL, d.Seed, d.PECycles, d.RetentionMonths
 	f.BlocksPerChip, f.Channels, f.DiesPerChannel = d.BlocksPerChip, d.Channels, d.DiesPerChannel
 	c.trace.QueueDepth = f.QueueDepth
-	if c.statsOut != "" || c.metricsAddr != "" { // no sink requested: no sampling
-		f.SampleIntervalNs = int64(c.statsIvl)
+	if c.stats.Out != "" || c.metricsAddr != "" { // no sink requested: no sampling
+		f.SampleIntervalNs = int64(c.stats.Interval)
 	}
 	return nil
 }
@@ -147,10 +149,30 @@ func (c *config) run(stdout, stderr io.Writer) error {
 			ssd.Prefill(c.fleet.PrefillPages)
 			ssd.ResetStats()
 		}
+		var statsW *os.File
+		if c.stats.Out != "" {
+			if statsW, err = os.Create(c.stats.Out); err != nil {
+				return err
+			}
+			defer statsW.Close()
+			ssd.EnableTelemetry(cubeftl.TelemetryConfig{})
+			if err := ssd.StartStats(statsW, c.stats.Interval); err != nil {
+				return err
+			}
+		}
 		start := time.Now()
 		st, err := ssd.ReplayTrace(c.tracePath, f, c.trace)
 		if err != nil {
 			return err
+		}
+		if statsW != nil {
+			if err := ssd.CloseStats(); err != nil {
+				return err
+			}
+			if err := statsW.Close(); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "stats: wrote %s\n", c.stats.Out)
 		}
 		fmt.Fprintf(stdout, "single-device replay: ftl=%s requests=%d iops=%.0f elapsed=%v\n",
 			ssd.FTLName(), st.Requests, st.IOPS, st.Elapsed)
@@ -162,8 +184,8 @@ func (c *config) run(stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	if c.statsOut != "" {
-		statsW, err := os.Create(c.statsOut)
+	if c.stats.Out != "" {
+		statsW, err := os.Create(c.stats.Out)
 		if err != nil {
 			return err
 		}
@@ -184,8 +206,8 @@ func (c *config) run(stdout, stderr io.Writer) error {
 	}
 	wall := time.Since(start)
 	fmt.Fprint(stdout, st.Report())
-	if len(st.Series) > 0 && c.statsOut != "" {
-		fmt.Fprintf(stderr, "series: wrote %d samples to %s\n", len(st.Series), c.statsOut)
+	if len(st.Series) > 0 && c.stats.Out != "" {
+		fmt.Fprintf(stderr, "series: wrote %d samples to %s\n", len(st.Series), c.stats.Out)
 	}
 	fmt.Fprintf(stderr, "wall: %v (replay %v)\n", wall, time.Duration(st.WallNs))
 	return nil

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -103,6 +107,52 @@ func TestNonFiniteFloatFlagsRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
 			t.Errorf("%s: got %v, want an error naming %s", tc.args, err, tc.flag)
 		}
+	}
+}
+
+// -single writes -stats-out through the device's own sampler — a single
+// device's schema, one JSON object per line — and refuses -metrics-addr,
+// which serves a fleet's live view, instead of ignoring either.
+func TestSingleHonoursStatsOut(t *testing.T) {
+	const trace = "-trace ../../internal/workload/testdata/msr_sample.csv -blocks 8 -channels 1 -dies 2 -compress 20 -single "
+	out := filepath.Join(t.TempDir(), "stats.jsonl")
+	c, err := parse(t, trace+"-stats-out "+out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.run(io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(b), []byte("\n"))
+	if len(lines) < 2 {
+		t.Fatalf("%d stats lines, want one per millisecond of the replay", len(lines))
+	}
+	for i, line := range lines {
+		var smp struct {
+			TsNs    *int64            `json:"ts_ns"`
+			Tenants []json.RawMessage `json:"tenants"`
+			Dies    []json.RawMessage `json:"dies"`
+			Metrics struct {
+				Gauges map[string]float64 `json:"gauges"`
+			} `json:"metrics"`
+		}
+		if err := json.Unmarshal(line, &smp); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		if smp.TsNs == nil || len(smp.Tenants) != 1 || len(smp.Dies) != 2 || smp.Metrics.Gauges["cube/ort/hits"] < 0 {
+			t.Fatalf("line %d is not a device sample: %s", i, line)
+		}
+		if _, ok := smp.Metrics.Gauges["ftl/gc/runs"]; !ok {
+			t.Fatalf("line %d lacks the device ledger: %s", i, line)
+		}
+	}
+
+	if _, err := parse(t, trace+"-metrics-addr 127.0.0.1:0"); err == nil || !strings.Contains(err.Error(), "-metrics-addr") {
+		t.Errorf("-single -metrics-addr: got %v, want an error naming -metrics-addr", err)
 	}
 }
 

@@ -43,12 +43,12 @@ type config struct {
 	verifyMount  bool
 
 	// Observability and chaos (telemetry.go).
-	traceOut, statsOut string
-	statsInterval      time.Duration
-	breakdown          bool
-	killDie            int
-	profile            obs.ProfileConfig
-	statsFile          *os.File // the open -stats-out sink
+	traceOut  string
+	stats     obs.StatsConfig
+	breakdown bool
+	killDie   int
+	profile   obs.ProfileConfig
+	statsFile *os.File // the open -stats-out sink
 
 	// Multi-tenant mode (-tenant).
 	tenants []cubeftl.TenantConfig
@@ -82,8 +82,7 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.StringVar(&c.powercut, "powercut", "", "crash test: cut power mid-run at a simulated duration into the run (e.g. 5ms) or at a seed-derived 'random' point, then recover by remounting")
 	fs.BoolVar(&c.verifyMount, "verify-mount", true, "after a -powercut remount, run the full-device consistency verifier (zero lost acked writes)")
 	fs.StringVar(&c.traceOut, "trace-out", "", "write a Chrome trace_event JSON file of the run (open in Perfetto)")
-	fs.StringVar(&c.statsOut, "stats-out", "", "write periodic JSONL telemetry snapshots to this file")
-	fs.DurationVar(&c.statsInterval, "stats-interval", time.Millisecond, "simulated time between -stats-out snapshots")
+	c.stats.RegisterFlags(fs)
 	fs.BoolVar(&c.breakdown, "breakdown", false, "print per-stage latency attribution after the run")
 	fs.IntVar(&c.killDie, "killdie", -1, "chaos: make one die fail every program and erase (degrades it mid-run)")
 	c.profile.RegisterFlags(fs)

@@ -19,16 +19,16 @@ func (o *config) startTelemetry(dev *cubeftl.SSD) error {
 		}
 		fmt.Printf("chaos: die %d set to fail all programs and erases\n", o.killDie)
 	}
-	if o.traceOut == "" && o.statsOut == "" && !o.breakdown {
+	if o.traceOut == "" && o.stats.Out == "" && !o.breakdown {
 		return nil
 	}
 	dev.EnableTelemetry(cubeftl.TelemetryConfig{Trace: o.traceOut != ""})
-	if o.statsOut != "" {
-		f, err := os.Create(o.statsOut)
+	if o.stats.Out != "" {
+		f, err := os.Create(o.stats.Out)
 		if err != nil {
 			return err
 		}
-		if err := dev.StartStats(f, o.statsInterval); err != nil {
+		if err := dev.StartStats(f, o.stats.Interval); err != nil {
 			f.Close()
 			return err
 		}
@@ -61,7 +61,7 @@ func (o *config) finishTelemetry(dev *cubeftl.SSD) error {
 		}
 		o.statsFile = nil
 		fmt.Printf("stats: wrote %s (one JSON object per %v of simulated time)\n",
-			o.statsOut, o.statsInterval)
+			o.stats.Out, o.stats.Interval)
 	}
 	if o.traceOut != "" {
 		f, err := os.Create(o.traceOut)

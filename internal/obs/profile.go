@@ -1,6 +1,7 @@
 // Package obs holds process-level observability helpers shared by the
 // command-line binaries: the -cpuprofile/-memprofile/-pprof-addr
 // profiling trio wired identically into cubesim, cubeserved, and
+// cubefleet, and the -stats-out/-stats-interval pair of cubesim and
 // cubefleet (DESIGN.md §16).
 package obs
 
