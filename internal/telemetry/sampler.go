@@ -75,7 +75,7 @@ func (h *Hub) StartSampler(interval sim.Time, sink func(Sample) error) *Sampler 
 
 func (s *Sampler) fire(at sim.Time) {
 	if s.err == nil {
-		s.err = s.sink(s.hub.Sample(at))
+		s.err = s.sink(s.hub.sample(at))
 	}
 }
 
@@ -87,9 +87,9 @@ func (s *Sampler) Close() error {
 	return s.err
 }
 
-// Sample snapshots the stack at simulated time at: the registry, and
+// sample snapshots the stack at simulated time at: the registry, and
 // the per-tenant and per-die samples of the bound sources.
-func (h *Hub) Sample(at sim.Time) Sample {
+func (h *Hub) sample(at sim.Time) Sample {
 	smp := Sample{TsNs: at, Metrics: h.registry.Snapshot()}
 	if h.tenantSrc != nil {
 		smp.Tenants = h.tenantSrc.TenantSamples()
