@@ -275,3 +275,39 @@ func TestDegradedDeviceRejectsFacadeWrites(t *testing.T) {
 	}
 	dev.Run()
 }
+
+// GC must not take a victim without an invalid page: copying it frees
+// nothing, and the cycle that follows finds the same state. A sequential
+// prefill leaves every data block of this one-die device fully valid and
+// its free pool at the GC threshold, and 64 first writes then ran GC
+// cycles without end: Run never returned. They must complete and the
+// device settle within a cycle budget (Run itself has none).
+func TestGCRefusesAFullyValidVictim(t *testing.T) {
+	dev, err := New(Options{FTL: FTLCube, Channels: 1, DiesPerChannel: 1, BlocksPerChip: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.LogicalPages(); got != 8064 {
+		t.Fatalf("%d logical pages, want the 8064 the case was found on", got)
+	}
+	const prefill, fresh = 6451, 64
+	dev.Prefill(prefill)
+	done := 0
+	for lpn := int64(prefill); lpn < prefill+fresh; lpn++ {
+		if err := dev.Write(lpn, func() { done++ }); err != nil {
+			t.Fatalf("write %d: %v", lpn, err)
+		}
+	}
+	const budget = 1000
+	dev.eng.RunWhile(func() bool { return dev.ctrl.Stats().GCCount < budget })
+	if n := dev.eng.Pending(); n > 0 {
+		t.Fatalf("%d GC cycles and %d events still pending: the device never settles", dev.ctrl.Stats().GCCount, n)
+	}
+	dev.Run()
+	if done != fresh {
+		t.Fatalf("%d of %d writes completed", done, fresh)
+	}
+	if err := dev.ctrl.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -227,9 +227,9 @@ func TestFactoryBadBlocksExcluded(t *testing.T) {
 
 // closedLoop keeps depth host commands outstanding on c until ops of them
 // have been issued, then runs eng until it stops and fails t unless c
-// drained. Each command is at an LPN drawn below n from src: a trim one
-// time in ten, a read reads times in ten, else a write, which c may not
-// refuse.
+// drained, or if a GC cycle could free nothing (gcProgress). Each command is
+// at an LPN drawn below n from src: a trim one time in ten, a read reads
+// times in ten, else a write, which c may not refuse.
 func closedLoop(t *testing.T, eng *sim.Engine, c *Controller, src *rng.Source, n, ops, depth, reads int) {
 	t.Helper()
 	outstanding := 0
@@ -253,9 +253,23 @@ func closedLoop(t *testing.T, eng *sim.Engine, c *Controller, src *rng.Source, n
 		}
 	}
 	issue()
-	eng.Run()
+	for eng.Step() {
+		gcProgress(t, c)
+	}
 	if !c.Drained() {
 		t.Fatal("not drained")
+	}
+}
+
+// gcProgress fails t if a GC cycle is moving a block with no invalid page:
+// a cycle must free a page (or retire its victim, whose erase failed), or
+// the one after it finds the die as this one did.
+func gcProgress(t *testing.T, c *Controller) {
+	for chip := range c.dies {
+		cy := &c.dies[chip].cycle
+		if cy.active && cy.cause == causeGC && c.mapper.ValidCount(chip, cy.victim) >= c.geo.PagesPerBlock() {
+			t.Fatalf("GC on die %d is moving block %d, whose every page is valid", chip, cy.victim)
+		}
 	}
 }
 

@@ -23,9 +23,10 @@ func (c *Controller) checkGC(chip int) {
 }
 
 // pickVictim selects the closed block with the fewest valid pages
-// (greedy policy).
+// (greedy policy), if it has a page to win: a fully valid victim frees
+// nothing, and the cycle after it would find the same state.
 func (c *Controller) pickVictim(chip int) (int, bool) {
-	best, bestValid := -1, int(^uint(0)>>1)
+	best, bestValid := -1, c.geo.PagesPerBlock()
 	for b, r := range c.chipRoles(chip) {
 		if r != roleData {
 			continue
