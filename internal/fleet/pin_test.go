@@ -18,7 +18,12 @@ import (
 // rest on miss records (or the device's op records) being reused. The
 // report hashes were re-captured at ISSUE 17 (fixed-bucket
 // metrics.Hist): the read_lat_us percentiles moved down by at most one
-// bucket, every other byte of both reports is the same.
+// bucket, every other byte of both reports is the same. The cube report
+// was re-captured when GC stopped taking a victim without an invalid
+// page: shard 3 (8 blocks) no longer copies a fully valid block, so its
+// elapsed_ms, the fleet's sim_elapsed_ms, cache partial / dirty_evict
+// counts (one fewer each) and read_lat_us p95 / p99 moved; the grant
+// hash, every request count and every other shard line did not.
 func TestFleetReplayPinned(t *testing.T) {
 	replayPinned(t)
 	defer pool.LimitFreeListsForTest(1)()
@@ -31,7 +36,7 @@ func replayPinned(t *testing.T) {
 	for _, p := range []struct {
 		policy, want string
 	}{
-		{"cube", "report=750a96e2d51c4a5a trace=4400229985772315657"},
+		{"cube", "report=e309cb1ab90ce975 trace=4400229985772315657"},
 		{"vertFTL", "report=e66e7b599fe7bb1f trace=4400229985772315657"},
 	} {
 		res, err := Run(Config{
