@@ -207,10 +207,6 @@ type Controller struct {
 	roles    []blockRole // per block, chip-major
 	degraded bool        // device-wide read-only: every die has degraded
 
-	// The first relocWindowsKept completed cycles of each cause.
-	windows []relocWindow
-	kept    [numCauses]int
-
 	pendingWrites pool.Ring[*hostWrite] // host writes waiting for buffer space
 	flushChip     int                   // round-robin cursor
 	timerArmed    bool                  // the FlushTimeoutNs bound on a held partial group
@@ -332,8 +328,6 @@ func newController(dev *ssd.Device, pol Policy, cfg ControllerConfig) *Controlle
 		stats:  Stats{ReadLat: metrics.NewHist(0), WriteLat: metrics.NewHist(0)},
 		dies:   make([]die, geo.Chips),
 		roles:  make([]blockRole, geo.Chips*geo.BlocksPerChip),
-
-		windows: make([]relocWindow, 0, int(numCauses)*relocWindowsKept),
 	}
 	c.onFlushTimer, c.onEarlyFlush = c.flushTimerFired, c.earlyFlushFired
 	if cfg.VerifyData {

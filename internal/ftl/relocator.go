@@ -19,7 +19,7 @@ import (
 // outside this file opens a cycle or steps one (make one-relocator).
 
 // relocCause says why a block's data is being moved; it picks the cycle's
-// counter, WAF column, trace instant and window list.
+// counter, WAF column and trace instant.
 type relocCause uint8
 
 const (
@@ -51,7 +51,6 @@ type relocCycle struct {
 	active bool
 	victim int
 	cause  relocCause
-	start  sim.Time
 
 	onBarrier, onRepool func()
 	onErased            func(nand.EraseResult, error)
@@ -84,7 +83,7 @@ func (c *Controller) startReloc(chip, block int, cause relocCause) bool {
 		return false
 	}
 	cy := &d.cycle
-	cy.active, cy.victim, cy.cause, cy.start = true, block, cause, c.eng.Now()
+	cy.active, cy.victim, cy.cause = true, block, cause
 	cycles, _ := c.stats.relocColumns(cause)
 	*cycles++
 	if name := causeInstant[cause]; name != "" {
@@ -196,33 +195,13 @@ func (cy *relocCycle) repool() {
 	cy.done()
 }
 
-// relocWindowsKept bounds the window list per cause: the power-cut
-// sweeps aim at the first few cycles of a run, and a long-lived server
-// collects garbage for as long as it is up.
-const relocWindowsKept = 16
-
-type relocWindow struct {
-	cause relocCause
-	span  [2]sim.Time
-}
-
-// close ends the cycle without looking for more work (done does both).
-func (cy *relocCycle) close() {
-	c := cy.c
-	cy.active = false
-	if c.kept[cy.cause] < relocWindowsKept {
-		c.kept[cy.cause]++
-		c.windows = append(c.windows, relocWindow{cy.cause, [2]sim.Time{cy.start, c.eng.Now()}})
-	}
-}
-
 // done closes the cycle and starts the die's next background work in
 // priority order: queued evacuations, space-pressure GC, queued
 // refreshes, then a wear-leveling move (each refused once one runs).
 func (cy *relocCycle) done() {
 	c, chip := cy.c, cy.chip
 	d := &c.dies[chip]
-	cy.close()
+	cy.active = false
 	for len(d.pendingRetire) > 0 {
 		block := d.pendingRetire[0]
 		d.pendingRetire = d.pendingRetire[1:]
@@ -237,23 +216,6 @@ func (cy *relocCycle) done() {
 	c.maybeWearLevel(chip)
 	c.maybeFlush()
 }
-
-// windowsOf returns the kept windows of one cause (numCauses: of all).
-func (c *Controller) windowsOf(cause relocCause) (out [][2]sim.Time) {
-	for _, w := range c.windows {
-		if cause == numCauses || w.cause == cause {
-			out = append(out, w.span)
-		}
-	}
-	return out
-}
-
-// GCWindows returns the [start, end) windows of the first completed cycles,
-// at most relocWindowsKept per cause: the power-cut sweep aims cuts inside.
-func (c *Controller) GCWindows() [][2]sim.Time { return c.windowsOf(numCauses) }
-
-// ScrubWindows returns the refresh cycles among GCWindows.
-func (c *Controller) ScrubWindows() [][2]sim.Time { return c.windowsOf(causeRefresh) }
 
 // GCActiveAny reports whether any die is mid-cycle.
 func (c *Controller) GCActiveAny() bool {
@@ -387,7 +349,7 @@ func (g *relocOp) write() {
 		// The die cannot accept relocations anymore. The batch's pages
 		// are still live and readable at the victim — nothing is lost —
 		// but this collection cycle cannot finish.
-		g.cycle().close()
+		g.cycle().active = false
 		g.release()
 		c.checkDieDegraded(chip)
 		return
@@ -410,7 +372,7 @@ func (g *relocOp) programDone(res nand.ProgramResult, err error) {
 		// victim's copies are still intact — just end the cycle.
 		c.stats.FencedPrograms++
 		c.programEnded(chip, cursor)
-		g.cycle().close()
+		g.cycle().active = false
 		g.release()
 		return
 	}

@@ -157,14 +157,8 @@ func relocatorCauses(t *testing.T) {
 				t.Errorf("%d programs, want %d", got, wls)
 			}
 
-			if w := c.windowsOf(tc.cause); len(w) != 1 || w[0][0] >= w[0][1] {
-				t.Errorf("windows tagged %s: %v, want one non-empty window", names[tc.cause], w)
-			}
-			if all := c.GCWindows(); len(all) != 1 {
-				t.Errorf("%d windows in all, want 1", len(all))
-			}
-			if got := len(c.ScrubWindows()); (got == 1) != (tc.cause == causeRefresh) || got > 1 {
-				t.Errorf("%d scrub windows after a %s cycle", got, names[tc.cause])
+			if c.GCActiveAny() {
+				t.Errorf("the %s cycle is still open after the device settled", names[tc.cause])
 			}
 
 			wantRole := roleFree
@@ -226,32 +220,6 @@ func TestRelocatorAdmission(t *testing.T) {
 	r.settle()
 	if err := r.c.CheckConsistency(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The window list is bounded per cause and keeps the first windows — the
-// analogue of recovery's TestCkptWindowsBounded.
-func TestRelocWindowsBounded(t *testing.T) {
-	eng, c := testController(t, NewPagePolicy())
-	src := rng.New(3)
-	var first [][2]sim.Time
-	for c.Stats().GCCount < 3*relocWindowsKept {
-		for i := 0; i < 256; i++ {
-			c.Write(LPN(src.Intn(512)), nil, func() {})
-		}
-		eng.Run()
-		if first == nil && c.Stats().GCCount >= relocWindowsKept {
-			first = c.GCWindows()
-		}
-	}
-	w := c.GCWindows()
-	if len(w) != relocWindowsKept || cap(c.windows) != int(numCauses)*relocWindowsKept {
-		t.Fatalf("kept %d windows of %d GC cycles (cap %d), want %d", len(w), c.Stats().GCCount, cap(c.windows), relocWindowsKept)
-	}
-	for i := range w {
-		if w[i] != first[i] {
-			t.Fatalf("window %d changed from %v to %v: the kept windows are not the first ones", i, first[i], w[i])
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package recovery_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -26,14 +27,15 @@ import (
 // brings back every acked write, and its tombstones every durable trim.
 
 // sweepLife is one replay of a sweep's run: its engine, whether host work
-// is still outstanding, and the power cut + verified remount.
+// is still outstanding, its controller and manager, and the power cut +
+// verified remount. It is the one way a test here cuts a running
+// workload: replay the life to an event index, then cut.
 type sweepLife struct {
-	eng          *sim.Engine
-	busy         func() bool
-	cut          func() error
-	ctrl         *ftl.Controller
-	patched      func() int
-	inGrownPatch func() bool
+	eng  *sim.Engine
+	busy func() bool
+	cut  func() error
+	ctrl *ftl.Controller
+	mgr  *recovery.Manager
 }
 
 // prefilled is how many of a life's hot pages are written before its
@@ -41,21 +43,33 @@ type sweepLife struct {
 // checkpoints of a slot, whose next image must insert their records.
 func prefilled(hot int) int64 { return int64(hot - hot/8) }
 
-// closedLoop keeps qd operations outstanding over the first hot LPNs
-// until n have been issued: writes, and one trim in sixteen.
-func closedLoop(t testing.TB, ctrl *ftl.Controller, seed uint64, hot, n, qd int) (busy func() bool) {
+// loop is a life's measured run: n commands at queue depth qd over the
+// first hot LPNs — one trim in sixteen, reads in sixteen reads, and
+// writes.
+type loop struct{ hot, n, qd, reads int }
+
+// sweepLoop is the stack legs' run.
+var sweepLoop = loop{hot: 600, n: 1500, qd: 24}
+
+// closedLoop starts lp on ctrl.
+func closedLoop(t testing.TB, ctrl *ftl.Controller, seed uint64, lp loop) (busy func() bool) {
 	src := rng.New(seed)
 	issued, outstanding := 0, 0
 	var issue func()
 	issue = func() {
-		for outstanding < qd && issued < n {
+		for outstanding < lp.qd && issued < lp.n {
 			issued++
 			outstanding++
-			lpn, done := ftl.LPN(src.Intn(hot)), func() { outstanding--; issue() }
-			if src.Intn(16) == 0 {
+			lpn, done := ftl.LPN(src.Intn(lp.hot)), func() { outstanding--; issue() }
+			switch k := src.Intn(16); {
+			case k == 0:
 				ctrl.Trim(lpn, done)
-			} else if err := ctrl.Write(lpn, nil, done); err != nil {
-				t.Fatalf("write %d: %v", lpn, err)
+			case k <= lp.reads:
+				ctrl.Read(lpn, nil, done)
+			default:
+				if err := ctrl.Write(lpn, nil, done); err != nil {
+					t.Fatalf("write %d: %v", lpn, err)
+				}
 			}
 		}
 	}
@@ -66,33 +80,49 @@ func closedLoop(t testing.TB, ctrl *ftl.Controller, seed uint64, hot, n, qd int)
 // stackLife is the sweep's device as every binary builds it: stack.Build
 // with Recovery on — two dies of six blocks, so the run's overwrites push
 // both into GC — prefilled over the hot set before the measured run.
-func stackLife(t testing.TB) sweepLife { return stackLifeMounting(t, false) }
+func stackLife(t testing.TB) sweepLife { return specLife(t, sweepSpec, 0, sweepLoop, false) }
 
 // fullScanLife is stackLife remounted from the media alone: no checkpoint,
 // no journal, every block's OOB — the mount that shows what a page's
 // spare-area record says, with nothing else to cover for it.
-func fullScanLife(t testing.TB) sweepLife { return stackLifeMounting(t, true) }
+func fullScanLife(t testing.TB) sweepLife { return specLife(t, sweepSpec, 0, sweepLoop, true) }
 
-func stackLifeMounting(t testing.TB, fullScan bool) sweepLife {
-	return specLife(t, stack.Spec{
-		FTL: "cube", Channels: 1, DiesPerChannel: 2, BlocksPerChip: 6, Seed: 3,
-		WriteBufferPages: 16, VerifyData: true,
-		Recovery: true, CkptInterval: 2 * time.Millisecond,
-	}, fullScan)
+var sweepSpec = stack.Spec{
+	FTL: "cube", Channels: 1, DiesPerChannel: 2, BlocksPerChip: 6, Seed: 3,
+	WriteBufferPages: 16, VerifyData: true,
+	Recovery: true, CkptInterval: 2 * time.Millisecond,
 }
 
-// specLife builds spec's stack, prefills most of the 600 hot pages and
-// runs the sweep's closed loop over them, seeded by the spec.
-func specLife(t testing.TB, spec stack.Spec, fullScan bool) sweepLife {
-	const hot = 600
+// agedLife is a stack with refresh and wear leveling on, aged three years
+// between its prefill and its measured run: Stack.Age makes the jump, runs
+// the refresh and wear-leveling moves it sets off to the end and takes a
+// checkpoint, so every cut mounts from that checkpoint or a later one. The
+// prefill closes blocks for the jump to age (an open write point is not
+// refreshed). Twenty-four blocks a die: a refresh and wear-leveling device
+// of sixteen or fewer never drains its first three-year jump.
+func agedLife(t testing.TB) sweepLife {
+	return specLife(t, stack.Spec{
+		FTL: "cube", Channels: 1, DiesPerChannel: 2, BlocksPerChip: 24, Seed: 5,
+		WriteBufferPages: 16, VerifyData: true, Refresh: true, WearLevel: true,
+		Recovery: true, CkptInterval: 2 * time.Millisecond,
+	}, 36, loop{hot: 2048, n: 400, qd: 16, reads: 4}, false)
+}
+
+// specLife builds spec's stack, prefills most of lp's hot pages, ages the
+// stack months (none at 0) and starts lp, seeded by the spec. Its cut
+// remounts with verify, from the media alone if fullScan.
+func specLife(t testing.TB, spec stack.Spec, months float64, lp loop, fullScan bool) sweepLife {
 	st, err := stack.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	workload.Prefill(st.Ctrl, prefilled(hot))
+	workload.Prefill(st.Ctrl, prefilled(lp.hot))
+	if months > 0 {
+		st.Age(months)
+	}
 	return sweepLife{
 		eng:  st.Eng,
-		busy: closedLoop(t, st.Ctrl, spec.Seed, hot, 1500, 24),
+		busy: closedLoop(t, st.Ctrl, spec.Seed, lp),
 		cut: func() error {
 			if err := st.PowerCut(); err != nil {
 				return err
@@ -100,9 +130,61 @@ func specLife(t testing.TB, spec stack.Spec, fullScan bool) sweepLife {
 			_, err := st.Remount(true, fullScan)
 			return err
 		},
-		ctrl:         st.Ctrl,
-		patched:      st.Mgr.PatchedCheckpoints,
-		inGrownPatch: st.Mgr.InGrownPatch,
+		ctrl: st.Ctrl,
+		mgr:  st.Mgr,
+	}
+}
+
+// rig is a device built by hand under a recovery manager, for the lives a
+// stack.Spec cannot describe (eight h-layers, two host programs per die, a
+// cheap refresh patrol). mount brings it up from the array and system
+// area that survive a cut, on a fresh engine, and verifies it.
+type rig struct {
+	devCfg ssd.Config
+	cfg    ftl.ControllerConfig
+	ctrl   *ftl.Controller
+	mgr    *recovery.Manager
+}
+
+// newRig builds the controller, writes the first prefill(ctrl) pages and
+// attaches the manager, whose genesis checkpoint covers them.
+func newRig(devCfg ssd.Config, cfg ftl.ControllerConfig, prefill func(*ftl.Controller) int64, interval sim.Time) *rig {
+	dev := ssd.New(sim.NewEngine(), devCfg)
+	r := &rig{devCfg: devCfg, cfg: cfg, ctrl: ftl.NewController(dev, core.New(dev.Geometry()), cfg)}
+	workload.Prefill(r.ctrl, prefill(r.ctrl))
+	r.mgr = recovery.Attach(r.ctrl, recovery.NewSystemArea(), recovery.Options{Ledger: recovery.NewLedger(), CkptIntervalNs: interval})
+	return r
+}
+
+// mount is the remount after a cut (fullScan: from the OOB records alone,
+// which owe none of the ledger's trims).
+func (r *rig) mount(fullScan bool) (*ftl.Controller, recovery.MountReport, error) {
+	dev := ssd.NewWithArray(sim.NewEngine(), r.devCfg, r.ctrl.Device().Array())
+	ctrl, rpt, err := recovery.Mount(dev, core.New(dev.Geometry()), r.cfg, r.mgr.System(), recovery.MountOptions{ForceFullScan: fullScan})
+	if err != nil {
+		return nil, rpt, err
+	}
+	if !ctrl.Drained() {
+		return nil, rpt, errors.New("the mounted controller is not drained")
+	}
+	if fullScan {
+		r.mgr.Ledger().ForgetTrims()
+	}
+	return ctrl, rpt, recovery.Verify(ctrl, r.mgr.Ledger())
+}
+
+// life starts lp on the rig.
+func (r *rig) life(t testing.TB, seed uint64, lp loop) sweepLife {
+	return sweepLife{
+		eng:  r.ctrl.Engine(),
+		busy: closedLoop(t, r.ctrl, seed, lp),
+		cut: func() error {
+			r.mgr.PowerCut()
+			_, _, err := r.mount(false)
+			return err
+		},
+		ctrl: r.ctrl,
+		mgr:  r.mgr,
 	}
 }
 
@@ -113,61 +195,91 @@ func specLife(t testing.TB, spec stack.Spec, fullScan bool) sweepLife {
 // the mount to scan (ftl's die.closing).
 func inflightLife(t testing.TB) sweepLife {
 	const seed, hot = 1, 300
-	devCfg := ssd.DefaultConfig()
-	devCfg.Channels, devCfg.DiesPerChannel = 2, 1
-	devCfg.Chip.Process.BlocksPerChip, devCfg.Chip.Process.Layers = 8, 8
-	devCfg.Chip.StoreData = true
-	devCfg.Seed = seed
-	cfg := ftl.DefaultControllerConfig()
+	devCfg := recovery.CutSSDConfig(seed)
+	devCfg.Channels, devCfg.DiesPerChannel, devCfg.Chip.Process.BlocksPerChip = 2, 1, 8
+	cfg := recovery.CutCtrlConfig()
 	cfg.WriteBufferPages, cfg.MaxInflightProgramsPerChip = 24, 2
-	cfg.VerifyData, cfg.DurableAcks = true, true
-
-	eng := sim.NewEngine()
-	dev := ssd.New(eng, devCfg)
-	ctrl := ftl.NewController(dev, core.New(dev.Geometry()), cfg)
-	workload.Prefill(ctrl, prefilled(hot))
-	led := recovery.NewLedger()
-	mgr := recovery.Attach(ctrl, recovery.NewSystemArea(), recovery.Options{Ledger: led, CkptIntervalNs: 150 * sim.Microsecond})
-	return sweepLife{
-		eng:  eng,
-		busy: closedLoop(t, ctrl, seed, hot, 1500, 16),
-		cut: func() error {
-			mgr.PowerCut()
-			dev2 := ssd.NewWithArray(sim.NewEngine(), devCfg, dev.Array())
-			ctrl2, _, err := recovery.Mount(dev2, core.New(dev2.Geometry()), cfg, mgr.System(), recovery.MountOptions{})
-			if err != nil {
-				return err
-			}
-			return recovery.Verify(ctrl2, led)
-		},
-		ctrl:         ctrl,
-		patched:      mgr.PatchedCheckpoints,
-		inGrownPatch: mgr.InGrownPatch,
-	}
+	r := newRig(devCfg, cfg, func(*ftl.Controller) int64 { return prefilled(hot) }, 150*sim.Microsecond)
+	return r.life(t, seed, loop{hot: hot, n: 1500, qd: 16})
 }
 
-// sweepCuts runs one life to completion as the probe, then cuts a fresh
-// replay after every stride-th event of its measured run. It returns the
-// cuts whose remount failed, the probe, the run's event count and how
-// many cuts landed inside the write of a patch that inserted records.
-func sweepCuts(t *testing.T, life func(testing.TB) sweepLife, stride uint64) (failed []string, probe sweepLife, events uint64, inGrown int) {
+// runTo replays l until i events of its measured run have fired or its
+// host work is done.
+func runTo(l sweepLife, i uint64) {
+	at := l.eng.Fired() + i
+	l.eng.RunWhile(func() bool { return l.busy() && l.eng.Fired() < at })
+}
+
+// probe runs one life to completion, calling each (when set) after every
+// event with the number of events fired so far, verifies it, and returns
+// it with its event count. The simulation is deterministic, so a replay of
+// the life cut after i events is in the state each saw at i.
+func probe(t *testing.T, life func(testing.TB) sweepLife, each func(l sweepLife, i uint64)) (sweepLife, uint64) {
 	t.Helper()
-	probe = life(t)
-	start := probe.eng.Fired()
-	probe.eng.RunWhile(probe.busy)
-	events = probe.eng.Fired() - start
+	l := life(t)
+	start := l.eng.Fired()
+	for l.busy() && l.eng.Step() {
+		if each != nil {
+			each(l, l.eng.Fired()-start)
+		}
+	}
+	if err := recovery.Verify(l.ctrl, l.mgr.Ledger()); err != nil {
+		t.Fatalf("the uncut run does not verify: %v", err)
+	}
+	return l, l.eng.Fired() - start
+}
+
+// every is every stride-th event index of a run of events.
+func every(events, stride uint64) (cuts []uint64) {
 	for i := uint64(0); i < events; i += stride {
+		cuts = append(cuts, i)
+	}
+	return cuts
+}
+
+// sweepCuts cuts a fresh replay of life after each of cuts' event
+// indices. It returns the cuts whose remount failed and how many cuts
+// landed inside the write of a patch that inserted records.
+func sweepCuts(t *testing.T, life func(testing.TB) sweepLife, cuts []uint64) (failed []string, inGrown int) {
+	t.Helper()
+	for _, i := range cuts {
 		l := life(t)
-		at := l.eng.Fired() + i
-		l.eng.RunWhile(func() bool { return l.busy() && l.eng.Fired() < at })
-		if l.inGrownPatch() {
+		runTo(l, i)
+		if l.mgr.InGrownPatch() {
 			inGrown++
 		}
 		if err := l.cut(); err != nil {
 			failed = append(failed, fmt.Sprintf("cut after event %d (t=%d): %v", i, l.eng.Now(), err))
 		}
 	}
-	return failed, probe, events, inGrown
+	return failed, inGrown
+}
+
+// spans records the runs of consecutive events after which a state held,
+// as [first, last] event indices.
+type spans struct {
+	open bool
+	got  [][2]uint64
+}
+
+// see notes whether the state holds after event i; anew starts a new run
+// even if it held before (a GC cycle opening while another die's runs).
+func (s *spans) see(i uint64, on, anew bool) {
+	switch {
+	case on && s.open && !anew:
+		s.got[len(s.got)-1][1] = i
+	case on:
+		s.got = append(s.got, [2]uint64{i, i})
+	}
+	s.open = on
+}
+
+// mids returns the middle event of each of the first n runs.
+func (s *spans) mids(n int) (cuts []uint64) {
+	for _, g := range s.got[:min(n, len(s.got))] {
+		cuts = append(cuts, (g[0]+g[1])/2)
+	}
+	return cuts
 }
 
 // sweepStride is 1 — every event — except under -short and -race, where
@@ -185,16 +297,22 @@ func TestPowerCutAtEveryEvent(t *testing.T) {
 	for _, leg := range []struct {
 		name string
 		life func(testing.TB) sweepLife
-	}{{"stack", stackLife}, {"two programs per die", inflightLife}, {"full scan", fullScanLife}} {
+		aged bool
+	}{{"stack", stackLife, false}, {"two programs per die", inflightLife, false}, {"full scan", fullScanLife, false}, {"after an age jump", agedLife, true}} {
 		t.Run(leg.name, func(t *testing.T) {
-			stride := sweepStride()
-			failed, probe, events, inGrown := sweepCuts(t, leg.life, stride)
-			stats := probe.ctrl.Stats()
-			t.Logf("%d events, %d cuts, %d inside a patch that inserted records; probe: %d programs, %d GC cycles, %d patched checkpoints",
-				events, (events+stride-1)/stride, inGrown, stats.Programs, stats.GCCount, probe.patched())
-			if stats.GCCount == 0 || probe.patched() == 0 || inGrown == 0 {
+			ckpt := false
+			p, events := probe(t, leg.life, func(l sweepLife, _ uint64) { ckpt = ckpt || l.mgr.CheckpointInFlight() })
+			cuts := every(events, sweepStride())
+			failed, inGrown := sweepCuts(t, leg.life, cuts)
+			st, patched := p.ctrl.Stats(), p.mgr.PatchedCheckpoints()
+			t.Logf("%d events, %d cuts, %d inside a patch that inserted records; probe: %d programs, %d GC / %d refresh / %d wear-leveling cycles, %d patched checkpoints",
+				events, len(cuts), inGrown, st.Programs, st.GCCount, st.Refreshes, st.WearLevels, patched)
+			switch {
+			case leg.aged && (st.Refreshes == 0 || !ckpt):
+				t.Errorf("the jump ran %d refresh cycles and the run wrote a checkpoint: %v; want both", st.Refreshes, ckpt)
+			case !leg.aged && (st.GCCount == 0 || patched == 0 || inGrown == 0):
 				t.Errorf("the run covers %d GC cycles, %d patched checkpoints and %d cuts inside a patch that inserted records, want all three",
-					stats.GCCount, probe.patched(), inGrown)
+					st.GCCount, patched, inGrown)
 			}
 			for _, f := range failed {
 				t.Error(f)
@@ -222,12 +340,13 @@ func TestPowerCutAfterProgramFailures(t *testing.T) {
 					FTL: "cube", Channels: 1, DiesPerChannel: 2, BlocksPerChip: 8, Seed: run.seed,
 					WriteBufferPages: 16, VerifyData: true, ProgramFailRate: run.pfail,
 					Recovery: true, CkptInterval: 2 * time.Millisecond,
-				}, false)
+				}, 0, sweepLoop, false)
 			}
-			stride := 5 * sweepStride()
-			failed, probe, events, _ := sweepCuts(t, life, stride)
-			retired := probe.ctrl.Stats().RetiredBlocks
-			t.Logf("%d events, %d cuts; probe: %d blocks retired", events, (events+stride-1)/stride, retired)
+			p, events := probe(t, life, nil)
+			cuts := every(events, 5*sweepStride())
+			failed, _ := sweepCuts(t, life, cuts)
+			retired := p.ctrl.Stats().RetiredBlocks
+			t.Logf("%d events, %d cuts; probe: %d blocks retired", events, len(cuts), retired)
 			if retired == 0 {
 				t.Error("no program failure retired a block: the case is not reached")
 			}
@@ -245,11 +364,13 @@ func TestPowerCutAfterProgramFailures(t *testing.T) {
 // media while an older one, already acked, is not in the checkpoint.
 func TestPowerCutAtEveryEventNeedsThePerLPNRule(t *testing.T) {
 	defer recovery.UseGlobalHorizonForTest()()
-	failed, _, events, _ := sweepCuts(t, stackLife, 29)
+	_, events := probe(t, stackLife, nil)
+	cuts := every(events, 29)
+	failed, _ := sweepCuts(t, stackLife, cuts)
 	if len(failed) == 0 {
 		t.Fatal("every cut recovered every acked write under the global horizon: the sweep does not reach the case")
 	}
-	t.Logf("%d of %d cuts lose acked writes under the global horizon, first: %s", len(failed), (events+28)/29, failed[0])
+	t.Logf("%d of %d cuts lose acked writes under the global horizon, first: %s", len(failed), len(cuts), failed[0])
 }
 
 // Both legs, with a checkpoint mapping standing at every tie unread, lose
@@ -268,7 +389,8 @@ func TestPowerCutAtEveryEventNeedsTheMediaAtTies(t *testing.T) {
 		life func(testing.TB) sweepLife
 	}{{"stack", stackLife}, {"two programs per die", inflightLife}} {
 		t.Run(leg.name, func(t *testing.T) {
-			failed, _, events, _ := sweepCuts(t, leg.life, 1)
+			_, events := probe(t, leg.life, nil)
+			failed, _ := sweepCuts(t, leg.life, every(events, 1))
 			if len(failed) == 0 {
 				t.Fatal("every cut recovered every acked write with the checkpoint standing at ties: the sweep does not reach the case")
 			}

@@ -25,3 +25,9 @@ func (m *Manager) PatchedCheckpoints() int { return m.ckptPatched }
 // patched an image whose set of pages had grown since its slot's last
 // encode.
 func (m *Manager) InGrownPatch() bool { return m.ckptBusy && m.ckpt.grown }
+
+// CheckpointInFlight reports a checkpoint write begun and not yet durable.
+func (m *Manager) CheckpointInFlight() bool { return m.ckptBusy }
+
+// CutSSDConfig and CutCtrlConfig are the power-cut tests' device.
+var CutSSDConfig, CutCtrlConfig = cutSSDConfig, cutCtrlConfig

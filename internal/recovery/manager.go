@@ -75,9 +75,8 @@ type Manager struct {
 	ckptBusy    bool
 	ckpt        pendingCkpt
 	enc         ckptEncoder
-	slotLogs    [2]slotLog    // by slot
-	ckptPatched int           // checkpoints written by patchCheckpoint
-	ckptWindows [][2]sim.Time // the first ckptWindowsKept only
+	slotLogs    [2]slotLog // by slot
+	ckptPatched int        // checkpoints written by patchCheckpoint
 
 	// Engine callbacks, bound once.
 	onFlushDone, onCkptTimer, onCkptDone func()
@@ -151,11 +150,6 @@ type pendingCkpt struct {
 	grown  bool // patched an image whose set of pages has grown since
 }
 
-// ckptWindowsKept bounds CkptWindows: the power-cut tests aim at the
-// first few checkpoint writes of a run, and a long-lived server writes
-// one every 20 ms of device clock for as long as it is up.
-const ckptWindowsKept = 16
-
 // Attach wires a Manager to a controller: installs it as the
 // controller's RecoveryHook, writes an immediate checkpoint of the
 // controller's current state (the genesis/post-mount checkpoint — the
@@ -173,7 +167,6 @@ func Attach(ctrl *ftl.Controller, sys *SystemArea, opts Options) *Manager {
 		ledger:       opts.Ledger,
 		ckptInterval: interval,
 		appended:     sys.durableEnd(),
-		ckptWindows:  make([][2]sim.Time, 0, ckptWindowsKept),
 	}
 	for i := range m.slotLogs {
 		m.slotLogs[i].dirty = make([]ftl.LPN, 0, dirtyLogCap)
@@ -191,13 +184,6 @@ func (m *Manager) Ledger() *Ledger { return m.ledger }
 
 // System returns the manager's system area.
 func (m *Manager) System() *SystemArea { return m.sys }
-
-// CkptWindows returns the [start, durable) interval of the first
-// completed checkpoint writes (at most ckptWindowsKept) — used by tests
-// to aim power cuts mid-checkpoint.
-func (m *Manager) CkptWindows() [][2]sim.Time {
-	return append([][2]sim.Time(nil), m.ckptWindows...)
-}
 
 // StateBytes returns the newest durable checkpoint image.
 func (m *Manager) StateBytes() []byte { return m.sys.StateBytes() }
@@ -436,9 +422,6 @@ func (m *Manager) install() {
 	sl.valid, sl.stamp, sl.cutoff, sl.at = true, m.ckpt.stamp, m.ckpt.cutoff, m.ckpt.start
 	m.sys.truncate(m.ckpt.cutoff)
 	m.ckptBusy = false
-	if len(m.ckptWindows) < ckptWindowsKept {
-		m.ckptWindows = append(m.ckptWindows, [2]sim.Time{m.ckpt.start, m.eng.Now()})
-	}
 	m.release()
 }
 

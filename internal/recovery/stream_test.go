@@ -79,14 +79,19 @@ func TestStreamedCheckpointMatchesReference(t *testing.T) {
 	})
 
 	t.Run("post-GC", func(t *testing.T) {
-		ctrl, mgr, _ := launch(t, 42, 3000, 0)
+		// Mid-flight first: buffered writes, an open relocation.
+		r := newPatchRigFilled(t, 42, 2*sim.Millisecond, 5)
+		ctrl, mgr := r.ctrl, r.mgr
+		r.writeUntil(3000, func() bool { return ctrl.GCActiveAny() && !ctrl.Drained() })
+		if !ctrl.GCActiveAny() {
+			t.Fatal("the run never stopped inside a relocation")
+		}
+		checkStreamedImage(t, "cube mid-run", ctrl)
+		r.write(3000)
 		if ctrl.Stats().GCCount == 0 {
 			t.Fatal("run never collected")
 		}
 		checkStreamedImage(t, "cube after GC", ctrl)
-		// Mid-flight too: buffered writes, open relocations.
-		ctrl2, _, _ := launch(t, 42, 3000, ctrl.Engine().Now()/2)
-		checkStreamedImage(t, "cube mid-run", ctrl2)
 
 		t.Run("post-remount", func(t *testing.T) {
 			mgr.PowerCut()
@@ -181,20 +186,15 @@ func TestInPlaceRecordsMatchReferenceFrames(t *testing.T) {
 // up from the other slot and verify, and the next manager's first
 // checkpoint goes into the torn slot's buffer.
 func TestPowerCutWhileSlotBufferIsRewritten(t *testing.T) {
-	const seed, requests = 42, 6000
-	_, mgr0, _ := launch(t, seed, requests, 0)
-	ckw := mgr0.CkptWindows()
-	if len(ckw) < 4 {
-		t.Fatalf("probe run completed %d checkpoints, want at least 4", len(ckw))
-	}
-	// The fourth checkpoint: both slots have been written before, so its
-	// slot is one whose buffer is being reused.
-	cutAt := (ckw[3][0] + ckw[3][1]) / 2
-
-	ctrl, mgr, led := launch(t, seed, requests, cutAt)
+	r := newPatchRigFilled(t, 42, 2*sim.Millisecond, 5)
+	ctrl, mgr, led := r.ctrl, r.mgr, NewLedger()
+	mgr.ledger = led // audit every acked write of the run
+	// The fourth checkpoint, the attach-time one counted: both slots have
+	// been written before, so its slot is one whose buffer is being reused.
+	r.writeUntil(1<<20, func() bool { return mgr.ckptBusy && r.ckpts == 4 })
 	sys := mgr.System()
-	if !mgr.ckptBusy {
-		t.Fatal("cut instant is not inside a checkpoint write")
+	if !mgr.ckptBusy || r.ckpts != 4 {
+		t.Fatal("the run never stopped inside the fourth checkpoint write")
 	}
 	torn, other := mgr.ckpt.slot, 1-mgr.ckpt.slot
 	if sys.slots[torn].valid || !sys.slots[other].valid {
@@ -212,7 +212,7 @@ func TestPowerCutWhileSlotBufferIsRewritten(t *testing.T) {
 	if got := sys.StateBytes(); !bytes.Equal(got, survivor) {
 		t.Fatal("StateBytes after the cut is not the surviving slot's image")
 	}
-	ctrl2, rpt := remountFrom(t, seed, ctrl.Device().Array(), sys, false)
+	ctrl2, rpt := remountFrom(t, 42, ctrl.Device().Array(), sys, false)
 	if !rpt.UsedCheckpoint {
 		t.Fatal("mount ignored the surviving checkpoint")
 	}
@@ -424,29 +424,6 @@ func TestWaitersReleasedByCheckpointInstall(t *testing.T) {
 	eng.RunUntil(eng.Now() + 2*JournalFlushNs)
 	if ran != 1 {
 		t.Errorf("waiter ran %d times", ran)
-	}
-}
-
-// CkptWindows keeps the first few windows only: a server checkpoints
-// every 20 ms of device clock for as long as it runs.
-func TestCkptWindowsBounded(t *testing.T) {
-	eng, m := waiterFixture(t)
-	var first [][2]sim.Time
-	for i := 1; i < 3*ckptWindowsKept; i++ { // the attach-time checkpoint was the first
-		m.CheckpointNow()
-		eng.RunWhile(func() bool { return !m.Quiesced() })
-		if i == ckptWindowsKept-1 {
-			first = m.CkptWindows()
-		}
-	}
-	w := m.CkptWindows()
-	if len(w) != ckptWindowsKept || cap(m.ckptWindows) != ckptWindowsKept {
-		t.Fatalf("kept %d windows (cap %d), want %d", len(w), cap(m.ckptWindows), ckptWindowsKept)
-	}
-	for i := range w {
-		if w[i] != first[i] {
-			t.Fatalf("window %d changed from %v to %v: the kept windows are not the first ones", i, first[i], w[i])
-		}
 	}
 }
 
