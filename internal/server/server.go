@@ -544,7 +544,9 @@ func (s *Server) coreLoop() {
 			fn()
 		case r := <-s.reqCh:
 			s.handle(r)
-			s.gather()
+			if r.kind == kindIO {
+				s.gather()
+			}
 		drain:
 			for {
 				select {
@@ -562,7 +564,7 @@ func (s *Server) coreLoop() {
 	}
 }
 
-// gather holds open the batch a request has just started, so that
+// gather holds open the batch an IO request has just started, so that
 // concurrent clients' requests land in the same simulated instant. The
 // batch window is an upper bound on that wait, worth sitting out only
 // while some session could still send: with none idle the window is not

@@ -169,6 +169,45 @@ func TestWindowTimesOutForASilentSession(t *testing.T) {
 	checkIdle(t, srv, "silent client gone")
 }
 
+// A connect, a Hello or a disconnect starts no batch: only an IO command
+// holds the core for the sessions that could join it. A client that
+// dials, opens its session and leaves beside an idle one must not wait
+// out a window, nor make the core do so.
+func TestSessionTrafficOpensNoWindow(t *testing.T) {
+	cfg := testConfig(false)
+	cfg.BatchWindow = 50 * time.Millisecond
+	srv := startTestServer(t, cfg)
+	defer srv.Close()
+	idle := testClient(t, srv, "lat")
+	defer idle.Close()
+	checkIdle(t, srv, "idle session open")
+
+	base := srv.Stats()
+	for i := 0; i < 3; i++ {
+		visitor := testClient(t, srv, "bulk")
+		visitor.Close()
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		var conns int
+		srv.do(func() { conns = len(srv.conns) })
+		if conns == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never noticed the visitors' disconnects")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// A window the visitors opened would still be open: the calls above
+	// are served inside it. Let it run out.
+	time.Sleep(2 * cfg.BatchWindow)
+	if st := srv.Stats(); st.WindowTimeouts != base.WindowTimeouts || st.WindowAllIn != base.WindowAllIn {
+		t.Errorf("three visitors beside an idle session opened %d windows (%d timed out), want none",
+			st.WindowAllIn-base.WindowAllIn+st.WindowTimeouts-base.WindowTimeouts, st.WindowTimeouts-base.WindowTimeouts)
+	}
+	checkIdle(t, srv, "visitors gone")
+}
+
 // onCore plays the core goroutine for a hand-driven server: op is a call
 // that goes through Server.do.
 func onCore(s *Server, op func()) {
