@@ -108,6 +108,20 @@ type Stats struct {
 	FlushedPages int64 `metric:"cache/flushed_pages gauge dirty pages pushed to the device by an explicit flush"`
 }
 
+// Add adds o's counts to s, field by field: the fleet's ledger is its
+// shards' sum.
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.PartialHits += o.PartialHits
+	s.WriteHits += o.WriteHits
+	s.WriteAllocs += o.WriteAllocs
+	s.Inserts += o.Inserts
+	s.Evictions += o.Evictions
+	s.DirtyEvictions += o.DirtyEvictions
+	s.FlushedPages += o.FlushedPages
+}
+
 // HitRate returns read hits over read lookups in [0, 1].
 func (s Stats) HitRate() float64 {
 	total := s.Hits + s.Misses

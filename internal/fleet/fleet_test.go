@@ -3,10 +3,12 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cubeftl/internal/cache"
+	"cubeftl/internal/metrics"
 	"cubeftl/internal/pool"
 	"cubeftl/internal/workload"
 )
@@ -347,5 +349,42 @@ func TestFleetMSRFixtureSmoke(t *testing.T) {
 	}
 	if res.Report() == "" {
 		t.Errorf("empty report")
+	}
+}
+
+// The fleet's cache ledger is its shards' sum, field by field: with every
+// field of each shard's cache.Stats set to a count of its own, each
+// tagged field merge reports must be the shards' sum. A field added to the
+// ledger and not to Stats.Add fails here.
+func TestFleetCacheStatsAreTheShardsSum(t *testing.T) {
+	shards := make([]ShardResult, 3)
+	for i := range shards {
+		shards[i].ReadLat, shards[i].WriteLat = metrics.NewHist(0), metrics.NewHist(0)
+		v := reflect.ValueOf(&shards[i].CacheStats).Elem()
+		for f := 0; f < v.NumField(); f++ {
+			if n := int64(100*(i+1) + f + 1); v.Field(f).CanInt() {
+				v.Field(f).SetInt(n)
+			} else {
+				v.Field(f).SetFloat(float64(n))
+			}
+		}
+	}
+	res := merge(smallConfig(), "hash", shards)
+	tagged := 0
+	for f, row := range metrics.Walk(&res.CacheStats) {
+		if row.Name == "" {
+			continue
+		}
+		tagged++
+		var want float64
+		for i := range shards {
+			want += metrics.Walk(&shards[i].CacheStats)[f].Get()
+		}
+		if got := row.Get(); got != want {
+			t.Errorf("%s (%s): fleet %v, shards sum to %v", row.Field, row.Name, got, want)
+		}
+	}
+	if tagged == 0 {
+		t.Fatal("cache.Stats has no tagged field")
 	}
 }

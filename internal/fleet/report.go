@@ -102,7 +102,7 @@ func merge(cfg Config, placement string, shards []ShardResult) *Result {
 		res.Writes += s.Writes
 		res.ReadLat.Merge(s.ReadLat)
 		res.WriteLat.Merge(s.WriteLat)
-		addStats(&res.CacheStats, s.CacheStats)
+		res.CacheStats.Add(s.CacheStats)
 		res.FlushWrites += s.FlushWrites
 		if s.ElapsedNs > res.SimElapsedNs {
 			res.SimElapsedNs = s.ElapsedNs
@@ -111,18 +111,6 @@ func merge(cfg Config, placement string, shards []ShardResult) *Result {
 	}
 	res.Series = mergeSeries(shards)
 	return res
-}
-
-func addStats(dst *cache.Stats, s cache.Stats) {
-	dst.Hits += s.Hits
-	dst.Misses += s.Misses
-	dst.PartialHits += s.PartialHits
-	dst.WriteHits += s.WriteHits
-	dst.WriteAllocs += s.WriteAllocs
-	dst.Inserts += s.Inserts
-	dst.Evictions += s.Evictions
-	dst.DirtyEvictions += s.DirtyEvictions
-	dst.FlushedPages += s.FlushedPages
 }
 
 // HitRate is the fleet-wide read hit rate.
