@@ -74,17 +74,18 @@ fuzz-smoke:
 
 # Acked implies recoverable, at every instant: a short durable-ack run of
 # writes and one trim in sixteen on a tiny stack.Build device (and on one
-# whose dies run two host programs at once, and the first again mounted
-# by a full OOB scan) is replayed and cut after each of its events —
-# inside programs, journal flushes, patched checkpoints and GC — and
-# every cut must remount with verify and lose no acked write and no
-# durable trim. Two negative controls must lose some: the stack leg with
-# the roll-forward rule of the journal-gated ack, and both checkpoint
-# legs with the checkpoint's mapping standing, unread, at every tie with
-# a GC copy. The race legs above take every seventh cut of the sweep and
-# skip the second control.
+# whose dies run two host programs at once, the first again mounted by a
+# full OOB scan, and a refresh and wear-leveling stack aged three years
+# before its run) is replayed and cut after each of its events — inside
+# programs, journal flushes, patched checkpoints and GC — and every cut
+# must remount with verify and lose no acked write and no durable trim;
+# two runs with program failures are cut after every fifth. Two negative
+# controls must lose some: the stack leg with the roll-forward rule of
+# the journal-gated ack, and both checkpoint legs with the checkpoint's
+# mapping standing, unread, at every tie with a GC copy. The race legs
+# above take every seventh cut of the sweeps and skip the second control.
 powercut-sweep:
-	$(GO) test ./internal/recovery -count=1 -run 'PowerCutAtEveryEvent' -v
+	$(GO) test ./internal/recovery -count=1 -run 'PowerCutAtEveryEvent|PowerCutAfterProgramFailures' -v
 
 # The repository's benchmark (bench/README.md): six workloads, both
 # clocks, per-layer decomposition; results land in bench/out/. Compare
@@ -153,6 +154,9 @@ one-stack:
 	@echo "one-stack: PASS"
 
 # One relocator, one block-role table, files split by concern: fails if a
+# non-test .go file names a deleted window recorder (GCWindows,
+# ScrubWindows, CkptWindows, relocWindow: the power-cut tests find a
+# cycle or a checkpoint write by stepping a probe run), if a
 # non-test file in internal/ftl other than relocator.go opens a
 # relocation cycle (assigns a cycle's active flag) or calls the batch
 # loop's entry (relocate, readNext) — every cause goes through
@@ -162,9 +166,10 @@ one-stack:
 FTL_SRC = $(filter-out %_test.go,$(wildcard internal/ftl/*.go))
 one-relocator:
 	@bad=$$(grep -nE '(cycle|cy)\.active *(,[^=]*)?= *[^=]|\.relocate\(|\.readNext\(' $(filter-out %/relocator.go,$(FTL_SRC)); \
-		grep -n 'map\[int\]bool' $(FTL_SRC)); \
+		grep -n 'map\[int\]bool' $(FTL_SRC); \
+		grep -rnE --include='*.go' --exclude='*_test.go' 'GCWindows|ScrubWindows|CkptWindows|relocWindow' .); \
 	if [ -n "$$bad" ]; then \
-		echo "one-relocator: cycles open and step in internal/ftl/relocator.go only, block sets are roles:"; echo "$$bad"; exit 1; \
+		echo "one-relocator: cycles open and step in internal/ftl/relocator.go only, block sets are roles, nothing records their windows:"; echo "$$bad"; exit 1; \
 	fi
 	@long=$$(wc -l $(FTL_SRC) | awk '$$2 != "total" && $$1 > 600 { print $$2 ": " $$1 " lines" }'); \
 	if [ -n "$$long" ]; then echo "one-relocator: over 600 lines, split by concern:"; echo "$$long"; exit 1; fi
