@@ -39,6 +39,7 @@ func cutRig(t testing.TB, seed uint64, requests int, interval sim.Time, scrub bo
 	return r, r.life(t, seed, loop{hot: r.ctrl.LogicalPages() * 5 / 8, n: requests, qd: 32, reads: 8})
 }
 
+// cutLife builds a cutRig's life anew for each replay.
 func cutLife(seed uint64, requests int, interval sim.Time, scrub bool) func(testing.TB) sweepLife {
 	return func(t testing.TB) sweepLife { _, l := cutRig(t, seed, requests, interval, scrub); return l }
 }
