@@ -18,7 +18,10 @@ import (
 // it stood for. The two fault rows were re-captured when GC stopped
 // taking a victim without an invalid page: at 1e-3 the row's iops and
 // wp99 moved, at 5e-3 it retires 78 blocks instead of 83 before the
-// device degrades; every other pin here is unchanged.
+// device degrades; every other pin here is unchanged. The 1e-3 row
+// moved again (iops 38328.55 -> 38347.51, wp99 1998848 -> 1900544) when
+// GC also stopped taking a victim whose live pages fill every word line
+// of a block; its retired, failures and recovered counts did not.
 
 func pinOpts() SSDOpts {
 	o := DefaultSSDOpts()
@@ -74,7 +77,7 @@ func TestAblationAndFaultRowsPinned(t *testing.T) {
 		"safety=on iops=47084.570480422706 retries/read=0.9487342779812132 reprograms=16")
 	f := ExtFaultTolerance(pinOpts())
 	for i, want := range map[int]string{
-		2: "pfail 1e-03 / efail 1e-04 iops=38328.553123949554 wp99=1998848 retired=20 failures=3 recovered=3 degraded=false",
+		2: "pfail 1e-03 / efail 1e-04 iops=38347.51360473914 wp99=1900544 retired=20 failures=3 recovered=3 degraded=false",
 		3: "pfail 5e-03 / efail 5e-04 iops=319315.3878085385 wp99=0 retired=78 failures=0 recovered=0 degraded=true",
 	} {
 		checkPin(t, fmt.Sprintf("%s iops=%v wp99=%d retired=%d failures=%d recovered=%d degraded=%v", f.Labels[i],

@@ -3,6 +3,7 @@ package ftl
 import (
 	"cubeftl/internal/lifetime"
 	"cubeftl/internal/nand"
+	"cubeftl/internal/vth"
 )
 
 // Where each cause of a relocation cycle finds its victim. Every
@@ -23,10 +24,12 @@ func (c *Controller) checkGC(chip int) {
 }
 
 // pickVictim selects the closed block with the fewest valid pages
-// (greedy policy), if it has a page to win: a fully valid victim frees
-// nothing, and the cycle after it would find the same state.
+// (greedy policy), if moving it wins space back. A relocation pads its
+// last word line, so a victim whose live pages need every word line of
+// a block frees nothing — it is refused, or a die whose pool sits at
+// the GC threshold would take such victims forever.
 func (c *Controller) pickVictim(chip int) (int, bool) {
-	best, bestValid := -1, c.geo.PagesPerBlock()
+	best, bestValid := -1, c.geo.PagesPerBlock()-vth.PagesPerWL+1
 	for b, r := range c.chipRoles(chip) {
 		if r != roleData {
 			continue
