@@ -93,14 +93,16 @@ powercut-sweep:
 bench:
 	$(GO) run ./bench
 
-# Two workloads at a fifth of the usual length: keeps the harness
+# Three workloads at a fifth of the usual length: keeps the harness
 # building and its correctness checks running in tier 1 — digest
 # equality across repetitions and zero failed operations on the
-# simulated one; on the served one the audit that every acked write
-# Stats as mapped, then Restart() with verification. The numbers of a
-# run this short mean nothing.
+# simulated ones (lifetime-3y adds the 36-month age jump, refresh and
+# wear leveling, and its verify leg's data check); on the served one
+# the audit that every acked write Stats as mapped, then Restart() with
+# verification. The numbers of a run this short mean nothing.
 bench-smoke:
 	$(GO) run ./bench -workload mixed-fresh -seconds 1
+	$(GO) run ./bench -workload lifetime-3y -seconds 1
 	$(GO) run ./bench -workload served-loopback -seconds 1
 
 # Multi-die scaling gate: fails if a 2x4 backend delivers less than

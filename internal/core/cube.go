@@ -159,9 +159,11 @@ type CubeFTL struct {
 	ort []int8
 
 	// retry is the decaying age-aware offset cache layered over ort
-	// (see retry.go): per block, one row of age buckets per h-layer.
-	retry   []retryBlock
-	readSeq uint64 // monotonic ObserveRead counter driving decay
+	// (see retry.go): one row of age buckets per opmKey, nil until the
+	// table is turned on. retryLive counts each block's present entries.
+	retry     []retryRow
+	retryLive []int32
+	readSeq   uint64 // monotonic ObserveRead counter driving decay
 	// ageFn resolves a block's retention-age bucket for retry lookups;
 	// nil keys every block to bucket 0.
 	ageFn func(chip, block int) int
@@ -209,13 +211,15 @@ func NewCubeFTL(geo ssd.Geometry, cfg Config) *CubeFTL {
 	}
 	blocks := geo.Chips * geo.BlocksPerChip
 	f := &CubeFTL{
-		cfg:   cfg,
-		geo:   geo,
-		opm:   make([]*opmRow, blocks),
-		ort:   make([]int8, blocks*geo.Layers),
-		retry: make([]retryBlock, blocks),
+		cfg: cfg,
+		geo: geo,
+		opm: make([]*opmRow, blocks),
+		ort: make([]int8, blocks*geo.Layers),
 	}
 	fillAbsent(f.ort)
+	if cfg.RetryTable {
+		f.makeRetryTable()
+	}
 	f.stats.ORTBytes = f.ORTBytes()
 	return f
 }
@@ -343,7 +347,7 @@ func (f *CubeFTL) ProgramParams(chip, block, layer, _ int) nand.ProgramParams {
 
 // ObserveProgram implements ftl.Policy: leader monitoring, follower
 // bookkeeping, and the safety check.
-func (f *CubeFTL) ObserveProgram(chip, block, layer, _ int, params nand.ProgramParams, res nand.ProgramResult) ftl.ProgramVerdict {
+func (f *CubeFTL) ObserveProgram(chip, block, layer, _ int, params nand.ProgramParams, res *nand.ProgramResult) ftl.ProgramVerdict {
 	bi := f.blockIndex(chip, block)
 	row := f.opm[bi]
 	if row == nil || !row.obs[layer].valid {
@@ -405,13 +409,13 @@ func (f *CubeFTL) ReadStartOffset(chip, block, layer int) int {
 		return 0
 	}
 	if f.cfg.RetryTable {
-		rb := &f.retry[f.blockIndex(chip, block)]
-		if e := rb.entry(layer, f.bucketOf(chip, block)); e != nil && e.present {
+		bi := f.blockIndex(chip, block)
+		if e := &f.retry[f.opmKey(chip, block, layer)][f.bucketOf(chip, block)]; e.present {
 			if f.readSeq-e.seq <= f.cfg.RetryDecayReads {
 				f.stats.RetryHits++
 				return int(e.offset)
 			}
-			f.dropRetry(rb, e)
+			f.dropRetry(bi, e)
 			f.stats.RetryStale++
 		} else {
 			f.stats.RetryMisses++
@@ -436,14 +440,13 @@ func (f *CubeFTL) ObserveRead(chip, block, layer int, res nand.ReadResult, err e
 	key := f.ortKey(chip, block, layer)
 	if f.cfg.RetryTable {
 		f.readSeq++
-		rb := &f.retry[f.blockIndex(chip, block)]
-		bkt := f.bucketOf(chip, block)
+		bi, k, bkt := f.blockIndex(chip, block), f.opmKey(chip, block, layer), f.bucketOf(chip, block)
 		if err != nil {
-			if e := rb.entry(layer, bkt); e != nil && e.present {
-				f.dropRetry(rb, e)
+			if e := &f.retry[k][bkt]; e.present {
+				f.dropRetry(bi, e)
 			}
 		} else {
-			f.setRetry(rb, layer, bkt, retryEntry{present: true, offset: int8(res.OffsetUsed), seq: f.readSeq})
+			f.setRetry(bi, k, bkt, retryEntry{present: true, offset: int8(res.OffsetUsed), seq: f.readSeq})
 		}
 	}
 	if err != nil {

@@ -46,7 +46,7 @@ func TestLeaderThenFollowerParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := f.ObserveProgram(0, 3, 2, 0, p, res); v != ftl.VerdictOK {
+	if v := f.ObserveProgram(0, 3, 2, 0, p, &res); v != ftl.VerdictOK {
 		t.Fatalf("leader verdict = %v", v)
 	}
 	// Now followers on the same h-layer get tightened parameters.
@@ -84,11 +84,11 @@ func TestSafetyCheckRejectsDisturbedFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.ObserveProgram(0, 1, 4, 0, nand.ProgramParams{}, lead)
+	f.ObserveProgram(0, 1, 4, 0, nand.ProgramParams{}, &lead)
 	// Forge a disturbed follower result: far-off BER.
 	bad := lead
 	bad.MeasuredBER = lead.MeasuredBER * 10
-	if v := f.ObserveProgram(0, 1, 4, 1, f.ProgramParams(0, 1, 4, 1), bad); v != ftl.VerdictReprogram {
+	if v := f.ObserveProgram(0, 1, 4, 1, f.ProgramParams(0, 1, 4, 1), &bad); v != ftl.VerdictReprogram {
 		t.Fatalf("verdict = %v, want reprogram", v)
 	}
 	if f.CubeStats().SafetyRejects != 1 {
@@ -107,10 +107,10 @@ func TestSafetyCheckDisabled(t *testing.T) {
 	f := NewCubeFTL(dev.Geometry(), cfg)
 	ch := dev.Die(0).NAND
 	lead, _ := ch.ProgramWL(nand.Address{Block: 1, Layer: 4, WL: 0}, nil, nand.ProgramParams{})
-	f.ObserveProgram(0, 1, 4, 0, nand.ProgramParams{}, lead)
+	f.ObserveProgram(0, 1, 4, 0, nand.ProgramParams{}, &lead)
 	bad := lead
 	bad.MeasuredBER = lead.MeasuredBER * 10
-	if v := f.ObserveProgram(0, 1, 4, 1, f.ProgramParams(0, 1, 4, 1), bad); v != ftl.VerdictOK {
+	if v := f.ObserveProgram(0, 1, 4, 1, f.ProgramParams(0, 1, 4, 1), &bad); v != ftl.VerdictOK {
 		t.Fatalf("verdict = %v with safety check off", v)
 	}
 }

@@ -88,7 +88,7 @@ func (f *refCube) ProgramParams(chip, block, layer, _ int) nand.ProgramParams {
 	return nand.ProgramParams{SkipVFY: obs.skip, StartMarginMV: obs.startMV, FinalMarginMV: obs.finalMV}
 }
 
-func (f *refCube) ObserveProgram(chip, block, layer, _ int, params nand.ProgramParams, res nand.ProgramResult) ftl.ProgramVerdict {
+func (f *refCube) ObserveProgram(chip, block, layer, _ int, params nand.ProgramParams, res *nand.ProgramResult) ftl.ProgramVerdict {
 	key := f.opmKey(chip, block, layer)
 	obs := f.opm[key]
 	if obs == nil || !obs.valid {
@@ -319,7 +319,7 @@ func (ls *lockstep) ProgramParams(chip, block, layer, wl int) nand.ProgramParams
 	return got
 }
 
-func (ls *lockstep) ObserveProgram(chip, block, layer, wl int, params nand.ProgramParams, res nand.ProgramResult) ftl.ProgramVerdict {
+func (ls *lockstep) ObserveProgram(chip, block, layer, wl int, params nand.ProgramParams, res *nand.ProgramResult) ftl.ProgramVerdict {
 	got, want := ls.cube.ObserveProgram(chip, block, layer, wl, params, res), ls.ref.ObserveProgram(chip, block, layer, wl, params, res)
 	if got != want {
 		ls.t.Fatalf("ObserveProgram(%d, %d, %d) = %v, reference %v", chip, block, layer, got, want)
@@ -405,7 +405,7 @@ func TestFlatTablesMatchMapReference(t *testing.T) {
 								lo := 2 + src.Intn(6)
 								res.Windows[i] = process.LoopWindow{MinLoop: lo, MaxLoop: lo + src.Intn(4)}
 							}
-							ls.ObserveProgram(chip, block, layer, 0, params, res)
+							ls.ObserveProgram(chip, block, layer, 0, params, &res)
 						case r < 55:
 							ls.ReadStartOffset(chip, block, layer)
 						case r < 80:

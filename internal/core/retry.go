@@ -51,55 +51,51 @@ type retryEntry struct {
 	present bool
 }
 
-// retryBlock is one block's slice of the retry table: a row of age
-// buckets per h-layer, so entry (layer, bucket) has the key
-// opmKey*RetryAgeBuckets + bucket. Unlike the ORT the table always keys
-// per h-layer — the whole point is tracking drift at full granularity.
-// The rows are made when the block caches its first offset (4.6 KB for
-// 48 h-layers) and kept from then on; a device that never turns the
-// table on, or a block never read, pays for none.
-type retryBlock struct {
-	rows []retryRow
-	live int // present entries in rows
-}
-
+// retryRow is one h-layer's age buckets. The table is flat, one row per
+// opmKey, so entry (block, layer, bucket) has the key
+// opmKey*RetryAgeBuckets + bucket. Unlike the ORT it always keys per
+// h-layer — the whole point is tracking drift at full granularity. It
+// is made whole when the table is turned on (96 bytes an h-layer: 2.4 MB
+// on a 512-block device of 48 h-layers) and never reallocated, so a
+// block's first offset after an erase or an age jump costs nothing; a
+// device that never turns the table on pays for none of it.
 type retryRow [RetryAgeBuckets]retryEntry
 
-// entry returns the slot for (layer, bucket), or nil while the block
-// has no rows.
-func (rb *retryBlock) entry(layer, bucket int) *retryEntry {
-	if rb.rows == nil {
-		return nil
+// makeRetryTable allocates the table and its per-block live counts,
+// once.
+func (f *CubeFTL) makeRetryTable() {
+	if f.retry == nil {
+		blocks := f.geo.Chips * f.geo.BlocksPerChip
+		f.retry = make([]retryRow, blocks*f.geo.Layers)
+		f.retryLive = make([]int32, blocks)
 	}
-	return &rb.rows[layer][bucket]
 }
 
-// setRetry stores e in the block's (layer, bucket) slot.
-func (f *CubeFTL) setRetry(rb *retryBlock, layer, bucket int, e retryEntry) {
-	if rb.rows == nil {
-		rb.rows = make([]retryRow, f.geo.Layers)
-	}
-	slot := &rb.rows[layer][bucket]
+// setRetry stores e in block bi's slot at (key, bucket), key being the
+// slot's opmKey.
+func (f *CubeFTL) setRetry(bi, key, bucket int, e retryEntry) {
+	slot := &f.retry[key][bucket]
 	if !slot.present {
-		rb.live++
+		f.retryLive[bi]++
 		f.stats.RetryEntries++
 	}
 	*slot = e
 }
 
-// clearRetryBlock drops every entry of rb, keeping its rows.
-func (f *CubeFTL) clearRetryBlock(rb *retryBlock) {
-	if rb.live > 0 {
-		clear(rb.rows)
-		f.stats.RetryEntries -= int64(rb.live)
-		rb.live = 0
+// clearRetryBlock drops every entry of block bi.
+func (f *CubeFTL) clearRetryBlock(bi int) {
+	if f.retryLive == nil || f.retryLive[bi] == 0 {
+		return
 	}
+	clear(f.retry[bi*f.geo.Layers : (bi+1)*f.geo.Layers])
+	f.stats.RetryEntries -= int64(f.retryLive[bi])
+	f.retryLive[bi] = 0
 }
 
-// dropRetry removes a present entry of rb.
-func (f *CubeFTL) dropRetry(rb *retryBlock, e *retryEntry) {
+// dropRetry removes a present entry of block bi.
+func (f *CubeFTL) dropRetry(bi int, e *retryEntry) {
 	*e = retryEntry{}
-	rb.live--
+	f.retryLive[bi]--
 	f.stats.RetryEntries--
 }
 
@@ -129,7 +125,7 @@ func (f *CubeFTL) SetAgeBucketFn(fn func(chip, block int) int) { f.ageFn = fn }
 // It is also the table half of an erase: a coarse-grained ORT entry
 // aggregates many blocks and is kept.
 func (f *CubeFTL) InvalidateBlockRetry(chip, block int) {
-	f.clearRetryBlock(&f.retry[f.blockIndex(chip, block)])
+	f.clearRetryBlock(f.blockIndex(chip, block))
 	if f.cfg.ORT == ORTPerLayer {
 		base := f.opmKey(chip, block, 0)
 		fillAbsent(f.ort[base : base+f.geo.Layers])
@@ -187,4 +183,7 @@ func RetrySetupFor(name string) (RetrySetup, error) {
 func (f *CubeFTL) ApplyRetrySetup(rs RetrySetup) {
 	f.cfg.DisableORT = rs.DisableORT
 	f.cfg.RetryTable = rs.RetryTable
+	if rs.RetryTable {
+		f.makeRetryTable()
+	}
 }

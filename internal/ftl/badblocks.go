@@ -13,11 +13,11 @@ import (
 // retireActive pulls a failed block out of the chip's write points and
 // retires it as grown-bad, backfilling the write point when a fresh
 // block is available.
-func (c *Controller) retireActive(chip int, cursor *BlockCursor) {
-	if i := slices.Index(c.dies[chip].actives, cursor); i >= 0 {
+func (c *Controller) retireActive(chip, block int) {
+	if i := c.activeIndex(chip, block); i >= 0 {
 		c.replaceWritePoint(chip, i)
 	}
-	c.retireBlock(chip, cursor.Block)
+	c.retireBlock(chip, block)
 }
 
 // retireBlock marks a block grown-bad: the chip records the bad-block
@@ -115,8 +115,8 @@ func (c *Controller) markDieDegraded(die int) {
 	// grant, so a cursor kept open here would claim word lines the die
 	// never programmed (e.g. one taken by a program the fence failed).
 	for _, cur := range d.actives {
-		c.closeWritePoint(die, cur)
 		c.setRole(die, cur.Block, roleData)
+		c.closeWritePoint(die, cur)
 	}
 	d.actives = nil
 }

@@ -219,6 +219,8 @@ type Controller struct {
 	hostWrites pool.FreeList[hostWrite]
 	flushOps   pool.FreeList[flushOp]
 	relocOps   pool.FreeList[relocOp]
+	// Released write-point cursors (datapath.go openCursor).
+	cursors pool.FreeList[BlockCursor]
 
 	// Crash-consistency state (see internal/recovery). writeStamp is the
 	// last global write stamp issued (monotonic across host writes, trims

@@ -370,7 +370,7 @@ type retireWatch struct {
 	retired int
 }
 
-func (p *retireWatch) ObserveProgram(chip, block, layer, wl int, params nand.ProgramParams, res nand.ProgramResult) ProgramVerdict {
+func (p *retireWatch) ObserveProgram(chip, block, layer, wl int, params nand.ProgramParams, res *nand.ProgramResult) ProgramVerdict {
 	if p.closed[[2]int{chip, block}] {
 		p.t.Fatalf("chip %d block %d: program of (%d,%d) completed after the block was retired", chip, block, layer, wl)
 	}

@@ -8,7 +8,11 @@
 // and plugs into the same Policy interface.
 package ftl
 
-import "fmt"
+import (
+	"fmt"
+
+	"cubeftl/internal/pool"
+)
 
 // Order is a program-order scheme for word lines within a 3D block
 // (paper Fig 12). The leading word line (index 0) of each h-layer is
@@ -50,6 +54,10 @@ func (o Order) String() string {
 // h-layer below followerLo has no follower free behind a programmed
 // leader. A query starts its scan at its bound and leaves the bound
 // where the scan stopped.
+//
+// A controller recycles its cursors: one whose block has left the
+// write points with no program into it in flight is released, and the
+// next block opened takes it over (Controller.openCursor).
 type BlockCursor struct {
 	Chip  int
 	Block int
@@ -70,17 +78,22 @@ type BlockCursor struct {
 	programmed           []bool // indexed layer*wlsPerLayer+wl
 	used                 int
 	leaderLo, followerLo int
+	live                 bool // false while released for reuse
 }
 
 // NewBlockCursor returns a cursor over an erased block.
 func NewBlockCursor(chip, block, layers, wlsPerLayer int) *BlockCursor {
-	return &BlockCursor{
-		Chip:        chip,
-		Block:       block,
-		layers:      layers,
-		wlsPerLayer: wlsPerLayer,
-		programmed:  make([]bool, layers*wlsPerLayer),
-	}
+	c := &BlockCursor{layers: layers, wlsPerLayer: wlsPerLayer, programmed: make([]bool, layers*wlsPerLayer)}
+	c.reset(chip, block)
+	return c
+}
+
+// reset points the cursor, keeping its shape and bitmap, at another
+// erased block.
+func (c *BlockCursor) reset(chip, block int) {
+	*c = BlockCursor{Chip: chip, Block: block, layers: c.layers, wlsPerLayer: c.wlsPerLayer,
+		programmed: c.programmed, live: true}
+	clear(c.programmed)
 }
 
 // IsFree reports whether a word line is still erased.
@@ -94,6 +107,7 @@ func (c *BlockCursor) IsFree(layer, wl int) bool {
 // bound comes down to it: the WAM takes leaders in order, but a mount
 // restores a block's word lines in whatever order the media lists them.
 func (c *BlockCursor) Take(layer, wl int) {
+	pool.CheckLive(c.live, "ftl block cursor")
 	i := layer*c.wlsPerLayer + wl
 	if c.programmed[i] {
 		panic(fmt.Sprintf("ftl: double allocation of chip %d block %d layer %d wl %d",

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"cubeftl/internal/nand"
+	"cubeftl/internal/pool"
 	"cubeftl/internal/ssd"
 	"cubeftl/internal/telemetry"
 	"cubeftl/internal/vth"
@@ -330,8 +331,7 @@ func (c *Controller) takeFreeBlock(chip int) (*BlockCursor, bool) {
 	b := d.free[idx]
 	d.free = slices.Delete(d.free, idx, idx+1)
 	c.setRole(chip, b, roleOpen)
-	// Not recycled: in-flight programs keep the pointer after the block closes.
-	cur := NewBlockCursor(chip, b, c.geo.Layers, c.geo.WLsPerLayer)
+	cur := c.openCursor(chip, b)
 	c.blockSeq++
 	cur.Seq = c.blockSeq
 	if c.rec != nil {
@@ -359,9 +359,8 @@ func (c *Controller) armWritePoints(chip int) {
 // is what it reports.
 func (c *Controller) replaceWritePoint(chip, i int) (backfilled bool) {
 	d := &c.dies[chip]
+	c.setRole(chip, d.actives[i].Block, roleData)
 	c.closeWritePoint(chip, d.actives[i])
-	old := d.actives[i].Block
-	c.setRole(chip, old, roleData)
 	if fresh, ok := c.takeFreeBlock(chip); ok {
 		d.actives[i] = fresh
 		return true
@@ -371,22 +370,25 @@ func (c *Controller) replaceWritePoint(chip, i int) (backfilled bool) {
 }
 
 // closeWritePoint retires a write point that is leaving the die's
-// actives with the policy, or, while a program into it is still in
-// flight, holds it in die.closing until the last one has completed
-// (programEnded).
+// actives with the policy and releases its cursor, or, while a program
+// into it is still in flight, holds it in die.closing until the last
+// one has completed (programEnded).
 func (c *Controller) closeWritePoint(chip int, cur *BlockCursor) {
 	if cur.programs > 0 {
 		c.dies[chip].closing = append(c.dies[chip].closing, cur)
 		return
 	}
 	c.pol.BlockRetired(chip, cur.Block)
+	c.releaseCursor(cur)
 }
 
 // programEnded retires a completed program, host or relocation (or one
 // refused or failed), from its block's count, once the policy has
 // observed it: a former write point whose last program this was leaves
-// die.closing and is retired with the policy.
+// die.closing, is retired with the policy, and its cursor is released —
+// so the caller names the block, not the cursor, from here on.
 func (c *Controller) programEnded(chip int, cur *BlockCursor) {
+	pool.CheckLive(cur.live, "ftl block cursor")
 	if cur.programs--; cur.programs > 0 {
 		return
 	}
@@ -394,15 +396,42 @@ func (c *Controller) programEnded(chip int, cur *BlockCursor) {
 	if i := slices.Index(d.closing, cur); i >= 0 {
 		d.closing = slices.Delete(d.closing, i, i+1)
 		c.pol.BlockRetired(chip, cur.Block)
+		c.releaseCursor(cur)
 	}
 }
 
-// retireIfFull replaces a write point whose block just filled.
-func (c *Controller) retireIfFull(chip int, cursor *BlockCursor) {
-	if !cursor.Full() {
-		return
+// openCursor returns a cursor over an erased block, a released one when
+// there is one.
+func (c *Controller) openCursor(chip, block int) *BlockCursor {
+	if cur := c.cursors.Get(); cur != nil {
+		cur.reset(chip, block)
+		return cur
 	}
-	if i := slices.Index(c.dies[chip].actives, cursor); i >= 0 && !c.replaceWritePoint(chip, i) {
+	return NewBlockCursor(chip, block, c.geo.Layers, c.geo.WLsPerLayer)
+}
+
+// releaseCursor recycles a cursor nothing refers to any more: its block
+// has left the write points and no program into it is in flight.
+func (c *Controller) releaseCursor(cur *BlockCursor) {
+	cur.live = false
+	c.cursors.Put(cur)
+}
+
+// activeIndex returns the position of the block among the die's write
+// points, or -1.
+func (c *Controller) activeIndex(chip, block int) int {
+	for i, cur := range c.dies[chip].actives {
+		if cur.Block == block {
+			return i
+		}
+	}
+	return -1
+}
+
+// retireIfFull replaces a write point whose block just filled.
+func (c *Controller) retireIfFull(chip, block int) {
+	d := &c.dies[chip]
+	if i := c.activeIndex(chip, block); i >= 0 && d.actives[i].Full() && !c.replaceWritePoint(chip, i) {
 		c.checkDieDegraded(chip)
 	}
 }

@@ -18,9 +18,15 @@ const UnmappedLPN LPN = -1
 type Mapper struct {
 	geo     ssd.Geometry
 	forward []ssd.PPN // indexed by LPN
-	reverse []LPN     // indexed by PPN
-	valid   []int     // live pages per (chip*BlocksPerChip+block)
+	// reverse is indexed by PPN and holds the LPN stored there, or
+	// unmappedSlot: 32 bits, like a PPN, suffice, because the logical
+	// capacity never exceeds the physical one.
+	reverse []int32
+	valid   []int // live pages per (chip*BlocksPerChip+block)
 }
+
+// unmappedSlot is UnmappedLPN in the reverse map.
+const unmappedSlot = int32(UnmappedLPN)
 
 // NewMapper sizes translation state for logicalPages exported pages over
 // the device geometry.
@@ -31,16 +37,20 @@ func NewMapper(geo ssd.Geometry, logicalPages int) *Mapper {
 	m := &Mapper{
 		geo:     geo,
 		forward: make([]ssd.PPN, logicalPages),
-		reverse: make([]LPN, geo.PhysPages()),
+		reverse: make([]int32, geo.PhysPages()),
 		valid:   make([]int, geo.Chips*geo.BlocksPerChip),
 	}
 	for i := range m.forward {
 		m.forward[i] = ssd.UnmappedPPN
 	}
-	for i := range m.reverse {
-		m.reverse[i] = UnmappedLPN
-	}
+	fillUnmapped(m.reverse)
 	return m
+}
+
+func fillUnmapped(reverse []int32) {
+	for i := range reverse {
+		reverse[i] = unmappedSlot
+	}
 }
 
 // LogicalPages returns the exported capacity in pages.
@@ -75,15 +85,15 @@ func (m *Mapper) Map(lpn LPN, ppn ssd.PPN) {
 	if lpn < 0 || int(lpn) >= len(m.forward) {
 		panic(fmt.Sprintf("ftl: Map of out-of-range LPN %d", lpn))
 	}
-	if m.reverse[ppn] != UnmappedLPN {
+	if m.reverse[ppn] != unmappedSlot {
 		panic(fmt.Sprintf("ftl: PPN %d already holds LPN %d", ppn, m.reverse[ppn]))
 	}
 	if old := m.forward[lpn]; old != ssd.UnmappedPPN {
-		m.reverse[old] = UnmappedLPN
+		m.reverse[old] = unmappedSlot
 		m.valid[m.blockOf(old)]--
 	}
 	m.forward[lpn] = ppn
-	m.reverse[ppn] = lpn
+	m.reverse[ppn] = int32(lpn)
 	m.valid[m.blockOf(ppn)]++
 }
 
@@ -93,14 +103,14 @@ func (m *Mapper) Invalidate(lpn LPN) {
 		return
 	}
 	if old := m.forward[lpn]; old != ssd.UnmappedPPN {
-		m.reverse[old] = UnmappedLPN
+		m.reverse[old] = unmappedSlot
 		m.valid[m.blockOf(old)]--
 		m.forward[lpn] = ssd.UnmappedPPN
 	}
 }
 
 // Owner returns the logical page stored at ppn, or UnmappedLPN.
-func (m *Mapper) Owner(ppn ssd.PPN) LPN { return m.reverse[ppn] }
+func (m *Mapper) Owner(ppn ssd.PPN) LPN { return LPN(m.reverse[ppn]) }
 
 // ValidCount returns the number of live pages in a block.
 func (m *Mapper) ValidCount(chip, block int) int {
@@ -114,22 +124,20 @@ func (m *Mapper) ClearBlock(chip, block int) {
 		panic(fmt.Sprintf("ftl: erasing chip %d block %d with %d valid pages", chip, block, v))
 	}
 	perBlock := m.geo.PagesPerBlock()
-	base := ssd.PPN((chip*m.geo.BlocksPerChip + block) * perBlock)
-	for i := 0; i < perBlock; i++ {
-		m.reverse[base+ssd.PPN(i)] = UnmappedLPN
-	}
+	base := (chip*m.geo.BlocksPerChip + block) * perBlock
+	fillUnmapped(m.reverse[base : base+perBlock])
 }
 
-// LivePages returns the LPNs currently valid in a block, in physical
-// page order — the relocation set for garbage collection.
-func (m *Mapper) LivePages(chip, block int) []LPN {
+// AppendLivePages appends the LPNs currently valid in a block to dst,
+// in physical page order — the relocation set for garbage collection —
+// and returns the extended slice.
+func (m *Mapper) AppendLivePages(dst []LPN, chip, block int) []LPN {
 	perBlock := m.geo.PagesPerBlock()
-	base := ssd.PPN((chip*m.geo.BlocksPerChip + block) * perBlock)
-	out := make([]LPN, 0, m.ValidCount(chip, block))
-	for i := 0; i < perBlock; i++ {
-		if l := m.reverse[base+ssd.PPN(i)]; l != UnmappedLPN {
-			out = append(out, l)
+	base := (chip*m.geo.BlocksPerChip + block) * perBlock
+	for _, l := range m.reverse[base : base+perBlock] {
+		if l != unmappedSlot {
+			dst = append(dst, LPN(l))
 		}
 	}
-	return out
+	return dst
 }

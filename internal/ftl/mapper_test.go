@@ -71,21 +71,30 @@ func TestMapperClearBlockGuard(t *testing.T) {
 	m.ClearBlock(0, 3)
 }
 
-func TestMapperLivePages(t *testing.T) {
+func TestMapperAppendLivePages(t *testing.T) {
 	g := testGeo()
 	m := NewMapper(g, 100)
 	m.Map(10, g.EncodePPN(0, 2, 0, 0))
 	m.Map(11, g.EncodePPN(0, 2, 0, 2))
 	m.Map(12, g.EncodePPN(0, 3, 0, 0)) // other block
-	live := m.LivePages(0, 2)
-	if len(live) != 2 || live[0] != 10 || live[1] != 11 {
-		t.Errorf("LivePages = %v", live)
+	live := m.AppendLivePages([]LPN{7}, 0, 2)
+	if len(live) != 3 || live[0] != 7 || live[1] != 10 || live[2] != 11 {
+		t.Errorf("AppendLivePages = %v, want [7 10 11]", live)
+	}
+	if n := testing.AllocsPerRun(10, func() { live = m.AppendLivePages(live[:0], 0, 2) }); n != 0 {
+		t.Errorf("refilling a slice with room: %v allocations, want 0", n)
 	}
 	m.Invalidate(10)
 	m.Invalidate(11)
 	m.ClearBlock(0, 2) // must not panic now
-	if got := m.LivePages(0, 2); len(got) != 0 {
-		t.Errorf("LivePages after clear = %v", got)
+	if got := m.AppendLivePages(nil, 0, 2); len(got) != 0 {
+		t.Errorf("AppendLivePages after clear = %v", got)
+	}
+	if got := m.Owner(g.EncodePPN(0, 3, 0, 0)); got != 12 {
+		t.Errorf("Owner = %d, want 12", got)
+	}
+	if got := m.Owner(g.EncodePPN(0, 2, 0, 0)); got != UnmappedLPN {
+		t.Errorf("Owner of a cleared page = %d, want UnmappedLPN", got)
 	}
 }
 

@@ -178,7 +178,7 @@ func NewControllerWithState(dev *ssd.Device, pol Policy, cfg ControllerConfig, m
 			c.pushFree(chip, b)
 		}
 		for _, ar := range ms.Actives[chip] {
-			cur := NewBlockCursor(chip, ar.Block, geo.Layers, geo.WLsPerLayer)
+			cur := c.openCursor(chip, ar.Block)
 			cur.Seq = ar.Seq
 			for l := 0; l < geo.Layers; l++ {
 				for w := 0; w < geo.WLsPerLayer; w++ {
@@ -188,6 +188,7 @@ func NewControllerWithState(dev *ssd.Device, pol Policy, cfg ControllerConfig, m
 				}
 			}
 			if cur.Full() {
+				c.releaseCursor(cur)
 				continue // filled right before the cut: a dirty block now
 			}
 			c.dies[chip].actives = append(c.dies[chip].actives, cur)

@@ -173,7 +173,7 @@ type flushOp struct {
 	groupBuf [vth.PagesPerWL]FlushHandle
 	oob      wlOOB
 
-	onProgram func(res nand.ProgramResult, err error)
+	onProgram func(res *nand.ProgramResult, err error)
 }
 
 // wlOOB is a record-owned buffer for one word line's spare-area
@@ -228,9 +228,9 @@ func (f *flushOp) flushOOB(blockSeq uint64) [][]byte {
 	return f.oob.padded(len(f.group), blockSeq)
 }
 
-func (f *flushOp) programDone(res nand.ProgramResult, err error) {
+func (f *flushOp) programDone(res *nand.ProgramResult, err error) {
 	pool.CheckLive(f.live, "ftl flush op")
-	c, chip, cursor, group := f.c, f.chip, f.cursor, f.group
+	c, chip, cursor, block, group := f.c, f.chip, f.cursor, f.block, f.group
 	c.dies[chip].inflight--
 	if errors.Is(err, ssd.ErrDieFenced) {
 		// The die degraded while this program waited for its grant:
@@ -254,7 +254,7 @@ func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 		c.requeueInstant(chip, "requeue_program_fail", c.reqFail)
 		c.buf.Requeue(group)
 		f.release()
-		c.retireActive(chip, cursor)
+		c.retireActive(chip, block)
 		c.stats.FaultRecoveries++
 		c.checkGC(chip)
 		c.maybeFlush()
@@ -296,7 +296,7 @@ func (f *flushOp) programDone(res nand.ProgramResult, err error) {
 		f.release()
 		c.admitPending()
 	}
-	c.retireIfFull(chip, cursor)
+	c.retireIfFull(chip, block)
 	c.checkGC(chip)
 	c.maybeFlush()
 	// Acks may reenter the controller (the host issues its next command

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,4 +74,39 @@ func TestReleasedOpRecordPanicsWhenStepped(t *testing.T) {
 	mustPanic(t, "released ftl relocation batch", func() { g.programDone(zeroProgram()) })
 }
 
-func zeroProgram() (nand.ProgramResult, error) { return nand.ProgramResult{}, nil }
+func zeroProgram() (*nand.ProgramResult, error) { return new(nand.ProgramResult), nil }
+
+// A write point's cursor is recycled once its block has left the write
+// points with no program into it in flight; stepping it after that is
+// a use-after-release bug, and it panics like a released op record.
+func TestReleasedCursorPanicsWhenStepped(t *testing.T) {
+	eng, c := verifyingController(3)
+	for lpn := range LPN(c.LogicalPages() / 2) { // fills and rotates write points on every die
+		c.Write(lpn, nil, func() {})
+	}
+	eng.Run()
+	// A die that degrades abandons its write points, and no block
+	// reopens to take their cursors back.
+	open := slices.Clone(c.dies[1].actives)
+	c.markDieDegraded(1)
+	cur := c.cursors.Get()
+	if cur == nil || !slices.Contains(open, cur) {
+		t.Fatalf("degrading a die released %p, want one of its write points %v", cur, open)
+	}
+	if cur.live || cur.programs != 0 {
+		t.Fatalf("released cursor: live=%v with %d programs in flight", cur.live, cur.programs)
+	}
+	for chip := range c.dies {
+		for _, open := range c.dies[chip].actives {
+			if open == cur {
+				t.Fatal("a released cursor is still a write point")
+			}
+		}
+	}
+	mustPanic(t, "released ftl block cursor", func() { cur.Take(0, 0) })
+	mustPanic(t, "released ftl block cursor", func() { c.programEnded(cur.Chip, cur) })
+	c.cursors.Put(cur)
+	if fresh := c.openCursor(0, 5); fresh != cur || !fresh.live || fresh.used != 0 || fresh.Chip != 0 || fresh.Block != 5 {
+		t.Fatalf("reopened cursor: %+v, want the released one over an erased block 5", fresh)
+	}
+}

@@ -44,7 +44,8 @@ type Policy interface {
 	// ObserveProgram feeds the program result back (OPM monitoring and
 	// the safety check), along with the parameters the operation
 	// actually ran with. The returned verdict may demand a reprogram.
-	ObserveProgram(chip, block, layer, wl int, params nand.ProgramParams, res nand.ProgramResult) ProgramVerdict
+	// res is the device's own record, good for the call only.
+	ObserveProgram(chip, block, layer, wl int, params nand.ProgramParams, res *nand.ProgramResult) ProgramVerdict
 
 	// ReadStartOffset returns the read-reference offset level to try
 	// first when reading the given h-layer (the ORT lookup).
@@ -78,7 +79,7 @@ func (basePolicy) SelectWL(_ int, actives []*BlockCursor, _ float64) (int, int, 
 	return 0, 0, 0, false
 }
 
-func (basePolicy) ObserveProgram(_, _, _, _ int, _ nand.ProgramParams, _ nand.ProgramResult) ProgramVerdict {
+func (basePolicy) ObserveProgram(_, _, _, _ int, _ nand.ProgramParams, _ *nand.ProgramResult) ProgramVerdict {
 	return VerdictOK
 }
 func (basePolicy) ReadStartOffset(int, int, int) int                 { return 0 }

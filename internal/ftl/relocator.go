@@ -51,6 +51,9 @@ type relocCycle struct {
 	active bool
 	victim int
 	cause  relocCause
+	// live is the victim's relocation set, refilled in place when a
+	// cycle opens and when stragglers are swept: the batches walk it.
+	live []LPN
 
 	onBarrier, onRepool func()
 	onErased            func(nand.EraseResult, error)
@@ -58,6 +61,7 @@ type relocCycle struct {
 
 func (cy *relocCycle) bind(c *Controller, chip int) {
 	cy.c, cy.chip = c, chip
+	cy.live = make([]LPN, 0, c.geo.PagesPerBlock())
 	cy.onBarrier, cy.onErased, cy.onRepool = cy.erase, cy.erased, cy.repool
 }
 
@@ -89,7 +93,7 @@ func (c *Controller) startReloc(chip, block int, cause relocCause) bool {
 	if name := causeInstant[cause]; name != "" {
 		c.instant(chip, name)
 	}
-	cy.relocate(c.mapper.LivePages(chip, block))
+	cy.relocateLive()
 	return true
 }
 
@@ -157,8 +161,16 @@ func (cy *relocCycle) sweepStragglers() bool {
 	if cy.c.mapper.ValidCount(cy.chip, cy.victim) == 0 {
 		return false
 	}
-	cy.relocate(cy.c.mapper.LivePages(cy.chip, cy.victim))
+	cy.relocateLive()
 	return true
+}
+
+// relocateLive snapshots the victim's live pages into the cycle's
+// relocation set and starts moving them. No batch holds the set then:
+// the cycle is opening, or its last batch found nothing left to move.
+func (cy *relocCycle) relocateLive() {
+	cy.live = cy.c.mapper.AppendLivePages(cy.live[:0], cy.chip, cy.victim)
+	cy.relocate(cy.live)
 }
 
 func (cy *relocCycle) erase() {
@@ -256,7 +268,7 @@ type relocOp struct {
 	oob              wlOOB
 
 	onRead    func(res nand.ReadResult, err error)
-	onProgram func(res nand.ProgramResult, err error)
+	onProgram func(res *nand.ProgramResult, err error)
 }
 
 func (c *Controller) getReloc() *relocOp {
@@ -363,7 +375,7 @@ func (g *relocOp) write() {
 	c.dev.Program(chip, addr, g.gcPages(), g.gcOOB(cursor.Seq), g.progParams, g.onProgram)
 }
 
-func (g *relocOp) programDone(res nand.ProgramResult, err error) {
+func (g *relocOp) programDone(res *nand.ProgramResult, err error) {
 	pool.CheckLive(g.live, "ftl relocation batch")
 	c, chip, victim, cursor := g.c, g.chip, g.victim, g.cursor
 	if errors.Is(err, ssd.ErrDieFenced) {
@@ -382,7 +394,7 @@ func (g *relocOp) programDone(res nand.ProgramResult, err error) {
 		// intact on the victim).
 		c.stats.ProgramFailures++
 		c.programEnded(chip, cursor)
-		c.retireActive(chip, cursor)
+		c.retireActive(chip, g.block)
 		c.stats.FaultRecoveries++
 		g.write()
 		return
@@ -398,7 +410,7 @@ func (g *relocOp) programDone(res nand.ProgramResult, err error) {
 	if verdict == VerdictReprogram {
 		c.stats.Reprograms++
 		c.requeueInstant(chip, "requeue_reprogram", c.reqReprog)
-		c.retireIfFull(chip, cursor)
+		c.retireIfFull(chip, g.block)
 		// Retry the same batch on the next word line.
 		g.write()
 		return
@@ -422,7 +434,7 @@ func (g *relocOp) programDone(res nand.ProgramResult, err error) {
 		}
 	}
 	c.stats.GCPageMoves += int64(moved)
-	c.retireIfFull(chip, cursor)
+	c.retireIfFull(chip, g.block)
 	cy, rest := g.cycle(), g.rest
 	g.release()
 	cy.relocate(rest)

@@ -70,18 +70,20 @@ var (
 	ErrWornOut       = errors.New("nand: block beyond rated endurance")
 )
 
-// wlState tracks one programmed word line. It is 48 bytes: a chip holds
-// one per word line in one array, and the load of programmed is the
-// first thing every page read does.
+// wlState tracks one programmed word line. It is 24 bytes and holds no
+// pointer: a chip holds one per word line in one array, which the Go
+// collector need not scan, and the load of programmed is the first
+// thing every page read does. The word line's payloads, when the chip
+// stores data, are in its block's payload slab.
 type wlState struct {
 	paramPenalty float64 // BER multiplier from aggressive program parameters
-	pages        [][]byte
 
 	// The word line's per-page out-of-band (spare area) records live
 	// back to back in the block's spare arena from oobOff on, oobLen[i]
-	// bytes for page i; hasOOB says whether there are any. Unlike pages
-	// they are kept even when the chip does not store data: the recovery
-	// subsystem reconstructs the L2P mapping from them after a power cut.
+	// bytes for page i; hasOOB says whether there are any. Unlike
+	// payloads they are kept even when the chip does not store data: the
+	// recovery subsystem reconstructs the L2P mapping from them after a
+	// power cut.
 	oobOff uint32
 	oobLen [vth.PagesPerWL]uint16
 	hasOOB bool
@@ -100,6 +102,11 @@ const maxOOBRecord = 1<<16 - 1
 type blockState struct {
 	pe  int
 	wls []wlState
+	// pages is the block's payload slab under StoreData: page i of word
+	// line w at w*vth.PagesPerWL+i, nil where no payload is stored. It is
+	// made by the block's first program and cleared, not freed, by an
+	// erase; a chip that does not store data never makes one.
+	pages [][]byte
 	// spare is the block's spare arena: the OOB records of its word
 	// lines, appended in program order. It is created by the block's
 	// first OOB program, sized for every word line to carry records of

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -102,7 +103,7 @@ func TestSpareArenaMatchesMapOfCopies(t *testing.T) {
 					oob = bufs
 				}
 				what = fmt.Sprintf("program %v fail=%v oob=%v", a, fail, oob != nil)
-				_, err := c.ProgramWLOOB(a, nil, oob, ProgramParams{})
+				err := c.ProgramWLOOB(a, nil, oob, ProgramParams{}, new(ProgramResult))
 				if fail != errors.Is(err, ErrProgramFail) || (!fail && err != nil) {
 					t.Fatalf("step %d (%s): err = %v", step, what, err)
 				}
@@ -157,7 +158,7 @@ func TestErasedBlockNeverResurrectsOOB(t *testing.T) {
 	}
 	first, second := Address{Block: 1, Layer: 0, WL: 0}, Address{Block: 1, Layer: 2, WL: 1}
 	for _, a := range []Address{first, second} {
-		if _, err := c.ProgramWLOOB(a, nil, rec(0x10), ProgramParams{}); err != nil {
+		if err := c.ProgramWLOOB(a, nil, rec(0x10), ProgramParams{}, new(ProgramResult)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +175,7 @@ func TestErasedBlockNeverResurrectsOOB(t *testing.T) {
 	if got := c.OOB(first); got != nil {
 		t.Fatalf("a program without OOB resurrected %x", got)
 	}
-	if _, err := c.ProgramWLOOB(second, nil, rec(0x40), ProgramParams{}); err != nil {
+	if err := c.ProgramWLOOB(second, nil, rec(0x40), ProgramParams{}, new(ProgramResult)); err != nil {
 		t.Fatal(err)
 	}
 	second.Page = 2
@@ -184,10 +185,18 @@ func TestErasedBlockNeverResurrectsOOB(t *testing.T) {
 }
 
 // One arena per block, created once: a block's later lives program
-// their word lines without allocating.
+// their word lines without allocating. The per-word-line state, one
+// entry per word line of the chip, is 24 bytes and holds no pointer, so
+// the Go collector never scans the array.
 func TestProgramWLOOBAllocs(t *testing.T) {
-	if unsafe.Sizeof(wlState{}) > 48 {
-		t.Errorf("wlState is %d bytes, want <= 48", unsafe.Sizeof(wlState{}))
+	if unsafe.Sizeof(wlState{}) > 24 {
+		t.Errorf("wlState is %d bytes, want <= 24", unsafe.Sizeof(wlState{}))
+	}
+	wt := reflect.TypeFor[wlState]()
+	for i := range wt.NumField() {
+		if f := wt.Field(i); hasPointers(f.Type) {
+			t.Errorf("wlState.%s (%v) holds a pointer", f.Name, f.Type)
+		}
 	}
 	c := smallOOBChip(5)
 	p := c.Config().Process
@@ -195,7 +204,7 @@ func TestProgramWLOOBAllocs(t *testing.T) {
 	cycle := func() {
 		for l := 0; l < p.Layers; l++ {
 			for w := 0; w < p.WLsPerLayer; w++ {
-				if _, err := c.ProgramWLOOB(Address{Block: 2, Layer: l, WL: w}, nil, oob, ProgramParams{}); err != nil {
+				if err := c.ProgramWLOOB(Address{Block: 2, Layer: l, WL: w}, nil, oob, ProgramParams{}, new(ProgramResult)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -219,10 +228,31 @@ func TestProgramWLOOBAllocs(t *testing.T) {
 func TestOversizeOOBRecordRejected(t *testing.T) {
 	c := smallOOBChip(1)
 	a := Address{Block: 0, Layer: 0, WL: 0}
-	if _, err := c.ProgramWLOOB(a, nil, [][]byte{make([]byte, maxOOBRecord+1), nil, nil}, ProgramParams{}); err == nil {
+	if err := c.ProgramWLOOB(a, nil, [][]byte{make([]byte, maxOOBRecord+1), nil, nil}, ProgramParams{}, new(ProgramResult)); err == nil {
 		t.Fatal("an OOB record longer than the spare area was accepted")
 	}
 	if c.IsProgrammed(a) {
 		t.Fatal("a rejected program left the word line programmed")
+	}
+}
+
+// hasPointers reports whether a value of type t holds a pointer the Go
+// collector would trace.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.String, reflect.UnsafePointer:
+		return true
+	default:
+		return false
 	}
 }

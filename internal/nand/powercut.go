@@ -23,6 +23,7 @@ func (c *Chip) CutWordLine(a Address) error {
 		paramPenalty: 1e9, // garbage: unreadable at any offset
 		partial:      true,
 	}
+	clear(blk.wlPages(c.wlIndex(a)))
 	return nil
 }
 
@@ -96,12 +97,11 @@ func (c *Chip) PageData(a Address) []byte {
 	if c.checkAddr(a) != nil {
 		return nil
 	}
-	st := &c.blocks[a.Block].wls[c.wlIndex(a)]
-	if !st.programmed || st.partial || st.pages == nil {
+	blk := &c.blocks[a.Block]
+	st := &blk.wls[c.wlIndex(a)]
+	p := blk.wlPages(c.wlIndex(a))
+	if !st.programmed || st.partial || p == nil {
 		return nil
 	}
-	if a.Page < 0 || a.Page >= len(st.pages) {
-		return nil
-	}
-	return append([]byte(nil), st.pages[a.Page]...)
+	return append([]byte(nil), p[a.Page]...)
 }

@@ -86,42 +86,39 @@ type ProgramResult struct {
 // may be nil when the chip does not store data; otherwise it must hold
 // vth.PagesPerWL byte slices.
 func (c *Chip) ProgramWL(a Address, pages [][]byte, params ProgramParams) (ProgramResult, error) {
-	return c.ProgramWLOOB(a, pages, nil, params)
+	var res ProgramResult
+	err := c.ProgramWLOOB(a, pages, nil, params, &res)
+	return res, err
 }
 
-// ProgramWLOOB is ProgramWL with per-page out-of-band metadata. The OOB
-// is stored regardless of StoreData — it is the spare area the recovery
-// subsystem scans to rebuild the mapping — and must hold vth.PagesPerWL
-// slices when non-nil.
-func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams) (ProgramResult, error) {
-	var res ProgramResult
+// ProgramWLOOB is ProgramWL with per-page out-of-band metadata, filling
+// the caller's result in place (a timed device program fills its op
+// record's). The OOB is stored regardless of StoreData — it is the
+// spare area the recovery subsystem scans to rebuild the mapping — and
+// must hold vth.PagesPerWL slices when non-nil.
+func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams, res *ProgramResult) error {
+	*res = ProgramResult{}
 	if err := c.checkAddr(Address{Block: a.Block, Layer: a.Layer, WL: a.WL}); err != nil {
-		return res, err
+		return err
 	}
 	blk := &c.blocks[a.Block]
 	if blk.bad {
-		return res, badBlockErr(a.Block)
+		return badBlockErr(a.Block)
 	}
 	st := &blk.wls[c.wlIndex(a)]
 	if st.programmed {
-		return res, fmt.Errorf("%w: %v", ErrNotErased, a)
+		return fmt.Errorf("%w: %v", ErrNotErased, a)
 	}
-	if c.cfg.StoreData {
-		if len(pages) != vth.PagesPerWL {
-			return res, fmt.Errorf("nand: ProgramWL of %v needs %d pages, got %d", a, vth.PagesPerWL, len(pages))
-		}
-		st.pages = make([][]byte, vth.PagesPerWL)
-		for i, p := range pages {
-			st.pages[i] = append([]byte(nil), p...)
-		}
+	if c.cfg.StoreData && len(pages) != vth.PagesPerWL {
+		return fmt.Errorf("nand: ProgramWL of %v needs %d pages, got %d", a, vth.PagesPerWL, len(pages))
 	}
 	if oob != nil {
 		if len(oob) != vth.PagesPerWL {
-			return res, fmt.Errorf("nand: ProgramWLOOB of %v needs %d OOB slices, got %d", a, vth.PagesPerWL, len(oob))
+			return fmt.Errorf("nand: ProgramWLOOB of %v needs %d OOB slices, got %d", a, vth.PagesPerWL, len(oob))
 		}
 		for _, b := range oob {
 			if len(b) > maxOOBRecord {
-				return res, fmt.Errorf("nand: ProgramWLOOB of %v: %d-byte OOB record exceeds the %d-byte spare area", a, len(b), maxOOBRecord)
+				return fmt.Errorf("nand: ProgramWLOOB of %v: %d-byte OOB record exceeds the %d-byte spare area", a, len(b), maxOOBRecord)
 			}
 		}
 	}
@@ -226,11 +223,10 @@ func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams
 		st.programmed = true
 		st.paramPenalty = 1e9 // garbage: unreadable at any offset
 		// The spare area is as indeterminate as the payload: the word
-		// line gets no OOB, and its neighbours' records stay where they are.
-		st.pages = nil
+		// line gets neither, and its neighbours' records stay where they are.
 		c.stats.ProgramFails++
 		res.LatencyNs = latency
-		return res, fmt.Errorf("%w: %v", ErrProgramFail, a)
+		return fmt.Errorf("%w: %v", ErrProgramFail, a)
 	}
 
 	// Stored reliability: parameter aggressiveness multiplies the
@@ -243,6 +239,9 @@ func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams
 	}
 	st.programmed = true
 	st.paramPenalty = paramPenalty
+	if c.cfg.StoreData {
+		blk.storePages(c.wlIndex(a), pages)
+	}
 	if oob != nil {
 		blk.storeOOB(st, oob)
 	}
@@ -256,21 +255,15 @@ func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams
 	progAging := c.aging(a.Block)
 	measured := c.model.BER(a.Block, a.Layer, a.WL, process.Aging{PE: progAging.PE}) * paramPenalty * noise
 
-	res = ProgramResult{
-		LatencyNs:   latency,
-		Loops:       loops,
-		Verifies:    verifies,
-		Skipped:     skipped,
-		Windows:     eff,
-		BerEP1:      vth.BerEP1(measured),
-		MeasuredBER: measured,
-		Suspect:     disturbShift != 0,
-	}
+	res.LatencyNs, res.Loops, res.Verifies, res.Skipped = latency, loops, verifies, skipped
+	res.Windows = eff
+	res.BerEP1, res.MeasuredBER = vth.BerEP1(measured), measured
+	res.Suspect = disturbShift != 0
 	c.stats.Programs++
 	c.stats.ProgramLoops += int64(loops)
 	c.stats.Verifies += int64(verifies)
 	c.stats.VerifiesSkipped += int64(skipped)
-	return res, nil
+	return nil
 }
 
 // storeOOB copies a word line's spare-area records into the block's
@@ -292,10 +285,32 @@ func (blk *blockState) storeOOB(st *wlState, oob [][]byte) {
 	}
 }
 
+// storePages copies a word line's payloads into the block's slab (the
+// caller reuses its buffers once the program returns).
+func (blk *blockState) storePages(wl int, pages [][]byte) {
+	if blk.pages == nil {
+		blk.pages = make([][]byte, len(blk.wls)*vth.PagesPerWL)
+	}
+	for i, p := range pages {
+		blk.pages[wl*vth.PagesPerWL+i] = append([]byte(nil), p...)
+	}
+}
+
+// wlPages returns a word line's slots in the payload slab, nil when the
+// block has none.
+func (blk *blockState) wlPages(wl int) [][]byte {
+	if blk.pages == nil {
+		return nil
+	}
+	return blk.pages[wl*vth.PagesPerWL : (wl+1)*vth.PagesPerWL]
+}
+
 // clearWLs returns every word line to the erased state and empties the
-// spare arena, keeping its memory for the block's next life.
+// spare arena and the payload slab, keeping their memory for the
+// block's next life.
 func (blk *blockState) clearWLs() {
 	clear(blk.wls)
+	clear(blk.pages)
 	blk.spare = blk.spare[:0]
 }
 

@@ -208,8 +208,8 @@ func (c *Chip) ReadPage(a Address, params ReadParams) (ReadResult, error) {
 			res.LatencyNs = latency
 			res.Retries = attempts - 1
 			res.OffsetUsed = offset
-			if c.cfg.StoreData && st.pages != nil {
-				res.Data = st.pages[a.Page]
+			if p := blk.wlPages(c.wlIndex(a)); p != nil {
+				res.Data = p[a.Page]
 			}
 			c.stats.Reads++
 			c.stats.ReadRetries += int64(res.Retries)

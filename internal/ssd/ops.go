@@ -203,7 +203,7 @@ type programOp struct {
 	addr       nand.Address
 	pages, oob [][]byte
 	params     nand.ProgramParams
-	done       func(res nand.ProgramResult, err error)
+	done       func(res *nand.ProgramResult, err error)
 
 	res   nand.ProgramResult
 	err   error
@@ -225,14 +225,16 @@ func (d *Device) getProgram() *programOp {
 	return op
 }
 
+// finish hands the record's own result to the completion, which must
+// not keep the pointer, then releases the record: a program the
+// completion issues takes another one.
 func (op *programOp) finish() {
 	pool.CheckLive(op.live, "ssd program op")
-	done, res, err := op.done, op.res, op.err
+	op.done(&op.res, op.err)
 	op.live = false
 	op.dh, op.plane, op.pages, op.oob, op.done = nil, nil, nil, nil, nil
 	op.res, op.err = nand.ProgramResult{}, nil
 	op.d.programOps.Put(op)
-	done(res, err)
 }
 
 // Program performs a timed one-shot word-line program: the channel is
@@ -244,7 +246,7 @@ func (op *programOp) finish() {
 // A fenced die completes the program with ErrDieFenced at grant time —
 // before any NAND state mutates — so grants queued behind the fence
 // transition cannot write a read-only die.
-func (d *Device) Program(die int, a nand.Address, pages, oob [][]byte, p nand.ProgramParams, done func(res nand.ProgramResult, err error)) {
+func (d *Device) Program(die int, a nand.Address, pages, oob [][]byte, p nand.ProgramParams, done func(res *nand.ProgramResult, err error)) {
 	op := d.getProgram()
 	op.die, op.dh = die, d.dies[die]
 	op.addr, op.pages, op.oob, op.params, op.done = a, pages, oob, p, done
@@ -280,7 +282,7 @@ func (op *programOp) planeGranted() {
 		op.finish()
 		return
 	}
-	op.res, op.err = op.dh.NAND.ProgramWLOOB(op.addr, op.pages, op.oob, op.params)
+	op.err = op.dh.NAND.ProgramWLOOB(op.addr, op.pages, op.oob, op.params, &op.res)
 	if op.res.LatencyNs > 0 && d.hub.TraceOp() {
 		d.hub.Event(telemetry.PidNAND, op.die, "tPROG", d.eng.Now(), op.res.LatencyNs,
 			map[string]int64{"block": int64(op.addr.Block), "loops": int64(op.res.Loops)})

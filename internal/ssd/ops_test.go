@@ -33,7 +33,7 @@ func TestReleasedOpRecordPanicsWhenStepped(t *testing.T) {
 	eng, d := newDevice()
 	a := nand.Address{Block: 0, Layer: 2, WL: 0}
 	var rd *readOp
-	d.Program(0, a, nil, nil, nand.ProgramParams{}, func(nand.ProgramResult, error) {
+	d.Program(0, a, nil, nil, nand.ProgramParams{}, func(*nand.ProgramResult, error) {
 		d.Read(0, a, nand.ReadParams{}, nil, func(nand.ReadResult, error) {})
 		rd = d.readOps.Get() // nothing released yet: the read holds the only record
 	})
@@ -71,7 +71,7 @@ func TestOpRecordsAreReusedAcrossOperations(t *testing.T) {
 			return
 		}
 		a := nand.Address{Block: 1, Layer: i / 4, WL: i % 4}
-		d.Program(0, a, nil, nil, nand.ProgramParams{}, func(_ nand.ProgramResult, err error) {
+		d.Program(0, a, nil, nil, nand.ProgramParams{}, func(_ *nand.ProgramResult, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}

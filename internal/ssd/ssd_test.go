@@ -67,7 +67,7 @@ func TestProgramThenReadTiming(t *testing.T) {
 	d := New(eng, smallConfig())
 	a := nand.Address{Block: 0, Layer: 5}
 	var progDone, readDone sim.Time
-	d.Program(0, a, nil, nil, nand.ProgramParams{}, func(res nand.ProgramResult, err error) {
+	d.Program(0, a, nil, nil, nand.ProgramParams{}, func(res *nand.ProgramResult, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestBusSharedChipsParallelOps(t *testing.T) {
 	var done []sim.Time
 	for chip := 0; chip < 2; chip++ {
 		d.Program(chip, nand.Address{Block: 0, Layer: 5}, nil, nil, nand.ProgramParams{},
-			func(res nand.ProgramResult, err error) {
+			func(res *nand.ProgramResult, err error) {
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +127,7 @@ func TestSameChipOpsSerialize(t *testing.T) {
 	var done []sim.Time
 	for wl := 0; wl < 2; wl++ {
 		a := nand.Address{Block: 0, Layer: 3, WL: wl}
-		d.Program(0, a, nil, nil, nand.ProgramParams{}, func(res nand.ProgramResult, err error) {
+		d.Program(0, a, nil, nil, nand.ProgramParams{}, func(res *nand.ProgramResult, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +171,7 @@ func TestPreAge(t *testing.T) {
 func TestUtilizationReporting(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, smallConfig())
-	d.Program(0, nand.Address{Block: 0, Layer: 1}, nil, nil, nand.ProgramParams{}, func(nand.ProgramResult, error) {})
+	d.Program(0, nand.Address{Block: 0, Layer: 1}, nil, nil, nand.ProgramParams{}, func(*nand.ProgramResult, error) {})
 	eng.Run()
 	if d.DieUtilization(0) <= 0 {
 		t.Error("die utilization not accounted")
@@ -190,7 +190,7 @@ func TestSuspendOpsLetsReadsInterleave(t *testing.T) {
 		// Program a WL first so there is something to read.
 		a := nand.Address{Block: 0, Layer: 5}
 		progDone := false
-		d.Program(0, a, nil, nil, nand.ProgramParams{}, func(res nand.ProgramResult, err error) {
+		d.Program(0, a, nil, nil, nand.ProgramParams{}, func(res *nand.ProgramResult, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func TestSuspendOpsLetsReadsInterleave(t *testing.T) {
 			t.Fatal("setup program never finished")
 		}
 		// Start a second long program, then a read right behind it.
-		d.Program(0, nand.Address{Block: 0, Layer: 6}, nil, nil, nand.ProgramParams{}, func(nand.ProgramResult, error) {})
+		d.Program(0, nand.Address{Block: 0, Layer: 6}, nil, nil, nand.ProgramParams{}, func(*nand.ProgramResult, error) {})
 		var readLat sim.Time
 		start := eng.Now()
 		eng.After(70_000, func() { // read arrives mid-program
@@ -240,7 +240,7 @@ func TestSuspendOpsConservesProgramTime(t *testing.T) {
 		cfg.SuspendOps = suspend
 		d := New(eng, cfg)
 		d.Program(0, nand.Address{Block: 1, Layer: 9}, nil, nil, nand.ProgramParams{},
-			func(res nand.ProgramResult, err error) {
+			func(res *nand.ProgramResult, err error) {
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -266,7 +266,7 @@ func TestMultiPlaneParallelism(t *testing.T) {
 		// planes >= 2, same plane otherwise.
 		for b := 0; b < 2; b++ {
 			d.Program(0, nand.Address{Block: b, Layer: 5}, nil, nil, nand.ProgramParams{},
-				func(res nand.ProgramResult, err error) {
+				func(res *nand.ProgramResult, err error) {
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -303,7 +303,7 @@ func TestMultiPlaneSamePlaneStillSerializes(t *testing.T) {
 	// Blocks 0 and 2 share plane 0.
 	for _, b := range []int{0, 2} {
 		d.Program(0, nand.Address{Block: b, Layer: 3}, nil, nil, nand.ProgramParams{},
-			func(res nand.ProgramResult, err error) {
+			func(res *nand.ProgramResult, err error) {
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -322,7 +322,7 @@ func TestMultiPlaneSamePlaneStillSerializes(t *testing.T) {
 func TestInflightMediaOpsInIssueOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, smallConfig())
-	done := func(nand.ProgramResult, error) {}
+	done := func(*nand.ProgramResult, error) {}
 	d.Erase(1, 3, func(nand.EraseResult, error) {})
 	d.Program(0, nand.Address{Block: 0, Layer: 2}, nil, nil, nand.ProgramParams{}, done)
 	d.Program(2, nand.Address{Block: 5, Layer: 1}, nil, nil, nand.ProgramParams{}, done)
