@@ -159,6 +159,17 @@ func TestRetryStateRoundTrip(t *testing.T) {
 		t.Error("restored state re-serializes differently (readSeq or entries lost)")
 	}
 
+	// A policy with the table off still keeps what an image carries: the
+	// restore makes the table.
+	_, dev := testDevice(5)
+	off := NewCubeFTL(dev.Geometry(), DefaultConfig())
+	if err := off.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, off.AppendState(nil)) || off.CubeStats().RetryEntries != 2 {
+		t.Error("a policy with the retry table off dropped the image's entries")
+	}
+
 	// Truncated input must error, not panic.
 	if err := retryPolicy(t, 5).RestoreState(blob[:len(blob)-3]); err == nil {
 		t.Error("truncated state restored without error")
