@@ -163,8 +163,11 @@ one-stack:
 # relocation cycle (assigns a cycle's active flag) or calls the batch
 # loop's entry (relocate, readNext) — every cause goes through
 # startReloc; if map[int]bool is back in the package's non-test files
-# (block membership is the role table's); or if one of them is longer
-# than 600 lines.
+# (block membership is the role table's); if one of them names dieStuck,
+# checkDieDegraded or checkDegraded (whether a die can take a write is
+# the one outlook) or calls armFlushTimer outside maybeFlush and
+# earlyFlushFired (a flush that found no die waits on an event, it does
+# not poll); or if one of them is longer than 600 lines.
 FTL_SRC = $(filter-out %_test.go,$(wildcard internal/ftl/*.go))
 one-relocator:
 	@bad=$$(grep -nE '(cycle|cy)\.active *(,[^=]*)?= *[^=]|\.relocate\(|\.readNext\(' $(filter-out %/relocator.go,$(FTL_SRC)); \
@@ -172,6 +175,13 @@ one-relocator:
 		grep -rnE --include='*.go' --exclude='*_test.go' 'GCWindows|ScrubWindows|CkptWindows|relocWindow' .); \
 	if [ -n "$$bad" ]; then \
 		echo "one-relocator: cycles open and step in internal/ftl/relocator.go only, block sets are roles, nothing records their windows:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nwE 'dieStuck|checkDieDegraded|checkDegraded' $(FTL_SRC); \
+		awk '/^func / { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn) } \
+			/armFlushTimer\(/ && !/^func / && !/^[[:space:]]*\/\// && fn != "maybeFlush" && fn != "earlyFlushFired" \
+			{ print FILENAME ":" FNR ": " $$0 }' $(FTL_SRC)); \
+	if [ -n "$$bad" ]; then \
+		echo "one-relocator: a die's outlook is the one answer to whether it takes a write, and only maybeFlush and earlyFlushFired arm the flush timer:"; echo "$$bad"; exit 1; \
 	fi
 	@long=$$(wc -l $(FTL_SRC) | awk '$$2 != "total" && $$1 > 600 { print $$2 ": " $$1 " lines" }'); \
 	if [ -n "$$long" ]; then echo "one-relocator: over 600 lines, split by concern:"; echo "$$long"; exit 1; fi

@@ -179,7 +179,7 @@ func TestHeldAcksCompleteWhenDeviceDegrades(t *testing.T) {
 	for die := 0; die < c.geo.Chips; die++ {
 		c.markDieDegraded(die)
 	}
-	c.checkDeviceDegraded()
+	c.settle(0)
 	if !c.Degraded() {
 		t.Fatal("device did not degrade")
 	}

@@ -43,7 +43,7 @@ func (c *Controller) retireBlock(chip, block int) {
 	if c.mapper.ValidCount(chip, block) > 0 {
 		c.evacuate(chip, block)
 	}
-	c.checkDieDegraded(chip)
+	c.settle(chip)
 }
 
 // evacuate relocates a retired block's live pages (the relocator leaves
@@ -78,16 +78,35 @@ func (c *Controller) GrowBadBlock(chip, block int) bool {
 	return true
 }
 
-// dieStuck reports that a die can make no forward progress on writes:
-// no cycle in flight to replenish its pool, no flush headroom in the
-// pool, and no GC victim left to collect.
-func (c *Controller) dieStuck(die int) bool {
+// dieOutlook is the one answer to "can this die take a host word
+// line?": pickChip flushes only to a die that takes, and settle acts on
+// the two answers no pending event will change.
+type dieOutlook uint8
+
+const (
+	takes   dieOutlook = iota // not degraded, under the in-flight cap, more than one free block
+	waits                     // a host program at the cap or an open cycle, both ending in checkGC and maybeFlush
+	needsGC                   // one free block, no cycle open, and a victim that wins space back
+	never                     // degraded, or no cycle open, no flush headroom and nothing to collect
+)
+
+// outlook classifies a die. The victim scan runs only for a die at its
+// last free block with no cycle open.
+func (c *Controller) outlook(die int) dieOutlook {
 	d := &c.dies[die]
-	if d.cycle.active || len(d.free) > 1 {
-		return false
+	switch {
+	case d.degraded:
+		return never
+	case len(d.free) > 1 && d.inflight < c.cfg.MaxInflightProgramsPerChip:
+		return takes
+	case d.cycle.active || len(d.free) > 1:
+		return waits
+	case len(d.free) == 1:
+		if _, ok := c.pickVictim(die); ok {
+			return needsGC
+		}
 	}
-	_, collectable := c.pickVictim(die)
-	return len(d.free) == 0 || !collectable
+	return never
 }
 
 // markDieDegraded drops one die to read-only: it is fenced at the
@@ -121,28 +140,25 @@ func (c *Controller) markDieDegraded(die int) {
 	d.actives = nil
 }
 
-// checkDieDegraded degrades one die if it is stuck, then reassesses
-// the device. One dead die must not force the whole device read-only:
-// writes keep flowing to the surviving dies.
-func (c *Controller) checkDieDegraded(die int) {
-	if c.dies[die].degraded || !c.dieStuck(die) {
+// settle acts on a die's outlook where no pending event will: a die
+// that needs GC gets its cycle, and one that can never take a write
+// again drops to read-only. One dead die must not force the whole device
+// read-only; the device goes once no die's outlook is better than never.
+// Queued host writes that can no longer be admitted are then completed
+// and counted as rejected (a real device would fail them with a media
+// error; reads keep working either way).
+func (c *Controller) settle(die int) {
+	switch c.outlook(die) {
+	case needsGC:
+		victim, _ := c.pickVictim(die)
+		c.startReloc(die, victim, causeGC)
+		return
+	case takes, waits:
 		return
 	}
 	c.markDieDegraded(die)
-	c.checkDeviceDegraded()
-}
-
-// checkDeviceDegraded drops the whole device into read-only degraded
-// mode once every die is degraded or stuck. Queued host writes that
-// can no longer be admitted are completed and counted as rejected (a
-// real device would fail them with a media error; reads keep working
-// either way).
-func (c *Controller) checkDeviceDegraded() {
-	if c.degraded {
-		return
-	}
 	for die := range c.dies {
-		if !c.dies[die].degraded && !c.dieStuck(die) {
+		if c.outlook(die) != never {
 			return
 		}
 	}
@@ -165,13 +181,4 @@ func (c *Controller) checkDeviceDegraded() {
 	c.heldAcks, c.heldAcksTail = nil, nil
 	c.pendingAckCount = 0
 	runAcks(held)
-}
-
-// checkDegraded sweeps every die (used when no single die can be
-// blamed, e.g. the flush timer finding no chip to flush to).
-func (c *Controller) checkDegraded() {
-	for die := range c.dies {
-		c.checkDieDegraded(die)
-	}
-	c.checkDeviceDegraded()
 }

@@ -33,6 +33,31 @@ func testController(t *testing.T, pol Policy) (*sim.Engine, *Controller) {
 	return eng, NewController(dev, pol, cfg)
 }
 
+// mountState is the controller's durable state as a mount takes it: what
+// a checkpoint captures.
+func (c *Controller) mountState() MountState {
+	ms := MountState{
+		LastStamp:    c.writeStamp,
+		LastBlockSeq: c.blockSeq,
+		Free:         make([][]int, c.geo.Chips),
+		Actives:      make([][]ActiveRecord, c.geo.Chips),
+		Retired:      make([][]int, c.geo.Chips),
+		DegradedDies: make([]bool, c.geo.Chips),
+	}
+	for lpn := LPN(0); lpn < LPN(c.mapper.LogicalPages()); lpn++ {
+		if c.stamps[lpn] != 0 {
+			ms.Mappings = append(ms.Mappings, MappingRecord{LPN: lpn, PPN: c.mapper.Lookup(lpn), Stamp: c.stamps[lpn]})
+		}
+	}
+	for chip := 0; chip < c.geo.Chips; chip++ {
+		ms.Free[chip] = append([]int(nil), c.dies[chip].free...)
+		ms.Actives[chip] = c.AppendActives(nil, chip)
+		ms.Retired[chip] = c.AppendRetired(nil, chip)
+		ms.DegradedDies[chip] = c.dies[chip].degraded
+	}
+	return ms
+}
+
 func TestControllerWriteReadRoundTrip(t *testing.T) {
 	eng, c := testController(t, NewPagePolicy())
 	writesDone, readsDone := 0, 0
@@ -317,7 +342,7 @@ func TestControllerKeepsConfigWhenBufferDefaults(t *testing.T) {
 	_, dev := testDevice(7)
 	fresh := NewController(dev, NewPagePolicy(), cfg)
 	_, dev2 := testDevice(7)
-	mounted, err := NewControllerWithState(dev2, NewPagePolicy(), cfg, fresh.StateSnapshot())
+	mounted, err := NewControllerWithState(dev2, NewPagePolicy(), cfg, fresh.mountState())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,19 +170,18 @@ func (c *Controller) SetDrainPromise(on bool) {
 	}
 }
 
-// pickChip round-robins over dies with an open program slot, dispatching
-// to idle dies first so a flush burst spreads across the array before
-// any die queues a second operation. Degraded dies and dies whose
-// free-block pool is critically low are skipped for host flushes so
-// in-progress garbage collection always has blocks to write into.
+// pickChip round-robins over the dies whose outlook is takes,
+// dispatching to idle dies first so a flush burst spreads across the
+// array before any die queues a second operation. A die's last free
+// block is never a host's, so in-progress garbage collection always has
+// a block to write into.
 func (c *Controller) pickChip() (int, bool) {
 	// One scan: the first eligible die with nothing queued or running on
 	// its planes wins; failing that, the first eligible one.
 	n, busy := c.geo.Chips, -1
 	for i := 0; i < n; i++ {
 		die := (c.flushChip + i) % n
-		d := &c.dies[die]
-		if d.degraded || d.inflight >= c.cfg.MaxInflightProgramsPerChip || len(d.free) <= 1 {
+		if c.outlook(die) != takes {
 			continue
 		}
 		if !c.dev.Die(die).Busy() {
@@ -201,6 +200,7 @@ func (c *Controller) pickChip() (int, bool) {
 }
 
 // armFlushTimer schedules a partial flush so trickle writes complete.
+// Only maybeFlush's hold and earlyFlushFired arm it (make one-relocator).
 func (c *Controller) armFlushTimer() {
 	if c.timerArmed || c.degraded {
 		return
@@ -230,17 +230,18 @@ func (c *Controller) earlyFlushFired() {
 
 // flushPartial pads what is left in the flush queue to a word line and
 // programs it: the one way a partial group leaves the buffer, whichever
-// event decided it should. It reports whether a die took the group.
+// event decided it should. It reports whether a die took the group. If
+// none does, every die is settled: then the device is degraded, or a die
+// waits on a completion that runs maybeFlush again. Nothing polls.
 func (c *Controller) flushPartial() bool {
 	if c.degraded || c.buf.Flushable() == 0 {
 		return false
 	}
 	chip, ok := c.pickChip()
 	if !ok {
-		// No chip can take the flush right now. Re-arm unless the
-		// device as a whole has lost the ability to make progress.
-		c.checkDegraded()
-		c.armFlushTimer()
+		for die := range c.dies {
+			c.settle(die)
+		}
 		return false
 	}
 	f := c.takeFlushGroup()
@@ -267,7 +268,7 @@ func (c *Controller) flushTo(chip int, f *flushOp) {
 		c.requeueInstant(chip, "requeue_alloc_fail", c.reqAlloc)
 		c.buf.Requeue(f.group)
 		f.release()
-		c.checkDieDegraded(chip)
+		c.settle(chip)
 		return
 	}
 	cursor.Take(layer, wl)
@@ -288,6 +289,9 @@ func (c *Controller) flushTo(chip int, f *flushOp) {
 func (c *Controller) allocateWL(chip int) (cursor *BlockCursor, layer, wl int, err error) {
 	d := &c.dies[chip]
 	for attempt := 0; attempt < 2; attempt++ {
+		if len(d.actives) == 0 && !d.degraded {
+			c.armWritePoints(chip) // every write point went while the pool was empty
+		}
 		if len(d.actives) == 0 {
 			return nil, 0, 0, fmt.Errorf("%w: chip %d", ErrOutOfSpace, chip)
 		}
@@ -432,7 +436,7 @@ func (c *Controller) activeIndex(chip, block int) int {
 func (c *Controller) retireIfFull(chip, block int) {
 	d := &c.dies[chip]
 	if i := c.activeIndex(chip, block); i >= 0 && d.actives[i].Full() && !c.replaceWritePoint(chip, i) {
-		c.checkDieDegraded(chip)
+		c.settle(chip)
 	}
 }
 

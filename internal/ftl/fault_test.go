@@ -226,8 +226,8 @@ func TestFactoryBadBlocksExcluded(t *testing.T) {
 }
 
 // closedLoop keeps depth host commands outstanding on c until ops of them
-// have been issued, then runs eng until it stops and fails t unless c
-// drained, or if a GC cycle could free nothing (gcProgress). Each command is
+// have been issued, then runs eng until it stops and fails t, printing
+// every die, unless c drained, or if a GC cycle could free nothing (gcProgress). Each command is
 // at an LPN drawn below n from src: a trim one time in ten, a read reads
 // times in ten, else a write, which c may not refuse.
 func closedLoop(t *testing.T, eng *sim.Engine, c *Controller, src *rng.Source, n, ops, depth, reads int) {
@@ -257,7 +257,7 @@ func closedLoop(t *testing.T, eng *sim.Engine, c *Controller, src *rng.Source, n
 		gcProgress(t, c)
 	}
 	if !c.Drained() {
-		t.Fatal("not drained")
+		t.Fatalf("not drained:%s", c.DieReport())
 	}
 }
 

@@ -53,15 +53,15 @@ func TestDrainedDeviceSettles(t *testing.T) {
 	}
 	eng.RunWhile(func() bool { return done < writes })
 	if done != writes {
-		t.Fatalf("%d of %d writes completed", done, writes)
+		t.Fatalf("%d of %d writes completed:%s", done, writes, c.DieReport())
 	}
 
 	const budget = 1000
 	start := c.Stats().GCCount
 	eng.RunWhile(func() bool { return c.Stats().GCCount-start < budget })
-	if n := eng.Pending(); n > 0 {
-		t.Fatalf("%d GC cycles after the drain and %d events still pending: the device never settles",
-			c.Stats().GCCount-start, n)
+	if n := eng.Pending(); n > 0 || !c.Drained() {
+		t.Fatalf("%d GC cycles after the drain and %d events still pending: the device never settles:%s",
+			c.Stats().GCCount-start, n, c.DieReport())
 	}
 	t.Logf("settled after %d GC cycles past the drain (%d in all)", c.Stats().GCCount-start, c.Stats().GCCount)
 	if err := c.CheckConsistency(); err != nil {

@@ -54,35 +54,9 @@ type ActiveRecord struct {
 	Seq   uint64
 }
 
-// StateSnapshot captures the controller's durable state at this
-// instant — the checkpoint body. Deterministic: the same state always
-// produces the same snapshot.
-func (c *Controller) StateSnapshot() MountState {
-	ms := MountState{
-		LastStamp:    c.writeStamp,
-		LastBlockSeq: c.blockSeq,
-		Free:         make([][]int, c.geo.Chips),
-		Actives:      make([][]ActiveRecord, c.geo.Chips),
-		Retired:      make([][]int, c.geo.Chips),
-		DegradedDies: make([]bool, c.geo.Chips),
-	}
-	for lpn := LPN(0); lpn < LPN(c.mapper.LogicalPages()); lpn++ {
-		if c.stamps[lpn] != 0 {
-			ms.Mappings = append(ms.Mappings, MappingRecord{LPN: lpn, PPN: c.mapper.Lookup(lpn), Stamp: c.stamps[lpn]})
-		}
-	}
-	for chip := 0; chip < c.geo.Chips; chip++ {
-		ms.Free[chip] = append([]int(nil), c.dies[chip].free...)
-		ms.Actives[chip] = c.AppendActives(nil, chip)
-		ms.Retired[chip] = c.AppendRetired(nil, chip)
-		ms.DegradedDies[chip] = c.dies[chip].degraded
-	}
-	return ms
-}
-
-// The accessors below expose the same durable state piece by piece, so
-// the checkpoint writer can encode it straight into a slot's buffer
-// without materialising a MountState (the mapping itself is walked
+// The accessors below expose the durable state piece by piece, so the
+// checkpoint writer can encode it straight into a slot's buffer without
+// materialising a MountState (the mapping itself is walked
 // through Mapper().Lookup and StampOf).
 
 // StampCounters returns the last write stamp and the last block
@@ -216,7 +190,6 @@ func NewControllerWithState(dev *ssd.Device, pol Policy, cfg ControllerConfig, m
 			c.markDieDegraded(die)
 		}
 	}
-	c.degraded = int(c.stats.DegradedDies) == nChips
 
 	// Re-arm write points and restart any interrupted evacuations.
 	for chip := 0; chip < nChips; chip++ {
@@ -229,6 +202,10 @@ func NewControllerWithState(dev *ssd.Device, pol Policy, cfg ControllerConfig, m
 				c.evacuate(chip, b)
 			}
 		}
+	}
+	// No completion is coming that would settle a die (or the device).
+	for chip := range c.dies {
+		c.settle(chip)
 	}
 	return c, nil
 }

@@ -363,7 +363,7 @@ func (g *relocOp) write() {
 		// but this collection cycle cannot finish.
 		g.cycle().active = false
 		g.release()
-		c.checkDieDegraded(chip)
+		c.settle(chip)
 		return
 	}
 	cursor.Take(layer, wl)
@@ -386,6 +386,7 @@ func (g *relocOp) programDone(res *nand.ProgramResult, err error) {
 		c.programEnded(chip, cursor)
 		g.cycle().active = false
 		g.release()
+		c.settle(chip)
 		return
 	}
 	if err != nil {

@@ -399,7 +399,7 @@ func TestMountRejectsBlocksOutOfRange(t *testing.T) {
 		"retired": func(ms *MountState) { ms.Retired[1] = append(ms.Retired[1], -1) },
 		"active":  func(ms *MountState) { ms.Actives[0][0].Block = blocks + 7 },
 	} {
-		ms := fresh.StateSnapshot()
+		ms := fresh.mountState()
 		spoil(&ms)
 		_, dev2 := testDevice(7)
 		if _, err := NewControllerWithState(dev2, NewPagePolicy(), DefaultControllerConfig(), ms); err == nil {
@@ -407,7 +407,7 @@ func TestMountRejectsBlocksOutOfRange(t *testing.T) {
 		}
 	}
 	_, dev2 := testDevice(7)
-	if _, err := NewControllerWithState(dev2, NewPagePolicy(), DefaultControllerConfig(), fresh.StateSnapshot()); err != nil {
+	if _, err := NewControllerWithState(dev2, NewPagePolicy(), DefaultControllerConfig(), fresh.mountState()); err != nil {
 		t.Fatalf("unspoiled state refused: %v", err)
 	}
 }

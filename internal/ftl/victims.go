@@ -19,7 +19,7 @@ func (c *Controller) checkGC(chip int) {
 	if victim, ok := c.pickVictim(chip); ok {
 		c.startReloc(chip, victim, causeGC)
 	} else {
-		c.checkDieDegraded(chip)
+		c.settle(chip)
 	}
 }
 

@@ -169,8 +169,8 @@ func putMapping(rec []byte, ctrl *ftl.Controller, lpn ftl.LPN, ppn ssd.PPN) {
 }
 
 // appendCheckpoint appends ctrl's checkpoint image to dst. The bytes are
-// exactly those the reference encoder (tests) produces from
-// ctrl.StateSnapshot() and the policy's state: the image length sets the
+// exactly those the reference encoder (tests) produces from ctrl's
+// durable state and the policy's state: the image length sets the
 // modeled checkpoint latency, so it may not drift.
 func (e *ckptEncoder) appendCheckpoint(dst []byte, ctrl *ftl.Controller) []byte {
 	start := len(dst)

@@ -424,7 +424,8 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 	ms := st.finalize()
 
 	// Advance the clock by the modeled mount I/O, then build the
-	// controller and let any evacuations run to completion.
+	// controller and let any evacuations run to completion (a GC cycle
+	// alone is background work the mount does not wait for).
 	eng.RunUntil(eng.Now() + cost)
 	ctrl, err := ftl.NewControllerWithState(dev, pol, cfg, ms)
 	if err != nil {
@@ -444,7 +445,9 @@ func Mount(dev *ssd.Device, pol ftl.Policy, cfg ftl.ControllerConfig, sys *Syste
 			}
 		}
 	}
-	eng.RunWhile(ctrl.GCActiveAny)
+	if rpt.EvacuationsQueued > 0 {
+		eng.RunWhile(ctrl.GCActiveAny)
+	}
 	rpt.MountNs = eng.Now()
 	return ctrl, rpt, nil
 }

@@ -57,5 +57,25 @@ func referenceImage(ctrl *ftl.Controller) []byte {
 	if ps, ok := ctrl.Policy().(ftl.PolicyStateSaver); ok {
 		pol = ps.AppendState(nil)
 	}
-	return encodeCheckpoint(ctrl.StateSnapshot(), pol)
+	return encodeCheckpoint(snapshot(ctrl), pol)
+}
+
+// snapshot is ctrl's durable state as one MountState, the reference
+// encoder's input, read through the accessors the streaming encoder
+// walks.
+func snapshot(ctrl *ftl.Controller) ftl.MountState {
+	var ms ftl.MountState
+	ms.LastStamp, ms.LastBlockSeq = ctrl.StampCounters()
+	for lpn := ftl.LPN(0); lpn < ftl.LPN(ctrl.LogicalPages()); lpn++ {
+		if stamp := ctrl.StampOf(lpn); stamp != 0 {
+			ms.Mappings = append(ms.Mappings, ftl.MappingRecord{LPN: lpn, PPN: ctrl.Mapper().Lookup(lpn), Stamp: stamp})
+		}
+	}
+	for chip := range ctrl.Device().Geometry().Chips {
+		ms.Free = append(ms.Free, append([]int(nil), ctrl.FreeBlocks(chip)...))
+		ms.Actives = append(ms.Actives, ctrl.AppendActives(nil, chip))
+		ms.Retired = append(ms.Retired, ctrl.AppendRetired(nil, chip))
+		ms.DegradedDies = append(ms.DegradedDies, ctrl.DieDegraded(chip))
+	}
+	return ms
 }

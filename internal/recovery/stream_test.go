@@ -1017,9 +1017,9 @@ func TestPatchedCRCMatchesRecompute(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := r.ctrl.StateSnapshot()
+		before := snapshot(r.ctrl)
 		r.ctrl.Engine().RunWhile(func() bool { return !r.ctrl.Drained() })
-		after := r.ctrl.StateSnapshot()
+		after := snapshot(r.ctrl)
 		for j, m := range after.Mappings {
 			if m != before.Mappings[j] {
 				dirty = append(dirty, m.LPN)
