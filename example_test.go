@@ -91,7 +91,7 @@ func ExampleSSD_RunTenants() {
 	// Output:
 	// round-robin        hot p99 1.212416ms bulk  6530 IOPS,    0 throttles  e67dcdde7ea38a47
 	// WRR 8:1            hot p99 868.352µs  bulk  6519 IOPS,    0 throttles  50a58e0fa69a07c1
-	// WRR 8:1 + bulk cap hot p99 851.968µs  bulk  4043 IOPS, 2967 throttles  37f2f7adb418414f
+	// WRR 8:1 + bulk cap hot p99 851.968µs  bulk  4043 IOPS, 2967 throttles  4085afee58e202cb
 	// WRR hot p99 below round-robin's: true
 	// bulk throttled under the cap: true
 }
@@ -178,7 +178,7 @@ func ExampleSSD_EnableTelemetry() {
 	fmt.Printf("ftl/write_amp = %.3f\n", snap.Gauges["ftl/write_amp"])
 	// Output:
 	// Mixed: 2000 requests, 12470 IOPS, read p99 2.228224ms
-	// 185 stats snapshots, 640150 bytes of Chrome trace
+	// 186 stats snapshots, 640154 bytes of Chrome trace
 	// stage-latency attribution (per-sample vectors; components sum to the quoted latency)
 	//   die/0/read             (n=376)
 	//     p50  694.9us = 86% plane_wait + 12% nand + 3% bus_xfer

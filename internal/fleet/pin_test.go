@@ -42,8 +42,8 @@ func replayPinned(t *testing.T) {
 	for _, p := range []struct {
 		policy, want string
 	}{
-		{"cube", "report=bc118c8cc60aea30 trace=4400229985772315657"},
-		{"vertFTL", "report=e66e7b599fe7bb1f trace=4400229985772315657"},
+		{"cube", "report=4964b3736a409782 trace=4400229985772315657"},
+		{"vertFTL", "report=8bd3fcc2bc194dba trace=4400229985772315657"},
 	} {
 		res, err := Run(Config{
 			Shards: 4, Tenants: 256, Seed: 3, Policy: p.policy,

@@ -50,7 +50,7 @@ func TestRemountSequencePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "{MountTime:17.863648ms UsedCheckpoint:true CheckpointAge:1.223042ms JournalRecords:0 JournalTorn:false BlocksProbed:31 DiscoveredBlocks:0 OOBPagesScanned:2430 MappingsRecovered:16175 RollForwardWins:25 EvacuationsQueued:0 Verified:true} | {Requests:3000 Elapsed:172.3165ms IOPS:17409.82436388854 ReadP50:540.672µs ReadP90:966.656µs ReadP99:1.441792ms WriteP50:1.277952ms WriteP90:1.80224ms WriteP99:2.94912ms MeanTPROG:595.289µs ReadRetries:0 GCRuns:0 Reprograms:0 BufferHits:77 DataMismatches:0 ProgramFailures:1 EraseFailures:0 ReadFaults:0 RetiredBlocks:1 FaultRecoveries:1 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:7816181708754184893} | {LeaderPrograms:230 FollowerPrograms:600 SafetyRejects:0 ORTHits:0 ORTMisses:982 ORTBytes:6144 RetryHits:1049 RetryStale:0 RetryMisses:982 RetryEntries:784} | {HostBytes:40452096 GCBytes:344064 RefreshBytes:0 WLBytes:0 Factor:1.008505467800729 Refreshes:0 WearLevels:0} | now=190180148 fired=6751"
+	const want = "{MountTime:17.863648ms UsedCheckpoint:true CheckpointAge:1.223042ms JournalRecords:0 JournalTorn:false BlocksProbed:31 DiscoveredBlocks:0 OOBPagesScanned:2430 MappingsRecovered:16175 RollForwardWins:25 EvacuationsQueued:0 Verified:true} | {Requests:3000 Elapsed:173.3756ms IOPS:17303.472922372006 ReadP50:540.672µs ReadP90:966.656µs ReadP99:1.47456ms WriteP50:1.245184ms WriteP90:1.835008ms WriteP99:2.686976ms MeanTPROG:595.964µs ReadRetries:0 GCRuns:0 Reprograms:0 BufferHits:73 DataMismatches:0 ProgramFailures:1 EraseFailures:0 ReadFaults:0 RetiredBlocks:1 FaultRecoveries:1 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:7816181708754184893} | {LeaderPrograms:233 FollowerPrograms:598 SafetyRejects:0 ORTHits:0 ORTMisses:988 ORTBytes:6144 RetryHits:1050 RetryStale:0 RetryMisses:988 RetryEntries:790} | {HostBytes:40452096 GCBytes:393216 RefreshBytes:0 WLBytes:0 Factor:1.0097205346294047 Refreshes:0 WearLevels:0} | now=191239248 fired=6577"
 	if got := fmt.Sprintf("%+v | %s", rpt, pinState(dev, st)); got != want {
 		t.Errorf("simulated results moved\n got: %s\nwant: %s", got, want)
 	}
@@ -62,11 +62,11 @@ func TestFacadeFlavoursPinned(t *testing.T) {
 		want string
 	}{
 		{Options{FTL: FTLIsp, PECycles: 1000, RetentionMonths: 1},
-			"{Requests:6000 Elapsed:218.498ms IOPS:27460.205585405816 ReadP50:966.656µs ReadP90:1.507328ms ReadP99:2.031616ms WriteP50:983.04µs WriteP90:1.572864ms WriteP99:1.998848ms MeanTPROG:620.37µs ReadRetries:1531 GCRuns:0 Reprograms:0 BufferHits:720 DataMismatches:0 ProgramFailures:0 EraseFailures:0 ReadFaults:0 RetiredBlocks:0 FaultRecoveries:0 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:15335932232359286613} | {LeaderPrograms:0 FollowerPrograms:0 SafetyRejects:0 ORTHits:0 ORTMisses:0 ORTBytes:0 RetryHits:0 RetryStale:0 RetryMisses:0 RetryEntries:0} | {HostBytes:78299136 GCBytes:19808256 RefreshBytes:0 WLBytes:0 Factor:1.2529817953546767 Refreshes:0 WearLevels:0} | now=1694043900 fired=73182"},
+			"{Requests:6000 Elapsed:218.498ms IOPS:27460.205585405816 ReadP50:966.656µs ReadP90:1.507328ms ReadP99:2.031616ms WriteP50:983.04µs WriteP90:1.572864ms WriteP99:1.998848ms MeanTPROG:620.369µs ReadRetries:1538 GCRuns:0 Reprograms:0 BufferHits:720 DataMismatches:0 ProgramFailures:0 EraseFailures:0 ReadFaults:0 RetiredBlocks:0 FaultRecoveries:0 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:15335932232359286613} | {LeaderPrograms:0 FollowerPrograms:0 SafetyRejects:0 ORTHits:0 ORTMisses:0 ORTBytes:0 RetryHits:0 RetryStale:0 RetryMisses:0 RetryEntries:0} | {HostBytes:78299136 GCBytes:19857408 RefreshBytes:0 WLBytes:0 Factor:1.253609541745135 Refreshes:0 WearLevels:0} | now=1694473600 fired=69833"},
 		{Options{FTL: FTLCubeMinus, RetryMode: "baseline", SuspendOps: true, PlanesPerChip: 2},
-			"{Requests:6000 Elapsed:230.151249ms IOPS:26069.812899429453 ReadP50:180.224µs ReadP90:344.064µs ReadP99:704.512µs WriteP50:2.064384ms WriteP90:2.686976ms WriteP99:3.211264ms MeanTPROG:599.353µs ReadRetries:0 GCRuns:8 Reprograms:0 BufferHits:689 DataMismatches:0 ProgramFailures:0 EraseFailures:0 ReadFaults:0 RetiredBlocks:0 FaultRecoveries:0 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:15335932232359286613} | {LeaderPrograms:5296 FollowerPrograms:15857 SafetyRejects:0 ORTHits:0 ORTMisses:0 ORTBytes:12288 RetryHits:0 RetryStale:0 RetryMisses:0 RetryEntries:0} | {HostBytes:78004224 GCBytes:51462144 RefreshBytes:0 WLBytes:0 Factor:1.6597353497164462 Refreshes:0 WearLevels:0} | now=1676292324 fired=342638"},
+			"{Requests:6000 Elapsed:230.151249ms IOPS:26069.812899429453 ReadP50:180.224µs ReadP90:344.064µs ReadP99:704.512µs WriteP50:2.064384ms WriteP90:2.686976ms WriteP99:3.211264ms MeanTPROG:599.314µs ReadRetries:0 GCRuns:8 Reprograms:0 BufferHits:689 DataMismatches:0 ProgramFailures:0 EraseFailures:0 ReadFaults:0 RetiredBlocks:0 FaultRecoveries:0 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:15335932232359286613} | {LeaderPrograms:5295 FollowerPrograms:15857 SafetyRejects:0 ORTHits:0 ORTMisses:0 ORTBytes:12288 RetryHits:0 RetryStale:0 RetryMisses:0 RetryEntries:0} | {HostBytes:78004224 GCBytes:51412992 RefreshBytes:0 WLBytes:0 Factor:1.6591052299936988 Refreshes:0 WearLevels:0} | now=1676292324 fired=339293"},
 		{Options{FTL: FTLVert, WearAware: true, WriteBufferPages: 96, EraseFailRate: 1e-3, ReadFaultRate: 1e-3},
-			"{Requests:6000 Elapsed:229.4461ms IOPS:26149.93238063319 ReadP50:966.656µs ReadP90:1.47456ms ReadP99:1.835008ms WriteP50:1.032192ms WriteP90:1.605632ms WriteP99:2.031616ms MeanTPROG:675.937µs ReadRetries:0 GCRuns:0 Reprograms:0 BufferHits:456 DataMismatches:0 ProgramFailures:0 EraseFailures:0 ReadFaults:6 RetiredBlocks:0 FaultRecoveries:6 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:15335932232359286613} | {LeaderPrograms:0 FollowerPrograms:0 SafetyRejects:0 ORTHits:0 ORTMisses:0 ORTBytes:0 RetryHits:0 RetryStale:0 RetryMisses:0 RetryEntries:0} | {HostBytes:80953344 GCBytes:20447232 RefreshBytes:0 WLBytes:0 Factor:1.2525804493017607 Refreshes:0 WearLevels:0} | now=1820643500 fired=73666"},
+			"{Requests:6000 Elapsed:229.4461ms IOPS:26149.93238063319 ReadP50:966.656µs ReadP90:1.47456ms ReadP99:1.835008ms WriteP50:1.032192ms WriteP90:1.605632ms WriteP99:2.031616ms MeanTPROG:675.937µs ReadRetries:0 GCRuns:0 Reprograms:0 BufferHits:456 DataMismatches:0 ProgramFailures:0 EraseFailures:0 ReadFaults:6 RetiredBlocks:0 FaultRecoveries:6 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:15335932232359286613} | {LeaderPrograms:0 FollowerPrograms:0 SafetyRejects:0 ORTHits:0 ORTMisses:0 ORTBytes:0 RetryHits:0 RetryStale:0 RetryMisses:0 RetryEntries:0} | {HostBytes:80953344 GCBytes:20447232 RefreshBytes:0 WLBytes:0 Factor:1.2525804493017607 Refreshes:0 WearLevels:0} | now=1820643500 fired=70031"},
 	} {
 		p.opts.BlocksPerChip, p.opts.Seed = 16, 4
 		dev, err := New(p.opts)
