@@ -27,7 +27,8 @@ race:
 
 # Full (non-short) race run over the concurrency-sensitive core: the
 # event engine, the FTL (per-die degraded transitions), the multi-queue
-# host front end, the crash-consistency subsystem (power-cut sweep),
+# host front end, the crash-consistency subsystem (the power-cut sweep,
+# every seventh event cut on a copy),
 # the telemetry registry/tracer, the network block service (the live
 # chaos soak, TestChaosSoak: six TCP clients against the single-threaded
 # core through faults, two power cuts and a die kill, in two 5 s legs),
@@ -76,14 +77,16 @@ fuzz-smoke:
 # writes and one trim in sixteen on a tiny stack.Build device (and on one
 # whose dies run two host programs at once, the first again mounted by a
 # full OOB scan, and a refresh and wear-leveling stack aged three years
-# before its run) is replayed and cut after each of its events — inside
+# before its run) is cut on a copy after each of its events — inside
 # programs, journal flushes, patched checkpoints and GC — and every cut
 # must remount with verify and lose no acked write and no durable trim;
 # two runs with program failures are cut after every fifth. Two negative
 # controls must lose some: the stack leg with the roll-forward rule of
 # the journal-gated ack, and both checkpoint legs with the checkpoint's
-# mapping standing, unread, at every tie with a GC copy. The race legs
-# above take every seventh cut of the sweeps and skip the second control.
+# mapping standing, unread, at every tie with a GC copy. A cut is an
+# image of the media taken while the run goes on, so each leg is one pass
+# over its run. The race legs above (race, race-core) take every seventh
+# cut of the sweeps and skip the second control.
 powercut-sweep:
 	$(GO) test ./internal/recovery -count=1 -run 'PowerCutAtEveryEvent|PowerCutAfterProgramFailures' -v
 
@@ -120,7 +123,11 @@ bench-telemetry:
 # declaration per device flag, and no dead packages. Fails if a non-test
 # .go file outside internal/stack (and the packages that define them)
 # calls ssd.New(, ssd.NewWithArray(, ftl.NewController(, recovery.Attach(
-# or recovery.Mount(; if a device flag of internal/stack's table is
+# or recovery.Mount(; if a non-test file tears the media — calls
+# CutWordLine( or CutErase( — outside internal/nand and the recovery
+# cut (internal/recovery/manager.go, which tears a copy), or hands a
+# device's .Array() to NewWithArray( (a mount reads a cut's image, never
+# the media a live device still runs on); if a device flag of internal/stack's table is
 # declared anywhere else (binaries bind them with Spec.BindFlags;
 # paperfig's -blocks is the width of the characterization sweep, not a
 # device's, and bench/ is the frozen harness, whose -seed also feeds its
@@ -136,6 +143,15 @@ one-stack:
 		| grep -v -e '_test\.go:' -e '^\./internal/stack/' -e '^\./internal/ssd/' -e '^\./internal/ftl/' -e '^\./internal/recovery/'); \
 	if [ -n "$$bad" ]; then \
 		echo "one-stack: only internal/stack builds, mounts and attaches a device stack:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn --include='*.go' -e 'CutWordLine(' -e 'CutErase(' . \
+		| grep -v -e '_test\.go:' -e '^\./internal/nand/' -e '^\./internal/recovery/manager\.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "one-stack: only the recovery cut tears the media, on its copy (recovery.Manager.Cut):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE --include='*.go' 'NewWithArray\(.*\.Array\(\)' . | grep -v -e '_test\.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "one-stack: a mount reads a cut's image (recovery.Image.Array), not a live device's array:"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rnE --include='*.go' '(flag|fs)\.[A-Za-z0-9]+\((&[A-Za-z0-9_.]+, *)?"($(DEVICE_FLAGS))"' . \
 		| grep -v -e '_test\.go:' -e '^\./internal/stack/' -e '^\./bench/' -e '^\./cmd/paperfig/main\.go:.*"blocks", 8, "blocks swept by'); \

@@ -68,6 +68,12 @@ type Engine struct {
 // NewEngine returns an engine drawing from the given source.
 func NewEngine(src *rng.Source) *Engine { return &Engine{src: src} }
 
+// Clone returns an engine that draws what e would, from a copy of e's source.
+func (e *Engine) Clone() *Engine {
+	src := *e.src
+	return &Engine{src: &src, errs: e.errs}
+}
+
 // Result reports one decode attempt: the two verdicts a read-retry step
 // consumes.
 type Result struct {

@@ -1,22 +1,42 @@
 package nand
 
-import "fmt"
-
 // Power-cut media semantics. A simulated power loss catches some
 // word-line programs and block erases mid-operation; the recovery
-// subsystem (internal/recovery) calls these hooks to leave the media in
-// the state real 3D NAND would be in: partially-programmed word lines
-// whose cells hold indeterminate charge, and half-erased blocks that
-// must be erased again before reuse.
+// subsystem (internal/recovery) tears them on a copy of the array
+// (Clone), as real 3D NAND would be left: partially-programmed word
+// lines with indeterminate charge, half-erased blocks to erase again.
+
+// Clone returns a copy of the array that shares nothing either copy's
+// operations change — word-line states, payload slabs, spare arenas,
+// wear, bad-block marks, counters, fault triggers, random streams — so
+// the copy draws what the original would have. It shares the read-only
+// process models and the stored payloads, never changed in place.
+func (a *Array) Clone() *Array {
+	cp := &Array{cfg: a.cfg}
+	for _, d := range a.dies {
+		c := *d
+		src, faultSrc := *d.src, *d.faultSrc
+		c.src, c.faultSrc, c.eccEng = &src, &faultSrc, d.eccEng.Clone()
+		c.faults.ProgramFailAt = append([]Address(nil), d.faults.ProgramFailAt...)
+		c.faults.EraseFailAt = append([]int(nil), d.faults.EraseFailAt...)
+		c.blocks = append([]blockState(nil), d.blocks...)
+		for b := range c.blocks {
+			blk := &c.blocks[b]
+			blk.wls, blk.pages = append([]wlState(nil), blk.wls...), append([][]byte(nil), blk.pages...)
+			if blk.spare != nil { // a program appends to the arena in place
+				blk.spare = append(make([]byte, 0, cap(blk.spare)), blk.spare...)
+			}
+		}
+		cp.dies = append(cp.dies, &c)
+	}
+	return cp
+}
 
 // CutWordLine models a program interrupted by power loss. The word
 // line reads as programmed (its cells are no longer erased) but both
 // payload and OOB are indeterminate: any read fails ECC at every
 // retry offset, and the recovery scan sees no valid spare-area record.
-func (c *Chip) CutWordLine(a Address) error {
-	if err := c.checkAddr(a); err != nil {
-		return err
-	}
+func (c *Chip) CutWordLine(a Address) {
 	blk := &c.blocks[a.Block]
 	blk.wls[c.wlIndex(a)] = wlState{
 		programmed:   true,
@@ -24,22 +44,17 @@ func (c *Chip) CutWordLine(a Address) error {
 		partial:      true,
 	}
 	clear(blk.wlPages(c.wlIndex(a)))
-	return nil
 }
 
 // CutErase models an erase interrupted by power loss: the cells got a
 // partial erase pulse, so the old contents are gone but the block is
 // not reliably erased either. It must be erased again before any
 // program. The interrupted pulse does not count as a P/E cycle.
-func (c *Chip) CutErase(block int) error {
-	if block < 0 || block >= len(c.blocks) {
-		return fmt.Errorf("%w: block %d", ErrBadAddress, block)
-	}
+func (c *Chip) CutErase(block int) {
 	blk := &c.blocks[block]
 	blk.clearWLs()
 	blk.erased = false
 	blk.reads = 0
-	return nil
 }
 
 // OOB returns the spare-area metadata stored with a page, or nil when

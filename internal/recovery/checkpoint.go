@@ -15,16 +15,14 @@ import (
 // metadata: two checkpoint slots written ping-pong (so a torn
 // checkpoint write never destroys the previous good one) and the
 // append-only journal. It is the only structure besides the NAND array
-// that survives a power cut — everything else (engine, device handles,
+// in a power cut's Image — everything else (engine, device handles,
 // controller, manager) is volatile and rebuilt at mount.
 type SystemArea struct {
 	base    uint64 // absolute journal offset of journal[0]
 	journal []byte // durable journal bytes
 	slots   [2]ckptSlot
 
-	// cutAt records when power died (simulator bookkeeping used for
-	// checkpoint-age reporting, not consulted by recovery itself).
-	cutAt sim.Time
+	cutAt sim.Time // when the image was cut: reported checkpoint age only
 }
 
 // ckptSlot is one checkpoint location. A slot is invalidated before

@@ -2,6 +2,7 @@ package recovery_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"cubeftl/internal/ftl"
@@ -12,22 +13,22 @@ import (
 	"cubeftl/internal/ssd"
 )
 
-// cutRig is recovery.CutSSDConfig's device, half prefilled, and its life:
-// requests commands at depth 32, half of them reads, over the lower five
-// eighths of the logical space — an eighth first written in the run, and
-// room for GC to get each die's free pool back over its threshold once
-// the host stops. scrub turns the retention scrubber on with a patrol
-// cheap enough to fire in a short run, and moves the prefilled blocks'
-// retention clocks a year on, so the patrol finds refresh-due blocks
-// while host traffic runs.
-func cutRig(t testing.TB, seed uint64, requests int, interval sim.Time, scrub bool) (*rig, sweepLife) {
+// cutLife is recovery.CutSSDConfig's device, half prefilled, and its
+// run: requests commands at depth 32, half of them reads, over the lower
+// five eighths of the logical space — an eighth first written in the run,
+// and room for GC to get each die's free pool back over its threshold
+// once the host stops. scrub turns the retention scrubber on with a
+// patrol cheap enough to fire in a short run, and moves the prefilled
+// blocks' retention clocks a year on, so the patrol finds refresh-due
+// blocks while host traffic runs.
+func cutLife(t testing.TB, seed uint64, requests int, interval sim.Time, scrub bool) *life {
 	cfg := recovery.CutCtrlConfig()
 	if scrub {
 		cfg.Refresh, cfg.RefreshPatrolReads = true, 16
 	}
-	r := newRig(recovery.CutSSDConfig(seed), cfg, func(c *ftl.Controller) int64 { return int64(c.LogicalPages() / 2) }, interval)
+	st := rigStack(recovery.CutSSDConfig(seed), cfg, func(c *ftl.Controller) int64 { return int64(c.LogicalPages() / 2) }, interval)
 	if scrub {
-		arr := r.ctrl.Device().Array()
+		arr := st.Dev.Array()
 		for d := 0; d < arr.Dies(); d++ {
 			for b, chip := 0, arr.Die(d); b < chip.Blocks(); b++ {
 				if !chip.IsBadBlock(b) && !chip.IsErased(b) {
@@ -36,52 +37,47 @@ func cutRig(t testing.TB, seed uint64, requests int, interval sim.Time, scrub bo
 			}
 		}
 	}
-	return r, r.life(t, seed, loop{hot: r.ctrl.LogicalPages() * 5 / 8, n: requests, qd: 32, reads: 8})
+	return (&life{st: st}).start(t, seed, loop{hot: st.Ctrl.LogicalPages() * 5 / 8, n: requests, qd: 32, reads: 8})
 }
 
-// cutLife builds a cutRig's life anew for each replay.
-func cutLife(seed uint64, requests int, interval sim.Time, scrub bool) func(testing.TB) sweepLife {
-	return func(t testing.TB) sweepLife { _, l := cutRig(t, seed, requests, interval, scrub); return l }
-}
+// sweepRigLife is TestPowerCutSweep's life.
+func sweepRigLife(t testing.TB) *life { return cutLife(t, 42, 6000, 2*sim.Millisecond, false) }
 
-// cutAt replays a cutRig's run to event i and cuts its power.
-func cutAt(t *testing.T, seed uint64, requests int, interval sim.Time, scrub bool, i uint64) *rig {
-	r, l := cutRig(t, seed, requests, interval, scrub)
-	runTo(l, i)
-	r.mgr.PowerCut()
-	return r
+// probeSweepRig runs TestPowerCutSweep's life uncut and returns its event
+// count and the spans of its GC cycles (from a cycle's opening to the next
+// one's, or to the end of relocation on every die) and checkpoint writes.
+func probeSweepRig(t *testing.T) (events uint64, gc, ckpt spans) {
+	var cycles int64
+	p := sweepRigLife(t)
+	events = p.run(t, func(i uint64) {
+		opened := p.st.Ctrl.Stats().GCCount > cycles
+		cycles = p.st.Ctrl.Stats().GCCount
+		gc.see(i, p.st.Ctrl.GCActiveAny(), opened)
+		ckpt.see(i, p.st.Mgr.CheckpointInFlight(), false)
+	})
+	if len(gc.got) < 3 || len(ckpt.got) < 3 {
+		t.Fatalf("the run ran %d GC cycles and %d checkpoint writes, want three of each", len(gc.got), len(ckpt.got))
+	}
+	return events, gc, ckpt
 }
 
 // The acceptance sweep: 25 seed-derived cuts plus directed ones in the
-// middle of the first three GC cycles (from a cycle's opening to the next
-// one's, or to the end of relocation on every die) and of the first three
-// checkpoint writes. Every cut must recover to a state that passes the
-// full verifier: zero lost acked writes, zero L2P/OOB disagreements,
-// balanced page accounting.
+// middle of the first three GC cycles and of the first three checkpoint
+// writes, found by a first run and cut in a second. Every cut must
+// recover to a state that passes the full verifier: zero lost acked
+// writes, zero L2P/OOB disagreements, balanced page accounting.
 func TestPowerCutSweep(t *testing.T) {
-	const seed, requests = 42, 6000
-	life := cutLife(seed, requests, 2*sim.Millisecond, false)
-	var gc, ckpt spans
-	var cycles int64
-	_, events := probe(t, life, func(l sweepLife, i uint64) {
-		opened := l.ctrl.Stats().GCCount > cycles
-		cycles = l.ctrl.Stats().GCCount
-		gc.see(i, l.ctrl.GCActiveAny(), opened)
-		ckpt.see(i, l.mgr.CheckpointInFlight(), false)
-	})
-	if len(gc.got) == 0 || len(ckpt.got) == 0 {
-		t.Fatalf("probe run ran %d GC cycles and %d checkpoint writes — sweep cannot cover mid-GC and mid-checkpoint cuts", len(gc.got), len(ckpt.got))
-	}
-
+	events, gc, ckpt := probeSweepRig(t)
 	cuts := append(gc.mids(3), ckpt.mids(3)...)
-	src := rng.New(seed ^ 0x51EE9)
+	src := rng.New(42 ^ 0x51EE9)
 	lo, hi := events/20, events*19/20
 	for i := 0; i < 25; i++ {
 		cuts = append(cuts, lo+src.Uint64n(hi-lo))
 	}
 	t.Logf("%d events; directed cuts mid-GC %v, mid-checkpoint %v", events, gc.mids(3), ckpt.mids(3))
-	failed, _ := sweepCuts(t, life, cuts)
-	for _, f := range failed {
+	l := sweepRigLife(t)
+	l.sweep(t, func(i uint64) bool { return slices.Contains(cuts, i) })
+	for _, f := range l.failed {
 		t.Error(f)
 	}
 }
@@ -90,24 +86,28 @@ func TestPowerCutSweep(t *testing.T) {
 // identical across runs.
 func TestPowerCutDeterministic(t *testing.T) {
 	const seed, requests = 1234, 1500
-	_, events := probe(t, cutLife(seed, requests, 2*sim.Millisecond, false), nil)
-	recovered := func() ([]byte, recovery.MountReport) {
-		ctrl, rpt, err := cutAt(t, seed, requests, 2*sim.Millisecond, false, events/2).mount(false)
-		if err != nil {
-			t.Fatalf("cut after event %d: %v", events/2, err)
-		}
-		return recovery.Attach(ctrl, recovery.NewSystemArea(), recovery.Options{Ledger: recovery.NewLedger()}).StateBytes(), rpt
+	events := cutLife(t, seed, requests, 2*sim.Millisecond, false).run(t, nil)
+	var states [2][]byte
+	var rpts [2]recovery.MountReport
+	for n := range states {
+		l := cutLife(t, seed, requests, 2*sim.Millisecond, false)
+		l.run(t, func(i uint64) {
+			if i == events/2 {
+				mounted, rpt, err := l.cut()
+				if err != nil {
+					t.Fatalf("cut after event %d: %v", i, err)
+				}
+				states[n], rpts[n] = mounted.Mgr.System().StateBytes(), rpt
+			}
+		})
 	}
-	a, rptA := recovered()
-	b, rptB := recovered()
-	if len(a) == 0 {
+	switch {
+	case len(states[0]) == 0:
 		t.Fatal("empty recovered state")
-	}
-	if !bytes.Equal(a, b) {
+	case !bytes.Equal(states[0], states[1]):
 		t.Fatal("same seed and cut produced different recovered state")
-	}
-	if rptA != rptB {
-		t.Errorf("mount reports differ: %+v vs %+v", rptA, rptB)
+	case rpts[0] != rpts[1]:
+		t.Errorf("mount reports differ: %+v vs %+v", rpts[0], rpts[1])
 	}
 }
 
@@ -121,83 +121,81 @@ func TestMountFullScanVsCheckpoint(t *testing.T) {
 	const seed, requests = 77, 12000
 	for _, interval := range []sim.Time{2 * sim.Millisecond, 20 * sim.Millisecond, 100 * sim.Millisecond} {
 		ms := interval / sim.Millisecond
-		_, events := probe(t, cutLife(seed, requests, interval, false), nil)
-		r := cutAt(t, seed, requests, interval, false, events*2/3)
-
-		fast, fastRpt, err := r.mount(false)
-		if err != nil {
-			t.Fatalf("checkpoint every %d ms: checkpoint mount: %v", ms, err)
-		}
-		if !fastRpt.UsedCheckpoint {
-			t.Fatal("checkpoint mount did not use the checkpoint")
-		}
-		slow, slowRpt, err := r.mount(true)
-		if err != nil {
-			t.Fatalf("checkpoint every %d ms: full-scan mount: %v", ms, err)
-		}
-		if slowRpt.UsedCheckpoint {
-			t.Fatal("forced full scan used a checkpoint")
-		}
-		if 2*fastRpt.MountNs >= slowRpt.MountNs {
-			t.Errorf("checkpoint every %d ms: full scan (%d ns) not twice the checkpointed mount (%d ns)", ms, slowRpt.MountNs, fastRpt.MountNs)
-		}
-		// Both mounts must agree on the durable mapping for every acked
-		// write; the full scan may additionally resurrect newer unacked
-		// data, or the copy a trim covered, so compare via the
-		// ledger-audited stamps.
-		for lpn := ftl.LPN(0); lpn < ftl.LPN(fast.LogicalPages()); lpn++ {
-			if fast.Mapper().Lookup(lpn) != ssd.UnmappedPPN && slow.Mapper().Lookup(lpn) == ssd.UnmappedPPN {
-				t.Errorf("checkpoint every %d ms: LPN %d recovered by checkpoint mount but lost by full scan", ms, lpn)
+		events := cutLife(t, seed, requests, interval, false).run(t, nil)
+		l := cutLife(t, seed, requests, interval, false)
+		l.run(t, func(i uint64) {
+			if i != events*2/3 {
+				return
 			}
-		}
-		t.Logf("checkpoint every %d ms: mount %.2f ms (age %.2f ms, %d journal records, %d OOB pages, %d roll-forward wins), full scan %.2f ms (%d OOB pages)",
-			ms, float64(fastRpt.MountNs)/1e6, float64(fastRpt.CheckpointAgeNs)/1e6, fastRpt.JournalRecords,
-			fastRpt.OOBPagesScanned, fastRpt.RollForwardWins, float64(slowRpt.MountNs)/1e6, slowRpt.OOBPagesScanned)
+			fast, fastRpt, err := l.st.Mount(l.st.Mgr.Cut(), true, false)
+			if err != nil || !fastRpt.UsedCheckpoint {
+				t.Fatalf("checkpoint every %d ms: checkpoint mount: %v, used the checkpoint: %v", ms, err, fastRpt.UsedCheckpoint)
+			}
+			slow, slowRpt, err := l.st.Mount(l.st.Mgr.Cut(), true, true)
+			if err != nil || slowRpt.UsedCheckpoint {
+				t.Fatalf("checkpoint every %d ms: full-scan mount: %v, used a checkpoint: %v", ms, err, slowRpt.UsedCheckpoint)
+			}
+			if 2*fastRpt.MountNs >= slowRpt.MountNs {
+				t.Errorf("checkpoint every %d ms: full scan (%d ns) not twice the checkpointed mount (%d ns)", ms, slowRpt.MountNs, fastRpt.MountNs)
+			}
+			// Both mounts must agree on the durable mapping for every acked
+			// write; the full scan may additionally resurrect newer unacked
+			// data, or the copy a trim covered, so compare via the
+			// ledger-audited stamps.
+			for lpn := ftl.LPN(0); lpn < ftl.LPN(fast.Ctrl.LogicalPages()); lpn++ {
+				if fast.Ctrl.Mapper().Lookup(lpn) != ssd.UnmappedPPN && slow.Ctrl.Mapper().Lookup(lpn) == ssd.UnmappedPPN {
+					t.Errorf("checkpoint every %d ms: LPN %d recovered by checkpoint mount but lost by full scan", ms, lpn)
+				}
+			}
+			t.Logf("checkpoint every %d ms: mount %.2f ms (age %.2f ms, %d journal records, %d OOB pages, %d roll-forward wins), full scan %.2f ms (%d OOB pages)",
+				ms, float64(fastRpt.MountNs)/1e6, float64(fastRpt.CheckpointAgeNs)/1e6, fastRpt.JournalRecords,
+				fastRpt.OOBPagesScanned, fastRpt.RollForwardWins, float64(slowRpt.MountNs)/1e6, slowRpt.OOBPagesScanned)
+		})
 	}
 }
 
 // A power cut in the middle of a refresh relocation must recover like
 // any other cut: the scrub's half-moved data is either still valid at
-// the old copy or remapped to the new one, never lost. The probe finds
-// the event that opens each of the first four refresh cycles and the
-// first event after it that lands refreshed pages (the victim is not
-// yet erased then); the run is cut after each.
+// the old copy or remapped to the new one, never lost. The run is cut
+// after the event that opens each of the first four refresh cycles and
+// after the first event after it that lands refreshed pages (the victim
+// is not yet erased then).
 func TestPowerCutMidScrub(t *testing.T) {
 	const seed, requests = 2718, 4000
 	var cuts []uint64
 	var refreshes, pages int64
 	landing := false
-	p, _ := probe(t, cutLife(seed, requests, 2*sim.Millisecond, true), func(l sweepLife, i uint64) {
-		st := l.ctrl.Stats()
-		if st.Refreshes > refreshes && st.Refreshes <= 4 {
-			cuts, landing = append(cuts, i), true
-		} else if st.RefreshPages > pages && landing {
-			cuts, landing = append(cuts, i), false
-		}
+	l := cutLife(t, seed, requests, 2*sim.Millisecond, true)
+	l.run(t, func(i uint64) {
+		st := l.st.Ctrl.Stats()
+		opening := st.Refreshes > refreshes && st.Refreshes <= 4
+		landed := !opening && st.RefreshPages > pages && landing
 		refreshes, pages = st.Refreshes, st.RefreshPages
-	})
-	if p.ctrl.Stats().Refreshes == 0 {
-		t.Fatal("probe run never refreshed — cuts cannot land mid-scrub")
-	}
-	t.Logf("%d refresh cycles; cuts after events %v", p.ctrl.Stats().Refreshes, cuts)
-
-	for n, i := range cuts {
-		ctrl, _, err := cutAt(t, seed, requests, 2*sim.Millisecond, true, i).mount(false)
+		if !opening && !landed {
+			return
+		}
+		landing = opening
+		cuts = append(cuts, i)
+		mounted, _, err := l.cut()
 		if err != nil {
 			t.Errorf("cut mid-scrub after event %d: %v", i, err)
-		} else if n == 0 {
+		} else if len(cuts) == 1 {
 			// Drive the remounted controller hard enough to run GC and the
 			// patrol again: the mount path must rebuild the relocation-cause
 			// and patrol state, not just the mapping.
-			ctrl.Engine().RunWhile(closedLoop(t, ctrl, seed^0xA6ED, loop{hot: ctrl.LogicalPages() / 2, n: 3000, qd: 16}))
-			if ctrl.Stats().GCCount == 0 {
+			(&life{st: mounted}).start(t, seed^0xA6ED, loop{hot: mounted.Ctrl.LogicalPages() / 2, n: 3000, qd: 16}).run(t, nil)
+			if mounted.Ctrl.Stats().GCCount == 0 {
 				t.Error("post-mount traffic never ran GC — regression coverage lost")
 			}
-			if err := ctrl.CheckConsistency(); err != nil {
+			if err := mounted.Ctrl.CheckConsistency(); err != nil {
 				t.Errorf("post-mount traffic on remounted scrubber: %v", err)
 			}
 		}
+	})
+	if l.st.Ctrl.Stats().Refreshes == 0 {
+		t.Fatal("the run never refreshed — cuts cannot land mid-scrub")
 	}
+	t.Logf("%d refresh cycles; cuts after events %v", l.st.Ctrl.Stats().Refreshes, cuts)
 }
 
 // The power-cut sweep with every op-record free list capped at one

@@ -1,8 +1,10 @@
 package recovery_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,25 +19,26 @@ import (
 )
 
 // The exhaustive power-cut sweep (ROADMAP 1(c)): one short run on a tiny
-// durable-ack device, replayed from scratch and cut after every event it
-// fires — inside programs, journal flushes, checkpoint writes (patched
-// ones included, and patches that insert the records of pages written for
-// the first time since their slot's last encode), GC relocations, erases
-// and their barriers — each cut followed by a verified remount. A write
-// is acked when its page is programmed and is recorded nowhere but in its
-// OOB record, so this is the proof that the mount's per-LPN roll-forward
-// brings back every acked write, and its tombstones every durable trim.
+// durable-ack device, cut after every event it fires — inside programs,
+// journal flushes, checkpoint writes (patched ones included, and patches
+// that insert the records of pages written for the first time since their
+// slot's last encode), GC relocations, erases and their barriers — each
+// cut an image (recovery.Manager.Cut) mounted with verify while the run
+// goes on. A write is acked when its page is programmed and is recorded
+// nowhere but in its OOB record, so this is the proof that the mount's
+// per-LPN roll-forward brings back every acked write, and its tombstones
+// every durable trim.
 
-// sweepLife is one replay of a sweep's run: its engine, whether host work
-// is still outstanding, its controller and manager, and the power cut +
-// verified remount. It is the one way a test here cuts a running
-// workload: replay the life to an event index, then cut.
-type sweepLife struct {
-	eng  *sim.Engine
-	busy func() bool
-	cut  func() error
-	ctrl *ftl.Controller
-	mgr  *recovery.Manager
+// life is one run of the sweep: a stack and the host commands started on
+// it. Its cuts mount with verify, from the media alone if fullScan; a
+// sweep counts them, those inside the write of a patch that inserted
+// records, and the ones whose mount failed.
+type life struct {
+	st            *stack.Stack
+	fullScan      bool
+	issued, done  int // host commands
+	cuts, inGrown int
+	failed        []string
 }
 
 // prefilled is how many of a life's hot pages are written before its
@@ -51,16 +54,14 @@ type loop struct{ hot, n, qd, reads int }
 // sweepLoop is the stack legs' run.
 var sweepLoop = loop{hot: 600, n: 1500, qd: 24}
 
-// closedLoop starts lp on ctrl.
-func closedLoop(t testing.TB, ctrl *ftl.Controller, seed uint64, lp loop) (busy func() bool) {
-	src := rng.New(seed)
-	issued, outstanding := 0, 0
+// start starts lp on l's controller.
+func (l *life) start(t testing.TB, seed uint64, lp loop) *life {
+	ctrl, src := l.st.Ctrl, rng.New(seed)
 	var issue func()
 	issue = func() {
-		for outstanding < lp.qd && issued < lp.n {
-			issued++
-			outstanding++
-			lpn, done := ftl.LPN(src.Intn(lp.hot)), func() { outstanding--; issue() }
+		for l.issued-l.done < lp.qd && l.issued < lp.n {
+			l.issued++
+			lpn, done := ftl.LPN(src.Intn(lp.hot)), func() { l.done++; issue() }
 			switch k := src.Intn(16); {
 			case k == 0:
 				ctrl.Trim(lpn, done)
@@ -74,24 +75,29 @@ func closedLoop(t testing.TB, ctrl *ftl.Controller, seed uint64, lp loop) (busy 
 		}
 	}
 	issue()
-	return func() bool { return outstanding > 0 || !ctrl.Drained() || ctrl.GCActiveAny() }
+	return l
 }
 
-// stackLife is the sweep's device as every binary builds it: stack.Build
-// with Recovery on — two dies of six blocks, so the run's overwrites push
-// both into GC — prefilled over the hot set before the measured run.
-func stackLife(t testing.TB) sweepLife { return specLife(t, sweepSpec, 0, sweepLoop, false) }
-
-// fullScanLife is stackLife remounted from the media alone: no checkpoint,
-// no journal, every block's OOB — the mount that shows what a page's
-// spare-area record says, with nothing else to cover for it.
-func fullScanLife(t testing.TB) sweepLife { return specLife(t, sweepSpec, 0, sweepLoop, true) }
+// busy reports host commands outstanding or work the controller has not settled.
+func (l *life) busy() bool {
+	return l.done < l.issued || !l.st.Ctrl.Drained() || l.st.Ctrl.GCActiveAny()
+}
 
 var sweepSpec = stack.Spec{
 	FTL: "cube", Channels: 1, DiesPerChannel: 2, BlocksPerChip: 6, Seed: 3,
 	WriteBufferPages: 16, VerifyData: true,
 	Recovery: true, CkptInterval: 2 * time.Millisecond,
 }
+
+// stackLife is the sweep's device as every binary builds it: stack.Build
+// with Recovery on — two dies of six blocks, so the run's overwrites push
+// both into GC — prefilled over the hot set before the measured run.
+func stackLife(t testing.TB) *life { return specLife(t, sweepSpec, 0, sweepLoop, false) }
+
+// fullScanLife is stackLife mounted from the media alone: no checkpoint,
+// no journal, every block's OOB — the mount that shows what a page's
+// spare-area record says, with nothing else to cover for it.
+func fullScanLife(t testing.TB) *life { return specLife(t, sweepSpec, 0, sweepLoop, true) }
 
 // agedLife is a stack with refresh and wear leveling on, aged three years
 // between its prefill and its measured run: Stack.Age makes the jump, runs
@@ -100,18 +106,15 @@ var sweepSpec = stack.Spec{
 // prefill closes blocks for the jump to age (an open write point is not
 // refreshed). Twenty-four blocks a die: a refresh and wear-leveling device
 // of sixteen or fewer never drains its first three-year jump.
-func agedLife(t testing.TB) sweepLife {
-	return specLife(t, stack.Spec{
-		FTL: "cube", Channels: 1, DiesPerChannel: 2, BlocksPerChip: 24, Seed: 5,
-		WriteBufferPages: 16, VerifyData: true, Refresh: true, WearLevel: true,
-		Recovery: true, CkptInterval: 2 * time.Millisecond,
-	}, 36, loop{hot: 2048, n: 400, qd: 16, reads: 4}, false)
+func agedLife(t testing.TB) *life {
+	spec := sweepSpec
+	spec.BlocksPerChip, spec.Seed, spec.Refresh, spec.WearLevel = 24, 5, true, true
+	return specLife(t, spec, 36, loop{hot: 2048, n: 400, qd: 16, reads: 4}, false)
 }
 
 // specLife builds spec's stack, prefills most of lp's hot pages, ages the
-// stack months (none at 0) and starts lp, seeded by the spec. Its cut
-// remounts with verify, from the media alone if fullScan.
-func specLife(t testing.TB, spec stack.Spec, months float64, lp loop, fullScan bool) sweepLife {
+// stack months (none at 0) and starts lp, seeded by the spec.
+func specLife(t testing.TB, spec stack.Spec, months float64, lp loop, fullScan bool) *life {
 	st, err := stack.Build(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -120,71 +123,24 @@ func specLife(t testing.TB, spec stack.Spec, months float64, lp loop, fullScan b
 	if months > 0 {
 		st.Age(months)
 	}
-	return sweepLife{
-		eng:  st.Eng,
-		busy: closedLoop(t, st.Ctrl, spec.Seed, lp),
-		cut: func() error {
-			if err := st.PowerCut(); err != nil {
-				return err
-			}
-			_, err := st.Remount(true, fullScan)
-			return err
-		},
-		ctrl: st.Ctrl,
-		mgr:  st.Mgr,
-	}
+	return (&life{st: st, fullScan: fullScan}).start(t, spec.Seed, lp)
 }
 
-// rig is a device built by hand under a recovery manager, for the lives a
-// stack.Spec cannot describe (eight h-layers, two host programs per die, a
-// cheap refresh patrol). mount brings it up from the array and system
-// area that survive a cut, on a fresh engine, and verifies it.
-type rig struct {
-	devCfg ssd.Config
-	cfg    ftl.ControllerConfig
-	ctrl   *ftl.Controller
-	mgr    *recovery.Manager
-}
-
-// newRig builds the controller, writes the first prefill(ctrl) pages and
-// attaches the manager, whose genesis checkpoint covers them.
-func newRig(devCfg ssd.Config, cfg ftl.ControllerConfig, prefill func(*ftl.Controller) int64, interval sim.Time) *rig {
+// rigStack puts together by hand a stack a stack.Spec cannot describe
+// (eight h-layers, two host programs per die, a cheap refresh patrol):
+// the first prefill(ctrl) pages, then a manager whose genesis checkpoint
+// covers them. core.New is the cubeFTL the zero Spec's Policy builds (its
+// age-bucket resolver is read only by the retry table, off here), so
+// Stack.Mount mounts the rig with the policy it ran.
+func rigStack(devCfg ssd.Config, cfg ftl.ControllerConfig, prefill func(*ftl.Controller) int64, interval sim.Time) *stack.Stack {
 	dev := ssd.New(sim.NewEngine(), devCfg)
-	r := &rig{devCfg: devCfg, cfg: cfg, ctrl: ftl.NewController(dev, core.New(dev.Geometry()), cfg)}
-	workload.Prefill(r.ctrl, prefill(r.ctrl))
-	r.mgr = recovery.Attach(r.ctrl, recovery.NewSystemArea(), recovery.Options{Ledger: recovery.NewLedger(), CkptIntervalNs: interval})
-	return r
-}
-
-// mount is the remount after a cut (fullScan: from the OOB records alone,
-// which owe none of the ledger's trims).
-func (r *rig) mount(fullScan bool) (*ftl.Controller, recovery.MountReport, error) {
-	dev := ssd.NewWithArray(sim.NewEngine(), r.devCfg, r.ctrl.Device().Array())
-	ctrl, rpt, err := recovery.Mount(dev, core.New(dev.Geometry()), r.cfg, r.mgr.System(), recovery.MountOptions{ForceFullScan: fullScan})
-	if err != nil {
-		return nil, rpt, err
-	}
-	if !ctrl.Drained() {
-		return nil, rpt, errors.New("the mounted controller is not drained")
-	}
-	if fullScan {
-		r.mgr.Ledger().ForgetTrims()
-	}
-	return ctrl, rpt, recovery.Verify(ctrl, r.mgr.Ledger())
-}
-
-// life starts lp on the rig.
-func (r *rig) life(t testing.TB, seed uint64, lp loop) sweepLife {
-	return sweepLife{
-		eng:  r.ctrl.Engine(),
-		busy: closedLoop(t, r.ctrl, seed, lp),
-		cut: func() error {
-			r.mgr.PowerCut()
-			_, _, err := r.mount(false)
-			return err
-		},
-		ctrl: r.ctrl,
-		mgr:  r.mgr,
+	cube := core.New(dev.Geometry())
+	ctrl := ftl.NewController(dev, cube, cfg)
+	workload.Prefill(ctrl, prefill(ctrl))
+	mgr := recovery.Attach(ctrl, recovery.NewSystemArea(), recovery.Options{Ledger: recovery.NewLedger(), CkptIntervalNs: interval})
+	return &stack.Stack{
+		Spec: stack.Spec{Recovery: true, CkptInterval: time.Duration(interval)},
+		Eng:  dev.Engine(), Dev: dev, Ctrl: ctrl, Cube: cube, CtrlCfg: cfg, Mgr: mgr,
 	}
 }
 
@@ -193,66 +149,87 @@ func (r *rig) life(t testing.TB, seed uint64, lp loop) sweepLife {
 // leaves the write points while a program into it is still in flight —
 // the program whose pages a checkpoint taken meanwhile must still send
 // the mount to scan (ftl's die.closing).
-func inflightLife(t testing.TB) sweepLife {
+func inflightLife(t testing.TB) *life {
 	const seed, hot = 1, 300
 	devCfg := recovery.CutSSDConfig(seed)
 	devCfg.Channels, devCfg.DiesPerChannel, devCfg.Chip.Process.BlocksPerChip = 2, 1, 8
 	cfg := recovery.CutCtrlConfig()
 	cfg.WriteBufferPages, cfg.MaxInflightProgramsPerChip = 24, 2
-	r := newRig(devCfg, cfg, func(*ftl.Controller) int64 { return prefilled(hot) }, 150*sim.Microsecond)
-	return r.life(t, seed, loop{hot: hot, n: 1500, qd: 16})
+	st := rigStack(devCfg, cfg, func(*ftl.Controller) int64 { return prefilled(hot) }, 150*sim.Microsecond)
+	return (&life{st: st}).start(t, seed, loop{hot: hot, n: 1500, qd: 16})
 }
 
-// runTo replays l until i events of its measured run have fired or its
-// host work is done.
-func runTo(l sweepLife, i uint64) {
-	at := l.eng.Fired() + i
-	l.eng.RunWhile(func() bool { return l.busy() && l.eng.Fired() < at })
+const spinEvents = 10_000 // events in a row that may leave progress unchanged
+
+// progress is what a run that gets somewhere changes: host commands
+// completed, word lines programmed, blocks erased, each die's free blocks.
+func (l *life) progress() string {
+	ns := l.st.Dev.Array().Stats()
+	p := fmt.Sprintf("%d commands done, %d programs, %d erases, free blocks per die", l.done, ns.Programs, ns.Erases)
+	for die := range l.st.Dev.Geometry().Chips {
+		p += fmt.Sprint(" ", len(l.st.Ctrl.FreeBlocks(die)))
+	}
+	return p
 }
 
-// probe runs one life to completion, calling each (when set) after every
-// event with the number of events fired so far, verifies it, and returns
-// it with its event count. The simulation is deterministic, so a replay of
-// the life cut after i events is in the state each saw at i.
-func probe(t *testing.T, life func(testing.TB) sweepLife, each func(l sweepLife, i uint64)) (sweepLife, uint64) {
+// run steps l's run to its end and returns its event count. Before each
+// event it calls at (when set) with the number fired so far, from 0: at(i)
+// sees what a cut after i events finds. It fails t once spinEvents events
+// in a row leave progress unchanged, or if the finished run fails Verify.
+func (l *life) run(t testing.TB, at func(i uint64)) uint64 {
 	t.Helper()
-	l := life(t)
-	start := l.eng.Fired()
-	for l.busy() && l.eng.Step() {
-		if each != nil {
-			each(l, l.eng.Fired()-start)
+	eng, ctrl := l.st.Eng, l.st.Ctrl
+	start, last, idle := eng.Fired(), l.progress(), 0
+	for l.busy() {
+		if at != nil {
+			at(eng.Fired() - start)
+		}
+		if !eng.Step() {
+			break
+		}
+		if p := l.progress(); p != last {
+			last, idle = p, 0
+		} else if idle++; idle == spinEvents {
+			t.Fatalf("%d events after event %d got nowhere: %s, GCActiveAny %v, PendingAckCount %d",
+				spinEvents, eng.Fired()-start-spinEvents, last, ctrl.GCActiveAny(), ctrl.PendingAckCount())
 		}
 	}
-	if err := recovery.Verify(l.ctrl, l.mgr.Ledger()); err != nil {
+	if err := recovery.Verify(ctrl, l.st.Mgr.Ledger()); err != nil {
 		t.Fatalf("the uncut run does not verify: %v", err)
 	}
-	return l, l.eng.Fired() - start
+	return eng.Fired() - start
 }
 
-// every is every stride-th event index of a run of events.
-func every(events, stride uint64) (cuts []uint64) {
-	for i := uint64(0); i < events; i += stride {
-		cuts = append(cuts, i)
+// cut mounts, with verify, the image a power cut would leave now.
+func (l *life) cut() (*stack.Stack, recovery.MountReport, error) {
+	mounted, rpt, err := l.st.Mount(l.st.Mgr.Cut(), true, l.fullScan)
+	if err == nil && !mounted.Ctrl.Drained() {
+		err = errors.New("the mounted controller is not drained")
 	}
-	return cuts
+	return mounted, rpt, err
 }
 
-// sweepCuts cuts a fresh replay of life after each of cuts' event
-// indices. It returns the cuts whose remount failed and how many cuts
-// landed inside the write of a patch that inserted records.
-func sweepCuts(t *testing.T, life func(testing.TB) sweepLife, cuts []uint64) (failed []string, inGrown int) {
+// sweep runs l to its end, cutting after each event i that pick accepts,
+// and returns the run's event count.
+func (l *life) sweep(t testing.TB, pick func(i uint64) bool) uint64 {
 	t.Helper()
-	for _, i := range cuts {
-		l := life(t)
-		runTo(l, i)
-		if l.mgr.InGrownPatch() {
-			inGrown++
+	return l.run(t, func(i uint64) {
+		if !pick(i) {
+			return
 		}
-		if err := l.cut(); err != nil {
-			failed = append(failed, fmt.Sprintf("cut after event %d (t=%d): %v", i, l.eng.Now(), err))
+		l.cuts++
+		if l.st.Mgr.InGrownPatch() {
+			l.inGrown++
 		}
-	}
-	return failed, inGrown
+		if _, _, err := l.cut(); err != nil {
+			l.failed = append(l.failed, fmt.Sprintf("cut after event %d (t=%d): %v", i, l.st.Eng.Now(), err))
+		}
+	})
+}
+
+// every picks every stride-th event index.
+func every(stride uint64) func(i uint64) bool {
+	return func(i uint64) bool { return i%stride == 0 }
 }
 
 // spans records the runs of consecutive events after which a state held,
@@ -282,12 +259,12 @@ func (s *spans) mids(n int) (cuts []uint64) {
 	return cuts
 }
 
-// sweepStride is 1 — every event — except under -short and -race, where
-// the sweep takes every seventh: a leg is ~12 s, ten times that with the
-// race detector. make tier1 runs it in full once, without
-// (powercut-sweep), and every seventh cut in its race legs.
+// sweepStride is 1 — every event, -short included — except under -race,
+// where the sweep takes every seventh: the four legs take ~7 s together
+// on two cores, over 15 times that with the race detector. make tier1
+// cuts every event once (powercut-sweep) and every seventh in its race legs.
 func sweepStride() uint64 {
-	if testing.Short() || recovery.RaceEnabled {
+	if recovery.RaceEnabled {
 		return 7
 	}
 	return 1
@@ -296,28 +273,71 @@ func sweepStride() uint64 {
 func TestPowerCutAtEveryEvent(t *testing.T) {
 	for _, leg := range []struct {
 		name string
-		life func(testing.TB) sweepLife
+		life func(testing.TB) *life
 		aged bool
 	}{{"stack", stackLife, false}, {"two programs per die", inflightLife, false}, {"full scan", fullScanLife, false}, {"after an age jump", agedLife, true}} {
 		t.Run(leg.name, func(t *testing.T) {
-			ckpt := false
-			p, events := probe(t, leg.life, func(l sweepLife, _ uint64) { ckpt = ckpt || l.mgr.CheckpointInFlight() })
-			cuts := every(events, sweepStride())
-			failed, inGrown := sweepCuts(t, leg.life, cuts)
-			st, patched := p.ctrl.Stats(), p.mgr.PatchedCheckpoints()
-			t.Logf("%d events, %d cuts, %d inside a patch that inserted records; probe: %d programs, %d GC / %d refresh / %d wear-leveling cycles, %d patched checkpoints",
-				events, len(cuts), inGrown, st.Programs, st.GCCount, st.Refreshes, st.WearLevels, patched)
+			l, ckpt, stride := leg.life(t), false, sweepStride()
+			events := l.sweep(t, func(i uint64) bool {
+				ckpt = ckpt || l.st.Mgr.CheckpointInFlight()
+				return i%stride == 0
+			})
+			st, patched := l.st.Ctrl.Stats(), l.st.Mgr.PatchedCheckpoints()
+			t.Logf("%d events, %d cuts, %d inside a patch that inserted records; the run: %d programs, %d GC / %d refresh / %d wear-leveling cycles, %d patched checkpoints",
+				events, l.cuts, l.inGrown, st.Programs, st.GCCount, st.Refreshes, st.WearLevels, patched)
 			switch {
 			case leg.aged && (st.Refreshes == 0 || !ckpt):
 				t.Errorf("the jump ran %d refresh cycles and the run wrote a checkpoint: %v; want both", st.Refreshes, ckpt)
-			case !leg.aged && (st.GCCount == 0 || patched == 0 || inGrown == 0):
+			case !leg.aged && (st.GCCount == 0 || patched == 0 || l.inGrown == 0):
 				t.Errorf("the run covers %d GC cycles, %d patched checkpoints and %d cuts inside a patch that inserted records, want all three",
-					st.GCCount, patched, inGrown)
+					st.GCCount, patched, l.inGrown)
 			}
-			for _, f := range failed {
+			for _, f := range l.failed {
 				t.Error(f)
 			}
 		})
+	}
+}
+
+// A cut is a copy: an image held until the run is over, then mounted,
+// gives the report and state (as the reference encoder writes it) of a
+// fresh replay of the life cut at the same event — the one place a life
+// is rebuilt and run to a cut. The samples are every 97th event of two of
+// the sweep's legs and the first three mid-GC cuts of TestPowerCutSweep's.
+func TestCutImageIsACopy(t *testing.T) {
+	_, gc, _ := probeSweepRig(t)
+	midGC := gc.mids(3)
+	for _, leg := range []struct {
+		name string
+		life func(testing.TB) *life
+		pick func(uint64) bool
+	}{
+		{"stack", stackLife, every(97)},
+		{"two programs per die", inflightLife, every(97)},
+		{"mid-GC", sweepRigLife, func(i uint64) bool { return slices.Contains(midGC, i) }},
+	} {
+		l, images := leg.life(t), map[uint64]recovery.Image{}
+		l.run(t, func(i uint64) {
+			if leg.pick(i) {
+				images[i] = l.st.Mgr.Cut()
+			}
+		})
+		for i, img := range images {
+			r := leg.life(t)
+			for start := r.st.Eng.Fired(); r.st.Eng.Fired()-start < i; r.st.Eng.Step() {
+			}
+			held, heldRpt, err := l.st.Mount(img, true, false)
+			replayed, replayedRpt, err2 := r.st.Mount(r.st.Mgr.Cut(), true, false)
+			if err != nil || err2 != nil {
+				t.Fatalf("%s, cut after event %d: %v / %v", leg.name, i, err, err2)
+			}
+			same := bytes.Equal(recovery.ReferenceImage(held.Ctrl), recovery.ReferenceImage(replayed.Ctrl))
+			if heldRpt != replayedRpt || !same {
+				t.Errorf("%s, cut after event %d: the image held while the run went on mounts to\n%+v\nthe replayed cut to\n%+v (same state: %v)",
+					leg.name, i, heldRpt, replayedRpt, same)
+			}
+		}
+		t.Logf("%s: %d images compared", leg.name, len(images))
 	}
 }
 
@@ -335,22 +355,15 @@ func TestPowerCutAfterProgramFailures(t *testing.T) {
 		pfail float64
 	}{{3, 5e-3}, {12, 3e-3}} {
 		t.Run(fmt.Sprintf("seed %d", run.seed), func(t *testing.T) {
-			life := func(t testing.TB) sweepLife {
-				return specLife(t, stack.Spec{
-					FTL: "cube", Channels: 1, DiesPerChannel: 2, BlocksPerChip: 8, Seed: run.seed,
-					WriteBufferPages: 16, VerifyData: true, ProgramFailRate: run.pfail,
-					Recovery: true, CkptInterval: 2 * time.Millisecond,
-				}, 0, sweepLoop, false)
-			}
-			p, events := probe(t, life, nil)
-			cuts := every(events, 5*sweepStride())
-			failed, _ := sweepCuts(t, life, cuts)
-			retired := p.ctrl.Stats().RetiredBlocks
-			t.Logf("%d events, %d cuts; probe: %d blocks retired", events, len(cuts), retired)
+			spec := sweepSpec
+			spec.BlocksPerChip, spec.Seed, spec.ProgramFailRate = 8, run.seed, run.pfail
+			l := specLife(t, spec, 0, sweepLoop, false)
+			events, retired := l.sweep(t, every(5*sweepStride())), l.st.Ctrl.Stats().RetiredBlocks
+			t.Logf("%d events, %d cuts; the run: %d blocks retired", events, l.cuts, retired)
 			if retired == 0 {
 				t.Error("no program failure retired a block: the case is not reached")
 			}
-			for _, f := range failed {
+			for _, f := range l.failed {
 				t.Error(f)
 			}
 		})
@@ -364,13 +377,11 @@ func TestPowerCutAfterProgramFailures(t *testing.T) {
 // media while an older one, already acked, is not in the checkpoint.
 func TestPowerCutAtEveryEventNeedsThePerLPNRule(t *testing.T) {
 	defer recovery.UseGlobalHorizonForTest()()
-	_, events := probe(t, stackLife, nil)
-	cuts := every(events, 29)
-	failed, _ := sweepCuts(t, stackLife, cuts)
-	if len(failed) == 0 {
+	l := stackLife(t)
+	if l.sweep(t, every(29)); len(l.failed) == 0 {
 		t.Fatal("every cut recovered every acked write under the global horizon: the sweep does not reach the case")
 	}
-	t.Logf("%d of %d cuts lose acked writes under the global horizon, first: %s", len(failed), len(cuts), failed[0])
+	t.Logf("%d of %d cuts lose acked writes under the global horizon, first: %s", len(l.failed), l.cuts, l.failed[0])
 }
 
 // Both legs, with a checkpoint mapping standing at every tie unread, lose
@@ -378,7 +389,7 @@ func TestPowerCutAtEveryEventNeedsThePerLPNRule(t *testing.T) {
 // the page the checkpoint maps, and once the victim is erased only the
 // media can say which of the two still holds the data. A handful of cuts
 // reach the case, so the control cuts after every event, and is not run
-// under -short or -race.
+// under -race.
 func TestPowerCutAtEveryEventNeedsTheMediaAtTies(t *testing.T) {
 	if sweepStride() != 1 {
 		t.Skip("the control needs a cut after every event")
@@ -386,15 +397,14 @@ func TestPowerCutAtEveryEventNeedsTheMediaAtTies(t *testing.T) {
 	defer recovery.UseCheckpointAtTiesForTest()()
 	for _, leg := range []struct {
 		name string
-		life func(testing.TB) sweepLife
+		life func(testing.TB) *life
 	}{{"stack", stackLife}, {"two programs per die", inflightLife}} {
 		t.Run(leg.name, func(t *testing.T) {
-			_, events := probe(t, leg.life, nil)
-			failed, _ := sweepCuts(t, leg.life, every(events, 1))
-			if len(failed) == 0 {
+			l := leg.life(t)
+			if l.sweep(t, every(1)); len(l.failed) == 0 {
 				t.Fatal("every cut recovered every acked write with the checkpoint standing at ties: the sweep does not reach the case")
 			}
-			t.Logf("%d of %d cuts lose writes with the checkpoint standing at ties, first: %s", len(failed), events, failed[0])
+			t.Logf("%d of %d cuts lose writes with the checkpoint standing at ties, first: %s", len(l.failed), l.cuts, l.failed[0])
 		})
 	}
 }

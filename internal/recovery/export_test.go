@@ -31,3 +31,7 @@ func (m *Manager) CheckpointInFlight() bool { return m.ckptBusy }
 
 // CutSSDConfig and CutCtrlConfig are the power-cut tests' device.
 var CutSSDConfig, CutCtrlConfig = cutSSDConfig, cutCtrlConfig
+
+// ReferenceImage is the reference encoder's checkpoint image of ctrl's
+// state.
+var ReferenceImage = referenceImage

@@ -1,7 +1,10 @@
 package recovery
 
 import (
+	"slices"
+
 	"cubeftl/internal/ftl"
+	"cubeftl/internal/nand"
 	"cubeftl/internal/pool"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
@@ -45,8 +48,9 @@ type Options struct {
 // Manager is the runtime half of the recovery subsystem: it implements
 // ftl.RecoveryHook, batches journal appends into periodic flushes,
 // defers erase/repool/trim transitions until their justifying records
-// are durable, writes periodic checkpoints, and executes the power cut.
-// The manager itself is volatile — only its SystemArea survives a cut.
+// are durable, writes periodic checkpoints, and takes the image a power
+// cut would leave (Cut). The manager itself is volatile: of what it
+// keeps, only the SystemArea is in that image.
 type Manager struct {
 	eng    *sim.Engine
 	ctrl   *ftl.Controller
@@ -80,8 +84,6 @@ type Manager struct {
 
 	// Engine callbacks, bound once.
 	onFlushDone, onCkptTimer, onCkptDone func()
-
-	dead bool
 }
 
 // waiter is one deferred transition, run once the journal is durable
@@ -172,7 +174,7 @@ func Attach(ctrl *ftl.Controller, sys *SystemArea, opts Options) *Manager {
 		m.slotLogs[i].dirty = make([]ftl.LPN, 0, dirtyLogCap)
 	}
 	m.enc.dirty, m.enc.at = make([]ftl.LPN, 0, dirtyLogCap), make([]int, 0, dirtyLogCap)
-	m.onFlushDone, m.onCkptTimer, m.onCkptDone = m.finishFlush, m.ckptTimerFired, m.finishCheckpoint
+	m.onFlushDone, m.onCkptTimer, m.onCkptDone = m.finishFlush, m.CheckpointNow, m.finishCheckpoint
 	ctrl.SetRecovery(m)
 	m.checkpoint(true)
 	m.armCkptTimer()
@@ -185,17 +187,12 @@ func (m *Manager) Ledger() *Ledger { return m.ledger }
 // System returns the manager's system area.
 func (m *Manager) System() *SystemArea { return m.sys }
 
-// StateBytes returns the newest durable checkpoint image.
-func (m *Manager) StateBytes() []byte { return m.sys.StateBytes() }
-
 // Quiesced reports whether the system area is fully durable: no journal
 // bytes staged in RAM or mid-flush and no checkpoint write in flight. A
 // graceful shutdown runs the engine until Quiesced holds (after
 // CheckpointNow) so the next mount starts from a zero-age checkpoint.
-// A dead (power-cut) manager counts as quiesced — there is nothing
-// left it could make durable.
 func (m *Manager) Quiesced() bool {
-	return m.dead || (!m.ckptBusy && !m.flushing && len(m.ram) == 0)
+	return !m.ckptBusy && !m.flushing && len(m.ram) == 0
 }
 
 // durablePoint is the absolute journal offset below which every fact
@@ -218,7 +215,7 @@ func (m *Manager) staged() {
 }
 
 func (m *Manager) kickFlush() {
-	if m.dead || m.flushing || len(m.ram) == 0 {
+	if m.flushing || len(m.ram) == 0 {
 		return
 	}
 	m.flushing = true
@@ -227,9 +224,6 @@ func (m *Manager) kickFlush() {
 }
 
 func (m *Manager) finishFlush() {
-	if m.dead {
-		return
-	}
 	m.sys.journal = append(m.sys.journal, m.inflight...)
 	m.inflight = m.inflight[:0]
 	m.flushing = false
@@ -241,9 +235,6 @@ func (m *Manager) finishFlush() {
 // at once if it already is. What w does may append new records or wait
 // again.
 func (m *Manager) wait(w waiter) {
-	if m.dead {
-		return
-	}
 	w.off = m.appended
 	if w.off <= m.durablePoint() {
 		m.run(w)
@@ -281,9 +272,6 @@ func (m *Manager) release() {
 
 // NoteBlockOpened implements ftl.RecoveryHook.
 func (m *Manager) NoteBlockOpened(chip, block int, seq uint64) {
-	if m.dead {
-		return
-	}
 	m.ram = appendBlockOpened(m.ram, chip, block, seq)
 	m.staged()
 }
@@ -293,9 +281,6 @@ func (m *Manager) NoteBlockOpened(chip, block int, seq uint64) {
 // mount rolls forward from — so the journal has nothing to add: the
 // ledger learns it, and the slots' dirty logs, for the next patch.
 func (m *Manager) NoteMapped(lpn ftl.LPN, stamp uint64) {
-	if m.dead {
-		return
-	}
 	m.slotLogs[0].note(lpn)
 	m.slotLogs[1].note(lpn)
 	if m.ledger != nil {
@@ -307,9 +292,6 @@ func (m *Manager) NoteMapped(lpn ftl.LPN, stamp uint64) {
 // fact no page records, so it is journaled, under its write stamp: the
 // mount keeps it as a tombstone no older copy on the media can pass.
 func (m *Manager) NoteTrim(lpn ftl.LPN, stamp uint64) {
-	if m.dead {
-		return
-	}
 	m.ram = appendTrim(m.ram, lpn, stamp)
 	m.staged()
 	m.slotLogs[0].note(lpn)
@@ -319,18 +301,12 @@ func (m *Manager) NoteTrim(lpn ftl.LPN, stamp uint64) {
 
 // NoteRetired implements ftl.RecoveryHook.
 func (m *Manager) NoteRetired(chip, block int) {
-	if m.dead {
-		return
-	}
 	m.ram = appendChipBlock(m.ram, recRetired, chip, block)
 	m.staged()
 }
 
 // NoteDieDegraded implements ftl.RecoveryHook.
 func (m *Manager) NoteDieDegraded(die int) {
-	if m.dead {
-		return
-	}
 	m.ram = appendDieDegraded(m.ram, die)
 	m.staged()
 }
@@ -349,9 +325,6 @@ func (m *Manager) BarrierErase(chip, block int, proceed func()) {
 // before then could take acked writes the mount would never scan for,
 // the durable state still calling it a full block of old data.
 func (m *Manager) NoteErased(chip, block int, proceed func()) {
-	if m.dead {
-		return
-	}
 	m.ram = appendChipBlock(m.ram, recErased, chip, block)
 	m.staged()
 	m.wait(waiter{kind: waitProceed, proceed: proceed})
@@ -359,21 +332,13 @@ func (m *Manager) NoteErased(chip, block int, proceed func()) {
 
 // --- checkpoints ---
 
+// armCkptTimer schedules the next periodic checkpoint (CheckpointNow);
+// finishCheckpoint arms the one after.
 func (m *Manager) armCkptTimer() {
-	if m.dead || m.ckptInterval <= 0 {
+	if m.ckptInterval <= 0 {
 		return
 	}
 	m.eng.After(m.ckptInterval, m.onCkptTimer)
-}
-
-func (m *Manager) ckptTimerFired() {
-	m.checkpoint(false)
-	if m.ckptInterval <= 0 || m.dead {
-		return
-	}
-	if !m.ckptBusy { // checkpoint was skipped; rearm here
-		m.armCkptTimer()
-	}
 }
 
 // checkpoint writes the controller's state to the older slot, encoding
@@ -387,7 +352,7 @@ func (m *Manager) ckptTimerFired() {
 // checkpoint); otherwise the install lands after the modeled write
 // latency.
 func (m *Manager) checkpoint(sync bool) {
-	if m.dead || m.ckptBusy {
+	if m.ckptBusy {
 		return
 	}
 	stamp := uint64(1)
@@ -426,9 +391,6 @@ func (m *Manager) install() {
 }
 
 func (m *Manager) finishCheckpoint() {
-	if m.dead {
-		return
-	}
 	m.install()
 	m.armCkptTimer()
 }
@@ -439,38 +401,41 @@ func (m *Manager) CheckpointNow() { m.checkpoint(false) }
 
 // --- power cut ---
 
-// PowerCut halts the device at the current instant, leaving the media
-// exactly as a real power loss would:
-//
-//   - every in-flight word-line program becomes a partial program
-//     (unreadable payload, no valid OOB);
-//   - every in-flight erase leaves its block half-erased;
-//   - the journal keeps only its durable bytes plus a torn fragment of
-//     the batch that was mid-flush (CRC framing detects the tear);
-//   - a checkpoint slot being rewritten stays invalid;
-//   - buffered writes, pending acks, and all other controller RAM
-//     vanish with the engine.
-//
-// After PowerCut the manager is dead: the old engine must be abandoned
-// and the device remounted with Mount over the surviving nand.Array
-// and SystemArea.
-func (m *Manager) PowerCut() {
-	if m.dead {
-		return
+// Image is what a mount finds after a power cut: the NAND array and the
+// system area as the cut left them, and the ledger of the writes and
+// trims the device owes back. It shares no mutable state with the run.
+type Image struct {
+	Array  *nand.Array
+	System *SystemArea
+	Ledger *Ledger // nil when the manager keeps none
+}
+
+// Cut returns the Image a power cut at the current instant leaves, and
+// leaves the running device as it is. On the copies every in-flight
+// word-line program is torn (unreadable payload, no valid OOB), every
+// in-flight erase leaves its block half-erased, the journal keeps its
+// durable bytes and half of the batch mid-flush (CRC framing detects the
+// tear), and a checkpoint slot being rewritten stays invalid. Buffered
+// writes, pending acks and the rest of controller RAM are not in it.
+func (m *Manager) Cut() Image {
+	sys, dev := *m.sys, m.ctrl.Device()
+	sys.cutAt = m.eng.Now()
+	sys.journal = append(slices.Clone(m.sys.journal), m.inflight[:len(m.inflight)/2]...)
+	for i, sl := range m.sys.slots { // keeps the room the next checkpoint is encoded in
+		sys.slots[i].data = append(make([]byte, 0, cap(sl.data)), sl.data...)
 	}
-	m.dead = true
-	m.sys.cutAt = m.eng.Now()
-	if m.flushing && len(m.inflight) > 0 {
-		m.sys.journal = append(m.sys.journal, m.inflight[:len(m.inflight)/2]...)
+	img := Image{Array: dev.Array().Clone(), System: &sys}
+	if m.ledger != nil {
+		img.Ledger = &Ledger{entries: slices.Clone(m.ledger.entries)}
 	}
-	dev := m.ctrl.Device()
 	for _, op := range dev.InflightMediaOps() {
-		chipNAND := dev.Die(op.Die).NAND
+		chip := img.Array.Die(op.Die)
 		switch op.Kind {
 		case ssd.MediaProgram:
-			chipNAND.CutWordLine(op.Addr)
+			chip.CutWordLine(op.Addr)
 		case ssd.MediaErase:
-			chipNAND.CutErase(op.Block)
+			chip.CutErase(op.Block)
 		}
 	}
+	return img
 }

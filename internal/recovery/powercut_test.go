@@ -32,13 +32,12 @@ func cutCtrlConfig() ftl.ControllerConfig {
 	return cfg
 }
 
-// remount rebuilds the device from the surviving media and system area
-// on a fresh engine.
-func remountFrom(t *testing.T, seed uint64, array *nand.Array, sys *SystemArea, force bool) (*ftl.Controller, MountReport) {
+// remountFrom rebuilds the device from a cut's image on a fresh engine.
+func remountFrom(t *testing.T, seed uint64, img Image, force bool) (*ftl.Controller, MountReport) {
 	t.Helper()
 	eng := sim.NewEngine()
-	dev := ssd.NewWithArray(eng, cutSSDConfig(seed), array)
-	ctrl, rpt, err := Mount(dev, core.New(dev.Geometry()), cutCtrlConfig(), sys, MountOptions{ForceFullScan: force})
+	dev := ssd.NewWithArray(eng, cutSSDConfig(seed), img.Array)
+	ctrl, rpt, err := Mount(dev, core.New(dev.Geometry()), cutCtrlConfig(), img.System, MountOptions{ForceFullScan: force})
 	if err != nil {
 		t.Fatalf("Mount: %v", err)
 	}
@@ -74,10 +73,10 @@ func TestBadBlockSurvivesPowerCycle(t *testing.T) {
 	}
 	// Let the journal flush settle, then cut.
 	eng.RunUntil(eng.Now() + 2*JournalFlushNs)
-	mgr.PowerCut()
+	img := mgr.Cut()
 
 	for _, force := range []bool{false, true} {
-		ctrl2, _ := remountFrom(t, seed, dev.Array(), mgr.System(), force)
+		ctrl2, _ := remountFrom(t, seed, img, force)
 		if !ctrl2.IsRetired(0, 0) {
 			t.Errorf("force=%v: retired block came back after power cycle", force)
 		}
@@ -103,9 +102,7 @@ func TestDegradedDieSurvivesPowerCycle(t *testing.T) {
 		t.Fatal("dead die never degraded")
 	}
 	eng.RunUntil(eng.Now() + 2*JournalFlushNs)
-	mgr.PowerCut()
-
-	ctrl2, _ := remountFrom(t, seed, dev.Array(), mgr.System(), false)
+	ctrl2, _ := remountFrom(t, seed, mgr.Cut(), false)
 	if !ctrl2.DieDegraded(deadDie) {
 		t.Fatal("die degradation lost across power cycle")
 	}

@@ -72,7 +72,7 @@ func TestStreamedCheckpointMatchesReference(t *testing.T) {
 			checkStreamedImage(t, name, ctrl)
 			// The attach-time checkpoint is the same image, installed.
 			mgr := Attach(ctrl, NewSystemArea(), Options{})
-			if !bytes.Equal(mgr.StateBytes(), referenceImage(ctrl)) {
+			if !bytes.Equal(mgr.sys.StateBytes(), referenceImage(ctrl)) {
 				t.Errorf("%s: attach-time checkpoint differs from the reference encoder's", name)
 			}
 		}
@@ -94,11 +94,11 @@ func TestStreamedCheckpointMatchesReference(t *testing.T) {
 		checkStreamedImage(t, "cube after GC", ctrl)
 
 		t.Run("post-remount", func(t *testing.T) {
-			mgr.PowerCut()
-			ctrl3, _ := remountFrom(t, 42, ctrl.Device().Array(), mgr.System(), false)
+			img := mgr.Cut()
+			ctrl3, _ := remountFrom(t, 42, img, false)
 			checkStreamedImage(t, "remounted", ctrl3)
-			mgr3 := Attach(ctrl3, mgr.System(), Options{})
-			if !bytes.Equal(mgr3.StateBytes(), referenceImage(ctrl3)) {
+			mgr3 := Attach(ctrl3, img.System, Options{})
+			if !bytes.Equal(mgr3.sys.StateBytes(), referenceImage(ctrl3)) {
 				t.Error("post-mount checkpoint (written into a surviving slot's buffer) differs from the reference encoder's")
 			}
 		})
@@ -187,7 +187,7 @@ func TestInPlaceRecordsMatchReferenceFrames(t *testing.T) {
 // checkpoint goes into the torn slot's buffer.
 func TestPowerCutWhileSlotBufferIsRewritten(t *testing.T) {
 	r := newPatchRigFilled(t, 42, 2*sim.Millisecond, 5)
-	ctrl, mgr, led := r.ctrl, r.mgr, NewLedger()
+	mgr, led := r.mgr, NewLedger()
 	mgr.ledger = led // audit every acked write of the run
 	// The fourth checkpoint, the attach-time one counted: both slots have
 	// been written before, so its slot is one whose buffer is being reused.
@@ -208,26 +208,27 @@ func TestPowerCutWhileSlotBufferIsRewritten(t *testing.T) {
 	}
 	survivor := append([]byte(nil), sys.slots[other].data...)
 
-	mgr.PowerCut()
+	img := mgr.Cut()
+	sys = img.System
 	if got := sys.StateBytes(); !bytes.Equal(got, survivor) {
-		t.Fatal("StateBytes after the cut is not the surviving slot's image")
+		t.Fatal("StateBytes of the cut's image is not the surviving slot's image")
 	}
-	ctrl2, rpt := remountFrom(t, 42, ctrl.Device().Array(), sys, false)
+	ctrl2, rpt := remountFrom(t, 42, img, false)
 	if !rpt.UsedCheckpoint {
 		t.Fatal("mount ignored the surviving checkpoint")
 	}
-	if err := Verify(ctrl2, led); err != nil {
+	if err := Verify(ctrl2, img.Ledger); err != nil {
 		t.Fatal(err)
 	}
 	tornBuf := &sys.slots[torn].data[:1][0]
-	mgr2 := Attach(ctrl2, sys, Options{Ledger: led})
+	mgr2 := Attach(ctrl2, sys, Options{Ledger: img.Ledger})
 	if !sys.slots[torn].valid || &sys.slots[torn].data[0] != tornBuf {
 		t.Error("post-mount checkpoint did not reuse the torn slot's buffer")
 	}
 	if !bytes.Equal(sys.slots[other].data, survivor) {
 		t.Error("post-mount checkpoint disturbed the slot the mount came up from")
 	}
-	if !bytes.Equal(mgr2.StateBytes(), referenceImage(ctrl2)) {
+	if !bytes.Equal(mgr2.sys.StateBytes(), referenceImage(ctrl2)) {
 		t.Error("post-mount checkpoint differs from the reference encoder's")
 	}
 }
@@ -238,7 +239,7 @@ func TestStateBytesDoesNotAliasSlots(t *testing.T) {
 	dev := ssd.New(sim.NewEngine(), cutSSDConfig(3))
 	ctrl := ftl.NewController(dev, core.New(dev.Geometry()), cutCtrlConfig())
 	mgr := Attach(ctrl, NewSystemArea(), Options{CkptIntervalNs: -1})
-	got := mgr.StateBytes()
+	got := mgr.sys.StateBytes()
 	keep := append([]byte(nil), got...)
 	for _, sl := range mgr.sys.slots {
 		if len(sl.data) > 0 && &sl.data[0] == &got[0] {
@@ -253,7 +254,7 @@ func TestStateBytesDoesNotAliasSlots(t *testing.T) {
 	if !bytes.Equal(got, keep) {
 		t.Error("bytes returned by StateBytes changed under later checkpoints")
 	}
-	if bytes.Equal(mgr.StateBytes(), keep) {
+	if bytes.Equal(mgr.sys.StateBytes(), keep) {
 		t.Error("checkpoints after 600 writes left the image unchanged: the test proves nothing")
 	}
 	got[0] ^= 0xFF
@@ -805,7 +806,7 @@ func TestDirtyLogOverflowDuringGrowthFallsBackToFullEncode(t *testing.T) {
 // buffer is nothing, so its first write to each is a full encode.
 func TestPowerCutMidPatchThenFullEncodes(t *testing.T) {
 	r := newPatchRig(t, 42, 2*sim.Millisecond)
-	mgr, sys := r.mgr, r.mgr.System()
+	mgr := r.mgr
 	r.write(600)
 	full := r.full
 	r.writeUntil(1<<20, func() bool { return mgr.ckptBusy && r.full == full && mgr.ckptPatched > 3 })
@@ -813,12 +814,13 @@ func TestPowerCutMidPatchThenFullEncodes(t *testing.T) {
 		t.Fatal("never stopped inside the write of a patched checkpoint")
 	}
 	torn := mgr.ckpt.slot
-	mgr.PowerCut()
+	img := mgr.Cut()
+	sys := img.System
 	if sys.slots[torn].valid || !sys.slots[1-torn].valid {
 		t.Fatalf("slot validity after the cut: torn=%v other=%v, want false/true", sys.slots[torn].valid, sys.slots[1-torn].valid)
 	}
 
-	ctrl2, rpt := remountFrom(t, 42, r.ctrl.Device().Array(), sys, false)
+	ctrl2, rpt := remountFrom(t, 42, img, false)
 	if !rpt.UsedCheckpoint {
 		t.Fatal("mount ignored the surviving checkpoint")
 	}

@@ -12,8 +12,8 @@ import (
 // newest of the writes whose page was programmed and mapped (which under
 // DurableAcks covers every host-acknowledged write) and the trims whose
 // record is durable. It lives outside the device — the test harness owns
-// it — so it survives the power cut and tells the verifier what the
-// recovered device MUST still hold.
+// it — and a power cut's Image holds a copy, which tells the verifier
+// what the device mounted from that image MUST still hold.
 //
 // The table is dense, indexed by LPN and grown to the highest page
 // recorded: an entry is the stamp shifted left by one, or'd with 1 for a

@@ -129,8 +129,9 @@ type Stack struct {
 	// still waits on; DrainRelocations runs until it is false too.
 	HostBusy func() bool
 
+	Image *recovery.Image // what PowerCut left for Remount; nil while powered
+
 	ager *lifetime.Ager
-	down bool // between PowerCut and Remount
 }
 
 // Build constructs the stack a spec describes.
@@ -263,63 +264,72 @@ func (st *Stack) SetTelemetry(hub *telemetry.Hub) {
 }
 
 // Up returns ErrPowerLost between PowerCut and Remount and nil
-// otherwise: the one check every host entry point makes, because the
-// cut controller and engine still exist and would go on programming the
-// array that survived them.
+// otherwise: the one check every host entry point makes, because the cut
+// controller and engine still exist, on media the image no longer sees.
 func (st *Stack) Up() error {
-	if st.down {
+	if st.Image != nil {
 		return ErrPowerLost
 	}
 	return nil
 }
 
-// PowerCut kills the device at the current simulated instant (what
-// survives is recovery.Manager.PowerCut's to say). Up fails until
-// Remount.
+// PowerCut cuts the power at the current simulated instant: the stack
+// keeps the Image recovery.Manager.Cut takes, and Up fails until Remount.
 func (st *Stack) PowerCut() error {
 	if st.Mgr == nil {
 		return ErrRecoveryOff
 	}
-	st.Mgr.PowerCut()
-	st.down = true
+	img := st.Mgr.Cut()
+	st.Image = &img
 	return nil
 }
 
-// Remount rebuilds the volatile half of the stack from the durable one:
-// a fresh engine and device over the surviving NAND array, a fresh
-// policy, and a controller recovery.Mount restores (fullScan: from OOB
-// metadata alone, which owes none of the ledger's trims). verify then
-// runs recovery.Verify against the ledger of acknowledged writes; a
-// failed mount or audit leaves the stack as it was.
+// Remount mounts the image PowerCut kept (cutting the power first if the
+// stack still has it) and puts the mounted stack in st's place. A failed
+// mount or audit leaves st down.
 func (st *Stack) Remount(verify, fullScan bool) (recovery.MountReport, error) {
-	if st.Mgr == nil {
-		return recovery.MountReport{}, ErrRecoveryOff
-	}
-	eng := sim.NewEngine()
-	// The NAND array is the durable medium: data, OOB, wear, grown bad
-	// blocks, and fault-injection streams all live there and carry over.
-	dev := ssd.NewWithArray(eng, st.Dev.Config(), st.Dev.Array())
-	pol, cube, err := st.Spec.Policy(dev)
-	if err != nil {
-		return recovery.MountReport{}, err
-	}
-	sys, ledger := st.Mgr.System(), st.Mgr.Ledger()
-	ctrl, rpt, err := recovery.Mount(dev, pol, st.CtrlCfg, sys, recovery.MountOptions{ForceFullScan: fullScan})
-	if err != nil {
-		return rpt, fmt.Errorf("cubeftl: recovery mount: %w", err)
-	}
-	if fullScan && ledger != nil {
-		ledger.ForgetTrims() // the media hold no trace of a trim
-	}
-	if verify {
-		if err := recovery.Verify(ctrl, ledger); err != nil {
-			return rpt, fmt.Errorf("cubeftl: post-mount verification: %w", err)
+	if st.Image == nil {
+		if err := st.PowerCut(); err != nil {
+			return recovery.MountReport{}, err
 		}
 	}
-	// Same spec, controller config and ager: wear lives in the array.
-	st.Eng, st.Dev, st.Ctrl, st.Cube, st.down = eng, dev, ctrl, cube, false
-	st.attach(sys, ledger)
+	mounted, rpt, err := st.Mount(*st.Image, verify, fullScan)
+	if err != nil {
+		return rpt, err
+	}
+	*st = *mounted
 	return rpt, nil
+}
+
+// Mount brings img up on a fresh engine as the device st describes, and
+// leaves st alone: a device over img's array (data, OOB, wear, bad blocks
+// and random streams live there), a fresh policy, the controller
+// recovery.Mount restores from img's system area (fullScan: from OOB
+// records alone, which owe none of the ledger's trims), audited against
+// img's ledger if verify, and a manager over the two. Remount and the
+// power-cut sweep mount through it; an image is mounted once.
+func (st *Stack) Mount(img recovery.Image, verify, fullScan bool) (*Stack, recovery.MountReport, error) {
+	eng := sim.NewEngine()
+	dev := ssd.NewWithArray(eng, st.Dev.Config(), img.Array)
+	pol, cube, err := st.Spec.Policy(dev)
+	if err != nil {
+		return nil, recovery.MountReport{}, err
+	}
+	ctrl, rpt, err := recovery.Mount(dev, pol, st.CtrlCfg, img.System, recovery.MountOptions{ForceFullScan: fullScan})
+	if err != nil {
+		return nil, rpt, fmt.Errorf("cubeftl: recovery mount: %w", err)
+	}
+	if fullScan && img.Ledger != nil {
+		img.Ledger.ForgetTrims() // the media hold no trace of a trim
+	}
+	if verify {
+		if err := recovery.Verify(ctrl, img.Ledger); err != nil {
+			return nil, rpt, fmt.Errorf("cubeftl: post-mount verification: %w", err)
+		}
+	}
+	mounted := &Stack{Spec: st.Spec, Eng: eng, Dev: dev, Ctrl: ctrl, Cube: cube, CtrlCfg: st.CtrlCfg, HostBusy: st.HostBusy, ager: st.ager}
+	mounted.attach(img.System, img.Ledger)
+	return mounted, rpt, nil
 }
 
 // Age fast-forwards the device by months of shelf and service life

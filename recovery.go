@@ -25,10 +25,14 @@ func (s *SSD) RecoveryEnabled() bool { return s.st.Mgr != nil }
 
 // CheckpointNow requests an immediate checkpoint (it still takes
 // simulated time to write; a power cut during the write leaves the
-// previous checkpoint slot intact).
+// previous checkpoint slot intact). A device without power takes none:
+// ErrPowerLost until Remount.
 func (s *SSD) CheckpointNow() error {
 	if s.st.Mgr == nil {
 		return ErrRecoveryOff
+	}
+	if err := s.st.Up(); err != nil {
+		return err
 	}
 	s.st.Mgr.CheckpointNow()
 	return nil

@@ -113,10 +113,10 @@ func TestFacadeRecoveryDeterministic(t *testing.T) {
 }
 
 // A device without power takes no host I/O: every entry point refuses
-// with ErrPowerLost, nothing reaches the array that survived the cut,
-// and what was offered in between is not there after the remount. (The
-// cut controller and engine still exist; before the stack knew it was
-// down, Write queued onto them and Run programmed the page, which
+// with ErrPowerLost, nothing reaches the image of the array the cut
+// left, and what was offered in between is not there after the remount.
+// (The cut controller and engine still exist; before the stack knew it
+// was down, Write queued onto them and Run programmed the page, which
 // roll-forward then recovered.)
 func TestPowerCutRefusesHostIO(t *testing.T) {
 	s, err := New(recoveryOptions())
@@ -131,13 +131,14 @@ func TestPowerCutRefusesHostIO(t *testing.T) {
 	if err := s.PowerCut(); err != nil {
 		t.Fatal(err)
 	}
-	programs := s.dev.Array().Stats().Programs
+	programs := s.st.Image.Array.Stats().Programs
 
 	const lpn = 5000 // never written before the cut
 	acked := false
 	for name, err := range map[string]error{
 		"Write":            s.Write(lpn, func() { acked = true }),
 		"Read":             s.Read(0, nil),
+		"CheckpointNow":    s.CheckpointNow(),
 		"FrontEnd.Submit":  fe.Submit(0, true, lpn, 1, nil),
 		"RunWorkload":      second(s.RunWorkload("Mixed", 100, 8)),
 		"RunWorkloadUntil": second(s.RunWorkloadUntil("Mixed", 100, 8, s.Now()+time.Millisecond)),
@@ -163,7 +164,7 @@ func TestPowerCutRefusesHostIO(t *testing.T) {
 	if acked {
 		t.Error("a write offered after the cut was acknowledged")
 	}
-	if got := s.dev.Array().Stats().Programs; got != programs {
+	if got := s.st.Image.Array.Stats().Programs; got != programs {
 		t.Errorf("flash programmed between cut and remount: %d -> %d word lines", programs, got)
 	}
 
