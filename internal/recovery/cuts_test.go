@@ -13,7 +13,7 @@ import (
 	"cubeftl/internal/ssd"
 )
 
-// cutLife is recovery.CutSSDConfig's device, half prefilled, and its
+// rigLife is recovery.CutSSDConfig's device, half prefilled, and its
 // run: requests commands at depth 32, half of them reads, over the lower
 // five eighths of the logical space — an eighth first written in the run,
 // and room for GC to get each die's free pool back over its threshold
@@ -21,7 +21,7 @@ import (
 // patrol cheap enough to fire in a short run, and moves the prefilled
 // blocks' retention clocks a year on, so the patrol finds refresh-due
 // blocks while host traffic runs.
-func cutLife(t testing.TB, seed uint64, requests int, interval sim.Time, scrub bool) *life {
+func rigLife(t testing.TB, seed uint64, requests int, interval sim.Time, scrub bool) *life {
 	cfg := recovery.CutCtrlConfig()
 	if scrub {
 		cfg.Refresh, cfg.RefreshPatrolReads = true, 16
@@ -41,7 +41,7 @@ func cutLife(t testing.TB, seed uint64, requests int, interval sim.Time, scrub b
 }
 
 // sweepRigLife is TestPowerCutSweep's life.
-func sweepRigLife(t testing.TB) *life { return cutLife(t, 42, 6000, 2*sim.Millisecond, false) }
+func sweepRigLife(t testing.TB) *life { return rigLife(t, 42, 6000, 2*sim.Millisecond, false) }
 
 // probeSweepRig runs TestPowerCutSweep's life uncut and returns its event
 // count and the spans of its GC cycles (from a cycle's opening to the next
@@ -86,11 +86,11 @@ func TestPowerCutSweep(t *testing.T) {
 // identical across runs.
 func TestPowerCutDeterministic(t *testing.T) {
 	const seed, requests = 1234, 1500
-	events := cutLife(t, seed, requests, 2*sim.Millisecond, false).run(t, nil)
+	events := rigLife(t, seed, requests, 2*sim.Millisecond, false).run(t, nil)
 	var states [2][]byte
 	var rpts [2]recovery.MountReport
 	for n := range states {
-		l := cutLife(t, seed, requests, 2*sim.Millisecond, false)
+		l := rigLife(t, seed, requests, 2*sim.Millisecond, false)
 		l.run(t, func(i uint64) {
 			if i == events/2 {
 				mounted, rpt, err := l.cut()
@@ -121,8 +121,8 @@ func TestMountFullScanVsCheckpoint(t *testing.T) {
 	const seed, requests = 77, 12000
 	for _, interval := range []sim.Time{2 * sim.Millisecond, 20 * sim.Millisecond, 100 * sim.Millisecond} {
 		ms := interval / sim.Millisecond
-		events := cutLife(t, seed, requests, interval, false).run(t, nil)
-		l := cutLife(t, seed, requests, interval, false)
+		events := rigLife(t, seed, requests, interval, false).run(t, nil)
+		l := rigLife(t, seed, requests, interval, false)
 		l.run(t, func(i uint64) {
 			if i != events*2/3 {
 				return
@@ -165,7 +165,7 @@ func TestPowerCutMidScrub(t *testing.T) {
 	var cuts []uint64
 	var refreshes, pages int64
 	landing := false
-	l := cutLife(t, seed, requests, 2*sim.Millisecond, true)
+	l := rigLife(t, seed, requests, 2*sim.Millisecond, true)
 	l.run(t, func(i uint64) {
 		st := l.st.Ctrl.Stats()
 		opening := st.Refreshes > refreshes && st.Refreshes <= 4
