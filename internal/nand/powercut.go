@@ -12,7 +12,7 @@ package nand
 // the copy draws what the original would have. It shares the read-only
 // process models and the stored payloads, never changed in place.
 func (a *Array) Clone() *Array {
-	cp := &Array{cfg: a.cfg}
+	cp := &Array{cfg: a.cfg, dies: make([]*Chip, 0, len(a.dies))}
 	for _, d := range a.dies {
 		c := *d
 		src, faultSrc := *d.src, *d.faultSrc

@@ -202,7 +202,7 @@ func Build(s Spec) (*Stack, error) {
 
 // Policy builds the spec's FTL policy against dev (cube is non-nil for
 // the cube flavours) with the retry-mode set-up and age buckets the
-// spec implies. Build uses it, and so does Remount: a mount needs a
+// spec implies. Build uses it, and so does Mount: a mount needs a
 // fresh policy instance, configured identically, whose learned state —
 // retry table included — is then restored from the checkpoint.
 func (s Spec) Policy(dev *ssd.Device) (ftl.Policy, *core.CubeFTL, error) {
