@@ -71,12 +71,10 @@ func TestBadBlockSurvivesPowerCycle(t *testing.T) {
 	if !ctrl.IsRetired(0, 0) {
 		t.Fatal("block (0,0) not retired after program failure")
 	}
-	// Let the journal flush settle, then cut.
+	// Let the journal flush settle, then cut, once for each mount.
 	eng.RunUntil(eng.Now() + 2*JournalFlushNs)
-	img := mgr.Cut()
-
 	for _, force := range []bool{false, true} {
-		ctrl2, _ := remountFrom(t, seed, img, force)
+		ctrl2, _ := remountFrom(t, seed, mgr.Cut(), force)
 		if !ctrl2.IsRetired(0, 0) {
 			t.Errorf("force=%v: retired block came back after power cycle", force)
 		}
