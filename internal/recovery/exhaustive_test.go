@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"slices"
 	"testing"
 	"time"
@@ -32,13 +34,15 @@ import (
 // life is one run of the sweep: a stack and the host commands started on
 // it. Its cuts mount with verify, from the media alone if fullScan; a
 // sweep counts them, those inside the write of a patch that inserted
-// records, and the ones whose mount failed.
+// records, and the ones whose mount failed, and folds each mount's
+// report and state into digest when one is set.
 type life struct {
 	st            *stack.Stack
 	fullScan      bool
 	issued, done  int // host commands
 	cuts, inGrown int
 	failed        []string
+	digest        hash.Hash64
 }
 
 // prefilled is how many of a life's hot pages are written before its
@@ -221,8 +225,15 @@ func (l *life) sweep(t testing.TB, pick func(i uint64) bool) uint64 {
 		if l.st.Mgr.InGrownPatch() {
 			l.inGrown++
 		}
-		if _, _, err := l.cut(); err != nil {
+		mounted, rpt, err := l.cut()
+		if err != nil {
 			l.failed = append(l.failed, fmt.Sprintf("cut after event %d (t=%d): %v", i, l.st.Eng.Now(), err))
+		}
+		if l.digest != nil {
+			fmt.Fprintf(l.digest, "%d %+v %v\n", i, rpt, err)
+			if err == nil {
+				l.digest.Write(recovery.ReferenceImage(mounted.Ctrl))
+			}
 		}
 	})
 }
@@ -270,6 +281,15 @@ func sweepStride() uint64 {
 	return 1
 }
 
+// mountPins are FNV-64a digests over every cut of a leg cut after every
+// event: its report and the mounted state as the reference encoder writes
+// it. A change to how the mount rebuilds state must leave both as they
+// were.
+var mountPins = map[string]uint64{
+	"stack":     0x1e1de1bbf89f9d07,
+	"full scan": 0x3cd373c5472559b8,
+}
+
 func TestPowerCutAtEveryEvent(t *testing.T) {
 	for _, leg := range []struct {
 		name string
@@ -278,6 +298,10 @@ func TestPowerCutAtEveryEvent(t *testing.T) {
 	}{{"stack", stackLife, false}, {"two programs per die", inflightLife, false}, {"full scan", fullScanLife, false}, {"after an age jump", agedLife, true}} {
 		t.Run(leg.name, func(t *testing.T) {
 			l, ckpt, stride := leg.life(t), false, sweepStride()
+			pin, pinned := mountPins[leg.name]
+			if pinned && stride == 1 {
+				l.digest = fnv.New64a()
+			}
 			events := l.sweep(t, func(i uint64) bool {
 				ckpt = ckpt || l.st.Mgr.CheckpointInFlight()
 				return i%stride == 0
@@ -294,6 +318,9 @@ func TestPowerCutAtEveryEvent(t *testing.T) {
 			}
 			for _, f := range l.failed {
 				t.Error(f)
+			}
+			if l.digest != nil && l.digest.Sum64() != pin {
+				t.Errorf("the mounts' reports and states digest to %#x, pinned %#x", l.digest.Sum64(), pin)
 			}
 		})
 	}
