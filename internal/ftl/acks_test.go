@@ -14,13 +14,13 @@ import (
 // proceed at once. Whatever a durable ack waits for, it cannot be this.
 type heldHook struct {
 	eng    *sim.Engine
-	mapped []MappingRecord
+	mapped []mapping
 	at     []sim.Time
 }
 
 func (h *heldHook) NoteBlockOpened(chip, block int, seq uint64) {}
 func (h *heldHook) NoteMapped(lpn LPN, stamp uint64) {
-	h.mapped = append(h.mapped, MappingRecord{LPN: lpn, Stamp: stamp})
+	h.mapped = append(h.mapped, mapping{lpn, stamp})
 	h.at = append(h.at, h.eng.Now())
 }
 func (h *heldHook) NoteTrim(lpn LPN, stamp uint64)               {}
@@ -28,6 +28,12 @@ func (h *heldHook) NoteRetired(chip, block int)                  {}
 func (h *heldHook) NoteDieDegraded(die int)                      {}
 func (h *heldHook) BarrierErase(chip, block int, proceed func()) { proceed() }
 func (h *heldHook) NoteErased(chip, block int, proceed func())   { proceed() }
+
+// mapping is a page's version: the page and its write stamp.
+type mapping struct {
+	LPN   LPN
+	Stamp uint64
+}
 
 // mappedAt returns when lpn was mapped under stamp, or -1.
 func (h *heldHook) mappedAt(lpn LPN, stamp uint64) sim.Time {
@@ -113,7 +119,7 @@ func TestDurableAckLandsAtProgramCompletion(t *testing.T) {
 	}
 	// Each write is acked when the version that covers it is mapped: LPN
 	// 7's first write by its second.
-	for id, v := range []MappingRecord{{LPN: 7, Stamp: 4}, {LPN: 8, Stamp: 2}, {LPN: 9, Stamp: 3}, {LPN: 7, Stamp: 4}, {LPN: 10, Stamp: 5}} {
+	for id, v := range []mapping{{LPN: 7, Stamp: 4}, {LPN: 8, Stamp: 2}, {LPN: 9, Stamp: 3}, {LPN: 7, Stamp: 4}, {LPN: 10, Stamp: 5}} {
 		if want := h.mappedAt(v.LPN, v.Stamp); want <= 0 || ackedAt[id] != want {
 			t.Errorf("write %d acked at %d, want %d: the completion of the program carrying %d@%d", id, ackedAt[id], want, v.LPN, v.Stamp)
 		}

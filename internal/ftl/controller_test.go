@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"cubeftl/internal/metrics"
@@ -39,15 +40,12 @@ func (c *Controller) mountState() MountState {
 	ms := MountState{
 		LastStamp:    c.writeStamp,
 		LastBlockSeq: c.blockSeq,
+		L2P:          slices.Clone(c.mapper.forward),
+		Stamps:       slices.Clone(c.stamps),
 		Free:         make([][]int, c.geo.Chips),
 		Actives:      make([][]ActiveRecord, c.geo.Chips),
 		Retired:      make([][]int, c.geo.Chips),
 		DegradedDies: make([]bool, c.geo.Chips),
-	}
-	for lpn := LPN(0); lpn < LPN(c.mapper.LogicalPages()); lpn++ {
-		if c.stamps[lpn] != 0 {
-			ms.Mappings = append(ms.Mappings, MappingRecord{LPN: lpn, PPN: c.mapper.Lookup(lpn), Stamp: c.stamps[lpn]})
-		}
 	}
 	for chip := 0; chip < c.geo.Chips; chip++ {
 		ms.Free[chip] = append([]int(nil), c.dies[chip].free...)

@@ -16,7 +16,7 @@ func testGeo() ssd.Geometry {
 
 func TestMapperLifecycle(t *testing.T) {
 	g := testGeo()
-	m := NewMapper(g, 100)
+	m := testMapper(g, 100)
 	if m.Lookup(5) != ssd.UnmappedPPN {
 		t.Fatal("fresh mapper has mappings")
 	}
@@ -48,7 +48,7 @@ func TestMapperLifecycle(t *testing.T) {
 
 func TestMapperDoubleMapPanics(t *testing.T) {
 	g := testGeo()
-	m := NewMapper(g, 100)
+	m := testMapper(g, 100)
 	ppn := g.EncodePPN(0, 1, 2, 0)
 	m.Map(1, ppn)
 	defer func() {
@@ -61,7 +61,7 @@ func TestMapperDoubleMapPanics(t *testing.T) {
 
 func TestMapperClearBlockGuard(t *testing.T) {
 	g := testGeo()
-	m := NewMapper(g, 100)
+	m := testMapper(g, 100)
 	m.Map(1, g.EncodePPN(0, 3, 0, 0))
 	defer func() {
 		if recover() == nil {
@@ -73,7 +73,7 @@ func TestMapperClearBlockGuard(t *testing.T) {
 
 func TestMapperAppendLivePages(t *testing.T) {
 	g := testGeo()
-	m := NewMapper(g, 100)
+	m := testMapper(g, 100)
 	m.Map(10, g.EncodePPN(0, 2, 0, 0))
 	m.Map(11, g.EncodePPN(0, 2, 0, 2))
 	m.Map(12, g.EncodePPN(0, 3, 0, 0)) // other block
@@ -105,5 +105,14 @@ func TestMapperCapacityGuard(t *testing.T) {
 			t.Fatal("oversized logical capacity did not panic")
 		}
 	}()
-	NewMapper(g, g.PhysPages()+1)
+	testMapper(g, g.PhysPages()+1)
+}
+
+// testMapper is a mapper of n logical pages over g that maps nothing.
+func testMapper(g ssd.Geometry, n int) *Mapper {
+	forward := make([]ssd.PPN, n)
+	for i := range forward {
+		forward[i] = ssd.UnmappedPPN
+	}
+	return newMapper(g, forward)
 }

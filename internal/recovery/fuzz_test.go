@@ -13,10 +13,13 @@ import (
 )
 
 // FuzzDecodeCheckpoint feeds decodeCheckpoint arbitrary bytes, as they
-// come and sealed with the CRC that gets them past the first check. It
-// must answer with an error or with a state the reference encoder turns
-// back into the same image — never a panic, never an allocation the
-// input's length does not pay for.
+// come and sealed with the CRC that gets them past the first check, for
+// the device the seed images were taken on. It must answer with an error
+// or with a state the reference encoder turns back into the same image —
+// never a panic, never an allocation past what the input's length or the
+// device's tables pay for. Every state it accepts is then adopted by
+// ftl.NewControllerWithState over a copy of that device's media, which
+// must refuse it or build a controller that passes CheckConsistency.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	dev := ssd.New(sim.NewEngine(), cutSSDConfig(3))
 	ctrl := ftl.NewController(dev, core.New(dev.Geometry()), cutCtrlConfig())
@@ -34,12 +37,20 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sealed := binary.LittleEndian.AppendUint32(append([]byte(nil), b...), crc32.ChecksumIEEE(b))
 		for _, img := range [][]byte{b, sealed} {
-			ms, policy, err := decodeCheckpoint(img)
+			ms, policy, err := decodeCheckpoint(img, dev.Geometry())
 			if err != nil {
 				continue
 			}
 			if again := encodeCheckpoint(ms, policy); !bytes.Equal(again, img) {
 				t.Fatalf("image of %d bytes decodes, and re-encodes to %d different bytes", len(img), len(again))
+			}
+			media := ssd.NewWithArray(sim.NewEngine(), dev.Config(), dev.Array().Clone())
+			mounted, err := ftl.NewControllerWithState(media, core.New(media.Geometry()), cutCtrlConfig(), ms)
+			if err != nil {
+				continue
+			}
+			if err := mounted.CheckConsistency(); err != nil {
+				t.Fatalf("image of %d bytes adopted into an inconsistent controller: %v", len(img), err)
 			}
 		}
 	})

@@ -19,11 +19,19 @@ func encodeCheckpoint(ms ftl.MountState, policy []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(b, ms.LastBlockSeq)
 	nChips := len(ms.Free)
 	b = binary.LittleEndian.AppendUint32(b, uint32(nChips))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ms.Mappings)))
-	for _, m := range ms.Mappings {
-		b = binary.LittleEndian.AppendUint64(b, uint64(m.LPN))
-		b = binary.LittleEndian.AppendUint64(b, uint64(int64(m.PPN)))
-		b = binary.LittleEndian.AppendUint64(b, m.Stamp)
+	nMap := 0
+	for _, stamp := range ms.Stamps {
+		if stamp != 0 {
+			nMap++
+		}
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(nMap))
+	for lpn, stamp := range ms.Stamps {
+		if stamp != 0 {
+			b = binary.LittleEndian.AppendUint64(b, uint64(lpn))
+			b = binary.LittleEndian.AppendUint64(b, uint64(int64(ms.L2P[lpn])))
+			b = binary.LittleEndian.AppendUint64(b, stamp)
+		}
 	}
 	for chip := 0; chip < nChips; chip++ {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(ms.Free[chip])))
@@ -64,18 +72,16 @@ func referenceImage(ctrl *ftl.Controller) []byte {
 // encoder's input, read through the accessors the streaming encoder
 // walks.
 func snapshot(ctrl *ftl.Controller) ftl.MountState {
-	var ms ftl.MountState
+	ms := ftl.NewMountState(ctrl.Device().Geometry())
 	ms.LastStamp, ms.LastBlockSeq = ctrl.StampCounters()
-	for lpn := ftl.LPN(0); lpn < ftl.LPN(ctrl.LogicalPages()); lpn++ {
-		if stamp := ctrl.StampOf(lpn); stamp != 0 {
-			ms.Mappings = append(ms.Mappings, ftl.MappingRecord{LPN: lpn, PPN: ctrl.Mapper().Lookup(lpn), Stamp: stamp})
-		}
+	for lpn := range ms.L2P {
+		ms.L2P[lpn], ms.Stamps[lpn] = ctrl.Mapper().Lookup(ftl.LPN(lpn)), ctrl.StampOf(ftl.LPN(lpn))
 	}
-	for chip := range ctrl.Device().Geometry().Chips {
-		ms.Free = append(ms.Free, append([]int(nil), ctrl.FreeBlocks(chip)...))
-		ms.Actives = append(ms.Actives, ctrl.AppendActives(nil, chip))
-		ms.Retired = append(ms.Retired, ctrl.AppendRetired(nil, chip))
-		ms.DegradedDies = append(ms.DegradedDies, ctrl.DieDegraded(chip))
+	for chip := range ms.Free {
+		ms.Free[chip] = append([]int(nil), ctrl.FreeBlocks(chip)...)
+		ms.Actives[chip] = ctrl.AppendActives(nil, chip)
+		ms.Retired[chip] = ctrl.AppendRetired(nil, chip)
+		ms.DegradedDies[chip] = ctrl.DieDegraded(chip)
 	}
 	return ms
 }

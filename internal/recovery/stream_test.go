@@ -31,7 +31,7 @@ func checkStreamedImage(t *testing.T, name string, ctrl *ftl.Controller) {
 	if got := enc.appendCheckpoint(stale[:0], ctrl); !bytes.Equal(got, want) {
 		t.Errorf("%s: image streamed into a used buffer differs from the reference encoder's", name)
 	}
-	if _, _, err := decodeCheckpoint(want); err != nil {
+	if _, _, err := decodeCheckpoint(want, ctrl.Device().Geometry()); err != nil {
 		t.Errorf("%s: reference image does not decode: %v", name, err)
 	}
 }
@@ -203,7 +203,7 @@ func TestPowerCutWhileSlotBufferIsRewritten(t *testing.T) {
 	if len(sys.slots[torn].data) == 0 || cap(sys.slots[torn].data) == 0 {
 		t.Fatal("slot being rewritten holds no buffer")
 	}
-	if _, _, err := decodeCheckpoint(sys.slots[other].data); err != nil {
+	if _, _, err := decodeCheckpoint(sys.slots[other].data, r.ctrl.Device().Geometry()); err != nil {
 		t.Fatalf("surviving slot does not decode: %v", err)
 	}
 	survivor := append([]byte(nil), sys.slots[other].data...)
@@ -258,7 +258,7 @@ func TestStateBytesDoesNotAliasSlots(t *testing.T) {
 		t.Error("checkpoints after 600 writes left the image unchanged: the test proves nothing")
 	}
 	got[0] ^= 0xFF
-	if _, _, err := decodeCheckpoint(mgr.sys.slots[mgr.sys.newestSlot()].data); err != nil {
+	if _, _, err := decodeCheckpoint(mgr.sys.slots[mgr.sys.newestSlot()].data, ctrl.Device().Geometry()); err != nil {
 		t.Errorf("writing to StateBytes' result corrupted a slot: %v", err)
 	}
 }
@@ -1022,9 +1022,9 @@ func TestPatchedCRCMatchesRecompute(t *testing.T) {
 		before := snapshot(r.ctrl)
 		r.ctrl.Engine().RunWhile(func() bool { return !r.ctrl.Drained() })
 		after := snapshot(r.ctrl)
-		for j, m := range after.Mappings {
-			if m != before.Mappings[j] {
-				dirty = append(dirty, m.LPN)
+		for lpn := range after.Stamps {
+			if after.L2P[lpn] != before.L2P[lpn] || after.Stamps[lpn] != before.Stamps[lpn] {
+				dirty = append(dirty, ftl.LPN(lpn))
 			}
 		}
 		dirty = append(dirty, set...) // repeats are legal
