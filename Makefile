@@ -205,19 +205,19 @@ one-relocator:
 
 # One index for per-page lookups: fails if a Go map keyed by a page or
 # op number (map[int64], map[uint64], map[LPN], map[PPN]) is back in a
-# non-test file of internal/cache, internal/ftl or internal/ssd, or in
-# internal/recovery/verify.go. The cache's residents and ghosts and the
-# write buffer's entries live in a pool.Index; the device's in-flight
-# media ops are linked through their records; the durability ledger is a
-# dense table indexed by LPN. internal/recovery/mount.go keeps its
-# map[ftl.LPN]mapEntry and map[ssd.PPN]ftl.LPN: they live for one mount,
-# and dense tables there would move the allocations of the served
-# audit's Restart, which peak_rss_mb counts.
-INDEX_SRC = $(filter-out %_test.go,$(wildcard internal/cache/*.go internal/ftl/*.go internal/ssd/*.go)) internal/recovery/verify.go
+# non-test file of internal/cache, internal/ftl, internal/ssd or
+# internal/recovery, or a map keyed by a block number (map[int]) in
+# internal/recovery. The cache's residents and ghosts and the write
+# buffer's entries live in a pool.Index; the device's in-flight media ops
+# are linked through their records; the durability ledger is a dense
+# table indexed by LPN; the mount rebuilds the controller's own L2P and
+# stamp tables and keeps its block sets as per-block flags.
+INDEX_SRC = $(filter-out %_test.go,$(wildcard internal/cache/*.go internal/ftl/*.go internal/ssd/*.go internal/recovery/*.go))
+RECOVERY_SRC = $(filter-out %_test.go,$(wildcard internal/recovery/*.go))
 one-index:
-	@bad=$$(grep -nE 'map\[ *([a-z]+\.)?(int64|uint64|LPN|PPN) *\]' $(INDEX_SRC)); \
+	@bad=$$(grep -nE 'map\[ *([a-z]+\.)?(int64|uint64|LPN|PPN) *\]' $(INDEX_SRC); grep -nE 'map\[ *int *\]' $(RECOVERY_SRC)); \
 	if [ -n "$$bad" ]; then \
-		echo "one-index: per-page tables are pool.Index, in-flight ops a list through their records:"; echo "$$bad"; exit 1; \
+		echo "one-index: per-page tables are dense or a pool.Index, per-block sets flags, in-flight ops a list through their records:"; echo "$$bad"; exit 1; \
 	fi
 	@echo "one-index: PASS"
 
