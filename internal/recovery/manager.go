@@ -150,6 +150,7 @@ type pendingCkpt struct {
 	cutoff uint64
 	start  sim.Time
 	grown  bool // patched an image whose set of pages has grown since
+	rearm  bool // the periodic timer fired for it: its install arms the next
 }
 
 // Attach wires a Manager to a controller: installs it as the
@@ -174,7 +175,7 @@ func Attach(ctrl *ftl.Controller, sys *SystemArea, opts Options) *Manager {
 		m.slotLogs[i].dirty = make([]ftl.LPN, 0, dirtyLogCap)
 	}
 	m.enc.dirty, m.enc.at = make([]ftl.LPN, 0, dirtyLogCap), make([]int, 0, dirtyLogCap)
-	m.onFlushDone, m.onCkptTimer, m.onCkptDone = m.finishFlush, m.CheckpointNow, m.finishCheckpoint
+	m.onFlushDone, m.onCkptTimer, m.onCkptDone = m.finishFlush, m.ckptTimerFired, m.finishCheckpoint
 	ctrl.SetRecovery(m)
 	m.checkpoint(true)
 	m.armCkptTimer()
@@ -332,13 +333,20 @@ func (m *Manager) NoteErased(chip, block int, proceed func()) {
 
 // --- checkpoints ---
 
-// armCkptTimer schedules the next periodic checkpoint (CheckpointNow);
-// finishCheckpoint arms the one after.
+// armCkptTimer schedules the next periodic checkpoint (ckptTimerFired).
 func (m *Manager) armCkptTimer() {
 	if m.ckptInterval <= 0 {
 		return
 	}
 	m.eng.After(m.ckptInterval, m.onCkptTimer)
+}
+
+// ckptTimerFired starts the periodic checkpoint, or lets one in flight
+// stand for it, marked to re-arm the timer: one chain, however many calls
+// of CheckpointNow.
+func (m *Manager) ckptTimerFired() {
+	m.checkpoint(false)
+	m.ckpt.rearm = true
 }
 
 // checkpoint writes the controller's state to the older slot, encoding
@@ -392,7 +400,9 @@ func (m *Manager) install() {
 
 func (m *Manager) finishCheckpoint() {
 	m.install()
-	m.armCkptTimer()
+	if m.ckpt.rearm {
+		m.armCkptTimer()
+	}
 }
 
 // CheckpointNow forces a checkpoint write (asynchronous; durable after
