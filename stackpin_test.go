@@ -63,9 +63,9 @@ func TestFacadeFlavoursPinned(t *testing.T) {
 	}{
 		{Options{FTL: FTLIsp, PECycles: 1000, RetentionMonths: 1},
 			"{Requests:6000 Elapsed:218.498ms IOPS:27460.205585405816 ReadP50:966.656µs ReadP90:1.507328ms ReadP99:2.031616ms WriteP50:983.04µs WriteP90:1.572864ms WriteP99:1.998848ms MeanTPROG:620.369µs ReadRetries:1538 GCRuns:0 Reprograms:0 BufferHits:720 DataMismatches:0 ProgramFailures:0 EraseFailures:0 ReadFaults:0 RetiredBlocks:0 FaultRecoveries:0 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:15335932232359286613} | {LeaderPrograms:0 FollowerPrograms:0 SafetyRejects:0 ORTHits:0 ORTMisses:0 ORTBytes:0 RetryHits:0 RetryStale:0 RetryMisses:0 RetryEntries:0} | {HostBytes:78299136 GCBytes:19857408 RefreshBytes:0 WLBytes:0 Factor:1.253609541745135 Refreshes:0 WearLevels:0} | now=1694473600 fired=69833"},
-		{Options{FTL: FTLCubeMinus, RetryMode: "baseline", SuspendOps: true, PlanesPerChip: 2},
-			"{Requests:6000 Elapsed:230.151249ms IOPS:26069.812899429453 ReadP50:180.224µs ReadP90:344.064µs ReadP99:704.512µs WriteP50:2.064384ms WriteP90:2.686976ms WriteP99:3.211264ms MeanTPROG:599.314µs ReadRetries:0 GCRuns:8 Reprograms:0 BufferHits:689 DataMismatches:0 ProgramFailures:0 EraseFailures:0 ReadFaults:0 RetiredBlocks:0 FaultRecoveries:0 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:15335932232359286613} | {LeaderPrograms:5295 FollowerPrograms:15857 SafetyRejects:0 ORTHits:0 ORTMisses:0 ORTBytes:12288 RetryHits:0 RetryStale:0 RetryMisses:0 RetryEntries:0} | {HostBytes:78004224 GCBytes:51412992 RefreshBytes:0 WLBytes:0 Factor:1.6591052299936988 Refreshes:0 WearLevels:0} | now=1676292324 fired=339293"},
-		{Options{FTL: FTLVert, WearAware: true, WriteBufferPages: 96, EraseFailRate: 1e-3, ReadFaultRate: 1e-3},
+		{Options{FTL: FTLCubeMinus, RetryMode: "baseline", SuspendOps: true},
+			"{Requests:6000 Elapsed:286.586475ms IOPS:20936.08918564632 ReadP50:204.8µs ReadP90:360.448µs ReadP99:704.512µs WriteP50:2.62144ms WriteP90:3.2768ms WriteP99:4.063232ms MeanTPROG:602.986µs ReadRetries:0 GCRuns:8 Reprograms:0 BufferHits:709 DataMismatches:0 ProgramFailures:0 EraseFailures:0 ReadFaults:0 RetiredBlocks:0 FaultRecoveries:0 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:15335932232359286613} | {LeaderPrograms:5368 FollowerPrograms:16083 SafetyRejects:0 ORTHits:0 ORTMisses:0 ORTBytes:12288 RetryHits:0 RetryStale:0 RetryMisses:0 RetryEntries:0} | {HostBytes:77955072 GCBytes:60162048 RefreshBytes:0 WLBytes:0 Factor:1.7717528373266078 Refreshes:0 WearLevels:0} | now=1765255425 fired=345671"},
+		{Options{FTL: FTLVert, WearLevel: true, WriteBufferPages: 96, EraseFailRate: 1e-3, ReadFaultRate: 1e-3},
 			"{Requests:6000 Elapsed:229.4461ms IOPS:26149.93238063319 ReadP50:966.656µs ReadP90:1.47456ms ReadP99:1.835008ms WriteP50:1.032192ms WriteP90:1.605632ms WriteP99:2.031616ms MeanTPROG:675.937µs ReadRetries:0 GCRuns:0 Reprograms:0 BufferHits:456 DataMismatches:0 ProgramFailures:0 EraseFailures:0 ReadFaults:6 RetiredBlocks:0 FaultRecoveries:6 WriteRejects:0 DegradedDies:0 FencedPrograms:0 TraceHash:15335932232359286613} | {LeaderPrograms:0 FollowerPrograms:0 SafetyRejects:0 ORTHits:0 ORTMisses:0 ORTBytes:0 RetryHits:0 RetryStale:0 RetryMisses:0 RetryEntries:0} | {HostBytes:80953344 GCBytes:20447232 RefreshBytes:0 WLBytes:0 Factor:1.2525804493017607 Refreshes:0 WearLevels:0} | now=1820643500 fired=70031"},
 	} {
 		p.opts.BlocksPerChip, p.opts.Seed = 16, 4
