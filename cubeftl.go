@@ -496,7 +496,7 @@ type TelemetryConfig struct {
 func (s *SSD) EnableTelemetry(cfg TelemetryConfig) {
 	hub := telemetry.NewHub(s.eng, s.dev.Config().Seed)
 	if cfg.Trace {
-		hub.EnableTracer(telemetry.TracerConfig{})
+		hub.EnableTracer()
 	}
 	hub.SetSpanSample(cfg.SpanSample)
 	s.st.SetTelemetry(hub)

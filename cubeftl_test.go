@@ -186,9 +186,7 @@ func TestVerifyDataOption(t *testing.T) {
 }
 
 func TestIspAndPlanesOptions(t *testing.T) {
-	opts := smallOptions(FTLIsp)
-	opts.PlanesPerChip = 2
-	dev, err := New(opts)
+	dev, err := New(smallOptions(FTLIsp))
 	if err != nil {
 		t.Fatal(err)
 	}

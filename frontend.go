@@ -17,8 +17,8 @@ import (
 
 // QueueSpec describes one tenant queue pair of a persistent front end:
 // Name (default "q<index>"), Depth (default 32; submissions beyond it
-// fail with ErrQueueFull), Weight ("wrr"), Priority ("prio"), RateIOPS
-// (0 = unlimited) and the token bucket's BurstIOs.
+// fail with ErrQueueFull), Weight ("wrr"), Priority ("prio") and RateIOPS
+// (0 = unlimited; the token bucket holds Depth tokens).
 type QueueSpec = host.QueueConfig
 
 // IOCompletion reports one finished front-end command: LatencyNs is the

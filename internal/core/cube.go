@@ -71,9 +71,6 @@ type Config struct {
 	// RetryTable enables the decaying per-(block, h-layer, age-bucket)
 	// retry table in front of the ORT (see retry.go).
 	RetryTable bool
-	// RetryDecayReads is the retry-table decay horizon in policy-
-	// observed reads; zero selects DefaultRetryDecayReads.
-	RetryDecayReads uint64
 }
 
 // DefaultConfig returns the paper's cubeFTL configuration.
@@ -164,6 +161,9 @@ type CubeFTL struct {
 	retry     []retryRow
 	retryLive []int32
 	readSeq   uint64 // monotonic ObserveRead counter driving decay
+	// decayReads is retryDecayReads; the package's tests shorten it to
+	// reach decay in a few reads.
+	decayReads uint64
 	// ageFn resolves a block's retention-age bucket for retry lookups;
 	// nil keys every block to bucket 0.
 	ageFn func(chip, block int) int
@@ -206,15 +206,13 @@ func NewCubeFTL(geo ssd.Geometry, cfg Config) *CubeFTL {
 	if cfg.ActiveBlocks < 1 {
 		cfg.ActiveBlocks = 1
 	}
-	if cfg.RetryDecayReads == 0 {
-		cfg.RetryDecayReads = DefaultRetryDecayReads
-	}
 	blocks := geo.Chips * geo.BlocksPerChip
 	f := &CubeFTL{
-		cfg: cfg,
-		geo: geo,
-		opm: make([]*opmRow, blocks),
-		ort: make([]int8, blocks*geo.Layers),
+		cfg:        cfg,
+		geo:        geo,
+		opm:        make([]*opmRow, blocks),
+		ort:        make([]int8, blocks*geo.Layers),
+		decayReads: retryDecayReads,
 	}
 	fillAbsent(f.ort)
 	if cfg.RetryTable {
@@ -411,7 +409,7 @@ func (f *CubeFTL) ReadStartOffset(chip, block, layer int) int {
 	if f.cfg.RetryTable {
 		bi := f.blockIndex(chip, block)
 		if e := &f.retry[f.opmKey(chip, block, layer)][f.bucketOf(chip, block)]; e.present {
-			if f.readSeq-e.seq <= f.cfg.RetryDecayReads {
+			if f.readSeq-e.seq <= f.decayReads {
 				f.stats.RetryHits++
 				return int(e.offset)
 			}

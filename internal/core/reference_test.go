@@ -29,8 +29,9 @@ type refCube struct {
 	ort   map[int64]int8
 	retry map[int64]refRetry
 
-	readSeq uint64
-	ageFn   func(chip, block int) int
+	readSeq    uint64
+	decayReads uint64
+	ageFn      func(chip, block int) int
 
 	stats CubeStats
 }
@@ -50,10 +51,7 @@ type refRetry struct {
 }
 
 func newRefCube(geo ssd.Geometry, cfg Config) *refCube {
-	if cfg.RetryDecayReads == 0 {
-		cfg.RetryDecayReads = DefaultRetryDecayReads
-	}
-	return &refCube{cfg: cfg, geo: geo,
+	return &refCube{cfg: cfg, geo: geo, decayReads: retryDecayReads,
 		opm: map[int64]*refObs{}, ort: map[int64]int8{}, retry: map[int64]refRetry{}}
 }
 
@@ -131,7 +129,7 @@ func (f *refCube) ReadStartOffset(chip, block, layer int) int {
 	if f.cfg.RetryTable {
 		key := f.retryKey(chip, block, layer)
 		if e, ok := f.retry[key]; ok {
-			if f.readSeq-e.seq <= f.cfg.RetryDecayReads {
+			if f.readSeq-e.seq <= f.decayReads {
 				f.stats.RetryHits++
 				return int(e.offset)
 			}
@@ -385,8 +383,8 @@ func TestFlatTablesMatchMapReference(t *testing.T) {
 				for seed := uint64(1); seed <= 4; seed++ {
 					cfg := DefaultConfig()
 					cfg.ORT = gran
-					cfg.RetryDecayReads = 25
 					ls := newLockstep(t, geo, cfg)
+					ls.cube.decayReads, ls.ref.decayReads = 25, 25
 					ls.applyRetrySetup(RetrySetup{RetryTable: table})
 					src := rng.New(seed*131 + uint64(gran))
 					ages := make([]int, geo.Chips*geo.BlocksPerChip)

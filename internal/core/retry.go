@@ -39,10 +39,10 @@ func AgeBucketFor(months float64) int {
 	}
 }
 
-// DefaultRetryDecayReads is the default decay horizon: a retry-table
-// entry not reconfirmed within this many policy-observed reads is
-// considered stale and expires on its next lookup.
-const DefaultRetryDecayReads = 4096
+// retryDecayReads is the decay horizon: a retry-table entry not
+// reconfirmed within this many policy-observed reads is considered
+// stale and expires on its next lookup.
+const retryDecayReads = 4096
 
 // retryEntry is one cached (offset, freshness) pair.
 type retryEntry struct {

@@ -60,9 +60,8 @@ func constBucket(b int) func(chip, block int) int {
 func retryPolicy(t *testing.T, seed uint64) *CubeFTL {
 	t.Helper()
 	_, dev := testDevice(seed)
-	cfg := DefaultConfig()
-	cfg.RetryDecayReads = 10
-	f := NewCubeFTL(dev.Geometry(), cfg)
+	f := NewCubeFTL(dev.Geometry(), DefaultConfig())
+	f.decayReads = 10
 	f.ApplyRetrySetup(RetrySetup{RetryTable: true})
 	return f
 }

@@ -10,23 +10,6 @@ import (
 // runs when one knob changes. They catch modeling regressions that
 // point assertions miss.
 
-func TestMetamorphicPlanesHelpThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-stack evaluation")
-	}
-	run := func(planes int) float64 {
-		o := smallOpts()
-		o.Requests = 2500
-		o.PlanesPerChip = planes
-		return RunWorkload(PolicyPage, workload.OLTP, o).IOPS()
-	}
-	one := run(1)
-	two := run(2)
-	if two < one {
-		t.Errorf("dual-plane IOPS %v below single-plane %v", two, one)
-	}
-}
-
 func TestMetamorphicSuspendHelpsReadTail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack evaluation")

@@ -110,7 +110,7 @@ func (c *Controller) outlook(die int) dieOutlook {
 }
 
 // markDieDegraded drops one die to read-only: it is fenced at the
-// device so grants already queued on its channel or planes fail with
+// device so grants already queued on its channel or die fail with
 // ErrDieFenced instead of programming a read-only die.
 func (c *Controller) markDieDegraded(die int) {
 	d := &c.dies[die]

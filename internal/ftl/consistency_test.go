@@ -133,14 +133,15 @@ func TestConsistencyRejectsUndrained(t *testing.T) {
 	}
 }
 
-// Wear-aware allocation must spread erases across blocks far more
-// evenly than the default LIFO free pool under a hot overwrite loop.
+// Wear leveling (least-worn allocation plus static leveling moves) must
+// spread erases across blocks far more evenly than the default LIFO
+// free pool under a hot overwrite loop.
 func TestWearLeveling(t *testing.T) {
-	spread := func(wearAware bool) int {
+	spread := func(wearLevel bool) int {
 		eng, dev := testDevice(41)
 		cfg := DefaultControllerConfig()
 		cfg.WriteBufferPages = 24
-		cfg.WearAware = wearAware
+		cfg.WearLevel = wearLevel
 		c := NewController(dev, NewPagePolicy(), cfg)
 		src := rng.New(5)
 		hot := 128 // pages, far below capacity: a pathological hot set
@@ -163,9 +164,9 @@ func TestWearLeveling(t *testing.T) {
 	lifo := spread(false)
 	wear := spread(true)
 	if wear >= lifo {
-		t.Fatalf("wear-aware spread %d not better than LIFO %d", wear, lifo)
+		t.Fatalf("wear-leveled spread %d not better than LIFO %d", wear, lifo)
 	}
-	t.Logf("P/E spread: LIFO %d, wear-aware %d", lifo, wear)
+	t.Logf("P/E spread: LIFO %d, wear-leveled %d", lifo, wear)
 }
 
 // Hammering reads at one block must eventually trigger a read-disturb
@@ -197,27 +198,5 @@ func TestReadReclaim(t *testing.T) {
 	}
 	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReadReclaimDisabled(t *testing.T) {
-	eng, dev := testDevice(7)
-	cfg := DefaultControllerConfig()
-	cfg.WriteBufferPages = 32
-	cfg.DisableReadReclaim = true
-	c := NewController(dev, NewPagePolicy(), cfg)
-	for lpn := LPN(0); lpn < 6; lpn++ {
-		c.Write(lpn, nil, func() {})
-	}
-	eng.Run()
-	total := nand.ReadDisturbBudget * 11 / 10
-	for i := 0; i < total; i += 2000 {
-		for j := 0; j < 2000; j++ {
-			c.Read(0, nil, func() {})
-		}
-		eng.Run()
-	}
-	if c.Stats().Reclaims != 0 {
-		t.Fatal("reclaim ran despite being disabled")
 	}
 }

@@ -17,23 +17,13 @@ import (
 type ControllerConfig struct {
 	// WriteBufferPages is the DRAM write buffer capacity in pages.
 	WriteBufferPages int
-	// GCFreeBlocksLow triggers garbage collection on a chip when its
-	// free-block pool drops to this size.
-	GCFreeBlocksLow int
 	// MaxInflightProgramsPerChip bounds concurrently issued programs
 	// per chip so allocation decisions stay close to execution.
 	MaxInflightProgramsPerChip int
-	// WearAware makes the free-block allocator pick the least-worn
-	// erased block instead of the most recently freed one, spreading
-	// P/E cycles across the chip (static wear leveling).
-	WearAware bool
 	// VerifyData enables the end-to-end integrity oracle: synthesized
 	// tagged payloads flow through flush, GC relocation, and read-back
 	// verification. Requires chips built with nand.Config.StoreData.
 	VerifyData bool
-	// DisableReadReclaim turns off read-disturb reclaim (relocating a
-	// block whose read count exceeds the chip's disturb budget).
-	DisableReadReclaim bool
 	// DurableAcks defers host write acknowledgments until the write's
 	// page is programmed under its OOB record (requires an attached
 	// RecoveryHook, whose mount rolls such pages forward). With it, an
@@ -61,7 +51,9 @@ type ControllerConfig struct {
 	// spread crosses lifetime.WearSpreadThreshold, the coldest (least
 	// worn) block's data is moved so the block rejoins the write
 	// rotation. At most one leveling move per completed GC cycle per
-	// die. Off by default.
+	// die. It also makes the free-block allocator pick the least-worn
+	// erased block instead of the most recently freed one. Off by
+	// default.
 	WearLevel bool
 }
 
@@ -84,13 +76,15 @@ const (
 	// group on an idle array, or during a host's drain, does not wait
 	// for it (maybeFlush).
 	FlushTimeoutNs = 500 * sim.Microsecond
+	// gcFreeBlocksLow is the free-pool size at which a die opens
+	// garbage collection (checkGC).
+	gcFreeBlocksLow = 4
 )
 
 // DefaultControllerConfig returns the evaluation defaults.
 func DefaultControllerConfig() ControllerConfig {
 	return ControllerConfig{
 		WriteBufferPages:           192,
-		GCFreeBlocksLow:            4,
 		MaxInflightProgramsPerChip: 1,
 	}
 }

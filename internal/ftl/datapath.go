@@ -176,8 +176,8 @@ func (c *Controller) SetDrainPromise(on bool) {
 // block is never a host's, so in-progress garbage collection always has
 // a block to write into.
 func (c *Controller) pickChip() (int, bool) {
-	// One scan: the first eligible die with nothing queued or running on
-	// its planes wins; failing that, the first eligible one.
+	// One scan: the first eligible idle die wins; failing that, the
+	// first eligible one.
 	n, busy := c.geo.Chips, -1
 	for i := 0; i < n; i++ {
 		die := (c.flushChip + i) % n
@@ -323,7 +323,7 @@ func (c *Controller) takeFreeBlock(chip int) (*BlockCursor, bool) {
 		return nil, false
 	}
 	idx := len(d.free) - 1
-	if c.cfg.WearAware {
+	if c.cfg.WearLevel {
 		nand := c.dev.Die(chip).NAND
 		best := nand.PECycles(d.free[idx])
 		for i, b := range d.free[:idx] {

@@ -48,13 +48,17 @@ func newRelocRig(t *testing.T, tune func(*ControllerConfig)) *relocRig {
 	return &relocRig{eng: eng, c: c, chip: chip, block: block, live: len(lpns) - 4}
 }
 
-// forceGC opens one GC cycle on the die as if its pool had just run low
-// (and not the chain of them a pool that stays low would get).
+// forceGC opens one GC cycle on the die as if its pool had just run low:
+// checkGC past its gcFreeBlocksLow test.
 func (c *Controller) forceGC(chip int) {
-	low := c.cfg.GCFreeBlocksLow
-	c.cfg.GCFreeBlocksLow = c.geo.BlocksPerChip
-	c.checkGC(chip)
-	c.cfg.GCFreeBlocksLow = low
+	if !c.dies[chip].admits(causeGC) {
+		return
+	}
+	if victim, ok := c.pickVictim(chip); ok {
+		c.startReloc(chip, victim, causeGC)
+	} else {
+		c.settle(chip)
+	}
 }
 
 func (r *relocRig) settle() {

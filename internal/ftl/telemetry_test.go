@@ -18,7 +18,7 @@ func telemetryController(t *testing.T, seed uint64, blocks int) (*sim.Engine, *C
 	cfg.VerifyData = true
 	c := NewController(dev, NewPagePolicy(), cfg)
 	hub := telemetry.NewHub(eng, seed)
-	hub.EnableTracer(telemetry.TracerConfig{})
+	hub.EnableTracer()
 	c.SetTelemetry(hub)
 	return eng, c, hub
 }
@@ -118,7 +118,7 @@ func TestTelemetryPassiveOnFencePath(t *testing.T) {
 		c := NewController(dev, NewPagePolicy(), cfg)
 		if withHub {
 			hub := telemetry.NewHub(eng, 19)
-			hub.EnableTracer(telemetry.TracerConfig{})
+			hub.EnableTracer()
 			c.SetTelemetry(hub)
 		}
 		const pages = 2 * vth.PagesPerWL

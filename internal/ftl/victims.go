@@ -13,7 +13,7 @@ import (
 // checkGC starts garbage collection on a die whose free pool ran low.
 func (c *Controller) checkGC(chip int) {
 	d := &c.dies[chip]
-	if len(d.free) > c.cfg.GCFreeBlocksLow || !d.admits(causeGC) {
+	if len(d.free) > gcFreeBlocksLow || !d.admits(causeGC) {
 		return
 	}
 	if victim, ok := c.pickVictim(chip); ok {
@@ -45,7 +45,7 @@ func (c *Controller) pickVictim(chip int) (int, bool) {
 // count exceeded the chip's disturb budget: its data is relocated and
 // the erase resets the counter.
 func (c *Controller) maybeReclaim(chip, block int) {
-	if c.cfg.DisableReadReclaim || c.role(chip, block) != roleData || !c.dies[chip].admits(causeReclaim) {
+	if c.role(chip, block) != roleData || !c.dies[chip].admits(causeReclaim) {
 		return
 	}
 	if c.dev.Die(chip).NAND.BlockReads(block) >= nand.ReadDisturbBudget {

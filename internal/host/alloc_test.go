@@ -106,10 +106,10 @@ func TestHostPageReadAllocs(t *testing.T) {
 }
 
 // A token-bucket stall adds nothing: the wake-up that ends it is bound
-// once per queue. Burst 1 at a rate far below the device's makes every
-// read after the first wait out a refill.
+// once per queue. A rate far below the device's empties the Depth-deep
+// bucket within the warm-up, and every read after it waits out a refill.
 func TestThrottledReadAllocs(t *testing.T) {
-	h, mapped := warmedHost(t, Config{Queues: []QueueConfig{{Name: "t", Depth: 8, RateIOPS: 1000, BurstIOs: 1}}})
+	h, mapped := warmedHost(t, Config{Queues: []QueueConfig{{Name: "t", Depth: 8, RateIOPS: 1000}}})
 	read := pageRead(h, rng.New(5), mapped)
 	for i := 0; i < 2000; i++ {
 		read()

@@ -79,9 +79,9 @@ func TestRateCapsValidated(t *testing.T) {
 	}
 }
 
-// A negative depth, weight or burst is an error naming the queue and
-// the field, where New used to serve a 32-deep queue, a weight of 1 and
-// a Depth-sized burst; zero keeps each default.
+// A negative depth or weight is an error naming the queue and the
+// field, where New used to serve a 32-deep queue and a weight of 1;
+// zero keeps each default.
 func TestNewRejectsNegativeCounts(t *testing.T) {
 	for _, tc := range []struct {
 		qc    QueueConfig
@@ -90,7 +90,6 @@ func TestNewRejectsNegativeCounts(t *testing.T) {
 		{QueueConfig{Name: "a"}, ""},
 		{QueueConfig{Name: "a", Depth: -1}, "depth"},
 		{QueueConfig{Name: "a", Weight: -3}, "weight"},
-		{QueueConfig{Name: "a", BurstIOs: -2, RateIOPS: 100}, "burst"},
 	} {
 		_, err := New(newTestController(1), Config{Queues: []QueueConfig{tc.qc}})
 		switch {

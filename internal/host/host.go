@@ -117,20 +117,18 @@ type QueueConfig struct {
 	Priority int
 	// RateIOPS token-bucket rate limits the queue's command fetch rate;
 	// 0 disables limiting, and anything else must pass CheckRate. A
-	// multi-page command consumes one token.
+	// multi-page command consumes one token; the bucket holds Depth.
 	RateIOPS float64
-	// BurstIOs is the token bucket capacity; 0 defaults to Depth.
-	BurstIOs int
 }
 
-// Check returns nil when every field of q is in range: Depth, Weight
-// and BurstIOs are non-negative (0 keeps the default) and RateIOPS
-// passes CheckRate. The error names the field.
+// Check returns nil when every field of q is in range: Depth and Weight
+// are non-negative (0 keeps the default) and RateIOPS passes CheckRate.
+// The error names the field.
 func (q QueueConfig) Check() error {
 	for _, f := range []struct {
 		name string
 		n    int
-	}{{"depth", q.Depth}, {"weight", q.Weight}, {"burst", q.BurstIOs}} {
+	}{{"depth", q.Depth}, {"weight", q.Weight}} {
 		if f.n < 0 {
 			return fmt.Errorf("%s: %d is negative", f.name, f.n)
 		}
@@ -250,9 +248,8 @@ type queue struct {
 	head      int
 	occupancy int // waiting + dispatched, bounded by cfg.Depth
 
-	// Token bucket (RateIOPS > 0 only).
+	// Token bucket (RateIOPS > 0 only), cfg.Depth tokens deep.
 	tokens     float64
-	burst      float64
 	lastRefill sim.Time
 	wakeArmed  bool
 	onWake     func() // the armed wake-up firing (bound once)
@@ -277,7 +274,7 @@ func (q *queue) refillTokens(now sim.Time) {
 		return
 	}
 	if dt := now - q.lastRefill; dt > 0 {
-		q.tokens = math.Min(q.burst, q.tokens+q.cfg.RateIOPS*float64(dt)/1e9)
+		q.tokens = math.Min(float64(q.cfg.Depth), q.tokens+q.cfg.RateIOPS*float64(dt)/1e9)
 		q.lastRefill = now
 	}
 }
@@ -343,17 +340,13 @@ func New(ctrl *ftl.Controller, cfg Config) (*Host, error) {
 		if qc.Weight == 0 {
 			qc.Weight = 1
 		}
-		if qc.BurstIOs == 0 {
-			qc.BurstIOs = qc.Depth
-		}
 		sumDepth += qc.Depth
 		q := &queue{
 			cfg:     qc,
 			fullErr: fmt.Errorf("%w: %s (depth %d)", ErrQueueFull, qc.Name, qc.Depth),
 		}
 		if qc.RateIOPS > 0 {
-			q.burst = float64(qc.BurstIOs)
-			q.tokens = q.burst // start full: an idle tenant may burst
+			q.tokens = float64(qc.Depth) // start full: an idle tenant may burst
 		}
 		// Every queue gets its wake-up: a rate can be set while running.
 		q.onWake = func() {
@@ -430,8 +423,7 @@ func (h *Host) SetRate(qid int, iops float64) error {
 	}
 	q.cfg.RateIOPS = iops
 	if iops > 0 {
-		q.burst = float64(q.cfg.BurstIOs)
-		q.tokens = q.burst
+		q.tokens = float64(q.cfg.Depth)
 		q.lastRefill = h.eng.Now()
 	}
 	// A removed or loosened cap may unblock the queue immediately.

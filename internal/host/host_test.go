@@ -211,9 +211,10 @@ func TestCompletionAccounting(t *testing.T) {
 
 func TestTokenBucketRateLimit(t *testing.T) {
 	ctrl := newTestController(4)
-	// 10k IOPS cap, burst 1: steady state one fetch per 100 us.
+	// 10k IOPS cap, depth (and so burst) 1: steady state one fetch per
+	// 100 us.
 	h, _ := New(ctrl, Config{
-		Queues: []QueueConfig{{Name: "t", Depth: 4, RateIOPS: 10000, BurstIOs: 1}},
+		Queues: []QueueConfig{{Name: "t", Depth: 1, RateIOPS: 10000}},
 	})
 	eng := ctrl.Engine()
 	issued, completed := 0, 0

@@ -77,7 +77,7 @@ func FuzzParseQueue(f *testing.F) {
 			return
 		}
 		rateOK := q.RateIOPS == 0 || (q.RateIOPS >= MinRateIOPS && !math.IsInf(q.RateIOPS, 1))
-		if q.Name == "" || q.Weight < 0 || q.Depth < 0 || q.BurstIOs != 0 || slo < 0 || !rateOK {
+		if q.Name == "" || q.Weight < 0 || q.Depth < 0 || slo < 0 || !rateOK {
 			t.Fatalf("%q accepted as %+v, slo %v", spec, q, slo)
 		}
 	})

@@ -37,26 +37,9 @@ const (
 	peJitter  = 0.25
 )
 
-// Config parameterizes the aging fast-forward.
-type Config struct {
-	// BadBlocksPerDieYear is the expected grown-bad-block count per die
-	// per simulated year (real parts: a handful over the device life).
-	// Zero takes the default; negative disables growth.
-	BadBlocksPerDieYear float64
-
-	// Seed roots the fast-forward's randomness. Same seed, same aging —
-	// bit-identical media state across runs.
-	Seed uint64
-}
-
-// DefaultConfig returns aging rates that reach the paper's aged
-// regimes (2K P/E) in ~3 simulated years.
-func DefaultConfig() Config {
-	return Config{
-		BadBlocksPerDieYear: 0.7,
-		Seed:                1,
-	}
-}
+// badBlocksPerDieYear is the expected grown-bad-block count per die per
+// simulated year (real parts: a handful over the device life).
+const badBlocksPerDieYear = 0.7
 
 // MonthsPerYear and the hours that make one retention month. The
 // process model's retention unit is the month; 730h ~= 365.25d / 12.
@@ -106,21 +89,17 @@ func (r Report) String() string {
 // from a fresh seed-derived stream keyed by an internal round counter,
 // so a sequence of FastForward calls is as deterministic as one.
 type Ager struct {
-	cfg   Config
+	seed  uint64
 	round int
+	// badPerDieYear is badBlocksPerDieYear; the package's tests raise it
+	// to force growth or zero it to turn growth off.
+	badPerDieYear float64
 }
 
-// NewAger returns an Ager. A zero BadBlocksPerDieYear takes the
-// default; a negative one means "really zero" (no bad-block growth).
-func NewAger(cfg Config) *Ager {
-	def := DefaultConfig()
-	switch {
-	case cfg.BadBlocksPerDieYear == 0:
-		cfg.BadBlocksPerDieYear = def.BadBlocksPerDieYear
-	case cfg.BadBlocksPerDieYear < 0:
-		cfg.BadBlocksPerDieYear = 0
-	}
-	return &Ager{cfg: cfg}
+// NewAger returns an Ager whose randomness is rooted at seed: same seed,
+// same aging — bit-identical media state across runs.
+func NewAger(seed uint64) *Ager {
+	return &Ager{seed: seed, badPerDieYear: badBlocksPerDieYear}
 }
 
 // FastForward ages every die of the array by months: adds jittered P/E
@@ -134,13 +113,13 @@ func (a *Ager) FastForward(arr *nand.Array, months float64, bucketFor func(month
 		return rep
 	}
 	a.round++
-	root := rng.New(a.cfg.Seed).Derive(fmt.Sprintf("lifetime/round/%d", a.round))
+	root := rng.New(a.seed).Derive(fmt.Sprintf("lifetime/round/%d", a.round))
 	basePE := pePerYear * months / MonthsPerYear
 	rep.MinPE = 1 << 30
 	for d := 0; d < arr.Dies(); d++ {
 		chip := arr.Die(d)
 		src := root.Derive(fmt.Sprintf("die/%d", d))
-		pBad := a.cfg.BadBlocksPerDieYear * months / MonthsPerYear / float64(chip.Blocks())
+		pBad := a.badPerDieYear * months / MonthsPerYear / float64(chip.Blocks())
 		for b := 0; b < chip.Blocks(); b++ {
 			// Draw the block's variates unconditionally so the stream
 			// stays aligned whatever the block's state is.

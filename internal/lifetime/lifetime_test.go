@@ -37,10 +37,9 @@ func TestFastForwardDeterministic(t *testing.T) {
 				programOne(t, arr.Die(d), b)
 			}
 		}
-		cfg := DefaultConfig()
-		cfg.Seed = 99
-		cfg.BadBlocksPerDieYear = 4 // high enough to exercise growth
-		return arr, NewAger(cfg)
+		ag := NewAger(99)
+		ag.badPerDieYear = 4 // high enough to exercise growth
+		return arr, ag
 	}
 	a1, g1 := mk()
 	a2, g2 := mk()
@@ -77,7 +76,8 @@ func TestFastForwardRetentionOnlyData(t *testing.T) {
 	arr := testArray(3)
 	chip := arr.Die(0)
 	programOne(t, chip, 2)
-	ag := NewAger(Config{Seed: 5, BadBlocksPerDieYear: -1})
+	ag := NewAger(5)
+	ag.badPerDieYear = 0
 	ag.FastForward(arr, 18, nil, Hooks{})
 	if got := chip.RetentionMonths(2); got != 18 {
 		t.Fatalf("data block retention = %v, want 18", got)
@@ -110,7 +110,8 @@ func TestFastForwardBucketJumps(t *testing.T) {
 	hooks := Hooks{BucketJump: func(die, block, o, n int) {
 		jumps = append(jumps, [4]int{die, block, o, n})
 	}}
-	ag := NewAger(Config{Seed: 5, BadBlocksPerDieYear: -1})
+	ag := NewAger(5)
+	ag.badPerDieYear = 0
 	rep := ag.FastForward(arr, 4, bucketFor, hooks) // 0 -> 4mo: same bucket
 	if rep.BucketJumps != 0 || len(jumps) != 0 {
 		t.Fatalf("unexpected jumps at 4mo: %v", jumps)
@@ -127,7 +128,8 @@ func TestFastForwardBucketJumps(t *testing.T) {
 // The GrowBad hook can veto; vetoed blocks are not counted or marked.
 func TestFastForwardGrowBadVeto(t *testing.T) {
 	arr := testArray(13)
-	ag := NewAger(Config{Seed: 21, BadBlocksPerDieYear: 1000}) // force growth
+	ag := NewAger(21)
+	ag.badPerDieYear = 1000 // force growth
 	rep := ag.FastForward(arr, 12, nil, Hooks{GrowBad: func(die, block int) bool { return false }})
 	if rep.BadBlocksGrown != 0 {
 		t.Fatalf("vetoed growth still counted: %d", rep.BadBlocksGrown)

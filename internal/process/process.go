@@ -53,27 +53,27 @@ type Config struct {
 	WLsPerLayer   int    // word lines per h-layer (paper: 4)
 	BlocksPerChip int    // blocks per chip (paper: 428)
 	Seed          uint64 // chip-unique seed
-
-	// BaseBER is the retention BER of the best h-layer of a fresh block.
-	BaseBER float64
-	// RTNSigma is the relative magnitude of the per-WL systematic noise
-	// within an h-layer (random-telegraph-noise scale; paper: < 3%
-	// total, typically sub-percent).
-	RTNSigma float64
 }
 
-// DefaultConfig returns the paper's chip geometry with calibrated
-// reliability constants.
+// DefaultConfig returns the paper's chip geometry.
 func DefaultConfig() Config {
 	return Config{
 		Layers:        48,
 		WLsPerLayer:   4,
 		BlocksPerChip: 428,
 		Seed:          1,
-		BaseBER:       1e-4,
-		RTNSigma:      0.005,
 	}
 }
+
+// The calibrated reliability constants of the §3 characterization.
+const (
+	// baseBER is the retention BER of the best h-layer of a fresh block.
+	baseBER = 1e-4
+	// rtnSigma is the relative magnitude of the per-WL systematic noise
+	// within an h-layer (random-telegraph-noise scale; paper: < 3%
+	// total, typically sub-percent).
+	rtnSigma = 0.005
+)
 
 // EnduranceLimit is the rated P/E cycle lifetime (paper: 2K cycles).
 const EnduranceLimit = 2000
@@ -100,9 +100,6 @@ type Model struct {
 func NewModel(cfg Config) *Model {
 	if cfg.Layers <= 0 || cfg.WLsPerLayer <= 0 || cfg.BlocksPerChip <= 0 {
 		panic(fmt.Sprintf("process: invalid geometry %+v", cfg))
-	}
-	if cfg.BaseBER <= 0 {
-		cfg.BaseBER = DefaultConfig().BaseBER
 	}
 	m := &Model{cfg: cfg}
 	m.buildLayerProfile()
@@ -175,7 +172,7 @@ func (m *Model) buildWLFactors() {
 			ls := bs.DeriveN("l", uint64(l))
 			m.driftFactor[b*nLayers+l] = math.Exp(driftSigma * ls.NormFloat64())
 			for w := 0; w < nWL; w++ {
-				m.wlFactor[(b*nLayers+l)*nWL+w] = 1 + m.cfg.RTNSigma*ls.NormFloat64()
+				m.wlFactor[(b*nLayers+l)*nWL+w] = 1 + rtnSigma*ls.NormFloat64()
 			}
 		}
 	}
@@ -255,7 +252,7 @@ func (m *Model) BER(block, layer, wl int, a Aging) float64 {
 
 func (m *Model) ber(block, layer, wl, peCycles int, r float64) float64 {
 	s := m.effSeverity(block, layer)
-	ber := m.cfg.BaseBER *
+	ber := baseBER *
 		m.layerEff(block, layer) *
 		m.blockFactor[block] *
 		agingFactor(s, peCycles, r) *

@@ -324,7 +324,7 @@ func refBER(m *Model, block, layer, wl int, a Aging) float64 {
 	s := m.effSeverity(block, layer)
 	peF := 1 + (peGrowthBase+peGrowthSeverity*s)*pe
 	retF := 1 + (retGrowthBase+retGrowthSeverity*s)*r
-	return m.cfg.BaseBER *
+	return baseBER *
 		m.layerEff(block, layer) *
 		m.blockFactor[block] *
 		(peF * retF) *

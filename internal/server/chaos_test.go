@@ -38,7 +38,7 @@ func soakConfig(slo bool) Config {
 			{Name: "bulk", Weight: 1},
 		},
 		DispatchWidth: 4,
-		SLO:           SLOConfig{Enabled: slo, Interval: 10 * time.Millisecond, MinSamples: 12, RateFloorIOPS: 200},
+		SLO:           SLOConfig{Enabled: slo, Interval: 10 * time.Millisecond},
 		PrefillPages:  2048,
 		MetricsAddr:   "127.0.0.1:0",
 	}

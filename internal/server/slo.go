@@ -21,29 +21,24 @@ type SLOConfig struct {
 	// Interval is the simulated time between control decisions
 	// (default 2ms).
 	Interval time.Duration
-	// MinSamples is the fewest windowed read observations a decision
-	// requires; thinner windows are skipped (default 16).
-	MinSamples int
-	// MaxWeight bounds how far a protected tenant's WRR weight may be
-	// escalated (default 64).
-	MaxWeight int
-	// RateFloorIOPS is the lowest cap the controller may squeeze a
-	// best-effort tenant to (default 1000).
-	RateFloorIOPS float64
 }
+
+// The controller's fixed bounds.
+const (
+	// sloMinSamples is the fewest windowed read observations a decision
+	// requires; thinner windows are skipped.
+	sloMinSamples = 16
+	// sloMaxWeight bounds how far a protected tenant's WRR weight may be
+	// escalated.
+	sloMaxWeight = 64
+	// sloRateFloorIOPS is the lowest cap the controller may squeeze a
+	// best-effort tenant to.
+	sloRateFloorIOPS = 1000
+)
 
 func (c SLOConfig) withDefaults() SLOConfig {
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Millisecond
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
-	if c.MaxWeight <= 0 {
-		c.MaxWeight = 64
-	}
-	if c.RateFloorIOPS <= 0 {
-		c.RateFloorIOPS = 1000
 	}
 	return c
 }
@@ -177,7 +172,7 @@ func (sc *sloController) maybeDecide(now time.Duration) {
 
 func (sc *sloController) decide(now time.Duration) {
 	for _, t := range sc.tenants {
-		if t.target <= 0 || t.winRead.N() < int64(sc.cfg.MinSamples) {
+		if t.target <= 0 || t.winRead.N() < sloMinSamples {
 			continue
 		}
 		p99 := time.Duration(t.winRead.Percentile(99))
@@ -198,16 +193,13 @@ func (sc *sloController) decide(now time.Duration) {
 }
 
 // tighten escalates for a breached tenant: first double its WRR weight
-// (up to MaxWeight), then squeeze every best-effort tenant's rate cap
-// multiplicatively (down to RateFloorIOPS).
+// (up to sloMaxWeight), then squeeze every best-effort tenant's rate cap
+// multiplicatively (down to sloRateFloorIOPS).
 func (sc *sloController) tighten(now time.Duration, t *tenantSLO, p99 time.Duration) {
 	snap := sc.fe.Snapshot()
 	cur := snap[t.queue].Weight
-	if cur < sc.cfg.MaxWeight {
-		next := cur * 2
-		if next > sc.cfg.MaxWeight {
-			next = sc.cfg.MaxWeight
-		}
+	if cur < sloMaxWeight {
+		next := min(cur*2, sloMaxWeight)
 		if sc.fe.SetWeight(t.queue, next) == nil {
 			sc.record(Adjustment{At: now, Tenant: t.name, What: "weight",
 				From: float64(cur), To: float64(next), P99: p99, Target: t.target,
@@ -235,9 +227,7 @@ func (sc *sloController) tighten(now time.Duration, t *tenantSLO, p99 time.Durat
 		default:
 			next = cap / 2
 		}
-		if next < sc.cfg.RateFloorIOPS {
-			next = sc.cfg.RateFloorIOPS
-		}
+		next = max(next, sloRateFloorIOPS)
 		if next == cap {
 			continue
 		}
@@ -264,7 +254,7 @@ func (sc *sloController) relax(now time.Duration, t *tenantSLO, p99 time.Duratio
 			continue
 		}
 		next := cap * 2
-		if next > sc.cfg.RateFloorIOPS*8 {
+		if next > sloRateFloorIOPS*8 {
 			next = 0 // fully lifted
 		}
 		if sc.fe.SetRate(o.queue, next) == nil {

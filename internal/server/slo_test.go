@@ -41,8 +41,7 @@ func feed(sc *sloController, queue, n int, lat time.Duration) {
 }
 
 func TestSLOTightensUnderBreach(t *testing.T) {
-	cfg := SLOConfig{Enabled: true, Interval: time.Millisecond, MinSamples: 4,
-		MaxWeight: 16, RateFloorIOPS: 100}
+	cfg := SLOConfig{Enabled: true, Interval: time.Millisecond}
 	sc, fe, _ := newSLOFixture(t, cfg)
 
 	now := time.Millisecond
@@ -50,50 +49,54 @@ func TestSLOTightensUnderBreach(t *testing.T) {
 	if len(sc.Decisions) != 0 {
 		t.Fatalf("decision before any window: %v", sc.Decisions)
 	}
-
-	// Breach interval 1: p99 5ms against a 1ms target. First response
-	// is a weight escalation, 4 -> 8.
-	feed(sc, 0, 8, 5*time.Millisecond)
-	now += cfg.Interval
-	sc.maybeDecide(now)
-	if got := fe.Snapshot()[0].Weight; got != 8 {
-		t.Fatalf("after breach 1, lat weight = %d, want 8", got)
+	breach := func() {
+		feed(sc, 0, sloMinSamples, 5*time.Millisecond) // p99 5ms against a 1ms target
+		now += cfg.Interval
+		sc.maybeDecide(now)
 	}
 
-	// Breach interval 2: 8 -> 16 (the configured MaxWeight).
-	feed(sc, 0, 8, 5*time.Millisecond)
-	now += cfg.Interval
-	sc.maybeDecide(now)
-	if got := fe.Snapshot()[0].Weight; got != 16 {
-		t.Fatalf("after breach 2, lat weight = %d, want 16", got)
+	// The first responses escalate the protected weight, doubling it up
+	// to sloMaxWeight: 4 -> 8 -> 16 -> 32 -> 64.
+	tightenings := 0
+	for want := 8; want <= sloMaxWeight; want *= 2 {
+		breach()
+		tightenings++
+		if got := fe.Snapshot()[0].Weight; got != want {
+			t.Fatalf("after breach %d, lat weight = %d, want %d", tightenings, got, want)
+		}
 	}
 
-	// Breach interval 3: weight is pinned, so the controller turns to
-	// the best-effort tenant's rate. bulk is uncapped, so the first
-	// squeeze starts from its observed window rate (1000 IOs in 1ms =
-	// 1e6 IOPS) and halves it.
-	feed(sc, 0, 8, 5*time.Millisecond)
+	// With the weight pinned, the controller turns to the best-effort
+	// tenant's rate. bulk is uncapped, so the first squeeze starts from
+	// its observed window rate (1000 IOs in 1ms = 1e6 IOPS) and halves it.
 	for i := 0; i < 1000; i++ {
 		sc.observe(1, true, int64(time.Millisecond))
 	}
-	now += cfg.Interval
-	sc.maybeDecide(now)
-	cap1 := fe.Snapshot()[1].RateIOPS
-	if cap1 <= 0 {
-		t.Fatalf("bulk still uncapped after pinned-weight breach")
+	breach()
+	tightenings++
+	if cap := fe.Snapshot()[1].RateIOPS; cap != 5e5 {
+		t.Fatalf("first squeeze of the uncapped bulk tenant: cap %.0f, want 5e5", cap)
 	}
 
-	// Breach interval 4: the cap halves again, but never below the floor.
-	feed(sc, 0, 8, 5*time.Millisecond)
-	now += cfg.Interval
-	sc.maybeDecide(now)
-	cap2 := fe.Snapshot()[1].RateIOPS
-	if cap2 >= cap1 || cap2 < cfg.RateFloorIOPS {
-		t.Fatalf("second squeeze: %.0f -> %.0f (floor %.0f)", cap1, cap2, cfg.RateFloorIOPS)
+	// Each further breach halves the cap, down to the floor and never
+	// below it: at the floor a breach changes nothing.
+	for i := 0; i < 12; i++ {
+		prev := fe.Snapshot()[1].RateIOPS
+		breach()
+		cap := fe.Snapshot()[1].RateIOPS
+		if want := max(prev/2, sloRateFloorIOPS); cap != want {
+			t.Fatalf("squeeze from %.0f: cap %.0f, want %.0f", prev, cap, want)
+		}
+		if cap != prev {
+			tightenings++
+		}
+	}
+	if cap := fe.Snapshot()[1].RateIOPS; cap != sloRateFloorIOPS {
+		t.Fatalf("twelve squeezes left the cap at %.0f, above the %d floor", cap, sloRateFloorIOPS)
 	}
 
-	if sc.Breaches != 4 || sc.Tightenings != 4 {
-		t.Fatalf("breaches %d tightenings %d, want 4/4", sc.Breaches, sc.Tightenings)
+	if breaches := 4 + 1 + 12; sc.Breaches != int64(breaches) || sc.Tightenings != int64(tightenings) {
+		t.Fatalf("breaches %d tightenings %d, want %d/%d", sc.Breaches, sc.Tightenings, breaches, tightenings)
 	}
 	for _, d := range sc.Decisions {
 		if !d.Breach || !d.Applied {
@@ -103,16 +106,15 @@ func TestSLOTightensUnderBreach(t *testing.T) {
 }
 
 func TestSLORelaxesAfterSustainedHeadroom(t *testing.T) {
-	cfg := SLOConfig{Enabled: true, Interval: time.Millisecond, MinSamples: 4,
-		MaxWeight: 16, RateFloorIOPS: 100}
+	cfg := SLOConfig{Enabled: true, Interval: time.Millisecond}
 	sc, fe, _ := newSLOFixture(t, cfg)
 
-	// Put the controller in a mitigated state: escalated weight and a
-	// squeezed bulk cap.
-	if err := fe.SetWeight(0, 16); err != nil {
+	// Put the controller in a fully mitigated state: the weight at its
+	// ceiling and the bulk cap at its floor.
+	if err := fe.SetWeight(0, sloMaxWeight); err != nil {
 		t.Fatal(err)
 	}
-	if err := fe.SetRate(1, 200); err != nil {
+	if err := fe.SetRate(1, sloRateFloorIOPS); err != nil {
 		t.Fatal(err)
 	}
 
@@ -127,24 +129,24 @@ func TestSLORelaxesAfterSustainedHeadroom(t *testing.T) {
 		return s[1].RateIOPS, s[0].Weight
 	}
 	for i := 0; i < 2; i++ {
-		feed(sc, 0, 8, 100*time.Microsecond)
+		feed(sc, 0, sloMinSamples, 100*time.Microsecond)
 		now += cfg.Interval
 		sc.maybeDecide(now)
 	}
-	if cap, w := relaxed(); cap != 200 || w != 16 {
+	if cap, w := relaxed(); cap != sloRateFloorIOPS || w != sloMaxWeight {
 		t.Fatalf("relaxed too early: cap %.0f weight %d", cap, w)
 	}
-	feed(sc, 0, 8, 100*time.Microsecond)
+	feed(sc, 0, sloMinSamples, 100*time.Microsecond)
 	now += cfg.Interval
 	sc.maybeDecide(now)
 	cap3, _ := relaxed()
-	if cap3 != 400 {
+	if cap3 != 2*sloRateFloorIOPS {
 		t.Fatalf("third comfortable interval should double the cap: %.0f", cap3)
 	}
-	// Keep relaxing: the cap lifts entirely past 8x the floor, then the
-	// weight decays back to its base.
+	// Keep relaxing: the cap lifts entirely past 8x the floor (three
+	// more intervals), then the weight decays back to its base (four).
 	for i := 0; i < 8; i++ {
-		feed(sc, 0, 8, 100*time.Microsecond)
+		feed(sc, 0, sloMinSamples, 100*time.Microsecond)
 		now += cfg.Interval
 		sc.maybeDecide(now)
 	}
@@ -161,11 +163,11 @@ func TestSLORelaxesAfterSustainedHeadroom(t *testing.T) {
 
 	// One breach resets the streak: no further relaxation until the
 	// streak rebuilds.
-	feed(sc, 0, 8, 5*time.Millisecond)
+	feed(sc, 0, sloMinSamples, 5*time.Millisecond)
 	now += cfg.Interval
 	sc.maybeDecide(now)
 	before := sc.Relaxations
-	feed(sc, 0, 8, 100*time.Microsecond)
+	feed(sc, 0, sloMinSamples, 100*time.Microsecond)
 	now += cfg.Interval
 	sc.maybeDecide(now)
 	if sc.Relaxations != before {
@@ -174,12 +176,11 @@ func TestSLORelaxesAfterSustainedHeadroom(t *testing.T) {
 }
 
 func TestSLOSkipsThinWindowsAndDisabled(t *testing.T) {
-	cfg := SLOConfig{Enabled: true, Interval: time.Millisecond, MinSamples: 8,
-		MaxWeight: 16, RateFloorIOPS: 100}
+	cfg := SLOConfig{Enabled: true, Interval: time.Millisecond}
 	sc, fe, _ := newSLOFixture(t, cfg)
 	now := time.Millisecond
 	sc.maybeDecide(now)
-	feed(sc, 0, 7, 5*time.Millisecond) // one short of MinSamples
+	feed(sc, 0, sloMinSamples-1, 5*time.Millisecond) // one short of sloMinSamples
 	now += cfg.Interval
 	sc.maybeDecide(now)
 	if len(sc.Decisions) != 0 || fe.Snapshot()[0].Weight != 4 {
@@ -196,8 +197,7 @@ func TestSLOSkipsThinWindowsAndDisabled(t *testing.T) {
 }
 
 func TestSLORebindCarriesKnobsAcrossRecovery(t *testing.T) {
-	cfg := SLOConfig{Enabled: true, Interval: time.Millisecond, MinSamples: 4,
-		MaxWeight: 16, RateFloorIOPS: 100}
+	cfg := SLOConfig{Enabled: true, Interval: time.Millisecond}
 	sc, fe, dev := newSLOFixture(t, cfg)
 	if err := fe.SetWeight(0, 16); err != nil {
 		t.Fatal(err)

@@ -78,7 +78,7 @@ func (op *readOp) finish() {
 func (d *Device) Read(die int, a nand.Address, p nand.ReadParams, pp *telemetry.PageProbe, done func(res nand.ReadResult, err error)) {
 	op := d.getRead()
 	op.die, op.dh = die, d.dies[die]
-	op.plane = op.dh.resFor(a.Block)
+	op.plane = op.dh.plane
 	op.addr, op.params, op.pp, op.done = a, p, pp, done
 	op.reqAt = d.eng.Now()
 	op.plane.Acquire(op.onGrant)
@@ -256,7 +256,7 @@ func (d *Device) Program(die int, a nand.Address, pages, oob [][]byte, p nand.Pr
 		d.eng.After(0, op.onFenced)
 		return
 	}
-	op.plane = op.dh.resFor(a.Block)
+	op.plane = op.dh.plane
 	op.dh.channel.Acquire(op.onChannel)
 }
 
@@ -364,7 +364,7 @@ const eraseSuspendPoints = 8
 func (d *Device) Erase(die, block int, done func(res nand.EraseResult, err error)) {
 	op := d.getErase()
 	op.die, op.block, op.dh, op.done = die, block, d.dies[die], done
-	op.plane = op.dh.resFor(block)
+	op.plane = op.dh.plane
 	op.plane.Acquire(op.onPlane)
 }
 

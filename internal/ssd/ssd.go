@@ -39,12 +39,6 @@ type Config struct {
 	Chip           nand.Config // template; each die derives a unique seed
 	Seed           uint64
 
-	// PlanesPerChip splits each die into independently operating
-	// planes (blocks are interleaved across planes by block number),
-	// letting operations on different planes of one die overlap.
-	// Zero or one selects the paper's single-plane model.
-	PlanesPerChip int
-
 	// SuspendOps enables program/erase suspend-resume: long die
 	// operations hold the die in ISPP-loop-sized segments, letting
 	// queued reads interleave instead of waiting out a full ~700 us
@@ -117,22 +111,18 @@ func (g Geometry) DecodePPN(p PPN) (chip, block, layer, wl, page int) {
 	return
 }
 
-// DieHandle pairs one NAND die with its per-plane command-serialization
-// resources and the channel it shares.
+// DieHandle pairs one NAND die with its command-serialization resource
+// (the paper's dies are single-plane, so one resource is the whole die)
+// and the channel it shares.
 type DieHandle struct {
 	ID      int
 	NAND    *nand.Chip
-	planes  []*sim.Resource
+	plane   *sim.Resource
 	channel *sim.Resource
 	// fenced marks the die read-only at the device level: programs —
 	// including ones already queued on the die's resources — complete
 	// with ErrDieFenced at grant time instead of touching NAND state.
 	fenced bool
-}
-
-// resFor returns the plane resource serving a block.
-func (ch *DieHandle) resFor(block int) *sim.Resource {
-	return ch.planes[block%len(ch.planes)]
 }
 
 // Device is the assembled SSD back end.
@@ -192,22 +182,15 @@ func NewWithArray(eng *sim.Engine, cfg Config, array *nand.Array) *Device {
 	for c := range d.channels {
 		d.channels[c] = sim.NewResource(eng, fmt.Sprintf("chan%d", c))
 	}
-	planes := cfg.PlanesPerChip
-	if planes < 1 {
-		planes = 1
-	}
 	n := d.array.Dies()
 	d.dies = make([]*DieHandle, n)
 	for i := 0; i < n; i++ {
-		dh := &DieHandle{
+		d.dies[i] = &DieHandle{
 			ID:      i,
 			NAND:    d.array.Die(i),
+			plane:   sim.NewResource(eng, fmt.Sprintf("die%d/plane0", i)),
 			channel: d.channels[d.array.ChannelOf(i)],
 		}
-		for p := 0; p < planes; p++ {
-			dh.planes = append(dh.planes, sim.NewResource(eng, fmt.Sprintf("die%d/plane%d", i, p)))
-		}
-		d.dies[i] = dh
 	}
 	return d
 }
@@ -234,7 +217,7 @@ func (d *Device) Die(i int) *DieHandle { return d.dies[i] }
 func (d *Device) ChannelOf(die int) int { return d.array.ChannelOf(die) }
 
 // FenceDiePrograms makes a die refuse programs — including any already
-// queued on its plane or channel resources — with ErrDieFenced from
+// queued on its die or channel resources — with ErrDieFenced from
 // this instant on. The FTL fences a die when it transitions to per-die
 // degraded (read-only) mode so that in-flight grants cannot program a
 // die the controller has already written off. Reads are unaffected.
@@ -340,31 +323,11 @@ func (d *Device) InflightMediaOps() []MediaOp {
 // ChannelUtilization reports one channel's utilization.
 func (d *Device) ChannelUtilization(c int) float64 { return d.channels[c].Utilization() }
 
-// DieUtilization reports one die's utilization (averaged over planes).
-func (d *Device) DieUtilization(die int) float64 {
-	sum := 0.0
-	for _, p := range d.dies[die].planes {
-		sum += p.Utilization()
-	}
-	return sum / float64(len(d.dies[die].planes))
-}
+// DieUtilization reports one die's utilization.
+func (d *Device) DieUtilization(die int) float64 { return d.dies[die].plane.Utilization() }
 
-// QueueDepth returns the number of operations waiting on the die
-// across its planes.
-func (ch *DieHandle) QueueDepth() int {
-	n := 0
-	for _, p := range ch.planes {
-		n += p.QueueLen()
-	}
-	return n
-}
+// QueueDepth returns the number of operations waiting on the die.
+func (ch *DieHandle) QueueDepth() int { return ch.plane.QueueLen() }
 
-// Busy reports whether any plane of the die is mid-operation.
-func (ch *DieHandle) Busy() bool {
-	for _, p := range ch.planes {
-		if p.Busy() {
-			return true
-		}
-	}
-	return false
-}
+// Busy reports whether the die is mid-operation.
+func (ch *DieHandle) Busy() bool { return ch.plane.Busy() }

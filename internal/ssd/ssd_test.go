@@ -253,69 +253,6 @@ func TestSuspendOpsConservesProgramTime(t *testing.T) {
 	}
 }
 
-func TestMultiPlaneParallelism(t *testing.T) {
-	run := func(planes int) sim.Time {
-		eng := sim.NewEngine()
-		cfg := smallConfig()
-		cfg.Channels = 1
-		cfg.DiesPerChannel = 1
-		cfg.PlanesPerChip = planes
-		d := New(eng, cfg)
-		done := 0
-		// Two programs to adjacent blocks: different planes when
-		// planes >= 2, same plane otherwise.
-		for b := 0; b < 2; b++ {
-			d.Program(0, nand.Address{Block: b, Layer: 5}, nil, nil, nand.ProgramParams{},
-				func(res *nand.ProgramResult, err error) {
-					if err != nil {
-						t.Fatal(err)
-					}
-					done++
-				})
-		}
-		eng.Run()
-		if done != 2 {
-			t.Fatalf("done = %d", done)
-		}
-		return eng.Now()
-	}
-	single := run(1)
-	dual := run(2)
-	if dual >= single {
-		t.Fatalf("two planes not faster: %d vs %d ns", dual, single)
-	}
-	// Dual-plane should approach one program time (plus transfers);
-	// single-plane is two serialized programs.
-	if single < 1_300_000 {
-		t.Errorf("single-plane total %d ns too fast", single)
-	}
-	if dual > 900_000 {
-		t.Errorf("dual-plane total %d ns too slow for overlapped programs", dual)
-	}
-}
-
-func TestMultiPlaneSamePlaneStillSerializes(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := smallConfig()
-	cfg.PlanesPerChip = 2
-	d := New(eng, cfg)
-	var done []sim.Time
-	// Blocks 0 and 2 share plane 0.
-	for _, b := range []int{0, 2} {
-		d.Program(0, nand.Address{Block: b, Layer: 3}, nil, nil, nand.ProgramParams{},
-			func(res *nand.ProgramResult, err error) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				done = append(done, eng.Now())
-			})
-	}
-	eng.Run()
-	if gap := done[1] - done[0]; gap < 600_000 {
-		t.Errorf("same-plane programs overlapped: gap %d", gap)
-	}
-}
-
 // InflightMediaOps lists the programs and erases inside their latency
 // windows in the order the windows opened, and an operation leaves the
 // list when it completes, from wherever it sits in it.

@@ -89,12 +89,12 @@ func TestDeviceFlagTable(t *testing.T) {
 			t.Errorf("%v bind -%s, which the table does not declare", by, name)
 		}
 	}
-	for _, field := range []string{"Cube", "PlanesPerChip", "WriteBufferPages", "SuspendOps", "WearAware", "VerifyData"} {
+	for _, field := range []string{"Cube", "WriteBufferPages", "SuspendOps", "VerifyData"} {
 		if fields[field] {
 			t.Errorf("Spec.%s gained a flag; it had none in any binary", field)
 		}
 	}
-	if got, want := len(fields)+6, spec.NumField(); got != want {
+	if got, want := len(fields)+4, spec.NumField(); got != want {
 		t.Errorf("%d Spec fields are neither in the table nor on the no-flag list", want-got)
 	}
 }

@@ -44,7 +44,6 @@ type Spec struct {
 	Channels       int // independent data buses; default 2
 	DiesPerChannel int // NAND dies behind each channel; default 4
 	BlocksPerChip  int // default 64 (paper's chips have 428)
-	PlanesPerChip  int // default 1 (the paper's model); 2+ overlaps ops within a die
 	Seed           uint64
 
 	WriteBufferPages int // default ftl.DefaultControllerConfig's (192)
@@ -57,9 +56,6 @@ type Spec struct {
 	// SuspendOps enables program/erase suspend-resume so reads
 	// interleave with long chip operations (§8 extension).
 	SuspendOps bool
-	// WearAware spreads P/E cycles by allocating the least-worn erased
-	// block (static wear leveling).
-	WearAware bool
 	// Refresh enables the retention-aware background scrubber: blocks
 	// whose retention age or predicted E<->P1 error rate crosses the
 	// refresh policy's thresholds are rewritten before the ECC cliff.
@@ -67,8 +63,8 @@ type Spec struct {
 	Refresh bool
 	// WearLevel enables cross-block static wear leveling: after a GC
 	// cycle completes, cold data is moved off the die's least-worn block
-	// when the erase-count spread exceeds the wear policy's threshold.
-	// Implies WearAware allocation.
+	// when the erase-count spread exceeds the wear policy's threshold,
+	// and every allocation takes the least-worn erased block.
 	WearLevel bool
 	// VerifyData turns on the end-to-end integrity oracle: tagged
 	// payloads flow through flush, GC, and read-back verification, and
@@ -151,7 +147,6 @@ func Build(s Spec) (*Stack, error) {
 	if s.BlocksPerChip > 0 {
 		devCfg.Chip.Process.BlocksPerChip = s.BlocksPerChip
 	}
-	devCfg.PlanesPerChip = s.PlanesPerChip
 	devCfg.Seed = s.Seed
 	devCfg.SuspendOps = s.SuspendOps
 	devCfg.Chip.StoreData = s.VerifyData
@@ -179,7 +174,6 @@ func Build(s Spec) (*Stack, error) {
 	if s.WriteBufferPages > 0 {
 		cfg.WriteBufferPages = s.WriteBufferPages
 	}
-	cfg.WearAware = s.WearAware || s.WearLevel
 	cfg.Refresh = s.Refresh
 	cfg.WearLevel = s.WearLevel
 	cfg.VerifyData = s.VerifyData
@@ -192,7 +186,7 @@ func Build(s Spec) (*Stack, error) {
 		Ctrl:    ftl.NewController(dev, pol, cfg),
 		Cube:    cube,
 		CtrlCfg: cfg,
-		ager:    lifetime.NewAger(lifetime.Config{Seed: s.Seed}),
+		ager:    lifetime.NewAger(s.Seed),
 	}
 	if s.Recovery {
 		st.attach(recovery.NewSystemArea(), recovery.NewLedger())

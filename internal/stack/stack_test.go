@@ -58,7 +58,7 @@ func TestBuildWiring(t *testing.T) {
 	if geo.Channels != 2 || geo.DiesPerChannel != 4 || geo.BlocksPerChip != 64 {
 		t.Errorf("zero spec topology = %+v, want 2x4x64", geo)
 	}
-	if st.CtrlCfg.RetryMode != nand.RetryPipelinedAR || !st.CtrlCfg.WearAware || !st.CtrlCfg.DurableAcks {
+	if st.CtrlCfg.RetryMode != nand.RetryPipelinedAR || !st.CtrlCfg.WearLevel || !st.CtrlCfg.DurableAcks {
 		t.Errorf("controller config %+v", st.CtrlCfg)
 	}
 	if st.Dev.Config().Chip.DecodeLatencyNs == 0 {

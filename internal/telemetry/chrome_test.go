@@ -11,7 +11,7 @@ import (
 // Format: every event carries ph/ts/pid/tid, complete events a dur,
 // instants a scope.
 func TestWriteChromeTraceSchema(t *testing.T) {
-	tr := NewTracer(TracerConfig{RingSize: 16, Seed: 1})
+	tr := NewTracer(1)
 	sp := Span{ID: 1, Tenant: "db", Queue: 0, Op: "read", LPN: 7, Pages: 2, Die: 3,
 		SubmitNs: 1000, GrantNs: 1500, DoneNs: 81_000, Retries: 1}
 	sp.Stages[StageQueue] = 500

@@ -156,12 +156,10 @@ func (h *Hub) Stages() *StageSet { return h.stages }
 // Tracer returns the span/event tracer, or nil when tracing is off.
 func (h *Hub) Tracer() *Tracer { return h.tracer }
 
-// EnableTracer turns on span and event collection for Chrome export.
-func (h *Hub) EnableTracer(cfg TracerConfig) *Tracer {
-	if cfg.Seed == 0 {
-		cfg.Seed = h.seed
-	}
-	h.tracer = NewTracer(cfg)
+// EnableTracer turns on span and event collection for Chrome export;
+// the span reservoir draws from the hub's seed.
+func (h *Hub) EnableTracer() *Tracer {
+	h.tracer = NewTracer(h.seed)
 	return h.tracer
 }
 

@@ -2,37 +2,31 @@ package telemetry
 
 import "cubeftl/internal/rng"
 
-// TracerConfig sizes the span/event retention.
-type TracerConfig struct {
-	// RingSize is the bounded ring of most-recent spans (default 4096).
-	RingSize int
-	// ReservoirSize uniformly samples spans beyond the ring via
-	// Algorithm R over the spans that fall out of the ring (default
-	// 4096; 0 keeps the default, negative disables the reservoir).
-	ReservoirSize int
-	// EventCap bounds the operation-event buffer (default 1<<18); when
-	// full, further events are dropped (counted in droppedEvents).
-	EventCap int
-	// Seed derives the reservoir's RNG stream; the hub fills it in.
-	Seed uint64
-}
+// The tracer's retention bounds.
+const (
+	// spanRingSize is the bounded ring of most-recent spans.
+	spanRingSize = 4096
+	// spanReservoirSize uniformly samples spans beyond the ring via
+	// Algorithm R over the spans that fall out of the ring.
+	spanReservoirSize = 4096
+	// tracerEventCap bounds the operation-event buffer; when full,
+	// further events are dropped (counted in droppedEvents).
+	tracerEventCap = 1 << 18
+)
 
 // Tracer collects completed spans (bounded ring + reservoir of evicted
 // spans) and device operation events for Chrome trace export. It never
 // schedules simulation events; it only records.
 type Tracer struct {
 	ring     []Span
-	ringCap  int
 	ringHead int // next write slot
 	ringN    int
 
 	res     []Span
-	resCap  int
 	evicted int64 // spans that fell out of the ring (reservoir population)
 	rng     *rng.Source
 
 	events        []OpEvent
-	eventCap      int
 	droppedEvents int64
 
 	// pending batches completed spans before they are folded into the
@@ -47,36 +41,22 @@ type Tracer struct {
 // spanFlushBatch is the batched ring-flush size.
 const spanFlushBatch = 64
 
-// NewTracer returns a tracer with the given retention config.
-func NewTracer(cfg TracerConfig) *Tracer {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 4096
+// NewTracer returns a tracer whose reservoir draws from a stream derived
+// from seed.
+func NewTracer(seed uint64) *Tracer {
+	return &Tracer{
+		ring:    make([]Span, spanRingSize),
+		res:     make([]Span, 0, spanReservoirSize),
+		pending: make([]Span, 0, spanFlushBatch),
+		rng:     newReservoirRNG(seed, "span-reservoir"),
 	}
-	if cfg.ReservoirSize == 0 {
-		cfg.ReservoirSize = 4096
-	}
-	if cfg.EventCap <= 0 {
-		cfg.EventCap = 1 << 18
-	}
-	t := &Tracer{
-		ring:     make([]Span, cfg.RingSize),
-		ringCap:  cfg.RingSize,
-		eventCap: cfg.EventCap,
-		pending:  make([]Span, 0, spanFlushBatch),
-		rng:      newReservoirRNG(cfg.Seed, "span-reservoir"),
-	}
-	if cfg.ReservoirSize > 0 {
-		t.resCap = cfg.ReservoirSize
-		t.res = make([]Span, 0, cfg.ReservoirSize)
-	}
-	return t
 }
 
 // AddSpan records a completed span into the pending batch; batches
 // flush into the ring/reservoir when full (and on read). The span
 // entering the ring evicts the oldest one (once the ring is full),
 // which becomes a candidate for the reservoir, so between them the
-// tracer holds the most recent RingSize spans plus a uniform sample of
+// tracer holds the most recent spanRingSize spans plus a uniform sample of
 // all older ones.
 func (t *Tracer) AddSpan(sp Span) {
 	t.spansSeen++
@@ -96,28 +76,25 @@ func (t *Tracer) flushSpans() {
 }
 
 func (t *Tracer) insertSpan(sp Span) {
-	if t.ringN < t.ringCap {
+	if t.ringN < spanRingSize {
 		t.ring[t.ringHead] = sp
-		t.ringHead = (t.ringHead + 1) % t.ringCap
+		t.ringHead = (t.ringHead + 1) % spanRingSize
 		t.ringN++
 		return
 	}
 	old := t.ring[t.ringHead]
 	t.ring[t.ringHead] = sp
-	t.ringHead = (t.ringHead + 1) % t.ringCap
+	t.ringHead = (t.ringHead + 1) % spanRingSize
 	t.reservoirOffer(old)
 }
 
 func (t *Tracer) reservoirOffer(sp Span) {
-	if t.resCap <= 0 {
-		return
-	}
 	t.evicted++
-	if len(t.res) < t.resCap {
+	if len(t.res) < spanReservoirSize {
 		t.res = append(t.res, sp)
 		return
 	}
-	if j := t.rng.Uint64n(uint64(t.evicted)); j < uint64(t.resCap) {
+	if j := t.rng.Uint64n(uint64(t.evicted)); j < spanReservoirSize {
 		t.res[j] = sp
 	}
 }
@@ -125,7 +102,7 @@ func (t *Tracer) reservoirOffer(sp Span) {
 // AddEvent records one operation event, dropping (and counting) once
 // the buffer is full.
 func (t *Tracer) AddEvent(ev OpEvent) {
-	if len(t.events) >= t.eventCap {
+	if len(t.events) >= tracerEventCap {
 		t.droppedEvents++
 		return
 	}
@@ -142,7 +119,7 @@ func (t *Tracer) Spans() []Span {
 	t.flushSpans()
 	out := make([]Span, 0, len(t.res)+t.ringN)
 	out = append(out, t.res...)
-	if t.ringN < t.ringCap {
+	if t.ringN < spanRingSize {
 		out = append(out, t.ring[:t.ringN]...)
 	} else {
 		out = append(out, t.ring[t.ringHead:]...)

@@ -182,7 +182,7 @@ func TestRateLimitedTenantThrottled(t *testing.T) {
 	run := func(rate float64) TenantResult {
 		ctrl := newTestController(15)
 		mr, err := RunTenants(ctrl, multiSpecs(ctrl, 77,
-			host.QueueConfig{Depth: 4, RateIOPS: rate, BurstIOs: 1},
+			host.QueueConfig{Depth: 4, RateIOPS: rate},
 			host.QueueConfig{Depth: 8},
 			100, 100), MultiRunConfig{})
 		if err != nil {

@@ -59,7 +59,7 @@ func TestRecordTraceUnknownWorkload(t *testing.T) {
 func TestSuspendAndWearOptions(t *testing.T) {
 	opts := smallOptions(FTLCube)
 	opts.SuspendOps = true
-	opts.WearAware = true
+	opts.WearLevel = true
 	dev, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
