@@ -142,7 +142,7 @@ func (s *Server) writeMetrics(w io.Writer) error {
 // collectFamilies builds the exposition families: what the server
 // computes at scrape time is written out here; every counted number —
 // the server's and the SLO controller's counters, each tenant's
-// admission counters, the WAF ledger — comes from walking the struct it
+// admission counters — comes from walking the struct it
 // is counted in (telemetry.AppendLedger), so a counter added to one of
 // them is served with no edit here. Core-only; resets the per-tenant
 // scrape windows as it reads them.
@@ -222,10 +222,9 @@ func (s *Server) collectFamilies() []telemetry.PromFamily {
 		w.write.Reset()
 	}
 
-	// Lifetime plane: the per-cause write-amplification ledger and the
-	// per-die erase-count distribution that wear leveling narrows.
-	waf := s.dev.WAF()
-	fams = telemetry.AppendLedger(fams, &waf)
+	// Lifetime plane: the per-die erase-count distribution that wear
+	// leveling narrows. (The per-cause write-amplification ledger is in
+	// the device registry, served below as cube_ftl_waf_*.)
 	erase := mk("cube_erase_count", "per-die erase-count quantiles over good blocks")
 	for die, row := range s.dev.EraseQuantiles(eraseQuantiles) {
 		for qi, v := range row {

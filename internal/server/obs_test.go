@@ -74,11 +74,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		`cube_tenant_weight{tenant="lat"} 4`,
 		`cube_tenant_slo_target_ns{tenant="lat"} 2000000`,
 		"cube_slo_enabled 1",
-		"# TYPE cube_waf_host_bytes counter",
-		"cube_waf_gc_bytes",
-		"cube_waf_refresh_bytes",
-		"cube_waf_wl_bytes",
-		"cube_waf_factor",
+		"# TYPE cube_ftl_waf_host_bytes gauge",
+		"cube_ftl_waf_gc_bytes",
+		"cube_ftl_waf_refresh_bytes",
+		"cube_ftl_waf_wl_bytes",
+		"cube_ftl_waf_factor",
 		`cube_erase_count{die="0",quantile="0.5"}`,
 		"# TYPE cube_cube_retry_hits gauge",
 		"cube_cube_retry_misses",
@@ -352,7 +352,7 @@ func TestLedgerDeclarations(t *testing.T) {
 	}{
 		{"", new(ftl.Stats)}, {"", new(core.CubeStats)}, {"ftl/", new(lifetime.WAF)}, // the registry
 		{"", new(fleet.ShardStats)}, {"", new(cache.Stats)}, // a sampled fleet shard's registry, beside the three above
-		{"", new(lifetime.WAF)}, {"", new(Stats)}, {"", new(sloController)}, {"", new(host.TenantStats)}, // collectFamilies
+		{"", new(Stats)}, {"", new(sloController)}, {"", new(host.TenantStats)}, // collectFamilies
 	} {
 		named := 0
 		for _, row := range metrics.Walk(l.ptr) {
