@@ -67,7 +67,6 @@ var (
 	ErrNotErased     = errors.New("nand: programming a non-erased word line")
 	ErrNotProgrammed = errors.New("nand: reading an unprogrammed word line")
 	ErrUncorrectable = errors.New("nand: uncorrectable page after exhausting read retries")
-	ErrWornOut       = errors.New("nand: block beyond rated endurance")
 )
 
 // wlState tracks one programmed word line. It is 24 bytes and holds no

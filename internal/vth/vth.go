@@ -45,8 +45,6 @@ const (
 	TEraseNs      = 3_500_000 // block erase
 	TParamSetNs   = 900       // Set/Get-Features parameter load (<1 us, §4.1.4)
 	TXferPageNs   = 20_000    // 16 KB page transfer over the bus (~800 MB/s)
-	TSafetyChkNs  = 900       // post-program BER check via GetFeatures (<1 us)
-	TReadRetryNs  = TReadNs   // each read retry repeats the sense
 	TReadARNs     = 54_600    // early-terminated sense under AR (~0.7x tREAD)
 	TWriteSetupNs = 2_000     // command/address cycles before an operation
 )
