@@ -65,7 +65,7 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.IntVar(&c.requests, "requests", 20000, "host requests to complete")
 	fs.IntVar(&c.qd, "qd", 24, "host queue depth")
 	fs.BoolVar(&c.prefill, "prefill", true, "prefill the workload footprint before measuring")
-	fs.StringVar(&c.tracePath, "trace", "", "replay an MSR-Cambridge or FIU block trace open-loop instead of a synthetic workload (-requests caps the records read, -qd the requests outstanding)")
+	fs.StringVar(&c.tracePath, "trace", "", "replay an MSR-Cambridge block trace open-loop instead of a synthetic workload (-requests caps the records read, -qd the requests outstanding)")
 	fs.StringVar(&c.record, "record", "", "record the workload to an MSR-Cambridge CSV trace file and exit")
 	fs.Func("tenant", "multi-tenant mode, one tenant stream per use: name[,workload=W][,weight=N][,depth=N][,prio=N][,rate=IOPS]; the workload defaults to the name and the depth to -qd, rate 0 = unlimited, higher prio = more urgent (e.g. 'hot,workload=YCSB-C,weight=8')",
 		func(spec string) error {

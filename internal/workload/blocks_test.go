@@ -22,8 +22,8 @@ func parseInBlocks(name string, text []byte, opt TraceOptions, size int) (*Timed
 }
 
 // sameTrace fails t unless (tr, err) is (want, wantErr): the same
-// records, sources and counts, or the same error — text, sentinel, and
-// format, line and detail.
+// records, sources and counts, or the same error — text, sentinel, line
+// and detail.
 func sameTrace(t *testing.T, what string, tr *TimedTrace, err error, want *TimedTrace, wantErr error) {
 	t.Helper()
 	if (err == nil) != (wantErr == nil) {
@@ -105,13 +105,6 @@ func TestParseBlocksMatchOneBlock(t *testing.T) {
 			}
 		}
 	})
-	t.Run("fiu", func(t *testing.T) {
-		for _, opt := range []TraceOptions{strict, tolerant} {
-			if tr, err := checkBlocks(t, fiuText(1), opt, big); err != nil || tr.Len() != 1200 {
-				t.Fatalf("%+v: %v, %v", opt, tr, err)
-			}
-		}
-	})
 	t.Run("crlf", func(t *testing.T) {
 		text := withLines("\r\n", fixLines[:12]...)
 		for _, opt := range []TraceOptions{strict, tolerant} {
@@ -121,11 +114,11 @@ func TestParseBlocksMatchOneBlock(t *testing.T) {
 		}
 	})
 	t.Run("blank-and-comments", func(t *testing.T) {
-		// Comments and blank lines come before the first record, so the
-		// format is sniffed in a later block than the first.
+		// Comments and blank lines come before the first record, so it
+		// is in a later block than the first.
 		text := withLines("\n", "# header", "", "   ", "\t# indented comment", "",
-			"0.5 100 db 2048 16 W 8 1", "# mid", "", "0.75 100 db 0 8 R 8 1", "  ", "1.5 7 find 64 8 R 8 2", "")
-		for _, opt := range []TraceOptions{strict, tolerant, {Format: FormatFIU}} {
+			fixLines[0], "# mid", "", fixLines[1], "  ", fixLines[2], "")
+		for _, opt := range []TraceOptions{strict, tolerant, {Format: FormatMSR}} {
 			if tr, err := checkBlocks(t, text, opt, everySize(text)); err != nil || tr.Len() != 3 {
 				t.Fatalf("%+v: %v, %v", opt, tr, err)
 			}

@@ -10,10 +10,10 @@ import (
 	"testing"
 )
 
-// FuzzParseTimedTrace feeds any bytes to the block-trace parser under
-// every format, strict and tolerant, and to the string-based reference
-// parser it replaced (reference_test.go). The two must agree: on the
-// same error (sentinel, format, line and detail), or on the same trace
+// FuzzParseTimedTrace feeds any bytes to the block-trace parser, strict
+// and tolerant, and to the string-based reference parser it replaced
+// (reference_test.go). The two must agree: on the same error (sentinel,
+// line and detail), or on the same trace
 // (every record with its source's host and disk, Skipped, Clamped,
 // streams, MaxLPN and SpanNs). And the trace must be one the replayers
 // can take: arrivals that start at 0 and never go back, every extent at
@@ -26,7 +26,8 @@ func FuzzParseTimedTrace(f *testing.F) {
 
 	// Seeds: single lines and short runs of the MSR fixture (its records
 	// are at most a few dozen bytes; a long seed spends the fuzzing time
-	// minimising), and FIU lines.
+	// minimising), and lines of the FIU grammar, which is not read: each
+	// is a malformed record.
 	fix, err := os.ReadFile(msrFixture)
 	if err != nil {
 		f.Fatal(err)
@@ -40,14 +41,14 @@ func FuzzParseTimedTrace(f *testing.F) {
 	}
 	f.Add(bytes.Join(lines[1:4], []byte("\n")))
 	f.Add([]byte("0.5 100 db 2048 16 W 8 1\n0.25 100 db 0 8 R 8 1\n"))
-	// Two the parser once wrapped: a timestamp and an LBA past int64 once
-	// scaled to ns and bytes.
+	// Two the FIU parser once wrapped: a timestamp and an LBA past int64
+	// once scaled to ns and bytes.
 	f.Add([]byte("1e300 1 p 0 1 R\n0 1 p 0 1 R\n"))
 	f.Add([]byte("0 1 p 18014398509481985 1 R\n"))
 	// Spellings the byte scanner must treat as the strings and strconv
 	// calls it replaced did: CRLF endings, tabs, signs, 19-digit and
 	// overflowing numbers, Unicode spaces around fields, extra commas,
-	// and seconds strconv alone converts.
+	// and FIU lines whose seconds only strconv converted.
 	f.Add([]byte("128166372003095799,web,2,Read,256278528,32768,10946\r\n128166372003159506,usr,0,Write,4050944,8192,4631\r\n"))
 	f.Add([]byte("128166372003095799,\tweb\t,2 ,\tRead,256278528\t,32768,1\n0.5\t100\tdb\t2048\t16\tW\t8\t1\n"))
 	f.Add([]byte("+128166372003095799,web,+2,Read,+256278528,+32768,1\n-0,web,-0,Write,-0,1,1\n"))
@@ -59,22 +60,20 @@ func FuzzParseTimedTrace(f *testing.F) {
 	f.Add([]byte("1e-3 1 p 0 1 R\n0x1p-2 1 p 0 1 R\n+.5 1 p 0 1 r\n5. 1 p 0 1 w\n0.12345678901234567890 1 p 0 1 W\ninf 1 p 0 1 R\n1_0 1 p 0 1 R\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, format := range []string{FormatAuto, FormatMSR, FormatFIU} {
-			for _, tolerant := range []bool{false, true} {
-				opt := TraceOptions{Format: format, Tolerant: tolerant}
-				tr, err := ParseTimedTrace("fuzz", bytes.NewReader(data), opt)
-				lines, linesErr := parseInBlocks("fuzz", data, opt, 1)
-				// The reference stops at a line past the 1 MiB bound
-				// instead of skipping it; shorter input holds none.
-				if len(data) < maxTraceLine {
-					ref, refErr := refParseTimedTrace("fuzz", bytes.NewReader(data), opt)
-					sameParse(t, opt, tr, err, ref, refErr)
-					sameParse(t, opt, lines, linesErr, ref, refErr)
-				}
-				sameTrace(t, fmt.Sprintf("%+v, a block a line", opt), lines, linesErr, tr, err)
-				if err == nil {
-					replayable(t, opt, tr)
-				}
+		for _, tolerant := range []bool{false, true} {
+			opt := TraceOptions{Tolerant: tolerant}
+			tr, err := ParseTimedTrace("fuzz", bytes.NewReader(data), opt)
+			lines, linesErr := parseInBlocks("fuzz", data, opt, 1)
+			// The reference stops at a line past the 1 MiB bound instead
+			// of skipping it; shorter input holds none.
+			if len(data) < maxTraceLine {
+				ref, refErr := refParseTimedTrace("fuzz", bytes.NewReader(data), opt)
+				sameParse(t, opt, tr, err, ref, refErr)
+				sameParse(t, opt, lines, linesErr, ref, refErr)
+			}
+			sameTrace(t, fmt.Sprintf("%+v, a block a line", opt), lines, linesErr, tr, err)
+			if err == nil {
+				replayable(t, opt, tr)
 			}
 		}
 	})

@@ -1,12 +1,11 @@
 package workload
 
-// Real block-trace ingestion: parsers for the two public trace families
-// the storage-systems literature replays most — MSR-Cambridge (SNIA IOTTA,
-// Narayanan et al., FAST '08) and the FIU/SyLab traces — feeding the
-// fleet replayer and the single-device runners. One byte-level scanner
-// serves both formats: it splits and parses a line's fields in place, so
-// a record costs no allocation and keeps nothing of its line but an
-// index into the trace's table of origins. The input streams through in
+// Real block-trace ingestion: a parser for the MSR-Cambridge traces
+// (SNIA IOTTA, Narayanan et al., FAST '08), the one trace grammar,
+// feeding the fleet replayer and the single-device runners. A
+// byte-level scanner splits and parses a line's fields in place, so a
+// record costs no allocation and keeps nothing of its line but an index
+// into the trace's table of origins. The input streams through in
 // blocks of whole lines (bounded memory), parsed on every core and
 // merged in input order. It is tolerant when asked
 // (malformed lines, over-long ones included, are counted and skipped
@@ -20,13 +19,6 @@ package workload
 //
 // where Timestamp is a Windows FILETIME (100 ns ticks), Type is
 // "Read"/"Write", and Offset/Size are bytes.
-//
-// FIU (blkio-style), whitespace-separated:
-//
-//	Timestamp PID Process LBA SizeBlocks Op Major Minor [MD5]
-//
-// where Timestamp is seconds (fractional), LBA/SizeBlocks are 512-byte
-// sectors, and Op is "R"/"W".
 
 import (
 	"bufio"
@@ -40,11 +32,8 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"unicode"
-	"unicode/utf8"
 
 	"cubeftl/internal/sim"
 )
@@ -75,31 +64,26 @@ var (
 // TraceParseError locates a strict-mode parse failure. It wraps one of
 // the sentinel errors above.
 type TraceParseError struct {
-	Format string // "msr" or "fiu"
-	Line   int    // 1-based line number
+	Line   int // 1-based line number
 	Detail string
 	kind   error
 }
 
 // Error implements error.
 func (e *TraceParseError) Error() string {
-	return fmt.Sprintf("%v: %s line %d: %s", e.kind, e.Format, e.Line, e.Detail)
+	return fmt.Sprintf("%v: msr line %d: %s", e.kind, e.Line, e.Detail)
 }
 
 // Unwrap exposes the sentinel kind for errors.Is.
 func (e *TraceParseError) Unwrap() error { return e.kind }
 
-// Trace format names accepted by TraceOptions.Format.
-const (
-	FormatAuto = "auto"
-	FormatMSR  = "msr"
-	FormatFIU  = "fiu"
-)
+// FormatMSR names the one trace grammar, MSR-Cambridge CSV.
+const FormatMSR = "msr"
 
 // TraceOptions shapes trace ingestion.
 type TraceOptions struct {
-	// Format selects the parser: FormatMSR, FormatFIU, or FormatAuto
-	// (default) which sniffs the first record.
+	// Format names the trace grammar: "" or FormatMSR. Any other value
+	// is an ErrTraceFormat.
 	Format string
 	// TimeCompression divides every inter-arrival gap: 10 replays a
 	// day-long trace in 1/10th of its simulated span, 0.5 doubles every
@@ -123,8 +107,8 @@ func (o TraceOptions) withDefaults() (TraceOptions, error) {
 	if c := o.TimeCompression; !(c >= 0 && c <= math.MaxFloat64) {
 		return o, fmt.Errorf("workload: -compress (TimeCompression) must be a finite, non-negative factor, got %v", c)
 	}
-	if o.Format == "" {
-		o.Format = FormatAuto
+	if o.Format != "" && o.Format != FormatMSR {
+		return o, fmt.Errorf("%w: %q (want %s)", ErrTraceFormat, o.Format, FormatMSR)
 	}
 	if o.TimeCompression == 0 {
 		o.TimeCompression = 1
@@ -147,8 +131,8 @@ type TimedRequest struct {
 
 // Source is one origin stream of a trace.
 type Source struct {
-	Host string // MSR hostname / FIU process
-	Disk int    // MSR disk number / FIU device minor
+	Host string // MSR hostname
+	Disk int    // MSR disk number
 }
 
 // TimedTrace is a parsed real-world block trace.
@@ -201,7 +185,7 @@ const maxTraceLine = 1 << 20
 // to maxTraceLine to move the block boundaries.
 var traceBlockSize = 32 << 10
 
-// ParseTimedTrace ingests an MSR-Cambridge or FIU block trace. It cuts
+// ParseTimedTrace ingests an MSR-Cambridge block trace. It cuts
 // the input into blocks of whole lines, parses them on up to GOMAXPROCS
 // goroutines, and merges them in input order: the trace, or the error,
 // is the same whatever GOMAXPROCS is.
@@ -210,14 +194,8 @@ func ParseTimedTrace(name string, r io.Reader, opt TraceOptions) (*TimedTrace, e
 	if err != nil {
 		return nil, err
 	}
-	switch opt.Format {
-	case FormatAuto, FormatMSR, FormatFIU:
-	default:
-		return nil, fmt.Errorf("%w: %q (want %s|%s|%s)", ErrTraceFormat, opt.Format, FormatAuto, FormatMSR, FormatFIU)
-	}
-
 	m := traceMerge{opt: opt, t: &TimedTrace{Name: name}, ids: map[string]int32{}}
-	rd := blockReader{r: r, size: traceBlockSize, format: opt.Format}
+	rd := blockReader{r: r, size: traceBlockSize}
 	if err := m.ingest(&rd); err != nil {
 		return nil, err
 	}
@@ -327,13 +305,12 @@ func (m *traceMerge) await(b *traceBlock, work chan *traceBlock) {
 
 // blockReader cuts a trace into blocks of whole lines.
 type blockReader struct {
-	r      io.Reader
-	size   int    // traceBlockSize at the start of the parse
-	carry  []byte // the partial line after the last cut
-	line   int    // lines cut so far
-	format string // FormatAuto until a block holds the first record line
-	err    error  // what ended the input: io.EOF or the read error
-	done   bool   // no block follows
+	r     io.Reader
+	size  int    // traceBlockSize at the start of the parse
+	carry []byte // the partial line after the last cut
+	line  int    // lines cut so far
+	err   error  // what ended the input: io.EOF or the read error
+	done  bool   // no block follows
 }
 
 // next cuts the next block into b and reports whether there was one: at
@@ -343,7 +320,7 @@ type blockReader struct {
 func (rd *blockReader) next(b *traceBlock) bool {
 	buf := append(b.buf[:0], rd.carry...)
 	rd.carry = rd.carry[:0]
-	b.text, b.over, b.first, b.format = nil, false, rd.line+1, rd.format
+	b.text, b.over, b.first = nil, false, rd.line+1
 	for want := rd.size; ; want = min(2*want, maxTraceLine+1) {
 		buf = rd.fill(buf, want)
 		if len(buf) > maxTraceLine && bytes.IndexByte(buf[:maxTraceLine], '\n') < 0 {
@@ -374,21 +351,6 @@ func (rd *blockReader) next(b *traceBlock) bool {
 	rd.line += bytes.Count(b.text, []byte{'\n'})
 	if b.text[len(b.text)-1] != '\n' {
 		rd.line++
-	}
-	if rd.format == FormatAuto {
-		// Later blocks are parsed in the format the first record line
-		// names. A line that names none fails the parse there, so no
-		// block follows it.
-		for text := b.text; len(text) > 0; {
-			var line []byte
-			line, text = cutLine(text)
-			if line = bytes.TrimSpace(line); len(line) > 0 && line[0] != '#' {
-				if rd.format = sniffFormat(line); rd.format == "" {
-					rd.done = true
-				}
-				break
-			}
-		}
 	}
 	return true
 }
@@ -445,16 +407,14 @@ func cutLine(text []byte) (line, rest []byte) {
 // the lines the reader cut, then what the parse made of them. A parse
 // recycles its blocks.
 type traceBlock struct {
-	buf    []byte
-	text   []byte // whole lines, in buf
-	over   bool   // the block is one line past maxTraceLine, its bytes dropped
-	first  int    // number of the block's first line
-	format string // in force at the first line; after the parse, at the last
+	buf   []byte
+	text  []byte // whole lines, in buf
+	over  bool   // the block is one line past maxTraceLine, its bytes dropped
+	first int    // number of the block's first line
 
 	// The parse's output: the records in line order, their origins, the
 	// malformed lines dropped (tolerant), and the first one that fails
-	// the parse (strict, or a line of no known format). line is the
-	// number of the line being parsed.
+	// the parse (strict). line is the number of the line being parsed.
 	recs    []rawRecord
 	src     blockSources
 	skipped int
@@ -465,12 +425,12 @@ type traceBlock struct {
 }
 
 // rawRecord is one record as a block's parse leaves it for the merge: its
-// source time in the format's native unit, its extent in pages, its
+// source time in FILETIME ticks, its extent in pages, its
 // origin among the block's sources, its line's offset from the block's
 // first, and how many malformed lines the block dropped before it. It
 // holds no pointer.
 type rawRecord struct {
-	rawNs int64
+	ticks int64
 	lpn   int64
 	pages int
 	op    Op
@@ -481,7 +441,7 @@ type rawRecord struct {
 
 // fail builds the strict-mode error for the line being parsed.
 func (b *traceBlock) fail(kind error, format string, args ...any) *TraceParseError {
-	return &TraceParseError{Format: b.format, Line: b.line, Detail: fmt.Sprintf(format, args...), kind: kind}
+	return &TraceParseError{Line: b.line, Detail: fmt.Sprintf(format, args...), kind: kind}
 }
 
 // parse runs the line scanner over the block, up to the first line that
@@ -503,23 +463,7 @@ func (b *traceBlock) parse(tolerant bool) {
 		if line = bytes.TrimSpace(line); len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		if b.format == FormatAuto {
-			f := sniffFormat(line)
-			if f == "" {
-				b.err = b.fail(ErrTraceFormat, "cannot identify MSR CSV or FIU record")
-				return
-			}
-			b.format = f
-		}
-		var (
-			rec  record
-			perr *TraceParseError
-		)
-		if b.format == FormatMSR {
-			rec, perr = b.parseMSR(line)
-		} else {
-			rec, perr = b.parseFIU(line)
-		}
+		rec, perr := b.parseMSR(line)
 		if perr != nil {
 			if !tolerant {
 				b.err = perr
@@ -529,11 +473,11 @@ func (b *traceBlock) parse(tolerant bool) {
 			continue
 		}
 		// The extent's last byte is offset+bytes-1 (no overflow: the
-		// record parsers keep offset+bytes in range), so it spans at
+		// record parser keeps offset+bytes in range), so it spans at
 		// least one page.
 		lpn := rec.offset / tracePageBytes
 		b.recs = append(b.recs, rawRecord{
-			rawNs: rec.rawNs,
+			ticks: rec.ticks,
 			lpn:   lpn,
 			pages: int((rec.offset+rec.bytes-1)/tracePageBytes - lpn + 1),
 			op:    rec.op,
@@ -665,14 +609,10 @@ func (m *traceMerge) merge(b *traceBlock) (stop bool, err error) {
 	for i := range m.remap {
 		m.remap[i] = -1
 	}
-	nsPerUnit := 1.0 // FIU records are in ns
-	if b.format == FormatMSR {
-		nsPerUnit = 100 // FILETIME 100 ns ticks
-	}
 	t := m.t
 	for i := range b.recs {
 		r := &b.recs[i]
-		raw := r.rawNs
+		raw := r.ticks
 		if !m.haveT0 {
 			m.haveT0, m.t0, m.prev = true, raw, raw
 		}
@@ -685,9 +625,9 @@ func (m *traceMerge) merge(b *traceBlock) (stop bool, err error) {
 		}
 		// Both times are non-negative, so the difference cannot
 		// overflow; the scaled arrival can leave the simulated clock's
-		// range. Multiplying an absolute FILETIME by 100 would overflow
-		// int64, so only the difference is scaled.
-		atNs := float64(raw-m.t0) * nsPerUnit / m.opt.TimeCompression
+		// range. Multiplying an absolute FILETIME by 100 (ns per tick)
+		// would overflow int64, so only the difference is scaled.
+		atNs := float64(raw-m.t0) * 100 / m.opt.TimeCompression
 		if !(atNs < math.MaxInt64) {
 			if !m.opt.Tolerant {
 				return false, m.fail(b, r, ErrTraceRecord, "arrival %g ns after the first record is past the simulated clock", atNs)
@@ -736,7 +676,7 @@ func (m *traceMerge) merge(b *traceBlock) (stop bool, err error) {
 
 // fail builds the strict-mode error for record r of block b.
 func (m *traceMerge) fail(b *traceBlock, r *rawRecord, kind error, format string, args ...any) *TraceParseError {
-	return &TraceParseError{Format: b.format, Line: b.first + int(r.line), Detail: fmt.Sprintf(format, args...), kind: kind}
+	return &TraceParseError{Line: b.first + int(r.line), Detail: fmt.Sprintf(format, args...), kind: kind}
 }
 
 // source returns the index in t.Sources of the (host, disk) origin,
@@ -757,28 +697,14 @@ func (m *traceMerge) source(host []byte, disk int) (int32, error) {
 	return s, nil
 }
 
-// record is one parsed line before page quantization. rawNs is in the
-// format's native time unit: FILETIME 100 ns ticks for MSR, ns for FIU.
+// record is one parsed line before page quantization.
 type record struct {
-	rawNs  int64  // source time in native units (format epoch)
+	ticks  int64  // source time in FILETIME 100 ns ticks
 	host   []byte // inside the line being parsed
 	disk   int
 	op     Op
 	offset int64 // bytes
 	bytes  int64
-}
-
-// sniffFormat identifies a record line: MSR is comma-separated with 7
-// fields, FIU whitespace-separated with 6+.
-func sniffFormat(line []byte) string {
-	if bytes.Count(line, []byte{','}) >= 6 {
-		return FormatMSR
-	}
-	var f [6][]byte
-	if fields(line, f[:]) == len(f) {
-		return FormatFIU
-	}
-	return ""
 }
 
 // parseMSR parses a trimmed MSR line: the first six of its seven or
@@ -820,97 +746,13 @@ func (b *traceBlock) parseMSR(line []byte) (record, *TraceParseError) {
 		return record{}, b.fail(ErrTraceRecord, "extent of %d bytes at offset %d ends past 2^63", size, offset)
 	}
 	return record{
-		rawNs:  ticks,
+		ticks:  ticks,
 		host:   bytes.TrimSpace(f[1]),
 		disk:   int(disk),
 		op:     op,
 		offset: offset,
 		bytes:  size,
 	}, nil
-}
-
-// parseFIU parses a trimmed FIU line: six or more fields separated by
-// runs of white space.
-func (b *traceBlock) parseFIU(line []byte) (record, *TraceParseError) {
-	var f [8][]byte
-	n := fields(line, f[:])
-	if n < 6 {
-		return record{}, b.fail(ErrTraceRecord, "truncated record: %d of 6+ fields", n)
-	}
-	// A timestamp, LBA and size must each fit an int64 once scaled to
-	// ns and bytes; NaN fails the first comparison.
-	sec, ok := parseSeconds(f[0])
-	if !ok || !(sec >= 0 && sec*1e9 < math.MaxInt64) {
-		return record{}, b.fail(ErrTraceRecord, "bad timestamp %q", f[0])
-	}
-	lba, ok := atoi(f[3])
-	if !ok || lba > math.MaxInt64/512 {
-		return record{}, b.fail(ErrTraceRecord, "bad lba %q", f[3])
-	}
-	blocks, ok := atoi(f[4])
-	if !ok || blocks > math.MaxInt64/512-lba {
-		return record{}, b.fail(ErrTraceRecord, "bad size %q", f[4])
-	}
-	if blocks == 0 {
-		return record{}, b.fail(ErrTraceZeroExtent, "zero-block request at lba %d", lba)
-	}
-	op, ok := parseOp(f[5])
-	if !ok {
-		return record{}, b.fail(ErrTraceOp, "op %q (want R|W)", f[5])
-	}
-	disk := int64(0)
-	if n == len(f) {
-		if minor, ok := atoi(f[7]); ok {
-			disk = minor
-		}
-	}
-	return record{
-		rawNs:  int64(sec * 1e9),
-		host:   f[2], // process name labels the stream
-		disk:   int(disk),
-		op:     op,
-		offset: lba * 512,
-		bytes:  blocks * 512,
-	}, nil
-}
-
-// fields fills f with the runs of non-space bytes in b, white space as
-// unicode.IsSpace defines it (the split strings.Fields makes), and
-// returns how many it filled: at most len(f).
-func fields(b []byte, f [][]byte) int {
-	n, i := 0, 0
-	for ; n < len(f); n++ {
-		for i < len(b) {
-			sp, w := spaceAt(b[i:])
-			if !sp {
-				break
-			}
-			i += w
-		}
-		if i == len(b) {
-			break
-		}
-		j := i
-		for j < len(b) {
-			sp, w := spaceAt(b[j:])
-			if sp {
-				break
-			}
-			j += w
-		}
-		f[n], i = b[i:j], j
-	}
-	return n
-}
-
-// spaceAt reports whether b starts with a white-space rune, and the
-// rune's width (1 for a byte that is not valid UTF-8).
-func spaceAt(b []byte) (bool, int) {
-	if c := b[0]; c < utf8.RuneSelf {
-		return c == ' ' || '\t' <= c && c <= '\r', 1
-	}
-	r, w := utf8.DecodeRune(b)
-	return unicode.IsSpace(r), w
 }
 
 // atoi parses b, trimmed of white space, as strconv.ParseInt(b, 10, 64)
@@ -959,13 +801,6 @@ func atoi(b []byte) (int64, bool) {
 		n = n*10 + d
 	}
 	return n, !neg || n == 0
-}
-
-// parseSeconds parses an FIU timestamp as strconv.ParseFloat(b, 64)
-// does and reports whether it is valid.
-func parseSeconds(b []byte) (float64, bool) {
-	f, err := strconv.ParseFloat(string(b), 64)
-	return f, err == nil
 }
 
 func parseOp(b []byte) (Op, bool) {

@@ -3,7 +3,6 @@ package workload
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"reflect"
 	"runtime"
@@ -94,6 +93,7 @@ func TestParseMSRStrictErrors(t *testing.T) {
 		{"zero-length", "128166372003061729,usr,0,Read,4096,0,100\n", ErrTraceZeroExtent},
 		{"out-of-order", "100,usr,0,Read,4096,8192,100\n", ErrTraceOutOfOrder},
 		{"over-long", strings.Repeat("x", 2<<20) + "\n", ErrTraceRecord},
+		{"fiu-shaped", "0.000900 1234 postmark 2048 8 R 8 1 ab12\n", ErrTraceRecord},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,6 +115,7 @@ func TestParseMSRStrictErrors(t *testing.T) {
 func TestParseTolerantSkipsAndClamps(t *testing.T) {
 	in := "128166372003061629,usr,0,Read,4096,8192,100\n" +
 		"garbage line that is not a record\n" + // skipped
+		"0.000900 1234 postmark 2048 8 R 8 1 ab12\n" + // FIU-shaped: skipped
 		"128166372003061929,usr,0,Flush,4096,8192,100\n" + // bad op: skipped
 		strings.Repeat("j", 2<<20) + "\n" + // past the line bound: skipped
 		"100,usr,0,Write,8192,4096,100\n" + // out of order: clamped
@@ -126,8 +127,8 @@ func TestParseTolerantSkipsAndClamps(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Errorf("records = %d, want 3", tr.Len())
 	}
-	if tr.Skipped != 3 {
-		t.Errorf("skipped = %d, want 3", tr.Skipped)
+	if tr.Skipped != 4 {
+		t.Errorf("skipped = %d, want 4", tr.Skipped)
 	}
 	if tr.Clamped != 1 {
 		t.Errorf("clamped = %d, want 1", tr.Clamped)
@@ -151,44 +152,6 @@ func TestParseEmptyTrace(t *testing.T) {
 		if !errors.Is(err, ErrTraceEmpty) {
 			t.Errorf("%s tolerant: got %v, want ErrTraceEmpty", name, err)
 		}
-	}
-}
-
-func TestParseFIU(t *testing.T) {
-	in := "0.000100 1234 postmark 2048 8 W 8 1 ab12\n" +
-		"0.000900 1234 postmark 2048 8 R 8 1 ab12\n" +
-		"0.002000 77 find 900000 16 R 8 2 ffee\n"
-	tr, err := ParseTimedTrace("fiu", strings.NewReader(in), TraceOptions{})
-	if err != nil {
-		t.Fatalf("FIU parse: %v", err)
-	}
-	if tr.Len() != 3 {
-		t.Fatalf("records = %d, want 3", tr.Len())
-	}
-	r0 := tr.Reqs[0]
-	if src := tr.Sources[r0.Source]; r0.Op != Write || src != (Source{Host: "postmark", Disk: 1}) {
-		t.Errorf("r0 = %+v from %+v, want write/postmark/disk1", r0, src)
-	}
-	// lba 2048 * 512 = 1 MiB offset = page 64 at 16 KiB; 8 blocks = 4 KiB -> 1 page.
-	if r0.LPN != 64 || r0.Pages != 1 {
-		t.Errorf("r0 extent = (%d, %d), want (64, 1)", r0.LPN, r0.Pages)
-	}
-	if tr.Reqs[1].AtNs != 800_000 {
-		t.Errorf("arrival = %d ns, want 800000 (0.0008 s)", tr.Reqs[1].AtNs)
-	}
-	if tr.Streams() != 2 {
-		t.Errorf("streams = %d, want 2", tr.Streams())
-	}
-}
-
-func TestSniffRejectsUnknown(t *testing.T) {
-	_, err := ParseTimedTrace("mystery", strings.NewReader("one two three\n"), TraceOptions{})
-	if !errors.Is(err, ErrTraceFormat) {
-		t.Errorf("got %v, want ErrTraceFormat", err)
-	}
-	_, err = ParseTimedTrace("badfmt", strings.NewReader(""), TraceOptions{Format: "blktrace"})
-	if !errors.Is(err, ErrTraceFormat) {
-		t.Errorf("explicit bad format: got %v, want ErrTraceFormat", err)
 	}
 }
 
@@ -269,51 +232,26 @@ func expandFixture(t testing.TB, passes int) []byte {
 
 // A further record costs no allocation: parsing the fixture 100 times
 // over allocates no more per record than parsing it 10 times, but for
-// the record slice's growth. An FIU trace of as many records, whose
-// seconds strconv.ParseFloat converts, holds to the same bound.
+// the record slice's growth.
 func TestParseTimedTraceAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		format string
-		text   func(passes int) []byte
-	}{
-		{FormatMSR, func(passes int) []byte { return expandFixture(t, passes) }},
-		{FormatFIU, fiuText},
-	} {
-		mallocs := func(passes int) (uint64, int) {
-			text := tc.text(passes)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			tr, err := ParseTimedTrace("allocs", bytes.NewReader(text), TraceOptions{Format: tc.format})
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return after.Mallocs - before.Mallocs, tr.Len()
+	mallocs := func(passes int) (uint64, int) {
+		text := expandFixture(t, passes)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr, err := ParseTimedTrace("allocs", bytes.NewReader(text), TraceOptions{Format: FormatMSR})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
 		}
-		warm, warmRecs := mallocs(10)
-		more, moreRecs := mallocs(100)
-		perRec := (float64(more) - float64(warm)) / float64(moreRecs-warmRecs)
-		t.Logf("%s: %d allocations for %d records, %d for %d: %.4f per further record",
-			tc.format, warm, warmRecs, more, moreRecs, perRec)
-		if perRec > 0.01 {
-			t.Errorf("%s: a further record costs %.4f allocations, want <= 0.01", tc.format, perRec)
-		}
+		return after.Mallocs - before.Mallocs, tr.Len()
 	}
-}
-
-// fiuText is an FIU trace of 1 200 records per pass from four
-// processes, its timestamps microseconds apart.
-func fiuText(passes int) []byte {
-	var out []byte
-	for i := 0; i < passes*1200; i++ {
-		op := "W"
-		if i%3 == 0 {
-			op = "R"
-		}
-		out = fmt.Appendf(out, "%d.%06d %d proc%d %d %d %s 8 %d\n",
-			i/1000000, i%1000000, 100+i%4, i%4, int64(i)*64, 8+i%3*8, op, i%4)
+	warm, warmRecs := mallocs(10)
+	more, moreRecs := mallocs(100)
+	perRec := (float64(more) - float64(warm)) / float64(moreRecs-warmRecs)
+	t.Logf("%d allocations for %d records, %d for %d: %.4f per further record", warm, warmRecs, more, moreRecs, perRec)
+	if perRec > 0.01 {
+		t.Errorf("a further record costs %.4f allocations, want <= 0.01", perRec)
 	}
-	return out
 }
 
 // A parsed trace is one flat array: a record holds no pointer for the

@@ -2,8 +2,8 @@ package workload
 
 // The string-based block-trace parser the byte scanner in msr.go
 // replaced, kept as the reference FuzzParseTimedTrace compares it
-// against: a line string per record, strings.Split / strings.Fields for
-// the fields and strconv for the numbers. Its one known difference is a
+// against: a line string per record, strings.Split for the fields and
+// strconv for the numbers. Its one known difference is a
 // line longer than the 1 MiB bound, which it cannot skip: bufio.Scanner
 // stops with ErrTooLong.
 
@@ -43,16 +43,15 @@ type refStreamKey struct {
 	disk int
 }
 
-// refRecord is one parsed line before page quantization, in the
-// format's native time unit.
+// refRecord is one parsed line before page quantization, its time in
+// FILETIME ticks.
 type refRecord struct {
-	rawNs     int64
-	nsPerUnit float64
-	host      string
-	disk      int
-	op        Op
-	offset    int64
-	bytes     int64
+	ticks  int64
+	host   string
+	disk   int
+	op     Op
+	offset int64
+	bytes  int64
 }
 
 func refParseTimedTrace(name string, r io.Reader, opt TraceOptions) (*refTrace, error) {
@@ -60,18 +59,12 @@ func refParseTimedTrace(name string, r io.Reader, opt TraceOptions) (*refTrace, 
 	if err != nil {
 		return nil, err
 	}
-	switch opt.Format {
-	case FormatAuto, FormatMSR, FormatFIU:
-	default:
-		return nil, fmt.Errorf("%w: %q (want %s|%s|%s)", ErrTraceFormat, opt.Format, FormatAuto, FormatMSR, FormatFIU)
-	}
 
 	t := &refTrace{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 
 	var (
-		format   = opt.Format
 		lineNo   int
 		haveT0   bool
 		t0, prev int64
@@ -83,14 +76,7 @@ func refParseTimedTrace(name string, r io.Reader, opt TraceOptions) (*refTrace, 
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if format == FormatAuto {
-			format = refSniffFormat(line)
-			if format == "" {
-				return nil, &TraceParseError{Format: FormatAuto, Line: lineNo,
-					Detail: "cannot identify MSR CSV or FIU record", kind: ErrTraceFormat}
-			}
-		}
-		rec, perr := refParseRecord(format, line, lineNo)
+		rec, perr := refParseRecord(line, lineNo)
 		if perr != nil {
 			if opt.Tolerant {
 				t.Skipped++
@@ -99,28 +85,28 @@ func refParseTimedTrace(name string, r io.Reader, opt TraceOptions) (*refTrace, 
 			return nil, perr
 		}
 		if !haveT0 {
-			haveT0, t0, prev = true, rec.rawNs, rec.rawNs
+			haveT0, t0, prev = true, rec.ticks, rec.ticks
 		}
-		if rec.rawNs < prev {
+		if rec.ticks < prev {
 			if !opt.Tolerant {
-				return nil, &TraceParseError{Format: format, Line: lineNo,
-					Detail: fmt.Sprintf("timestamp went backwards by %d units", prev-rec.rawNs),
+				return nil, &TraceParseError{Line: lineNo,
+					Detail: fmt.Sprintf("timestamp went backwards by %d units", prev-rec.ticks),
 					kind:   ErrTraceOutOfOrder}
 			}
 			t.Clamped++
-			rec.rawNs = prev
+			rec.ticks = prev
 		}
-		atNs := float64(rec.rawNs-t0) * rec.nsPerUnit / opt.TimeCompression
+		atNs := float64(rec.ticks-t0) * 100 / opt.TimeCompression
 		if !(atNs < math.MaxInt64) {
 			if !opt.Tolerant {
-				return nil, &TraceParseError{Format: format, Line: lineNo,
+				return nil, &TraceParseError{Line: lineNo,
 					Detail: fmt.Sprintf("arrival %g ns after the first record is past the simulated clock", atNs),
 					kind:   ErrTraceRecord}
 			}
 			t.Skipped++
 			continue
 		}
-		prev = rec.rawNs
+		prev = rec.ticks
 		at := sim.Time(atNs)
 
 		lpn := rec.offset / tracePageBytes
@@ -145,89 +131,41 @@ func refParseTimedTrace(name string, r io.Reader, opt TraceOptions) (*refTrace, 
 	return t, nil
 }
 
-func refSniffFormat(line string) string {
-	if strings.Count(line, ",") >= 6 {
-		return FormatMSR
-	}
-	if len(strings.Fields(line)) >= 6 {
-		return FormatFIU
-	}
-	return ""
-}
-
-func refParseRecord(format, line string, lineNo int) (refRecord, *TraceParseError) {
+func refParseRecord(line string, lineNo int) (refRecord, *TraceParseError) {
 	fail := func(kind error, detail string) (refRecord, *TraceParseError) {
-		return refRecord{}, &TraceParseError{Format: format, Line: lineNo, Detail: detail, kind: kind}
+		return refRecord{}, &TraceParseError{Line: lineNo, Detail: detail, kind: kind}
 	}
-	switch format {
-	case FormatMSR:
-		f := strings.Split(line, ",")
-		if len(f) < 7 {
-			return fail(ErrTraceRecord, fmt.Sprintf("truncated record: %d of 7 fields", len(f)))
-		}
-		ticks, err := strconv.ParseInt(strings.TrimSpace(f[0]), 10, 64)
-		if err != nil || ticks < 0 {
-			return fail(ErrTraceRecord, fmt.Sprintf("bad timestamp %q", f[0]))
-		}
-		disk, err := strconv.Atoi(strings.TrimSpace(f[2]))
-		if err != nil || disk < 0 {
-			return fail(ErrTraceRecord, fmt.Sprintf("bad disk number %q", f[2]))
-		}
-		op, ok := refParseOp(strings.TrimSpace(f[3]))
-		if !ok {
-			return fail(ErrTraceOp, fmt.Sprintf("op %q (want Read|Write)", f[3]))
-		}
-		offset, err := strconv.ParseInt(strings.TrimSpace(f[4]), 10, 64)
-		if err != nil || offset < 0 {
-			return fail(ErrTraceRecord, fmt.Sprintf("bad offset %q", f[4]))
-		}
-		size, err := strconv.ParseInt(strings.TrimSpace(f[5]), 10, 64)
-		if err != nil || size < 0 {
-			return fail(ErrTraceRecord, fmt.Sprintf("bad size %q", f[5]))
-		}
-		if size == 0 {
-			return fail(ErrTraceZeroExtent, fmt.Sprintf("zero-byte request at offset %d", offset))
-		}
-		if size > math.MaxInt64-offset {
-			return fail(ErrTraceRecord, fmt.Sprintf("extent of %d bytes at offset %d ends past 2^63", size, offset))
-		}
-		return refRecord{rawNs: ticks, nsPerUnit: 100, host: strings.TrimSpace(f[1]),
-			disk: disk, op: op, offset: offset, bytes: size}, nil
-
-	case FormatFIU:
-		f := strings.Fields(line)
-		if len(f) < 6 {
-			return fail(ErrTraceRecord, fmt.Sprintf("truncated record: %d of 6+ fields", len(f)))
-		}
-		sec, err := strconv.ParseFloat(f[0], 64)
-		if err != nil || !(sec >= 0 && sec*1e9 < math.MaxInt64) {
-			return fail(ErrTraceRecord, fmt.Sprintf("bad timestamp %q", f[0]))
-		}
-		lba, err := strconv.ParseInt(f[3], 10, 64)
-		if err != nil || lba < 0 || lba > math.MaxInt64/512 {
-			return fail(ErrTraceRecord, fmt.Sprintf("bad lba %q", f[3]))
-		}
-		blocks, err := strconv.ParseInt(f[4], 10, 64)
-		if err != nil || blocks < 0 || blocks > math.MaxInt64/512-lba {
-			return fail(ErrTraceRecord, fmt.Sprintf("bad size %q", f[4]))
-		}
-		if blocks == 0 {
-			return fail(ErrTraceZeroExtent, fmt.Sprintf("zero-block request at lba %d", lba))
-		}
-		op, ok := refParseOp(f[5])
-		if !ok {
-			return fail(ErrTraceOp, fmt.Sprintf("op %q (want R|W)", f[5]))
-		}
-		disk := 0
-		if len(f) >= 8 {
-			if minor, err := strconv.Atoi(f[7]); err == nil && minor >= 0 {
-				disk = minor
-			}
-		}
-		return refRecord{rawNs: int64(sec * 1e9), nsPerUnit: 1, host: f[2],
-			disk: disk, op: op, offset: lba * 512, bytes: blocks * 512}, nil
+	f := strings.Split(line, ",")
+	if len(f) < 7 {
+		return fail(ErrTraceRecord, fmt.Sprintf("truncated record: %d of 7 fields", len(f)))
 	}
-	return fail(ErrTraceFormat, format)
+	ticks, err := strconv.ParseInt(strings.TrimSpace(f[0]), 10, 64)
+	if err != nil || ticks < 0 {
+		return fail(ErrTraceRecord, fmt.Sprintf("bad timestamp %q", f[0]))
+	}
+	disk, err := strconv.Atoi(strings.TrimSpace(f[2]))
+	if err != nil || disk < 0 {
+		return fail(ErrTraceRecord, fmt.Sprintf("bad disk number %q", f[2]))
+	}
+	op, ok := refParseOp(strings.TrimSpace(f[3]))
+	if !ok {
+		return fail(ErrTraceOp, fmt.Sprintf("op %q (want Read|Write)", f[3]))
+	}
+	offset, err := strconv.ParseInt(strings.TrimSpace(f[4]), 10, 64)
+	if err != nil || offset < 0 {
+		return fail(ErrTraceRecord, fmt.Sprintf("bad offset %q", f[4]))
+	}
+	size, err := strconv.ParseInt(strings.TrimSpace(f[5]), 10, 64)
+	if err != nil || size < 0 {
+		return fail(ErrTraceRecord, fmt.Sprintf("bad size %q", f[5]))
+	}
+	if size == 0 {
+		return fail(ErrTraceZeroExtent, fmt.Sprintf("zero-byte request at offset %d", offset))
+	}
+	if size > math.MaxInt64-offset {
+		return fail(ErrTraceRecord, fmt.Sprintf("extent of %d bytes at offset %d ends past 2^63", size, offset))
+	}
+	return refRecord{ticks: ticks, host: strings.TrimSpace(f[1]), disk: disk, op: op, offset: offset, bytes: size}, nil
 }
 
 func refParseOp(s string) (Op, bool) {
