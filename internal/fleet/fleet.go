@@ -109,10 +109,6 @@ type Config struct {
 	// it never schedules events, so the replay is bit-identical with it
 	// on or off.
 	SampleIntervalNs int64
-	// Live, when non-nil, receives each shard's latest sample as it is
-	// taken, for a concurrent /metrics scrape of a run in flight. The
-	// live view never enters the deterministic report or series.
-	Live *LiveView
 }
 
 const (

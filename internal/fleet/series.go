@@ -6,17 +6,13 @@ package fleet
 // device's, and hands one telemetry.Sample per interval of its private
 // sim clock to its sink. The per-shard streams merge — in fixed shard
 // order, interval-indexed, with carry-forward for shards that quiesce
-// early — into one deterministic fleet series. A LiveView also
-// publishes each shard's latest sample lock-free, so a /metrics scrape
-// can watch a run in flight without perturbing it.
+// early — into one deterministic fleet series.
 
 import (
 	"bufio"
 	"encoding/json"
 	"io"
 	"maps"
-	"strconv"
-	"sync/atomic"
 
 	"cubeftl/internal/cache"
 	"cubeftl/internal/metrics"
@@ -64,12 +60,10 @@ type Row struct {
 }
 
 // shardSampler keeps one shard's samples. It lives on the shard's
-// goroutine; only the LiveView publication crosses goroutines, as an
-// atomic store of a sample nothing writes again.
+// goroutine.
 type shardSampler struct {
 	*telemetry.Sampler // Close takes the tail sample
 	id                 int
-	live               *LiveView
 	samples            []Sample
 
 	winRead  *metrics.Hist
@@ -81,7 +75,7 @@ type shardSampler struct {
 // now, the erase-count spread wear leveling narrows, and its latency
 // windows — and samples every Config.SampleIntervalNs.
 func (r *shardRunner) startSampler(hub *telemetry.Hub) {
-	sm := &shardSampler{id: r.spec.id, live: r.cfg.Live, winRead: metrics.NewHist(0), winWrite: metrics.NewHist(0)}
+	sm := &shardSampler{id: r.spec.id, winRead: metrics.NewHist(0), winWrite: metrics.NewHist(0)}
 	reg := hub.Registry()
 	reg.MustRegisterStruct("", &r.stats, nil)
 	cs := new(cache.Stats)
@@ -115,11 +109,10 @@ func (sm *shardSampler) observe(write bool, latNs int64) {
 	}
 }
 
-// take is the shard's sink: it keeps the sample, publishes it, and
-// opens the next window.
+// take is the shard's sink: it keeps the sample and opens the next
+// window.
 func (sm *shardSampler) take(s telemetry.Sample) error {
 	sm.samples = append(sm.samples, Sample{Shard: sm.id, Sample: s})
-	sm.live.publish(&sm.samples[len(sm.samples)-1])
 	sm.winRead.Reset()
 	sm.winWrite.Reset()
 	return nil
@@ -168,49 +161,4 @@ func (r *Result) SeriesJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// LiveView publishes each shard's most recent sample for concurrent
-// readers (the /metrics endpoint) while a fleet run is in flight.
-// Writers store immutable sample pointers; readers never block a
-// shard. The live view is an observation channel only — it does not
-// participate in the deterministic merged series.
-type LiveView struct {
-	latest []atomic.Pointer[Sample]
-}
-
-// NewLiveView sizes the view for a fleet of the given shard count.
-func NewLiveView(shards int) *LiveView {
-	return &LiveView{latest: make([]atomic.Pointer[Sample], shards)}
-}
-
-func (v *LiveView) publish(s *Sample) {
-	if v == nil || s.Shard >= len(v.latest) {
-		return
-	}
-	v.latest[s.Shard].Store(s)
-}
-
-// Snapshot returns the latest sample from every shard that has taken
-// one, in shard order.
-func (v *LiveView) Snapshot() []Sample {
-	var out []Sample
-	for i := range v.latest {
-		if s := v.latest[i].Load(); s != nil {
-			out = append(out, *s)
-		}
-	}
-	return out
-}
-
-// WriteMetrics renders the live fleet view in Prometheus text
-// exposition: every shard's latest registry snapshot, each sample
-// labelled shard="i" — the families a single device serves, one series
-// per shard. A fleet total is a sum by over them.
-func (v *LiveView) WriteMetrics(w io.Writer) error {
-	var fams []telemetry.PromFamily
-	for _, s := range v.Snapshot() {
-		fams = append(fams, telemetry.SnapshotFamilies(s.Metrics, telemetry.PromLabel{K: "shard", V: strconv.Itoa(s.Shard)})...)
-	}
-	return telemetry.WriteProm(w, fams)
 }

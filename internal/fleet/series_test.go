@@ -2,15 +2,13 @@ package fleet
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"cubeftl/internal/telemetry"
 )
 
 // The merged fleet series must be byte-stable for a fixed seed+trace
-// regardless of goroutine scheduling, and attaching a live view (the
-// concurrent /metrics reader path) must not change a single byte.
+// regardless of goroutine scheduling.
 func TestFleetSeriesDeterministic(t *testing.T) {
 	tr := synthTrace(1500)
 	cfg := smallConfig()
@@ -18,12 +16,8 @@ func TestFleetSeriesDeterministic(t *testing.T) {
 
 	var first []byte
 	var hash uint64
-	for i := 0; i < 3; i++ {
-		c := cfg
-		if i == 2 {
-			c.Live = NewLiveView(c.Shards)
-		}
-		res, err := Run(c, tr)
+	for i := 0; i < 2; i++ {
+		res, err := Run(cfg, tr)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -45,13 +39,13 @@ func TestFleetSeriesDeterministic(t *testing.T) {
 				t.Errorf("final series row completed=%v, result requests=%d",
 					completed, res.Requests)
 			}
-			if len(last.Shards) != c.Shards {
-				t.Errorf("final row carries %d shards, want %d", len(last.Shards), c.Shards)
+			if len(last.Shards) != cfg.Shards {
+				t.Errorf("final row carries %d shards, want %d", len(last.Shards), cfg.Shards)
 			}
 			continue
 		}
 		if !bytes.Equal(first, buf.Bytes()) {
-			t.Errorf("run %d: series JSONL differs (live view attached: %v)", i, c.Live != nil)
+			t.Errorf("run %d: series JSONL differs", i)
 		}
 		if res.TraceHash != hash {
 			t.Errorf("run %d: trace hash %016x != %016x", i, res.TraceHash, hash)
@@ -117,41 +111,5 @@ func TestFleetSeriesCarryForward(t *testing.T) {
 	}
 	if got := series[0].Shards[0].Metrics.Hists[windowRead].P99; got != 700 {
 		t.Errorf("row 0 shard 0 window p99 = %d", got)
-	}
-}
-
-// The live view renders the latest per-shard samples as valid
-// exposition, every registry family labelled with the shard.
-func TestLiveViewMetrics(t *testing.T) {
-	v := NewLiveView(2)
-	s0, s1 := sample(0, 100, 40, 12, 800), sample(1, 90, 20, 6, 1500)
-	v.publish(&s0)
-	v.publish(&s1)
-
-	var buf bytes.Buffer
-	if err := v.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	body := buf.String()
-	for _, want := range []string{
-		`cube_fleet_completed{shard="0"} 40`,
-		`cube_fleet_completed{shard="1"} 20`,
-		`cube_fleet_window_read_ns{shard="1",quantile="0.99"} 1500`,
-		`cube_fleet_window_read_ns_count{shard="0"} 12`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("live metrics missing %q", want)
-		}
-	}
-	if n := strings.Count(body, "# TYPE cube_fleet_completed gauge"); n != 1 {
-		t.Errorf("cube_fleet_completed declared %d times, want once for both shards", n)
-	}
-
-	// Re-publishing shard 0 replaces its row.
-	s0 = sample(0, 200, 80, 0, 0)
-	v.publish(&s0)
-	snap := v.Snapshot()
-	if len(snap) != 2 || snap[0].Metrics.Gauges["fleet/completed"] != 80 {
-		t.Errorf("snapshot after republish: %+v", snap)
 	}
 }

@@ -1,13 +1,12 @@
 package telemetry
 
-// ObsServer is the stdlib-only observability endpoint shared by
-// cubeserved and cubefleet: /metrics in Prometheus text exposition
-// format, /healthz (process liveness) and /readyz (able to serve).
-// The handlers are plain callbacks so each binary decides what
-// "metrics" and "ready" mean; the server owns only the listener
-// plumbing. Scrapes run on HTTP goroutines — callbacks must do their
-// own synchronization (the server funnels through its core goroutine,
-// the fleet publishes atomic snapshots).
+// ObsServer is cubeserved's stdlib-only observability endpoint:
+// /metrics in Prometheus text exposition format, /healthz (process
+// liveness) and /readyz (able to serve). The handlers are plain
+// callbacks so the caller decides what "metrics" and "ready" mean; the
+// server owns only the listener plumbing. Scrapes run on HTTP
+// goroutines — callbacks must do their own synchronization (the block
+// service funnels through its core goroutine).
 
 import (
 	"bytes"
