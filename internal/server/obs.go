@@ -245,7 +245,7 @@ func (s *Server) collectFamilies() []telemetry.PromFamily {
 	// ORT counters, GC/fault gauges — everything the device's ledgers
 	// declare.
 	if hub := s.dev.Telemetry(); hub != nil {
-		fams = append(fams, telemetry.SnapshotFamilies(hub.Registry().Snapshot())...)
+		fams = append(fams, hub.Registry().Families()...)
 	}
 	return fams
 }

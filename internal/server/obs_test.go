@@ -74,7 +74,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`cube_tenant_weight{tenant="lat"} 4`,
 		`cube_tenant_slo_target_ns{tenant="lat"} 2000000`,
 		"cube_slo_enabled 1",
-		"# TYPE cube_ftl_waf_host_bytes gauge",
+		"# TYPE cube_ftl_waf_host_bytes counter",
 		"cube_ftl_waf_gc_bytes",
 		"cube_ftl_waf_refresh_bytes",
 		"cube_ftl_waf_wl_bytes",
