@@ -173,8 +173,7 @@ func ExampleSSD_EnableTelemetry() {
 	fmt.Println(dev.BreakdownTable())
 
 	snap := dev.Telemetry().Registry().Snapshot()
-	fmt.Printf("registry: %d counters, %d gauges, %d histograms\n",
-		len(snap.Counters), len(snap.Gauges), len(snap.Hists))
+	fmt.Printf("registry: %d gauges, %d histograms\n", len(snap.Gauges), len(snap.Hists))
 	fmt.Printf("ftl/write_amp = %.3f\n", snap.Gauges["ftl/write_amp"])
 	// Output:
 	// Mixed: 2000 requests, 12470 IOPS, read p99 2.228224ms
@@ -197,6 +196,6 @@ func ExampleSSD_EnableTelemetry() {
 	//     p99  4.53ms = 100% admit
 	//     mean 100% admit
 	//
-	// registry: 4 counters, 33 gauges, 4 histograms
+	// registry: 37 gauges, 4 histograms
 	// ftl/write_amp = 0.844
 }

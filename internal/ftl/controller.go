@@ -171,6 +171,14 @@ type Stats struct {
 	// die's resources when the die degraded and were refused at grant
 	// time (their data returns to the buffer for surviving dies).
 	FencedPrograms int64 `metric:"ftl/fenced_programs gauge queued programs refused when their die degraded"`
+	// Requeues, by cause: a host flush group sent back to the write
+	// buffer because its die was fenced, its program failed, or its die
+	// could place no word line, and a word line (host group or
+	// relocation batch) rewritten after a reprogram verdict.
+	RequeueFenced      int64 `metric:"ftl/requeue/fenced_total counter host flush groups returned to the buffer when their die was fenced"`
+	RequeueProgramFail int64 `metric:"ftl/requeue/program_fail_total counter host flush groups returned to the buffer after a program failure"`
+	RequeueReprogram   int64 `metric:"ftl/requeue/reprogram_total counter word lines rewritten after a reprogram verdict"`
+	RequeueAllocFail   int64 `metric:"ftl/requeue/alloc_fail_total counter host flush groups returned to the buffer when their die could place no word line"`
 }
 
 // MeanTPROGNs returns the average NAND program latency of the run.
@@ -242,11 +250,7 @@ type Controller struct {
 	stats         Stats
 
 	// Telemetry (nil when disabled — every hook guards).
-	hub       *telemetry.Hub
-	reqFenced *telemetry.Counter
-	reqFail   *telemetry.Counter
-	reqReprog *telemetry.Counter
-	reqAlloc  *telemetry.Counter
+	hub *telemetry.Hub
 }
 
 // die is the controller's state for one die.
@@ -406,7 +410,6 @@ func (c *Controller) SetTelemetry(hub *telemetry.Hub) {
 		for i := range c.dies {
 			c.dies[i].progHist = nil
 		}
-		c.reqFenced, c.reqFail, c.reqReprog, c.reqAlloc = nil, nil, nil, nil
 		return
 	}
 	hub.SetDeviceSource(c)
@@ -437,10 +440,6 @@ func (c *Controller) SetTelemetry(hub *telemetry.Hub) {
 	// in place, so the getters always return the same two.
 	reg.RegisterHist("ftl/read_ns", func() *metrics.Hist { return c.stats.ReadLat })
 	reg.RegisterHist("ftl/write_ns", func() *metrics.Hist { return c.stats.WriteLat })
-	c.reqFenced = reg.MustCounter("ftl/requeue/fenced")
-	c.reqFail = reg.MustCounter("ftl/requeue/program_fail")
-	c.reqReprog = reg.MustCounter("ftl/requeue/reprogram")
-	c.reqAlloc = reg.MustCounter("ftl/requeue/alloc_fail")
 }
 
 // TelemetryHub returns the attached hub, or nil. The host front end
@@ -471,13 +470,11 @@ func (c *Controller) instant(die int, name string) {
 	}
 }
 
-// requeueInstant records one flush-group requeue in the trace (an
-// instant on the die's FTL track) and the matching registry counter.
-func (c *Controller) requeueInstant(die int, name string, counter *telemetry.Counter) {
+// requeue counts one requeue in its ledger row and records it in the
+// trace, an instant on the die's FTL track.
+func (c *Controller) requeue(die int, name string, count *int64) {
+	*count++
 	c.instant(die, name)
-	if counter != nil {
-		counter.Inc(1)
-	}
 }
 
 // Mapper exposes translation state (tests and experiments).

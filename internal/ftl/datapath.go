@@ -265,7 +265,7 @@ func (c *Controller) flushTo(chip int, f *flushOp) {
 	if err != nil {
 		// The die cannot place the group: return the data to the
 		// buffer for another die (or a later retry) and reassess.
-		c.requeueInstant(chip, "requeue_alloc_fail", c.reqAlloc)
+		c.requeue(chip, "requeue_alloc_fail", &c.stats.RequeueAllocFail)
 		c.buf.Requeue(f.group)
 		f.release()
 		c.settle(chip)

@@ -53,6 +53,10 @@ func TestProgramFailureRecovery(t *testing.T) {
 	if st.ProgramFailures != 1 {
 		t.Errorf("ProgramFailures = %d, want 1", st.ProgramFailures)
 	}
+	// The requeue counts with no telemetry attached.
+	if st.RequeueProgramFail != 1 {
+		t.Errorf("RequeueProgramFail = %d, want 1", st.RequeueProgramFail)
+	}
 	if st.RetiredBlocks != 1 {
 		t.Errorf("RetiredBlocks = %d, want 1", st.RetiredBlocks)
 	}
@@ -371,6 +375,14 @@ func TestDegradedFenceFailsQueuedPrograms(t *testing.T) {
 	st := c.Stats()
 	if st.FencedPrograms != 1 {
 		t.Fatalf("FencedPrograms = %d, want 1", st.FencedPrograms)
+	}
+	// The requeue counts with no telemetry attached, and ResetStats
+	// zeroes it with the rest of the window.
+	if st.RequeueFenced != 1 {
+		t.Errorf("RequeueFenced = %d, want 1", st.RequeueFenced)
+	}
+	if c.ResetStats(); c.Stats().RequeueFenced != 0 {
+		t.Errorf("RequeueFenced = %d after ResetStats, want 0", c.Stats().RequeueFenced)
 	}
 	if !c.DieDegraded(1) || c.DieDegraded(0) {
 		t.Errorf("die degraded flags = [%v %v], want [false true]",

@@ -239,7 +239,7 @@ func (f *flushOp) programDone(res *nand.ProgramResult, err error) {
 		// rejection is accounted instead of silently lost).
 		c.stats.FencedPrograms++
 		c.programEnded(chip, cursor)
-		c.requeueInstant(chip, "requeue_fenced", c.reqFenced)
+		c.requeue(chip, "requeue_fenced", &c.stats.RequeueFenced)
 		c.buf.Requeue(group)
 		f.release()
 		c.maybeFlush()
@@ -251,7 +251,7 @@ func (f *flushOp) programDone(res *nand.ProgramResult, err error) {
 		// failed block.
 		c.stats.ProgramFailures++
 		c.programEnded(chip, cursor)
-		c.requeueInstant(chip, "requeue_program_fail", c.reqFail)
+		c.requeue(chip, "requeue_program_fail", &c.stats.RequeueProgramFail)
 		c.buf.Requeue(group)
 		f.release()
 		c.retireActive(chip, block)
@@ -273,7 +273,7 @@ func (f *flushOp) programDone(res *nand.ProgramResult, err error) {
 		// §4.1.4: the word line is suspect — leave it unmapped (its pages
 		// are garbage) and rewrite the data at the next allocation.
 		c.stats.Reprograms++
-		c.requeueInstant(chip, "requeue_reprogram", c.reqReprog)
+		c.requeue(chip, "requeue_reprogram", &c.stats.RequeueReprogram)
 		c.buf.Requeue(group)
 		f.release()
 	} else {

@@ -410,7 +410,7 @@ func (g *relocOp) programDone(res *nand.ProgramResult, err error) {
 	c.programEnded(chip, cursor)
 	if verdict == VerdictReprogram {
 		c.stats.Reprograms++
-		c.requeueInstant(chip, "requeue_reprogram", c.reqReprog)
+		c.requeue(chip, "requeue_reprogram", &c.stats.RequeueReprogram)
 		c.retireIfFull(chip, g.block)
 		// Retry the same batch on the next word line.
 		g.write()

@@ -79,8 +79,8 @@ func TestFencedRequeueSingleCompletionTelemetry(t *testing.T) {
 	}
 	// The requeue surfaced in the registry and as page-level buffer
 	// accounting: the whole fenced word-line group bounced once.
-	if got := hub.Registry().Snapshot().Counters["ftl/requeue/fenced"]; got != st.FencedPrograms {
-		t.Errorf("ftl/requeue/fenced = %d, want %d", got, st.FencedPrograms)
+	if got := hub.Registry().Snapshot().Gauges["ftl/requeue/fenced_total"]; got != float64(st.FencedPrograms) {
+		t.Errorf("ftl/requeue/fenced_total = %v, want %d", got, st.FencedPrograms)
 	}
 	if got := c.buf.requeueEvents; got != int64(vth.PagesPerWL) {
 		t.Errorf("buffer requeueEvents = %d, want %d", got, vth.PagesPerWL)

@@ -10,43 +10,46 @@ import (
 
 func TestRegistryDuplicateNameRejected(t *testing.T) {
 	r := NewRegistry()
-	if _, err := r.Counter("a/b"); err != nil {
-		t.Fatalf("first Counter: %v", err)
+	if err := r.RegisterGauge("a/b", func() float64 { return 0 }); err != nil {
+		t.Fatalf("first Gauge: %v", err)
 	}
-	if _, err := r.Counter("a/b"); !errors.Is(err, ErrDuplicateName) {
-		t.Errorf("duplicate Counter err = %v, want ErrDuplicateName", err)
+	if err := r.RegisterGauge("a/b", func() float64 { return 0 }); !errors.Is(err, ErrDuplicateName) {
+		t.Errorf("duplicate Gauge err = %v, want ErrDuplicateName", err)
 	}
 	// Collisions across metric kinds are rejected too.
 	if err := r.RegisterHist("a/b", func() *metrics.Hist { return nil }); !errors.Is(err, ErrDuplicateName) {
-		t.Errorf("Hist over Counter err = %v, want ErrDuplicateName", err)
-	}
-	if err := r.RegisterGauge("a/b", func() float64 { return 0 }); !errors.Is(err, ErrDuplicateName) {
-		t.Errorf("Gauge over Counter err = %v, want ErrDuplicateName", err)
-	}
-	if err := r.RegisterGauge("a/c", func() float64 { return 1 }); err != nil {
-		t.Fatalf("fresh Gauge: %v", err)
-	}
-	if err := r.RegisterHist("a/c", func() *metrics.Hist { return nil }); !errors.Is(err, ErrDuplicateName) {
 		t.Errorf("Hist over Gauge err = %v, want ErrDuplicateName", err)
+	}
+	if err := r.RegisterHist("a/c", func() *metrics.Hist { return nil }); err != nil {
+		t.Fatalf("fresh Hist: %v", err)
+	}
+	if err := r.RegisterGauge("a/c", func() float64 { return 1 }); !errors.Is(err, ErrDuplicateName) {
+		t.Errorf("Gauge over Hist err = %v, want ErrDuplicateName", err)
 	}
 }
 
-func TestRegistryMustCounterPanicsOnDuplicate(t *testing.T) {
+func TestRegistryMustRegisterStructPanicsOnDuplicate(t *testing.T) {
 	r := NewRegistry()
-	r.MustCounter("x")
+	ledger := struct {
+		X int64 `metric:"x counter a ledger row"`
+	}{}
+	r.MustRegisterStruct("", &ledger, nil)
 	defer func() {
 		if recover() == nil {
-			t.Error("MustCounter on duplicate did not panic")
+			t.Error("MustRegisterStruct on duplicate did not panic")
 		}
 	}()
-	r.MustCounter("x")
+	r.MustRegisterStruct("", &ledger, nil)
 }
 
 // A snapshot must be fully detached: mutations after the snapshot do
 // not leak into it.
 func TestSnapshotIsolation(t *testing.T) {
 	r := NewRegistry()
-	c := r.MustCounter("ops")
+	ledger := struct {
+		Ops int64 `metric:"ops counter operations"`
+	}{}
+	r.MustRegisterStruct("", &ledger, nil)
 	v := 3.0
 	if err := r.RegisterGauge("util", func() float64 { return v }); err != nil {
 		t.Fatal(err)
@@ -57,14 +60,14 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.Inc(10)
+	ledger.Ops = 10
 	snap := r.Snapshot()
-	c.Inc(90)
+	ledger.Ops = 100
 	v = 7
 	h.Add(900)
 
-	if got := snap.Counters["ops"]; got != 10 {
-		t.Errorf("snapshot counter = %d, want 10", got)
+	if got := snap.Gauges["ops"]; got != 10 {
+		t.Errorf("snapshot ledger row = %v, want 10", got)
 	}
 	if got := snap.Gauges["util"]; got != 3 {
 		t.Errorf("snapshot gauge = %v, want 3", got)
@@ -72,14 +75,13 @@ func TestSnapshotIsolation(t *testing.T) {
 	if got := snap.Hists["lat"].N; got != 1 {
 		t.Errorf("snapshot hist n = %d, want 1", got)
 	}
-	if got := r.Snapshot().Counters["ops"]; got != 100 {
-		t.Errorf("live counter = %d, want 100", got)
+	if got := r.Snapshot().Gauges["ops"]; got != 100 {
+		t.Errorf("live ledger row = %v, want 100", got)
 	}
 }
 
-// Snapshots remain consistent while other goroutines register and Inc
-// counters concurrently (run with -race: Counter updates are atomic and
-// the catalog is lock-protected).
+// Snapshots remain consistent while other goroutines register gauges
+// concurrently (run with -race: the catalog is lock-protected).
 func TestRegistryConcurrentAddAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -87,23 +89,22 @@ func TestRegistryConcurrentAddAndSnapshot(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := r.MustCounter("g/" + string(rune('a'+g)))
-			for i := 0; i < 200; i++ {
-				c.Inc(1)
-				if i%50 == 0 {
-					_ = r.Snapshot()
-				}
+			if err := r.RegisterGauge("g/"+string(rune('a'+g)), func() float64 { return 200 }); err != nil {
+				t.Error(err)
+			}
+			for i := 0; i < 4; i++ {
+				_ = r.Snapshot()
 			}
 		}(g)
 	}
 	wg.Wait()
 	snap := r.Snapshot()
-	if got := len(snap.Counters); got != 8 {
-		t.Fatalf("snapshot counters = %d, want 8", got)
+	if got := len(snap.Gauges); got != 8 {
+		t.Fatalf("snapshot gauges = %d, want 8", got)
 	}
-	for name, v := range snap.Counters {
+	for name, v := range snap.Gauges {
 		if v != 200 {
-			t.Errorf("counter %s = %d, want 200", name, v)
+			t.Errorf("gauge %s = %v, want 200", name, v)
 		}
 	}
 }

@@ -85,7 +85,10 @@ func TestSamplerEmitsPerInterval(t *testing.T) {
 	h := NewHub(eng, 1)
 	h.SetTenantSource(fakeTenants{})
 	h.SetDeviceSource(fakeDies{})
-	h.Registry().MustCounter("x").Inc(3)
+	ledger := struct {
+		X int64 `metric:"x counter a ledger row"`
+	}{X: 3}
+	h.Registry().MustRegisterStruct("", &ledger, nil)
 
 	var buf bytes.Buffer
 	jsonl := NewJSONL(&buf)
@@ -113,7 +116,7 @@ func TestSamplerEmitsPerInterval(t *testing.T) {
 			} `json:"tenants"`
 			Dies    []json.RawMessage `json:"dies"`
 			Metrics struct {
-				Counters map[string]int64 `json:"counters"`
+				Gauges map[string]float64 `json:"gauges"`
 			} `json:"metrics"`
 		}
 		if err := json.Unmarshal(line, &smp); err != nil {
@@ -128,8 +131,8 @@ func TestSamplerEmitsPerInterval(t *testing.T) {
 		if len(smp.Dies) != 1 {
 			t.Errorf("line %d dies = %d", i, len(smp.Dies))
 		}
-		if smp.Metrics.Counters["x"] != 3 {
-			t.Errorf("line %d counter x = %d", i, smp.Metrics.Counters["x"])
+		if smp.Metrics.Gauges["x"] != 3 {
+			t.Errorf("line %d ledger row x = %v", i, smp.Metrics.Gauges["x"])
 		}
 	}
 	if h.QueueNames()[0] != "db" {
