@@ -8,6 +8,7 @@ import (
 
 	"cubeftl"
 	"cubeftl/internal/host"
+	"cubeftl/internal/lifetime"
 )
 
 // powercutMode is how -powercut picks the cut instant.
@@ -53,8 +54,9 @@ const maxAgeMonths = 1200
 
 // parseAge parses the -age spec into simulated retention months: empty
 // (no aging), a count of years ("3y", "2.5y"), a count of months
-// ("18mo"), or a Go duration ("4380h") converted at 730h per month. The
-// age must be positive and at most 100 years.
+// ("18mo"), or a Go duration ("4380h") converted by
+// lifetime.DurationMonths. The age must be positive and at most 100
+// years.
 func parseAge(spec string) (float64, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -79,7 +81,7 @@ func parseAge(spec string) (float64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("cubesim: -age: %q is not a year count (\"3y\"), month count (\"18mo\"), or duration: %v", spec, err)
 		}
-		months = d.Hours() / 730
+		months = lifetime.DurationMonths(d)
 	}
 	if !(months > 0 && months <= maxAgeMonths) { // NaN and +Inf fail too
 		return 0, fmt.Errorf("cubesim: -age must be positive and at most 100y, got %q", spec)

@@ -8,11 +8,7 @@ package cubeftl
 // -block retention clocks, wear, grown bad blocks) lives in the NAND
 // array, which is the durable medium.
 
-import (
-	"time"
-
-	"cubeftl/internal/lifetime"
-)
+import "cubeftl/internal/lifetime"
 
 // AgeReport summarizes one aging fast-forward: Months applied in this
 // hop, PEAdded across all blocks, BadBlocksGrown the controller accepted,
@@ -22,7 +18,7 @@ import (
 // Options.Refresh).
 type AgeReport = lifetime.Report
 
-// Age fast-forwards the device by a wall-clock duration of simulated
+// AgeMonths fast-forwards the device by months of simulated
 // shelf/service life: per-block P/E wear accumulates at the lifetime
 // package's configured rate, retention clocks of blocks holding data
 // advance, bad blocks grow, and retry-table entries keyed to outgrown
@@ -30,13 +26,8 @@ type AgeReport = lifetime.Report
 // queues every block the refresh policy flags, and the simulation runs
 // until the resulting relocations (and a checkpoint, when recovery is
 // on) complete. Note Options.RetentionMonths pins an override that
-// takes precedence over the per-block clocks; combine Age with
-// Options.PECycles for pre-wear, not with pinned retention.
-func (s *SSD) Age(d time.Duration) AgeReport {
-	return s.AgeMonths(lifetime.DurationMonths(d))
-}
-
-// AgeMonths is Age with the device's native retention unit. A device
+// takes precedence over the per-block clocks; combine AgeMonths with
+// Options.PECycles for pre-wear, not with pinned retention. A device
 // without power does not age: the zero report.
 func (s *SSD) AgeMonths(months float64) AgeReport {
 	if s.st.Up() != nil {
