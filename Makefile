@@ -50,9 +50,9 @@ race-core:
 # came from, torn exactly when bytes remain), and the OOB record parser
 # (a record it accepts re-encodes to the same bytes); the per-page index
 # against a Go map on any sequence of Put / Delete / Get; the block
-# trace parser on any bytes, MSR / FIU / sniffed, strict and tolerant,
-# against the string parser it replaced (the same error — sentinel,
-# format, line — or the same records, sources and counts; and a trace
+# trace parser on any bytes, strict and tolerant, against the string
+# parser it replaced (the same error — sentinel, line, detail — or the
+# same records, sources and counts; and a trace
 # whose arrivals start at 0 and never go back, with every extent at
 # least one page at a non-negative LPN);
 # cubesim's -age decoder (an error naming -age, or a positive age of at
@@ -224,8 +224,8 @@ one-index:
 	fi
 	@echo "one-index: PASS"
 
-# One trace grammar, one replay path: a recorded trace is MSR / FIU
-# (workload.ParseTimedTrace), and every replay of one — a fleet shard's
+# One trace grammar, one replay path: a recorded trace is MSR-Cambridge
+# CSV (workload.ParseTimedTrace), and every replay of one — a fleet shard's
 # or a single device's (SSD.ReplayTrace) — is internal/fleet's
 # open-loop replayer. Fails if a non-test .go file outside internal/sim
 # and internal/fleet feeds the engine an arrival stream (.Feed(), or if
@@ -236,7 +236,7 @@ one-trace:
 			| grep -v -e '^\./internal/sim/' -e '^\./internal/fleet/'; \
 		grep -rnw --include='*.go' --exclude='*_test.go' -E 'ParseTrace|WriteTrace|ToTrace|RunTrace' .); \
 	if [ -n "$$bad" ]; then \
-		echo "one-trace: traces are MSR / FIU, replayed by internal/fleet's open-loop replayer only:"; echo "$$bad"; exit 1; \
+		echo "one-trace: traces are MSR, replayed by internal/fleet's open-loop replayer only:"; echo "$$bad"; exit 1; \
 	fi
 	@echo "one-trace: PASS"
 
@@ -250,8 +250,9 @@ one-trace:
 # in what was served and have to spell it — if one of the
 # copying helpers is back: metrics.CounterSet, Stats.FaultCounters, a
 # map[string]*int64 of metric names; or if a non-test file in
-# internal/fleet builds a telemetry.PromFamily literal (a fleet exports
-# its shards' registries, labelled shard, and nothing listed by hand).
+# internal/fleet builds a telemetry.PromFamily literal (a fleet serves
+# no /metrics; its shards' numbers leave in the -stats-out series, and
+# nothing is listed by hand).
 one-ledger:
 	@bad=$$(grep -rnoE --include='*.go' --exclude='*_test.go' \
 			'"(cube_|ftl/|nand/|faults/|cube/)[A-Za-z0-9_/%]+' *.go internal \
@@ -267,7 +268,7 @@ one-ledger:
 	fi
 	@bad=$$(grep -rn --include='*.go' --exclude='*_test.go' -F 'PromFamily{' internal/fleet); \
 	if [ -n "$$bad" ]; then \
-		echo "one-ledger: a fleet exports its shards' registries (telemetry.SnapshotFamilies), not families built by hand:"; echo "$$bad"; exit 1; \
+		echo "one-ledger: a fleet's numbers leave through its shards' registries, not families built by hand:"; echo "$$bad"; exit 1; \
 	fi
 	@echo "one-ledger: PASS"
 
