@@ -99,17 +99,20 @@ powercut-sweep:
 bench:
 	$(GO) run ./bench
 
-# Three workloads at a fifth of the usual length: keeps the harness
+# Four workloads at a fifth of the usual length: keeps the harness
 # building and its correctness checks running in tier 1 — digest
 # equality across repetitions and zero failed operations on the
 # simulated ones (lifetime-3y adds the 36-month age jump, refresh and
-# wear leveling, and its verify leg's data check); on the served one
-# the audit that every acked write Stats as mapped, then Restart() with
-# verification. The numbers of a run this short mean nothing.
+# wear leveling, and its verify leg's data check; fleet-replay the
+# trace parser, the 2Q write-back cache and the fleet merge); on the
+# served one the audit that every acked write Stats as mapped, then
+# Restart() with verification. The numbers of a run this short mean
+# nothing.
 bench-smoke:
 	$(GO) run ./bench -workload mixed-fresh -seconds 1
 	$(GO) run ./bench -workload lifetime-3y -seconds 1
 	$(GO) run ./bench -workload served-loopback -seconds 1
+	$(GO) run ./bench -workload fleet-replay -seconds 1
 
 # Multi-die scaling gate: fails if a 2x4 backend delivers less than
 # 1.5x the single-die Mixed IOPS (or if same-seed replay diverges).
@@ -282,7 +285,7 @@ one-ledger:
 # several goroutines and merges the blocks.
 FLEET_SMOKE = -trace internal/workload/testdata/msr_sample.csv \
 	-shards 8 -tenants 1024 -blocks 8 -channels 1 -dies 2 \
-	-cache-pages 1024 -cache-policy 2q -cache-mode back -compress 20
+	-cache-pages 1024 -compress 20
 fleet-smoke:
 	@set -e; \
 	serial=$$(GOMAXPROCS=1 $(GO) run ./cmd/cubefleet $(FLEET_SMOKE)); \
@@ -298,7 +301,7 @@ fleet-demo:
 	$(GO) run ./cmd/cubefleet -trace internal/workload/testdata/msr_sample.csv \
 		-shards 8 -tenants 2048 -placement capacity -capacity-jitter 0.25 \
 		-blocks 12 -channels 1 -dies 2 -repeat 4 \
-		-cache-pages 2048 -cache-policy 2q -cache-mode back -compress 20
+		-cache-pages 2048 -compress 20
 
 # Chaos trace demo: kill die 3 mid-run and capture the full observability
 # bundle — Chrome trace (open in https://ui.perfetto.dev), stats JSONL,

@@ -7,7 +7,7 @@
 //
 //	cubefleet -trace internal/workload/testdata/msr_sample.csv
 //	cubefleet -trace t.csv -shards 8 -tenants 2048 -placement capacity \
-//	          -cache-pages 4096 -cache-policy 2q -cache-mode back -repeat 8
+//	          -cache-pages 4096 -repeat 8
 //	cubefleet -trace t.csv -single          # one device, the same open-loop replay
 //
 // The fleet report on stdout is deterministic: a fixed -seed and trace
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"cubeftl"
-	"cubeftl/internal/cache"
 	"cubeftl/internal/obs"
 )
 
@@ -35,11 +34,10 @@ type config struct {
 	// dev is one shard's device as -ftl -blocks -channels -dies -seed -pe
 	// -retention describe it: what -single builds, and what the fleet
 	// derives every shard from.
-	dev       cubeftl.Options
-	fleet     cubeftl.FleetOptions
-	cacheMode string
-	stats     obs.StatsConfig
-	profile   obs.ProfileConfig
+	dev     cubeftl.Options
+	fleet   cubeftl.FleetOptions
+	stats   obs.StatsConfig
+	profile obs.ProfileConfig
 }
 
 // bind declares cubefleet's flags on fs.
@@ -57,37 +55,29 @@ func (c *config) bind(fs *flag.FlagSet) {
 	f := &c.fleet
 	fs.IntVar(&f.Shards, "shards", 4, "independent simulated SSDs")
 	fs.IntVar(&f.Tenants, "tenants", 1024, "logical tenants across the fleet")
-	fs.StringVar(&f.Placement, "placement", "hash", "tenant placement: hash, range, capacity")
+	fs.StringVar(&f.Placement, "placement", "hash", "tenant placement: hash, capacity")
 	fs.Float64Var(&f.CapacityJitter, "capacity-jitter", 0, "per-shard capacity variation fraction (pairs with -placement capacity)")
 	fs.Float64Var(&f.AgeJitter, "age-jitter", 0, "per-shard P/E variation fraction")
 
 	fs.IntVar(&f.QueuesPerShard, "queues", 8, "host queue pairs per shard")
 	fs.IntVar(&f.QueueDepth, "qd", 32, "per-queue depth")
 
-	fs.IntVar(&f.Cache.SizePages, "cache-pages", 0, "per-shard host DRAM cache size in 16 KiB pages (0 = off)")
-	fs.StringVar(&f.Cache.Policy, "cache-policy", "lru", "cache replacement: lru, 2q")
-	fs.StringVar(&c.cacheMode, "cache-mode", "through", "cache write discipline: through, back")
+	fs.IntVar(&f.Cache.SizePages, "cache-pages", 0, "per-shard host DRAM cache size in 16 KiB pages, 2Q write-back (0 = off)")
 	fs.Int64Var(&f.PrefillPages, "prefill", 0, "sequentially map the first N pages of each shard before replay")
 	fs.IntVar(&f.Repeat, "repeat", 1, "replay the trace N times back to back")
-	fs.IntVar(&f.MaxRequests, "fleet-max-requests", 0, "cap total fleet requests after repeat expansion (0 = all)")
 
 	c.stats.RegisterFlags(fs)
 	c.profile.RegisterFlags(fs)
 }
 
-// finish resolves what the parsed flags imply: the typed cache mode,
-// the device half of the fleet's configuration (fleet.Config spells it
-// flat), and the one queue depth both replays share.
+// finish resolves what the parsed flags imply: the device half of the
+// fleet's configuration (fleet.Config spells it flat), and the one
+// queue depth both replays share.
 func (c *config) finish() error {
 	if err := c.dev.Validate(); err != nil {
 		return err
 	}
-	mode, err := cache.ParseMode(c.cacheMode)
-	if err != nil {
-		return err
-	}
 	f, d := &c.fleet, c.dev
-	f.Cache.Mode = mode
 	f.Policy, f.Seed, f.PE, f.RetentionMonths = d.FTL, d.Seed, d.PECycles, d.RetentionMonths
 	f.BlocksPerChip, f.Channels, f.DiesPerChannel = d.BlocksPerChip, d.Channels, d.DiesPerChannel
 	c.trace.QueueDepth = f.QueueDepth

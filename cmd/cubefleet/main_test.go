@@ -39,9 +39,9 @@ func TestDeviceFromCommandLine(t *testing.T) {
 		want cubeftl.Options
 	}{
 		{fixture, cubeftl.Options{FTL: "cube", BlocksPerChip: 16, Seed: 1}},
-		{fixture + "-shards 8 -tenants 1024 -blocks 8 -channels 1 -dies 2 -cache-pages 1024 -cache-policy 2q -cache-mode back -compress 20", // FLEET_SMOKE
+		{fixture + "-shards 8 -tenants 1024 -blocks 8 -channels 1 -dies 2 -cache-pages 1024 -compress 20", // FLEET_SMOKE
 			cubeftl.Options{FTL: "cube", Channels: 1, DiesPerChannel: 2, BlocksPerChip: 8, Seed: 1}},
-		{fixture + "-shards 8 -tenants 2048 -placement capacity -capacity-jitter 0.25 -blocks 12 -channels 1 -dies 2 -repeat 4 -cache-pages 2048 -cache-policy 2q -cache-mode back -compress 20", // fleet-demo
+		{fixture + "-shards 8 -tenants 2048 -placement capacity -capacity-jitter 0.25 -blocks 12 -channels 1 -dies 2 -repeat 4 -cache-pages 2048 -compress 20", // fleet-demo
 			cubeftl.Options{FTL: "cube", Channels: 1, DiesPerChannel: 2, BlocksPerChip: 12, Seed: 1}},
 		{fixture + "-single -ftl page -seed 7 -pe 1000 -retention 3",
 			cubeftl.Options{FTL: "page", BlocksPerChip: 16, Seed: 7, PECycles: 1000, RetentionMonths: 3}},
@@ -59,8 +59,8 @@ func TestDeviceFromCommandLine(t *testing.T) {
 			t.Errorf("%q: the fleet's shards are not that device: %+v", tc.args, f.Config)
 		}
 	}
-	c, _ := parse(t, fixture+"-cache-pages 1024 -cache-policy 2q -cache-mode back -qd 16")
-	if f := c.fleet; f.Cache.SizePages != 1024 || f.Cache.Policy != cubeftl.Cache2Q || f.Cache.Mode != cubeftl.CacheWriteBack ||
+	c, _ := parse(t, fixture+"-cache-pages 1024 -qd 16")
+	if f := c.fleet; f.Cache.SizePages != 1024 || f.Cache.Policy != "" || f.Cache.Mode != 0 ||
 		f.SampleIntervalNs != 0 || c.trace.QueueDepth != 16 {
 		t.Errorf("cache / sampling / depth flags resolved to %+v, trace %+v", f.Config, c.trace)
 	}
@@ -74,9 +74,8 @@ func TestDeviceFromCommandLine(t *testing.T) {
 // the one cubesim applies.
 func TestBadFlagsRejected(t *testing.T) {
 	for args, want := range map[string]string{
-		"-cache-mode sideways": "sideways",
-		"-channels -1":         "-channels",
-		"-retention NaN":       "-retention",
+		"-channels -1":   "-channels",
+		"-retention NaN": "-retention",
 	} {
 		if _, err := parse(t, fixture+args); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: got %v, want an error naming %s", args, err, want)
@@ -153,15 +152,24 @@ func TestSingleHonoursStatsOut(t *testing.T) {
 }
 
 // cubefleet accepts exactly the flags its -h listed before the device
-// flags moved into the shared table.
+// flags moved into the shared table, less the cache policy and mode
+// (the cache is 2Q write-back) and the fleet-wide request cap. A deleted
+// flag is one the flag package refuses, which exits 2 in main.
 func TestFlagNames(t *testing.T) {
-	const want = "age-jitter blocks cache-mode cache-pages cache-policy capacity-jitter channels compress cpuprofile dies fleet-max-requests ftl max-requests memprofile pe placement pprof-addr prefill qd queues repeat retention seed shards single stats-interval stats-out tenants tolerant trace"
+	const want = "age-jitter blocks cache-pages capacity-jitter channels compress cpuprofile dies ftl max-requests memprofile pe placement pprof-addr prefill qd queues repeat retention seed shards single stats-interval stats-out tenants tolerant trace"
 	var c config
 	fs := flag.NewFlagSet("cubefleet", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	c.bind(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // sorted by name
 	if g := strings.Join(got, " "); g != want {
 		t.Errorf("flag set changed:\n got %s\nwant %s", g, want)
+	}
+	for _, args := range []string{"-cache-policy 2q", "-cache-mode back", "-fleet-max-requests 5"} {
+		name := strings.Fields(args)[0]
+		if err := fs.Parse(strings.Fields(args)); err == nil || err.Error() != "flag provided but not defined: "+name {
+			t.Errorf("%s: got %v, want flag provided but not defined", args, err)
+		}
 	}
 }

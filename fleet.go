@@ -8,7 +8,6 @@ import (
 	"io"
 	"time"
 
-	"cubeftl/internal/cache"
 	"cubeftl/internal/fleet"
 	"cubeftl/internal/workload"
 )
@@ -85,23 +84,13 @@ func (s *SSD) ReplayTrace(name string, r io.Reader, opt TraceReplayOptions) (Run
 // Placement policy names accepted by FleetOptions.Placement.
 const (
 	PlacementHash     = fleet.PlaceHash
-	PlacementRange    = fleet.PlaceRange
 	PlacementCapacity = fleet.PlaceCapacity
-)
-
-// Cache replacement policies and write disciplines accepted by
-// FleetOptions.Cache (Policy, Mode).
-const (
-	CacheLRU          = cache.PolicyLRU
-	Cache2Q           = cache.Policy2Q
-	CacheWriteThrough = cache.WriteThrough // the default
-	CacheWriteBack    = cache.WriteBack
 )
 
 // FleetOptions configures a sharded fleet run: the fleet's own
 // configuration (see fleet.Config for every field; Policy takes any
 // Options.FTL name, Cache.SizePages > 0 enables each shard's host-side
-// DRAM cache) plus where its time series goes. The zero value selects
+// 2Q write-back DRAM cache) plus where its time series goes. The zero value selects
 // 4 shards x 1024 tenants of cubeFTL devices with caching disabled.
 type FleetOptions struct {
 	fleet.Config

@@ -155,7 +155,7 @@ func TestRunFleetFacadeDeterminism(t *testing.T) {
 	var opts FleetOptions
 	opts.Shards, opts.Tenants, opts.Seed = 8, 1024, 1
 	opts.BlocksPerChip, opts.Channels, opts.DiesPerChannel = 8, 1, 2
-	opts.Cache.SizePages, opts.Cache.Policy, opts.Cache.Mode = 1024, Cache2Q, CacheWriteBack
+	opts.Cache.SizePages = 1024
 	topt := TraceReplayOptions{TimeCompression: 20}
 	a, err := RunFleet(opts, "msr_sample", openFixture(t), topt)
 	if err != nil {

@@ -1,16 +1,15 @@
 // Package cache implements the host-side DRAM cache tier that sits in
 // front of a simulated SSD (DESIGN.md §14): a page-granular lookup
-// structure with pluggable replacement policies (LRU and 2Q) and two
-// write disciplines (write-through and write-back with dirty-flush
-// accounting).
+// structure with 2Q replacement and write-back absorption with
+// dirty-flush accounting.
 //
-// In the storage-fleet architecture the cache absorbs read hits and —
-// in write-back mode — write bursts before they reach a shard's
-// multi-queue interface, the same layering wiscsee's `datacache` uses
-// above its FTL. Like everything in the simulator the cache is
-// deterministic: identical request sequences produce identical hit,
-// miss, and eviction sequences, because all ordering comes from
-// explicit lists, never from map iteration.
+// In the storage-fleet architecture the cache absorbs read hits and
+// write bursts before they reach a shard's multi-queue interface, the
+// same layering wiscsee's `datacache` uses above its FTL. Like
+// everything in the simulator the cache is deterministic: identical
+// request sequences produce identical hit, miss, and eviction
+// sequences, because all ordering comes from explicit lists, never from
+// map iteration.
 //
 // The cache is not safe for concurrent use. In fleet mode each shard
 // owns a private instance consulted from the shard's own goroutine;
@@ -24,45 +23,18 @@ import (
 	"slices"
 )
 
-// Mode selects the write discipline.
+// Mode names the write discipline.
 type Mode int
 
-const (
-	// WriteThrough sends every write to the device; cached copies of
-	// the written pages are refreshed (write-update) but the cache
-	// never holds data the device does not.
-	WriteThrough Mode = iota
-	// WriteBack absorbs writes into the cache (DRAM latency) and marks
-	// the pages dirty; dirty pages reach the device only on eviction or
-	// an explicit flush. This trades durability for write latency — the
-	// classic volatile host-cache contract.
-	WriteBack
-)
+// WriteBack, the zero Mode and the only one, absorbs writes into the
+// cache (DRAM latency) and marks the pages dirty; dirty pages reach the
+// device only on eviction or an explicit flush. This trades durability
+// for write latency — the classic volatile host-cache contract.
+const WriteBack Mode = 0
 
-// String names the mode ("through"/"back").
-func (m Mode) String() string {
-	if m == WriteBack {
-		return "back"
-	}
-	return "through"
-}
-
-// ParseMode converts a flag value ("through", "back") into a Mode.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "through", "write-through", "wt":
-		return WriteThrough, nil
-	case "back", "write-back", "wb":
-		return WriteBack, nil
-	}
-	return 0, fmt.Errorf("%w: %q (want through|back)", ErrBadMode, s)
-}
-
-// Policy names accepted by Config.Policy.
-const (
-	PolicyLRU = "lru" // least-recently-used, the default
-	Policy2Q  = "2q"  // 2Q (Johnson & Shasha): scan-resistant FIFO+ghost+LRU
-)
+// Policy2Q names the replacement policy, 2Q (Johnson & Shasha):
+// scan-resistant FIFO+ghost+LRU. It is the only one.
+const Policy2Q = "2q"
 
 // Config shapes a cache instance.
 type Config struct {
@@ -70,9 +42,9 @@ type Config struct {
 	// disables the cache (New returns nil, and every method of a nil
 	// *Cache behaves as a guaranteed miss).
 	SizePages int
-	// Policy is the replacement policy: PolicyLRU (default) or Policy2Q.
+	// Policy is the replacement policy: "" or Policy2Q.
 	Policy string
-	// Mode is the write discipline (default WriteThrough).
+	// Mode is the write discipline: WriteBack.
 	Mode Mode
 }
 
@@ -134,9 +106,8 @@ func (s Stats) HitRate() float64 {
 // Cache is a host-side DRAM page cache. A nil *Cache is a valid,
 // disabled cache: every lookup misses and no write is absorbed.
 type Cache struct {
-	cfg   Config
-	pol   policy
-	s     *slab // the policy's nodes: residency and dirty flags live here
+	size  int  // resident capacity in pages
+	q     twoQ // replacement queues; q.s holds residency and dirty flags
 	stats Stats
 
 	slots []int32 // Lookup: the slots of the pages found so far
@@ -146,36 +117,16 @@ type Cache struct {
 // New builds a cache, or returns (nil, nil) when cfg disables it
 // (SizePages <= 0). A nil *Cache is safe to use.
 func New(cfg Config) (*Cache, error) {
-	if _, err := ParseMode(cfg.Mode.String()); err != nil {
-		return nil, err
+	if cfg.Mode != WriteBack {
+		return nil, fmt.Errorf("%w: %d (the one mode is WriteBack)", ErrBadMode, cfg.Mode)
+	}
+	if cfg.Policy != "" && cfg.Policy != Policy2Q {
+		return nil, fmt.Errorf("%w: %q (want %s)", ErrBadPolicy, cfg.Policy, Policy2Q)
 	}
 	if cfg.SizePages <= 0 {
 		return nil, nil
 	}
-	c := &Cache{cfg: cfg}
-	switch cfg.Policy {
-	case "", PolicyLRU:
-		c.cfg.Policy = PolicyLRU
-		l := newLRU(cfg.SizePages)
-		c.pol, c.s = l, l.s
-	case Policy2Q:
-		q := newTwoQ(cfg.SizePages)
-		c.pol, c.s = q, q.s
-	default:
-		return nil, fmt.Errorf("%w: %q (want %s|%s)", ErrBadPolicy, cfg.Policy, PolicyLRU, Policy2Q)
-	}
-	return c, nil
-}
-
-// Enabled reports whether the cache exists.
-func (c *Cache) Enabled() bool { return c != nil }
-
-// Len returns the resident page count.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	return c.pol.len()
+	return &Cache{size: cfg.SizePages, q: newTwoQ(cfg.SizePages)}, nil
 }
 
 // Stats returns the cumulative counters.
@@ -196,13 +147,13 @@ func (c *Cache) Lookup(lpn int64, pages int) bool {
 	}
 	c.slots = c.slots[:0]
 	for p := int64(0); p < int64(pages); p++ {
-		if slot, ok := c.s.index.Get(lpn + p); ok {
+		if slot, ok := c.q.s.index.Get(lpn + p); ok {
 			c.slots = append(c.slots, slot)
 		}
 	}
 	if len(c.slots) == pages {
 		for _, slot := range c.slots {
-			c.pol.touch(slot)
+			c.q.touch(slot)
 		}
 		c.stats.Hits++
 		return true
@@ -226,8 +177,8 @@ func (c *Cache) FillRead(lpn int64, pages int) []int64 {
 	c.flush = c.flush[:0]
 	for p := int64(0); p < int64(pages); p++ {
 		page := lpn + p
-		if slot, ok := c.s.index.Get(page); ok {
-			c.pol.touch(slot)
+		if slot, ok := c.q.s.index.Get(page); ok {
+			c.q.touch(slot)
 			continue
 		}
 		c.insertPage(page, false)
@@ -236,62 +187,43 @@ func (c *Cache) FillRead(lpn int64, pages int) []int64 {
 }
 
 // Write applies a write of pages consecutive pages starting at lpn.
-// absorbed reports whether the cache took ownership of the data
-// (write-back): the caller completes the write at DRAM latency and must
-// NOT send it to the device. When absorbed is false (write-through) the
-// caller sends the write to the device as usual; resident copies have
-// been refreshed in place. Either way the returned dirty evictions must
-// be flushed to the device by the caller; like FillRead's, the slice is
-// valid until the next FillRead or Write.
+// absorbed reports whether the cache took ownership of the data, which
+// an enabled cache always does: the caller completes the write at DRAM
+// latency and must NOT send it to the device. A nil cache absorbs
+// nothing, and the caller sends the write to the device as usual. The
+// returned dirty evictions must be flushed to the device by the caller;
+// like FillRead's, the slice is valid until the next FillRead or Write.
 func (c *Cache) Write(lpn int64, pages int) (absorbed bool, flush []int64) {
 	if c == nil {
 		return false, nil
 	}
 	c.flush = c.flush[:0]
-	back := c.cfg.Mode == WriteBack
 	for p := int64(0); p < int64(pages); p++ {
 		page := lpn + p
-		if slot, ok := c.s.index.Get(page); ok {
+		if slot, ok := c.q.s.index.Get(page); ok {
 			c.stats.WriteHits++
-			c.pol.touch(slot)
-			c.s.nodes[slot].dirty = back // write-through refresh leaves the page clean
+			c.q.touch(slot)
+			c.q.s.nodes[slot].dirty = true
 			continue
 		}
-		if back {
-			c.stats.WriteAllocs++
-			c.insertPage(page, true)
-		}
-		// Write-through does not allocate on write misses: streaming
-		// writes must not wash the read working set out of the cache.
+		c.stats.WriteAllocs++
+		c.insertPage(page, true)
 	}
-	return back, c.flush
+	return true, c.flush
 }
 
 // insertPage makes page resident (dirty or clean), evicting as needed
 // and noting forced dirty flushes in c.flush.
 func (c *Cache) insertPage(page int64, dirty bool) {
 	c.stats.Inserts++
-	c.s.nodes[c.pol.insert(page)].dirty = dirty
-	for c.pol.len() > c.cfg.SizePages {
-		victim, wasDirty, ok := c.pol.victim()
-		if !ok {
-			break // cannot happen: len > 0
-		}
+	c.q.s.nodes[c.q.insert(page)].dirty = dirty
+	for c.q.len() > c.size {
+		victim, wasDirty := c.q.victim()
 		c.stats.Evictions++
 		if wasDirty {
 			c.stats.DirtyEvictions++
 			c.flush = append(c.flush, victim)
 		}
-	}
-}
-
-// Invalidate drops a page (e.g. after a trim); dirty data is discarded.
-func (c *Cache) Invalidate(lpn int64) {
-	if c == nil {
-		return
-	}
-	if slot, ok := c.s.index.Get(lpn); ok {
-		c.pol.remove(slot)
 	}
 }
 
@@ -305,8 +237,8 @@ func (c *Cache) FlushAll() []int64 {
 		return nil
 	}
 	var out []int64
-	for i := range c.s.nodes {
-		if n := &c.s.nodes[i]; n.dirty {
+	for i := range c.q.s.nodes {
+		if n := &c.q.s.nodes[i]; n.dirty {
 			n.dirty = false
 			out = append(out, n.lpn)
 		}

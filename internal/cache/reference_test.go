@@ -3,82 +3,37 @@ package cache
 // The container/list + four-map cache this package had before the slab
 // (ISSUE 16), kept as the oracle TestSlabMatchesReference drives the
 // live implementation against. Nothing here shares code with cache.go
-// beyond Config, Mode and Stats.
+// beyond Stats.
 
 import (
 	"container/list"
-	"fmt"
 	"sort"
 )
 
-// refPolicy is a replacement strategy over resident page numbers. The
-// cache guarantees insert is never called for a resident page and
-// touch/remove only for resident ones.
-type refPolicy interface {
-	name() string
-	// touch records an access to a resident page.
-	touch(lpn int64)
-	// insert makes a page resident.
-	insert(lpn int64)
-	// victim selects and removes the page to evict.
-	victim() (int64, bool)
-	// len returns the resident page count.
-	len() int
-}
-
-// refCache is the reference host-side DRAM page cache.
+// refCache is the reference host-side DRAM page cache: 2Q, write-back.
 type refCache struct {
-	cfg   Config
-	pol   refPolicy
+	size  int
+	pol   *refTwoQ
 	dirty map[int64]bool // resident page -> dirty flag
 	stats Stats
 }
 
-// newRefCache builds the reference for an enabled configuration.
-func newRefCache(cfg Config) (*refCache, error) {
-	if _, err := ParseMode(cfg.Mode.String()); err != nil {
-		return nil, err
-	}
-	if cfg.SizePages <= 0 {
-		return nil, nil
-	}
-	var pol refPolicy
-	switch cfg.Policy {
-	case "", PolicyLRU:
-		cfg.Policy = PolicyLRU
-		pol = newRefLRU()
-	case Policy2Q:
-		pol = newRefTwoQ(cfg.SizePages)
-	default:
-		return nil, fmt.Errorf("%w: %q (want %s|%s)", ErrBadPolicy, cfg.Policy, PolicyLRU, Policy2Q)
-	}
-	return &refCache{cfg: cfg, pol: pol, dirty: make(map[int64]bool)}, nil
+// newRefCache builds the reference for a cache of size pages.
+func newRefCache(size int) *refCache {
+	return &refCache{size: size, pol: newRefTwoQ(size), dirty: make(map[int64]bool)}
 }
 
 // Len returns the resident page count.
-func (c *refCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	return c.pol.len()
-}
+func (c *refCache) Len() int { return c.pol.len() }
 
 // Stats returns the cumulative counters.
-func (c *refCache) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	return c.stats
-}
+func (c *refCache) Stats() Stats { return c.stats }
 
 // Lookup serves a read of pages consecutive pages starting at lpn. It
 // returns true — and refreshes recency — only when every page is
 // resident; a partial hit is a miss (the device read fetches the whole
 // extent anyway, and FillRead re-inserts it).
 func (c *refCache) Lookup(lpn int64, pages int) bool {
-	if c == nil {
-		return false
-	}
 	resident := 0
 	for p := int64(0); p < int64(pages); p++ {
 		if _, ok := c.dirty[lpn+p]; ok {
@@ -104,9 +59,6 @@ func (c *refCache) Lookup(lpn int64, pages int) bool {
 // returns the dirty pages evicted to make room, in eviction order — the
 // caller must write them to the device (flush accounting).
 func (c *refCache) FillRead(lpn int64, pages int) []int64 {
-	if c == nil {
-		return nil
-	}
 	var flush []int64
 	for p := int64(0); p < int64(pages); p++ {
 		page := lpn + p
@@ -119,34 +71,22 @@ func (c *refCache) FillRead(lpn int64, pages int) []int64 {
 	return flush
 }
 
-// Write applies a write of pages consecutive pages starting at lpn.
-// absorbed reports whether the cache took ownership of the data
-// (write-back): the caller completes the write at DRAM latency and must
-// NOT send it to the device. When absorbed is false (write-through) the
-// caller sends the write to the device as usual; resident copies have
-// been refreshed in place. Either way the returned dirty evictions must
-// be flushed to the device by the caller.
+// Write applies a write of pages consecutive pages starting at lpn:
+// the cache absorbs it, marking every page dirty. The returned dirty
+// evictions must be flushed to the device by the caller.
 func (c *refCache) Write(lpn int64, pages int) (absorbed bool, flush []int64) {
-	if c == nil {
-		return false, nil
-	}
-	back := c.cfg.Mode == WriteBack
 	for p := int64(0); p < int64(pages); p++ {
 		page := lpn + p
 		if _, ok := c.dirty[page]; ok {
 			c.stats.WriteHits++
 			c.pol.touch(page)
-			c.dirty[page] = back // write-through refresh leaves the page clean
+			c.dirty[page] = true
 			continue
 		}
-		if back {
-			c.stats.WriteAllocs++
-			flush = c.insertPage(page, true, flush)
-		}
-		// Write-through does not allocate on write misses: streaming
-		// writes must not wash the read working set out of the cache.
+		c.stats.WriteAllocs++
+		flush = c.insertPage(page, true, flush)
 	}
-	return back, flush
+	return true, flush
 }
 
 // insertPage makes page resident (dirty or clean), evicting as needed,
@@ -155,7 +95,7 @@ func (c *refCache) insertPage(page int64, dirty bool, flush []int64) []int64 {
 	c.stats.Inserts++
 	c.pol.insert(page)
 	c.dirty[page] = dirty
-	for c.pol.len() > c.cfg.SizePages {
+	for c.pol.len() > c.size {
 		victim, ok := c.pol.victim()
 		if !ok {
 			break // cannot happen: len > 0
@@ -170,34 +110,12 @@ func (c *refCache) insertPage(page int64, dirty bool, flush []int64) []int64 {
 	return flush
 }
 
-// Invalidate drops a page (e.g. after a trim); dirty data is discarded.
-func (c *refCache) Invalidate(lpn int64) {
-	if c == nil {
-		return
-	}
-	if _, ok := c.dirty[lpn]; !ok {
-		return
-	}
-	// Policies have no random remove; rotate victims until the target
-	// surfaces is wasteful, so policies expose remove via type switch.
-	switch p := c.pol.(type) {
-	case *refLRU:
-		p.remove(lpn)
-	case *refTwoQ:
-		p.remove(lpn)
-	}
-	delete(c.dirty, lpn)
-}
-
 // FlushAll returns every dirty page in ascending LPN order and marks
 // them clean. The caller writes them to the device — this is the drain
 // path, so a run's final state does not depend on what happened to be
 // resident. The deterministic ordering matters: dirty state lives in a
 // map, and map iteration order must never leak into the simulation.
 func (c *refCache) FlushAll() []int64 {
-	if c == nil {
-		return nil
-	}
 	var out []int64
 	for page, d := range c.dirty {
 		if d {
@@ -212,50 +130,7 @@ func (c *refCache) FlushAll() []int64 {
 	return out
 }
 
-// refLRU is classic least-recently-used replacement: one recency list,
-// most-recent at the front, victims from the back.
-type refLRU struct {
-	order *list.List // of int64 LPN; front = MRU
-	index map[int64]*list.Element
-}
-
-func newRefLRU() *refLRU {
-	return &refLRU{order: list.New(), index: make(map[int64]*list.Element)}
-}
-
-func (l *refLRU) name() string { return PolicyLRU }
-
-func (l *refLRU) touch(lpn int64) {
-	if e, ok := l.index[lpn]; ok {
-		l.order.MoveToFront(e)
-	}
-}
-
-func (l *refLRU) insert(lpn int64) {
-	l.index[lpn] = l.order.PushFront(lpn)
-}
-
-func (l *refLRU) victim() (int64, bool) {
-	e := l.order.Back()
-	if e == nil {
-		return 0, false
-	}
-	lpn := e.Value.(int64)
-	l.order.Remove(e)
-	delete(l.index, lpn)
-	return lpn, true
-}
-
-func (l *refLRU) remove(lpn int64) {
-	if e, ok := l.index[lpn]; ok {
-		l.order.Remove(e)
-		delete(l.index, lpn)
-	}
-}
-
-func (l *refLRU) len() int { return l.order.Len() }
-
-// refTwoQ implements the 2Q replacement refPolicy (Johnson & Shasha, VLDB
+// refTwoQ implements the 2Q replacement policy (Johnson & Shasha, VLDB
 // '94), the scan-resistant alternative to LRU: new pages enter a small
 // FIFO probation queue (A1in); only pages re-referenced after falling
 // out of probation — their ghosts remembered in A1out — earn a slot in
@@ -299,8 +174,6 @@ func newRefTwoQ(capacity int) *refTwoQ {
 		ghostIndex: make(map[int64]*list.Element),
 	}
 }
-
-func (q *refTwoQ) name() string { return Policy2Q }
 
 func (q *refTwoQ) touch(lpn int64) {
 	if e, ok := q.amIndex[lpn]; ok {
@@ -350,18 +223,6 @@ func (q *refTwoQ) addGhost(lpn int64) {
 		old := q.ghost.Back()
 		q.ghost.Remove(old)
 		delete(q.ghostIndex, old.Value.(int64))
-	}
-}
-
-func (q *refTwoQ) remove(lpn int64) {
-	if e, ok := q.inIndex[lpn]; ok {
-		q.a1in.Remove(e)
-		delete(q.inIndex, lpn)
-		return
-	}
-	if e, ok := q.amIndex[lpn]; ok {
-		q.am.Remove(e)
-		delete(q.amIndex, lpn)
 	}
 }
 

@@ -5,7 +5,7 @@ import "cubeftl/internal/pool"
 // Every page the cache knows about — resident, or a 2Q ghost — is one
 // node of a slab sized when the cache is built. Resident pages are found
 // through one open-addressed index from page number to slot (2Q keeps
-// its ghosts in a second one, policy.go); the replacement queues are
+// its ghosts in a second one, twoq.go); the replacement queues are
 // intrusive lists threaded through the nodes, so a hit, a miss, an
 // eviction and a ghost promotion move slot numbers around and allocate
 // nothing.
@@ -15,7 +15,6 @@ const nilSlot = int32(-1)
 // Which list a node is on.
 const (
 	onFree  uint8 = iota
-	onLRU         // the LRU policy's recency list
 	onA1in        // 2Q probation FIFO
 	onAm          // 2Q main LRU
 	onGhost       // 2Q A1out: remembered, not resident
@@ -42,9 +41,9 @@ type slab struct {
 }
 
 // newSlab returns a slab of resident + ghosts nodes, all free.
-func newSlab(resident, ghosts int) *slab {
+func newSlab(resident, ghosts int) slab {
 	n := resident + ghosts
-	s := &slab{nodes: make([]node, n), free: nilSlot, index: pool.NewIndex[int32](resident)}
+	s := slab{nodes: make([]node, n), free: nilSlot, index: pool.NewIndex[int32](resident)}
 	for i := n - 1; i >= 0; i-- {
 		s.nodes[i].next = s.free
 		s.free = int32(i)

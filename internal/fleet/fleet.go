@@ -51,8 +51,8 @@ type Config struct {
 	// (default 1024). Each tenant owns a contiguous slice of its
 	// shard's logical space.
 	Tenants int
-	// Placement maps tenants to shards: PlaceHash (default),
-	// PlaceRange, or PlaceCapacity.
+	// Placement maps tenants to shards: PlaceHash (default) or
+	// PlaceCapacity.
 	Placement string
 	// Seed roots every derived stream: per-shard device seeds, aging
 	// jitter, capacity jitter, and hash placement (default 1).
@@ -99,9 +99,6 @@ type Config struct {
 	// Repeat replays the trace this many times back to back, extending
 	// simulated time (default 1). Used to scale IO volume.
 	Repeat int
-	// MaxRequests bounds the total fleet request count after repeat
-	// expansion (0 = no bound).
-	MaxRequests int
 
 	// SampleIntervalNs enables per-shard sim-clock sampling every given
 	// simulated nanoseconds; the per-shard streams merge into
@@ -256,7 +253,7 @@ type shardSpec struct {
 	trace  *workload.TimedTrace // shared by every shard, read-only
 	stride sim.Time             // pass p starts p*stride after the first
 	refs   []traceRef           // this shard's records, in trace order
-	n      int                  // requests to replay: whole passes over refs, then a prefix
+	n      int                  // requests to replay: Repeat whole passes over refs
 }
 
 // traceRef is one trace record as a shard sees it.
@@ -322,8 +319,7 @@ func buildShardSpecs(cfg Config, root *rng.Source) []*shardSpec {
 // assignRequests synthesizes tenant identities from source streams and
 // extents and partitions the trace's records across shards, in one pass
 // over the trace: each shard is left the list of its records and the
-// number of requests the repeat passes (bounded by MaxRequests, which
-// counts fleet-wide in arrival order) make of them. Arrivals must be
+// number of requests the repeat passes make of them. Arrivals must be
 // non-decreasing, also from one pass into the next, because a shard
 // replays them as a stream; the parser guarantees it, a hand-built
 // trace may not.
@@ -338,11 +334,6 @@ func assignRequests(cfg Config, trace *workload.TimedTrace, place Placement, spe
 	if n > 1 {
 		stride += stride / sim.Time(n)
 	}
-	total := cfg.Repeat * n
-	if cfg.MaxRequests > 0 && cfg.MaxRequests < total {
-		total = cfg.MaxRequests
-	}
-	whole, rem := total/n, total%n
 
 	// A tenant hashes its source's (seed, disk, host) prefix, computed
 	// once per source, with the record's extent.
@@ -357,14 +348,13 @@ func assignRequests(cfg Config, trace *workload.TimedTrace, place Placement, spe
 	// tenant, kept as the tenant's ordinal in that order, and counts
 	// each shard's records; the second carves every shard's refs out of
 	// one array sized once.
-	m := min(n, total)
 	type tenantHome struct{ shard, slot int32 }
 	var homes []tenantHome
 	ordinal := make(map[int]int32, cfg.Tenants)
-	ords := make([]int32, m)
+	ords := make([]int32, n)
 	counts := make([]int, len(specs))
 	prev := sim.Time(0)
-	for i := range trace.Reqs[:m] {
+	for i := range trace.Reqs {
 		r := &trace.Reqs[i]
 		if r.AtNs < prev {
 			return fmt.Errorf("fleet: trace record %d arrives at %d ns, before its predecessor at %d ns: %w",
@@ -387,7 +377,7 @@ func assignRequests(cfg Config, trace *workload.TimedTrace, place Placement, spe
 		ords[i] = o
 		counts[homes[o].shard]++
 	}
-	refs := make([]traceRef, m)
+	refs := make([]traceRef, n)
 	for i, sp := range specs {
 		sp.refs, refs = refs[:0:counts[i]], refs[counts[i]:]
 	}
@@ -395,17 +385,14 @@ func assignRequests(cfg Config, trace *workload.TimedTrace, place Placement, spe
 		h := homes[o]
 		sp := specs[h.shard]
 		sp.refs = append(sp.refs, traceRef{rec: int32(i), slot: h.slot})
-		if i < rem {
-			sp.n++ // the partial last pass reaches this record
-		}
 	}
-	if total > n && trace.Reqs[0].AtNs+stride < prev {
+	if cfg.Repeat > 1 && trace.Reqs[0].AtNs+stride < prev {
 		return fmt.Errorf("fleet: trace record %d arrives at %d ns, past the %d ns span that places the next pass: %w",
 			n-1, prev, trace.SpanNs, workload.ErrTraceOutOfOrder)
 	}
 	for _, sp := range specs {
 		sp.trace, sp.stride = trace, stride
-		sp.n += whole * len(sp.refs)
+		sp.n = cfg.Repeat * len(sp.refs)
 	}
 	return nil
 }

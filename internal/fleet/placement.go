@@ -11,7 +11,6 @@ var ErrBadPlacement = errors.New("fleet: unknown placement policy")
 // Placement policy names accepted by Config.Placement.
 const (
 	PlaceHash     = "hash"     // FNV of (seed, tenant) — uniform, stateless
-	PlaceRange    = "range"    // contiguous tenant ranges per shard
 	PlaceCapacity = "capacity" // greedy fill proportional to shard capacity
 )
 
@@ -34,15 +33,10 @@ func NewPlacement(name string, shards, tenants int, weights []int64, seed uint64
 	switch name {
 	case "", PlaceHash:
 		return &hashPlace{shards: shards, seed: seed}, nil
-	case PlaceRange:
-		if tenants < 1 {
-			tenants = 1
-		}
-		return &rangePlace{shards: shards, tenants: tenants}, nil
 	case PlaceCapacity:
 		return newCapacityPlace(shards, tenants, weights), nil
 	}
-	return nil, fmt.Errorf("%w: %q (want %s|%s|%s)", ErrBadPlacement, name, PlaceHash, PlaceRange, PlaceCapacity)
+	return nil, fmt.Errorf("%w: %q (want %s|%s)", ErrBadPlacement, name, PlaceHash, PlaceCapacity)
 }
 
 type hashPlace struct {
@@ -55,23 +49,6 @@ func (p *hashPlace) Name() string { return PlaceHash }
 func (p *hashPlace) Shard(tenant int) int {
 	h := fnvMix(p.seed, uint64(tenant))
 	return int(h % uint64(p.shards))
-}
-
-type rangePlace struct {
-	shards  int
-	tenants int
-}
-
-func (p *rangePlace) Name() string { return PlaceRange }
-
-func (p *rangePlace) Shard(tenant int) int {
-	if tenant < 0 {
-		tenant = 0
-	}
-	if tenant >= p.tenants {
-		tenant = p.tenants - 1
-	}
-	return tenant * p.shards / p.tenants
 }
 
 // capacityPlace assigns tenants greedily to the shard with the lowest

@@ -126,11 +126,7 @@ func (r *Result) Report() string {
 		c.Shards, c.Tenants, r.Placement, c.Seed, c.Policy, c.BlocksPerChip)
 	cacheLine := "off"
 	if c.Cache.SizePages > 0 {
-		pol := c.Cache.Policy
-		if pol == "" {
-			pol = cache.PolicyLRU
-		}
-		cacheLine = fmt.Sprintf("%s/%s size=%d", pol, c.Cache.Mode, c.Cache.SizePages)
+		cacheLine = fmt.Sprintf("2q/back size=%d", c.Cache.SizePages)
 	}
 	fmt.Fprintf(&b, "cache: %s hit_rate=%.4f hits=%d misses=%d partial=%d dirty_evict=%d flush_pages=%d\n",
 		cacheLine, r.HitRate(), r.CacheStats.Hits, r.CacheStats.Misses,

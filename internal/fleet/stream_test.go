@@ -33,13 +33,9 @@ func refAssignRequests(cfg Config, trace *workload.TimedTrace, place Placement) 
 	if trace.Len() > 1 {
 		passGap = span / sim.Time(trace.Len())
 	}
-	emitted := 0
 	for pass := 0; pass < cfg.Repeat; pass++ {
 		base := sim.Time(pass) * (span + passGap)
 		for _, r := range trace.Reqs {
-			if cfg.MaxRequests > 0 && emitted >= cfg.MaxRequests {
-				return reqs, tenants
-			}
 			src := trace.Sources[r.Source]
 			tenant := int(fnvMix(fnvString(fnvMix(cfg.Seed, uint64(src.Disk)), src.Host), uint64(r.LPN/tenantExtentPages)) % uint64(cfg.Tenants))
 			sh := place.Shard(tenant)
@@ -53,13 +49,12 @@ func refAssignRequests(cfg Config, trace *workload.TimedTrace, place Placement) 
 				at:       base + r.AtNs,
 				shardReq: shardReq{tenant: sl, op: r.Op, lpn: r.LPN, pages: r.Pages},
 			})
-			emitted++
 		}
 	}
 	return reqs, tenants
 }
 
-// For random (Repeat, MaxRequests, Shards, Placement) every shard's
+// For random (Repeat, Shards, Placement) every shard's
 // cursor yields exactly the request sequence the up-front expansion
 // built, and the same tenant count.
 func TestCursorMatchesExpandedRequests(t *testing.T) {
@@ -68,19 +63,11 @@ func TestCursorMatchesExpandedRequests(t *testing.T) {
 		tr := synthTrace(1 + src.Intn(120))
 		cfg := Config{
 			Shards:    1 + src.Intn(5),
-			Placement: []string{PlaceHash, PlaceRange, PlaceCapacity}[src.Intn(3)],
+			Placement: []string{PlaceHash, PlaceCapacity}[src.Intn(2)],
 			Seed:      1 + uint64(src.Intn(1000)),
 			Repeat:    1 + src.Intn(5),
 		}
 		cfg.Tenants = cfg.Shards + src.Intn(40)
-		if src.Intn(3) > 0 {
-			// Bounds below one pass, inside a later pass, on a pass
-			// boundary and beyond the expansion all occur.
-			cfg.MaxRequests = 1 + src.Intn(cfg.Repeat*tr.Len()+10)
-			if src.Intn(4) == 0 {
-				cfg.MaxRequests = tr.Len() * (1 + src.Intn(cfg.Repeat))
-			}
-		}
 		cfg = cfg.withDefaults()
 		specs, place, err := planShards(cfg, tr)
 		if err != nil {
