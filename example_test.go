@@ -196,6 +196,6 @@ func ExampleSSD_EnableTelemetry() {
 	//     p99  4.53ms = 100% admit
 	//     mean 100% admit
 	//
-	// registry: 37 gauges, 4 histograms
+	// registry: 36 gauges, 4 histograms
 	// ftl/write_amp = 0.844
 }

@@ -173,11 +173,10 @@ type Stats struct {
 	FencedPrograms int64 `metric:"ftl/fenced_programs gauge queued programs refused when their die degraded"`
 	// Requeues, by cause: a host flush group sent back to the write
 	// buffer because its die was fenced, its program failed, or its die
-	// could place no word line, and a word line (host group or
-	// relocation batch) rewritten after a reprogram verdict.
+	// could place no word line. A word line rewritten after a reprogram
+	// verdict is the third requeue cause; Reprograms counts it.
 	RequeueFenced      int64 `metric:"ftl/requeue/fenced_total counter host flush groups returned to the buffer when their die was fenced"`
 	RequeueProgramFail int64 `metric:"ftl/requeue/program_fail_total counter host flush groups returned to the buffer after a program failure"`
-	RequeueReprogram   int64 `metric:"ftl/requeue/reprogram_total counter word lines rewritten after a reprogram verdict"`
 	RequeueAllocFail   int64 `metric:"ftl/requeue/alloc_fail_total counter host flush groups returned to the buffer when their die could place no word line"`
 }
 

@@ -273,7 +273,7 @@ func (f *flushOp) programDone(res *nand.ProgramResult, err error) {
 		// §4.1.4: the word line is suspect — leave it unmapped (its pages
 		// are garbage) and rewrite the data at the next allocation.
 		c.stats.Reprograms++
-		c.requeue(chip, "requeue_reprogram", &c.stats.RequeueReprogram)
+		c.instant(chip, "requeue_reprogram")
 		c.buf.Requeue(group)
 		f.release()
 	} else {
