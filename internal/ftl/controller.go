@@ -446,8 +446,7 @@ func (c *Controller) SetTelemetry(hub *telemetry.Hub) {
 func (c *Controller) TelemetryHub() *telemetry.Hub { return c.hub }
 
 // DieSamples implements telemetry.DeviceSource: per-die utilization,
-// queue depth, channel utilization, and degraded state for the
-// time-series sampler.
+// queue depth and channel utilization for the time-series sampler.
 func (c *Controller) DieSamples() []telemetry.DieSample {
 	out := make([]telemetry.DieSample, c.geo.Chips)
 	for i := range out {
@@ -456,7 +455,6 @@ func (c *Controller) DieSamples() []telemetry.DieSample {
 			Utilization: c.dev.DieUtilization(i),
 			QueueDepth:  c.dev.Die(i).QueueDepth(),
 			BusUtil:     c.dev.ChannelUtilization(c.dev.ChannelOf(i)),
-			Degraded:    c.dies[i].degraded,
 		}
 	}
 	return out

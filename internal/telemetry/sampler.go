@@ -28,7 +28,6 @@ type DieSample struct {
 	Utilization float64 `json:"util"` // plane busy-time fraction
 	QueueDepth  int     `json:"qdepth"`
 	BusUtil     float64 `json:"bus_util"` // die's channel utilization
-	Degraded    bool    `json:"degraded,omitempty"`
 }
 
 // TenantSource supplies per-tenant samples; implemented by the host.
@@ -36,8 +35,9 @@ type TenantSource interface {
 	TenantSamples() []TenantSample
 }
 
-// DeviceSource supplies per-die samples; implemented by the SSD device
-// (utilization) with FTL overlay (degraded flags).
+// DeviceSource supplies per-die samples; implemented by the FTL over
+// the SSD device. A die's degraded flag is the registry's
+// ftl/die/<i>/degraded gauge.
 type DeviceSource interface {
 	DieSamples() []DieSample
 }
