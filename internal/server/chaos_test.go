@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -199,7 +200,7 @@ func chaosLeg(t *testing.T, slo bool) time.Duration {
 	checkIdle(t, srv, "workers gone")
 	for i, w := range clients {
 		if w.err != nil {
-			t.Fatalf("client %d (%s): %v", i, w.tenant, w.err)
+			t.Fatalf("client %d (%s): %v\n%s", i, w.tenant, w.err, soakDeviceState(srv))
 		}
 	}
 
@@ -244,6 +245,49 @@ func chaosLeg(t *testing.T, slo bool) time.Duration {
 	t.Logf("%s leg: %d ops, %d acked pages, %d retries, %d dials, %d idle checks; read p99 lat %v, bulk %v; %d SLO adjustments (%d breaches)",
 		mode, ops, acked, retries, dials, looks, p99, time.Duration(bulk.Percentile(99)), adjustments, breaches)
 	return p99
+}
+
+// soakDeviceState describes, for a failed leg, what the device made of
+// the chaos: whether it and each die went read-only, the registry's
+// fault and degraded readings, and the event log's counts by type. All
+// of it is read on the core goroutine.
+func soakDeviceState(srv *Server) string {
+	var b strings.Builder
+	srv.do(func() {
+		dev := srv.Device()
+		fmt.Fprintf(&b, "device degraded: %v; dies degraded:", dev.Degraded())
+		for i := 0; i < dev.Channels()*dev.DiesPerChannel(); i++ {
+			fmt.Fprintf(&b, " %d=%v", i, dev.DieDegraded(i))
+		}
+		b.WriteString("\nregistry:")
+		if hub := dev.Telemetry(); hub != nil {
+			gauges := hub.Registry().Snapshot().Gauges
+			for _, name := range sortedKeys(gauges) {
+				if strings.HasPrefix(name, "faults/") || name == "ftl/degraded_dies" ||
+					strings.HasPrefix(name, "ftl/die/") && strings.HasSuffix(name, "/degraded") {
+					fmt.Fprintf(&b, " %s=%g", name, gauges[name])
+				}
+			}
+		}
+		counts := map[string]int{}
+		for _, ev := range srv.Events() {
+			counts[ev.Type]++
+		}
+		b.WriteString("\nevents:")
+		for _, typ := range sortedKeys(counts) {
+			fmt.Fprintf(&b, " %s=%d", typ, counts[typ])
+		}
+	})
+	return b.String()
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // auditSoakMetrics scrapes /metrics while the clients run: the server is
