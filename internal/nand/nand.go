@@ -70,19 +70,19 @@ var (
 )
 
 // wlState tracks one programmed word line. It is 24 bytes and holds no
-// pointer: a chip holds one per word line in one array, which the Go
-// collector need not scan, and the load of programmed is the first
-// thing every page read does. The word line's payloads, when the chip
-// stores data, are in its block's payload slab.
+// pointer: a chip holds one per word line in one slab (Chip.wls, carved
+// per block), which the Go collector need not scan, and the load of
+// programmed is the first thing every page read does. The word line's
+// payloads, when the chip stores data, are in its block's payload slab.
 type wlState struct {
 	paramPenalty float64 // BER multiplier from aggressive program parameters
 
 	// The word line's per-page out-of-band (spare area) records live
-	// back to back in the block's spare arena from oobOff on, oobLen[i]
-	// bytes for page i; hasOOB says whether there are any. Unlike
-	// payloads they are kept even when the chip does not store data: the
-	// recovery subsystem reconstructs the L2P mapping from them after a
-	// power cut.
+	// back to back in the block's spare arena (blockState.spare) from
+	// oobOff on, oobLen[i] bytes for page i; hasOOB says whether there
+	// are any. Unlike payloads they are kept even when the chip does not
+	// store data: the recovery subsystem reconstructs the L2P mapping
+	// from them after a power cut.
 	oobOff uint32
 	oobLen [vth.PagesPerWL]uint16
 	hasOOB bool
@@ -99,7 +99,8 @@ type wlState struct {
 const maxOOBRecord = 1<<16 - 1
 
 type blockState struct {
-	pe  int
+	pe int
+	// wls is the block's share of the chip's word-line slab (Chip.wls).
 	wls []wlState
 	// pages is the block's payload slab under StoreData: page i of word
 	// line w at w*vth.PagesPerWL+i, nil where no payload is stored. It is
@@ -107,10 +108,12 @@ type blockState struct {
 	// erase; a chip that does not store data never makes one.
 	pages [][]byte
 	// spare is the block's spare arena: the OOB records of its word
-	// lines, appended in program order. It is created by the block's
-	// first OOB program, sized for every word line to carry records of
-	// that first word line's total length (the FTL's are uniform, so it
-	// never grows), and truncated — not freed — by an erase.
+	// lines, appended in program order. The block's first OOB program
+	// sizes it for every word line to carry records of that first word
+	// line's total length (the FTL's are uniform, so it never grows):
+	// the block's share of the chip's spare slab when that length is the
+	// chip's, else an arena of its own. An erase truncates it, never
+	// frees it.
 	spare  []byte
 	erased bool
 	// bad marks a block unusable (factory mark or grown failure);
@@ -142,6 +145,15 @@ type Chip struct {
 	src    *rng.Source
 
 	blocks []blockState
+	// wls is the word-line state of every block, one slab per chip carved
+	// into the blocks' wls. spare is the chip's spare slab, made by its
+	// first OOB program: spareStride bytes per block, the word lines of a
+	// block times that program's record total, each block's share carved
+	// out when its own first OOB program has the same total (carveSpare).
+	// A chip never programmed with records has none.
+	wls         []wlState
+	spare       []byte
+	spareStride int
 
 	// fixedRetention, when >= 0, is the retention age (months) applied
 	// to every programmed word line, reproducing the paper's pre-aged
@@ -209,11 +221,20 @@ func New(cfg Config) *Chip {
 		fixedRetention: -1,
 	}
 	c.blocks = make([]blockState, cfg.Process.BlocksPerChip)
-	wlsPerBlock := cfg.Process.Layers * cfg.Process.WLsPerLayer
 	for b := range c.blocks {
-		c.blocks[b] = blockState{wls: make([]wlState, wlsPerBlock), erased: true}
+		c.blocks[b].erased = true
 	}
+	c.wls = make([]wlState, len(c.blocks)*c.WLsPerBlock())
+	c.carveWLs()
 	return c
+}
+
+// carveWLs points every block's wls at its share of the chip's slab.
+func (c *Chip) carveWLs() {
+	n := c.WLsPerBlock()
+	for b := range c.blocks {
+		c.blocks[b].wls = c.wls[b*n : (b+1)*n : (b+1)*n]
+	}
 }
 
 // Config returns the chip configuration.

@@ -252,3 +252,173 @@ func hasPointers(t reflect.Type) bool {
 		return false
 	}
 }
+
+// programFirstWLs programs the first word line of every block of c, with
+// 32-byte records when oob is set.
+func programFirstWLs(tb testing.TB, c *Chip, oob bool) {
+	var recs [][]byte
+	if oob {
+		recs = [][]byte{make([]byte, 32), make([]byte, 32), make([]byte, 32)}
+	}
+	var res ProgramResult
+	for b := 0; b < c.Blocks(); b++ {
+		if err := c.ProgramWLOOB(Address{Block: b}, nil, recs, ProgramParams{}, &res); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// slabChipConfig is a small chip: a slab that set off a collection
+// would count the collector's own allocations too.
+func slabChipConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Process.BlocksPerChip, cfg.Process.Layers = 16, 3
+	return cfg
+}
+
+// A chip's blocks take their spare arenas from one slab, made by the
+// chip's first OOB program: the first lives of all its blocks cost one
+// allocation, not one per block. A chip programmed without records (a
+// device without Recovery) makes no slab at all.
+func TestSpareSlabPerChip(t *testing.T) {
+	cfg := slabChipConfig()
+	chips := make([]*Chip, 6) // AllocsPerRun makes one warm-up call
+	for i := range chips {
+		chips[i] = New(cfg)
+	}
+	i := 0
+	n := testing.AllocsPerRun(len(chips)-1, func() { programFirstWLs(t, chips[i], true); i++ })
+	if n != 1 {
+		t.Errorf("first OOB program of every block of a chip: %.1f allocations, want 1 (the slab)", n)
+	}
+	c := chips[0]
+	if got, want := len(c.spare), c.Blocks()*c.WLsPerBlock()*3*32; got != want {
+		t.Errorf("slab is %d bytes, want %d (blocks x word lines x uniform records)", got, want)
+	}
+	for b := 0; b < c.Blocks(); b++ {
+		if !c.carved(b) {
+			t.Fatalf("block %d's arena is not its share of the slab", b)
+		}
+	}
+	bare := New(cfg)
+	programFirstWLs(t, bare, false)
+	if bare.spare != nil {
+		t.Error("a chip programmed without records made a spare slab")
+	}
+}
+
+func BenchmarkFirstOOBPrograms(b *testing.B) {
+	cfg := slabChipConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := New(cfg)
+		b.StartTimer()
+		programFirstWLs(b, c, true)
+	}
+}
+
+// cloneArray is a 2x2 array of the given blocks per die whose every
+// block holds records: in its share of the die's slab; in an arena of
+// its own because its first records had another total (block 0); or in
+// one it moved to when its records outgrew its share (block 1).
+func cloneArray(tb testing.TB, blocks int) *Array {
+	cfg := testArrayConfig(2, 2)
+	cfg.Chip.Process.BlocksPerChip, cfg.Chip.Process.Layers = blocks, 3
+	a := NewArray(cfg)
+	uniform := [][]byte{make([]byte, 32), make([]byte, 32), make([]byte, 32)}
+	odd := [][]byte{make([]byte, 20), nil, nil}
+	wide := [][]byte{make([]byte, 40), make([]byte, 40), make([]byte, 40)}
+	program := func(c *Chip, a Address, recs [][]byte) {
+		if err := c.ProgramWLOOB(a, nil, recs, ProgramParams{}, new(ProgramResult)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for d := 0; d < a.Dies(); d++ {
+		c := a.Die(d)
+		for b := c.Blocks() - 1; b > 0; b-- {
+			program(c, Address{Block: b}, uniform)
+		}
+		program(c, Address{Block: 0}, odd)
+		for l := 0; l < cfg.Chip.Process.Layers; l++ {
+			for w := 0; w < cfg.Chip.Process.WLsPerLayer; w++ {
+				if l+w > 0 {
+					program(c, Address{Block: 1, Layer: l, WL: w}, wide)
+				}
+			}
+		}
+	}
+	return a
+}
+
+// Array.Clone copies each die's word-line and spare slabs once and
+// carves them anew: its allocations grow with the dies, not with the
+// blocks (two per block before the slabs). The copy holds what the
+// original holds and shares none of it.
+func TestCloneAllocs(t *testing.T) {
+	// Enough runs that the allocations of a collection the copies set
+	// off round away.
+	small, large := cloneArray(t, 4), cloneArray(t, 64)
+	ns := testing.AllocsPerRun(50, func() { small.Clone() })
+	nl := testing.AllocsPerRun(50, func() { large.Clone() })
+	if ns != nl {
+		t.Errorf("Clone: %.0f allocations at 4 blocks per die, %.0f at 64", ns, nl)
+	}
+	// Per die: the chip, its two random streams, its ECC engine, the
+	// block table and the two slabs, and blocks 0 and 1's own arenas.
+	if per := (nl - 2) / float64(large.Dies()); per > 10 {
+		t.Errorf("Clone: %.1f allocations per die, want at most 10", per)
+	}
+	cp := large.Clone()
+	for d := 0; d < large.Dies(); d++ {
+		orig, c := large.Die(d), cp.Die(d)
+		if orig.carved(0) || orig.carved(1) || !orig.carved(2) {
+			t.Fatalf("die %d: blocks 0 and 1 do not have arenas of their own, or block 2 no share", d)
+		}
+		p := orig.Config().Process
+		for b := 0; b < orig.Blocks(); b++ {
+			if c.carved(b) != orig.carved(b) {
+				t.Fatalf("die %d block %d: carved %v in the copy, %v in the original", d, b, c.carved(b), orig.carved(b))
+			}
+			for wl := 0; wl < p.Layers*p.WLsPerLayer; wl++ {
+				for pg := 0; pg < vth.PagesPerWL; pg++ {
+					a := Address{Block: b, Layer: wl / p.WLsPerLayer, WL: wl % p.WLsPerLayer, Page: pg}
+					if got, want := c.OOB(a), orig.OOB(a); !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+						t.Fatalf("die %d: OOB(%v) = %x in the copy, %x in the original", d, a, got, want)
+					}
+				}
+			}
+		}
+		// The copy's programs and erases reach neither the original's
+		// word lines nor its arenas.
+		for b := 0; b < 3; b++ {
+			next := Address{Block: b, Layer: 2, WL: 3}
+			if b != 1 {
+				if err := c.ProgramWLOOB(next, nil, [][]byte{bytes.Repeat([]byte{7}, 32), nil, nil}, ProgramParams{}, new(ProgramResult)); err != nil {
+					t.Fatal(err)
+				}
+				if orig.IsProgrammed(next) || orig.OOB(next) != nil {
+					t.Fatalf("die %d: a program of the copy's block %d reached the original", d, b)
+				}
+			}
+			was := bytes.Clone(orig.OOB(Address{Block: b}))
+			if _, err := c.EraseBlock(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ProgramWLOOB(Address{Block: b}, nil, [][]byte{bytes.Repeat([]byte{9}, 32), nil, nil}, ProgramParams{}, new(ProgramResult)); err != nil {
+				t.Fatal(err)
+			}
+			if got := orig.OOB(Address{Block: b}); !bytes.Equal(got, was) {
+				t.Fatalf("die %d: an erase and program of the copy's block %d reached the original: %x, want %x", d, b, got, was)
+			}
+		}
+	}
+}
+
+func BenchmarkArrayClone(b *testing.B) {
+	a := cloneArray(b, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a.Clone()
+	}
+}

@@ -10,7 +10,10 @@ package nand
 // operations change — word-line states, payload slabs, spare arenas,
 // wear, bad-block marks, counters, fault triggers, random streams — so
 // the copy draws what the original would have. It shares the read-only
-// process models and the stored payloads, never changed in place.
+// process models and the stored payloads, never changed in place. A
+// die's word-line and spare slabs are copied once each and carved anew;
+// only a block with an arena of its own, or a payload slab, costs an
+// allocation of its own.
 func (a *Array) Clone() *Array {
 	cp := &Array{cfg: a.cfg, dies: make([]*Chip, 0, len(a.dies))}
 	for _, d := range a.dies {
@@ -20,10 +23,19 @@ func (a *Array) Clone() *Array {
 		c.faults.ProgramFailAt = append([]Address(nil), d.faults.ProgramFailAt...)
 		c.faults.EraseFailAt = append([]int(nil), d.faults.EraseFailAt...)
 		c.blocks = append([]blockState(nil), d.blocks...)
+		c.wls = append([]wlState(nil), d.wls...)
+		c.carveWLs()
+		if d.spare != nil {
+			c.spare = make([]byte, len(d.spare))
+		}
 		for b := range c.blocks {
 			blk := &c.blocks[b]
-			blk.wls, blk.pages = append([]wlState(nil), blk.wls...), append([][]byte(nil), blk.pages...)
-			if blk.spare != nil { // a program appends to the arena in place
+			blk.pages = append([][]byte(nil), blk.pages...)
+			switch { // a program appends to the arena in place
+			case d.carved(b):
+				off := b * c.spareStride
+				blk.spare = append(c.spare[off:off:off+c.spareStride], blk.spare...)
+			case blk.spare != nil:
 				blk.spare = append(make([]byte, 0, cap(blk.spare)), blk.spare...)
 			}
 		}
@@ -58,8 +70,11 @@ func (c *Chip) CutErase(block int) {
 }
 
 // OOB returns the spare-area metadata stored with a page, or nil when
-// the page was never programmed, was programmed before OOB existed, or
-// belongs to a partially-programmed (power-cut) word line.
+// the page was never programmed, was programmed without a record (or
+// with an empty one), or belongs to a partially-programmed (power-cut)
+// word line. The record is a read-only view of the block's spare arena,
+// capped at its own length: it is valid until the block's next program
+// or erase, and a caller that keeps it longer copies it.
 func (c *Chip) OOB(a Address) []byte {
 	if c.checkAddr(a) != nil {
 		return nil
@@ -73,7 +88,11 @@ func (c *Chip) OOB(a Address) []byte {
 	for _, n := range st.oobLen[:a.Page] {
 		off += int(n)
 	}
-	return append([]byte(nil), blk.spare[off:off+int(st.oobLen[a.Page])]...)
+	end := off + int(st.oobLen[a.Page])
+	if end == off {
+		return nil
+	}
+	return blk.spare[off:end:end]
 }
 
 // IsPartial reports whether a word line holds a power-cut partial

@@ -243,7 +243,7 @@ func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams
 		blk.storePages(c.wlIndex(a), pages)
 	}
 	if oob != nil {
-		blk.storeOOB(st, oob)
+		c.storeOOB(a.Block, st, oob)
 	}
 
 	// Post-program measurements (Get-Features). Measurement noise is
@@ -266,16 +266,17 @@ func (c *Chip) ProgramWLOOB(a Address, pages, oob [][]byte, params ProgramParams
 	return nil
 }
 
-// storeOOB copies a word line's spare-area records into the block's
+// storeOOB copies a word line's spare-area records into its block's
 // arena (the caller reuses its buffers once the program returns) and
 // points st at them.
-func (blk *blockState) storeOOB(st *wlState, oob [][]byte) {
+func (c *Chip) storeOOB(block int, st *wlState, oob [][]byte) {
+	blk := &c.blocks[block]
 	if blk.spare == nil {
 		total := 0
 		for _, b := range oob {
 			total += len(b)
 		}
-		blk.spare = make([]byte, 0, len(blk.wls)*total)
+		blk.spare = c.carveSpare(block, len(blk.wls)*total)
 	}
 	st.hasOOB = true
 	st.oobOff = uint32(len(blk.spare))
@@ -283,6 +284,29 @@ func (blk *blockState) storeOOB(st *wlState, oob [][]byte) {
 		blk.spare = append(blk.spare, b...) // grows only if records are not uniform
 		st.oobLen[i] = uint16(len(b))
 	}
+}
+
+// carveSpare returns an empty arena of capacity n for a block: its share
+// of the chip's spare slab when n is the slab's stride, which the chip's
+// first call fixes, else one of its own. The share is capped, so a block
+// whose records outgrow it moves to an arena of its own and never writes
+// into its neighbour's.
+func (c *Chip) carveSpare(block, n int) []byte {
+	if c.spare == nil {
+		c.spare, c.spareStride = make([]byte, len(c.blocks)*n), n
+	}
+	if n != c.spareStride {
+		return make([]byte, 0, n)
+	}
+	off := block * n
+	return c.spare[off : off : off+n]
+}
+
+// carved reports whether a block's spare arena is its share of the
+// chip's slab.
+func (c *Chip) carved(block int) bool {
+	s, n := c.blocks[block].spare, c.spareStride
+	return n > 0 && cap(s) == n && &s[:1][0] == &c.spare[block*n]
 }
 
 // storePages copies a word line's payloads into the block's slab (the

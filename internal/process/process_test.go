@@ -360,3 +360,31 @@ func TestReadTermsBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// NewModel allocates its tables and nothing per block or h-layer: the
+// sources it derives for every block and every (block, h-layer) pair
+// stay on its stack, which holds only while rng's New and DeriveN
+// inline. Models of 1 and of 428 blocks cost the same. The Benchmark
+// twin reports the same with -benchmem.
+func TestNewModelAllocs(t *testing.T) {
+	allocs := func(blocks int) float64 {
+		cfg := DefaultConfig()
+		cfg.BlocksPerChip = blocks
+		return testing.AllocsPerRun(5, func() { NewModel(cfg) })
+	}
+	small, large := allocs(1), allocs(DefaultConfig().BlocksPerChip)
+	if small != large {
+		t.Errorf("NewModel: %.0f allocations at 1 block, %.0f at %d", small, large, DefaultConfig().BlocksPerChip)
+	}
+	if large > 10 {
+		t.Errorf("NewModel: %.0f allocations, want at most 10", large)
+	}
+}
+
+func BenchmarkNewModel(b *testing.B) {
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewModel(cfg)
+	}
+}

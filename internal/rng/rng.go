@@ -314,9 +314,16 @@ func (s *Source) Derive(label string) *Source {
 }
 
 // DeriveN returns a child source keyed by a label and an index, e.g. one
-// source per block: parent.DeriveN("block", blockID).
+// source per block: parent.DeriveN("block", blockID). It inlines, so a
+// child that does not outlive its caller stays on the caller's stack.
 func (s *Source) DeriveN(label string, n uint64) *Source {
-	return New(mix(mix(s.state, fnv1a64(label)), n*0x9e3779b97f4a7c15+1))
+	return New(deriveNSeed(s.state, label, n))
+}
+
+// deriveNSeed is DeriveN's child seed, kept out of DeriveN so that
+// DeriveN fits the inliner's budget.
+func deriveNSeed(state uint64, label string, n uint64) uint64 {
+	return mix(mix(state, fnv1a64(label)), n*0x9e3779b97f4a7c15+1)
 }
 
 // mix combines two 64-bit values into a well-distributed seed.
