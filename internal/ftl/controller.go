@@ -207,6 +207,9 @@ type Controller struct {
 	dies     []die
 	roles    []blockRole // per block, chip-major
 	degraded bool        // device-wide read-only: every die has degraded
+	// inflight is the sum of dies[i].inflight: the issued, uncompleted
+	// host programs of the whole array.
+	inflight int
 
 	pendingWrites pool.Ring[*hostWrite] // host writes waiting for buffer space
 	flushChip     int                   // round-robin cursor
@@ -529,14 +532,7 @@ func (c *Controller) Drained() bool {
 
 // hostProgramInFlight reports whether any die has an issued, uncompleted
 // host program.
-func (c *Controller) hostProgramInFlight() bool {
-	for i := range c.dies {
-		if c.dies[i].inflight > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (c *Controller) hostProgramInFlight() bool { return c.inflight > 0 }
 
 // SetRecovery attaches (or detaches, with nil) the crash-consistency
 // hook. Attach before driving I/O; the recovery manager immediately

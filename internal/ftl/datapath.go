@@ -176,9 +176,13 @@ func (c *Controller) SetDrainPromise(on bool) {
 // block is never a host's, so in-progress garbage collection always has
 // a block to write into.
 func (c *Controller) pickChip() (int, bool) {
+	n, busy := c.geo.Chips, -1
+	// Every die at the in-flight cap: no outlook can be takes.
+	if c.inflight == n*c.cfg.MaxInflightProgramsPerChip {
+		return 0, false
+	}
 	// One scan: the first eligible idle die wins; failing that, the
 	// first eligible one.
-	n, busy := c.geo.Chips, -1
 	for i := 0; i < n; i++ {
 		die := (c.flushChip + i) % n
 		if c.outlook(die) != takes {
@@ -277,6 +281,7 @@ func (c *Controller) flushTo(chip int, f *flushOp) {
 	f.params = c.pol.ProgramParams(chip, f.block, layer, wl)
 	addr := nand.Address{Block: f.block, Layer: layer, WL: wl}
 	c.dies[chip].inflight++
+	c.inflight++
 	f.issueAt = c.eng.Now()
 	c.dev.Program(chip, addr, c.hostPages(f.group), f.flushOOB(cursor.Seq), f.params, f.onProgram)
 }

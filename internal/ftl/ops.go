@@ -232,6 +232,7 @@ func (f *flushOp) programDone(res *nand.ProgramResult, err error) {
 	pool.CheckLive(f.live, "ftl flush op")
 	c, chip, cursor, block, group := f.c, f.chip, f.cursor, f.block, f.group
 	c.dies[chip].inflight--
+	c.inflight--
 	if errors.Is(err, ssd.ErrDieFenced) {
 		// The die degraded while this program waited for its grant:
 		// nothing reached the media. Return the data to the buffer so

@@ -294,7 +294,8 @@ func TestGCCycleAllocs(t *testing.T) {
 
 // pickChip's one scan chooses what the two scans it replaced chose —
 // the first eligible idle die from the cursor, else the first eligible
-// one — and leaves the cursor where they left it.
+// one — and leaves the cursor where they left it, also when every die is
+// at the in-flight cap and it returns before scanning.
 func TestPickChipMatchesTwoScans(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := ssd.DefaultConfig()
@@ -325,18 +326,24 @@ func TestPickChipMatchesTwoScans(t *testing.T) {
 	for die := range pools {
 		pools[die] = c.dies[die].free
 	}
+	allAtCap := 0
 	for trial := 0; trial < 2000; trial++ {
 		if src.Intn(4) == 0 {
 			eng.Run() // every die idle again
 		}
+		c.inflight = 0
 		for die := 0; die < n; die++ {
 			d := &c.dies[die]
 			d.degraded = src.Intn(5) == 0
 			d.inflight = src.Intn(2)
+			c.inflight += d.inflight
 			d.free = pools[die][:src.Intn(3)]
 			if src.Intn(3) == 0 {
 				dev.Read(die, nand.Address{}, nand.ReadParams{}, nil, func(nand.ReadResult, error) {})
 			}
+		}
+		if c.inflight == n*c.cfg.MaxInflightProgramsPerChip {
+			allAtCap++
 		}
 		c.flushChip = src.Intn(n)
 		wantDie, wantCursor, wantOK := twoScans()
@@ -345,6 +352,9 @@ func TestPickChipMatchesTwoScans(t *testing.T) {
 			t.Fatalf("trial %d: pickChip = %d, %v (cursor %d), two scans give %d, %v (cursor %d)",
 				trial, die, ok, c.flushChip, wantDie, wantOK, wantCursor)
 		}
+	}
+	if allAtCap == 0 {
+		t.Error("no trial put every die at the in-flight cap")
 	}
 }
 
