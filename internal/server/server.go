@@ -335,6 +335,9 @@ type Server struct {
 	ctlCh chan func()
 	quit  chan struct{}
 	wg    sync.WaitGroup
+	// serving is set once Start has launched the core loop. Before that,
+	// and after a Start that failed, nothing receives on ctlCh.
+	serving bool
 
 	// Core-owned.
 	conns      map[*conn]struct{}
@@ -438,6 +441,7 @@ func (s *Server) Start(addr string) error {
 		ln.Close()
 		return err
 	}
+	s.serving = true
 	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.coreLoop()
@@ -905,12 +909,14 @@ func (s *Server) FinalStats() Stats { return s.stats }
 
 // Close shuts the server down gracefully: stop accepting, notify and
 // drop clients, drain in-flight I/O, flush the journal, and write a
-// final checkpoint so the next boot mounts instantly.
+// final checkpoint so the next boot mounts instantly. A server that
+// never served (no Start, or a Start that failed) drains on the
+// caller's goroutine: it has no core loop to hand the drain to.
 func (s *Server) Close() error {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	s.do(func() {
+	drain := func() {
 		s.draining = true
 		s.events.Emit(telemetry.Event{
 			SimNs:  int64(s.dev.Now()),
@@ -924,7 +930,12 @@ func (s *Server) Close() error {
 		s.dev.Quiesce()
 		s.up = false
 		s.logf("cubeserved: drained and checkpointed at %v simulated", s.dev.Now())
-	})
+	}
+	if s.serving {
+		s.do(drain)
+	} else {
+		drain()
+	}
 	close(s.quit)
 	s.wg.Wait()
 	if s.obsSrv != nil {

@@ -360,3 +360,39 @@ func TestRestartNotifiesIdleClients(t *testing.T) {
 		t.Errorf("stats %+v, want one redial and no failed attempt", cl.Stats)
 	}
 }
+
+// Close returns on a server whose core loop never ran: one that was
+// only built, and one whose Start failed to bind an address already in
+// use. Each Close runs under a deadline, so a Close that waits for a
+// core loop fails the test instead of hanging it.
+func TestCloseWithoutServing(t *testing.T) {
+	closeWithin := func(name string, srv *Server) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- srv.Close() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: Close: %v", name, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: Close did not return", name)
+		}
+	}
+	srv, err := New(testConfig(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeWithin("never started", srv)
+
+	busy := startTestServer(t, testConfig(false))
+	defer busy.Close()
+	srv, err = New(testConfig(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(busy.Addr().String()); err == nil {
+		t.Fatal("Start on an address in use succeeded")
+	}
+	closeWithin("failed Start", srv)
+}
