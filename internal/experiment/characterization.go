@@ -78,9 +78,9 @@ func Fig05(seed uint64) *Fig05Result {
 		}
 	}
 	// (d) tPROG of the four WLs of one mid h-layer.
+	var r nand.ProgramResult
 	for w := 0; w < 4; w++ {
-		r, err := chip.ProgramWL(nand.Address{Block: 1, Layer: m.BestLayer(), WL: w}, nil, nand.ProgramParams{})
-		if err != nil {
+		if err := chip.ProgramWLOOB(nand.Address{Block: 1, Layer: m.BestLayer(), WL: w}, nil, nil, nand.ProgramParams{}, &r); err != nil {
 			panic(err)
 		}
 		res.TPROGPerWL[w] = r.LatencyNs
@@ -245,17 +245,16 @@ func Fig08(seed uint64) *Fig08Result {
 	// Average tPROG reduction from the full safe skip plan, measured on
 	// real program operations across layers.
 	var leadNs, follNs int64
+	var lead, foll nand.ProgramResult
 	for l := 0; l < m.Config().Layers; l++ {
-		lead, err := chip.ProgramWL(nand.Address{Block: 2, Layer: l, WL: 0}, nil, nand.ProgramParams{})
-		if err != nil {
+		if err := chip.ProgramWLOOB(nand.Address{Block: 2, Layer: l, WL: 0}, nil, nil, nand.ProgramParams{}, &lead); err != nil {
 			panic(err)
 		}
 		var p nand.ProgramParams
 		for s, w := range lead.Windows {
 			p.SkipVFY[s] = w.MinLoop - 1
 		}
-		foll, err := chip.ProgramWL(nand.Address{Block: 2, Layer: l, WL: 1}, nil, p)
-		if err != nil {
+		if err := chip.ProgramWLOOB(nand.Address{Block: 2, Layer: l, WL: 1}, nil, nil, p, &foll); err != nil {
 			panic(err)
 		}
 		leadNs += lead.LatencyNs
@@ -381,18 +380,17 @@ func Fig11(seed uint64) *Fig11Result {
 
 	// (b) conversion sweep measured on real programs: each sweep point
 	// gets its own block so the leader/follower pair shares an h-layer.
+	var lead, r nand.ProgramResult
 	for i, sm := range []float64{0.3, 0.7, 1.1, 1.5, 1.7, 2.1} {
 		blk := 3 + i
 		layer := m.BestLayer()
-		lead, err := chip.ProgramWL(nand.Address{Block: blk, Layer: layer, WL: 0}, nil, nand.ProgramParams{})
-		if err != nil {
+		if err := chip.ProgramWLOOB(nand.Address{Block: blk, Layer: layer, WL: 0}, nil, nil, nand.ProgramParams{}, &lead); err != nil {
 			panic(err)
 		}
 		mv := vth.SMToMarginMV(sm)
 		s, f := vth.SplitMargin(mv)
-		r, err := chip.ProgramWL(nand.Address{Block: blk, Layer: layer, WL: 1}, nil,
-			nand.ProgramParams{StartMarginMV: s, FinalMarginMV: f})
-		if err != nil {
+		if err := chip.ProgramWLOOB(nand.Address{Block: blk, Layer: layer, WL: 1}, nil, nil,
+			nand.ProgramParams{StartMarginMV: s, FinalMarginMV: f}, &r); err != nil {
 			panic(err)
 		}
 		res.SM = append(res.SM, sm)

@@ -30,14 +30,14 @@ func Fig13(seed uint64) *Fig13Result {
 		cur := ftl.NewBlockCursor(0, block, chip.Config().Process.Layers, chip.Config().Process.WLsPerLayer)
 		var sum float64
 		var n int
+		var r nand.ProgramResult
 		for {
 			l, w, ok := cur.NextInOrder(o)
 			if !ok {
 				break
 			}
 			cur.Take(l, w)
-			r, err := chip.ProgramWL(nand.Address{Block: block, Layer: l, WL: w}, nil, nand.ProgramParams{})
-			if err != nil {
+			if err := chip.ProgramWLOOB(nand.Address{Block: block, Layer: l, WL: w}, nil, nil, nand.ProgramParams{}, &r); err != nil {
 				panic(err)
 			}
 			sum += r.MeasuredBER
@@ -103,9 +103,10 @@ func Fig14(seed uint64) *Fig14Result {
 		}
 		chip.SetFixedRetention(4)
 		// Program everything once (leaders only are enough: read WL0).
+		var r nand.ProgramResult
 		for b := 0; b < blocks; b++ {
 			for l := 0; l < m.Config().Layers; l++ {
-				if _, err := chip.ProgramWL(nand.Address{Block: b, Layer: l, WL: 0}, nil, nand.ProgramParams{}); err != nil {
+				if err := chip.ProgramWLOOB(nand.Address{Block: b, Layer: l, WL: 0}, nil, nil, nand.ProgramParams{}, &r); err != nil {
 					panic(err)
 				}
 			}

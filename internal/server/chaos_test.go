@@ -234,9 +234,8 @@ func chaosLeg(t *testing.T, slo bool) time.Duration {
 			bulk.Merge(w.reads)
 		}
 	}
-	var adjustments int
-	var breaches int64
-	srv.do(func() { adjustments, breaches = len(srv.slo.Decisions), srv.slo.Breaches })
+	var adjustments, breaches int64
+	srv.do(func() { adjustments, breaches = srv.slo.Tightenings+srv.slo.Relaxations, srv.slo.Breaches })
 	mode := "static"
 	if slo {
 		mode = "slo"

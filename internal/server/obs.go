@@ -1,14 +1,19 @@
 package server
 
-// Server-side observability plane (DESIGN.md §16): the /metrics
-// collector, /healthz//readyz state, and structured event emission.
+// Server-side observability plane (DESIGN.md §16): the HTTP endpoint
+// (/metrics, /healthz, /readyz), the /metrics collector, and
+// structured event emission.
 // Collection runs on the core goroutine via do(), so a scrape sees a
 // consistent snapshot of core-owned state; the event log has its own
 // lock and is readable from any goroutine.
 
 import (
+	"bytes"
 	"io"
+	"net"
+	"net/http"
 	"strconv"
+	"time"
 
 	"cubeftl"
 	"cubeftl/internal/metrics"
@@ -33,7 +38,6 @@ func (s *Server) obsEnabled() bool {
 // Runs from New, before Start — no concurrency yet.
 func (s *Server) initObs() {
 	s.events = telemetry.NewEventLog(s.cfg.EventsOut, 0)
-	s.slo.events = s.events
 	if !s.obsEnabled() {
 		return
 	}
@@ -73,44 +77,84 @@ func (s *Server) obsObserve(queue int, write bool, latNs int64) {
 	}
 }
 
-// startObsServer binds Config.MetricsAddr (called from Start).
+// startObsServer binds Config.MetricsAddr and serves obsHandler on it.
+// Start calls it once the core loop runs, so a scrape that arrives at
+// once is served.
 func (s *Server) startObsServer() error {
 	if s.cfg.MetricsAddr == "" {
 		return nil
 	}
-	o := telemetry.NewObsServer()
-	o.SetMetrics(s.writeMetrics)
-	o.SetHealth(func() telemetry.Health {
-		up, draining := s.obsState()
-		switch {
-		case draining:
-			return telemetry.Health{OK: false, Detail: "draining"}
-		case !up:
-			return telemetry.Health{OK: true, Detail: "down (awaiting recovery)"}
-		}
-		return telemetry.Health{OK: true, Detail: "up"}
-	})
-	o.SetReady(func() telemetry.Health {
-		up, draining := s.obsState()
-		switch {
-		case draining:
-			return telemetry.Health{OK: false, Detail: "draining"}
-		case !up:
-			return telemetry.Health{OK: false, Detail: "device down"}
-		}
-		return telemetry.Health{OK: true, Detail: "ready"}
-	})
-	addr, err := o.Start(s.cfg.MetricsAddr)
+	ln, err := net.Listen("tcp", s.cfg.MetricsAddr)
 	if err != nil {
 		return err
 	}
-	s.obsSrv = o
+	addr := ln.Addr().String()
+	// Serve does not read Addr; it records the bound address for
+	// MetricsAddr.
+	s.obsSrv = &http.Server{Addr: addr, Handler: s.obsHandler(), ReadHeaderTimeout: 5 * time.Second}
+	go func() { _ = s.obsSrv.Serve(ln) }()
 	s.events.Emit(telemetry.Event{
 		Type: telemetry.EvServerListen,
 		Text: map[string]string{"addr": addr},
 	})
 	s.logf("cubeserved: observability on http://%s/metrics", addr)
 	return nil
+}
+
+// obsHandler routes the observability endpoint: /metrics in Prometheus
+// text exposition format, /healthz (process liveness) and /readyz (able
+// to serve). The handlers run on HTTP goroutines and read the server
+// through the core goroutine.
+func (s *Server) obsHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		serveProm(w, s.writeMetrics)
+	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		up, draining := s.obsState()
+		switch {
+		case draining:
+			writeHealth(w, false, "draining")
+		case !up:
+			writeHealth(w, true, "down (awaiting recovery)")
+		default:
+			writeHealth(w, true, "up")
+		}
+	})
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		up, draining := s.obsState()
+		switch {
+		case draining:
+			writeHealth(w, false, "draining")
+		case !up:
+			writeHealth(w, false, "device down")
+		default:
+			writeHealth(w, true, "ready")
+		}
+	})
+	return mux
+}
+
+// serveProm renders the exposition write produces, or a 500 naming its
+// error: the body is buffered so a failure is never half a scrape.
+func serveProm(w http.ResponseWriter, write func(io.Writer) error) {
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		http.Error(w, "metrics: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_, _ = w.Write(buf.Bytes())
+}
+
+// writeHealth answers a health probe: 200, or 503 when !ok, with the
+// detail as the body.
+func writeHealth(w http.ResponseWriter, ok bool, detail string) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if !ok {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}
+	_, _ = io.WriteString(w, detail+"\n")
 }
 
 // obsState reads the mount/drain flags through the core goroutine.
@@ -124,7 +168,7 @@ func (s *Server) MetricsAddr() string {
 	if s.obsSrv == nil {
 		return ""
 	}
-	return s.obsSrv.Addr()
+	return s.obsSrv.Addr
 }
 
 // Events returns the retained structured events (safe concurrently).

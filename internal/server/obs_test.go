@@ -3,6 +3,7 @@ package server
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -110,6 +111,63 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, body2 := scrape(t, addr, "/metrics")
 	if !strings.Contains(body2, `cube_tenant_window_ios{tenant="lat"} 0`) {
 		t.Error("window did not reset between scrapes")
+	}
+}
+
+// The endpoint's routes, driven without a listener on a server that
+// was never started (do runs on the test goroutine): each route's
+// status, content type and body while up, down and draining. For
+// /metrics, body is one sample the exposition must carry.
+func TestObsRoutes(t *testing.T) {
+	srv, err := New(testConfig(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.obsHandler()
+	const (
+		prom  = "text/plain; version=0.0.4; charset=utf-8"
+		plain = "text/plain; charset=utf-8"
+	)
+	check := func(state, path string, code int, ctype, body string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		got := rec.Body.String()
+		// A health body is exact; an exposition need only carry the sample.
+		match := got == body || path == "/metrics" && strings.Contains(got, body)
+		if rec.Code != code || rec.Header().Get("Content-Type") != ctype || !match {
+			t.Errorf("%s %s: %d %q %q, want %d %q %q",
+				state, path, rec.Code, rec.Header().Get("Content-Type"), rec.Body.String(), code, ctype, body)
+		}
+	}
+	check("up", "/healthz", 200, plain, "up\n")
+	check("up", "/readyz", 200, plain, "ready\n")
+	check("up", "/metrics", 200, prom, "cube_server_up 1\n")
+
+	if err := srv.PowerCut(); err != nil {
+		t.Fatal(err)
+	}
+	check("down", "/healthz", 200, plain, "down (awaiting recovery)\n")
+	check("down", "/readyz", 503, plain, "device down\n")
+	check("down", "/metrics", 200, prom, "cube_server_up 0\n")
+
+	srv.draining = true
+	check("draining", "/healthz", 503, plain, "draining\n")
+	check("draining", "/readyz", 503, plain, "draining\n")
+	check("draining", "/metrics", 200, prom, "cube_server_draining 1\n")
+}
+
+// A metrics producer that fails is a 500 naming its error, not half an
+// exposition.
+func TestServePromError(t *testing.T) {
+	rec := httptest.NewRecorder()
+	serveProm(rec, func(w io.Writer) error {
+		io.WriteString(w, "cube_up 1\n")
+		return io.ErrUnexpectedEOF
+	})
+	if body := rec.Body.String(); rec.Code != 500 || body != "metrics: unexpected EOF\n" {
+		t.Errorf("metrics error: %d %q, want 500 and the error", rec.Code, body)
 	}
 }
 
@@ -254,12 +312,11 @@ func TestEventLogCapturesChaosOps(t *testing.T) {
 func TestSLOEventsCarryBreachEvidence(t *testing.T) {
 	log := telemetry.NewEventLog(nil, 0)
 	sc := &sloController{events: log}
-	sc.record(Adjustment{At: time.Millisecond, Tenant: "lat", What: "weight",
-		From: 4, To: 8, P99: 900 * time.Microsecond, Target: 300 * time.Microsecond,
-		Breach: true, Applied: true})
-	sc.record(Adjustment{At: 2 * time.Millisecond, Tenant: "bulk", What: "rate",
-		From: 0, To: 5000, P99: 100 * time.Microsecond, Target: 300 * time.Microsecond,
-		Applied: true})
+	sc.record(telemetry.EvSLOTighten, time.Millisecond, "lat", "weight", 4, 8, 900*time.Microsecond, 300*time.Microsecond)
+	sc.record(telemetry.EvSLORelax, 2*time.Millisecond, "bulk", "rate", 0, 5000, 100*time.Microsecond, 300*time.Microsecond)
+	if sc.Tightenings != 1 || sc.Relaxations != 1 {
+		t.Errorf("ledger: %d tightenings, %d relaxations, want 1 and 1", sc.Tightenings, sc.Relaxations)
+	}
 
 	tightens := log.ByType(telemetry.EvSLOTighten)
 	relaxes := log.ByType(telemetry.EvSLORelax)
@@ -276,6 +333,19 @@ func TestSLOEventsCarryBreachEvidence(t *testing.T) {
 	}
 	if ev.SimNs != int64(time.Millisecond) {
 		t.Errorf("SimNs = %d", ev.SimNs)
+	}
+	// The event's JSON fields are the record's schema: exactly these.
+	want := map[string]float64{"p99_ns": 900e3, "target_ns": 300e3, "from": 4, "to": 8, "applied": 1}
+	if len(ev.Fields) != len(want) || len(ev.Text) != 1 {
+		t.Errorf("tighten event fields %v text %v, want %v and what", ev.Fields, ev.Text, want)
+	}
+	for k, v := range want {
+		if ev.Fields[k] != v {
+			t.Errorf("tighten event %s = %v, want %v", k, ev.Fields[k], v)
+		}
+	}
+	if r := relaxes[0]; r.Tenant != "bulk" || r.Text["what"] != "rate" || r.Fields["to"] != 5000 || r.Fields["applied"] != 1 {
+		t.Errorf("relax event mangled: %+v", r)
 	}
 }
 

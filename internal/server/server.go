@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"sync"
 	"time"
 
@@ -332,11 +333,13 @@ type Server struct {
 
 	ln    net.Listener
 	reqCh chan request
-	ctlCh chan func()
+	ctlCh chan func() // unbuffered: a send is a hand-off to the core
 	quit  chan struct{}
 	wg    sync.WaitGroup
+	// closeOnce makes Close the one closer of quit.
+	closeOnce sync.Once
 	// serving is set once Start has launched the core loop. Before that,
-	// and after a Start that failed, nothing receives on ctlCh.
+	// do runs its op on the caller.
 	serving bool
 
 	// Core-owned.
@@ -354,9 +357,9 @@ type Server struct {
 	ioReqs pool.FreeList[ioReq]
 
 	// Observability plane (obs.go). events is always non-nil; obsSrv
-	// and obsWin only when Config.MetricsAddr is set.
+	// once Start has bound Config.MetricsAddr, obsWin when the plane is on.
 	events *telemetry.EventLog
-	obsSrv *telemetry.ObsServer
+	obsSrv *http.Server
 	obsWin []obsWindow
 
 	// Knob positions captured at power cut, re-applied on recovery.
@@ -393,7 +396,7 @@ func New(cfg Config) (*Server, error) {
 		dev:      dev,
 		queueOf:  make(map[string]int, len(cfg.Tenants)),
 		reqCh:    make(chan request, 1024),
-		ctlCh:    make(chan func(), 16),
+		ctlCh:    make(chan func()),
 		quit:     make(chan struct{}),
 		conns:    make(map[*conn]struct{}),
 		sessions: make(map[uint64]*session),
@@ -411,8 +414,8 @@ func New(cfg Config) (*Server, error) {
 	if s.fe, err = s.attachFrontEnd(); err != nil {
 		return nil, err
 	}
-	s.slo = newSLOController(cfg.SLO, s.fe, cfg.Tenants)
 	s.initObs()
+	s.slo = newSLOController(cfg.SLO, s.fe, cfg.Tenants, s.events)
 	return s, nil
 }
 
@@ -430,31 +433,41 @@ func (s *Server) attachFrontEnd() (*cubeftl.FrontEnd, error) {
 	return s.dev.AttachFrontEnd(specs, s.cfg.Arbiter, s.cfg.DispatchWidth)
 }
 
-// Start listens on addr (e.g. "127.0.0.1:0") and begins serving.
+// Start listens on addr (e.g. "127.0.0.1:0") and begins serving. The
+// core loop runs before anything that calls do can: if the endpoint then
+// fails to bind, the core runs on, and Close drains it.
 func (s *Server) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	s.ln = ln
+	s.serving = true
+	s.wg.Add(1)
+	go s.coreLoop()
 	if err := s.startObsServer(); err != nil {
 		ln.Close()
 		return err
 	}
-	s.serving = true
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.acceptLoop()
-	go s.coreLoop()
 	s.logf("cubeserved: serving %d tenants on %s (%.1f GiB logical)",
 		len(s.cfg.Tenants), ln.Addr(), float64(s.dev.CapacityBytes())/(1<<30))
 	return nil
 }
 
-// Addr returns the bound listen address (after Start).
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
+// Addr returns the bound listen address, or nil before Start has bound
+// one.
+func (s *Server) Addr() net.Addr {
+	if s.ln == nil {
+		return nil
+	}
+	return s.ln.Addr()
+}
 
-// Device returns the underlying SSD. Touch it only through do() —
-// i.e. from tests that have stopped the server.
+// Device returns the underlying SSD. It may be touched directly before
+// Start or after Close; while the server serves, only the core
+// goroutine (through do) may touch it.
 func (s *Server) Device() *cubeftl.SSD { return s.dev }
 
 func (s *Server) acceptLoop() {
@@ -630,8 +643,16 @@ const DefaultBatchWindow = 200 * time.Microsecond
 
 // do runs fn on the core goroutine and waits for it — the only safe
 // way for another goroutine (chaos harness, admin, signal handler) to
-// touch the device.
+// touch the device. It never blocks: before Start has launched the core
+// no other goroutine can touch the server, so fn runs on the caller;
+// once Close has stopped the core, fn does not run. ctlCh has no
+// buffer, so a send that succeeds is one the core has taken and will
+// run.
 func (s *Server) do(fn func()) {
+	if !s.serving {
+		fn()
+		return
+	}
 	done := make(chan struct{})
 	select {
 	case s.ctlCh <- func() { fn(); close(done) }:
@@ -786,7 +807,7 @@ func (s *Server) dropConns(reason uint8) {
 func (s *Server) PowerCut() error {
 	var err error
 	s.do(func() {
-		if s.slo != nil && s.fe != nil {
+		if s.fe != nil {
 			s.savedWeights, s.savedRates = s.slo.weightsAndRates()
 		}
 		if err = s.dev.PowerCut(); err != nil {
@@ -828,9 +849,9 @@ func (s *Server) Recover() (cubeftl.MountReport, error) {
 			return
 		}
 		s.fe = fe
-		if s.slo != nil && s.savedWeights != nil {
+		if s.savedWeights != nil {
 			s.slo.rebind(fe, s.savedWeights, s.savedRates)
-		} else if s.slo != nil {
+		} else {
 			s.slo.fe = fe
 		}
 		s.up = true
@@ -909,37 +930,35 @@ func (s *Server) FinalStats() Stats { return s.stats }
 
 // Close shuts the server down gracefully: stop accepting, notify and
 // drop clients, drain in-flight I/O, flush the journal, and write a
-// final checkpoint so the next boot mounts instantly. A server that
-// never served (no Start, or a Start that failed) drains on the
-// caller's goroutine: it has no core loop to hand the drain to.
+// final checkpoint so the next boot mounts instantly. A second Close
+// returns nil.
 func (s *Server) Close() error {
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	drain := func() {
-		s.draining = true
-		s.events.Emit(telemetry.Event{
-			SimNs:  int64(s.dev.Now()),
-			Type:   telemetry.EvServerDrain,
-			Fields: map[string]float64{"sessions": float64(len(s.sessions))},
-		})
-		s.dropConns(DownShutdown)
-		if s.up && s.fe != nil && s.fe.Outstanding() > 0 {
-			s.fe.Pump()
+	var err error
+	s.closeOnce.Do(func() {
+		if s.ln != nil {
+			s.ln.Close()
 		}
-		s.dev.Quiesce()
-		s.up = false
-		s.logf("cubeserved: drained and checkpointed at %v simulated", s.dev.Now())
-	}
-	if s.serving {
-		s.do(drain)
-	} else {
-		drain()
-	}
-	close(s.quit)
-	s.wg.Wait()
-	if s.obsSrv != nil {
-		s.obsSrv.Close()
-	}
-	return s.events.Close()
+		s.do(func() {
+			s.draining = true
+			s.events.Emit(telemetry.Event{
+				SimNs:  int64(s.dev.Now()),
+				Type:   telemetry.EvServerDrain,
+				Fields: map[string]float64{"sessions": float64(len(s.sessions))},
+			})
+			s.dropConns(DownShutdown)
+			if s.up && s.fe != nil && s.fe.Outstanding() > 0 {
+				s.fe.Pump()
+			}
+			s.dev.Quiesce()
+			s.up = false
+			s.logf("cubeserved: drained and checkpointed at %v simulated", s.dev.Now())
+		})
+		close(s.quit)
+		s.wg.Wait()
+		if s.obsSrv != nil {
+			s.obsSrv.Close()
+		}
+		err = s.events.Close()
+	})
+	return err
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -361,38 +362,97 @@ func TestRestartNotifiesIdleClients(t *testing.T) {
 	}
 }
 
-// Close returns on a server whose core loop never ran: one that was
-// only built, and one whose Start failed to bind an address already in
-// use. Each Close runs under a deadline, so a Close that waits for a
-// core loop fails the test instead of hanging it.
+// Every entry point returns in every lifecycle state: after New only,
+// after a Start that failed on the block address or on the metrics
+// address, and after Close. Errors (a remount of a device that is up)
+// are fine; each call runs under a deadline, so one that waits for a
+// core loop that is not there fails the test instead of hanging it. The
+// after-Close leg repeats, with a Stats caller racing each Close, since a
+// hand-off that races the core's exit hangs only some of the time.
 func TestCloseWithoutServing(t *testing.T) {
-	closeWithin := func(name string, srv *Server) {
-		t.Helper()
-		done := make(chan error, 1)
-		go func() { done <- srv.Close() }()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Errorf("%s: Close: %v", name, err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("%s: Close did not return", name)
-		}
-	}
-	srv, err := New(testConfig(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	closeWithin("never started", srv)
-
 	busy := startTestServer(t, testConfig(false))
 	defer busy.Close()
-	srv, err = New(testConfig(false))
-	if err != nil {
-		t.Fatal(err)
+	inUse := busy.Addr().String()
+
+	every := func(state string, srv *Server, bound bool) {
+		t.Helper()
+		calls := []struct {
+			name string
+			fn   func()
+		}{
+			{"Stats", func() { srv.Stats() }},
+			{"AckedWrites", func() { srv.AckedWrites() }},
+			{"PowerCut", func() { _ = srv.PowerCut() }},
+			{"Recover", func() { _, _ = srv.Recover() }},
+			{"Restart", func() { _, _ = srv.Restart() }},
+			{"Close", func() {
+				if err := srv.Close(); err != nil {
+					t.Errorf("%s: Close: %v", state, err)
+				}
+			}},
+			{"Addr", func() {
+				if got := srv.Addr(); (got != nil) != bound {
+					t.Errorf("%s: Addr() = %v", state, got)
+				}
+			}},
+			{"MetricsAddr", func() { srv.MetricsAddr() }},
+			{"Events", func() { srv.Events() }},
+		}
+		for _, c := range calls {
+			done := make(chan struct{})
+			go func() { defer close(done); c.fn() }()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s: %s did not return", state, c.name)
+			}
+		}
 	}
-	if err := srv.Start(busy.Addr().String()); err == nil {
-		t.Fatal("Start on an address in use succeeded")
+	build := func(cfg Config) *Server {
+		t.Helper()
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
 	}
-	closeWithin("failed Start", srv)
+
+	every("after New", build(testConfig(false)), false)
+
+	srv := build(testConfig(false))
+	if err := srv.Start(inUse); err == nil {
+		t.Fatal("Start on a block address in use succeeded")
+	}
+	every("after a failed Start (block address)", srv, false)
+
+	cfg := testConfig(false)
+	cfg.MetricsAddr = inUse
+	srv = build(cfg)
+	if err := srv.Start("127.0.0.1:0"); err == nil {
+		t.Fatal("Start on a metrics address in use succeeded")
+	}
+	every("after a failed Start (metrics address)", srv, true)
+
+	cfg.MetricsAddr = "127.0.0.1:0"
+	for i := 0; i < 50; i++ {
+		srv := startTestServer(t, cfg)
+		// A caller racing Close, as a scrape can: its hand-off lands
+		// before the drain, after it, or on a stopped core.
+		racer := make(chan struct{})
+		go func() {
+			defer close(racer)
+			for j := 0; j < 100; j++ {
+				srv.Stats()
+			}
+		}()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-racer:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("Stats racing Close (%d) did not return", i)
+		}
+		every(fmt.Sprintf("after Close (%d)", i), srv, true)
+	}
 }

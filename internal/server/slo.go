@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"time"
 
 	"cubeftl"
@@ -43,28 +42,6 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	return c
 }
 
-// Adjustment records one control decision, for logs and tests.
-type Adjustment struct {
-	At      time.Duration // simulated time of the decision
-	Tenant  string
-	What    string // "weight" or "rate"
-	From    float64
-	To      float64
-	P99     time.Duration // the windowed p99 that triggered it
-	Target  time.Duration
-	Breach  bool // true = tightening, false = relaxing
-	Applied bool
-}
-
-func (a Adjustment) String() string {
-	dir := "relax"
-	if a.Breach {
-		dir = "tighten"
-	}
-	return fmt.Sprintf("slo %8v %-8s %s %s %.0f -> %.0f (p99 %v, target %v)",
-		a.At, a.Tenant, dir, a.What, a.From, a.To, a.P99, a.Target)
-}
-
 // tenantSLO is the controller's per-tenant state. Windows reset each
 // decision interval so p99 reflects current conditions, not history.
 type tenantSLO struct {
@@ -91,10 +68,8 @@ type sloController struct {
 	tenants []*tenantSLO
 	nextAt  time.Duration
 
-	// Decisions is the log of every applied adjustment.
-	Decisions []Adjustment
-	// events mirrors each decision into the structured event log
-	// (slo_tighten/slo_relax with the triggering p99 and knob values).
+	// events records each applied decision (slo_tighten/slo_relax with
+	// the triggering p99 and knob values).
 	events *telemetry.EventLog
 	// Breaches counts intervals where a protected tenant missed its
 	// target; Tightenings/Relaxations count applied knob turns. The
@@ -104,11 +79,11 @@ type sloController struct {
 	Relaxations int64 `metric:"slo/relaxations_total counter knob turns relaxing QoS"`
 }
 
-// newSLOController builds the controller over the front end. targets
-// maps tenant name to its read-p99 objective; tenants absent from the
-// map are best-effort donors.
-func newSLOController(cfg SLOConfig, fe *cubeftl.FrontEnd, tenants []TenantDef) *sloController {
-	sc := &sloController{cfg: cfg.withDefaults(), fe: fe}
+// newSLOController builds the controller over the front end, recording
+// its decisions in events. A tenant with a SLOReadP99 is protected; the
+// others are best-effort donors.
+func newSLOController(cfg SLOConfig, fe *cubeftl.FrontEnd, tenants []TenantDef, events *telemetry.EventLog) *sloController {
+	sc := &sloController{cfg: cfg.withDefaults(), fe: fe, events: events}
 	for i, td := range tenants {
 		w := td.Weight
 		if w < 1 {
@@ -201,10 +176,7 @@ func (sc *sloController) tighten(now time.Duration, t *tenantSLO, p99 time.Durat
 	if cur < sloMaxWeight {
 		next := min(cur*2, sloMaxWeight)
 		if sc.fe.SetWeight(t.queue, next) == nil {
-			sc.record(Adjustment{At: now, Tenant: t.name, What: "weight",
-				From: float64(cur), To: float64(next), P99: p99, Target: t.target,
-				Breach: true, Applied: true})
-			sc.Tightenings++
+			sc.record(telemetry.EvSLOTighten, now, t.name, "weight", float64(cur), float64(next), p99, t.target)
 			return
 		}
 	}
@@ -232,10 +204,7 @@ func (sc *sloController) tighten(now time.Duration, t *tenantSLO, p99 time.Durat
 			continue
 		}
 		if sc.fe.SetRate(o.queue, next) == nil {
-			sc.record(Adjustment{At: now, Tenant: o.name, What: "rate",
-				From: cap, To: next, P99: p99, Target: t.target,
-				Breach: true, Applied: true})
-			sc.Tightenings++
+			sc.record(telemetry.EvSLOTighten, now, o.name, "rate", cap, next, p99, t.target)
 		}
 	}
 }
@@ -258,9 +227,7 @@ func (sc *sloController) relax(now time.Duration, t *tenantSLO, p99 time.Duratio
 			next = 0 // fully lifted
 		}
 		if sc.fe.SetRate(o.queue, next) == nil {
-			sc.record(Adjustment{At: now, Tenant: o.name, What: "rate",
-				From: cap, To: next, P99: p99, Target: t.target, Applied: true})
-			sc.Relaxations++
+			sc.record(telemetry.EvSLORelax, now, o.name, "rate", cap, next, p99, t.target)
 			return // one knob per interval on the way down
 		}
 	}
@@ -271,34 +238,33 @@ func (sc *sloController) relax(now time.Duration, t *tenantSLO, p99 time.Duratio
 			next = t.baseWeight
 		}
 		if sc.fe.SetWeight(t.queue, next) == nil {
-			sc.record(Adjustment{At: now, Tenant: t.name, What: "weight",
-				From: float64(cur), To: float64(next), P99: p99, Target: t.target, Applied: true})
-			sc.Relaxations++
+			sc.record(telemetry.EvSLORelax, now, t.name, "weight", float64(cur), float64(next), p99, t.target)
 		}
 	}
 }
 
-func (sc *sloController) record(a Adjustment) {
-	sc.Decisions = append(sc.Decisions, a)
-	if sc.events == nil {
-		return
-	}
-	typ := telemetry.EvSLORelax
-	if a.Breach {
-		typ = telemetry.EvSLOTighten
+// record counts one applied knob turn — typ is EvSLOTighten or
+// EvSLORelax — and writes it to the event log: the tenant whose knob
+// moved, which knob (what: "weight" or "rate"), its old and new values,
+// and the protected tenant's windowed p99 against its target.
+func (sc *sloController) record(typ string, now time.Duration, tenant, what string, from, to float64, p99, target time.Duration) {
+	if typ == telemetry.EvSLOTighten {
+		sc.Tightenings++
+	} else {
+		sc.Relaxations++
 	}
 	sc.events.Emit(telemetry.Event{
-		SimNs:  int64(a.At),
+		SimNs:  int64(now),
 		Type:   typ,
-		Tenant: a.Tenant,
+		Tenant: tenant,
 		Fields: map[string]float64{
-			"p99_ns":    float64(a.P99),
-			"target_ns": float64(a.Target),
-			"from":      a.From,
-			"to":        a.To,
-			"applied":   telemetry.BoolValue(a.Applied),
+			"p99_ns":    float64(p99),
+			"target_ns": float64(target),
+			"from":      from,
+			"to":        to,
+			"applied":   1,
 		},
-		Text: map[string]string{"what": a.What},
+		Text: map[string]string{"what": what},
 	})
 }
 

@@ -5,12 +5,14 @@ import (
 	"time"
 
 	"cubeftl"
+	"cubeftl/internal/telemetry"
 )
 
 // newSLOFixture builds a real device + front end and a controller over
 // two tenants: "lat" (protected, queue 0) and "bulk" (best-effort,
-// queue 1). The tests drive observe/maybeDecide directly with a
-// synthetic clock, the same way the server's core loop does.
+// queue 1), recording its decisions in a fresh event log. The tests
+// drive observe/maybeDecide directly with a synthetic clock, the same
+// way the server's core loop does.
 func newSLOFixture(t *testing.T, cfg SLOConfig) (*sloController, *cubeftl.FrontEnd, *cubeftl.SSD) {
 	t.Helper()
 	dev, err := cubeftl.New(cubeftl.Options{
@@ -29,7 +31,7 @@ func newSLOFixture(t *testing.T, cfg SLOConfig) (*sloController, *cubeftl.FrontE
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newSLOController(cfg, fe, tenants), fe, dev
+	return newSLOController(cfg, fe, tenants, telemetry.NewEventLog(nil, 0)), fe, dev
 }
 
 // feed pushes n read observations of the given latency into a tenant's
@@ -46,8 +48,8 @@ func TestSLOTightensUnderBreach(t *testing.T) {
 
 	now := time.Millisecond
 	sc.maybeDecide(now) // arms the first interval, no decision yet
-	if len(sc.Decisions) != 0 {
-		t.Fatalf("decision before any window: %v", sc.Decisions)
+	if evs := sc.events.Events(); len(evs) != 0 {
+		t.Fatalf("decision before any window: %v", evs)
 	}
 	breach := func() {
 		feed(sc, 0, sloMinSamples, 5*time.Millisecond) // p99 5ms against a 1ms target
@@ -98,9 +100,12 @@ func TestSLOTightensUnderBreach(t *testing.T) {
 	if breaches := 4 + 1 + 12; sc.Breaches != int64(breaches) || sc.Tightenings != int64(tightenings) {
 		t.Fatalf("breaches %d tightenings %d, want %d/%d", sc.Breaches, sc.Tightenings, breaches, tightenings)
 	}
-	for _, d := range sc.Decisions {
-		if !d.Breach || !d.Applied {
-			t.Fatalf("unexpected decision in tighten-only run: %v", d)
+	if evs := sc.events.Events(); len(evs) != tightenings {
+		t.Fatalf("%d decision events for %d tightenings", len(evs), tightenings)
+	}
+	for _, ev := range sc.events.Events() {
+		if ev.Type != telemetry.EvSLOTighten || ev.Fields["applied"] != 1 {
+			t.Fatalf("unexpected decision in tighten-only run: %+v", ev)
 		}
 	}
 }
@@ -160,6 +165,9 @@ func TestSLORelaxesAfterSustainedHeadroom(t *testing.T) {
 	if sc.Relaxations == 0 || sc.Breaches != 0 {
 		t.Fatalf("relaxations %d breaches %d", sc.Relaxations, sc.Breaches)
 	}
+	if evs := sc.events.ByType(telemetry.EvSLORelax); int64(len(evs)) != sc.Relaxations || len(evs) != len(sc.events.Events()) {
+		t.Fatalf("%d relax events of %d, for %d relaxations", len(evs), len(sc.events.Events()), sc.Relaxations)
+	}
 
 	// One breach resets the streak: no further relaxation until the
 	// streak rebuilds.
@@ -183,15 +191,15 @@ func TestSLOSkipsThinWindowsAndDisabled(t *testing.T) {
 	feed(sc, 0, sloMinSamples-1, 5*time.Millisecond) // one short of sloMinSamples
 	now += cfg.Interval
 	sc.maybeDecide(now)
-	if len(sc.Decisions) != 0 || fe.Snapshot()[0].Weight != 4 {
-		t.Fatalf("thin window acted: %v", sc.Decisions)
+	if evs := sc.events.Events(); len(evs) != 0 || fe.Snapshot()[0].Weight != 4 {
+		t.Fatalf("thin window acted: %v", evs)
 	}
 
 	off, feOff, _ := newSLOFixture(t, SLOConfig{Enabled: false})
 	feed(off, 0, 100, 50*time.Millisecond)
 	off.maybeDecide(time.Second)
 	off.maybeDecide(2 * time.Second)
-	if len(off.Decisions) != 0 || feOff.Snapshot()[0].Weight != 4 {
+	if off.events.Total() != 0 || feOff.Snapshot()[0].Weight != 4 {
 		t.Fatal("disabled controller acted")
 	}
 }

@@ -208,15 +208,6 @@ func TestSessionTrafficOpensNoWindow(t *testing.T) {
 	checkIdle(t, srv, "visitors gone")
 }
 
-// onCore plays the core goroutine for a hand-driven server: op is a call
-// that goes through Server.do.
-func onCore(s *Server, op func()) {
-	done := make(chan struct{})
-	go func() { op(); close(done) }()
-	(<-s.ctlCh)()
-	<-done
-}
-
 // The idle count through every way a connection enters and leaves it,
 // driven by hand on the core: session binding and re-binding, refusals,
 // replies made on the spot, completions, a close with commands in flight,
@@ -300,11 +291,9 @@ func TestIdleCountInvariant(t *testing.T) {
 	// Power cut with a command in flight: every connection drops.
 	io(c, OpWrite, 9)
 	want("in flight at the cut", 0)
-	onCore(s, func() {
-		if err := s.PowerCut(); err != nil {
-			t.Error(err)
-		}
-	})
+	if err := s.PowerCut(); err != nil { // never started: do runs it here
+		t.Fatal(err)
+	}
 	want("power cut", 0)
 	if len(s.conns) != 0 {
 		t.Fatalf("%d connections survived the cut", len(s.conns))
@@ -315,11 +304,9 @@ func TestIdleCountInvariant(t *testing.T) {
 	if s.stats.Unavailables != 1 {
 		t.Fatalf("%d unavailables, want the Hello", s.stats.Unavailables)
 	}
-	onCore(s, func() {
-		if _, err := s.Recover(); err != nil {
-			t.Error(err)
-		}
-	})
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	s.handle(request{kind: kindHello, c: c3, hello: Hello{ClientID: c.sess.id, Tenant: "lat"}})
 	want("session resumed after recovery", 1)
 	io(c3, OpRead, 3)
